@@ -205,9 +205,10 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
         "--on-worker-death", default=None, choices=["fail", "recover"],
         help="process-backend policy when a worker process dies: "
              "'fail' returns a structured CRASHED report immediately, "
-             "'recover' re-executes the lost workers' hosted machines "
-             "through the deterministic inline path and reports "
-             "RECOVERED with complete counts (default: fail)",
+             "'recover' redistributes the lost workers' hosted "
+             "machines to the surviving workers (the parent replays "
+             "only machines no survivor covers) and reports RECOVERED "
+             "with complete counts (default: fail)",
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",

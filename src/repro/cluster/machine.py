@@ -69,10 +69,6 @@ class MachineState:
     #: bytes served to other machines (responder load, Figure 19)
     served_bytes: int = 0
     served_requests: int = 0
-    #: time the communication threads spend serving remote requests;
-    #: concurrent with the machine's own pipeline (Section 6), so it
-    #: bounds the machine's finish time via max(), not a sum
-    serve_seconds: float = 0.0
     #: cleared when an injected fault kills the machine mid-run
     alive: bool = True
 
@@ -86,6 +82,18 @@ class MachineState:
     def compute_threads(self) -> int:
         """Cores left for computation (at least 1)."""
         return max(1, self.cores - self.comm_threads)
+
+    @property
+    def serve_seconds(self) -> float:
+        """Time the communication threads spend serving remote requests;
+        concurrent with the machine's own pipeline (Section 6), so it
+        bounds the machine's finish time via max(), not a sum. Priced
+        once from the integer served tallies, so it does not depend on
+        the order (or the process) the fetches were recorded in."""
+        return (
+            self.served_requests * self.cost.serve_per_request
+            + self.served_bytes * self.cost.serve_per_byte
+        ) / self.comm_threads
 
     def parallel_compute_time(self, serial_seconds: float) -> float:
         """Wall time of ``serial_seconds`` of work over the compute pool."""
@@ -117,5 +125,4 @@ class MachineState:
         self.clock = ClockBuckets()
         self.served_bytes = 0
         self.served_requests = 0
-        self.serve_seconds = 0.0
         self.alive = True

@@ -1,17 +1,21 @@
 """The Khuzdul distributed execution engine.
 
-Ties the per-machine hybrid scheduler to the simulated cluster: builds
-per-machine static caches, runs every machine's share of the
-enumeration (machines interact only through read-only edge-list
-fetches, so the simulation runs them in sequence while their clocks
-advance independently), and assembles a :class:`RunReport` whose
-simulated runtime is the slowest machine's clock.
+Ties the per-machine hybrid scheduler to the simulated cluster along
+one path (:mod:`repro.core.plan`): :meth:`KhuzdulEngine.plan`
+describes the job once, :meth:`KhuzdulEngine.execute` — the one machine
+loop — builds per-machine static caches and runs every hosted
+machine's share of the enumeration (machines interact only through
+read-only edge-list fetches, so the simulation runs them in sequence
+while their clocks advance independently), and
+:func:`~repro.core.plan.finalize` assembles the :class:`RunReport`
+whose simulated runtime is the slowest machine's clock.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,6 +23,13 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.cache import CachePolicy, EdgeCache
 from repro.core.extend import ScheduleExtender
+from repro.core.plan import (
+    JobPlan,
+    Partial,
+    PatternPlan,
+    finalize,
+    require_mergeable_udf,
+)
 from repro.core.runtime import RunReport
 from repro.core.scheduler import NULL_UDF, MachineScheduler, Udf
 from repro.errors import (
@@ -28,6 +39,7 @@ from repro.errors import (
     OutOfMemoryError,
     SimTimeoutError,
 )
+from repro.faults.durability import DurableRun
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import FailureSummary, Outcome, split_roots
@@ -36,6 +48,13 @@ from repro.patterns.schedule import Schedule, compile_counting_plan
 
 #: Multi-pattern UDF: (pattern index, prefix vertices, candidates).
 MultiUdf = Callable[[int, tuple[int, ...], np.ndarray], None]
+
+#: how a scheduler's structured abort ends the run
+_OUTCOME_OF = {
+    OutOfMemoryError: Outcome.OUTOFMEM,
+    FetchFailedError: Outcome.DEGRADED,
+    SimTimeoutError: Outcome.TIMEOUT,
+}
 
 
 @dataclass(frozen=True)
@@ -168,8 +187,8 @@ class KhuzdulEngine:
         #: in-process simulated path directly. Duck-typed on purpose:
         #: this module must not import ``repro.exec`` (which imports
         #: the engine), so any object with
-        #: ``execute(engine, schedules, udf, system, app, graph_name)``
-        #: works — see :class:`repro.exec.Backend`.
+        #: ``execute(engine, plan, udf)`` works — see
+        #: :class:`repro.exec.Backend`.
         self.backend = backend
 
     # ------------------------------------------------------------------
@@ -182,10 +201,10 @@ class KhuzdulEngine:
         graph_name: str = "graph",
     ) -> RunReport:
         """Enumerate one pattern; returns the report with ``counts: int``."""
-        counts, report = self._execute([schedule], _wrap_single(udf),
-                                       system, app, graph_name)
-        counts = self._finalize_counts([schedule], counts, udf)
-        report.counts = counts[0]
+        plan = self.plan([schedule], udf, system, app, graph_name,
+                         indexed_udf=False)
+        report = self._run(plan, udf)
+        report.counts = report.counts[0]
         return report
 
     def run_many(
@@ -204,185 +223,106 @@ class KhuzdulEngine:
         (paper Table 4). The report's ``counts`` is a list aligned with
         ``schedules``.
         """
-        counts, report = self._execute(list(schedules), udf,
-                                       system, app, graph_name)
-        counts = self._finalize_counts(schedules, counts, udf)
+        return self._run(
+            self.plan(schedules, udf, system, app, graph_name), udf)
+
+    # ------------------------------------------------------------------
+    def plan(
+        self,
+        schedules: Sequence[Schedule],
+        udf=None,
+        system: str = "khuzdul",
+        app: str = "patterns",
+        graph_name: str = "graph",
+        indexed_udf: bool = True,
+    ) -> JobPlan:
+        """Describe a job once: per pattern its counting plan, DFS
+        levels and clamped chunk budget — the only place any of them is
+        decided."""
+        config = self.config
+        patterns = []
+        for schedule in schedules:
+            # IEP counting plan (docs/performance.md): eligible
+            # count-only schedules enumerate only the plan's prefix
+            # pattern and drain complete prefixes through the
+            # inclusion-exclusion terminal kernel. compile returns
+            # None for ineligible schedules — those enumerate as
+            # usual, so a mixed run_many works per pattern.
+            counting = None
+            if config.counting == "iep" and udf is None:
+                counting = compile_counting_plan(schedule)
+            if counting is None:
+                levels = max(1, schedule.pattern.num_vertices - 2)
+            else:
+                # the DFS stack only ever holds prefix levels
+                levels = max(
+                    1, counting.prefix_schedule.pattern.num_vertices - 1
+                )
+            chunk_bytes = config.chunk_bytes
+            if config.auto_fit_chunks:
+                headroom = config.memory_headroom_bytes(
+                    self.cluster.config.memory_bytes, levels
+                )
+                chunk_bytes = max(1024, min(chunk_bytes, headroom))
+            patterns.append(
+                PatternPlan(schedule, counting, levels, chunk_bytes)
+            )
+        return JobPlan(tuple(patterns), config, self.cluster.config,
+                       system, app, graph_name, indexed_udf)
+
+    def _run(self, plan: JobPlan, udf) -> RunReport:
+        if self.backend is not None:
+            counts, report = self.backend.execute(self, plan, udf)
+        else:
+            counts, report = self.run_plan(plan, udf)
         report.counts = counts
         return report
 
-    def _finalize_counts(
-        self, schedules: Sequence[Schedule], counts: list[int], udf
-    ) -> list[int]:
-        """Fold IEP symmetry divisors into raw plan numerators.
-
-        Everything below :meth:`run`/:meth:`run_many` — schedulers,
-        checkpoints, process-backend workers, recovery replays — tallies
-        the restriction-free numerator (each partial sum stays an exact
-        integer, so re-executed or resumed shards merge by addition).
-        The single exact division per query happens here, after every
-        backend path has converged.
-        """
-        if self.config.counting != "iep" or udf is not None:
-            return counts
-        for index, schedule in enumerate(schedules):
-            plan = compile_counting_plan(schedule)
-            if plan is not None and plan.divisor > 1:
-                counts[index] //= plan.divisor
-        return counts
-
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        schedules: list[Schedule],
-        udf: Optional[MultiUdf],
-        system: str,
-        app: str,
-        graph_name: str,
+    def run_plan(
+        self, plan: JobPlan, udf=None
     ) -> tuple[list[int], RunReport]:
-        if self.backend is not None:
-            return self.backend.execute(
-                self, schedules, udf, system, app, graph_name
-            )
-        if self.config.checkpoint_dir is not None:
-            return self._execute_durable(schedules, udf, system, app,
-                                         graph_name)
-        return self._execute_inline(schedules, udf, system, app, graph_name)
+        """The inline backend: every machine in this process.
 
-    def execute_hosted(
-        self,
-        schedules: list[Schedule],
-        udf: Optional[MultiUdf],
-        system: str,
-        app: str,
-        graph_name: str,
-        hosted: set,
-        transport=None,
-        checkpoint_sink=None,
-        resume: Optional[dict] = None,
-    ) -> tuple[list[int], RunReport]:
-        """Run only ``hosted`` machine ids through the inline path.
-
-        The execution-backend entry point (docs/execution.md): process
-        backend workers call it with their hosted subset and the queue
-        transport, and the parent's lost-worker re-execution calls it
-        with a dead worker's subset and no transport. The restriction
-        changes *which* schedulers run, never what any of them
-        computes — which is why a re-executed subset reproduces a lost
-        worker's counts and simulated measurements bit-exactly.
-
-        ``checkpoint_sink``/``resume`` are the durability hooks
-        (docs/faults.md): the sink observes every completed root
-        chunk's absolute cursor, and ``resume`` seeds schedulers past
-        already-completed roots.
-        """
-        return self._execute_inline(
-            schedules, udf, system, app, graph_name,
-            hosted=hosted, transport=transport,
-            checkpoint_sink=checkpoint_sink, resume=resume,
-        )
-
-    def _execute_durable(
-        self,
-        schedules: list[Schedule],
-        udf: Optional[MultiUdf],
-        system: str,
-        app: str,
-        graph_name: str,
-    ) -> tuple[list[int], RunReport]:
-        """Inline execution under a durable checkpoint directory.
-
-        Opens (or resumes) the :class:`CheckpointSession`, feeds it
-        every completed root chunk, and restores mergeable UDF state
-        from the aggregates snapshot on resume. A killed run restarted
-        with ``resume=True`` skips completed chunks and reproduces the
+        With ``checkpoint_dir`` set the :class:`DurableRun` feeds every
+        completed root chunk to the durable log and, on ``resume``,
+        skips completed chunks and restores mergeable UDF state — a
+        killed run restarted with ``resume=True`` reproduces the
         uninterrupted run's counts bit-exactly (docs/faults.md).
         """
-        import pickle
-
-        from repro.faults import durability
-
-        config = self.config
-        manifest = durability.run_manifest(
-            self.cluster, schedules, config, system, app, graph_name
-        )
-        session = durability.CheckpointSession(
-            config.checkpoint_dir, manifest,
-            num_patterns=len(schedules),
-            every=config.checkpoint_every,
-            resume=config.resume,
-        )
-        obs = self.obs
-
-        if udf is not None:
-            if not callable(getattr(udf, "merge", None)):
-                raise ConfigurationError(
-                    "durable checkpoints need a mergeable UDF: resumed "
-                    "runs restore snapshotted state via udf.merge(other) "
-                    "(plain callables/closures run without "
-                    "checkpoint_dir only)"
-                )
-            try:
-                pickle.dumps(udf)
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"durable checkpoints need a picklable UDF (its "
-                    f"state is snapshotted every flush): {exc}"
-                ) from exc
-            if config.resume and session.snapshot_udf is not None:
-                udf.merge(pickle.loads(session.snapshot_udf))
-
-        def snapshot_extra() -> dict:
-            return {
-                "udf": pickle.dumps(udf) if udf is not None else None,
-                "metrics": obs.registry.dump() if obs.enabled else None,
-            }
-
-        session.snapshot_extra = snapshot_extra
-        resume_state = (
-            session.resume_state(with_udf=udf is not None)
-            if config.resume else None
-        )
-        counts, report = self._execute_inline(
-            schedules, udf, system, app, graph_name,
-            checkpoint_sink=session.record, resume=resume_state,
-        )
-        session.finalize()
-        stats = session.stats()
-        report.extra["checkpoint"] = stats
-        if obs.enabled:
-            scope = obs.registry.scope()
-            scope.counter(names.CHECKPOINT_RECORDS).inc(stats["records"])
-            scope.counter(names.CHECKPOINT_FLUSHES).inc(stats["flushes"])
-            scope.counter(names.CHECKPOINT_RESUMED_ROOTS).inc(
-                stats["resumed_roots"]
+        if plan.config.checkpoint_dir is not None:
+            require_mergeable_udf(udf, "durable checkpoints")
+        with DurableRun(plan, self.cluster.graph, self.obs, udf) as durable:
+            partial_run = self.execute(
+                plan, udf, sink=durable.sink, resume=durable.resume
             )
+        counts, report = finalize(plan, [partial_run], self.obs)
+        durable.publish(report)
         return counts, report
 
-    def _execute_inline(
+    def execute(
         self,
-        schedules: list[Schedule],
-        udf: Optional[MultiUdf],
-        system: str,
-        app: str,
-        graph_name: str,
+        plan: JobPlan,
+        udf=None,
         hosted: Optional[set] = None,
         transport=None,
-        checkpoint_sink=None,
+        sink=None,
         resume: Optional[dict] = None,
-    ) -> tuple[list[int], RunReport]:
-        """The simulated single-process execution path.
+    ) -> Partial:
+        """The one machine loop: run ``plan`` on this engine's cluster.
 
         ``hosted``/``transport`` are the worker-process hooks of the
         ``process`` backend (docs/execution.md): with ``hosted`` set,
         only that subset of machine ids runs schedulers (the rest are
         replicas other workers drive), and ``transport`` routes each
         circulant batch's edge lists over real inter-process queues.
-        Neither changes any simulated quantity, which is what keeps
-        backend counts bit-identical.
+        The restriction changes *which* schedulers run, never what any
+        of them computes or charges — which is why backend counts are
+        bit-identical and a re-executed subset reproduces a lost
+        worker's results exactly.
 
-        ``checkpoint_sink(pattern, machine, roots, matches)`` observes
-        every completed root chunk with its *absolute* cursor;
-        ``resume`` maps ``(pattern, machine)`` to an already-completed
+        ``sink(pattern, machine, roots, matches)`` observes every
+        completed root chunk with its *absolute* cursor; ``resume``
+        maps ``(pattern, machine)`` to an already-completed
         ``(roots, matches)`` prefix, which is sliced off the machine's
         root set and seeded into its counts before the scheduler runs.
         Roots are enumerated in a deterministic order, so skipping a
@@ -390,7 +330,7 @@ class KhuzdulEngine:
         durability contract of docs/faults.md.
         """
         cluster = self.cluster
-        config = self.config
+        config = plan.config
         graph = cluster.graph
         obs = self.obs
         obs.reset()  # one summary per run
@@ -406,14 +346,6 @@ class KhuzdulEngine:
                 config.faults, metrics=obs.registry.scope()
             )
             cluster.network.attach_injector(injector)
-        rec_scope = obs.registry.scope()
-        m_reassigned_roots = rec_scope.counter(
-            names.RECOVERY_REASSIGNED_ROOTS
-        )
-        m_reassigned_chunks = rec_scope.counter(
-            names.RECOVERY_REASSIGNED_CHUNKS
-        )
-        m_invalidated = rec_scope.counter(names.RECOVERY_INVALIDATED_ENTRIES)
 
         failure: Optional[FailureSummary] = None
         recovered = False
@@ -424,6 +356,10 @@ class KhuzdulEngine:
             "invalidated_entries": 0,
             "checkpoints": 0,
         }
+
+        def failed(outcome, machine_id, message) -> FailureSummary:
+            return FailureSummary(outcome, machine_id, message,
+                                  cluster.runtime(), events=events)
 
         cache_capacity = int(config.cache_fraction * graph.size_bytes())
         caches = []
@@ -446,15 +382,12 @@ class KhuzdulEngine:
                 machine.allocate(cache_capacity)  # pre-allocated pool
                 allocated.append(machine)
         except OutOfMemoryError as exc:
-            failure = FailureSummary(
-                Outcome.OUTOFMEM, exc.machine_id, str(exc),
-                cluster.runtime(), events=events,
-            )
+            failure = failed(Outcome.OUTOFMEM, exc.machine_id, str(exc))
         startup_counters = [
             scope.counter(names.TIME_SCHEDULER) for scope in machine_scopes
         ]
 
-        counts = [0] * len(schedules)
+        counts = [0] * len(plan.patterns)
         # Per-(schedule, machine) the engine builds a *fresh* scheduler
         # (and HDS table), so summing scheduler.hds.* below counts each
         # probe exactly once; the regression test
@@ -477,36 +410,15 @@ class KhuzdulEngine:
             recovery_stats["checkpoints"] += scheduler.checkpoints_taken
 
         try:
-            for index, schedule in enumerate(schedules):
+            for index, pattern in enumerate(plan.patterns):
                 if failure is not None:
                     break
-                # IEP counting plan (docs/performance.md): eligible
-                # count-only schedules enumerate only the plan's prefix
-                # pattern and drain complete prefixes through the
-                # inclusion-exclusion terminal kernel. compile returns
-                # None for ineligible schedules — those enumerate as
-                # usual, so a mixed run_many works per pattern.
-                iep_plan = None
-                if config.counting == "iep" and udf is None:
-                    iep_plan = compile_counting_plan(schedule)
-                extender_schedule = (
-                    schedule if iep_plan is None
-                    else iep_plan.prefix_schedule
-                )
-                chunk_bytes = config.chunk_bytes
-                if config.auto_fit_chunks:
-                    if iep_plan is None:
-                        levels = max(1, schedule.pattern.num_vertices - 2)
-                    else:
-                        # the DFS stack only ever holds prefix levels
-                        levels = max(
-                            1,
-                            extender_schedule.pattern.num_vertices - 1,
-                        )
-                    headroom = config.memory_headroom_bytes(
-                        cluster.config.memory_bytes, levels
-                    )
-                    chunk_bytes = max(1024, min(chunk_bytes, headroom))
+                if udf is None:
+                    machine_udf: Udf = NULL_UDF
+                elif plan.indexed_udf:
+                    machine_udf = partial(udf, index)
+                else:
+                    machine_udf = udf
                 # Work queue of (machine, roots) shards. Fault-free runs
                 # enqueue exactly one shard per machine; crash recovery
                 # appends the orphaned remainder as survivor shards. A
@@ -517,7 +429,7 @@ class KhuzdulEngine:
                     if (hosted is not None
                             and machine.machine_id not in hosted):
                         continue
-                    roots = self._roots_for(machine.machine_id, schedule)
+                    roots = pattern.roots_for(cluster, machine.machine_id)
                     base_roots = base_matches = 0
                     if resume:
                         base_roots, base_matches = resume.get(
@@ -540,18 +452,15 @@ class KhuzdulEngine:
                         # whole share to the survivors
                         live = cluster.live_ids()
                         if not live:
-                            failure = FailureSummary(
+                            failure = failed(
                                 Outcome.CRASHED, mid,
-                                "no live machine left to take over",
-                                cluster.runtime(), events=events,
-                            )
+                                "no live machine left to take over")
                             break
                         pieces = split_roots(shard.roots, live)
                         for survivor, share in pieces:
                             shards.append(_Shard(survivor, share,
                                                  recovery=True))
                         recovery_stats["reassigned_roots"] += len(shard.roots)
-                        m_reassigned_roots.inc(len(shard.roots))
                         continue
                     machine = cluster.machines[mid]
                     machine.clock.scheduler += cluster.cost.engine_startup
@@ -563,21 +472,17 @@ class KhuzdulEngine:
                             attrs={"scheduler": cluster.cost.engine_startup,
                                    "pattern": index},
                         ))
-                    if udf is None:
-                        machine_udf: Udf = _NULL_UDF
-                    else:
-                        machine_udf = _bind_udf(udf, index)
                     scheduler = MachineScheduler(
                         cluster=cluster,
                         machine=machine,
                         extender=ScheduleExtender(
-                            extender_schedule,
+                            pattern.extend_schedule,
                             vcs=config.vcs,
                             metrics=machine_scopes[mid],
                         ),
                         cache=caches[mid],
                         udf=machine_udf,
-                        chunk_bytes=chunk_bytes,
+                        chunk_bytes=pattern.chunk_bytes,
                         hds_enabled=config.hds,
                         hds_slots=config.hds_slots,
                         hds_chaining=config.hds_chaining,
@@ -589,10 +494,10 @@ class KhuzdulEngine:
                         faults=injector,
                         transport=transport,
                         batched_extend=(config.extend_mode == "batched"),
-                        iep_plan=iep_plan,
+                        iep_plan=pattern.counting,
                         checkpoint_sink=(
-                            _make_shard_sink(checkpoint_sink, index, shard)
-                            if checkpoint_sink is not None
+                            partial(_rebased_sink, sink, index, shard)
+                            if sink is not None
                             and not shard.recovery else None
                         ),
                     )
@@ -616,18 +521,13 @@ class KhuzdulEngine:
                         }
                         events.append(event)
                         if not config.recover:
-                            failure = FailureSummary(
-                                Outcome.CRASHED, mid, str(exc),
-                                cluster.runtime(), events=events,
-                            )
+                            failure = failed(Outcome.CRASHED, mid, str(exc))
                             break
                         live = cluster.live_ids()
                         if not live:
-                            failure = FailureSummary(
+                            failure = failed(
                                 Outcome.CRASHED, mid,
-                                "machine crashed and no survivors remain",
-                                cluster.runtime(), events=events,
-                            )
+                                "machine crashed and no survivors remain")
                             break
                         # survivors drop cache entries sourced from the
                         # dead partition (they would alias buffers the
@@ -639,7 +539,6 @@ class KhuzdulEngine:
                                 lambda v: owner_of(v) == mid
                             )
                         recovery_stats["invalidated_entries"] += invalidated
-                        m_invalidated.inc(invalidated)
                         remaining = shard.roots[ckpt.roots_completed:]
                         try:
                             for survivor, share in split_roots(
@@ -652,47 +551,30 @@ class KhuzdulEngine:
                                 shards.append(_Shard(survivor, share,
                                                      recovery=True))
                         except FetchFailedError as refetch_exc:
-                            failure = FailureSummary(
-                                Outcome.DEGRADED, mid, str(refetch_exc),
-                                cluster.runtime(), events=events,
-                            )
+                            failure = failed(Outcome.DEGRADED, mid,
+                                             str(refetch_exc))
                             break
                         recovery_stats["reassigned_roots"] += len(remaining)
-                        m_reassigned_roots.inc(len(remaining))
                         event["reassigned_roots"] = int(len(remaining))
                         event["survivors"] = live
                         recovered = True
                         continue
-                    except OutOfMemoryError as exc:
+                    except tuple(_OUTCOME_OF) as exc:
+                        # a structured abort: what the scheduler finished
+                        # up to its last checkpoint still counts
                         absorb(scheduler)
                         counts[index] += scheduler.checkpoint.matches
-                        failure = FailureSummary(
-                            Outcome.OUTOFMEM, exc.machine_id, str(exc),
-                            cluster.runtime(), events=events,
-                        )
-                        break
-                    except FetchFailedError as exc:
-                        absorb(scheduler)
-                        counts[index] += scheduler.checkpoint.matches
-                        events.append({
-                            "kind": "fetch_failed",
-                            "machine": mid,
-                            "owner": exc.owner,
-                            "attempts": exc.attempts,
-                            "pattern": index,
-                        })
-                        failure = FailureSummary(
-                            Outcome.DEGRADED, mid, str(exc),
-                            cluster.runtime(), events=events,
-                        )
-                        break
-                    except SimTimeoutError as exc:
-                        absorb(scheduler)
-                        counts[index] += scheduler.checkpoint.matches
-                        failure = FailureSummary(
-                            Outcome.TIMEOUT, mid, str(exc),
-                            cluster.runtime(), events=events,
-                        )
+                        if isinstance(exc, FetchFailedError):
+                            events.append({
+                                "kind": "fetch_failed",
+                                "machine": mid,
+                                "owner": exc.owner,
+                                "attempts": exc.attempts,
+                                "pattern": index,
+                            })
+                        failure = failed(
+                            _OUTCOME_OF[type(exc)],
+                            getattr(exc, "machine_id", mid), str(exc))
                         break
                     absorb(scheduler)
                     counts[index] += shard_matches
@@ -700,7 +582,6 @@ class KhuzdulEngine:
                         recovery_stats["reassigned_chunks"] += (
                             scheduler.chunks_created
                         )
-                        m_reassigned_chunks.inc(scheduler.chunks_created)
                     # the scheduler polices the budget at chunk
                     # boundaries; this engine-level check also covers
                     # runs that never reach one (trivial patterns) and
@@ -709,13 +590,11 @@ class KhuzdulEngine:
                         config.time_budget is not None
                         and machine.clock.total() > config.time_budget
                     ):
-                        failure = FailureSummary(
+                        failure = failed(
                             Outcome.TIMEOUT, mid,
                             f"machine {mid} finished at "
                             f"{machine.clock.total():.3g}s, over the "
-                            f"{config.time_budget:.3g}s budget",
-                            cluster.runtime(), events=events,
-                        )
+                            f"{config.time_budget:.3g}s budget")
                         break
         finally:
             for machine in allocated:
@@ -725,119 +604,71 @@ class KhuzdulEngine:
             recovered or injector.fetch_failures > 0
         ):
             crash_events = [e for e in events if e["kind"] == "crash"]
-            failure = FailureSummary(
+            failure = failed(
                 Outcome.RECOVERED,
-                machine_id=(
-                    crash_events[0]["machine"] if crash_events else None
-                ),
-                message=(
-                    f"recovered: {len(crash_events)} machine(s) lost, "
-                    f"{injector.fetch_failures} transient fetch "
-                    f"failure(s) retried; counts are complete"
-                ),
-                simulated_seconds=cluster.runtime(),
-                partial=False,
-                events=events,
+                crash_events[0]["machine"] if crash_events else None,
+                f"recovered: {len(crash_events)} machine(s) lost, "
+                f"{injector.fetch_failures} transient fetch "
+                f"failure(s) retried; counts are complete",
             )
+            failure.partial = False
 
-        runtime = cluster.runtime()
-        slowest = max(cluster.machines, key=lambda m: m.busy_seconds())
+        for machine, scope in zip(cluster.machines, machine_scopes):
+            scope.counter(names.TIME_SERVE).inc(machine.serve_seconds)
+        run_scope = obs.registry.scope()
+        for name, tally in (
+            (names.RECOVERY_REASSIGNED_ROOTS, "reassigned_roots"),
+            (names.RECOVERY_REASSIGNED_CHUNKS, "reassigned_chunks"),
+            (names.RECOVERY_INVALIDATED_ENTRIES, "invalidated_entries"),
+        ):
+            run_scope.counter(name).inc(recovery_stats[tally])
         total_hits = sum(c.hits for c in caches)
         total_queries = total_hits + sum(c.misses for c in caches)
-        machine_breakdowns = []
-        for machine in cluster.machines:
-            buckets = machine.clock.as_dict()
-            buckets["serve"] = machine.serve_seconds
-            machine_breakdowns.append(buckets)
-            if obs.registry.enabled:
-                machine_scopes[machine.machine_id].counter(
-                    names.TIME_SERVE
-                ).inc(machine.serve_seconds)
-        report = RunReport(
-            system=system,
-            app=app,
-            graph_name=graph_name,
-            counts=None,
-            simulated_seconds=runtime,
-            network_bytes=cluster.network.total_bytes(),
-            breakdown=slowest.clock.as_dict(),
-            machine_breakdowns=machine_breakdowns,
-            machine_seconds=[m.busy_seconds() for m in cluster.machines],
-            cache_hit_rate=(total_hits / total_queries) if total_queries else 0.0,
+        result = Partial(
+            counts=counts,
+            # copies: the next run resets the cluster's own machines
+            machines=[
+                replace(m, clock=replace(m.clock)) for m in cluster.machines
+            ],
+            traffic=cluster.network.traffic_bytes,
+            requests=cluster.network.total_requests(),
+            batches=cluster.network.num_batches,
+            cache_hits=total_hits,
+            cache_queries=total_queries,
             cache_entries=sum(len(c) for c in caches),
-            network_utilization=cluster.network.utilization(runtime),
-            peak_memory_bytes=max(m.peak_bytes for m in cluster.machines),
-            num_machines=cluster.num_machines,
-            extra={
-                "hds": hds_stats,
-                "fetch_sources": fetch_sources,
-                "chunks": chunks_created,
-                "requests": cluster.network.total_requests(),
-                "serve_seconds": max(m.serve_seconds for m in cluster.machines),
-            },
+            hds=hds_stats,
+            fetch_sources=fetch_sources,
+            chunks=chunks_created,
+            recovery=recovery_stats,
             failure=failure,
         )
         if injector is not None or failure is not None:
-            report.extra["faults"] = {
+            result.faults = {
                 **(injector.stats() if injector is not None else {}),
                 "net_retries": cluster.network.retries,
                 "retry_backoff_seconds": cluster.network.retry_seconds,
-                "plan": (
-                    config.faults.describe()
-                    if config.faults is not None else None
-                ),
             }
-            report.extra["recovery"] = dict(recovery_stats)
         if graph.storage == "mmap":
-            # out-of-core runs price the static cache against the
-            # mapping: every cache miss is a gather the page cache may
-            # have to fault in, every hit provably avoided one
-            # (docs/storage.md)
             builder_stats = getattr(graph, "builder_stats", None) or {}
-            report.extra["storage"] = {
+            result.storage = {
                 "mode": graph.storage,
                 "mapped_bytes": graph.size_bytes(),
                 "spill_runs": int(builder_stats.get("spill_runs", 0)),
                 "merge_batches": int(builder_stats.get("merge_batches", 0)),
-                "page_miss_gathers": int(total_queries - total_hits),
             }
-            if obs.registry.enabled:
-                storage_scope = obs.registry.scope()
-                storage_scope.gauge(names.STORAGE_MAPPED_BYTES).set(
-                    graph.size_bytes()
-                )
-                storage_scope.counter(names.STORAGE_SPILL_RUNS).inc(
-                    int(builder_stats.get("spill_runs", 0))
-                )
-                storage_scope.counter(names.STORAGE_MERGE_BATCHES).inc(
-                    int(builder_stats.get("merge_batches", 0))
-                )
-                storage_scope.counter(
-                    names.STORAGE_PAGE_MISS_GATHERS
-                ).inc(int(total_queries - total_hits))
-        if hosted is not None:
-            # raw cross-worker material the process backend needs to
-            # reconstruct cluster-global fields; never present on
-            # user-facing reports (the backend strips it after merging)
-            report.extra["_worker"] = {
-                "traffic_bytes": cluster.network.traffic_bytes.copy(),
-                "num_batches": cluster.network.num_batches,
-                "cache_hits": total_hits,
-                "cache_queries": total_queries,
-            }
-        if obs.enabled:
-            summary = obs.summary()
-            summary["network"] = {
-                "per_machine_sent_bytes": [
-                    cluster.network.bytes_sent_by(m)
-                    for m in range(cluster.num_machines)
-                ],
-                "per_machine_utilization":
-                    cluster.network.per_machine_utilization(runtime),
-                "num_batches": cluster.network.num_batches,
-            }
-            report.extra["obs"] = summary
-        return counts, report
+            run_scope.gauge(names.STORAGE_MAPPED_BYTES).set(
+                graph.size_bytes()
+            )
+            run_scope.counter(names.STORAGE_SPILL_RUNS).inc(
+                result.storage["spill_runs"]
+            )
+            run_scope.counter(names.STORAGE_MERGE_BATCHES).inc(
+                result.storage["merge_batches"]
+            )
+            run_scope.counter(names.STORAGE_PAGE_MISS_GATHERS).inc(
+                total_queries - total_hits
+            )
+        return result
 
     def _charge_refetch(
         self, survivor_id: int, dead_id: int, roots: np.ndarray, scope
@@ -847,8 +678,9 @@ class KhuzdulEngine:
         Storage is replicated by assumption: the failover owner streams
         the orphaned roots' edge lists to the survivor in one batch
         before the replay starts. The transfer is real traffic (it goes
-        through ``record_fetch``, so flaky-fetch faults apply to it too)
-        and its wire time lands on the survivor's network clock.
+        through ``record_fetch``, so flaky-fetch faults apply to it too
+        and the failover owner's served tallies grow) and its wire time
+        lands on the survivor's network clock.
         """
         cluster = self.cluster
         if len(roots) == 0:
@@ -866,17 +698,6 @@ class KhuzdulEngine:
         comm += cluster.network.drain_retry_seconds()
         cluster.machines[survivor_id].clock.network += comm
         scope.counter(names.TIME_NETWORK).inc(comm)
-        serve = cluster.network.serve_time(payload, 1)
-        server.serve_seconds += serve / server.comm_threads
-
-    def _roots_for(self, machine_id: int, schedule: Schedule) -> np.ndarray:
-        """Local partition vertices, filtered by the root label if any."""
-        roots = self.cluster.partitioned.local_vertices(machine_id)
-        root_label = schedule.root_label()
-        if root_label is not None and self.cluster.graph.labels is not None:
-            labels = self.cluster.graph.labels[roots]
-            roots = roots[labels == root_label]
-        return roots
 
 
 @dataclass
@@ -898,39 +719,9 @@ class _Shard:
     base_matches: int = 0
 
 
-def _make_shard_sink(sink, pattern: int, shard: "_Shard"):
+def _rebased_sink(sink, pattern: int, shard: _Shard, ckpt) -> None:
     """Adapt the engine-level checkpoint sink to one scheduler: add the
     pattern index and rebase the shard-relative cursor to absolute."""
-    machine_id = shard.machine_id
-    base_roots = shard.base_roots
-    base_matches = shard.base_matches
-
-    def on_checkpoint(ckpt) -> None:
-        sink(pattern, machine_id,
-             base_roots + ckpt.roots_completed,
-             base_matches + ckpt.matches)
-
-    return on_checkpoint
-
-
-#: Default UDF: counting only. The sentinel lives in the scheduler
-#: module (it recognizes it by identity for the count-only fast path);
-#: this alias keeps the engine's historical name working.
-_NULL_UDF = NULL_UDF
-
-
-def _bind_udf(udf: MultiUdf, index: int) -> Udf:
-    def bound(prefix: tuple[int, ...], candidates: np.ndarray) -> None:
-        udf(index, prefix, candidates)
-
-    return bound
-
-
-def _wrap_single(udf: Optional[Udf]) -> Optional[MultiUdf]:
-    if udf is None:
-        return None
-
-    def wrapped(index: int, prefix: tuple[int, ...], candidates) -> None:
-        udf(prefix, candidates)
-
-    return wrapped
+    sink(pattern, shard.machine_id,
+         shard.base_roots + ckpt.roots_completed,
+         shard.base_matches + ckpt.matches)

@@ -717,8 +717,6 @@ class MachineScheduler:
             # this batch's wire time; a straggler's slow link stretches it
             comm += self.cluster.network.drain_retry_seconds()
             comm *= self._slow_factor
-            serve = self.cluster.network.serve_time(payload, len(batch))
-            server.serve_seconds += serve / server.comm_threads
             state.comm_times.append(comm)
             state.batch_sizes.append(len(batch))
             if self._trace:
@@ -734,7 +732,8 @@ class MachineScheduler:
                         "requests": len(batch),
                         "payload_bytes": payload,
                         "comm_seconds": comm,
-                        "serve_seconds": serve,
+                        "serve_seconds": self.cluster.network.serve_time(
+                            payload, len(batch)),
                     },
                 ))
 

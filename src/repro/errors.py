@@ -58,10 +58,6 @@ class SimTimeoutError(ReproError):
         )
 
 
-#: Deprecated alias kept for one release; import SimTimeoutError instead.
-TimeoutError = SimTimeoutError
-
-
 class MachineCrashError(ReproError):
     """A simulated machine was killed by an injected fault.
 

@@ -3,7 +3,8 @@
 The engine's simulated semantics stay identical across backends; a
 backend only chooses *where* the per-machine schedulers run:
 
-- ``inline`` (default): the historical single-process simulated path.
+- ``inline`` (default): every machine's scheduler in the calling
+  process.
 - ``process``: one OS process per group of simulated machines, the
   graph shared zero-copy through ``multiprocessing.shared_memory``,
   inter-machine fetches travelling as real batched messages in
@@ -35,8 +36,8 @@ def make_backend(
     """Build the backend for a CLI/config name.
 
     Returns ``None`` for ``inline`` — attaching no backend at all *is*
-    the inline path, and keeping it literally the same code object as
-    before is the cheapest possible determinism argument.
+    the inline backend (``InlineBackend.execute`` is the engine's own
+    ``run_plan``).
 
     ``heartbeat`` and ``on_worker_death`` tune the process backend's
     liveness detection and ``ring_bytes`` its per-pair reply-ring

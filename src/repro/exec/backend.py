@@ -1,10 +1,10 @@
 """The pluggable execution-backend interface.
 
 A backend decides *where* a job's per-machine schedulers run; it never
-decides *what* they compute. ``KhuzdulEngine._execute`` dispatches to
-``engine.backend.execute(...)`` when a backend is attached and falls
-back to the in-process simulated path otherwise, so the engine itself
-never imports this package (``repro.exec`` sits above ``repro.core``
+decides *what* they compute. ``KhuzdulEngine`` hands its
+:class:`~repro.core.plan.JobPlan` to ``engine.backend.execute(...)``
+when a backend is attached and to its own ``run_plan`` otherwise, so
+the engine itself never imports this package (``repro.exec`` sits above ``repro.core``
 in the layer map — see docs/architecture.md).
 
 The hard contract every backend must honour (docs/execution.md): for
@@ -34,35 +34,27 @@ class Backend(abc.ABC):
     name: str = "backend"
 
     @abc.abstractmethod
-    def execute(
-        self,
-        engine,
-        schedules,
-        udf,
-        system: str,
-        app: str,
-        graph_name: str,
-    ) -> tuple[list[int], RunReport]:
-        """Run ``schedules`` on ``engine``'s cluster.
+    def execute(self, engine, plan, udf) -> tuple[list[int], RunReport]:
+        """Run the job ``plan`` describes on ``engine``'s cluster.
 
         ``engine`` is the calling :class:`~repro.core.engine.KhuzdulEngine`;
-        backends read its cluster, config, and observability bundle from
-        it rather than holding state of their own, so one backend object
-        can serve many engines.
+        backends read its cluster and observability bundle from it
+        rather than holding state of their own, so one backend object
+        can serve many engines. Every backend runs machines through
+        ``engine.execute`` (here or in a worker) and assembles the
+        result with :func:`repro.core.plan.finalize`.
         """
 
 
 class InlineBackend(Backend):
-    """The default: the single-process simulated path, unchanged.
+    """The default: every machine in the calling process.
 
     Attaching ``InlineBackend()`` is byte-identical to attaching no
-    backend at all (``backend=None``) — it exists so code can treat
-    "which backend" uniformly as an object.
+    backend at all (``backend=None``), durable checkpoints included —
+    it exists so code can treat "which backend" uniformly as an object.
     """
 
     name = "inline"
 
-    def execute(self, engine, schedules, udf, system, app, graph_name):
-        return engine._execute_inline(
-            schedules, udf, system, app, graph_name
-        )
+    def execute(self, engine, plan, udf):
+        return engine.run_plan(plan, udf)

@@ -72,9 +72,9 @@ class RecoverAssignment:
     """Replay these machines on the receiving (surviving) worker.
 
     Sent on a survivor's control queue when a peer died under
-    ``--on-worker-death recover``. ``resume`` maps
-    ``(pattern, machine)`` to the dead worker's last shipped cursor
-    ``(roots, matches)``, so the survivor skips chunks the dead worker
+    ``--on-worker-death recover``. ``resume`` is the parent's progress
+    ledger — ``(pattern, machine)`` to the last shipped cursor
+    ``(roots, matches)`` — so the survivor skips chunks the dead worker
     already completed — the same resume mechanism durable checkpoints
     use (docs/faults.md).
     """

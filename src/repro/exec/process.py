@@ -8,8 +8,9 @@ Execution plan (docs/execution.md):
    shared-memory reply *ring* per ordered worker pair plus a pickled
    fallback queue per requester, per-worker death notices, a fleet
    stop event) and spawn ``workers`` processes, each running
-   :func:`repro.exec.worker.worker_main`: the unmodified inline
-   scheduler loop over the machines it hosts (``m % workers``), with
+   :func:`repro.exec.worker.worker_main`: the engine's one machine
+   loop, handed the job plan, over the machines it hosts
+   (``m % workers``), with
    each chunk's edge-list demand coalesced per server worker and its
    replies streaming back as raw ring frames while earlier batches
    compute (docs/execution.md describes the ring protocol).
@@ -40,19 +41,19 @@ redistribution, and with ``checkpoint_dir`` set the parent also owns a
 to the durable log so a killed run resumes (workers receive the resume
 map and skip completed chunks). A ``shm.json`` ledger of live segment
 names lets a resumed run reap segments leaked by a SIGKILLed parent.
-5. Merge: counts sum; worker partial reports fold through
-   ``merge_reports(parallel=True)``; cluster-global fields that need
-   cross-worker data (machine finish times, traffic matrix, cache hit
-   rate, utilization) are reconstructed here; worker metric/span dumps
-   are absorbed into the parent observability bundle; wall-clock
-   ``exec.*`` metrics are emitted on top.
+5. Merge: worker metric/span dumps are absorbed into the parent
+   observability bundle, wall-clock ``exec.*`` metrics are emitted on
+   top, and the workers' partials go through the same
+   :func:`repro.core.plan.finalize` the inline path uses — this module
+   only adds the ``extra["exec"]`` wall-clock block and the
+   worker-death outcome.
 
 Determinism: a machine's scheduler sees the same graph, roots, and
 configuration regardless of which process hosts it, and the transport
 never alters simulated accounting — so counts are bit-identical to the
 inline backend at any worker count (the invariant
 ``tests/test_exec.py`` pins down). This is also what makes worker-death
-recovery exact: re-executing a lost worker's hosted machines inline
+recovery exact: re-executing a lost worker's hosted machines anywhere
 reproduces precisely the results the worker would have returned.
 Wall-clock ``exec.*`` readings (and ``net.peer_timeouts``) are the
 only nondeterministic outputs.
@@ -72,10 +73,9 @@ import pickle
 import queue as queue_mod
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.cluster.cluster import Cluster
-from repro.core.engine import KhuzdulEngine
+from repro.core.plan import finalize, require_mergeable_udf
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.exec.backend import Backend
@@ -91,14 +91,11 @@ from repro.exec.messages import (
     RecoverAssignment,
 )
 from repro.exec.ring import create_ring
-from repro.exec.transport import (
-    Endpoints,
-    zero_requester_stats,
-    zero_responder_stats,
-)
+from repro.exec.transport import Endpoints, zero_responder_stats
 from repro.exec.janitor import install_janitor, remove_janitor
-from repro.exec.worker import worker_main
+from repro.exec.worker import hosted_run, machines_of, worker_main
 from repro.faults import durability
+from repro.faults.durability import DurableRun
 from repro.faults.recovery import (
     FailureSummary,
     Outcome,
@@ -106,12 +103,7 @@ from repro.faults.recovery import (
     worker_loss_summary,
 )
 from repro.graph.csr import share_csr
-from repro.obs import Observability, names
-from repro.systems.base import merge_reports
-
-_HDS_KEYS = ("hits", "probes", "drops")
-_FETCH_KEYS = ("local", "remote", "cache", "shared")
-_CLOCK_KEYS = ("compute", "scheduler", "cache", "network")
+from repro.obs import names
 
 #: the two worker-death policies ``--on-worker-death`` accepts
 DEATH_POLICIES = ("fail", "recover")
@@ -129,8 +121,19 @@ class _CollectTimeout(Exception):
 
 @dataclass
 class _FleetState:
-    """Liveness bookkeeping for one ``execute`` call."""
+    """One ``execute`` call's fleet: its shape, its channels, its
+    liveness bookkeeping and its progress ledger."""
 
+    workers: int
+    machines: int
+    #: the durable session's sink (None without ``checkpoint_dir``)
+    sink: Optional[Callable] = None
+    #: fleet-wide progress ledger, (pattern, machine) -> absolute
+    #: (roots, matches) cursor; feeds redistribution resume maps
+    progress: dict = field(default_factory=dict)
+    result_queue: object = None
+    endpoints: Optional[Endpoints] = None
+    processes: list = field(default_factory=list)
     #: sweeps of worker exit codes the parent performed
     heartbeat_checks: int = 0
     #: bounded-wait expirations reported by workers that aborted on a
@@ -139,12 +142,31 @@ class _FleetState:
     #: worker_id -> human-readable death reason
     deaths: dict = field(default_factory=dict)
     #: workers that aborted on a dead peer (PEER_DEAD): their compute
-    #: is lost like a death, but the *process* is alive in its control
-    #: loop — a valid target for redistributed replays
+    #: is lost like a death, but the *process* is alive waiting for
+    #: assignments — a valid target for redistributed replays
     aborted: set = field(default_factory=set)
     #: lost workers whose hosted machines were replayed (on survivors
-    #: or inline)
+    #: or in the parent)
     reexecuted: set = field(default_factory=set)
+
+    def on_ckpt(self, pattern, machine, roots, matches) -> None:
+        """One completed root chunk's absolute cursor, from any worker."""
+        key = (pattern, machine)
+        if roots > self.progress.get(key, (0, 0))[0]:
+            self.progress[key] = (roots, matches)
+        if self.sink is not None:
+            self.sink(pattern, machine, roots, matches)
+
+    def death_events(self) -> list[dict]:
+        return [
+            worker_death_event(
+                worker_id,
+                machines_of(worker_id, self.workers, self.machines),
+                reason,
+                worker_id in self.reexecuted,
+            )
+            for worker_id, reason in sorted(self.deaths.items())
+        ]
 
 
 def _error_reason(traceback_text: str) -> str:
@@ -189,8 +211,9 @@ class ProcessBackend(Backend):
         self.heartbeat = heartbeat
         #: what to do when a worker process dies mid-run: ``fail``
         #: returns a partial CRASHED report immediately; ``recover``
-        #: re-executes the lost workers' hosted machines through the
-        #: deterministic inline path (counts stay exact)
+        #: redistributes the lost workers' hosted machines to the
+        #: surviving workers (the parent replays only machines no
+        #: survivor covers), so counts stay exact
         if on_worker_death not in DEATH_POLICIES:
             raise ConfigurationError(
                 f"on_worker_death must be one of {DEATH_POLICIES}, "
@@ -204,8 +227,8 @@ class ProcessBackend(Backend):
         self.ring_bytes = ring_bytes
 
     # ------------------------------------------------------------------
-    def execute(self, engine, schedules, udf, system, app, graph_name):
-        config = engine.config
+    def execute(self, engine, plan, udf):
+        config = plan.config
         cluster = engine.cluster
         if config.faults is not None and not config.faults.empty:
             raise ConfigurationError(
@@ -219,67 +242,43 @@ class ProcessBackend(Backend):
                 "backend: per-worker UDF state cannot be snapshotted "
                 "consistently across processes (docs/faults.md)"
             )
-        self._validate_udf(udf)
+        require_mergeable_udf(udf, "the process backend")
+        engine.obs.reset()
+        cluster.reset_clocks()  # the parent cluster sits idle; keep it clean
+        # durable checkpointing: the parent owns the session — workers
+        # only ship deltas (docs/faults.md)
+        with DurableRun(plan, cluster.graph, engine.obs) as durable:
+            counts, report = self._run_fleet(engine, plan, udf, durable)
+        durable.publish(report)
+        return counts, report
+
+    def _run_fleet(self, engine, plan, udf, durable):
+        config = plan.config
+        cluster = engine.cluster
         machines = cluster.num_machines
         workers = self.workers if self.workers else machines
         workers = max(1, min(workers, machines))
-        obs = engine.obs
-        obs.reset()
-        cluster.reset_clocks()  # the parent cluster sits idle; keep it clean
-
-        # durable checkpointing: the parent owns the session — workers
-        # only ship deltas (docs/faults.md)
-        session = None
-        resume_state = None
-        if config.checkpoint_dir is not None:
-            manifest = durability.run_manifest(
-                cluster, schedules, config, system, app, graph_name)
-            session = durability.CheckpointSession(
-                config.checkpoint_dir, manifest, len(schedules),
-                every=config.checkpoint_every, resume=config.resume)
-            if config.resume:
-                durability.reap_stale_segments(config.checkpoint_dir)
-                resume_state = session.resume_state()
-            session.snapshot_extra = lambda: {
-                "udf": None,
-                "metrics": obs.registry.dump() if obs.enabled else None,
-            }
-        #: fleet-wide progress ledger, (pattern, machine) -> absolute
-        #: (roots, matches) cursor; feeds redistribution resume maps
-        progress: dict = dict(resume_state) if resume_state else {}
-
-        def on_ckpt(pattern, machine, roots, matches):
-            key = (pattern, machine)
-            if roots > progress.get(key, (0, 0))[0]:
-                progress[key] = (roots, matches)
-            if session is not None:
-                session.record(pattern, machine, roots, matches)
-
+        if config.resume:
+            durability.reap_stale_segments(config.checkpoint_dir)
+        fleet = _FleetState(workers, machines, durable.sink,
+                            dict(durable.resume or {}))
         context = self._context()
         started = perf_counter()
         shared = share_csr(cluster.graph)
-        processes = []
-        result_queue = None
-        endpoints = None
         rings = {}
-        fleet = _FleetState()
 
         def unlink_segments():
             # idempotent: every unlink below tolerates a repeat call,
             # so the signal/atexit hooks and the finally block may race
-            for ring in list(rings.values()):
+            for segment in [*rings.values(), shared]:
                 try:
-                    ring.unlink()
+                    segment.unlink()
                 except Exception:  # pragma: no cover - best effort
                     pass
-            try:
-                shared.unlink()
-            except Exception:  # pragma: no cover - best effort
-                pass
 
         previous_handlers = install_janitor(unlink_segments)
         try:
-            result_queue = context.Queue()
+            fleet.result_queue = context.Queue()
             # one shared-memory reply ring per ordered worker pair
             # (same-worker fetches take the transport's local fast
             # path, so self-pairs never exist); the parent owns the
@@ -290,13 +289,13 @@ class ProcessBackend(Backend):
                 for requester in range(workers)
                 if server != requester
             }
-            if session is not None:
+            if config.checkpoint_dir is not None:
                 durability.write_shm_names(
                     config.checkpoint_dir,
                     shared.handle.segment_names()
                     + [ring.handle.name for ring in rings.values()],
                 )
-            endpoints = Endpoints(
+            endpoints = fleet.endpoints = Endpoints(
                 num_workers=workers,
                 inboxes=[context.Queue() for _ in range(workers)],
                 rings={pair: ring.handle for pair, ring in rings.items()},
@@ -309,38 +308,26 @@ class ProcessBackend(Backend):
                 ),
                 parent_pid=os.getpid(),
             )
-            job = (system, app, graph_name)
             for worker_id in range(workers):
-                processes.append(context.Process(
+                fleet.processes.append(context.Process(
                     target=worker_main,
-                    args=(worker_id, workers, shared.handle, cluster.config,
-                          config, list(schedules), udf, job, obs.enabled,
-                          endpoints, result_queue, resume_state),
+                    args=(worker_id, workers, shared.handle, plan, udf,
+                          engine.obs.enabled, endpoints, fleet.result_queue,
+                          durable.resume),
                     name=f"repro-exec-{worker_id}",
                     daemon=True,
                 ))
-            for process in processes:
+            for process in fleet.processes:
                 process.start()
 
-            try:
-                results = self._collect(
-                    result_queue, processes, endpoints,
-                    set(range(workers)), RESULT, fleet,
-                    fail_fast=(self.on_worker_death == "fail"),
-                    ckpt=on_ckpt,
-                )
-            except _CollectTimeout as exc:
-                return self._failed_report(
-                    engine, system, app, graph_name, len(schedules),
-                    workers, perf_counter() - started, fleet,
-                    Outcome.TIMEOUT, str(exc),
-                )
+            results = self._collect(
+                fleet, set(range(workers)), RESULT,
+                fail_fast=(self.on_worker_death == "fail"),
+            )
             if fleet.deaths and self.on_worker_death == "fail":
                 return self._failed_report(
-                    engine, system, app, graph_name, len(schedules),
-                    workers, perf_counter() - started, fleet,
-                    Outcome.CRASHED, None,
-                )
+                    engine, plan, fleet, perf_counter() - started,
+                    Outcome.CRASHED)
             entries = [
                 {**payload, "worker_id": worker_id, "kind": "result"}
                 for worker_id, payload in sorted(results.items())
@@ -355,96 +342,50 @@ class ProcessBackend(Backend):
                 fleet.reexecuted = set(lost)
                 # replay targets: workers that returned a result, plus
                 # aborted-on-a-dead-peer workers — their compute died
-                # but the process is alive in its control loop
+                # but the process is alive waiting for assignments
                 survivors = sorted(set(results) | fleet.aborted)
-                try:
-                    recovery_entries, redistribution = self._redistribute(
-                        result_queue, processes, endpoints, engine,
-                        schedules, udf, system, app, graph_name, lost,
-                        survivors, workers, machines, fleet,
-                        progress, on_ckpt,
-                    )
-                except _CollectTimeout as exc:
-                    return self._failed_report(
-                        engine, system, app, graph_name, len(schedules),
-                        workers, perf_counter() - started, fleet,
-                        Outcome.TIMEOUT, str(exc),
-                    )
+                recovery_entries, redistribution = self._redistribute(
+                    fleet, engine, plan, udf, lost, survivors)
                 entries.extend(recovery_entries)
-            # release survivors from their control loops before the
+            # release survivors from their assignment waits before the
             # shutdown sentinel so responders drain in order
             if endpoints.controls is not None:
                 for control in endpoints.controls:
                     control.put(DONE)
             for inbox in endpoints.inboxes:
                 inbox.put(SHUTDOWN)
-            try:
-                stats = self._collect(
-                    result_queue, processes, endpoints,
-                    set(results) - set(fleet.deaths), STATS, fleet,
-                    fail_fast=False, ckpt=on_ckpt,
-                )
-            except _CollectTimeout as exc:
-                return self._failed_report(
-                    engine, system, app, graph_name, len(schedules),
-                    workers, perf_counter() - started, fleet,
-                    Outcome.TIMEOUT, str(exc),
-                )
+            stats = self._collect(
+                fleet, set(results) - set(fleet.deaths), STATS,
+                fail_fast=False,
+            )
             for worker_id in range(workers):
                 stats.setdefault(worker_id, zero_responder_stats())
+        except _CollectTimeout as exc:
+            return self._failed_report(
+                engine, plan, fleet, perf_counter() - started,
+                Outcome.TIMEOUT, str(exc))
         finally:
             # teardown runs on every path: publish the stop signal so
             # bounded transport waits abort, unblock feeder threads by
             # draining the result queue, then reap (or terminate) the
             # fleet and unlink the shared-memory segments (graph CSR
             # and reply rings alike — the parent owns both)
-            if endpoints is not None:
-                endpoints.stop.set()
-            self._drain(result_queue)
-            for process in processes:
+            if fleet.endpoints is not None:
+                fleet.endpoints.stop.set()
+            self._drain(fleet.result_queue)
+            for process in fleet.processes:
                 process.join(timeout=2.0)
-            self._drain(result_queue)
-            for process in processes:
+            self._drain(fleet.result_queue)
+            for process in fleet.processes:
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=10.0)
             unlink_segments()
             remove_janitor(unlink_segments, previous_handlers)
-            if session is not None:
+            if config.checkpoint_dir is not None:
                 durability.clear_shm_names(config.checkpoint_dir)
-        wall = perf_counter() - started
-        counts, report = self._merge(
-            engine, udf, system, app, graph_name, len(schedules),
-            workers, entries, stats, wall, fleet, redistribution)
-        if session is not None:
-            session.finalize()
-            report.extra["checkpoint"] = session.stats()
-            if obs.enabled:
-                scope = obs.registry.scope()
-                scope.counter(names.CHECKPOINT_RECORDS).inc(
-                    session.records_written)
-                scope.counter(names.CHECKPOINT_FLUSHES).inc(session.flushes)
-                scope.counter(names.CHECKPOINT_RESUMED_ROOTS).inc(
-                    session.stats()["resumed_roots"])
-        return counts, report
-
-    # ------------------------------------------------------------------
-    def _validate_udf(self, udf) -> None:
-        if udf is None:
-            return
-        if not callable(getattr(udf, "merge", None)):
-            raise ConfigurationError(
-                "the process backend needs a mergeable UDF: each worker "
-                "gets its own copy, so the object must expose "
-                "merge(other) to fold them back (plain callables/"
-                "closures run on the inline backend only)"
-            )
-        try:
-            pickle.dumps(udf)
-        except Exception as exc:
-            raise ConfigurationError(
-                f"UDF cannot be pickled into worker processes: {exc}"
-            ) from exc
+        return self._merge(engine, plan, udf, fleet, entries, stats,
+                           perf_counter() - started, redistribution)
 
     def _context(self):
         if self.start_method is not None:
@@ -457,8 +398,7 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------
     # collection with liveness detection
     # ------------------------------------------------------------------
-    def _collect(self, result_queue, processes, endpoints, pending, tag,
-                 fleet, fail_fast, ckpt=None) -> dict:
+    def _collect(self, fleet, pending, tag, fail_fast) -> dict:
         """Gather one tagged message per pending worker.
 
         Every queue wait is bounded by ``heartbeat``; each expiry
@@ -469,7 +409,7 @@ class ProcessBackend(Backend):
         otherwise collection continues until every pending worker has
         either reported or been marked lost.
 
-        ``ckpt`` consumes checkpoint deltas *before* the pending
+        Checkpoint deltas reach ``fleet.on_ckpt`` *before* the pending
         filter: a dying worker's last shipped cursors are exactly what
         redistribution needs, so they must be recorded even once the
         worker is marked lost.
@@ -478,7 +418,7 @@ class ProcessBackend(Backend):
         expected = len(pending)
         deadline = perf_counter() + self.timeout
         suspects: dict[int, float] = {}
-        while pending:
+        while pending and not (fail_fast and fleet.deaths):
             remaining = deadline - perf_counter()
             if remaining <= 0:
                 raise _CollectTimeout(
@@ -487,30 +427,27 @@ class ProcessBackend(Backend):
                     f"({len(collected)}/{expected} received)"
                 )
             try:
-                message = result_queue.get(
+                message = fleet.result_queue.get(
                     timeout=min(self.heartbeat, max(0.01, remaining))
                 )
             except queue_mod.Empty:
-                self._sweep(processes, endpoints, pending, fleet, suspects)
-                if fail_fast and fleet.deaths:
-                    break
+                self._sweep(fleet, pending, suspects)
                 continue
             kind, worker_id, payload = message
             if kind == CKPT:
-                if ckpt is not None:
-                    ckpt(*payload)
+                fleet.on_ckpt(*payload)
                 continue
             if worker_id not in pending:
                 continue  # late message from a worker already marked lost
             if kind == ERROR:
-                self._mark_lost(endpoints, pending, fleet, worker_id,
+                self._mark_lost(fleet, pending, worker_id,
                                 _error_reason(payload))
             elif kind == PEER_DEAD:
                 fleet.peer_timeout_messages += max(
                     1, int(payload.get("liveness_timeouts", 0))
                 )
                 fleet.aborted.add(worker_id)
-                self._mark_lost(endpoints, pending, fleet, worker_id,
+                self._mark_lost(fleet, pending, worker_id,
                                 payload["message"])
             elif kind == tag:
                 collected[worker_id] = payload
@@ -521,18 +458,15 @@ class ProcessBackend(Backend):
                     f"protocol violation: got {kind!r} while awaiting "
                     f"{tag!r}"
                 )
-            if fail_fast and fleet.deaths:
-                break
         return collected
 
-    def _sweep(self, processes, endpoints, pending, fleet,
-               suspects) -> None:
+    def _sweep(self, fleet, pending, suspects) -> None:
         """One liveness pass over the pending workers' exit codes."""
         fleet.heartbeat_checks += 1
         now = perf_counter()
         grace = max(self.heartbeat, 0.5)
         for worker_id in sorted(pending):
-            exitcode = processes[worker_id].exitcode
+            exitcode = fleet.processes[worker_id].exitcode
             if exitcode is None:
                 suspects.pop(worker_id, None)
                 continue
@@ -547,16 +481,16 @@ class ProcessBackend(Backend):
                 reason = f"exited with code {exitcode} before reporting"
             else:
                 reason = f"killed by signal {-exitcode} before reporting"
-            self._mark_lost(endpoints, pending, fleet, worker_id, reason)
+            self._mark_lost(fleet, pending, worker_id, reason)
 
     @staticmethod
-    def _mark_lost(endpoints, pending, fleet, worker_id, reason) -> None:
+    def _mark_lost(fleet, pending, worker_id, reason) -> None:
         """Record a death and publish the notice to the fleet, so peers
         blocked on the dead worker's replies abort their bounded waits."""
         fleet.deaths[worker_id] = reason
         pending.discard(worker_id)
-        if endpoints.deaths is not None:
-            endpoints.deaths[worker_id].set()
+        if fleet.endpoints.deaths is not None:
+            fleet.endpoints.deaths[worker_id].set()
 
     @staticmethod
     def _drain(result_queue) -> None:
@@ -567,32 +501,29 @@ class ProcessBackend(Backend):
         while True:
             try:
                 result_queue.get_nowait()
-            except queue_mod.Empty:
-                return
-            except (OSError, EOFError):  # pragma: no cover - torn queue
+            except (queue_mod.Empty, OSError, EOFError):  # drained / torn
                 return
 
     # ------------------------------------------------------------------
     # lost-worker redistribution (on_worker_death == "recover")
     # ------------------------------------------------------------------
-    def _redistribute(self, result_queue, processes, endpoints, engine,
-                      schedules, udf, system, app, graph_name, lost,
-                      survivors, workers, machines, fleet, progress,
-                      ckpt) -> tuple[list[dict], dict]:
+    def _redistribute(self, fleet, engine, plan, udf, lost,
+                      survivors) -> tuple[list[dict], dict]:
         """Round-robin the lost workers' machines across survivors.
 
-        The determinism contract makes the replays exact: the inline
-        path, restricted to any machine subset, computes bit-identically
+        The determinism contract makes the replays exact: the machine
+        loop, restricted to any machine subset, computes bit-identically
         what the dead worker would have returned — and the progress
         ledger (the dead worker's shipped deltas) lets each survivor
         resume past chunks already completed, seeding their checkpointed
-        matches instead of recomputing them. The parent replays inline
-        only machines no survivor covered (a survivor died mid-recovery,
-        or no survivors exist at all).
+        matches instead of recomputing them. The parent replays only
+        machines no survivor covered (a survivor died mid-recovery, or
+        no survivors exist at all).
         """
         lost_machines = sorted(
             machine for worker_id in lost
-            for machine in self._machines_of(worker_id, workers, machines)
+            for machine in machines_of(worker_id, fleet.workers,
+                                       fleet.machines)
         )
         assignment: dict[int, list[int]] = {}
         if survivors:
@@ -600,20 +531,14 @@ class ProcessBackend(Backend):
                 target = survivors[index % len(survivors)]
                 assignment.setdefault(target, []).append(machine)
         for worker_id in sorted(assignment):
-            hosted = set(assignment[worker_id])
-            endpoints.controls[worker_id].put(RecoverAssignment(
+            fleet.endpoints.controls[worker_id].put(RecoverAssignment(
                 machines=tuple(assignment[worker_id]),
-                resume={
-                    key: cursor for key, cursor in progress.items()
-                    if key[1] in hosted
-                },
+                resume=dict(fleet.progress),
             ))
         recoveries: dict[int, dict] = {}
         if assignment:
-            recoveries = self._collect(
-                result_queue, processes, endpoints, set(assignment),
-                RECOVERY, fleet, fail_fast=False, ckpt=ckpt,
-            )
+            recoveries = self._collect(fleet, set(assignment), RECOVERY,
+                                       fail_fast=False)
         entries = [
             {**payload, "worker_id": worker_id, "kind": "recovery"}
             for worker_id, payload in sorted(recoveries.items())
@@ -625,10 +550,18 @@ class ProcessBackend(Backend):
             for machine in hosted
         ) if survivors else lost_machines
         if uncovered:
-            entries.append(self._replay_inline(
-                engine, schedules, udf, system, app, graph_name,
-                uncovered, progress, ckpt,
-            ))
+            # mirrors a spawned worker: pickled UDF copy, resumed past
+            # whatever the progress ledger already covers
+            entries.append({
+                **hosted_run(
+                    engine.cluster.graph, plan,
+                    pickle.loads(pickle.dumps(udf)), set(uncovered),
+                    engine.obs.enabled, sink=fleet.on_ckpt,
+                    resume=fleet.progress,
+                ),
+                "worker_id": None,
+                "kind": "inline",
+            })
         redistribution = {
             "machines": sum(
                 len(hosted) for worker_id, hosted in assignment.items()
@@ -643,105 +576,37 @@ class ProcessBackend(Backend):
         }
         return entries, redistribution
 
-    def _replay_inline(self, engine, schedules, udf, system, app,
-                       graph_name, replay_machines, progress,
-                       ckpt) -> dict:
-        """Parent-side inline replay of machines no survivor covered.
-
-        Mirrors a spawned worker: fresh cluster view, fresh
-        observability bundle, pickled UDF copy — resumed past whatever
-        the progress ledger already covers.
-        """
-        parent = engine.cluster
-        cluster = Cluster(parent.graph, parent.config)
-        obs = Observability() if engine.obs.enabled else None
-        recovery_engine = KhuzdulEngine(cluster, engine.config, obs=obs)
-        udf_copy = (
-            pickle.loads(pickle.dumps(udf)) if udf is not None else None
-        )
-        hosted = set(replay_machines)
-        resume = {
-            key: cursor for key, cursor in progress.items()
-            if key[1] in hosted
-        }
-        replay_started = perf_counter()
-        counts, report = recovery_engine.execute_hosted(
-            schedules, udf_copy, system, app, graph_name,
-            hosted=hosted, transport=None,
-            checkpoint_sink=ckpt, resume=resume or None,
-        )
-        payload = {
-            "counts": counts,
-            "report": report,
-            "udf": udf_copy,
-            "busy_seconds": perf_counter() - replay_started,
-            "requester": zero_requester_stats(),
-            "obs": None,
-            "worker_id": None,
-            "kind": "inline",
-            "machines": list(replay_machines),
-        }
-        if obs is not None:
-            payload["obs"] = {
-                "metrics": obs.registry.dump(),
-                "spans": obs.tracer.spans,
-                "dropped": obs.tracer.dropped,
-            }
-        return payload
-
     # ------------------------------------------------------------------
     # structured fail-fast reports (never a bare stall or traceback)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _machines_of(worker_id: int, workers: int,
-                     machines: int) -> list[int]:
-        return [m for m in range(machines) if m % workers == worker_id]
-
-    def _death_events(self, fleet, workers, machines) -> list[dict]:
-        return [
-            worker_death_event(
-                worker_id,
-                self._machines_of(worker_id, workers, machines),
-                reason,
-                worker_id in fleet.reexecuted,
-            )
-            for worker_id, reason in sorted(fleet.deaths.items())
-        ]
-
-    def _failed_report(self, engine, system, app, graph_name,
-                       num_schedules, workers, wall, fleet, outcome,
-                       message) -> tuple[list[int], RunReport]:
-        machines = engine.cluster.num_machines
-        events = self._death_events(fleet, workers, machines)
+    def _failed_report(self, engine, plan, fleet, wall, outcome,
+                       message="") -> tuple[list[int], RunReport]:
+        events = fleet.death_events()
         if outcome is Outcome.CRASHED:
             failure = worker_loss_summary(events, recovered=False)
         else:
-            failure = FailureSummary(outcome, message=message or "",
+            failure = FailureSummary(outcome, message=message,
                                      events=events)
         report = RunReport(
-            system=system, app=app, graph_name=graph_name, counts=None,
-            simulated_seconds=0.0, num_machines=machines, failure=failure,
+            system=plan.system, app=plan.app, graph_name=plan.graph_name,
+            counts=None, simulated_seconds=0.0,
+            num_machines=fleet.machines, failure=failure,
         )
         report.extra["exec"] = self._exec_extra(
-            workers, wall, fleet, peer_timeouts=fleet.peer_timeout_messages,
-            events=events,
-        )
+            fleet, wall, fleet.peer_timeout_messages, events)
         obs = engine.obs
         if obs.enabled:
-            scope = obs.registry.scope()
-            scope.gauge(names.EXEC_WORKERS).set(workers)
-            scope.gauge(names.EXEC_WALL_SECONDS).set(wall)
-            self._emit_liveness_metrics(
-                scope, fleet, fleet.peer_timeout_messages
-            )
+            self._emit_exec_metrics(obs.registry.scope(),
+                                    report.extra["exec"])
             report.extra["obs"] = obs.summary()
-        return [0] * num_schedules, report
+        return [0] * len(plan.patterns), report
 
-    def _exec_extra(self, workers, wall, fleet, peer_timeouts,
-                    events) -> dict:
+    def _exec_extra(self, fleet, wall, peer_timeouts, events) -> dict:
+        """The liveness half of ``extra["exec"]`` — all a fail-fast
+        report has; ``_merge`` adds the transport half."""
         extra = {
             "backend": self.name,
-            "workers": workers,
+            "workers": fleet.workers,
             "wall_seconds": wall,
             "heartbeat_seconds": self.heartbeat,
             "heartbeat_checks": fleet.heartbeat_checks,
@@ -753,266 +618,147 @@ class ProcessBackend(Backend):
             extra["worker_death_events"] = events
         return extra
 
-    def _emit_liveness_metrics(self, scope, fleet, peer_timeouts) -> None:
-        scope.gauge(names.EXEC_HEARTBEAT_INTERVAL).set(self.heartbeat)
-        scope.counter(names.EXEC_HEARTBEAT_CHECKS).inc(
-            fleet.heartbeat_checks
-        )
-        scope.counter(names.EXEC_WORKER_DEATHS).inc(len(fleet.deaths))
-        scope.counter(names.NET_PEER_TIMEOUTS).inc(peer_timeouts)
-
     # ------------------------------------------------------------------
-    def _merge(self, engine, udf, system, app, graph_name, num_schedules,
-               workers, entries, stats, wall, fleet,
+    def _merge(self, engine, plan, udf, fleet, entries, stats, wall,
                redistribution=None) -> tuple[list[int], RunReport]:
         """Fold the run's entries — per-worker results plus any
         redistribution replays (machine-disjoint by construction) —
-        into one report."""
-        ordered = entries
-        reports = [entry["report"] for entry in ordered]
-        counts = [
-            sum(entry["counts"][index] for entry in ordered)
-            for index in range(num_schedules)
-        ]
-        merged = merge_reports(reports, system, app, graph_name,
-                               parallel=True)
-        machines = engine.cluster.num_machines
-        cost = engine.cluster.cost
-
-        # machine finish times need cross-worker data: machine j's clock
-        # buckets come from its host worker, but its responder serve
-        # seconds accumulate in *every* worker that fetched from it —
-        # the zip-summed breakdowns hold both, so busy = max(clock, serve)
-        breakdowns = merged.machine_breakdowns
-        machine_seconds = [
-            max(
-                sum(buckets.get(key, 0.0) for key in _CLOCK_KEYS),
-                buckets.get("serve", 0.0),
-            )
-            for buckets in breakdowns
-        ]
-        runtime = max(machine_seconds) if machine_seconds else 0.0
-        slowest = (
-            max(range(len(machine_seconds)),
-                key=machine_seconds.__getitem__)
-            if machine_seconds else 0
-        )
-
-        workers_extra = [entry["report"].extra["_worker"]
-                         for entry in ordered]
-        traffic = sum(extra["traffic_bytes"] for extra in workers_extra)
-        cache_hits = sum(extra["cache_hits"] for extra in workers_extra)
-        cache_queries = sum(extra["cache_queries"]
-                            for extra in workers_extra)
-        num_batches = sum(extra["num_batches"] for extra in workers_extra)
-
+        into one report: ``finalize`` over their partials, plus this
+        backend's wall-clock ``extra["exec"]`` block and the outcome of
+        any real worker deaths."""
+        workers = fleet.workers
         if udf is not None:
-            for entry in ordered:
-                if entry["udf"] is not None:
-                    udf.merge(entry["udf"])
-
-        failures = [report.failure for report in reports
-                    if report.failure is not None]
-        failure = min(
-            failures,
-            key=lambda f: f.machine_id if f.machine_id is not None else -1,
-        ) if failures else None
-        death_events = []
-        if fleet.deaths:
-            death_events = self._death_events(fleet, workers, machines)
-            if failure is not None and failure.fatal:
-                # a fatal simulated outcome (OOM/timeout) wins; the real
-                # deaths still land on its event log
-                failure.events = list(failure.events) + death_events
-            elif fleet.reexecuted:
-                failure = worker_loss_summary(death_events, recovered=True)
-            # deaths that cost nothing (after every result was in) leave
-            # the run clean; they are recorded in extra["exec"] only
-
-        busiest_out = float(traffic.sum(axis=1).max()) if machines else 0.0
-        merged.counts = None
-        merged.simulated_seconds = runtime
-        merged.network_bytes = int(traffic.sum())
-        merged.breakdown = {
-            key: breakdowns[slowest].get(key, 0.0) for key in _CLOCK_KEYS
-        } if breakdowns else {}
-        merged.machine_seconds = machine_seconds
-        merged.cache_hit_rate = (
-            cache_hits / cache_queries if cache_queries else 0.0
-        )
-        merged.cache_entries = sum(r.cache_entries for r in reports)
-        merged.network_utilization = (
-            busiest_out / (cost.network_bandwidth * runtime)
-            if runtime > 0.0 else 0.0
-        )
-        merged.peak_memory_bytes = max(r.peak_memory_bytes for r in reports)
-        merged.num_machines = machines
-        merged.failure = failure
-        merged.extra = {
-            "hds": {
-                key: sum(r.extra["hds"][key] for r in reports)
-                for key in _HDS_KEYS
-            },
-            "fetch_sources": {
-                key: sum(r.extra["fetch_sources"][key] for r in reports)
-                for key in _FETCH_KEYS
-            },
-            "chunks": sum(r.extra["chunks"] for r in reports),
-            "requests": sum(r.extra["requests"] for r in reports),
-            "serve_seconds": (
-                max(buckets.get("serve", 0.0) for buckets in breakdowns)
-                if breakdowns else 0.0
-            ),
-        }
+            for entry in entries:  # every hosted run returns its copy
+                udf.merge(entry["udf"])
 
         # per-worker wall-clock lists: recovery replays accrue to the
-        # survivor that ran them; the parent's own inline fallback
+        # survivor that ran them; the parent's own fallback replay
         # (worker_id None) is reported via the redistribution extra
         busy = [0.0] * workers
         wait = [0.0] * workers
-        for entry in ordered:
-            worker_id = entry.get("worker_id")
+        adaptive = [0] * workers
+        for entry in entries:
+            worker_id = entry["worker_id"]
             if worker_id is None:
                 continue
             busy[worker_id] += entry["busy_seconds"]
             wait[worker_id] += entry["requester"]["wait_seconds"]
-        requesters = [entry["requester"] for entry in ordered]
-        responders = [stats[worker_id] for worker_id in range(workers)]
-        messages = sum(r["messages"] for r in requesters)
-        peer_timeouts = fleet.peer_timeout_messages + sum(
-            int(r.get("liveness_timeouts", 0)) for r in requesters
-        )
-        shipped = sum(s["served_bytes"] for s in responders)
-        depth = self._merge_depth([s["queue_depth"] for s in responders])
-        occupancy = self._merge_depth(
-            [s["ring_occupancy"] for s in responders]
-        )
-        coalesced_batch = self._merge_depth(
-            [r["coalesced_batch"] for r in requesters]
-        )
-        fallbacks = sum(s["fallbacks_served"] for s in responders)
-        ring_wait = sum(s["ring_wait_seconds"] for s in responders)
-        local_requests = sum(r["local_requests"] for r in requesters)
-        adaptive = [0] * workers
-        for entry in ordered:
             if entry["kind"] == "result":
-                adaptive[entry["worker_id"]] = (
+                adaptive[worker_id] = (
                     entry["requester"]["adaptive_chunk_bytes"]
                 )
-        merged.extra["exec"] = {
-            **self._exec_extra(workers, wall, fleet,
-                               peer_timeouts=peer_timeouts,
-                               events=death_events),
+        requesters = [entry["requester"] for entry in entries]
+        responders = [stats[worker_id] for worker_id in range(workers)]
+        death_events = fleet.death_events()
+        block = {
+            **self._exec_extra(
+                fleet, wall,
+                fleet.peer_timeout_messages + sum(
+                    int(r.get("liveness_timeouts", 0)) for r in requesters
+                ),
+                death_events,
+            ),
             "worker_busy_seconds": busy,
             "worker_wait_seconds": wait,
-            "messages": messages,
-            "bytes_shipped": shipped,
-            "queue_depth": {
-                "count": depth[0], "total": depth[1],
-                "min": depth[2], "max": depth[3],
-            },
+            "messages": sum(r["messages"] for r in requesters),
+            "bytes_shipped": sum(s["served_bytes"] for s in responders),
+            "queue_depth": self._merge_depth(
+                s["queue_depth"] for s in responders),
             "ring_bytes": self.ring_bytes,
-            "ring_fallbacks": fallbacks,
-            "ring_backpressure_seconds": ring_wait,
-            "ring_occupancy": {
-                "count": occupancy[0], "total": occupancy[1],
-                "min": occupancy[2], "max": occupancy[3],
-            },
+            "ring_fallbacks": sum(
+                s["fallbacks_served"] for s in responders),
+            "ring_backpressure_seconds": sum(
+                s["ring_wait_seconds"] for s in responders),
+            "ring_occupancy": self._merge_depth(
+                s["ring_occupancy"] for s in responders),
             "coalesced_requests": sum(
-                r["coalesced_requests"] for r in requesters
-            ),
-            "coalesced_batch_vertices": {
-                "count": coalesced_batch[0], "total": coalesced_batch[1],
-                "min": coalesced_batch[2], "max": coalesced_batch[3],
-            },
-            "local_fast_requests": local_requests,
+                r["coalesced_requests"] for r in requesters),
+            "coalesced_batch_vertices": self._merge_depth(
+                r["coalesced_batch"] for r in requesters),
+            "local_fast_requests": sum(
+                r["local_requests"] for r in requesters),
             "adaptive_chunk_bytes": adaptive,
         }
         if redistribution is not None:
-            merged.extra["exec"]["redistribution"] = redistribution
+            block["redistribution"] = redistribution
 
         obs = engine.obs
         if obs.enabled:
-            for entry in ordered:  # worker-id order keeps spans stable
+            for entry in entries:  # worker-id order keeps spans stable
                 dump = entry["obs"]
                 if dump is not None:
                     obs.registry.absorb(dump["metrics"])
                     obs.tracer.absorb(dump["spans"], dump["dropped"])
-            self._emit_exec_metrics(obs, workers, wall, busy, wait,
-                                    messages, shipped, depth, fleet,
-                                    peer_timeouts, requesters,
-                                    occupancy, coalesced_batch,
-                                    fallbacks, local_requests, adaptive,
-                                    redistribution)
-            summary = obs.summary()
-            summary["network"] = {
-                "per_machine_sent_bytes": [
-                    int(traffic[machine].sum())
-                    for machine in range(machines)
-                ],
-                "per_machine_utilization": [
-                    (float(traffic[machine].sum())
-                     / (cost.network_bandwidth * runtime))
-                    if runtime > 0.0 else 0.0
-                    for machine in range(machines)
-                ],
-                "num_batches": num_batches,
-            }
-            merged.extra["obs"] = summary
-        return counts, merged
+            self._emit_exec_metrics(obs.registry.scope(), block)
+        counts, report = finalize(
+            plan, [entry["partial"] for entry in entries], obs
+        )
+        report.extra["exec"] = block
+
+        if report.failure is not None and report.failure.fatal:
+            # a fatal simulated outcome (OOM/timeout) wins; the real
+            # deaths still land on its event log
+            report.failure.events = (
+                list(report.failure.events) + death_events
+            )
+        elif fleet.reexecuted:
+            report.failure = worker_loss_summary(death_events,
+                                                 recovered=True)
+        # deaths that cost nothing (after every result was in) leave
+        # the run clean; they are recorded in extra["exec"] only
+        return counts, report
 
     @staticmethod
-    def _merge_depth(summaries) -> tuple[int, float, float, float]:
-        count = sum(s[0] for s in summaries)
-        if not count:
-            return (0, 0.0, 0.0, 0.0)
+    def _merge_depth(summaries) -> dict:
+        """Fold ``(count, total, min, max)`` summaries into one."""
         present = [s for s in summaries if s[0]]
-        return (
-            count,
-            sum(s[1] for s in present),
-            min(s[2] for s in present),
-            max(s[3] for s in present),
-        )
+        if not present:
+            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0}
+        return {
+            "count": sum(s[0] for s in present),
+            "total": sum(s[1] for s in present),
+            "min": min(s[2] for s in present),
+            "max": max(s[3] for s in present),
+        }
 
-    def _emit_exec_metrics(self, obs, workers, wall, busy, wait,
-                           messages, shipped, depth, fleet,
-                           peer_timeouts, requesters, occupancy,
-                           coalesced_batch, fallbacks, local_requests,
-                           adaptive, redistribution=None) -> None:
-        scope = obs.registry.scope()
-        scope.gauge(names.EXEC_WORKERS).set(workers)
-        scope.gauge(names.EXEC_WALL_SECONDS).set(wall)
-        for worker_id, (busy_s, wait_s) in enumerate(zip(busy, wait)):
+    def _emit_exec_metrics(self, scope, block) -> None:
+        """The ``exec.*`` family, read off an ``extra["exec"]`` block so
+        the report and the registry cannot disagree."""
+        scope.gauge(names.EXEC_WORKERS).set(block["workers"])
+        scope.gauge(names.EXEC_WALL_SECONDS).set(block["wall_seconds"])
+        scope.gauge(names.EXEC_HEARTBEAT_INTERVAL).set(self.heartbeat)
+        scope.counter(names.EXEC_HEARTBEAT_CHECKS).inc(
+            block["heartbeat_checks"])
+        scope.counter(names.EXEC_WORKER_DEATHS).inc(block["worker_deaths"])
+        scope.counter(names.NET_PEER_TIMEOUTS).inc(block["peer_timeouts"])
+        if "messages" not in block:
+            return  # a fail-fast report: no transport half
+        for worker_id in range(block["workers"]):
             scope.counter(
                 names.EXEC_WORKER_BUSY_SECONDS, worker=worker_id
-            ).inc(busy_s)
+            ).inc(block["worker_busy_seconds"][worker_id])
             scope.counter(
                 names.EXEC_WORKER_WAIT_SECONDS, worker=worker_id
-            ).inc(wait_s)
-        scope.counter(names.EXEC_MESSAGES).inc(messages)
-        scope.counter(names.EXEC_BYTES_SHIPPED).inc(shipped)
-        if depth[0]:
-            scope.histogram(names.EXEC_QUEUE_DEPTH).merge_summary(*depth)
-        scope.gauge(names.EXEC_RING_CAPACITY).set(self.ring_bytes)
-        if occupancy[0]:
-            scope.histogram(
-                names.EXEC_RING_OCCUPANCY
-            ).merge_summary(*occupancy)
-        scope.counter(names.EXEC_RING_FALLBACKS).inc(fallbacks)
-        scope.counter(names.EXEC_LOCAL_FAST_REQUESTS).inc(local_requests)
-        scope.counter(names.NET_COALESCED_REQUESTS).inc(
-            sum(r["coalesced_requests"] for r in requesters)
-        )
-        if coalesced_batch[0]:
-            scope.histogram(
-                names.NET_COALESCED_BATCH_VERTICES
-            ).merge_summary(*coalesced_batch)
-        for worker_id, chunk_bytes in enumerate(adaptive):
+            ).inc(block["worker_wait_seconds"][worker_id])
             scope.gauge(
                 names.EXEC_ADAPTIVE_CHUNK_BYTES, worker=worker_id
-            ).set(chunk_bytes)
-        if redistribution is not None:
+            ).set(block["adaptive_chunk_bytes"][worker_id])
+        scope.counter(names.EXEC_MESSAGES).inc(block["messages"])
+        scope.counter(names.EXEC_BYTES_SHIPPED).inc(block["bytes_shipped"])
+        scope.gauge(names.EXEC_RING_CAPACITY).set(self.ring_bytes)
+        scope.counter(names.EXEC_RING_FALLBACKS).inc(block["ring_fallbacks"])
+        scope.counter(names.EXEC_LOCAL_FAST_REQUESTS).inc(
+            block["local_fast_requests"])
+        scope.counter(names.NET_COALESCED_REQUESTS).inc(
+            block["coalesced_requests"])
+        for name, key in (
+            (names.EXEC_QUEUE_DEPTH, "queue_depth"),
+            (names.EXEC_RING_OCCUPANCY, "ring_occupancy"),
+            (names.NET_COALESCED_BATCH_VERTICES, "coalesced_batch_vertices"),
+        ):
+            if block[key]["count"]:
+                scope.histogram(name).merge_summary(*block[key].values())
+        if "redistribution" in block:
             scope.counter(names.RECOVERY_REDISTRIBUTED_MACHINES).inc(
-                redistribution["machines"]
+                block["redistribution"]["machines"]
             )
-        self._emit_liveness_metrics(scope, fleet, peer_timeouts)

@@ -2,18 +2,20 @@
 
 Each worker attaches the shared-memory graph, rebuilds its own
 deterministic view of the cluster (hash partitioning is pure, so every
-worker computes identical partitions), and runs the *unmodified*
-inline execution path — restricted to the machines it hosts (machine
-``m`` lives on worker ``m % num_workers``) and with the queue
-transport plugged into the scheduler's circulant loop. Reusing the
-engine's hosted entry point wholesale is the determinism argument in
-code form: there is no second scheduler implementation that could
-drift from the simulated one.
+worker computes identical partitions), and runs the engine's one
+machine loop (``KhuzdulEngine.execute``) over the job plan it was
+handed — restricted to the machines it hosts (machine ``m`` lives on
+worker ``m % num_workers``) and with the queue transport plugged into
+the scheduler's circulant loop. Reusing that loop wholesale is the
+determinism argument in code form: there is no second scheduler
+implementation that could drift from the simulated one, and no second
+derivation of the plan.
 
 Result protocol on the shared result queue (tag, worker_id, payload):
 
-- ``(RESULT, w, {...})`` — counts, partial report, udf copy,
-  observability dump, requester-side transport stats. Posted when the
+- ``(RESULT, w, {...})`` — the hosted machines' ``Partial``, udf copy,
+  observability dump, requester-side transport stats
+  (:func:`hosted_run`'s payload). Posted when the
   worker's compute loop finishes.
 - ``(STATS, w, {...})`` — responder-side transport stats. Posted
   after the shutdown sentinel, because the responder keeps serving
@@ -21,8 +23,8 @@ Result protocol on the shared result queue (tag, worker_id, payload):
 - ``(PEER_DEAD, w, {...})`` — a bounded transport wait found its
   serving peer dead (the parent's death notice was set); this worker's
   compute is lost and the parent applies its ``on_worker_death``
-  policy. The process itself stays alive and enters the control loop,
-  so the recover policy can hand it replay work.
+  policy. The process itself stays alive and waits for assignments, so
+  the recover policy can hand it replay work.
 - ``(CKPT, w, (pattern, machine, roots, matches))`` — one per
   completed root chunk, carrying the absolute cursor. The parent's
   progress ledger is built from these (durable log and/or
@@ -31,11 +33,11 @@ Result protocol on the shared result queue (tag, worker_id, payload):
   machines finished; RESULT-shaped payload restricted to them.
 - ``(ERROR, w, traceback_text)`` — any unexpected failure. Expected
   engine outcomes (OOM / simulated timeout) are *not* errors: the
-  inline path already converts them into a structured
-  ``FailureSummary`` on the partial report.
+  machine loop already converts them into a structured
+  ``FailureSummary`` on the partial.
 
-After its RESULT a worker enters a control loop (when the fabric has
-control queues): the parent may hand it ``RecoverAssignment`` work —
+After its RESULT a worker waits on its control queue (when the fabric
+has one): the parent may hand it ``RecoverAssignment`` work —
 replay a dead peer's machines against the shared graph with the
 transport disabled (every worker maps the full graph, so no fetches
 are needed) — until the DONE sentinel releases it to drain the
@@ -73,36 +75,24 @@ from repro.exec.transport import (
     WorkerTransport,
     zero_requester_stats,
 )
+from repro.faults.durability import chaos_kill_threshold
 from repro.graph.csr import attach_csr
 from repro.obs import Observability
 
-#: chaos-injection contract (benchmarks/chaos.py): a worker whose id
-#: matches ``REPRO_CHAOS=worker-kill:<wid>:<n>`` SIGKILLs itself after
-#: shipping its n-th checkpoint delta — a real mid-compute crash at a
-#: deterministic chunk boundary
-CHAOS_ENV = "REPRO_CHAOS"
-
-
-def _chaos_kill_threshold(worker_id: int) -> int:
-    spec = os.environ.get(CHAOS_ENV, "")
-    if spec.startswith("worker-kill:"):
-        try:
-            _, wid, count = spec.split(":")
-            if int(wid) == worker_id:
-                return max(1, int(count))
-        except ValueError:
-            pass
-    return 0
-
-
 class _DeltaSink:
-    """Ships completed-chunk cursors to the parent as CKPT messages."""
+    """Ships completed-chunk cursors to the parent as CKPT messages.
+
+    Chaos-injection contract (benchmarks/chaos.py): a worker named by
+    ``REPRO_CHAOS=worker-kill:<wid>:<n>`` SIGKILLs itself after shipping
+    its n-th delta — a real mid-compute crash at a deterministic chunk
+    boundary.
+    """
 
     def __init__(self, worker_id: int, result_queue) -> None:
         self.worker_id = worker_id
         self.result_queue = result_queue
         self.shipped = 0
-        self.kill_after = _chaos_kill_threshold(worker_id)
+        self.kill_after = chaos_kill_threshold("worker-kill", worker_id)
 
     def __call__(self, pattern: int, machine: int, roots: int,
                  matches: int) -> None:
@@ -113,13 +103,46 @@ class _DeltaSink:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _obs_dump(obs) -> dict | None:
-    if obs is None:
-        return None
+def machines_of(worker_id: int, workers: int, machines: int) -> list[int]:
+    """Simulated machine ``m`` is hosted by worker ``m % workers``."""
+    return [m for m in range(machines) if m % workers == worker_id]
+
+
+def hosted_run(graph, plan, udf, hosted, obs_enabled, transport=None,
+               sink=None, resume=None) -> dict:
+    """Run ``hosted`` machines of ``plan`` against ``graph`` on a fresh
+    cluster view and observability bundle; returns the result payload.
+
+    The one way any process runs part of a job on a backend's behalf:
+    a worker's own share (with its transport), a survivor's replay of
+    a dead peer's machines, and the parent's replay of machines no
+    survivor covered (both without transport — every process maps the
+    full graph). ``resume`` may cover any machines: the loop only looks
+    up the cursors of the ones it hosts.
+    """
+    cluster = Cluster(graph, plan.cluster_config)
+    obs = Observability() if obs_enabled else None
+    engine = KhuzdulEngine(cluster, plan.config, obs=obs)
+    started = perf_counter()
+    partial = engine.execute(plan, udf, hosted=hosted, transport=transport,
+                             sink=sink, resume=resume)
+    elapsed = perf_counter() - started
     return {
-        "metrics": obs.registry.dump(),
-        "spans": obs.tracer.spans,
-        "dropped": obs.tracer.dropped,
+        "partial": partial,
+        "udf": udf,
+        "busy_seconds": (
+            max(0.0, elapsed - transport.wait_seconds)
+            if transport is not None else elapsed
+        ),
+        "requester": (
+            transport.requester_stats() if transport is not None
+            else zero_requester_stats()
+        ),
+        "obs": {
+            "metrics": obs.registry.dump(),
+            "spans": obs.tracer.spans,
+            "dropped": obs.tracer.dropped,
+        } if obs is not None else None,
     }
 
 
@@ -127,77 +150,51 @@ def worker_main(
     worker_id: int,
     num_workers: int,
     handle,
-    cluster_config,
-    engine_config,
-    schedules,
+    plan,
     udf,
-    job: tuple[str, str, str],
     obs_enabled: bool,
     endpoints,
     result_queue,
     resume=None,
 ) -> None:
-    system, app, graph_name = job
-    transport = None
+    shared = transport = None
     try:
         shared = attach_csr(handle)
-    except BaseException:
-        result_queue.put((ERROR, worker_id, traceback.format_exc()))
-        return
-    try:
         # the replay path needs a UDF untouched by this worker's own
         # phase-1 merge-ins; snapshot it before compute mutates it
         pristine_udf = pickle.dumps(udf) if udf is not None else None
-        cluster = Cluster(shared.graph, cluster_config)
-        obs = Observability() if obs_enabled else None
-        engine = KhuzdulEngine(cluster, engine_config, obs=obs)
         transport = WorkerTransport(worker_id, endpoints, shared.graph)
         transport.start()
-        hosted = {
-            machine for machine in range(cluster.num_machines)
-            if machine % num_workers == worker_id
-        }
+        hosted = set(machines_of(
+            worker_id, num_workers, plan.cluster_config.num_machines))
         sink = _DeltaSink(worker_id, result_queue)
-        started = perf_counter()
         try:
-            counts, report = engine.execute_hosted(
-                schedules, udf, system, app, graph_name,
-                hosted=hosted, transport=transport,
-                checkpoint_sink=sink,
-                resume={
-                    key: value for key, value in resume.items()
-                    if key[1] in hosted
-                } if resume else None,
-            )
+            payload = hosted_run(shared.graph, plan, udf, hosted,
+                                 obs_enabled, transport, sink, resume)
         except PeerDeadError as exc:
             # this worker's own compute is lost, but the *process* is
             # healthy: report the abort and stay available — under the
             # recover policy the parent may hand this worker replay
             # work (possibly its own machines, resumed from the deltas
-            # it already shipped) through the control loop below
+            # it already shipped) through the assignments below
             result_queue.put((PEER_DEAD, worker_id, {
                 "peer": exc.peer_worker,
                 "message": str(exc),
                 "liveness_timeouts": transport.liveness_timeouts,
             }))
         else:
-            elapsed = perf_counter() - started
-            payload = {
-                "counts": counts,
-                "report": report,
-                "udf": udf,
-                "busy_seconds": max(
-                    0.0, elapsed - transport.wait_seconds),
-                "requester": transport.requester_stats(),
-                "obs": _obs_dump(obs),
-            }
             result_queue.put((RESULT, worker_id, payload))
-        if endpoints.controls is not None:
-            _control_loop(
-                worker_id, endpoints, result_queue, shared,
-                cluster_config, engine_config, schedules, pristine_udf,
-                job, obs_enabled, sink,
+        for assignment in _assignments(worker_id, endpoints):
+            # the replay must start from the pristine UDF so merged
+            # state is counted exactly once
+            replay_udf = (
+                pickle.loads(pristine_udf) if pristine_udf is not None
+                else None
             )
+            result_queue.put((RECOVERY, worker_id, hosted_run(
+                shared.graph, plan, replay_udf, set(assignment.machines),
+                obs_enabled, sink=sink, resume=assignment.resume,
+            )))
         # keep serving other workers until the parent says everyone is
         # done; only then are the responder-side stats complete
         transport.join()
@@ -212,29 +209,20 @@ def worker_main(
             # stop request every bounded poll, so this join is bounded
             if transport.join(timeout=5.0):
                 transport.close()
-        shared.close()
+        if shared is not None:
+            shared.close()
 
 
-def _control_loop(
-    worker_id: int,
-    endpoints,
-    result_queue,
-    shared,
-    cluster_config,
-    engine_config,
-    schedules,
-    pristine_udf,
-    job: tuple[str, str, str],
-    obs_enabled: bool,
-    sink: _DeltaSink,
-) -> None:
-    """Serve redistributed-recovery assignments until DONE.
+def _assignments(worker_id: int, endpoints):
+    """Yield redistributed-recovery assignments until DONE (none at all
+    when the fabric has no control queues).
 
     Waits are bounded so a parent that dies without sending DONE
     cannot wedge the worker: every timeout re-checks the fleet-wide
     stop event.
     """
-    system, app, graph_name = job
+    if endpoints.controls is None:
+        return
     control = endpoints.controls[worker_id]
     while True:
         try:
@@ -249,29 +237,4 @@ def _control_loop(
             raise RuntimeError(
                 f"worker {worker_id}: unexpected control message "
                 f"{message!r}")
-        # a fresh engine per assignment: the phase-1 engine's scheduler
-        # state is spent, and the replay must start from the pristine
-        # UDF so merged state is counted exactly once
-        replay_udf = (
-            pickle.loads(pristine_udf) if pristine_udf is not None else None
-        )
-        cluster = Cluster(shared.graph, cluster_config)
-        obs = Observability() if obs_enabled else None
-        engine = KhuzdulEngine(cluster, engine_config, obs=obs)
-        started = perf_counter()
-        counts, report = engine.execute_hosted(
-            schedules, replay_udf, system, app, graph_name,
-            hosted=set(message.machines), transport=None,
-            checkpoint_sink=sink,
-            resume=dict(message.resume) if message.resume else None,
-        )
-        payload = {
-            "counts": counts,
-            "report": report,
-            "udf": replay_udf,
-            "busy_seconds": perf_counter() - started,
-            "requester": zero_requester_stats(),
-            "obs": _obs_dump(obs),
-            "machines": list(message.machines),
-        }
-        result_queue.put((RECOVERY, worker_id, payload))
+        yield message

@@ -20,7 +20,11 @@ This package is a leaf layer: it imports only ``repro.errors`` and
 ``repro.obs`` so that both ``cluster`` and ``core`` may depend on it.
 """
 
-from repro.faults.durability import CheckpointSession, run_manifest
+from repro.faults.durability import (
+    CheckpointSession,
+    DurableRun,
+    run_manifest,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashFault, FaultPlan, StragglerFault
 from repro.faults.recovery import (
@@ -35,6 +39,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointSession",
     "CrashFault",
+    "DurableRun",
     "FailureSummary",
     "FaultInjector",
     "FaultPlan",

@@ -12,9 +12,10 @@ On-disk layout under ``--checkpoint-dir``:
 
 ``manifest.json``
     Versioned fingerprint of the run: graph content (CRC32 of the CSR
-    arrays), every schedule (pattern edges/labels, matching order,
-    restrictions), the count-relevant engine and cluster configuration,
-    and the job identity. Written atomically (tmp + rename) when a
+    arrays) plus the job plan's own fingerprint — every schedule
+    (pattern edges/labels, matching order, restrictions, counting plan
+    and divisor, chunk budget), the count-relevant engine and cluster
+    configuration, and the job identity. Written atomically (tmp + rename) when a
     checkpointed run starts; ``--resume`` refuses a directory whose
     manifest does not match the current run exactly — a stale
     checkpoint (changed graph seed/scale, different pattern, different
@@ -51,14 +52,16 @@ from __future__ import annotations
 import base64
 import json
 import os
+import pickle
 import signal
 import zlib
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
+from repro.obs import names
 
 #: bump when the on-disk layout changes; mismatches reject the resume
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "chunks.log"
@@ -91,58 +94,17 @@ def _graph_fingerprint(graph) -> dict:
     }
 
 
-def _schedule_fingerprint(schedule) -> dict:
-    pattern = schedule.pattern
-    return {
-        "pattern_vertices": pattern.num_vertices,
-        "pattern_edges": sorted(map(list, pattern.edges)),
-        "pattern_labels": (
-            list(map(int, pattern.labels))
-            if pattern.labels is not None else None
-        ),
-        "order": list(schedule.order),
-        "induced": schedule.induced,
-        "restrictions": sorted(map(list, schedule.restrictions)),
-    }
-
-
-def run_manifest(cluster, schedules, config, system: str, app: str,
-                 graph_name: str) -> dict:
-    """The identity of one checkpointed run, backend-independent.
-
-    Everything that could change which chunks exist or what they count
-    is fingerprinted; the execution backend is deliberately *not* — a
-    run checkpointed inline may resume under the process backend and
-    vice versa (both walk the same deterministic chunk sequence).
-    """
+def run_manifest(plan, graph) -> dict:
+    """The identity of one checkpointed run: the job plan's fingerprint
+    (labels, per-pattern schedule / counting plan / divisor / chunk
+    budget, cluster shape, every count-relevant engine knob — see
+    :meth:`repro.core.plan.JobPlan.fingerprint`) plus the graph's
+    content. Nothing is listed here by hand, so a plan field added
+    later is checked on resume without touching this module."""
     return {
         "format": FORMAT_VERSION,
-        "system": system,
-        "app": app,
-        "graph_name": graph_name,
-        "graph": _graph_fingerprint(cluster.graph),
-        "schedules": [_schedule_fingerprint(s) for s in schedules],
-        "cluster": {
-            "num_machines": cluster.config.num_machines,
-            "cores_per_machine": cluster.config.cores_per_machine,
-            "sockets_per_machine": cluster.config.sockets_per_machine,
-            "memory_bytes": cluster.config.memory_bytes,
-        },
-        "engine": {
-            "chunk_bytes": config.chunk_bytes,
-            "vcs": config.vcs,
-            "hds": config.hds,
-            "hds_slots": config.hds_slots,
-            "hds_chaining": config.hds_chaining,
-            "circulant": config.circulant,
-            "auto_fit_chunks": config.auto_fit_chunks,
-            "cache_fraction": config.cache_fraction,
-            "cache_policy": str(config.cache_policy.value),
-            "cache_degree_threshold": config.cache_degree_threshold,
-            "numa_aware": config.numa_aware,
-            "extend_mode": config.extend_mode,
-            "time_budget": config.time_budget,
-        },
+        **plan.fingerprint(),
+        "graph": _graph_fingerprint(graph),
     }
 
 
@@ -174,14 +136,16 @@ def _write_atomic(path: str, payload: str) -> None:
     os.replace(tmp, path)
 
 
-def _chaos_parent_kill_threshold() -> Optional[int]:
-    spec = os.environ.get(CHAOS_ENV, "")
-    if spec.startswith("parent-kill:"):
-        try:
-            return int(spec.split(":", 1)[1])
-        except ValueError:
-            return None
-    return None
+def chaos_kill_threshold(kind: str, who: Optional[int] = None) -> int:
+    """``n`` of ``REPRO_CHAOS=<kind>[:<who>]:<n>`` when the spec names
+    this caller (kill after the n-th event), else 0."""
+    *target, count = os.environ.get(CHAOS_ENV, "").split(":")
+    if target != ([kind] if who is None else [kind, str(who)]):
+        return 0
+    try:
+        return max(1, int(count))
+    except ValueError:
+        return 0
 
 
 # ---------------------------------------------------------------------
@@ -240,8 +204,9 @@ class CheckpointSession:
 
     The caller owns the cadence contract: ``record`` once per completed
     root chunk (absolute per-(pattern, machine) cursor), and the
-    session makes every ``every``-th record durable. ``finalize`` at
-    the end of the run flushes whatever is still buffered.
+    session makes every ``every``-th record durable; ``flush`` at the
+    end of the run (:class:`DurableRun` does it on every exit) writes
+    whatever is still buffered.
 
     ``snapshot_extra`` may be set to a zero-argument callable returning
     ``{"udf": bytes | None, "metrics": dict | None}``; it is invoked at
@@ -252,8 +217,6 @@ class CheckpointSession:
 
     def __init__(self, directory: str, manifest: dict, num_patterns: int,
                  every: int = 1, resume: bool = False):
-        if every < 1:
-            raise ConfigurationError("checkpoint_every must be >= 1")
         self.directory = directory
         self.manifest = manifest
         self.num_patterns = num_patterns
@@ -273,7 +236,7 @@ class CheckpointSession:
         self.truncated = False
         self._buffer: list[tuple[int, int, int, int]] = []
         self._since_flush = 0
-        self._chaos_kill_after = _chaos_parent_kill_threshold()
+        self._chaos_kill_after = chaos_kill_threshold("parent-kill")
 
         os.makedirs(directory, exist_ok=True)
         if resume:
@@ -388,8 +351,7 @@ class CheckpointSession:
         self._since_flush = 0
         self._write_snapshot()
         self.flushes += 1
-        if (self._chaos_kill_after is not None
-                and self.flushes >= self._chaos_kill_after):
+        if self._chaos_kill_after and self.flushes >= self._chaos_kill_after:
             os.kill(os.getpid(), signal.SIGKILL)
 
     def _write_snapshot(self) -> None:
@@ -409,22 +371,6 @@ class CheckpointSession:
         }
         _write_atomic(self._path(SNAPSHOT_NAME), json.dumps(snapshot))
         self.snapshot_progress = dict(self.progress)
-
-    def finalize(self) -> None:
-        self.flush()
-
-    # -- resume --------------------------------------------------------
-    def resume_state(self, with_udf: bool = False) -> dict:
-        """The per-(pattern, machine) cursor a resumed run starts from.
-
-        Count-only runs trust the full log (counts are additive, every
-        intact record is usable). A UDF resume is capped at the last
-        snapshot: the restored UDF bytes describe exactly the
-        snapshot's progress, so skipping any further chunk would drop
-        its UDF calls.
-        """
-        source = self.snapshot_progress if with_udf else self.progress
-        return dict(source)
 
     def counts(self) -> list[int]:
         """Per-pattern match totals implied by the progress map."""
@@ -450,6 +396,71 @@ class CheckpointSession:
 
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, name)
+
+
+class DurableRun:
+    """One run's durability, the same for every backend: open the
+    session, hand the machine loop its ``sink`` and ``resume`` cursors,
+    flush on *every* exit (a structured failure or an exception must
+    not drop cursors the run already received), publish the stats.
+    Without ``checkpoint_dir`` each part is a no-op, so callers never
+    branch on it.
+
+    ``udf`` is the mergeable UDF whose state rides in the aggregates
+    snapshot: restored into it on resume, pickled at every flush (the
+    inline loop is single-threaded, so its state at a root-chunk
+    boundary is exactly the completed work).
+    """
+
+    def __init__(self, plan, graph, obs, udf=None):
+        config = plan.config
+        self.obs = obs
+        self.session: Optional[CheckpointSession] = None
+        self.sink = None
+        self.resume: Optional[dict] = None
+        if config.checkpoint_dir is None:
+            return
+        session = self.session = CheckpointSession(
+            config.checkpoint_dir, run_manifest(plan, graph),
+            num_patterns=len(plan.patterns),
+            every=config.checkpoint_every, resume=config.resume,
+        )
+        self.sink = session.record
+        if config.resume:
+            if udf is not None and session.snapshot_udf is not None:
+                udf.merge(pickle.loads(session.snapshot_udf))
+            # Count-only runs trust the full log (counts are additive,
+            # every intact record is usable). A UDF resume is capped at
+            # the last snapshot: the restored UDF bytes describe exactly
+            # the snapshot's progress, so skipping any further chunk
+            # would drop its UDF calls.
+            self.resume = dict(
+                session.progress if udf is None
+                else session.snapshot_progress
+            )
+        session.snapshot_extra = lambda: {
+            "udf": pickle.dumps(udf) if udf is not None else None,
+            "metrics": obs.registry.dump() if obs.enabled else None,
+        }
+
+    def __enter__(self) -> "DurableRun":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.session is not None:
+            self.session.flush()
+
+    def publish(self, report) -> None:
+        """Attach ``extra["checkpoint"]`` and emit the counters."""
+        if self.session is None:
+            return
+        stats = report.extra["checkpoint"] = self.session.stats()
+        scope = self.obs.registry.scope()
+        scope.counter(names.CHECKPOINT_RECORDS).inc(stats["records"])
+        scope.counter(names.CHECKPOINT_FLUSHES).inc(stats["flushes"])
+        scope.counter(names.CHECKPOINT_RESUMED_ROOTS).inc(
+            stats["resumed_roots"]
+        )
 
 
 # ---------------------------------------------------------------------

@@ -119,8 +119,8 @@ def worker_loss_summary(
     """The :class:`FailureSummary` for real worker-process deaths.
 
     ``recovered=True`` (the ``on_worker_death=recover`` policy
-    re-executed every lost worker's hosted machines through the
-    deterministic inline path) yields :data:`Outcome.RECOVERED` with
+    re-executed every lost worker's hosted machines — on surviving
+    workers, or in the parent for machines no survivor covered) yields :data:`Outcome.RECOVERED` with
     ``partial=False`` — the counts are provably complete, exactly like
     simulated crash recovery. ``recovered=False`` yields a partial
     :data:`Outcome.CRASHED` report.

@@ -113,18 +113,11 @@ def merge_reports(
     app: str,
     graph_name: str,
     counts=None,
-    parallel: bool = False,
 ) -> RunReport:
-    """Aggregate several reports into one.
-
-    ``parallel=False`` (the default) merges *sequential* phases (e.g.
-    FSM rounds): simulated times add up. ``parallel=True`` merges
-    reports of workers that ran *concurrently* (the ``repro.exec``
-    process backend): the job takes as long as the slowest worker, so
-    ``simulated_seconds`` is the max; per-machine breakdowns still
-    zip-sum, because each worker contributes disjoint clock charges
-    (its hosted machines' buckets, plus the serve seconds it charged to
-    every replica).
+    """Aggregate the reports of *sequential* phases (e.g. FSM rounds)
+    into one: simulated times, traffic and per-machine clocks add up.
+    (Concurrent shards of one job never reach this function — they are
+    partials folded by :func:`repro.core.plan.finalize`.)
     """
     if not reports:
         return RunReport(system, app, graph_name, counts, 0.0)
@@ -146,11 +139,7 @@ def merge_reports(
         app=app,
         graph_name=graph_name,
         counts=counts,
-        simulated_seconds=(
-            max(r.simulated_seconds for r in reports)
-            if parallel
-            else sum(r.simulated_seconds for r in reports)
-        ),
+        simulated_seconds=sum(r.simulated_seconds for r in reports),
         network_bytes=sum(r.network_bytes for r in reports),
         breakdown=total_breakdown,
         machine_breakdowns=machine_breakdowns,

@@ -16,6 +16,23 @@ from repro.graph.generators import (
 
 
 @pytest.fixture(scope="session")
+def comparable():
+    """The whole ``RunReport`` minus its only wall-clock / per-attempt
+    parts (``extra.exec``, ``extra.checkpoint``): what every backend,
+    worker count and resume must agree on."""
+
+    def strip(report) -> dict:
+        document = report.to_dict()
+        document["extra"] = {
+            key: value for key, value in document["extra"].items()
+            if key not in ("exec", "checkpoint")
+        }
+        return document
+
+    return strip
+
+
+@pytest.fixture(scope="session")
 def small_random_graph():
     """A reusable 60-vertex random graph (dense enough for cliques)."""
     return erdos_renyi(60, 240, seed=3)

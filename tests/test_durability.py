@@ -45,8 +45,8 @@ def _manifest(graph=None, config=None, pattern=None):
                        graph_name="mico")
     schedule = system.build_schedule(pattern or catalog.clique(3),
                                      induced=False)
-    return run_manifest(system.engine.cluster, [schedule], config,
-                        "k-automine", "test", "mico")
+    plan = system.engine.plan([schedule], None, "k-automine", "test", "mico")
+    return run_manifest(plan, graph)
 
 
 # ======================================================================
@@ -84,7 +84,7 @@ def test_session_round_trip(tmp_path):
     session.record(0, 0, 2, 10)
     session.record(0, 0, 5, 25)   # absolute cursor supersedes
     session.record(0, 2, 3, 7)
-    session.finalize()
+    session.flush()
     assert session.records_written == 3
     assert session.flushes >= 1
 
@@ -113,11 +113,11 @@ def test_resume_of_resume_is_idempotent(tmp_path):
     manifest = _manifest()
     first = CheckpointSession(directory, manifest, num_patterns=1)
     first.record(0, 1, 4, 40)
-    first.finalize()
+    first.flush()
     second = CheckpointSession(directory, manifest, num_patterns=1,
                                resume=True)
     second.record(0, 1, 9, 90)            # keep going past the resume
-    second.finalize()
+    second.flush()
     third = CheckpointSession(directory, manifest, num_patterns=1,
                               resume=True)
     # absolute cursors: replaying both appended records lands on the
@@ -149,6 +149,12 @@ def test_resume_refuses_stale_manifest(tmp_path):
     with pytest.raises(ConfigurationError, match="chunk_bytes"):
         CheckpointSession(directory, changed_knob, num_patterns=1,
                           resume=True)
+    # the counting strategy decides what a cursor's matches mean: an
+    # IEP cursor holds the restriction-free numerator
+    changed_counting = _manifest(config=EngineConfig(counting="iep"))
+    with pytest.raises(ConfigurationError, match=r"engine\.counting"):
+        CheckpointSession(directory, changed_counting, num_patterns=1,
+                          resume=True)
 
 
 def test_resume_refuses_format_mismatch(tmp_path):
@@ -173,7 +179,7 @@ def test_resume_tolerates_torn_log_tail(tmp_path):
     session = CheckpointSession(directory, manifest, num_patterns=1)
     session.record(0, 0, 3, 30)
     session.record(0, 1, 2, 20)
-    session.finalize()
+    session.flush()
     # a SIGKILL mid-append leaves a torn final line
     with open(tmp_path / "chunks.log", "ab") as handle:
         handle.write(_format_log_line(0, 2, 9, 99)[:-4])
@@ -289,3 +295,76 @@ def test_process_backend_refuses_udf_checkpointing(tmp_path):
                      graph_name="mico", backend=ProcessBackend(workers=2))
     with pytest.raises(ConfigurationError, match="checkpoint"):
         proc.mni_supports([catalog.chain(2)])
+
+
+# ======================================================================
+# the counting strategy is part of the run's identity
+# ======================================================================
+def test_resume_refuses_changed_counting_strategy(tmp_path):
+    """Checkpointed cursors under ``enumerate`` hold restricted counts;
+    resuming them under ``iep`` used to divide those by the stabilizer
+    order (star(3): 19380 -> 3230, outcome OK)."""
+    from repro.systems import KGraphPi
+
+    graph = dataset("mico", 0.05)
+    cluster = ClusterConfig(num_machines=2)
+    directory = str(tmp_path)
+    first = KGraphPi(graph, cluster,
+                     engine_config=EngineConfig(checkpoint_dir=directory))
+    fresh = first.count_pattern(catalog.star(3))
+    assert fresh.counts == 19380
+    resumed = KGraphPi(graph, cluster, engine_config=EngineConfig(
+        checkpoint_dir=directory, resume=True, counting="iep"))
+    with pytest.raises(ConfigurationError, match="engine.counting"):
+        resumed.count_pattern(catalog.star(3))
+
+
+# ======================================================================
+# a killed run resumes identically wherever it resumes
+# ======================================================================
+@pytest.mark.parametrize("counting", ["enumerate", "iep"])
+def test_killed_run_resumes_identically_on_every_backend(
+    tmp_path, counting, comparable
+):
+    import shutil
+
+    from repro.exec import InlineBackend, ProcessBackend
+
+    graph = dataset("mico", 0.05)
+    patterns = [catalog.clique(3), catalog.chain(3), catalog.star(3)]
+    knobs = dict(counting=counting, chunk_bytes=1024,
+                 auto_fit_chunks=False)
+
+    def census(backend=None, **durability):
+        system = KAutomine(graph, _CLUSTER, graph_name="mico",
+                           engine_config=EngineConfig(**knobs, **durability),
+                           backend=backend)
+        return system.count_patterns(patterns, induced=False)
+
+    oracle = census()
+    seed = tmp_path / "seed"
+    # checkpointing observes the run, it never changes it
+    assert comparable(census(checkpoint_dir=str(seed))) == comparable(oracle)
+    # a SIGKILL between two flushes leaves a prefix of the log
+    log = seed / "chunks.log"
+    records = log.read_bytes().splitlines(keepends=True)
+    assert len(records) > 8
+    log.write_bytes(b"".join(records[:len(records) // 2]))
+
+    resumed = {}
+    for label, backend in (
+        ("bare", None), ("object", InlineBackend()),
+        ("w1", ProcessBackend(workers=1)), ("w2", ProcessBackend(workers=2)),
+        ("w3", ProcessBackend(workers=3)),
+    ):
+        directory = tmp_path / label
+        shutil.copytree(seed, directory)
+        report = census(backend, checkpoint_dir=str(directory), resume=True)
+        assert report.counts == oracle.counts, label
+        assert report.extra["checkpoint"]["resumed_roots"] > 0, label
+        resumed[label] = comparable(report)
+    # skipped chunks carry no timing, so a resumed report differs from
+    # the oracle's — but identically so on every backend
+    assert resumed["bare"]["simulated_seconds"] < oracle.simulated_seconds
+    for label, document in resumed.items():
+        assert document == resumed["bare"], label

@@ -7,7 +7,7 @@ from repro.analysis import count_embeddings_brute_force
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.core.cache import CachePolicy
-from repro.errors import ConfigurationError, OutOfMemoryError, TimeoutError
+from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.generators import erdos_renyi, random_labels, star_graph
 from repro.patterns import Pattern, chain, clique, cycle, star
 from repro.patterns.schedule import automine_schedule
@@ -225,3 +225,54 @@ def test_zero_match_pattern(small_random_graph):
     expected = count_embeddings_brute_force(small_random_graph, clique(6))
     report = _engine(small_random_graph).run(automine_schedule(clique(6)))
     assert report.counts == expected
+
+
+# ----------------------------------------------------------------------
+# plan -> execute -> finalize (repro.core.plan)
+# ----------------------------------------------------------------------
+def _simulated(counts, report):
+    document = report.to_dict()
+    document["counts"] = counts
+    return document
+
+
+@pytest.mark.parametrize("counting", ["enumerate", "iep"])
+def test_finalize_is_order_free_over_machine_disjoint_partials(
+    small_random_graph, counting
+):
+    from repro.core.plan import finalize
+
+    engine = _engine(small_random_graph, counting=counting,
+                     chunk_bytes=2048)
+    plan = engine.plan([automine_schedule(star(3)),
+                        automine_schedule(clique(3))])
+    whole = engine.execute(plan)
+    a = engine.execute(plan, hosted={0, 2})
+    b = engine.execute(plan, hosted={1, 3})
+    # a partial is a snapshot: the later runs did not disturb it
+    assert whole.machines[1].clock.total() > 0.0
+    assert a.machines[1].clock.total() == 0.0
+
+    forward = _simulated(*finalize(plan, [a, b]))
+    assert forward == _simulated(*finalize(plan, [b, a]))
+    assert forward == _simulated(*finalize(plan, [a + b]))
+    # ... and machine-disjoint shards add up to the uninterrupted run
+    assert forward == _simulated(*finalize(plan, [whole]))
+    if counting == "iep":
+        assert plan.patterns[0].divisor > 1
+        assert forward["counts"][0] == (
+            (a.counts[0] + b.counts[0]) // plan.patterns[0].divisor
+        )
+
+
+def test_plan_is_picklable_and_compiled_once(small_random_graph):
+    import pickle
+
+    engine = _engine(small_random_graph, counting="iep")
+    plan = engine.plan([automine_schedule(star(3))])
+    clone = pickle.loads(pickle.dumps(plan))
+    assert clone.fingerprint() == plan.fingerprint()
+    assert clone.patterns[0].extend_schedule.pattern.num_vertices == 1
+    # a UDF consumes candidates, so its job never gets a counting plan
+    with_udf = engine.plan([automine_schedule(star(3))], udf=print)
+    assert with_udf.patterns[0].counting is None

@@ -46,9 +46,9 @@ def test_timeout_attributes_and_message():
     assert "120.5" in str(exc)
 
 
-def test_timeout_deprecated_alias():
-    # the old name shadowed the builtin; it stays importable as an alias
-    assert errors.TimeoutError is SimTimeoutError
+def test_timeout_alias_is_gone():
+    # the old name shadowed the builtin; its one-release alias is over
+    assert not hasattr(errors, "TimeoutError")
 
 
 def test_machine_crash_attributes():

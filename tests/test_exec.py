@@ -102,7 +102,7 @@ def test_make_backend_names():
         make_backend("thread")
 
 
-def test_inline_backend_object_matches_no_backend():
+def test_inline_backend_object_matches_no_backend(comparable):
     graph = _mico()
     bare = KAutomine(graph, _CLUSTER, graph_name="mico")
     wrapped = KAutomine(graph, _CLUSTER, graph_name="mico",
@@ -111,13 +111,41 @@ def test_inline_backend_object_matches_no_backend():
     r2 = wrapped.count_pattern(catalog.clique(3))
     assert r1.counts == r2.counts
     assert r1.simulated_seconds == r2.simulated_seconds
+    assert comparable(r1) == comparable(r2)
+
+
+def test_inline_backend_object_checkpoints_like_no_backend(tmp_path,
+                                                           comparable):
+    """``InlineBackend()`` used to skip the durable session entirely:
+    no manifest, no log, no ``extra["checkpoint"]``."""
+    graph = _mico()
+    reports = {}
+    for label, backend in (("bare", None), ("wrapped", InlineBackend())):
+        directory = tmp_path / label
+        config = EngineConfig(checkpoint_dir=str(directory))
+        system = KAutomine(graph, _CLUSTER, engine_config=config,
+                           graph_name="mico", backend=backend)
+        first = system.count_pattern(catalog.clique(3))
+        assert (directory / "manifest.json").exists(), label
+        assert (directory / "chunks.log").exists(), label
+        assert first.extra["checkpoint"]["records"] > 0, label
+        system.reconfigure(EngineConfig(checkpoint_dir=str(directory),
+                                        resume=True))
+        resumed = system.count_pattern(catalog.clique(3))
+        assert resumed.counts == first.counts
+        assert resumed.extra["checkpoint"]["resumed_roots"] > 0, label
+        reports[label] = (first, resumed)
+    for bare, wrapped in zip(*reports.values()):
+        assert comparable(bare) == comparable(wrapped)
+        stats = dict(bare.extra["checkpoint"], dir=None)
+        assert stats == dict(wrapped.extra["checkpoint"], dir=None)
 
 
 # ======================================================================
 # inline/process equivalence — the determinism contract
 # ======================================================================
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_triangle_counts_identical(workers):
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_triangle_counts_identical(workers, comparable):
     graph = _mico()
     inline = KAutomine(graph, _CLUSTER, graph_name="mico")
     expected = inline.count_pattern(catalog.clique(3))
@@ -130,32 +158,45 @@ def test_triangle_counts_identical(workers):
     assert got.machine_seconds == expected.machine_seconds
     assert got.network_bytes == expected.network_bytes
     assert got.extra["exec"]["workers"] == min(workers, 4)
+    # ... and so is everything else the report says
+    assert comparable(got) == comparable(expected)
     _assert_no_stray_children()
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_motif_census_identical(workers):
+@pytest.mark.parametrize("counting", ["enumerate", "iep"])
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_motif_census_identical(workers, counting, comparable):
     graph = _mico()
-    patterns = [catalog.clique(3), catalog.chain(3)]
-    inline = KAutomine(graph, _CLUSTER, graph_name="mico")
-    expected = inline.count_patterns(patterns)
-    proc = KAutomine(graph, _CLUSTER, graph_name="mico",
+    patterns = [catalog.clique(3), catalog.chain(3), catalog.star(3)]
+    # non-induced, so that under "iep" the wedge and the star run as
+    # counting plans next to the plan-less triangle
+    induced = counting == "enumerate"
+    config = EngineConfig(counting=counting)
+    inline = KAutomine(graph, _CLUSTER, engine_config=config,
+                       graph_name="mico")
+    expected = inline.count_patterns(patterns, induced=induced)
+    proc = KAutomine(graph, _CLUSTER, engine_config=config,
+                     graph_name="mico",
                      backend=ProcessBackend(workers=workers))
-    got = proc.count_patterns(patterns)
+    got = proc.count_patterns(patterns, induced=induced)
     assert got.counts == expected.counts
     assert got.simulated_seconds == expected.simulated_seconds
+    assert comparable(got) == comparable(expected)
     _assert_no_stray_children()
 
 
-def test_collector_udf_merges_across_workers():
+def test_collector_udf_merges_across_workers(comparable):
     graph = dataset("mico", scale=0.25, labeled=True)
     patterns = [catalog.chain(2), catalog.chain(3)]
     inline = KAutomine(graph, _CLUSTER, graph_name="mico")
-    expected, _ = inline.mni_supports(patterns)
-    proc = KAutomine(graph, _CLUSTER, graph_name="mico",
-                     backend=ProcessBackend(workers=2))
-    got, _ = proc.mni_supports(patterns)
-    assert got == expected
+    expected, expected_report = inline.mni_supports(patterns)
+    for backend in (InlineBackend(), ProcessBackend(workers=1),
+                    ProcessBackend(workers=2), ProcessBackend(workers=3)):
+        other = KAutomine(graph, _CLUSTER, graph_name="mico",
+                          backend=backend)
+        got, report = other.mni_supports(patterns)
+        assert got == expected
+        assert comparable(report) == comparable(expected_report)
     _assert_no_stray_children()
 
 
@@ -315,8 +356,8 @@ def test_worker_death_recovery_matches_inline(monkeypatch):
     started = time.monotonic()
     report = proc.count_pattern(catalog.clique(3))
     assert time.monotonic() - started < 120.0
-    # the lost workers' hosted machines were replayed through the
-    # deterministic inline path, so the counts are *complete*
+    # the lost workers' hosted machines were replayed by the
+    # survivors, so the counts are *complete*
     assert report.counts == expected.counts
     assert report.simulated_seconds == expected.simulated_seconds
     failure = report.failure
@@ -775,6 +816,40 @@ def test_worker_sigkill_redistributes_to_survivors(tmp_path, workers):
     assert redistribution["inline_fallback"] == 0
     assert redistribution["machines"] >= 1
     assert redistribution["workers"]
+
+
+@exec_faults
+@_FORK_ONLY
+def test_fail_fast_crash_keeps_buffered_checkpoints(tmp_path, monkeypatch):
+    """A ``CRASHED`` fail-fast return used to skip the session's final
+    flush: with a sparse cadence every cursor the live parent had
+    already received was dropped."""
+    graph = dataset("mico", scale=0.05)
+
+    def system(backend, **durability):
+        config = EngineConfig(chunk_bytes=1024, auto_fit_chunks=False,
+                              checkpoint_dir=str(tmp_path), **durability)
+        return KAutomine(graph, _CLUSTER, engine_config=config,
+                         graph_name="mico", backend=backend)
+
+    monkeypatch.setenv("REPRO_CHAOS", "worker-kill:1:2")
+    crashed = system(
+        ProcessBackend(workers=2, start_method="fork", heartbeat=0.2,
+                       on_worker_death="fail"),
+        checkpoint_every=10_000,
+    ).count_pattern(catalog.clique(3))
+    assert crashed.outcome == "CRASHED"
+    # never reached the cadence: the flush on exit wrote these
+    assert crashed.extra["checkpoint"]["flushes"] == 1
+    assert crashed.extra["checkpoint"]["records"] > 0
+    _assert_no_stray_children()
+
+    monkeypatch.delenv("REPRO_CHAOS")
+    resumed = system(None, resume=True).count_pattern(catalog.clique(3))
+    assert resumed.outcome == "OK"
+    assert resumed.extra["checkpoint"]["resumed_roots"] > 0
+    oracle = KAutomine(graph, _CLUSTER, graph_name="mico")
+    assert resumed.counts == oracle.count_pattern(catalog.clique(3)).counts
 
 
 def test_adaptive_chunker_grows_and_shrinks():
