@@ -13,7 +13,8 @@ TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && ech
 PYTEST := PYTHONPATH=src $(PYTHON) -m pytest $(TIMEOUT_FLAGS)
 
 .PHONY: test suite docs-check faults-check exec-check exec-faults-check \
-	chaos-check motif-check storage-check perf-check perf-bench \
+	chaos-check motif-check storage-check perf-check perfbench-check \
+	perf-bench \
 	perf-bench-motifs perf-bench-scale service-check service-bench bench
 
 ## tier-1: every file under tests/ exactly once, then the gates that
@@ -53,33 +54,40 @@ chaos-check:
 
 ## IEP counting-plan suite (docs/performance.md, "Inclusion–exclusion
 ## counting"): plan compilation, bit-identity against the enumeration
-## oracle across extend modes and backends, the 3/4/5-motif census
+## oracle across backends, the terminal kernel against its row-by-row
+## reference, the 3/4/5-motif census
 ## (IEP route vs induced oracle), and the schedule cost-model pins
 motif-check:
 	$(PYTEST) tests/test_iep.py -q
 
 ## out-of-core storage suite (docs/storage.md): streaming-vs-eager
 ## builder parity, store round-trip/corruption rejection, ram-vs-mmap
-## bit-identity across backends and extend modes, admission baseline
+## bit-identity across backends, admission baseline
 storage-check:
 	$(PYTEST) tests/test_storage.py -q
 
-## wall-clock perf gates: tiny-graph smoke (batched EXTEND never loses
-## to scalar, counts agree), the headline process-backend speedup gate
-## with its CPU-aware floor — >=2x over inline-batched at 4 workers
-## given >=4 CPUs (docs/performance.md) — and the storage scale-sweep
-## smoke (mmap-over-ram wall ratio under its documented ceiling,
+## wall-clock perf gates: tiny-graph smoke (inline and process agree
+## on counts and simulated seconds), the headline process-backend
+## speedup gate with its CPU- and work-aware floor
+## (docs/performance.md) and the storage scale-sweep smoke
+## (mmap-over-ram wall ratio under its documented ceiling,
 ## docs/storage.md)
 perf-check:
 	PYTHONPATH=src:. $(PYTHON) -m pytest $(TIMEOUT_FLAGS) \
 		benchmarks/bench_wallclock.py benchmarks/bench_scale.py -q
 
-## full wall-clock sweep over the bundled datasets; writes
-## BENCH_PR6.json (the >=3x wdc-triangle batched-over-scalar headline
-## and the inline-vs-process rows live there)
+## the wall-clock benchmark's self-test (perfbench/README.md): every
+## seam of the per-layer table still resolves, every count is pinned,
+## the cross-workload invariants hold — a renamed entry point fails
+## here instead of nulling a per-layer metric unnoticed (~1 min)
+perfbench-check:
+	$(PYTHON) -m pytest perfbench/ -q
+
+## full inline-vs-process wall-clock sweep over the bundled datasets;
+## writes .benchmarks/wallclock.json (BENCH_PR5/6.json are the frozen
+## history of the sweep when it also timed a scalar EXTEND path)
 perf-bench:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_wallclock.py \
-		--out BENCH_PR6.json
+	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_wallclock.py
 
 ## full motif-census sweep (IEP vs enumerate on k-GraphPi); writes
 ## BENCH_PR9.json — the 5-motif row is the >=3x IEP-over-enumerate

@@ -1,30 +1,30 @@
-"""Wall-clock benchmark of the batched EXTEND kernels (docs/performance.md).
+"""Wall-clock benchmark of the execution backends (docs/performance.md).
 
 Every other benchmark here reports *simulated* time; this one (like
-``bench_exec_backends``) measures real seconds. The batched kernel path
-(``EngineConfig(extend_mode="batched")``, the default) and the scalar
-reference path produce bit-identical counts and simulated measurements
-by contract, so the only open question is throughput — this bench runs
-triangle, 4-clique, and 5-path counting under both modes (and
-optionally under the process backend), asserts the counts match, and
-emits one JSON document with the measured wall seconds and speedups.
+``bench_exec_backends``) measures real seconds. The inline and process
+backends produce bit-identical counts and simulated measurements by
+contract, so the only open question is throughput — this bench runs
+triangle, 4-clique, and 5-path counting inline and under the process
+backend, asserts the answers match, and emits one JSON document with
+the measured wall seconds and speedups. (``BENCH_PR5/6.json`` also
+carry a scalar-EXTEND column: frozen history from when the engine had
+a second, per-embedding chunk loop.)
 
 Two entry points:
 
 - ``pytest benchmarks/bench_wallclock.py`` — the smoke variant
-  (tiny graphs, what ``make perf-check`` runs in CI): asserts the
-  batched path is at least as fast as scalar and counts agree.
-- ``python benchmarks/bench_wallclock.py --out BENCH_PR6.json`` — the
+  (tiny graphs, what ``make perf-check`` runs in CI): counts and
+  simulated seconds agree across backends.
+- ``python benchmarks/bench_wallclock.py --out FILE.json`` — the
   full sweep over the bundled dataset analogues, including the largest
-  (wdc) where the headline requirement is a >= 3x batched-over-scalar
-  speedup on triangle counting. ``--smoke`` shrinks it to the CI set;
-  ``--gate``/``--gate-auto`` enforce a process-over-inline speedup
-  floor on rows with enough work to parallelize.
+  (wdc). ``--smoke`` shrinks it to the CI set; ``--gate``/
+  ``--gate-auto`` enforce a process-over-inline speedup floor on rows
+  with enough work to parallelize.
 
-Each (config, mode) pair is timed best-of-``--repeats`` end-to-end
+Each (config, backend) pair is timed best-of-``--repeats`` end-to-end
 ``count_pattern`` runs on a fresh system, so graph-side lazy caches
 (degrees, adjacency bitmap) warm up exactly once per process the same
-way for both modes.
+way for both.
 
 ``--motifs`` switches to the motif-census sweep instead: full k-motif
 censuses on k-GraphPi under ``counting="enumerate"`` vs
@@ -73,7 +73,7 @@ _WORKER_COUNTS = (4,)
 _NUM_MACHINES = 8
 #: the headline inline-vs-process row `make perf-check` gates
 _HEADLINE_CONFIG = ("wdc", 1.0, "clique3")
-#: rows whose inline-batched wall is below this have too little work
+#: rows whose inline wall is below this have too little work
 #: to amortize the backend's fixed ~60ms spawn/teardown cost, so
 #: process-speedup gates skip them (docs/performance.md)
 GATE_MIN_INLINE_SECONDS = 0.2
@@ -117,42 +117,57 @@ def cpu_info() -> dict:
     }
 
 
-def process_speedup_floor(cpus: Optional[int] = None) -> float:
-    """The CPU-aware process-over-inline gate (docs/performance.md).
+#: CPU seconds one worker process costs on top of its share of the
+#: compute: fork, shm attach, serving peers, shipping its partial,
+#: teardown. Measured 0.09-0.10 per worker (docs/performance.md, "The
+#: CPU-aware gate"); the gate budgets a little more.
+WORKER_OVERHEAD_CPU_SECONDS = 0.125
 
-    4 workers need at least 4 CPUs for the >=2x target to be physically
-    reachable; on fewer CPUs the same sweep measures overhead, not
-    parallelism, so the floor drops to "breaks even" (2-3 CPUs) or to
-    an honest single-core regression bound (1 CPU, where 4 workers
-    timeshare one core and can never beat the inline path).
+
+def process_speedup_floor(inline_seconds: float, workers: int,
+                          cpus: Optional[int] = None) -> float:
+    """The CPU- and work-aware process-over-inline gate
+    (docs/performance.md).
+
+    The compute splits essentially perfectly over
+    ``min(workers, cpus)`` lanes; what a process run adds is per-worker
+    CPU work that shares those lanes. So the speedup a healthy backend
+    reaches is ``lanes * inline / (inline + workers * overhead)`` —
+    about 2x at 4 workers on 4 CPUs for 0.6 s of inline work, break-even
+    on 2, an honest regression bound on 1 — and it falls as the inline
+    run gets faster, which a constant floor cannot follow.
     """
     cpus = effective_cpus() if cpus is None else cpus
-    if cpus >= 4:
-        return 2.0
-    if cpus >= 2:
-        return 1.0
-    return 0.45
+    lanes = min(workers, cpus)
+    return lanes * inline_seconds / (
+        inline_seconds + workers * WORKER_OVERHEAD_CPU_SECONDS
+    )
 
 
-def gate_failures(result: dict, floor: float,
+def gate_failures(result: dict, floor: Optional[float] = None,
                   min_inline_seconds: float = GATE_MIN_INLINE_SECONDS):
-    """Process-speedup gate: every gated row must reach ``floor``.
+    """Process-speedup gate: every gated row must reach ``floor``, or
+    — with ``floor=None`` — its own :func:`process_speedup_floor`.
 
-    Rows with less than ``min_inline_seconds`` of inline-batched work
+    Rows with less than ``min_inline_seconds`` of inline work
     are exempt — they measure the backend's fixed spawn cost, not its
     scaling (documented in docs/performance.md).
     """
     failures = []
     for row in result["rows"]:
-        if row["batched_wall_seconds"] < min_inline_seconds:
+        inline = row["inline_wall_seconds"]
+        if inline < min_inline_seconds:
             continue
         for workers, entry in row.get("process", {}).items():
             speedup = entry["speedup_over_inline"]
-            if speedup < floor:
+            row_floor = floor if floor is not None else (
+                process_speedup_floor(inline, entry["workers_effective"])
+            )
+            if speedup < row_floor:
                 failures.append(
                     f"{row['graph']}/{row['pattern']} at {workers} "
                     f"workers: speedup_over_inline {speedup:.2f} < "
-                    f"gate {floor:.2f}"
+                    f"gate {row_floor:.2f}"
                 )
     return failures
 
@@ -162,7 +177,7 @@ def _pattern(spec: str):
     return getattr(catalog, spec[:-1])(int(spec[-1]))
 
 
-def _time_run(graph, graph_name, pattern, mode, backend=None, repeats=3):
+def _time_run(graph, graph_name, pattern, backend=None, repeats=3):
     """Best-of-``repeats`` wall seconds of one full counting run."""
     best = None
     report = None
@@ -170,7 +185,6 @@ def _time_run(graph, graph_name, pattern, mode, backend=None, repeats=3):
         system = KAutomine(
             graph,
             ClusterConfig(num_machines=_NUM_MACHINES),
-            EngineConfig(extend_mode=mode),
             graph_name=graph_name,
             backend=backend,
         )
@@ -181,111 +195,63 @@ def _time_run(graph, graph_name, pattern, mode, backend=None, repeats=3):
     return best, report
 
 
+def _measure_row(graph_name, scale, pattern_spec, repeats,
+                 worker_counts) -> dict:
+    """One config inline and under ``ProcessBackend`` at each worker
+    count; the answers must agree exactly."""
+    graph = dataset(graph_name, scale=scale * SCALE)
+    pattern = _pattern(pattern_spec)
+    inline_wall, inline_report = _time_run(
+        graph, graph_name, pattern, repeats=repeats
+    )
+    row = {
+        "graph": graph_name,
+        "scale": scale * SCALE,
+        "pattern": pattern_spec,
+        "count": inline_report.counts,
+        "simulated_seconds": inline_report.simulated_seconds,
+        "inline_wall_seconds": inline_wall,
+    }
+    process = {}
+    for workers in worker_counts:
+        wall, report = _time_run(
+            graph, graph_name, pattern,
+            backend=ProcessBackend(workers=workers), repeats=repeats,
+        )
+        assert report.counts == inline_report.counts, (
+            f"backend divergence on {graph_name}/{pattern_spec}: "
+            f"{report.counts} != {inline_report.counts}"
+        )
+        assert (
+            report.simulated_seconds == inline_report.simulated_seconds
+        ), f"simulated-time divergence on {graph_name}/{pattern_spec}"
+        process[str(workers)] = {
+            "wall_seconds": wall,
+            "speedup_over_inline": inline_wall / wall if wall else 0.0,
+            # the backend clamps workers to the machine count; the
+            # effective value is what the speedup was measured with
+            "workers_effective": min(workers, _NUM_MACHINES),
+        }
+    if process:
+        row["process"] = process
+    return row
+
+
 def measure(
     configs,
     repeats: int = 3,
     worker_counts: tuple[int, ...] = (),
 ) -> dict:
-    """Time every config under scalar and batched EXTEND (and the
-    process backend when ``worker_counts`` is non-empty)."""
-    rows = []
-    for graph_name, scale, pattern_spec in configs:
-        graph = dataset(graph_name, scale=scale * SCALE)
-        pattern = _pattern(pattern_spec)
-        scalar_wall, scalar_report = _time_run(
-            graph, graph_name, pattern, "scalar", repeats=repeats
-        )
-        batched_wall, batched_report = _time_run(
-            graph, graph_name, pattern, "batched", repeats=repeats
-        )
-        assert batched_report.counts == scalar_report.counts, (
-            f"extend-mode divergence on {graph_name}/{pattern_spec}: "
-            f"{batched_report.counts} != {scalar_report.counts}"
-        )
-        assert (
-            batched_report.simulated_seconds
-            == scalar_report.simulated_seconds
-        ), f"simulated-time divergence on {graph_name}/{pattern_spec}"
-        row = {
-            "graph": graph_name,
-            "scale": scale * SCALE,
-            "pattern": pattern_spec,
-            "count": scalar_report.counts,
-            "simulated_seconds": scalar_report.simulated_seconds,
-            "scalar_wall_seconds": scalar_wall,
-            "batched_wall_seconds": batched_wall,
-            "speedup_batched_over_scalar": (
-                scalar_wall / batched_wall if batched_wall else 0.0
-            ),
-        }
-        process = {}
-        for workers in worker_counts:
-            wall, report = _time_run(
-                graph, graph_name, pattern, "batched",
-                backend=ProcessBackend(workers=workers), repeats=repeats,
-            )
-            assert report.counts == scalar_report.counts, (
-                f"backend divergence on {graph_name}/{pattern_spec}: "
-                f"{report.counts} != {scalar_report.counts}"
-            )
-            process[str(workers)] = {
-                "wall_seconds": wall,
-                "speedup_over_inline": (
-                    batched_wall / wall if wall else 0.0
-                ),
-                # the backend clamps workers to the machine count; the
-                # effective value is what the speedup was measured with
-                "workers_effective": min(workers, _NUM_MACHINES),
-            }
-        if process:
-            row["process"] = process
-        rows.append(row)
+    """Time every config inline (and under the process backend when
+    ``worker_counts`` is non-empty)."""
     return {
-        "bench": "wallclock_extend",
+        "bench": "wallclock_backends",
         "cpus": cpu_info(),
         "repeats": repeats,
-        "rows": rows,
-    }
-
-
-def measure_headline_process(repeats: int = 2,
-                             workers: int = 4) -> dict:
-    """Inline-batched vs process on the headline config only.
-
-    The fast variant `make perf-check` gates: skips the scalar
-    reference (the batched-over-scalar contract is covered by the
-    smoke set) and times just the two backends whose ratio the
-    process gate judges.
-    """
-    graph_name, scale, pattern_spec = _HEADLINE_CONFIG
-    graph = dataset(graph_name, scale=scale * SCALE)
-    pattern = _pattern(pattern_spec)
-    batched_wall, batched_report = _time_run(
-        graph, graph_name, pattern, "batched", repeats=repeats
-    )
-    wall, report = _time_run(
-        graph, graph_name, pattern, "batched",
-        backend=ProcessBackend(workers=workers), repeats=repeats,
-    )
-    assert report.counts == batched_report.counts, (
-        f"backend divergence on {graph_name}/{pattern_spec}: "
-        f"{report.counts} != {batched_report.counts}"
-    )
-    assert report.simulated_seconds == batched_report.simulated_seconds
-    return {
-        "graph": graph_name,
-        "scale": scale * SCALE,
-        "pattern": pattern_spec,
-        "batched_wall_seconds": batched_wall,
-        "process": {
-            str(workers): {
-                "wall_seconds": wall,
-                "speedup_over_inline": (
-                    batched_wall / wall if wall else 0.0
-                ),
-                "workers_effective": min(workers, _NUM_MACHINES),
-            }
-        },
+        "rows": [
+            _measure_row(*config, repeats, worker_counts)
+            for config in configs
+        ],
     }
 
 
@@ -422,35 +388,25 @@ def test_wallclock_motif_smoke(benchmark):
 
 
 def test_wallclock_smoke(benchmark):
-    """The ``make perf-check`` gate: on the tiny smoke configs the
-    batched kernels must not lose to the scalar reference, and both
-    must agree exactly (counts are also cross-checked against the
-    process backend inside :func:`measure`)."""
+    """The ``make perf-check`` agreement check: on the tiny smoke
+    configs the inline and process backends must report the same counts
+    and simulated seconds (asserted inside :func:`measure`)."""
     result = run_once(
-        benchmark, lambda: measure(_SMOKE_CONFIGS, repeats=3)
+        benchmark,
+        lambda: measure(_SMOKE_CONFIGS, repeats=1, worker_counts=(2,)),
     )
     emit_json(result, _OUT)
     assert result["rows"]
-    for row in result["rows"]:
-        assert row["batched_wall_seconds"] <= row["scalar_wall_seconds"], (
-            f"batched EXTEND slower than scalar on "
-            f"{row['graph']}/{row['pattern']}: "
-            f"{row['batched_wall_seconds']:.4f}s vs "
-            f"{row['scalar_wall_seconds']:.4f}s"
-        )
+    assert all(row["process"] for row in result["rows"])
 
 
 def test_wallclock_process_gate():
     """The process backend can never regress silently: the headline
     config (largest bundled graph, triangle counting) must clear the
-    CPU-aware speedup floor — >=2x over inline-batched at 4 workers
-    given >=4 CPUs, break-even on 2-3, and a bounded single-core
-    regression on 1 CPU where 4 workers timeshare one core
-    (docs/performance.md explains the tiering)."""
-    row = measure_headline_process(repeats=2)
-    floor = process_speedup_floor()
-    failures = gate_failures({"rows": [row]}, floor,
-                             min_inline_seconds=0.0)
+    floor its inline wall and this host's CPUs allow
+    (:func:`process_speedup_floor`; docs/performance.md derives it)."""
+    row = _measure_row(*_HEADLINE_CONFIG, repeats=2, worker_counts=(4,))
+    failures = gate_failures({"rows": [row]}, min_inline_seconds=0.0)
     assert not failures, (
         f"process-backend speedup regressed on {effective_cpus()} "
         f"CPUs: {'; '.join(failures)}"
@@ -459,7 +415,7 @@ def test_wallclock_process_gate():
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="wall-clock bench of batched vs scalar EXTEND"
+        description="wall-clock bench of inline vs process backends"
     )
     parser.add_argument(
         "--smoke", action="store_true",
@@ -468,7 +424,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--motifs", action="store_true",
         help="run the motif-census sweep (IEP vs enumerate) instead of "
-             "the batched-vs-scalar EXTEND sweep; emits BENCH_PR9-style "
+             "the inline-vs-process sweep; emits BENCH_PR9-style "
              "rows with speedup_iep_over_enumerate",
     )
     parser.add_argument(
@@ -478,7 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="runs per (config, mode); best is reported (default 3)",
+        help="runs per (config, backend); best is reported (default 3)",
     )
     parser.add_argument(
         "--no-process", action="store_true",
@@ -491,18 +447,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--gate", type=float, default=None, metavar="FLOOR",
         help="fail (exit 1) if any process row with at least "
-             f"{GATE_MIN_INLINE_SECONDS}s of inline-batched work has "
+             f"{GATE_MIN_INLINE_SECONDS}s of inline work has "
              "speedup_over_inline below FLOOR (see also --gate-auto)",
     )
     parser.add_argument(
         "--gate-auto", action="store_true",
-        help="gate with the CPU-aware floor (>=4 CPUs: 2.0, 2-3: 1.0, "
-             "1: 0.45) instead of an explicit --gate value",
+        help="gate every row with the floor its inline wall and this "
+             "host's CPUs allow (docs/performance.md) instead of an "
+             "explicit --gate value",
     )
     parser.add_argument(
         "--gate-min-inline-seconds", type=float,
         default=GATE_MIN_INLINE_SECONDS, metavar="SECONDS",
-        help="rows with less inline-batched wall-clock than this are "
+        help="rows with less inline wall-clock than this are "
              "exempt from --gate (they measure fixed spawn cost, not "
              f"scaling; default {GATE_MIN_INLINE_SECONDS})",
     )
@@ -531,21 +488,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     configs = _SMOKE_CONFIGS if args.smoke else _FULL_CONFIGS
     result = measure(configs, repeats=args.repeats, worker_counts=workers)
     emit_json(result, args.out)
-    floor = args.gate
-    if args.gate_auto:
-        floor = process_speedup_floor()
-    if floor is not None:
+    if args.gate is not None or args.gate_auto:
+        floor = None if args.gate_auto else args.gate
+        label = "auto" if floor is None else f"{floor:.2f}"
         failures = gate_failures(
             result, floor,
             min_inline_seconds=args.gate_min_inline_seconds,
         )
         if failures:
             print("process-speedup gate FAILED "
-                  f"(floor {floor:.2f}, cpus {effective_cpus()}):")
+                  f"(floor {label}, cpus {effective_cpus()}):")
             for failure in failures:
                 print(f"  {failure}")
             return 1
-        print(f"process-speedup gate ok (floor {floor:.2f}, "
+        print(f"process-speedup gate ok (floor {label}, "
               f"cpus {effective_cpus()})")
     return 0
 

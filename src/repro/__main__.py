@@ -60,8 +60,6 @@ def _build_engine_config(args) -> EngineConfig | None:
         kwargs["chunk_bytes"] = args.chunk_bytes
     if getattr(args, "no_auto_fit", False):
         kwargs["auto_fit_chunks"] = False
-    if getattr(args, "extend_mode", None):
-        kwargs["extend_mode"] = args.extend_mode
     if getattr(args, "counting", None):
         kwargs["counting"] = args.counting
     if getattr(args, "checkpoint_dir", None):
@@ -255,14 +253,6 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
         "--no-auto-fit", action="store_true",
         help="disable automatic chunk shrinking under memory pressure "
              "(undersized clusters then report OUTOFMEM)",
-    )
-    parser.add_argument(
-        "--extend-mode", default=None, choices=["batched", "scalar"],
-        help="EXTEND implementation: 'batched' vectorizes whole chunks "
-             "through the kernel layer, 'scalar' extends one embedding "
-             "at a time; counts and simulated measurements are "
-             "bit-identical either way (docs/performance.md; "
-             "default: batched)",
     )
     parser.add_argument(
         "--counting", default=None, choices=["enumerate", "iep"],

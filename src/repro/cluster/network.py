@@ -126,11 +126,12 @@ class NetworkModel:
         self,
         requester: int,
         owner: int,
-        payloads: list[int],
+        num_requests: int,
+        payload_bytes: int,
         server: MachineState | None = None,
-    ) -> int:
+    ) -> None:
         """Integer-exact fold of :meth:`record_fetch` over one owner
-        batch; returns the summed payload bytes.
+        batch of ``num_requests`` fetches totalling ``payload_bytes``.
 
         Only valid without a fault injector attached — injected
         transient failures are per-attempt state, and their partial
@@ -138,19 +139,16 @@ class NetworkModel:
         exactly as the one-at-a-time path does.
         """
         assert self.injector is None, "bulk recording skips retry state"
-        header = self.cost.request_header_bytes
-        n = len(payloads)
-        payload_total = sum(payloads)
-        self.traffic_bytes[requester, owner] += header * n
-        self.traffic_bytes[owner, requester] += payload_total
-        self.request_counts[requester, owner] += n
-        self._m_requests.inc(n)
-        self._m_payload.inc(payload_total)
-        self._m_wire.inc(header * n + payload_total)
+        headers = self.cost.request_header_bytes * num_requests
+        self.traffic_bytes[requester, owner] += headers
+        self.traffic_bytes[owner, requester] += payload_bytes
+        self.request_counts[requester, owner] += num_requests
+        self._m_requests.inc(num_requests)
+        self._m_payload.inc(payload_bytes)
+        self._m_wire.inc(headers + payload_bytes)
         if server is not None:
-            server.served_bytes += payload_total
-            server.served_requests += n
-        return payload_total
+            server.served_bytes += payload_bytes
+            server.served_requests += num_requests
 
     def batch_time(self, payload_bytes: int, num_requests: int) -> float:
         """Wire time of one communication batch (Section 4.3).

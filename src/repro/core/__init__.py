@@ -8,10 +8,8 @@ cache), and the distributed execution engine that ties them to the
 simulated cluster.
 """
 
-from repro.core.states import EmbeddingState
-from repro.core.embedding import ExtendableEmbedding
 from repro.core.extend import ExtendResult, ScheduleExtender, compute_candidates
-from repro.core.chunk import Chunk
+from repro.core.chunk import Chunk, EdgeListSource
 from repro.core.hds import HorizontalShareTable
 from repro.core.cache import EdgeCache, CachePolicy
 from repro.core.pipeline import pipeline_time
@@ -19,12 +17,11 @@ from repro.core.runtime import RunReport
 from repro.core.engine import EngineConfig, KhuzdulEngine
 
 __all__ = [
-    "EmbeddingState",
-    "ExtendableEmbedding",
     "ExtendResult",
     "ScheduleExtender",
     "compute_candidates",
     "Chunk",
+    "EdgeListSource",
     "HorizontalShareTable",
     "EdgeCache",
     "CachePolicy",

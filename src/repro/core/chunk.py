@@ -1,28 +1,64 @@
-"""Chunks: fixed-size groups of same-level extendable embeddings.
+"""Chunks: fixed-size columnar blocks of same-level extendable embeddings.
 
 A chunk (paper Section 4.2) is the unit of the BFS-DFS hybrid: BFS
 within a chunk provides concurrency for batched communication, DFS
 between chunks bounds memory to one chunk per tree level. Chunk memory
 is allocated and released as a whole, which is the fragmentation-free
 allocation story of Section 4.1.
+
+An extendable embedding (Section 3) is one *row* of a chunk, not an
+object. Vertical data sharing (Section 5.1) is the layout itself: a
+row stores only its new ``vertex`` and ``parent_idx``, the row of its
+parent in the parent level's chunk, and reaches everything else — the
+rest of its prefix, a reusable intermediate intersection — by
+gathering up the chain of chunks. The edge-list *arrays* are CSR slices
+of the shared graph (a simulated "fetch" moves accounting state, never
+data), so a row records in ``source`` *where* its active edge list
+came from rather than a copy of it.
 """
 
 from __future__ import annotations
 
+from enum import IntEnum
+from typing import Optional
+
+import numpy as np
+
 from repro.cluster.machine import MachineState
-from repro.core.embedding import ExtendableEmbedding
+
+#: Bookkeeping bytes per embedding: new vertex id, parent index,
+#: state/level fields (paper Section 5.1's hierarchical representation).
+EMBEDDING_BASE_BYTES = 24
+
+
+class EdgeListSource(IntEnum):
+    """Where a row's active edge list came from (the ``source`` column)."""
+
+    PENDING = 0  # active, not resolved yet
+    NONE = 1  # the new vertex's list is not active
+    LOCAL = 2  # resident in the machine's own partition
+    REMOTE = 3  # fetched over the network (stored in the chunk)
+    CACHE = 4  # hit in the static data cache
+    SHARED = 5  # pointer into another chunk member (HDS hit)
 
 
 class Chunk:
-    """A bounded buffer of extendable embeddings at one tree level.
+    """A bounded block of extendable embeddings at one tree level.
 
     With ``preallocate=True`` (what the scheduler uses for level chunks)
     the chunk reserves its whole fixed memory up front, exactly as
     Section 4.2 describes ("a fixed amount of memory is pre-allocated").
     That is what makes oversized chunks exhaust a machine's memory at
     chunk-creation time — the OOM of Figure 18. Contents that overflow
-    the reservation (fetched edge lists larger than expected) are
-    charged incrementally on top.
+    the reservation (the last row, fetched edge lists larger than
+    expected) are charged on top.
+
+    Columns, all of one length: ``vertex``, ``parent_idx`` (``None`` on
+    a root chunk), ``source`` (:class:`EdgeListSource` codes) and
+    ``stored_bytes`` (what each row pins in the chunk). ``raw_values`` /
+    ``raw_offsets`` are the stored intersections (vertical computation
+    sharing) of the kernel batch that produced the rows, one segment
+    per *parent* row — siblings share their parent's.
     """
 
     def __init__(
@@ -30,12 +66,19 @@ class Chunk:
         level: int,
         capacity_bytes: int,
         machine: MachineState,
+        parent: Optional["Chunk"] = None,
         preallocate: bool = False,
     ):
         self.level = level
         self.capacity_bytes = capacity_bytes
         self.machine = machine
-        self.items: list[ExtendableEmbedding] = []
+        self.parent = parent
+        self.vertex = np.empty(0, dtype=np.int64)
+        self.parent_idx: Optional[np.ndarray] = None
+        self.source = np.empty(0, dtype=np.int8)
+        self.stored_bytes = np.empty(0, dtype=np.int64)
+        self.raw_values: Optional[np.ndarray] = None
+        self.raw_offsets: Optional[np.ndarray] = None
         self.used_bytes = 0
         self._reserved = capacity_bytes if preallocate else 0
         self._released = False
@@ -43,45 +86,98 @@ class Chunk:
             machine.allocate(self._reserved)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.vertex)
 
     @property
     def full(self) -> bool:
         """Whether the chunk's pre-allocated memory is exhausted."""
         return self.used_bytes >= self.capacity_bytes
 
-    def _grow(self, extra: int) -> None:
-        new_used = self.used_bytes + extra
-        if new_used > self._reserved:
-            self.machine.allocate(new_used - self._reserved)
-            self._reserved = new_used
-        self.used_bytes = new_used
+    def fit(self, row_bytes: np.ndarray) -> int:
+        """How many of the candidate rows — ``row_bytes[i]`` is what
+        the ``i``-th would pin — go into this chunk: rows are taken
+        while the chunk's memory is not exhausted, so the row that
+        exhausts it still goes in."""
+        used = np.cumsum(row_bytes)
+        taken = int(np.searchsorted(used, self.capacity_bytes)) + 1
+        return min(taken, len(row_bytes))
 
-    def add(self, embedding: ExtendableEmbedding) -> None:
-        """Append one embedding, charging its bytes to the machine."""
-        self.items.append(embedding)
-        self._grow(embedding.stored_bytes)
+    @property
+    def max_rows(self) -> int:
+        """Most rows :meth:`fit` can ever take: bare embeddings."""
+        return -(-self.capacity_bytes // EMBEDDING_BASE_BYTES)
 
-    def charge_extra(self, embedding: ExtendableEmbedding, extra: int) -> None:
-        """Grow an already-added embedding (fetched list, intermediate)."""
-        embedding.stored_bytes += extra
-        self._grow(extra)
+    def fill(
+        self,
+        vertex: np.ndarray,
+        parent_idx: Optional[np.ndarray],
+        stored_bytes: np.ndarray,
+        source: EdgeListSource,
+    ) -> None:
+        """Set every column in one go and charge the rows' bytes."""
+        self.vertex = vertex
+        self.parent_idx = parent_idx
+        self.stored_bytes = stored_bytes
+        self.source = np.full(len(vertex), source, dtype=np.int8)
+        self.used_bytes = int(stored_bytes.sum())
+        if self.used_bytes > self._reserved:
+            self.machine.allocate(self.used_bytes - self._reserved)
+            self._reserved = self.used_bytes
 
-    def refund(self, embedding: ExtendableEmbedding, amount: int) -> None:
-        """Return reserved bytes (a fetch was satisfied without storage:
-        local pointer, HDS share, or cache residence)."""
-        amount = min(amount, embedding.stored_bytes)
-        embedding.stored_bytes -= amount
-        self.used_bytes -= amount
-        if self._reserved > max(self.capacity_bytes, self.used_bytes):
-            give_back = self._reserved - max(self.capacity_bytes,
-                                             self.used_bytes)
-            self.machine.release(give_back)
-            self._reserved -= give_back
+    def refund(self, rows: np.ndarray, amounts: np.ndarray) -> None:
+        """Return reserved bytes of ``rows`` (their fetches were
+        satisfied without storage: local pointer, HDS share, or cache
+        residence) and shrink the reservation back toward capacity."""
+        self.stored_bytes[rows] -= amounts
+        self.used_bytes -= int(amounts.sum())
+        floor = max(self.capacity_bytes, self.used_bytes)
+        if self._reserved > floor:
+            self.machine.release(self._reserved - floor)
+            self._reserved = floor
+
+    def prefixes(self) -> np.ndarray:
+        """``(rows, level + 1)`` data vertices in matching order,
+        gathered through ``parent_idx`` up the chain of chunks."""
+        out = np.empty((len(self), self.level + 1), dtype=np.int64)
+        chunk: Optional[Chunk] = self
+        rows = None  # this chunk's row -> row of ``chunk`` (None = same)
+        while chunk is not None:
+            out[:, chunk.level] = (
+                chunk.vertex if rows is None else chunk.vertex[rows]
+            )
+            if chunk.parent is not None:
+                rows = (
+                    chunk.parent_idx if rows is None
+                    else chunk.parent_idx[rows]
+                )
+            chunk = chunk.parent
+        return out
+
+    def intermediates(
+        self, level: int
+    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The intersections stored at ancestor ``level`` (VCS).
+
+        Returns ``(values, offsets, segments)``: row ``i`` reuses
+        ``values[offsets[s]:offsets[s + 1]]`` with ``s = segments[i]``;
+        ``None`` when nothing was stored there.
+        """
+        chunk = self
+        rows = None
+        while chunk.level > level:
+            rows = (
+                chunk.parent_idx if rows is None else chunk.parent_idx[rows]
+            )
+            chunk = chunk.parent
+        if chunk.raw_offsets is None:
+            return None
+        segments = (
+            chunk.parent_idx if rows is None else chunk.parent_idx[rows]
+        )
+        return chunk.raw_values, chunk.raw_offsets, segments
 
     def release(self) -> None:
         """Free the whole chunk at once (DFS backtrack, Section 4.2)."""
         if not self._released:
             self.machine.release(self._reserved)
-            self.items.clear()
             self._released = True

@@ -85,11 +85,6 @@ class EngineConfig:
     cache_policy: CachePolicy = CachePolicy.STATIC
     cache_degree_threshold: int = 16
     numa_aware: bool = True
-    #: EXTEND implementation: "batched" runs whole chunks through the
-    #: vectorized kernels (repro.core.kernels, docs/performance.md),
-    #: "scalar" keeps the per-embedding reference path. Counts and all
-    #: simulated measurements are bit-identical either way.
-    extend_mode: str = "batched"
     #: counting strategy for count-only queries (no UDF): "enumerate"
     #: materializes every level of the embedding tree; "iep" replaces
     #: the pairwise-unconstrained suffix of eligible schedules with the
@@ -123,11 +118,6 @@ class EngineConfig:
             raise ConfigurationError("chunk_bytes must be at least 1KiB")
         if not 0.0 <= self.cache_fraction <= 1.0:
             raise ConfigurationError("cache_fraction must be within [0, 1]")
-        if self.extend_mode not in ("batched", "scalar"):
-            raise ConfigurationError(
-                "extend_mode must be 'batched' or 'scalar', "
-                f"got {self.extend_mode!r}"
-            )
         if self.counting not in ("enumerate", "iep"):
             raise ConfigurationError(
                 "counting must be 'enumerate' or 'iep', "
@@ -405,7 +395,7 @@ class KhuzdulEngine:
             hds_stats["probes"] += scheduler.hds.probes
             hds_stats["drops"] += scheduler.hds.drops
             for source, count in scheduler.fetch_sources.items():
-                fetch_sources[source.value] += count
+                fetch_sources[source] += count
             chunks_created += scheduler.chunks_created
             recovery_stats["checkpoints"] += scheduler.checkpoints_taken
 
@@ -493,7 +483,6 @@ class KhuzdulEngine:
                         obs=obs,
                         faults=injector,
                         transport=transport,
-                        batched_extend=(config.extend_mode == "batched"),
                         iep_plan=pattern.counting,
                         checkpoint_sink=(
                             partial(_rebased_sink, sink, index, shard)

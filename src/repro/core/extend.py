@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core import kernels
+from repro.core.chunk import Chunk
 from repro.graph.graph import Graph
 from repro.obs import names
 from repro.obs.metrics import MetricsScope, scope_or_null
@@ -173,15 +174,15 @@ def _is_neighbor(graph: Graph, source: int, candidate: int) -> bool:
 def iep_count(
     graph: Graph, plan: CountingPlan, vertices: tuple[int, ...]
 ) -> tuple[int, int, int]:
-    """Scalar reference for the IEP terminal kernel.
+    """Row-by-row reference for the IEP terminal kernel.
 
     Evaluates one prefix embedding's counting plan: returns
     ``(count, merge_elements, scanned)``, element-identical to the
     embedding's row of :func:`repro.core.kernels.iep_chunk` — the same
     sequential intersection from each signature's first column (no
     probe-direction flip) and the same ``running + degree`` merge
-    charge per stage, which is what keeps simulated accounting
-    bit-identical across ``--extend-mode`` under ``--counting iep``.
+    charge per stage. The engine never calls it; ``tests/test_iep.py``
+    holds the kernel to it.
     """
     prefix_size = len(vertices)
     merge_elements = 0
@@ -292,123 +293,60 @@ class ScheduleExtender:
         return result
 
     # ------------------------------------------------------------------
-    # batched path (repro.core.kernels, docs/performance.md)
+    # chunk path (repro.core.kernels, docs/performance.md)
     # ------------------------------------------------------------------
     def extend_chunk(
         self,
         graph: Graph,
-        items: list,
+        chunk: Chunk,
         level: int,
         count_only: bool = False,
     ) -> kernels.ChunkExtendResult:
         """Extend a whole chunk of same-level embeddings in one batch.
 
-        Produces per-embedding results element-identical to calling
-        :meth:`extend_level` on each item. ``extend.*`` metrics are NOT
-        emitted here — the scheduler consumes the batch one embedding
-        at a time (possibly pausing mid-chunk), so per-embedding
-        accounting happens at consumption time
-        (:meth:`take_batch_result` / :meth:`account_count_only`),
-        keeping partial runs bit-identical to the scalar path. Only the
-        batched-only ``kernel.*`` counters are emitted here.
+        Produces per-row results element-identical to calling
+        :meth:`extend_level` on each row's prefix. Only the ``kernel.*``
+        counters are emitted here: the scheduler consumes the batch in
+        slices (possibly pausing mid-chunk) and reports ``extend.*``
+        for the rows it has reached (:meth:`account_rows`), so a run
+        cut short mid-chunk does not count extensions nobody used.
         """
         step = self.step_for(level)
-        n = len(items)
-        prefixes = np.empty((n, level), dtype=np.int64)
-        nodes = items
-        for column in range(level - 1, -1, -1):
-            prefixes[:, column] = [node.vertex for node in nodes]
-            if column:
-                nodes = [node.parent for node in nodes]
         intermediates = None
         if self.vcs and step.reuse_level is not None:
-            reuse = step.reuse_level
-            intermediates = [emb.intermediate_at(reuse) for emb in items]
+            intermediates = chunk.intermediates(step.reuse_level)
         batch = kernels.extend_chunk(
-            graph, step, prefixes, intermediates,
+            graph, step, chunk.prefixes(), intermediates,
             vcs=self.vcs, count_only=count_only,
         )
         self._m_k_batches.inc()
-        self._m_k_embeddings.inc(n)
+        self._m_k_embeddings.inc(len(chunk))
         self._m_k_probe.inc(batch.probe_elements)
         if count_only:
             self._m_k_count_only.inc()
         return batch
 
     def iep_chunk(
-        self,
-        graph: Graph,
-        plan: CountingPlan,
-        items: list,
-        level: int,
+        self, graph: Graph, plan: CountingPlan, chunk: Chunk
     ) -> kernels.ChunkIepResult:
         """Evaluate the IEP counting plan over a chunk of complete
-        prefix embeddings (level ``plan.prefix_schedule``'s last
-        position). Mirrors :meth:`extend_chunk`'s prefix assembly; the
-        ``extend.*`` accounting is deferred to the scheduler's
-        :meth:`account_count_only` fold, and only the batched-only
-        ``kernel.iep.*`` counters are emitted here.
+        prefix embeddings (``plan.prefix_schedule``'s last position).
+        Emits the ``kernel.iep.*`` counters; ``extend.*`` goes through
+        :meth:`account_rows` like every other drained chunk.
         """
-        n = len(items)
-        prefixes = np.empty((n, level + 1), dtype=np.int64)
-        nodes = items
-        for column in range(level, -1, -1):
-            prefixes[:, column] = [node.vertex for node in nodes]
-            if column:
-                nodes = [node.parent for node in nodes]
-        batch = kernels.iep_chunk(graph, plan, prefixes)
+        batch = kernels.iep_chunk(graph, plan, chunk.prefixes())
         self._m_iep_batches.inc()
-        self._m_iep_embeddings.inc(n)
-        self._m_iep_terms.inc(len(plan.terms) * n)
+        self._m_iep_embeddings.inc(len(chunk))
+        self._m_iep_terms.inc(len(plan.terms) * len(chunk))
         self._m_iep_probe.inc(batch.probe_elements)
         return batch
 
-    def iep_embedding(
-        self, graph: Graph, plan: CountingPlan, vertices: tuple[int, ...]
-    ) -> tuple[int, int, int]:
-        """Scalar-mode IEP evaluation of one prefix embedding.
-
-        No ``kernel.iep.*`` increments — those counters are
-        batched-only, matching the ``kernel.*`` split on the
-        enumeration path; ``extend.*`` accounting happens via the
-        scheduler's :meth:`account_count_only` fold.
-        """
-        return iep_count(graph, plan, vertices)
-
-    def take_batch_result(
-        self, batch: kernels.ChunkExtendResult, index: int
-    ) -> ExtendResult:
-        """Materialize embedding ``index``'s slice of a batch.
-
-        The per-embedding analogue of :meth:`extend_level`'s return —
-        including the ``extend.*`` metric increments, deferred to this
-        consumption point so a run cut short mid-chunk reports the same
-        totals as the scalar path.
-        """
-        candidates = batch.candidates_for(index)
-        raw = None
-        if batch.step.store_intermediate:
-            raw = batch.raw_for(index)
-        result = ExtendResult(
-            candidates=candidates if len(candidates) else _EMPTY,
-            raw=raw,
-            merge_elements=int(batch.merge_elements[index]),
-            scanned=int(batch.scanned[index]),
-        )
-        self._m_calls.inc()
-        self._m_merge.inc(result.merge_elements)
-        self._m_candidates.inc(len(result.candidates))
-        return result
-
-    def account_count_only(
+    def account_rows(
         self, calls: int, merge_elements: int, candidates: int
     ) -> None:
-        """``extend.*`` increments for count-only-drained embeddings.
-
-        Takes whole-chunk integer tallies: integer counter folds are
-        exact, so one bump per drained chunk reports the same totals as
-        the scalar path's per-embedding increments.
-        """
+        """``extend.*`` increments for ``calls`` consumed rows, from
+        their integer tallies (integer folds are exact, so one bump per
+        slice reports what a row-by-row walk would)."""
         self._m_calls.inc(calls)
         self._m_merge.inc(merge_elements)
         self._m_candidates.inc(candidates)

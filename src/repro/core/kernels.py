@@ -1,15 +1,14 @@
-"""Batched sorted-set kernels for the EXTEND hot path.
+"""Sorted-set kernels for the EXTEND hot path, one chunk at a time.
 
-The scheduler already groups same-level extendable embeddings into
-chunks (paper Section 4) precisely to create batch concurrency, but the
-original extension path still walked the chunk one embedding at a time
-through :func:`repro.core.extend.compute_candidates`, paying full
-interpreter overhead per embedding plus ``np.intersect1d`` calls that
-re-sort already-sorted CSR slices. This module is the vectorized
-replacement: GPU GPM engines (G2Miner, DuMato) get their throughput
-from batched pattern-aware set intersections over sorted adjacency
-lists, and the same transformation applies to numpy — fuse a whole
-chunk's extensions into a handful of array passes.
+The scheduler groups same-level extendable embeddings into chunks
+(paper Section 4) precisely to create batch concurrency. Walking a
+chunk one embedding at a time through
+:func:`repro.core.extend.compute_candidates` pays full interpreter
+overhead per embedding plus ``np.intersect1d`` calls that re-sort
+already-sorted CSR slices. GPU GPM engines (G2Miner, DuMato) get their
+throughput from batched pattern-aware set intersections over sorted
+adjacency lists, and the same transformation applies to numpy — fuse a
+whole chunk's extensions into a handful of array passes.
 
 Three layers:
 
@@ -27,25 +26,26 @@ Three layers:
 - :func:`extend_chunk` — the fused entry point: one schedule step
   across an entire chunk of embeddings in vectorized passes (shared
   connected-position gathers, batched distinct-vertex / ordering /
-  label filters), with a count-only fast path that sums candidate
-  lengths without materializing filtered copies.
+  label filters) over cache-sized row blocks, with a count-only fast
+  path that sums candidate lengths without materializing filtered
+  copies.
 
-Contract: for every embedding the batched results — candidate values,
+Contract: for every embedding the results — candidate values,
 ``merge_elements``, ``scanned`` — are element-for-element identical to
-the scalar reference :func:`~repro.core.extend.compute_candidates`,
-which is what lets the scheduler keep all simulated accounting
-bit-identical while switching the wall-clock implementation
-(``tests/test_kernels.py`` pins the equivalence).
+the row-by-row reference
+:func:`~repro.core.extend.compute_candidates`
+(``tests/test_kernels.py`` pins the equivalence), so the integer
+tallies the scheduler prices are the ones the reference would produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, gather_segments
 from repro.patterns.schedule import CountingPlan, ExtensionStep
 
 __all__ = [
@@ -144,6 +144,15 @@ def adjacency_member(
 # ---------------------------------------------------------------------
 # the fused chunk kernel
 # ---------------------------------------------------------------------
+#: Gathered candidates one kernel pass works on. A chunk's flattened
+#: candidate arrays run to tens of MB; allocated whole, every temporary
+#: is fresh pages from the OS (page faults, then memory bandwidth), and
+#: the kernel's time follows the host's memory system rather than its
+#: CPU. Row blocks of this many elements keep every temporary in cache
+#: and in the allocator's reused arenas (docs/performance.md).
+BLOCK_ELEMENTS = 1 << 16
+
+
 @dataclass
 class ChunkExtendResult:
     """Vectorized extension of one chunk: per-embedding slices + counts.
@@ -151,22 +160,23 @@ class ChunkExtendResult:
     ``values[offsets[i]:offsets[i + 1]]`` are embedding ``i``'s
     filtered candidates; ``merge_elements`` / ``scanned`` / ``counts``
     are the per-embedding accounting quantities, exactly equal to what
-    the scalar path would have produced. In count-only mode the
-    filtered values are never materialized (``values is None``) and
-    only the integer arrays are valid. ``raw_values``/``raw_offsets``
-    hold the unfiltered intersections when the step stores an
-    intermediate for vertical computation sharing.
+    the row-by-row reference produces. ``rows[j]`` is the embedding
+    ``values[j]`` extends — the child's ``parent_idx`` column. In
+    count-only mode the filtered values are never materialized
+    (``values is None``) and only the integer arrays are valid.
+    ``raw_values``/``raw_offsets`` hold the unfiltered intersections
+    when the step stores an intermediate for vertical computation
+    sharing.
     """
 
-    step: ExtensionStep
     counts: np.ndarray  # (n,) candidates surviving all filters
     merge_elements: np.ndarray  # (n,) elements streamed through set ops
     scanned: np.ndarray  # (n,) candidates scanned by the filters
     values: Optional[np.ndarray]  # flattened filtered candidates
     offsets: Optional[np.ndarray]  # (n + 1,)
+    rows: Optional[np.ndarray]  # (len(values),) embedding of each value
     raw_values: Optional[np.ndarray]  # flattened stored intersections
     raw_offsets: Optional[np.ndarray]
-    count_only: bool
     probe_elements: int  # elements pushed through membership probes
 
     def __len__(self) -> int:
@@ -205,7 +215,9 @@ def extend_chunk(
     graph: Graph,
     step: ExtensionStep,
     prefixes: np.ndarray,
-    intermediates: Optional[Sequence[Optional[np.ndarray]]] = None,
+    intermediates: Optional[
+        tuple[np.ndarray, np.ndarray, np.ndarray]
+    ] = None,
     vcs: bool = True,
     count_only: bool = False,
 ) -> ChunkExtendResult:
@@ -222,123 +234,136 @@ def extend_chunk(
         ``i``'s data vertices at matching-order positions
         ``0..level-1``.
     intermediates:
-        Per-embedding stored raw intersections for ``step.reuse_level``
-        (vertical computation sharing), aligned with ``prefixes`` rows;
-        ``None`` entries fall back to recomputing from the edge lists,
-        exactly like the scalar path.
+        The stored raw intersections for ``step.reuse_level`` (vertical
+        computation sharing) as ``(values, offsets, segments)``: row
+        ``i`` reuses ``values[offsets[s]:offsets[s + 1]]`` with
+        ``s = segments[i]`` (:meth:`repro.core.chunk.Chunk.intermediates`).
+        ``None`` recomputes from the edge lists.
     vcs:
         Whether vertical computation sharing is enabled.
     count_only:
         Skip materializing the filtered candidate arrays; only the
         per-embedding counts/accounting are produced (the final-level
         fast path for counting UDFs).
+
+    The chunk is worked through in row blocks of about
+    :data:`BLOCK_ELEMENTS` gathered candidates (:func:`_row_blocks`);
+    the result is the blocks' results laid end to end.
     """
     prefixes = np.asarray(prefixes, dtype=np.int64)
     if prefixes.ndim != 2:
         raise ValueError("prefixes must be a 2-D (embeddings, level) array")
-    n = prefixes.shape[0]
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
+    if not (vcs and step.reuse_level is not None):
+        intermediates = None
+    gather_col = None
+    if intermediates is not None:
+        stored, stored_offsets, segments = intermediates
+        segments = np.asarray(segments, dtype=np.int64)
+        volume = stored_offsets[segments + 1] - stored_offsets[segments]
+    else:
+        # Intersection is symmetric: gather whichever of the first two
+        # connected columns has the smaller total neighbor volume and
+        # probe it against the other's adjacency. On skewed graphs with
+        # ordering restrictions the asymmetry is enormous (wdc
+        # triangles: 13x), and the per-embedding accounting is
+        # direction-independent — the first stage's merge term is
+        # deg(base) + deg(other) either way. Decided once for the whole
+        # chunk, so ``probe_elements`` does not depend on the blocking.
+        degs = graph.degrees()
+        gather_col = step.connected[0]
+        volume = degs[prefixes[:, gather_col]]
+        if len(step.connected) > 1:
+            other = degs[prefixes[:, step.connected[1]]]
+            if int(other.sum()) < int(volume.sum()):
+                gather_col, volume = step.connected[1], other
+    bounds = _row_blocks(volume)
+    parts = [
+        _extend_rows(
+            graph, step, prefixes[start:stop],
+            None if intermediates is None
+            else (stored, stored_offsets, segments[start:stop]),
+            gather_col, count_only,
+        )
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return _join(parts, bounds, count_only)
+
+
+def _row_blocks(volume: np.ndarray) -> list[int]:
+    """Row boundaries ``[0, ..., n]`` that cut a chunk into runs of
+    about :data:`BLOCK_ELEMENTS` gathered candidates (``volume[i]`` is
+    what row ``i`` gathers; a row counts for at least one element, and
+    one row is never split)."""
+    n = len(volume)
+    ends = np.cumsum(volume + 1)
+    total = int(ends[-1]) if n else 0
+    if total <= BLOCK_ELEMENTS:
+        return [0, n]
+    cuts = np.searchsorted(
+        ends, np.arange(BLOCK_ELEMENTS, total, BLOCK_ELEMENTS)
+    ) + 1
+    return np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+
+
+def _join(
+    parts: list[ChunkExtendResult], bounds: list[int], count_only: bool
+) -> ChunkExtendResult:
+    """Row blocks' results laid end to end."""
+    counts = np.concatenate([part.counts for part in parts])
+    merge_elements = np.concatenate([part.merge_elements for part in parts])
+    scanned = np.concatenate([part.scanned for part in parts])
+    probe_elements = sum(part.probe_elements for part in parts)
+    if count_only:
         return ChunkExtendResult(
-            step, empty, empty.copy(), empty.copy(),
-            None if count_only else graph.indices[:0],
-            None if count_only else np.zeros(1, dtype=np.int64),
-            None, None, count_only, 0,
+            counts, merge_elements, scanned,
+            None, None, None, None, None, probe_elements,
         )
-    use_reuse = vcs and step.reuse_level is not None and intermediates is not None
-    if use_reuse:
-        have = np.fromiter(
-            (inter is not None for inter in intermediates), dtype=bool, count=n
+    raw_values = raw_offsets = None
+    if parts[0].raw_offsets is not None:
+        raw_values = np.concatenate([part.raw_values for part in parts])
+        raw_offsets = _offsets_from_counts(
+            np.concatenate([np.diff(part.raw_offsets) for part in parts])
         )
-        if bool(have.all()):
-            return _extend_group(
-                graph, step, prefixes, list(intermediates), count_only
-            )
-        if not bool(have.any()):
-            return _extend_group(graph, step, prefixes, None, count_only)
-        # mixed availability: split, extend each group, stitch back in
-        # the original embedding order (rare — defensive parity with
-        # the scalar per-embedding fallback)
-        with_idx = np.flatnonzero(have)
-        without_idx = np.flatnonzero(~have)
-        with_res = _extend_group(
-            graph, step, prefixes[with_idx],
-            [intermediates[i] for i in with_idx], count_only,
-        )
-        without_res = _extend_group(
-            graph, step, prefixes[without_idx], None, count_only
-        )
-        return _stitch(
-            graph, step, n,
-            ((with_idx, with_res), (without_idx, without_res)), count_only,
-        )
-    return _extend_group(graph, step, prefixes, None, count_only)
+    return ChunkExtendResult(
+        counts, merge_elements, scanned,
+        np.concatenate([part.values for part in parts]),
+        _offsets_from_counts(counts),
+        np.concatenate(
+            [part.rows + start for part, start in zip(parts, bounds)]
+        ),
+        raw_values, raw_offsets, probe_elements,
+    )
 
 
-def _extend_group(
+def _extend_rows(
     graph: Graph,
     step: ExtensionStep,
     prefixes: np.ndarray,
-    intermediates: Optional[list],
+    intermediates: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    gather_col: Optional[int],
     count_only: bool,
 ) -> ChunkExtendResult:
-    """Extend a group of embeddings that share one base source."""
+    """One row block of :func:`extend_chunk`. ``gather_col`` is the
+    connected column whose neighbor lists seed the candidates when no
+    stored intersection (``intermediates``) does."""
     n = prefixes.shape[0]
     indptr = graph.indptr
     merge_elements = np.zeros(n, dtype=np.int64)
     probe_elements = 0
 
     if intermediates is not None:
-        counts = np.fromiter(
-            (len(inter) for inter in intermediates), dtype=np.int64, count=n
-        )
-        offsets = _offsets_from_counts(counts)
-        values = (
-            np.concatenate(intermediates)
-            if int(offsets[-1]) else graph.indices[:0]
-        )
+        values, offsets = gather_segments(*intermediates)
         remaining = step.extra_connected
-        emb_of = np.repeat(np.arange(n, dtype=np.int64), counts)
     else:
-        base_col = step.connected[0]
-        remaining = step.connected[1:]
-        degs = graph.degrees()
-        base_deg = degs[prefixes[:, base_col]]
-        if remaining:
-            # Intersection is symmetric: gather whichever of the first
-            # two connected columns has the smaller total neighbor
-            # volume and probe it against the other's adjacency. On
-            # skewed graphs with ordering restrictions the asymmetry is
-            # enormous (wdc triangles: 13x), and the per-embedding
-            # accounting below is direction-independent — the first
-            # stage's merge term is deg(base) + deg(other) either way.
-            other_col = remaining[0]
-            other_deg = degs[prefixes[:, other_col]]
-            if int(other_deg.sum()) < int(base_deg.sum()):
-                values, offsets = graph.neighbors_batch(
-                    prefixes[:, other_col]
-                )
-                counts = np.diff(offsets)
-                emb_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-                merge_elements += base_deg + other_deg
-                probe_elements += len(values)
-                member = adjacency_member(
-                    graph, np.repeat(prefixes[:, base_col], counts), values
-                )
-                values, offsets, counts, emb_of = _compress(
-                    values, emb_of, member, n
-                )
-                remaining = remaining[1:]
-            else:
-                values, offsets = graph.neighbors_batch(
-                    prefixes[:, base_col]
-                )
-                counts = np.diff(offsets)
-                emb_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-        else:
-            values, offsets = graph.neighbors_batch(prefixes[:, base_col])
-            counts = np.diff(offsets)
-            emb_of = np.repeat(np.arange(n, dtype=np.int64), counts)
+        values, offsets = graph.neighbors_batch(prefixes[:, gather_col])
+        remaining = tuple(
+            position for position in step.connected
+            if position != gather_col
+        )
+    counts = np.diff(offsets)
+    emb_of = np.repeat(np.arange(n, dtype=np.int64), counts)
 
     # connected positions: batched intersections via membership probes
     for position in remaining:
@@ -391,13 +416,13 @@ def _extend_group(
     if count_only:
         final_counts = np.bincount(emb_of[mask], minlength=n).astype(np.int64)
         return ChunkExtendResult(
-            step, final_counts, merge_elements, scanned,
-            None, None, None, None, True, probe_elements,
+            final_counts, merge_elements, scanned,
+            None, None, None, None, None, probe_elements,
         )
-    values, offsets, final_counts, _ = _compress(values, emb_of, mask, n)
+    values, offsets, final_counts, rows = _compress(values, emb_of, mask, n)
     return ChunkExtendResult(
-        step, final_counts, merge_elements, scanned,
-        values, offsets, raw_values, raw_offsets, False, probe_elements,
+        final_counts, merge_elements, scanned,
+        values, offsets, rows, raw_values, raw_offsets, probe_elements,
     )
 
 
@@ -451,7 +476,32 @@ def iep_chunk(
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return ChunkIepResult(empty, empty.copy(), empty.copy(), 0)
-    prefix_size = prefixes.shape[1]
+    # row blocks as in extend_chunk, sized by the widest gather
+    degrees = graph.degrees()
+    volume = np.zeros(n, dtype=np.int64)
+    for signature in plan.signatures:
+        if len(signature) > 1:
+            np.maximum(volume, degrees[prefixes[:, signature[0]]], out=volume)
+    bounds = _row_blocks(volume)
+    parts = [
+        _iep_rows(graph, plan, prefixes[start:stop])
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return ChunkIepResult(
+        np.concatenate([part.counts for part in parts]),
+        np.concatenate([part.merge_elements for part in parts]),
+        np.concatenate([part.scanned for part in parts]),
+        sum(part.probe_elements for part in parts),
+    )
+
+
+def _iep_rows(
+    graph: Graph, plan: CountingPlan, prefixes: np.ndarray
+) -> ChunkIepResult:
+    """One row block of :func:`iep_chunk`."""
+    n, prefix_size = prefixes.shape
     degrees = graph.degrees()
     merge_elements = np.zeros(n, dtype=np.int64)
     scanned = np.zeros(n, dtype=np.int64)
@@ -497,48 +547,3 @@ def iep_chunk(
             value *= cards[block]
         totals += value
     return ChunkIepResult(totals, merge_elements, scanned, probe_elements)
-
-
-def _stitch(
-    graph: Graph,
-    step: ExtensionStep,
-    n: int,
-    groups,
-    count_only: bool,
-) -> ChunkExtendResult:
-    """Merge group results back into the original embedding order."""
-    counts = np.zeros(n, dtype=np.int64)
-    merge_elements = np.zeros(n, dtype=np.int64)
-    scanned = np.zeros(n, dtype=np.int64)
-    probe_elements = 0
-    for idx, res in groups:
-        counts[idx] = res.counts
-        merge_elements[idx] = res.merge_elements
-        scanned[idx] = res.scanned
-        probe_elements += res.probe_elements
-    if count_only:
-        return ChunkExtendResult(
-            step, counts, merge_elements, scanned,
-            None, None, None, None, True, probe_elements,
-        )
-    offsets = _offsets_from_counts(counts)
-    values = np.empty(int(offsets[-1]), dtype=graph.indices.dtype)
-    for idx, res in groups:
-        for local, i in enumerate(idx):
-            values[offsets[i] : offsets[i + 1]] = res.candidates_for(local)
-    raw_values = raw_offsets = None
-    if step.store_intermediate:
-        raw_counts = np.zeros(n, dtype=np.int64)
-        for idx, res in groups:
-            raw_counts[idx] = np.diff(res.raw_offsets)
-        raw_offsets = _offsets_from_counts(raw_counts)
-        raw_values = np.empty(int(raw_offsets[-1]), dtype=graph.indices.dtype)
-        for idx, res in groups:
-            for local, i in enumerate(idx):
-                raw_values[raw_offsets[i] : raw_offsets[i + 1]] = (
-                    res.raw_for(local)
-                )
-    return ChunkExtendResult(
-        step, counts, merge_elements, scanned,
-        values, offsets, raw_values, raw_offsets, False, probe_elements,
-    )

@@ -35,8 +35,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineState
 from repro.core.cache import EdgeCache
-from repro.core.chunk import Chunk
-from repro.core.embedding import EdgeListSource, ExtendableEmbedding
+from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
 from repro.core.extend import ScheduleExtender
 from repro.core.hds import HorizontalShareTable, ProbeOutcome
 from repro.core.pipeline import pipeline_time
@@ -62,18 +61,27 @@ def NULL_UDF(prefix: tuple[int, ...], candidates: np.ndarray) -> None:
 
 
 class _LevelState:
-    """One level of the DFS stack: a resolved chunk plus its accounting."""
+    """One level of the DFS stack: a resolved chunk plus its accounting.
+
+    Accounting is integer event tallies (``merge``, ``scanned``,
+    ``emitted``, ``children``); :meth:`MachineScheduler._finalize_state`
+    prices them once, so every clock bucket is a function of order-free
+    integers (docs/performance.md).
+    """
 
     __slots__ = (
         "chunk",
         "chunk_id",
         "cursor",
-        "resume",
+        "flat",
         "batch",
+        "candidates",
         "comm_times",
         "batch_sizes",
-        "compute_serial",
-        "scheduler_serial",
+        "merge",
+        "scanned",
+        "emitted",
+        "children",
         "cache_seconds",
         "start",
     )
@@ -82,19 +90,27 @@ class _LevelState:
         self.chunk = chunk
         #: per-scheduler chunk sequence number (span attribution key)
         self.chunk_id = chunk_id
+        #: rows whose extension has been consumed (``extend.*`` reported)
         self.cursor = 0
-        #: mid-embedding continuation:
-        #: (parent, ExtendResult, candidate list, next index).
-        #: The paper pauses a level as soon as the next level's memory is
-        #: full — possibly in the middle of one embedding's extension.
-        self.resume = None
-        #: lazily-computed ChunkExtendResult of the batched kernel path
-        #: (None until the first extension touches this chunk)
+        #: candidates of ``batch.values`` already handed to child
+        #: chunks. The paper pauses a level as soon as the next level's
+        #: memory is full — possibly in the middle of one embedding's
+        #: extension — which here is ``flat`` resting inside a row's
+        #: slice of the flat candidate array.
+        self.flat = 0
+        #: the chunk's vectorized extension, computed on first touch: a
+        #: chunk that is registered but never consumed (crash trigger,
+        #: timeout) must not pay — or meter — any extension work
         self.batch = None
+        #: how many candidates ``batch`` holds for child chunks (a
+        #: drained chunk hands none on)
+        self.candidates = 0
         self.comm_times: list[float] = [0.0]  # batch 0 = local/no-fetch
         self.batch_sizes: list[int] = [0]
-        self.compute_serial = 0.0
-        self.scheduler_serial = 0.0
+        self.merge = 0
+        self.scanned = 0
+        self.emitted = 0
+        self.children = 0
         #: HDS/cache bookkeeping wall seconds charged at resolve time
         self.cache_seconds = 0.0
         #: machine clock when the chunk became current (span start)
@@ -102,7 +118,11 @@ class _LevelState:
 
     @property
     def exhausted(self) -> bool:
-        return self.resume is None and self.cursor >= len(self.chunk.items)
+        # a filling chunk may have reached its last row and still rest
+        # inside it
+        return (
+            self.cursor >= len(self.chunk) and self.flat >= self.candidates
+        )
 
 
 class MachineScheduler:
@@ -126,30 +146,28 @@ class MachineScheduler:
         obs: Optional[Observability] = None,
         faults: Optional[FaultInjector] = None,
         transport=None,
-        batched_extend: bool = True,
         checkpoint_sink: Optional[Callable] = None,
         iep_plan: Optional[CountingPlan] = None,
     ):
         self.cluster = cluster
         self.machine = machine
         self.graph = cluster.graph
-        #: plain-int views of per-vertex accounting quantities; the hot
-        #: loops below touch them once per child/fetch, where a method
-        #: call plus numpy scalar boxing per lookup is measurable
-        self._edge_bytes: list[int] = (
-            self.graph.edge_list_bytes_all().tolist()
-        )
-        self._vertex_degrees: list[int] = self.graph.degrees().tolist()
-        self._vertex_owner: list[int] = (
-            cluster.partitioned.owners_all().tolist()
-        )
+        #: per-vertex accounting columns the chunk passes index into
+        self._edge_bytes = self.graph.edge_list_bytes_all()
+        self._vertex_degrees = self.graph.degrees()
+        #: failover-aware serving owner per vertex: a dead hash owner's
+        #: partition is served by its replica holder (docs/faults.md).
+        #: Machines only die between scheduler runs, so the table is
+        #: fixed for this scheduler's life.
+        self._vertex_owner = cluster.partitioned.owners_all()
+        if cluster.dead:
+            serving = np.arange(cluster.num_machines)
+            for dead in cluster.dead:
+                serving[dead] = cluster.failover_owner(dead)
+            self._vertex_owner = serving[self._vertex_owner]
         self.extender = extender
         self.cache = cache
         self.udf = udf
-        #: vectorized chunk-at-a-time EXTEND (repro.core.kernels) vs the
-        #: scalar per-embedding reference path; counts and all simulated
-        #: measurements are bit-identical either way (tests/test_kernels.py)
-        self.batched_extend = batched_extend
         self.chunk_bytes = chunk_bytes
         self.hds_enabled = hds_enabled
         self.vcs_enabled = vcs_enabled
@@ -191,10 +209,7 @@ class MachineScheduler:
         self.chunks_created = 0
         #: how each embedding's active edge list was satisfied
         self.fetch_sources = {
-            EdgeListSource.LOCAL: 0,
-            EdgeListSource.REMOTE: 0,
-            EdgeListSource.CACHE: 0,
-            EdgeListSource.SHARED: 0,
+            "local": 0, "remote": 0, "cache": 0, "shared": 0,
         }
         obs = obs if obs is not None else NULL_OBS
         self.obs = obs
@@ -205,10 +220,10 @@ class MachineScheduler:
             hds_slots, chaining=hds_chaining, metrics=scope
         )
         self._m_fetch = {
-            EdgeListSource.LOCAL: scope.counter(names.FETCH_LOCAL),
-            EdgeListSource.REMOTE: scope.counter(names.FETCH_REMOTE),
-            EdgeListSource.CACHE: scope.counter(names.FETCH_CACHE),
-            EdgeListSource.SHARED: scope.counter(names.FETCH_SHARED),
+            "local": scope.counter(names.FETCH_LOCAL),
+            "remote": scope.counter(names.FETCH_REMOTE),
+            "cache": scope.counter(names.FETCH_CACHE),
+            "shared": scope.counter(names.FETCH_SHARED),
         }
         self._m_chunks = scope.counter(names.CHUNKS_CREATED)
         self._m_checkpoints = scope.counter(names.RECOVERY_CHECKPOINTS)
@@ -275,6 +290,14 @@ class MachineScheduler:
         if self.checkpoint_sink is not None:
             self.checkpoint_sink(ckpt)
 
+    def _count_matches(self, matches: int) -> None:
+        self.matches += matches
+        self._m_matches.inc(matches)
+
+    def _count_sources(self, source: str, rows: int) -> None:
+        self.fetch_sources[source] += rows
+        self._m_fetch[source].inc(rows)
+
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -282,8 +305,7 @@ class MachineScheduler:
         """Explore all embedding trees rooted at ``roots``; returns matches."""
         pattern_size = self.extender.schedule.pattern.num_vertices
         if pattern_size == 1 and self.iep_plan is None:
-            self.matches += len(roots)
-            self._m_matches.inc(len(roots))
+            self._count_matches(len(roots))
             seconds = len(roots) * self.cost.emit_per_candidate
             self.machine.clock.compute += seconds
             self._m_t_compute.inc(seconds)
@@ -295,19 +317,16 @@ class MachineScheduler:
             self._take_checkpoint(len(roots))
             return self.matches
 
-        root_needs_fetch = self.extender.schedule.root_active() or (
-            self.iep_plan is not None
-            and 0 in self.iep_plan.fetch_positions
-        )
-        root_iter = iter(roots)
+        roots = np.asarray(roots)
+        consumed = 0
         try:
             while True:
-                root_chunk = self._fill_root_chunk(root_iter, root_needs_fetch)
+                root_chunk = self._fill_root_chunk(roots[consumed:])
                 if root_chunk is None:
                     break
-                consumed = len(root_chunk.items)
+                consumed += len(root_chunk)
                 self._explore_from(root_chunk)
-                self._take_checkpoint(consumed)
+                self._take_checkpoint(len(root_chunk))
                 self._check_budget()
         except MachineCrashError:
             # this machine's HDS entries alias fetch buffers that died
@@ -317,21 +336,20 @@ class MachineScheduler:
             raise
         return self.matches
 
-    def _fill_root_chunk(
-        self, root_iter, root_needs_fetch: bool
-    ) -> Optional[Chunk]:
-        """Level-0 chunk: single-vertex embeddings, all data local."""
+    def _fill_root_chunk(self, roots: np.ndarray) -> Optional[Chunk]:
+        """Level-0 chunk: single-vertex embeddings, all data local —
+        the next slice of the roots array that fills the budget."""
         self._register_chunk()
         chunk = Chunk(0, self.chunk_bytes, self.machine)
-        for root in root_iter:
-            emb = ExtendableEmbedding(int(root), 0, None, root_needs_fetch)
-            emb.mark_ready(EdgeListSource.LOCAL)  # roots are owned locally
-            chunk.add(emb)
-            if chunk.full:
-                break
-        if not chunk.items:
+        rows = min(len(roots), chunk.max_rows)
+        if not rows:
             chunk.release()
             return None
+        chunk.fill(
+            roots[:rows], None,
+            np.full(rows, EMBEDDING_BASE_BYTES, dtype=np.int64),
+            EdgeListSource.LOCAL,  # roots are owned locally
+        )
         return chunk
 
     def _explore_from(self, root_chunk: Chunk) -> None:
@@ -344,8 +362,7 @@ class MachineScheduler:
             final_extend_level = self.extender.final_level - 1
         stack = [_LevelState(root_chunk, self.chunks_created,
                              self.machine.clock.total())]
-        self._charge_chunk_setup(stack[-1], len(root_chunk.items))
-        self._m_chunk_items.observe(len(root_chunk.items))
+        self._m_chunk_items.observe(len(root_chunk))
         while stack:
             state = stack[-1]
             if state.exhausted:
@@ -365,8 +382,7 @@ class MachineScheduler:
             next_state = _LevelState(next_chunk, self.chunks_created,
                                      self.machine.clock.total())
             self._resolve_chunk(next_chunk, next_state)
-            self._charge_chunk_setup(next_state, len(next_chunk.items))
-            self._m_chunk_items.observe(len(next_chunk.items))
+            self._m_chunk_items.observe(len(next_chunk))
             stack.append(next_state)
 
     # ------------------------------------------------------------------
@@ -387,358 +403,201 @@ class MachineScheduler:
             return True
         return self.extender.needs_edge_list(position)
 
-    def _ensure_batch(
-        self, state: _LevelState, level: int, count_only: bool
-    ):
-        """The chunk's vectorized extension, computed on first touch.
-
-        Lazy on purpose: a chunk that is registered but never consumed
-        (crash trigger, timeout) must not pay — or meter — any
-        extension work, exactly like the scalar path.
-        """
-        if state.batch is None:
-            state.batch = self.extender.extend_chunk(
-                self.graph, state.chunk.items, level, count_only=count_only
-            )
-        return state.batch
-
-    def _extend_one(
-        self, state: _LevelState, emb: ExtendableEmbedding, level: int
-    ):
-        if self.batched_extend:
-            batch = self._ensure_batch(state, level, count_only=False)
-            result = self.extender.take_batch_result(batch, state.cursor - 1)
-        else:
-            result = self.extender.extend_level(
-                self.graph, emb.vertices(), level, emb.intermediate_at
-            )
-        state.compute_serial += (
-            result.merge_elements * self.cost.intersect_per_element
-            + result.scanned * self.cost.emit_per_candidate
-        )
-        return result
-
     def _fill_next_chunk(self, state: _LevelState) -> Optional[Chunk]:
-        """Extend parents from ``state`` until the child chunk fills."""
-        level = state.chunk.level
-        child_level = level + 1
-        needs_fetch = self._needs_edge_list(child_level)
+        """Hand the next slice of ``state``'s candidates to a child
+        chunk: as many as its memory takes."""
+        level = state.chunk.level + 1
+        needs_fetch = self._needs_edge_list(level)
         self._register_chunk()
-        chunk = Chunk(child_level, self.chunk_bytes, self.machine,
-                      preallocate=True)
-        items = state.chunk.items
-        ebytes = self._edge_bytes
-        embedding_create = self.cost.embedding_create
-        task_schedule = self.cost.task_schedule
-        chunk_add = chunk.add
-        while not chunk.full:
-            if state.resume is None:
-                if state.cursor >= len(items):
-                    break
-                emb = items[state.cursor]
-                state.cursor += 1
-                result = self._extend_one(state, emb, child_level)
-                state.resume = (emb, result, result.candidates.tolist(), 0)
-            emb, result, candidates, index = state.resume
-            raw = result.raw if self.vcs_enabled else None
-            raw_bytes = 4 * len(raw) if raw is not None else 0
-            num_candidates = len(candidates)
-            while index < num_candidates and not chunk.full:
-                v = candidates[index]
-                index += 1
-                child = ExtendableEmbedding(v, child_level, emb, needs_fetch)
-                if needs_fetch:
-                    # reserve space for the (possibly) fetched edge list
-                    # up front so the chunk's fixed memory budget covers
-                    # its contents (Section 4.2); refunded at resolve
-                    # time if the list is shared, cached, or local
-                    child.stored_bytes += ebytes[v]
-                if raw is not None:
-                    child.intermediate = raw
-                    child.stored_bytes += raw_bytes
-                chunk_add(child)
-                state.compute_serial += embedding_create
-                state.scheduler_serial += task_schedule
-            if index < num_candidates:
-                # next-level memory is full mid-embedding: pause here and
-                # resume after the subtree below this chunk is explored
-                state.resume = (emb, result, candidates, index)
-            else:
-                emb.mark_zombie()
-                state.resume = None
-        if not chunk.items:
+        chunk = Chunk(level, self.chunk_bytes, self.machine,
+                      parent=state.chunk, preallocate=True)
+        batch = state.batch
+        if batch is None:
+            batch = state.batch = self.extender.extend_chunk(
+                self.graph, state.chunk, level
+            )
+            state.candidates = len(batch.values)
+            state.merge += int(batch.merge_elements.sum())
+            state.scanned += int(batch.scanned.sum())
+        start = state.flat
+        window = slice(start, start + chunk.max_rows)
+        vertex = batch.values[window]
+        parent_idx = batch.rows[window]
+        stored = np.full(len(vertex), EMBEDDING_BASE_BYTES, dtype=np.int64)
+        if needs_fetch:
+            # reserve space for the (possibly) fetched edge list up
+            # front so the chunk's fixed memory budget covers its
+            # contents (Section 4.2); refunded at resolve time if the
+            # list is shared, cached, or local
+            stored += self._edge_bytes[vertex]
+        if self.vcs_enabled and batch.raw_offsets is not None:
+            # the parent's stored intersection (VCS)
+            chunk.raw_values = batch.raw_values
+            chunk.raw_offsets = batch.raw_offsets
+            stored += 4 * (
+                batch.raw_offsets[parent_idx + 1]
+                - batch.raw_offsets[parent_idx]
+            )
+        rows = chunk.fit(stored)
+        chunk.fill(
+            vertex[:rows], parent_idx[:rows], stored[:rows],
+            EdgeListSource.PENDING if needs_fetch else EdgeListSource.NONE,
+        )
+        # a full chunk stops at its last candidate's row — the next
+        # level's memory may fill mid-embedding, and the walk resumes
+        # there after the subtree below this chunk is explored; one
+        # that ran out of candidates has also consumed the trailing
+        # rows that produced none
+        reached = (
+            int(parent_idx[rows - 1]) + 1 if chunk.full
+            else len(state.chunk)
+        )
+        if reached > state.cursor:
+            consumed = slice(state.cursor, reached)
+            self.extender.account_rows(
+                reached - state.cursor,
+                int(batch.merge_elements[consumed].sum()),
+                int(batch.counts[consumed].sum()),
+            )
+            state.cursor = reached
+        if not rows:
             chunk.release()
             return None
+        state.flat = start + rows
+        state.children += rows
         return chunk
 
     def _drain_final(self, state: _LevelState) -> None:
-        """Last extension level: completed embeddings go to the UDF."""
-        final_level = self.extender.final_level
-        if self.batched_extend and self.udf is NULL_UDF:
-            self._drain_final_counts(state, final_level)
-            return
-        items = state.chunk.items
-        while state.cursor < len(items):
-            emb = items[state.cursor]
-            state.cursor += 1
-            result = self._extend_one(state, emb, final_level)
-            if len(result.candidates):
-                self.matches += len(result.candidates)
-                self._m_matches.inc(len(result.candidates))
-                self.udf(emb.vertices(), result.candidates)
-                state.compute_serial += (
-                    len(result.candidates) * self.cost.emit_per_candidate
+        """Last extension level: completed embeddings go to the UDF.
+
+        When nobody reads the candidate values (the UDF is the counting
+        sentinel) the kernel only produces per-embedding candidate
+        *counts* — no filtered arrays are ever materialized."""
+        count_only = self.udf is NULL_UDF
+        batch = self.extender.extend_chunk(
+            self.graph, state.chunk, self.extender.final_level,
+            count_only=count_only,
+        )
+        emitted = int(batch.counts.sum())
+        if emitted and not count_only:
+            prefixes = state.chunk.prefixes().tolist()
+            offsets = batch.offsets.tolist()
+            for row in np.flatnonzero(batch.counts).tolist():
+                self.udf(
+                    tuple(prefixes[row]),
+                    batch.values[offsets[row]:offsets[row + 1]],
                 )
-            emb.mark_zombie()
-
-    def _drain_final_counts(self, state: _LevelState, level: int) -> None:
-        """Count-only final drain: nobody reads the candidate values
-        (the UDF is the counting sentinel), so the kernel only produces
-        per-embedding candidate *counts* — no filtered arrays are ever
-        materialized. The accounting below repeats the scalar drain
-        term for term (same expressions, same order, Python ints), so
-        every simulated measurement stays bit-identical."""
-        batch = self._ensure_batch(state, level, count_only=True)
-        items = state.chunk.items
-        intersect = self.cost.intersect_per_element
-        emit = self.cost.emit_per_candidate
-        merges = batch.merge_elements.tolist()
-        scans = batch.scanned.tolist()
-        counts = batch.counts.tolist()
-        compute_serial = state.compute_serial
-        processed = total_merge = total_count = 0
-        while state.cursor < len(items):
-            index = state.cursor
-            state.cursor += 1
-            merge = merges[index]
-            count = counts[index]
-            processed += 1
-            total_merge += merge
-            compute_serial += merge * intersect + scans[index] * emit
-            if count:
-                total_count += count
-                compute_serial += count * emit
-            items[index].mark_zombie()
-        state.compute_serial = compute_serial
-        # integer tallies fold exactly, so the counters can be bumped
-        # once for the whole drained chunk
-        self.extender.account_count_only(processed, total_merge, total_count)
-        if total_count:
-            self.matches += total_count
-            self._m_matches.inc(total_count)
-
-    def _ensure_iep_batch(self, state: _LevelState, level: int):
-        """The chunk's batched IEP evaluation, computed on first touch
-        (lazy for the same crash/timeout reasons as :meth:`_ensure_batch`)."""
-        if state.batch is None:
-            state.batch = self.extender.iep_chunk(
-                self.graph, self.iep_plan, state.chunk.items, level
-            )
-        return state.batch
+        state.emitted += emitted
+        self._finish_drain(state, batch, emitted)
 
     def _drain_final_iep(self, state: _LevelState) -> None:
         """IEP terminal drain: each complete prefix embedding's suffix
         count comes from the inclusion-exclusion formula over
         intersection cardinalities — no suffix candidates are ever
-        materialized. The batched and scalar paths charge identical
-        per-embedding terms (same expressions, same order, Python
-        ints), so every simulated measurement stays bit-identical
-        across ``--extend-mode``. Tallied counts are plan numerators;
-        the engine applies ``plan.divisor`` once per query."""
-        level = state.chunk.level
-        items = state.chunk.items
-        intersect = self.cost.intersect_per_element
-        emit = self.cost.emit_per_candidate
-        compute_serial = state.compute_serial
-        processed = total_merge = total_count = 0
-        if self.batched_extend:
-            batch = self._ensure_iep_batch(state, level)
-            merges = batch.merge_elements.tolist()
-            scans = batch.scanned.tolist()
-            counts = batch.counts.tolist()
-            while state.cursor < len(items):
-                index = state.cursor
-                state.cursor += 1
-                merge = merges[index]
-                processed += 1
-                total_merge += merge
-                total_count += counts[index]
-                compute_serial += merge * intersect + scans[index] * emit
-                items[index].mark_zombie()
-        else:
-            while state.cursor < len(items):
-                emb = items[state.cursor]
-                state.cursor += 1
-                count, merge, scanned = self.extender.iep_embedding(
-                    self.graph, self.iep_plan, emb.vertices()
-                )
-                processed += 1
-                total_merge += merge
-                total_count += count
-                compute_serial += merge * intersect + scanned * emit
-                emb.mark_zombie()
-        state.compute_serial = compute_serial
-        self.extender.account_count_only(processed, total_merge, total_count)
-        if total_count:
-            self.matches += total_count
-            self._m_matches.inc(total_count)
+        materialized, so nothing is charged per emitted match. Tallied
+        counts are plan numerators; the engine applies ``plan.divisor``
+        once per query."""
+        batch = self.extender.iep_chunk(
+            self.graph, self.iep_plan, state.chunk
+        )
+        self._finish_drain(state, batch, int(batch.counts.sum()))
+
+    def _finish_drain(self, state: _LevelState, batch, matches: int) -> None:
+        merge = int(batch.merge_elements.sum())
+        state.merge += merge
+        state.scanned += int(batch.scanned.sum())
+        state.cursor = len(state.chunk)
+        self.extender.account_rows(len(state.chunk), merge, matches)
+        self._count_matches(matches)
 
     # ------------------------------------------------------------------
     # communication resolution (circulant scheduling, Section 4.3)
     # ------------------------------------------------------------------
     def _resolve_chunk(self, chunk: Chunk, state: _LevelState) -> None:
         me = self.machine.machine_id
-        num_machines = self.cluster.num_machines
         if self.hds_enabled:
             self.hds.clear()  # the share table is per level/chunk
         chain_steps_before = self.hds.chain_steps
-        cache_ops = 0.0
-
-        # group pending fetches by owner machine; sources tallied in
-        # plain locals and folded into the dicts/counters once after the
-        # loop (same totals, no per-embedding dict hashing)
-        groups: dict[int, list[ExtendableEmbedding]] = {}
-        local_count = 0
-        n_local = n_shared = n_cache = 0
-        ebytes = self._edge_bytes
-        hds_enabled = self.hds_enabled
-        hds_probe = self.hds.probe
-        hds_probe_cost = self.cost.hds_probe
-        cache_query = self.cache.query
-        owners = self._vertex_owner
-        dead = self.cluster.dead
-        failover_owner = self.cluster.failover_owner
-        refund = chunk.refund
-        hit = ProbeOutcome.HIT
-        src_local = EdgeListSource.LOCAL
-        src_shared = EdgeListSource.SHARED
-        src_cache = EdgeListSource.CACHE
-        for emb in chunk.items:
-            if not emb.needs_fetch:
-                local_count += 1
-                continue
-            v = emb.vertex
-            reserved = ebytes[v]
-            # failover-aware: a dead hash owner's partition is served by
-            # its replica holder (docs/faults.md); fault-free runs take
-            # the plain hash-owner fast path (cluster.serving_owner,
-            # inlined here over the precomputed owner table)
-            owner = owners[v]
-            if dead and owner in dead:
-                owner = failover_owner(owner)
-            if owner == me:
-                emb.mark_ready(src_local)
-                n_local += 1
-                refund(emb, reserved)  # local: pointer only
-                local_count += 1
-                continue
-            if hds_enabled:
-                cache_ops += hds_probe_cost
-                outcome = hds_probe(v)
-                if outcome is hit:
-                    emb.mark_ready(src_shared)
-                    n_shared += 1
-                    refund(emb, reserved)  # pointer into the chunk
-                    local_count += 1
+        probes = 0
+        fetched = 0
+        if self._needs_edge_list(chunk.level):
+            # non-remote rows are classified with array ops; only the
+            # remote remainder walks HDS and the cache, as plain ints
+            vertex = chunk.vertex
+            ebytes = self._edge_bytes[vertex]
+            owner = self._vertex_owner[vertex]
+            #: rows whose reservation returns: local is a pointer only,
+            #: shared a pointer into the chunk, cached/admitted lists
+            #: live in the cache pool
+            refunded = owner == me
+            chunk.source[refunded] = EdgeListSource.LOCAL
+            remote = np.flatnonzero(~refunded)
+            self._count_sources("local", len(chunk) - len(remote))
+            shared: list[int] = []
+            cached: list[int] = []
+            groups: dict[int, list[int]] = {}
+            hds_enabled = self.hds_enabled
+            hds_probe = self.hds.probe
+            cache_query = self.cache.query
+            hit = ProbeOutcome.HIT
+            for row, v, row_owner in zip(
+                remote.tolist(), vertex[remote].tolist(),
+                owner[remote].tolist(),
+            ):
+                if hds_enabled:
+                    probes += 1
+                    if hds_probe(v) is hit:
+                        shared.append(row)
+                        continue
+                if cache_query(v):
+                    cached.append(row)
                     continue
-            if cache_query(v):
-                emb.mark_ready(src_cache)
-                n_cache += 1
-                refund(emb, reserved)  # resident in the cache pool
-                local_count += 1
-                continue
-            groups.setdefault(owner, []).append(emb)
-        if n_local:
-            self.fetch_sources[src_local] += n_local
-            self._m_fetch[src_local].inc(n_local)
-        if n_shared:
-            self.fetch_sources[src_shared] += n_shared
-            self._m_fetch[src_shared].inc(n_shared)
-        if n_cache:
-            self.fetch_sources[src_cache] += n_cache
-            self._m_fetch[src_cache].inc(n_cache)
-        state.batch_sizes[0] = local_count
-
-        # circulant order: owner machines starting from me+1
-        ordered: list[tuple[int, list[ExtendableEmbedding]]] = []
-        for offset in range(1, num_machines):
-            owner = (me + offset) % num_machines
-            batch = groups.get(owner)
-            if batch:
-                ordered.append((owner, batch))
-        transport = self.transport
-        if transport is not None and ordered:
-            # fire the whole chunk's demand up front, coalesced per
-            # server worker and split to ring-sized requests — the
-            # transport's flow control keeps only as many in flight as
-            # its reply rings can hold, so every batch below finds its
-            # reply already streaming while earlier batches compute
-            transport.post_chunk(
-                me,
-                [(owner, [emb.vertex for emb in batch])
-                 for owner, batch in ordered],
-            )
-        for owner, batch in ordered:
-            if transport is not None:
-                transport.collect(me, owner,
-                                  [emb.vertex for emb in batch])
-            server = self.cluster.machine(owner)
-            network = self.cluster.network
-            admit = self.cache.admit
-            degrees = self._vertex_degrees
-            src_remote = EdgeListSource.REMOTE
-            if network.injector is None:
-                payload = network.record_fetch_batch(
-                    me, owner, [ebytes[emb.vertex] for emb in batch], server
+                group = groups.get(row_owner)
+                if group is None:
+                    group = groups[row_owner] = []
+                group.append(row)
+            chunk.source[shared] = EdgeListSource.SHARED
+            chunk.source[cached] = EdgeListSource.CACHE
+            refunded[shared] = True
+            refunded[cached] = True
+            self._count_sources("shared", len(shared))
+            self._count_sources("cache", len(cached))
+            # circulant order: owner machines starting from me+1
+            num_machines = self.cluster.num_machines
+            ordered = [
+                (peer, np.array(groups[peer]))
+                for peer in (
+                    (me + offset) % num_machines
+                    for offset in range(1, num_machines)
                 )
-                for emb in batch:
-                    v = emb.vertex
-                    num_bytes = ebytes[v]
-                    if admit(v, num_bytes, degrees[v]):
-                        refund(emb, num_bytes)  # lives in the cache pool
-                    emb.mark_ready(src_remote)
-            else:
-                # injected failures interleave retry state with each
-                # fetch's bookkeeping: keep the one-at-a-time path
-                payload = 0
-                record_fetch = network.record_fetch
-                for emb in batch:
-                    v = emb.vertex
-                    num_bytes = ebytes[v]
-                    record_fetch(me, owner, num_bytes, server)
-                    payload += num_bytes
-                    if admit(v, num_bytes, degrees[v]):
-                        refund(emb, num_bytes)  # lives in the cache pool
-                    emb.mark_ready(src_remote)
-            self.fetch_sources[src_remote] += len(batch)
-            self._m_fetch[src_remote].inc(len(batch))
-            comm = self.cluster.network.batch_time(payload, len(batch))
-            # injected transient failures: their backoff waits extend
-            # this batch's wire time; a straggler's slow link stretches it
-            comm += self.cluster.network.drain_retry_seconds()
-            comm *= self._slow_factor
-            state.comm_times.append(comm)
-            state.batch_sizes.append(len(batch))
-            if self._trace:
-                self._tracer.record(Span(
-                    "batch",
-                    me,
-                    level=chunk.level,
-                    chunk=state.chunk_id,
-                    batch=len(state.comm_times) - 1,
-                    start=state.start,
-                    attrs={
-                        "owner": owner,
-                        "requests": len(batch),
-                        "payload_bytes": payload,
-                        "comm_seconds": comm,
-                        "serve_seconds": self.cluster.network.serve_time(
-                            payload, len(batch)),
-                    },
-                ))
+                if peer in groups
+            ]
+            transport = self.transport
+            if transport is not None and ordered:
+                # fire the whole chunk's demand up front, coalesced per
+                # server worker and split to ring-sized requests — the
+                # transport's flow control keeps only as many in flight
+                # as its reply rings can hold, so every batch below
+                # finds its reply already streaming while earlier
+                # batches compute
+                transport.post_chunk(
+                    me, [(peer, vertex[rows]) for peer, rows in ordered]
+                )
+            for peer, rows in ordered:
+                if transport is not None:
+                    transport.collect(me, peer, vertex[rows])
+                admitted = self._fetch_batch(
+                    chunk, state, peer, rows, vertex[rows], ebytes[rows]
+                )
+                chunk.source[rows] = EdgeListSource.REMOTE
+                refunded[admitted] = True
+                self._count_sources("remote", len(rows))
+                fetched += len(rows)
+            chunk.refund(np.flatnonzero(refunded), ebytes[refunded])
+        state.batch_sizes[0] = len(chunk) - fetched
 
-        cache_ops += (
-            self.hds.chain_steps - chain_steps_before
+        cache_ops = (
+            probes + self.hds.chain_steps - chain_steps_before
         ) * self.cost.hds_probe
         cache_ops += self.cache.drain_cost()
         cache_wall = self._parallel(cache_ops)
@@ -746,20 +605,86 @@ class MachineScheduler:
         self._m_t_cache.inc(cache_wall)
         state.cache_seconds += cache_wall
 
+    def _fetch_batch(
+        self,
+        chunk: Chunk,
+        state: _LevelState,
+        owner: int,
+        rows: np.ndarray,
+        vertices: np.ndarray,
+        sizes: np.ndarray,
+    ) -> list[int]:
+        """One circulant communication batch: record the fetches of
+        ``rows`` from ``owner``, offer each list to the cache, price
+        the wire time. Returns the rows the cache admitted."""
+        me = self.machine.machine_id
+        network = self.cluster.network
+        server = self.cluster.machine(owner)
+        admit = self.cache.admit
+        fetches = zip(
+            rows.tolist(), vertices.tolist(), sizes.tolist(),
+            self._vertex_degrees[vertices].tolist(),
+        )
+        payload = int(sizes.sum())
+        if network.injector is None:
+            network.record_fetch_batch(me, owner, len(rows), payload, server)
+            admitted = [
+                row for row, v, size, degree in fetches
+                if admit(v, size, degree)
+            ]
+        else:
+            # injected failures interleave retry state with each
+            # fetch's bookkeeping: keep the one-at-a-time path
+            admitted = []
+            for row, v, size, degree in fetches:
+                network.record_fetch(me, owner, size, server)
+                if admit(v, size, degree):
+                    admitted.append(row)
+        comm = network.batch_time(payload, len(rows))
+        # injected transient failures: their backoff waits extend
+        # this batch's wire time; a straggler's slow link stretches it
+        comm += network.drain_retry_seconds()
+        comm *= self._slow_factor
+        state.comm_times.append(comm)
+        state.batch_sizes.append(len(rows))
+        if self._trace:
+            self._tracer.record(Span(
+                "batch",
+                me,
+                level=chunk.level,
+                chunk=state.chunk_id,
+                batch=len(state.comm_times) - 1,
+                start=state.start,
+                attrs={
+                    "owner": owner,
+                    "requests": len(rows),
+                    "payload_bytes": payload,
+                    "comm_seconds": comm,
+                    "serve_seconds": network.serve_time(payload, len(rows)),
+                },
+            ))
+        return admitted
+
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _charge_chunk_setup(self, state: _LevelState, num_items: int) -> None:
-        state.scheduler_serial += self.cost.chunk_setup
-        state.scheduler_serial += (
-            math.ceil(num_items / self.cost.mini_batch_size)
-            * self.cost.mini_batch_dispatch
-        )
-
     def _finalize_state(self, state: _LevelState) -> None:
-        """Charge the chunk's pipelined time and release its memory."""
+        """Price the chunk's event tallies, charge its pipelined time
+        and release its memory."""
+        cost = self.cost
+        compute_serial = (
+            state.merge * cost.intersect_per_element
+            + (state.scanned + state.emitted) * cost.emit_per_candidate
+            + state.children * cost.embedding_create
+        )
+        scheduler_serial = (
+            cost.chunk_setup
+            + math.ceil(len(state.chunk) / cost.mini_batch_size)
+            * cost.mini_batch_dispatch
+            + state.children * cost.task_schedule
+        )
         penalty = self._compute_penalty()
-        compute_par = self._parallel(state.compute_serial) * penalty
+        compute_par = self._parallel(compute_serial) * penalty
         total_batch = max(1, sum(state.batch_sizes))
         compute_per_batch = [
             compute_par * size / total_batch for size in state.batch_sizes
@@ -769,7 +694,7 @@ class MachineScheduler:
         else:
             # no pipelining: every fetch completes before computing
             wall = sum(state.comm_times) + compute_par
-        scheduler_par = self._parallel(state.scheduler_serial)
+        scheduler_par = self._parallel(scheduler_serial)
         exposed = max(0.0, wall - compute_par)
         comm_total = sum(state.comm_times)
         hidden = max(0.0, comm_total - exposed)
@@ -792,7 +717,7 @@ class MachineScheduler:
                     "network": exposed,
                     "scheduler": scheduler_par,
                     "cache": state.cache_seconds,
-                    "items": len(state.chunk.items),
+                    "items": len(state.chunk),
                     "batches": len(state.batch_sizes) - 1,
                     "comm_seconds": comm_total,
                     "hidden_seconds": hidden,

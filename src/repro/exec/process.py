@@ -41,12 +41,12 @@ redistribution, and with ``checkpoint_dir`` set the parent also owns a
 to the durable log so a killed run resumes (workers receive the resume
 map and skip completed chunks). A ``shm.json`` ledger of live segment
 names lets a resumed run reap segments leaked by a SIGKILLed parent.
-5. Merge: worker metric/span dumps are absorbed into the parent
-   observability bundle, wall-clock ``exec.*`` metrics are emitted on
-   top, and the workers' partials go through the same
-   :func:`repro.core.plan.finalize` the inline path uses — this module
-   only adds the ``extra["exec"]`` wall-clock block and the
-   worker-death outcome.
+5. Merge (:func:`merge_reports`): worker metric/span dumps are
+   absorbed into the parent observability bundle beside the
+   wall-clock ``exec.*`` metrics, and the workers' partials go through
+   the same :func:`repro.core.plan.finalize` the inline path uses —
+   this module only adds the ``extra["exec"]`` wall-clock block and
+   the worker-death outcome.
 
 Determinism: a machine's scheduler sees the same graph, roots, and
 configuration regardless of which process hosts it, and the transport
@@ -175,6 +175,25 @@ def _error_reason(traceback_text: str) -> str:
     lines = [ln.strip() for ln in traceback_text.splitlines() if ln.strip()]
     return f"uncaught worker error: {lines[-1]}" if lines else \
         "uncaught worker error"
+
+
+def merge_reports(plan, entries, obs) -> tuple[list[int], RunReport]:
+    """Fold the workers' partials into one report.
+
+    ``entries`` are the run's results — one per worker plus any
+    redistribution replays, machine-disjoint by construction. Their
+    registry and span dumps are absorbed into ``obs`` first (so the
+    report's observability summary covers every process), then
+    :func:`repro.core.plan.finalize` adds the partials exactly as the
+    inline path does.
+    """
+    if obs.enabled:
+        for entry in entries:  # worker-id order keeps spans stable
+            dump = entry["obs"]
+            if dump is not None:
+                obs.registry.absorb(dump["metrics"])
+                obs.tracer.absorb(dump["spans"], dump["dropped"])
+    return finalize(plan, [entry["partial"] for entry in entries], obs)
 
 
 class ProcessBackend(Backend):
@@ -684,15 +703,8 @@ class ProcessBackend(Backend):
 
         obs = engine.obs
         if obs.enabled:
-            for entry in entries:  # worker-id order keeps spans stable
-                dump = entry["obs"]
-                if dump is not None:
-                    obs.registry.absorb(dump["metrics"])
-                    obs.tracer.absorb(dump["spans"], dump["dropped"])
             self._emit_exec_metrics(obs.registry.scope(), block)
-        counts, report = finalize(
-            plan, [entry["partial"] for entry in entries], obs
-        )
+        counts, report = merge_reports(plan, entries, obs)
         report.extra["exec"] = block
 
         if report.failure is not None and report.failure.fatal:

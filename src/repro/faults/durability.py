@@ -60,8 +60,10 @@ from typing import Callable, Optional
 from repro.errors import ConfigurationError
 from repro.obs import names
 
-#: bump when the on-disk layout changes; mismatches reject the resume
-FORMAT_VERSION = 2
+#: bump when the on-disk layout or the fingerprinted fields change;
+#: mismatches reject the resume. 3: the engine's EXTEND-mode field left
+#: the fingerprint (one chunk loop, docs/performance.md).
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "chunks.log"

@@ -18,6 +18,29 @@ from repro.errors import GraphFormatError
 VERTEX_ID_BYTES = 4
 
 
+def gather_segments(
+    values: np.ndarray, offsets: np.ndarray, segments
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened gather of CSR-style segments.
+
+    Segment ``s`` is ``values[offsets[s]:offsets[s + 1]]``. Returns
+    ``(gathered, new_offsets)`` with the segments named by ``segments``
+    laid end to end, in that order — one vectorized gather instead of
+    ``len(segments)`` slices.
+    """
+    segments = np.asarray(segments, dtype=np.int64)
+    starts = offsets[segments]
+    counts = offsets[segments + 1] - starts
+    new_offsets = np.zeros(len(segments) + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_offsets[1:])
+    total = int(new_offsets[-1])
+    if total == 0:
+        return values[:0], new_offsets
+    gather = np.repeat(starts - new_offsets[:-1], counts)
+    gather += np.arange(total, dtype=np.int64)
+    return values[gather], new_offsets
+
+
 class Graph:
     """An undirected (or oriented) graph in CSR form.
 
@@ -128,17 +151,7 @@ class Graph:
         the entry format of the batched EXTEND kernels
         (:mod:`repro.core.kernels`).
         """
-        vs = np.asarray(vs, dtype=np.int64)
-        starts = self.indptr[vs]
-        counts = self.indptr[vs + 1] - starts
-        offsets = np.zeros(len(vs) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return self.indices[:0], offsets
-        gather = np.repeat(starts - offsets[:-1], counts)
-        gather += np.arange(total, dtype=np.int64)
-        return self.indices[gather], offsets
+        return gather_segments(self.indices, self.indptr, vs)
 
     def adjacency_keys(self) -> np.ndarray:
         """Globally sorted composite keys ``src * |V| + neighbor``.

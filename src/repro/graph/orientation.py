@@ -22,20 +22,20 @@ def orient_by_degree(graph: Graph) -> Graph:
     once in ascending rank order.
     """
     degrees = graph.degrees()
+    source = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), degrees
+    )
+    target = graph.indices
+    source_degree, target_degree = degrees[source], degrees[target]
+    keep = (target_degree > source_degree) | (
+        (target_degree == source_degree) & (target > source)
+    )
     indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-    kept: list[np.ndarray] = []
-    for u in graph.vertices():
-        nbrs = graph.neighbors(u)
-        du = degrees[u]
-        dn = degrees[nbrs]
-        mask = (dn > du) | ((dn == du) & (nbrs > u))
-        keep = nbrs[mask]
-        kept.append(keep)
-        indptr[u + 1] = indptr[u] + len(keep)
-    indices = (
-        np.concatenate(kept) if kept else np.empty(0, dtype=np.int32)
-    ).astype(np.int32)
-    return Graph(indptr, indices, graph.labels, directed=True)
+    np.cumsum(
+        np.bincount(source[keep], minlength=graph.num_vertices),
+        out=indptr[1:],
+    )
+    return Graph(indptr, target[keep], graph.labels, directed=True)
 
 
 def orientation_rank(graph: Graph) -> np.ndarray:

@@ -72,8 +72,8 @@ EXTEND_CANDIDATES = "extend.candidates"
 MATCHES_EMITTED = "extend.matches_emitted"
 
 # ---------------------------------------------------------------------
-# batched EXTEND kernels (docs/performance.md) — batched path only;
-# the scalar reference path never emits these
+# chunk EXTEND kernels (docs/performance.md): emitted once per kernel
+# call, where extend.* follows the rows the scheduler has consumed
 # ---------------------------------------------------------------------
 KERNEL_BATCHES = "kernel.batches"
 KERNEL_BATCHED_EMBEDDINGS = "kernel.batched_embeddings"

@@ -80,8 +80,6 @@ def add_serve_parser(sub) -> None:
                             "in TIMEOUT")
     serve.add_argument("--chunk-bytes", type=int, default=None,
                        help="default engine chunk budget in bytes")
-    serve.add_argument("--extend-mode", default=None,
-                       choices=["batched", "scalar"])
     serve.add_argument("--counting", default=None,
                        choices=["enumerate", "iep"],
                        help="default counting strategy for count-only "
@@ -139,7 +137,6 @@ def cmd_serve(args) -> int:
             drain_seconds=args.drain_seconds,
             time_budget=args.time_budget,
             chunk_bytes=args.chunk_bytes,
-            extend_mode=args.extend_mode,
             counting=args.counting,
         )
         if args.input:

@@ -105,7 +105,6 @@ class QueryRequest:
     #: simulated-seconds budget; exceeding it ends in TIMEOUT
     time_budget: Optional[float] = None
     chunk_bytes: Optional[int] = None
-    extend_mode: Optional[str] = None
     #: counting strategy (docs/performance.md); None inherits the
     #: server default
     counting: Optional[str] = None
@@ -143,11 +142,6 @@ class QueryRequest:
             raise ConfigurationError("time_budget must be positive")
         if self.chunk_bytes is not None and self.chunk_bytes < 1024:
             raise ConfigurationError("chunk_bytes must be at least 1KiB")
-        if self.extend_mode not in (None, "batched", "scalar"):
-            raise ConfigurationError(
-                f"extend_mode must be 'batched' or 'scalar', "
-                f"got {self.extend_mode!r}"
-            )
         if self.counting not in (None, "enumerate", "iep"):
             raise ConfigurationError(
                 f"counting must be 'enumerate' or 'iep', "

@@ -34,7 +34,7 @@ import multiprocessing
 import os
 import threading
 from multiprocessing import connection as mp_connection
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Optional
@@ -106,7 +106,6 @@ class ServiceConfig:
     #: server-side defaults a request may override per query
     time_budget: Optional[float] = None
     chunk_bytes: Optional[int] = None
-    extend_mode: Optional[str] = None
     counting: Optional[str] = None
 
     def __post_init__(self):
@@ -153,11 +152,6 @@ class ServiceConfig:
             raise ConfigurationError("time_budget must be positive")
         if self.chunk_bytes is not None and self.chunk_bytes < 1024:
             raise ConfigurationError("chunk_bytes must be at least 1KiB")
-        if self.extend_mode not in (None, "batched", "scalar"):
-            raise ConfigurationError(
-                f"extend_mode must be 'batched' or 'scalar', "
-                f"got {self.extend_mode!r}"
-            )
         if self.counting not in (None, "enumerate", "iep"):
             raise ConfigurationError(
                 f"counting must be 'enumerate' or 'iep', "
@@ -685,7 +679,12 @@ class MiningServer:
         with self._wake:
             self._admission.release(report.id)
             self._active.pop(report.id, None)
-            self._completed.append(report)
+            # the session summary reads outcomes and latencies; holding
+            # every query's full engine report would grow a resident
+            # server by kilobytes per query served
+            self._completed.append(
+                replace(report, report=None, metrics=None)
+            )
             self._refresh_gauges_locked()
             self._wake.notify_all()
         self._record_metrics(report, payload)

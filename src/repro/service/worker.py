@@ -79,9 +79,6 @@ class QueryExecutor:
         chunk_bytes = request.chunk_bytes or self.config.chunk_bytes
         if chunk_bytes:
             kwargs["chunk_bytes"] = chunk_bytes
-        extend_mode = request.extend_mode or self.config.extend_mode
-        if extend_mode:
-            kwargs["extend_mode"] = extend_mode
         counting = request.counting or self.config.counting
         if counting:
             kwargs["counting"] = counting

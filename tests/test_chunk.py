@@ -1,0 +1,340 @@
+"""Columnar chunks: rows, parent indices and the byte budget.
+
+An extendable embedding is a row of a :class:`Chunk` — its new vertex
+plus the row of its parent in the parent level's chunk (paper Section
+5.1, Figure 6). These tests pin the layout itself (prefix gather,
+intermediate lookup, memory arithmetic) and the scheduler's whole-chunk
+passes over it: the byte-budget cut with its mid-embedding pause, and
+the UDF drain against the row-by-row :func:`compute_candidates`.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.machine import MachineState
+from repro.core import EngineConfig, KhuzdulEngine
+from repro.core.cache import CachePolicy, EdgeCache
+from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
+from repro.core.extend import ScheduleExtender, compute_candidates
+from repro.core.scheduler import NULL_UDF, MachineScheduler, _LevelState
+from repro.errors import OutOfMemoryError
+from repro.graph.generators import erdos_renyi
+from repro.patterns import catalog
+from repro.patterns.schedule import automine_schedule
+
+
+def _machine(memory_bytes=1 << 20):
+    return MachineState(0, cores=4, memory_bytes=memory_bytes)
+
+
+def _rows(chunk, vertex, parent_idx=None, stored=None, source=None):
+    vertex = np.asarray(vertex, dtype=np.int64)
+    chunk.fill(
+        vertex,
+        None if parent_idx is None else np.asarray(parent_idx),
+        np.full(len(vertex), EMBEDDING_BASE_BYTES, dtype=np.int64)
+        if stored is None else np.asarray(stored, dtype=np.int64),
+        EdgeListSource.NONE if source is None else source,
+    )
+    return chunk
+
+
+def _stack():
+    """A hand-built 4-level stack: 2 roots, 3, 4 and 5 descendants."""
+    machine = _machine()
+    level0 = _rows(Chunk(0, 1000, machine), [10, 11])
+    level1 = _rows(Chunk(1, 1000, machine, parent=level0),
+                   [20, 21, 22], [0, 0, 1])
+    level2 = _rows(Chunk(2, 1000, machine, parent=level1),
+                   [30, 31, 32, 33], [2, 0, 0, 1])
+    level3 = _rows(Chunk(3, 1000, machine, parent=level2),
+                   [40, 41, 42, 43, 44], [3, 3, 0, 1, 2])
+    return level0, level1, level2, level3
+
+
+# ----------------------------------------------------------------------
+# the layout
+# ----------------------------------------------------------------------
+def test_prefixes_gather_through_parent_idx():
+    level0, level1, level2, level3 = _stack()
+    assert level0.prefixes().tolist() == [[10], [11]]
+    assert level1.prefixes().tolist() == [[10, 20], [10, 21], [11, 22]]
+    assert level2.prefixes().tolist() == [
+        [11, 22, 30], [10, 20, 31], [10, 20, 32], [10, 21, 33],
+    ]
+    assert level3.prefixes().tolist() == [
+        [10, 21, 33, 40],
+        [10, 21, 33, 41],
+        [11, 22, 30, 42],
+        [10, 20, 31, 43],
+        [10, 20, 32, 44],
+    ]
+
+
+def test_intermediates_lookup_at_reuse_level():
+    """A stored intersection belongs to the kernel batch that produced
+    a chunk's rows — one segment per *parent* row — and descendants
+    find theirs by walking ``parent_idx`` up to that chunk."""
+    _, level1, level2, level3 = _stack()
+    # the batch over level1's 3 rows produced level2 and stored raws
+    level2.raw_values = np.array([7, 8, 9, 5, 6, 1])
+    level2.raw_offsets = np.array([0, 3, 5, 6])  # per level-1 row
+    values, offsets, segments = level2.intermediates(2)
+    assert (values is level2.raw_values) and (offsets is level2.raw_offsets)
+    assert segments.tolist() == [2, 0, 0, 1]  # own rows: parent_idx
+    _, _, segments = level3.intermediates(2)
+    # level3 rows sit under level2 rows [3, 3, 0, 1, 2], whose parents
+    # are level1 rows [1, 1, 2, 0, 0]
+    assert segments.tolist() == [1, 1, 2, 0, 0]
+    raws = [
+        values[offsets[s]:offsets[s + 1]].tolist() for s in segments
+    ]
+    assert raws == [[5, 6], [5, 6], [1], [7, 8, 9], [7, 8, 9]]
+    assert level3.intermediates(1) is None  # nothing stored there
+    assert level1.intermediates(0) is None  # roots have no producer
+
+
+def test_source_column_starts_pending_or_inactive():
+    machine = _machine()
+    pending = _rows(Chunk(1, 1000, machine), [1, 2],
+                    source=EdgeListSource.PENDING)
+    assert (pending.source == 0).all()  # Figure 6's PENDING
+    inactive = _rows(Chunk(1, 1000, machine), [1, 2])
+    assert (inactive.source == EdgeListSource.NONE).all()
+
+
+# ----------------------------------------------------------------------
+# memory arithmetic
+# ----------------------------------------------------------------------
+def test_preallocation_charges_and_release_returns():
+    machine = _machine()
+    chunk = Chunk(1, 4096, machine, preallocate=True)
+    assert machine.resident_bytes == 4096  # before any row exists
+    _rows(chunk, [1, 2, 3])
+    assert machine.resident_bytes == 4096  # rows live in the reservation
+    assert chunk.used_bytes == 3 * EMBEDDING_BASE_BYTES
+    chunk.release()
+    assert machine.resident_bytes == 0
+    chunk.release()  # idempotent
+    assert machine.resident_bytes == 0
+    assert machine.peak_bytes == 4096
+
+
+def test_unreserved_chunk_charges_its_rows():
+    machine = _machine()
+    chunk = _rows(Chunk(0, 4096, machine), range(5))
+    assert machine.resident_bytes == 5 * EMBEDDING_BASE_BYTES
+    chunk.release()
+    assert machine.resident_bytes == 0
+
+
+def test_out_of_memory_at_preallocation():
+    machine = _machine(memory_bytes=1000)
+    with pytest.raises(OutOfMemoryError):
+        Chunk(1, 4096, machine, preallocate=True)
+
+
+def test_out_of_memory_when_rows_overflow():
+    machine = _machine(memory_bytes=100)
+    with pytest.raises(OutOfMemoryError):
+        _rows(Chunk(0, 1000, machine), range(10))
+
+
+def test_overflow_is_charged_on_top_then_refunded():
+    """Rows that outgrow the reservation are charged on top; refunds
+    shrink it back toward — never below — the fixed capacity."""
+    machine = _machine()
+    chunk = Chunk(1, 200, machine, preallocate=True)
+    _rows(chunk, [1, 2, 3], stored=[24 + 80, 24 + 80, 24 + 40])
+    assert chunk.used_bytes == 272
+    assert machine.resident_bytes == 272  # 72 over the reservation
+    assert machine.peak_bytes == 272
+    chunk.refund(np.array([0]), np.array([80]))
+    assert chunk.stored_bytes.tolist() == [24, 104, 64]
+    assert chunk.used_bytes == 192
+    assert machine.resident_bytes == 200  # back at capacity, no lower
+    chunk.refund(np.array([1, 2]), np.array([80, 40]))
+    assert chunk.stored_bytes.tolist() == [24, 24, 24]
+    assert chunk.used_bytes == 72
+    assert machine.resident_bytes == 200
+    assert machine.peak_bytes == 272
+    chunk.release()
+    assert machine.resident_bytes == 0
+
+
+def test_fit_takes_rows_until_memory_is_exhausted():
+    chunk = Chunk(1, 100, _machine())
+    # 40 + 40 < 100 <= 40 + 40 + 40: the third overflows and is taken
+    assert chunk.fit(np.full(10, 40)) == 3
+    assert chunk.fit(np.full(2, 40)) == 2  # ran out of candidates
+    assert chunk.fit(np.array([50, 50, 50])) == 2  # exactly full
+    assert chunk.fit(np.array([500, 10])) == 1  # oversized: alone
+    assert chunk.max_rows == 5  # ceil(100 / 24) bare embeddings
+
+
+# ----------------------------------------------------------------------
+# the scheduler's passes over the columns
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def graph():
+    return erdos_renyi(60, 240, seed=5)
+
+
+def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=NULL_UDF,
+               machine_id=0):
+    cluster = Cluster(
+        graph, ClusterConfig(num_machines=machines, memory_bytes=32 << 20)
+    )
+    scheduler = MachineScheduler(
+        cluster=cluster,
+        machine=cluster.machines[machine_id],
+        extender=ScheduleExtender(schedule),
+        cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+        udf=udf,
+        chunk_bytes=chunk_bytes,
+        hds_enabled=True,
+        hds_slots=64,
+        vcs_enabled=True,
+        numa_aware=True,
+    )
+    return cluster, scheduler
+
+
+def test_fill_cuts_on_the_byte_budget_and_pauses_mid_parent(graph):
+    """Every child chunk takes candidates until its memory is full —
+    the last one overflowing — wherever in a parent's candidate list
+    that happens; the next fill resumes at exactly that candidate."""
+    schedule = automine_schedule(catalog.chain(4))
+    capacity = 1024
+    _, scheduler = _scheduler(graph, schedule, capacity)
+    roots = np.arange(graph.num_vertices)
+    root_chunk = scheduler._fill_root_chunk(roots)
+    # 1024 / 24 bytes: 43 roots, the 43rd crossing the budget
+    assert len(root_chunk) == 43
+    assert root_chunk.used_bytes >= capacity > root_chunk.used_bytes - 24
+    assert len(scheduler._fill_root_chunk(roots[43:])) == 17  # the rest
+    assert scheduler._fill_root_chunk(roots[60:]) is None
+    state = _LevelState(root_chunk)
+    oracle = scheduler.extender.extend_chunk(graph, root_chunk, 1)
+    ebytes = graph.edge_list_bytes_all()
+
+    children = []
+    mid_parent_pauses = 0
+    while not state.exhausted:
+        before = scheduler.machine.resident_bytes
+        chunk = scheduler._fill_next_chunk(state)
+        if chunk is None:
+            continue
+        # pre-allocated as a whole; only an overflowing last row adds
+        assert scheduler.machine.resident_bytes == before + max(
+            capacity, chunk.used_bytes)
+        # position 1's edge list is active: its bytes are reserved
+        assert chunk.stored_bytes.tolist() == (
+            EMBEDDING_BASE_BYTES + ebytes[chunk.vertex]).tolist()
+        assert (chunk.source == EdgeListSource.PENDING).all()
+        used = np.cumsum(chunk.stored_bytes)
+        assert (used[:-1] < capacity).all()  # not full before the last
+        if not state.exhausted:
+            assert used[-1] >= capacity  # full: that is why it stopped
+        if children and children[-1].parent_idx[-1] == chunk.parent_idx[0]:
+            mid_parent_pauses += 1
+        children.append(chunk)
+        # "the subtree returns": the child's memory comes back whole
+        chunk.release()
+        assert scheduler.machine.resident_bytes == before
+
+    assert np.concatenate([c.vertex for c in children]).tolist() == (
+        oracle.values.tolist())
+    assert np.concatenate([c.parent_idx for c in children]).tolist() == (
+        oracle.rows.tolist())
+    assert len(children) > 3 and mid_parent_pauses > 0
+    assert state.children == len(oracle.values)
+    assert state.cursor == len(root_chunk)
+
+
+def test_resolve_refunds_everything_but_stored_fetches(graph):
+    """After resolve a row pins its reserved edge list only if it was
+    fetched and not admitted to the cache; the chunk's reservation
+    shrinks to max(capacity, what is still used)."""
+    schedule = automine_schedule(catalog.chain(4))
+    capacity = 2048
+    cluster, scheduler = _scheduler(graph, schedule, capacity, machines=3)
+    machine = scheduler.machine
+    roots = cluster.partitioned.local_vertices(0)
+    state = _LevelState(scheduler._fill_root_chunk(roots))
+    base = machine.resident_bytes
+    chunk = scheduler._fill_next_chunk(state)
+    reserved = chunk.used_bytes
+    assert machine.resident_bytes == base + max(capacity, reserved)
+    child_state = _LevelState(chunk)
+    scheduler._resolve_chunk(chunk, child_state)
+
+    assert not (chunk.source == EdgeListSource.PENDING).any()
+    ebytes = graph.edge_list_bytes_all()[chunk.vertex]
+    fetched = chunk.source == EdgeListSource.REMOTE  # cache holds nothing
+    assert fetched.any() and not fetched.all()
+    assert (chunk.source[cluster.partitioned.owners_all()[chunk.vertex]
+                         == 0] == EdgeListSource.LOCAL).all()
+    assert chunk.stored_bytes.tolist() == (
+        EMBEDDING_BASE_BYTES + np.where(fetched, ebytes, 0)).tolist()
+    assert chunk.used_bytes == int(chunk.stored_bytes.sum())
+    assert chunk.used_bytes < reserved
+    assert machine.resident_bytes == base + max(capacity, chunk.used_bytes)
+    assert machine.peak_bytes >= base + reserved
+    assert scheduler.fetch_sources["remote"] == int(fetched.sum())
+    assert sum(scheduler.fetch_sources.values()) == len(chunk)
+    assert child_state.batch_sizes[0] == len(chunk) - int(fetched.sum())
+    assert sum(child_state.batch_sizes) == len(chunk)
+
+
+def _reference_calls(graph, schedule):
+    """Every ``(prefix, candidates)`` the UDF must see, by the
+    row-by-row reference: a plain DFS over compute_candidates."""
+    final = schedule.pattern.num_vertices - 1
+    calls = []
+
+    def walk(vertices, raws):
+        level = len(vertices)
+        step = schedule.steps[level - 1]
+        inter = raws.get(step.reuse_level)
+        result = compute_candidates(graph, step, vertices, inter, True)
+        if level == final:
+            if len(result.candidates):
+                calls.append((vertices, result.candidates.tolist()))
+            return
+        if result.raw is not None:
+            raws = {**raws, level: result.raw}
+        for candidate in result.candidates.tolist():
+            walk(vertices + (candidate,), raws)
+
+    for root in range(graph.num_vertices):
+        walk((root,), {})
+    return calls
+
+
+@pytest.mark.parametrize("name,chunk_bytes", [
+    ("clique4", 1024), ("clique4", 1 << 20), ("chain4", 1024),
+    ("house", 2048),
+])
+def test_udf_drain_sees_what_compute_candidates_produces(
+    graph, name, chunk_bytes
+):
+    pattern = {"clique4": catalog.clique(4), "chain4": catalog.chain(4),
+               "house": catalog.house()}[name]
+    schedule = automine_schedule(pattern)
+    seen = []
+
+    def udf(prefix, candidates):
+        assert all(type(v) is int for v in prefix)
+        seen.append((prefix, candidates.tolist()))
+
+    cluster = Cluster(
+        graph, ClusterConfig(num_machines=3, memory_bytes=32 << 20)
+    )
+    report = KhuzdulEngine(
+        cluster, EngineConfig(chunk_bytes=chunk_bytes)
+    ).run(schedule, udf=udf)
+    expected = _reference_calls(graph, schedule)
+    assert sorted(seen) == sorted(expected)
+    assert report.counts == sum(len(c) for _, c in expected)

@@ -157,15 +157,28 @@ def test_resume_refuses_stale_manifest(tmp_path):
                           resume=True)
 
 
-def test_resume_refuses_format_mismatch(tmp_path):
+@pytest.mark.parametrize("saved_format,engine_extra", [
+    (99, {}),
+    # a manifest written before ``extend_mode`` left EngineConfig: it
+    # must be refused by its version, not trip over the unknown field
+    (2, {"extend_mode": "batched"}),
+])
+def test_resume_refuses_format_mismatch(tmp_path, saved_format,
+                                        engine_extra):
     directory = str(tmp_path)
     manifest = _manifest()
     CheckpointSession(directory, manifest, num_patterns=1)
     path = tmp_path / "manifest.json"
     saved = json.loads(path.read_text())
-    saved["format"] = 99
+    assert saved["format"] == 3
+    saved["format"] = saved_format
+    saved["engine"].update(engine_extra)
     path.write_text(json.dumps(saved))
-    with pytest.raises(ConfigurationError, match="format"):
+    with pytest.raises(
+        ConfigurationError,
+        match=f"checkpoint format {saved_format} does not match "
+              f"this build's format 3",
+    ):
         CheckpointSession(directory, manifest, num_patterns=1,
                           resume=True)
 

@@ -1,18 +1,22 @@
 """Inclusion-exclusion counting plans (docs/performance.md).
 
 The central contract: ``--counting iep`` is bit-identical to the
-enumeration oracle for every catalog pattern, on every graph, across
-both extend modes and both backends — the same equivalence class the
-batched/scalar kernel contract lives in. The IEP terminal kernel only
-changes *where* work happens, never what is counted.
+enumeration oracle for every catalog pattern, on every graph, on both
+backends, and the terminal kernel agrees row by row — counts and
+accounting — with its reference :func:`repro.core.extend.iep_count`.
+The IEP terminal kernel only changes *where* work happens, never what
+is counted.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.core import kernels
 from repro.core.engine import EngineConfig, KhuzdulEngine
+from repro.core.extend import compute_candidates, iep_count
 from repro.errors import ConfigurationError
 from repro.exec import ProcessBackend
 from repro.graph.generators import erdos_renyi, random_labels
@@ -97,17 +101,12 @@ def test_counting_config_validated():
 # bit-identity against the enumeration oracle
 # ---------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(CATALOG), ids=sorted(CATALOG))
-@pytest.mark.parametrize("extend_mode", ["batched", "scalar"])
-def test_iep_matches_enumerate_catalog(
-    small_random_graph, name, extend_mode
-):
+def test_iep_matches_enumerate_catalog(small_random_graph, name):
     pattern = CATALOG[name]
     cluster = _cluster(small_random_graph)
     oracle = _count(cluster, graphpi_schedule(pattern))
     schedule = graphpi_schedule(pattern, counting="iep")
-    assert _count(
-        cluster, schedule, counting="iep", extend_mode=extend_mode
-    ) == oracle
+    assert _count(cluster, schedule, counting="iep") == oracle
     # the IEP-aware order must also agree under plain enumeration
     assert _count(cluster, schedule) == oracle
 
@@ -152,22 +151,49 @@ def test_iep_seeded_er_sweep():
             ), (name, seed)
 
 
-def test_iep_accounting_identical_across_extend_modes(small_random_graph):
-    """Simulated measurements match bit-for-bit, batched vs scalar."""
-    cluster = _cluster(small_random_graph)
-    for name in ("star3", "chain4", "chain5"):
-        schedule = graphpi_schedule(CATALOG[name], counting="iep")
-        engine_b = KhuzdulEngine(
-            cluster, EngineConfig(counting="iep", extend_mode="batched")
-        )
-        engine_s = KhuzdulEngine(
-            cluster, EngineConfig(counting="iep", extend_mode="scalar")
-        )
-        rb = engine_b.run(schedule)
-        rs = engine_s.run(schedule)
-        assert rb.counts == rs.counts
-        assert rb.simulated_seconds == rs.simulated_seconds
-        assert rb.breakdown == rs.breakdown
+def _prefix_embeddings(graph, schedule):
+    """Every embedding of ``schedule``'s pattern, row by row."""
+    frontier = [(v,) for v in range(graph.num_vertices)]
+    for step in schedule.steps:
+        frontier = [
+            vertices + (candidate,)
+            for vertices in frontier
+            for candidate in compute_candidates(
+                graph, step, vertices, None, False
+            ).candidates.tolist()
+        ]
+    return frontier
+
+
+PLANNED = sorted(
+    name for name, pattern in CATALOG.items()
+    if compile_counting_plan(graphpi_schedule(pattern, counting="iep"))
+)
+
+
+@pytest.mark.parametrize("name", PLANNED)
+def test_iep_chunk_matches_row_by_row_reference(small_random_graph, name,
+                                                monkeypatch):
+    """The terminal kernel's counts and accounting quantities equal the
+    reference's on every complete prefix embedding."""
+    graph = small_random_graph
+    plan = compile_counting_plan(
+        graphpi_schedule(CATALOG[name], counting="iep")
+    )
+    rows = _prefix_embeddings(graph, plan.prefix_schedule)
+    assert rows
+    expected = [iep_count(graph, plan, row) for row in rows]
+    batch = kernels.iep_chunk(graph, plan, np.array(rows, dtype=np.int64))
+    got = zip(batch.counts.tolist(), batch.merge_elements.tolist(),
+              batch.scanned.tolist())
+    assert list(got) == expected
+    # cut into many tiny row blocks: same rows, same probe volume
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 7)
+    blocked = kernels.iep_chunk(graph, plan, np.array(rows, dtype=np.int64))
+    got = zip(blocked.counts.tolist(), blocked.merge_elements.tolist(),
+              blocked.scanned.tolist())
+    assert list(got) == expected
+    assert blocked.probe_elements == batch.probe_elements
 
 
 def test_iep_process_backend_matches_inline(small_random_graph):
@@ -252,14 +278,12 @@ def test_order_cost_threads_execution_flags():
 
 
 # ---------------------------------------------------------------------
-# satellite pin: scalar/batched edge-label filter on unlabeled graphs
+# satellite pin: edge-label filter on unlabeled graphs (the kernel is
+# held to compute_candidates on both branches in tests/test_kernels.py)
 # ---------------------------------------------------------------------
-@pytest.mark.parametrize("extend_mode", ["batched", "scalar"])
-def test_edge_labeled_pattern_on_unlabeled_graph(
-    small_random_graph, extend_mode
-):
+def test_edge_labeled_pattern_on_unlabeled_graph(small_random_graph):
     """An unlabeled graph satisfies exactly the all-zero edge-label
-    requirement; scalar and batched must agree on both branches."""
+    requirement."""
     cluster = _cluster(small_random_graph)
     triangle = catalog.triangle()
     nonzero = triangle.with_edge_labels(
@@ -272,9 +296,7 @@ def test_edge_labeled_pattern_on_unlabeled_graph(
     assert plain > 0
     for pattern, expected in ((nonzero, 0), (allzero, plain)):
         schedule = graphpi_schedule(pattern)
-        assert _count(
-            cluster, schedule, extend_mode=extend_mode
-        ) == expected
+        assert _count(cluster, schedule) == expected
 
 
 def _brute_force_star3(graph) -> int:
@@ -295,26 +317,17 @@ def test_star_counts_against_closed_form(small_random_graph):
     )
 
 
-def test_iep_metrics_emitted_only_on_batched_path(small_random_graph):
+def test_iep_metrics_emitted(small_random_graph):
     from repro.obs import Observability, names
 
     cluster = _cluster(small_random_graph)
     schedule = graphpi_schedule(catalog.star(3), counting="iep")
-    for mode, expect_batches in (("batched", True), ("scalar", False)):
-        obs = Observability()
-        engine = KhuzdulEngine(
-            cluster, EngineConfig(counting="iep", extend_mode=mode),
-            obs=obs,
-        )
-        engine.run(schedule)
-        batches = obs.registry.total(names.KERNEL_IEP_BATCHES)
-        embeddings = obs.registry.total(names.KERNEL_IEP_EMBEDDINGS)
-        if expect_batches:
-            assert batches > 0
-            assert embeddings > 0
-        else:
-            assert batches == 0
-            assert embeddings == 0
+    obs = Observability()
+    KhuzdulEngine(cluster, EngineConfig(counting="iep"), obs=obs).run(
+        schedule
+    )
+    assert obs.registry.total(names.KERNEL_IEP_BATCHES) > 0
+    assert obs.registry.total(names.KERNEL_IEP_EMBEDDINGS) > 0
 
 
 def test_udf_queries_never_take_the_iep_path(small_random_graph):

@@ -1,28 +1,20 @@
-"""Batched EXTEND kernels (repro.core.kernels, docs/performance.md).
+"""Chunk EXTEND kernels (repro.core.kernels, docs/performance.md).
 
-The contract under test: every batched kernel agrees
-*element-for-element* with its reference — ``intersect_sorted`` /
-``setdiff_sorted`` with ``np.intersect1d`` / ``np.setdiff1d``, and
-``extend_chunk`` with the scalar :func:`compute_candidates`, including
-the ``merge_elements``/``scanned`` accounting quantities and the stored
-VCS intermediates. On top of the per-kernel checks, whole engine runs
-must be bit-identical between ``extend_mode="scalar"`` and
-``extend_mode="batched"`` — counts, simulated seconds, clock buckets,
-and every non-``kernel.*`` metric series — on the pattern catalog and
-on both execution backends.
+The contract under test: every kernel agrees *element-for-element*
+with its reference — ``intersect_sorted`` / ``setdiff_sorted`` with
+``np.intersect1d`` / ``np.setdiff1d``, and ``extend_chunk`` with the
+row-by-row :func:`compute_candidates`, including the
+``merge_elements``/``scanned`` accounting quantities and the stored VCS
+intermediates. What whole engine runs measure on top of the kernels is
+pinned by ``tests/test_scheduler_golden.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
-from repro.core import EngineConfig, KhuzdulEngine
 from repro.core import kernels
 from repro.core.extend import compute_candidates
-from repro.errors import ConfigurationError
 from repro.graph import from_edges
-from repro.graph.generators import erdos_renyi, power_law_graph, random_labels
-from repro.obs import Observability
 from repro.patterns import Pattern, catalog
 from repro.patterns.schedule import automine_schedule, graphpi_schedule
 
@@ -155,7 +147,9 @@ def _levels(graph, schedule, vcs=True):
             scalars.append(
                 compute_candidates(graph, step, vertices, inter, vcs)
             )
-        prefixes = np.array([v for v, _ in frontier], dtype=np.int64)
+        prefixes = np.array(
+            [v for v, _ in frontier], dtype=np.int64
+        ).reshape(len(frontier), level)
         yield step, prefixes, inters, scalars
         new_frontier = []
         for (vertices, raws), res in zip(frontier, scalars):
@@ -168,11 +162,20 @@ def _levels(graph, schedule, vcs=True):
         frontier = new_frontier
 
 
+def _segments(arrays):
+    """Per-row arrays in the kernel's ``(values, offsets, segments)``
+    form (what :meth:`Chunk.intermediates` hands over)."""
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in arrays], out=offsets[1:])
+    return np.concatenate(arrays), offsets, np.arange(len(arrays))
+
+
 def _check_schedule(graph, schedule, vcs=True):
     checked = 0
     for step, prefixes, inters, scalars in _levels(graph, schedule, vcs):
         use_inters = (
-            inters if (vcs and step.reuse_level is not None) else None
+            _segments(inters) if (vcs and step.reuse_level is not None)
+            else None
         )
         batch = kernels.extend_chunk(
             graph, step, prefixes, use_inters, vcs=vcs
@@ -182,6 +185,9 @@ def _check_schedule(graph, schedule, vcs=True):
         )
         assert counts.values is None  # count-only never materializes
         assert len(batch) == len(scalars)
+        assert batch.rows.tolist() == [
+            i for i, res in enumerate(scalars) for _ in res.candidates
+        ]
         for i, res in enumerate(scalars):
             assert np.array_equal(batch.candidates_for(i), res.candidates)
             assert int(batch.merge_elements[i]) == res.merge_elements
@@ -236,6 +242,32 @@ def test_extend_chunk_matches_scalar_skewed(skewed_graph):
     _check_schedule(skewed_graph, automine_schedule(catalog.clique(4)))
 
 
+@pytest.mark.parametrize("name", ["cl4", "chain4", "house"])
+def test_extend_chunk_row_blocks(small_random_graph, skewed_graph,
+                                 monkeypatch, name):
+    """The kernel works a chunk in row blocks; cut into many tiny ones
+    (a block may be a single row, or rows without candidates) the rows
+    still equal the reference and ``probe_elements`` does not move."""
+    schedule = automine_schedule(PATTERNS[name])
+    for graph in (small_random_graph, skewed_graph):
+        whole = [
+            kernels.extend_chunk(graph, step, prefixes, (
+                _segments(inters) if step.reuse_level is not None else None
+            )).probe_elements
+            for step, prefixes, inters, _ in _levels(graph, schedule)
+        ]
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 7)
+        _check_schedule(graph, schedule)
+        blocked = [
+            kernels.extend_chunk(graph, step, prefixes, (
+                _segments(inters) if step.reuse_level is not None else None
+            )).probe_elements
+            for step, prefixes, inters, _ in _levels(graph, schedule)
+        ]
+        monkeypatch.undo()
+        assert blocked == whole
+
+
 def test_extend_chunk_vertex_labels(labeled_graph):
     pattern = Pattern(3, [(0, 1), (1, 2)], labels=(0, 1, 2))
     _check_schedule(labeled_graph, automine_schedule(pattern))
@@ -254,30 +286,16 @@ def test_extend_chunk_edge_labels():
     _check_schedule(graph, automine_schedule(pattern))
 
 
-def test_extend_chunk_mixed_intermediates(small_random_graph):
-    """Some embeddings carry a stored intermediate, some don't: the
-    batch splits into groups and must stitch results back in order."""
-    graph = small_random_graph
-    schedule = automine_schedule(catalog.clique(4))
-    for step, prefixes, inters, scalars in _levels(graph, schedule):
-        if step.reuse_level is None or not any(
-            inter is not None for inter in inters
-        ):
-            continue
-        holey = [
-            inter if i % 3 else None for i, inter in enumerate(inters)
-        ]
-        expected = [
-            compute_candidates(graph, step, tuple(row), inter, True)
-            for row, inter in zip(prefixes.tolist(), holey)
-        ]
-        batch = kernels.extend_chunk(graph, step, prefixes, holey, vcs=True)
-        for i, res in enumerate(expected):
-            assert np.array_equal(batch.candidates_for(i), res.candidates)
-            assert int(batch.merge_elements[i]) == res.merge_elements
-            assert int(batch.scanned[i]) == res.scanned
-            if step.store_intermediate:
-                assert np.array_equal(batch.raw_for(i), res.raw)
+def test_extend_chunk_edge_labels_on_unlabeled_graph(small_random_graph):
+    """An unlabeled graph satisfies exactly the all-zero edge-label
+    requirement: kernel and reference agree on both branches."""
+    triangle = catalog.triangle()
+    for labels in ({(0, 1): 1, (0, 2): 0, (1, 2): 0},
+                   {(0, 1): 0, (0, 2): 0, (1, 2): 0}):
+        _check_schedule(
+            small_random_graph,
+            automine_schedule(triangle.with_edge_labels(labels)),
+        )
 
 
 def test_extend_chunk_empty_chunk(small_random_graph):
@@ -288,151 +306,3 @@ def test_extend_chunk_empty_chunk(small_random_graph):
     )
     assert len(batch) == 0
     assert len(batch.values) == 0
-
-
-# ======================================================================
-# engine-level bit-identity: scalar vs batched
-# ======================================================================
-def _run(graph, mode, schedule, machines=4, obs=None, **config):
-    cluster = Cluster(
-        graph, ClusterConfig(num_machines=machines, memory_bytes=64 << 20)
-    )
-    engine = KhuzdulEngine(
-        cluster, EngineConfig(extend_mode=mode, **config), obs=obs
-    )
-    return engine.run(schedule)
-
-
-def _assert_reports_identical(scalar, batched):
-    assert scalar.counts == batched.counts
-    assert scalar.simulated_seconds == batched.simulated_seconds
-    assert scalar.breakdown == batched.breakdown
-    assert scalar.machine_breakdowns == batched.machine_breakdowns
-    assert scalar.machine_seconds == batched.machine_seconds
-    assert scalar.network_bytes == batched.network_bytes
-    assert scalar.extra["chunks"] == batched.extra["chunks"]
-    assert scalar.extra["hds"] == batched.extra["hds"]
-    assert scalar.extra["fetch_sources"] == batched.extra["fetch_sources"]
-
-
-@pytest.mark.parametrize("name", sorted(PATTERNS))
-def test_engine_bit_identical_scalar_vs_batched(small_random_graph, name):
-    schedule = automine_schedule(PATTERNS[name])
-    _assert_reports_identical(
-        _run(small_random_graph, "scalar", schedule),
-        _run(small_random_graph, "batched", schedule),
-    )
-
-
-@pytest.mark.parametrize("chunk_bytes", [1024, 4096])
-def test_engine_bit_identical_small_chunks(small_random_graph, chunk_bytes):
-    """Tiny chunks force mid-embedding pauses (resume tuples) and many
-    partially-consumed batches."""
-    schedule = automine_schedule(catalog.clique(4))
-    _assert_reports_identical(
-        _run(small_random_graph, "scalar", schedule,
-             chunk_bytes=chunk_bytes),
-        _run(small_random_graph, "batched", schedule,
-             chunk_bytes=chunk_bytes),
-    )
-
-
-def test_engine_metrics_identical_scalar_vs_batched(small_random_graph):
-    """Every metric series except the batched-only kernel.* counters
-    must match exactly — including the float time.* buckets."""
-    schedule = automine_schedule(catalog.clique(4))
-    obs_s, obs_b = Observability(), Observability()
-    _run(small_random_graph, "scalar", schedule, obs=obs_s)
-    _run(small_random_graph, "batched", schedule, obs=obs_b)
-
-    def comparable(dump):
-        return {
-            kind: [row for row in rows if not row[0].startswith("kernel.")]
-            for kind, rows in dump.items()
-        }
-
-    dump_s, dump_b = obs_s.registry.dump(), obs_b.registry.dump()
-    assert comparable(dump_s) == comparable(dump_b)
-    batched_kernel = [
-        row for row in dump_b["counters"] if row[0].startswith("kernel.")
-    ]
-    assert any(value > 0 for _, _, value in batched_kernel)
-    scalar_kernel = [
-        row for row in dump_s["counters"] if row[0].startswith("kernel.")
-    ]
-    assert all(value == 0 for _, _, value in scalar_kernel)
-
-
-def test_engine_timeout_partial_metrics_identical(skewed_graph):
-    """A run cut short by the simulated-time budget consumes batches
-    partially; deferred per-embedding accounting must keep even the
-    truncated totals identical to scalar."""
-    schedule = automine_schedule(catalog.clique(4))
-    full = _run(skewed_graph, "scalar", schedule)
-    budget = full.simulated_seconds * 0.4
-    obs_s, obs_b = Observability(), Observability()
-    scalar = _run(skewed_graph, "scalar", schedule, obs=obs_s,
-                  time_budget=budget)
-    batched = _run(skewed_graph, "batched", schedule, obs=obs_b,
-                   time_budget=budget)
-    assert scalar.failure is not None and batched.failure is not None
-    assert scalar.counts == batched.counts
-    assert scalar.simulated_seconds == batched.simulated_seconds
-
-    def comparable(dump):
-        return {
-            kind: [row for row in rows if not row[0].startswith("kernel.")]
-            for kind, rows in dump.items()
-        }
-
-    assert comparable(obs_s.registry.dump()) == comparable(
-        obs_b.registry.dump()
-    )
-
-
-def test_extend_mode_validation():
-    with pytest.raises(ConfigurationError):
-        EngineConfig(extend_mode="simd")
-
-
-def test_labeled_engine_bit_identical(labeled_graph):
-    pattern = Pattern(3, [(0, 1), (1, 2)], labels=(0, 1, 2))
-    schedule = automine_schedule(pattern)
-    _assert_reports_identical(
-        _run(labeled_graph, "scalar", schedule),
-        _run(labeled_graph, "batched", schedule),
-    )
-
-
-# ======================================================================
-# process backend: batched path inside real worker processes
-# ======================================================================
-@pytest.mark.exec
-@pytest.mark.parametrize("name", ["tri", "cl4", "cyc4"])
-def test_process_backend_bit_identical_scalar_vs_batched(name):
-    from repro.exec import ProcessBackend
-    from repro.graph import dataset
-    from repro.systems import KAutomine
-
-    graph = dataset("mico", scale=0.3)
-    cluster = ClusterConfig(num_machines=4)
-    reports = {}
-    for mode in ("scalar", "batched"):
-        inline = KAutomine(graph, cluster, EngineConfig(extend_mode=mode),
-                           graph_name="mico")
-        proc = KAutomine(graph, cluster, EngineConfig(extend_mode=mode),
-                         graph_name="mico",
-                         backend=ProcessBackend(workers=2))
-        reports[mode, "inline"] = inline.count_pattern(PATTERNS[name])
-        reports[mode, "process"] = proc.count_pattern(PATTERNS[name])
-    for backend in ("inline", "process"):
-        scalar, batched = reports["scalar", backend], reports["batched", backend]
-        assert scalar.counts == batched.counts
-        assert scalar.simulated_seconds == batched.simulated_seconds
-        assert scalar.machine_seconds == batched.machine_seconds
-    # and across backends within a mode (the existing exec invariant,
-    # now holding for the batched default too)
-    for mode in ("scalar", "batched"):
-        inline, proc = reports[mode, "inline"], reports[mode, "process"]
-        assert inline.counts == proc.counts
-        assert inline.simulated_seconds == proc.simulated_seconds

@@ -1,11 +1,14 @@
 """Tests for degree-orientation (DAG) preprocessing."""
 
 import numpy as np
+import pytest
 
 from repro.analysis import count_embeddings_brute_force
 from repro.baselines.common import ExploreStats, RecursiveExplorer
 from repro.core.extend import ScheduleExtender
-from repro.graph.generators import erdos_renyi, star_graph
+from repro.graph import DATASETS, dataset
+from repro.graph.generators import erdos_renyi, random_labels, star_graph
+from repro.graph.graph import Graph
 from repro.graph.orientation import orient_by_degree, orientation_rank
 from repro.patterns import clique
 from repro.patterns.schedule import automine_schedule
@@ -64,3 +67,38 @@ def test_orientation_keeps_labels():
 def test_orientation_rank_is_permutation(small_random_graph):
     rank = orientation_rank(small_random_graph)
     assert sorted(rank.tolist()) == list(range(small_random_graph.num_vertices))
+
+
+def _orient_row_by_row(graph):
+    """The per-vertex reference the vectorized pass replaced."""
+    degrees = graph.degrees()
+    indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    kept = []
+    for u in graph.vertices():
+        nbrs = graph.neighbors(u)
+        du = degrees[u]
+        dn = degrees[nbrs]
+        keep = nbrs[(dn > du) | ((dn == du) & (nbrs > u))]
+        kept.append(keep)
+        indptr[u + 1] = indptr[u] + len(keep)
+    indices = (
+        np.concatenate(kept) if kept else np.empty(0, dtype=np.int32)
+    ).astype(np.int32)
+    return Graph(indptr, indices, graph.labels, directed=True)
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_vectorized_orientation_matches_row_by_row(name):
+    graph = random_labels(dataset(name), 4, seed=1)
+    got, expected = orient_by_degree(graph), _orient_row_by_row(graph)
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.indices.dtype == expected.indices.dtype
+    assert np.array_equal(got.labels, expected.labels)
+    assert got.edge_labels is None and expected.edge_labels is None
+    assert got.directed
+
+
+def test_orientation_of_an_empty_graph():
+    dag = orient_by_degree(Graph(np.zeros(4, dtype=np.int64), []))
+    assert dag.num_vertices == 3 and dag.num_directed_edges == 0

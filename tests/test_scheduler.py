@@ -5,9 +5,6 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine
-from repro.core.chunk import Chunk
-from repro.core.embedding import ExtendableEmbedding
-from repro.errors import OutOfMemoryError
 from repro.graph.generators import erdos_renyi
 from repro.patterns import chain, clique
 from repro.patterns.schedule import automine_schedule
@@ -50,34 +47,6 @@ def test_peak_memory_bounded_by_chunks(graph):
     report_big, cluster_big = _run(graph, chunk_bytes=1 << 20,
                                    cache_fraction=0.0)
     assert report_small.peak_memory_bytes <= report_big.peak_memory_bytes
-
-
-def test_chunk_object_accounting():
-    from repro.cluster.machine import MachineState
-
-    machine = MachineState(0, cores=4, memory_bytes=10_000)
-    chunk = Chunk(1, capacity_bytes=100, machine=machine)
-    emb = ExtendableEmbedding(5, 0, None, False)
-    chunk.add(emb)
-    assert machine.resident_bytes == emb.stored_bytes
-    assert not chunk.full
-    chunk.charge_extra(emb, 100)
-    assert chunk.full
-    chunk.release()
-    assert machine.resident_bytes == 0
-    assert len(chunk.items) == 0
-    chunk.release()  # idempotent
-    assert machine.resident_bytes == 0
-
-
-def test_chunk_overflow_raises():
-    from repro.cluster.machine import MachineState
-
-    machine = MachineState(0, cores=4, memory_bytes=30)
-    chunk = Chunk(0, capacity_bytes=1000, machine=machine)
-    with pytest.raises(OutOfMemoryError):
-        for i in range(10):
-            chunk.add(ExtendableEmbedding(i, 0, None, False))
 
 
 def test_network_counts_only_remote(graph):

@@ -123,6 +123,11 @@ def test_request_roundtrip_and_validation():
         QueryRequest.from_json_line("not json at all")
     with pytest.raises(ConfigurationError):
         QueryRequest.from_json_line('{"bogus_field": 1}')
+    # the knob that chose between two chunk loops is gone with the
+    # second loop: an old client still sending it is told so by name
+    with pytest.raises(ConfigurationError,
+                       match="unknown request field.*extend_mode"):
+        QueryRequest.from_json_line('{"extend_mode": "batched"}')
     with pytest.raises(ConfigurationError):
         QueryRequest(app="frobnicate").validate()
     with pytest.raises(ConfigurationError):
@@ -273,6 +278,12 @@ def test_priority_order_under_load():
             handle.result(timeout=60.0)
         order = server.completed_ids()
         assert order == ["blocker", "high", "low-a", "low-b"]
+        # callers got the full engine report; the resident server keeps
+        # only what its session summary reads, or it would grow by a
+        # RunReport per query served
+        assert high.result().report is not None
+        assert all(kept.report is None and kept.metrics is None
+                   for kept in server._completed)
     finally:
         server.shutdown()
 

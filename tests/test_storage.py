@@ -14,7 +14,7 @@ Three invariants under test:
    inside a worker (the PR-7 manifest discipline).
 3. **Engine transparency** — counts, metrics, and every simulated
    measurement are bit-identical across ``{ram, mmap}`` x
-   ``{inline, process}`` x ``{batched, scalar}``: storage is invisible
+   ``{inline, process}``: storage is invisible
    to everything except byte accounting (admission baselines and the
    ``storage.*`` metric family).
 
@@ -300,14 +300,14 @@ def test_attach_csr_rejects_swapped_store(tmp_path):
 
 
 # ======================================================================
-# engine transparency: {ram,mmap} x {inline,process} x {batched,scalar}
+# engine transparency: {ram,mmap} x {inline,process}
 # ======================================================================
-def _run(graph, backend, mode):
+def _run(graph, backend):
     obs = Observability()
     system = KAutomine(
         graph,
         ClusterConfig(num_machines=4),
-        EngineConfig(extend_mode=mode),
+        EngineConfig(),
         graph_name="mico",
         obs=obs,
         backend=backend,
@@ -332,30 +332,22 @@ def test_counts_and_metrics_identical_across_storage(tmp_path):
     ram = dataset("mico", scale=0.3)
     mapped = load_dataset("mico", scale=0.3, storage="mmap",
                           store_dir=tmp_path)
-    for mode in ("batched", "scalar"):
-        for backend_name in ("inline", "process"):
-            backend = (
-                ProcessBackend(workers=2) if backend_name == "process"
-                else None
-            )
-            ram_report, ram_counters = _run(ram, backend, mode)
-            backend = (
-                ProcessBackend(workers=2) if backend_name == "process"
-                else None
-            )
-            mmap_report, mmap_counters = _run(mapped, backend, mode)
-            label = f"{backend_name}/{mode}"
-            assert mmap_report.counts == ram_report.counts, label
-            assert mmap_report.simulated_seconds == \
-                ram_report.simulated_seconds, label
-            assert mmap_report.network_bytes == \
-                ram_report.network_bytes, label
-            assert mmap_report.cache_hit_rate == \
-                ram_report.cache_hit_rate, label
-            assert mmap_report.peak_memory_bytes == \
-                ram_report.peak_memory_bytes, label
-            assert mmap_report.breakdown == ram_report.breakdown, label
-            assert mmap_counters == ram_counters, label
+    for label in ("inline", "process"):
+        backend = ProcessBackend(workers=2) if label == "process" else None
+        ram_report, ram_counters = _run(ram, backend)
+        backend = ProcessBackend(workers=2) if label == "process" else None
+        mmap_report, mmap_counters = _run(mapped, backend)
+        assert mmap_report.counts == ram_report.counts, label
+        assert mmap_report.simulated_seconds == \
+            ram_report.simulated_seconds, label
+        assert mmap_report.network_bytes == \
+            ram_report.network_bytes, label
+        assert mmap_report.cache_hit_rate == \
+            ram_report.cache_hit_rate, label
+        assert mmap_report.peak_memory_bytes == \
+            ram_report.peak_memory_bytes, label
+        assert mmap_report.breakdown == ram_report.breakdown, label
+        assert mmap_counters == ram_counters, label
 
 
 def test_kernels_run_unmodified_on_memmap_arrays(tmp_path):
