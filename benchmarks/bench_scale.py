@@ -163,6 +163,10 @@ def measure(decades, repeats: int = 2,
                 == ram_report.simulated_seconds
             ), f"simulated-time divergence on {name}"
 
+            # what the kernels built in RAM beside the CSR on first use
+            # (the runs above did): composite keys, hub rows, row ranks.
+            # A mapped graph pays them resident like any other.
+            adjacency_rows, row_rank = mapped.adjacency_matrix()
             rows.append({
                 "decade": factor,
                 "graph": name,
@@ -171,6 +175,11 @@ def measure(decades, repeats: int = 2,
                 "candidate_edges": BASE_EDGES * factor,
                 "csr_entries": ram.num_directed_edges,
                 "graph_bytes": ram.size_bytes(),
+                "derived_bytes": (
+                    mapped.adjacency_keys().nbytes
+                    + adjacency_rows.nbytes + row_rank.nbytes
+                ),
+                "adjacency_rows": len(adjacency_rows),
                 "store_bytes": path.stat().st_size,
                 "resident_cap_bytes": cap,
                 "spill_runs": stats.spill_runs,

@@ -2,9 +2,11 @@
 
 Khuzdul's static cache (paper Section 5.3) follows a **"first
 accessed, first cached" policy with a degree threshold**: a fetched
-edge list is admitted only while the cache has free space and only if
-its vertex's degree clears the threshold; once full, the cache's
-contents never change — there is no eviction, ever. The rationale is
+edge list is admitted only if its vertex's degree clears the threshold
+and the list fits the bytes still free *when it is offered* — each
+offer is tested on its own, so a smaller list is still admitted after
+a larger one was refused, and only a cache with no room for any list
+has stopped changing. There is no eviction, ever. The rationale is
 GPM-specific. First, access skew: GPM workloads touch high-degree
 (hub) vertices orders of magnitude more often than low-degree ones,
 and that skew is *stable over the run*, so whatever hot set is seen
@@ -32,6 +34,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from repro.cluster.costmodel import CostModel
 from repro.obs import names
@@ -76,6 +80,8 @@ class EdgeCache:
         self.policy = policy
         self.cost = cost
         self._entries: OrderedDict[int, int] = OrderedDict()  # vertex -> bytes
+        #: ``_entries``' keys as a mask indexed by vertex, grown on demand
+        self._resident = np.zeros(0, dtype=bool)
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -137,12 +143,10 @@ class EdgeCache:
             if degree < self.degree_threshold:
                 return False
             if self.used_bytes + num_bytes > self.capacity_bytes:
-                return False  # full: never insert again, never evict
-            self._entries[vertex] = num_bytes
-            self.used_bytes += num_bytes
-            self.inserts += 1
-            self._m_inserts.inc()
-            self._m_used_bytes.set(self.used_bytes)
+                # does not fit what is left (a later, smaller list
+                # still may); nothing is ever evicted to make room
+                return False
+            self._insert(vertex, num_bytes)
             self._pending_cost += self.cost.cache_insert_static
             return True
 
@@ -151,16 +155,75 @@ class EdgeCache:
             return False
         while self.used_bytes + num_bytes > self.capacity_bytes:
             self._evict_one()
-        self._entries[vertex] = num_bytes
-        self.used_bytes += num_bytes
-        self.inserts += 1
-        self._m_inserts.inc()
-        self._m_used_bytes.set(self.used_bytes)
+        self._insert(vertex, num_bytes)
         self._pending_cost += self.cost.cache_policy_update + self._alloc_cost()
         self._fragmentation = min(
             3.0, self._fragmentation + self.cost.cache_fragmentation_rate
         )
         return True
+
+    def _insert(self, vertex: int, num_bytes: int) -> None:
+        self._entries[vertex] = num_bytes
+        self._mask(vertex)[vertex] = True
+        self.used_bytes += num_bytes
+        self.inserts += 1
+        self._m_inserts.inc()
+        self._m_used_bytes.set(self.used_bytes)
+
+    def _mask(self, vertices) -> np.ndarray:
+        """The residency mask, grown to cover ``vertices`` (one or many)."""
+        short = int(np.max(vertices, initial=-1)) + 1 - len(self._resident)
+        if short > 0:
+            self._resident = np.pad(
+                self._resident, (0, max(short, len(self._resident)))
+            )
+        return self._resident
+
+    # ------------------------------------------------------------------
+    # batch entry points: the scheduler's one query call per chunk and
+    # one offer call per circulant batch
+    def query_many(self, vertices: np.ndarray) -> np.ndarray:
+        """:meth:`query` for every vertex, in order; returns the hit mask."""
+        if self.policy is not CachePolicy.STATIC:
+            # replacement is sequential: every touch reorders the victims
+            return np.fromiter(
+                map(self.query, vertices.tolist()), bool, len(vertices)
+            )
+        hit = self._mask(vertices)[vertices]
+        hits = int(hit.sum())
+        self.hits += hits
+        self.misses += len(hit) - hits
+        self._m_hits.inc(hits)
+        self._m_misses.inc(len(hit) - hits)
+        # one price for the whole batch: ``used_bytes`` cannot move
+        # while a chunk is queried, its admissions come afterwards
+        self._pending_cost += len(hit) * self._query_cost()
+        return hit
+
+    def admit_many(
+        self, vertices: np.ndarray, sizes: np.ndarray, degrees: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`admit` for every just-fetched list (``sizes`` and
+        ``degrees`` are the vertices' own), in order; returns the
+        admitted mask."""
+        admitted = np.zeros(len(vertices), dtype=bool)
+        offers = np.arange(len(vertices))
+        if self.policy is CachePolicy.STATIC:
+            # residents are admitted for free; of the rest only a list
+            # over the threshold that fits the bytes free right now can
+            # still be inserted (free bytes only shrink) — those few
+            # are walked in offer order, none once the cache is full
+            admitted = self._mask(vertices)[vertices]
+            offers = np.flatnonzero(
+                ~admitted & (degrees >= self.degree_threshold)
+                & (sizes <= self.capacity_bytes - self.used_bytes)
+            )
+        for offer, vertex, size, degree in zip(
+            offers.tolist(), vertices[offers].tolist(),
+            sizes[offers].tolist(), degrees[offers].tolist(),
+        ):
+            admitted[offer] = self.admit(vertex, size, degree)
+        return admitted
 
     def _evict_one(self) -> None:
         if self.policy is CachePolicy.FIFO:
@@ -174,6 +237,7 @@ class EdgeCache:
         else:  # pragma: no cover - STATIC never evicts
             raise AssertionError("static cache must not evict")
         self.used_bytes -= self._entries.pop(victim)
+        self._resident[victim] = False
         self.evictions += 1
         self._m_evictions.inc()
         self._m_used_bytes.set(self.used_bytes)
@@ -195,6 +259,7 @@ class EdgeCache:
         victims = [v for v in self._entries if predicate(v)]
         for vertex in victims:
             self.used_bytes -= self._entries.pop(vertex)
+            self._resident[vertex] = False
             self._pending_cost += self.cost.cache_policy_update
         if victims:
             self._m_used_bytes.set(self.used_bytes)

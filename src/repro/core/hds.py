@@ -12,8 +12,8 @@ path. Khuzdul instead keeps exactly one vertex per slot: if the slot
 for ``v`` is occupied by a different vertex, ``v``'s fetch is simply
 issued again. A dropped entry costs one redundant edge-list transfer;
 a chained entry costs CPU on every subsequent probe. Because the
-table is sized so collisions are rare (and cleared per chunk, so
-entries never age), the paper reports the drop design removes almost
+table is sized so collisions are rare (and starts empty at every
+chunk, so entries never age), the paper reports the drop design removes almost
 all duplicate traffic anyway — 4.4 TB -> 33.8 GB on
 5-clique/LiveJournal — while the table stays a single array probe.
 The ``chaining=True`` variant exists to measure the rejected design
@@ -27,17 +27,19 @@ fetched edge lists are resident together, so a hit may alias the
 already-scheduled fetch's buffer.
 
 Observability: when constructed with a
-:class:`~repro.obs.metrics.MetricsScope`, every probe outcome is also
+:class:`~repro.obs.metrics.MetricsScope`, the probe outcomes are also
 emitted as the ``hds.*`` counters documented in ``docs/metrics.md``
-(attributed to the owning machine by the scope's labels). The plain
-integer attributes (``hits``/``probes``/...) remain authoritative and
-free, so ablation benches and reports work without instrumentation.
+(attributed to the owning machine by the scope's labels, bumped once
+per chunk). The plain integer attributes (``hits``/``probes``/...)
+remain authoritative and free, so ablation benches and reports work
+without instrumentation.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from repro.obs import names
 from repro.obs.metrics import MetricsScope, scope_or_null
@@ -46,14 +48,15 @@ _KNUTH = 2654435761
 _MASK = 0xFFFFFFFF
 
 
-class ProbeOutcome(Enum):
-    HIT = "hit"  # same vertex already in the slot: share the pointer
-    INSERTED = "inserted"  # slot was free: this fetch fills it
-    DROPPED = "dropped"  # slot held a different vertex: fetch anyway
-
-
 class HorizontalShareTable:
     """Collision-dropping per-chunk hash table of requested edge lists.
+
+    The table is empty at the start of every chunk and nothing outlives
+    the chunk, so it holds no state between calls: :meth:`share` works
+    one chunk's whole request column out in array passes. Only the
+    counters are cumulative per scheduler (i.e. per machine per
+    pattern), which is what the engine aggregates into
+    ``RunReport.extra['hds']``.
 
     ``chaining=True`` switches to the conventional design the paper
     argues *against*: collisions build a chain instead of being dropped.
@@ -70,7 +73,6 @@ class HorizontalShareTable:
     ):
         self.num_slots = max(1, num_slots)
         self.chaining = chaining
-        self._slots: dict[int, list[int]] = {}
         self.hits = 0
         self.inserts = 0
         self.drops = 0
@@ -83,65 +85,50 @@ class HorizontalShareTable:
         self._m_drops = metrics.counter(names.HDS_DROPS)
         self._m_chain_steps = metrics.counter(names.HDS_CHAIN_STEPS)
 
-    def probe(self, vertex: int) -> ProbeOutcome:
-        """Look up / claim the slot for ``vertex``."""
-        self.probes += 1
-        self._m_probes.inc()
-        slot = ((vertex + 1) * _KNUTH & _MASK) % self.num_slots
-        chain = self._slots.get(slot)
-        if chain is None:
-            self._slots[slot] = [vertex]
-            self.inserts += 1
-            self._m_inserts.inc()
-            return ProbeOutcome.INSERTED
-        if chain[0] == vertex:
-            self.hits += 1
-            self._m_hits.inc()
-            return ProbeOutcome.HIT
-        if not self.chaining:
-            self.drops += 1
-            self._m_drops.inc()
-            return ProbeOutcome.DROPPED
-        # chained variant: walk the collision chain
-        for occupant in chain[1:]:
-            self.chain_steps += 1
-            self._m_chain_steps.inc()
-            if occupant == vertex:
-                self.hits += 1
-                self._m_hits.inc()
-                return ProbeOutcome.HIT
-        self.chain_steps += 1
-        self._m_chain_steps.inc()
-        chain.append(vertex)
-        self.inserts += 1
-        self._m_inserts.inc()
-        return ProbeOutcome.INSERTED
+    def share(self, vertices: np.ndarray) -> np.ndarray:
+        """Probe a fresh table with one chunk's requests, in row order.
 
-    def clear(self) -> None:
-        """Reset for the next chunk (the table is per-level/per-chunk).
-
-        Only the slots are cleared — the counters are cumulative per
-        scheduler (i.e. per machine per pattern), which is what the
-        engine aggregates into ``RunReport.extra['hds']``.
+        Returns the hit mask: rows whose edge list an earlier row of
+        the chunk already requested (they share its pointer). What a
+        row-by-row walk would do, as identities over the column: the
+        first row to reach a slot occupies it, every later row there
+        hits if it asks for the occupant's vertex and is dropped
+        otherwise; with chaining each distinct vertex gets a chain node
+        at its first row, every later row of it hits, and a probe pays
+        one chain step per node that entered its slot before its own.
         """
-        self._slots.clear()
-
-    def invalidate(self, predicate=None) -> int:
-        """Drop entries whose vertex satisfies ``predicate`` (all when
-        ``None``). HDS entries alias buffers of fetches already
-        scheduled within the current chunk, so when the machine that
-        sourced those buffers is lost the aliases must go too; returns
-        the number of vertices removed."""
-        if predicate is None:
-            removed = sum(len(chain) for chain in self._slots.values())
-            self._slots.clear()
-            return removed
-        removed = 0
-        for slot in list(self._slots):
-            chain = [v for v in self._slots[slot] if not predicate(v)]
-            removed += len(self._slots[slot]) - len(chain)
-            if chain:
-                self._slots[slot] = chain
-            else:
-                del self._slots[slot]
-        return removed
+        # int64 before hashing: (v + 1) * _KNUTH overflows int32 columns
+        vertices = np.asarray(vertices, dtype=np.int64)
+        slots = ((vertices + 1) * _KNUTH & _MASK) % self.num_slots
+        _, first, entry = np.unique(
+            vertices if self.chaining else slots,
+            return_index=True, return_inverse=True,
+        )
+        claimed_by = first[entry]  # the row that filled this row's entry
+        hit = vertices == vertices[claimed_by]
+        hit &= claimed_by != np.arange(len(vertices))
+        probes, inserts, hits = len(vertices), len(first), int(hit.sum())
+        steps = 0
+        if self.chaining and inserts:
+            # nodes ordered by (slot, first row): a node's depth in its
+            # chain is its distance from its slot's first node
+            node_slot = slots[first]
+            order = np.lexsort((first, node_slot))
+            position = np.arange(inserts)
+            head = np.r_[True, np.diff(node_slot[order]) != 0]
+            depth = np.empty(inserts, dtype=np.int64)
+            depth[order] = position - np.maximum.accumulate(
+                np.where(head, position, 0)
+            )
+            steps = int(depth[entry].sum())
+        self.probes += probes
+        self.inserts += inserts
+        self.hits += hits
+        self.drops += probes - inserts - hits
+        self.chain_steps += steps
+        self._m_probes.inc(probes)
+        self._m_inserts.inc(inserts)
+        self._m_hits.inc(hits)
+        self._m_drops.inc(probes - inserts - hits)
+        self._m_chain_steps.inc(steps)
+        return hit

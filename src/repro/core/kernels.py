@@ -18,11 +18,13 @@ Three layers:
   (ignoring that its inputs already are sorted), these probe the
   smaller array into the larger one.
 - :func:`adjacency_member` / :func:`adjacency_position` — bulk
-  membership/position probes of ``(source, candidate)`` pairs against
-  a graph's globally sorted composite-key view
-  (:meth:`repro.graph.graph.Graph.adjacency_keys`), which is how one
-  ``searchsorted`` call answers per-embedding intersections whose
-  windows all differ.
+  membership/position probes of ``(source, candidate)`` pairs.
+  Membership reads the bit-packed adjacency rows the graph keeps for
+  its top-degree vertices (:meth:`Graph.adjacency_matrix`); the pairs
+  no row covers, and every position probe, go against the graph's
+  globally sorted composite-key view (:meth:`Graph.adjacency_keys`),
+  which is how one ``searchsorted`` call answers per-embedding
+  intersections whose windows all differ.
 - :func:`extend_chunk` — the fused entry point: one schedule step
   across an entire chunk of embeddings in vectorized passes (shared
   connected-position gathers, batched distinct-vertex / ordering /
@@ -45,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.graph import Graph, gather_segments
+from repro.graph.graph import Graph, block_bounds, gather_segments
 from repro.patterns.schedule import CountingPlan, ExtensionStep
 
 __all__ = [
@@ -121,24 +123,36 @@ def adjacency_member(
 ) -> np.ndarray:
     """Boolean mask: is ``candidates[i]`` a neighbor of ``sources[i]``?
 
-    Small graphs answer each pair with one load from the dense
-    adjacency bitmap (:meth:`Graph.adjacency_matrix`); larger graphs
-    fall back to a global binary search against the composite-key
-    adjacency view — the batched analogue of probing each candidate
-    into its own CSR slice, without per-embedding windowing.
+    Input-aware, as the GPU engines' set operations are: pairs whose
+    source is a hub answer with one load from its bit-packed adjacency
+    row (:meth:`Graph.adjacency_matrix` — on a small graph every vertex
+    has one), and only the remainder pays a global binary search
+    against the composite-key adjacency view — the batched analogue of
+    probing each candidate into its own CSR slice, without
+    per-embedding windowing.
     """
-    matrix = graph.adjacency_matrix()
-    if matrix is not None:
-        return matrix[sources, candidates]
-    adj_keys = graph.adjacency_keys()
-    if not len(adj_keys):
-        return np.zeros(len(candidates), dtype=bool)
-    keys = sources * np.int64(graph.num_vertices)
-    keys = keys.astype(np.int64, copy=False)
-    keys += candidates
-    pos = np.searchsorted(adj_keys, keys)
-    np.minimum(pos, len(adj_keys) - 1, out=pos)
-    return adj_keys[pos] == keys
+    rows, rank = graph.adjacency_matrix()
+    row = rank[sources]
+    if len(rows):
+        # a rowless source reads some other row here; overwritten below
+        entry = row * np.int64(rows.shape[1])
+        entry += candidates >> 3
+        member = rows.reshape(-1)[entry]
+        member >>= candidates.astype(np.uint8) & 7
+        member &= 1
+        member = member.view(np.bool_)
+    else:
+        member = np.zeros(len(candidates), dtype=bool)
+    if len(rows) < len(rank) and graph.num_directed_edges:
+        tail = np.flatnonzero(row < 0)
+        adj_keys = graph.adjacency_keys()
+        keys = sources[tail].astype(np.int64)
+        keys *= graph.num_vertices
+        keys += candidates[tail]
+        pos = np.searchsorted(adj_keys, keys)
+        np.minimum(pos, len(adj_keys) - 1, out=pos)
+        member[tail] = adj_keys[pos] == keys
+    return member
 
 
 # ---------------------------------------------------------------------
@@ -296,15 +310,7 @@ def _row_blocks(volume: np.ndarray) -> list[int]:
     about :data:`BLOCK_ELEMENTS` gathered candidates (``volume[i]`` is
     what row ``i`` gathers; a row counts for at least one element, and
     one row is never split)."""
-    n = len(volume)
-    ends = np.cumsum(volume + 1)
-    total = int(ends[-1]) if n else 0
-    if total <= BLOCK_ELEMENTS:
-        return [0, n]
-    cuts = np.searchsorted(
-        ends, np.arange(BLOCK_ELEMENTS, total, BLOCK_ELEMENTS)
-    ) + 1
-    return np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+    return block_bounds(volume + 1, BLOCK_ELEMENTS)
 
 
 def _join(

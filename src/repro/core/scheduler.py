@@ -37,7 +37,7 @@ from repro.cluster.machine import MachineState
 from repro.core.cache import EdgeCache
 from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
 from repro.core.extend import ScheduleExtender
-from repro.core.hds import HorizontalShareTable, ProbeOutcome
+from repro.core.hds import HorizontalShareTable
 from repro.core.pipeline import pipeline_time
 from repro.errors import MachineCrashError, SimTimeoutError
 from repro.faults.injector import FaultInjector
@@ -329,9 +329,6 @@ class MachineScheduler:
                 self._take_checkpoint(len(root_chunk))
                 self._check_budget()
         except MachineCrashError:
-            # this machine's HDS entries alias fetch buffers that died
-            # with it; drop them so nothing dangles past the crash
-            self.hds.invalidate()
             self.machine.alive = False
             raise
         return self.matches
@@ -514,15 +511,14 @@ class MachineScheduler:
     # communication resolution (circulant scheduling, Section 4.3)
     # ------------------------------------------------------------------
     def _resolve_chunk(self, chunk: Chunk, state: _LevelState) -> None:
+        """Settle where every row's active edge list comes from, as
+        passes over the chunk's columns: local by owner, then the share
+        table, then the cache, then one fetch batch per remote owner."""
         me = self.machine.machine_id
-        if self.hds_enabled:
-            self.hds.clear()  # the share table is per level/chunk
         chain_steps_before = self.hds.chain_steps
         probes = 0
         fetched = 0
         if self._needs_edge_list(chunk.level):
-            # non-remote rows are classified with array ops; only the
-            # remote remainder walks HDS and the cache, as plain ints
             vertex = chunk.vertex
             ebytes = self._edge_bytes[vertex]
             owner = self._vertex_owner[vertex]
@@ -533,44 +529,29 @@ class MachineScheduler:
             chunk.source[refunded] = EdgeListSource.LOCAL
             remote = np.flatnonzero(~refunded)
             self._count_sources("local", len(chunk) - len(remote))
-            shared: list[int] = []
-            cached: list[int] = []
-            groups: dict[int, list[int]] = {}
-            hds_enabled = self.hds_enabled
-            hds_probe = self.hds.probe
-            cache_query = self.cache.query
-            hit = ProbeOutcome.HIT
-            for row, v, row_owner in zip(
-                remote.tolist(), vertex[remote].tolist(),
-                owner[remote].tolist(),
-            ):
-                if hds_enabled:
-                    probes += 1
-                    if hds_probe(v) is hit:
-                        shared.append(row)
-                        continue
-                if cache_query(v):
-                    cached.append(row)
-                    continue
-                group = groups.get(row_owner)
-                if group is None:
-                    group = groups[row_owner] = []
-                group.append(row)
-            chunk.source[shared] = EdgeListSource.SHARED
+            if self.hds_enabled:
+                probes = len(remote)
+                hit = self.hds.share(vertex[remote])
+                shared, remote = remote[hit], remote[~hit]
+                chunk.source[shared] = EdgeListSource.SHARED
+                refunded[shared] = True
+                self._count_sources("shared", len(shared))
+            hit = self.cache.query_many(vertex[remote])
+            cached, remote = remote[hit], remote[~hit]
             chunk.source[cached] = EdgeListSource.CACHE
-            refunded[shared] = True
             refunded[cached] = True
-            self._count_sources("shared", len(shared))
             self._count_sources("cache", len(cached))
             # circulant order: owner machines starting from me+1
             num_machines = self.cluster.num_machines
+            hops = (owner[remote] - me) % num_machines
+            remote = remote[np.argsort(hops, kind="stable")]
+            ends = np.cumsum(np.bincount(hops, minlength=num_machines))
             ordered = [
-                (peer, np.array(groups[peer]))
-                for peer in (
-                    (me + offset) % num_machines
-                    for offset in range(1, num_machines)
+                ((me + hop) % num_machines, remote[start:stop])
+                for hop, (start, stop) in enumerate(
+                    zip(ends.tolist(), ends[1:].tolist()), 1
                 )
-                if peer in groups
+                if stop > start
             ]
             transport = self.transport
             if transport is not None and ordered:
@@ -613,33 +594,28 @@ class MachineScheduler:
         rows: np.ndarray,
         vertices: np.ndarray,
         sizes: np.ndarray,
-    ) -> list[int]:
+    ) -> np.ndarray:
         """One circulant communication batch: record the fetches of
         ``rows`` from ``owner``, offer each list to the cache, price
         the wire time. Returns the rows the cache admitted."""
         me = self.machine.machine_id
         network = self.cluster.network
         server = self.cluster.machine(owner)
-        admit = self.cache.admit
-        fetches = zip(
-            rows.tolist(), vertices.tolist(), sizes.tolist(),
-            self._vertex_degrees[vertices].tolist(),
-        )
+        degrees = self._vertex_degrees[vertices]
         payload = int(sizes.sum())
         if network.injector is None:
             network.record_fetch_batch(me, owner, len(rows), payload, server)
-            admitted = [
-                row for row, v, size, degree in fetches
-                if admit(v, size, degree)
-            ]
+            admitted = self.cache.admit_many(vertices, sizes, degrees)
         else:
             # injected failures interleave retry state with each
-            # fetch's bookkeeping: keep the one-at-a-time path
-            admitted = []
-            for row, v, size, degree in fetches:
+            # fetch's bookkeeping, and one that exhausts its retries
+            # ends the batch midway: keep the one-at-a-time path
+            admitted = np.zeros(len(rows), dtype=bool)
+            for fetch, (v, size, degree) in enumerate(zip(
+                vertices.tolist(), sizes.tolist(), degrees.tolist()
+            )):
                 network.record_fetch(me, owner, size, server)
-                if admit(v, size, degree):
-                    admitted.append(row)
+                admitted[fetch] = self.cache.admit(v, size, degree)
         comm = network.batch_time(payload, len(rows))
         # injected transient failures: their backoff waits extend
         # this batch's wire time; a straggler's slow link stretches it
@@ -663,7 +639,7 @@ class MachineScheduler:
                     "serve_seconds": network.serve_time(payload, len(rows)),
                 },
             ))
-        return admitted
+        return rows[admitted]
 
     # ------------------------------------------------------------------
     # accounting

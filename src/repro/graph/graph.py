@@ -17,6 +17,11 @@ from repro.errors import GraphFormatError
 #: Bytes used to represent one vertex id on the wire and in memory.
 VERTEX_ID_BYTES = 4
 
+#: Neighbor-list entries one pass of the adjacency-row builder gathers:
+#: its temporaries stay a few MB however large the graph (an mmap-backed
+#: graph must never see an ``indices``-sized one).
+_ROW_BUILD_ELEMENTS = 1 << 18
+
 
 def gather_segments(
     values: np.ndarray, offsets: np.ndarray, segments
@@ -39,6 +44,17 @@ def gather_segments(
     gather = np.repeat(starts - new_offsets[:-1], counts)
     gather += np.arange(total, dtype=np.int64)
     return values[gather], new_offsets
+
+
+def block_bounds(weights: np.ndarray, block: int) -> list[int]:
+    """Boundaries ``[0, ..., n]`` cutting ``n`` weighted items into runs
+    of about ``block`` total weight; one item is never split."""
+    ends = np.cumsum(weights)
+    total = int(ends[-1]) if len(ends) else 0
+    if total <= block:
+        return [0, len(weights)]
+    cuts = np.searchsorted(ends, np.arange(block, total, block)) + 1
+    return sorted({0, *cuts.tolist(), len(weights)})
 
 
 class Graph:
@@ -72,8 +88,9 @@ class Graph:
         "_adjacency_matrix",
     )
 
-    #: largest dense adjacency bitmap the kernels will materialize
-    #: (bytes); |V|^2 above this falls back to composite-key probes
+    #: most bytes of bit-packed adjacency rows the kernels will
+    #: materialize (:meth:`adjacency_matrix`); vertices beyond them
+    #: are answered by composite-key probes
     DENSE_ADJACENCY_BYTES = 64 << 20
 
     #: storage mode tag; :class:`repro.graph.storage.MmapGraph`
@@ -116,7 +133,7 @@ class Graph:
         #: lazy caches; the arrays above are immutable by contract
         self._degrees: Optional[np.ndarray] = None
         self._adjacency_keys: Optional[np.ndarray] = None
-        self._adjacency_matrix: Optional[np.ndarray] = None
+        self._adjacency_matrix: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -173,28 +190,47 @@ class Graph:
             self._adjacency_keys = keys
         return self._adjacency_keys
 
-    def adjacency_matrix(self) -> Optional[np.ndarray]:
-        """Dense boolean adjacency, or ``None`` when too large to pay for.
+    def adjacency_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bit-packed adjacency rows of the top-degree vertices.
 
-        ``matrix[u, v]`` answers ``has_edge(u, v)`` with a single load —
-        random membership probes against it are an order of magnitude
-        cheaper than binary searches, which is what the batched EXTEND
-        kernels buy with it. Materialized lazily and only while
-        ``|V|**2`` stays under :data:`DENSE_ADJACENCY_BYTES` (the
-        bundled dataset analogues all qualify); larger graphs return
-        ``None`` and the kernels keep the ``adjacency_keys`` probe path.
+        Returns ``(rows, rank)``: ``rank[u]`` is vertex ``u``'s row
+        (``int32``, -1 = no row) and ``rows[rank[u], v >> 3] >> (v & 7)
+        & 1`` answers ``has_edge(u, v)`` with one load — random
+        membership probes against it are several times cheaper than
+        binary searches, which is what the batched EXTEND kernels buy
+        with it. Rows are out-rows, so an oriented graph's answers stay
+        directed. As many vertices get a row, in descending degree
+        order, as fit in the bytes of the composite-key array the rows
+        sit beside (:meth:`adjacency_keys`, 8 per directed entry),
+        capped at :data:`DENSE_ADJACENCY_BYTES`: the structure never
+        more than doubles what the kernels already keep resident, and
+        on a skewed graph those few rows take nearly every probe
+        (docs/performance.md). A graph whose vertices all fit is fully
+        dense; the rest of a larger one keeps the ``adjacency_keys``
+        probe path. Built lazily from the hub vertices' own lists, a
+        bounded gather at a time.
         """
-        if self.num_vertices ** 2 > self.DENSE_ADJACENCY_BYTES:
-            return None
         if self._adjacency_matrix is None:
             n = self.num_vertices
-            matrix = np.zeros((n, n), dtype=bool)
-            src = np.repeat(
-                np.arange(n, dtype=np.int64), self.degrees()
-            )
-            matrix[src, self.indices] = True
-            matrix.setflags(write=False)
-            self._adjacency_matrix = matrix
+            row_bytes = (n + 7) // 8
+            budget = min(8 * len(self.indices), self.DENSE_ADJACENCY_BYTES)
+            k = min(n, budget // row_bytes) if n else 0
+            degrees = self.degrees()
+            hubs = np.argsort(-degrees, kind="stable")[:k]
+            rank = np.full(n, -1, dtype=np.int32)
+            rank[hubs] = np.arange(k, dtype=np.int32)
+            rows = np.zeros((k, row_bytes), dtype=np.uint8)
+            bounds = block_bounds(degrees[hubs], _ROW_BUILD_ELEMENTS)
+            for start, stop in zip(bounds, bounds[1:]):
+                values, offsets = self.neighbors_batch(hubs[start:stop])
+                row_of = np.repeat(np.arange(start, stop), np.diff(offsets))
+                np.bitwise_or.at(
+                    rows, (row_of, values >> 3),
+                    np.left_shift(1, values & 7).astype(np.uint8),
+                )
+            rows.setflags(write=False)
+            rank.setflags(write=False)
+            self._adjacency_matrix = (rows, rank)
         return self._adjacency_matrix
 
     def degree(self, v: int) -> int:

@@ -40,27 +40,33 @@ def reorder_by_degree(
 def apply_order(graph: Graph, old_of_new: np.ndarray) -> Graph:
     """Renumber ``graph`` so that new vertex ``i`` is ``old_of_new[i]``."""
     old_of_new = np.asarray(old_of_new, dtype=np.int64)
-    if sorted(old_of_new.tolist()) != list(range(graph.num_vertices)):
+    n = graph.num_vertices
+    if (
+        old_of_new.shape != (n,)
+        or (n and old_of_new.min() < 0)
+        or not np.array_equal(np.bincount(old_of_new, minlength=n),
+                              np.ones(n, dtype=np.int64))
+    ):
         raise ValueError("old_of_new must be a permutation of vertex ids")
     new_of_old = np.empty_like(old_of_new)
-    new_of_old[old_of_new] = np.arange(graph.num_vertices)
+    new_of_old[old_of_new] = np.arange(n)
 
-    edges = np.array(
-        [(new_of_old[u], new_of_old[v]) for u, v in graph.edges()],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    edge_labels = None
-    if graph.edge_labels is not None:
-        edge_labels = [graph.edge_label(u, v) for u, v in graph.edges()]
-    labels = None
-    if graph.labels is not None:
-        labels = graph.labels[old_of_new]
+    # every stored entry once — an undirected edge from its smaller
+    # endpoint, as ``graph.edges()`` yields it — with its label carried
+    # by position
+    src = np.repeat(np.arange(n), graph.degrees())
+    once = slice(None) if graph.directed else src < graph.indices
+    edges = np.stack(
+        [new_of_old[src[once]], new_of_old[graph.indices[once]]], axis=1
+    )
     return from_edge_array(
         edges,
-        num_vertices=graph.num_vertices,
-        labels=labels,
+        num_vertices=n,
+        labels=None if graph.labels is None else graph.labels[old_of_new],
         directed=graph.directed,
-        edge_labels=edge_labels,
+        edge_labels=(
+            None if graph.edge_labels is None else graph.edge_labels[once]
+        ),
     )
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.graph import Graph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -30,6 +33,60 @@ def comparable():
         return document
 
     return strip
+
+
+@pytest.fixture
+def count_calls():
+    """``count(function, *args)``: how many Python- and C-level calls
+    happen while ``function(*args)`` runs (``sys.setprofile``). A pass
+    over a column makes the same calls whatever the column's length, so
+    comparing two lengths is a stopwatch-free tripwire for per-row work
+    creeping back into a chunk pass."""
+
+    def count(function, *args):
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            function(*args)
+        finally:
+            sys.setprofile(previous)
+        return calls
+
+    return count
+
+
+@pytest.fixture(params=["dense", "rows+tail", "keys"])
+def membership_regime(request, monkeypatch):
+    """The three ways ``kernels.adjacency_member`` can be answered.
+
+    Returns ``apply(graph)``, which rebuilds the graph's adjacency rows
+    under the regime's byte budget for the rest of the test: every
+    vertex has a bit-packed row (``dense`` — the default budget on a
+    small graph), only the top fifth by degree do and the composite-key
+    search answers the rest (``rows+tail`` — what a graph over the
+    budget gets), or none does (``keys``).
+    """
+    regime = request.param
+
+    def apply(graph):
+        n = graph.num_vertices
+        rows = {"dense": n, "rows+tail": n // 5, "keys": 0}[regime]
+        if regime != "dense":
+            monkeypatch.setattr(
+                Graph, "DENSE_ADJACENCY_BYTES", rows * ((n + 7) // 8))
+        monkeypatch.setattr(graph, "_adjacency_matrix", None)
+        _, rank = graph.adjacency_matrix()
+        if graph.num_directed_edges:
+            assert int((rank >= 0).sum()) == rows
+        return graph
+
+    return apply
 
 
 @pytest.fixture(scope="session")

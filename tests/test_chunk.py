@@ -288,6 +288,38 @@ def test_resolve_refunds_everything_but_stored_fetches(graph):
     assert sum(child_state.batch_sizes) == len(chunk)
 
 
+def test_resolve_makes_no_per_row_calls(graph, count_calls):
+    """Resolve is passes over the chunk's columns: a chunk ten times as
+    long makes the same Python-level calls, give or take a circulant
+    batch per peer (static policy, HDS on, every row remote)."""
+    schedule = automine_schedule(catalog.chain(4))
+    machines = 4
+    cluster, scheduler = _scheduler(graph, schedule, 1 << 20,
+                                    machines=machines)
+    elsewhere = np.flatnonzero(cluster.partitioned.owners_all() != 0)
+    ebytes = graph.edge_list_bytes_all()
+    rng = np.random.default_rng(0)
+
+    def resolve(rows):
+        vertex = rng.choice(elsewhere, size=rows)
+        chunk = Chunk(1, 1 << 20, scheduler.machine)
+        chunk.fill(vertex, np.zeros(rows, dtype=np.int64),
+                   EMBEDDING_BASE_BYTES + ebytes[vertex],
+                   EdgeListSource.PENDING)
+        calls = count_calls(scheduler._resolve_chunk, chunk,
+                            _LevelState(chunk))
+        assert set(chunk.source.tolist()) <= {
+            EdgeListSource.SHARED, EdgeListSource.REMOTE}
+        chunk.release()
+        return calls
+
+    resolve(1_000)  # warm: lazy imports, the cache's mask at full size
+    assert abs(resolve(10_000) - resolve(1_000)) < machines - 1
+    assert scheduler.hds.probes == 12_000
+    assert scheduler.fetch_sources["remote"] > 100
+    assert scheduler.fetch_sources["shared"] > 10_000
+
+
 def _reference_calls(graph, schedule):
     """Every ``(prefix, candidates)`` the UDF must see, by the
     row-by-row reference: a plain DFS over compute_candidates."""

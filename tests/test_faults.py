@@ -11,7 +11,6 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.cluster.costmodel import CostModel
 from repro.core.cache import CachePolicy, EdgeCache
-from repro.core.hds import HorizontalShareTable
 from repro.errors import ConfigurationError
 from repro.faults import (
     Checkpoint,
@@ -250,14 +249,6 @@ def test_cache_invalidate_by_predicate():
     assert cache.used_bytes == used_before - 5 * 64
     assert all(v not in cache for v in (0, 2, 4, 6, 8))
     assert all(v in cache for v in (1, 3, 5, 7, 9))
-
-
-def test_hds_invalidate():
-    hds = HorizontalShareTable(num_slots=64)
-    for v in (3, 17, 42):
-        hds.probe(v)  # empty slots: every probe inserts
-    assert hds.invalidate(lambda v: v == 17) == 1
-    assert hds.invalidate() == 2  # drop-all path removes the rest
 
 
 def test_outcome_enum_strings():

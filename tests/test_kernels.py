@@ -13,10 +13,15 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.extend import compute_candidates
-from repro.graph import from_edges
+from repro.core.extend import compute_candidates, iep_count
+from repro.graph import from_edges, open_store, write_store
+from repro.graph.orientation import orient_by_degree
 from repro.patterns import Pattern, catalog
-from repro.patterns.schedule import automine_schedule, graphpi_schedule
+from repro.patterns.schedule import (
+    automine_schedule,
+    compile_counting_plan,
+    graphpi_schedule,
+)
 
 
 # ======================================================================
@@ -306,3 +311,114 @@ def test_extend_chunk_empty_chunk(small_random_graph):
     )
     assert len(batch) == 0
     assert len(batch.values) == 0
+
+
+# ======================================================================
+# membership regimes: every vertex a bit-packed row / hub rows + key
+# tail / keys only (the ``membership_regime`` fixture)
+# ======================================================================
+def _labeled_both_ways():
+    """A graph with vertex *and* edge labels, and a triangle pattern
+    that constrains both — membership probes and ``adjacency_position``
+    lookups in one step."""
+    rng = np.random.default_rng(5)
+    edges = [
+        (u, v) for u in range(40) for v in range(u + 1, 40)
+        if rng.random() < 0.3
+    ]
+    graph = from_edges(
+        edges, edge_labels=[int(rng.integers(0, 2)) for _ in edges]
+    ).with_labels(rng.integers(0, 2, size=40))
+    pattern = Pattern(
+        3, [(0, 1), (1, 2), (0, 2)], labels=(0, 1, 0),
+        edge_labels={(0, 1): 1, (1, 2): 0, (0, 2): 1},
+    )
+    return graph, pattern
+
+
+def _regime_cases(skewed_graph, tmp_path):
+    """``(graph, schedules)`` per input shape the rows have to get
+    right; the schedules' steps probe membership both ways
+    (intersections, and induced mode's set differences)."""
+    labeled, labeled_triangle = _labeled_both_ways()
+    store = tmp_path / "skewed.kcsr"
+    write_store(skewed_graph, store)
+    clique4 = catalog.clique(4)
+    induced_cycle = automine_schedule(catalog.cycle(4), induced=True)
+    return {
+        "skewed": (skewed_graph,
+                   [automine_schedule(clique4), induced_cycle]),
+        # out-rows only: an oriented graph's rows are not symmetric
+        # (the orientation is the symmetry breaking, so no restrictions)
+        "oriented": (orient_by_degree(skewed_graph),
+                     [automine_schedule(clique4, use_restrictions=False)]),
+        "labeled": (labeled, [automine_schedule(labeled_triangle)]),
+        "edgeless": (from_edges([], num_vertices=20), []),
+        "mmap": (open_store(store), [automine_schedule(catalog.clique(3))]),
+    }
+
+
+def test_adjacency_member_regimes(skewed_graph, membership_regime, tmp_path):
+    rng = np.random.default_rng(2)
+    for name, (graph, _) in _regime_cases(skewed_graph, tmp_path).items():
+        graph = membership_regime(graph)
+        n = graph.num_vertices
+        # every edge, and as many random pairs (mostly non-edges)
+        sources = np.concatenate([
+            np.repeat(np.arange(n), graph.degrees()),
+            rng.integers(0, n, size=graph.num_directed_edges + 50),
+        ])
+        cands = np.concatenate([
+            graph.indices, rng.integers(0, n, size=len(sources) - len(
+                graph.indices)).astype(np.int32),
+        ])
+        member = kernels.adjacency_member(graph, sources, cands)
+        expected = [
+            graph.has_edge(s, c)
+            for s, c in zip(sources.tolist(), cands.tolist())
+        ]
+        assert member.tolist() == expected, name
+        assert member[:graph.num_directed_edges].all(), name
+
+
+def test_extend_chunk_regimes(skewed_graph, membership_regime, tmp_path):
+    for graph, schedules in _regime_cases(skewed_graph, tmp_path).values():
+        graph = membership_regime(graph)
+        for schedule in schedules:
+            _check_schedule(graph, schedule)
+
+
+def test_iep_chunk_regimes(skewed_graph, membership_regime, tmp_path):
+    plans = [
+        compile_counting_plan(graphpi_schedule(pattern, counting="iep"))
+        for pattern in (catalog.star(3), catalog.chain(4))
+    ]
+    for name, (graph, _) in _regime_cases(skewed_graph, tmp_path).items():
+        graph = membership_regime(graph)
+        for plan in plans:
+            size = plan.prefix_schedule.pattern.num_vertices
+            rows = np.random.default_rng(4).integers(
+                0, graph.num_vertices, size=(300, size))
+            batch = kernels.iep_chunk(graph, plan, rows)
+            got = zip(batch.counts.tolist(), batch.merge_elements.tolist(),
+                      batch.scanned.tolist())
+            assert list(got) == [
+                iep_count(graph, plan, tuple(row)) for row in rows.tolist()
+            ], name
+
+
+def test_adjacency_member_makes_no_per_element_calls(
+    skewed_graph, membership_regime, count_calls
+):
+    """Rows and tail are both whole-array answers: a hundred times the
+    pairs, the same Python-level calls."""
+    graph = membership_regime(skewed_graph)
+    rng = np.random.default_rng(6)
+
+    def probe(pairs):
+        sources = rng.integers(0, graph.num_vertices, size=pairs)
+        cands = rng.integers(0, graph.num_vertices, size=pairs)
+        return count_calls(kernels.adjacency_member, graph, sources, cands)
+
+    probe(10)  # the composite keys are built on first use
+    assert probe(100_000) == probe(1_000)

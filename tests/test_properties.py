@@ -8,7 +8,7 @@ from repro.analysis import count_embeddings_brute_force
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.core.cache import CachePolicy, EdgeCache
-from repro.core.hds import HorizontalShareTable, ProbeOutcome
+from repro.core.hds import HorizontalShareTable
 from repro.core.pipeline import pipeline_time
 from repro.cluster.costmodel import CostModel
 from repro.graph import HashPartitioner, from_edge_array
@@ -162,10 +162,11 @@ def test_cache_capacity_invariant(policy, ops):
 @settings(max_examples=100, deadline=None)
 def test_hds_hit_implies_prior_insert(probes):
     table = HorizontalShareTable(32)
-    inserted = set()
-    for v in probes:
-        outcome = table.probe(v)
-        if outcome is ProbeOutcome.HIT:
-            assert v in inserted
-        elif outcome is ProbeOutcome.INSERTED:
-            inserted.add(v)
+    hit = table.share(np.array(probes, dtype=np.int64))
+    seen = set()
+    for v, shared in zip(probes, hit.tolist()):
+        if shared:
+            assert v in seen
+        seen.add(v)
+    # every probe is exactly one of hit / insert / drop
+    assert table.hits + table.inserts + table.drops == len(probes)

@@ -6,8 +6,14 @@ import pytest
 from repro.analysis import count_embeddings_brute_force
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import KhuzdulEngine
-from repro.graph import dataset, from_edges
-from repro.graph.generators import erdos_renyi, power_law_graph, star_graph
+from repro.graph import DATASETS, dataset, from_edge_array, from_edges
+from repro.graph.generators import (
+    erdos_renyi,
+    power_law_graph,
+    random_labels,
+    star_graph,
+)
+from repro.graph.orientation import orient_by_degree
 from repro.graph.reorder import apply_order, reorder_by_degree, restore_ids
 from repro.graph.stats import degree_stats, hot_vertices, traffic_concentration
 from repro.patterns import clique
@@ -67,8 +73,59 @@ def test_reorder_preserves_edge_labels():
 
 def test_apply_order_validates():
     g = from_edges([(0, 1)])
-    with pytest.raises(ValueError):
-        apply_order(g, np.array([0, 0]))
+    for order in ([0, 0], [0, 2], [-1, 0], [0], [0, 1, 2], [[0, 1]]):
+        with pytest.raises(ValueError):
+            apply_order(g, np.array(order))
+
+
+def _apply_order_per_edge(graph, old_of_new):
+    """The per-edge implementation ``apply_order`` replaced, kept as
+    its reference: one Python tuple and one binary-searched label
+    lookup per edge."""
+    new_of_old = np.empty_like(old_of_new)
+    new_of_old[old_of_new] = np.arange(graph.num_vertices)
+    edges = np.array(
+        [(new_of_old[u], new_of_old[v]) for u, v in graph.edges()],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    edge_labels = None
+    if graph.edge_labels is not None:
+        edge_labels = [graph.edge_label(u, v) for u, v in graph.edges()]
+    return from_edge_array(
+        edges, num_vertices=graph.num_vertices,
+        labels=None if graph.labels is None else graph.labels[old_of_new],
+        directed=graph.directed, edge_labels=edge_labels,
+    )
+
+
+def _reorder_inputs():
+    for name in DATASETS:
+        yield name, dataset(name, scale=0.1)
+    yield "labeled", random_labels(erdos_renyi(50, 160, seed=11), 3, seed=2)
+    rng = np.random.default_rng(8)
+    edges = [(u, v) for u in range(30) for v in range(u + 1, 30)
+             if rng.random() < 0.3]
+    yield "edge-labeled", from_edges(
+        edges, labels=rng.integers(0, 3, size=30),
+        edge_labels=rng.integers(0, 4, size=len(edges)))
+    yield "oriented", orient_by_degree(dataset("mico", scale=0.1))
+    yield "edgeless", from_edges([], num_vertices=5)
+
+
+@pytest.mark.parametrize(
+    "name,graph", _reorder_inputs(), ids=lambda value: (
+        value if isinstance(value, str) else ""))
+def test_apply_order_matches_per_edge_reference(name, graph):
+    orders = [
+        reorder_by_degree(graph)[1],
+        np.random.default_rng(1).permutation(graph.num_vertices),
+    ]
+    for old_of_new in orders:
+        got = apply_order(graph, old_of_new)
+        expected = _apply_order_per_edge(graph, old_of_new)
+        assert got == expected  # indptr, indices, labels, edge labels
+        assert got.indices.dtype == expected.indices.dtype
+        assert (got.edge_labels is None) == (graph.edge_labels is None)
 
 
 def test_restore_ids_roundtrip(skewed_graph):
