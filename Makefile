@@ -52,13 +52,20 @@ chaos-check:
 	PYTHONPATH=src:. $(PYTHON) -m pytest $(TIMEOUT_FLAGS) \
 		benchmarks/chaos.py -q
 
-## IEP counting-plan suite (docs/performance.md, "Inclusion–exclusion
-## counting"): plan compilation, bit-identity against the enumeration
-## oracle across backends, the terminal kernel against its row-by-row
-## reference, the 3/4/5-motif census
-## (IEP route vs induced oracle), and the schedule cost-model pins
+## pattern-compiler and IEP counting-plan suite (docs/performance.md,
+## "Compilation" and "Inclusion–exclusion counting"): every chosen
+## order, restriction set and counting plan against the recorded golden
+## (tests/data/schedules_golden.json), the bitmask algebra and the
+## order scorer against the bodies they replaced, the compile-once
+## call-count tripwires; then plan compilation, bit-identity against
+## the enumeration oracle across backends, the terminal kernel against
+## its row-by-row reference, the 3/4/5-motif census (IEP route vs
+## induced oracle), and the schedule cost-model pins
 motif-check:
-	$(PYTEST) tests/test_iep.py -q
+	$(PYTEST) tests/test_schedule.py tests/test_schedule_golden.py \
+		tests/test_canonical.py tests/test_generation.py \
+		tests/test_pattern_oracles.py tests/test_compile_once.py \
+		tests/test_iep.py -q
 
 ## out-of-core storage suite (docs/storage.md): streaming-vs-eager
 ## builder parity, store round-trip/corruption rejection, ram-vs-mmap

@@ -513,6 +513,10 @@ def _iep_rows(
     scanned = np.zeros(n, dtype=np.int64)
     probe_elements = 0
     cards: dict[tuple[int, ...], np.ndarray] = {}
+    # (source column, column) -> is the row's vertex at ``column`` a
+    # neighbour of the one at ``source column``: the signatures overlap,
+    # so each ordered pair is probed once per block, on first use
+    adjacent: dict[tuple[int, int], np.ndarray] = {}
     for signature in plan.signatures:
         if len(signature) == 1:
             card = degrees[prefixes[:, signature[0]]].astype(np.int64)
@@ -539,11 +543,14 @@ def _iep_rows(
         for column in range(prefix_size):
             inside = np.ones(n, dtype=bool)
             for source_column in signature:
-                inside &= adjacency_member(
-                    graph,
-                    prefixes[:, source_column],
-                    prefixes[:, column],
-                )
+                pair = (source_column, column)
+                if pair not in adjacent:
+                    adjacent[pair] = adjacency_member(
+                        graph,
+                        prefixes[:, source_column],
+                        prefixes[:, column],
+                    )
+                inside &= adjacent[pair]
             card = card - inside
         cards[signature] = card
     totals = np.zeros(n, dtype=np.int64)

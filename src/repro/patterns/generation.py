@@ -7,11 +7,13 @@ canonical codes from :mod:`repro.patterns.canonical`.
 
 from __future__ import annotations
 
-from itertools import combinations
 from functools import lru_cache
+from itertools import combinations
+
+import numpy as np
 
 from repro.errors import PatternError
-from repro.patterns.canonical import canonical_code
+from repro.patterns.canonical import canonical_code, permutation_tables
 from repro.patterns.pattern import Pattern
 
 
@@ -19,27 +21,30 @@ from repro.patterns.pattern import Pattern
 def connected_patterns(k: int) -> list[Pattern]:
     """All connected ``k``-vertex patterns, one per isomorphism class.
 
-    Enumerates every edge subset of K_k, keeps connected graphs, and
-    deduplicates by canonical code. Sizes match the graph-theory
-    sequence: 1, 1, 2, 6, 21 for k = 1..5.
+    Walks the edge subsets of K_k as ascending bitmasks; the first one
+    of an isomorphism class marks the class's whole orbit in one pass
+    over the table (:func:`permutation_tables`), so each class costs
+    ``k!`` table rows once, not each subset ``k!`` encodings. A class is
+    represented by its smallest mask, classes in ascending order. Sizes
+    match the graph-theory sequence: 1, 1, 2, 6, 21, 112 for k = 1..6.
     """
     if k < 1:
         raise PatternError("pattern size must be >= 1")
     if k == 1:
         return [Pattern(1, [])]
     all_edges = list(combinations(range(k), 2))
-    seen: dict[tuple, Pattern] = {}
-    for mask in range(1 << len(all_edges)):
-        edges = [all_edges[i] for i in range(len(all_edges)) if mask >> i & 1]
-        if len(edges) < k - 1:
-            continue  # too few edges to connect k vertices
-        pattern = Pattern(k, edges)
-        if not pattern.is_connected():
-            continue
-        code = canonical_code(pattern)
-        if code not in seen:
-            seen[code] = pattern
-    return list(seen.values())
+    images = permutation_tables(k)[1]
+    marked = np.zeros(1 << len(all_edges), dtype=bool)
+    found = []
+    for mask in range(len(marked)):
+        if marked[mask] or mask.bit_count() < k - 1:
+            continue  # seen its class, or too few edges to connect
+        numbers = [e for e in range(len(all_edges)) if mask >> e & 1]
+        marked[images[:, numbers].sum(axis=1)] = True
+        pattern = Pattern(k, [all_edges[e] for e in numbers])
+        if pattern.is_connected():
+            found.append(pattern)
+    return found
 
 
 def single_edge_patterns(labels: set[int]) -> list[Pattern]:

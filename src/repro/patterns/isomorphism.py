@@ -8,6 +8,7 @@ symmetry-breaking restriction generator.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from repro.patterns.pattern import Pattern
@@ -88,10 +89,12 @@ def _first_isomorphism(p0: Pattern, p1: Pattern) -> Iterator[tuple[int, ...]]:
     yield from _extend(p0, p1, mapping, used, 0)
 
 
-def automorphisms(pattern: Pattern) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=4096)
+def automorphisms(pattern: Pattern) -> tuple[tuple[int, ...], ...]:
     """The automorphism group of ``pattern`` as permutation tuples.
 
     Always contains the identity; its size divides ``n!`` and equals the
-    overcount factor of unrestricted pattern enumeration.
+    overcount factor of unrestricted pattern enumeration. Memoized, and
+    therefore immutable: every caller is handed the same tuple.
     """
-    return find_isomorphisms(pattern, pattern)
+    return tuple(find_isomorphisms(pattern, pattern))

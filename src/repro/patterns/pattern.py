@@ -12,7 +12,10 @@ class Pattern:
 
     Pattern vertices are ``0..num_vertices-1``. Patterns are immutable
     and hashable (by vertex count, edge set, and labels), so they can be
-    used as dictionary keys in motif/FSM counters.
+    used as dictionary keys in motif/FSM counters and as the keys the
+    compilers are memoized on. ``masks[v]`` is the bitmask of ``v``'s
+    neighbours (bit ``u`` set iff ``(u, v)`` is an edge): what the
+    compilers' inner loops read instead of the frozensets.
 
     Parameters
     ----------
@@ -26,7 +29,7 @@ class Pattern:
     """
 
     __slots__ = ("num_vertices", "edges", "labels", "edge_labels",
-                 "_adj", "_hash")
+                 "masks", "_adj", "_edge_label", "_hash")
 
     def __init__(
         self,
@@ -68,11 +71,20 @@ class Pattern:
         self.edges = frozenset(normalized)
         self.labels = labels
         self.edge_labels = normalized_elabels
-        adj: list[set[int]] = [set() for _ in range(num_vertices)]
+        masks = [0] * num_vertices
+        # either orientation of an edge -> its label, for edge_label
+        labelled = dict(normalized_elabels or ())
+        self._edge_label = {}
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            self._edge_label[u, v] = self._edge_label[v, u] = labelled.get(
+                (u, v), 0)
+        self.masks = tuple(masks)
+        self._adj = tuple(
+            frozenset(u for u in range(num_vertices) if mask >> u & 1)
+            for mask in masks
+        )
         self._hash = hash(
             (num_vertices, self.edges, labels, normalized_elabels)
         )
@@ -90,7 +102,7 @@ class Pattern:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return bool(self.masks[u] >> v & 1)
 
     def label(self, v: int) -> int:
         """Label of pattern vertex ``v`` (0 when unlabeled)."""
@@ -100,26 +112,21 @@ class Pattern:
 
     def edge_label(self, u: int, v: int) -> int:
         """Label of pattern edge ``(u, v)`` (0 when edge-unlabeled)."""
-        key = (min(u, v), max(u, v))
-        if key not in self.edges:
-            raise PatternError(f"edge {key} not in pattern")
-        if self.edge_labels is None:
-            return 0
-        return dict(self.edge_labels)[key]
+        try:
+            return self._edge_label[u, v]
+        except KeyError:
+            raise PatternError(
+                f"edge {(min(u, v), max(u, v))} not in pattern") from None
 
     def is_connected(self) -> bool:
         """Whether the pattern is a single connected component."""
-        if self.num_vertices == 1:
-            return True
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == self.num_vertices
+        reached, frontier = 1, self.masks[0]
+        while frontier & ~reached:
+            low = frontier & ~reached
+            low &= -low  # the smallest vertex reached but not expanded
+            reached |= low
+            frontier |= self.masks[low.bit_length() - 1]
+        return reached == (1 << self.num_vertices) - 1
 
     def relabel(self, perm: Sequence[int]) -> "Pattern":
         """Apply a vertex permutation: new vertex ``perm[v]`` is old ``v``."""

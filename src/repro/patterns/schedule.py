@@ -15,20 +15,22 @@ Two generators mirror the two client systems:
 - :func:`graphpi_schedule` — GraphPi's exhaustive search over connected
   matching orders scored by an expected-cardinality cost model (the
   reason k-GraphPi beats k-Automine on 3-motif counting in Table 2).
+
+Both are pure functions of hashable values, memoized on exactly their
+arguments: a process compiles a pattern once (docs/performance.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from repro.errors import ScheduleError
 from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
-from repro.patterns.symmetry import symmetry_restrictions
+from repro.patterns.symmetry import stabilizer_chain, symmetry_restrictions
 
 
 @dataclass(frozen=True)
@@ -230,18 +232,23 @@ def compile_schedule(
 # ----------------------------------------------------------------------
 # matching-order generation
 # ----------------------------------------------------------------------
-def _connected_orders(pattern: Pattern):
-    """All matching orders with the connected-prefix property."""
-    n = pattern.num_vertices
-    for perm in permutations(range(n)):
-        ok = all(
-            any(pattern.has_edge(perm[i], perm[j]) for j in range(i))
-            for i in range(1, n)
+def _connected_orders(pattern: Pattern) -> Iterator[tuple[int, ...]]:
+    """All matching orders with the connected-prefix property, grown
+    depth first in lexicographic order over the neighbour masks."""
+    masks, vertices = pattern.masks, range(pattern.num_vertices)
+    stack = [((v,), 1 << v, masks[v]) for v in reversed(vertices)]
+    while stack:
+        order, placed, frontier = stack.pop()
+        if len(order) == len(vertices):
+            yield order
+            continue
+        stack.extend(
+            (order + (v,), placed | 1 << v, frontier | masks[v])
+            for v in reversed(vertices) if (frontier & ~placed) >> v & 1
         )
-        if ok:
-            yield perm
 
 
+@lru_cache(maxsize=4096)
 def automine_schedule(
     pattern: Pattern, induced: bool = False, use_restrictions: bool = True
 ) -> Schedule:
@@ -252,29 +259,18 @@ def automine_schedule(
     degree, then id). Cheap and usually good, but not cost-optimal —
     which is exactly the gap Table 2 shows on 3-motif counting.
     """
-    n = pattern.num_vertices
-    if n == 1:
-        return compile_schedule(pattern, (0,), induced, use_restrictions)
-    start = max(range(n), key=lambda v: (pattern.degree(v), -v))
-    order = [start]
-    remaining = set(range(n)) - {start}
-    while remaining:
-        candidates = [
-            v for v in remaining
-            if any(pattern.has_edge(v, u) for u in order)
-        ]
-        if not candidates:
-            raise ScheduleError("pattern is disconnected")
+    masks, n = pattern.masks, pattern.num_vertices
+    order, placed = [], 0  # placed: the vertex mask of ``order``
+    while len(order) < n:
         best = max(
-            candidates,
-            key=lambda v: (
-                sum(1 for u in order if pattern.has_edge(v, u)),
-                pattern.degree(v),
-                -v,
-            ),
+            (v for v in range(n) if not placed >> v & 1),
+            key=lambda v: ((masks[v] & placed).bit_count(),
+                           pattern.degree(v), -v),
         )
+        if order and not masks[best] & placed:
+            raise ScheduleError("pattern is disconnected")
         order.append(best)
-        remaining.discard(best)
+        placed |= 1 << best
     return compile_schedule(pattern, tuple(order), induced, use_restrictions)
 
 
@@ -306,26 +302,70 @@ def _order_cost(
     schedule = compile_schedule(pattern, order, induced, use_restrictions)
     plan = compile_counting_plan(schedule) if counting == "iep" else None
     steps = schedule.steps if plan is None else plan.prefix_schedule.steps
-    d, n = avg_degree, num_vertices
+    return _price(
+        [(len(step.connected), len(step.disconnected),
+          len(step.larger_than) + len(step.smaller_than)) for step in steps],
+        None if plan is None else [len(s) for s in plan.signatures],
+        avg_degree, num_vertices,
+    )
+
+
+def _price(levels: Sequence[tuple[int, int, int]],
+           signatures: Optional[Sequence[int]], d: float, n: float) -> float:
+    """The cost model's arithmetic over, per level, how many positions
+    it intersects, excludes, and has ordering pairs bind at, and the
+    lengths of an IEP terminal's signatures in sorted order (or None)."""
     parents = 1.0  # expected embeddings alive at the previous level
     cost = 0.0
-    for step in steps:
-        k = max(1, len(step.connected))
+    for connected, excluded, binding in levels:
+        k = max(1, connected)
         expected = d * (d / n) ** (k - 1)
-        expected *= 0.5 ** (len(step.larger_than) + len(step.smaller_than))
+        expected *= 0.5 ** binding
         # elements streamed through the intersection, plus the induced
         # exclusion merges against the disconnected positions
-        merge_work = (k + len(step.disconnected)) * d
-        cost += parents * merge_work
+        cost += parents * ((k + excluded) * d)
         parents *= max(expected, 1e-9)
-    if plan is not None:
-        iep_work = sum(
-            max(1, len(signature)) * d for signature in plan.signatures
-        )
-        cost += parents * iep_work
+    if signatures is not None:
+        cost += parents * sum(max(1, length) * d for length in signatures)
     return cost
 
 
+def _score_order(
+    pattern: Pattern, order: tuple[int, ...], avg_degree: float,
+    num_vertices: float, induced: bool = False,
+    use_restrictions: bool = True, counting: str = "enumerate",
+) -> float:
+    """:func:`_order_cost`, read off the order without compiling it.
+
+    The integers :func:`_price` takes fall out of the neighbour masks,
+    the stabilizer chain and the order, so the search builds objects for
+    the winner only. Equal to :func:`_order_cost` bit for bit — one
+    arithmetic, the same integers (tests/test_schedule.py: ``==``).
+    """
+    masks, size = pattern.masks, len(order)
+    position = {vertex: i for i, vertex in enumerate(order)}
+    restrictions = symmetry_restrictions(pattern) if use_restrictions else ()
+    suffix = _plan_suffix(pattern, order, induced) if counting == "iep" else 0
+    prefix_size, signatures = size - suffix, None
+    if suffix:  # the order has a counting plan: cost its prefix
+        if restrictions:
+            restrictions = _partial_restrictions(pattern, order, prefix_size)[0]
+        constraints = sorted(
+            tuple(sorted(position[u] for u in pattern.neighbors(vertex)))
+            for vertex in order[prefix_size:])
+        signatures = [len(s) for s in _iep_terms(tuple(constraints))[1]]
+    binding = [0] * size
+    for a, b in restrictions:
+        binding[max(position[a], position[b])] += 1
+    levels, placed = [], 1 << order[0]
+    for i in range(1, prefix_size):
+        connected = (masks[order[i]] & placed).bit_count()
+        levels.append((connected, i - connected if induced else 0, binding[i]))
+        placed |= 1 << order[i]
+    return _price(levels, signatures, avg_degree, num_vertices)
+
+
+@lru_cache(maxsize=4096)
 def graphpi_schedule(
     pattern: Pattern,
     induced: bool = False,
@@ -342,19 +382,14 @@ def graphpi_schedule(
     search prefer orders whose trailing independent set feeds the
     inclusion-exclusion terminal kernel (docs/performance.md).
     """
-    if pattern.num_vertices == 1:
-        return compile_schedule(pattern, (0,), induced, use_restrictions)
-    best_order: Optional[tuple[int, ...]] = None
-    best_cost = float("inf")
-    for order in _connected_orders(pattern):
-        cost = _order_cost(pattern, order, avg_degree, num_vertices,
-                           induced, use_restrictions, counting)
-        if cost < best_cost or (cost == best_cost and (best_order is None or order < best_order)):
-            best_cost = cost
-            best_order = order
-    if best_order is None:
+    costed = [
+        (_score_order(pattern, order, avg_degree, num_vertices, induced,
+                      use_restrictions, counting), order)
+        for order in _connected_orders(pattern)
+    ]
+    if not costed:
         raise ScheduleError("no connected matching order exists")
-    return compile_schedule(pattern, best_order, induced, use_restrictions)
+    return compile_schedule(pattern, min(costed)[1], induced, use_restrictions)
 
 
 # ----------------------------------------------------------------------
@@ -417,18 +452,17 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
         yield [[first]] + partition
 
 
-def _independent_suffix(pattern: Pattern, order: tuple[int, ...]) -> int:
-    """Length of the maximal trailing pairwise-unconnected suffix."""
-    n = pattern.num_vertices
-    start = n
-    while start > 1:
-        candidate = order[start - 1]
-        if any(
-            pattern.has_edge(candidate, order[j]) for j in range(start, n)
-        ):
-            break
+def _plan_suffix(pattern: Pattern, order: tuple[int, ...], induced: bool) -> int:
+    """Length of the trailing pairwise-unconnected run of ``order`` that
+    a counting plan folds into its formula; 0 when there can be no plan
+    (induced or labeled matching, fewer than two such positions)."""
+    if induced or pattern.labels is not None or pattern.edge_labels is not None:
+        return 0
+    start, suffix = len(order), 0  # suffix: vertex mask of order[start:]
+    while start > 1 and not pattern.masks[order[start - 1]] & suffix:
         start -= 1
-    return n - start
+        suffix |= 1 << order[start]
+    return len(order) - start if len(order) - start >= 2 else 0
 
 
 def _partial_restrictions(
@@ -436,38 +470,48 @@ def _partial_restrictions(
 ) -> tuple[tuple[tuple[int, int], ...], int]:
     """Stabilizer-chain levels whose pairs stay inside the prefix.
 
-    Mirrors :func:`symmetry_restrictions` level by level but stops at
-    the first level that would order a suffix position (the IEP formula
-    counts suffix tuples without ordering constraints). Returns the
-    accepted pattern-vertex pairs and the size of the remaining
-    subgroup — the plan's exact over-counting divisor: each embedding's
-    orbit retains ``divisor`` of its members under the partial pairs.
+    Walks :func:`stabilizer_chain` but stops at the first level that
+    would order a suffix position (the IEP formula counts suffix tuples
+    without ordering constraints). Returns the accepted pattern-vertex
+    pairs and the size of the remaining subgroup — the plan's exact
+    over-counting divisor: each embedding's orbit retains ``divisor``
+    of its members under the partial pairs.
     """
-    position = {v: i for i, v in enumerate(order)}
-    current = list(automorphisms(pattern))
+    prefix = set(order[:prefix_size])
     pairs: list[tuple[int, int]] = []
-    while len(current) > 1:
-        moved = [
-            v
-            for v in range(pattern.num_vertices)
-            if any(perm[v] != v for perm in current)
-        ]
-        pivot = min(moved)
-        level_pairs = []
-        for perm in current:
-            image = perm[pivot]
-            if image != pivot and (pivot, image) not in level_pairs:
-                level_pairs.append((pivot, image))
-        if any(
-            position[a] >= prefix_size or position[b] >= prefix_size
-            for a, b in level_pairs
-        ):
+    divisor = len(automorphisms(pattern))
+    for level_pairs, remaining in stabilizer_chain(pattern):
+        if not all(a in prefix and b in prefix for a, b in level_pairs):
             break
-        for pair in level_pairs:
-            if pair not in pairs:
-                pairs.append(pair)
-        current = [perm for perm in current if perm[pivot] == pivot]
-    return tuple(sorted(pairs)), len(current)
+        pairs.extend(level_pairs)
+        divisor = remaining
+    return tuple(sorted(pairs)), divisor
+
+
+@lru_cache(maxsize=4096)
+def _iep_terms(
+    constraints: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[IEPTerm, ...], tuple[tuple[int, ...], ...]]:
+    """The merged inclusion-exclusion terms of a suffix whose positions
+    intersect the prefix positions ``constraints`` (one sorted tuple
+    each, in any order), and the distinct signatures they evaluate."""
+    merged: dict[tuple[tuple[int, ...], ...], int] = {}
+    for partition in _set_partitions(constraints):
+        coefficient = 1
+        blocks = []
+        for block in partition:
+            coefficient *= (-1) ** (len(block) - 1) * factorial(
+                len(block) - 1
+            )
+            blocks.append(tuple(sorted(set().union(*block))))
+        key = tuple(sorted(blocks))
+        merged[key] = merged.get(key, 0) + coefficient
+    terms = tuple(
+        IEPTerm(coefficient, blocks)
+        for blocks, coefficient in sorted(merged.items())
+        if coefficient != 0
+    )
+    return terms, tuple(sorted({b for term in terms for b in term.blocks}))
 
 
 @lru_cache(maxsize=512)
@@ -489,15 +533,9 @@ def compile_counting_plan(schedule: Schedule) -> Optional[CountingPlan]:
     correction). Terms with identical block multisets are merged.
     """
     pattern = schedule.pattern
-    if schedule.induced:
-        return None
-    if pattern.labels is not None or pattern.edge_labels is not None:
-        return None
+    suffix_size = _plan_suffix(pattern, schedule.order, schedule.induced)
     full = symmetry_restrictions(pattern)
-    if schedule.restrictions not in (full, ()):
-        return None
-    suffix_size = _independent_suffix(pattern, schedule.order)
-    if suffix_size < 2:
+    if not suffix_size or schedule.restrictions not in (full, ()):
         return None
     n = pattern.num_vertices
     prefix_size = n - suffix_size
@@ -530,33 +568,10 @@ def compile_counting_plan(schedule: Schedule) -> Optional[CountingPlan]:
     # per-suffix-position constraint sets (always within the prefix:
     # suffix positions are pairwise unconnected, so every connected
     # earlier position of a connected-prefix order sits before them)
-    constraints = {
-        level: schedule.steps[level - 1].connected
+    terms, signatures = _iep_terms(tuple(sorted(
+        schedule.steps[level - 1].connected
         for level in range(prefix_size, n)
-    }
-    merged: dict[tuple[tuple[int, ...], ...], int] = {}
-    suffix_positions = tuple(range(prefix_size, n))
-    for partition in _set_partitions(suffix_positions):
-        coefficient = 1
-        blocks = []
-        for block in partition:
-            coefficient *= (-1) ** (len(block) - 1) * factorial(
-                len(block) - 1
-            )
-            signature = set()
-            for level in block:
-                signature.update(constraints[level])
-            blocks.append(tuple(sorted(signature)))
-        key = tuple(sorted(blocks))
-        merged[key] = merged.get(key, 0) + coefficient
-    terms = tuple(
-        IEPTerm(coefficient, blocks)
-        for blocks, coefficient in sorted(merged.items())
-        if coefficient != 0
-    )
-    signatures = tuple(
-        sorted({block for term in terms for block in term.blocks})
-    )
+    )))
     fetch_positions = frozenset(
         pos for signature in signatures for pos in signature
     )

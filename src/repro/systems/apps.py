@@ -7,10 +7,15 @@ Triangle Counting (TC), k-Clique Counting (k-CC), and k-Motif Counting
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+
+import numpy as np
 
 from repro.core.runtime import RunReport
-from repro.patterns.canonical import canonical_code
+from repro.patterns.canonical import (
+    canonical_code,
+    edge_numbers,
+    permutation_tables,
+)
 from repro.patterns.catalog import clique, motifs, triangle
 from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
@@ -65,17 +70,16 @@ def _spanning_copies(sub: Pattern, sup: Pattern) -> int:
 
     Injective edge-preserving bijections divided by ``|Aut(sub)|`` —
     exact: the orbit-stabilizer theorem guarantees the division has no
-    remainder. Pattern sizes are tiny (``k! <= 120`` for the motif
-    tiers), so brute force over permutations is fine.
+    remainder. Every vertex permutation is tried (``k! <= 120`` at the
+    motif tiers): ``sub``'s image, read off the table, must sit in ``sup``.
     """
     k = sub.num_vertices
     if k != sup.num_vertices:
         return 0
-    embeddings = sum(
-        1
-        for perm in permutations(range(k))
-        if all(sup.has_edge(perm[u], perm[v]) for u, v in sub.edges)
-    )
+    images = permutation_tables(k)[1]
+    outside = ~images[0, edge_numbers(sup)].sum()  # row 0: the identity
+    copies = images[:, edge_numbers(sub)].sum(axis=1)
+    embeddings = int(np.count_nonzero((copies & outside) == 0))
     return embeddings // len(automorphisms(sub))
 
 

@@ -41,14 +41,19 @@ def count_calls():
     happen while ``function(*args)`` runs (``sys.setprofile``). A pass
     over a column makes the same calls whatever the column's length, so
     comparing two lengths is a stopwatch-free tripwire for per-row work
-    creeping back into a chunk pass."""
+    creeping back into a chunk pass. ``only={names}`` counts just the
+    calls of Python functions so named — a tripwire for work a memo
+    should have taken off a path."""
 
-    def count(function, *args):
+    def count(function, *args, only=None):
         calls = 0
 
         def profiler(frame, event, arg):
             nonlocal calls
-            calls += event in ("call", "c_call")
+            if only is None:
+                calls += event in ("call", "c_call")
+            elif event == "call":
+                calls += frame.f_code.co_name in only
 
         previous = sys.getprofile()
         sys.setprofile(profiler)

@@ -1,5 +1,7 @@
 """Tests for exhaustive pattern generation."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.errors import PatternError
@@ -8,10 +10,34 @@ from repro.patterns.canonical import canonical_code
 from repro.patterns.generation import grow_pattern, single_edge_patterns
 
 
-@pytest.mark.parametrize("k,expected", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)])
+@pytest.mark.parametrize(
+    "k,expected", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
 def test_connected_pattern_counts(k, expected):
-    """Known sequence: connected graphs on k vertices up to isomorphism."""
+    """Known sequence: connected graphs on k vertices up to isomorphism
+    (one canonical code per edge subset took k = 6 three minutes)."""
     assert len(connected_patterns(k)) == expected
+
+
+def _connected_patterns_per_mask(k):
+    """``connected_patterns`` as it was: every connected edge subset of
+    K_k keyed by its canonical code, first subset of a class kept."""
+    all_edges = list(combinations(range(k), 2))
+    seen = {}
+    for mask in range(1 << len(all_edges)):
+        edges = [all_edges[i] for i in range(len(all_edges)) if mask >> i & 1]
+        if len(edges) < k - 1:
+            continue
+        pattern = Pattern(k, edges)
+        if pattern.is_connected():
+            seen.setdefault(canonical_code(pattern), pattern)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_orbit_marking_finds_the_per_mask_representatives(k):
+    """Same representatives, same order: motif indices, census keys and
+    every ``motifs(k)``-derived golden depend on both."""
+    assert connected_patterns(k) == _connected_patterns_per_mask(k)
 
 
 def test_patterns_are_connected_and_distinct():

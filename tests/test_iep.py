@@ -21,7 +21,11 @@ from repro.errors import ConfigurationError
 from repro.exec import ProcessBackend
 from repro.graph.generators import erdos_renyi, random_labels
 from repro.patterns import Pattern, automorphisms, catalog
-from repro.patterns.schedule import compile_counting_plan, graphpi_schedule
+from repro.patterns.schedule import (
+    compile_counting_plan,
+    compile_schedule,
+    graphpi_schedule,
+)
 from repro.patterns.symmetry import symmetry_restrictions
 from repro.systems import apps
 from repro.systems.graphpi import KGraphPi
@@ -171,15 +175,26 @@ PLANNED = sorted(
 )
 
 
-@pytest.mark.parametrize("name", PLANNED)
+def _plan(name):
+    if name == "prefix4":
+        # no pattern of <= 5 vertices leaves a prefix wider than three:
+        # a tailed triangle (0-1-2, tail 3) under two unconnected
+        # vertices whose constraint sets overlap -> signatures (0, 3),
+        # (1, 2, 3) and their union over all four prefix columns
+        pattern = Pattern(6, [(0, 1), (0, 2), (1, 2), (2, 3),
+                              (0, 4), (3, 4), (1, 5), (2, 5), (3, 5)])
+        return compile_counting_plan(compile_schedule(pattern, range(6)))
+    return compile_counting_plan(
+        graphpi_schedule(CATALOG[name], counting="iep"))
+
+
+@pytest.mark.parametrize("name", PLANNED + ["prefix4"])
 def test_iep_chunk_matches_row_by_row_reference(small_random_graph, name,
                                                 monkeypatch):
     """The terminal kernel's counts and accounting quantities equal the
     reference's on every complete prefix embedding."""
     graph = small_random_graph
-    plan = compile_counting_plan(
-        graphpi_schedule(CATALOG[name], counting="iep")
-    )
+    plan = _plan(name)
     rows = _prefix_embeddings(graph, plan.prefix_schedule)
     assert rows
     expected = [iep_count(graph, plan, row) for row in rows]
@@ -194,6 +209,25 @@ def test_iep_chunk_matches_row_by_row_reference(small_random_graph, name,
               blocked.scanned.tolist())
     assert list(got) == expected
     assert blocked.probe_elements == batch.probe_elements
+
+
+def test_iep_rows_probe_each_prefix_pair_once(small_random_graph,
+                                              count_calls):
+    """The distinct-vertex correction asks "is column c's vertex a
+    neighbour of column s's" for every signature holding s: overlapping
+    signatures repeat the question, one row block answers each ordered
+    pair once (36 correction probes on this plan before, now <= 16)."""
+    plan = _plan("prefix4")
+    size = plan.prefix_schedule.pattern.num_vertices
+    assert (size, plan.signatures) == (4, ((0, 1, 2, 3), (0, 3), (1, 2, 3)))
+    rows = np.array(
+        _prefix_embeddings(small_random_graph, plan.prefix_schedule),
+        dtype=np.int64)
+    intersections = sum(len(s) - 1 for s in plan.signatures)
+    assert count_calls(
+        kernels._iep_rows, small_random_graph, plan, rows,
+        only={"adjacency_member"},
+    ) <= intersections + size * size
 
 
 def test_iep_process_backend_matches_inline(small_random_graph):

@@ -1,5 +1,7 @@
 """Tests for extension-schedule compilation and matching orders."""
 
+from itertools import product
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -12,7 +14,13 @@ from repro.patterns import (
     graphpi_schedule,
     star,
 )
-from repro.patterns.schedule import compile_schedule
+from repro.patterns.generation import connected_patterns
+from repro.patterns.schedule import (
+    _connected_orders,
+    _order_cost,
+    _score_order,
+    compile_schedule,
+)
 
 
 def test_connected_prefix_enforced():
@@ -162,8 +170,6 @@ def test_automine_starts_at_max_degree():
 
 
 def test_graphpi_order_never_costlier_than_automine():
-    from repro.patterns.schedule import _order_cost
-
     for pattern in (chain(4), cycle(4), star(3), clique(4)):
         best = graphpi_schedule(pattern, avg_degree=10, num_vertices=1000)
         greedy = automine_schedule(pattern)
@@ -182,3 +188,71 @@ def test_graphpi_and_automine_agree_on_cliques():
 def test_num_levels():
     assert automine_schedule(clique(4)).num_levels == 3
     assert automine_schedule(chain(2)).num_levels == 1
+
+
+# ----------------------------------------------------------------------
+# the order search scores orders without compiling them: _order_cost
+# (compile the schedule and its counting plan, price the objects) is
+# the reference, and the search it used to drive is the oracle
+# ----------------------------------------------------------------------
+#: induced, use_restrictions, counting
+FLAGS = list(product((False, True), (True, False), ("enumerate", "iep")))
+#: (avg_degree, num_vertices): a dense 40-vertex sample, the defaults,
+#: a sparse web graph
+REGIMES = ((20.8, 40.0), (16.0, 1.0e4), (3.2, 14000.0))
+
+
+def _search_by_order_cost(pattern, induced, degree, vertices,
+                          use_restrictions, counting):
+    """``graphpi_schedule``'s search as it was: one full compile per
+    candidate, cheapest wins, ties to the lexicographically smallest."""
+    best_order, best_cost = None, float("inf")
+    for order in _connected_orders(pattern):
+        cost = _order_cost(pattern, order, degree, vertices, induced,
+                           use_restrictions, counting)
+        if cost < best_cost or (cost == best_cost and order < best_order):
+            best_cost, best_order = cost, order
+    return best_order
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_score_order_is_order_cost_bit_for_bit(k):
+    """Same float expressions in the same summation order: ``==``, not
+    ``isclose`` — a last-bit difference could flip a tie."""
+    degree, vertices = REGIMES[0]
+    for pattern in connected_patterns(k):
+        for order in _connected_orders(pattern):
+            for induced, restricted, counting in FLAGS:
+                assert _score_order(
+                    pattern, order, degree, vertices, induced, restricted,
+                    counting,
+                ) == _order_cost(
+                    pattern, order, degree, vertices, induced, restricted,
+                    counting,
+                ), (pattern, order, induced, restricted, counting)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_search_picks_what_the_order_cost_search_picked(regime):
+    degree, vertices = regime
+    labeled = [
+        cycle(4).with_labels((0, 1, 0, 1)),
+        Pattern(4, [(0, 1), (0, 2), (1, 2), (2, 3)]).with_edge_labels(
+            {(0, 1): 0, (0, 2): 4, (1, 2): 4, (2, 3): 7}),
+    ]
+    for pattern in connected_patterns(4) + connected_patterns(5) + labeled:
+        for induced, restricted, counting in FLAGS:
+            assert graphpi_schedule(
+                pattern, induced, degree, vertices, restricted, counting
+            ).order == _search_by_order_cost(
+                pattern, induced, degree, vertices, restricted, counting)
+
+
+def test_search_cost_is_not_orbit_invariant():
+    """Restrictions are fixed on vertex ids, so two orders that are
+    images of one another under an automorphism need not cost the same:
+    pruning candidates by orbit would move the winner."""
+    pattern = cycle(4)  # restrictions (0,1) (0,2) (0,3) (1,3)
+    assert (1, 2, 3, 0) == tuple((v + 1) % 4 for v in (0, 1, 2, 3))
+    assert _score_order(pattern, (0, 1, 2, 3), 16.0, 1.0e4) != _score_order(
+        pattern, (1, 2, 3, 0), 16.0, 1.0e4)
