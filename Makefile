@@ -13,8 +13,8 @@ TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && ech
 PYTEST := PYTHONPATH=src $(PYTHON) -m pytest $(TIMEOUT_FLAGS)
 
 .PHONY: test suite docs-check faults-check exec-check exec-faults-check \
-	chaos-check motif-check storage-check perf-check perfbench-check \
-	perf-bench \
+	chaos-check motif-check kernel-check storage-check perf-check \
+	perfbench-check perf-bench \
 	perf-bench-motifs perf-bench-scale service-check service-bench bench
 
 ## tier-1: every file under tests/ exactly once, then the gates that
@@ -66,6 +66,18 @@ motif-check:
 		tests/test_canonical.py tests/test_generation.py \
 		tests/test_pattern_oracles.py tests/test_compile_once.py \
 		tests/test_iep.py -q
+
+## kernel and resolve suite (docs/performance.md): what a change to
+## core/kernels.py or to the scheduler's resolve / drain passes must
+## hold — listing and counting kernels against compute_candidates, the
+## IEP kernel against iep_count, chunk layout and admission order, the
+## cache and share-table oracles, and the 150-run golden of simulated
+## observables (never re-recorded in a PR that claims nothing simulated
+## moved)
+kernel-check:
+	$(PYTEST) tests/test_kernels.py tests/test_chunk.py \
+		tests/test_cache.py tests/test_hds.py tests/test_iep.py \
+		tests/test_scheduler_golden.py -q
 
 ## out-of-core storage suite (docs/storage.md): streaming-vs-eager
 ## builder parity, store round-trip/corruption rejection, ram-vs-mmap

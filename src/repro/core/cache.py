@@ -180,8 +180,8 @@ class EdgeCache:
         return self._resident
 
     # ------------------------------------------------------------------
-    # batch entry points: the scheduler's one query call per chunk and
-    # one offer call per circulant batch
+    # batch entry points: the scheduler's one query call and one offer
+    # call per chunk
     def query_many(self, vertices: np.ndarray) -> np.ndarray:
         """:meth:`query` for every vertex, in order; returns the hit mask."""
         if self.policy is not CachePolicy.STATIC:

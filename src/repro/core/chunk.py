@@ -137,8 +137,14 @@ class Chunk:
 
     def prefixes(self) -> np.ndarray:
         """``(rows, level + 1)`` data vertices in matching order,
-        gathered through ``parent_idx`` up the chain of chunks."""
-        out = np.empty((len(self), self.level + 1), dtype=np.int64)
+        gathered through ``parent_idx`` up the chain of chunks.
+        Column-major: the matrix is written here, and read by every
+        kernel, one whole column (``prefixes[:, position]``) at a time;
+        a row block ``prefixes[start:stop]`` is a view that keeps its
+        columns contiguous, and the row-wise readers (a fancy-indexed
+        subset of rows, ``.tolist()``) see no difference but the
+        stride."""
+        out = np.empty((len(self), self.level + 1), dtype=np.int64, order="F")
         chunk: Optional[Chunk] = self
         rows = None  # this chunk's row -> row of ``chunk`` (None = same)
         while chunk is not None:

@@ -28,9 +28,9 @@ Three layers:
 - :func:`extend_chunk` — the fused entry point: one schedule step
   across an entire chunk of embeddings in vectorized passes (shared
   connected-position gathers, batched distinct-vertex / ordering /
-  label filters) over cache-sized row blocks, with a count-only fast
-  path that sums candidate lengths without materializing filtered
-  copies.
+  label filters) over cache-sized row blocks. A counting drain is a
+  kernel of its own (docs/performance.md): per-row cardinalities, no
+  filtered list, straight off the CSR when the step reads one list.
 
 Contract: for every embedding the results — candidate values,
 ``merge_elements``, ``scanned`` — are element-for-element identical to
@@ -43,7 +43,7 @@ tallies the scheduler prices are the ones the reference would produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -175,9 +175,9 @@ class ChunkExtendResult:
     filtered candidates; ``merge_elements`` / ``scanned`` / ``counts``
     are the per-embedding accounting quantities, exactly equal to what
     the row-by-row reference produces. ``rows[j]`` is the embedding
-    ``values[j]`` extends — the child's ``parent_idx`` column. In
-    count-only mode the filtered values are never materialized
-    (``values is None``) and only the integer arrays are valid.
+    ``values[j]`` extends — the child's ``parent_idx`` column. A
+    counted result (:func:`_count_window`, :func:`_count_rows`) has no
+    lists (``values is None``); only the integer arrays are valid.
     ``raw_values``/``raw_offsets`` hold the unfiltered intersections
     when the step stores an intermediate for vertical computation
     sharing.
@@ -186,12 +186,12 @@ class ChunkExtendResult:
     counts: np.ndarray  # (n,) candidates surviving all filters
     merge_elements: np.ndarray  # (n,) elements streamed through set ops
     scanned: np.ndarray  # (n,) candidates scanned by the filters
-    values: Optional[np.ndarray]  # flattened filtered candidates
-    offsets: Optional[np.ndarray]  # (n + 1,)
-    rows: Optional[np.ndarray]  # (len(values),) embedding of each value
-    raw_values: Optional[np.ndarray]  # flattened stored intersections
-    raw_offsets: Optional[np.ndarray]
-    probe_elements: int  # elements pushed through membership probes
+    values: Optional[np.ndarray] = None  # flattened filtered candidates
+    offsets: Optional[np.ndarray] = None  # (n + 1,)
+    rows: Optional[np.ndarray] = None  # (len(values),) embedding of each
+    raw_values: Optional[np.ndarray] = None  # flattened stored intersections
+    raw_offsets: Optional[np.ndarray] = None
+    probe_elements: int = 0  # elements pushed through membership probes
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -256,9 +256,9 @@ def extend_chunk(
     vcs:
         Whether vertical computation sharing is enabled.
     count_only:
-        Skip materializing the filtered candidate arrays; only the
-        per-embedding counts/accounting are produced (the final-level
-        fast path for counting UDFs).
+        Nobody reads the candidates (a counting UDF's final level): a
+        label-free step answers with per-embedding cardinalities and
+        builds no filtered list; a labeled one lists, ``counts`` and all.
 
     The chunk is worked through in row blocks of about
     :data:`BLOCK_ELEMENTS` gathered candidates (:func:`_row_blocks`);
@@ -269,11 +269,14 @@ def extend_chunk(
         raise ValueError("prefixes must be a 2-D (embeddings, level) array")
     if not (vcs and step.reuse_level is not None):
         intermediates = None
-    gather_col = None
+    counting = count_only and step.label is None and step.edge_labels is None
     if intermediates is not None:
         stored, stored_offsets, segments = intermediates
         segments = np.asarray(segments, dtype=np.int64)
         volume = stored_offsets[segments + 1] - stored_offsets[segments]
+        connected = step.extra_connected
+    elif counting and len(step.connected) == 1 and not step.disconnected:
+        return _count_window(graph, step, prefixes)
     else:
         # Intersection is symmetric: gather whichever of the first two
         # connected columns has the smaller total neighbor volume and
@@ -284,25 +287,37 @@ def extend_chunk(
         # deg(base) + deg(other) either way. Decided once for the whole
         # chunk, so ``probe_elements`` does not depend on the blocking.
         degs = graph.degrees()
-        gather_col = step.connected[0]
-        volume = degs[prefixes[:, gather_col]]
-        if len(step.connected) > 1:
-            other = degs[prefixes[:, step.connected[1]]]
+        connected = step.connected
+        volume = degs[prefixes[:, connected[0]]]
+        if len(connected) > 1:
+            other = degs[prefixes[:, connected[1]]]
             if int(other.sum()) < int(volume.sum()):
-                gather_col, volume = step.connected[1], other
+                connected = (connected[1], connected[0]) + connected[2:]
+                volume = other
     bounds = _row_blocks(volume)
-    parts = [
-        _extend_rows(
-            graph, step, prefixes[start:stop],
+    parts = []
+    for start, stop in zip(bounds, bounds[1:]):
+        block = prefixes[start:stop]
+        batch = _set_operations(
+            graph, block, connected, step.disconnected,
             None if intermediates is None
             else (stored, stored_offsets, segments[start:stop]),
-            gather_col, count_only,
         )
-        for start, stop in zip(bounds, bounds[1:])
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return _join(parts, bounds, count_only)
+        parts.append(
+            _count_rows(step, block, batch) if counting
+            else _extend_rows(graph, step, block, batch)
+        )
+    batch = parts[0] if len(parts) == 1 else _join(parts, bounds)
+    if counting:
+        # the correction reads a row's prefix and count, not its list:
+        # once per chunk, on the rows that count anything — only they can
+        # hold one, and under an ordering restriction most count nothing
+        live = np.flatnonzero(batch.counts)
+        rows = prefixes[live]
+        batch.counts[live] -= _inside(
+            graph, rows, step.connected, step.disconnected, _window(step, rows)
+        )
+    return batch
 
 
 def _row_blocks(volume: np.ndarray) -> list[int]:
@@ -314,17 +329,16 @@ def _row_blocks(volume: np.ndarray) -> list[int]:
 
 
 def _join(
-    parts: list[ChunkExtendResult], bounds: list[int], count_only: bool
+    parts: list[ChunkExtendResult], bounds: list[int]
 ) -> ChunkExtendResult:
     """Row blocks' results laid end to end."""
     counts = np.concatenate([part.counts for part in parts])
     merge_elements = np.concatenate([part.merge_elements for part in parts])
     scanned = np.concatenate([part.scanned for part in parts])
     probe_elements = sum(part.probe_elements for part in parts)
-    if count_only:
+    if parts[0].values is None:
         return ChunkExtendResult(
-            counts, merge_elements, scanned,
-            None, None, None, None, None, probe_elements,
+            counts, merge_elements, scanned, probe_elements=probe_elements
         )
     raw_values = raw_offsets = None
     if parts[0].raw_offsets is not None:
@@ -343,70 +357,83 @@ def _join(
     )
 
 
-def _extend_rows(
+def _set_operations(
     graph: Graph,
-    step: ExtensionStep,
     prefixes: np.ndarray,
-    intermediates: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    gather_col: Optional[int],
-    count_only: bool,
+    connected: tuple[int, ...],
+    disconnected: tuple[int, ...] = (),
+    intermediates: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> ChunkExtendResult:
-    """One row block of :func:`extend_chunk`. ``gather_col`` is the
-    connected column whose neighbor lists seed the candidates when no
-    stored intersection (``intermediates``) does."""
+    """One row block's set operations, as an unfiltered listing: the
+    stored intersections ``intermediates`` (or, without any, column
+    ``connected[0]``'s neighbor lists) intersected with the other
+    ``connected`` columns' lists, then differenced with ``disconnected``'s."""
     n = prefixes.shape[0]
-    indptr = graph.indptr
+    degrees = graph.degrees()
     merge_elements = np.zeros(n, dtype=np.int64)
     probe_elements = 0
-
     if intermediates is not None:
         values, offsets = gather_segments(*intermediates)
-        remaining = step.extra_connected
     else:
-        values, offsets = graph.neighbors_batch(prefixes[:, gather_col])
-        remaining = tuple(
-            position for position in step.connected
-            if position != gather_col
-        )
+        values, offsets = graph.neighbors_batch(prefixes[:, connected[0]])
+        connected = connected[1:]
     counts = np.diff(offsets)
     emb_of = np.repeat(np.arange(n, dtype=np.int64), counts)
 
     # connected positions: batched intersections via membership probes
-    for position in remaining:
+    for position in connected:
         sources = prefixes[:, position]
-        merge_elements += counts + (indptr[sources + 1] - indptr[sources])
+        merge_elements += counts + degrees[sources]
         probe_elements += len(values)
         member = adjacency_member(graph, np.repeat(sources, counts), values)
         values, offsets, counts, emb_of = _compress(values, emb_of, member, n)
 
-    scanned = counts.copy()
-    raw_values = raw_offsets = None
-    if step.store_intermediate and not count_only:
-        # the pre-filter intersection is what VCS descendants reuse;
-        # filters below always build fresh arrays, never mutate these
-        raw_values = values
-        raw_offsets = offsets
+    # the pre-filter intersection is what VCS descendants reuse; every
+    # later stage builds fresh arrays, never mutates these
+    scanned, raw_values, raw_offsets = counts.copy(), values, offsets
 
     # disconnected positions (induced mode): batched set differences
-    for position in step.disconnected:
+    for position in disconnected:
         sources = prefixes[:, position]
-        merge_elements += counts + (indptr[sources + 1] - indptr[sources])
+        merge_elements += counts + degrees[sources]
         probe_elements += len(values)
         member = adjacency_member(graph, np.repeat(sources, counts), values)
         values, offsets, counts, emb_of = _compress(values, emb_of, ~member, n)
+    return ChunkExtendResult(
+        counts, merge_elements, scanned,
+        values, offsets, emb_of, raw_values, raw_offsets, probe_elements,
+    )
 
+
+def _window(
+    step: ExtensionStep, prefixes: np.ndarray
+) -> list[tuple[np.ufunc, np.ndarray]]:
+    """The step's ordering restrictions as ``(compare, bound)`` pairs: a
+    candidate ``c`` of row ``i`` passes ``compare(c, bound[i])``."""
+    return [
+        (compare, fold(prefixes[:, list(columns)], axis=1))
+        for compare, columns, fold in (
+            (np.greater, step.larger_than, np.max),
+            (np.less, step.smaller_than, np.min),
+        ) if columns
+    ]
+
+
+def _extend_rows(
+    graph: Graph, step: ExtensionStep, prefixes: np.ndarray,
+    batch: ChunkExtendResult,
+) -> ChunkExtendResult:
+    """One row block of :func:`extend_chunk`, listed: ``batch``, its
+    set operations' result, through the step's filters."""
+    values, emb_of = batch.values, batch.rows
     # post-set-op filters, fused into one keep-mask over the batch
     mask = np.ones(len(values), dtype=bool)
+    for compare, bound in _window(step, prefixes):
+        mask &= compare(values, bound[emb_of])
     for column in range(prefixes.shape[1]):
         # distinct-vertex constraint as a small-tuple comparison loop:
         # pattern sizes are tiny, so a few != passes beat any hash path
         mask &= values != prefixes[emb_of, column]
-    if step.larger_than:
-        bound = prefixes[:, list(step.larger_than)].max(axis=1)
-        mask &= values > bound[emb_of]
-    if step.smaller_than:
-        bound = prefixes[:, list(step.smaller_than)].min(axis=1)
-        mask &= values < bound[emb_of]
     if step.label is not None and graph.labels is not None:
         mask &= graph.labels[values] == step.label
     if step.edge_labels is not None:
@@ -419,16 +446,82 @@ def _extend_rows(
                 entry = adjacency_position(graph, sources, values)
                 mask &= graph.edge_labels[entry] == required
 
-    if count_only:
-        final_counts = np.bincount(emb_of[mask], minlength=n).astype(np.int64)
-        return ChunkExtendResult(
-            final_counts, merge_elements, scanned,
-            None, None, None, None, None, probe_elements,
-        )
-    values, offsets, final_counts, rows = _compress(values, emb_of, mask, n)
+    batch.values, batch.offsets, batch.counts, batch.rows = _compress(
+        values, emb_of, mask, len(prefixes)
+    )
+    if not step.store_intermediate:
+        batch.raw_values = batch.raw_offsets = None
+    return batch
+
+
+def _inside(
+    graph: Graph,
+    prefixes: np.ndarray,
+    connected: tuple[int, ...],
+    disconnected: tuple[int, ...] = (),
+    window: Sequence[tuple[np.ufunc, np.ndarray]] = (),
+    adjacent: Optional[dict[tuple[int, int], np.ndarray]] = None,
+) -> np.ndarray:
+    """The distinct-vertex correction of a cardinality: how many of each
+    row's own prefix vertices lie in the counted set (adjacent to every
+    ``connected`` column's vertex, to no ``disconnected`` one's, within
+    ``window``), where a listing drops them. Every column is probed, a
+    source's own too: a self-loop puts a vertex in its own list.
+    ``adjacent`` memoizes ``(source column, column)`` membership."""
+    adjacent = {} if adjacent is None else adjacent
+    hit = np.ones(prefixes.shape, dtype=bool, order="F")
+    for compare, bound in window:
+        hit &= compare(prefixes, bound[:, None])
+    # a column nowhere within the window (a bound's own) needs no probe
+    for column in np.flatnonzero(hit.any(axis=0)).tolist():
+        for source in connected + disconnected:
+            if (source, column) not in adjacent:
+                adjacent[source, column] = adjacency_member(
+                    graph, prefixes[:, source], prefixes[:, column]
+                )
+            member = adjacent[source, column]
+            hit[:, column] &= member if source in connected else ~member
+    return hit.sum(axis=1)
+
+
+def _count_window(
+    graph: Graph, step: ExtensionStep, prefixes: np.ndarray
+) -> ChunkExtendResult:
+    """Counting body of a step that reads one neighbor list: a row's
+    candidates are the run of ``N(v)`` inside its ordering window, two
+    CSR positions — the list's ends, each moved by one binary search of
+    the row's bound in the composite keys. O(rows): no gather, no set
+    operation (no merge elements, no probes); ``scanned`` = the degree."""
+    source = prefixes[:, step.connected[0]]
+    lo, hi = graph.indptr[source], graph.indptr[source + 1]
+    scanned = hi - lo
+    window = _window(step, prefixes)
+    base = source * np.int64(graph.num_vertices)
+    for compare, bound in window:
+        if compare is np.greater:
+            lo = np.searchsorted(graph.adjacency_keys(), base + bound, "right")
+        else:
+            hi = np.searchsorted(graph.adjacency_keys(), base + bound, "left")
+    counts = np.maximum(hi - lo, 0)
+    counts -= _inside(graph, prefixes, step.connected, window=window)
+    return ChunkExtendResult(counts, np.zeros_like(counts), scanned)
+
+
+def _count_rows(
+    step: ExtensionStep, prefixes: np.ndarray, batch: ChunkExtendResult
+) -> ChunkExtendResult:
+    """One row block of :func:`extend_chunk`, counted: one
+    ordering-window pass over ``batch``, its set operations' result (the
+    cost model prices those); the chunk's counts are corrected together."""
+    counts, window = batch.counts, _window(step, prefixes)
+    if window:
+        mask = np.ones(len(batch.values), dtype=bool)
+        for compare, bound in window:
+            mask &= compare(batch.values, bound[batch.rows])
+        counts = np.bincount(batch.rows[mask], minlength=len(prefixes))
     return ChunkExtendResult(
-        final_counts, merge_elements, scanned,
-        values, offsets, rows, raw_values, raw_offsets, probe_elements,
+        counts, batch.merge_elements, batch.scanned,
+        probe_elements=batch.probe_elements,
     )
 
 
@@ -507,52 +600,29 @@ def _iep_rows(
     graph: Graph, plan: CountingPlan, prefixes: np.ndarray
 ) -> ChunkIepResult:
     """One row block of :func:`iep_chunk`."""
-    n, prefix_size = prefixes.shape
+    n = len(prefixes)
     degrees = graph.degrees()
     merge_elements = np.zeros(n, dtype=np.int64)
     scanned = np.zeros(n, dtype=np.int64)
     probe_elements = 0
     cards: dict[tuple[int, ...], np.ndarray] = {}
-    # (source column, column) -> is the row's vertex at ``column`` a
-    # neighbour of the one at ``source column``: the signatures overlap,
-    # so each ordered pair is probed once per block, on first use
+    # the signatures overlap: one membership memo (:func:`_inside`) per
+    # block probes each ordered pair of columns once, on first use
     adjacent: dict[tuple[int, int], np.ndarray] = {}
     for signature in plan.signatures:
         if len(signature) == 1:
             card = degrees[prefixes[:, signature[0]]].astype(np.int64)
         else:
-            values, offsets = graph.neighbors_batch(
-                prefixes[:, signature[0]]
-            )
-            counts = np.diff(offsets).astype(np.int64)
-            emb_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-            for column in signature[1:]:
-                sources = prefixes[:, column]
-                merge_elements += counts + degrees[sources]
-                probe_elements += len(values)
-                member = adjacency_member(
-                    graph, np.repeat(sources, counts), values
-                )
-                values, _, counts, emb_of = _compress(
-                    values, emb_of, member, n
-                )
-            card = counts
+            batch = _set_operations(graph, prefixes, signature)
+            card = batch.counts
+            merge_elements += batch.merge_elements
             scanned += card
-        # distinct-vertex correction: prefix vertices that fall inside
-        # the intersection are not valid suffix candidates
-        for column in range(prefix_size):
-            inside = np.ones(n, dtype=bool)
-            for source_column in signature:
-                pair = (source_column, column)
-                if pair not in adjacent:
-                    adjacent[pair] = adjacency_member(
-                        graph,
-                        prefixes[:, source_column],
-                        prefixes[:, column],
-                    )
-                inside &= adjacent[pair]
-            card = card - inside
-        cards[signature] = card
+            probe_elements += batch.probe_elements
+        # prefix vertices that fall inside the intersection are not
+        # valid suffix candidates
+        cards[signature] = card - _inside(
+            graph, prefixes, signature, adjacent=adjacent
+        )
     totals = np.zeros(n, dtype=np.int64)
     for term in plan.terms:
         value = np.full(n, term.coefficient, dtype=np.int64)

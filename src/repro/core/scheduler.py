@@ -53,10 +53,9 @@ def NULL_UDF(prefix: tuple[int, ...], candidates: np.ndarray) -> None:
     """Counting-only UDF: match totals are tallied by the scheduler.
 
     A sentinel, not just a no-op — the scheduler recognizes it by
-    identity and drains final-level chunks through the count-only
-    kernel fast path (candidate counts without materialized arrays,
-    docs/performance.md), which is only sound when nobody consumes the
-    candidate values.
+    identity and drains final-level chunks through the counting kernel
+    (cardinalities, no candidate list — docs/performance.md), which is
+    only sound when nobody consumes the candidate values.
     """
 
 
@@ -466,10 +465,8 @@ class MachineScheduler:
 
     def _drain_final(self, state: _LevelState) -> None:
         """Last extension level: completed embeddings go to the UDF.
-
         When nobody reads the candidate values (the UDF is the counting
-        sentinel) the kernel only produces per-embedding candidate
-        *counts* — no filtered arrays are ever materialized."""
+        sentinel) the kernel answers with per-embedding cardinalities."""
         count_only = self.udf is NULL_UDF
         batch = self.extender.extend_chunk(
             self.graph, state.chunk, self.extender.final_level,
@@ -512,8 +509,8 @@ class MachineScheduler:
     # ------------------------------------------------------------------
     def _resolve_chunk(self, chunk: Chunk, state: _LevelState) -> None:
         """Settle where every row's active edge list comes from, as
-        passes over the chunk's columns: local by owner, then the share
-        table, then the cache, then one fetch batch per remote owner."""
+        passes over the chunk's columns: local by owner, the share
+        table, the cache, then one fetch batch per remote owner."""
         me = self.machine.machine_id
         chain_steps_before = self.hds.chain_steps
         probes = 0
@@ -553,6 +550,13 @@ class MachineScheduler:
                 )
                 if stop > start
             ]
+            if self.cluster.network.injector is None:
+                # admission is in offer order and the batches lie end to
+                # end in circulant order: one offer for the whole chunk
+                refunded[remote[self.cache.admit_many(
+                    vertex[remote], ebytes[remote],
+                    self._vertex_degrees[vertex[remote]],
+                )]] = True
             transport = self.transport
             if transport is not None and ordered:
                 # fire the whole chunk's demand up front, coalesced per
@@ -567,11 +571,8 @@ class MachineScheduler:
             for peer, rows in ordered:
                 if transport is not None:
                     transport.collect(me, peer, vertex[rows])
-                admitted = self._fetch_batch(
-                    chunk, state, peer, rows, vertex[rows], ebytes[rows]
-                )
+                self._fetch_batch(state, peer, rows, refunded)
                 chunk.source[rows] = EdgeListSource.REMOTE
-                refunded[admitted] = True
                 self._count_sources("remote", len(rows))
                 fetched += len(rows)
             chunk.refund(np.flatnonzero(refunded), ebytes[refunded])
@@ -588,34 +589,34 @@ class MachineScheduler:
 
     def _fetch_batch(
         self,
-        chunk: Chunk,
         state: _LevelState,
         owner: int,
         rows: np.ndarray,
-        vertices: np.ndarray,
-        sizes: np.ndarray,
-    ) -> np.ndarray:
+        refunded: np.ndarray,
+    ) -> None:
         """One circulant communication batch: record the fetches of
-        ``rows`` from ``owner``, offer each list to the cache, price
-        the wire time. Returns the rows the cache admitted."""
+        ``rows`` from ``owner`` and price the wire time. Under an injector
+        each list is also offered to the cache here, fetch by fetch, and
+        marked in ``refunded`` if admitted (the chunk-wide offer is off)."""
         me = self.machine.machine_id
         network = self.cluster.network
         server = self.cluster.machine(owner)
-        degrees = self._vertex_degrees[vertices]
+        vertices = state.chunk.vertex[rows]
+        sizes = self._edge_bytes[vertices]
         payload = int(sizes.sum())
         if network.injector is None:
             network.record_fetch_batch(me, owner, len(rows), payload, server)
-            admitted = self.cache.admit_many(vertices, sizes, degrees)
         else:
             # injected failures interleave retry state with each
             # fetch's bookkeeping, and one that exhausts its retries
             # ends the batch midway: keep the one-at-a-time path
-            admitted = np.zeros(len(rows), dtype=bool)
-            for fetch, (v, size, degree) in enumerate(zip(
-                vertices.tolist(), sizes.tolist(), degrees.tolist()
-            )):
+            degrees = self._vertex_degrees[vertices]
+            for row, v, size, degree in zip(
+                rows.tolist(), vertices.tolist(), sizes.tolist(),
+                degrees.tolist(),
+            ):
                 network.record_fetch(me, owner, size, server)
-                admitted[fetch] = self.cache.admit(v, size, degree)
+                refunded[row] = self.cache.admit(v, size, degree)
         comm = network.batch_time(payload, len(rows))
         # injected transient failures: their backoff waits extend
         # this batch's wire time; a straggler's slow link stretches it
@@ -627,7 +628,7 @@ class MachineScheduler:
             self._tracer.record(Span(
                 "batch",
                 me,
-                level=chunk.level,
+                level=state.chunk.level,
                 chunk=state.chunk_id,
                 batch=len(state.comm_times) - 1,
                 start=state.start,
@@ -639,7 +640,6 @@ class MachineScheduler:
                     "serve_seconds": network.serve_time(payload, len(rows)),
                 },
             ))
-        return rows[admitted]
 
     # ------------------------------------------------------------------
     # accounting

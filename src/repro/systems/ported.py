@@ -66,7 +66,7 @@ class PortedSystem(GPMSystem):
         alive across queries so the expensive state — the partitioned
         cluster, and the lazily built oriented-DAG cluster — is paid
         once; what differs between two served queries is exactly the
-        engine config (time budget, chunk size, extend mode) and the
+        engine config (time budget, chunk size, counting strategy) and the
         observability bundle (a fresh registry per query, for tenant
         isolation). ``obs=None`` disables observability, mirroring the
         constructor.

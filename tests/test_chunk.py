@@ -11,6 +11,7 @@ the UDF drain against the row-by-row :func:`compute_candidates`.
 import numpy as np
 import pytest
 
+from repro.analysis import count_embeddings_brute_force
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.machine import MachineState
 from repro.core import EngineConfig, KhuzdulEngine
@@ -19,7 +20,8 @@ from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
 from repro.core.extend import ScheduleExtender, compute_candidates
 from repro.core.scheduler import NULL_UDF, MachineScheduler, _LevelState
 from repro.errors import OutOfMemoryError
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, power_law_graph
+from repro.obs import Observability, names
 from repro.patterns import catalog
 from repro.patterns.schedule import automine_schedule
 
@@ -182,7 +184,7 @@ def graph():
 
 
 def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=NULL_UDF,
-               machine_id=0):
+               machine_id=0, cache=(0, 16, CachePolicy.STATIC), hds=True):
     cluster = Cluster(
         graph, ClusterConfig(num_machines=machines, memory_bytes=32 << 20)
     )
@@ -190,10 +192,10 @@ def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=NULL_UDF,
         cluster=cluster,
         machine=cluster.machines[machine_id],
         extender=ScheduleExtender(schedule),
-        cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+        cache=EdgeCache(*cache, cluster.cost),
         udf=udf,
         chunk_bytes=chunk_bytes,
-        hds_enabled=True,
+        hds_enabled=hds,
         hds_slots=64,
         vcs_enabled=True,
         numa_aware=True,
@@ -288,6 +290,14 @@ def test_resolve_refunds_everything_but_stored_fetches(graph):
     assert sum(child_state.batch_sizes) == len(chunk)
 
 
+def _remote_chunk(scheduler, vertex, ebytes):
+    """A level-1 chunk of ``vertex`` with every edge list still pending."""
+    chunk = Chunk(1, 1 << 20, scheduler.machine)
+    chunk.fill(vertex, np.zeros(len(vertex), dtype=np.int64),
+               EMBEDDING_BASE_BYTES + ebytes[vertex], EdgeListSource.PENDING)
+    return chunk
+
+
 def test_resolve_makes_no_per_row_calls(graph, count_calls):
     """Resolve is passes over the chunk's columns: a chunk ten times as
     long makes the same Python-level calls, give or take a circulant
@@ -301,11 +311,8 @@ def test_resolve_makes_no_per_row_calls(graph, count_calls):
     rng = np.random.default_rng(0)
 
     def resolve(rows):
-        vertex = rng.choice(elsewhere, size=rows)
-        chunk = Chunk(1, 1 << 20, scheduler.machine)
-        chunk.fill(vertex, np.zeros(rows, dtype=np.int64),
-                   EMBEDDING_BASE_BYTES + ebytes[vertex],
-                   EdgeListSource.PENDING)
+        chunk = _remote_chunk(
+            scheduler, rng.choice(elsewhere, size=rows), ebytes)
         calls = count_calls(scheduler._resolve_chunk, chunk,
                             _LevelState(chunk))
         assert set(chunk.source.tolist()) <= {
@@ -318,6 +325,77 @@ def test_resolve_makes_no_per_row_calls(graph, count_calls):
     assert scheduler.hds.probes == 12_000
     assert scheduler.fetch_sources["remote"] > 100
     assert scheduler.fetch_sources["shared"] > 10_000
+
+
+def test_resolve_offers_a_chunk_to_the_cache_once(graph, count_calls):
+    """Admission is in offer order and the circulant batches lie end to
+    end in it: one ``admit_many`` for an all-remote chunk spread over
+    seven owners, which still travels as seven fetch batches."""
+    cluster, scheduler = _scheduler(
+        graph, automine_schedule(catalog.chain(4)), 1 << 20, machines=8,
+        cache=(1 << 14, 4, CachePolicy.STATIC),
+    )
+    owners = cluster.partitioned.owners_all()
+    elsewhere = np.flatnonzero(owners != 0)
+    assert len(set(owners[elsewhere].tolist())) == 7
+    chunk = _remote_chunk(scheduler, elsewhere, graph.edge_list_bytes_all())
+    state = _LevelState(chunk)
+    assert count_calls(scheduler._resolve_chunk, chunk, state,
+                       only={"admit_many"}) == 1
+    assert len(state.comm_times) - 1 == 7
+    assert len(scheduler.cache) > 0
+
+
+@pytest.mark.parametrize("cache", [
+    (600, 9, CachePolicy.STATIC),  # a threshold that refuses some lists,
+    (1 << 20, 0, CachePolicy.STATIC),  # room for all of them,
+    (300, 0, CachePolicy.STATIC),  # a capacity that fills mid-chunk,
+    (300, 0, CachePolicy.LRU),  # and one that evicts to go on admitting
+], ids=lambda cache: f"{cache[2].value}-{cache[0]}-{cache[1]}")
+@pytest.mark.parametrize("seed", range(4))
+def test_one_offer_admits_what_an_offer_per_batch_did(graph, cache, seed):
+    """The chunk-wide offer against its predecessor — one ``admit_many``
+    per circulant batch, in circulant order, on a twin cache: the same
+    rows admitted, the same cache afterwards, over three chunks (the
+    later ones find residents). HDS is off, so a vertex drawn twice is
+    offered twice."""
+    machines = 5
+    cluster, scheduler = _scheduler(
+        graph, automine_schedule(catalog.chain(4)), 1 << 20,
+        machines=machines, cache=cache, hds=False,
+    )
+    twin = EdgeCache(*cache, cluster.cost)
+    owners = cluster.partitioned.owners_all()
+    elsewhere = np.flatnonzero(owners != 0)
+    ebytes, degrees = graph.edge_list_bytes_all(), graph.degrees()
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        vertex = rng.choice(elsewhere, size=40)
+        assert len(set(vertex.tolist())) < len(vertex)
+        chunk = _remote_chunk(scheduler, vertex, ebytes)
+        scheduler._resolve_chunk(chunk, _LevelState(chunk))
+
+        remote = np.flatnonzero(~twin.query_many(vertex))
+        expected = np.zeros(len(vertex), dtype=bool)
+        for hop in range(1, machines):  # machine 0 resolves: hop = owner
+            rows = remote[owners[vertex[remote]] == hop]
+            offered = vertex[rows]
+            expected[rows] = twin.admit_many(
+                offered, ebytes[offered], degrees[offered])
+        fetched = chunk.source == EdgeListSource.REMOTE
+        assert np.flatnonzero(fetched).tolist() == remote.tolist()
+        admitted = fetched & (chunk.stored_bytes == EMBEDDING_BASE_BYTES)
+        assert admitted.tolist() == expected.tolist()
+        assert list(scheduler.cache._entries.items()) == list(
+            twin._entries.items())
+        assert scheduler.cache.used_bytes == twin.used_bytes
+        assert scheduler.cache.evictions == twin.evictions
+        chunk.release()
+    assert 0 < scheduler.cache.inserts == twin.inserts
+    if cache[2] is CachePolicy.LRU:
+        assert twin.evictions > 0
+    elif cache[0] < 1 << 20:
+        assert twin.inserts < len(elsewhere)  # some list was refused
 
 
 def _reference_calls(graph, schedule):
@@ -370,3 +448,48 @@ def test_udf_drain_sees_what_compute_candidates_produces(
     expected = _reference_calls(graph, schedule)
     assert sorted(seen) == sorted(expected)
     assert report.counts == sum(len(c) for _, c in expected)
+
+
+_DRAINS = {
+    "chain5": (catalog.chain(5), False),
+    "star3": (catalog.star(3), False),
+    "tailed_triangle": (catalog.tailed_triangle(), False),
+    "house": (catalog.house(), False),
+    "cycle4-induced": (catalog.cycle(4), True),
+    "clique4": (catalog.clique(4), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAINS))
+def test_counting_drain_equals_listing_drain(name):
+    """A run drained by the counting sentinel (cardinalities, no list)
+    and one whose UDF reads every candidate (the listing path) are the
+    same run: the brute-force count, and the simulated clock and the
+    integer tallies it is priced from, exactly."""
+    pattern, induced = _DRAINS[name]
+    schedule = automine_schedule(pattern, induced=induced)
+    tallies = (names.EXTEND_CALLS, names.EXTEND_MERGE_ELEMENTS,
+               names.EXTEND_CANDIDATES, names.KERNEL_PROBE_ELEMENTS)
+    for graph in (erdos_renyi(20, 45, seed=5),
+                  power_law_graph(32, 80, exponent=2.0, seed=7)):
+        listed = []
+        runs = []
+        for udf in (None, lambda prefix, candidates: listed.append(
+                (prefix, candidates.tolist()))):
+            obs = Observability()
+            cluster = Cluster(
+                graph, ClusterConfig(num_machines=3, memory_bytes=32 << 20)
+            )
+            report = KhuzdulEngine(
+                cluster, EngineConfig(chunk_bytes=2048), obs=obs
+            ).run(schedule, udf=udf)
+            runs.append((
+                report.counts, report.simulated_seconds, report.breakdown,
+                [obs.registry.total(tally) for tally in tallies],
+            ))
+            counted = obs.registry.total(names.KERNEL_COUNT_ONLY_BATCHES)
+            assert (counted > 0) == (udf is None)
+        assert runs[0] == runs[1]
+        assert runs[0][0] == sum(len(found) for _, found in listed)
+        assert runs[0][0] == count_embeddings_brute_force(
+            graph, pattern, induced=induced)

@@ -344,7 +344,10 @@ def test_killed_run_resumes_identically_on_every_backend(
     from repro.exec import InlineBackend, ProcessBackend
 
     graph = dataset("mico", 0.05)
-    patterns = [catalog.clique(3), catalog.chain(3), catalog.star(3)]
+    # chain(5), the wedge and the star end in one-list steps, which a
+    # counting drain answers off the CSR (under "enumerate")
+    patterns = [catalog.clique(3), catalog.chain(3), catalog.star(3),
+                catalog.chain(5)]
     knobs = dict(counting=counting, chunk_bytes=1024,
                  auto_fit_chunks=False)
 
@@ -355,6 +358,7 @@ def test_killed_run_resumes_identically_on_every_backend(
         return system.count_patterns(patterns, induced=False)
 
     oracle = census()
+    assert comparable(census(ProcessBackend(workers=2))) == comparable(oracle)
     seed = tmp_path / "seed"
     # checkpointing observes the run, it never changes it
     assert comparable(census(checkpoint_dir=str(seed))) == comparable(oracle)

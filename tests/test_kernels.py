@@ -9,19 +9,35 @@ intermediates. What whole engine runs measure on top of the kernels is
 pinned by ``tests/test_scheduler_golden.py``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core import kernels
 from repro.core.extend import compute_candidates, iep_count
-from repro.graph import from_edges, open_store, write_store
+from repro.graph import Graph, from_edges, open_store, write_store
+from repro.graph.generators import erdos_renyi
 from repro.graph.orientation import orient_by_degree
 from repro.patterns import Pattern, catalog
+from repro.patterns.generation import connected_patterns
 from repro.patterns.schedule import (
+    ExtensionStep,
     automine_schedule,
     compile_counting_plan,
     graphpi_schedule,
 )
+
+try:  # Hypothesis draws (and shrinks) the seeds where it is installed
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def _seeds(test):
+        return settings(max_examples=60, deadline=None)(
+            given(seed=st.integers(0, 2**32 - 1))(test)
+        )
+except ImportError:  # a bare container: the same body over a fixed sweep
+    _seeds = pytest.mark.parametrize("seed", range(60))
 
 
 # ======================================================================
@@ -172,7 +188,8 @@ def _segments(arrays):
     form (what :meth:`Chunk.intermediates` hands over)."""
     offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
     np.cumsum([len(a) for a in arrays], out=offsets[1:])
-    return np.concatenate(arrays), offsets, np.arange(len(arrays))
+    values = np.concatenate(arrays or [np.empty(0, dtype=np.int32)])
+    return values, offsets, np.arange(len(arrays))
 
 
 def _check_schedule(graph, schedule, vcs=True):
@@ -188,7 +205,10 @@ def _check_schedule(graph, schedule, vcs=True):
         counts = kernels.extend_chunk(
             graph, step, prefixes, use_inters, vcs=vcs, count_only=True
         )
-        assert counts.values is None  # count-only never materializes
+        # a label-free count never materializes; a labeled one lists
+        label_free = step.label is None and step.edge_labels is None
+        assert (counts.values is None) == label_free
+        assert counts.probe_elements == batch.probe_elements
         assert len(batch) == len(scalars)
         assert batch.rows.tolist() == [
             i for i, res in enumerate(scalars) for _ in res.candidates
@@ -314,6 +334,191 @@ def test_extend_chunk_empty_chunk(small_random_graph):
 
 
 # ======================================================================
+# counting drains: count_only on a label-free step answers with
+# cardinalities — straight off the CSR when the step reads one list
+# (kernels._count_window), after the set operations otherwise
+# (kernels._count_rows) — held to the reference on every shape the two
+# bodies add
+# ======================================================================
+@pytest.mark.parametrize("induced", [False, True])
+@pytest.mark.parametrize("compiler", [automine_schedule, graphpi_schedule])
+def test_counting_every_pattern_up_to_five(compiler, induced):
+    """Every connected pattern with k <= 5, both compilers, induced and
+    not. Between them the steps carry a lower bound and disconnected
+    positions at one-list steps and at intersections alike, an upper
+    bound and both bounds at once at one-list steps (no compiled
+    intersection has an upper bound: the drawn steps below do)."""
+    graph = erdos_renyi(16, 48, seed=4)
+    shapes = set()
+    for k in (2, 3, 4, 5):
+        for pattern in connected_patterns(k):
+            schedule = compiler(pattern, induced=induced)
+            _check_schedule(graph, schedule)
+            shapes |= {
+                (len(step.connected) == 1, bool(step.larger_than),
+                 bool(step.smaller_than), bool(step.disconnected))
+                for step in schedule.steps
+            }
+    for one_list in (True, False):
+        assert (one_list, True, False, False) in shapes
+        assert (one_list, False, False, False) in shapes
+        assert ((one_list, True, False, True) in shapes) == induced
+    assert (True, True, True, induced) in shapes
+    if compiler is graphpi_schedule:
+        assert (True, False, True, induced) in shapes
+
+
+def _with_self_loops(graph, every=3):
+    """``graph`` plus a loop on every ``every``-th vertex, built straight
+    from CSR arrays (the edge-list builders drop loops)."""
+    lists = [
+        sorted(set(graph.neighbors(v).tolist()) | ({v} if v % every == 0
+                                                  else set()))
+        for v in range(graph.num_vertices)
+    ]
+    indptr = np.cumsum([0] + [len(row) for row in lists])
+    return Graph(indptr, np.concatenate(lists).astype(np.int32))
+
+
+@functools.cache  # a Graph hashes by identity; the fixture is one object
+def _counting_graphs(skewed_graph):
+    random = erdos_renyi(40, 150, seed=1)
+    edges = list(random.edges())
+    return {
+        "random": random,
+        "skewed": skewed_graph,
+        "oriented": orient_by_degree(skewed_graph),
+        "edgeless": from_edges([], num_vertices=12),
+        # vertices 40..49 have no edge: roots whose lists are empty
+        "isolated": from_edges(edges, num_vertices=50),
+        "self-loops": _with_self_loops(random),
+    }
+
+
+def _step(level, connected, larger_than=(), smaller_than=(),
+          disconnected=()):
+    """A label-free step placing position ``level``, built by hand."""
+    return ExtensionStep(
+        level=level, connected=connected, disconnected=disconnected,
+        larger_than=larger_than, smaller_than=smaller_than, label=None,
+        edge_labels=None, reuse_level=None, extra_connected=connected,
+        store_intermediate=False, active_after=(),
+    )
+
+
+def _drawn_step(rng, level):
+    """A label-free step over ``level`` prefix columns with any mix of
+    connected / disconnected positions and ordering bounds — a bound
+    may sit on a connected column, and the two sides may cross."""
+    connected = np.flatnonzero(rng.random(level) < 0.5)
+    if not len(connected):
+        connected = rng.integers(0, level, size=1)
+    rest = np.setdiff1d(np.arange(level), connected)
+
+    def pick(columns, share):
+        return tuple(columns[rng.random(len(columns)) < share].tolist())
+
+    return _step(
+        level, tuple(connected.tolist()), disconnected=pick(rest, 0.5),
+        larger_than=pick(np.arange(level), 0.3),
+        smaller_than=pick(np.arange(level), 0.3),
+    )
+
+
+def _check_counted_rows(graph, step, prefixes):
+    """Count mode, row by row, against the reference; its probes
+    against the listing path's."""
+    listed = kernels.extend_chunk(graph, step, prefixes)
+    counted = kernels.extend_chunk(graph, step, prefixes, count_only=True)
+    assert counted.values is None and counted.rows is None
+    reference = [
+        compute_candidates(graph, step, tuple(row), None, True)
+        for row in prefixes.tolist()
+    ]
+    assert counted.counts.tolist() == [len(r.candidates) for r in reference]
+    assert counted.merge_elements.tolist() == [
+        r.merge_elements for r in reference]
+    assert counted.scanned.tolist() == [r.scanned for r in reference]
+    assert counted.probe_elements == listed.probe_elements
+    assert listed.counts.tolist() == counted.counts.tolist()
+
+
+@_seeds
+def test_counting_matches_reference_on_drawn_steps(skewed_graph, seed):
+    """Drawn step shapes over drawn rows of distinct vertices — every
+    graph family, one to four prefix columns, none to forty rows (an
+    empty chunk included), whole chunks and seven-element row blocks."""
+    rng = np.random.default_rng(seed)
+    graphs = _counting_graphs(skewed_graph)
+    graph = graphs[sorted(graphs)[rng.integers(len(graphs))]]
+    level = int(rng.integers(1, 5))
+    rows = int(rng.integers(0, 41))
+    prefixes = rng.permuted(
+        np.tile(np.arange(graph.num_vertices), (rows, 1)), axis=1
+    )[:, :level]
+    step = _drawn_step(rng, level)
+    with pytest.MonkeyPatch.context() as patch:
+        if rng.random() < 0.5:
+            patch.setattr(kernels, "BLOCK_ELEMENTS", 7)
+        _check_counted_rows(graph, step, prefixes)
+
+
+@pytest.mark.parametrize("connected", [(0,), (0, 1)])
+def test_counting_window_edges(connected):
+    """The window by hand, one list and an intersection: a bound that is
+    itself in the list (strict on both sides), a window emptied by
+    ``min(smaller_than) <= max(larger_than)``, prefix vertices inside
+    and outside it, and no rows at all."""
+    # 0 and 1 are adjacent to each other and to everything else
+    graph = from_edges(
+        [(0, 1)] + [(hub, v) for hub in (0, 1) for v in range(2, 10)]
+        + [(2, 3), (4, 5)]
+    )
+    both = _step(3, connected, larger_than=(1, 2), smaller_than=(2,))
+    for step, rows in [
+        (_step(3, connected, larger_than=(2,)), [[0, 1, 4], [0, 1, 9]]),
+        (_step(3, connected, smaller_than=(2,)), [[0, 1, 2], [0, 1, 7]]),
+        # lower bound 3, upper bound 8: (3, 8) holds 4..7
+        (_step(3, connected, larger_than=(2,), smaller_than=(1,)),
+         [[0, 8, 3], [1, 8, 3]] if connected == (0,) else []),
+        # crossed: the same column bounds both sides; two columns do
+        (both, [[0, 1, 5]]),
+        (_step(3, connected, larger_than=(1,), smaller_than=(2,)),
+         [[0, 7, 4], [0, 4, 5], [0, 1, 2]]),
+    ]:
+        prefixes = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        _check_counted_rows(graph, step, prefixes)
+    empty = kernels.extend_chunk(
+        graph, both, np.empty((0, 3), dtype=np.int64), count_only=True
+    )
+    assert len(empty) == 0 and empty.values is None
+
+
+def test_counting_one_list_gathers_nothing(skewed_graph, count_calls):
+    """chain(5)'s final step reads one list: counted, it gathers no
+    neighbor list and no stored segment, and ten times the rows make
+    the same Python- and C-level calls."""
+    graph = skewed_graph
+    step = automine_schedule(catalog.chain(5)).steps[-1]
+    assert len(step.connected) == 1 and step.larger_than
+    rng = np.random.default_rng(8)
+
+    def count(rows, only=None):
+        prefixes = rng.permuted(
+            np.tile(np.arange(graph.num_vertices), (rows, 1)), axis=1
+        )[:, :4]
+        return count_calls(
+            lambda: kernels.extend_chunk(
+                graph, step, prefixes, count_only=True),
+            only=only,
+        )
+
+    count(10)  # the composite keys are built on first use
+    assert count(1_000, {"neighbors_batch", "gather_segments"}) == 0
+    assert count(10_000) == count(1_000)
+
+
+# ======================================================================
 # membership regimes: every vertex a bit-packed row / hub rows + key
 # tail / keys only (the ``membership_regime`` fixture)
 # ======================================================================
@@ -345,16 +550,24 @@ def _regime_cases(skewed_graph, tmp_path):
     write_store(skewed_graph, store)
     clique4 = catalog.clique(4)
     induced_cycle = automine_schedule(catalog.cycle(4), induced=True)
+    # one-list final steps, which count mode answers off the CSR: under
+    # a lower bound, and (induced) with a list to subtract
+    wedge = graphpi_schedule(catalog.chain(3))
+    induced_wedge = automine_schedule(catalog.chain(3), induced=True)
     return {
-        "skewed": (skewed_graph,
-                   [automine_schedule(clique4), induced_cycle]),
+        "skewed": (skewed_graph, [automine_schedule(clique4), induced_cycle,
+                                  wedge, induced_wedge]),
         # out-rows only: an oriented graph's rows are not symmetric
         # (the orientation is the symmetry breaking, so no restrictions)
-        "oriented": (orient_by_degree(skewed_graph),
-                     [automine_schedule(clique4, use_restrictions=False)]),
+        "oriented": (orient_by_degree(skewed_graph), [
+            automine_schedule(clique4, use_restrictions=False),
+            automine_schedule(catalog.chain(3), use_restrictions=False),
+        ]),
         "labeled": (labeled, [automine_schedule(labeled_triangle)]),
-        "edgeless": (from_edges([], num_vertices=20), []),
-        "mmap": (open_store(store), [automine_schedule(catalog.clique(3))]),
+        "edgeless": (from_edges([], num_vertices=20),
+                     [wedge, automine_schedule(catalog.clique(3))]),
+        "mmap": (open_store(store),
+                 [automine_schedule(catalog.clique(3)), wedge]),
     }
 
 
