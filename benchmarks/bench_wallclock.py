@@ -1,9 +1,9 @@
 """Wall-clock benchmark of the execution backends (docs/performance.md).
 
-Every other benchmark here reports *simulated* time; this one (like
-``bench_exec_backends``) measures real seconds. The inline and process
-backends produce bit-identical counts and simulated measurements by
-contract, so the only open question is throughput — this bench runs
+The paper-figure benchmarks here report *simulated* time; this one
+measures real seconds. The inline and process backends produce
+bit-identical counts and simulated measurements by contract, so the
+only open question is throughput — this bench runs
 triangle, 4-clique, and 5-path counting inline and under the process
 backend, asserts the answers match, and emits one JSON document with
 the measured wall seconds and speedups. (``BENCH_PR5/6.json`` also

@@ -11,19 +11,29 @@ asserts the durability contract of docs/faults.md end to end:
   kill-resume-kill-resume double fault);
 - a run losing a worker to SIGKILL under ``--on-worker-death recover``
   completes through surviving-*worker* redistribution — no inline
-  fallback — with identical counts.
+  fallback — with identical counts;
+- a worker killed *inside* a message — half of it written to its
+  result pipe, or to a peer's request pipe — is an ordinary death
+  (docs/execution.md, "Real-process failure semantics"): ``RECOVERED``
+  with exact counts under ``recover``, ``CRASHED`` ahead of the
+  heartbeat under ``fail``, and the process that ran it exits leaving
+  no child and no shared-memory segment behind.
 
 Kill points are seed-deterministic, not timing races: the
 ``REPRO_CHAOS`` environment hooks (``parent-kill:<n>``,
-``worker-kill:<wid>:<n>``; see ``repro.faults.durability`` and
-``repro.exec.worker``) fire at exact flush/delta ordinals, so every
-scenario reproduces byte-for-byte.
+``worker-kill:<wid>:<n>``, ``worker-kill-midsend:<wid>:<n>``,
+``worker-kill-midrequest:<wid>:<n>``; see ``repro.faults.durability``,
+``repro.exec.worker`` and ``repro.exec.lane``) fire at exact
+flush/delta/message ordinals, so every scenario reproduces
+byte-for-byte.
 
 Two entry points:
 
 - ``pytest benchmarks/chaos.py`` — what ``make chaos-check`` runs.
 - ``python benchmarks/chaos.py [--out chaos.json]`` — the same
-  scenarios as a standalone sweep, emitting one JSON document.
+  scenarios as a standalone sweep, emitting one JSON document;
+  ``--stress N`` instead loops the torn-message scenarios (and the
+  service's kill-before-pickup lane test) ``N`` times.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,19 +59,36 @@ JOB = ("--graph", "mico", "--scale", "0.05", "--machines", "4",
 CLI_TIMEOUT = 240
 
 
-def run_cli(extra, chaos=None, check=True):
-    """One ``python -m repro count`` run of the chaos job."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src"
+def _env(chaos=None):
+    """The subprocess environment: in-tree sources, and only the chaos
+    hook the scenario asks for."""
+    env = {**os.environ, "PYTHONPATH": "src"}
     env.pop("REPRO_CHAOS", None)
     if chaos:
         env["REPRO_CHAOS"] = chaos
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "count", *JOB,
-         "--metrics", "json", *extra],
-        capture_output=True, text=True, env=env, cwd=str(REPO_ROOT),
-        timeout=CLI_TIMEOUT,
-    )
+    return env
+
+
+def run_cli(extra, chaos=None, check=True, timeout=CLI_TIMEOUT):
+    """One ``python -m repro count`` run of the chaos job, in a process
+    group of its own (``proc.pid`` leads it) so that whatever it leaves
+    behind can be found afterwards."""
+    args = [sys.executable, "-m", "repro", "count", *JOB,
+            "--metrics", "json", *extra]
+    with subprocess.Popen(
+        args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_env(chaos), cwd=str(REPO_ROOT), start_new_session=True,
+    ) as child:
+        try:
+            out, err = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            # the run, or an orphan of it holding its stdout, hangs
+            os.killpg(child.pid, signal.SIGKILL)
+            raise AssertionError(
+                f"chaos run ({chaos}) still alive after {timeout}s"
+            ) from None
+    proc = subprocess.CompletedProcess(args, child.returncode, out, err)
+    proc.pid = child.pid
     if check and proc.returncode != 0:
         raise AssertionError(
             f"chaos run failed ({proc.returncode}):\n"
@@ -73,8 +101,41 @@ def report_of(proc):
 
 
 def clean_oracle():
-    """The uninterrupted run every scenario's counts must match."""
-    return report_of(run_cli([]))
+    """The uninterrupted run every scenario's counts must match; its
+    ``deltas`` are the CKPT messages each machine ships (one per
+    completed root chunk), which place a kill on a worker's RESULT."""
+    document = json.loads(run_cli([]).stdout)
+    shipped = document["metrics"]["counters"]["recovery.checkpoints"]
+    return {**document["report"],
+            "deltas": [shipped[f"machine={m}"] for m in range(4)]}
+
+
+def _alive_in_group(pgid):
+    """Pids of the live (not zombie) processes of one process group."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue  # exited meanwhile
+        state, _, group = stat.rsplit(")", 1)[1].split()[:3]
+        if state != "Z" and int(group) == pgid:
+            alive.append(int(entry))
+    return alive
+
+
+def assert_nothing_left(proc):
+    """The finished run left no process (orphans keep its process
+    group) and no shared-memory segment (their names carry its pid)."""
+    deadline = time.monotonic() + 5.0
+    while _alive_in_group(proc.pid):  # its resource tracker exits last
+        assert time.monotonic() < deadline, (
+            f"run {proc.pid} left {_alive_in_group(proc.pid)} behind")
+        time.sleep(0.02)
+    leaked = sorted(Path("/dev/shm").glob(f"repro_{proc.pid:x}_*"))
+    assert not leaked, f"segments leaked: {leaked}"
 
 
 def _assert_killed(proc):
@@ -165,14 +226,78 @@ def scenario_worker_kill_redistributes(oracle, workers):
             "redistribution": redistribution}
 
 
+#: where a worker is killed inside a message: (REPRO_CHAOS kind, which
+#: of worker 1's messages) — its first result-pipe message (a CKPT
+#: delta), its last (the RESULT), its first peer fetch request
+TORN_MESSAGES = (("worker-kill-midsend", "first"),
+                 ("worker-kill-midsend", "result"),
+                 ("worker-kill-midrequest", "first"))
+
+
+def scenario_worker_torn_message(oracle, workers, kind, which,
+                                 policy="recover"):
+    """SIGKILL worker 1 with half a message written: the length prefix
+    and half the bytes are in the pipe, the rest never comes. The
+    reader must see a death, not wait for the tail."""
+    ordinal = 1 if which == "first" else 1 + sum(
+        oracle["deltas"][machine] for machine in range(4)
+        if machine % workers == 1)
+    # under ``fail`` the heartbeat is long on purpose: a death is an
+    # EOF, reported ahead of it
+    heartbeat = 0.2 if policy == "recover" else 2.0
+    proc = run_cli(
+        ["--backend", "process", "--workers", str(workers),
+         "--on-worker-death", policy, "--heartbeat", str(heartbeat)],
+        chaos=f"{kind}:1:{ordinal}", check=False, timeout=30)
+    report = report_of(proc)
+    exec_extra = report["extra"]["exec"]
+    row = {"scenario": f"{kind}-{which}-{workers}w-{policy}",
+           "wall_seconds": exec_extra["wall_seconds"]}
+    if policy == "fail":
+        assert proc.returncode == 1, (proc.returncode, proc.stderr)
+        assert report["failure"]["outcome"] == "CRASHED", report["failure"]
+        assert exec_extra["wall_seconds"] < 2 * heartbeat, exec_extra
+    else:
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert report["failure"]["outcome"] == "RECOVERED", (
+            report["failure"])
+        assert report["counts"] == oracle["counts"], (
+            report["counts"], oracle["counts"])
+        redistribution = exec_extra["redistribution"]
+        assert redistribution["inline_fallback"] == 0, redistribution
+        if (kind, which) == ("worker-kill-midsend", "first") \
+                and exec_extra["worker_deaths"] == 1:
+            # the torn delta was all the dead worker sent and nobody
+            # else was lost: nothing resumes, the replay is whole
+            assert report["simulated_seconds"] == \
+                oracle["simulated_seconds"]
+        row["redistribution"] = redistribution
+    assert_nothing_left(proc)
+    return row
+
+
+def scenario_serve_kill_before_pickup():
+    """The service's lane under the same discipline: a serving worker
+    killed between dispatch and pickup costs one ``CRASHED`` query at
+    most and the lane keeps serving (tests/test_service.py owns the
+    scenario; the stress loop runs it as its own pytest process)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_service.py::"
+         "test_worker_death_before_pickup_does_not_wedge_the_lane"],
+        capture_output=True, text=True, env=_env(), cwd=str(REPO_ROOT),
+        timeout=CLI_TIMEOUT,
+    )
+    assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
+    return {"scenario": "serve-kill-before-pickup"}
+
+
 def scenario_serve_sigkill_reaps_segments(directory):
     """SIGKILL a resident mining server mid-session; its shm ledger
     must survive, and the next server started with the same
     ``--checkpoint-dir`` must reap the leaked segments and serve
     queries normally (docs/service.md)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src"
-    env.pop("REPRO_CHAOS", None)
+    env = _env()
     args = [sys.executable, "-m", "repro", "serve", "--graph", "mico",
             "--scale", "0.05", "--machines", "2", "--cores", "2",
             "--workers", "1", "--checkpoint-dir", directory,
@@ -252,6 +377,13 @@ def test_chaos_worker_kill_redistributes(oracle, workers):
     scenario_worker_kill_redistributes(oracle, workers)
 
 
+@pytest.mark.parametrize("policy", ["recover", "fail"])
+@pytest.mark.parametrize("kind,which", TORN_MESSAGES)
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_chaos_worker_torn_message(oracle, workers, kind, which, policy):
+    scenario_worker_torn_message(oracle, workers, kind, which, policy)
+
+
 def test_chaos_serve_sigkill_reaps_segments(tmp_path):
     scenario_serve_sigkill_reaps_segments(str(tmp_path))
 
@@ -263,10 +395,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the scenario summary JSON here")
+    parser.add_argument("--stress", type=int, default=0, metavar="N",
+                        help="instead of the sweep, loop the "
+                             "torn-message scenarios N times")
     args = parser.parse_args(argv)
 
     oracle_report = clean_oracle()
     rows = []
+    for iteration in range(args.stress):
+        for workers in (2, 3, 4):
+            for kind, which in TORN_MESSAGES:
+                for policy in ("recover", "fail"):
+                    rows.append(scenario_worker_torn_message(
+                        oracle_report, workers, kind, which, policy))
+        rows.append(scenario_serve_kill_before_pickup())
+        print(f"stress {iteration + 1}/{args.stress}: "
+              f"{len(rows)} scenarios clean", file=sys.stderr)
+    if args.stress:
+        print(json.dumps({"stress": args.stress, "scenarios": len(rows),
+                          "slowest_seconds": max(
+                              row.get("wall_seconds", 0.0)
+                              for row in rows)}))
+        return 0
     with tempfile.TemporaryDirectory() as d1:
         rows.append(scenario_parent_kill_inline(oracle_report, d1))
     with tempfile.TemporaryDirectory() as d2:
@@ -276,6 +426,10 @@ def main(argv=None) -> int:
     for workers in (2, 4):
         rows.append(scenario_worker_kill_redistributes(
             oracle_report, workers))
+    for workers in (2, 3, 4):
+        for kind, which in TORN_MESSAGES:
+            rows.append(scenario_worker_torn_message(
+                oracle_report, workers, kind, which))
     with tempfile.TemporaryDirectory() as d4:
         rows.append(scenario_serve_sigkill_reaps_segments(d4))
 

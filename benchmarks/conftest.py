@@ -31,10 +31,10 @@ BENCH_DIR = Path(__file__).parent.parent / ".benchmarks"
 def emit_json(result: dict, path: Path) -> str:
     """Print a benchmark result document and persist it to ``path``.
 
-    The shared emission idiom of the wall-clock benches
-    (``bench_exec_backends``, ``bench_wallclock``): one
-    pretty-printed JSON document on stdout — so CI logs carry the
-    numbers — and the same bytes on disk for artifact upload.
+    The emission idiom of the wall-clock benches (``bench_wallclock``,
+    ``bench_scale``, ``bench_service``): one pretty-printed JSON
+    document on stdout — so CI logs carry the numbers — and the same
+    bytes on disk for artifact upload.
     """
     document = json.dumps(result, indent=2)
     print()

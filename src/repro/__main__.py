@@ -188,16 +188,16 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--heartbeat", type=float, default=None, metavar="SECONDS",
         help="process-backend liveness interval: the parent sweeps "
-             "worker exit codes at least this often while idle, so a "
-             "dead worker is detected within roughly two heartbeats "
-             "(default: 1s; docs/execution.md)",
+             "worker exit codes at least this often while idle (a "
+             "death is normally seen at once, as an EOF on the "
+             "worker's pipe) (default: 1s; docs/execution.md)",
     )
     parser.add_argument(
         "--ring-bytes", type=int, default=None, metavar="BYTES",
-        help="process-backend capacity of each per-worker-pair "
-             "shared-memory reply ring (default: 1MiB); replies too "
-             "large for their ring take a pickled fallback queue "
-             "(docs/execution.md)",
+        help="process-backend requested capacity of each "
+             "per-worker-pair shared-memory reply ring (default: "
+             "1MiB); raised as far as the graph's largest edge list "
+             "needs, so every reply fits (docs/execution.md)",
     )
     parser.add_argument(
         "--on-worker-death", default=None, choices=["fail", "recover"],

@@ -4,22 +4,22 @@ Requests are **coalesced**: the requester groups one chunk's pending
 circulant batches by *server worker* (not per embedding, not even per
 server machine) and ships each group as one
 :class:`CoalescedFetchRequest` carrying per-machine vertex segments —
-one inbox message amortizes the queue/pickle overhead over every fetch
+one request-pipe message amortizes the pickle overhead over every fetch
 the chunk needs from that worker. The transport may split a very large
 group into several consecutive requests so each reply frame fits its
 shared-memory ring (see :mod:`repro.exec.transport`).
 
 Replies do not travel as pickled messages at all: the responder writes
 the concatenated edge lists as a raw frame into the (server worker,
-requester worker) shared-memory ring (:mod:`repro.exec.ring`). Only
-oversized payloads fall back to a pickled queue, announced in-band by
-a marker frame so ring order is preserved.
+requester worker) shared-memory ring (:mod:`repro.exec.ring`), which is
+sized to hold the graph's largest edge list.
 
 Ordering contract (what makes one ring per worker pair enough): a
 worker runs one scheduler at a time, so its requests to any given
-server worker are posted in the order it will await them, the inbox is
-FIFO, and the responder serves it single-threaded — reply frames
-therefore land on the pair ring in exactly the awaited order. The
+server worker are posted in the order it will await them, the pair's
+request pipe is FIFO, and the responder serves it single-threaded —
+reply frames therefore land on the pair ring in exactly the awaited
+order. The
 transport still validates every frame against the awaited (kind,
 element count) pair and fails loudly on a protocol violation.
 """
@@ -30,17 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Inbox sentinel: the parent posts one per worker once every worker's
-#: results are in; the responder thread exits on receipt.
-SHUTDOWN = "__exec_shutdown__"
-
 # ---------------------------------------------------------------------
-# result-queue message kinds: every message a worker posts to the
-# parent is a (kind, worker_id, payload) triple with one of these tags
+# result-pipe message kinds: every message a worker sends the parent
+# is a (kind, worker_id, payload) triple with one of these tags
 # ---------------------------------------------------------------------
 #: compute finished — payload carries counts/report/udf/obs/stats
 RESULT = "result"
-#: responder drained after SHUTDOWN — payload carries responder stats
+#: released, responder stopped — payload carries responder stats
 STATS = "stats"
 #: unexpected failure — payload is the formatted traceback text
 ERROR = "error"
@@ -60,18 +56,13 @@ CKPT = "ckpt"
 #: shape as a RESULT payload, restricted to the replayed machines
 RECOVERY = "recovery"
 
-# ---------------------------------------------------------------------
-# control-queue messages (parent -> worker, after the worker's RESULT)
-# ---------------------------------------------------------------------
-#: no (more) recovery work: leave the control loop, await SHUTDOWN
-DONE = "__exec_done__"
-
-
 @dataclass(frozen=True)
 class RecoverAssignment:
     """Replay these machines on the receiving (surviving) worker.
 
-    Sent on a survivor's control queue when a peer died under
+    The one command of the fleet's command pipes (parent -> worker,
+    after the worker's RESULT; releasing the lane ends them), sent to
+    a survivor when a peer died under
     ``--on-worker-death recover``. ``resume`` is the parent's progress
     ledger — ``(pattern, machine)`` to the last shipped cursor
     ``(roots, matches)`` — so the survivor skips chunks the dead worker
@@ -95,7 +86,7 @@ class Segment:
 @dataclass(frozen=True)
 class CoalescedFetchRequest:
     """One chunk's edge-list demand on one server worker (possibly one
-    split of it), addressed to that worker's inbox.
+    split of it), sent on the pair's request pipe.
 
     The responder serves every segment with a single bulk adjacency
     gather and answers with exactly one reply frame on the

@@ -4,32 +4,31 @@ Execution plan (docs/execution.md):
 
 1. Export the graph's CSR arrays into shared memory once
    (:mod:`repro.graph.csr`) — workers map them zero-copy.
-2. Build the transport fabric (per-worker request inboxes, one
-   shared-memory reply *ring* per ordered worker pair plus a pickled
-   fallback queue per requester, per-worker death notices, a fleet
-   stop event) and spawn ``workers`` processes, each running
+2. Build the transport fabric (:mod:`repro.exec.transport`: per
+   ordered worker pair a request pipe and a shared-memory reply *ring*
+   sized to hold the graph's largest edge list, plus one segment of
+   fleet flags only the parent writes) and spawn one supervised
+   :class:`~repro.exec.lane.Lane` per worker, each running
    :func:`repro.exec.worker.worker_main`: the engine's one machine
    loop, handed the job plan, over the machines it hosts
-   (``m % workers``), with
-   each chunk's edge-list demand coalesced per server worker and its
-   replies streaming back as raw ring frames while earlier batches
-   compute (docs/execution.md describes the ring protocol).
-3. Collect per-worker results while *watching worker liveness*: every
-   ``heartbeat`` seconds without a message, the parent sweeps worker
-   exit codes; a dead or silent worker is marked lost, its death
-   notice is published to the fleet (so peers blocked on its replies
-   abort within a bounded wait instead of deadlocking), and the
-   ``on_worker_death`` policy applies — ``fail`` returns a structured
-   ``CRASHED`` report immediately, ``recover`` *redistributes* the
-   lost workers' machines across the surviving workers (each survivor
-   replays its share against the shared graph, resuming past the
-   chunks the dead worker's shipped checkpoint deltas already cover)
-   and reports ``RECOVERED`` with complete counts. The parent replays
-   inline only machines no survivor could cover (survivor died
-   mid-recovery, or no survivors at all).
-4. Broadcast the shutdown sentinel (a worker's responder must outlive
-   its own compute — other workers may still fetch from it), collect
-   responder stats, and join. Shared-memory segments are unlinked on
+   (``m % workers``).
+3. Collect per-worker results off the lanes' private result pipes
+   while *watching worker liveness*: a death is an EOF, seen at once,
+   and the parent sweeps worker exit codes at least every
+   ``heartbeat`` seconds; a worker that died without reporting is
+   marked lost, its death flag is raised (so peers blocked on its
+   replies abort within a bounded wait instead of deadlocking), and
+   the ``on_worker_death`` policy applies — ``fail`` returns a
+   structured ``CRASHED`` report immediately, ``recover``
+   *redistributes* the lost workers' machines across the surviving
+   workers (each survivor replays its share against the shared graph,
+   resuming past the chunks the dead worker's shipped checkpoint
+   deltas already cover) and reports ``RECOVERED`` with complete
+   counts. The parent replays inline only machines no survivor could
+   cover (survivor died mid-recovery, or no survivors at all).
+4. Release every lane (a worker's responder must outlive its own
+   compute — other workers may still fetch from it), collect responder
+   stats, and stop the lanes. Shared-memory segments are unlinked on
    every exit path — including SIGINT/SIGTERM and interpreter exit,
    via chained signal handlers and an ``atexit`` hook registered for
    the duration of the run.
@@ -70,7 +69,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue as queue_mod
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Optional
@@ -79,19 +77,18 @@ from repro.core.plan import finalize, require_mergeable_udf
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.exec.backend import Backend
+from repro.exec.lane import Lane, sweep, wait
 from repro.exec.messages import (
     CKPT,
-    DONE,
     ERROR,
     PEER_DEAD,
     RECOVERY,
     RESULT,
-    SHUTDOWN,
     STATS,
     RecoverAssignment,
 )
 from repro.exec.ring import create_ring
-from repro.exec.transport import Endpoints, zero_responder_stats
+from repro.exec.transport import Endpoints, ring_capacity, zero_responder_stats
 from repro.exec.janitor import install_janitor, remove_janitor
 from repro.exec.worker import hosted_run, machines_of, worker_main
 from repro.faults import durability
@@ -102,15 +99,16 @@ from repro.faults.recovery import (
     worker_death_event,
     worker_loss_summary,
 )
-from repro.graph.csr import share_csr
+from repro.graph.csr import create_segment, share_csr
 from repro.obs import names
+from repro.obs.metrics import Histogram
 
 #: the two worker-death policies ``--on-worker-death`` accepts
 DEATH_POLICIES = ("fail", "recover")
 
-#: default per-pair reply-ring capacity (data bytes); 1 MiB holds a
-#: full adaptive budget of frames per pair while keeping a 4-worker
-#: fabric's shared-memory footprint around a dozen MiB
+#: default requested per-pair reply-ring capacity (data bytes); 1 MiB
+#: holds a full adaptive budget of frames per pair while keeping a
+#: 4-worker fabric's shared-memory footprint around a dozen MiB
 RING_BYTES = 1 << 20
 
 
@@ -121,7 +119,7 @@ class _CollectTimeout(Exception):
 
 @dataclass
 class _FleetState:
-    """One ``execute`` call's fleet: its shape, its channels, its
+    """One ``execute`` call's fleet: its shape, its lanes, its
     liveness bookkeeping and its progress ledger."""
 
     workers: int
@@ -131,9 +129,12 @@ class _FleetState:
     #: fleet-wide progress ledger, (pattern, machine) -> absolute
     #: (roots, matches) cursor; feeds redistribution resume maps
     progress: dict = field(default_factory=dict)
-    result_queue: object = None
-    endpoints: Optional[Endpoints] = None
-    processes: list = field(default_factory=list)
+    lanes: list = field(default_factory=list)
+    #: the shared segment of fleet flags (``Endpoints.flags``), which
+    #: only this process writes: one byte, one plain store each
+    flags: object = None
+    #: per-pair ring capacity this run settled on
+    ring_capacity: int = 0
     #: sweeps of worker exit codes the parent performed
     heartbeat_checks: int = 0
     #: bounded-wait expirations reported by workers that aborted on a
@@ -156,6 +157,12 @@ class _FleetState:
             self.progress[key] = (roots, matches)
         if self.sink is not None:
             self.sink(pattern, machine, roots, matches)
+
+    def lose(self, worker_id: int, reason: str) -> None:
+        """Record a death and raise the worker's flag, so peers blocked
+        on its replies abort their bounded waits."""
+        self.deaths[worker_id] = reason
+        self.flags.buf[worker_id] = 1
 
     def death_events(self) -> list[dict]:
         return [
@@ -214,9 +221,8 @@ class ProcessBackend(Backend):
         #: always clamped to the machine count (a machine's scheduler
         #: is single-threaded state, it cannot be split further)
         self.workers = workers
-        #: multiprocessing start method; None prefers ``fork`` (cheap,
-        #: Linux) and falls back to ``spawn`` — worker args are kept
-        #: picklable so both work
+        #: multiprocessing start method; None leaves the choice to
+        #: :class:`~repro.exec.lane.Lane` (``fork`` where available)
         self.start_method = start_method
         #: wall-clock budget for collecting worker messages before the
         #: run is declared wedged; expiry yields a structured TIMEOUT
@@ -224,7 +230,8 @@ class ProcessBackend(Backend):
         self.timeout = timeout
         #: liveness-check interval: the parent sweeps worker exit codes
         #: at least this often while idle, so a dead worker is detected
-        #: within roughly two heartbeats — never at the full timeout
+        #: within a heartbeat at worst (at once when its pipe reports
+        #: EOF) — never at the full timeout
         if heartbeat <= 0:
             raise ConfigurationError("heartbeat must be positive")
         self.heartbeat = heartbeat
@@ -239,8 +246,9 @@ class ProcessBackend(Backend):
                 f"got {on_worker_death!r}"
             )
         self.on_worker_death = on_worker_death
-        #: capacity of each (server, requester) shared-memory reply
-        #: ring; replies that cannot fit take the pickled fallback path
+        #: requested capacity of each (server, requester) shared-memory
+        #: reply ring; a run raises it as far as its graph's largest
+        #: edge list needs, so every reply fits
         if ring_bytes < 1024:
             raise ConfigurationError("ring_bytes must be at least 1KiB")
         self.ring_bytes = ring_bytes
@@ -281,63 +289,62 @@ class ProcessBackend(Backend):
             durability.reap_stale_segments(config.checkpoint_dir)
         fleet = _FleetState(workers, machines, durable.sink,
                             dict(durable.resume or {}))
-        context = self._context()
+        fleet.ring_capacity = ring_capacity(self.ring_bytes, cluster.graph)
         started = perf_counter()
         shared = share_csr(cluster.graph)
-        rings = {}
+        segments = [shared]
 
         def unlink_segments():
             # idempotent: every unlink below tolerates a repeat call,
             # so the signal/atexit hooks and the finally block may race
-            for segment in [*rings.values(), shared]:
+            for segment in segments:
                 try:
                     segment.unlink()
                 except Exception:  # pragma: no cover - best effort
                     pass
 
         previous_handlers = install_janitor(unlink_segments)
+        endpoints = None
         try:
-            fleet.result_queue = context.Queue()
             # one shared-memory reply ring per ordered worker pair
             # (same-worker fetches take the transport's local fast
             # path, so self-pairs never exist); the parent owns the
             # segments and is the only side that unlinks them
-            rings = {
-                (server, requester): create_ring(self.ring_bytes)
-                for server in range(workers)
-                for requester in range(workers)
-                if server != requester
-            }
+            pairs = [(a, b) for a in range(workers) for b in range(workers)
+                     if a != b]
+            rings = {}
+            for pair in pairs:
+                rings[pair] = create_ring(fleet.ring_capacity)
+                segments.append(rings[pair])
+            fleet.flags = create_segment(workers + 1)  # zero-filled
+            segments.append(fleet.flags)
             if config.checkpoint_dir is not None:
                 durability.write_shm_names(
                     config.checkpoint_dir,
                     shared.handle.segment_names()
-                    + [ring.handle.name for ring in rings.values()],
+                    + [ring.handle.name for ring in rings.values()]
+                    + [fleet.flags.name],
                 )
-            endpoints = fleet.endpoints = Endpoints(
+            endpoints = Endpoints(
                 num_workers=workers,
-                inboxes=[context.Queue() for _ in range(workers)],
                 rings={pair: ring.handle for pair, ring in rings.items()},
-                fallbacks=[context.Queue() for _ in range(workers)],
-                deaths=[context.Event() for _ in range(workers)],
-                stop=context.Event(),
-                controls=(
-                    [context.Queue() for _ in range(workers)]
-                    if self.on_worker_death == "recover" else None
-                ),
+                requests={pair: multiprocessing.Pipe(duplex=False)
+                          for pair in pairs},
+                flags_segment=fleet.flags.name,
                 parent_pid=os.getpid(),
             )
-            for worker_id in range(workers):
-                fleet.processes.append(context.Process(
-                    target=worker_main,
-                    args=(worker_id, workers, shared.handle, plan, udf,
-                          engine.obs.enabled, endpoints, fleet.result_queue,
-                          durable.resume),
-                    name=f"repro-exec-{worker_id}",
-                    daemon=True,
-                ))
-            for process in fleet.processes:
-                process.start()
+            fleet.lanes = [
+                Lane(worker_id, f"repro-exec-{worker_id}", worker_main,
+                     (worker_id, workers, shared.handle, plan, udf,
+                      engine.obs.enabled, endpoints, durable.resume),
+                     self.start_method)
+                for worker_id in range(workers)
+            ]
+            for lane in fleet.lanes:
+                lane.spawn()
+            # every worker holds its own ends now; a copy left open
+            # here would keep a dead worker's pipes from reaching EOF
+            endpoints.close()
 
             results = self._collect(
                 fleet, set(range(workers)), RESULT,
@@ -366,13 +373,10 @@ class ProcessBackend(Backend):
                 recovery_entries, redistribution = self._redistribute(
                     fleet, engine, plan, udf, lost, survivors)
                 entries.extend(recovery_entries)
-            # release survivors from their assignment waits before the
-            # shutdown sentinel so responders drain in order
-            if endpoints.controls is not None:
-                for control in endpoints.controls:
-                    control.put(DONE)
-            for inbox in endpoints.inboxes:
-                inbox.put(SHUTDOWN)
+            # everyone is finished: responders may stop, and only then
+            # are their stats complete
+            for lane in fleet.lanes:
+                lane.release()
             stats = self._collect(
                 fleet, set(results) - set(fleet.deaths), STATS,
                 fail_fast=False,
@@ -384,35 +388,27 @@ class ProcessBackend(Backend):
                 engine, plan, fleet, perf_counter() - started,
                 Outcome.TIMEOUT, str(exc))
         finally:
-            # teardown runs on every path: publish the stop signal so
-            # bounded transport waits abort, unblock feeder threads by
-            # draining the result queue, then reap (or terminate) the
-            # fleet and unlink the shared-memory segments (graph CSR
-            # and reply rings alike — the parent owns both)
-            if fleet.endpoints is not None:
-                fleet.endpoints.stop.set()
-            self._drain(fleet.result_queue)
-            for process in fleet.processes:
-                process.join(timeout=2.0)
-            self._drain(fleet.result_queue)
-            for process in fleet.processes:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=10.0)
+            # teardown runs on every path: raise the stop flag so
+            # bounded transport waits abort, stop the lanes (release
+            # all first so they exit side by side), and unlink the
+            # shared-memory segments (graph CSR, reply rings and flags
+            # alike — the parent owns them all)
+            if endpoints is not None:
+                endpoints.close()
+            if fleet.flags is not None:
+                fleet.flags.buf[workers] = 1
+            for lane in fleet.lanes:
+                lane.release()
+            for lane in fleet.lanes:
+                lane.stop()
             unlink_segments()
+            if fleet.flags is not None:
+                fleet.flags.close()  # unlinking it left it mapped
             remove_janitor(unlink_segments, previous_handlers)
             if config.checkpoint_dir is not None:
                 durability.clear_shm_names(config.checkpoint_dir)
         return self._merge(engine, plan, udf, fleet, entries, stats,
                            perf_counter() - started, redistribution)
-
-    def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
 
     # ------------------------------------------------------------------
     # collection with liveness detection
@@ -420,11 +416,13 @@ class ProcessBackend(Backend):
     def _collect(self, fleet, pending, tag, fail_fast) -> dict:
         """Gather one tagged message per pending worker.
 
-        Every queue wait is bounded by ``heartbeat``; each expiry
-        sweeps worker exit codes, so a dead worker is *marked lost*
-        (death notice published to its peers) within about two
-        heartbeats instead of stalling until the full ``timeout``.
-        With ``fail_fast`` the first death ends collection immediately;
+        Every wait is bounded by ``heartbeat`` and ends early on a
+        delivery or a death (EOF); each pass sweeps the lanes — what
+        was delivered first, then who is dead — so a worker that died
+        without reporting is *marked lost* (death flag set for its
+        peers) at once, never at the full ``timeout``, and one that
+        reported and then died is not a loss at all. With
+        ``fail_fast`` the first loss ends collection immediately;
         otherwise collection continues until every pending worker has
         either reported or been marked lost.
 
@@ -436,7 +434,6 @@ class ProcessBackend(Backend):
         collected: dict[int, dict] = {}
         expected = len(pending)
         deadline = perf_counter() + self.timeout
-        suspects: dict[int, float] = {}
         while pending and not (fail_fast and fleet.deaths):
             remaining = deadline - perf_counter()
             if remaining <= 0:
@@ -445,83 +442,37 @@ class ProcessBackend(Backend):
                     f"{self.timeout:.0f}s awaiting {tag!r} messages "
                     f"({len(collected)}/{expected} received)"
                 )
-            try:
-                message = fleet.result_queue.get(
-                    timeout=min(self.heartbeat, max(0.01, remaining))
-                )
-            except queue_mod.Empty:
-                self._sweep(fleet, pending, suspects)
-                continue
-            kind, worker_id, payload = message
-            if kind == CKPT:
-                fleet.on_ckpt(*payload)
-                continue
-            if worker_id not in pending:
-                continue  # late message from a worker already marked lost
-            if kind == ERROR:
-                self._mark_lost(fleet, pending, worker_id,
-                                _error_reason(payload))
-            elif kind == PEER_DEAD:
-                fleet.peer_timeout_messages += max(
-                    1, int(payload.get("liveness_timeouts", 0))
-                )
-                fleet.aborted.add(worker_id)
-                self._mark_lost(fleet, pending, worker_id,
-                                payload["message"])
-            elif kind == tag:
-                collected[worker_id] = payload
+            wait(fleet.lanes, min(self.heartbeat, max(0.01, remaining)))
+            fleet.heartbeat_checks += 1
+            messages, dead = sweep(fleet.lanes)
+            for _, (kind, worker_id, payload) in messages:
+                if kind == CKPT:
+                    fleet.on_ckpt(*payload)
+                    continue
+                if worker_id not in pending:
+                    continue  # late message from a worker marked lost
                 pending.discard(worker_id)
-                suspects.pop(worker_id, None)
-            else:
-                raise RuntimeError(
-                    f"protocol violation: got {kind!r} while awaiting "
-                    f"{tag!r}"
-                )
+                if kind == tag:
+                    collected[worker_id] = payload
+                elif kind == ERROR:
+                    fleet.lose(worker_id, _error_reason(payload))
+                elif kind == PEER_DEAD:
+                    fleet.peer_timeout_messages += max(
+                        1, int(payload.get("liveness_timeouts", 0))
+                    )
+                    fleet.aborted.add(worker_id)
+                    fleet.lose(worker_id, payload["message"])
+                else:
+                    raise RuntimeError(
+                        f"protocol violation: got {kind!r} while "
+                        f"awaiting {tag!r}"
+                    )
+            for lane in dead:
+                if lane.index in pending:
+                    pending.discard(lane.index)
+                    fleet.lose(lane.index,
+                               f"{lane.exit_reason()} before reporting")
         return collected
-
-    def _sweep(self, fleet, pending, suspects) -> None:
-        """One liveness pass over the pending workers' exit codes."""
-        fleet.heartbeat_checks += 1
-        now = perf_counter()
-        grace = max(self.heartbeat, 0.5)
-        for worker_id in sorted(pending):
-            exitcode = fleet.processes[worker_id].exitcode
-            if exitcode is None:
-                suspects.pop(worker_id, None)
-                continue
-            first_seen = suspects.setdefault(worker_id, now)
-            if exitcode == 0 and now - first_seen < grace:
-                # clean exit: give an already-flushed message one grace
-                # interval to surface before declaring the worker silent
-                continue
-            if exitcode == 0:
-                reason = "exited silently without reporting"
-            elif exitcode > 0:
-                reason = f"exited with code {exitcode} before reporting"
-            else:
-                reason = f"killed by signal {-exitcode} before reporting"
-            self._mark_lost(fleet, pending, worker_id, reason)
-
-    @staticmethod
-    def _mark_lost(fleet, pending, worker_id, reason) -> None:
-        """Record a death and publish the notice to the fleet, so peers
-        blocked on the dead worker's replies abort their bounded waits."""
-        fleet.deaths[worker_id] = reason
-        pending.discard(worker_id)
-        if fleet.endpoints.deaths is not None:
-            fleet.endpoints.deaths[worker_id].set()
-
-    @staticmethod
-    def _drain(result_queue) -> None:
-        """Discard undelivered messages so child feeder threads blocked
-        on a full pipe can flush and let their processes exit."""
-        if result_queue is None:
-            return
-        while True:
-            try:
-                result_queue.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError):  # drained / torn
-                return
 
     # ------------------------------------------------------------------
     # lost-worker redistribution (on_worker_death == "recover")
@@ -550,7 +501,9 @@ class ProcessBackend(Backend):
                 target = survivors[index % len(survivors)]
                 assignment.setdefault(target, []).append(machine)
         for worker_id in sorted(assignment):
-            fleet.endpoints.controls[worker_id].put(RecoverAssignment(
+            # a False send is a survivor that just died: its share
+            # shows up below as uncovered
+            fleet.lanes[worker_id].send(RecoverAssignment(
                 machines=tuple(assignment[worker_id]),
                 resume=dict(fleet.progress),
             ))
@@ -683,9 +636,7 @@ class ProcessBackend(Backend):
             "bytes_shipped": sum(s["served_bytes"] for s in responders),
             "queue_depth": self._merge_depth(
                 s["queue_depth"] for s in responders),
-            "ring_bytes": self.ring_bytes,
-            "ring_fallbacks": sum(
-                s["fallbacks_served"] for s in responders),
+            "ring_bytes": fleet.ring_capacity,
             "ring_backpressure_seconds": sum(
                 s["ring_wait_seconds"] for s in responders),
             "ring_occupancy": self._merge_depth(
@@ -723,15 +674,12 @@ class ProcessBackend(Backend):
     @staticmethod
     def _merge_depth(summaries) -> dict:
         """Fold ``(count, total, min, max)`` summaries into one."""
-        present = [s for s in summaries if s[0]]
-        if not present:
-            return {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0}
-        return {
-            "count": sum(s[0] for s in present),
-            "total": sum(s[1] for s in present),
-            "min": min(s[2] for s in present),
-            "max": max(s[3] for s in present),
-        }
+        merged = Histogram()
+        for summary in summaries:
+            merged.merge_summary(*summary)
+        folded = merged.summary()
+        del folded["mean"]
+        return folded
 
     def _emit_exec_metrics(self, scope, block) -> None:
         """The ``exec.*`` family, read off an ``extra["exec"]`` block so
@@ -757,8 +705,7 @@ class ProcessBackend(Backend):
             ).set(block["adaptive_chunk_bytes"][worker_id])
         scope.counter(names.EXEC_MESSAGES).inc(block["messages"])
         scope.counter(names.EXEC_BYTES_SHIPPED).inc(block["bytes_shipped"])
-        scope.gauge(names.EXEC_RING_CAPACITY).set(self.ring_bytes)
-        scope.counter(names.EXEC_RING_FALLBACKS).inc(block["ring_fallbacks"])
+        scope.gauge(names.EXEC_RING_CAPACITY).set(block["ring_bytes"])
         scope.counter(names.EXEC_LOCAL_FAST_REQUESTS).inc(
             block["local_fast_requests"])
         scope.counter(names.NET_COALESCED_REQUESTS).inc(

@@ -37,10 +37,9 @@ Capacity/backpressure rules:
   consumer to drain, re-checking the abort callback (fleet stop /
   requester death) at every expiry, so a dead consumer can never wedge
   a responder;
-* a write larger than the capacity itself can never fit — callers must
-  route such payloads through their slow-path fallback (the transport
-  sends the oversized reply pickled over a queue and publishes only a
-  small marker frame here, keeping ring order intact).
+* a write larger than the capacity itself can never fit and is an
+  error — the backend sizes every ring to hold its graph's largest
+  edge list, so the transport never produces one.
 
 Reads mirror writes: ``read_exact`` blocks in bounded waits until the
 requested bytes are published, re-checking the same abort callback, so
@@ -58,6 +57,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.graph.csr import attach_segment, create_segment
+from repro.obs.metrics import Histogram
 
 #: bytes reserved for the head/tail counters ahead of the data region
 _HEADER_BYTES = 128
@@ -109,11 +109,8 @@ class ReplyRing:
         self.wait_seconds = 0.0
         self.waits = 0
         #: ring occupancy in bytes sampled after each published frame
-        #: (count, total, min, max) — feeds exec.ring.occupancy_bytes
-        self._occ_count = 0
-        self._occ_total = 0
-        self._occ_min = float("inf")
-        self._occ_max = float("-inf")
+        #: — feeds exec.ring.occupancy_bytes
+        self.occupancy = Histogram()
 
     # ------------------------------------------------------------------
     # shared plumbing
@@ -175,8 +172,7 @@ class ReplyRing:
         space (backpressure). The head pointer moves once, after every
         byte is in place, so the consumer never observes a partial
         frame — and an aborted write leaves the ring untouched.
-        Raises ``ValueError`` if the frame exceeds the ring capacity
-        (the caller's oversized-payload fallback must handle it).
+        Raises ``ValueError`` if the frame exceeds the ring capacity.
         """
         flat = [np.ascontiguousarray(c).view(np.uint8).reshape(-1)
                 for c in chunks]
@@ -192,13 +188,7 @@ class ReplyRing:
             self._copy_in(position, chunk)
             position += len(chunk)
         self._head[0] = position  # publish: single aligned store
-        occupancy = int(self._head[0] - self._tail[0])
-        self._occ_count += 1
-        self._occ_total += occupancy
-        if occupancy < self._occ_min:
-            self._occ_min = occupancy
-        if occupancy > self._occ_max:
-            self._occ_max = occupancy
+        self.occupancy.observe(int(self._head[0] - self._tail[0]))
 
     # ------------------------------------------------------------------
     # consumer side
@@ -215,15 +205,8 @@ class ReplyRing:
         return out
 
     # ------------------------------------------------------------------
-    # stats & lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    def occupancy_summary(self) -> tuple[int, float, float, float]:
-        """(count, total, min, max) of sampled post-write occupancies."""
-        if not self._occ_count:
-            return (0, 0.0, 0.0, 0.0)
-        return (self._occ_count, float(self._occ_total),
-                float(self._occ_min), float(self._occ_max))
-
     def close(self) -> None:
         """Drop this process's mapping (safe to call twice)."""
         if self._closed:

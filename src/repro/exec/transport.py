@@ -1,14 +1,17 @@
 """Inter-worker fetch transport of the process backend.
 
-Topology: one request inbox per worker (many producers, one consumer —
-the worker's responder thread), one shared-memory reply ring per
-ordered worker pair (:mod:`repro.exec.ring`), and one pickled fallback
-queue per requester for payloads too large for their ring. The
+Topology: per ordered worker pair, one request pipe (the requester's
+main thread writes, the server's responder thread reads) and one
+shared-memory reply ring the other way (:mod:`repro.exec.ring`) — every
+channel has one writer and one reader, so a worker killed at any
+instant leaves nothing behind that a survivor could block on. The
 responder serves every request from the shared-memory graph with one
 bulk adjacency gather (``Graph.neighbors_batch`` — the batched worker
 kernel) while the worker's main thread runs the chunk scheduler, so
 serving remote fetches genuinely overlaps local computation — the role
-of Khuzdul's dedicated communication threads.
+of Khuzdul's dedicated communication threads. A ring always holds the
+graph's largest edge list (the parent sizes it from the degrees), so
+every reply is a ring frame: there is no second transport mode.
 
 The scheduler drives the requester side through
 :meth:`WorkerTransport.post_chunk` (fire the whole chunk's coalesced,
@@ -28,10 +31,11 @@ properties:
   the known segment lengths — no length table travels on the wire.
 * **Deadlock-free flow control** — the requester only posts a request
   once the *predicted* reply bytes of everything in flight on that
-  ring fit its capacity (oversized payloads count only their marker
-  frame). A responder therefore never blocks on a full ring, so no
-  producer/consumer wait cycle can form; excess requests simply wait,
-  unposted, until :meth:`collect` drains earlier frames.
+  ring fit its capacity. A responder therefore never blocks on a full
+  ring — which is also why a blocking request-pipe ``send`` cannot
+  deadlock — so no producer/consumer wait cycle can form; excess
+  requests simply wait, unposted, until :meth:`collect` drains earlier
+  frames.
 * **Local fast path** — a fetch addressed to a machine hosted by the
   requesting worker itself never becomes a message: ``collect`` serves
   it synchronously from the shared graph.
@@ -41,32 +45,39 @@ properties:
   (better pipelining). Purely a transport concern: simulated
   accounting never sees it.
 
-Liveness: no wait in this module is unbounded. The responder polls its
-inbox with a timeout and re-checks the fleet stop event; ring reads,
-ring writes, and fallback-queue gets all run in short bounded waits
-that re-check the relevant peer's death notice (published by the
-parent's sentinel watcher) and the stop event, so a dead peer becomes
+Liveness: no wait in this module is unbounded and none takes a lock.
+The responder waits on its request pipes with a timeout and re-checks
+the fleet stop flag; a requester that died — even inside a ``send`` —
+is an EOF on its pipe and the reader is dropped. Ring reads and ring
+writes run in short bounded waits that re-check the relevant peer's
+death flag and the stop flag (plain bytes only the parent writes), and
+a ``send`` to a dead server is a broken pipe — so a dead peer becomes
 a structured :class:`~repro.errors.PeerDeadError` on the requester
-side — and a silently dropped reply on the responder side — instead of
-a deadlock (docs/execution.md, "Real-process failure semantics").
+side, and a silently dropped reply on the responder side, instead of a
+deadlock (docs/execution.md, "Real-process failure semantics").
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import queue as queue_mod
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import PeerDeadError, TransportCorruptionError
-from repro.exec.messages import SHUTDOWN, CoalescedFetchRequest, Segment
+from repro.exec.lane import die_mid_send
+from repro.exec.messages import CoalescedFetchRequest, Segment
 from repro.exec.ring import RingAborted, attach_ring
+from repro.faults.durability import chaos_kill_threshold
+from repro.graph.csr import attach_segment
 from repro.graph.graph import Graph
+from repro.obs.metrics import Histogram
 
 #: how long one reply may take before the worker assumes the fleet is
 #: wedged and aborts (generous: covers heavily loaded CI machines)
@@ -83,11 +94,26 @@ LIVENESS_INTERVAL_SECONDS = 1.0
 FRAME_HEADER_BYTES = 32
 #: first header word of every well-formed frame ("ringfrme" in ASCII)
 FRAME_MAGIC = 0x72696E6766726D65
-#: frame kinds: payload inline in the ring / oversized-payload marker
-#: (the actual edge lists travel pickled on the requester's fallback
-#: queue; the marker keeps the ring's frame order intact)
+#: the one frame kind: edge lists inline in the ring
 FRAME_DATA = 0
-FRAME_FALLBACK = 1
+
+
+def ring_capacity(ring_bytes: int, graph: Graph) -> int:
+    """Per-pair ring capacity: the requested ``ring_bytes``, raised to
+    hold a frame with the graph's largest edge list — a single list is
+    the one reply that cannot be split, so with this no reply can fail
+    to fit its ring."""
+    largest = graph.max_degree() * graph.indices.dtype.itemsize
+    return max(ring_bytes, FRAME_HEADER_BYTES + largest)
+
+
+def _summary(histogram: Histogram) -> tuple:
+    """``(count, total, min, max)`` as ``Histogram.merge_summary`` takes
+    it on the parent's side; all zero when nothing was observed."""
+    if not histogram.count:
+        return (0, 0.0, 0.0, 0.0)
+    return (histogram.count, float(histogram.total),
+            float(histogram.min), float(histogram.max))
 
 
 def zero_requester_stats() -> dict:
@@ -97,7 +123,6 @@ def zero_requester_stats() -> dict:
         "messages": 0,
         "bytes_received": 0,
         "liveness_timeouts": 0,
-        "fallbacks": 0,
         "local_requests": 0,
         "local_bytes": 0,
         "coalesced_requests": 0,
@@ -115,7 +140,6 @@ def zero_responder_stats() -> dict:
         "queue_depth": (0, 0.0, 0.0, 0.0),
         "ring_occupancy": (0, 0.0, 0.0, 0.0),
         "ring_wait_seconds": 0.0,
-        "fallbacks_served": 0,
     }
 
 
@@ -123,59 +147,83 @@ def zero_responder_stats() -> dict:
 class Endpoints:
     """The fabric the parent builds and every worker shares.
 
-    ``inboxes[w]`` receives :class:`CoalescedFetchRequest`s (and the
-    shutdown sentinel) for worker ``w``; ``rings[(sw, rw)]`` is the
-    :class:`~repro.exec.ring.RingHandle` of the shared-memory reply
-    ring from server worker ``sw`` to requester worker ``rw`` (no
-    self-pairs: same-worker fetches take the local fast path);
-    ``fallbacks[rw]`` is requester ``rw``'s pickled queue for replies
-    too large for their ring. Machine ``m`` is hosted by worker
+    ``rings[(sw, rw)]`` is the :class:`~repro.exec.ring.RingHandle` of
+    the shared-memory reply ring from server worker ``sw`` to requester
+    worker ``rw``; ``requests[(rw, sw)]`` is the ``(reader, writer)``
+    pair of the request pipe the other way. No self-pairs: same-worker
+    fetches take the local fast path. Machine ``m`` is hosted by worker
     ``m % num_workers``.
 
-    ``deaths[w]`` is a per-worker death notice (a multiprocessing
-    ``Event`` the *parent's* sentinel watcher sets when worker ``w``
-    dies) and ``stop`` is the fleet-wide teardown signal; both default
-    to ``None`` for callers that build a fabric without liveness
-    tracking (unit tests), in which case waits still stay bounded by
+    ``flags`` are the fleet's liveness flags, one byte each, written
+    only by the parent with single stores and read with plain loads —
+    reading one acquires nothing, so a worker killed mid-read leaves
+    nothing held: ``flags[w]`` says worker ``w`` is dead,
+    ``flags[num_workers]`` says the fleet is stopping. In a real fleet
+    they are the shared segment ``flags_segment`` names (created, and
+    unlinked, by the parent like the rings), which a worker maps in
+    :meth:`claim`; a fabric built inside one process (unit tests)
+    passes a plain array, or ``None`` for no liveness tracking, in
+    which case waits still stay bounded by
     :data:`REPLY_TIMEOUT_SECONDS`.
     """
 
     num_workers: int
-    inboxes: list
-    #: (server worker, requester worker) -> RingHandle, for all pairs
-    #: with distinct workers
+    #: (server worker, requester worker) -> RingHandle
     rings: dict = field(default_factory=dict)
-    #: per-requester slow-path queues for oversized reply payloads
-    fallbacks: list = field(default_factory=list)
-    #: per-worker death notices set by the parent's liveness watcher
-    deaths: Optional[list] = None
-    #: fleet-wide stop signal set by the parent during teardown
-    stop: Optional[object] = None
-    #: per-worker control queues (parent -> worker): after a worker's
-    #: RESULT, the parent may send :class:`RecoverAssignment` messages
-    #: (redistributed recovery of a dead peer's machines) followed by
-    #: the DONE sentinel; None for fabrics without recovery support
-    controls: Optional[list] = None
+    #: (requester worker, server worker) -> (reader, writer)
+    requests: dict = field(default_factory=dict)
+    flags: Optional[Sequence[int]] = None
+    flags_segment: Optional[str] = None
     #: pid of the parent that built the fabric. Workers treat a changed
     #: ppid (the parent was SIGKILLed and init adopted them) as a stop
     #: signal, so orphans exit within a bounded wait instead of
-    #: spinning forever on events nobody will ever set
+    #: spinning forever on flags nobody will ever set
     parent_pid: Optional[int] = None
+    #: this copy's mapping of ``flags_segment`` (set by :meth:`claim`)
+    _segment: object = field(default=None, repr=False, compare=False)
 
     def worker_of(self, machine: int) -> int:
         return machine % self.num_workers
 
     def peer_dead(self, worker: int) -> bool:
-        return self.deaths is not None and self.deaths[worker].is_set()
+        return self.flags is not None and bool(self.flags[worker])
 
     def stopping(self) -> bool:
-        if self.stop is not None and self.stop.is_set():
+        if self.flags is not None and self.flags[self.num_workers]:
             return True
         return (
             self.parent_pid is not None
             and os.getpid() != self.parent_pid
             and os.getppid() != self.parent_pid
         )
+
+    def claim(self, worker_id: int) -> None:
+        """Make this copy worker ``worker_id``'s: keep the request
+        writers it owns and the readers addressed to it, close every
+        other end (inherited through ``fork``, or duplicated into the
+        spawn pickle), and map the fleet flags. A pipe end only its
+        owner holds is what turns a death into an EOF — with a stray
+        copy of a dead requester's writer open, its torn message would
+        block a ``recv`` forever."""
+        for (requester, server), (reader, writer) in self.requests.items():
+            if server != worker_id:
+                reader.close()
+            if requester != worker_id:
+                writer.close()
+        if self.flags_segment is not None:
+            self._segment = attach_segment(self.flags_segment)
+            self.flags = self._segment.buf
+
+    def close(self) -> None:
+        """Close every request-pipe end this copy holds and unmap the
+        flags (the parent, once the fleet is up; a worker on exit)."""
+        for reader, writer in self.requests.values():
+            reader.close()
+            writer.close()
+        if self._segment is not None:
+            self.flags = None
+            self._segment.close()
+            self._segment = None
 
 
 class AdaptiveChunker:
@@ -229,10 +277,8 @@ class _FrameDesc:
     #: (server machine, element count) per segment, in request order
     segments: list
     total_elems: int
-    payload_bytes: int
-    #: whether the frame fits the ring inline (else: fallback marker)
-    fits: bool
-    #: ring bytes this request occupies while in flight (flow control)
+    #: bytes of the reply frame, which the request occupies on the ring
+    #: while in flight (flow control)
     ring_cost: int
 
 
@@ -263,7 +309,6 @@ class WorkerTransport:
         self._descriptors: dict[int, deque] = {}
         self._buffers: dict[int, list] = {}
         self._buffered_elems: dict[int, int] = {}
-        self._fallback_stash: dict[int, deque] = {}
         #: next frame sequence expected per server worker (main thread)
         self._frame_seq_in: dict[int, int] = {}
         #: next frame sequence to stamp per requester (responder thread)
@@ -273,27 +318,30 @@ class WorkerTransport:
         self.requests_posted = 0
         self.frames_received = 0
         self.bytes_received = 0
-        self.fallbacks_received = 0
         self.local_requests = 0
         self.local_bytes = 0
         #: bounded reply waits that crossed a liveness re-check interval
         #: before the reply arrived (feeds net.peer_timeouts)
         self.liveness_timeouts = 0
-        self._batch_count = 0
-        self._batch_total = 0
-        self._batch_min = float("inf")
-        self._batch_max = float("-inf")
+        #: vertices per coalesced request (net.coalesced_batch_vertices)
+        self._batch = Histogram()
         # responder-side accounting (responder thread only)
         self.served_requests = 0
         self.served_bytes = 0
-        self.fallbacks_served = 0
-        self._depth_count = 0
-        self._depth_total = 0
-        self._depth_min = float("inf")
-        self._depth_max = float("-inf")
+        #: ``exec.queue_depth``: request pipes found ready at one
+        #: responder wake-up (requests waiting, at most one per peer
+        #: visible — a pipe has no ``qsize``)
+        self._depth = Histogram()
+        #: ``REPRO_CHAOS=worker-kill-midrequest:<wid>:<n>``: die inside
+        #: the n-th request-pipe send
+        self._tear_at = chaos_kill_threshold("worker-kill-midrequest",
+                                             worker_id)
         self._thread: threading.Thread | None = None
-        self._stopped = threading.Event()
         self._stop_requested = threading.Event()
+        # in-process wake-up for the responder: closing the write end
+        # readies the read end, so shutdown costs no poll interval
+        self._wake_reader, self._wake_writer = multiprocessing.Pipe(
+            duplex=False)
 
     # ------------------------------------------------------------------
     # ring plumbing (shared by both sides; attach-once under a lock)
@@ -319,12 +367,14 @@ class WorkerTransport:
                 ring.close()
             self._producer_rings.clear()
             self._consumer_rings.clear()
+        self._wake_reader.close()
+        self._wake_writer.close()
 
     # ------------------------------------------------------------------
     # responder side
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start serving this worker's inbox on a daemon thread."""
+        """Start serving this worker's request pipes on a daemon thread."""
         self._thread = threading.Thread(
             target=self._serve, name=f"exec-responder-{self.worker_id}",
             daemon=True,
@@ -332,29 +382,37 @@ class WorkerTransport:
         self._thread.start()
 
     def _serve(self) -> None:
-        inbox = self.endpoints.inboxes[self.worker_id]
-        try:
-            while True:
-                # bounded: a peer that dies before sending SHUTDOWN
-                # must not wedge this thread (and thereby join())
-                try:
-                    message = inbox.get(timeout=LIVENESS_INTERVAL_SECONDS)
-                except queue_mod.Empty:
-                    if (self._stop_requested.is_set()
-                            or self.endpoints.stopping()):
-                        break
-                    continue
-                if message == SHUTDOWN:
+        wake = self._wake_reader
+        readers = [
+            reader
+            for (_, server), (reader, _) in self.endpoints.requests.items()
+            if server == self.worker_id
+        ]
+        while not self._stop_requested.is_set():
+            # bounded: a parent that dies without stopping this worker
+            # must not wedge the thread (and thereby join())
+            ready = mp_connection.wait([wake, *readers],
+                                       LIVENESS_INTERVAL_SECONDS)
+            if not ready:
+                if self.endpoints.stopping():
                     break
-                self._observe_depth(inbox)
+                continue
+            if wake in ready:
+                break
+            self._depth.observe(len(ready))
+            for reader in ready:
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    # the requester is gone — possibly mid-send, which
+                    # ends its torn message here, not in a held lock
+                    readers.remove(reader)
+                    continue
                 self._serve_one(message)
-        finally:
-            self._stopped.set()
 
     def _serve_one(self, message: CoalescedFetchRequest) -> None:
         """Serve one coalesced request: a single bulk adjacency gather
-        for every segment, answered as one ring frame (or a fallback
-        queue item plus a marker frame when it cannot fit inline)."""
+        for every segment, answered as one ring frame."""
         vertices = np.concatenate(
             [seg.vertices for seg in message.segments]
         ) if len(message.segments) > 1 else message.segments[0].vertices
@@ -369,56 +427,40 @@ class WorkerTransport:
                     or self.endpoints.stopping()
                     or self.endpoints.peer_dead(requester))
 
-        fits = FRAME_HEADER_BYTES + payload.nbytes <= ring.capacity
         sequence = self._frame_seq_out.get(requester, 0)
+        header = np.array(
+            [FRAME_MAGIC, sequence, FRAME_DATA, len(payload)],
+            dtype=np.int64)
         try:
-            if fits:
-                header = np.array(
-                    [FRAME_MAGIC, sequence, FRAME_DATA, len(payload)],
-                    dtype=np.int64)
-                ring.write([header, payload], abort)
-            else:
-                # oversized: ship the payload pickled, keep ring order
-                # with a marker frame the requester knows to expect
-                self.fallbacks_served += 1
-                self.endpoints.fallbacks[requester].put(
-                    (self.worker_id, payload)
-                )
-                marker = np.array(
-                    [FRAME_MAGIC, sequence, FRAME_FALLBACK, len(payload)],
-                    dtype=np.int64)
-                ring.write([marker], abort)
+            ring.write([header, payload], abort)
             self._frame_seq_out[requester] = sequence + 1
         except RingAborted:
             # the requester died or the fleet is stopping: drop the
             # reply and keep serving whoever is still alive
             pass
 
-    def _observe_depth(self, inbox) -> None:
-        try:
-            depth = inbox.qsize()
-        except NotImplementedError:  # pragma: no cover - macOS
-            return
-        self._depth_count += 1
-        self._depth_total += depth
-        if depth < self._depth_min:
-            self._depth_min = depth
-        if depth > self._depth_max:
-            self._depth_max = depth
-
     def stop(self) -> None:
-        """Ask the responder to exit even if SHUTDOWN never arrives."""
+        """Ask the responder to exit now (idempotent)."""
         self._stop_requested.set()
+        self._wake_writer.close()
 
     def join(self, timeout: float | None = None) -> bool:
-        """Wait for the responder to see the shutdown sentinel (or a
-        stop signal — the serve loop re-checks both every
-        :data:`LIVENESS_INTERVAL_SECONDS`, so this cannot hang once
-        either is set)."""
-        stopped = self._stopped.wait(timeout)
-        if stopped and self._thread is not None:
-            self._thread.join(timeout)
-        return stopped
+        """Wait for the responder to exit; ``True`` once it has.
+
+        Without a ``timeout`` the wait is bounded by the fleet stop
+        flag, re-checked every :data:`LIVENESS_INTERVAL_SECONDS`: a
+        responder wedged where no flag reaches it (a ``recv`` on a torn
+        request whose writer some process still holds open) cannot keep
+        its worker from exiting."""
+        thread = self._thread
+        if thread is None:
+            return True
+        if timeout is not None:
+            thread.join(timeout)
+        while (timeout is None and thread.is_alive()
+               and not self.endpoints.stopping()):
+            thread.join(LIVENESS_INTERVAL_SECONDS)
+        return not thread.is_alive()
 
     # ------------------------------------------------------------------
     # requester side (called by MachineScheduler)
@@ -462,8 +504,8 @@ class WorkerTransport:
                 if builder[2] and builder[2] + nbytes > target:
                     # budget reached: flush [start, index) and open a
                     # fresh request (a single vertex may exceed the
-                    # budget on its own — it travels alone, and the
-                    # responder falls back if it cannot fit the ring)
+                    # budget on its own — it travels alone; rings are
+                    # sized to hold the largest list)
                     if index > start:
                         self._push_segment(
                             builder, server_machine,
@@ -494,26 +536,21 @@ class WorkerTransport:
         segments, seg_elems, _ = builder
         total_elems = sum(elems for _, elems in seg_elems)
         payload_bytes = total_elems * self._itemsize
-        fits = (FRAME_HEADER_BYTES + payload_bytes) <= self.ring_capacity
-        desc = _FrameDesc(
-            segments=seg_elems,
-            total_elems=total_elems,
-            payload_bytes=payload_bytes,
-            fits=fits,
-            ring_cost=(FRAME_HEADER_BYTES + payload_bytes if fits
-                       else FRAME_HEADER_BYTES),
-        )
+        ring_cost = FRAME_HEADER_BYTES + payload_bytes
+        if ring_cost > self.ring_capacity:
+            # only a single list can get here (the budget splits the
+            # rest), and the backend sizes rings to the largest one
+            raise ValueError(
+                f"worker {self.worker_id}: a reply of {payload_bytes} "
+                f"bytes from worker {server_worker} cannot fit its "
+                f"{self.ring_capacity}-byte ring"
+            )
+        desc = _FrameDesc(seg_elems, total_elems, ring_cost)
         message = CoalescedFetchRequest(self.worker_id, tuple(segments))
         self._pending.setdefault(server_worker, deque()).append(
             (message, desc)
         )
-        self._batch_count += 1
-        total_vertices = sum(len(seg.vertices) for seg in segments)
-        self._batch_total += total_vertices
-        if total_vertices < self._batch_min:
-            self._batch_min = total_vertices
-        if total_vertices > self._batch_max:
-            self._batch_max = total_vertices
+        self._batch.observe(sum(len(seg.vertices) for seg in segments))
         builder[0] = []
         builder[1] = []
         builder[2] = 0
@@ -526,12 +563,21 @@ class WorkerTransport:
         if not pending:
             return
         inflight = self._inflight.setdefault(server_worker, 0)
-        inbox = self.endpoints.inboxes[server_worker]
+        _, writer = self.endpoints.requests[(self.worker_id, server_worker)]
         descriptors = self._descriptors.setdefault(server_worker, deque())
         while pending and inflight + pending[0][1].ring_cost \
                 <= self.ring_capacity:
             message, desc = pending.popleft()
-            inbox.put(message)
+            if self.requests_posted + 1 == self._tear_at:
+                die_mid_send(writer, message)
+            try:
+                writer.send(message)
+            except OSError:
+                # nobody holds the read end any more: the server died
+                raise PeerDeadError(
+                    self.worker_id, server_worker,
+                    message.segments[0].server_machine,
+                ) from None
             descriptors.append(desc)
             inflight += desc.ring_cost
             self.requests_posted += 1
@@ -596,18 +642,11 @@ class WorkerTransport:
                     or perf_counter() >= deadline)
 
         try:
-            if desc.fits:
-                raw = ring.read_exact(
-                    FRAME_HEADER_BYTES + desc.payload_bytes, abort
-                )
-                header = raw[:FRAME_HEADER_BYTES].view(np.int64)
-                payload = raw[FRAME_HEADER_BYTES:].view(self._dtype)
-            else:
-                raw = ring.read_exact(FRAME_HEADER_BYTES, abort)
-                header = raw.view(np.int64)
-                payload = None
+            raw = ring.read_exact(desc.ring_cost, abort)
         except RingAborted:
             self._abort_wait(started, server_worker, server_machine)
+        header = raw[:FRAME_HEADER_BYTES].view(np.int64)
+        payload = raw[FRAME_HEADER_BYTES:].view(self._dtype)
         elapsed = perf_counter() - started
         self.wait_seconds += elapsed
         self.liveness_timeouts += int(elapsed // LIVENESS_INTERVAL_SECONDS)
@@ -625,23 +664,12 @@ class WorkerTransport:
                 f"(want {expected_seq})"
             )
         self._frame_seq_in[server_worker] = expected_seq + 1
-        expected_kind = FRAME_DATA if desc.fits else FRAME_FALLBACK
-        if kind != expected_kind or elems != desc.total_elems:
+        if kind != FRAME_DATA or elems != desc.total_elems:
             raise RuntimeError(
                 f"fetch protocol violation: awaited frame "
-                f"(kind={expected_kind}, elems={desc.total_elems}) from "
+                f"(kind={FRAME_DATA}, elems={desc.total_elems}) from "
                 f"worker {server_worker}, got (kind={kind}, elems={elems})"
             )
-        if payload is None:
-            payload = self._fallback_get(server_worker, server_machine,
-                                         deadline)
-            self.fallbacks_received += 1
-            if len(payload) != desc.total_elems:
-                raise RuntimeError(
-                    f"fetch payload mismatch from worker {server_worker}: "
-                    f"fallback carried {len(payload)} vertices, awaited "
-                    f"{desc.total_elems}"
-                )
         self.frames_received += 1
         inflight = self._inflight.get(server_worker, 0) - desc.ring_cost
         self._inflight[server_worker] = max(0, inflight)
@@ -674,86 +702,35 @@ class WorkerTransport:
             f"{REPLY_TIMEOUT_SECONDS:.0f}s"
         ) from None
 
-    def _fallback_get(self, server_worker: int, server_machine: int,
-                      deadline: float) -> np.ndarray:
-        """Bounded, liveness-aware get of one oversized payload.
-
-        All server workers share this requester's fallback queue;
-        items from other workers surfaced while waiting are stashed
-        (per-worker order is preserved by the shared FIFO)."""
-        stash = self._fallback_stash.get(server_worker)
-        if stash:
-            return stash.popleft()
-        channel = self.endpoints.fallbacks[self.worker_id]
-        started = perf_counter()
-        while True:
-            remaining = deadline - perf_counter()
-            try:
-                sender, payload = channel.get(
-                    timeout=min(LIVENESS_INTERVAL_SECONDS,
-                                max(0.001, remaining))
-                )
-            except queue_mod.Empty:
-                self.liveness_timeouts += 1
-                if (self.endpoints.peer_dead(server_worker)
-                        or self.endpoints.stopping()
-                        or perf_counter() >= deadline):
-                    self._abort_wait(started, server_worker,
-                                     server_machine)
-                continue
-            if sender == server_worker:
-                self.wait_seconds += perf_counter() - started
-                return payload
-            self._fallback_stash.setdefault(sender, deque()).append(payload)
-
     # ------------------------------------------------------------------
     # stats shipped to the parent (feed the exec.*/net.* metrics)
     # ------------------------------------------------------------------
     def requester_stats(self) -> dict:
         """Main-thread stats: complete once the compute loop returns."""
-        batch = (
-            (self._batch_count, float(self._batch_total),
-             float(self._batch_min), float(self._batch_max))
-            if self._batch_count else (0, 0.0, 0.0, 0.0)
-        )
         return {
             "wait_seconds": self.wait_seconds,
             "messages": self.requests_posted + self.frames_received,
             "bytes_received": self.bytes_received,
             "liveness_timeouts": self.liveness_timeouts,
-            "fallbacks": self.fallbacks_received,
             "local_requests": self.local_requests,
             "local_bytes": self.local_bytes,
             "coalesced_requests": self.requests_posted,
-            "coalesced_batch": batch,
+            "coalesced_batch": _summary(self._batch),
             "adaptive_chunk_bytes": self.chunker.target_bytes,
         }
 
     def responder_stats(self) -> dict:
         """Responder stats: complete only after shutdown (the responder
         may serve other workers long after this worker's compute ends)."""
-        depth = (
-            (self._depth_count, float(self._depth_total),
-             float(self._depth_min), float(self._depth_max))
-            if self._depth_count
-            else (0, 0.0, 0.0, 0.0)
-        )
-        occupancy = [0, 0.0, float("inf"), float("-inf")]
+        occupancy = Histogram()
         ring_wait = 0.0
         for ring in list(self._producer_rings.values()):
-            count, total, low, high = ring.occupancy_summary()
-            occupancy[0] += count
-            occupancy[1] += total
-            occupancy[2] = min(occupancy[2], low) if count else occupancy[2]
-            occupancy[3] = max(occupancy[3], high) if count else occupancy[3]
+            occupancy.merge_summary(*_summary(ring.occupancy))
             ring_wait += ring.wait_seconds
-        if not occupancy[0]:
-            occupancy = [0, 0.0, 0.0, 0.0]
         return {
             "served_requests": self.served_requests,
             "served_bytes": self.served_bytes,
-            "queue_depth": depth,
-            "ring_occupancy": tuple(occupancy),
+            "queue_depth": _summary(self._depth),
+            "ring_occupancy": _summary(occupancy),
             "ring_wait_seconds": ring_wait,
-            "fallbacks_served": self.fallbacks_served,
         }

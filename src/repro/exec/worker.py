@@ -5,23 +5,24 @@ deterministic view of the cluster (hash partitioning is pure, so every
 worker computes identical partitions), and runs the engine's one
 machine loop (``KhuzdulEngine.execute``) over the job plan it was
 handed — restricted to the machines it hosts (machine ``m`` lives on
-worker ``m % num_workers``) and with the queue transport plugged into
+worker ``m % num_workers``) and with the fetch transport plugged into
 the scheduler's circulant loop. Reusing that loop wholesale is the
 determinism argument in code form: there is no second scheduler
 implementation that could drift from the simulated one, and no second
 derivation of the plan.
 
-Result protocol on the shared result queue (tag, worker_id, payload):
+Result protocol on the worker's private result pipe
+(:mod:`repro.exec.lane`), as ``(tag, worker_id, payload)``:
 
 - ``(RESULT, w, {...})`` — the hosted machines' ``Partial``, udf copy,
   observability dump, requester-side transport stats
   (:func:`hosted_run`'s payload). Posted when the
   worker's compute loop finishes.
 - ``(STATS, w, {...})`` — responder-side transport stats. Posted
-  after the shutdown sentinel, because the responder keeps serving
-  other workers until every worker is done.
+  once the parent releases the lane, because the responder keeps
+  serving other workers until every worker is done.
 - ``(PEER_DEAD, w, {...})`` — a bounded transport wait found its
-  serving peer dead (the parent's death notice was set); this worker's
+  serving peer dead (the parent set its death flag); this worker's
   compute is lost and the parent applies its ``on_worker_death``
   policy. The process itself stays alive and waits for assignments, so
   the recover policy can hand it replay work.
@@ -36,12 +37,11 @@ Result protocol on the shared result queue (tag, worker_id, payload):
   machine loop already converts them into a structured
   ``FailureSummary`` on the partial.
 
-After its RESULT a worker waits on its control queue (when the fabric
-has one): the parent may hand it ``RecoverAssignment`` work —
-replay a dead peer's machines against the shared graph with the
-transport disabled (every worker maps the full graph, so no fetches
-are needed) — until the DONE sentinel releases it to drain the
-responder and post STATS.
+After its RESULT a worker reads its command pipe: the parent may hand
+it ``RecoverAssignment`` work — replay a dead peer's machines against
+the shared graph with the transport disabled (every worker maps the
+full graph, so no fetches are needed) — until the parent releases the
+lane, and the worker stops its responder and posts STATS.
 
 Every exit path closes the shared-memory mapping and stops the
 responder thread; the parent is the only side that ever unlinks the
@@ -54,7 +54,6 @@ import os
 import pickle
 import signal
 import traceback
-from queue import Empty
 from time import perf_counter
 
 from repro.cluster.cluster import Cluster
@@ -62,7 +61,6 @@ from repro.core.engine import KhuzdulEngine
 from repro.errors import PeerDeadError
 from repro.exec.messages import (
     CKPT,
-    DONE,
     ERROR,
     PEER_DEAD,
     RECOVERY,
@@ -70,11 +68,7 @@ from repro.exec.messages import (
     STATS,
     RecoverAssignment,
 )
-from repro.exec.transport import (
-    LIVENESS_INTERVAL_SECONDS,
-    WorkerTransport,
-    zero_requester_stats,
-)
+from repro.exec.transport import WorkerTransport, zero_requester_stats
 from repro.faults.durability import chaos_kill_threshold
 from repro.graph.csr import attach_csr
 from repro.obs import Observability
@@ -88,15 +82,15 @@ class _DeltaSink:
     boundary.
     """
 
-    def __init__(self, worker_id: int, result_queue) -> None:
+    def __init__(self, worker_id: int, end) -> None:
         self.worker_id = worker_id
-        self.result_queue = result_queue
+        self.end = end
         self.shipped = 0
         self.kill_after = chaos_kill_threshold("worker-kill", worker_id)
 
     def __call__(self, pattern: int, machine: int, roots: int,
                  matches: int) -> None:
-        self.result_queue.put(
+        self.end.send(
             (CKPT, self.worker_id, (pattern, machine, roots, matches)))
         self.shipped += 1
         if self.kill_after and self.shipped >= self.kill_after:
@@ -147,6 +141,7 @@ def hosted_run(graph, plan, udf, hosted, obs_enabled, transport=None,
 
 
 def worker_main(
+    end,
     worker_id: int,
     num_workers: int,
     handle,
@@ -154,11 +149,13 @@ def worker_main(
     udf,
     obs_enabled: bool,
     endpoints,
-    result_queue,
     resume=None,
 ) -> None:
+    """Entry point of one fleet worker; ``end`` is its lane
+    (:class:`repro.exec.lane.WorkerEnd`)."""
     shared = transport = None
     try:
+        endpoints.claim(worker_id)
         shared = attach_csr(handle)
         # the replay path needs a UDF untouched by this worker's own
         # phase-1 merge-ins; snapshot it before compute mutates it
@@ -167,7 +164,7 @@ def worker_main(
         transport.start()
         hosted = set(machines_of(
             worker_id, num_workers, plan.cluster_config.num_machines))
-        sink = _DeltaSink(worker_id, result_queue)
+        sink = _DeltaSink(worker_id, end)
         try:
             payload = hosted_run(shared.graph, plan, udf, hosted,
                                  obs_enabled, transport, sink, resume)
@@ -176,65 +173,45 @@ def worker_main(
             # healthy: report the abort and stay available — under the
             # recover policy the parent may hand this worker replay
             # work (possibly its own machines, resumed from the deltas
-            # it already shipped) through the assignments below
-            result_queue.put((PEER_DEAD, worker_id, {
+            # it already shipped) through the commands below
+            end.send((PEER_DEAD, worker_id, {
                 "peer": exc.peer_worker,
                 "message": str(exc),
                 "liveness_timeouts": transport.liveness_timeouts,
             }))
         else:
-            result_queue.put((RESULT, worker_id, payload))
-        for assignment in _assignments(worker_id, endpoints):
+            end.send((RESULT, worker_id, payload))
+        # the responder keeps serving other workers meanwhile; the
+        # commands end when everyone is finished
+        for command in end.commands():
+            if not isinstance(command, RecoverAssignment):
+                raise RuntimeError(
+                    f"worker {worker_id}: unexpected command {command!r}")
             # the replay must start from the pristine UDF so merged
             # state is counted exactly once
             replay_udf = (
                 pickle.loads(pristine_udf) if pristine_udf is not None
                 else None
             )
-            result_queue.put((RECOVERY, worker_id, hosted_run(
-                shared.graph, plan, replay_udf, set(assignment.machines),
-                obs_enabled, sink=sink, resume=assignment.resume,
+            end.send((RECOVERY, worker_id, hosted_run(
+                shared.graph, plan, replay_udf, set(command.machines),
+                obs_enabled, sink=sink, resume=command.resume,
             )))
-        # keep serving other workers until the parent says everyone is
-        # done; only then are the responder-side stats complete
+        # only with the responder stopped are its stats complete
+        transport.stop()
         transport.join()
-        result_queue.put((STATS, worker_id, transport.responder_stats()))
+        end.send((STATS, worker_id, transport.responder_stats()))
+    except BrokenPipeError:
+        raise  # the parent stopped listening; the lane exits quietly
     except BaseException:
-        result_queue.put((ERROR, worker_id, traceback.format_exc()))
+        end.send((ERROR, worker_id, traceback.format_exc()))
     finally:
         if transport is not None:
             transport.stop()
             # ring mappings may only be dropped once the responder
-            # thread stops writing them; its serve loop re-checks the
-            # stop request every bounded poll, so this join is bounded
+            # thread stops writing them
             if transport.join(timeout=5.0):
                 transport.close()
+        endpoints.close()
         if shared is not None:
             shared.close()
-
-
-def _assignments(worker_id: int, endpoints):
-    """Yield redistributed-recovery assignments until DONE (none at all
-    when the fabric has no control queues).
-
-    Waits are bounded so a parent that dies without sending DONE
-    cannot wedge the worker: every timeout re-checks the fleet-wide
-    stop event.
-    """
-    if endpoints.controls is None:
-        return
-    control = endpoints.controls[worker_id]
-    while True:
-        try:
-            message = control.get(timeout=LIVENESS_INTERVAL_SECONDS)
-        except Empty:
-            if endpoints.stopping():
-                return
-            continue
-        if message == DONE:
-            return
-        if not isinstance(message, RecoverAssignment):
-            raise RuntimeError(
-                f"worker {worker_id}: unexpected control message "
-                f"{message!r}")
-        yield message

@@ -138,9 +138,11 @@ def _write_atomic(path: str, payload: str) -> None:
     os.replace(tmp, path)
 
 
-def chaos_kill_threshold(kind: str, who: Optional[int] = None) -> int:
+def chaos_kill_threshold(kind: str, who=None) -> int:
     """``n`` of ``REPRO_CHAOS=<kind>[:<who>]:<n>`` when the spec names
-    this caller (kill after the n-th event), else 0."""
+    this caller — a worker id, a query id — else 0. For the kill kinds
+    ``n`` is the event to die at; ``query-sleep`` reads it as
+    milliseconds."""
     *target, count = os.environ.get(CHAOS_ENV, "").split(":")
     if target != ([kind] if who is None else [kind, str(who)]):
         return 0

@@ -131,7 +131,6 @@ EXEC_WORKER_DEATHS = "exec.worker_deaths"
 NET_PEER_TIMEOUTS = "net.peer_timeouts"
 EXEC_RING_CAPACITY = "exec.ring.capacity_bytes"
 EXEC_RING_OCCUPANCY = "exec.ring.occupancy_bytes"
-EXEC_RING_FALLBACKS = "exec.ring.fallbacks"
 EXEC_LOCAL_FAST_REQUESTS = "exec.local_fast_requests"
 EXEC_ADAPTIVE_CHUNK_BYTES = "exec.adaptive_chunk_bytes"
 NET_COALESCED_REQUESTS = "net.coalesced_requests"
@@ -307,12 +306,12 @@ SPECS: dict[str, MetricSpec] = dict(
               "docs/execution.md",
               "wall-clock seconds a worker blocked awaiting fetch replies"),
         _spec(EXEC_MESSAGES, "counter", "messages", "docs/execution.md",
-              "fetch requests plus replies moved over worker queues"),
+              "fetch requests plus replies moved between workers"),
         _spec(EXEC_BYTES_SHIPPED, "counter", "bytes", "docs/execution.md",
               "edge-list payload bytes shipped between worker processes"),
         _spec(EXEC_QUEUE_DEPTH, "histogram", "messages",
               "docs/execution.md",
-              "request-inbox depth sampled at each served fetch"),
+              "request pipes found ready at each responder wake-up"),
         _spec(EXEC_HEARTBEAT_CHECKS, "counter", "sweeps",
               "docs/execution.md",
               "liveness sweeps the parent ran over worker sentinels"),
@@ -328,14 +327,11 @@ SPECS: dict[str, MetricSpec] = dict(
               "peer liveness before a reply arrived"),
         _spec(EXEC_RING_CAPACITY, "gauge", "bytes",
               "docs/execution.md",
-              "configured data capacity of each per-pair reply ring"),
+              "data capacity of each per-pair reply ring: the requested "
+              "size, raised to fit the graph's largest edge list"),
         _spec(EXEC_RING_OCCUPANCY, "histogram", "bytes",
               "docs/execution.md",
               "ring bytes in flight sampled after each published frame"),
-        _spec(EXEC_RING_FALLBACKS, "counter", "replies",
-              "docs/execution.md",
-              "oversized reply payloads routed over the pickled "
-              "fallback queue instead of their ring"),
         _spec(EXEC_LOCAL_FAST_REQUESTS, "counter", "requests",
               "docs/execution.md",
               "fetch batches served synchronously from the shared "
@@ -346,8 +342,8 @@ SPECS: dict[str, MetricSpec] = dict(
               "label; tuned from measured chunk wall-clock)"),
         _spec(NET_COALESCED_REQUESTS, "counter", "requests",
               "docs/execution.md",
-              "coalesced per-server-worker fetch requests posted to "
-              "worker inboxes"),
+              "coalesced per-server-worker fetch requests posted on "
+              "request pipes"),
         _spec(NET_COALESCED_BATCH_VERTICES, "histogram", "vertices",
               "docs/execution.md",
               "vertices carried per coalesced fetch request"),

@@ -108,10 +108,6 @@ class QueryRequest:
     #: counting strategy (docs/performance.md); None inherits the
     #: server default
     counting: Optional[str] = None
-    #: deterministic test hook (docs/service.md): ``sleep:<s>`` stalls
-    #: the executor for wall-clock seconds, ``exit`` makes a serving
-    #: *worker process* die mid-query (ignored on the in-process lane)
-    chaos: Optional[str] = None
 
     def validate(self) -> None:
         if self.app not in APPS:
@@ -147,19 +143,6 @@ class QueryRequest:
                 f"counting must be 'enumerate' or 'iep', "
                 f"got {self.counting!r}"
             )
-        if self.chaos is not None:
-            ok = self.chaos == "exit"
-            if (not ok and isinstance(self.chaos, str)
-                    and self.chaos.startswith("sleep:")):
-                try:
-                    ok = float(self.chaos.split(":", 1)[1]) >= 0
-                except ValueError:
-                    ok = False
-            if not ok:
-                raise ConfigurationError(
-                    f"chaos must be 'exit' or 'sleep:<seconds>', "
-                    f"got {self.chaos!r}"
-                )
 
     def effective_pattern(self) -> str:
         return "clique3" if self.app == "triangle" else self.pattern

@@ -13,11 +13,12 @@ with two lanes to dispatch to:
 - ``workers == 0`` — the in-process serial lane: the dispatcher thread
   itself runs each query through a resident
   :class:`~repro.service.worker.QueryExecutor`.
-- ``workers > 0`` — one lane per serving worker process; a collector
-  thread gathers payloads and sweeps worker exit codes every
-  ``heartbeat`` seconds (the process backend's liveness discipline),
-  so a worker dying mid-query degrades exactly that query to
-  ``CRASHED`` and is respawned — the server survives.
+- ``workers > 0`` — one supervised :class:`~repro.exec.lane.Lane` per
+  serving worker process (the primitive under the process backend's
+  fleet too); a collector thread gathers payloads off the lanes and
+  sweeps them at least every ``heartbeat`` seconds, so a worker dying
+  mid-query degrades exactly that query to ``CRASHED`` and is
+  respawned — the server survives.
 
 Shutdown is leak-free by construction: the first ``shutdown()`` (or a
 SIGINT/SIGTERM through the installed janitor, or interpreter exit)
@@ -30,10 +31,8 @@ ledger under ``checkpoint_dir`` for the next server to reap
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
-from multiprocessing import connection as mp_connection
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -42,6 +41,7 @@ from typing import Any, Optional
 from repro.errors import ConfigurationError
 from repro.cluster.cluster import ClusterConfig
 from repro.exec.janitor import install_janitor, remove_janitor
+from repro.exec.lane import Lane, sweep, wait
 from repro.faults import durability
 from repro.faults.recovery import Outcome
 from repro.graph.csr import share_csr
@@ -59,11 +59,7 @@ from repro.service.protocol import (
     QueryRequest,
     refusal_payload,
 )
-from repro.service.worker import (
-    SHUTDOWN,
-    QueryExecutor,
-    service_worker_main,
-)
+from repro.service.worker import QueryExecutor, service_worker_main
 
 
 @dataclass
@@ -257,20 +253,9 @@ class MiningServer:
         self._admission: Optional[AdmissionController] = None
         self._executor: Optional[QueryExecutor] = None
         self._shared = None
-        self._context = None
-        self._inboxes: list = []
-        self._processes: dict[int, Any] = {}
-        #: per-lane result pipe reader, one per *incarnation*. A pipe
-        #: has exactly one writer (the worker) and one reader (the
-        #: collector) — no shared locks, so a worker SIGKILLed at any
-        #: instant can never poison the results path for its
-        #: successor, and its death surfaces immediately as EOF.
-        #: None marks an incarnation seen dead (EOF) awaiting respawn.
-        self._result_readers: dict[int, Any] = {}
-        #: per-lane spawn epoch; inbox items carry the epoch they were
-        #: dispatched under, so a respawned worker drops requests
-        #: addressed to its dead predecessor instead of replaying them
-        self._epochs: dict[int, int] = {}
+        #: one supervised lane per serving worker; only the collector
+        #: thread waits on, sweeps and respawns them
+        self._lanes: list[Lane] = []
         self._inflight: dict[int, QueryHandle] = {}
         self._free_workers: set[int] = set()
         self._collector: Optional[threading.Thread] = None
@@ -330,58 +315,25 @@ class MiningServer:
 
     def _start_worker_pool(self) -> None:
         config = self.config
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
         self._shared = share_csr(self.graph)
         if config.checkpoint_dir is not None:
             durability.write_shm_names(
                 config.checkpoint_dir,
                 self._shared.handle.segment_names(),
             )
-        self._inboxes = [None] * config.workers
-        for worker_id in range(config.workers):
-            self._processes[worker_id] = self._spawn_worker(worker_id)
+        self._lanes = [
+            Lane(worker_id, f"repro-service-{worker_id}",
+                 service_worker_main, (self._shared.handle, config))
+            for worker_id in range(config.workers)
+        ]
+        for lane in self._lanes:
+            lane.spawn()
         self._free_workers = set(range(config.workers))
         self._collector = threading.Thread(
             target=self._collect_loop, name="repro-service-collect",
             daemon=True,
         )
         self._collector.start()
-
-    def _spawn_worker(self, worker_id: int):
-        epoch = self._epochs.get(worker_id, 0) + 1
-        self._epochs[worker_id] = epoch
-        # a fresh inbox per incarnation: requests enqueued for a dead
-        # predecessor — and the reader lock a SIGKILLed predecessor
-        # may have died holding — are abandoned with the old queue
-        self._inboxes[worker_id] = self._context.Queue()
-        # ... and a fresh result pipe: closing the old reader makes a
-        # dead incarnation's results physically undeliverable, and a
-        # single-writer pipe means a worker SIGKILLed mid-send leaves
-        # no shared lock behind (unlike a Queue's shared write lock,
-        # which would deadlock every successor's feeder thread)
-        old_reader = self._result_readers.get(worker_id)
-        if old_reader is not None:
-            try:
-                old_reader.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        reader, writer = self._context.Pipe(duplex=False)
-        self._result_readers[worker_id] = reader
-        process = self._context.Process(
-            target=service_worker_main,
-            args=(worker_id, epoch, self._shared.handle, self.config,
-                  os.getpid(), self._inboxes[worker_id], writer),
-            name=f"repro-service-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        # the worker owns the write end now; dropping the server's copy
-        # turns that incarnation's death into an immediate EOF
-        writer.close()
-        return process
 
     def describe(self) -> dict[str, Any]:
         """The ``serve`` hello line: what this server is resident on."""
@@ -533,10 +485,14 @@ class MiningServer:
                     self._free_workers.discard(worker_id)
                     self._inflight[worker_id] = handle
                     handle.worker = worker_id
-                    epoch = self._epochs[worker_id]
+                    lane = self._lanes[worker_id]
+                    epoch = lane.epoch
                 self._refresh_gauges_locked()
             if self.config.workers > 0:
-                self._inboxes[handle.worker].put((epoch, handle.request))
+                # False — the incarnation chosen above died or was
+                # replaced since — needs nothing here: the sweep that
+                # sees (or saw) the death reports this query CRASHED
+                lane.send(handle.request, epoch)
             else:
                 try:
                     payload = self._executor.execute(handle.request)
@@ -547,61 +503,29 @@ class MiningServer:
                 self._complete(handle, payload, worker=None)
 
     def _collect_loop(self) -> None:
-        """Gather worker payloads; sweep liveness on idle and on EOF.
+        """Gather worker payloads and respawn dead workers.
 
-        Only this thread recvs from, closes, or replaces the result
-        readers, so the wait set can never change under it. A reader
-        hitting EOF (its worker died) is retired immediately; the
-        sweep reconciles the death and respawns the lane.
+        Each pass waits for a delivery, a death (EOF) or the
+        heartbeat, then sweeps: results first, deaths second
+        (:func:`repro.exec.lane.sweep`), so a worker that finished its
+        query and *then* died gets its genuine result delivered
+        instead of a spurious CRASHED report.
         """
         while not self._collector_stop.is_set():
-            with self._wake:
-                readers = {reader: worker_id for worker_id, reader
-                           in self._result_readers.items()
-                           if reader is not None}
-            if not readers:
-                self._collector_stop.wait(self.config.heartbeat)
-                self._sweep_workers()
-                continue
-            try:
-                ready = mp_connection.wait(
-                    list(readers), timeout=self.config.heartbeat
-                )
-            except OSError:  # pragma: no cover - torn pipe
-                ready = []
-            if not ready:
-                self._sweep_workers()
-                continue
-            dead = False
-            for reader in ready:
-                worker_id = readers[reader]
-                try:
-                    query_id, payload = reader.recv()
-                except (EOFError, OSError):
-                    self._retire_reader(worker_id, reader)
-                    dead = True
-                    continue
-                self._handle_result(worker_id, query_id, payload)
-            if dead:
-                self._sweep_workers()
-
-    def _retire_reader(self, worker_id: int, reader) -> None:
-        """Drop a dead incarnation's reader from the wait set (EOF
-        would otherwise spin it hot until the sweep respawns)."""
-        with self._wake:
-            if self._result_readers.get(worker_id) is reader:
-                self._result_readers[worker_id] = None
-        try:
-            reader.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+            wait(self._lanes, self.config.heartbeat)
+            messages, dead = sweep(self._lanes)
+            for lane, (query_id, payload) in messages:
+                self._handle_result(lane.index, query_id, payload)
+            # lanes released by shutdown() die on purpose
+            if dead and not self._collector_stop.is_set():
+                self._respawn(dead)
 
     def _handle_result(self, worker_id: int, query_id: str,
                        payload: dict) -> None:
         """Complete the query a lane result answers — or drop it.
 
         Results from dead incarnations cannot arrive here at all
-        (their pipe reader is closed at respawn); the id check guards
+        (a lane abandons their pipe at respawn); the id check guards
         the remaining mismatch — a result that does not answer the
         query this lane is serving must never pop the in-flight
         handle or free a busy worker, or the lane desynchronizes.
@@ -615,35 +539,21 @@ class MiningServer:
             self._wake.notify_all()
         self._complete(handle, payload, worker=worker_id)
 
-    def _sweep_workers(self) -> None:
+    def _respawn(self, dead: list[Lane]) -> None:
         """Respawn dead workers; their in-flight query degrades to
-        CRASHED — one query, not the server (docs/service.md).
-
-        Only the collector thread calls this, so draining the result
-        pipes first is race-free: a worker that finished its query
-        and *then* died gets its genuine result delivered instead of
-        a spurious CRASHED report.
-        """
-        self._drain_results()
+        CRASHED — one query, not the server (docs/service.md)."""
+        reasons = [lane.exit_reason() for lane in dead]  # reaps them
         victims = []
         with self._wake:
-            for worker_id, process in list(self._processes.items()):
-                exitcode = process.exitcode
-                if exitcode is None:
-                    continue
+            for lane, reason in zip(dead, reasons):
                 self.worker_deaths += 1
-                handle = self._inflight.pop(worker_id, None)
-                self._processes[worker_id] = self._spawn_worker(worker_id)
-                self._free_workers.add(worker_id)
+                handle = self._inflight.pop(lane.index, None)
+                lane.spawn()
+                self._free_workers.add(lane.index)
                 if handle is not None:
-                    victims.append((worker_id, handle, exitcode))
-            if victims:
-                self._wake.notify_all()
-        for worker_id, handle, exitcode in victims:
-            reason = (
-                f"killed by signal {-exitcode}" if exitcode < 0
-                else f"exited with code {exitcode}"
-            )
+                    victims.append((lane.index, handle, reason))
+            self._wake.notify_all()
+        for worker_id, handle, reason in victims:
             self._complete(handle, refusal_payload(
                 Outcome.CRASHED,
                 f"serving worker {worker_id} died mid-query ({reason}); "
@@ -778,55 +688,20 @@ class MiningServer:
                 ), worker=handle.worker)
             if self._dispatcher is not None:
                 self._dispatcher.join(timeout=self.config.drain_seconds)
-            self._stop_worker_pool()
+            # released workers exit, which wakes the collector at once
+            self._collector_stop.set()
+            for lane in self._lanes:
+                lane.release()
+            if self._collector is not None:
+                self._collector.join(timeout=self.config.heartbeat + 5.0)
+            for lane in self._lanes:
+                lane.stop()
             self._cleanup()
             if self._janitor_previous is not None:
                 remove_janitor(self._cleanup, self._janitor_previous)
                 self._janitor_previous = None
             self._summary = self._session_summary()
             return self._summary
-
-    def _stop_worker_pool(self) -> None:
-        if self.config.workers == 0:
-            return
-        self._collector_stop.set()
-        if self._collector is not None:
-            self._collector.join(timeout=self.config.heartbeat + 5.0)
-        for inbox in self._inboxes:
-            try:
-                inbox.put(SHUTDOWN)
-            except Exception:  # pragma: no cover - torn queue
-                pass
-        self._drain_results()
-        for process in self._processes.values():
-            process.join(timeout=2.0)
-        self._drain_results()
-        for process in self._processes.values():
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=10.0)
-        for worker_id, reader in list(self._result_readers.items()):
-            if reader is not None:
-                try:
-                    reader.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-        self._result_readers.clear()
-
-    def _drain_results(self) -> None:
-        """Deliver every already-shipped result. Called only from the
-        collector thread (sweep) or after it has joined (shutdown)."""
-        for worker_id, reader in list(self._result_readers.items()):
-            if reader is None:
-                continue
-            while True:
-                try:
-                    if not reader.poll(0):
-                        break
-                    query_id, payload = reader.recv()
-                except (EOFError, OSError):
-                    break  # dead incarnation; the sweep reconciles it
-                self._handle_result(worker_id, query_id, payload)
 
     # ------------------------------------------------------------------
     def _session_summary(self) -> dict[str, Any]:

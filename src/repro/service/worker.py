@@ -11,23 +11,28 @@ failures are already structured reports, configuration problems become
 bad query degrades itself, not its lane.
 
 :func:`service_worker_main` wraps an executor in a worker *process*
-attached zero-copy to the server's shared-memory CSR segment: it loops
-on its inbox, ships payloads back over the shared result queue, honors
-the shutdown sentinel, and exits on its own if the server vanishes
-(the same ``getppid`` orphan check the process backend's transport
-uses) so a SIGKILLed server never strands a serving fleet.
+attached zero-copy to the server's shared-memory CSR segment, behind a
+supervised lane (:mod:`repro.exec.lane` — the primitive the process
+backend's fleet uses too): it serves the lane's command pipe, ships
+payloads back over the lane's private result pipe, and exits on the
+shutdown sentinel or on its own if the server vanishes, so a SIGKILLed
+server never strands a serving fleet.
+
+Testing hooks (docs/service.md) sit behind ``REPRO_CHAOS``, never in
+the request: ``query-sleep:<id>:<ms>`` stalls the executor on that
+query, ``query-exit:<id>:1`` makes a serving worker process die on it.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 from time import perf_counter
 from typing import Any, Optional
 
 from repro.core.engine import EngineConfig
 from repro.errors import ConfigurationError
+from repro.faults.durability import chaos_kill_threshold
 from repro.faults.recovery import Outcome
 from repro.obs import Observability
 from repro.service.protocol import (
@@ -37,13 +42,6 @@ from repro.service.protocol import (
     refusal_payload,
 )
 from repro.systems import KAutomine, KGraphPi, motif_count
-
-#: inbox sentinel that ends a serving worker's loop
-SHUTDOWN = "__service_shutdown__"
-
-#: how long a worker blocks on its inbox before re-checking that the
-#: server process still exists
-_ORPHAN_POLL_SECONDS = 1.0
 
 
 class QueryExecutor:
@@ -90,10 +88,9 @@ class QueryExecutor:
         started = perf_counter()
         try:
             request.validate()
-            if request.chaos and request.chaos.startswith("sleep:"):
-                # validated above: a malformed chaos spec is REJECTED,
-                # never an exception out of the lane
-                time.sleep(float(request.chaos.split(":", 1)[1]))
+            stall_ms = chaos_kill_threshold("query-sleep", request.id)
+            if stall_ms:
+                time.sleep(stall_ms / 1e3)
             obs = Observability() if self.config.metrics else None
             system = self._system(request.system or self.config.system)
             system.reconfigure(self._engine_config(request), obs)
@@ -132,49 +129,20 @@ class QueryExecutor:
         }
 
 
-def service_worker_main(
-    worker_id: int,
-    epoch: int,
-    csr_handle,
-    config,
-    parent_pid: int,
-    inbox,
-    result_conn,
-) -> None:
-    """Entry point of one serving worker process.
-
-    ``epoch`` is this incarnation's spawn count for the lane; inbox
-    items carry the epoch they were dispatched under, so a request
-    addressed to a dead predecessor (enqueued in the window between
-    the dispatcher's put and the predecessor's get) is discarded
-    instead of replayed — the server already reported it ``CRASHED``,
-    and a replayed result would desynchronize the lane.
-
-    ``result_conn`` is this incarnation's private pipe: one writer
-    (here), one reader (the collector), no shared locks — so dying at
-    any instant, even mid-send, poisons nothing and surfaces to the
-    server as an immediate EOF.
-    """
+def service_worker_main(end, csr_handle, config) -> None:
+    """Entry point of one serving worker process; ``end`` is its lane
+    (:class:`repro.exec.lane.WorkerEnd`), whose command loop already
+    drops requests addressed to a dead predecessor — the server
+    reported those ``CRASHED``, and a replayed result would
+    desynchronize the lane."""
     from repro.graph.csr import attach_csr  # after fork/spawn
 
     shared = attach_csr(csr_handle)
     try:
         executor = QueryExecutor(shared.graph, config)
-        while True:
-            try:
-                item = inbox.get(timeout=_ORPHAN_POLL_SECONDS)
-            except queue_mod.Empty:
-                if os.getppid() != parent_pid and os.getpid() != parent_pid:
-                    return  # server died; don't linger as an orphan
-                continue
-            if item == SHUTDOWN:
-                return
-            item_epoch, request = item
-            if item_epoch != epoch:
-                continue  # a dead predecessor's leftover request
-            if request.chaos == "exit":
+        for request in end.commands():
+            if chaos_kill_threshold("query-exit", request.id):
                 os._exit(3)  # deterministic worker-death test hook
-            result_conn.send((request.id, executor.execute(request)))
+            end.send((request.id, executor.execute(request)))
     finally:
         shared.close()
-        result_conn.close()

@@ -9,9 +9,11 @@ compute. Run alone via ``make exec-check``.
 
 import multiprocessing
 import os
-import queue
+import re
+import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,16 @@ from repro.cluster import ClusterConfig
 from repro.core import EngineConfig
 from repro.errors import ConfigurationError, PeerDeadError
 from repro.exec import BACKENDS, InlineBackend, ProcessBackend, make_backend
-from repro.exec.messages import SHUTDOWN
+from repro.exec import lane as lane_mod
+from repro.exec.lane import Lane
 from repro.exec.ring import RingAborted, attach_ring, create_ring
-from repro.exec.transport import AdaptiveChunker, Endpoints, WorkerTransport
+from repro.exec.transport import (
+    FRAME_HEADER_BYTES,
+    AdaptiveChunker,
+    Endpoints,
+    WorkerTransport,
+    ring_capacity,
+)
 from repro.exec.worker import worker_main
 from repro.faults import FaultPlan
 from repro.graph import dataset
@@ -211,6 +220,19 @@ def test_worker_count_is_clamped_to_machines():
 # ======================================================================
 # observability merge
 # ======================================================================
+def test_spawn_start_method_matches_inline(comparable):
+    # nothing a worker is handed relies on fork: the lane's pipe ends,
+    # the request pipes and the flags segment all survive the pickle
+    graph = dataset("mico", scale=0.1)
+    inline = KAutomine(graph, _CLUSTER, graph_name="mico")
+    proc = KAutomine(
+        graph, _CLUSTER, graph_name="mico",
+        backend=ProcessBackend(workers=2, start_method="spawn"))
+    assert comparable(proc.count_pattern(catalog.clique(3))) == \
+        comparable(inline.count_pattern(catalog.clique(3)))
+    _assert_no_stray_children()
+
+
 def test_metrics_merge_matches_inline():
     graph = _mico()
     obs_inline = Observability()
@@ -241,6 +263,13 @@ def test_metrics_merge_matches_inline():
     assert exec_extra["wall_seconds"] > 0.0
     assert len(exec_extra["worker_busy_seconds"]) == 2
     assert exec_extra["bytes_shipped"] > 0
+    # exec.queue_depth: request pipes found ready per responder
+    # wake-up — with two workers each responder has exactly one
+    depth = exec_extra["queue_depth"]
+    assert depth["count"] > 0 and depth["min"] == depth["max"] == 1.0
+    histograms = {name for name, _, _
+                  in obs_proc.registry.dump()["histograms"]}
+    assert "exec.queue_depth" in histograms
 
 
 # ======================================================================
@@ -305,12 +334,12 @@ _FORK_ONLY = pytest.mark.skipif(
 )
 
 
-def _murdered_worker_main(worker_id, *args, **kwargs):
+def _murdered_worker_main(end, worker_id, *args, **kwargs):
     """Drop-in worker entry point that hard-kills worker 1 on entry —
     ``os._exit`` skips every cleanup path, like a SIGKILL mid-compute."""
     if worker_id == 1:
         os._exit(137)
-    return worker_main(worker_id, *args, **kwargs)
+    return worker_main(end, worker_id, *args, **kwargs)
 
 
 @exec_faults
@@ -371,26 +400,175 @@ def test_worker_death_recovery_matches_inline(monkeypatch):
     _assert_no_stray_children()
 
 
+# ----------------------------------------------------------------------
+# the supervised-worker lane (repro.exec.lane), under the fleet above
+# and under the mining service's serving lanes alike
+# ----------------------------------------------------------------------
+def _echo_worker(end):
+    """Lane worker: answers every command; three of them are orders."""
+    for command in end.commands():
+        if command == "report-then-die":
+            end.send("last words")
+            os._exit(7)
+        if command == "die-mid-send":
+            lane_mod.die_mid_send(end._results, "x" * 4096)
+        if command == "hang":
+            time.sleep(60)
+        end.send(("echo", command))
+
+
+def _sweep_until(lane, done, timeout=10.0):
+    """Supervise one lane the way its owners do until ``done`` holds."""
+    messages, deadline = [], time.monotonic() + timeout
+    while True:
+        lane_mod.wait([lane], 0.2)
+        delivered, dead = lane_mod.sweep([lane])
+        messages += [message for _, message in delivered]
+        if done(messages, dead):
+            return messages, dead
+        assert time.monotonic() < deadline, (messages, dead)
+
+
+@exec_faults
+def test_lane_send_never_raises_and_respawn_discards_the_past():
+    lane = Lane(0, "repro-test-lane", _echo_worker)
+    lane.spawn()
+    try:
+        assert lane.send("a", epoch=lane.epoch)
+        messages, dead = _sweep_until(lane, lambda m, d: m)
+        assert messages == [("echo", "a")] and not dead
+        # what MiningServer's dispatcher does when it races a death: a
+        # send to a dead incarnation is False, never an exception
+        os.kill(lane.process.pid, signal.SIGKILL)
+        _, dead = _sweep_until(lane, lambda m, d: d)
+        assert dead == [lane] and lane.send("lost") is False
+        assert lane.exit_reason() == "killed by signal 9"
+        chosen = lane.epoch  # ... and one replaced since it was chosen
+        lane.spawn()
+        assert lane.epoch == chosen + 1
+        assert lane.send("stale", epoch=chosen) is False
+        # a command that slips past that check is dropped by the worker
+        lane._commands.send((chosen, "ghost"))
+        assert lane.send("b")
+        messages, _ = _sweep_until(lane, lambda m, d: m)
+        assert messages == [("echo", "b")]
+    finally:
+        lane.stop()
+    assert lane.process is None and lane.send("after stop") is False
+
+
+@exec_faults
+def test_lane_drains_delivered_results_before_declaring_a_death():
+    # a worker that reported and then died is not a silent loss: the
+    # sweep that names it dead hands over what it delivered first
+    lane = Lane(0, "repro-test-lane", _echo_worker)
+    lane.spawn()
+    try:
+        lane.send("report-then-die")
+        lane.process.join(10.0)  # dead before anyone looks
+        delivered, dead = lane_mod.sweep([lane])
+        assert [message for _, message in delivered] == ["last words"]
+        assert dead == [lane]
+        assert lane.exit_reason() == "exited with code 7"
+    finally:
+        lane.stop()
+
+
+@exec_faults
+def test_lane_torn_message_is_a_death_not_a_wedge():
+    # killed inside a send: the length prefix and half the bytes are in
+    # the pipe. A shared queue's reader would wait for the rest behind
+    # a lock nobody can release; a private pipe ends in EOF
+    lane = Lane(0, "repro-test-lane", _echo_worker)
+    lane.spawn()
+    try:
+        lane.send("die-mid-send")
+        started = time.monotonic()
+        messages, dead = _sweep_until(lane, lambda m, d: d)
+        assert not messages and dead == [lane]
+        assert time.monotonic() - started < 5.0
+        assert lane.exit_reason() == "killed by signal 9"
+    finally:
+        lane.stop()
+
+
+@exec_faults
+def test_lane_stop_terminates_a_worker_that_ignores_release():
+    lane = Lane(0, "repro-test-lane", _echo_worker)
+    lane.spawn()
+    lane.send("hang")
+    time.sleep(0.2)  # let it pick the order up
+    started = time.monotonic()
+    lane.stop(timeout=0.3)
+    assert time.monotonic() - started < 10.0
+    assert lane.process is None
+    lane.stop()  # idempotent
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@exec_faults
+@_FORK_ONLY
+def test_no_fd_growth_across_fleets_and_respawns():
+    # pipe ends are what a lane can leak: twenty fleets and ten
+    # kill-and-respawn cycles of a two-worker service must leave the
+    # process with exactly the descriptors it started with
+    from repro.service import MiningServer, ServiceClient, ServiceConfig
+
+    graph = dataset("mico", scale=0.05)
+    system = KAutomine(graph, _CLUSTER, graph_name="mico",
+                       backend=ProcessBackend(workers=3))
+    expected = system.count_pattern(catalog.clique(3)).counts  # warm-up:
+    # the first segment starts multiprocessing's resource tracker
+    baseline = _open_fds()
+    for _ in range(20):
+        assert system.count_pattern(catalog.clique(3)).counts == expected
+    assert _open_fds() == baseline
+
+    server = MiningServer(ServiceConfig(
+        graph="mico", scale=0.05, machines=2, cores=2, workers=2,
+        heartbeat=0.1)).start()
+    client = ServiceClient(server)
+    try:
+        assert client.query(id="warm", app="triangle", timeout=60.0).ok
+        serving = _open_fds()
+        for cycle in range(10):
+            victim = server._lanes[cycle % 2]
+            epoch = victim.epoch
+            os.kill(victim.process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while victim.epoch == epoch:  # the collector respawns it
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert client.query(id=f"after-{cycle}", app="triangle",
+                                timeout=60.0).outcome in ("OK", "CRASHED")
+        assert client.query(id="last", app="triangle", timeout=60.0).ok
+        assert _open_fds() == serving
+    finally:
+        summary = server.shutdown()
+    assert summary["worker_deaths"] == 10
+    assert _open_fds() == baseline
+
+
 def _ring_fabric(num_workers, capacity=1 << 16, liveness=True):
-    """An in-process fabric: real shared-memory rings, thread events.
+    """An in-process fabric: real shared-memory rings, real request
+    pipes, a plain array for the fleet flags.
 
     Returns (endpoints, rings); the caller must unlink the rings (the
     parent-side duty the fixture below automates).
     """
-    rings = {
-        (s, r): create_ring(capacity)
-        for s in range(num_workers)
-        for r in range(num_workers)
-        if s != r
-    }
+    pairs = [(a, b) for a in range(num_workers)
+             for b in range(num_workers) if a != b]
+    rings = {pair: create_ring(capacity) for pair in pairs}
     endpoints = Endpoints(
         num_workers=num_workers,
-        inboxes=[queue.Queue() for _ in range(num_workers)],
         rings={pair: ring.handle for pair, ring in rings.items()},
-        fallbacks=[queue.Queue() for _ in range(num_workers)],
-        deaths=([threading.Event() for _ in range(num_workers)]
-                if liveness else None),
-        stop=threading.Event() if liveness else None,
+        requests={pair: multiprocessing.Pipe(duplex=False)
+                  for pair in pairs},
+        flags=(np.zeros(num_workers + 1, dtype=np.uint8)
+               if liveness else None),
     )
     return endpoints, rings
 
@@ -410,10 +588,10 @@ def test_transport_collect_aborts_on_dead_peer():
     endpoints, rings = _ring_fabric(2)
     transport = WorkerTransport(0, endpoints, graph)
     try:
-        # the request reaches worker 1's inbox, but no responder ever
+        # the request reaches worker 1's pipe, but no responder ever
         # serves it: its reply frame will never land on the ring
         transport.post_chunk(0, [(1, [0, 1])])
-        endpoints.deaths[1].set()  # the parent's watcher: worker 1 died
+        endpoints.flags[1] = 1  # the parent's sweep: worker 1 died
         started = time.monotonic()
         with pytest.raises(PeerDeadError) as excinfo:
             transport.collect(0, 1, [0, 1])
@@ -433,7 +611,7 @@ def test_transport_collect_aborts_on_fleet_stop():
     transport = WorkerTransport(0, endpoints, graph)
     try:
         transport.post_chunk(0, [(1, [0])])
-        endpoints.stop.set()
+        endpoints.flags[-1] = 1
         with pytest.raises(PeerDeadError):
             transport.collect(0, 1, [0])
     finally:
@@ -443,32 +621,55 @@ def test_transport_collect_aborts_on_fleet_stop():
 @exec_faults
 def test_transport_join_unblocks_without_shutdown():
     graph = erdos_renyi(30, 120, seed=1)
-    endpoints = Endpoints(
-        num_workers=1,
-        inboxes=[queue.Queue()],
-        fallbacks=[queue.Queue()],
-        stop=threading.Event(),
-    )
+    endpoints = Endpoints(num_workers=1,
+                          flags=np.zeros(2, dtype=np.uint8))
     transport = WorkerTransport(0, endpoints, graph)
     transport.start()
-    # SHUTDOWN never arrives (its sender "died"); the fleet stop signal
-    # alone must end the serve loop, so join() cannot hang
-    endpoints.stop.set()
+    # nobody ever stops the responder (its worker's main thread
+    # "died"); the fleet stop flag alone must end the serve loop, so
+    # join() cannot hang
+    endpoints.flags[-1] = 1
     assert transport.join(timeout=5.0)
+    transport.close()
 
 
 @exec_faults
 def test_transport_stop_unblocks_without_shutdown():
     graph = erdos_renyi(30, 120, seed=1)
-    endpoints = Endpoints(
-        num_workers=1,
-        inboxes=[queue.Queue()],
-        fallbacks=[queue.Queue()],
-    )
+    endpoints, rings = _ring_fabric(2, liveness=False)
     transport = WorkerTransport(0, endpoints, graph)
     transport.start()
-    transport.stop()  # the worker's own finally-block escape hatch
+    started = time.monotonic()
+    transport.stop()
     assert transport.join(timeout=5.0)
+    # woken through its wake connection, not by waiting out the 1 s
+    # liveness poll — a fleet's shutdown must not cost a poll interval
+    assert time.monotonic() - started < 0.5
+    _unlink_all(rings, transport)
+
+
+@exec_faults
+def test_transport_join_gives_up_on_a_wedged_responder():
+    # a requester killed inside a send leaves a torn message; while any
+    # process still holds that pipe's write end open the responder's
+    # recv cannot finish. worker_main's join() took no timeout and
+    # waited on such a responder forever — the stop flag bounds it now.
+    graph = erdos_renyi(30, 120, seed=1)
+    endpoints, rings = _ring_fabric(2)
+    transport = WorkerTransport(1, endpoints, graph)
+    transport.start()
+    _, writer = endpoints.requests[(0, 1)]
+    os.write(writer.fileno(), b"\x00\x00\x10\x00half a message")
+    time.sleep(0.2)  # let the responder pick the torn message up
+    transport.stop()
+    assert not transport.join(timeout=0.3)  # wedged inside recv
+    endpoints.flags[-1] = 1
+    started = time.monotonic()
+    assert not transport.join()  # no timeout: bounded by the flag
+    assert time.monotonic() - started < 5.0
+    writer.close()  # the last writer goes: EOF ends the torn message
+    assert transport.join(timeout=5.0)
+    _unlink_all(rings, transport)
 
 
 # ======================================================================
@@ -545,12 +746,16 @@ def test_ring_waits_abort_via_callback():
         ring.unlink()
 
 
-def test_transport_oversized_payload_takes_fallback():
-    # the hub's edge list exceeds the ring capacity: the reply must
-    # travel pickled on the fallback queue, announced by a marker
-    # frame, and still reassemble bit-identically
-    graph = star_graph(600)  # hub degree 600 x int32 > 1024-byte ring
-    endpoints, rings = _ring_fabric(2, capacity=1024)
+def test_ring_capacity_is_raised_to_hold_the_largest_list():
+    # the hub's edge list exceeds the requested ring size: the backend
+    # sizes the ring to hold it, so the reply is an ordinary frame and
+    # reassembles bit-identically — there is no second transport mode
+    graph = star_graph(600)  # hub degree 600 x int32 > 1024 bytes
+    hub_bytes = graph.max_degree() * graph.indices.dtype.itemsize
+    capacity = ring_capacity(1024, graph)
+    assert capacity == FRAME_HEADER_BYTES + hub_bytes
+    assert ring_capacity(1 << 20, graph) == 1 << 20  # never lowered
+    endpoints, rings = _ring_fabric(2, capacity=capacity)
     requester = WorkerTransport(0, endpoints, graph)
     responder = WorkerTransport(1, endpoints, graph)
     responder.start()
@@ -559,12 +764,34 @@ def test_transport_oversized_payload_takes_fallback():
         payload = requester.collect(0, 1, [0, 1, 2])
         expected, _ = graph.neighbors_batch(np.array([0, 1, 2]))
         assert np.array_equal(payload, expected)
-        assert requester.fallbacks_received >= 1
-        assert responder.fallbacks_served >= 1
+        assert requester.frames_received >= 1
     finally:
-        endpoints.inboxes[1].put(SHUTDOWN)
+        responder.stop()
         responder.join(timeout=5.0)
         _unlink_all(rings, requester, responder)
+
+    # end to end: the run reports the capacity it settled on
+    obs = Observability()
+    proc = KAutomine(graph, ClusterConfig(num_machines=2), obs=obs,
+                     backend=ProcessBackend(workers=2, ring_bytes=1024))
+    report = proc.count_pattern(catalog.chain(3))
+    assert report.counts == KAutomine(
+        graph, ClusterConfig(num_machines=2)
+    ).count_pattern(catalog.chain(3)).counts
+    assert report.extra["exec"]["ring_bytes"] == capacity
+    gauges = {name: value
+              for name, _, value in obs.registry.dump()["gauges"]}
+    assert gauges["exec.ring.capacity_bytes"] == capacity
+
+    # a transport handed a ring smaller than a requested list fails
+    # loudly instead of posting a request whose reply cannot fit
+    endpoints, rings = _ring_fabric(2, capacity=1024)
+    requester = WorkerTransport(0, endpoints, graph)
+    try:
+        with pytest.raises(ValueError, match="cannot fit"):
+            requester.post_chunk(0, [(1, [0])])
+    finally:
+        _unlink_all(rings, requester)
 
 
 def test_transport_round_trip_matches_direct_reads():
@@ -583,7 +810,6 @@ def test_transport_round_trip_matches_direct_reads():
             expected, _ = graph.neighbors_batch(
                 np.asarray(vertices, dtype=np.int64))
             assert np.array_equal(payload, expected)
-        assert requester.fallbacks_received == 0
         assert requester.frames_received >= 1
         # machines 0 and 2 live on worker 0 itself: local fast path
         local = requester.collect(0, 2, [5, 6])
@@ -591,7 +817,7 @@ def test_transport_round_trip_matches_direct_reads():
         assert np.array_equal(local, expected)
         assert requester.local_requests == 1
     finally:
-        endpoints.inboxes[1].put(SHUTDOWN)
+        responder.stop()
         responder.join(timeout=5.0)
         _unlink_all(rings, requester, responder)
 
@@ -601,11 +827,7 @@ def test_transport_round_trip_matches_direct_reads():
 # ======================================================================
 def test_frame_corruption_raises_structured_error():
     from repro.errors import TransportCorruptionError
-    from repro.exec.transport import (
-        FRAME_DATA,
-        FRAME_HEADER_BYTES,
-        FRAME_MAGIC,
-    )
+    from repro.exec.transport import FRAME_DATA, FRAME_MAGIC
 
     graph = erdos_renyi(30, 120, seed=1)
     endpoints, rings = _ring_fabric(2)
@@ -651,7 +873,7 @@ def test_frame_sequence_gap_raises_structured_error():
         with pytest.raises(TransportCorruptionError, match="sequence"):
             requester.collect(0, 1, [1, 2, 3])
     finally:
-        endpoints.inboxes[1].put(SHUTDOWN)
+        responder.stop()
         responder.join(timeout=5.0)
         _unlink_all(rings, requester, responder)
 
@@ -673,7 +895,7 @@ def test_frame_sequence_advances_per_pair():
         assert requester._frame_seq_in[1] == 3
         assert responder._frame_seq_out[0] == 3
     finally:
-        endpoints.inboxes[1].put(SHUTDOWN)
+        responder.stop()
         responder.join(timeout=5.0)
         _unlink_all(rings, requester, responder)
 
@@ -818,6 +1040,54 @@ def test_worker_sigkill_redistributes_to_survivors(tmp_path, workers):
     assert redistribution["workers"]
 
 
+@pytest.fixture(scope="module")
+def chaos():
+    """benchmarks/chaos.py, the harness behind ``make chaos-check``."""
+    from benchmarks import chaos
+
+    return chaos
+
+
+@pytest.fixture(scope="module")
+def chaos_oracle(chaos):
+    return chaos.clean_oracle()
+
+
+@exec_faults
+@pytest.mark.parametrize("policy", ["recover", "fail"])
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_worker_killed_inside_a_message_is_an_ordinary_death(
+        chaos, chaos_oracle, workers, policy):
+    # half a CKPT delta, half a RESULT, half a peer fetch request: each
+    # used to be a TIMEOUT at the full budget, a report followed by a
+    # parent that never exits, or a wedged peer (docs/execution.md).
+    # The scenario also holds the CLI to exiting within 30 s with no
+    # child and no segment left
+    for kind, which in chaos.TORN_MESSAGES:
+        chaos.scenario_worker_torn_message(
+            chaos_oracle, workers, kind, which, policy)
+
+
+@exec_faults
+def test_worker_that_dies_after_its_result_is_not_a_loss(chaos,
+                                                         chaos_oracle):
+    # worker 1 of 3 hosts machine 1: its deltas, its RESULT, then the
+    # STATS message it is killed inside. Nothing it owed is missing, so
+    # even ``fail`` reports a clean run — structurally (the RESULT was
+    # in the pipe before the death could be seen), not by luck of a
+    # feeder thread's flush
+    ordinal = chaos_oracle["deltas"][1] + 2
+    proc = chaos.run_cli(
+        ["--backend", "process", "--workers", "3", "--heartbeat", "0.2"],
+        chaos=f"worker-kill-midsend:1:{ordinal}", timeout=30)
+    report = chaos.report_of(proc)
+    assert report.get("failure") is None
+    assert report["counts"] == chaos_oracle["counts"]
+    assert report["simulated_seconds"] == chaos_oracle["simulated_seconds"]
+    assert report["extra"]["exec"]["worker_deaths"] == 1
+    chaos.assert_nothing_left(proc)
+
+
 @exec_faults
 @_FORK_ONLY
 def test_fail_fast_crash_keeps_buffered_checkpoints(tmp_path, monkeypatch):
@@ -871,3 +1141,36 @@ def test_adaptive_chunker_grows_and_shrinks():
         chunker._round_started = time.perf_counter()
         chunker.begin_round()
     assert chunker.target_bytes == chunker.max_bytes
+
+
+# ======================================================================
+# source tripwires: the channel discipline, held at the source level
+# ======================================================================
+_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def test_no_multiprocessing_lock_is_shared_with_a_worker():
+    # a worker SIGKILLed inside a multiprocessing Queue / Event / Lock /
+    # Condition / Semaphore dies holding a lock its survivors need;
+    # exec/ and service/ use private pipes and parent-written flag
+    # bytes instead. (threading.*, queue.Queue and PriorityJobQueue
+    # never leave their process and are not the target.)
+    shared = re.compile(
+        r"(?:multiprocessing|context|ctx|mp)\s*\.\s*"
+        r"(?:Simple|Joinable)?(?:Queue|Event|Lock|RLock|Condition|"
+        r"Semaphore|BoundedSemaphore|Barrier)\s*\("
+        r"|from\s+multiprocessing\s+import[^\n]*\b(?:Queue|Event|Lock|"
+        r"RLock|Condition|Semaphore)\b")
+    for package in ("exec", "service"):
+        for source in sorted((_SRC / package).glob("*.py")):
+            hit = shared.search(source.read_text())
+            assert hit is None, f"{source.name}: {hit.group(0)!r}"
+
+
+def test_fabric_has_one_transport_mode_and_no_shared_channels():
+    endpoints = Endpoints(num_workers=2)
+    for gone in ("inboxes", "fallbacks", "controls", "deaths", "stop"):
+        assert not hasattr(endpoints, gone), gone
+    transport_source = (_SRC / "exec" / "transport.py").read_text()
+    assert "FRAME_FALLBACK" not in transport_source
+    assert "fallback" not in transport_source.lower()

@@ -16,6 +16,8 @@ The acceptance contract of the service layer:
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
@@ -136,16 +138,12 @@ def test_request_roundtrip_and_validation():
         QueryRequest(induced=True, oriented=True).validate()
     with pytest.raises(ConfigurationError):
         QueryRequest(app="motifs", size=9).validate()
-    # chaos comes in from wire JSON too: garbage must be REJECTED at
-    # validation, never an exception out of a serving lane
-    with pytest.raises(ConfigurationError):
-        QueryRequest(chaos="sleep:x").validate()
-    with pytest.raises(ConfigurationError):
-        QueryRequest(chaos="sleep:-1").validate()
-    with pytest.raises(ConfigurationError):
-        QueryRequest(chaos="frobnicate").validate()
-    QueryRequest(chaos="exit").validate()
-    QueryRequest(chaos="sleep:0.25").validate()
+    # the test hooks left the wire schema (they sit behind REPRO_CHAOS):
+    # a client that could make a serving worker exit with one JSON
+    # field is told the field does not exist
+    with pytest.raises(ConfigurationError,
+                       match="unknown request field.*chaos"):
+        QueryRequest.from_json_line('{"chaos": "exit"}')
 
 
 def test_request_arity_drives_admission_estimate():
@@ -257,14 +255,14 @@ def test_concurrent_clients_process_lane_match_one_shot():
     assert server.janitor_runs == 1  # shared segments unlinked once
 
 
-def test_priority_order_under_load():
+def test_priority_order_under_load(monkeypatch):
     """With the serial lane blocked, a later high-priority query
     overtakes earlier low-priority ones (FIFO within a class)."""
+    monkeypatch.setenv("REPRO_CHAOS", "query-sleep:blocker:400")
     server = small_server()
     client = ServiceClient(server)
     try:
-        blocker = client.submit(id="blocker", app="triangle",
-                                chaos="sleep:0.4")
+        blocker = client.submit(id="blocker", app="triangle")
         # wait until the blocker actually occupies the serial lane so
         # the rest genuinely queue behind it
         deadline = 50
@@ -347,15 +345,15 @@ def test_time_budget_exceeded_reports_timeout():
         server.shutdown()
 
 
-def test_worker_death_degrades_one_query_not_the_server():
+def test_worker_death_degrades_one_query_not_the_server(monkeypatch):
     """The PR-7 contract carried over: a serving worker SIGKILLing
     itself mid-query yields one CRASHED report, a respawned worker,
     and an immediately healthy server."""
+    monkeypatch.setenv("REPRO_CHAOS", "query-exit:victim:1")
     server = small_server(workers=1, heartbeat=0.1)
     client = ServiceClient(server)
     try:
-        victim = client.query(id="victim", app="triangle", chaos="exit",
-                              timeout=60.0)
+        victim = client.query(id="victim", app="triangle", timeout=60.0)
         assert victim.outcome == Outcome.CRASHED.value
         assert "died mid-query" in victim.message()
         healthy = client.query(id="after", app="triangle", timeout=60.0)
@@ -369,22 +367,20 @@ def test_worker_death_degrades_one_query_not_the_server():
 
 
 def test_worker_death_before_pickup_does_not_wedge_the_lane():
-    """The dispatch window the 'exit' hook cannot reach: the worker
-    dies *between* the dispatcher's inbox.put and its own inbox.get.
-    The respawned incarnation must discard the leftover request (it
-    was already reported CRASHED) instead of replaying it — a replayed
-    result used to desynchronize the lane and wedge it forever."""
+    """The dispatch window the 'query-exit' hook cannot reach: the
+    worker dies *between* the dispatcher's send and its own recv. The
+    respawned incarnation must never answer the leftover request (it
+    was already reported CRASHED) — a replayed result used to
+    desynchronize the lane and wedge it forever."""
     server = small_server(workers=1, heartbeat=0.4)
     client = ServiceClient(server)
     try:
         warmup = client.query(id="warmup", app="triangle", timeout=60.0)
         assert warmup.ok
-        # kill the idle worker; the dispatcher still believes the lane
-        # is free, so the next request lands in a dead worker's inbox
-        process = server._processes[0]
-        process.kill()
-        process.join(timeout=10.0)
-        assert process.exitcode is not None
+        # kill the idle worker; until the collector has seen the death
+        # the dispatcher still believes the lane is free, so the next
+        # request may be sent to a dead worker
+        os.kill(server._lanes[0].process.pid, signal.SIGKILL)
         orphaned = client.query(id="orphaned", app="triangle",
                                 timeout=60.0)
         # CRASHED when dispatched into the death window, OK if the
@@ -403,15 +399,18 @@ def test_worker_death_before_pickup_does_not_wedge_the_lane():
 
 def test_stale_inbox_request_is_discarded_by_respawned_worker():
     """A request tagged with a dead predecessor's epoch (left behind
-    in the dispatch window) must be dropped by the worker, never
-    replayed — a replayed result answers a query the server already
-    reported CRASHED and desynchronizes the lane."""
+    in the dispatch window) must be dropped, never replayed — a
+    replayed result answers a query the server already reported
+    CRASHED and desynchronizes the lane. The lane refuses to send it;
+    one that slips past that check (the race the worker-side discard
+    exists for) is dropped by the worker."""
     server = small_server(workers=1, heartbeat=0.1)
     client = ServiceClient(server)
     try:
-        server._inboxes[0].put(
-            (0, QueryRequest(id="ghost", app="triangle"))
-        )
+        lane = server._lanes[0]
+        ghost = QueryRequest(id="ghost", app="triangle")
+        assert not lane.send(ghost, epoch=lane.epoch - 1)
+        lane._commands.send((lane.epoch - 1, ghost))
         healthy = client.query(id="after", app="triangle", timeout=60.0)
         assert healthy.ok and healthy.counts == 1562
         assert server.completed_ids() == ["after"]
@@ -420,16 +419,16 @@ def test_stale_inbox_request_is_discarded_by_respawned_worker():
     assert summary["queries"] == 1
 
 
-def test_mismatched_result_never_frees_a_busy_worker():
+def test_mismatched_result_never_frees_a_busy_worker(monkeypatch):
     """A result that does not answer the query a lane is serving must
     not pop the in-flight handle or free the busy worker. (Results
     from dead incarnations cannot arrive at all — their private pipe
     reader is closed at respawn — so the id guard is the last line.)"""
+    monkeypatch.setenv("REPRO_CHAOS", "query-sleep:blocker:500")
     server = small_server(workers=1, heartbeat=0.1)
     client = ServiceClient(server)
     try:
-        blocker = client.submit(id="blocker", app="triangle",
-                                chaos="sleep:0.5")
+        blocker = client.submit(id="blocker", app="triangle")
         deadline = 100
         while blocker.dispatch_time is None and deadline:
             time.sleep(0.02)
@@ -447,23 +446,28 @@ def test_mismatched_result_never_frees_a_busy_worker():
     assert summary["worker_deaths"] == 0
 
 
-def test_bad_chaos_spec_fails_itself_not_the_dispatcher():
-    """A malformed chaos field from the wire must become a REJECTED
-    report; it used to raise out of execute() and kill the serial
-    lane's dispatcher thread, silently wedging the server."""
-    server = small_server()
-    client = ServiceClient(server)
-    try:
-        bad = client.query(id="bad-chaos", app="triangle",
-                           chaos="sleep:x", timeout=60.0)
-        assert bad.outcome == "REJECTED"
-        assert "chaos" in bad.message()
-        healthy = client.query(id="after", app="triangle", timeout=60.0)
-        assert healthy.ok and healthy.counts == 1562
-    finally:
-        summary = server.shutdown()
-    assert summary["rejected"] == 1
-    assert summary["ok"] == 1
+def test_request_with_a_chaos_field_is_rejected_not_obeyed(tmp_path,
+                                                           capsys):
+    """``chaos`` is not a request field any more: a ``serve`` client
+    that sends it gets a REJECTED report naming the unknown field, the
+    worker it used to kill stays up, and the next query is served."""
+    from repro.__main__ import main
+
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(
+        '{"id": "bad-chaos", "app": "triangle", "chaos": "exit"}\n'
+        '{"id": "after", "app": "triangle"}\n'
+    )
+    code = main(["serve", "--graph", "mico", "--scale", "0.2",
+                 "--machines", "2", "--cores", "2", "--workers", "1",
+                 "--heartbeat", "0.1", "--input", str(trace)])
+    assert code == 1  # a rejected query is a fatal outcome
+    out = capsys.readouterr().out
+    rejected = next(line for line in out.splitlines()
+                    if line.startswith("outcome: REJECTED"))
+    assert "unknown request field(s): chaos" in rejected
+    assert "outcome: OK query=after" in out
+    assert "service session: 2 queries (ok=1 rejected=1 failed=0)" in out
 
 
 # ---------------------------------------------------------------------
@@ -531,15 +535,16 @@ def test_service_counters_track_outcomes():
 # ---------------------------------------------------------------------
 # leak-free shutdown
 # ---------------------------------------------------------------------
-def test_shutdown_drains_queue_and_runs_janitor_once(tmp_path):
+def test_shutdown_drains_queue_and_runs_janitor_once(tmp_path,
+                                                     monkeypatch):
     """Shutdown mid-stream: the in-flight query finishes inside the
     drain budget, queued queries come back REJECTED, and repeated
     shutdowns keep the summary stable with one janitor run."""
+    monkeypatch.setenv("REPRO_CHAOS", "query-sleep:inflight:400")
     server = small_server(workers=1, heartbeat=0.1,
                           checkpoint_dir=str(tmp_path / "svc"))
     client = ServiceClient(server)
-    blocker = client.submit(id="inflight", app="triangle",
-                            chaos="sleep:0.4")
+    blocker = client.submit(id="inflight", app="triangle")
     queued = [client.submit(id=f"queued-{i}", app="triangle")
               for i in range(3)]
     # let the blocker reach the worker before draining
