@@ -127,7 +127,8 @@ perf-bench-scale:
 ## the latency/throughput load harness — one server answers a mixed
 ## 20-query trace bit-identically to one-shot runs and its amortized
 ## p50 must beat the fastest one-shot wall-clock; writes
-## BENCH_PR8.json (docs/service.md)
+## .benchmarks/service.json (docs/service.md; BENCH_PR8.json is the
+## frozen record of the PR that added the service)
 service-check: service-bench
 	$(PYTEST) tests/test_service.py -q
 

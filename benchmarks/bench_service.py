@@ -15,7 +15,9 @@ bit-identical to its one-shot run.
 Two entry points:
 
 - ``pytest benchmarks/bench_service.py`` — what ``make service-check``
-  runs; writes ``BENCH_PR8.json`` at the repo root.
+  runs; writes ``.benchmarks/service.json`` (git-ignored, like
+  ``wallclock.json``; the tracked ``BENCH_PR8.json`` is the frozen
+  record of the PR that added the service).
 - ``python benchmarks/bench_service.py [--out PATH]`` — the same
   measurement standalone, with a configurable trace length.
 """
@@ -45,7 +47,7 @@ from repro.service import (
 pytestmark = pytest.mark.service
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUT = REPO_ROOT / "BENCH_PR8.json"
+_OUT = REPO_ROOT / ".benchmarks" / "service.json"
 
 #: the serving shape: small enough for CI, large enough that a
 #: one-shot run pays visible graph-load + partitioning cost

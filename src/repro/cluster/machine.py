@@ -95,12 +95,18 @@ class MachineState:
             + self.served_bytes * self.cost.serve_per_byte
         ) / self.comm_threads
 
-    def parallel_compute_time(self, serial_seconds: float) -> float:
-        """Wall time of ``serial_seconds`` of work over the compute pool."""
+    @property
+    def compute_pool(self) -> float:
+        """What the compute pool divides serial work by: its threads at
+        their parallel efficiency (1.0 for a single thread)."""
         threads = self.compute_threads
         if threads == 1:
-            return serial_seconds
-        return serial_seconds / (threads * self.cost.thread_efficiency)
+            return 1.0
+        return threads * self.cost.thread_efficiency
+
+    def parallel_compute_time(self, serial_seconds: float) -> float:
+        """Wall time of ``serial_seconds`` of work over the compute pool."""
+        return serial_seconds / self.compute_pool
 
     # ------------------------------------------------------------------
     def allocate(self, num_bytes: int) -> None:

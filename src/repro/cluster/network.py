@@ -150,6 +150,33 @@ class NetworkModel:
             server.served_bytes += payload_bytes
             server.served_requests += num_requests
 
+    def record_fetch_batches(
+        self,
+        requester: int,
+        batches: list[tuple[int, int, int]],
+        servers: list[MachineState],
+    ) -> None:
+        """The fold of :meth:`record_fetch_batch` over one chunk's
+        ``(owner, num_requests, payload_bytes)`` batches (``servers`` by
+        machine id): every matrix cell once, every counter once. All
+        integers, so exact."""
+        assert self.injector is None, "bulk recording skips retry state"
+        header = self.cost.request_header_bytes
+        requests = payload = 0
+        sent = self.traffic_bytes[requester]
+        for owner, num_requests, payload_bytes in batches:
+            sent[owner] += header * num_requests
+            self.traffic_bytes[owner, requester] += payload_bytes
+            self.request_counts[requester, owner] += num_requests
+            server = servers[owner]
+            server.served_bytes += payload_bytes
+            server.served_requests += num_requests
+            requests += num_requests
+            payload += payload_bytes
+        self._m_requests.inc(requests)
+        self._m_payload.inc(payload)
+        self._m_wire.inc(header * requests + payload)
+
     def batch_time(self, payload_bytes: int, num_requests: int) -> float:
         """Wire time of one communication batch (Section 4.3).
 
@@ -165,6 +192,25 @@ class NetworkModel:
         self._m_batch_bytes.observe(wire_bytes)
         self._m_batch_requests.observe(num_requests)
         return self.cost.batch_latency + wire_bytes / self.cost.network_bandwidth
+
+    def batch_times(
+        self, batches: list[tuple[int, int, int]]
+    ) -> list[float]:
+        """:meth:`batch_time` of each of one chunk's non-empty ``(owner,
+        num_requests, payload_bytes)`` batches, in order: the same
+        expression on Python numbers, one batch at a time (nothing is
+        summed in another order), the counters bumped once."""
+        header = self.cost.request_header_bytes
+        latency = self.cost.batch_latency
+        bandwidth = self.cost.network_bandwidth
+        wire = [payload + count * header for _, count, payload in batches]
+        self.num_batches += len(batches)
+        self._m_batches.inc(len(batches))
+        self._m_batch_bytes.observe_many(wire)
+        self._m_batch_requests.observe_many(
+            [count for _, count, _ in batches]
+        )
+        return [latency + wire_bytes / bandwidth for wire_bytes in wire]
 
     def drain_retry_seconds(self) -> float:
         """Backoff seconds accrued since the last drain (charged by the

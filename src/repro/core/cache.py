@@ -164,20 +164,39 @@ class EdgeCache:
 
     def _insert(self, vertex: int, num_bytes: int) -> None:
         self._entries[vertex] = num_bytes
-        self._mask(vertex)[vertex] = True
+        if vertex >= len(self._resident):
+            self._grow(vertex)
+        self._resident[vertex] = True
         self.used_bytes += num_bytes
         self.inserts += 1
         self._m_inserts.inc()
         self._m_used_bytes.set(self.used_bytes)
 
-    def _mask(self, vertices) -> np.ndarray:
-        """The residency mask, grown to cover ``vertices`` (one or many)."""
-        short = int(np.max(vertices, initial=-1)) + 1 - len(self._resident)
-        if short > 0:
-            self._resident = np.pad(
-                self._resident, (0, max(short, len(self._resident)))
-            )
-        return self._resident
+    def _residency(self, vertices: np.ndarray) -> np.ndarray:
+        """Which of ``vertices`` are resident. The mask grows when a
+        vertex beyond it is first seen — at least doubling, so once it
+        covers the graph a lookup is one gather and nothing else."""
+        try:
+            return self._resident[vertices]
+        except IndexError:
+            self._grow(vertices)
+            return self._resident[vertices]
+
+    def _grow(self, vertices) -> None:
+        """Extend the residency mask to cover ``vertices`` (one or many)."""
+        short = int(np.max(vertices)) + 1 - len(self._resident)
+        self._resident = np.pad(
+            self._resident, (0, max(short, len(self._resident)))
+        )
+
+    def saturated(self, least_bytes: int) -> bool:
+        """Whether no list of ``least_bytes`` or more can be admitted any
+        more: a static cache never evicts, so its free bytes only
+        shrink (a replacement policy always makes room)."""
+        return (
+            self.policy is CachePolicy.STATIC
+            and self.used_bytes + least_bytes > self.capacity_bytes
+        )
 
     # ------------------------------------------------------------------
     # batch entry points: the scheduler's one query call and one offer
@@ -189,8 +208,8 @@ class EdgeCache:
             return np.fromiter(
                 map(self.query, vertices.tolist()), bool, len(vertices)
             )
-        hit = self._mask(vertices)[vertices]
-        hits = int(hit.sum())
+        hit = self._residency(vertices)
+        hits = int(np.count_nonzero(hit))
         self.hits += hits
         self.misses += len(hit) - hits
         self._m_hits.inc(hits)
@@ -213,7 +232,7 @@ class EdgeCache:
             # over the threshold that fits the bytes free right now can
             # still be inserted (free bytes only shrink) — those few
             # are walked in offer order, none once the cache is full
-            admitted = self._mask(vertices)[vertices]
+            admitted = self._residency(vertices)
             offers = np.flatnonzero(
                 ~admitted & (degrees >= self.degree_threshold)
                 & (sizes <= self.capacity_bytes - self.used_bytes)

@@ -25,10 +25,15 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.machine import MachineState
+from repro.core.workspace import Workspace
 
 #: Bookkeeping bytes per embedding: new vertex id, parent index,
 #: state/level fields (paper Section 5.1's hierarchical representation).
 EMBEDDING_BASE_BYTES = 24
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_SOURCES = np.empty(0, dtype=np.int8)
 
 
 class EdgeListSource(IntEnum):
@@ -73,10 +78,10 @@ class Chunk:
         self.capacity_bytes = capacity_bytes
         self.machine = machine
         self.parent = parent
-        self.vertex = np.empty(0, dtype=np.int64)
+        # no rows until :meth:`fill` sets every column
+        self.vertex = self.stored_bytes = _NO_ROWS
         self.parent_idx: Optional[np.ndarray] = None
-        self.source = np.empty(0, dtype=np.int8)
-        self.stored_bytes = np.empty(0, dtype=np.int64)
+        self.source = _NO_SOURCES
         self.raw_values: Optional[np.ndarray] = None
         self.raw_offsets: Optional[np.ndarray] = None
         self.used_bytes = 0
@@ -127,7 +132,9 @@ class Chunk:
     def refund(self, rows: np.ndarray, amounts: np.ndarray) -> None:
         """Return reserved bytes of ``rows`` (their fetches were
         satisfied without storage: local pointer, HDS share, or cache
-        residence) and shrink the reservation back toward capacity."""
+        residence) and shrink the reservation back toward capacity.
+        ``rows`` indexes the columns: row numbers, or a slice with
+        ``amounts`` zero where nothing returns."""
         self.stored_bytes[rows] -= amounts
         self.used_bytes -= int(amounts.sum())
         floor = max(self.capacity_bytes, self.used_bytes)
@@ -135,7 +142,7 @@ class Chunk:
             self.machine.release(self._reserved - floor)
             self._reserved = floor
 
-    def prefixes(self) -> np.ndarray:
+    def prefixes(self, workspace: Optional[Workspace] = None) -> np.ndarray:
         """``(rows, level + 1)`` data vertices in matching order,
         gathered through ``parent_idx`` up the chain of chunks.
         Column-major: the matrix is written here, and read by every
@@ -143,20 +150,24 @@ class Chunk:
         a row block ``prefixes[start:stop]`` is a view that keeps its
         columns contiguous, and the row-wise readers (a fancy-indexed
         subset of rows, ``.tolist()``) see no difference but the
-        stride."""
-        out = np.empty((len(self), self.level + 1), dtype=np.int64, order="F")
-        chunk: Optional[Chunk] = self
+        stride. The matrix and the gathers that fill it are views of
+        ``workspace`` (valid until its next ``prefixes`` call)."""
+        ws = workspace if workspace is not None else Workspace()
+        n = len(self)
+        out = ws.matrix("prefixes", n, self.level + 1)
+        out[:, self.level] = self.vertex
+        chunk = self
         rows = None  # this chunk's row -> row of ``chunk`` (None = same)
-        while chunk is not None:
-            out[:, chunk.level] = (
-                chunk.vertex if rows is None else chunk.vertex[rows]
+        while chunk.parent is not None:
+            rows = chunk.parent_idx if rows is None else chunk.parent_idx.take(
+                rows, mode="clip",
+                out=ws.take(("prefixes.rows", chunk.level & 1), n),
             )
-            if chunk.parent is not None:
-                rows = (
-                    chunk.parent_idx if rows is None
-                    else chunk.parent_idx[rows]
-                )
             chunk = chunk.parent
+            out[:, chunk.level] = chunk.vertex.take(
+                rows, mode="clip",
+                out=ws.take("prefixes.column", n, chunk.vertex.dtype),
+            )
         return out
 
     def intermediates(

@@ -32,6 +32,7 @@ from repro.core.plan import (
 )
 from repro.core.runtime import RunReport
 from repro.core.scheduler import NULL_UDF, MachineScheduler, Udf
+from repro.core.workspace import Workspace
 from repro.errors import (
     ConfigurationError,
     FetchFailedError,
@@ -385,6 +386,9 @@ class KhuzdulEngine:
         # The per-machine series live in the registry (hds.* counters);
         # this dict keeps the cluster-wide totals reports always carry.
         hds_stats = {"hits": 0, "probes": 0, "drops": 0}
+        #: the kernels' scratch memory: one per run, not per scheduler
+        #: (a census builds 168 of those)
+        workspace = Workspace()
         fetch_sources = {"local": 0, "remote": 0, "cache": 0, "shared": 0}
         chunks_created = 0
 
@@ -469,6 +473,7 @@ class KhuzdulEngine:
                             pattern.extend_schedule,
                             vcs=config.vcs,
                             metrics=machine_scopes[mid],
+                            workspace=workspace,
                         ),
                         cache=caches[mid],
                         udf=machine_udf,

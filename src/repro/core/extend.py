@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.chunk import Chunk
+from repro.core.workspace import Workspace
 from repro.graph.graph import Graph
 from repro.obs import names
 from repro.obs.metrics import MetricsScope, scope_or_null
@@ -230,9 +231,13 @@ class ScheduleExtender:
         schedule: Schedule,
         vcs: bool = True,
         metrics: Optional[MetricsScope] = None,
+        workspace: Optional[Workspace] = None,
     ):
         self.schedule = schedule
         self.vcs = vcs
+        #: the chunk kernels' scratch memory — the engine run's one
+        #: workspace, or a private one (repro.core.workspace)
+        self.workspace = workspace if workspace is not None else Workspace()
         self.bind_metrics(scope_or_null(metrics))
 
     def bind_metrics(self, metrics: MetricsScope) -> None:
@@ -316,8 +321,8 @@ class ScheduleExtender:
         if self.vcs and step.reuse_level is not None:
             intermediates = chunk.intermediates(step.reuse_level)
         batch = kernels.extend_chunk(
-            graph, step, chunk.prefixes(), intermediates,
-            vcs=self.vcs, count_only=count_only,
+            graph, step, chunk.prefixes(self.workspace), intermediates,
+            vcs=self.vcs, count_only=count_only, workspace=self.workspace,
         )
         self._m_k_batches.inc()
         self._m_k_embeddings.inc(len(chunk))
@@ -334,7 +339,9 @@ class ScheduleExtender:
         Emits the ``kernel.iep.*`` counters; ``extend.*`` goes through
         :meth:`account_rows` like every other drained chunk.
         """
-        batch = kernels.iep_chunk(graph, plan, chunk.prefixes())
+        batch = kernels.iep_chunk(
+            graph, plan, chunk.prefixes(self.workspace), self.workspace
+        )
         self._m_iep_batches.inc()
         self._m_iep_embeddings.inc(len(chunk))
         self._m_iep_terms.inc(len(plan.terms) * len(chunk))

@@ -78,6 +78,9 @@ class HorizontalShareTable:
         self.drops = 0
         self.probes = 0
         self.chain_steps = 0
+        #: slot -> claiming row of the chunk in hand (``np.empty``: a
+        #: slot's content means something only after that chunk wrote it)
+        self._table = np.empty(0 if chaining else self.num_slots, np.intp)
         metrics = scope_or_null(metrics)
         self._m_probes = metrics.counter(names.HDS_PROBES)
         self._m_hits = metrics.counter(names.HDS_HITS)
@@ -98,29 +101,44 @@ class HorizontalShareTable:
         one chain step per node that entered its slot before its own.
         """
         # int64 before hashing: (v + 1) * _KNUTH overflows int32 columns
-        vertices = np.asarray(vertices, dtype=np.int64)
-        slots = ((vertices + 1) * _KNUTH & _MASK) % self.num_slots
-        _, first, entry = np.unique(
-            vertices if self.chaining else slots,
-            return_index=True, return_inverse=True,
-        )
-        claimed_by = first[entry]  # the row that filled this row's entry
-        hit = vertices == vertices[claimed_by]
-        hit &= claimed_by != np.arange(len(vertices))
-        probes, inserts, hits = len(vertices), len(first), int(hit.sum())
+        slots = vertices.astype(np.int64)
+        slots += 1
+        slots *= _KNUTH
+        slots &= _MASK
+        slots %= self.num_slots
+        probes = len(slots)
+        rows = np.arange(probes)
         steps = 0
-        if self.chaining and inserts:
-            # nodes ordered by (slot, first row): a node's depth in its
-            # chain is its distance from its slot's first node
-            node_slot = slots[first]
-            order = np.lexsort((first, node_slot))
-            position = np.arange(inserts)
-            head = np.r_[True, np.diff(node_slot[order]) != 0]
-            depth = np.empty(inserts, dtype=np.int64)
-            depth[order] = position - np.maximum.accumulate(
-                np.where(head, position, 0)
+        if self.chaining:
+            _, first, entry = np.unique(
+                vertices, return_index=True, return_inverse=True
             )
-            steps = int(depth[entry].sum())
+            claimed_by = first[entry]  # the row of this row's chain node
+            if len(first):
+                # nodes ordered by (slot, first row): a node's depth in
+                # its chain is its distance from its slot's first node
+                node_slot = slots[first]
+                order = np.lexsort((first, node_slot))
+                position = rows[:len(first)]
+                head = np.r_[True, np.diff(node_slot[order]) != 0]
+                depth = np.empty(len(first), dtype=np.int64)
+                depth[order] = position - np.maximum.accumulate(
+                    np.where(head, position, 0)
+                )
+                steps = int(depth[entry].sum())
+        else:
+            # the table itself, no sort: rows scattered in reverse order
+            # leave each slot holding the first row to reach it. Only
+            # slots written by this chunk are read back, so the table
+            # starts every chunk empty without being cleared
+            table = self._table
+            table[slots[::-1]] = rows[::-1]
+            claimed_by = table[slots]
+        later = claimed_by != rows  # not the row that filled its entry
+        hit = vertices[claimed_by] == vertices
+        hit &= later
+        inserts = probes - int(np.count_nonzero(later))
+        hits = int(np.count_nonzero(hit))
         self.probes += probes
         self.inserts += inserts
         self.hits += hits

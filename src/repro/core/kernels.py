@@ -32,6 +32,11 @@ Three layers:
   kernel of its own (docs/performance.md): per-row cardinalities, no
   filtered list, straight off the CSR when the step reads one list.
 
+Temporaries are views of a :class:`~repro.core.workspace.Workspace`
+filled through ``out=`` (a warm run allocates next to nothing); a
+listed result owns its arrays, a counted or IEP result's are workspace
+views the caller reads before its next kernel call.
+
 Contract: for every embedding the results — candidate values,
 ``merge_elements``, ``scanned`` — are element-for-element identical to
 the row-by-row reference
@@ -47,6 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.workspace import Workspace
 from repro.graph.graph import Graph, block_bounds, gather_segments
 from repro.patterns.schedule import CountingPlan, ExtensionStep
 
@@ -119,9 +125,20 @@ def adjacency_position(
 
 
 def adjacency_member(
-    graph: Graph, sources: np.ndarray, candidates: np.ndarray
+    graph: Graph,
+    sources: np.ndarray,
+    candidates: np.ndarray,
+    emb_of: Optional[np.ndarray] = None,
+    workspace: Optional[Workspace] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Boolean mask: is ``candidates[i]`` a neighbor of ``sources[i]``?
+    """Boolean mask: is ``candidates[i]`` a neighbor of its source?
+
+    The source of candidate ``i`` is ``sources[i]``, or, when ``emb_of``
+    is given, ``sources[emb_of[i]]`` — a set-operation stage probes all
+    of a row's candidates against one vertex, so what depends on the
+    source only (its adjacency row, whether it has one) is worked out
+    once per *row* and gathered, not re-derived per candidate.
 
     Input-aware, as the GPU engines' set operations are: pairs whose
     source is a hub answer with one load from its bit-packed adjacency
@@ -129,29 +146,56 @@ def adjacency_member(
     has one), and only the remainder pays a global binary search
     against the composite-key adjacency view — the batched analogue of
     probing each candidate into its own CSR slice, without
-    per-embedding windowing.
+    per-embedding windowing. The mask is written to ``out`` (a fresh
+    array without one); temporaries are views of ``workspace``.
     """
+    ws = workspace if workspace is not None else Workspace()
+    count = len(candidates)
+    member = np.empty(count, dtype=bool) if out is None else out
     rows, rank = graph.adjacency_matrix()
-    row = rank[sources]
+    row = rank.take(sources, mode="clip",
+                    out=ws.take("member.row", len(sources), rank.dtype))
     if len(rows):
-        # a rowless source reads some other row here; overwritten below
-        entry = row * np.int64(rows.shape[1])
-        entry += candidates >> 3
-        member = rows.reshape(-1)[entry]
-        member >>= candidates.astype(np.uint8) & 7
-        member &= 1
-        member = member.view(np.bool_)
+        # bit addresses: a row starts on a byte, so a candidate's bit
+        # within its byte is the address's low three bits. A rowless
+        # source reads some other row here; overwritten below. (The
+        # per-candidate int64 scratch is the filters' too: a probe and
+        # a filter pass are never in flight together)
+        bit = ws.take("candidates.int64", count)
+        if emb_of is None:
+            np.multiply(row, 8 * rows.shape[1], dtype=np.int64, out=bit)
+        else:
+            np.multiply(
+                row, 8 * rows.shape[1], dtype=np.int64,
+                out=ws.take("member.start", len(sources)),
+            ).take(emb_of, mode="clip", out=bit)
+        bit += candidates
+        shift = np.bitwise_and(
+            bit, 7, casting="unsafe",
+            out=ws.take("member.shift", count, np.uint8),
+        )
+        bit >>= 3
+        bits = rows.reshape(-1).take(bit, mode="clip",
+                                     out=member.view(np.uint8))
+        bits >>= shift
+        bits &= 1
     else:
-        member = np.zeros(len(candidates), dtype=bool)
+        member[:] = False
     if len(rows) < len(rank) and graph.num_directed_edges:
-        tail = np.flatnonzero(row < 0)
-        adj_keys = graph.adjacency_keys()
-        keys = sources[tail].astype(np.int64)
-        keys *= graph.num_vertices
-        keys += candidates[tail]
-        pos = np.searchsorted(adj_keys, keys)
-        np.minimum(pos, len(adj_keys) - 1, out=pos)
-        member[tail] = adj_keys[pos] == keys
+        rowless = row < 0
+        if emb_of is not None:
+            # per row first: most chunks have no rowless source at all
+            rowless = rowless[emb_of] if rowless.any() else rowless[:0]
+        tail = rowless.nonzero()[0]
+        if len(tail):
+            adj_keys = graph.adjacency_keys()
+            owners = tail if emb_of is None else emb_of[tail]
+            keys = sources[owners].astype(np.int64)
+            keys *= graph.num_vertices
+            keys += candidates[tail]
+            pos = adj_keys.searchsorted(keys)
+            np.minimum(pos, len(adj_keys) - 1, out=pos)
+            member[tail] = adj_keys[pos] == keys
     return member
 
 
@@ -163,7 +207,8 @@ def adjacency_member(
 #: is fresh pages from the OS (page faults, then memory bandwidth), and
 #: the kernel's time follows the host's memory system rather than its
 #: CPU. Row blocks of this many elements keep every temporary in cache
-#: and in the allocator's reused arenas (docs/performance.md).
+#: and bound what the run's :class:`Workspace` holds for them
+#: (docs/performance.md).
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -209,20 +254,8 @@ class ChunkExtendResult:
 
 def _offsets_from_counts(counts: np.ndarray) -> np.ndarray:
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    counts.cumsum(out=offsets[1:])
     return offsets
-
-
-def _compress(
-    values: np.ndarray,
-    emb_of: np.ndarray,
-    mask: np.ndarray,
-    num_embeddings: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Apply a keep-mask to a flattened batch; returns the new layout."""
-    kept_emb = emb_of[mask]
-    counts = np.bincount(kept_emb, minlength=num_embeddings).astype(np.int64)
-    return values[mask], _offsets_from_counts(counts), counts, kept_emb
 
 
 def extend_chunk(
@@ -234,6 +267,7 @@ def extend_chunk(
     ] = None,
     vcs: bool = True,
     count_only: bool = False,
+    workspace: Optional[Workspace] = None,
 ) -> ChunkExtendResult:
     """Run one schedule step across a whole chunk of embeddings.
 
@@ -259,11 +293,16 @@ def extend_chunk(
         Nobody reads the candidates (a counting UDF's final level): a
         label-free step answers with per-embedding cardinalities and
         builds no filtered list; a labeled one lists, ``counts`` and all.
+    workspace:
+        Where the temporaries live (a private one when ``None``). A
+        listed result owns its arrays; a counted result's are views of
+        the workspace, valid until its next kernel call.
 
     The chunk is worked through in row blocks of about
     :data:`BLOCK_ELEMENTS` gathered candidates (:func:`_row_blocks`);
     the result is the blocks' results laid end to end.
     """
+    ws = workspace if workspace is not None else Workspace()
     prefixes = np.asarray(prefixes, dtype=np.int64)
     if prefixes.ndim != 2:
         raise ValueError("prefixes must be a 2-D (embeddings, level) array")
@@ -276,7 +315,7 @@ def extend_chunk(
         volume = stored_offsets[segments + 1] - stored_offsets[segments]
         connected = step.extra_connected
     elif counting and len(step.connected) == 1 and not step.disconnected:
-        return _count_window(graph, step, prefixes)
+        return _count_window(graph, step, prefixes, ws)
     else:
         # Intersection is symmetric: gather whichever of the first two
         # connected columns has the smaller total neighbor volume and
@@ -294,29 +333,56 @@ def extend_chunk(
             if int(other.sum()) < int(volume.sum()):
                 connected = (connected[1], connected[0]) + connected[2:]
                 volume = other
+    n = len(prefixes)
+    if counting:
+        batch = ChunkExtendResult(
+            ws.take("result.counts", n), ws.take("result.merge", n),
+            ws.take("result.scanned", n),
+        )
+    else:
+        batch = ChunkExtendResult(
+            np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.int64),
+        )
     bounds = _row_blocks(volume)
     parts = []
     for start, stop in zip(bounds, bounds[1:]):
         block = prefixes[start:stop]
-        batch = _set_operations(
+        values, emb_of, counts, raw_values, probes = _set_operations(
             graph, block, connected, step.disconnected,
             None if intermediates is None
             else (stored, stored_offsets, segments[start:stop]),
+            ws, batch.merge_elements[start:stop], batch.scanned[start:stop],
+            keep_raw=step.store_intermediate and not counting,
         )
-        parts.append(
-            _count_rows(step, block, batch) if counting
-            else _extend_rows(graph, step, block, batch)
-        )
-    batch = parts[0] if len(parts) == 1 else _join(parts, bounds)
+        batch.probe_elements += probes
+        if counting:
+            _count_rows(graph, step, block, values, emb_of, counts, ws,
+                        batch.counts[start:stop])
+        else:
+            values, emb_of = _extend_rows(
+                graph, step, block, values, emb_of, ws,
+                batch.counts[start:stop],
+            )
+            parts.append((values, emb_of, raw_values))
     if counting:
-        # the correction reads a row's prefix and count, not its list:
-        # once per chunk, on the rows that count anything — only they can
-        # hold one, and under an ordering restriction most count nothing
-        live = np.flatnonzero(batch.counts)
-        rows = prefixes[live]
-        batch.counts[live] -= _inside(
-            graph, rows, step.connected, step.disconnected, _window(step, rows)
+        return batch
+    # row blocks' lists laid end to end; the layout arrays are built
+    # once, from the chunk's counts
+    if len(parts) == 1:
+        batch.values, batch.rows, raw_values = parts[0]
+    else:
+        batch.values = np.concatenate([part[0] for part in parts])
+        batch.rows = np.concatenate(
+            [part[1] + start for part, start in zip(parts, bounds)]
         )
+        if step.store_intermediate:
+            raw_values = np.concatenate([part[2] for part in parts])
+    batch.offsets = _offsets_from_counts(batch.counts)
+    if step.store_intermediate:
+        # a row's stored intersection is what its filters scanned
+        batch.raw_values = raw_values
+        batch.raw_offsets = _offsets_from_counts(batch.scanned)
     return batch
 
 
@@ -328,81 +394,109 @@ def _row_blocks(volume: np.ndarray) -> list[int]:
     return block_bounds(volume + 1, BLOCK_ELEMENTS)
 
 
-def _join(
-    parts: list[ChunkExtendResult], bounds: list[int]
-) -> ChunkExtendResult:
-    """Row blocks' results laid end to end."""
-    counts = np.concatenate([part.counts for part in parts])
-    merge_elements = np.concatenate([part.merge_elements for part in parts])
-    scanned = np.concatenate([part.scanned for part in parts])
-    probe_elements = sum(part.probe_elements for part in parts)
-    if parts[0].values is None:
-        return ChunkExtendResult(
-            counts, merge_elements, scanned, probe_elements=probe_elements
-        )
-    raw_values = raw_offsets = None
-    if parts[0].raw_offsets is not None:
-        raw_values = np.concatenate([part.raw_values for part in parts])
-        raw_offsets = _offsets_from_counts(
-            np.concatenate([np.diff(part.raw_offsets) for part in parts])
-        )
-    return ChunkExtendResult(
-        counts, merge_elements, scanned,
-        np.concatenate([part.values for part in parts]),
-        _offsets_from_counts(counts),
-        np.concatenate(
-            [part.rows + start for part, start in zip(parts, bounds)]
-        ),
-        raw_values, raw_offsets, probe_elements,
+def _stage_state(
+    values: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A flattened gather ``(values, offsets)`` as ``(values, emb_of,
+    counts)``, what one set-operation stage hands the next."""
+    counts = offsets[1:] - offsets[:-1]
+    return values, np.arange(len(counts)).repeat(counts), counts
+
+
+def _probe_stage(
+    graph: Graph,
+    prefixes: np.ndarray,
+    position: int,
+    values: np.ndarray,
+    emb_of: np.ndarray,
+    keep: bool,
+    ws: Workspace,
+    slot,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One set-operation stage over a row block: of each row's
+    candidates keep those adjacent to its column ``position`` vertex
+    (an intersection) or, with ``keep`` false, those that are not (a
+    difference). The new ``(values, emb_of, counts)``; the first two are
+    views of the workspace's ``slot``, so a stage's input and output
+    must sit in different slots."""
+    member = adjacency_member(
+        graph, prefixes[:, position], values, emb_of, ws,
+        out=ws.take("stage.member", len(values), np.bool_),
     )
+    if not keep:
+        np.logical_not(member, out=member)
+    kept = member.nonzero()[0]
+    values = values.take(
+        kept, mode="clip",
+        out=ws.take(("stage.values", slot), len(kept), values.dtype),
+    )
+    emb_of = emb_of.take(
+        kept, mode="clip", out=ws.take(("stage.rows", slot), len(kept))
+    )
+    return values, emb_of, np.bincount(emb_of, minlength=len(prefixes))
 
 
 def _set_operations(
     graph: Graph,
     prefixes: np.ndarray,
     connected: tuple[int, ...],
-    disconnected: tuple[int, ...] = (),
-    intermediates: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-) -> ChunkExtendResult:
+    disconnected: tuple[int, ...],
+    intermediates: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ws: Workspace,
+    merge_elements: np.ndarray,
+    scanned: np.ndarray,
+    keep_raw: bool = False,
+):
     """One row block's set operations, as an unfiltered listing: the
     stored intersections ``intermediates`` (or, without any, column
     ``connected[0]``'s neighbor lists) intersected with the other
-    ``connected`` columns' lists, then differenced with ``disconnected``'s."""
-    n = prefixes.shape[0]
-    degrees = graph.degrees()
-    merge_elements = np.zeros(n, dtype=np.int64)
-    probe_elements = 0
-    if intermediates is not None:
-        values, offsets = gather_segments(*intermediates)
-    else:
-        values, offsets = graph.neighbors_batch(prefixes[:, connected[0]])
-        connected = connected[1:]
-    counts = np.diff(offsets)
-    emb_of = np.repeat(np.arange(n, dtype=np.int64), counts)
+    ``connected`` columns' lists, then differenced with ``disconnected``'s.
 
+    Returns ``(values, emb_of, counts, raw_values, probe_elements)``
+    and writes the rows' ``merge_elements`` and ``scanned``. A stage
+    hands the next its ``emb_of`` and ``counts`` — nothing per
+    candidate is re-derived from the rows, and no layout array is built
+    here. ``values`` / ``emb_of`` are workspace views once a stage has
+    run; ``raw_values`` (the pre-difference intersection VCS
+    descendants reuse, with ``keep_raw``; ``scanned`` are its per-row
+    sizes) is the caller's to keep."""
+    degrees = graph.degrees()
+    if intermediates is not None:
+        values, emb_of, counts = _stage_state(
+            *gather_segments(*intermediates)
+        )
+    else:
+        values, emb_of, counts = _stage_state(
+            *graph.neighbors_batch(prefixes[:, connected[0]])
+        )
+        connected = connected[1:]
+    merge_elements[:] = 0
+    probe_elements = 0
+    stage = 0
     # connected positions: batched intersections via membership probes
     for position in connected:
-        sources = prefixes[:, position]
-        merge_elements += counts + degrees[sources]
+        merge_elements += counts
+        merge_elements += degrees[prefixes[:, position]]
         probe_elements += len(values)
-        member = adjacency_member(graph, np.repeat(sources, counts), values)
-        values, offsets, counts, emb_of = _compress(values, emb_of, member, n)
-
-    # the pre-filter intersection is what VCS descendants reuse; every
-    # later stage builds fresh arrays, never mutates these
-    scanned, raw_values, raw_offsets = counts.copy(), values, offsets
-
+        values, emb_of, counts = _probe_stage(
+            graph, prefixes, position, values, emb_of, True, ws, stage & 1
+        )
+        stage += 1
+    scanned[:] = counts
+    raw_values = None
+    if keep_raw:
+        # a stage's output sits in a workspace slot the next block reuses
+        raw_values = values.copy() if stage else values
     # disconnected positions (induced mode): batched set differences
     for position in disconnected:
-        sources = prefixes[:, position]
-        merge_elements += counts + degrees[sources]
+        merge_elements += counts
+        merge_elements += degrees[prefixes[:, position]]
         probe_elements += len(values)
-        member = adjacency_member(graph, np.repeat(sources, counts), values)
-        values, offsets, counts, emb_of = _compress(values, emb_of, ~member, n)
-    return ChunkExtendResult(
-        counts, merge_elements, scanned,
-        values, offsets, emb_of, raw_values, raw_offsets, probe_elements,
-    )
+        values, emb_of, counts = _probe_stage(
+            graph, prefixes, position, values, emb_of, False, ws, stage & 1
+        )
+        stage += 1
+    return values, emb_of, counts, raw_values, probe_elements
 
 
 def _window(
@@ -410,30 +504,54 @@ def _window(
 ) -> list[tuple[np.ufunc, np.ndarray]]:
     """The step's ordering restrictions as ``(compare, bound)`` pairs: a
     candidate ``c`` of row ``i`` passes ``compare(c, bound[i])``."""
-    return [
-        (compare, fold(prefixes[:, list(columns)], axis=1))
-        for compare, columns, fold in (
-            (np.greater, step.larger_than, np.max),
-            (np.less, step.smaller_than, np.min),
-        ) if columns
-    ]
+    window = []
+    for compare, columns, fold in (
+        (np.greater, step.larger_than, np.maximum),
+        (np.less, step.smaller_than, np.minimum),
+    ):
+        if columns:
+            bound = prefixes[:, columns[0]]
+            for column in columns[1:]:
+                bound = fold(bound, prefixes[:, column])
+            window.append((compare, bound))
+    return window
+
+
+def _window_mask(
+    window, values: np.ndarray, emb_of: np.ndarray, ws: Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which candidates lie within ``window``, and the two scratch
+    views the passes went through (a mask and a per-candidate gather of
+    a per-row column) for the caller's own passes. Workspace views."""
+    count = len(values)
+    masks = ws.take("filter.masks", 2 * count, np.bool_)
+    mask, flag = masks[:count], masks[count:]
+    of_row = ws.take("candidates.int64", count)
+    mask[:] = True
+    for compare, bound in window:
+        bound.take(emb_of, mode="clip", out=of_row)
+        mask &= compare(values, of_row, out=flag)
+    return mask, flag, of_row
 
 
 def _extend_rows(
     graph: Graph, step: ExtensionStep, prefixes: np.ndarray,
-    batch: ChunkExtendResult,
-) -> ChunkExtendResult:
-    """One row block of :func:`extend_chunk`, listed: ``batch``, its
-    set operations' result, through the step's filters."""
-    values, emb_of = batch.values, batch.rows
+    values: np.ndarray, emb_of: np.ndarray, ws: Workspace,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row block of :func:`extend_chunk`, listed: its set
+    operations' ``values`` / ``emb_of`` through the step's filters.
+    Returns the surviving ``(values, emb_of)`` as arrays of their own
+    and writes the rows' ``counts``."""
     # post-set-op filters, fused into one keep-mask over the batch
-    mask = np.ones(len(values), dtype=bool)
-    for compare, bound in _window(step, prefixes):
-        mask &= compare(values, bound[emb_of])
+    mask, flag, of_row = _window_mask(
+        _window(step, prefixes), values, emb_of, ws
+    )
     for column in range(prefixes.shape[1]):
         # distinct-vertex constraint as a small-tuple comparison loop:
         # pattern sizes are tiny, so a few != passes beat any hash path
-        mask &= values != prefixes[emb_of, column]
+        prefixes[:, column].take(emb_of, mode="clip", out=of_row)
+        mask &= np.not_equal(values, of_row, out=flag)
     if step.label is not None and graph.labels is not None:
         mask &= graph.labels[values] == step.label
     if step.edge_labels is not None:
@@ -445,13 +563,9 @@ def _extend_rows(
                 sources = prefixes[emb_of, position]
                 entry = adjacency_position(graph, sources, values)
                 mask &= graph.edge_labels[entry] == required
-
-    batch.values, batch.offsets, batch.counts, batch.rows = _compress(
-        values, emb_of, mask, len(prefixes)
-    )
-    if not step.store_intermediate:
-        batch.raw_values = batch.raw_offsets = None
-    return batch
+    emb_of = emb_of[mask]
+    counts[:] = np.bincount(emb_of, minlength=len(prefixes))
+    return values[mask], emb_of
 
 
 def _inside(
@@ -461,67 +575,136 @@ def _inside(
     disconnected: tuple[int, ...] = (),
     window: Sequence[tuple[np.ufunc, np.ndarray]] = (),
     adjacent: Optional[dict[tuple[int, int], np.ndarray]] = None,
+    workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """The distinct-vertex correction of a cardinality: how many of each
     row's own prefix vertices lie in the counted set (adjacent to every
     ``connected`` column's vertex, to no ``disconnected`` one's, within
     ``window``), where a listing drops them. Every column is probed, a
     source's own too: a self-loop puts a vertex in its own list.
-    ``adjacent`` memoizes ``(source column, column)`` membership."""
+    ``adjacent`` memoizes ``(source column, column)`` membership; the
+    pairs it lacks are probed together, in groups of a quarter of
+    :data:`BLOCK_ELEMENTS` pairs of vertices (unbounded, a 43 k-row
+    chunk's probes become MB-sized temporaries). The result is a
+    workspace view."""
+    ws = workspace if workspace is not None else Workspace()
     adjacent = {} if adjacent is None else adjacent
-    hit = np.ones(prefixes.shape, dtype=bool, order="F")
+    n, width = prefixes.shape
+    # one take: the hit matrix (column-major), a row-sized scratch mask
+    # and the rows the ``adjacent`` memo grows into
+    bools = ws.take("inside.masks", (width + 1 + width * width) * n, np.bool_)
+    hit = bools[:width * n].reshape(width, n).T
+    flag = bools[width * n:(width + 1) * n]
+    memo = bools[(width + 1) * n:].reshape(width * width, n)
+    hit[:] = True
     for compare, bound in window:
-        hit &= compare(prefixes, bound[:, None])
+        for column in range(width):
+            hit[:, column] &= compare(prefixes[:, column], bound, out=flag)
     # a column nowhere within the window (a bound's own) needs no probe
-    for column in np.flatnonzero(hit.any(axis=0)).tolist():
-        for source in connected + disconnected:
-            if (source, column) not in adjacent:
-                adjacent[source, column] = adjacency_member(
-                    graph, prefixes[:, source], prefixes[:, column]
-                )
+    columns = hit.any(axis=0).nonzero()[0].tolist()
+    sources = connected + disconnected
+    missing = [
+        (source, column) for column in columns for source in sources
+        if (source, column) not in adjacent
+    ]
+    if missing:
+        group = max(1, (BLOCK_ELEMENTS >> 2) // max(n, 1))
+        for start in range(0, len(missing), group):
+            pairs = missing[start:start + group]
+            first = len(adjacent)
+            answers = memo[first:first + len(pairs)]
+            adjacency_member(
+                graph,
+                _end_to_end([prefixes[:, s] for s, _ in pairs], "a", ws),
+                _end_to_end([prefixes[:, c] for _, c in pairs], "b", ws),
+                workspace=ws, out=answers.reshape(-1),
+            )
+            adjacent.update(zip(pairs, answers))
+    for column in columns:
+        for source in sources:
             member = adjacent[source, column]
-            hit[:, column] &= member if source in connected else ~member
-    return hit.sum(axis=1)
+            hit[:, column] &= (
+                member if source in connected
+                else np.logical_not(member, out=flag)
+            )
+    return hit.sum(axis=1, out=ws.take("inside.total", n))
+
+
+def _end_to_end(columns: list, name: str, ws: Workspace) -> np.ndarray:
+    """``columns`` concatenated (one alone is passed through)."""
+    if len(columns) == 1:
+        return columns[0]
+    return np.concatenate(columns, out=ws.take(
+        ("inside.columns", name), sum(map(len, columns))
+    ))
 
 
 def _count_window(
-    graph: Graph, step: ExtensionStep, prefixes: np.ndarray
+    graph: Graph, step: ExtensionStep, prefixes: np.ndarray, ws: Workspace
 ) -> ChunkExtendResult:
     """Counting body of a step that reads one neighbor list: a row's
     candidates are the run of ``N(v)`` inside its ordering window, two
     CSR positions — the list's ends, each moved by one binary search of
     the row's bound in the composite keys. O(rows): no gather, no set
-    operation (no merge elements, no probes); ``scanned`` = the degree."""
-    source = prefixes[:, step.connected[0]]
-    lo, hi = graph.indptr[source], graph.indptr[source + 1]
-    scanned = hi - lo
-    window = _window(step, prefixes)
-    base = source * np.int64(graph.num_vertices)
-    for compare, bound in window:
-        if compare is np.greater:
-            lo = np.searchsorted(graph.adjacency_keys(), base + bound, "right")
-        else:
-            hi = np.searchsorted(graph.adjacency_keys(), base + bound, "left")
-    counts = np.maximum(hi - lo, 0)
-    counts -= _inside(graph, prefixes, step.connected, window=window)
-    return ChunkExtendResult(counts, np.zeros_like(counts), scanned)
+    operation (no merge elements, no probes); ``scanned`` = the degree.
+    Worked in runs of :data:`BLOCK_ELEMENTS` prefix vertices, so the
+    temporaries are a run's, not the chunk's."""
+    n, width = prefixes.shape
+    batch = ChunkExtendResult(
+        ws.take("result.counts", n),
+        # no set operation ran: one zero, read n times
+        np.broadcast_to(np.zeros(1, dtype=np.int64), n),
+        ws.take("result.scanned", n),
+    )
+    indptr, keys = graph.indptr, graph.adjacency_keys()
+    run = max(1, BLOCK_ELEMENTS // width)
+    for start in range(0, n, run):
+        rows = prefixes[start:start + run]
+        source = rows[:, step.connected[0]]
+        size = len(source)
+        key = ws.take("window.key", size)
+        lo = indptr.take(source, mode="clip", out=ws.take("window.lo", size))
+        hi = indptr.take(np.add(source, 1, out=key), mode="clip",
+                         out=ws.take("window.hi", size))
+        np.subtract(hi, lo, out=batch.scanned[start:start + run])
+        window = _window(step, rows)
+        for compare, bound in window:
+            np.multiply(source, graph.num_vertices, out=key)
+            key += bound
+            if compare is np.greater:
+                lo = keys.searchsorted(key, "right")
+            else:
+                hi = keys.searchsorted(key, "left")
+        counts = np.subtract(hi, lo, out=batch.counts[start:start + run])
+        np.maximum(counts, 0, out=counts)
+        counts -= _inside(graph, rows, step.connected, window=window,
+                          workspace=ws)
+    return batch
 
 
 def _count_rows(
-    step: ExtensionStep, prefixes: np.ndarray, batch: ChunkExtendResult
-) -> ChunkExtendResult:
-    """One row block of :func:`extend_chunk`, counted: one
-    ordering-window pass over ``batch``, its set operations' result (the
-    cost model prices those); the chunk's counts are corrected together."""
-    counts, window = batch.counts, _window(step, prefixes)
+    graph: Graph, step: ExtensionStep, prefixes: np.ndarray,
+    values: np.ndarray, emb_of: np.ndarray, counts: np.ndarray,
+    ws: Workspace, out: np.ndarray,
+) -> None:
+    """One row block of :func:`extend_chunk`, counted, into the rows'
+    counts ``out``: one ordering-window pass over its set operations'
+    result (the cost model prices those), then the distinct-vertex
+    correction — which reads a row's prefix and count, not its list, on
+    the rows that count anything: only they can hold one, and under an
+    ordering restriction most count nothing."""
+    window = _window(step, prefixes)
     if window:
-        mask = np.ones(len(batch.values), dtype=bool)
-        for compare, bound in window:
-            mask &= compare(batch.values, bound[batch.rows])
-        counts = np.bincount(batch.rows[mask], minlength=len(prefixes))
-    return ChunkExtendResult(
-        counts, batch.merge_elements, batch.scanned,
-        probe_elements=batch.probe_elements,
+        mask, _, _ = _window_mask(window, values, emb_of, ws)
+        counts = np.bincount(emb_of[mask], minlength=len(prefixes))
+    out[:] = counts
+    live = counts.nonzero()[0]
+    rows = ws.matrix("inside.rows", len(live), prefixes.shape[1])
+    for column in range(prefixes.shape[1]):
+        prefixes[:, column].take(live, mode="clip", out=rows[:, column])
+    out[live] -= _inside(
+        graph, rows, step.connected, step.disconnected, _window(step, rows),
+        workspace=ws,
     )
 
 
@@ -546,7 +729,10 @@ class ChunkIepResult:
 
 
 def iep_chunk(
-    graph: Graph, plan: CountingPlan, prefixes: np.ndarray
+    graph: Graph,
+    plan: CountingPlan,
+    prefixes: np.ndarray,
+    workspace: Optional[Workspace] = None,
 ) -> ChunkIepResult:
     """Evaluate a counting plan over a whole chunk of prefix embeddings.
 
@@ -566,67 +752,98 @@ def iep_chunk(
     multi-column signature's pre-subtraction cardinality lands in
     ``scanned``. Cardinalities are exact in int64; the products are
     bounded by ``max_degree ** suffix_size``, far inside int64 for
-    every graph this engine hosts.
+    every graph this engine hosts. The result's arrays are views of
+    ``workspace`` (a private one when ``None``), valid until its next
+    kernel call.
     """
+    ws = workspace if workspace is not None else Workspace()
     prefixes = np.asarray(prefixes, dtype=np.int64)
     if prefixes.ndim != 2:
         raise ValueError("prefixes must be a 2-D (embeddings, prefix) array")
     n = prefixes.shape[0]
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return ChunkIepResult(empty, empty.copy(), empty.copy(), 0)
+    batch = ChunkIepResult(
+        ws.take("result.counts", n), ws.take("result.merge", n),
+        ws.take("result.scanned", n), 0,
+    )
     # row blocks as in extend_chunk, sized by the widest gather
     degrees = graph.degrees()
     volume = np.zeros(n, dtype=np.int64)
-    for signature in plan.signatures:
-        if len(signature) > 1:
-            np.maximum(volume, degrees[prefixes[:, signature[0]]], out=volume)
+    for first in {s[0] for s in plan.signatures if len(s) > 1}:
+        np.maximum(volume, degrees[prefixes[:, first]], out=volume)
     bounds = _row_blocks(volume)
-    parts = [
-        _iep_rows(graph, plan, prefixes[start:stop])
-        for start, stop in zip(bounds, bounds[1:])
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return ChunkIepResult(
-        np.concatenate([part.counts for part in parts]),
-        np.concatenate([part.merge_elements for part in parts]),
-        np.concatenate([part.scanned for part in parts]),
-        sum(part.probe_elements for part in parts),
-    )
+    for start, stop in zip(bounds, bounds[1:]):
+        batch.probe_elements += _iep_rows(
+            graph, plan, prefixes[start:stop], ws, batch.counts[start:stop],
+            batch.merge_elements[start:stop], batch.scanned[start:stop],
+        )
+    return batch
 
 
 def _iep_rows(
-    graph: Graph, plan: CountingPlan, prefixes: np.ndarray
-) -> ChunkIepResult:
-    """One row block of :func:`iep_chunk`."""
+    graph: Graph,
+    plan: CountingPlan,
+    prefixes: np.ndarray,
+    ws: Workspace,
+    totals: np.ndarray,
+    merge_elements: np.ndarray,
+    scanned: np.ndarray,
+) -> int:
+    """One row block of :func:`iep_chunk`: writes the rows' ``totals``,
+    ``merge_elements`` and ``scanned``, returns the probes made.
+
+    Signatures share their prefixes: ``(0, 1)`` and ``(0, 1, 2)`` pass
+    through the same gather of ``N(v0)`` and the same probe against
+    column 1, so each stage's state is kept by signature prefix (in a
+    workspace slot of its own) and runs once per block. Every
+    signature still charges every stage it passes through — the
+    ``merge_elements`` and ``scanned`` of a signature-at-a-time walk."""
     n = len(prefixes)
     degrees = graph.degrees()
-    merge_elements = np.zeros(n, dtype=np.int64)
-    scanned = np.zeros(n, dtype=np.int64)
+    merge_elements[:] = 0
+    scanned[:] = 0
     probe_elements = 0
+    stages: dict[tuple[int, ...], tuple] = {}
+    degree_of: dict[int, np.ndarray] = {}
     cards: dict[tuple[int, ...], np.ndarray] = {}
     # the signatures overlap: one membership memo (:func:`_inside`) per
     # block probes each ordered pair of columns once, on first use
     adjacent: dict[tuple[int, int], np.ndarray] = {}
     for signature in plan.signatures:
+        for position in signature:
+            if position not in degree_of:
+                degree_of[position] = degrees[prefixes[:, position]]
         if len(signature) == 1:
-            card = degrees[prefixes[:, signature[0]]].astype(np.int64)
+            card = degree_of[signature[0]]
         else:
-            batch = _set_operations(graph, prefixes, signature)
-            card = batch.counts
-            merge_elements += batch.merge_elements
+            state = stages.get(signature[:1])
+            if state is None:
+                state = stages[signature[:1]] = _stage_state(
+                    *graph.neighbors_batch(prefixes[:, signature[0]])
+                )
+            for depth in range(2, len(signature) + 1):
+                values, emb_of, counts = state
+                position = signature[depth - 1]
+                merge_elements += counts
+                merge_elements += degree_of[position]
+                state = stages.get(signature[:depth])
+                if state is None:
+                    probe_elements += len(values)
+                    state = stages[signature[:depth]] = _probe_stage(
+                        graph, prefixes, position, values, emb_of, True,
+                        ws, len(stages),
+                    )
+            card = state[2]
             scanned += card
-            probe_elements += batch.probe_elements
         # prefix vertices that fall inside the intersection are not
         # valid suffix candidates
         cards[signature] = card - _inside(
-            graph, prefixes, signature, adjacent=adjacent
+            graph, prefixes, signature, adjacent=adjacent, workspace=ws
         )
-    totals = np.zeros(n, dtype=np.int64)
+    totals[:] = 0
+    value = ws.take("iep.value", n)
     for term in plan.terms:
-        value = np.full(n, term.coefficient, dtype=np.int64)
+        value[:] = term.coefficient
         for block in term.blocks:
             value *= cards[block]
         totals += value
-    return ChunkIepResult(totals, merge_elements, scanned, probe_elements)
+    return probe_elements

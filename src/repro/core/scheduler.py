@@ -42,6 +42,7 @@ from repro.core.pipeline import pipeline_time
 from repro.errors import MachineCrashError, SimTimeoutError
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import Checkpoint
+from repro.graph.graph import edge_list_bytes_of
 from repro.obs import NULL_OBS, Observability, Span, names
 from repro.patterns.schedule import CountingPlan
 
@@ -187,6 +188,8 @@ class MachineScheduler:
         self._slow_factor = (
             faults.slowdown(machine.machine_id) if faults is not None else 1.0
         )
+        #: the compute pool's divisor (cores are fixed for the run)
+        self._compute_pool = machine.compute_pool
         #: enumeration cursor at the last completed root chunk — what a
         #: crashed machine's recovery restarts from (docs/faults.md)
         self.checkpoint = Checkpoint(machine_id=machine.machine_id)
@@ -203,6 +206,15 @@ class MachineScheduler:
         #: tallied ``matches`` are the restriction-free *numerator*; the
         #: engine divides by ``iep_plan.divisor`` once per query.
         self.iep_plan = iep_plan
+        #: per-level facts the chunk passes read, settled here once:
+        #: whether a level's new vertex has an active edge list
+        self._fetches = tuple(
+            self._needs_edge_list(level)
+            for level in range(extender.final_level + 1)
+        )
+        #: the smallest list the cache's degree threshold lets through —
+        #: a static cache with less than this free has stopped changing
+        self._least_offer = edge_list_bytes_of(cache.degree_threshold)
         self.checkpoints_taken = 0
         self.matches = 0
         self.chunks_created = 0
@@ -246,10 +258,8 @@ class MachineScheduler:
         )
 
     def _parallel(self, serial_seconds: float) -> float:
-        return (
-            self.machine.parallel_compute_time(serial_seconds)
-            * self._slow_factor
-        )
+        # MachineState.parallel_compute_time, its divisor read once
+        return serial_seconds / self._compute_pool * self._slow_factor
 
     def _check_budget(self) -> None:
         if (
@@ -403,7 +413,7 @@ class MachineScheduler:
         """Hand the next slice of ``state``'s candidates to a child
         chunk: as many as its memory takes."""
         level = state.chunk.level + 1
-        needs_fetch = self._needs_edge_list(level)
+        needs_fetch = self._fetches[level]
         self._register_chunk()
         chunk = Chunk(level, self.chunk_bytes, self.machine,
                       parent=state.chunk, preallocate=True)
@@ -419,13 +429,14 @@ class MachineScheduler:
         window = slice(start, start + chunk.max_rows)
         vertex = batch.values[window]
         parent_idx = batch.rows[window]
-        stored = np.full(len(vertex), EMBEDDING_BASE_BYTES, dtype=np.int64)
         if needs_fetch:
             # reserve space for the (possibly) fetched edge list up
             # front so the chunk's fixed memory budget covers its
             # contents (Section 4.2); refunded at resolve time if the
             # list is shared, cached, or local
-            stored += self._edge_bytes[vertex]
+            stored = self._edge_bytes[vertex] + EMBEDDING_BASE_BYTES
+        else:
+            stored = np.full(len(vertex), EMBEDDING_BASE_BYTES, np.int64)
         if self.vcs_enabled and batch.raw_offsets is not None:
             # the parent's stored intersection (VCS)
             chunk.raw_values = batch.raw_values
@@ -510,72 +521,48 @@ class MachineScheduler:
     def _resolve_chunk(self, chunk: Chunk, state: _LevelState) -> None:
         """Settle where every row's active edge list comes from, as
         passes over the chunk's columns: local by owner, the share
-        table, the cache, then one fetch batch per remote owner."""
-        me = self.machine.machine_id
+        table, the cache, then one fetch batch per remote owner —
+        priced on Python numbers cut from one stable sort, so a chunk
+        costs the same calls whether its remote rows sit on one owner
+        or on seven (docs/performance.md, "The per-chunk constant")."""
         chain_steps_before = self.hds.chain_steps
         probes = 0
         fetched = 0
-        if self._needs_edge_list(chunk.level):
+        if self._fetches[chunk.level]:
+            me = self.machine.machine_id
             vertex = chunk.vertex
-            ebytes = self._edge_bytes[vertex]
+            source = chunk.source
             owner = self._vertex_owner[vertex]
-            #: rows whose reservation returns: local is a pointer only,
-            #: shared a pointer into the chunk, cached/admitted lists
-            #: live in the cache pool
-            refunded = owner == me
-            chunk.source[refunded] = EdgeListSource.LOCAL
-            remote = np.flatnonzero(~refunded)
-            self._count_sources("local", len(chunk) - len(remote))
-            if self.hds_enabled:
+            local = owner == me
+            source[local] = EdgeListSource.LOCAL
+            remote = (~local).nonzero()[0]
+            self._count_sources("local", len(vertex) - len(remote))
+            wanted = vertex[remote]
+            if len(remote) and self.hds_enabled:
                 probes = len(remote)
-                hit = self.hds.share(vertex[remote])
-                shared, remote = remote[hit], remote[~hit]
-                chunk.source[shared] = EdgeListSource.SHARED
-                refunded[shared] = True
-                self._count_sources("shared", len(shared))
-            hit = self.cache.query_many(vertex[remote])
-            cached, remote = remote[hit], remote[~hit]
-            chunk.source[cached] = EdgeListSource.CACHE
-            refunded[cached] = True
-            self._count_sources("cache", len(cached))
-            # circulant order: owner machines starting from me+1
-            num_machines = self.cluster.num_machines
-            hops = (owner[remote] - me) % num_machines
-            remote = remote[np.argsort(hops, kind="stable")]
-            ends = np.cumsum(np.bincount(hops, minlength=num_machines))
-            ordered = [
-                ((me + hop) % num_machines, remote[start:stop])
-                for hop, (start, stop) in enumerate(
-                    zip(ends.tolist(), ends[1:].tolist()), 1
-                )
-                if stop > start
-            ]
-            if self.cluster.network.injector is None:
-                # admission is in offer order and the batches lie end to
-                # end in circulant order: one offer for the whole chunk
-                refunded[remote[self.cache.admit_many(
-                    vertex[remote], ebytes[remote],
-                    self._vertex_degrees[vertex[remote]],
-                )]] = True
-            transport = self.transport
-            if transport is not None and ordered:
-                # fire the whole chunk's demand up front, coalesced per
-                # server worker and split to ring-sized requests — the
-                # transport's flow control keeps only as many in flight
-                # as its reply rings can hold, so every batch below
-                # finds its reply already streaming while earlier
-                # batches compute
-                transport.post_chunk(
-                    me, [(peer, vertex[rows]) for peer, rows in ordered]
-                )
-            for peer, rows in ordered:
-                if transport is not None:
-                    transport.collect(me, peer, vertex[rows])
-                self._fetch_batch(state, peer, rows, refunded)
-                chunk.source[rows] = EdgeListSource.REMOTE
-                self._count_sources("remote", len(rows))
-                fetched += len(rows)
-            chunk.refund(np.flatnonzero(refunded), ebytes[refunded])
+                hit = self.hds.share(wanted)
+                source[remote[hit]] = EdgeListSource.SHARED
+                miss = ~hit
+                remote, wanted = remote[miss], wanted[miss]
+                self._count_sources("shared", probes - len(remote))
+            if len(remote):
+                hit = self.cache.query_many(wanted)
+                cached = remote[hit]
+                source[cached] = EdgeListSource.CACHE
+                miss = ~hit
+                remote, wanted = remote[miss], wanted[miss]
+                self._count_sources("cache", len(cached))
+            #: rows whose fetched list stays in the chunk. Every other
+            #: reservation returns: local is a pointer only, shared a
+            #: pointer into the chunk, cached/admitted lists live in the
+            #: cache pool
+            stored = remote
+            if len(remote):
+                stored = self._fetch(state, owner, remote, wanted)
+                fetched = len(remote)
+            returned = self._edge_bytes[vertex]
+            returned[stored] = 0
+            chunk.refund(slice(None), returned)
         state.batch_sizes[0] = len(chunk) - fetched
 
         cache_ops = (
@@ -587,59 +574,136 @@ class MachineScheduler:
         self._m_t_cache.inc(cache_wall)
         state.cache_seconds += cache_wall
 
-    def _fetch_batch(
+    def _fetch(
         self,
         state: _LevelState,
-        owner: int,
-        rows: np.ndarray,
-        refunded: np.ndarray,
-    ) -> None:
-        """One circulant communication batch: record the fetches of
-        ``rows`` from ``owner`` and price the wire time. Under an injector
-        each list is also offered to the cache here, fetch by fetch, and
-        marked in ``refunded`` if admitted (the chunk-wide offer is off)."""
+        owner: np.ndarray,
+        remote: np.ndarray,
+        wanted: np.ndarray,
+    ) -> np.ndarray:
+        """Fetch rows ``remote`` of ``state.chunk`` (their vertices
+        ``wanted``) in circulant order — owner machines starting from
+        me+1, one communication batch each — and offer the lists to the
+        cache. Returns the rows whose list was not admitted.
+
+        The batches are ``(peer, start, stop)`` cuts of the hop-sorted
+        rows, their payloads one integer ``reduceat``. The one owner
+        loop does what can fail or must interleave — the transport's
+        replies, an injector's fetch-by-fetch walk and its retry
+        backoff; without either it makes no call. Then the network is
+        told of the chunk's batches once (``record_fetch_batches``,
+        ``batch_times``) and every batch's wire time is priced on
+        Python floats in batch order — ``(wire + retry) * slow``, the
+        expression a batch-at-a-time walk evaluates, so no simulated
+        float can round differently. Rows are sliced only for who reads
+        them: the transport and the injector's walk."""
         me = self.machine.machine_id
+        chunk = state.chunk
         network = self.cluster.network
-        server = self.cluster.machine(owner)
-        vertices = state.chunk.vertex[rows]
-        sizes = self._edge_bytes[vertices]
-        payload = int(sizes.sum())
-        if network.injector is None:
-            network.record_fetch_batch(me, owner, len(rows), payload, server)
-        else:
+        num_machines = self.cluster.num_machines
+        hops = owner[remote]
+        hops -= me
+        hops %= num_machines
+        order = hops.argsort(kind="stable")
+        remote, wanted = remote[order], wanted[order]
+        sizes = self._edge_bytes[wanted]
+        ends = np.bincount(hops, minlength=num_machines).cumsum().tolist()
+        batches = [
+            ((me + hop) % num_machines, ends[hop - 1], ends[hop])
+            for hop in range(1, num_machines)
+            if ends[hop] > ends[hop - 1]
+        ]
+        payloads = np.add.reduceat(
+            sizes, [start for _, start, _ in batches]
+        ).tolist()
+        injected = network.injector is not None
+        admitted = None
+        if injected:
             # injected failures interleave retry state with each
             # fetch's bookkeeping, and one that exhausts its retries
-            # ends the batch midway: keep the one-at-a-time path
-            degrees = self._vertex_degrees[vertices]
-            for row, v, size, degree in zip(
-                rows.tolist(), vertices.tolist(), sizes.tolist(),
-                degrees.tolist(),
-            ):
-                network.record_fetch(me, owner, size, server)
-                refunded[row] = self.cache.admit(v, size, degree)
-        comm = network.batch_time(payload, len(rows))
-        # injected transient failures: their backoff waits extend
-        # this batch's wire time; a straggler's slow link stretches it
-        comm += network.drain_retry_seconds()
-        comm *= self._slow_factor
-        state.comm_times.append(comm)
-        state.batch_sizes.append(len(rows))
+            # ends the batch midway: fetch and offer one at a time
+            admitted = np.zeros(len(remote), dtype=bool)
+            degrees = self._vertex_degrees[wanted]
+        elif not self.cache.saturated(self._least_offer):
+            # admission is in offer order and the batches lie end to
+            # end in circulant order: one offer for the whole chunk
+            admitted = self.cache.admit_many(
+                wanted, sizes, self._vertex_degrees[wanted]
+            )
+        transport = self.transport
+        if transport is not None:
+            # fire the whole chunk's demand up front, coalesced per
+            # server worker and split to ring-sized requests — the
+            # transport's flow control keeps only as many in flight
+            # as its reply rings can hold, so every batch below
+            # finds its reply already streaming while earlier
+            # batches compute
+            transport.post_chunk(me, [
+                (peer, wanted[start:stop]) for peer, start, stop in batches
+            ])
+        retries = [0.0] * len(batches)
+        done = 0
+        try:
+            for peer, start, stop in batches:
+                if transport is not None:
+                    transport.collect(me, peer, wanted[start:stop])
+                if injected:
+                    server = self.cluster.machine(peer)
+                    for row, v, size, degree in zip(
+                        range(start, stop),
+                        wanted[start:stop].tolist(),
+                        sizes[start:stop].tolist(),
+                        degrees[start:stop].tolist(),
+                    ):
+                        network.record_fetch(me, peer, size, server)
+                        admitted[row] = self.cache.admit(v, size, degree)
+                    # transient failures: their backoff waits extend
+                    # this batch's wire time
+                    retries[done] = network.drain_retry_seconds()
+                done += 1
+        finally:
+            # a fetch that exhausted its retries or a dead peer leaves
+            # behind what the batches before it did
+            arrived = batches[done - 1][2] if done else 0
+            chunk.source[remote[:arrived]] = EdgeListSource.REMOTE
+            self._count_sources("remote", arrived)
+            batches = [
+                (peer, stop - start, payload)
+                for (peer, start, stop), payload
+                in zip(batches[:done], payloads)
+            ]
+            if not injected:
+                network.record_fetch_batches(
+                    me, batches, self.cluster.machines
+                )
+            seconds = network.batch_times(batches)
+        # a straggler's slow link stretches the wire time
+        slow = self._slow_factor
+        comms = [
+            (wire + retry) * slow for wire, retry in zip(seconds, retries)
+        ]
         if self._trace:
-            self._tracer.record(Span(
-                "batch",
-                me,
-                level=state.chunk.level,
-                chunk=state.chunk_id,
-                batch=len(state.comm_times) - 1,
-                start=state.start,
-                attrs={
-                    "owner": owner,
-                    "requests": len(rows),
-                    "payload_bytes": payload,
-                    "comm_seconds": comm,
-                    "serve_seconds": network.serve_time(payload, len(rows)),
-                },
-            ))
+            for batch, ((peer, count, payload), comm) in enumerate(
+                zip(batches, comms), len(state.comm_times)
+            ):
+                self._tracer.record(Span(
+                    "batch",
+                    me,
+                    level=chunk.level,
+                    chunk=state.chunk_id,
+                    batch=batch,
+                    start=state.start,
+                    attrs={
+                        "owner": peer,
+                        "requests": count,
+                        "payload_bytes": payload,
+                        "comm_seconds": comm,
+                        "serve_seconds": network.serve_time(payload, count),
+                    },
+                ))
+        state.comm_times.extend(comms)
+        state.batch_sizes.extend([count for _, count, _ in batches])
+        return remote if admitted is None else remote[~admitted]
 
     # ------------------------------------------------------------------
     # accounting

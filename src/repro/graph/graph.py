@@ -17,6 +17,13 @@ from repro.errors import GraphFormatError
 #: Bytes used to represent one vertex id on the wire and in memory.
 VERTEX_ID_BYTES = 4
 
+
+def edge_list_bytes_of(degree):
+    """Wire size of an edge list of ``degree`` neighbors (a number or
+    an array of them): an 8-byte header plus the vertex ids."""
+    return 8 + VERTEX_ID_BYTES * degree
+
+
 #: Neighbor-list entries one pass of the adjacency-row builder gathers:
 #: its temporaries stay a few MB however large the graph (an mmap-backed
 #: graph must never see an ``indices``-sized one).
@@ -37,11 +44,11 @@ def gather_segments(
     starts = offsets[segments]
     counts = offsets[segments + 1] - starts
     new_offsets = np.zeros(len(segments) + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_offsets[1:])
+    counts.cumsum(out=new_offsets[1:])
     total = int(new_offsets[-1])
     if total == 0:
         return values[:0], new_offsets
-    gather = np.repeat(starts - new_offsets[:-1], counts)
+    gather = (starts - new_offsets[:-1]).repeat(counts)
     gather += np.arange(total, dtype=np.int64)
     return values[gather], new_offsets
 
@@ -84,6 +91,7 @@ class Graph:
         "directed",
         "edge_labels",
         "_degrees",
+        "_edge_list_bytes",
         "_adjacency_keys",
         "_adjacency_matrix",
     )
@@ -132,6 +140,7 @@ class Graph:
         self.edge_labels = edge_labels
         #: lazy caches; the arrays above are immutable by contract
         self._degrees: Optional[np.ndarray] = None
+        self._edge_list_bytes: Optional[np.ndarray] = None
         self._adjacency_keys: Optional[np.ndarray] = None
         self._adjacency_matrix: Optional[tuple] = None
 
@@ -307,18 +316,23 @@ class Graph:
         return size
 
     def edge_list_bytes(self, v: int) -> int:
-        """Wire size of ``N(v)``: an 8-byte header plus the vertex ids."""
-        return 8 + VERTEX_ID_BYTES * self.degree(v)
+        """Wire size of ``N(v)`` (:func:`edge_list_bytes_of` its degree)."""
+        return edge_list_bytes_of(self.degree(v))
 
     def edge_list_bytes_all(self) -> np.ndarray:
-        """Per-vertex :meth:`edge_list_bytes` as one array.
+        """Per-vertex :meth:`edge_list_bytes` as one array (memoized;
+        returned read-only).
 
         The scheduler charges edge-list bytes once per created child and
         once per resolved fetch — a method call plus two ``indptr``
         loads each time adds up on million-child chunks, so the hot
         loops index this instead.
         """
-        return 8 + VERTEX_ID_BYTES * self.degrees()
+        if self._edge_list_bytes is None:
+            sizes = edge_list_bytes_of(self.degrees())
+            sizes.setflags(write=False)
+            self._edge_list_bytes = sizes
+        return self._edge_list_bytes
 
     # ------------------------------------------------------------------
     # transforms

@@ -86,6 +86,16 @@ class Histogram:
         if value > self.max:
             self.max = value
 
+    def observe_many(self, values: list) -> None:
+        """:meth:`observe` every value. ``total`` is exact for the
+        integer series folded through here (byte and request counts,
+        far below 2**53), so one add equals the adds one by one."""
+        if values:
+            self.count += len(values)
+            self.total += sum(values)
+            self.min = min(self.min, min(values))
+            self.max = max(self.max, max(values))
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -137,6 +147,9 @@ class _NullGauge(Gauge):
 
 class _NullHistogram(Histogram):
     __slots__ = ()
+
+    def observe_many(self, values: list) -> None:  # pragma: no cover
+        pass
 
     def observe(self, value: int | float) -> None:  # pragma: no cover
         pass
@@ -246,40 +259,22 @@ class MetricsRegistry:
         this).
         """
 
-        def fmt(labels: LabelKey) -> str:
-            return ",".join(f"{k}={v}" for k, v in labels)
+        def grouped(series: dict, value) -> dict[str, dict[str, Any]]:
+            # one sort per kind: names ascending, each name's series in
+            # label order
+            out: dict[str, dict[str, Any]] = {}
+            for (name, labels), instrument in sorted(
+                series.items(), key=lambda kv: kv[0]
+            ):
+                out.setdefault(name, {})[
+                    ",".join(f"{k}={v}" for k, v in labels)
+                ] = value(instrument)
+            return out
 
         return {
-            "counters": {
-                name: {
-                    fmt(labels): counter.value
-                    for (n, labels), counter in sorted(
-                        self._counters.items(), key=lambda kv: kv[0]
-                    )
-                    if n == name
-                }
-                for name in sorted({n for n, _ in self._counters})
-            },
-            "gauges": {
-                name: {
-                    fmt(labels): gauge.value
-                    for (n, labels), gauge in sorted(
-                        self._gauges.items(), key=lambda kv: kv[0]
-                    )
-                    if n == name
-                }
-                for name in sorted({n for n, _ in self._gauges})
-            },
-            "histograms": {
-                name: {
-                    fmt(labels): histogram.summary()
-                    for (n, labels), histogram in sorted(
-                        self._histograms.items(), key=lambda kv: kv[0]
-                    )
-                    if n == name
-                }
-                for name in sorted({n for n, _ in self._histograms})
-            },
+            "counters": grouped(self._counters, lambda c: c.value),
+            "gauges": grouped(self._gauges, lambda g: g.value),
+            "histograms": grouped(self._histograms, Histogram.summary),
         }
 
     # -- cross-process merging (repro.exec) ----------------------------

@@ -242,8 +242,8 @@ SPECS: dict[str, MetricSpec] = dict(
               "IEP formula terms evaluated across batched embeddings"),
         _spec(KERNEL_IEP_PROBE_ELEMENTS, "counter", "elements",
               "docs/performance.md",
-              "elements pushed through bulk adjacency probes while "
-              "intersecting IEP signature sets"),
+              "probes made while intersecting IEP signature sets — a "
+              "stage shared by several signatures is counted once"),
         _spec(NET_REQUESTS, "counter", "requests", "Fig 19",
               "edge-list fetch requests that crossed machines"),
         _spec(NET_PAYLOAD_BYTES, "counter", "bytes", "Fig 19",

@@ -13,7 +13,9 @@ import pytest
 
 from repro.analysis import count_embeddings_brute_force
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.costmodel import CostModel
 from repro.cluster.machine import MachineState
+from repro.cluster.network import NetworkModel
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.core.cache import CachePolicy, EdgeCache
 from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
@@ -24,6 +26,30 @@ from repro.graph.generators import erdos_renyi, power_law_graph
 from repro.obs import Observability, names
 from repro.patterns import catalog
 from repro.patterns.schedule import automine_schedule
+from repro.systems import KGraphPi, apps
+
+try:  # Hypothesis draws the batch lists where it is installed
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def _batch_lists(test):
+        return settings(max_examples=60, deadline=None)(
+            given(batches=st.lists(st.tuples(
+                st.integers(1, 7),
+                st.lists(st.integers(8, 40_000), min_size=1, max_size=12),
+            ), max_size=9))(test)
+        )
+except ImportError:  # a bare container: a fixed sweep of the same shapes
+    def _drawn(seed):
+        rng = np.random.default_rng(seed)
+        return [
+            (int(rng.integers(1, 8)),
+             rng.integers(8, 40_000, size=int(rng.integers(1, 13))).tolist())
+            for _ in range(int(rng.integers(0, 10)))
+        ]
+
+    _batch_lists = pytest.mark.parametrize(
+        "batches", [_drawn(seed) for seed in range(60)])
 
 
 def _machine(memory_bytes=1 << 20):
@@ -396,6 +422,104 @@ def test_one_offer_admits_what_an_offer_per_batch_did(graph, cache, seed):
         assert twin.evictions > 0
     elif cache[0] < 1 << 20:
         assert twin.inserts < len(elsewhere)  # some list was refused
+
+
+def _network(obs):
+    network = NetworkModel(8, CostModel())
+    network.bind_metrics(obs.registry.scope())
+    return network, [MachineState(m, cores=4, memory_bytes=1 << 20)
+                     for m in range(8)]
+
+
+@_batch_lists
+def test_chunk_folds_equal_a_batch_at_a_time(batches):
+    """``record_fetch_batches`` / ``batch_times`` over one chunk's owner
+    batches against their one-batch forms called in order, and those
+    against ``record_fetch`` one list at a time: the same matrices,
+    ``served_*``, batch tally, every ``net.*`` counter and histogram —
+    and the same wire seconds, to the bit."""
+    folded, by_batch, by_fetch = (Observability() for _ in range(3))
+    network, machines = _network(folded)
+    chunk = [(owner, len(sizes), sum(sizes)) for owner, sizes in batches]
+    network.record_fetch_batches(0, chunk, machines)
+    seconds = network.batch_times(chunk)
+
+    one, one_machines = _network(by_batch)
+    each, each_machines = _network(by_fetch)
+    expected = []
+    for owner, sizes in batches:
+        one.record_fetch_batch(0, owner, len(sizes), sum(sizes),
+                               one_machines[owner])
+        expected.append(one.batch_time(sum(sizes), len(sizes)))
+        for size in sizes:
+            each.record_fetch(0, owner, size, each_machines[owner])
+        each.batch_time(sum(sizes), len(sizes))
+    assert seconds == expected
+    for other, other_machines, obs in ((one, one_machines, by_batch),
+                                       (each, each_machines, by_fetch)):
+        assert network.traffic_bytes.tolist() == other.traffic_bytes.tolist()
+        assert network.request_counts.tolist() == (
+            other.request_counts.tolist())
+        assert network.num_batches == other.num_batches
+        assert [(m.served_bytes, m.served_requests) for m in machines] == [
+            (m.served_bytes, m.served_requests) for m in other_machines]
+        assert folded.registry.snapshot() == obs.registry.snapshot()
+
+
+def _calls_to_resolve(count_calls, scheduler, vertex, ebytes):
+    chunk = _remote_chunk(scheduler, vertex, ebytes)
+    state = _LevelState(chunk)
+    calls = count_calls(scheduler._resolve_chunk, chunk, state)
+    chunk.release()
+    return calls, len(state.comm_times) - 1
+
+
+def test_resolve_calls_do_not_depend_on_the_owners(graph, count_calls):
+    """The call budget of a resolve (docs/performance.md, "The per-chunk
+    constant"): a 100-row chunk whose remote rows sit on one owner and
+    one whose rows sit on seven make the same Python- and C-level calls
+    — the owner loop runs on numbers, the network and the counters are
+    told once per chunk — and at most 100 of them (HDS on, a static
+    cache with no room; the parent made 182 and 320)."""
+    cluster, scheduler = _scheduler(
+        graph, automine_schedule(catalog.chain(4)), 1 << 20, machines=8)
+    owners = cluster.partitioned.owners_all()
+    ebytes = graph.edge_list_bytes_all()
+    rng = np.random.default_rng(1)
+    one_owner = rng.choice(np.flatnonzero(owners == 3), size=100)
+    seven_owners = rng.choice(np.flatnonzero(owners != 0), size=100)
+    _calls_to_resolve(count_calls, scheduler, seven_owners, ebytes)  # warm
+    one, batches = _calls_to_resolve(
+        count_calls, scheduler, one_owner, ebytes)
+    assert batches == 1
+    seven, batches = _calls_to_resolve(
+        count_calls, scheduler, seven_owners, ebytes)
+    assert batches == 7
+    assert one == seven <= 100
+
+
+def test_census_calls_per_chunk(count_calls):
+    """A census is hundreds of small chunks, so what it costs is the
+    interpreter-level calls a chunk makes whatever its rows: a 4-motif
+    census under IEP on a 300-vertex graph, four machines, 1 KiB chunks,
+    stays under 400 calls a chunk (the parent: 489; these chunks are
+    ~40 rows, so the count is nearly all constant)."""
+    graph = power_law_graph(300, 1500, exponent=2.2, max_degree=60, seed=3)
+    reports = []
+
+    def census():
+        system = KGraphPi(
+            graph, ClusterConfig(num_machines=4),
+            EngineConfig(counting="iep", chunk_bytes=1024,
+                         auto_fit_chunks=False),
+        )
+        reports.append(apps.motif_count(system, 4))
+
+    census()  # lazy imports, compiled plans, the graph's adjacency rows
+    calls = count_calls(census)
+    chunks = reports[-1].extra["chunks"]
+    assert chunks > 500
+    assert calls / chunks < 400
 
 
 def _reference_calls(graph, schedule):

@@ -160,3 +160,34 @@ def test_chunk_pass_matches_sequential_table(seed, chaining):
             vertices = vertices.astype(np.int32)
         assert table.share(vertices).tolist() == oracle.share(vertices)
         assert _counters(table) == _counters(oracle)
+
+
+@pytest.mark.parametrize("chaining", [False, True])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("num_slots", [1, 2, 8192])
+def test_share_matches_sequential_table_on_edge_shapes(num_slots, dtype,
+                                                       chaining):
+    """The dropping table is a scatter/gather through an array it owns
+    and never clears (rows scattered in reverse, so the first to reach
+    a slot stays in it); against the row walk on the shapes that would
+    show a stale slot or a wrong winner: an empty column, all rows one
+    vertex, all distinct, distinct but colliding (every slot count),
+    and a second chunk whose vertices land in slots the first one
+    wrote."""
+    table = HorizontalShareTable(num_slots, chaining=chaining)
+    oracle = _SequentialTable(num_slots, chaining)
+    rng = np.random.default_rng(num_slots)
+    columns = [
+        [],
+        [9] * 50,
+        list(range(300)),
+        rng.permutation(300).tolist(),
+        rng.integers(0, 40, size=500).tolist(),
+        list(range(300, 0, -1)),  # the first chunks' slots, other rows
+        [2**31 - 2, 0, 2**31 - 2, 1, 0],
+        [],
+    ]
+    for column in columns:
+        vertices = np.array(column, dtype=dtype)
+        assert table.share(vertices).tolist() == oracle.share(vertices)
+        assert _counters(table) == _counters(oracle)

@@ -21,6 +21,7 @@ from repro.errors import ConfigurationError
 from repro.exec import ProcessBackend
 from repro.graph.generators import erdos_renyi, random_labels
 from repro.patterns import Pattern, automorphisms, catalog
+from repro.patterns.generation import connected_patterns
 from repro.patterns.schedule import (
     compile_counting_plan,
     compile_schedule,
@@ -225,9 +226,68 @@ def test_iep_rows_probe_each_prefix_pair_once(small_random_graph,
         dtype=np.int64)
     intersections = sum(len(s) - 1 for s in plan.signatures)
     assert count_calls(
-        kernels._iep_rows, small_random_graph, plan, rows,
+        kernels.iep_chunk, small_random_graph, plan, rows,
         only={"adjacency_member"},
     ) <= intersections + size * size
+
+
+def _stage_probes(graph, signatures, rows):
+    """Candidates pushed through membership probes when every stage in
+    ``signatures`` runs: a stage ``D`` probes, per row, the running
+    intersection of all its columns but the last."""
+    probes = 0
+    for stage in signatures:
+        for row in rows:
+            running = graph.neighbors(row[stage[0]])
+            for column in stage[1:-1]:
+                running = np.intersect1d(
+                    running, graph.neighbors(row[column]), assume_unique=True)
+            probes += len(running)
+    return probes
+
+
+def test_shared_prefixes_keep_the_reference_and_run_each_stage_once(
+    small_random_graph, membership_regime
+):
+    """Every 5-motif plan (the census's 21 patterns, those that plan),
+    each membership regime: a stage shared by several signatures runs
+    once per block, yet counts, ``merge_elements`` and ``scanned`` are
+    still :func:`iep_count`'s, row by row — every signature is charged
+    every stage it passes through. The probes made are those of the
+    *distinct* signature prefixes; a plan that shares none makes
+    exactly the probes a signature-at-a-time walk made."""
+    graph = membership_regime(small_random_graph)
+    rng = np.random.default_rng(5)
+    shared = unshared = 0
+    # the order search prices with the graph's size and density: the
+    # default estimate and a small dense graph's (the benchmark census)
+    # choose different orders, so different signature sets
+    plans = {
+        compile_counting_plan(graphpi_schedule(
+            pattern, counting="iep", **shape))
+        for pattern in connected_patterns(5)
+        for shape in ({}, {"avg_degree": 20.0, "num_vertices": 40.0})
+    } - {None}
+    assert len(plans) > 12
+    for plan in sorted(plans, key=lambda plan: plan.signatures):
+        rows = _prefix_embeddings(graph, plan.prefix_schedule)
+        rows = [rows[i] for i in rng.permutation(len(rows))[:120]]
+        batch = kernels.iep_chunk(graph, plan, np.array(rows, dtype=np.int64))
+        got = zip(batch.counts.tolist(), batch.merge_elements.tolist(),
+                  batch.scanned.tolist())
+        assert list(got) == [iep_count(graph, plan, row) for row in rows]
+        stages = [s[:depth] for s in plan.signatures
+                  for depth in range(2, len(s) + 1)]
+        one_at_a_time = _stage_probes(graph, stages, rows)
+        assert batch.probe_elements == _stage_probes(
+            graph, set(stages), rows)
+        if len(set(stages)) == len(stages):
+            assert batch.probe_elements == one_at_a_time
+            unshared += 1
+        else:
+            assert batch.probe_elements < one_at_a_time
+            shared += 1
+    assert shared and unshared
 
 
 def test_iep_process_backend_matches_inline(small_random_graph):
