@@ -120,10 +120,12 @@ def cpu_info() -> dict:
 
 
 #: CPU seconds one worker process costs on top of its share of the
-#: compute: fork, shm attach, serving peers, shipping its partial,
-#: teardown. Measured 0.09-0.10 per worker (docs/performance.md, "The
-#: CPU-aware gate"); the gate budgets a little more.
-WORKER_OVERHEAD_CPU_SECONDS = 0.125
+#: compute: fork, graph attach, the derived structures it rebuilds,
+#: shipping its partial, teardown. Measured 0.019-0.034 per worker as
+#: (process cpu - inline cpu) / workers on this sweep's rows
+#: (docs/performance.md, "The CPU- and work-aware gate"); the gate
+#: budgets a quarter more.
+WORKER_OVERHEAD_CPU_SECONDS = 0.045
 
 
 def process_speedup_floor(inline_seconds: float, workers: int,
@@ -135,9 +137,9 @@ def process_speedup_floor(inline_seconds: float, workers: int,
     ``min(workers, cpus)`` lanes; what a process run adds is per-worker
     CPU work that shares those lanes. So the speedup a healthy backend
     reaches is ``lanes * inline / (inline + workers * overhead)`` —
-    about 2x at 4 workers on 4 CPUs for 0.6 s of inline work, break-even
-    on 2, an honest regression bound on 1 — and it falls as the inline
-    run gets faster, which a constant floor cannot follow.
+    at 4 workers and 0.2 s of inline work about 2.1x on 4 CPUs, 1.05x
+    on 2, an honest regression bound (0.53x) on 1 — and it falls as the
+    inline run gets faster, which a constant floor cannot follow.
     """
     cpus = effective_cpus() if cpus is None else cpus
     lanes = min(workers, cpus)

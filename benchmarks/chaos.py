@@ -13,7 +13,7 @@ asserts the durability contract of docs/faults.md end to end:
   completes through surviving-*worker* redistribution — no inline
   fallback — with identical counts;
 - a worker killed *inside* a message — half of it written to its
-  result pipe, or to a peer's request pipe — is an ordinary death
+  result pipe — is an ordinary death
   (docs/execution.md, "Real-process failure semantics"): ``RECOVERED``
   with exact counts under ``recover``, ``CRASHED`` ahead of the
   heartbeat under ``fail``, and the process that ran it exits leaving
@@ -21,9 +21,9 @@ asserts the durability contract of docs/faults.md end to end:
 
 Kill points are seed-deterministic, not timing races: the
 ``REPRO_CHAOS`` environment hooks (``parent-kill:<n>``,
-``worker-kill:<wid>:<n>``, ``worker-kill-midsend:<wid>:<n>``,
-``worker-kill-midrequest:<wid>:<n>``; see ``repro.faults.durability``,
-``repro.exec.worker`` and ``repro.exec.lane``) fire at exact
+``worker-kill:<wid>:<n>``, ``worker-kill-midsend:<wid>:<n>``; see
+``repro.faults.durability``, ``repro.exec.worker`` and
+``repro.exec.lane``) fire at exact
 flush/delta/message ordinals, so every scenario reproduces
 byte-for-byte.
 
@@ -126,15 +126,22 @@ def _alive_in_group(pgid):
     return alive
 
 
+def owned_segments(pid):
+    """Names of the shared-memory segments process ``pid`` created and
+    has not unlinked (a segment's name carries its creator's pid)."""
+    return sorted(path.name
+                  for path in Path("/dev/shm").glob(f"repro_{pid:x}_*"))
+
+
 def assert_nothing_left(proc):
     """The finished run left no process (orphans keep its process
-    group) and no shared-memory segment (their names carry its pid)."""
+    group) and no shared-memory segment."""
     deadline = time.monotonic() + 5.0
     while _alive_in_group(proc.pid):  # its resource tracker exits last
         assert time.monotonic() < deadline, (
             f"run {proc.pid} left {_alive_in_group(proc.pid)} behind")
         time.sleep(0.02)
-    leaked = sorted(Path("/dev/shm").glob(f"repro_{proc.pid:x}_*"))
+    leaked = owned_segments(proc.pid)
     assert not leaked, f"segments leaked: {leaked}"
 
 
@@ -228,10 +235,9 @@ def scenario_worker_kill_redistributes(oracle, workers):
 
 #: where a worker is killed inside a message: (REPRO_CHAOS kind, which
 #: of worker 1's messages) — its first result-pipe message (a CKPT
-#: delta), its last (the RESULT), its first peer fetch request
+#: delta), its last (the RESULT)
 TORN_MESSAGES = (("worker-kill-midsend", "first"),
-                 ("worker-kill-midsend", "result"),
-                 ("worker-kill-midrequest", "first"))
+                 ("worker-kill-midsend", "result"))
 
 
 def scenario_worker_torn_message(oracle, workers, kind, which,

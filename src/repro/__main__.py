@@ -103,7 +103,6 @@ def _build_system(args):
             getattr(args, "workers", None),
             heartbeat=getattr(args, "heartbeat", None),
             on_worker_death=getattr(args, "on_worker_death", None),
-            ring_bytes=getattr(args, "ring_bytes", None),
         )
     except ConfigurationError as exc:
         raise SystemExit(str(exc))
@@ -191,13 +190,6 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
              "worker exit codes at least this often while idle (a "
              "death is normally seen at once, as an EOF on the "
              "worker's pipe) (default: 1s; docs/execution.md)",
-    )
-    parser.add_argument(
-        "--ring-bytes", type=int, default=None, metavar="BYTES",
-        help="process-backend requested capacity of each "
-             "per-worker-pair shared-memory reply ring (default: "
-             "1MiB); raised as far as the graph's largest edge list "
-             "needs, so every reply fits (docs/execution.md)",
     )
     parser.add_argument(
         "--on-worker-death", default=None, choices=["fail", "recover"],

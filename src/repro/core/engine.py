@@ -295,17 +295,16 @@ class KhuzdulEngine:
         plan: JobPlan,
         udf=None,
         hosted: Optional[set] = None,
-        transport=None,
         sink=None,
         resume: Optional[dict] = None,
     ) -> Partial:
         """The one machine loop: run ``plan`` on this engine's cluster.
 
-        ``hosted``/``transport`` are the worker-process hooks of the
-        ``process`` backend (docs/execution.md): with ``hosted`` set,
-        only that subset of machine ids runs schedulers (the rest are
-        replicas other workers drive), and ``transport`` routes each
-        circulant batch's edge lists over real inter-process queues.
+        ``hosted`` is the worker-process hook of the ``process``
+        backend (docs/execution.md): with it set, only that subset of
+        machine ids runs schedulers (the rest are replicas other
+        workers drive). Every process maps the whole graph, so a
+        hosted scheduler reads remote lists where an inline one does.
         The restriction changes *which* schedulers run, never what any
         of them computes or charges — which is why backend counts are
         bit-identical and a re-executed subset reproduces a lost
@@ -487,7 +486,6 @@ class KhuzdulEngine:
                         time_budget=config.time_budget,
                         obs=obs,
                         faults=injector,
-                        transport=transport,
                         iep_plan=pattern.counting,
                         checkpoint_sink=(
                             partial(_rebased_sink, sink, index, shard)

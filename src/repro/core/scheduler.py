@@ -145,7 +145,6 @@ class MachineScheduler:
         time_budget: Optional[float] = None,
         obs: Optional[Observability] = None,
         faults: Optional[FaultInjector] = None,
-        transport=None,
         checkpoint_sink: Optional[Callable] = None,
         iep_plan: Optional[CountingPlan] = None,
     ):
@@ -176,14 +175,6 @@ class MachineScheduler:
         self.time_budget = time_budget
         self.cost = cluster.cost
         self.faults = faults
-        #: real inter-process fetch channel of the ``process`` backend
-        #: (repro.exec). None in simulated-only runs; when set, each
-        #: chunk's circulant batches additionally travel as coalesced
-        #: requests whose replies stream back over shared-memory rings,
-        #: posted ahead of the batches that await them so communication
-        #: genuinely overlaps computation. The simulated accounting
-        #: below is unchanged either way.
-        self.transport = transport
         #: straggler degradation: >1 stretches compute and link time
         self._slow_factor = (
             faults.slowdown(machine.machine_id) if faults is not None else 1.0
@@ -588,15 +579,14 @@ class MachineScheduler:
 
         The batches are ``(peer, start, stop)`` cuts of the hop-sorted
         rows, their payloads one integer ``reduceat``. The one owner
-        loop does what can fail or must interleave — the transport's
-        replies, an injector's fetch-by-fetch walk and its retry
-        backoff; without either it makes no call. Then the network is
-        told of the chunk's batches once (``record_fetch_batches``,
-        ``batch_times``) and every batch's wire time is priced on
-        Python floats in batch order — ``(wire + retry) * slow``, the
-        expression a batch-at-a-time walk evaluates, so no simulated
-        float can round differently. Rows are sliced only for who reads
-        them: the transport and the injector's walk."""
+        loop does what can fail or must interleave — an injector's
+        fetch-by-fetch walk and its retry backoff; without one it makes
+        no call. Then the network is told of the chunk's batches once
+        (``record_fetch_batches``, ``batch_times``) and every batch's
+        wire time is priced on Python floats in batch order —
+        ``(wire + retry) * slow``, the expression a batch-at-a-time
+        walk evaluates, so no simulated float can round differently.
+        Rows are sliced only for who reads them: the injector's walk."""
         me = self.machine.machine_id
         chunk = state.chunk
         network = self.cluster.network
@@ -630,23 +620,10 @@ class MachineScheduler:
             admitted = self.cache.admit_many(
                 wanted, sizes, self._vertex_degrees[wanted]
             )
-        transport = self.transport
-        if transport is not None:
-            # fire the whole chunk's demand up front, coalesced per
-            # server worker and split to ring-sized requests — the
-            # transport's flow control keeps only as many in flight
-            # as its reply rings can hold, so every batch below
-            # finds its reply already streaming while earlier
-            # batches compute
-            transport.post_chunk(me, [
-                (peer, wanted[start:stop]) for peer, start, stop in batches
-            ])
         retries = [0.0] * len(batches)
         done = 0
         try:
             for peer, start, stop in batches:
-                if transport is not None:
-                    transport.collect(me, peer, wanted[start:stop])
                 if injected:
                     server = self.cluster.machine(peer)
                     for row, v, size, degree in zip(
@@ -662,8 +639,8 @@ class MachineScheduler:
                     retries[done] = network.drain_retry_seconds()
                 done += 1
         finally:
-            # a fetch that exhausted its retries or a dead peer leaves
-            # behind what the batches before it did
+            # a fetch that exhausted its retries leaves behind what the
+            # batches before it did
             arrived = batches[done - 1][2] if done else 0
             chunk.source[remote[:arrived]] = EdgeListSource.REMOTE
             self._count_sources("remote", arrived)

@@ -85,48 +85,5 @@ class FetchFailedError(ReproError):
         )
 
 
-class PeerDeadError(ReproError):
-    """A process-backend worker's peer died before replying.
-
-    Raised out of a bounded transport wait
-    (:meth:`repro.exec.transport.WorkerTransport.collect`) when the
-    parent's liveness watcher marks the serving worker dead, or when
-    the fleet-wide stop event is set during teardown. The worker turns
-    it into a ``peer_dead`` message so the parent can re-execute or
-    fail fast with a structured report — never a deadlock.
-    """
-
-    def __init__(self, worker_id: int, peer_worker: int,
-                 server_machine: int):
-        self.worker_id = worker_id
-        self.peer_worker = peer_worker
-        self.server_machine = server_machine
-        super().__init__(
-            f"worker {worker_id}: peer worker {peer_worker} (hosting "
-            f"machine {server_machine}) died before replying"
-        )
-
-
-class TransportCorruptionError(ReproError):
-    """A reply-ring frame failed magic/sequence validation.
-
-    Every frame the process backend's responder publishes starts with a
-    magic word and a per-pair monotone sequence number
-    (:mod:`repro.exec.transport`); a reader that finds anything else is
-    consuming a corrupt or misframed ring. The worker reports it as an
-    uncaught error, so the parent returns a structured ``CRASHED``
-    report — never silently garbled counts.
-    """
-
-    def __init__(self, worker_id: int, peer_worker: int, detail: str):
-        self.worker_id = worker_id
-        self.peer_worker = peer_worker
-        self.detail = detail
-        super().__init__(
-            f"worker {worker_id}: corrupt reply ring from worker "
-            f"{peer_worker}: {detail}"
-        )
-
-
 class ConfigurationError(ReproError):
     """An engine or cluster was configured inconsistently."""

@@ -6,11 +6,11 @@ backend only chooses *where* the per-machine schedulers run:
 - ``inline`` (default): every machine's scheduler in the calling
   process.
 - ``process``: one OS process per group of simulated machines, the
-  graph shared zero-copy through ``multiprocessing.shared_memory``,
-  inter-machine fetches travelling as real batched messages in
-  circulant order.
+  whole graph shared zero-copy through
+  ``multiprocessing.shared_memory`` (or the ``.kcsr`` store file), so
+  no edge list crosses a process boundary.
 
-See docs/execution.md for the interface, wire protocol, and the
+See docs/execution.md for the interface, the lane protocol, and the
 determinism contract (bit-identical counts across backends).
 """
 
@@ -31,7 +31,6 @@ def make_backend(
     workers: Optional[int] = None,
     heartbeat: Optional[float] = None,
     on_worker_death: Optional[str] = None,
-    ring_bytes: Optional[int] = None,
 ):
     """Build the backend for a CLI/config name.
 
@@ -40,10 +39,9 @@ def make_backend(
     ``run_plan``).
 
     ``heartbeat`` and ``on_worker_death`` tune the process backend's
-    liveness detection and ``ring_bytes`` its per-pair reply-ring
-    capacity (``None`` keeps the backend defaults); the inline backend
-    has no worker processes to watch, so they are silently ignored
-    there.
+    liveness detection (``None`` keeps the backend defaults); the
+    inline backend has no worker processes to watch, so they are
+    silently ignored there.
     """
     if name == "inline":
         return None
@@ -53,8 +51,6 @@ def make_backend(
             kwargs["heartbeat"] = heartbeat
         if on_worker_death is not None:
             kwargs["on_worker_death"] = on_worker_death
-        if ring_bytes is not None:
-            kwargs["ring_bytes"] = ring_bytes
         return ProcessBackend(workers=workers, **kwargs)
     raise ConfigurationError(
         f"unknown execution backend {name!r}; expected one of {BACKENDS}"

@@ -13,8 +13,8 @@ bit-identical to the inline path's, at any worker count.
 
 Failure semantics are part of the contract too: a backend whose
 workers are real OS processes must never let a worker death wedge the
-run or escape as a raw traceback — it converts deaths, peer timeouts,
-and wall-clock expiry into a structured
+run or escape as a raw traceback — it converts deaths and wall-clock
+expiry into a structured
 :class:`~repro.faults.recovery.FailureSummary` on the returned report
 (``CRASHED``/``RECOVERED``/``TIMEOUT``), the same vocabulary the
 simulated fault injector uses (docs/faults.md).

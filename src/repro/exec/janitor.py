@@ -1,7 +1,7 @@
 """Shared-memory janitor: cleanup that survives interrupted owners.
 
 Both owners of POSIX shared-memory segments in this repository — the
-process backend's per-run graph/ring segments and the mining service's
+process backend's per-run graph segments and the mining service's
 resident graph segment (docs/service.md) — must not leak them past an
 interrupted process: a SIGINT/SIGTERM mid-run, or a plain interpreter
 exit, has to unlink whatever is still mapped. This module is the one

@@ -4,34 +4,28 @@ Execution plan (docs/execution.md):
 
 1. Export the graph's CSR arrays into shared memory once
    (:mod:`repro.graph.csr`) — workers map them zero-copy.
-2. Build the transport fabric (:mod:`repro.exec.transport`: per
-   ordered worker pair a request pipe and a shared-memory reply *ring*
-   sized to hold the graph's largest edge list, plus one segment of
-   fleet flags only the parent writes) and spawn one supervised
-   :class:`~repro.exec.lane.Lane` per worker, each running
-   :func:`repro.exec.worker.worker_main`: the engine's one machine
-   loop, handed the job plan, over the machines it hosts
-   (``m % workers``).
+2. Spawn one supervised :class:`~repro.exec.lane.Lane` per worker,
+   each running :func:`repro.exec.worker.worker_main`: the engine's
+   one machine loop, handed the job plan, over the machines it hosts
+   (``m % workers``). Workers share nothing but the read-only graph:
+   no edge list travels between them (every worker maps all of it),
+   so the only channels are each lane's two private pipes.
 3. Collect per-worker results off the lanes' private result pipes
    while *watching worker liveness*: a death is an EOF, seen at once,
    and the parent sweeps worker exit codes at least every
    ``heartbeat`` seconds; a worker that died without reporting is
-   marked lost, its death flag is raised (so peers blocked on its
-   replies abort within a bounded wait instead of deadlocking), and
-   the ``on_worker_death`` policy applies — ``fail`` returns a
-   structured ``CRASHED`` report immediately, ``recover``
+   marked lost and the ``on_worker_death`` policy applies — ``fail``
+   returns a structured ``CRASHED`` report immediately, ``recover``
    *redistributes* the lost workers' machines across the surviving
    workers (each survivor replays its share against the shared graph,
    resuming past the chunks the dead worker's shipped checkpoint
    deltas already cover) and reports ``RECOVERED`` with complete
    counts. The parent replays inline only machines no survivor could
    cover (survivor died mid-recovery, or no survivors at all).
-4. Release every lane (a worker's responder must outlive its own
-   compute — other workers may still fetch from it), collect responder
-   stats, and stop the lanes. Shared-memory segments are unlinked on
-   every exit path — including SIGINT/SIGTERM and interpreter exit,
-   via chained signal handlers and an ``atexit`` hook registered for
-   the duration of the run.
+4. Release and stop every lane. The graph's shared-memory segments
+   are unlinked on every exit path — including SIGINT/SIGTERM and
+   interpreter exit, via chained signal handlers and an ``atexit``
+   hook registered for the duration of the run.
 
 Durability (docs/faults.md): workers ship one ``CKPT`` delta per
 completed root chunk — the parent's in-memory progress ledger feeds
@@ -48,14 +42,12 @@ names lets a resumed run reap segments leaked by a SIGKILLed parent.
    the worker-death outcome.
 
 Determinism: a machine's scheduler sees the same graph, roots, and
-configuration regardless of which process hosts it, and the transport
-never alters simulated accounting — so counts are bit-identical to the
-inline backend at any worker count (the invariant
+configuration regardless of which process hosts it — so counts are
+bit-identical to the inline backend at any worker count (the invariant
 ``tests/test_exec.py`` pins down). This is also what makes worker-death
 recovery exact: re-executing a lost worker's hosted machines anywhere
 reproduces precisely the results the worker would have returned.
-Wall-clock ``exec.*`` readings (and ``net.peer_timeouts``) are the
-only nondeterministic outputs.
+Wall-clock ``exec.*`` readings are the only nondeterministic outputs.
 
 Not supported here (raise :class:`~repro.errors.ConfigurationError`
 up front): fault plans (injected crash recovery reassigns roots across
@@ -66,8 +58,6 @@ like :class:`~repro.systems.base.MniDomainCollector`).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import pickle
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -81,14 +71,10 @@ from repro.exec.lane import Lane, sweep, wait
 from repro.exec.messages import (
     CKPT,
     ERROR,
-    PEER_DEAD,
     RECOVERY,
     RESULT,
-    STATS,
     RecoverAssignment,
 )
-from repro.exec.ring import create_ring
-from repro.exec.transport import Endpoints, ring_capacity, zero_responder_stats
 from repro.exec.janitor import install_janitor, remove_janitor
 from repro.exec.worker import hosted_run, machines_of, worker_main
 from repro.faults import durability
@@ -99,17 +85,11 @@ from repro.faults.recovery import (
     worker_death_event,
     worker_loss_summary,
 )
-from repro.graph.csr import create_segment, share_csr
+from repro.graph.csr import share_csr
 from repro.obs import names
-from repro.obs.metrics import Histogram
 
 #: the two worker-death policies ``--on-worker-death`` accepts
 DEATH_POLICIES = ("fail", "recover")
-
-#: default requested per-pair reply-ring capacity (data bytes); 1 MiB
-#: holds a full adaptive budget of frames per pair while keeping a
-#: 4-worker fabric's shared-memory footprint around a dozen MiB
-RING_BYTES = 1 << 20
 
 
 class _CollectTimeout(Exception):
@@ -130,22 +110,10 @@ class _FleetState:
     #: (roots, matches) cursor; feeds redistribution resume maps
     progress: dict = field(default_factory=dict)
     lanes: list = field(default_factory=list)
-    #: the shared segment of fleet flags (``Endpoints.flags``), which
-    #: only this process writes: one byte, one plain store each
-    flags: object = None
-    #: per-pair ring capacity this run settled on
-    ring_capacity: int = 0
     #: sweeps of worker exit codes the parent performed
     heartbeat_checks: int = 0
-    #: bounded-wait expirations reported by workers that aborted on a
-    #: dead peer (their requester stats never arrive)
-    peer_timeout_messages: int = 0
     #: worker_id -> human-readable death reason
     deaths: dict = field(default_factory=dict)
-    #: workers that aborted on a dead peer (PEER_DEAD): their compute
-    #: is lost like a death, but the *process* is alive waiting for
-    #: assignments — a valid target for redistributed replays
-    aborted: set = field(default_factory=set)
     #: lost workers whose hosted machines were replayed (on survivors
     #: or in the parent)
     reexecuted: set = field(default_factory=set)
@@ -157,12 +125,6 @@ class _FleetState:
             self.progress[key] = (roots, matches)
         if self.sink is not None:
             self.sink(pattern, machine, roots, matches)
-
-    def lose(self, worker_id: int, reason: str) -> None:
-        """Record a death and raise the worker's flag, so peers blocked
-        on its replies abort their bounded waits."""
-        self.deaths[worker_id] = reason
-        self.flags.buf[worker_id] = 1
 
     def death_events(self) -> list[dict]:
         return [
@@ -215,7 +177,6 @@ class ProcessBackend(Backend):
         timeout: float = 600.0,
         heartbeat: float = 1.0,
         on_worker_death: str = "fail",
-        ring_bytes: int = RING_BYTES,
     ):
         #: worker-process count; None = one per simulated machine,
         #: always clamped to the machine count (a machine's scheduler
@@ -246,12 +207,6 @@ class ProcessBackend(Backend):
                 f"got {on_worker_death!r}"
             )
         self.on_worker_death = on_worker_death
-        #: requested capacity of each (server, requester) shared-memory
-        #: reply ring; a run raises it as far as its graph's largest
-        #: edge list needs, so every reply fits
-        if ring_bytes < 1024:
-            raise ConfigurationError("ring_bytes must be at least 1KiB")
-        self.ring_bytes = ring_bytes
 
     # ------------------------------------------------------------------
     def execute(self, engine, plan, udf):
@@ -289,62 +244,24 @@ class ProcessBackend(Backend):
             durability.reap_stale_segments(config.checkpoint_dir)
         fleet = _FleetState(workers, machines, durable.sink,
                             dict(durable.resume or {}))
-        fleet.ring_capacity = ring_capacity(self.ring_bytes, cluster.graph)
         started = perf_counter()
         shared = share_csr(cluster.graph)
-        segments = [shared]
-
-        def unlink_segments():
-            # idempotent: every unlink below tolerates a repeat call,
-            # so the signal/atexit hooks and the finally block may race
-            for segment in segments:
-                try:
-                    segment.unlink()
-                except Exception:  # pragma: no cover - best effort
-                    pass
-
-        previous_handlers = install_janitor(unlink_segments)
-        endpoints = None
+        # unlink is idempotent, so the signal/atexit hooks and the
+        # finally block may race
+        previous_handlers = install_janitor(shared.unlink)
         try:
-            # one shared-memory reply ring per ordered worker pair
-            # (same-worker fetches take the transport's local fast
-            # path, so self-pairs never exist); the parent owns the
-            # segments and is the only side that unlinks them
-            pairs = [(a, b) for a in range(workers) for b in range(workers)
-                     if a != b]
-            rings = {}
-            for pair in pairs:
-                rings[pair] = create_ring(fleet.ring_capacity)
-                segments.append(rings[pair])
-            fleet.flags = create_segment(workers + 1)  # zero-filled
-            segments.append(fleet.flags)
             if config.checkpoint_dir is not None:
                 durability.write_shm_names(
-                    config.checkpoint_dir,
-                    shared.handle.segment_names()
-                    + [ring.handle.name for ring in rings.values()]
-                    + [fleet.flags.name],
-                )
-            endpoints = Endpoints(
-                num_workers=workers,
-                rings={pair: ring.handle for pair, ring in rings.items()},
-                requests={pair: multiprocessing.Pipe(duplex=False)
-                          for pair in pairs},
-                flags_segment=fleet.flags.name,
-                parent_pid=os.getpid(),
-            )
+                    config.checkpoint_dir, shared.handle.segment_names())
             fleet.lanes = [
                 Lane(worker_id, f"repro-exec-{worker_id}", worker_main,
                      (worker_id, workers, shared.handle, plan, udf,
-                      engine.obs.enabled, endpoints, durable.resume),
+                      engine.obs.enabled, durable.resume),
                      self.start_method)
                 for worker_id in range(workers)
             ]
             for lane in fleet.lanes:
                 lane.spawn()
-            # every worker holds its own ends now; a copy left open
-            # here would keep a dead worker's pipes from reaching EOF
-            endpoints.close()
 
             results = self._collect(
                 fleet, set(range(workers)), RESULT,
@@ -355,7 +272,7 @@ class ProcessBackend(Backend):
                     engine, plan, fleet, perf_counter() - started,
                     Outcome.CRASHED)
             entries = [
-                {**payload, "worker_id": worker_id, "kind": "result"}
+                {**payload, "worker_id": worker_id}
                 for worker_id, payload in sorted(results.items())
             ]
             lost = sorted(set(range(workers)) - set(results))
@@ -366,48 +283,26 @@ class ProcessBackend(Backend):
                 # ledger (the dead workers' shipped deltas) lets each
                 # replay skip already-completed chunks
                 fleet.reexecuted = set(lost)
-                # replay targets: workers that returned a result, plus
-                # aborted-on-a-dead-peer workers — their compute died
-                # but the process is alive waiting for assignments
-                survivors = sorted(set(results) | fleet.aborted)
                 recovery_entries, redistribution = self._redistribute(
-                    fleet, engine, plan, udf, lost, survivors)
+                    fleet, engine, plan, udf, lost, sorted(results))
                 entries.extend(recovery_entries)
-            # everyone is finished: responders may stop, and only then
-            # are their stats complete
-            for lane in fleet.lanes:
-                lane.release()
-            stats = self._collect(
-                fleet, set(results) - set(fleet.deaths), STATS,
-                fail_fast=False,
-            )
-            for worker_id in range(workers):
-                stats.setdefault(worker_id, zero_responder_stats())
         except _CollectTimeout as exc:
             return self._failed_report(
                 engine, plan, fleet, perf_counter() - started,
                 Outcome.TIMEOUT, str(exc))
         finally:
-            # teardown runs on every path: raise the stop flag so
-            # bounded transport waits abort, stop the lanes (release
-            # all first so they exit side by side), and unlink the
-            # shared-memory segments (graph CSR, reply rings and flags
-            # alike — the parent owns them all)
-            if endpoints is not None:
-                endpoints.close()
-            if fleet.flags is not None:
-                fleet.flags.buf[workers] = 1
+            # teardown runs on every path: stop the lanes (release all
+            # first so they exit side by side) and unlink the graph's
+            # shared-memory segments — the parent owns them
             for lane in fleet.lanes:
                 lane.release()
             for lane in fleet.lanes:
                 lane.stop()
-            unlink_segments()
-            if fleet.flags is not None:
-                fleet.flags.close()  # unlinking it left it mapped
-            remove_janitor(unlink_segments, previous_handlers)
+            shared.unlink()
+            remove_janitor(shared.unlink, previous_handlers)
             if config.checkpoint_dir is not None:
                 durability.clear_shm_names(config.checkpoint_dir)
-        return self._merge(engine, plan, udf, fleet, entries, stats,
+        return self._merge(engine, plan, udf, fleet, entries,
                            perf_counter() - started, redistribution)
 
     # ------------------------------------------------------------------
@@ -419,9 +314,9 @@ class ProcessBackend(Backend):
         Every wait is bounded by ``heartbeat`` and ends early on a
         delivery or a death (EOF); each pass sweeps the lanes — what
         was delivered first, then who is dead — so a worker that died
-        without reporting is *marked lost* (death flag set for its
-        peers) at once, never at the full ``timeout``, and one that
-        reported and then died is not a loss at all. With
+        without reporting is *marked lost* at once, never at the full
+        ``timeout``, and one that reported and then died is not a loss
+        at all. With
         ``fail_fast`` the first loss ends collection immediately;
         otherwise collection continues until every pending worker has
         either reported or been marked lost.
@@ -455,13 +350,7 @@ class ProcessBackend(Backend):
                 if kind == tag:
                     collected[worker_id] = payload
                 elif kind == ERROR:
-                    fleet.lose(worker_id, _error_reason(payload))
-                elif kind == PEER_DEAD:
-                    fleet.peer_timeout_messages += max(
-                        1, int(payload.get("liveness_timeouts", 0))
-                    )
-                    fleet.aborted.add(worker_id)
-                    fleet.lose(worker_id, payload["message"])
+                    fleet.deaths[worker_id] = _error_reason(payload)
                 else:
                     raise RuntimeError(
                         f"protocol violation: got {kind!r} while "
@@ -470,8 +359,8 @@ class ProcessBackend(Backend):
             for lane in dead:
                 if lane.index in pending:
                     pending.discard(lane.index)
-                    fleet.lose(lane.index,
-                               f"{lane.exit_reason()} before reporting")
+                    fleet.deaths[lane.index] = (
+                        f"{lane.exit_reason()} before reporting")
         return collected
 
     # ------------------------------------------------------------------
@@ -512,7 +401,7 @@ class ProcessBackend(Backend):
             recoveries = self._collect(fleet, set(assignment), RECOVERY,
                                        fail_fast=False)
         entries = [
-            {**payload, "worker_id": worker_id, "kind": "recovery"}
+            {**payload, "worker_id": worker_id}
             for worker_id, payload in sorted(recoveries.items())
         ]
         uncovered = sorted(
@@ -532,7 +421,6 @@ class ProcessBackend(Backend):
                     resume=fleet.progress,
                 ),
                 "worker_id": None,
-                "kind": "inline",
             })
         redistribution = {
             "machines": sum(
@@ -564,8 +452,7 @@ class ProcessBackend(Backend):
             counts=None, simulated_seconds=0.0,
             num_machines=fleet.machines, failure=failure,
         )
-        report.extra["exec"] = self._exec_extra(
-            fleet, wall, fleet.peer_timeout_messages, events)
+        report.extra["exec"] = self._exec_extra(fleet, wall, events)
         obs = engine.obs
         if obs.enabled:
             self._emit_exec_metrics(obs.registry.scope(),
@@ -573,9 +460,9 @@ class ProcessBackend(Backend):
             report.extra["obs"] = obs.summary()
         return [0] * len(plan.patterns), report
 
-    def _exec_extra(self, fleet, wall, peer_timeouts, events) -> dict:
+    def _exec_extra(self, fleet, wall, events) -> dict:
         """The liveness half of ``extra["exec"]`` — all a fail-fast
-        report has; ``_merge`` adds the transport half."""
+        report has; ``_merge`` adds the per-worker seconds."""
         extra = {
             "backend": self.name,
             "workers": fleet.workers,
@@ -584,14 +471,13 @@ class ProcessBackend(Backend):
             "heartbeat_checks": fleet.heartbeat_checks,
             "on_worker_death": self.on_worker_death,
             "worker_deaths": len(fleet.deaths),
-            "peer_timeouts": peer_timeouts,
         }
         if events:
             extra["worker_death_events"] = events
         return extra
 
     # ------------------------------------------------------------------
-    def _merge(self, engine, plan, udf, fleet, entries, stats, wall,
+    def _merge(self, engine, plan, udf, fleet, entries, wall,
                redistribution=None) -> tuple[list[int], RunReport]:
         """Fold the run's entries — per-worker results plus any
         redistribution replays (machine-disjoint by construction) —
@@ -603,51 +489,21 @@ class ProcessBackend(Backend):
             for entry in entries:  # every hosted run returns its copy
                 udf.merge(entry["udf"])
 
-        # per-worker wall-clock lists: recovery replays accrue to the
-        # survivor that ran them; the parent's own fallback replay
-        # (worker_id None) is reported via the redistribution extra
+        # recovery replays accrue to the survivor that ran them; the
+        # parent's own fallback replay (worker_id None) is reported via
+        # the redistribution extra
         busy = [0.0] * workers
-        wait = [0.0] * workers
-        adaptive = [0] * workers
         for entry in entries:
-            worker_id = entry["worker_id"]
-            if worker_id is None:
-                continue
-            busy[worker_id] += entry["busy_seconds"]
-            wait[worker_id] += entry["requester"]["wait_seconds"]
-            if entry["kind"] == "result":
-                adaptive[worker_id] = (
-                    entry["requester"]["adaptive_chunk_bytes"]
-                )
-        requesters = [entry["requester"] for entry in entries]
-        responders = [stats[worker_id] for worker_id in range(workers)]
+            if entry["worker_id"] is not None:
+                busy[entry["worker_id"]] += entry["busy_seconds"]
         death_events = fleet.death_events()
         block = {
-            **self._exec_extra(
-                fleet, wall,
-                fleet.peer_timeout_messages + sum(
-                    int(r.get("liveness_timeouts", 0)) for r in requesters
-                ),
-                death_events,
-            ),
+            **self._exec_extra(fleet, wall, death_events),
             "worker_busy_seconds": busy,
-            "worker_wait_seconds": wait,
-            "messages": sum(r["messages"] for r in requesters),
-            "bytes_shipped": sum(s["served_bytes"] for s in responders),
-            "queue_depth": self._merge_depth(
-                s["queue_depth"] for s in responders),
-            "ring_bytes": fleet.ring_capacity,
-            "ring_backpressure_seconds": sum(
-                s["ring_wait_seconds"] for s in responders),
-            "ring_occupancy": self._merge_depth(
-                s["ring_occupancy"] for s in responders),
-            "coalesced_requests": sum(
-                r["coalesced_requests"] for r in requesters),
-            "coalesced_batch_vertices": self._merge_depth(
-                r["coalesced_batch"] for r in requesters),
-            "local_fast_requests": sum(
-                r["local_requests"] for r in requesters),
-            "adaptive_chunk_bytes": adaptive,
+            # workers never wait on one another (no edge list travels);
+            # the series stays because perfbench pairs it with busy
+            # seconds to find the run's overhead (docs/metrics.md)
+            "worker_wait_seconds": [0.0] * workers,
         }
         if redistribution is not None:
             block["redistribution"] = redistribution
@@ -671,52 +527,24 @@ class ProcessBackend(Backend):
         # the run clean; they are recorded in extra["exec"] only
         return counts, report
 
-    @staticmethod
-    def _merge_depth(summaries) -> dict:
-        """Fold ``(count, total, min, max)`` summaries into one."""
-        merged = Histogram()
-        for summary in summaries:
-            merged.merge_summary(*summary)
-        folded = merged.summary()
-        del folded["mean"]
-        return folded
-
     def _emit_exec_metrics(self, scope, block) -> None:
         """The ``exec.*`` family, read off an ``extra["exec"]`` block so
-        the report and the registry cannot disagree."""
+        the report and the registry cannot disagree (a fail-fast block
+        has no per-worker seconds to publish)."""
         scope.gauge(names.EXEC_WORKERS).set(block["workers"])
         scope.gauge(names.EXEC_WALL_SECONDS).set(block["wall_seconds"])
         scope.gauge(names.EXEC_HEARTBEAT_INTERVAL).set(self.heartbeat)
         scope.counter(names.EXEC_HEARTBEAT_CHECKS).inc(
             block["heartbeat_checks"])
         scope.counter(names.EXEC_WORKER_DEATHS).inc(block["worker_deaths"])
-        scope.counter(names.NET_PEER_TIMEOUTS).inc(block["peer_timeouts"])
-        if "messages" not in block:
-            return  # a fail-fast report: no transport half
-        for worker_id in range(block["workers"]):
+        for worker_id, busy in enumerate(
+                block.get("worker_busy_seconds", ())):
             scope.counter(
                 names.EXEC_WORKER_BUSY_SECONDS, worker=worker_id
-            ).inc(block["worker_busy_seconds"][worker_id])
+            ).inc(busy)
             scope.counter(
                 names.EXEC_WORKER_WAIT_SECONDS, worker=worker_id
             ).inc(block["worker_wait_seconds"][worker_id])
-            scope.gauge(
-                names.EXEC_ADAPTIVE_CHUNK_BYTES, worker=worker_id
-            ).set(block["adaptive_chunk_bytes"][worker_id])
-        scope.counter(names.EXEC_MESSAGES).inc(block["messages"])
-        scope.counter(names.EXEC_BYTES_SHIPPED).inc(block["bytes_shipped"])
-        scope.gauge(names.EXEC_RING_CAPACITY).set(block["ring_bytes"])
-        scope.counter(names.EXEC_LOCAL_FAST_REQUESTS).inc(
-            block["local_fast_requests"])
-        scope.counter(names.NET_COALESCED_REQUESTS).inc(
-            block["coalesced_requests"])
-        for name, key in (
-            (names.EXEC_QUEUE_DEPTH, "queue_depth"),
-            (names.EXEC_RING_OCCUPANCY, "ring_occupancy"),
-            (names.NET_COALESCED_BATCH_VERTICES, "coalesced_batch_vertices"),
-        ):
-            if block[key]["count"]:
-                scope.histogram(name).merge_summary(*block[key].values())
         if "redistribution" in block:
             scope.counter(names.RECOVERY_REDISTRIBUTED_MACHINES).inc(
                 block["redistribution"]["machines"]

@@ -5,27 +5,21 @@ deterministic view of the cluster (hash partitioning is pure, so every
 worker computes identical partitions), and runs the engine's one
 machine loop (``KhuzdulEngine.execute``) over the job plan it was
 handed — restricted to the machines it hosts (machine ``m`` lives on
-worker ``m % num_workers``) and with the fetch transport plugged into
-the scheduler's circulant loop. Reusing that loop wholesale is the
-determinism argument in code form: there is no second scheduler
-implementation that could drift from the simulated one, and no second
-derivation of the plan.
+worker ``m % num_workers``). Every worker maps the *whole* graph, so a
+hosted scheduler reads a remote list where the inline one does and no
+edge list crosses a process boundary; inter-machine communication is
+the simulated clock's business (docs/execution.md, "Wall-clock vs
+simulated time"). Reusing that loop wholesale is the determinism
+argument in code form: there is no second scheduler implementation
+that could drift from the simulated one, and no second derivation of
+the plan.
 
 Result protocol on the worker's private result pipe
 (:mod:`repro.exec.lane`), as ``(tag, worker_id, payload)``:
 
 - ``(RESULT, w, {...})`` — the hosted machines' ``Partial``, udf copy,
-  observability dump, requester-side transport stats
-  (:func:`hosted_run`'s payload). Posted when the
-  worker's compute loop finishes.
-- ``(STATS, w, {...})`` — responder-side transport stats. Posted
-  once the parent releases the lane, because the responder keeps
-  serving other workers until every worker is done.
-- ``(PEER_DEAD, w, {...})`` — a bounded transport wait found its
-  serving peer dead (the parent set its death flag); this worker's
-  compute is lost and the parent applies its ``on_worker_death``
-  policy. The process itself stays alive and waits for assignments, so
-  the recover policy can hand it replay work.
+  observability dump and busy seconds (:func:`hosted_run`'s payload).
+  Posted when the worker's compute loop finishes.
 - ``(CKPT, w, (pattern, machine, roots, matches))`` — one per
   completed root chunk, carrying the absolute cursor. The parent's
   progress ledger is built from these (durable log and/or
@@ -39,13 +33,10 @@ Result protocol on the worker's private result pipe
 
 After its RESULT a worker reads its command pipe: the parent may hand
 it ``RecoverAssignment`` work — replay a dead peer's machines against
-the shared graph with the transport disabled (every worker maps the
-full graph, so no fetches are needed) — until the parent releases the
-lane, and the worker stops its responder and posts STATS.
+the shared graph — until the parent releases the lane.
 
-Every exit path closes the shared-memory mapping and stops the
-responder thread; the parent is the only side that ever unlinks the
-segments.
+Every exit path closes the shared-memory mapping; the parent is the
+only side that ever unlinks the segments.
 """
 
 from __future__ import annotations
@@ -58,20 +49,17 @@ from time import perf_counter
 
 from repro.cluster.cluster import Cluster
 from repro.core.engine import KhuzdulEngine
-from repro.errors import PeerDeadError
 from repro.exec.messages import (
     CKPT,
     ERROR,
-    PEER_DEAD,
     RECOVERY,
     RESULT,
-    STATS,
     RecoverAssignment,
 )
-from repro.exec.transport import WorkerTransport, zero_requester_stats
 from repro.faults.durability import chaos_kill_threshold
 from repro.graph.csr import attach_csr
 from repro.obs import Observability
+
 
 class _DeltaSink:
     """Ships completed-chunk cursors to the parent as CKPT messages.
@@ -102,36 +90,27 @@ def machines_of(worker_id: int, workers: int, machines: int) -> list[int]:
     return [m for m in range(machines) if m % workers == worker_id]
 
 
-def hosted_run(graph, plan, udf, hosted, obs_enabled, transport=None,
-               sink=None, resume=None) -> dict:
+def hosted_run(graph, plan, udf, hosted, obs_enabled, sink=None,
+               resume=None) -> dict:
     """Run ``hosted`` machines of ``plan`` against ``graph`` on a fresh
     cluster view and observability bundle; returns the result payload.
 
     The one way any process runs part of a job on a backend's behalf:
-    a worker's own share (with its transport), a survivor's replay of
-    a dead peer's machines, and the parent's replay of machines no
-    survivor covered (both without transport — every process maps the
-    full graph). ``resume`` may cover any machines: the loop only looks
-    up the cursors of the ones it hosts.
+    a worker's own share, a survivor's replay of a dead peer's machines,
+    and the parent's replay of machines no survivor covered. ``resume``
+    may cover any machines: the loop only looks up the cursors of the
+    ones it hosts.
     """
     cluster = Cluster(graph, plan.cluster_config)
     obs = Observability() if obs_enabled else None
     engine = KhuzdulEngine(cluster, plan.config, obs=obs)
     started = perf_counter()
-    partial = engine.execute(plan, udf, hosted=hosted, transport=transport,
-                             sink=sink, resume=resume)
-    elapsed = perf_counter() - started
+    partial = engine.execute(plan, udf, hosted=hosted, sink=sink,
+                             resume=resume)
     return {
         "partial": partial,
         "udf": udf,
-        "busy_seconds": (
-            max(0.0, elapsed - transport.wait_seconds)
-            if transport is not None else elapsed
-        ),
-        "requester": (
-            transport.requester_stats() if transport is not None
-            else zero_requester_stats()
-        ),
+        "busy_seconds": perf_counter() - started,
         "obs": {
             "metrics": obs.registry.dump(),
             "spans": obs.tracer.spans,
@@ -148,41 +127,21 @@ def worker_main(
     plan,
     udf,
     obs_enabled: bool,
-    endpoints,
     resume=None,
 ) -> None:
     """Entry point of one fleet worker; ``end`` is its lane
     (:class:`repro.exec.lane.WorkerEnd`)."""
-    shared = transport = None
+    shared = None
     try:
-        endpoints.claim(worker_id)
         shared = attach_csr(handle)
         # the replay path needs a UDF untouched by this worker's own
         # phase-1 merge-ins; snapshot it before compute mutates it
         pristine_udf = pickle.dumps(udf) if udf is not None else None
-        transport = WorkerTransport(worker_id, endpoints, shared.graph)
-        transport.start()
         hosted = set(machines_of(
             worker_id, num_workers, plan.cluster_config.num_machines))
         sink = _DeltaSink(worker_id, end)
-        try:
-            payload = hosted_run(shared.graph, plan, udf, hosted,
-                                 obs_enabled, transport, sink, resume)
-        except PeerDeadError as exc:
-            # this worker's own compute is lost, but the *process* is
-            # healthy: report the abort and stay available — under the
-            # recover policy the parent may hand this worker replay
-            # work (possibly its own machines, resumed from the deltas
-            # it already shipped) through the commands below
-            end.send((PEER_DEAD, worker_id, {
-                "peer": exc.peer_worker,
-                "message": str(exc),
-                "liveness_timeouts": transport.liveness_timeouts,
-            }))
-        else:
-            end.send((RESULT, worker_id, payload))
-        # the responder keeps serving other workers meanwhile; the
-        # commands end when everyone is finished
+        end.send((RESULT, worker_id, hosted_run(
+            shared.graph, plan, udf, hosted, obs_enabled, sink, resume)))
         for command in end.commands():
             if not isinstance(command, RecoverAssignment):
                 raise RuntimeError(
@@ -195,23 +154,12 @@ def worker_main(
             )
             end.send((RECOVERY, worker_id, hosted_run(
                 shared.graph, plan, replay_udf, set(command.machines),
-                obs_enabled, sink=sink, resume=command.resume,
+                obs_enabled, sink, command.resume,
             )))
-        # only with the responder stopped are its stats complete
-        transport.stop()
-        transport.join()
-        end.send((STATS, worker_id, transport.responder_stats()))
     except BrokenPipeError:
         raise  # the parent stopped listening; the lane exits quietly
     except BaseException:
         end.send((ERROR, worker_id, traceback.format_exc()))
     finally:
-        if transport is not None:
-            transport.stop()
-            # ring mappings may only be dropped once the responder
-            # thread stops writing them
-            if transport.join(timeout=5.0):
-                transport.close()
-        endpoints.close()
         if shared is not None:
             shared.close()

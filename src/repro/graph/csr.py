@@ -58,11 +58,6 @@ class _SegmentSpec:
 def create_segment(nbytes: int) -> shared_memory.SharedMemory:
     """Create one shared-memory segment (creator side owns the unlink).
 
-    The generic entry point of this module's segment lifecycle: the CSR
-    export below uses it for graph arrays, and the process backend's
-    reply rings (:mod:`repro.exec.ring`) use it for fetch-reply
-    payloads — same mechanism, same creator-unlinks contract.
-
     Names are explicit (``repro_<pid>_<nonce>``) so crash-leaked
     segments are attributable, and creation retries with jittered
     backoff on a name collision — concurrent runs (or a leak from a
@@ -193,11 +188,6 @@ def _export_array(array: np.ndarray, name_hint: str):
     return spec, segment
 
 
-def _attach_segment(spec: _SegmentSpec) -> shared_memory.SharedMemory:
-    """Attach without resource-tracker registration (see module doc)."""
-    return attach_segment(spec.name)
-
-
 def _view(spec: _SegmentSpec,
           segment: shared_memory.SharedMemory) -> np.ndarray:
     return np.ndarray((spec.length,), dtype=np.dtype(spec.dtype),
@@ -276,7 +266,7 @@ def attach_csr(handle) -> SharedCsr:
         if handle.edge_labels is not None:
             specs.append(handle.edge_labels)
         for spec in specs:
-            segments.append(_attach_segment(spec))
+            segments.append(attach_segment(spec.name))
     except Exception:
         for segment in segments:
             segment.close()

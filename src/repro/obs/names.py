@@ -122,19 +122,9 @@ EXEC_WORKERS = "exec.workers"
 EXEC_WALL_SECONDS = "exec.wall_seconds"
 EXEC_WORKER_BUSY_SECONDS = "exec.worker_busy_seconds"
 EXEC_WORKER_WAIT_SECONDS = "exec.worker_wait_seconds"
-EXEC_MESSAGES = "exec.messages"
-EXEC_BYTES_SHIPPED = "exec.bytes_shipped"
-EXEC_QUEUE_DEPTH = "exec.queue_depth"
 EXEC_HEARTBEAT_CHECKS = "exec.heartbeat.checks"
 EXEC_HEARTBEAT_INTERVAL = "exec.heartbeat.interval_seconds"
 EXEC_WORKER_DEATHS = "exec.worker_deaths"
-NET_PEER_TIMEOUTS = "net.peer_timeouts"
-EXEC_RING_CAPACITY = "exec.ring.capacity_bytes"
-EXEC_RING_OCCUPANCY = "exec.ring.occupancy_bytes"
-EXEC_LOCAL_FAST_REQUESTS = "exec.local_fast_requests"
-EXEC_ADAPTIVE_CHUNK_BYTES = "exec.adaptive_chunk_bytes"
-NET_COALESCED_REQUESTS = "net.coalesced_requests"
-NET_COALESCED_BATCH_VERTICES = "net.coalesced_batch_vertices"
 
 # ---------------------------------------------------------------------
 # mining service (docs/service.md) — server-lifetime registry only;
@@ -304,14 +294,9 @@ SPECS: dict[str, MetricSpec] = dict(
               "wall-clock seconds a worker spent computing (per worker)"),
         _spec(EXEC_WORKER_WAIT_SECONDS, "counter", "seconds",
               "docs/execution.md",
-              "wall-clock seconds a worker blocked awaiting fetch replies"),
-        _spec(EXEC_MESSAGES, "counter", "messages", "docs/execution.md",
-              "fetch requests plus replies moved between workers"),
-        _spec(EXEC_BYTES_SHIPPED, "counter", "bytes", "docs/execution.md",
-              "edge-list payload bytes shipped between worker processes"),
-        _spec(EXEC_QUEUE_DEPTH, "histogram", "messages",
-              "docs/execution.md",
-              "request pipes found ready at each responder wake-up"),
+              "always 0.0 per worker: nothing a worker does waits on "
+              "another worker (kept as the series perfbench pairs with "
+              "busy seconds)"),
         _spec(EXEC_HEARTBEAT_CHECKS, "counter", "sweeps",
               "docs/execution.md",
               "liveness sweeps the parent ran over worker sentinels"),
@@ -321,32 +306,6 @@ SPECS: dict[str, MetricSpec] = dict(
         _spec(EXEC_WORKER_DEATHS, "counter", "processes",
               "docs/execution.md",
               "worker processes that died before finishing their job"),
-        _spec(NET_PEER_TIMEOUTS, "counter", "timeouts",
-              "docs/execution.md",
-              "bounded transport waits that expired and re-checked "
-              "peer liveness before a reply arrived"),
-        _spec(EXEC_RING_CAPACITY, "gauge", "bytes",
-              "docs/execution.md",
-              "data capacity of each per-pair reply ring: the requested "
-              "size, raised to fit the graph's largest edge list"),
-        _spec(EXEC_RING_OCCUPANCY, "histogram", "bytes",
-              "docs/execution.md",
-              "ring bytes in flight sampled after each published frame"),
-        _spec(EXEC_LOCAL_FAST_REQUESTS, "counter", "requests",
-              "docs/execution.md",
-              "fetch batches served synchronously from the shared "
-              "graph because the server machine was hosted locally"),
-        _spec(EXEC_ADAPTIVE_CHUNK_BYTES, "gauge", "bytes",
-              "docs/execution.md",
-              "final adaptive reply-size budget per worker (per-worker "
-              "label; tuned from measured chunk wall-clock)"),
-        _spec(NET_COALESCED_REQUESTS, "counter", "requests",
-              "docs/execution.md",
-              "coalesced per-server-worker fetch requests posted on "
-              "request pipes"),
-        _spec(NET_COALESCED_BATCH_VERTICES, "histogram", "vertices",
-              "docs/execution.md",
-              "vertices carried per coalesced fetch request"),
         _spec(SERVICE_QUERIES, "counter", "queries", "docs/service.md",
               "queries the mining service finished (any terminal "
               "outcome, REJECTED included)"),

@@ -3,15 +3,15 @@
 The headline invariant under test: for any (graph, pattern, seed), the
 ``process`` backend produces *bit-identical* pattern counts to the
 ``inline`` path, at any worker count — real multiprocess execution
-changes where schedulers run and how fetches travel, never what they
-compute. Run alone via ``make exec-check``.
+changes where schedulers run, never what they compute. Run alone via
+``make exec-check``.
 """
 
+import inspect
 import multiprocessing
 import os
 import re
 import signal
-import threading
 import time
 from pathlib import Path
 
@@ -20,22 +20,17 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.core import EngineConfig
-from repro.errors import ConfigurationError, PeerDeadError
+from repro.core.engine import KhuzdulEngine
+from repro.core.scheduler import MachineScheduler
+from repro.errors import ConfigurationError
 from repro.exec import BACKENDS, InlineBackend, ProcessBackend, make_backend
 from repro.exec import lane as lane_mod
 from repro.exec.lane import Lane
-from repro.exec.ring import RingAborted, attach_ring, create_ring
-from repro.exec.transport import (
-    FRAME_HEADER_BYTES,
-    AdaptiveChunker,
-    Endpoints,
-    WorkerTransport,
-    ring_capacity,
-)
-from repro.exec.worker import worker_main
+from repro.exec.messages import RESULT
+from repro.exec.worker import hosted_run, worker_main
 from repro.faults import FaultPlan
 from repro.graph import dataset
-from repro.graph.generators import erdos_renyi, star_graph
+from repro.graph.generators import erdos_renyi
 from repro.graph.csr import attach_csr, share_csr
 from repro.obs import Observability
 from repro.patterns import catalog
@@ -222,7 +217,7 @@ def test_worker_count_is_clamped_to_machines():
 # ======================================================================
 def test_spawn_start_method_matches_inline(comparable):
     # nothing a worker is handed relies on fork: the lane's pipe ends,
-    # the request pipes and the flags segment all survive the pickle
+    # the CSR handle and the plan all survive the pickle
     graph = dataset("mico", scale=0.1)
     inline = KAutomine(graph, _CLUSTER, graph_name="mico")
     proc = KAutomine(
@@ -244,32 +239,39 @@ def test_metrics_merge_matches_inline():
     report = proc.count_pattern(catalog.clique(3))
 
     def counters(obs):
-        # exec.* and the transport-layer net.* names measure wall-clock
-        # execution, which only the process backend has
-        wallclock_net = {"net.peer_timeouts", "net.coalesced_requests",
-                         "net.coalesced_batch_vertices"}
+        # exec.* measures wall-clock execution, which only the process
+        # backend has; every other counter is the simulation's
         return {
             (name, labels): value
             for name, labels, value in obs.registry.dump()["counters"]
-            if not name.startswith("exec.") and name not in wallclock_net
+            if not name.startswith("exec.")
         }
 
     assert counters(obs_proc) == pytest.approx(counters(obs_inline))
-    emitted = {name for name, _, _ in obs_proc.registry.dump()["counters"]}
-    assert "exec.messages" in emitted
-    assert "exec.bytes_shipped" in emitted
+    dump = obs_proc.registry.dump()
+    emitted = {name for kind in ("counters", "gauges", "histograms")
+               for name, _, _ in dump[kind]}
+    assert not emitted & _RETIRED_NAMES
+    # perfbench pairs this series with busy seconds, worker by worker:
+    # absent, its per-layer overhead would silently become the whole run
+    waits = [value for name, _, value in dump["counters"]
+             if name == "exec.worker_wait_seconds"]
+    assert waits == [0.0, 0.0]
     exec_extra = report.extra["exec"]
     assert exec_extra["backend"] == "process"
     assert exec_extra["wall_seconds"] > 0.0
     assert len(exec_extra["worker_busy_seconds"]) == 2
-    assert exec_extra["bytes_shipped"] > 0
-    # exec.queue_depth: request pipes found ready per responder
-    # wake-up — with two workers each responder has exactly one
-    depth = exec_extra["queue_depth"]
-    assert depth["count"] > 0 and depth["min"] == depth["max"] == 1.0
-    histograms = {name for name, _, _
-                  in obs_proc.registry.dump()["histograms"]}
-    assert "exec.queue_depth" in histograms
+    assert all(busy > 0.0 for busy in exec_extra["worker_busy_seconds"])
+
+
+#: the transport's metric names, retired with it (docs/metrics.md)
+_RETIRED_NAMES = {
+    "exec.messages", "exec.bytes_shipped", "exec.queue_depth",
+    "exec.ring.capacity_bytes", "exec.ring.occupancy_bytes",
+    "exec.local_fast_requests", "exec.adaptive_chunk_bytes",
+    "net.coalesced_requests", "net.coalesced_batch_vertices",
+    "net.peer_timeouts",
+}
 
 
 # ======================================================================
@@ -308,6 +310,12 @@ def test_cli_process_backend(capsys):
     assert "backend=process" in out
     assert "count=" in out
     _assert_no_stray_children()
+    # the retired knob is argparse's own "unrecognized arguments"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["count", "--graph", "mico", "--backend", "process",
+              "--ring-bytes", "4096"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --ring-bytes" in capsys.readouterr().err
 
 
 def test_backend_liveness_configuration():
@@ -552,354 +560,6 @@ def test_no_fd_growth_across_fleets_and_respawns():
     assert _open_fds() == baseline
 
 
-def _ring_fabric(num_workers, capacity=1 << 16, liveness=True):
-    """An in-process fabric: real shared-memory rings, real request
-    pipes, a plain array for the fleet flags.
-
-    Returns (endpoints, rings); the caller must unlink the rings (the
-    parent-side duty the fixture below automates).
-    """
-    pairs = [(a, b) for a in range(num_workers)
-             for b in range(num_workers) if a != b]
-    rings = {pair: create_ring(capacity) for pair in pairs}
-    endpoints = Endpoints(
-        num_workers=num_workers,
-        rings={pair: ring.handle for pair, ring in rings.items()},
-        requests={pair: multiprocessing.Pipe(duplex=False)
-                  for pair in pairs},
-        flags=(np.zeros(num_workers + 1, dtype=np.uint8)
-               if liveness else None),
-    )
-    return endpoints, rings
-
-
-def _unlink_all(rings, *transports):
-    for transport in transports:
-        transport.close()
-    for ring in rings.values():
-        ring.unlink()
-
-
-@exec_faults
-def test_transport_collect_aborts_on_dead_peer():
-    # a worker dying while a peer blocks on its reply ring must surface
-    # PeerDeadError within a bounded wait — never hang on the ring
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints, rings = _ring_fabric(2)
-    transport = WorkerTransport(0, endpoints, graph)
-    try:
-        # the request reaches worker 1's pipe, but no responder ever
-        # serves it: its reply frame will never land on the ring
-        transport.post_chunk(0, [(1, [0, 1])])
-        endpoints.flags[1] = 1  # the parent's sweep: worker 1 died
-        started = time.monotonic()
-        with pytest.raises(PeerDeadError) as excinfo:
-            transport.collect(0, 1, [0, 1])
-        # one bounded wait, not the 300s reply budget
-        assert time.monotonic() - started < 5.0
-        assert excinfo.value.peer_worker == 1
-        assert excinfo.value.server_machine == 1
-        assert transport.liveness_timeouts >= 1
-    finally:
-        _unlink_all(rings, transport)
-
-
-@exec_faults
-def test_transport_collect_aborts_on_fleet_stop():
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints, rings = _ring_fabric(2)
-    transport = WorkerTransport(0, endpoints, graph)
-    try:
-        transport.post_chunk(0, [(1, [0])])
-        endpoints.flags[-1] = 1
-        with pytest.raises(PeerDeadError):
-            transport.collect(0, 1, [0])
-    finally:
-        _unlink_all(rings, transport)
-
-
-@exec_faults
-def test_transport_join_unblocks_without_shutdown():
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints = Endpoints(num_workers=1,
-                          flags=np.zeros(2, dtype=np.uint8))
-    transport = WorkerTransport(0, endpoints, graph)
-    transport.start()
-    # nobody ever stops the responder (its worker's main thread
-    # "died"); the fleet stop flag alone must end the serve loop, so
-    # join() cannot hang
-    endpoints.flags[-1] = 1
-    assert transport.join(timeout=5.0)
-    transport.close()
-
-
-@exec_faults
-def test_transport_stop_unblocks_without_shutdown():
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints, rings = _ring_fabric(2, liveness=False)
-    transport = WorkerTransport(0, endpoints, graph)
-    transport.start()
-    started = time.monotonic()
-    transport.stop()
-    assert transport.join(timeout=5.0)
-    # woken through its wake connection, not by waiting out the 1 s
-    # liveness poll — a fleet's shutdown must not cost a poll interval
-    assert time.monotonic() - started < 0.5
-    _unlink_all(rings, transport)
-
-
-@exec_faults
-def test_transport_join_gives_up_on_a_wedged_responder():
-    # a requester killed inside a send leaves a torn message; while any
-    # process still holds that pipe's write end open the responder's
-    # recv cannot finish. worker_main's join() took no timeout and
-    # waited on such a responder forever — the stop flag bounds it now.
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints, rings = _ring_fabric(2)
-    transport = WorkerTransport(1, endpoints, graph)
-    transport.start()
-    _, writer = endpoints.requests[(0, 1)]
-    os.write(writer.fileno(), b"\x00\x00\x10\x00half a message")
-    time.sleep(0.2)  # let the responder pick the torn message up
-    transport.stop()
-    assert not transport.join(timeout=0.3)  # wedged inside recv
-    endpoints.flags[-1] = 1
-    started = time.monotonic()
-    assert not transport.join()  # no timeout: bounded by the flag
-    assert time.monotonic() - started < 5.0
-    writer.close()  # the last writer goes: EOF ends the torn message
-    assert transport.join(timeout=5.0)
-    _unlink_all(rings, transport)
-
-
-# ======================================================================
-# shared-memory reply rings
-# ======================================================================
-def test_ring_round_trip_and_wraparound():
-    ring = create_ring(1024)
-    try:
-        peer = attach_ring(ring.handle)
-        rng = np.random.default_rng(7)
-        # frames of ~1/3 capacity force the write cursor across the
-        # segment edge repeatedly; every byte must survive the wrap
-        for _ in range(50):
-            frame = rng.integers(0, 255, size=300, dtype=np.uint8)
-            peer.write([frame])
-            out = ring.read_exact(len(frame))
-            assert np.array_equal(out, frame)
-        peer.close()
-    finally:
-        ring.unlink()
-
-
-def test_ring_backpressure_blocks_until_drained():
-    ring = create_ring(1024)
-    try:
-        producer = attach_ring(ring.handle)
-        first = np.full(700, 1, dtype=np.uint8)
-        second = np.full(700, 2, dtype=np.uint8)
-        producer.write([first])
-        done = threading.Event()
-
-        def blocked_write():
-            producer.write([second])  # 700 free < 1024: must wait
-            done.set()
-
-        thread = threading.Thread(target=blocked_write, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not done.is_set()  # backpressured, not dropped
-        assert np.array_equal(ring.read_exact(700), first)  # drain
-        assert done.wait(5.0)  # freed space unblocks the producer
-        assert np.array_equal(ring.read_exact(700), second)
-        assert producer.waits >= 1
-        thread.join(5.0)
-        producer.close()
-    finally:
-        ring.unlink()
-
-
-def test_ring_rejects_frames_larger_than_capacity():
-    ring = create_ring(1024)
-    try:
-        with pytest.raises(ValueError, match="exceeds ring capacity"):
-            ring.write([np.zeros(2048, dtype=np.uint8)])
-    finally:
-        ring.unlink()
-
-
-@exec_faults
-def test_ring_waits_abort_via_callback():
-    # both wait sides must re-check their abort callback: a consumer
-    # waiting on a dead producer and a producer waiting on a dead
-    # consumer both surface RingAborted instead of hanging
-    ring = create_ring(1024)
-    try:
-        dead = threading.Event()
-        dead.set()
-        with pytest.raises(RingAborted):
-            ring.read_exact(8, abort=dead.is_set)
-        ring.write([np.zeros(800, dtype=np.uint8)])
-        with pytest.raises(RingAborted):
-            ring.write([np.zeros(800, dtype=np.uint8)], abort=dead.is_set)
-    finally:
-        ring.unlink()
-
-
-def test_ring_capacity_is_raised_to_hold_the_largest_list():
-    # the hub's edge list exceeds the requested ring size: the backend
-    # sizes the ring to hold it, so the reply is an ordinary frame and
-    # reassembles bit-identically — there is no second transport mode
-    graph = star_graph(600)  # hub degree 600 x int32 > 1024 bytes
-    hub_bytes = graph.max_degree() * graph.indices.dtype.itemsize
-    capacity = ring_capacity(1024, graph)
-    assert capacity == FRAME_HEADER_BYTES + hub_bytes
-    assert ring_capacity(1 << 20, graph) == 1 << 20  # never lowered
-    endpoints, rings = _ring_fabric(2, capacity=capacity)
-    requester = WorkerTransport(0, endpoints, graph)
-    responder = WorkerTransport(1, endpoints, graph)
-    responder.start()
-    try:
-        requester.post_chunk(0, [(1, [0, 1, 2])])
-        payload = requester.collect(0, 1, [0, 1, 2])
-        expected, _ = graph.neighbors_batch(np.array([0, 1, 2]))
-        assert np.array_equal(payload, expected)
-        assert requester.frames_received >= 1
-    finally:
-        responder.stop()
-        responder.join(timeout=5.0)
-        _unlink_all(rings, requester, responder)
-
-    # end to end: the run reports the capacity it settled on
-    obs = Observability()
-    proc = KAutomine(graph, ClusterConfig(num_machines=2), obs=obs,
-                     backend=ProcessBackend(workers=2, ring_bytes=1024))
-    report = proc.count_pattern(catalog.chain(3))
-    assert report.counts == KAutomine(
-        graph, ClusterConfig(num_machines=2)
-    ).count_pattern(catalog.chain(3)).counts
-    assert report.extra["exec"]["ring_bytes"] == capacity
-    gauges = {name: value
-              for name, _, value in obs.registry.dump()["gauges"]}
-    assert gauges["exec.ring.capacity_bytes"] == capacity
-
-    # a transport handed a ring smaller than a requested list fails
-    # loudly instead of posting a request whose reply cannot fit
-    endpoints, rings = _ring_fabric(2, capacity=1024)
-    requester = WorkerTransport(0, endpoints, graph)
-    try:
-        with pytest.raises(ValueError, match="cannot fit"):
-            requester.post_chunk(0, [(1, [0])])
-    finally:
-        _unlink_all(rings, requester)
-
-
-def test_transport_round_trip_matches_direct_reads():
-    # in-budget frames stream through the ring; the reassembled
-    # per-machine payloads must match direct graph reads exactly
-    graph = erdos_renyi(200, 2000, seed=9)
-    endpoints, rings = _ring_fabric(2, capacity=1 << 15)
-    requester = WorkerTransport(0, endpoints, graph)
-    responder = WorkerTransport(1, endpoints, graph)
-    responder.start()
-    try:
-        batches = [(1, list(range(1, 40))), (3, list(range(40, 90)))]
-        requester.post_chunk(0, batches)
-        for machine, vertices in batches:
-            payload = requester.collect(0, machine, vertices)
-            expected, _ = graph.neighbors_batch(
-                np.asarray(vertices, dtype=np.int64))
-            assert np.array_equal(payload, expected)
-        assert requester.frames_received >= 1
-        # machines 0 and 2 live on worker 0 itself: local fast path
-        local = requester.collect(0, 2, [5, 6])
-        expected, _ = graph.neighbors_batch(np.array([5, 6]))
-        assert np.array_equal(local, expected)
-        assert requester.local_requests == 1
-    finally:
-        responder.stop()
-        responder.join(timeout=5.0)
-        _unlink_all(rings, requester, responder)
-
-
-# ======================================================================
-# frame integrity — magic/sequence validation
-# ======================================================================
-def test_frame_corruption_raises_structured_error():
-    from repro.errors import TransportCorruptionError
-    from repro.exec.transport import FRAME_DATA, FRAME_MAGIC
-
-    graph = erdos_renyi(30, 120, seed=1)
-    endpoints, rings = _ring_fabric(2)
-    requester = WorkerTransport(0, endpoints, graph)
-    try:
-        vertices = [0, 1]
-        requester.post_chunk(0, [(1, vertices)])
-        expected, _ = graph.neighbors_batch(
-            np.asarray(vertices, dtype=np.int64))
-        # impersonate worker 1's responder with a frame whose magic
-        # word is garbage (payload length is right, so only the header
-        # check can catch it)
-        writer = attach_ring(endpoints.rings[(1, 0)])
-        header = np.array(
-            [FRAME_MAGIC ^ 0xFF, 0, FRAME_DATA, len(expected)],
-            dtype=np.int64,
-        ).view(np.uint8)
-        payload = np.zeros(expected.nbytes, dtype=np.uint8)
-        writer.write([np.concatenate([header, payload])])
-        with pytest.raises(TransportCorruptionError) as excinfo:
-            requester.collect(0, 1, vertices)
-        assert excinfo.value.worker_id == 0
-        assert excinfo.value.peer_worker == 1
-        assert "magic" in str(excinfo.value)
-        writer.close()
-    finally:
-        _unlink_all(rings, requester)
-
-
-def test_frame_sequence_gap_raises_structured_error():
-    from repro.errors import TransportCorruptionError
-
-    graph = erdos_renyi(200, 2000, seed=9)
-    endpoints, rings = _ring_fabric(2, capacity=1 << 15)
-    requester = WorkerTransport(0, endpoints, graph)
-    responder = WorkerTransport(1, endpoints, graph)
-    responder.start()
-    try:
-        # the requester missed a frame: its expected per-pair sequence
-        # number no longer matches what the responder publishes
-        requester._frame_seq_in[1] = 7
-        requester.post_chunk(0, [(1, [1, 2, 3])])
-        with pytest.raises(TransportCorruptionError, match="sequence"):
-            requester.collect(0, 1, [1, 2, 3])
-    finally:
-        responder.stop()
-        responder.join(timeout=5.0)
-        _unlink_all(rings, requester, responder)
-
-
-def test_frame_sequence_advances_per_pair():
-    graph = erdos_renyi(200, 2000, seed=9)
-    endpoints, rings = _ring_fabric(2, capacity=1 << 15)
-    requester = WorkerTransport(0, endpoints, graph)
-    responder = WorkerTransport(1, endpoints, graph)
-    responder.start()
-    try:
-        for round_no in range(3):
-            requester.post_chunk(0, [(1, [1, 2])])
-            payload = requester.collect(0, 1, [1, 2])
-            expected, _ = graph.neighbors_batch(
-                np.asarray([1, 2], dtype=np.int64))
-            assert np.array_equal(payload, expected)
-        # three validated frames: both sides agree on the next number
-        assert requester._frame_seq_in[1] == 3
-        assert responder._frame_seq_out[0] == 3
-    finally:
-        responder.stop()
-        responder.join(timeout=5.0)
-        _unlink_all(rings, requester, responder)
-
-
 # ======================================================================
 # shared-memory segment allocation — collision retry
 # ======================================================================
@@ -1058,9 +718,9 @@ def chaos_oracle(chaos):
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_worker_killed_inside_a_message_is_an_ordinary_death(
         chaos, chaos_oracle, workers, policy):
-    # half a CKPT delta, half a RESULT, half a peer fetch request: each
-    # used to be a TIMEOUT at the full budget, a report followed by a
-    # parent that never exits, or a wedged peer (docs/execution.md).
+    # half a CKPT delta, half a RESULT: each used to be a TIMEOUT at
+    # the full budget or a report followed by a parent that never
+    # exits (docs/execution.md).
     # The scenario also holds the CLI to exiting within 30 s with no
     # child and no segment left
     for kind, which in chaos.TORN_MESSAGES:
@@ -1068,24 +728,47 @@ def test_worker_killed_inside_a_message_is_an_ordinary_death(
             chaos_oracle, workers, kind, which, policy)
 
 
+def _reports_then_dies_worker_main(end, worker_id, *args):
+    """Drop-in worker entry point: worker 1 exits the instant its
+    RESULT ``send`` returns, and worker 0 is held back so that somebody
+    is still computing when it does."""
+    if worker_id == 0:
+        time.sleep(0.3)
+    if worker_id == 1:
+        send = end.send
+
+        def send_then_die(message):
+            send(message)
+            if message[0] == RESULT:
+                os._exit(137)
+
+        end.send = send_then_die
+    return worker_main(end, worker_id, *args)
+
+
 @exec_faults
-def test_worker_that_dies_after_its_result_is_not_a_loss(chaos,
-                                                         chaos_oracle):
-    # worker 1 of 3 hosts machine 1: its deltas, its RESULT, then the
-    # STATS message it is killed inside. Nothing it owed is missing, so
-    # even ``fail`` reports a clean run — structurally (the RESULT was
-    # in the pipe before the death could be seen), not by luck of a
-    # feeder thread's flush
-    ordinal = chaos_oracle["deltas"][1] + 2
-    proc = chaos.run_cli(
-        ["--backend", "process", "--workers", "3", "--heartbeat", "0.2"],
-        chaos=f"worker-kill-midsend:1:{ordinal}", timeout=30)
-    report = chaos.report_of(proc)
-    assert report.get("failure") is None
-    assert report["counts"] == chaos_oracle["counts"]
-    assert report["simulated_seconds"] == chaos_oracle["simulated_seconds"]
-    assert report["extra"]["exec"]["worker_deaths"] == 1
-    chaos.assert_nothing_left(proc)
+@_FORK_ONLY
+def test_worker_that_dies_after_its_result_is_not_a_loss(
+        monkeypatch, chaos, comparable):
+    # worker 1 of 3 hosts machine 1: its deltas, its RESULT, then it is
+    # gone. Nothing it owed is missing, so even ``fail`` reports a
+    # clean run — structurally (the RESULT was in the pipe before the
+    # death could be seen), not by luck of a feeder thread's flush
+    graph = dataset("mico", scale=0.05)
+    expected = KAutomine(graph, _CLUSTER, graph_name="mico") \
+        .count_pattern(catalog.clique(3))
+    monkeypatch.setattr("repro.exec.process.worker_main",
+                        _reports_then_dies_worker_main)
+    backend = ProcessBackend(workers=3, start_method="fork", heartbeat=0.2,
+                             on_worker_death="fail")
+    report = KAutomine(graph, _CLUSTER, graph_name="mico",
+                       backend=backend).count_pattern(catalog.clique(3))
+    assert report.failure is None
+    assert report.counts == expected.counts
+    assert report.simulated_seconds == expected.simulated_seconds
+    assert comparable(report) == comparable(expected)
+    _assert_no_stray_children()
+    assert not chaos.owned_segments(os.getpid())
 
 
 @exec_faults
@@ -1122,27 +805,6 @@ def test_fail_fast_crash_keeps_buffered_checkpoints(tmp_path, monkeypatch):
     assert resumed.counts == oracle.count_pattern(catalog.clique(3)).counts
 
 
-def test_adaptive_chunker_grows_and_shrinks():
-    chunker = AdaptiveChunker(1 << 20, min_bytes=4096)
-    start = chunker.target_bytes
-    chunker.begin_round()   # no previous round: no adaptation
-    chunker.begin_round()   # instant previous round: IPC-dominated
-    assert chunker.target_bytes == min(start * 2, chunker.max_bytes)
-    assert chunker.grows == 1
-    chunker._round_started -= 10.0  # fake a long round
-    chunker.begin_round()
-    assert chunker.shrinks == 1
-    # clamped: never below min_bytes, never above ring capacity
-    for _ in range(40):
-        chunker._round_started -= 10.0
-        chunker.begin_round()
-    assert chunker.target_bytes == chunker.min_bytes
-    for _ in range(40):
-        chunker._round_started = time.perf_counter()
-        chunker.begin_round()
-    assert chunker.target_bytes == chunker.max_bytes
-
-
 # ======================================================================
 # source tripwires: the channel discipline, held at the source level
 # ======================================================================
@@ -1167,10 +829,41 @@ def test_no_multiprocessing_lock_is_shared_with_a_worker():
             assert hit is None, f"{source.name}: {hit.group(0)!r}"
 
 
-def test_fabric_has_one_transport_mode_and_no_shared_channels():
-    endpoints = Endpoints(num_workers=2)
-    for gone in ("inboxes", "fallbacks", "controls", "deaths", "stop"):
-        assert not hasattr(endpoints, gone), gone
-    transport_source = (_SRC / "exec" / "transport.py").read_text()
-    assert "FRAME_FALLBACK" not in transport_source
-    assert "fallback" not in transport_source.lower()
+def test_workers_share_the_graph_and_nothing_else_in_source():
+    # no fetch hook is left on the one machine loop ...
+    for function in (KhuzdulEngine.execute, MachineScheduler.__init__,
+                     hosted_run):
+        assert "transport" not in inspect.signature(function).parameters
+    # ... and nothing in exec/ could carry a fetch: no transport or
+    # ring module, one thread per worker (the lane's in-process
+    # threading.Lock is not the target)
+    sources = sorted((_SRC / "exec").glob("*.py"))
+    assert not {source.stem for source in sources} & {"transport", "ring"}
+    for source in sources:
+        assert "threading.Thread(" not in source.read_text(), source.name
+
+
+def _segment_auditing_worker_main(end, worker_id, num_workers, handle,
+                                  *args):
+    """Drop-in worker entry point that dies (so the run reports
+    ``CRASHED``) unless the fleet's parent owns exactly the graph's
+    segments while its workers run."""
+    from benchmarks import chaos
+
+    owned = chaos.owned_segments(os.getppid())
+    assert owned == sorted(handle.segment_names()), owned
+    return worker_main(end, worker_id, num_workers, handle, *args)
+
+
+@_FORK_ONLY
+def test_a_fleet_owns_the_graph_segments_and_nothing_else(
+        monkeypatch, chaos):
+    monkeypatch.setattr("repro.exec.process.worker_main",
+                        _segment_auditing_worker_main)
+    graph = dataset("mico", scale=0.05)  # in ram: exported to /dev/shm
+    proc = KAutomine(graph, _CLUSTER, graph_name="mico",
+                     backend=ProcessBackend(workers=3, start_method="fork"))
+    report = proc.count_pattern(catalog.clique(3))
+    assert report.failure is None, report.failure.message
+    _assert_no_stray_children()
+    assert not chaos.owned_segments(os.getpid())
