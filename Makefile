@@ -76,7 +76,8 @@ motif-check:
 ## moved)
 kernel-check:
 	$(PYTEST) tests/test_kernels.py tests/test_chunk.py \
-		tests/test_cache.py tests/test_hds.py tests/test_iep.py \
+		tests/test_word_kernels.py tests/test_cache.py tests/test_hds.py \
+		tests/test_iep.py \
 		tests/test_scheduler_golden.py -q
 
 ## out-of-core storage suite (docs/storage.md): streaming-vs-eager

@@ -32,6 +32,16 @@ Three layers:
   kernel of its own (docs/performance.md): per-row cardinalities, no
   filtered list, straight off the CSR when the step reads one list.
 
+Sets have two representations, chosen by what the graph already is (as
+G2Miner picks bitmaps where neighborhoods are dense and sorted lists
+where they are not): where every vertex has a bit-packed adjacency row
+(:meth:`Graph.adjacency_words`) a label-free step's set operations,
+and every IEP signature, run on packed words — an intersection is an
+AND, a cardinality a popcount, the ordering window and the
+distinct-vertex constraint masks (:func:`_word_rows`,
+:func:`_iep_words`); everywhere else on gathered sorted lists and
+membership probes.
+
 Temporaries are views of a :class:`~repro.core.workspace.Workspace`
 filled through ``out=`` (a warm run allocates next to nothing); a
 listed result owns its arrays, a counted or IEP result's are workspace
@@ -236,7 +246,10 @@ class ChunkExtendResult:
     rows: Optional[np.ndarray] = None  # (len(values),) embedding of each
     raw_values: Optional[np.ndarray] = None  # flattened stored intersections
     raw_offsets: Optional[np.ndarray] = None
-    probe_elements: int = 0  # elements pushed through membership probes
+    #: what the set-operation stages account for: the rows' running
+    #: sizes before each stage (docs/metrics.md) — pushed through
+    #: membership probes on the list path, popcounts on packed words
+    probe_elements: int = 0
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -300,7 +313,11 @@ def extend_chunk(
 
     The chunk is worked through in row blocks of about
     :data:`BLOCK_ELEMENTS` gathered candidates (:func:`_row_blocks`);
-    the result is the blocks' results laid end to end.
+    the result is the blocks' results laid end to end. Where every
+    vertex has a bit row, a label-free step with a set operation to run
+    runs it on packed words (:func:`_word_rows`) — the stored
+    ``intermediates`` are then re-derived from the columns the reused
+    step read, and only their sizes are taken off the offsets.
     """
     ws = workspace if workspace is not None else Workspace()
     prefixes = np.asarray(prefixes, dtype=np.int64)
@@ -308,7 +325,8 @@ def extend_chunk(
         raise ValueError("prefixes must be a 2-D (embeddings, level) array")
     if not (vcs and step.reuse_level is not None):
         intermediates = None
-    counting = count_only and step.label is None and step.edge_labels is None
+    label_free = step.label is None and step.edge_labels is None
+    counting = count_only and label_free
     if intermediates is not None:
         stored, stored_offsets, segments = intermediates
         segments = np.asarray(segments, dtype=np.int64)
@@ -327,9 +345,9 @@ def extend_chunk(
         # chunk, so ``probe_elements`` does not depend on the blocking.
         degs = graph.degrees()
         connected = step.connected
-        volume = degs[prefixes[:, connected[0]]]
+        volume = degs.take(prefixes[:, connected[0]])
         if len(connected) > 1:
-            other = degs[prefixes[:, connected[1]]]
+            other = degs.take(prefixes[:, connected[1]])
             if int(other.sum()) < int(volume.sum()):
                 connected = (connected[1], connected[0]) + connected[2:]
                 volume = other
@@ -344,26 +362,52 @@ def extend_chunk(
             np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
             np.empty(n, dtype=np.int64),
         )
-    bounds = _row_blocks(volume)
+    keep_raw = step.store_intermediate and not counting
+    # Every vertex has a bit row and the step has a set operation to
+    # run (one-list steps have none to replace): on packed words
+    words = graph.adjacency_words() if label_free and (
+        intermediates is not None
+        or len(connected) + len(step.disconnected) > 1
+    ) else None
+    if words is not None:
+        if intermediates is not None:
+            # the stored intersection, re-derived: the AND of the
+            # columns the reused step read (its sizes are ``volume``)
+            base = tuple(c for c in step.connected if c not in connected)
+        else:
+            base, connected = connected[:1], connected[1:]
+        bounds = _word_blocks(n, words.shape[1], listing=not counting)
+    else:
+        bounds = _row_blocks(volume)
     parts = []
     for start, stop in zip(bounds, bounds[1:]):
         block = prefixes[start:stop]
-        values, emb_of, counts, raw_values, probes = _set_operations(
-            graph, block, connected, step.disconnected,
-            None if intermediates is None
-            else (stored, stored_offsets, segments[start:stop]),
-            ws, batch.merge_elements[start:stop], batch.scanned[start:stop],
-            keep_raw=step.store_intermediate and not counting,
+        merge, scanned, kept = (
+            tally[start:stop]
+            for tally in (batch.merge_elements, batch.scanned, batch.counts)
         )
-        batch.probe_elements += probes
-        if counting:
-            _count_rows(graph, step, block, values, emb_of, counts, ws,
-                        batch.counts[start:stop])
-        else:
-            values, emb_of = _extend_rows(
-                graph, step, block, values, emb_of, ws,
-                batch.counts[start:stop],
+        if words is not None:
+            values, emb_of, raw_values, probes = _word_rows(
+                graph, words, step, block, base, connected,
+                volume[start:stop], not counting, keep_raw, ws,
+                merge, scanned, kept,
             )
+        else:
+            values, emb_of, counts, raw_values, probes = _set_operations(
+                graph, block, connected, step.disconnected,
+                None if intermediates is None
+                else (stored, stored_offsets, segments[start:stop]),
+                ws, merge, scanned, keep_raw=keep_raw,
+            )
+            if counting:
+                _count_rows(graph, step, block, values, emb_of, counts, ws,
+                            kept)
+            else:
+                values, emb_of = _extend_rows(
+                    graph, step, block, values, emb_of, ws, kept,
+                )
+        batch.probe_elements += probes
+        if not counting:
             parts.append((values, emb_of, raw_values))
     if counting:
         return batch
@@ -392,6 +436,15 @@ def _row_blocks(volume: np.ndarray) -> list[int]:
     what row ``i`` gathers; a row counts for at least one element, and
     one row is never split)."""
     return block_bounds(volume + 1, BLOCK_ELEMENTS)
+
+
+def _word_blocks(n: int, width: int, listing: bool = False) -> list[int]:
+    """:func:`_row_blocks` for ``n`` rows of ``width``-word sets: a
+    block's sets are :data:`BLOCK_ELEMENTS` words — or, when they are
+    ``listing``, as many bytes of unpacked bits (a row's are ``64
+    width``) as that many words take."""
+    rows = max(1, BLOCK_ELEMENTS // ((8 if listing else 1) * width))
+    return [*range(0, n, rows), n] if n else [0, 0]
 
 
 def _stage_state(
@@ -497,6 +550,140 @@ def _set_operations(
         )
         stage += 1
     return values, emb_of, counts, raw_values, probe_elements
+
+
+# ---------------------------------------------------------------------
+# set operations on packed words (docs/performance.md)
+# ---------------------------------------------------------------------
+_ONE = np.uint64(1)
+_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _neighbor_sets(
+    words: np.ndarray, vertices: np.ndarray, ws: Workspace, slot
+) -> np.ndarray:
+    """``N(vertices[i])`` as row ``i`` of an ``(n, W)`` word matrix (a
+    view of the workspace's ``slot``)."""
+    return words.take(
+        vertices, axis=0, mode="clip",
+        out=ws.words(("words.sets", slot), len(vertices), words.shape[1]),
+    )
+
+
+def _popcount(sets: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
+    """Each row's cardinality, written to ``out``."""
+    bits = np.bitwise_count(
+        sets, out=ws.take("words.bits", sets.size, np.uint8).reshape(sets.shape)
+    )
+    return bits.sum(axis=1, dtype=np.int64, out=out)
+
+
+def _others(prefixes: np.ndarray, width: int, ws: Workspace) -> np.ndarray:
+    """Every vertex but the row's own (distinct) prefix vertices, as a
+    set of ``width`` words a row: the distinct-vertex constraint as a
+    mask. Bit ``v`` is ``1 << (v - 64 j)`` in word ``j`` and in no other
+    — numpy shifts a uint64 by 64 or more (a negative distance, read
+    unsigned) to zero. All columns in three passes. A workspace view."""
+    columns = prefixes.T  # (level, n): the matrix is column-major
+    shape = (*columns.shape, width)
+    bit = ws.take("words.own", columns.size * width).reshape(shape)
+    np.subtract(columns[:, :, None], np.arange(0, 64 * width, 64), out=bit)
+    bit = bit.view(np.uint64)
+    np.left_shift(_ONE, bit, out=bit)
+    others = np.bitwise_or.reduce(
+        bit, axis=0, out=ws.words("words.others", *shape[1:]))
+    return np.invert(others, out=others)
+
+
+def _restrict(sets: np.ndarray, window, ws: Workspace) -> None:
+    """Intersect each row's set with its ordering ``window``
+    (:func:`_window`), in place. The vertices above a bound ``b`` are,
+    in word ``j``, the ones-word shifted left by ``b + 1 - 64 j``: by
+    nothing where that is negative, to zero where it is 64 or more
+    (numpy's uint64 shift); the vertices below ``b`` are the
+    complement of those above ``b - 1``."""
+    n, width = sets.shape
+    first = np.arange(0, 64 * width, 64)
+    shift = ws.take("words.shift", n * width).reshape(n, width)
+    for compare, bound in window:
+        above = compare is np.greater
+        np.subtract(bound[:, None], first - above, out=shift)
+        np.maximum(shift, 0, out=shift)
+        mask = shift.view(np.uint64)
+        np.left_shift(_ONES, mask, out=mask)
+        sets &= mask if above else np.invert(mask, out=mask)
+
+
+def _members(sets: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' sets as lists: ``(values, emb_of)``, row after row and
+    ascending within one — a set bit is a candidate, its position in
+    the row's ``64 W`` bits the vertex. Arrays of their own."""
+    bits = np.unpackbits(
+        sets.astype("<u8", copy=False).view(np.uint8).reshape(-1),
+        bitorder="little",
+    ).view(np.bool_)
+    emb_of, values = np.divmod(bits.nonzero()[0], 64 * sets.shape[1])
+    return values.astype(dtype), emb_of
+
+
+def _word_rows(
+    graph: Graph,
+    words: np.ndarray,
+    step: ExtensionStep,
+    prefixes: np.ndarray,
+    base: tuple[int, ...],
+    connected: tuple[int, ...],
+    size: np.ndarray,
+    listing: bool,
+    keep_raw: bool,
+    ws: Workspace,
+    merge_elements: np.ndarray,
+    scanned: np.ndarray,
+    counts: np.ndarray,
+):
+    """One row block of :func:`extend_chunk` on packed words
+    (:meth:`Graph.adjacency_words`): a row's running set is the AND of
+    its ``base`` columns' neighbor sets (``size[i]`` elements — the
+    first list's, or a reused intersection's), then of each
+    ``connected`` column's, then the AND-NOT of each ``step.disconnected``
+    one's; the ordering window and the row's own vertices are masks.
+
+    Writes the rows' ``merge_elements``, ``scanned`` and ``counts`` —
+    popcounts of the very sets the list path sizes stage by stage — and
+    returns ``(values, emb_of, raw_values, probe_elements)``: the final
+    sets' members when ``listing`` (a counting drain ends at the
+    popcount), the pre-difference sets' with ``keep_raw``."""
+    degrees = graph.degrees()
+    sets = _neighbor_sets(words, prefixes[:, base[0]], ws, 0)
+    for position in base[1:]:
+        sets &= _neighbor_sets(words, prefixes[:, position], ws, 1)
+    merge_elements[:] = 0
+    probe_elements = 0
+    sizes = ws.take("words.size", len(prefixes))
+
+    def stage(position: int, keep: bool) -> None:
+        # charged as the list path's probe stage: the running size
+        # before it, and the other list's length
+        nonlocal size, probe_elements, merge_elements, sets
+        merge_elements += size
+        merge_elements += degrees.take(prefixes[:, position])
+        probe_elements += int(size.sum())
+        other = _neighbor_sets(words, prefixes[:, position], ws, 1)
+        sets &= other if keep else np.invert(other, out=other)
+        size = _popcount(sets, ws, sizes)
+
+    for position in connected:
+        stage(position, True)
+    scanned[:] = size
+    raw_values = _members(sets, graph.indices.dtype)[0] if keep_raw else None
+    for position in step.disconnected:
+        stage(position, False)
+    _restrict(sets, _window(step, prefixes), ws)
+    sets &= _others(prefixes, sets.shape[1], ws)
+    _popcount(sets, ws, counts)
+    if not listing:
+        return None, None, raw_values, probe_elements
+    return *_members(sets, graph.indices.dtype), raw_values, probe_elements
 
 
 def _window(
@@ -725,7 +912,9 @@ class ChunkIepResult:
     counts: np.ndarray  # (n,) int64 suffix tuples (numerator units)
     merge_elements: np.ndarray  # (n,) elements streamed through set ops
     scanned: np.ndarray  # (n,) intersection elements handed to the terms
-    probe_elements: int  # elements pushed through membership probes
+    #: the rows' running sizes before each stage, a stage counted once
+    #: per distinct signature prefix per block (docs/metrics.md)
+    probe_elements: int
 
 
 def iep_chunk(
@@ -754,7 +943,10 @@ def iep_chunk(
     bounded by ``max_degree ** suffix_size``, far inside int64 for
     every graph this engine hosts. The result's arrays are views of
     ``workspace`` (a private one when ``None``), valid until its next
-    kernel call.
+    kernel call. Where every vertex has a bit row the signatures are
+    ANDs of packed words and the cardinalities popcounts
+    (:func:`_iep_words`): the same integers, nothing gathered or probed
+    — given rows of distinct vertices, which prefix embeddings are.
     """
     ws = workspace if workspace is not None else Workspace()
     prefixes = np.asarray(prefixes, dtype=np.int64)
@@ -765,14 +957,20 @@ def iep_chunk(
         ws.take("result.counts", n), ws.take("result.merge", n),
         ws.take("result.scanned", n), 0,
     )
-    # row blocks as in extend_chunk, sized by the widest gather
-    degrees = graph.degrees()
-    volume = np.zeros(n, dtype=np.int64)
-    for first in {s[0] for s in plan.signatures if len(s) > 1}:
-        np.maximum(volume, degrees[prefixes[:, first]], out=volume)
-    bounds = _row_blocks(volume)
+    words = graph.adjacency_words()
+    if words is not None:
+        body = _iep_words
+        bounds = _word_blocks(n, words.shape[1])
+    else:
+        # row blocks as in extend_chunk, sized by the widest gather
+        body = _iep_rows
+        degrees = graph.degrees()
+        volume = np.zeros(n, dtype=np.int64)
+        for first in {s[0] for s in plan.signatures if len(s) > 1}:
+            np.maximum(volume, degrees[prefixes[:, first]], out=volume)
+        bounds = _row_blocks(volume)
     for start, stop in zip(bounds, bounds[1:]):
-        batch.probe_elements += _iep_rows(
+        batch.probe_elements += body(
             graph, plan, prefixes[start:stop], ws, batch.counts[start:stop],
             batch.merge_elements[start:stop], batch.scanned[start:stop],
         )
@@ -839,11 +1037,84 @@ def _iep_rows(
         cards[signature] = card - _inside(
             graph, prefixes, signature, adjacent=adjacent, workspace=ws
         )
+    _iep_totals(plan, cards, totals, ws)
+    return probe_elements
+
+
+def _iep_words(
+    graph: Graph,
+    plan: CountingPlan,
+    prefixes: np.ndarray,
+    ws: Workspace,
+    totals: np.ndarray,
+    merge_elements: np.ndarray,
+    scanned: np.ndarray,
+) -> int:
+    """:func:`_iep_rows` on packed words (:meth:`Graph.adjacency_words`):
+    a stage's state — still kept by signature prefix, once per block —
+    is the rows' running sets and their popcounts, a column alone being
+    its neighbor sets and degrees; a stage is one AND, and a signature's
+    cardinality the popcount of its set less the row's own vertices.
+    ``probe_elements`` are the running sizes before each distinct stage,
+    what the list path pushes through its probes."""
+    n = len(prefixes)
+    words = graph.adjacency_words()
+    width = words.shape[1]
+    degrees = graph.degrees()
+    merge_elements[:] = 0
+    scanned[:] = 0
+    probe_elements = 0
+    stages: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+    def column(position: int) -> tuple[np.ndarray, np.ndarray]:
+        state = stages.get((position,))
+        if state is None:
+            state = stages[(position,)] = (
+                _neighbor_sets(words, prefixes[:, position], ws,
+                               ("iep", len(stages))),
+                degrees.take(prefixes[:, position]),
+            )
+        return state
+
+    others = _others(prefixes, width, ws)
+    inside = ws.words("words.inside", n, width)
+    cards: dict[tuple[int, ...], np.ndarray] = {}
+    for signature in plan.signatures:
+        sets, size = column(signature[0])
+        for depth in range(2, len(signature) + 1):
+            joined, degree = column(signature[depth - 1])
+            merge_elements += size
+            merge_elements += degree
+            state = stages.get(signature[:depth])
+            if state is None:
+                probe_elements += int(size.sum())
+                slot = ("iep", len(stages))
+                sets = np.bitwise_and(
+                    sets, joined, out=ws.words(("words.sets", slot), n, width)
+                )
+                state = stages[signature[:depth]] = (
+                    sets, _popcount(sets, ws, ws.take(("words.size", slot), n))
+                )
+            sets, size = state
+        if len(signature) > 1:
+            scanned += size
+        cards[signature] = _popcount(
+            np.bitwise_and(sets, others, out=inside), ws,
+            ws.take(("words.card", len(cards)), n),
+        )
+    _iep_totals(plan, cards, totals, ws)
+    return probe_elements
+
+
+def _iep_totals(
+    plan: CountingPlan, cards: dict, totals: np.ndarray, ws: Workspace
+) -> None:
+    """The plan's inclusion-exclusion terms over the signatures'
+    cardinalities ``cards``, summed into the rows' ``totals``."""
     totals[:] = 0
-    value = ws.take("iep.value", n)
+    value = ws.take("iep.value", len(totals))
     for term in plan.terms:
         value[:] = term.coefficient
         for block in term.blocks:
             value *= cards[block]
         totals += value
-    return probe_elements

@@ -47,3 +47,8 @@ class Workspace:
         """A column-major ``(rows, columns)`` int64 view."""
         flat = self.take(name, rows * columns)
         return flat.reshape(columns, rows).T
+
+    def words(self, name: str, rows: int, width: int) -> np.ndarray:
+        """A row-major ``(rows, width)`` uint64 view: one packed set of
+        ``width`` words per row (:meth:`Graph.adjacency_words`)."""
+        return self.take(name, rows * width, np.uint64).reshape(rows, width)

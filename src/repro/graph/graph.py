@@ -199,6 +199,13 @@ class Graph:
             self._adjacency_keys = keys
         return self._adjacency_keys
 
+    @property
+    def adjacency_row_bytes(self) -> int:
+        """Stride of one bit-packed adjacency row: whole 8-byte words,
+        so the rows can be read a word at a time
+        (:meth:`adjacency_words`)."""
+        return 8 * ((self.num_vertices + 63) // 64)
+
     def adjacency_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Bit-packed adjacency rows of the top-degree vertices.
 
@@ -208,24 +215,29 @@ class Graph:
         membership probes against it are several times cheaper than
         binary searches, which is what the batched EXTEND kernels buy
         with it. Rows are out-rows, so an oriented graph's answers stay
-        directed. As many vertices get a row, in descending degree
-        order, as fit in the bytes of the composite-key array the rows
-        sit beside (:meth:`adjacency_keys`, 8 per directed entry),
-        capped at :data:`DENSE_ADJACENCY_BYTES`: the structure never
-        more than doubles what the kernels already keep resident, and
-        on a skewed graph those few rows take nearly every probe
+        directed. As many vertices get a row
+        (:attr:`adjacency_row_bytes` each), in descending degree order,
+        as fit in the bytes of the composite-key array the rows sit
+        beside (:meth:`adjacency_keys`, 8 per directed entry), capped
+        at :data:`DENSE_ADJACENCY_BYTES`: the structure never more than
+        doubles what the kernels already keep resident, and on a skewed
+        graph those few rows take nearly every probe
         (docs/performance.md). A graph whose vertices all fit is fully
-        dense; the rest of a larger one keeps the ``adjacency_keys``
-        probe path. Built lazily from the hub vertices' own lists, a
-        bounded gather at a time.
+        dense — its rows are in vertex order, and the kernels run its
+        set operations on them (:meth:`adjacency_words`); the rest of a
+        larger one keeps the ``adjacency_keys`` probe path. Built lazily
+        from the hub vertices' own lists, a bounded gather at a time.
         """
         if self._adjacency_matrix is None:
             n = self.num_vertices
-            row_bytes = (n + 7) // 8
+            row_bytes = self.adjacency_row_bytes
             budget = min(8 * len(self.indices), self.DENSE_ADJACENCY_BYTES)
             k = min(n, budget // row_bytes) if n else 0
             degrees = self.degrees()
-            hubs = np.argsort(-degrees, kind="stable")[:k]
+            hubs = (
+                np.argsort(-degrees, kind="stable")[:k] if k < n
+                else np.arange(n)
+            )
             rank = np.full(n, -1, dtype=np.int32)
             rank[hubs] = np.arange(k, dtype=np.int32)
             rows = np.zeros((k, row_bytes), dtype=np.uint8)
@@ -241,6 +253,23 @@ class Graph:
             rank.setflags(write=False)
             self._adjacency_matrix = (rows, rank)
         return self._adjacency_matrix
+
+    def adjacency_words(self) -> Optional[np.ndarray]:
+        """Every vertex's neighbor set as machine words, or ``None``.
+
+        Where every vertex has a bit-packed row
+        (:meth:`adjacency_matrix` — a row then has no more words than a
+        mean neighbor list has elements), the ``(|V|, W)`` little-endian
+        ``uint64`` matrix whose row ``v`` is ``N(v)``: bit ``u & 63`` of
+        word ``u >> 6`` is ``has_edge(v, u)``. An intersection is an
+        AND, a difference an AND-NOT, a cardinality a popcount — the
+        second set representation of :mod:`repro.core.kernels`. A view
+        of the rows ``adjacency_matrix`` holds, never a copy.
+        """
+        rows, rank = self.adjacency_matrix()
+        if len(rows) < len(rank):
+            return None
+        return rows.view("<u8")
 
     def degree(self, v: int) -> int:
         """Degree (out-degree for oriented graphs) of vertex ``v``."""

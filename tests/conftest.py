@@ -73,9 +73,10 @@ def membership_regime(request, monkeypatch):
     Returns ``apply(graph)``, which rebuilds the graph's adjacency rows
     under the regime's byte budget for the rest of the test: every
     vertex has a bit-packed row (``dense`` — the default budget on a
-    small graph), only the top fifth by degree do and the composite-key
-    search answers the rest (``rows+tail`` — what a graph over the
-    budget gets), or none does (``keys``).
+    small graph; the kernels then run set operations on packed words),
+    only the top fifth by degree do and the composite-key search
+    answers the rest (``rows+tail`` — what a graph over the budget
+    gets), or none does (``keys``).
     """
     regime = request.param
 
@@ -84,11 +85,16 @@ def membership_regime(request, monkeypatch):
         rows = {"dense": n, "rows+tail": n // 5, "keys": 0}[regime]
         if regime != "dense":
             monkeypatch.setattr(
-                Graph, "DENSE_ADJACENCY_BYTES", rows * ((n + 7) // 8))
+                Graph, "DENSE_ADJACENCY_BYTES",
+                rows * graph.adjacency_row_bytes)
+        # the word view is read off the rows on every call
+        # (``adjacency_words``), so dropping them drops it too
         monkeypatch.setattr(graph, "_adjacency_matrix", None)
         _, rank = graph.adjacency_matrix()
         if graph.num_directed_edges:
             assert int((rank >= 0).sum()) == rows
+            assert (graph.adjacency_words() is not None) == (
+                regime == "dense")
         return graph
 
     return apply
