@@ -164,9 +164,10 @@ def measure(decades, repeats: int = 2,
             ), f"simulated-time divergence on {name}"
 
             # what the kernels built in RAM beside the CSR on first use
-            # (the runs above did): composite keys, hub rows, row ranks.
-            # A mapped graph pays them resident like any other.
-            adjacency_rows, row_rank = mapped.adjacency_matrix()
+            # (the runs above did): composite keys, hub rows and ranks,
+            # hub columns and tails. A mapped graph pays them resident
+            # like any other.
+            adjacency_rows, _ = mapped.adjacency_matrix()
             rows.append({
                 "decade": factor,
                 "graph": name,
@@ -175,10 +176,7 @@ def measure(decades, repeats: int = 2,
                 "candidate_edges": BASE_EDGES * factor,
                 "csr_entries": ram.num_directed_edges,
                 "graph_bytes": ram.size_bytes(),
-                "derived_bytes": (
-                    mapped.adjacency_keys().nbytes
-                    + adjacency_rows.nbytes + row_rank.nbytes
-                ),
+                "derived_bytes": mapped.derived_bytes(),
                 "adjacency_rows": len(adjacency_rows),
                 "store_bytes": path.stat().st_size,
                 "resident_cap_bytes": cap,

@@ -39,8 +39,14 @@ where they are not): where every vertex has a bit-packed adjacency row
 and every IEP signature, run on packed words — an intersection is an
 AND, a cardinality a popcount, the ordering window and the
 distinct-vertex constraint masks (:func:`_word_rows`,
-:func:`_iep_words`); everywhere else on gathered sorted lists and
-membership probes.
+:func:`_iep_words`). On a graph over that budget the same hubs that
+have rows are packed *columns* of every vertex
+(:meth:`Graph.hub_columns`), and a set that is only counted — a
+counting drain's (:func:`_column_rows`), an IEP signature's
+(:func:`_iep_rows`) — is both at once: words for the hubs in it, a
+gathered sorted list and membership probes for the tail
+(:func:`_split_stage`). Everything else — listings, a reused stored
+intersection, a graph with no hub at all — is lists throughout.
 
 Temporaries are views of a :class:`~repro.core.workspace.Workspace`
 filled through ``out=`` (a warm run allocates next to nothing); a
@@ -63,7 +69,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.workspace import Workspace
-from repro.graph.graph import Graph, block_bounds, gather_segments
+from repro.graph.graph import (
+    Graph, HubColumns, block_bounds, gather_segments,
+)
 from repro.patterns.schedule import CountingPlan, ExtensionStep
 
 __all__ = [
@@ -231,8 +239,9 @@ class ChunkExtendResult:
     are the per-embedding accounting quantities, exactly equal to what
     the row-by-row reference produces. ``rows[j]`` is the embedding
     ``values[j]`` extends — the child's ``parent_idx`` column. A
-    counted result (:func:`_count_window`, :func:`_count_rows`) has no
-    lists (``values is None``); only the integer arrays are valid.
+    counted result (:func:`_count_window`, :func:`_column_rows`,
+    :func:`_count_rows`) has no lists (``values is None``); only the
+    integer arrays are valid.
     ``raw_values``/``raw_offsets`` hold the unfiltered intersections
     when the step stores an intermediate for vertical computation
     sharing.
@@ -317,7 +326,9 @@ def extend_chunk(
     vertex has a bit row, a label-free step with a set operation to run
     runs it on packed words (:func:`_word_rows`) — the stored
     ``intermediates`` are then re-derived from the columns the reused
-    step read, and only their sizes are taken off the offsets.
+    step read, and only their sizes are taken off the offsets. Where
+    only the hubs have one, a counted step that reuses nothing runs on
+    their columns and a tail list (:func:`_column_rows`).
     """
     ws = workspace if workspace is not None else Workspace()
     prefixes = np.asarray(prefixes, dtype=np.int64)
@@ -369,6 +380,12 @@ def extend_chunk(
         intermediates is not None
         or len(connected) + len(step.disconnected) > 1
     ) else None
+    # ... or, on a graph over the row budget, the hub columns of every
+    # vertex: a counted step's universe splits into packed words and a
+    # sorted tail (a reused intersection is stored as one list)
+    columns = graph.hub_columns() if (
+        counting and words is None and intermediates is None
+    ) else None
     if words is not None:
         if intermediates is not None:
             # the stored intersection, re-derived: the AND of the
@@ -377,6 +394,12 @@ def extend_chunk(
         else:
             base, connected = connected[:1], connected[1:]
         bounds = _word_blocks(n, words.shape[1], listing=not counting)
+    elif columns is not None:
+        tails = columns.tail_indptr
+        first = prefixes[:, connected[0]]
+        bounds = _row_blocks(
+            tails.take(first + 1) - tails.take(first) + columns.words.shape[1]
+        )
     else:
         bounds = _row_blocks(volume)
     parts = []
@@ -391,6 +414,12 @@ def extend_chunk(
                 graph, words, step, block, base, connected,
                 volume[start:stop], not counting, keep_raw, ws,
                 merge, scanned, kept,
+            )
+        elif columns is not None:
+            values = emb_of = raw_values = None
+            probes = _column_rows(
+                graph, columns, step, block, connected, volume[start:stop],
+                ws, merge, scanned, kept,
             )
         else:
             values, emb_of, counts, raw_values, probes = _set_operations(
@@ -686,6 +715,123 @@ def _word_rows(
     return *_members(sets, graph.indices.dtype), raw_values, probe_elements
 
 
+def _split_stage(
+    graph: Graph,
+    columns: Optional[HubColumns],
+    prefixes: np.ndarray,
+    position: int,
+    keep: bool,
+    state: tuple,
+    ws: Workspace,
+    slot,
+) -> tuple:
+    """One set-operation stage over a row block whose running sets are
+    split at the graph's hub ``columns`` (:meth:`Graph.hub_columns`):
+    ``state`` is ``(sets, values, emb_of, size)`` — the hubs in each
+    row's set as packed words, the rest as a sorted list, the two
+    halves' total. The words are ANDed with column ``position``'s (their
+    complement, with ``keep`` false), the list goes through
+    :func:`_probe_stage`; the new state, in the workspace's ``slot``
+    (not its input's). Without ``columns`` the sets are ``None`` and
+    the list is the whole universe."""
+    sets, values, emb_of, _ = state
+    values, emb_of, size = _probe_stage(
+        graph, prefixes, position, values, emb_of, keep, ws, slot
+    )
+    if columns is not None:
+        other = _neighbor_sets(columns.words, prefixes[:, position], ws, slot)
+        sets = np.bitwise_and(
+            sets, other if keep else np.invert(other, out=other), out=other
+        )
+        size += _popcount(
+            sets, ws, ws.take(("words.size", slot), len(prefixes))
+        )
+    return sets, values, emb_of, size
+
+
+def _split_lists(
+    graph: Graph,
+    columns: Optional[HubColumns],
+    vertices: np.ndarray,
+    size: np.ndarray,
+    ws: Workspace,
+    slot,
+) -> tuple:
+    """:func:`_split_stage`'s state of the neighbor lists of
+    ``vertices`` (``size[i]`` elements each) before any stage."""
+    split = columns is not None
+    values, emb_of, _ = _stage_state(
+        *graph.neighbors_batch(vertices, tail=split))
+    sets = _neighbor_sets(columns.words, vertices, ws, slot) if split else None
+    return sets, values, emb_of, size
+
+
+def _column_rows(
+    graph: Graph,
+    columns: HubColumns,
+    step: ExtensionStep,
+    prefixes: np.ndarray,
+    connected: tuple[int, ...],
+    size: np.ndarray,
+    ws: Workspace,
+    merge_elements: np.ndarray,
+    scanned: np.ndarray,
+    counts: np.ndarray,
+) -> int:
+    """One row block of :func:`extend_chunk`, counted, on a graph whose
+    hubs are packed columns of every vertex (:meth:`Graph.hub_columns`):
+    a row's running set is two halves of one universe — the hubs in it
+    as ``W`` words (:func:`_word_rows`' AND and AND-NOT), the rest as a
+    sorted list (:func:`_set_operations`' probe stages, over the tail
+    lists only) — and its size the popcount plus the list's length,
+    charged where the list path charges it. Column ``connected[0]``'s
+    lists (``size[i]`` elements) are intersected with the other
+    ``connected`` columns', then differenced with ``step.disconnected``'s.
+
+    Writes the rows' ``merge_elements``, ``scanned`` and ``counts``,
+    returns the ``probe_elements``: the list path's integers."""
+    degrees = graph.degrees()
+    state = _split_lists(
+        graph, columns, prefixes[:, connected[0]], size, ws, "first"
+    )
+    merge_elements[:] = 0
+    probe_elements = 0
+    stages = 0
+
+    def stage(position: int, keep: bool) -> None:
+        nonlocal state, probe_elements, merge_elements, stages
+        merge_elements += state[3]
+        merge_elements += degrees.take(prefixes[:, position])
+        probe_elements += int(state[3].sum())
+        state = _split_stage(
+            graph, columns, prefixes, position, keep, state, ws, stages & 1
+        )
+        stages += 1
+
+    for position in connected[1:]:
+        stage(position, True)
+    scanned[:] = state[3]
+    for position in step.disconnected:
+        stage(position, False)
+    sets, values, emb_of, size = state
+    window = _window(step, prefixes)
+    if window:
+        # a bound is a column too: the hubs under it (or up to it)
+        below = columns.below
+        _restrict(sets, [
+            (compare, below.take(bound + 1) - 1 if compare is np.greater
+             else below.take(bound))
+            for compare, bound in window
+        ], ws)
+        mask, _, _ = _window_mask(window, values, emb_of, ws)
+        _popcount(sets, ws, counts)
+        counts += np.bincount(emb_of[mask], minlength=len(prefixes))
+    else:
+        counts[:] = size
+    _drop_own(graph, step, prefixes, counts, ws)
+    return probe_elements
+
+
 def _window(
     step: ExtensionStep, prefixes: np.ndarray
 ) -> list[tuple[np.ufunc, np.ndarray]]:
@@ -885,11 +1031,20 @@ def _count_rows(
         mask, _, _ = _window_mask(window, values, emb_of, ws)
         counts = np.bincount(emb_of[mask], minlength=len(prefixes))
     out[:] = counts
+    _drop_own(graph, step, prefixes, out, ws)
+
+
+def _drop_own(
+    graph: Graph, step: ExtensionStep, prefixes: np.ndarray,
+    counts: np.ndarray, ws: Workspace,
+) -> None:
+    """The distinct-vertex correction of the rows' windowed ``counts``,
+    in place (:func:`_inside`, on the rows that count anything)."""
     live = counts.nonzero()[0]
     rows = ws.matrix("inside.rows", len(live), prefixes.shape[1])
     for column in range(prefixes.shape[1]):
         prefixes[:, column].take(live, mode="clip", out=rows[:, column])
-    out[live] -= _inside(
+    counts[live] -= _inside(
         graph, rows, step.connected, step.disconnected, _window(step, rows),
         workspace=ws,
     )
@@ -947,6 +1102,8 @@ def iep_chunk(
     ANDs of packed words and the cardinalities popcounts
     (:func:`_iep_words`): the same integers, nothing gathered or probed
     — given rows of distinct vertices, which prefix embeddings are.
+    Where only the hubs have one, :func:`_iep_rows` gathers and probes
+    the tail lists only and ANDs the hub columns for the rest.
     """
     ws = workspace if workspace is not None else Workspace()
     prefixes = np.asarray(prefixes, dtype=np.int64)
@@ -991,12 +1148,14 @@ def _iep_rows(
 
     Signatures share their prefixes: ``(0, 1)`` and ``(0, 1, 2)`` pass
     through the same gather of ``N(v0)`` and the same probe against
-    column 1, so each stage's state is kept by signature prefix (in a
-    workspace slot of its own) and runs once per block. Every
-    signature still charges every stage it passes through — the
-    ``merge_elements`` and ``scanned`` of a signature-at-a-time walk."""
-    n = len(prefixes)
+    column 1, so each stage's state (:func:`_split_stage`'s: on a graph
+    with hub columns the running sets are words and a tail list) is
+    kept by signature prefix, in a workspace slot of its own, and runs
+    once per block. Every signature still charges every stage it passes
+    through — the ``merge_elements`` and ``scanned`` of a
+    signature-at-a-time walk."""
     degrees = graph.degrees()
+    columns = graph.hub_columns()
     merge_elements[:] = 0
     scanned[:] = 0
     probe_elements = 0
@@ -1015,22 +1174,24 @@ def _iep_rows(
         else:
             state = stages.get(signature[:1])
             if state is None:
-                state = stages[signature[:1]] = _stage_state(
-                    *graph.neighbors_batch(prefixes[:, signature[0]])
+                state = stages[signature[:1]] = _split_lists(
+                    graph, columns, prefixes[:, signature[0]],
+                    degree_of[signature[0]], ws, len(stages),
                 )
             for depth in range(2, len(signature) + 1):
-                values, emb_of, counts = state
+                size = state[3]
                 position = signature[depth - 1]
-                merge_elements += counts
+                merge_elements += size
                 merge_elements += degree_of[position]
-                state = stages.get(signature[:depth])
-                if state is None:
-                    probe_elements += len(values)
-                    state = stages[signature[:depth]] = _probe_stage(
-                        graph, prefixes, position, values, emb_of, True,
+                prefix = signature[:depth]
+                if prefix not in stages:
+                    probe_elements += int(size.sum())
+                    stages[prefix] = _split_stage(
+                        graph, columns, prefixes, position, True, state,
                         ws, len(stages),
                     )
-            card = state[2]
+                state = stages[prefix]
+            card = state[3]
             scanned += card
         # prefix vertices that fall inside the intersection are not
         # valid suffix candidates

@@ -8,7 +8,7 @@ adjacency format the paper's C++ engine uses.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +64,23 @@ def block_bounds(weights: np.ndarray, block: int) -> list[int]:
     return sorted({0, *cuts.tolist(), len(weights)})
 
 
+class HubColumns(NamedTuple):
+    """Every vertex's neighbor list split at the hub vertices
+    (:meth:`Graph.hub_columns`): a packed row over the hubs, a sorted
+    list of the rest."""
+
+    #: ``below[v]`` = hubs with an id under ``v`` (``|V| + 1`` entries):
+    #: hub ``h``'s column, and — columns being in vertex order — the
+    #: column an ordering bound ``v`` falls at
+    below: np.ndarray
+    #: ``(|V|, W)`` ``uint64``: bit ``c & 63`` of ``words[v, c >> 6]`` is
+    #: ``has_edge(v, hub of column c)``
+    words: np.ndarray
+    #: CSR of each vertex's non-hub neighbors, ascending
+    tail_indptr: np.ndarray
+    tail_indices: np.ndarray
+
+
 class Graph:
     """An undirected (or oriented) graph in CSR form.
 
@@ -94,11 +111,14 @@ class Graph:
         "_edge_list_bytes",
         "_adjacency_keys",
         "_adjacency_matrix",
+        "_hub_columns",
     )
 
     #: most bytes of bit-packed adjacency rows the kernels will
     #: materialize (:meth:`adjacency_matrix`); vertices beyond them
-    #: are answered by composite-key probes
+    #: are answered by composite-key probes. The same vertices are the
+    #: hub columns (:meth:`hub_columns`), so it bounds those too: the
+    #: rows' bytes, rounded up to whole words a vertex
     DENSE_ADJACENCY_BYTES = 64 << 20
 
     #: storage mode tag; :class:`repro.graph.storage.MmapGraph`
@@ -143,6 +163,7 @@ class Graph:
         self._edge_list_bytes: Optional[np.ndarray] = None
         self._adjacency_keys: Optional[np.ndarray] = None
         self._adjacency_matrix: Optional[tuple] = None
+        self._hub_columns: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -168,15 +189,22 @@ class Graph:
         """Sorted neighbor array of vertex ``v`` (a CSR slice, no copy)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def neighbors_batch(self, vs) -> tuple[np.ndarray, np.ndarray]:
+    def neighbors_batch(
+        self, vs, tail: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Flattened gather of several neighbor lists.
 
         Returns ``(values, offsets)`` where vertex ``vs[i]``'s sorted
         neighbor list is ``values[offsets[i]:offsets[i + 1]]``. One
         vectorized gather instead of ``len(vs)`` per-vertex slices —
         the entry format of the batched EXTEND kernels
-        (:mod:`repro.core.kernels`).
+        (:mod:`repro.core.kernels`). With ``tail`` the lists are the
+        non-hub neighbors only (:meth:`hub_columns`, which must exist).
         """
+        if tail:
+            columns = self._hub_columns
+            return gather_segments(
+                columns.tail_indices, columns.tail_indptr, vs)
         return gather_segments(self.indices, self.indptr, vs)
 
     def adjacency_keys(self) -> np.ndarray:
@@ -225,7 +253,9 @@ class Graph:
         (docs/performance.md). A graph whose vertices all fit is fully
         dense — its rows are in vertex order, and the kernels run its
         set operations on them (:meth:`adjacency_words`); the rest of a
-        larger one keeps the ``adjacency_keys`` probe path. Built lazily
+        larger one keeps the ``adjacency_keys`` probe path — and gets
+        the same hubs as packed *columns* of every vertex
+        (:meth:`hub_columns`), built here with the rows. Built lazily
         from the hub vertices' own lists, a bounded gather at a time.
         """
         if self._adjacency_matrix is None:
@@ -252,7 +282,80 @@ class Graph:
             rows.setflags(write=False)
             rank.setflags(write=False)
             self._adjacency_matrix = (rows, rank)
+            self._hub_columns = (
+                self._build_hub_columns(rank) if 0 < k < n else None
+            )
         return self._adjacency_matrix
+
+    def hub_columns(self) -> Optional[HubColumns]:
+        """Every vertex's neighbor list split at the hub vertices, or
+        ``None``.
+
+        The hubs are the vertices :meth:`adjacency_matrix` gives a row
+        (so one byte budget sizes both, and :data:`DENSE_ADJACENCY_BYTES`
+        caps each), taken as *columns*, in ascending vertex order:
+        vertex ``v``'s row of the ``(|V|, W)`` ``uint64`` matrix says
+        which hubs it is adjacent to (out-neighbors on an oriented
+        graph), a tail CSR lists its other neighbors. On a skewed graph
+        the few hubs are most entries' targets (``tri-2x``: 1 070 of
+        14 000 vertices, 66 % of the entries), so a counting set
+        operation ANDs ``W`` words for the dense part of its universe
+        and probes only the tail (:mod:`repro.core.kernels`,
+        docs/performance.md). ``W = ⌈hubs / 64⌉``: the rows' bytes
+        rounded up to a whole word a vertex, never more than a mean
+        neighbor list's elements plus one. ``None`` where no vertex has
+        a row, and where every vertex has one — the rows are then the
+        columns, every tail is empty, and :meth:`adjacency_words` is the
+        structure.
+        """
+        self.adjacency_matrix()
+        return self._hub_columns
+
+    def _build_hub_columns(self, rank: np.ndarray) -> HubColumns:
+        """:meth:`hub_columns` of the vertices ``rank`` gives a row, from
+        the CSR in runs of consecutive sources — of a quarter of
+        :data:`_ROW_BUILD_ELEMENTS` entries, a run's temporaries being
+        several int64 an entry. A run's hub entries arrive sorted by
+        (source, column), so each word is one OR over a run of them;
+        what a vertex's words do not count of its degree is its tail."""
+        n = self.num_vertices
+        is_hub = rank >= 0
+        below = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(is_hub, out=below[1:])
+        width = (int(below[-1]) + 63) // 64
+        words = np.zeros((n, width), dtype=np.uint64)
+        flat = words.reshape(-1)
+        tail_indptr = np.zeros(n + 1, dtype=np.int64)
+        tails = []
+        degrees = self.degrees()
+        bounds = block_bounds(degrees, _ROW_BUILD_ELEMENTS >> 2)
+        for start, stop in zip(bounds, bounds[1:]):
+            values = self.indices[self.indptr[start]:self.indptr[stop]]
+            hub = is_hub[values]
+            word = np.repeat(
+                np.arange(start * width, stop * width, width),
+                degrees[start:stop],
+            )[hub]
+            column = below[values[hub]]
+            word += column >> 6
+            column &= 63
+            bit = np.left_shift(1, column.view(np.uint64), dtype=np.uint64)
+            first = np.ones(len(word), dtype=bool)
+            np.not_equal(word[1:], word[:-1], out=first[1:])
+            runs = first.nonzero()[0]
+            if len(runs):
+                flat[word[runs]] = np.bitwise_or.reduceat(bit, runs)
+            tails.append(values[np.logical_not(hub, out=hub)])
+            in_words = np.bitwise_count(words[start:stop])
+            np.subtract(
+                degrees[start:stop], in_words.sum(axis=1, dtype=np.int64),
+                out=tail_indptr[start + 1:stop + 1],
+            )
+        np.cumsum(tail_indptr, out=tail_indptr)
+        tail_indices = np.concatenate(tails)
+        for array in (below, words, tail_indptr, tail_indices):
+            array.setflags(write=False)
+        return HubColumns(below, words, tail_indptr, tail_indices)
 
     def adjacency_words(self) -> Optional[np.ndarray]:
         """Every vertex's neighbor set as machine words, or ``None``.
@@ -343,6 +446,17 @@ class Graph:
         if self.edge_labels is not None:
             size += 4 * len(self.indices)
         return size
+
+    def derived_bytes(self) -> int:
+        """Bytes of what the kernels have built beside the CSR so far:
+        the composite keys (:meth:`adjacency_keys`), the hub rows and
+        their rank table (:meth:`adjacency_matrix`), the hub columns and
+        tail lists (:meth:`hub_columns`). Resident in every process that
+        runs kernels, whatever the storage (docs/storage.md)."""
+        built = [self._adjacency_keys]
+        built += self._adjacency_matrix or ()
+        built += self._hub_columns or ()
+        return sum(array.nbytes for array in built if array is not None)
 
     def edge_list_bytes(self, v: int) -> int:
         """Wire size of ``N(v)`` (:func:`edge_list_bytes_of` its degree)."""

@@ -403,12 +403,17 @@ def _normalize_batch(
 
 def _dedup_sorted_run(keys, labels, ranks):
     """Sort one buffered run by key (ranked ties resolved by rank) and
-    collapse duplicate keys, keeping the lowest-ranked occurrence."""
+    collapse duplicate keys, keeping the lowest-ranked occurrence. A
+    run with neither labels nor ranks has no permutation to carry: its
+    keys are sorted by value (several times cheaper than an argsort and
+    a gather)."""
     if ranks is not None:
         order = np.lexsort((ranks, keys))
-    else:
+    elif labels is not None:
         order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    else:
+        order = None
+    keys = np.sort(keys) if order is None else keys[order]
     first = np.ones(len(keys), dtype=bool)
     if len(keys) > 1:
         first[1:] = keys[1:] != keys[:-1]

@@ -76,7 +76,9 @@ def membership_regime(request, monkeypatch):
     small graph; the kernels then run set operations on packed words),
     only the top fifth by degree do and the composite-key search
     answers the rest (``rows+tail`` — what a graph over the budget
-    gets), or none does (``keys``).
+    gets; the same fifth are then packed columns of every vertex, and
+    a counting set operation runs on words and a tail list), or none
+    does (``keys`` — no columns either: sorted lists throughout).
     """
     regime = request.param
 
@@ -88,13 +90,20 @@ def membership_regime(request, monkeypatch):
                 Graph, "DENSE_ADJACENCY_BYTES",
                 rows * graph.adjacency_row_bytes)
         # the word view is read off the rows on every call
-        # (``adjacency_words``), so dropping them drops it too
+        # (``adjacency_words``), so dropping them drops it too; the hub
+        # columns are a cache of their own, rebuilt with the rows
         monkeypatch.setattr(graph, "_adjacency_matrix", None)
+        monkeypatch.setattr(graph, "_hub_columns", None)
         _, rank = graph.adjacency_matrix()
         if graph.num_directed_edges:
             assert int((rank >= 0).sum()) == rows
             assert (graph.adjacency_words() is not None) == (
                 regime == "dense")
+            columns = graph.hub_columns()
+            assert (columns is not None) == (regime == "rows+tail")
+            if columns is not None:
+                assert int(columns.below[-1]) == rows
+                assert 0 < len(columns.tail_indices) < len(graph.indices)
         return graph
 
     return apply

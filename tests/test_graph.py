@@ -103,6 +103,27 @@ def test_size_bytes_accounting():
     assert g.size_bytes() == expected
 
 
+def test_derived_bytes_sums_what_has_been_built(monkeypatch):
+    """Nothing before a kernel asks; then the keys, the hub rows and
+    rank table, and — on a graph over the row budget — the hub columns
+    and tail lists, each once."""
+    g = star_graph(99)  # 100 vertices, 198 entries: one 16-byte row
+    assert g.derived_bytes() == 0
+    keys = g.adjacency_keys()
+    assert g.derived_bytes() == keys.nbytes == 8 * 198
+    monkeypatch.setattr(Graph, "DENSE_ADJACENCY_BYTES", 5 * 16)
+    rows, rank = g.adjacency_matrix()
+    columns = g.hub_columns()
+    assert len(rows) == 5 and columns.words.shape == (100, 1)
+    # the center and four leaves are hubs: only the center has
+    # neighbors that are not
+    assert len(columns.tail_indices) == 99 - 4
+    assert g.derived_bytes() == (
+        keys.nbytes + rows.nbytes + rank.nbytes
+        + sum(array.nbytes for array in columns)
+    )
+
+
 def test_edge_list_bytes():
     g = star_graph(6)
     assert g.edge_list_bytes(0) == 8 + 4 * 6

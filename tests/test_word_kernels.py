@@ -2,14 +2,17 @@
 
 Where every vertex has a bit row (``Graph.adjacency_words``) a step
 with a set operation, and every IEP signature, runs as AND + popcount
-instead of a gather and a probe per element. The contract is the list
-path's, integer for integer: ``tests/test_kernels.py`` and
-``tests/test_iep.py`` already hold whichever body runs to
-``compute_candidates`` / ``iep_count`` on their (dense-regime)
-fixtures; this file crosses the word widths and input shapes those
-fixtures do not reach, holds the two bodies to *each other* — every
-array and ``probe_elements`` — on the same graph, and keeps the
-per-element calls from creeping back.
+instead of a gather and a probe per element; on a graph over the row
+budget the hubs are packed *columns* of every vertex
+(``Graph.hub_columns``) and a counting set operation runs on both
+halves of its universe — words for the hubs, a probed list for the
+tail. The contract is the list path's, integer for integer:
+``tests/test_kernels.py`` and ``tests/test_iep.py`` already hold
+whichever body runs to ``compute_candidates`` / ``iep_count`` under the
+``membership_regime`` fixture; this file crosses the word widths and
+input shapes those fixtures do not reach, holds the bodies to *each
+other* — every array and ``probe_elements`` — on the same graph, and
+keeps the per-element calls from creeping back.
 """
 
 from __future__ import annotations
@@ -27,28 +30,40 @@ from repro.core.extend import compute_candidates, iep_count
 from repro.graph import Graph, dataset, from_edges
 from repro.graph.generators import erdos_renyi
 from repro.graph.orientation import orient_by_degree
+from repro.obs import Observability
 from repro.patterns import catalog
 from repro.patterns.generation import connected_patterns
 from repro.patterns.schedule import (
     automine_schedule, compile_counting_plan, compile_schedule,
     graphpi_schedule,
 )
-from repro.systems import KGraphPi, apps
+from repro.systems import KAutomine, KGraphPi, apps
 
 from tests.test_kernels import (
-    PATTERNS, _seeds, _segments, _with_self_loops,
+    PATTERNS, _drawn_step, _seeds, _segments, _step, _with_self_loops,
 )
 
 
-def _listed_twin(graph):
-    """The same CSR with no adjacency row at all (the ``keys`` regime):
-    the list path's answers to hold the word path's against."""
+def _twin(graph, hubs=0):
+    """The same CSR with ``hubs`` adjacency rows at most (as many as
+    the entries pay for, if fewer): with none the ``keys`` regime, with
+    some — not all — the hubs are columns of every vertex as well."""
     twin = Graph(graph.indptr, graph.indices, graph.labels, graph.directed,
                  graph.edge_labels)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Graph, "DENSE_ADJACENCY_BYTES", 0)
-        twin.adjacency_matrix()
-    assert twin.adjacency_words() is None
+        patch.setattr(Graph, "DENSE_ADJACENCY_BYTES",
+                      hubs * graph.adjacency_row_bytes)
+        rows, _ = twin.adjacency_matrix()
+    assert (twin.hub_columns() is not None) == (
+        0 < len(rows) < graph.num_vertices)
+    return twin
+
+
+def _listed_twin(graph):
+    """The list path's answers to hold the other bodies' against: no
+    adjacency row, no hub column."""
+    twin = _twin(graph)
+    assert twin.adjacency_words() is None and twin.hub_columns() is None
     return twin
 
 
@@ -66,9 +81,12 @@ def _same_result(ours, theirs):
 def _check(graph, schedule, vcs=True, keep=60, seed=0, allow_empty=False):
     """``schedule`` level by level over a sampled frontier (``keep``
     rows carried down a level, intermediates threaded as the scheduler
-    does): the word path against ``compute_candidates`` row by row, and
-    against the list path array by array — listed and counted."""
-    assert graph.adjacency_words() is not None
+    does): the graph's packed representation (every vertex's words, or
+    the hub columns a counted step splits its universe at) against
+    ``compute_candidates`` row by row, and against the list path array
+    by array — listed and counted."""
+    assert (graph.adjacency_words() is not None
+            or graph.hub_columns() is not None)
     rng = np.random.default_rng(seed)
     twin = _listed_twin(graph)
     frontier = [((v,), {}) for v in range(graph.num_vertices)]
@@ -223,30 +241,35 @@ def _sampled_embeddings(graph, schedule, rows, rng):
         len(found), schedule.pattern.num_vertices)
 
 
-def test_iep_words_match_reference_and_lists(dense_graph, monkeypatch):
-    """Every 5-motif plan over prefix embeddings: ``iep_count`` row by
-    row, and the list path's ``probe_elements`` — once per distinct
-    signature prefix per block, so unmoved by the blocking."""
-    twin = _listed_twin(dense_graph)
+def _check_iep(graph, monkeypatch, rows=60):
+    """Every 5-motif plan over prefix embeddings of ``graph``:
+    ``iep_count`` row by row, and the list path's ``probe_elements`` —
+    once per distinct signature prefix per block, so unmoved by the
+    blocking."""
+    twin = _listed_twin(graph)
     rng = np.random.default_rng(3)
     plans = {
         compile_counting_plan(graphpi_schedule(pattern, counting="iep"))
         for pattern in connected_patterns(5)
     } - {None}
     for plan in sorted(plans, key=lambda plan: plan.signatures):
-        rows = _sampled_embeddings(dense_graph, plan.prefix_schedule, 60, rng)
-        assert len(rows) > 5
-        batch = kernels.iep_chunk(dense_graph, plan, rows)
+        prefixes = _sampled_embeddings(graph, plan.prefix_schedule, rows, rng)
+        assert len(prefixes) > 5
+        batch = kernels.iep_chunk(graph, plan, prefixes)
         got = zip(batch.counts.tolist(), batch.merge_elements.tolist(),
                   batch.scanned.tolist())
         assert list(got) == [
-            iep_count(dense_graph, plan, tuple(row)) for row in rows.tolist()
+            iep_count(graph, plan, tuple(row)) for row in prefixes.tolist()
         ]
-        _same_result(batch, kernels.iep_chunk(twin, plan, rows))
+        _same_result(batch, kernels.iep_chunk(twin, plan, prefixes))
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "BLOCK_ELEMENTS", 7)
-            _same_result(kernels.iep_chunk(dense_graph, plan, rows), batch)
-        assert len(kernels.iep_chunk(dense_graph, plan, rows[:0]).counts) == 0
+            _same_result(kernels.iep_chunk(graph, plan, prefixes), batch)
+        assert len(kernels.iep_chunk(graph, plan, prefixes[:0]).counts) == 0
+
+
+def test_iep_words_match_reference_and_lists(dense_graph, monkeypatch):
+    _check_iep(dense_graph, monkeypatch)
 
 
 @_seeds
@@ -290,6 +313,199 @@ def test_word_path_equals_list_path_on_drawn_schedules(seed):
 
 
 # ---------------------------------------------------------------------
+# hub columns: a counted step's universe split into words and a tail
+# ---------------------------------------------------------------------
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The row blocks ``kernels._column_rows`` has worked, as a list
+    that grows: a test of the split body that never reached it proves
+    nothing."""
+    blocks = []
+    body = kernels._column_rows
+
+    def spy(graph, columns, step, prefixes, *rest):
+        blocks.append(len(prefixes))
+        return body(graph, columns, step, prefixes, *rest)
+
+    monkeypatch.setattr(kernels, "_column_rows", spy)
+    return blocks
+
+
+def _distinct_rows(rng, graph, rows, level):
+    """``rows`` drawn prefixes of ``level`` distinct vertices."""
+    return rng.permuted(
+        np.tile(np.arange(graph.num_vertices), (rows, 1)), axis=1
+    )[:, :level]
+
+
+def _check_split(split, step, prefixes):
+    """A counted ``step`` on ``split`` (a graph with hub columns, or a
+    twin without): ``compute_candidates``' integers row by row, and
+    the list path's result — ``probe_elements`` too."""
+    counted = kernels.extend_chunk(split, step, prefixes, count_only=True)
+    assert counted.values is None and counted.rows is None
+    reference = [
+        compute_candidates(split, step, tuple(row), None, True)
+        for row in prefixes.tolist()
+    ]
+    assert counted.counts.tolist() == [len(r.candidates) for r in reference]
+    assert counted.merge_elements.tolist() == [
+        r.merge_elements for r in reference]
+    assert counted.scanned.tolist() == [r.scanned for r in reference]
+    _same_result(counted, kernels.extend_chunk(
+        _listed_twin(split), step, prefixes, count_only=True))
+
+
+#: two- and three-source intersections, induced differences (one
+#: list less another is two sources), a bound on either side, both,
+#: none, and one that sits on a source column
+SPLIT_STEPS = {
+    "2": _step(3, (0, 1)),
+    "2>": _step(3, (0, 1), larger_than=(0, 1)),
+    "2<": _step(3, (1, 2), smaller_than=(0,)),
+    "2<>": _step(3, (0, 2), larger_than=(1,), smaller_than=(2,)),
+    "3>": _step(3, (0, 1, 2), larger_than=(2,)),
+    "1-1": _step(2, (0,), disconnected=(1,)),
+    "1-2<": _step(3, (1,), disconnected=(0, 2), smaller_than=(1,)),
+    "2-1>": _step(3, (0, 2), disconnected=(1,), larger_than=(0,)),
+}
+
+
+def _split_graphs(skewed_graph):
+    """``name -> (graph, hubs)``: 70 columns are two words a row, the
+    second mostly padding; 12 are a fifth of one."""
+    random = erdos_renyi(60, 400, seed=5)
+    return {
+        "skewed": (skewed_graph, 70),
+        "random": (random, 12),
+        "one-hub": (random, 1),
+        "self-loops": (_with_self_loops(random), 12),
+        # out-rows and out-columns: the ANDs stay directed
+        "oriented": (orient_by_degree(skewed_graph), 40),
+    }
+
+
+def test_hub_columns_split_every_list_at_the_hubs(skewed_graph, monkeypatch):
+    """The hubs are the vertices with a row, as columns in vertex
+    order; a vertex's words are its hub neighbors (out-neighbors on an
+    oriented graph), its tail list the others, ascending — whatever the
+    builder's run length."""
+    for name, (graph, hubs) in _split_graphs(skewed_graph).items():
+        for run in (1 << 18, 8):
+            monkeypatch.setattr("repro.graph.graph._ROW_BUILD_ELEMENTS", run)
+            split = _twin(graph, hubs)
+            _, rank = split.adjacency_matrix()
+            below, words, tail_indptr, tail_indices = split.hub_columns()
+            assert not any(array.flags.writeable
+                           for array in split.hub_columns())
+            hub_of = np.flatnonzero(rank >= 0)
+            assert below.tolist() == np.searchsorted(
+                hub_of, np.arange(graph.num_vertices + 1)).tolist()
+            for v in range(graph.num_vertices):
+                in_words = [
+                    int(hub_of[c]) for c in range(64 * words.shape[1])
+                    if int(words[v, c >> 6]) >> (c & 63) & 1
+                ]
+                tail = tail_indices[tail_indptr[v]:tail_indptr[v + 1]]
+                neighbors = graph.neighbors(v).tolist()
+                assert in_words == [u for u in neighbors if rank[u] >= 0]
+                assert tail.tolist() == [
+                    u for u in neighbors if rank[u] < 0], name
+
+
+@pytest.mark.parametrize("shape", sorted(SPLIT_STEPS))
+def test_split_universe_matches_reference_and_lists(
+    skewed_graph, split_calls, shape
+):
+    step = SPLIT_STEPS[shape]
+    rng = np.random.default_rng(11)
+    for name, (graph, hubs) in _split_graphs(skewed_graph).items():
+        split = _twin(graph, hubs)
+        columns = split.hub_columns()
+        assert columns.words.shape == (graph.num_vertices, -(-hubs // 64))
+        assert int(columns.below[-1]) == hubs, name
+        del split_calls[:]
+        _check_split(split, step, _distinct_rows(rng, graph, 50, step.level))
+        assert split_calls == [50], name
+
+
+def test_split_universe_without_columns_is_the_list_path(
+    skewed_graph, split_calls
+):
+    """No hub, no column — an edgeless graph, a zero budget: today's
+    list path, the split body not entered. Every vertex a hub: the rows
+    are the columns, the word path runs."""
+    step = SPLIT_STEPS["2>"]
+    rng = np.random.default_rng(12)
+    edgeless = from_edges([], num_vertices=20)
+    for graph, hubs in ((edgeless, 20), (skewed_graph, 0),
+                        (erdos_renyi(60, 400, seed=5), 60)):
+        split = _twin(graph, hubs)
+        assert split.hub_columns() is None
+        _check_split(split, step, _distinct_rows(rng, graph, 30, 3))
+    assert split_calls == []
+
+
+def test_split_universe_row_blocks_and_empty_chunk(
+    skewed_graph, split_calls, monkeypatch
+):
+    """One row a block (a row weighs its two words and its tail, so a
+    row with no tail fills a three-element block): the same integers,
+    ``probe_elements`` unmoved by the blocking; and a chunk of no
+    rows."""
+    split = _twin(skewed_graph, 70)
+    rng = np.random.default_rng(13)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 3)
+    for shape in ("2>", "3>", "2-1>"):
+        step = SPLIT_STEPS[shape]
+        del split_calls[:]
+        _check_split(split, step, _distinct_rows(rng, split, 25, step.level))
+        assert split_calls == [1] * 25
+        empty = kernels.extend_chunk(
+            split, step, np.empty((0, step.level), np.int64), count_only=True)
+        assert len(empty) == 0 and empty.probe_elements == 0
+        assert empty.values is None
+
+
+@_seeds
+def test_split_universe_on_drawn_steps(skewed_graph, seed):
+    """A drawn graph family and hub count (none and all included),
+    drawn step shapes — any mix of connected / disconnected positions
+    and crossing bounds — over drawn rows, whole chunks and
+    seven-element blocks."""
+    rng = np.random.default_rng(seed)
+    graphs = _split_graphs(skewed_graph)
+    graph, _ = graphs[sorted(graphs)[rng.integers(len(graphs))]]
+    split = _twin(graph, int(rng.integers(0, graph.num_vertices + 1)))
+    level = int(rng.integers(2, 5))
+    prefixes = _distinct_rows(rng, graph, int(rng.integers(0, 41)), level)
+    with pytest.MonkeyPatch.context() as patch:
+        if rng.random() < 0.5:
+            patch.setattr(kernels, "BLOCK_ELEMENTS", 7)
+        _check_split(split, _drawn_step(rng, level), prefixes)
+
+
+@pytest.mark.parametrize("name", ["cl4", "cyc4", "house", "tailtri"])
+def test_split_universe_down_a_schedule(skewed_graph, split_calls, name):
+    """Level by level as the scheduler would, listed and counted, with
+    and without stored intersections (a step that reuses one stays on
+    lists) and induced."""
+    split = _twin(skewed_graph, 70)
+    _check(split, automine_schedule(PATTERNS[name]), keep=40)
+    _check(split, graphpi_schedule(PATTERNS[name]), vcs=False, keep=40)
+    _check(split, automine_schedule(PATTERNS[name], induced=True), keep=40)
+    assert split_calls
+
+
+def test_iep_rows_split_match_reference_and_lists(monkeypatch):
+    """``_iep_rows`` keeps its stage state by signature prefix as words
+    and a tail (70 of 100 vertices are columns: two words a row)."""
+    split = _twin(erdos_renyi(*SHAPES["W2"], seed=17), 70)
+    assert split.hub_columns().words.shape == (100, 2)
+    _check_iep(split, monkeypatch, rows=40)
+
+
+# ---------------------------------------------------------------------
 # whole runs: a chunk that fills mid-row, and what a drain calls
 # ---------------------------------------------------------------------
 def _report(graph, schedule, comparable, **config):
@@ -303,10 +519,14 @@ def test_runs_agree_across_regimes_when_chunks_pause(
     small_random_graph, comparable, counting
 ):
     """1 KiB chunks: ``_fill_next_chunk`` stops inside a parent row and
-    resumes there, level after level. The whole report — counts,
-    simulated seconds, every tally and the ``kernel.*`` counters — is
-    the list path's."""
+    resumes there, level after level. On every vertex's words, and on a
+    fifth of the vertices as hub columns with a tail, the whole report
+    — counts, simulated seconds, every tally and the ``kernel.*``
+    counters — is the list path's."""
     twin = _listed_twin(small_random_graph)
+    split = _twin(small_random_graph, small_random_graph.num_vertices // 5)
+    assert small_random_graph.adjacency_words() is not None
+    assert split.hub_columns() is not None
     for pattern, induced in ((catalog.house(), False),
                              (catalog.clique(4), False),
                              (catalog.cycle(4), True)):
@@ -315,10 +535,42 @@ def test_runs_agree_across_regimes_when_chunks_pause(
                 pattern, induced=induced, counting=counting)
             config = dict(chunk_bytes=1024, auto_fit_chunks=False,
                           vcs=vcs, counting=counting)
-            ours = _report(small_random_graph, schedule, comparable,
-                           **config)
-            assert ours == _report(twin, schedule, comparable, **config)
-            assert ours["counts"]
+            listed = _report(twin, schedule, comparable, **config)
+            assert listed["counts"]
+            for graph in (small_random_graph, split):
+                assert _report(graph, schedule, comparable,
+                               **config) == listed
+
+
+def test_traced_runs_read_the_same_with_the_columns_dropped(
+    skewed_graph, split_calls
+):
+    """What a counted run on hub columns leaves in the registry — every
+    counter and histogram, the ``kernel.*`` ones included — is what the
+    same graph, same hub rows, leaves on lists."""
+    split = _twin(skewed_graph, 40)
+    dropped = _twin(skewed_graph, 40)
+    dropped._hub_columns = None
+    # clique4's final step reuses a stored intersection unless vertical
+    # sharing is off: a list, so the step stays on lists
+    for pattern, induced, vcs in ((catalog.clique(3), False, True),
+                                  (catalog.clique(4), False, True),
+                                  (catalog.clique(4), False, False),
+                                  (catalog.chain(3), True, True)):
+        runs = []
+        for graph in (split, dropped):
+            reached = len(split_calls)
+            obs = Observability()
+            report = KAutomine(
+                graph, ClusterConfig(num_machines=2), EngineConfig(vcs=vcs),
+                obs=obs,
+            ).count_pattern(pattern, induced=induced)
+            assert (len(split_calls) > reached) == (
+                graph is split and (pattern.num_vertices == 3 or not vcs))
+            runs.append((report.counts, report.simulated_seconds,
+                         obs.registry.snapshot()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] > 0 and runs[0][2]
 
 
 def test_word_drains_make_no_per_element_calls(dense_graph, count_calls):
@@ -346,6 +598,33 @@ def test_word_drains_make_no_per_element_calls(dense_graph, count_calls):
                         prefixes[:50, :width])
     assert count_calls(kernels.iep_chunk, dense_graph, plan,
                        prefixes[:, :width]) == small
+
+
+def test_split_drains_make_no_per_row_calls(skewed_graph, count_calls):
+    """Both halves of a split universe are whole-block passes: a
+    counting drain, or an IEP drain, of four times the rows (the same
+    rows four times over, so every data-dependent branch goes the same
+    way) makes the same Python- and C-level calls."""
+    split = _twin(skewed_graph, 70)
+    split.adjacency_keys()  # built on first use
+    plan = compile_counting_plan(
+        graphpi_schedule(catalog.chain(5), counting="iep"))
+    width = plan.prefix_schedule.pattern.num_vertices
+    once = _distinct_rows(np.random.default_rng(1), split, 50, width)
+    fourfold = np.tile(once, (4, 1))
+    for shape in ("2>", "3>", "2-1>"):
+        step = SPLIT_STEPS[shape]
+
+        def drain(prefixes, **only):
+            return count_calls(
+                lambda: kernels.extend_chunk(
+                    split, step, prefixes[:, :step.level], count_only=True),
+                **only)
+
+        assert drain(fourfold) == drain(once)
+        assert drain(fourfold, only={"_column_rows"}) == 1
+    assert count_calls(kernels.iep_chunk, split, plan, fourfold) == (
+        count_calls(kernels.iep_chunk, split, plan, once))
 
 
 def test_motif5_calls_per_chunk():
