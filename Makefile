@@ -110,19 +110,22 @@ perf-bench:
 	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_wallclock.py
 
 ## full motif-census sweep (IEP vs enumerate on k-GraphPi); writes
-## BENCH_PR9.json — the 5-motif row is the >=3x IEP-over-enumerate
-## headline (docs/performance.md, "Inclusion–exclusion counting")
+## .benchmarks/motifs.json — the 5-motif row is the >=3x
+## IEP-over-enumerate headline (docs/performance.md,
+## "Inclusion–exclusion counting"; BENCH_PR9.json is the frozen record
+## of the sweep when the headline was set)
 perf-bench-motifs:
 	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_wallclock.py \
-		--motifs --out BENCH_PR9.json
+		--motifs --out .benchmarks/motifs.json
 
 ## full 10x/30x/100x out-of-core storage scale sweep; writes
-## BENCH_PR10.json — every decade's graph exceeds the resident cap,
-## counts are bit-identical ram-vs-mmap, and the gate holds the
-## mmap-over-ram penalty flat across decades (docs/storage.md)
+## .benchmarks/scale.json — every decade's graph exceeds the resident
+## cap, counts are bit-identical ram-vs-mmap, and the gate holds the
+## mmap-over-ram penalty flat across decades (docs/storage.md;
+## BENCH_PR10.json is the frozen record of the last committed sweep)
 perf-bench-scale:
 	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_scale.py \
-		--out BENCH_PR10.json --gate
+		--out .benchmarks/scale.json --gate
 
 ## resident mining service: equivalence/admission/shutdown suite plus
 ## the latency/throughput load harness — one server answers a mixed

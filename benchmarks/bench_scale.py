@@ -22,8 +22,10 @@ Two entry points:
   the wdc analogue, what ``make perf-check``/``make storage-check``
   CI runs): counts must be bit-identical and the mmap-over-ram wall
   ratio must stay under :data:`MMAP_OVER_RAM_MAX`.
-- ``python benchmarks/bench_scale.py --out BENCH_PR10.json --gate`` —
-  the full 10x/30x/100x sweep behind the committed BENCH_PR10.json:
+- ``python benchmarks/bench_scale.py --gate`` — the full 10x/30x/100x
+  sweep, written to ``.benchmarks/scale.json`` (git-ignored; the
+  tracked BENCH_PR10.json is the frozen record of the last committed
+  sweep):
   additionally gates that the out-of-core *slowdown* grows
   sub-linearly per decade — between consecutive decades the
   mmap-over-ram ratio may grow by far less than the CSR-entry ratio
@@ -67,7 +69,7 @@ _SEED = 19
 #: count is a storage-layer property, not a degree-distribution one
 _MAX_DEGREE = 4_000
 
-#: multiples of the wdc analogue; the committed BENCH_PR10.json sweep
+#: multiples of the wdc analogue; the sweep of BENCH_PR10.json
 _FULL_DECADES = (10, 30, 100)
 #: the CI smoke set (seconds, not minutes)
 _SMOKE_DECADES = (1, 3)
@@ -90,7 +92,7 @@ MMAP_OVER_RAM_MAX = 2.0
 #: while tolerating very noisy hosts.
 SUBLINEAR_MARGIN = 0.5
 
-_OUT = BENCH_DIR / "scale_sweep.json"
+_OUT = BENCH_DIR / "scale.json"
 _PATTERN = "clique3"
 
 

@@ -34,19 +34,19 @@ Three layers:
 
 Sets have two representations, chosen by what the graph already is (as
 G2Miner picks bitmaps where neighborhoods are dense and sorted lists
-where they are not): where every vertex has a bit-packed adjacency row
-(:meth:`Graph.adjacency_words`) a label-free step's set operations,
-and every IEP signature, run on packed words — an intersection is an
-AND, a cardinality a popcount, the ordering window and the
-distinct-vertex constraint masks (:func:`_word_rows`,
-:func:`_iep_words`). On a graph over that budget the same hubs that
-have rows are packed *columns* of every vertex
-(:meth:`Graph.hub_columns`), and a set that is only counted — a
-counting drain's (:func:`_column_rows`), an IEP signature's
-(:func:`_iep_rows`) — is both at once: words for the hubs in it, a
-gathered sorted list and membership probes for the tail
-(:func:`_split_stage`). Everything else — listings, a reused stored
-intersection, a graph with no hub at all — is lists throughout.
+where they are not). The vertices with a bit-packed adjacency row are
+packed *columns* of every vertex (:meth:`Graph.hub_columns`; where
+every vertex has a row, the rows themselves), so a running set is one
+universe with an optional word half — the hubs in it: an intersection
+is an AND, a cardinality a popcount, the ordering window a mask — and
+an optional list half — the rest, a gathered sorted list and membership
+probes. One stage loop (:func:`_set_operations`, a stage being
+:func:`_split_stage`) serves every body, and the IEP kernel keeps the
+same state by signature prefix (:func:`_iep_rows`). A label-free step
+with a set operation, and every IEP signature, use the columns; a
+listing or a reused stored intersection on a graph whose universe has a
+tail stays on lists (hub and tail members would have to merge back into
+one sorted list), as does everything on a graph with no row at all.
 
 Temporaries are views of a :class:`~repro.core.workspace.Workspace`
 filled through ``out=`` (a warm run allocates next to nothing); a
@@ -239,9 +239,8 @@ class ChunkExtendResult:
     are the per-embedding accounting quantities, exactly equal to what
     the row-by-row reference produces. ``rows[j]`` is the embedding
     ``values[j]`` extends — the child's ``parent_idx`` column. A
-    counted result (:func:`_count_window`, :func:`_column_rows`,
-    :func:`_count_rows`) has no lists (``values is None``); only the
-    integer arrays are valid.
+    counted result (:func:`_count_window`, :func:`_count_sets`) has no
+    lists (``values is None``); only the integer arrays are valid.
     ``raw_values``/``raw_offsets`` hold the unfiltered intersections
     when the step stores an intermediate for vertical computation
     sharing.
@@ -321,14 +320,12 @@ def extend_chunk(
         the workspace, valid until its next kernel call.
 
     The chunk is worked through in row blocks of about
-    :data:`BLOCK_ELEMENTS` gathered candidates (:func:`_row_blocks`);
-    the result is the blocks' results laid end to end. Where every
-    vertex has a bit row, a label-free step with a set operation to run
-    runs it on packed words (:func:`_word_rows`) — the stored
-    ``intermediates`` are then re-derived from the columns the reused
-    step read, and only their sizes are taken off the offsets. Where
-    only the hubs have one, a counted step that reuses nothing runs on
-    their columns and a tail list (:func:`_column_rows`).
+    :data:`BLOCK_ELEMENTS` gathered candidates (:func:`_row_blocks`, or
+    words: :func:`_word_blocks`); the result is the blocks' results laid
+    end to end. The universe the step's sets live in follows the module
+    docstring's rule; where it is words only, the stored
+    ``intermediates`` are re-derived from the columns the reused step
+    read, and only their sizes are taken off the offsets.
     """
     ws = workspace if workspace is not None else Workspace()
     prefixes = np.asarray(prefixes, dtype=np.int64)
@@ -374,34 +371,40 @@ def extend_chunk(
             np.empty(n, dtype=np.int64),
         )
     keep_raw = step.store_intermediate and not counting
-    # Every vertex has a bit row and the step has a set operation to
-    # run (one-list steps have none to replace): on packed words
-    words = graph.adjacency_words() if label_free and (
+    # The universe: a label-free step with a set operation to run (a
+    # one-list step has none to replace) runs it on the graph's packed
+    # columns — unless they leave a tail and the step lists, or reuses a
+    # stored intersection (one list): hub and tail members would have
+    # to be merged back into one sorted list
+    columns = graph.hub_columns() if label_free and (
         intermediates is not None
         or len(connected) + len(step.disconnected) > 1
     ) else None
-    # ... or, on a graph over the row budget, the hub columns of every
-    # vertex: a counted step's universe splits into packed words and a
-    # sorted tail (a reused intersection is stored as one list)
-    columns = graph.hub_columns() if (
-        counting and words is None and intermediates is None
-    ) else None
-    if words is not None:
-        if intermediates is not None:
-            # the stored intersection, re-derived: the AND of the
-            # columns the reused step read (its sizes are ``volume``)
-            base = tuple(c for c in step.connected if c not in connected)
-        else:
-            base, connected = connected[:1], connected[1:]
-        bounds = _word_blocks(n, words.shape[1], listing=not counting)
-    elif columns is not None:
+    if columns is not None and columns.tail_indptr is not None and (
+        intermediates is not None or not counting
+    ):
+        columns = None
+    if intermediates is None:
+        base, connected = connected[:1], connected[1:]
+    else:
+        base = tuple(c for c in step.connected if c not in connected)
+        if columns is not None:
+            # words only: the stored intersection re-derived, the AND
+            # of the columns the reused step read (its sizes: ``volume``)
+            intermediates = None
+    # row blocks weigh a row as what its sets take in this universe:
+    # ``W`` words (or their unpacked bytes) without a tail, the tail
+    # list and ``W`` words with one, the gathered list without columns
+    if columns is None:
+        bounds = _row_blocks(volume)
+    elif columns.tail_indptr is None:
+        bounds = _word_blocks(n, columns.words.shape[1], listing=not counting)
+    else:
         tails = columns.tail_indptr
-        first = prefixes[:, connected[0]]
+        first = prefixes[:, base[0]]
         bounds = _row_blocks(
             tails.take(first + 1) - tails.take(first) + columns.words.shape[1]
         )
-    else:
-        bounds = _row_blocks(volume)
     parts = []
     for start, stop in zip(bounds, bounds[1:]):
         block = prefixes[start:stop]
@@ -409,34 +412,18 @@ def extend_chunk(
             tally[start:stop]
             for tally in (batch.merge_elements, batch.scanned, batch.counts)
         )
-        if words is not None:
-            values, emb_of, raw_values, probes = _word_rows(
-                graph, words, step, block, base, connected,
-                volume[start:stop], not counting, keep_raw, ws,
-                merge, scanned, kept,
-            )
-        elif columns is not None:
-            values = emb_of = raw_values = None
-            probes = _column_rows(
-                graph, columns, step, block, connected, volume[start:stop],
-                ws, merge, scanned, kept,
-            )
-        else:
-            values, emb_of, counts, raw_values, probes = _set_operations(
-                graph, block, connected, step.disconnected,
-                None if intermediates is None
-                else (stored, stored_offsets, segments[start:stop]),
-                ws, merge, scanned, keep_raw=keep_raw,
-            )
-            if counting:
-                _count_rows(graph, step, block, values, emb_of, counts, ws,
-                            kept)
-            else:
-                values, emb_of = _extend_rows(
-                    graph, step, block, values, emb_of, ws, kept,
-                )
+        state, raw_values, probes = _set_operations(
+            graph, columns, block, base, connected, step.disconnected,
+            None if intermediates is None
+            else (stored, stored_offsets, segments[start:stop]),
+            volume[start:stop], ws, merge, scanned, keep_raw,
+        )
         batch.probe_elements += probes
-        if not counting:
+        if counting:
+            _count_sets(graph, columns, step, block, state, ws, kept)
+        else:
+            values, emb_of = _list_sets(
+                graph, columns, step, block, state, ws, kept)
             parts.append((values, emb_of, raw_values))
     if counting:
         return batch
@@ -476,13 +463,138 @@ def _word_blocks(n: int, width: int, listing: bool = False) -> list[int]:
     return [*range(0, n, rows), n] if n else [0, 0]
 
 
-def _stage_state(
-    values: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A flattened gather ``(values, offsets)`` as ``(values, emb_of,
-    counts)``, what one set-operation stage hands the next."""
-    counts = offsets[1:] - offsets[:-1]
-    return values, np.arange(len(counts)).repeat(counts), counts
+def _set_operations(
+    graph: Graph,
+    columns: Optional[HubColumns],
+    prefixes: np.ndarray,
+    base: tuple[int, ...],
+    connected: tuple[int, ...],
+    disconnected: tuple[int, ...],
+    stored: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    size: np.ndarray,
+    ws: Workspace,
+    merge_elements: np.ndarray,
+    scanned: np.ndarray,
+    keep_raw: bool = False,
+):
+    """One row block's set operations, unfiltered: the running sets —
+    the stored intersections ``stored``, or the AND of the ``base``
+    columns' neighbor sets (``size[i]`` elements a row) — intersected
+    with the ``connected`` columns' sets, then differenced with
+    ``disconnected``'s, a stage at a time (:func:`_split_stage`, on
+    whichever halves of the universe ``columns`` leaves).
+
+    Returns ``(state, raw_values, probe_elements)`` — the last stage's
+    state — and writes the rows' ``merge_elements`` and ``scanned``: a
+    stage charges the running size before it and the other list's
+    length, whichever half answers it. ``raw_values`` (with
+    ``keep_raw``: the pre-difference intersection VCS descendants
+    reuse, listed; ``scanned`` are its per-row sizes) is the caller's
+    to keep."""
+    degrees = graph.degrees()
+    state = _first_state(
+        graph, columns, prefixes, base, stored, size, ws, "first")
+    merge_elements[:] = 0
+    probe_elements = 0
+    stages = 0
+
+    def stage(position: int, keep: bool) -> None:
+        nonlocal state, probe_elements, merge_elements, stages
+        size = state[3]
+        merge_elements += size
+        merge_elements += degrees.take(prefixes[:, position])
+        probe_elements += int(size.sum())
+        state = _split_stage(
+            graph, columns, prefixes, position, keep, state, ws, stages & 1
+        )
+        stages += 1
+
+    for position in connected:
+        stage(position, True)
+    scanned[:] = state[3]
+    raw_values = None
+    if keep_raw:
+        sets, values = state[:2]
+        # a stage's output sits in a workspace slot the next block reuses
+        raw_values = (
+            _members(sets, graph.indices.dtype)[0] if sets is not None
+            else values.copy() if stages else values
+        )
+    for position in disconnected:
+        stage(position, False)
+    return state, raw_values, probe_elements
+
+
+def _first_state(
+    graph: Graph,
+    columns: Optional[HubColumns],
+    prefixes: np.ndarray,
+    base: tuple[int, ...],
+    stored: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    size: np.ndarray,
+    ws: Workspace,
+    slot,
+) -> tuple:
+    """:func:`_split_stage`'s state before any stage: the AND of the
+    ``base`` columns' neighbor sets (``size[i]`` elements a row) as
+    words over ``columns`` (a view of the workspace's ``slot``) and,
+    where the universe has a list half, column ``base[0]``'s lists —
+    their tails, beside words — or the stored intersections ``stored``,
+    gathered."""
+    sets = None
+    if columns is not None:
+        sets = _neighbor_sets(columns.words, prefixes[:, base[0]], ws, slot)
+        for position in base[1:]:
+            sets &= _neighbor_sets(
+                columns.words, prefixes[:, position], ws, "base")
+    if stored is not None:
+        values, offsets = gather_segments(*stored)
+    elif columns is None or columns.tail_indptr is not None:
+        values, offsets = graph.neighbors_batch(
+            prefixes[:, base[0]], tail=columns is not None)
+    else:
+        return sets, None, None, size
+    emb_of = np.arange(len(prefixes)).repeat(offsets[1:] - offsets[:-1])
+    return sets, values, emb_of, size
+
+
+def _split_stage(
+    graph: Graph,
+    columns: Optional[HubColumns],
+    prefixes: np.ndarray,
+    position: int,
+    keep: bool,
+    state: tuple,
+    ws: Workspace,
+    slot,
+) -> tuple:
+    """One set-operation stage over a row block: of each row's running
+    set keep the members adjacent to its column ``position`` vertex (an
+    intersection) or, with ``keep`` false, those that are not (a
+    difference). ``state`` is ``(sets, values, emb_of, size)`` — the
+    hubs in each row's set as words over the graph's ``columns``, the
+    rest as a sorted list, the two halves' total — and either half may
+    be absent (``None``), never empty: the words are ANDed with column
+    ``position``'s (their complement, with ``keep`` false), the list
+    goes through :func:`_probe_stage`. The new state, in the
+    workspace's ``slot`` (not its input's)."""
+    sets, values, emb_of, size = state
+    if values is not None:
+        values, emb_of, size = _probe_stage(
+            graph, prefixes, position, values, emb_of, keep, ws, slot
+        )
+    if sets is not None:
+        other = _neighbor_sets(columns.words, prefixes[:, position], ws, slot)
+        sets = np.bitwise_and(
+            sets, other if keep else np.invert(other, out=other), out=other
+        )
+        count = _popcount(
+            sets, ws, ws.take(("words.size", slot), len(prefixes)))
+        if values is None:
+            size = count
+        else:
+            size += count
+    return sets, values, emb_of, size
 
 
 def _probe_stage(
@@ -495,12 +607,10 @@ def _probe_stage(
     ws: Workspace,
     slot,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One set-operation stage over a row block: of each row's
-    candidates keep those adjacent to its column ``position`` vertex
-    (an intersection) or, with ``keep`` false, those that are not (a
-    difference). The new ``(values, emb_of, counts)``; the first two are
-    views of the workspace's ``slot``, so a stage's input and output
-    must sit in different slots."""
+    """:func:`_split_stage` on a list half: of each row's candidates
+    keep those adjacent to its column ``position`` vertex or, with
+    ``keep`` false, those that are not. The new ``(values, emb_of,
+    counts)``; the first two are views of the workspace's ``slot``."""
     member = adjacency_member(
         graph, prefixes[:, position], values, emb_of, ws,
         out=ws.take("stage.member", len(values), np.bool_),
@@ -518,71 +628,8 @@ def _probe_stage(
     return values, emb_of, np.bincount(emb_of, minlength=len(prefixes))
 
 
-def _set_operations(
-    graph: Graph,
-    prefixes: np.ndarray,
-    connected: tuple[int, ...],
-    disconnected: tuple[int, ...],
-    intermediates: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ws: Workspace,
-    merge_elements: np.ndarray,
-    scanned: np.ndarray,
-    keep_raw: bool = False,
-):
-    """One row block's set operations, as an unfiltered listing: the
-    stored intersections ``intermediates`` (or, without any, column
-    ``connected[0]``'s neighbor lists) intersected with the other
-    ``connected`` columns' lists, then differenced with ``disconnected``'s.
-
-    Returns ``(values, emb_of, counts, raw_values, probe_elements)``
-    and writes the rows' ``merge_elements`` and ``scanned``. A stage
-    hands the next its ``emb_of`` and ``counts`` — nothing per
-    candidate is re-derived from the rows, and no layout array is built
-    here. ``values`` / ``emb_of`` are workspace views once a stage has
-    run; ``raw_values`` (the pre-difference intersection VCS
-    descendants reuse, with ``keep_raw``; ``scanned`` are its per-row
-    sizes) is the caller's to keep."""
-    degrees = graph.degrees()
-    if intermediates is not None:
-        values, emb_of, counts = _stage_state(
-            *gather_segments(*intermediates)
-        )
-    else:
-        values, emb_of, counts = _stage_state(
-            *graph.neighbors_batch(prefixes[:, connected[0]])
-        )
-        connected = connected[1:]
-    merge_elements[:] = 0
-    probe_elements = 0
-    stage = 0
-    # connected positions: batched intersections via membership probes
-    for position in connected:
-        merge_elements += counts
-        merge_elements += degrees[prefixes[:, position]]
-        probe_elements += len(values)
-        values, emb_of, counts = _probe_stage(
-            graph, prefixes, position, values, emb_of, True, ws, stage & 1
-        )
-        stage += 1
-    scanned[:] = counts
-    raw_values = None
-    if keep_raw:
-        # a stage's output sits in a workspace slot the next block reuses
-        raw_values = values.copy() if stage else values
-    # disconnected positions (induced mode): batched set differences
-    for position in disconnected:
-        merge_elements += counts
-        merge_elements += degrees[prefixes[:, position]]
-        probe_elements += len(values)
-        values, emb_of, counts = _probe_stage(
-            graph, prefixes, position, values, emb_of, False, ws, stage & 1
-        )
-        stage += 1
-    return values, emb_of, counts, raw_values, probe_elements
-
-
 # ---------------------------------------------------------------------
-# set operations on packed words (docs/performance.md)
+# the word half (docs/performance.md, "Packed sets")
 # ---------------------------------------------------------------------
 _ONE = np.uint64(1)
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -626,11 +673,11 @@ def _others(prefixes: np.ndarray, width: int, ws: Workspace) -> np.ndarray:
 
 def _restrict(sets: np.ndarray, window, ws: Workspace) -> None:
     """Intersect each row's set with its ordering ``window``
-    (:func:`_window`), in place. The vertices above a bound ``b`` are,
-    in word ``j``, the ones-word shifted left by ``b + 1 - 64 j``: by
-    nothing where that is negative, to zero where it is 64 or more
-    (numpy's uint64 shift); the vertices below ``b`` are the
-    complement of those above ``b - 1``."""
+    (:func:`_window`, its bounds as columns), in place. The columns
+    above a bound ``b`` are, in word ``j``, the ones-word shifted left
+    by ``b + 1 - 64 j``: by nothing where that is negative, to zero
+    where it is 64 or more (numpy's uint64 shift); the columns below
+    ``b`` are the complement of those above ``b - 1``."""
     n, width = sets.shape
     first = np.arange(0, 64 * width, 64)
     shift = ws.take("words.shift", n * width).reshape(n, width)
@@ -646,7 +693,8 @@ def _restrict(sets: np.ndarray, window, ws: Workspace) -> None:
 def _members(sets: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The rows' sets as lists: ``(values, emb_of)``, row after row and
     ascending within one — a set bit is a candidate, its position in
-    the row's ``64 W`` bits the vertex. Arrays of their own."""
+    the row's ``64 W`` bits the vertex (a universe without a tail,
+    whose columns are the vertices). Arrays of their own."""
     bits = np.unpackbits(
         sets.astype("<u8", copy=False).view(np.uint8).reshape(-1),
         bitorder="little",
@@ -655,181 +703,27 @@ def _members(sets: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     return values.astype(dtype), emb_of
 
 
-def _word_rows(
-    graph: Graph,
-    words: np.ndarray,
-    step: ExtensionStep,
-    prefixes: np.ndarray,
-    base: tuple[int, ...],
-    connected: tuple[int, ...],
-    size: np.ndarray,
-    listing: bool,
-    keep_raw: bool,
+def _mask_words(
+    columns: HubColumns, prefixes: np.ndarray, window, sets: np.ndarray,
     ws: Workspace,
-    merge_elements: np.ndarray,
-    scanned: np.ndarray,
-    counts: np.ndarray,
-):
-    """One row block of :func:`extend_chunk` on packed words
-    (:meth:`Graph.adjacency_words`): a row's running set is the AND of
-    its ``base`` columns' neighbor sets (``size[i]`` elements — the
-    first list's, or a reused intersection's), then of each
-    ``connected`` column's, then the AND-NOT of each ``step.disconnected``
-    one's; the ordering window and the row's own vertices are masks.
-
-    Writes the rows' ``merge_elements``, ``scanned`` and ``counts`` —
-    popcounts of the very sets the list path sizes stage by stage — and
-    returns ``(values, emb_of, raw_values, probe_elements)``: the final
-    sets' members when ``listing`` (a counting drain ends at the
-    popcount), the pre-difference sets' with ``keep_raw``."""
-    degrees = graph.degrees()
-    sets = _neighbor_sets(words, prefixes[:, base[0]], ws, 0)
-    for position in base[1:]:
-        sets &= _neighbor_sets(words, prefixes[:, position], ws, 1)
-    merge_elements[:] = 0
-    probe_elements = 0
-    sizes = ws.take("words.size", len(prefixes))
-
-    def stage(position: int, keep: bool) -> None:
-        # charged as the list path's probe stage: the running size
-        # before it, and the other list's length
-        nonlocal size, probe_elements, merge_elements, sets
-        merge_elements += size
-        merge_elements += degrees.take(prefixes[:, position])
-        probe_elements += int(size.sum())
-        other = _neighbor_sets(words, prefixes[:, position], ws, 1)
-        sets &= other if keep else np.invert(other, out=other)
-        size = _popcount(sets, ws, sizes)
-
-    for position in connected:
-        stage(position, True)
-    scanned[:] = size
-    raw_values = _members(sets, graph.indices.dtype)[0] if keep_raw else None
-    for position in step.disconnected:
-        stage(position, False)
-    _restrict(sets, _window(step, prefixes), ws)
-    sets &= _others(prefixes, sets.shape[1], ws)
-    _popcount(sets, ws, counts)
-    if not listing:
-        return None, None, raw_values, probe_elements
-    return *_members(sets, graph.indices.dtype), raw_values, probe_elements
-
-
-def _split_stage(
-    graph: Graph,
-    columns: Optional[HubColumns],
-    prefixes: np.ndarray,
-    position: int,
-    keep: bool,
-    state: tuple,
-    ws: Workspace,
-    slot,
-) -> tuple:
-    """One set-operation stage over a row block whose running sets are
-    split at the graph's hub ``columns`` (:meth:`Graph.hub_columns`):
-    ``state`` is ``(sets, values, emb_of, size)`` — the hubs in each
-    row's set as packed words, the rest as a sorted list, the two
-    halves' total. The words are ANDed with column ``position``'s (their
-    complement, with ``keep`` false), the list goes through
-    :func:`_probe_stage`; the new state, in the workspace's ``slot``
-    (not its input's). Without ``columns`` the sets are ``None`` and
-    the list is the whole universe."""
-    sets, values, emb_of, _ = state
-    values, emb_of, size = _probe_stage(
-        graph, prefixes, position, values, emb_of, keep, ws, slot
-    )
-    if columns is not None:
-        other = _neighbor_sets(columns.words, prefixes[:, position], ws, slot)
-        sets = np.bitwise_and(
-            sets, other if keep else np.invert(other, out=other), out=other
-        )
-        size += _popcount(
-            sets, ws, ws.take(("words.size", slot), len(prefixes))
-        )
-    return sets, values, emb_of, size
-
-
-def _split_lists(
-    graph: Graph,
-    columns: Optional[HubColumns],
-    vertices: np.ndarray,
-    size: np.ndarray,
-    ws: Workspace,
-    slot,
-) -> tuple:
-    """:func:`_split_stage`'s state of the neighbor lists of
-    ``vertices`` (``size[i]`` elements each) before any stage."""
-    split = columns is not None
-    values, emb_of, _ = _stage_state(
-        *graph.neighbors_batch(vertices, tail=split))
-    sets = _neighbor_sets(columns.words, vertices, ws, slot) if split else None
-    return sets, values, emb_of, size
-
-
-def _column_rows(
-    graph: Graph,
-    columns: HubColumns,
-    step: ExtensionStep,
-    prefixes: np.ndarray,
-    connected: tuple[int, ...],
-    size: np.ndarray,
-    ws: Workspace,
-    merge_elements: np.ndarray,
-    scanned: np.ndarray,
-    counts: np.ndarray,
-) -> int:
-    """One row block of :func:`extend_chunk`, counted, on a graph whose
-    hubs are packed columns of every vertex (:meth:`Graph.hub_columns`):
-    a row's running set is two halves of one universe — the hubs in it
-    as ``W`` words (:func:`_word_rows`' AND and AND-NOT), the rest as a
-    sorted list (:func:`_set_operations`' probe stages, over the tail
-    lists only) — and its size the popcount plus the list's length,
-    charged where the list path charges it. Column ``connected[0]``'s
-    lists (``size[i]`` elements) are intersected with the other
-    ``connected`` columns', then differenced with ``step.disconnected``'s.
-
-    Writes the rows' ``merge_elements``, ``scanned`` and ``counts``,
-    returns the ``probe_elements``: the list path's integers."""
-    degrees = graph.degrees()
-    state = _split_lists(
-        graph, columns, prefixes[:, connected[0]], size, ws, "first"
-    )
-    merge_elements[:] = 0
-    probe_elements = 0
-    stages = 0
-
-    def stage(position: int, keep: bool) -> None:
-        nonlocal state, probe_elements, merge_elements, stages
-        merge_elements += state[3]
-        merge_elements += degrees.take(prefixes[:, position])
-        probe_elements += int(state[3].sum())
-        state = _split_stage(
-            graph, columns, prefixes, position, keep, state, ws, stages & 1
-        )
-        stages += 1
-
-    for position in connected[1:]:
-        stage(position, True)
-    scanned[:] = state[3]
-    for position in step.disconnected:
-        stage(position, False)
-    sets, values, emb_of, size = state
-    window = _window(step, prefixes)
-    if window:
-        # a bound is a column too: the hubs under it (or up to it)
+) -> None:
+    """The word half of a row block's sets through the ordering
+    ``window`` (:func:`_window`), in place — a bound is a column too:
+    the hubs under it, or up to it — and, where the universe has no
+    tail, without the row's own vertices (every one is a column there:
+    the distinct-vertex constraint as a mask, :func:`_others`)."""
+    if columns.tail_indptr is None:
+        # every vertex a column: a bound is its own (``below`` is the
+        # identity, nothing to look up)
+        _restrict(sets, window, ws)
+        sets &= _others(prefixes, sets.shape[1], ws)
+    elif window:
         below = columns.below
         _restrict(sets, [
             (compare, below.take(bound + 1) - 1 if compare is np.greater
              else below.take(bound))
             for compare, bound in window
         ], ws)
-        mask, _, _ = _window_mask(window, values, emb_of, ws)
-        _popcount(sets, ws, counts)
-        counts += np.bincount(emb_of[mask], minlength=len(prefixes))
-    else:
-        counts[:] = size
-    _drop_own(graph, step, prefixes, counts, ws)
-    return probe_elements
 
 
 def _window(
@@ -867,15 +761,32 @@ def _window_mask(
     return mask, flag, of_row
 
 
+def _list_sets(
+    graph: Graph, columns: Optional[HubColumns], step: ExtensionStep,
+    prefixes: np.ndarray, state: tuple, ws: Workspace, counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row block of :func:`extend_chunk`, listed: the set
+    operations' ``state`` — a listing's universe is words only or lists
+    only — through the step's filters (:func:`_mask_words` and
+    :func:`_members`, or :func:`_extend_rows`). Returns the surviving
+    ``(values, emb_of)`` as arrays of their own and writes the rows'
+    ``counts``."""
+    sets, values, emb_of, _ = state
+    if sets is None:
+        return _extend_rows(graph, step, prefixes, values, emb_of, ws, counts)
+    _mask_words(columns, prefixes, _window(step, prefixes), sets, ws)
+    _popcount(sets, ws, counts)
+    return _members(sets, graph.indices.dtype)
+
+
 def _extend_rows(
     graph: Graph, step: ExtensionStep, prefixes: np.ndarray,
     values: np.ndarray, emb_of: np.ndarray, ws: Workspace,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One row block of :func:`extend_chunk`, listed: its set
-    operations' ``values`` / ``emb_of`` through the step's filters.
-    Returns the surviving ``(values, emb_of)`` as arrays of their own
-    and writes the rows' ``counts``."""
+    """:func:`_list_sets` on a list half: ``values`` / ``emb_of``
+    through the step's filters. Returns the surviving ``(values,
+    emb_of)`` as arrays of their own and writes the rows' ``counts``."""
     # post-set-op filters, fused into one keep-mask over the batch
     mask, flag, of_row = _window_mask(
         _window(step, prefixes), values, emb_of, ws
@@ -1015,23 +926,40 @@ def _count_window(
     return batch
 
 
-def _count_rows(
-    graph: Graph, step: ExtensionStep, prefixes: np.ndarray,
-    values: np.ndarray, emb_of: np.ndarray, counts: np.ndarray,
-    ws: Workspace, out: np.ndarray,
+def _count_sets(
+    graph: Graph, columns: Optional[HubColumns], step: ExtensionStep,
+    prefixes: np.ndarray, state: tuple, ws: Workspace, counts: np.ndarray,
 ) -> None:
     """One row block of :func:`extend_chunk`, counted, into the rows'
-    counts ``out``: one ordering-window pass over its set operations'
-    result (the cost model prices those), then the distinct-vertex
-    correction — which reads a row's prefix and count, not its list, on
-    the rows that count anything: only they can hold one, and under an
-    ordering restriction most count nothing."""
+    ``counts``: the set operations' ``state`` through the ordering
+    window — a mask on the word half (:func:`_mask_words`), one compare
+    pass on the list half (the cost model prices the set operations,
+    not this) — as popcounts plus ``bincount``, less the row's own
+    vertices inside the set.
+
+    That correction is a mask where the universe has no tail, probes
+    (:func:`_drop_own`) where it has one — a choice measured, not
+    derived: probing on a graph without a tail too reads ``motif5-mico``
+    +14 % in wall time on a 2-CPU host (docs/performance.md, "Packed
+    sets"), and with a tail the own vertices are not all columns."""
+    sets, values, emb_of, size = state
     window = _window(step, prefixes)
-    if window:
+    if sets is not None:
+        _mask_words(columns, prefixes, window, sets, ws)
+    if values is None:
+        _popcount(sets, ws, counts)
+        return
+    if not window:
+        counts[:] = size
+    else:
         mask, _, _ = _window_mask(window, values, emb_of, ws)
-        counts = np.bincount(emb_of[mask], minlength=len(prefixes))
-    out[:] = counts
-    _drop_own(graph, step, prefixes, out, ws)
+        listed = np.bincount(emb_of[mask], minlength=len(prefixes))
+        if sets is None:
+            counts[:] = listed
+        else:
+            _popcount(sets, ws, counts)
+            counts += listed
+    _drop_own(graph, step, prefixes, counts, ws)
 
 
 def _drop_own(
@@ -1039,7 +967,10 @@ def _drop_own(
     counts: np.ndarray, ws: Workspace,
 ) -> None:
     """The distinct-vertex correction of the rows' windowed ``counts``,
-    in place (:func:`_inside`, on the rows that count anything)."""
+    in place (:func:`_inside`). It reads a row's prefix and count, not
+    its list, and runs on the rows that count anything: only they can
+    hold one of their own vertices, and under an ordering restriction
+    most count nothing."""
     live = counts.nonzero()[0]
     rows = ws.matrix("inside.rows", len(live), prefixes.shape[1])
     for column in range(prefixes.shape[1]):
@@ -1098,12 +1029,11 @@ def iep_chunk(
     bounded by ``max_degree ** suffix_size``, far inside int64 for
     every graph this engine hosts. The result's arrays are views of
     ``workspace`` (a private one when ``None``), valid until its next
-    kernel call. Where every vertex has a bit row the signatures are
-    ANDs of packed words and the cardinalities popcounts
-    (:func:`_iep_words`): the same integers, nothing gathered or probed
-    — given rows of distinct vertices, which prefix embeddings are.
-    Where only the hubs have one, :func:`_iep_rows` gathers and probes
-    the tail lists only and ANDs the hub columns for the rest.
+    kernel call. On a graph with hub columns the signatures run on
+    :func:`extend_chunk`'s universe (:func:`_split_stage`): the hub
+    part is ANDs of packed words and popcounts, only a tail is gathered
+    and probed, and where there is no tail nothing is — given rows of
+    distinct vertices, which prefix embeddings are.
     """
     ws = workspace if workspace is not None else Workspace()
     prefixes = np.asarray(prefixes, dtype=np.int64)
@@ -1114,28 +1044,31 @@ def iep_chunk(
         ws.take("result.counts", n), ws.take("result.merge", n),
         ws.take("result.scanned", n), 0,
     )
-    words = graph.adjacency_words()
-    if words is not None:
-        body = _iep_words
-        bounds = _word_blocks(n, words.shape[1])
+    columns = graph.hub_columns()
+    # Each regime keeps its row-block rule: ``probe_elements`` counts a
+    # stage once per distinct signature prefix *per block*, so the
+    # blocking is a pinned number (tests/data/scheduler_golden.json)
+    if columns is not None and columns.tail_indptr is None:
+        bounds = _word_blocks(n, columns.words.shape[1])
     else:
-        # row blocks as in extend_chunk, sized by the widest gather
-        body = _iep_rows
+        # sized by the widest gather
         degrees = graph.degrees()
         volume = np.zeros(n, dtype=np.int64)
         for first in {s[0] for s in plan.signatures if len(s) > 1}:
             np.maximum(volume, degrees[prefixes[:, first]], out=volume)
         bounds = _row_blocks(volume)
     for start, stop in zip(bounds, bounds[1:]):
-        batch.probe_elements += body(
-            graph, plan, prefixes[start:stop], ws, batch.counts[start:stop],
-            batch.merge_elements[start:stop], batch.scanned[start:stop],
+        batch.probe_elements += _iep_rows(
+            graph, columns, plan, prefixes[start:stop], ws,
+            batch.counts[start:stop], batch.merge_elements[start:stop],
+            batch.scanned[start:stop],
         )
     return batch
 
 
 def _iep_rows(
     graph: Graph,
+    columns: Optional[HubColumns],
     plan: CountingPlan,
     prefixes: np.ndarray,
     ws: Workspace,
@@ -1147,35 +1080,41 @@ def _iep_rows(
     ``merge_elements`` and ``scanned``, returns the probes made.
 
     Signatures share their prefixes: ``(0, 1)`` and ``(0, 1, 2)`` pass
-    through the same gather of ``N(v0)`` and the same probe against
-    column 1, so each stage's state (:func:`_split_stage`'s: on a graph
-    with hub columns the running sets are words and a tail list) is
-    kept by signature prefix, in a workspace slot of its own, and runs
-    once per block. Every signature still charges every stage it passes
-    through — the ``merge_elements`` and ``scanned`` of a
-    signature-at-a-time walk."""
+    through the same first state of column 0 and the same stage against
+    column 1, so each stage's state (:func:`_split_stage`'s — words, a
+    list or both, by ``columns``) is kept by signature prefix, in a
+    workspace slot of its own, and runs once per block. Every signature
+    still charges every stage it passes through — the
+    ``merge_elements`` and ``scanned`` of a signature-at-a-time walk.
+    The prefix vertices inside a signature's set are not suffix
+    candidates: masked off its words where the universe has no tail,
+    probed otherwise (:func:`_count_sets` says why)."""
+    n = len(prefixes)
     degrees = graph.degrees()
-    columns = graph.hub_columns()
     merge_elements[:] = 0
     scanned[:] = 0
     probe_elements = 0
     stages: dict[tuple[int, ...], tuple] = {}
     degree_of: dict[int, np.ndarray] = {}
     cards: dict[tuple[int, ...], np.ndarray] = {}
+    words_only = columns is not None and columns.tail_indptr is None
+    if words_only:
+        others = _others(prefixes, columns.words.shape[1], ws)
+        inside = ws.words("words.inside", n, columns.words.shape[1])
     # the signatures overlap: one membership memo (:func:`_inside`) per
     # block probes each ordered pair of columns once, on first use
     adjacent: dict[tuple[int, int], np.ndarray] = {}
     for signature in plan.signatures:
         for position in signature:
             if position not in degree_of:
-                degree_of[position] = degrees[prefixes[:, position]]
-        if len(signature) == 1:
+                degree_of[position] = degrees.take(prefixes[:, position])
+        if len(signature) == 1 and not words_only:
             card = degree_of[signature[0]]
         else:
             state = stages.get(signature[:1])
             if state is None:
-                state = stages[signature[:1]] = _split_lists(
-                    graph, columns, prefixes[:, signature[0]],
+                state = stages[signature[:1]] = _first_state(
+                    graph, columns, prefixes, signature[:1], None,
                     degree_of[signature[0]], ws, len(stages),
                 )
             for depth in range(2, len(signature) + 1):
@@ -1192,77 +1131,17 @@ def _iep_rows(
                     )
                 state = stages[prefix]
             card = state[3]
-            scanned += card
-        # prefix vertices that fall inside the intersection are not
-        # valid suffix candidates
-        cards[signature] = card - _inside(
-            graph, prefixes, signature, adjacent=adjacent, workspace=ws
-        )
-    _iep_totals(plan, cards, totals, ws)
-    return probe_elements
-
-
-def _iep_words(
-    graph: Graph,
-    plan: CountingPlan,
-    prefixes: np.ndarray,
-    ws: Workspace,
-    totals: np.ndarray,
-    merge_elements: np.ndarray,
-    scanned: np.ndarray,
-) -> int:
-    """:func:`_iep_rows` on packed words (:meth:`Graph.adjacency_words`):
-    a stage's state — still kept by signature prefix, once per block —
-    is the rows' running sets and their popcounts, a column alone being
-    its neighbor sets and degrees; a stage is one AND, and a signature's
-    cardinality the popcount of its set less the row's own vertices.
-    ``probe_elements`` are the running sizes before each distinct stage,
-    what the list path pushes through its probes."""
-    n = len(prefixes)
-    words = graph.adjacency_words()
-    width = words.shape[1]
-    degrees = graph.degrees()
-    merge_elements[:] = 0
-    scanned[:] = 0
-    probe_elements = 0
-    stages: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    def column(position: int) -> tuple[np.ndarray, np.ndarray]:
-        state = stages.get((position,))
-        if state is None:
-            state = stages[(position,)] = (
-                _neighbor_sets(words, prefixes[:, position], ws,
-                               ("iep", len(stages))),
-                degrees.take(prefixes[:, position]),
-            )
-        return state
-
-    others = _others(prefixes, width, ws)
-    inside = ws.words("words.inside", n, width)
-    cards: dict[tuple[int, ...], np.ndarray] = {}
-    for signature in plan.signatures:
-        sets, size = column(signature[0])
-        for depth in range(2, len(signature) + 1):
-            joined, degree = column(signature[depth - 1])
-            merge_elements += size
-            merge_elements += degree
-            state = stages.get(signature[:depth])
-            if state is None:
-                probe_elements += int(size.sum())
-                slot = ("iep", len(stages))
-                sets = np.bitwise_and(
-                    sets, joined, out=ws.words(("words.sets", slot), n, width)
-                )
-                state = stages[signature[:depth]] = (
-                    sets, _popcount(sets, ws, ws.take(("words.size", slot), n))
-                )
-            sets, size = state
         if len(signature) > 1:
-            scanned += size
-        cards[signature] = _popcount(
-            np.bitwise_and(sets, others, out=inside), ws,
-            ws.take(("words.card", len(cards)), n),
-        )
+            scanned += card
+        if words_only:
+            cards[signature] = _popcount(
+                np.bitwise_and(state[0], others, out=inside), ws,
+                ws.take(("words.card", len(cards)), n),
+            )
+        else:
+            cards[signature] = card - _inside(
+                graph, prefixes, signature, adjacent=adjacent, workspace=ws
+            )
     _iep_totals(plan, cards, totals, ws)
     return probe_elements
 

@@ -50,5 +50,5 @@ class Workspace:
 
     def words(self, name: str, rows: int, width: int) -> np.ndarray:
         """A row-major ``(rows, width)`` uint64 view: one packed set of
-        ``width`` words per row (:meth:`Graph.adjacency_words`)."""
+        ``width`` words per row (:meth:`Graph.hub_columns`)."""
         return self.take(name, rows * width, np.uint64).reshape(rows, width)

@@ -76,9 +76,10 @@ class HubColumns(NamedTuple):
     #: ``(|V|, W)`` ``uint64``: bit ``c & 63`` of ``words[v, c >> 6]`` is
     #: ``has_edge(v, hub of column c)``
     words: np.ndarray
-    #: CSR of each vertex's non-hub neighbors, ascending
-    tail_indptr: np.ndarray
-    tail_indices: np.ndarray
+    #: CSR of each vertex's non-hub neighbors, ascending; ``None`` where
+    #: every vertex is a hub (no tail)
+    tail_indptr: Optional[np.ndarray]
+    tail_indices: Optional[np.ndarray]
 
 
 class Graph:
@@ -199,7 +200,8 @@ class Graph:
         vectorized gather instead of ``len(vs)`` per-vertex slices —
         the entry format of the batched EXTEND kernels
         (:mod:`repro.core.kernels`). With ``tail`` the lists are the
-        non-hub neighbors only (:meth:`hub_columns`, which must exist).
+        non-hub neighbors only (:meth:`hub_columns`, which must have a
+        tail).
         """
         if tail:
             columns = self._hub_columns
@@ -230,8 +232,7 @@ class Graph:
     @property
     def adjacency_row_bytes(self) -> int:
         """Stride of one bit-packed adjacency row: whole 8-byte words,
-        so the rows can be read a word at a time
-        (:meth:`adjacency_words`)."""
+        so the rows can be read a word at a time (:meth:`hub_columns`)."""
         return 8 * ((self.num_vertices + 63) // 64)
 
     def adjacency_matrix(self) -> tuple[np.ndarray, np.ndarray]:
@@ -251,12 +252,11 @@ class Graph:
         doubles what the kernels already keep resident, and on a skewed
         graph those few rows take nearly every probe
         (docs/performance.md). A graph whose vertices all fit is fully
-        dense — its rows are in vertex order, and the kernels run its
-        set operations on them (:meth:`adjacency_words`); the rest of a
-        larger one keeps the ``adjacency_keys`` probe path — and gets
-        the same hubs as packed *columns* of every vertex
-        (:meth:`hub_columns`), built here with the rows. Built lazily
-        from the hub vertices' own lists, a bounded gather at a time.
+        dense — its rows are in vertex order; the rest of a larger one
+        keeps the ``adjacency_keys`` probe path. Either way the hubs are
+        also packed *columns* of every vertex (:meth:`hub_columns`),
+        set up here with the rows. Built lazily from the hub vertices'
+        own lists, a bounded gather at a time.
         """
         if self._adjacency_matrix is None:
             n = self.num_vertices
@@ -282,31 +282,36 @@ class Graph:
             rows.setflags(write=False)
             rank.setflags(write=False)
             self._adjacency_matrix = (rows, rank)
-            self._hub_columns = (
-                self._build_hub_columns(rank) if 0 < k < n else None
-            )
+            if k == n and n:
+                # every vertex a hub: the rows are the columns
+                below = np.arange(n + 1)
+                below.setflags(write=False)
+                self._hub_columns = HubColumns(
+                    below, rows.view("<u8"), None, None)
+            else:
+                self._hub_columns = (
+                    self._build_hub_columns(rank) if k else None)
         return self._adjacency_matrix
 
     def hub_columns(self) -> Optional[HubColumns]:
         """Every vertex's neighbor list split at the hub vertices, or
-        ``None``.
+        ``None`` where no vertex has a row.
 
         The hubs are the vertices :meth:`adjacency_matrix` gives a row
         (so one byte budget sizes both, and :data:`DENSE_ADJACENCY_BYTES`
         caps each), taken as *columns*, in ascending vertex order:
-        vertex ``v``'s row of the ``(|V|, W)`` ``uint64`` matrix says
-        which hubs it is adjacent to (out-neighbors on an oriented
-        graph), a tail CSR lists its other neighbors. On a skewed graph
-        the few hubs are most entries' targets (``tri-2x``: 1 070 of
-        14 000 vertices, 66 % of the entries), so a counting set
-        operation ANDs ``W`` words for the dense part of its universe
-        and probes only the tail (:mod:`repro.core.kernels`,
-        docs/performance.md). ``W = ⌈hubs / 64⌉``: the rows' bytes
-        rounded up to a whole word a vertex, never more than a mean
-        neighbor list's elements plus one. ``None`` where no vertex has
-        a row, and where every vertex has one — the rows are then the
-        columns, every tail is empty, and :meth:`adjacency_words` is the
-        structure.
+        vertex ``v``'s row of the ``(|V|, W)`` little-endian ``uint64``
+        matrix says which hubs it is adjacent to (out-neighbors on an
+        oriented graph), a tail CSR lists its other neighbors. An
+        intersection of the hub parts is an AND, a difference an
+        AND-NOT, a cardinality a popcount (:mod:`repro.core.kernels`,
+        docs/performance.md, "Packed sets"). On a skewed graph the few
+        hubs are most entries' targets (``tri-2x``: 1 070 of 14 000
+        vertices, 66 % of the entries). ``W = ⌈hubs / 64⌉``: the rows'
+        bytes rounded up to a whole word a vertex, never more than a
+        mean neighbor list's elements plus one. Where every vertex has
+        a row, the rows *are* the columns: ``words`` is a view of them
+        (no copy), ``below`` the identity and the tail ``None``.
         """
         self.adjacency_matrix()
         return self._hub_columns
@@ -356,23 +361,6 @@ class Graph:
         for array in (below, words, tail_indptr, tail_indices):
             array.setflags(write=False)
         return HubColumns(below, words, tail_indptr, tail_indices)
-
-    def adjacency_words(self) -> Optional[np.ndarray]:
-        """Every vertex's neighbor set as machine words, or ``None``.
-
-        Where every vertex has a bit-packed row
-        (:meth:`adjacency_matrix` — a row then has no more words than a
-        mean neighbor list has elements), the ``(|V|, W)`` little-endian
-        ``uint64`` matrix whose row ``v`` is ``N(v)``: bit ``u & 63`` of
-        word ``u >> 6`` is ``has_edge(v, u)``. An intersection is an
-        AND, a difference an AND-NOT, a cardinality a popcount — the
-        second set representation of :mod:`repro.core.kernels`. A view
-        of the rows ``adjacency_matrix`` holds, never a copy.
-        """
-        rows, rank = self.adjacency_matrix()
-        if len(rows) < len(rank):
-            return None
-        return rows.view("<u8")
 
     def degree(self, v: int) -> int:
         """Degree (out-degree for oriented graphs) of vertex ``v``."""
@@ -452,11 +440,17 @@ class Graph:
         the composite keys (:meth:`adjacency_keys`), the hub rows and
         their rank table (:meth:`adjacency_matrix`), the hub columns and
         tail lists (:meth:`hub_columns`). Resident in every process that
-        runs kernels, whatever the storage (docs/storage.md)."""
+        runs kernels, whatever the storage (docs/storage.md). An array
+        that is a view of another (a dense graph's columns are its rows)
+        is counted once."""
         built = [self._adjacency_keys]
         built += self._adjacency_matrix or ()
         built += self._hub_columns or ()
-        return sum(array.nbytes for array in built if array is not None)
+        built = [array for array in built if array is not None]
+        return sum(
+            array.nbytes for array in built
+            if not any(array.base is other for other in built)
+        )
 
     def edge_list_bytes(self, v: int) -> int:
         """Wire size of ``N(v)`` (:func:`edge_list_bytes_of` its degree)."""

@@ -73,12 +73,13 @@ def membership_regime(request, monkeypatch):
     Returns ``apply(graph)``, which rebuilds the graph's adjacency rows
     under the regime's byte budget for the rest of the test: every
     vertex has a bit-packed row (``dense`` — the default budget on a
-    small graph; the kernels then run set operations on packed words),
-    only the top fifth by degree do and the composite-key search
-    answers the rest (``rows+tail`` — what a graph over the budget
-    gets; the same fifth are then packed columns of every vertex, and
-    a counting set operation runs on words and a tail list), or none
-    does (``keys`` — no columns either: sorted lists throughout).
+    small graph; the rows are then the hub columns of every vertex, and
+    the kernels run set operations on packed words alone), only the top
+    fifth by degree do and the composite-key search answers the rest
+    (``rows+tail`` — what a graph over the budget gets; the same fifth
+    are packed columns of every vertex beside a tail list, and a
+    counting set operation runs on both), or none does (``keys`` — no
+    columns either: sorted lists throughout).
     """
     regime = request.param
 
@@ -89,19 +90,21 @@ def membership_regime(request, monkeypatch):
             monkeypatch.setattr(
                 Graph, "DENSE_ADJACENCY_BYTES",
                 rows * graph.adjacency_row_bytes)
-        # the word view is read off the rows on every call
-        # (``adjacency_words``), so dropping them drops it too; the hub
-        # columns are a cache of their own, rebuilt with the rows
+        # the hub columns are built with the rows: drop both
         monkeypatch.setattr(graph, "_adjacency_matrix", None)
         monkeypatch.setattr(graph, "_hub_columns", None)
-        _, rank = graph.adjacency_matrix()
+        matrix, rank = graph.adjacency_matrix()
         if graph.num_directed_edges:
             assert int((rank >= 0).sum()) == rows
-            assert (graph.adjacency_words() is not None) == (
-                regime == "dense")
             columns = graph.hub_columns()
-            assert (columns is not None) == (regime == "rows+tail")
-            if columns is not None:
+            assert (columns is None) == (regime == "keys")
+            if regime == "dense":
+                # the rows themselves: no copy, no tail, a column is
+                # its vertex
+                assert columns.words.base is matrix
+                assert columns.tail_indptr is None
+                assert columns.below.tolist() == list(range(n + 1))
+            elif regime == "rows+tail":
                 assert int(columns.below[-1]) == rows
                 assert 0 < len(columns.tail_indices) < len(graph.indices)
         return graph

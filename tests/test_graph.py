@@ -105,8 +105,16 @@ def test_size_bytes_accounting():
 
 def test_derived_bytes_sums_what_has_been_built(monkeypatch):
     """Nothing before a kernel asks; then the keys, the hub rows and
-    rank table, and — on a graph over the row budget — the hub columns
-    and tail lists, each once."""
+    rank table, and the hub columns: on a graph whose every vertex has
+    a row they are the rows (a view, counted once) and ``below``; over
+    the row budget their own words and the tail lists, each once."""
+    dense = from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    keys = dense.adjacency_keys()
+    rows, rank = dense.adjacency_matrix()
+    columns = dense.hub_columns()
+    assert len(rows) == 4 and columns.words.base is rows
+    assert dense.derived_bytes() == (
+        keys.nbytes + rows.nbytes + rank.nbytes + columns.below.nbytes)
     g = star_graph(99)  # 100 vertices, 198 entries: one 16-byte row
     assert g.derived_bytes() == 0
     keys = g.adjacency_keys()

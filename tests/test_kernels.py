@@ -341,7 +341,7 @@ def test_extend_chunk_empty_chunk(small_random_graph):
 # counting drains: count_only on a label-free step answers with
 # cardinalities — straight off the CSR when the step reads one list
 # (kernels._count_window), after the set operations otherwise
-# (kernels._count_rows) — held to the reference on every shape the two
+# (kernels._count_sets) — held to the reference on every shape the two
 # bodies add
 # ======================================================================
 @pytest.mark.parametrize("induced", [False, True])

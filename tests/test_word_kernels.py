@@ -1,12 +1,12 @@
-"""Set operations on packed adjacency words (docs/performance.md).
+"""Set operations on packed sets (docs/performance.md, "Packed sets").
 
-Where every vertex has a bit row (``Graph.adjacency_words``) a step
-with a set operation, and every IEP signature, runs as AND + popcount
-instead of a gather and a probe per element; on a graph over the row
-budget the hubs are packed *columns* of every vertex
-(``Graph.hub_columns``) and a counting set operation runs on both
-halves of its universe — words for the hubs, a probed list for the
-tail. The contract is the list path's, integer for integer:
+The vertices with a bit row are packed *columns* of every vertex
+(``Graph.hub_columns``). Where every vertex has one, the columns are the
+rows and a step with a set operation, and every IEP signature, runs as
+AND + popcount instead of a gather and a probe per element; on a graph
+over the row budget a counting set operation runs on both halves of
+its universe — words for the hubs, a probed list for the tail. The
+contract is the list path's, integer for integer:
 ``tests/test_kernels.py`` and ``tests/test_iep.py`` already hold
 whichever body runs to ``compute_candidates`` / ``iep_count`` under the
 ``membership_regime`` fixture; this file crosses the word widths and
@@ -47,15 +47,19 @@ from tests.test_kernels import (
 def _twin(graph, hubs=0):
     """The same CSR with ``hubs`` adjacency rows at most (as many as
     the entries pay for, if fewer): with none the ``keys`` regime, with
-    some — not all — the hubs are columns of every vertex as well."""
+    some the hubs are columns of every vertex as well — and a tail
+    lists the rest unless every vertex is a hub."""
     twin = Graph(graph.indptr, graph.indices, graph.labels, graph.directed,
                  graph.edge_labels)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Graph, "DENSE_ADJACENCY_BYTES",
                       hubs * graph.adjacency_row_bytes)
         rows, _ = twin.adjacency_matrix()
-    assert (twin.hub_columns() is not None) == (
-        0 < len(rows) < graph.num_vertices)
+    columns = twin.hub_columns()
+    assert (columns is not None) == (len(rows) > 0)
+    if columns is not None:
+        assert (columns.tail_indptr is None) == (
+            len(rows) == graph.num_vertices)
     return twin
 
 
@@ -63,7 +67,7 @@ def _listed_twin(graph):
     """The list path's answers to hold the other bodies' against: no
     adjacency row, no hub column."""
     twin = _twin(graph)
-    assert twin.adjacency_words() is None and twin.hub_columns() is None
+    assert twin.hub_columns() is None
     return twin
 
 
@@ -85,8 +89,7 @@ def _check(graph, schedule, vcs=True, keep=60, seed=0, allow_empty=False):
     the hub columns a counted step splits its universe at) against
     ``compute_candidates`` row by row, and against the list path array
     by array — listed and counted."""
-    assert (graph.adjacency_words() is not None
-            or graph.hub_columns() is not None)
+    assert graph.hub_columns() is not None
     rng = np.random.default_rng(seed)
     twin = _listed_twin(graph)
     frontier = [((v,), {}) for v in range(graph.num_vertices)]
@@ -144,19 +147,25 @@ SHAPES = {"W1": (37, 160), "W1-full": (64, 400), "W2": (100, 700),
 @pytest.fixture(scope="module", params=sorted(SHAPES))
 def dense_graph(request):
     graph = erdos_renyi(*SHAPES[request.param], seed=17)
-    words = graph.adjacency_words()
-    assert words.shape == (graph.num_vertices,
-                           -(-graph.num_vertices // 64))
+    columns = graph.hub_columns()
+    assert columns.tail_indptr is None
+    assert columns.words.shape == (graph.num_vertices,
+                                   -(-graph.num_vertices // 64))
     return graph
 
 
 def test_words_are_the_rows_the_matrix_holds(dense_graph):
-    """No second copy: the word matrix is a view of ``adjacency_matrix``'s
-    rows, in vertex order, and bit ``u`` of row ``v`` is ``has_edge``."""
+    """No second copy: every vertex a hub, the columns are a view of
+    ``adjacency_matrix``'s rows, in vertex order — a column is its
+    vertex, there is no tail — and bit ``u`` of row ``v`` is
+    ``has_edge``."""
     graph = dense_graph
     rows, rank = graph.adjacency_matrix()
-    words = graph.adjacency_words()
+    below, words, tail_indptr, tail_indices = graph.hub_columns()
     assert words.base is rows and not words.flags.writeable
+    assert tail_indptr is None and tail_indices is None
+    assert below.tolist() == list(range(graph.num_vertices + 1))
+    assert not below.flags.writeable
     assert rows.shape[1] == graph.adjacency_row_bytes == 8 * words.shape[1]
     assert rank.tolist() == list(range(graph.num_vertices))
     for v in range(0, graph.num_vertices, 7):
@@ -169,14 +178,17 @@ def test_words_are_the_rows_the_matrix_holds(dense_graph):
 
 def test_a_graph_over_the_budget_has_no_words(skewed_graph):
     """The regime test is ``adjacency_matrix``'s own all-rows condition:
-    one row short of every vertex, the list path runs."""
+    one row short of every vertex, the universe has a tail (words for
+    the hubs alone); with no row at all there are no columns."""
     graph = Graph(skewed_graph.indptr, skewed_graph.indices)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             Graph, "DENSE_ADJACENCY_BYTES",
             (graph.num_vertices - 1) * graph.adjacency_row_bytes)
-        assert graph.adjacency_words() is None
-    assert from_edges([], num_vertices=9).adjacency_words() is None
+        columns = graph.hub_columns()
+    assert int(columns.below[-1]) == graph.num_vertices - 1
+    assert columns.tail_indptr is not None
+    assert from_edges([], num_vertices=9).hub_columns() is None
 
 
 @pytest.mark.parametrize("name", ["cl4", "cyc4", "house", "tailtri"])
@@ -291,8 +303,9 @@ def test_word_path_equals_list_path_on_drawn_schedules(seed):
         graph = _with_self_loops(graph, every=int(rng.integers(1, 4)))
     elif shape < 0.4:
         graph = orient_by_degree(graph)
-    if graph.adjacency_words() is None:  # an orientation halves the entries
-        return
+    columns = graph.hub_columns()
+    if columns is None or columns.tail_indptr is not None:
+        return  # an orientation halves the entries
     patterns = [p for k in (3, 4) for p in connected_patterns(k)]
     pattern = patterns[rng.integers(len(patterns))]
     orders = [
@@ -316,19 +329,69 @@ def test_word_path_equals_list_path_on_drawn_schedules(seed):
 # hub columns: a counted step's universe split into words and a tail
 # ---------------------------------------------------------------------
 @pytest.fixture
-def split_calls(monkeypatch):
-    """The row blocks ``kernels._column_rows`` has worked, as a list
-    that grows: a test of the split body that never reached it proves
-    nothing."""
-    blocks = []
-    body = kernels._column_rows
+def stage_halves(monkeypatch):
+    """Every set-operation stage run (``kernels._split_stage``, the one
+    stage helper) as ``(halves, rows)`` — ``"words"``, ``"lists"`` or
+    ``"both"``, over a block of ``rows`` rows — in a list that grows: a
+    test of a body that never reached it proves nothing."""
+    ran = []
+    stage = kernels._split_stage
 
-    def spy(graph, columns, step, prefixes, *rest):
-        blocks.append(len(prefixes))
-        return body(graph, columns, step, prefixes, *rest)
+    def spy(graph, columns, prefixes, position, keep, state, *rest):
+        sets, values = state[:2]
+        halves = ("both" if values is not None else "words") if (
+            sets is not None) else "lists"
+        ran.append((halves, len(prefixes)))
+        return stage(graph, columns, prefixes, position, keep, state, *rest)
 
-    monkeypatch.setattr(kernels, "_column_rows", spy)
-    return blocks
+    monkeypatch.setattr(kernels, "_split_stage", spy)
+    return ran
+
+
+def _halves(ran):
+    return {halves for halves, _ in ran}
+
+
+#: which halves of the universe a drain's stages run on, by membership
+#: regime: words only where every vertex is a column; both where the
+#: columns leave a tail and the set is only counted, fresh; lists else
+DISPATCH = {
+    "dense": dict.fromkeys(("listed", "counted", "iep", "reused"), "words"),
+    "rows+tail": {"listed": "lists", "counted": "both", "iep": "both",
+                  "reused": "lists"},
+    "keys": dict.fromkeys(("listed", "counted", "iep", "reused"), "lists"),
+}
+
+
+@pytest.mark.parametrize("body", ["listed", "counted", "iep", "reused"])
+def test_dispatch_rule_by_regime(membership_regime, stage_halves, request,
+                                 body):
+    """One universe rule for every body: listed and counted two-source
+    steps, an IEP drain, and a counted step that reuses a stored
+    intersection (``clique4``'s last, over what its second step
+    stored)."""
+    graph = membership_regime(erdos_renyi(60, 240, seed=3))
+    regime = request.node.callspec.params["membership_regime"]
+    prefixes = _distinct_rows(np.random.default_rng(5), graph, 40, 5)
+    step = _step(3, (0, 1), larger_than=(2,))
+    if body == "iep":
+        plan = compile_counting_plan(
+            graphpi_schedule(catalog.chain(5), counting="iep"))
+        kernels.iep_chunk(graph, plan, prefixes)
+    elif body == "reused":
+        schedule = automine_schedule(catalog.clique(4))
+        final = schedule.steps[-1]
+        stores = schedule.steps[final.reuse_level - 1]
+        stored = _segments([
+            compute_candidates(graph, stores, tuple(row), None, True).raw
+            for row in prefixes[:, :2].tolist()
+        ])
+        kernels.extend_chunk(graph, final, prefixes[:, :3], stored,
+                             count_only=True)
+    else:
+        kernels.extend_chunk(graph, step, prefixes[:, :3],
+                             count_only=body == "counted")
+    assert _halves(stage_halves) == {DISPATCH[regime][body]}
 
 
 def _distinct_rows(rng, graph, rows, level):
@@ -415,7 +478,7 @@ def test_hub_columns_split_every_list_at_the_hubs(skewed_graph, monkeypatch):
 
 @pytest.mark.parametrize("shape", sorted(SPLIT_STEPS))
 def test_split_universe_matches_reference_and_lists(
-    skewed_graph, split_calls, shape
+    skewed_graph, stage_halves, shape
 ):
     step = SPLIT_STEPS[shape]
     rng = np.random.default_rng(11)
@@ -424,30 +487,34 @@ def test_split_universe_matches_reference_and_lists(
         columns = split.hub_columns()
         assert columns.words.shape == (graph.num_vertices, -(-hubs // 64))
         assert int(columns.below[-1]) == hubs, name
-        del split_calls[:]
+        del stage_halves[:]
         _check_split(split, step, _distinct_rows(rng, graph, 50, step.level))
-        assert split_calls == [50], name
+        # one block of both halves; the listed twin's, of lists
+        assert set(stage_halves) == {("both", 50), ("lists", 50)}, name
 
 
 def test_split_universe_without_columns_is_the_list_path(
-    skewed_graph, split_calls
+    skewed_graph, stage_halves
 ):
-    """No hub, no column — an edgeless graph, a zero budget: today's
-    list path, the split body not entered. Every vertex a hub: the rows
-    are the columns, the word path runs."""
+    """No hub, no column — an edgeless graph, a zero budget: the list
+    path, no word half. Every vertex a hub: the rows are the columns,
+    there is no tail, and the stages run on words alone."""
     step = SPLIT_STEPS["2>"]
     rng = np.random.default_rng(12)
     edgeless = from_edges([], num_vertices=20)
-    for graph, hubs in ((edgeless, 20), (skewed_graph, 0),
-                        (erdos_renyi(60, 400, seed=5), 60)):
+    for graph, hubs, halves in ((edgeless, 20, "lists"),
+                                (skewed_graph, 0, "lists"),
+                                (erdos_renyi(60, 400, seed=5), 60, "words")):
         split = _twin(graph, hubs)
-        assert split.hub_columns() is None
+        columns = split.hub_columns()
+        assert (columns is None) == (halves == "lists")
+        del stage_halves[:]
         _check_split(split, step, _distinct_rows(rng, graph, 30, 3))
-    assert split_calls == []
+        assert _halves(stage_halves) == {halves, "lists"}
 
 
 def test_split_universe_row_blocks_and_empty_chunk(
-    skewed_graph, split_calls, monkeypatch
+    skewed_graph, stage_halves, monkeypatch
 ):
     """One row a block (a row weighs its two words and its tail, so a
     row with no tail fills a three-element block): the same integers,
@@ -458,9 +525,11 @@ def test_split_universe_row_blocks_and_empty_chunk(
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 3)
     for shape in ("2>", "3>", "2-1>"):
         step = SPLIT_STEPS[shape]
-        del split_calls[:]
+        del stage_halves[:]
         _check_split(split, step, _distinct_rows(rng, split, 25, step.level))
-        assert split_calls == [1] * 25
+        stages = len(step.connected) + len(step.disconnected) - 1
+        assert [ran for ran in stage_halves if ran[0] == "both"] == (
+            [("both", 1)] * 25 * stages)
         empty = kernels.extend_chunk(
             split, step, np.empty((0, step.level), np.int64), count_only=True)
         assert len(empty) == 0 and empty.probe_elements == 0
@@ -486,7 +555,7 @@ def test_split_universe_on_drawn_steps(skewed_graph, seed):
 
 
 @pytest.mark.parametrize("name", ["cl4", "cyc4", "house", "tailtri"])
-def test_split_universe_down_a_schedule(skewed_graph, split_calls, name):
+def test_split_universe_down_a_schedule(skewed_graph, stage_halves, name):
     """Level by level as the scheduler would, listed and counted, with
     and without stored intersections (a step that reuses one stays on
     lists) and induced."""
@@ -494,7 +563,7 @@ def test_split_universe_down_a_schedule(skewed_graph, split_calls, name):
     _check(split, automine_schedule(PATTERNS[name]), keep=40)
     _check(split, graphpi_schedule(PATTERNS[name]), vcs=False, keep=40)
     _check(split, automine_schedule(PATTERNS[name], induced=True), keep=40)
-    assert split_calls
+    assert "both" in _halves(stage_halves)
 
 
 def test_iep_rows_split_match_reference_and_lists(monkeypatch):
@@ -525,8 +594,8 @@ def test_runs_agree_across_regimes_when_chunks_pause(
     counters — is the list path's."""
     twin = _listed_twin(small_random_graph)
     split = _twin(small_random_graph, small_random_graph.num_vertices // 5)
-    assert small_random_graph.adjacency_words() is not None
-    assert split.hub_columns() is not None
+    assert small_random_graph.hub_columns().tail_indptr is None
+    assert split.hub_columns().tail_indptr is not None
     for pattern, induced in ((catalog.house(), False),
                              (catalog.clique(4), False),
                              (catalog.cycle(4), True)):
@@ -543,7 +612,7 @@ def test_runs_agree_across_regimes_when_chunks_pause(
 
 
 def test_traced_runs_read_the_same_with_the_columns_dropped(
-    skewed_graph, split_calls
+    skewed_graph, stage_halves
 ):
     """What a counted run on hub columns leaves in the registry — every
     counter and histogram, the ``kernel.*`` ones included — is what the
@@ -559,13 +628,13 @@ def test_traced_runs_read_the_same_with_the_columns_dropped(
                                   (catalog.chain(3), True, True)):
         runs = []
         for graph in (split, dropped):
-            reached = len(split_calls)
+            reached = len(stage_halves)
             obs = Observability()
             report = KAutomine(
                 graph, ClusterConfig(num_machines=2), EngineConfig(vcs=vcs),
                 obs=obs,
             ).count_pattern(pattern, induced=induced)
-            assert (len(split_calls) > reached) == (
+            assert ("both" in _halves(stage_halves[reached:])) == (
                 graph is split and (pattern.num_vertices == 3 or not vcs))
             runs.append((report.counts, report.simulated_seconds,
                          obs.registry.snapshot()))
@@ -600,7 +669,8 @@ def test_word_drains_make_no_per_element_calls(dense_graph, count_calls):
                        prefixes[:, :width]) == small
 
 
-def test_split_drains_make_no_per_row_calls(skewed_graph, count_calls):
+def test_split_drains_make_no_per_row_calls(skewed_graph, count_calls,
+                                            stage_halves):
     """Both halves of a split universe are whole-block passes: a
     counting drain, or an IEP drain, of four times the rows (the same
     rows four times over, so every data-dependent branch goes the same
@@ -615,16 +685,19 @@ def test_split_drains_make_no_per_row_calls(skewed_graph, count_calls):
     for shape in ("2>", "3>", "2-1>"):
         step = SPLIT_STEPS[shape]
 
-        def drain(prefixes, **only):
+        def drain(prefixes):
             return count_calls(
                 lambda: kernels.extend_chunk(
-                    split, step, prefixes[:, :step.level], count_only=True),
-                **only)
+                    split, step, prefixes[:, :step.level], count_only=True))
 
+        del stage_halves[:]
         assert drain(fourfold) == drain(once)
-        assert drain(fourfold, only={"_column_rows"}) == 1
+        # each drain one block, every stage on both halves
+        assert set(stage_halves) == {("both", 200), ("both", 50)}
+    del stage_halves[:]
     assert count_calls(kernels.iep_chunk, split, plan, fourfold) == (
         count_calls(kernels.iep_chunk, split, plan, once))
+    assert _halves(stage_halves) == {"both"}
 
 
 def test_motif5_calls_per_chunk():
