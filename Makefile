@@ -14,12 +14,11 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest $(TIMEOUT_FLAGS)
 
 .PHONY: test suite docs-check faults-check exec-check exec-faults-check \
 	chaos-check motif-check kernel-check storage-check perf-check \
-	perfbench-check perf-bench \
-	perf-bench-motifs perf-bench-scale service-check service-bench bench
+	perfbench-check service-check bench
 
 ## tier-1: every file under tests/ exactly once, then the gates that
-## collect from benchmarks/ (chaos, wall-clock perf, service load)
-test: suite chaos-check perf-check service-bench
+## collect from benchmarks/ (chaos, wall-clock gates)
+test: suite chaos-check perf-check
 
 suite:
 	$(PYTEST) -x -q
@@ -86,15 +85,14 @@ kernel-check:
 storage-check:
 	$(PYTEST) tests/test_storage.py -q
 
-## wall-clock perf gates: tiny-graph smoke (inline and process agree
-## on counts and simulated seconds), the headline process-backend
-## speedup gate with its CPU- and work-aware floor
-## (docs/performance.md) and the storage scale-sweep smoke
-## (mmap-over-ram wall ratio under its documented ceiling,
-## docs/storage.md)
+## wall-clock gates (benchmarks/bench_gates.py): inline and process
+## agree, the CPU- and work-aware process-backend floor
+## (docs/performance.md, "The process backend"), the mmap-over-ram
+## storage ceiling (docs/storage.md), the IEP-over-enumerate census
+## ratio and the resident service's amortization
 perf-check:
 	PYTHONPATH=src:. $(PYTHON) -m pytest $(TIMEOUT_FLAGS) \
-		benchmarks/bench_wallclock.py benchmarks/bench_scale.py -q
+		benchmarks/bench_gates.py -q
 
 ## the wall-clock benchmark's self-test (perfbench/README.md): every
 ## seam of the per-layer table still resolves, every count is pinned,
@@ -103,44 +101,13 @@ perf-check:
 perfbench-check:
 	$(PYTHON) -m pytest perfbench/ -q
 
-## full inline-vs-process wall-clock sweep over the bundled datasets;
-## writes .benchmarks/wallclock.json (BENCH_PR5/6.json are the frozen
-## history of the sweep when it also timed a scalar EXTEND path)
-perf-bench:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_wallclock.py
-
-## full motif-census sweep (IEP vs enumerate on k-GraphPi); writes
-## .benchmarks/motifs.json — the 5-motif row is the >=3x
-## IEP-over-enumerate headline (docs/performance.md,
-## "Inclusion–exclusion counting"; BENCH_PR9.json is the frozen record
-## of the sweep when the headline was set)
-perf-bench-motifs:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_wallclock.py \
-		--motifs --out .benchmarks/motifs.json
-
-## full 10x/30x/100x out-of-core storage scale sweep; writes
-## .benchmarks/scale.json — every decade's graph exceeds the resident
-## cap, counts are bit-identical ram-vs-mmap, and the gate holds the
-## mmap-over-ram penalty flat across decades (docs/storage.md;
-## BENCH_PR10.json is the frozen record of the last committed sweep)
-perf-bench-scale:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_scale.py \
-		--out .benchmarks/scale.json --gate
-
-## resident mining service: equivalence/admission/shutdown suite plus
-## the latency/throughput load harness — one server answers a mixed
-## 20-query trace bit-identically to one-shot runs and its amortized
-## p50 must beat the fastest one-shot wall-clock; writes
-## .benchmarks/service.json (docs/service.md; BENCH_PR8.json is the
-## frozen record of the PR that added the service)
-service-check: service-bench
-	$(PYTEST) tests/test_service.py -q
-
-## the load-harness half of service-check alone (what `make test` runs:
-## tests/test_service.py is already part of `suite`)
-service-bench:
+## resident mining service (docs/service.md): the equivalence /
+## admission / shutdown suite plus the amortization gate — one server
+## answers a mixed 20-query trace bit-identically to one-shot runs and
+## its service p50 beats the fastest one-shot wall-clock
+service-check:
 	PYTHONPATH=src:. $(PYTHON) -m pytest $(TIMEOUT_FLAGS) \
-		benchmarks/bench_service.py -q
+		tests/test_service.py benchmarks/bench_gates.py -m service -q
 
 ## paper-figure benchmark suite (slow)
 bench:

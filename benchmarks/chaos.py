@@ -27,24 +27,18 @@ Kill points are seed-deterministic, not timing races: the
 flush/delta/message ordinals, so every scenario reproduces
 byte-for-byte.
 
-Two entry points:
-
-- ``pytest benchmarks/chaos.py`` — what ``make chaos-check`` runs.
-- ``python benchmarks/chaos.py [--out chaos.json]`` — the same
-  scenarios as a standalone sweep, emitting one JSON document;
-  ``--stress N`` instead loops the torn-message scenarios (and the
-  service's kill-before-pickup lane test) ``N`` times.
+``make chaos-check`` runs it (``pytest benchmarks/chaos.py``); for a
+liveness change, loop the torn-message scenarios with the service's
+kill-before-pickup test (docs/faults.md, "Durability", gives the loop).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -164,11 +158,7 @@ def scenario_parent_kill_inline(oracle, directory):
         ["--checkpoint-dir", directory, "--resume"]))
     assert resumed["counts"] == oracle["counts"], (
         resumed["counts"], oracle["counts"])
-    stats = resumed["extra"]["checkpoint"]
-    assert stats["resumed_roots"] > 0
-    return {"scenario": "parent-kill-inline",
-            "counts": resumed["counts"],
-            "resumed_roots": stats["resumed_roots"]}
+    assert resumed["extra"]["checkpoint"]["resumed_roots"] > 0
 
 
 def scenario_parent_kill_resume_kill(oracle, directory):
@@ -184,10 +174,6 @@ def scenario_parent_kill_resume_kill(oracle, directory):
         ["--checkpoint-dir", directory, "--resume"]))
     assert resumed["counts"] == oracle["counts"], (
         resumed["counts"], oracle["counts"])
-    return {"scenario": "parent-kill-resume-kill",
-            "counts": resumed["counts"],
-            "resumed_roots": resumed["extra"]["checkpoint"]
-            ["resumed_roots"]}
 
 
 def scenario_parent_kill_process_backend(oracle, directory):
@@ -210,9 +196,6 @@ def scenario_parent_kill_process_backend(oracle, directory):
     still_alive = [name for name in leaked
                    if os.path.exists(f"/dev/shm/{name}")]
     assert not still_alive, f"segments leaked: {still_alive}"
-    return {"scenario": "parent-kill-process",
-            "counts": resumed["counts"],
-            "reaped_segments": len(leaked)}
 
 
 def scenario_worker_kill_redistributes(oracle, workers):
@@ -228,9 +211,6 @@ def scenario_worker_kill_redistributes(oracle, workers):
     redistribution = report["extra"]["exec"]["redistribution"]
     assert redistribution["inline_fallback"] == 0, redistribution
     assert redistribution["machines"] >= 1
-    return {"scenario": f"worker-kill-{workers}w",
-            "counts": report["counts"],
-            "redistribution": redistribution}
 
 
 #: where a worker is killed inside a message: (REPRO_CHAOS kind, which
@@ -257,8 +237,6 @@ def scenario_worker_torn_message(oracle, workers, kind, which,
         chaos=f"{kind}:1:{ordinal}", check=False, timeout=30)
     report = report_of(proc)
     exec_extra = report["extra"]["exec"]
-    row = {"scenario": f"{kind}-{which}-{workers}w-{policy}",
-           "wall_seconds": exec_extra["wall_seconds"]}
     if policy == "fail":
         assert proc.returncode == 1, (proc.returncode, proc.stderr)
         assert report["failure"]["outcome"] == "CRASHED", report["failure"]
@@ -277,25 +255,7 @@ def scenario_worker_torn_message(oracle, workers, kind, which,
             # else was lost: nothing resumes, the replay is whole
             assert report["simulated_seconds"] == \
                 oracle["simulated_seconds"]
-        row["redistribution"] = redistribution
     assert_nothing_left(proc)
-    return row
-
-
-def scenario_serve_kill_before_pickup():
-    """The service's lane under the same discipline: a serving worker
-    killed between dispatch and pickup costs one ``CRASHED`` query at
-    most and the lane keeps serving (tests/test_service.py owns the
-    scenario; the stress loop runs it as its own pytest process)."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_service.py::"
-         "test_worker_death_before_pickup_does_not_wedge_the_lane"],
-        capture_output=True, text=True, env=_env(), cwd=str(REPO_ROOT),
-        timeout=CLI_TIMEOUT,
-    )
-    assert proc.returncode == 0, f"{proc.stdout}\n{proc.stderr}"
-    return {"scenario": "serve-kill-before-pickup"}
 
 
 def scenario_serve_sigkill_reaps_segments(directory):
@@ -347,10 +307,6 @@ def scenario_serve_sigkill_reaps_segments(directory):
     still_alive = [name for name in leaked
                    if os.path.exists(f"/dev/shm/{name}")]
     assert not still_alive, f"segments leaked: {still_alive}"
-    return {"scenario": "serve-sigkill",
-            "ledger_segments": len(leaked),
-            "restart_reaped": hello2["reaped_segments"],
-            "counts": report["counts"]}
 
 
 # ---------------------------------------------------------------------
@@ -392,61 +348,3 @@ def test_chaos_worker_torn_message(oracle, workers, kind, which, policy):
 
 def test_chaos_serve_sigkill_reaps_segments(tmp_path):
     scenario_serve_sigkill_reaps_segments(str(tmp_path))
-
-
-# ---------------------------------------------------------------------
-# standalone sweep
-# ---------------------------------------------------------------------
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the scenario summary JSON here")
-    parser.add_argument("--stress", type=int, default=0, metavar="N",
-                        help="instead of the sweep, loop the "
-                             "torn-message scenarios N times")
-    args = parser.parse_args(argv)
-
-    oracle_report = clean_oracle()
-    rows = []
-    for iteration in range(args.stress):
-        for workers in (2, 3, 4):
-            for kind, which in TORN_MESSAGES:
-                for policy in ("recover", "fail"):
-                    rows.append(scenario_worker_torn_message(
-                        oracle_report, workers, kind, which, policy))
-        rows.append(scenario_serve_kill_before_pickup())
-        print(f"stress {iteration + 1}/{args.stress}: "
-              f"{len(rows)} scenarios clean", file=sys.stderr)
-    if args.stress:
-        print(json.dumps({"stress": args.stress, "scenarios": len(rows),
-                          "slowest_seconds": max(
-                              row.get("wall_seconds", 0.0)
-                              for row in rows)}))
-        return 0
-    with tempfile.TemporaryDirectory() as d1:
-        rows.append(scenario_parent_kill_inline(oracle_report, d1))
-    with tempfile.TemporaryDirectory() as d2:
-        rows.append(scenario_parent_kill_resume_kill(oracle_report, d2))
-    with tempfile.TemporaryDirectory() as d3:
-        rows.append(scenario_parent_kill_process_backend(oracle_report, d3))
-    for workers in (2, 4):
-        rows.append(scenario_worker_kill_redistributes(
-            oracle_report, workers))
-    for workers in (2, 3, 4):
-        for kind, which in TORN_MESSAGES:
-            rows.append(scenario_worker_torn_message(
-                oracle_report, workers, kind, which))
-    with tempfile.TemporaryDirectory() as d4:
-        rows.append(scenario_serve_sigkill_reaps_segments(d4))
-
-    document = {"job": " ".join(JOB), "oracle_counts":
-                oracle_report["counts"], "scenarios": rows}
-    text = json.dumps(document, indent=2)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

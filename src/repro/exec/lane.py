@@ -194,9 +194,15 @@ class Lane:
     def send(self, message, epoch: Optional[int] = None) -> bool:
         """Send one command; ``False`` — never an exception — when the
         incarnation is dead or (given the ``epoch`` the caller chose it
-        under) has been replaced since."""
+        under) has been replaced since.
+
+        Dead includes a death the supervisor has already seen as a
+        result-pipe EOF: the child's command reader can outlive that
+        EOF while its teardown finishes, and a write into it would
+        succeed and be lost."""
         with self._lock:
-            if self._commands is None or epoch not in (None, self.epoch):
+            if (self._commands is None or self._results is None
+                    or epoch not in (None, self.epoch)):
                 return False
             try:
                 self._commands.send((self.epoch, message))

@@ -466,6 +466,26 @@ def test_lane_send_never_raises_and_respawn_discards_the_past():
 
 
 @exec_faults
+def test_lane_send_after_a_seen_death_is_false_every_time():
+    # the supervisor can see the result-pipe EOF while the killed
+    # child's command reader is still open; a send in that window must
+    # still report the death, not write into a pipe nobody will read
+    lane = Lane(0, "repro-test-lane", _echo_worker)
+    started = time.monotonic()
+    sent = []
+    try:
+        for _ in range(200):
+            lane.spawn()
+            os.kill(lane.process.pid, signal.SIGKILL)
+            _sweep_until(lane, lambda m, d: d)
+            sent.append(lane.send("lost"))
+    finally:
+        lane.stop()
+    assert sent.count(True) == 0, f"{sent.count(True)} of 200 sent"
+    assert time.monotonic() - started < 10.0
+
+
+@exec_faults
 def test_lane_drains_delivered_results_before_declaring_a_death():
     # a worker that reported and then died is not a silent loss: the
     # sweep that names it dead hands over what it delivered first
