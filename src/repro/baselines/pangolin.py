@@ -25,7 +25,6 @@ from repro.core.extend import ScheduleExtender
 from repro.core.runtime import RunReport
 from repro.errors import OutOfMemoryError
 from repro.graph.graph import Graph
-from repro.graph.orientation import orient_by_degree
 from repro.patterns.catalog import clique
 from repro.patterns.isomorphism import are_isomorphic, automorphisms
 from repro.patterns.pattern import Pattern
@@ -59,14 +58,8 @@ class PangolinLike(GPMSystem):
         self.memory_bytes = memory_bytes
         self.cost = cost
         self.graph_name = graph_name
-        self._oriented: Graph | None = None
 
     # ------------------------------------------------------------------
-    def _oriented_graph(self) -> Graph:
-        if self._oriented is None:
-            self._oriented = orient_by_degree(self.graph)
-        return self._oriented
-
     def _run(
         self, graph: Graph, schedule: Schedule, iso_cost: float, on_match=None
     ) -> tuple[int, float]:
@@ -133,7 +126,7 @@ class PangolinLike(GPMSystem):
         )
         if oriented and is_clique:
             schedule = automine_schedule(pattern, False, use_restrictions=False)
-            matches, runtime = self._run(self._oriented_graph(), schedule, 0.0)
+            matches, runtime = self._run(self.graph.oriented(), schedule, 0.0)
         else:
             schedule = automine_schedule(pattern, induced)
             matches, runtime = self._run(

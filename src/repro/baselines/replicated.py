@@ -23,7 +23,6 @@ from repro.core.extend import ScheduleExtender
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.graph import Graph
-from repro.graph.orientation import orient_by_degree
 from repro.graph.partition import HashPartitioner
 from repro.patterns.catalog import clique
 from repro.patterns.isomorphism import are_isomorphic, automorphisms
@@ -56,7 +55,6 @@ class GraphPiReplicated(GPMSystem):
         self.cost = cost
         self.graph_name = graph_name
         self.partitioner = HashPartitioner(num_machines)
-        self._oriented_graph: Graph | None = None
 
     # ------------------------------------------------------------------
     def _schedule(
@@ -166,10 +164,9 @@ class GraphPiReplicated(GPMSystem):
         if oriented:
             if induced or not are_isomorphic(pattern, clique(pattern.num_vertices)):
                 raise ConfigurationError("orientation is for non-induced cliques")
-            if self._oriented_graph is None:
-                self._oriented_graph = orient_by_degree(self.graph)
             schedule = self._schedule(pattern, False, use_restrictions=False)
-            matches, runtime = self._run_schedule(self._oriented_graph, schedule)
+            matches, runtime = self._run_schedule(self.graph.oriented(),
+                                                  schedule)
         else:
             schedule = self._schedule(pattern, induced)
             matches, runtime = self._run_schedule(self.graph, schedule)

@@ -11,7 +11,7 @@ on uk/tw in Table 3).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.core.extend import ScheduleExtender
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.graph import Graph
-from repro.graph.orientation import orient_by_degree
 from repro.patterns.catalog import clique
 from repro.patterns.isomorphism import are_isomorphic, automorphisms
 from repro.patterns.pattern import Pattern
@@ -72,7 +71,6 @@ class SingleMachine(GPMSystem):
         self.schedule_fn = schedule_fn
         self.per_match_cost = per_match_cost
         self.graph_name = graph_name
-        self._oriented_graph: Optional[Graph] = None
 
     # ------------------------------------------------------------------
     def _schedule(
@@ -143,11 +141,9 @@ class SingleMachine(GPMSystem):
         if oriented:
             if induced or not are_isomorphic(pattern, clique(pattern.num_vertices)):
                 raise ConfigurationError("orientation is for non-induced cliques")
-            if self._oriented_graph is None:
-                self._oriented_graph = orient_by_degree(self.graph)
             schedule = self._schedule(pattern, False, use_restrictions=False)
             matches, runtime, _ = self._run_schedule(
-                self._oriented_graph, schedule
+                self.graph.oriented(), schedule
             )
         else:
             schedule = self._schedule(pattern, induced)

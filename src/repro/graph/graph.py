@@ -113,6 +113,7 @@ class Graph:
         "_adjacency_keys",
         "_adjacency_matrix",
         "_hub_columns",
+        "_oriented",
     )
 
     #: most bytes of bit-packed adjacency rows the kernels will
@@ -165,6 +166,7 @@ class Graph:
         self._adjacency_keys: Optional[np.ndarray] = None
         self._adjacency_matrix: Optional[tuple] = None
         self._hub_columns: Optional[tuple] = None
+        self._oriented: Optional[Graph] = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -440,7 +442,8 @@ class Graph:
         the composite keys (:meth:`adjacency_keys`), the hub rows and
         their rank table (:meth:`adjacency_matrix`), the hub columns and
         tail lists (:meth:`hub_columns`). Resident in every process that
-        runs kernels, whatever the storage (docs/storage.md). An array
+        runs kernels on a RAM graph; a store maps them from its derived
+        section (docs/storage.md). An array
         that is a view of another (a dense graph's columns are its rows)
         is counted once."""
         built = [self._adjacency_keys]
@@ -474,6 +477,17 @@ class Graph:
     # ------------------------------------------------------------------
     # transforms
     # ------------------------------------------------------------------
+    def oriented(self) -> "Graph":
+        """The degree-ordered DAG of this graph
+        (:func:`~repro.graph.orientation.orient_by_degree`), built on
+        first use and kept: every system that counts cliques oriented
+        shares it."""
+        if self._oriented is None:
+            from repro.graph.orientation import orient_by_degree
+
+            self._oriented = orient_by_degree(self)
+        return self._oriented
+
     def with_labels(self, labels: Sequence[int]) -> "Graph":
         """Return a copy of this graph with per-vertex ``labels`` attached."""
         return Graph(self.indptr, self.indices,

@@ -8,7 +8,7 @@ graph substrate into a pluggable storage layer (docs/storage.md):
 - :func:`write_store` / :func:`open_store` — serialize a
   :class:`~repro.graph.graph.Graph` into a single versioned store file
   and reopen it as a :class:`MmapGraph` whose CSR arrays are read-only
-  ``numpy.memmap`` views. A memmap *is* an ndarray, so the kernels,
+  ndarray views of a mapping of the file, so the kernels,
   the scheduler drains, and both execution backends run unchanged on
   it — storage selection never branches inside ``core/``.
 - :func:`build_store` / :func:`from_edge_batches` — the streaming
@@ -28,11 +28,19 @@ array's dtype/length/offset/CRC32, then the arrays themselves at
 64-byte-aligned offsets. Stale, truncated, or corrupt stores are
 rejected by name — the same manifest discipline the durable
 checkpoints use (docs/faults.md, "Durability").
+
+What the kernels derive from the CSR — composite keys, hub rows and
+rank table, hub columns and tail CSR — is the store's *derived
+section*, a sidecar file of the same format (:func:`derived_path`):
+the first process that needs it builds and writes it, every later one
+maps it.
 """
 
 from __future__ import annotations
 
+import glob
 import json
+import mmap
 import os
 import struct
 import tempfile
@@ -44,7 +52,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, HubColumns
 
 #: store-file magic ("Khuzdul CSR")
 MAGIC = b"KCSR"
@@ -72,16 +80,90 @@ _CRC_BLOCK = 1 << 22
 class MmapGraph(Graph):
     """A :class:`Graph` whose CSR arrays are read-only file mappings.
 
-    Identical array interface — the arrays *are* ndarrays (memmap
-    views), so every kernel and accessor works unchanged; only the
+    Identical array interface — the arrays *are* ndarrays (views of
+    the mapping), so every kernel and accessor works unchanged; only the
     byte-accounting layers (admission control, ``storage.*`` metrics)
     look at :attr:`storage` to learn the graph is not resident.
+
+    So are the structures the kernels derive: the first
+    :meth:`adjacency_keys` / :meth:`adjacency_matrix` /
+    :meth:`hub_columns` call maps the store's derived section
+    (:func:`derived_path`) if one derived from this store under this
+    row budget exists. Otherwise it builds all three with the
+    :class:`Graph` code, writes them as that section and maps what it
+    wrote; where the directory is not writable it keeps the build.
     """
 
-    __slots__ = ("store_path", "fingerprint", "builder_stats")
+    __slots__ = ("store_path", "fingerprint", "builder_stats",
+                 "derived_from")
 
     #: storage mode tag ("ram" on the base class)
     storage = "mmap"
+
+    def adjacency_keys(self) -> np.ndarray:
+        if self._adjacency_keys is None:
+            self._derive()
+        return self._adjacency_keys
+
+    def adjacency_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._adjacency_matrix is None:
+            self._derive()
+        return self._adjacency_matrix
+
+    def _derive(self) -> None:
+        path = derived_path(self.store_path)
+        source = {**self.derived_from,
+                  "row_budget": self.DENSE_ADJACENCY_BYTES}
+        header = read_header(path) if path.exists() else None
+        if header is None or header.get("derived_from") != source:
+            # missing or stale: build, and write what was built
+            header = self._write_section(path, source)
+            if header is None:
+                return
+        n = self.num_vertices
+        arrays = _mapped(path, header, shapes={
+            "rows": (header["hub_rows"], self.adjacency_row_bytes),
+            "words": (n, header.get("width", 0)),
+        })
+        rows = arrays["rows"]
+        self._adjacency_keys = arrays["keys"]
+        self._adjacency_matrix = (rows, arrays["rank"])
+        if "words" in arrays:
+            self._hub_columns = HubColumns(
+                arrays["below"], arrays["words"], arrays["tail_indptr"],
+                arrays["tail_indices"])
+        elif len(rows) == n and n:
+            # every vertex a hub: the rows are the columns
+            below = np.arange(n + 1)
+            below.setflags(write=False)
+            self._hub_columns = HubColumns(below, rows.view("<u8"), None,
+                                           None)
+        else:
+            self._hub_columns = None
+
+    def _write_section(self, path: Path, source: dict) -> Optional[dict]:
+        """Build the derived structures in RAM and write them as the
+        section at ``path``; its header, or ``None`` where the directory
+        takes no file. Two processes racing here write the same bytes
+        and one rename wins."""
+        rows, rank = Graph.adjacency_matrix(self)
+        arrays = {"keys": Graph.adjacency_keys(self),
+                  "rows": rows.reshape(-1), "rank": rank}
+        shape = {"hub_rows": len(rows)}
+        columns = self._hub_columns
+        if columns is not None and columns.tail_indptr is not None:
+            arrays.update(below=columns.below,
+                          words=columns.words.reshape(-1),
+                          tail_indptr=columns.tail_indptr,
+                          tail_indices=columns.tail_indices)
+            shape["width"] = columns.words.shape[1]
+        try:
+            _write_store_file(path, arrays, self.directed,
+                              self.num_vertices, derived_from=source,
+                              **shape)
+        except OSError:
+            return None
+        return read_header(path)
 
 
 @dataclass(frozen=True)
@@ -122,12 +204,12 @@ def _aligned(offset: int) -> int:
 
 
 def _array_crc(array: np.ndarray) -> int:
-    """CRC32 of an array's raw bytes, computed in bounded slices (a
-    memmapped operand is never pulled into memory whole)."""
+    """CRC32 of an array's raw bytes, read in place in bounded slices
+    (a memmapped operand is never pulled into memory whole)."""
     view = np.ascontiguousarray(array).view(np.uint8).reshape(-1)
     crc = 0
     for start in range(0, view.nbytes, _CRC_BLOCK):
-        crc = zlib.crc32(view[start:start + _CRC_BLOCK].tobytes(), crc)
+        crc = zlib.crc32(view[start:start + _CRC_BLOCK], crc)
     return crc
 
 
@@ -154,6 +236,7 @@ def _header_bytes(
     sections: dict,
     total_bytes: int,
     builder: Optional[dict],
+    extra: dict,
 ) -> bytes:
     header = {
         "format": "khuzdul-csr-store",
@@ -163,8 +246,21 @@ def _header_bytes(
         "arrays": sections,
         "total_bytes": int(total_bytes),
         "builder": builder or {},
+        **extra,
     }
     return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def _reap_orphans(path: Path) -> None:
+    """Remove the tmp files (``<name>.<pid>.*.tmp``) that writers of
+    ``path`` killed before their rename left behind."""
+    for tmp in path.parent.glob(glob.escape(path.name) + ".*.tmp"):
+        try:
+            os.kill(int(tmp.name[len(path.name) + 1:].split(".")[0]), 0)
+        except ProcessLookupError:  # its writer is dead
+            tmp.unlink(missing_ok=True)
+        except (ValueError, OSError):  # not a pid; another user's process
+            pass
 
 
 def _write_store_file(
@@ -173,25 +269,28 @@ def _write_store_file(
     directed: bool,
     num_vertices: int,
     builder: Optional[dict] = None,
+    **extra,
 ) -> None:
-    """Write one store file atomically (tmp + rename)."""
-    # two passes: offsets depend on header length, header mentions
-    # offsets; a second layout with the real length always converges
-    # because offsets are monotone in the header size and aligned
-    sections, total = _layout(arrays)
-    header = _header_bytes(directed, num_vertices, sections, total, builder)
-    sections, total = _layout(arrays, header_hint=len(header))
-    header = _header_bytes(directed, num_vertices, sections, total, builder)
-    if _aligned(_PREAMBLE.size + len(header)) != sections_start(sections):
-        # one more round for the rare length flip at an alignment edge
-        sections, total = _layout(arrays, header_hint=len(header))
+    """Write one store file atomically (tmp + rename); ``extra`` are
+    further header fields."""
+    # offsets depend on header length, header mentions offsets; a
+    # layout with the real length converges because offsets are
+    # monotone in the header size and aligned — a third round covers
+    # the rare length flip at an alignment edge
+    hint = 4096
+    for _ in range(3):
+        sections, total = _layout(arrays, header_hint=hint)
         header = _header_bytes(directed, num_vertices, sections, total,
-                               builder)
+                               builder, extra)
+        if _aligned(_PREAMBLE.size + len(header)) == sections_start(sections):
+            break
+        hint = len(header)
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    _reap_orphans(path)
     fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
+        prefix=f"{path.name}.{os.getpid()}.", suffix=".tmp", dir=path.parent
     )
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -218,6 +317,12 @@ def sections_start(sections: dict) -> int:
     return min(s["offset"] for s in sections.values()) if sections else 0
 
 
+def derived_path(store: str | os.PathLike) -> Path:
+    """The derived section of ``store``: the file beside it named
+    ``<store>.derived``."""
+    return Path(f"{os.fspath(store)}.derived")
+
+
 def write_store(graph: Graph, path: str | os.PathLike,
                 builder: Optional[dict] = None) -> Path:
     """Serialize an in-RAM graph into a store file (atomic replace)."""
@@ -233,6 +338,7 @@ def write_store(graph: Graph, path: str | os.PathLike,
     path = Path(path)
     _write_store_file(path, arrays, graph.directed, graph.num_vertices,
                       builder)
+    derived_path(path).unlink(missing_ok=True)
     return path
 
 
@@ -294,39 +400,47 @@ def read_header(path: str | os.PathLike) -> dict:
     return header
 
 
-def open_store(path: str | os.PathLike, verify: bool = False) -> MmapGraph:
-    """Open a store read-only; the returned graph's arrays are
-    ``numpy.memmap`` views (nothing is loaded eagerly beyond
-    ``indptr`` validation).
-
-    ``verify=True`` additionally checks every array's recorded CRC32 —
-    a full sequential read, so it is opt-in (builders verify their own
-    output; servers trust the header + size check).
-    """
-    path = Path(path)
-    header = read_header(path)
-    sections = header["arrays"]
-
-    def _map(name: str) -> Optional[np.ndarray]:
-        spec = sections.get(name)
-        if spec is None:
-            return None
-        array = np.memmap(
-            path, dtype=np.dtype(spec["dtype"]), mode="r",
-            offset=spec["offset"], shape=(spec["length"],),
-        )
+def _mapped(path: Path, header: dict, verify: bool = False,
+            shapes: Optional[dict] = None) -> dict[str, np.ndarray]:
+    """Every array of a store file as a read-only view of one mapping
+    of it (one file descriptor however many arrays), 1-D unless
+    ``shapes`` names another shape; ``verify`` checks each against its
+    recorded CRC32."""
+    with open(path, "rb") as handle:
+        whole = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    arrays = {}
+    for name, spec in header["arrays"].items():
+        array = arrays[name] = np.ndarray(
+            (shapes or {}).get(name, spec["length"]), spec["dtype"],
+            buffer=whole, offset=spec["offset"])
         if verify and _array_crc(array) != spec["crc32"]:
             raise GraphFormatError(
                 f"{path}: corrupt store: array {name!r} fails its "
                 f"recorded CRC32"
             )
-        return array
+    return arrays
 
-    indptr, indices = _map("indptr"), _map("indices")
-    labels, edge_labels = _map("labels"), _map("edge_labels")
+
+def open_store(path: str | os.PathLike, verify: bool = False) -> MmapGraph:
+    """Open a store read-only; the returned graph's arrays are views of
+    one mapping of it (nothing is loaded eagerly beyond
+    ``indptr`` validation).
+
+    ``verify=True`` additionally checks every array's recorded CRC32,
+    the derived section's too where there is one — a full sequential
+    read, so it is opt-in (builders verify their own output; servers
+    trust the header + size check).
+    """
+    path = Path(path)
+    header = read_header(path)
+    arrays = _mapped(path, header, verify)
+    section = derived_path(path)
+    if verify and section.exists():
+        _mapped(section, read_header(section), verify)
     try:
         graph = MmapGraph(
-            indptr, indices, labels, header["directed"], edge_labels
+            arrays["indptr"], arrays["indices"], arrays.get("labels"),
+            header["directed"], arrays.get("edge_labels"),
         )
     except GraphFormatError as exc:
         # the mapped arrays parse but do not form a valid CSR graph
@@ -336,6 +450,8 @@ def open_store(path: str | os.PathLike, verify: bool = False) -> MmapGraph:
     graph.store_path = str(path)
     graph.fingerprint = header["_fingerprint"]
     graph.builder_stats = dict(header.get("builder") or {})
+    graph.derived_from = {"fingerprint": graph.fingerprint,
+                          "arrays": header["arrays"]}
     return graph
 
 
@@ -747,6 +863,7 @@ def build_store(
                 "source_edges": stats.source_edges,
             },
         )
+        derived_path(path).unlink(missing_ok=True)
         # release the scratch mappings before TemporaryDirectory sweeps
         arrays.clear()
         indices_tmp.close()

@@ -17,7 +17,6 @@ from repro.core.engine import EngineConfig, KhuzdulEngine
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
-from repro.graph.orientation import orient_by_degree
 from repro.obs import NULL_OBS, Observability
 from repro.patterns.catalog import clique
 from repro.patterns.isomorphism import automorphisms, are_isomorphic
@@ -94,8 +93,7 @@ class PortedSystem(GPMSystem):
     def _oriented_engine(self) -> KhuzdulEngine:
         """Engine over the degree-oriented DAG (built lazily, cached)."""
         if self._oriented is None:
-            dag = orient_by_degree(self.graph)
-            cluster = Cluster(dag, self.cluster_config)
+            cluster = Cluster(self.graph.oriented(), self.cluster_config)
             self._oriented = (
                 cluster,
                 KhuzdulEngine(

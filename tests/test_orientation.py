@@ -102,3 +102,24 @@ def test_vectorized_orientation_matches_row_by_row(name):
 def test_orientation_of_an_empty_graph():
     dag = orient_by_degree(Graph(np.zeros(4, dtype=np.int64), []))
     assert dag.num_vertices == 3 and dag.num_directed_edges == 0
+
+
+def test_one_oriented_dag_serves_every_system():
+    """``Graph.oriented()`` is the one orientation cache: built once,
+    the DAG every system that counts cliques oriented runs on."""
+    from repro.baselines import GraphPiReplicated, PangolinLike, SingleMachine
+    from repro.cluster import ClusterConfig
+    from repro.systems import KAutomine
+
+    graph = erdos_renyi(60, 240, seed=3)
+    dag = graph.oriented()
+    assert graph.oriented() is dag
+    assert dag == orient_by_degree(graph)
+    expected = count_embeddings_brute_force(graph, clique(3))
+    ported = KAutomine(graph, ClusterConfig(num_machines=2))
+    for system in (SingleMachine(graph), GraphPiReplicated(graph),
+                   PangolinLike(graph), ported):
+        assert system.count_pattern(clique(3), oriented=True).counts \
+            == expected
+    assert ported._oriented_engine().cluster.graph is dag
+    assert graph.oriented() is dag

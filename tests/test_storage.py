@@ -1,6 +1,6 @@
 """Out-of-core graph storage (docs/storage.md).
 
-Three invariants under test:
+Four invariants under test:
 
 1. **Builder parity** — the streaming external-sort builder produces
    bit-identical CSR arrays to the eager
@@ -17,13 +17,21 @@ Three invariants under test:
    ``{inline, process}``: storage is invisible
    to everything except byte accounting (admission baselines and the
    ``storage.*`` metric family).
+4. **The derived section** — what the kernels derive from a store is
+   built once, written beside it and mapped by every later process:
+   mapped arrays equal built ones, a stale section is rebuilt, a
+   damaged one is rejected by name like a store.
 
 Run alone via ``make storage-check``.
 """
 
 import json
+import os
 import pickle
 import struct
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +41,8 @@ from repro.core import EngineConfig
 from repro.core.cache import EdgeCache
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.exec import ProcessBackend
-from repro.graph import dataset, load_dataset
+from repro.graph import Graph, dataset, from_edges, load_dataset
+from repro.graph import storage
 from repro.graph.builder import (
     from_edge_array,
     iter_edge_list_batches,
@@ -41,9 +50,11 @@ from repro.graph.builder import (
 )
 from repro.graph.csr import MmapCsrHandle, attach_csr, share_csr
 from repro.graph.generators import power_law_edge_batches
+from repro.graph.orientation import orient_by_degree
 from repro.graph.storage import (
     MmapGraph,
     build_store,
+    derived_path,
     from_edge_batches,
     iter_graph_edge_batches,
     open_store,
@@ -379,6 +390,219 @@ def test_no_isinstance_storage_branches_in_core():
         source = path.read_text()
         assert "MmapGraph" not in source, path.name
         assert "memmap" not in source, path.name
+
+
+# ======================================================================
+# the derived section
+# ======================================================================
+def _derived(graph) -> dict:
+    """Every array the kernels derive from ``graph``, by name."""
+    rows, rank = graph.adjacency_matrix()
+    arrays = {"keys": graph.adjacency_keys(), "rows": rows, "rank": rank}
+    columns = graph.hub_columns()
+    if columns is not None:
+        arrays.update(columns._asdict())
+    return arrays
+
+
+def _assert_same_derived(got, expected):
+    assert got.keys() == expected.keys()
+    for name, array in expected.items():
+        if array is None:
+            assert got[name] is None, name
+        else:
+            assert got[name].dtype == array.dtype, name
+            assert np.array_equal(got[name], array), name
+
+
+def _refuse_builds(monkeypatch):
+    """Make every in-RAM build of a derived structure raise."""
+    def refuse(*args):
+        raise AssertionError("a derived structure was rebuilt")
+
+    for name in ("adjacency_keys", "adjacency_matrix", "_build_hub_columns"):
+        monkeypatch.setattr(Graph, name, refuse)
+
+
+def _edge_labeled():
+    edges, elabels = _random_edges(3000, 300, seed=4, with_labels=True)
+    return from_edge_array(edges, num_vertices=300, edge_labels=elabels)
+
+
+SECTION_GRAPHS = {
+    # hubs, columns and a tail list
+    "hub-heavy": lambda: dataset("wdc", scale=1.0),
+    # every vertex a hub: the columns are a view of the rows
+    "dense": lambda: dataset("mico", scale=0.2),
+    "directed": lambda: orient_by_degree(dataset("wdc", scale=1.0)),
+    "labeled": lambda: dataset("mico", scale=0.2, labeled=True),
+    "edge-labeled": _edge_labeled,
+    "edgeless": lambda: from_edges([], num_vertices=20),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SECTION_GRAPHS))
+def test_section_is_written_once_and_mapped_after(shape, tmp_path,
+                                                  monkeypatch):
+    ram = SECTION_GRAPHS[shape]()
+    path = tmp_path / "g.kcsr"
+    write_store(ram, path)
+    expected = _derived(ram)
+    built = open_store(path)
+    _assert_same_derived(_derived(built), expected)
+    assert derived_path(path).exists()
+    header = read_header(derived_path(path))
+    assert header["derived_from"]["fingerprint"] == built.fingerprint
+    assert header["derived_from"]["arrays"] == read_header(path)["arrays"]
+
+    _refuse_builds(monkeypatch)
+    mapped = open_store(path, verify=True)
+    _assert_same_derived(_derived(mapped), expected)
+    assert not mapped.adjacency_keys().flags.writeable
+    assert mapped.derived_bytes() == ram.derived_bytes()
+    columns = mapped.hub_columns()
+    if shape == "dense":
+        assert columns.words.base is mapped.adjacency_matrix()[0]
+    if shape in ("hub-heavy", "directed"):
+        assert columns.tail_indptr is not None
+
+
+@pytest.mark.exec
+def test_process_workers_map_the_section_a_first_run_wrote(
+    tmp_path, monkeypatch
+):
+    """Counts, simulated seconds and every simulated counter agree
+    between an inline run on the RAM graph, a two-worker run on a store
+    without a section (whose workers write it) and one on the same
+    store with it — where the forked workers cannot build at all."""
+    ram = dataset("wdc", scale=1.0)
+    path = tmp_path / "wdc.kcsr"
+    write_store(ram, path)
+    reference, reference_counters = _run(ram, None)
+    runs = [_run(open_store(path), ProcessBackend(workers=2))]
+    assert derived_path(path).exists()
+    _refuse_builds(monkeypatch)
+    runs.append(_run(open_store(path),
+                     ProcessBackend(workers=2, start_method="fork")))
+    for report, counters in runs:
+        assert report.outcome == "OK"
+        assert report.counts == reference.counts
+        assert report.simulated_seconds == reference.simulated_seconds
+        assert counters == reference_counters
+
+
+def test_section_rejections(tmp_path):
+    path = tmp_path / "g.kcsr"
+    write_store(dataset("mico", scale=0.2), path)
+    open_store(path).adjacency_keys()
+    section = derived_path(path)
+    raw = section.read_bytes()
+
+    def rejects(data, needle):
+        section.write_bytes(data)
+        with pytest.raises(GraphFormatError, match=needle) as error:
+            open_store(path).adjacency_keys()
+        assert str(error.value).startswith(str(section))
+
+    rejects(raw[:len(raw) // 2], "truncated store")
+    rejects(b"XXXX" + raw[4:], "not a Khuzdul CSR store")
+    flipped_header = bytearray(raw)
+    flipped_header[20] ^= 0xFF
+    rejects(bytes(flipped_header), "corrupt store header")
+    # a flipped array byte maps (the header is intact) but fails the
+    # opt-in full verify, by the section's name
+    section.write_bytes(raw)
+    offset = read_header(section)["arrays"]["keys"]["offset"]
+    flipped_array = bytearray(raw)
+    flipped_array[offset] ^= 0xFF
+    section.write_bytes(bytes(flipped_array))
+    open_store(path).adjacency_keys()
+    with pytest.raises(GraphFormatError, match="recorded CRC32") as error:
+        open_store(path, verify=True)
+    assert str(error.value).startswith(str(section))
+
+
+def test_stale_section_is_rebuilt(tmp_path, monkeypatch):
+    path = tmp_path / "g.kcsr"
+    write_store(dataset("mico", scale=0.2), path)
+    open_store(path).adjacency_keys()
+    old = derived_path(path).read_bytes()
+    other = dataset("mico", scale=0.3)
+    write_store(other, path)
+    assert not derived_path(path).exists()  # a rewrite drops the section
+    # a section left behind by the graph the store used to hold
+    derived_path(path).write_bytes(old)
+    mapped = open_store(path)
+    _assert_same_derived(_derived(mapped), _derived(other))
+    assert read_header(derived_path(path))["derived_from"]["fingerprint"] \
+        == mapped.fingerprint
+    # another row budget derives other rows: stale too
+    monkeypatch.setattr(Graph, "DENSE_ADJACENCY_BYTES",
+                        20 * other.adjacency_row_bytes)
+    mapped = open_store(path)
+    assert len(mapped.adjacency_matrix()[0]) == 20
+    assert mapped.hub_columns().tail_indptr is not None
+    # the streaming builder drops the section as well
+    build_store(iter_graph_edge_batches(other), path,
+                num_vertices=other.num_vertices)
+    assert not derived_path(path).exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors through procfs")
+def test_mapped_section_holds_one_descriptor(tmp_path):
+    path = tmp_path / "g.kcsr"
+    write_store(dataset("wdc", scale=1.0), path)
+    open_store(path).adjacency_keys()
+    graph = open_store(path)
+    before = len(os.listdir("/proc/self/fd"))
+    _derived(graph)
+    assert len(os.listdir("/proc/self/fd")) <= before + 1
+
+
+def test_unwritable_directory_keeps_the_build(tmp_path, monkeypatch):
+    directory = tmp_path / "ro"
+    path = directory / "g.kcsr"
+    ram = dataset("wdc", scale=1.0)
+    write_store(ram, path)
+    directory.chmod(0o555)
+    try:
+        if os.access(directory, os.W_OK):
+            # a superuser writes through the mode bits: refuse the way
+            # a read-only directory refuses everyone else
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(directory))
+
+            monkeypatch.setattr(storage, "tempfile",
+                                SimpleNamespace(mkstemp=refuse))
+        mapped = open_store(path)
+        report, counters = _run(mapped, None)
+        reference, reference_counters = _run(ram, None)
+        assert report.counts == reference.counts
+        assert report.simulated_seconds == reference.simulated_seconds
+        assert counters == reference_counters
+        _assert_same_derived(_derived(mapped), _derived(ram))
+        assert [entry.name for entry in directory.iterdir()] == ["g.kcsr"]
+    finally:
+        directory.chmod(0o755)
+
+
+def test_dead_writers_tmp_files_are_reaped(tmp_path):
+    path = tmp_path / "g.kcsr"
+    write_store(dataset("mico", scale=0.2), path)
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    orphan = tmp_path / f"g.kcsr.derived.{child.pid}.x1y2.tmp"
+    orphan.write_bytes(b"half a section")
+    # a live writer's tmp file is its own business
+    live = tmp_path / f"g.kcsr.derived.{os.getpid()}.z3w4.tmp"
+    live.write_bytes(b"being written")
+    graph = open_store(path)
+    graph.adjacency_keys()
+    assert not orphan.exists()
+    assert live.exists()
+    assert read_header(derived_path(path))["derived_from"]["fingerprint"] \
+        == graph.fingerprint
 
 
 # ======================================================================
