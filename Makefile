@@ -59,12 +59,15 @@ chaos-check:
 ## call-count tripwires; then plan compilation, bit-identity against
 ## the enumeration oracle across backends, the terminal kernel against
 ## its row-by-row reference, the 3/4/5-motif census (IEP route vs
-## induced oracle), and the schedule cost-model pins
+## induced oracle), the schedule cost-model pins, and census fusion
+## (docs/performance.md, "Census fusion"): the fused census against
+## the per-pattern oracle across backends, storage and a kill-resume,
+## and its scheduler / fill tripwires
 motif-check:
 	$(PYTEST) tests/test_schedule.py tests/test_schedule_golden.py \
 		tests/test_canonical.py tests/test_generation.py \
 		tests/test_pattern_oracles.py tests/test_compile_once.py \
-		tests/test_iep.py -q
+		tests/test_iep.py tests/test_fusion.py -q
 
 ## kernel and resolve suite (docs/performance.md): what a change to
 ## core/kernels.py or to the scheduler's resolve / drain passes must

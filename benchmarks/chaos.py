@@ -8,7 +8,8 @@ asserts the durability contract of docs/faults.md end to end:
 - a run killed between checkpoints restarts with ``--resume``, skips
   every completed root chunk, and reproduces the clean oracle's counts
   bit-identically (inline and process backends, including a
-  kill-resume-kill-resume double fault);
+  kill-resume-kill-resume double fault, and a fused census whose root
+  chunks checkpoint every pattern of a group at once);
 - a run losing a worker to SIGKILL under ``--on-worker-death recover``
   completes through surviving-*worker* redistribution — no inline
   fallback — with identical counts;
@@ -50,6 +51,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 JOB = ("--graph", "mico", "--scale", "0.05", "--machines", "4",
        "--chunk-bytes", "1024", "--no-auto-fit", "--pattern", "clique3")
 
+#: the census job: a fused 4-motif census under IEP (docs/performance.md,
+#: "Census fusion"), whose root chunks log one cursor per group member
+CENSUS_JOB = ("motifs", "--graph", "mico", "--scale", "0.3",
+              "--machines", "4", "--chunk-bytes", "1024", "--no-auto-fit",
+              "--size", "4", "--counting", "iep")
+
 CLI_TIMEOUT = 240
 
 
@@ -63,11 +70,12 @@ def _env(chaos=None):
     return env
 
 
-def run_cli(extra, chaos=None, check=True, timeout=CLI_TIMEOUT):
-    """One ``python -m repro count`` run of the chaos job, in a process
-    group of its own (``proc.pid`` leads it) so that whatever it leaves
-    behind can be found afterwards."""
-    args = [sys.executable, "-m", "repro", "count", *JOB,
+def run_cli(extra, chaos=None, check=True, timeout=CLI_TIMEOUT,
+            job=("count", *JOB)):
+    """One ``python -m repro`` run of a chaos job (the ``count`` one by
+    default), in a process group of its own (``proc.pid`` leads it) so
+    that whatever it leaves behind can be found afterwards."""
+    args = [sys.executable, "-m", "repro", *job,
             "--metrics", "json", *extra]
     with subprocess.Popen(
         args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -156,6 +164,21 @@ def scenario_parent_kill_inline(oracle, directory):
     _assert_killed(killed)
     resumed = report_of(run_cli(
         ["--checkpoint-dir", directory, "--resume"]))
+    assert resumed["counts"] == oracle["counts"], (
+        resumed["counts"], oracle["counts"])
+    assert resumed["extra"]["checkpoint"]["resumed_roots"] > 0
+
+
+def scenario_parent_kill_census(directory, backend=()):
+    """The parent-kill scenario on the fused census: SIGKILL after the
+    2nd flush, resume, and the census counts equal the clean run's."""
+    oracle = report_of(run_cli([], job=CENSUS_JOB))
+    killed = run_cli(["--checkpoint-dir", directory, *backend],
+                     chaos="parent-kill:2", check=False, job=CENSUS_JOB)
+    _assert_killed(killed)
+    resumed = report_of(run_cli(
+        ["--checkpoint-dir", directory, "--resume", *backend],
+        job=CENSUS_JOB))
     assert resumed["counts"] == oracle["counts"], (
         resumed["counts"], oracle["counts"])
     assert resumed["extra"]["checkpoint"]["resumed_roots"] > 0
@@ -324,6 +347,13 @@ def oracle():
 
 def test_chaos_parent_kill_inline(oracle, tmp_path):
     scenario_parent_kill_inline(oracle, str(tmp_path))
+
+
+@pytest.mark.parametrize("backend", [(), ("--backend", "process",
+                                           "--workers", "2")],
+                         ids=["inline", "process"])
+def test_chaos_parent_kill_census(tmp_path, backend):
+    scenario_parent_kill_census(str(tmp_path), backend)
 
 
 def test_chaos_parent_kill_resume_kill(oracle, tmp_path):

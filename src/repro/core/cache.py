@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from enum import Enum
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -225,24 +226,60 @@ class EdgeCache:
         """:meth:`admit` for every just-fetched list (``sizes`` and
         ``degrees`` are the vertices' own), in order; returns the
         admitted mask."""
-        admitted = np.zeros(len(vertices), dtype=bool)
-        offers = np.arange(len(vertices))
-        if self.policy is CachePolicy.STATIC:
-            # residents are admitted for free; of the rest only a list
-            # over the threshold that fits the bytes free right now can
-            # still be inserted (free bytes only shrink) — those few
-            # are walked in offer order, none once the cache is full
-            admitted = self._residency(vertices)
-            offers = np.flatnonzero(
-                ~admitted & (degrees >= self.degree_threshold)
-                & (sizes <= self.capacity_bytes - self.used_bytes)
-            )
-        for offer, vertex, size, degree in zip(
-            offers.tolist(), vertices[offers].tolist(),
-            sizes[offers].tolist(), degrees[offers].tolist(),
-        ):
-            admitted[offer] = self.admit(vertex, size, degree)
+        if self.policy is not CachePolicy.STATIC:
+            # replacement is sequential: every admission may evict
+            return np.fromiter(
+                map(self.admit, vertices.tolist(), sizes.tolist(),
+                    degrees.tolist()), bool, len(vertices))
+        # residents are admitted for free; of the rest only a list over
+        # the threshold that fits the bytes free right now can still be
+        # inserted (free bytes only shrink)
+        admitted = self._residency(vertices)
+        room = self.capacity_bytes - self.used_bytes
+        offers = np.flatnonzero(
+            ~admitted & (degrees >= self.degree_threshold) & (sizes <= room)
+        )
+        if not len(offers):
+            return admitted
+        # only a vertex's first offer can insert: a repeat finds it
+        # resident, or is refused again (the same list, less room)
+        wanted = vertices[offers]
+        lead = offers[np.sort(np.unique(wanted, return_index=True)[1])]
+        # the offers whose running total fits all go in; after that,
+        # walk on only while some list still fits what is left
+        used = np.cumsum(sizes[lead])
+        taken = int(np.searchsorted(used, room, side="right"))
+        rows = lead[:taken]
+        if taken < len(lead):
+            room -= int(used[taken - 1])
+            rest = lead[taken:]
+            cost = sizes[rest].tolist()
+            least = list(accumulate(reversed(cost), min))[::-1]
+            picked = []
+            for index, size in enumerate(cost):
+                if room < least[index]:
+                    break
+                if size <= room:
+                    picked.append(index)
+                    room -= size
+            rows = np.concatenate((rows, rest[picked]))
+        self._insert_many(vertices[rows], sizes[rows])
+        admitted[offers] = self._resident[wanted]
         return admitted
+
+    def _insert_many(self, vertices: np.ndarray, sizes: np.ndarray) -> None:
+        """:meth:`_insert` of new static entries, in order, in bulk."""
+        self._entries.update(zip(vertices.tolist(), sizes.tolist()))
+        self._resident[vertices] = True
+        self.used_bytes += int(sizes.sum())
+        self.inserts += len(vertices)
+        self._m_inserts.inc(len(vertices))
+        self._m_used_bytes.set(self.used_bytes)
+        # the bookkeeping charge folds one insert at a time, as admit's
+        pending = self._pending_cost
+        for _ in range(len(vertices)):
+            pending += self.cost.cache_insert_static
+        self._pending_cost = pending
 
     def _evict_one(self) -> None:
         if self.policy is CachePolicy.FIFO:

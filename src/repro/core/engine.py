@@ -28,6 +28,7 @@ from repro.core.plan import (
     Partial,
     PatternPlan,
     finalize,
+    group_patterns,
     require_mergeable_udf,
 )
 from repro.core.runtime import RunReport
@@ -208,11 +209,14 @@ class KhuzdulEngine:
     ) -> RunReport:
         """Enumerate several patterns in one job (motifs, FSM rounds).
 
-        Each pattern pays the engine's per-pattern start-up cost, which
-        is what makes many-pattern workloads (FSM) relatively more
-        expensive on Khuzdul than on a bare single-machine system
-        (paper Table 4). The report's ``counts`` is a list aligned with
-        ``schedules``.
+        A count-only job runs as one fused enumeration per root label:
+        patterns that share a step prefix share its chunks, and a
+        machine pays the engine's start-up once (docs/performance.md,
+        "Census fusion"). A job with a UDF runs pattern by pattern, each
+        paying the start-up, which is what makes many-pattern workloads
+        (FSM) relatively more expensive on Khuzdul than on a bare
+        single-machine system (paper Table 4). The report's ``counts``
+        is a list aligned with ``schedules``.
         """
         return self._run(
             self.plan(schedules, udf, system, app, graph_name), udf)
@@ -228,8 +232,8 @@ class KhuzdulEngine:
         indexed_udf: bool = True,
     ) -> JobPlan:
         """Describe a job once: per pattern its counting plan, DFS
-        levels and clamped chunk budget — the only place any of them is
-        decided."""
+        levels and clamped chunk budget, and the groups the patterns
+        run in — the only place any of them is decided."""
         config = self.config
         patterns = []
         for schedule in schedules:
@@ -258,7 +262,9 @@ class KhuzdulEngine:
             patterns.append(
                 PatternPlan(schedule, counting, levels, chunk_bytes)
             )
-        return JobPlan(tuple(patterns), config, self.cluster.config,
+        patterns = tuple(patterns)
+        return JobPlan(patterns, group_patterns(patterns, fuse=udf is None),
+                       config, self.cluster.config,
                        system, app, graph_name, indexed_udf)
 
     def _run(self, plan: JobPlan, udf) -> RunReport:
@@ -310,14 +316,17 @@ class KhuzdulEngine:
         bit-identical and a re-executed subset reproduces a lost
         worker's results exactly.
 
-        ``sink(pattern, machine, roots, matches)`` observes every
-        completed root chunk with its *absolute* cursor; ``resume``
-        maps ``(pattern, machine)`` to an already-completed
+        ``sink(machine, roots, matches)`` observes every completed root
+        chunk of a pattern group with its *absolute* cursor: the
+        group's one root cursor, and ``matches`` mapping each member
+        pattern to its absolute match total. ``resume`` maps
+        ``(pattern, machine)`` to an already-completed
         ``(roots, matches)`` prefix, which is sliced off the machine's
-        root set and seeded into its counts before the scheduler runs.
-        Roots are enumerated in a deterministic order, so skipping a
-        completed prefix reproduces exactly the remaining work — the
-        durability contract of docs/faults.md.
+        root set and seeded into its counts before the scheduler runs;
+        the patterns of a group must agree on ``roots``. Roots are
+        enumerated in a deterministic order, so skipping a completed
+        prefix reproduces exactly the remaining work — the durability
+        contract of docs/faults.md.
         """
         cluster = self.cluster
         config = plan.config
@@ -378,7 +387,7 @@ class KhuzdulEngine:
         ]
 
         counts = [0] * len(plan.patterns)
-        # Per-(schedule, machine) the engine builds a *fresh* scheduler
+        # Per-(group, machine) the engine builds a *fresh* scheduler
         # (and HDS table), so summing scheduler.hds.* below counts each
         # probe exactly once; the regression test
         # test_obs.py::test_hds_stats_not_double_counted pins this down.
@@ -386,7 +395,7 @@ class KhuzdulEngine:
         # this dict keeps the cluster-wide totals reports always carry.
         hds_stats = {"hits": 0, "probes": 0, "drops": 0}
         #: the kernels' scratch memory: one per run, not per scheduler
-        #: (a census builds 168 of those)
+        #: (an FSM round builds one per pattern and machine)
         workspace = Workspace()
         fetch_sources = {"local": 0, "remote": 0, "cache": 0, "shared": 0}
         chunks_created = 0
@@ -402,14 +411,20 @@ class KhuzdulEngine:
             chunks_created += scheduler.chunks_created
             recovery_stats["checkpoints"] += scheduler.checkpoints_taken
 
+        def tally(members, matches) -> None:
+            for index, found in zip(members, matches):
+                counts[index] += found
+
         try:
-            for index, pattern in enumerate(plan.patterns):
+            for group in plan.groups:
                 if failure is not None:
                     break
+                members = group.members
                 if udf is None:
                     machine_udf: Udf = NULL_UDF
                 elif plan.indexed_udf:
-                    machine_udf = partial(udf, index)
+                    # a UDF job's groups are single patterns
+                    machine_udf = partial(udf, members[0])
                 else:
                     machine_udf = udf
                 # Work queue of (machine, roots) shards. Fault-free runs
@@ -422,15 +437,15 @@ class KhuzdulEngine:
                     if (hosted is not None
                             and machine.machine_id not in hosted):
                         continue
-                    roots = pattern.roots_for(cluster, machine.machine_id)
-                    base_roots = base_matches = 0
+                    roots = group.roots_for(cluster, machine.machine_id)
+                    base_roots, base_matches = 0, (0,) * len(members)
                     if resume:
-                        base_roots, base_matches = resume.get(
-                            (index, machine.machine_id), (0, 0)
+                        base_roots, base_matches = _group_cursor(
+                            resume, members, machine.machine_id
                         )
                         if base_roots:
                             base_roots = min(base_roots, len(roots))
-                            counts[index] += base_matches
+                            tally(members, base_matches)
                             roots = roots[base_roots:]
                     shards.append(_Shard(
                         machine.machine_id, roots,
@@ -441,7 +456,7 @@ class KhuzdulEngine:
                     mid = shard.machine_id
                     if mid in cluster.dead:
                         # owner died after this shard was queued (earlier
-                        # pattern, or a multi-crash plan): bounce its
+                        # group, or a multi-crash plan): bounce its
                         # whole share to the survivors
                         live = cluster.live_ids()
                         if not live:
@@ -463,32 +478,32 @@ class KhuzdulEngine:
                             "startup", mid,
                             start=machine.clock.total(),
                             attrs={"scheduler": cluster.cost.engine_startup,
-                                   "pattern": index},
+                                   "pattern": members[0]},
                         ))
                     scheduler = MachineScheduler(
                         cluster=cluster,
                         machine=machine,
                         extender=ScheduleExtender(
-                            pattern.extend_schedule,
+                            None,
                             vcs=config.vcs,
                             metrics=machine_scopes[mid],
                             workspace=workspace,
                         ),
                         cache=caches[mid],
                         udf=machine_udf,
-                        chunk_bytes=pattern.chunk_bytes,
+                        chunk_bytes=group.chunk_bytes,
                         hds_enabled=config.hds,
                         hds_slots=config.hds_slots,
                         hds_chaining=config.hds_chaining,
                         vcs_enabled=config.vcs,
                         numa_aware=config.numa_aware,
+                        trie=group.trie,
                         circulant=config.circulant,
                         time_budget=config.time_budget,
                         obs=obs,
                         faults=injector,
-                        iep_plan=pattern.counting,
                         checkpoint_sink=(
-                            partial(_rebased_sink, sink, index, shard)
+                            partial(_rebased_sink, sink, members, shard)
                             if sink is not None
                             and not shard.recovery else None
                         ),
@@ -501,15 +516,15 @@ class KhuzdulEngine:
                         # only work up to the last checkpoint survives;
                         # everything past it is replayed by survivors,
                         # which is what keeps recovered counts exact
-                        counts[index] += ckpt.matches
+                        tally(members, ckpt.matches)
                         cluster.mark_dead(mid)
                         event = {
                             "kind": "crash",
                             "machine": mid,
                             "trigger": exc.trigger,
-                            "pattern": index,
+                            "pattern": members[0],
                             "roots_completed": ckpt.roots_completed,
-                            "checkpoint_matches": ckpt.matches,
+                            "checkpoint_matches": sum(ckpt.matches),
                         }
                         events.append(event)
                         if not config.recover:
@@ -555,21 +570,21 @@ class KhuzdulEngine:
                         # a structured abort: what the scheduler finished
                         # up to its last checkpoint still counts
                         absorb(scheduler)
-                        counts[index] += scheduler.checkpoint.matches
+                        tally(members, scheduler.checkpoint.matches)
                         if isinstance(exc, FetchFailedError):
                             events.append({
                                 "kind": "fetch_failed",
                                 "machine": mid,
                                 "owner": exc.owner,
                                 "attempts": exc.attempts,
-                                "pattern": index,
+                                "pattern": members[0],
                             })
                         failure = failed(
                             _OUTCOME_OF[type(exc)],
                             getattr(exc, "machine_id", mid), str(exc))
                         break
                     absorb(scheduler)
-                    counts[index] += shard_matches
+                    tally(members, shard_matches)
                     if shard.recovery:
                         recovery_stats["reassigned_chunks"] += (
                             scheduler.chunks_created
@@ -698,22 +713,40 @@ class _Shard:
 
     ``recovery`` marks shards created by reassignment, whose chunk
     creations feed the ``recovery.reassigned_chunks`` metric.
-    ``base_roots``/``base_matches`` are the durable-resume prefix that
-    was sliced off this machine's root set — the offsets that turn the
-    scheduler's shard-relative checkpoint cursor back into the absolute
-    one the chunk log records.
+    ``base_roots``/``base_matches`` (one per group slot) are the
+    durable-resume prefix that was sliced off this machine's root set —
+    the offsets that turn the scheduler's shard-relative checkpoint
+    cursor back into the absolute one the chunk log records.
     """
 
     machine_id: int
     roots: np.ndarray
     recovery: bool = False
     base_roots: int = 0
-    base_matches: int = 0
+    base_matches: tuple[int, ...] = ()
 
 
-def _rebased_sink(sink, pattern: int, shard: _Shard, ckpt) -> None:
-    """Adapt the engine-level checkpoint sink to one scheduler: add the
-    pattern index and rebase the shard-relative cursor to absolute."""
-    sink(pattern, shard.machine_id,
-         shard.base_roots + ckpt.roots_completed,
-         shard.base_matches + ckpt.matches)
+def _group_cursor(resume: dict, members, machine: int):
+    """A group's resumed ``(roots, matches per slot)`` on ``machine``:
+    its patterns share one root cursor, so a map that disagrees on it
+    describes no run of this plan."""
+    cursors = [resume.get((index, machine), (0, 0)) for index in members]
+    roots = {cursor[0] for cursor in cursors}
+    if len(roots) > 1:
+        raise ConfigurationError(
+            f"resume: patterns {list(members)} share one root cursor on "
+            f"machine {machine}, but the resume map disagrees on it "
+            f"({sorted(roots)})"
+        )
+    return roots.pop(), tuple(cursor[1] for cursor in cursors)
+
+
+def _rebased_sink(sink, members, shard: _Shard, ckpt) -> None:
+    """Adapt the engine-level checkpoint sink to one scheduler: name
+    the group's patterns and rebase the shard-relative cursor to
+    absolute."""
+    sink(shard.machine_id, shard.base_roots + ckpt.roots_completed, {
+        index: base + found
+        for index, base, found in zip(members, shard.base_matches,
+                                      ckpt.matches)
+    })

@@ -228,11 +228,13 @@ class ScheduleExtender:
 
     def __init__(
         self,
-        schedule: Schedule,
+        schedule: Optional[Schedule],
         vcs: bool = True,
         metrics: Optional[MetricsScope] = None,
         workspace: Optional[Workspace] = None,
     ):
+        #: what the per-embedding path walks; None for the engine's
+        #: chunk scheduler, which hands every chunk call its step
         self.schedule = schedule
         self.vcs = vcs
         #: the chunk kernels' scratch memory — the engine run's one
@@ -304,10 +306,12 @@ class ScheduleExtender:
         self,
         graph: Graph,
         chunk: Chunk,
-        level: int,
+        step: ExtensionStep,
         count_only: bool = False,
     ) -> kernels.ChunkExtendResult:
-        """Extend a whole chunk of same-level embeddings in one batch.
+        """Extend a whole chunk of same-level embeddings by ``step`` in
+        one batch (the step of a trie node, which need not come from
+        ``self.schedule``).
 
         Produces per-row results element-identical to calling
         :meth:`extend_level` on each row's prefix. Only the ``kernel.*``
@@ -316,7 +320,6 @@ class ScheduleExtender:
         for the rows it has reached (:meth:`account_rows`), so a run
         cut short mid-chunk does not count extensions nobody used.
         """
-        step = self.step_for(level)
         intermediates = None
         if self.vcs and step.reuse_level is not None:
             intermediates = chunk.intermediates(step.reuse_level)

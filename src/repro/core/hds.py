@@ -55,7 +55,7 @@ class HorizontalShareTable:
     the chunk, so it holds no state between calls: :meth:`share` works
     one chunk's whole request column out in array passes. Only the
     counters are cumulative per scheduler (i.e. per machine per
-    pattern), which is what the engine aggregates into
+    pattern group), which is what the engine aggregates into
     ``RunReport.extra['hds']``.
 
     ``chaining=True`` switches to the conventional design the paper

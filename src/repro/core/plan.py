@@ -9,13 +9,18 @@ resume) reads the same description instead of re-deriving it.
 (:meth:`KhuzdulEngine.execute`) measured, and :func:`finalize` is the
 only place per-machine state becomes a :class:`RunReport`: the inline
 path finalizes one partial, the process backend one per worker.
+
+A job runs as :class:`PatternGroup` s: the patterns of a group share
+one enumeration, whose step prefixes form a trie (:class:`TrieNode`) —
+a node's chunks are filled, resolved and finalized once for every
+pattern below it (docs/performance.md, "Census fusion").
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import asdict, dataclass, fields, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Any, Optional
 
 import numpy as np
@@ -26,7 +31,7 @@ from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.faults.recovery import FailureSummary
 from repro.obs import NULL_OBS, Observability
-from repro.patterns.schedule import CountingPlan, Schedule
+from repro.patterns.schedule import CountingPlan, ExtensionStep, Schedule
 
 #: EngineConfig fields that say how *this attempt* runs, not what the
 #: job computes; everything else is fingerprinted, so a new engine knob
@@ -61,13 +66,14 @@ class PatternPlan:
     def divisor(self) -> int:
         return 1 if self.counting is None else self.counting.divisor
 
-    def roots_for(self, cluster, machine_id: int) -> np.ndarray:
-        """Local partition vertices, filtered by the root label if any."""
-        roots = cluster.partitioned.local_vertices(machine_id)
-        root_label = self.schedule.root_label()
-        if root_label is not None and cluster.graph.labels is not None:
-            roots = roots[cluster.graph.labels[roots] == root_label]
-        return roots
+    def needs_edge_list(self, position: int) -> bool:
+        """Whether position ``position``'s edge list must be resolved:
+        a later step reads it, or an IEP signature does."""
+        if self.counting is not None and (
+            position in self.counting.fetch_positions
+        ):
+            return True
+        return self.extend_schedule.needs_edge_list(position)
 
     def fingerprint(self) -> dict:
         pattern = self.schedule.pattern
@@ -88,10 +94,132 @@ class PatternPlan:
 
 
 @dataclass(frozen=True)
+class Terminal:
+    """A pattern whose enumerated prefix ends at a trie node."""
+
+    #: the pattern's slot in its group (``PatternGroup.members``)
+    slot: int
+    #: the last step, which a counting or listing drain extends the
+    #: node's chunk by; None with an IEP plan or for a 1-vertex pattern
+    step: Optional[ExtensionStep] = None
+    #: the IEP plan the node's chunk is drained through
+    counting: Optional[CountingPlan] = None
+
+
+@dataclass(frozen=True)
+class TrieNode:
+    """One distinct step prefix of a group: its chunks are filled,
+    resolved and finalized once for every pattern at or below it."""
+
+    #: matching-order position the node's chunks place
+    level: int
+    #: the step that fills the node's chunks (None at the root)
+    step: Optional[ExtensionStep]
+    #: whether position ``level``'s edge list is resolved: some pattern
+    #: at or below the node reads it
+    fetch: bool
+    #: patterns drained on the node's chunks before its children run
+    terminals: tuple[Terminal, ...]
+    children: tuple["TrieNode", ...]
+
+    @property
+    def patterns(self) -> int:
+        """How many patterns end at or below this node."""
+        return len(self.terminals) + sum(c.patterns for c in self.children)
+
+
+@dataclass(frozen=True)
+class PatternGroup:
+    """Patterns that run as one enumeration: one scheduler per machine
+    walks their trie, and each pattern tallies into its own slot."""
+
+    #: job pattern indices, in slot order
+    members: tuple[int, ...]
+    trie: TrieNode
+    #: the members' smallest chunk budget (the deepest member's)
+    chunk_bytes: int
+    root_label: Optional[int]
+
+    def roots_for(self, cluster, machine_id: int) -> np.ndarray:
+        """Local partition vertices, filtered by the root label if any."""
+        roots = cluster.partitioned.local_vertices(machine_id)
+        if self.root_label is not None and cluster.graph.labels is not None:
+            roots = roots[cluster.graph.labels[roots] == self.root_label]
+        return roots
+
+
+def _step_key(step: ExtensionStep) -> tuple:
+    """What decides the content of the chunks a step fills."""
+    return (step.connected, step.disconnected, step.larger_than,
+            step.smaller_than, step.label, step.edge_labels,
+            step.reuse_level, step.extra_connected, step.store_intermediate)
+
+
+def _trie(level: int, step, paths: list) -> TrieNode:
+    """The node of ``paths`` — ``(pattern, steps, terminal)`` entries
+    that agree on their first ``level`` steps — at ``level``."""
+    branches: dict[tuple, list] = {}
+    for entry in paths:
+        if len(entry[1]) > level:
+            branches.setdefault(_step_key(entry[1][level]), []).append(entry)
+    return TrieNode(
+        level, step,
+        fetch=any(pattern.needs_edge_list(level) for pattern, _, _ in paths),
+        terminals=tuple(t for _, steps, t in paths if len(steps) == level),
+        children=tuple(
+            _trie(level + 1, branch[0][1][level], branch)
+            for branch in branches.values()
+        ),
+    )
+
+
+@lru_cache(maxsize=512)
+def group_patterns(
+    patterns: tuple[PatternPlan, ...], fuse: bool
+) -> tuple[PatternGroup, ...]:
+    """Partition a job's patterns into groups and build their tries
+    (memoized like the compilers).
+
+    With ``fuse`` every pattern with the same root label joins one group
+    (a count-only census); without it — a UDF job, whose per-pattern
+    start-up is part of what Table 4 measures — each pattern is a
+    one-leaf group. A 1-vertex pattern, which counts its roots without
+    a chunk, is always alone.
+    """
+    keyed: dict[tuple, list[int]] = {}
+    for index, pattern in enumerate(patterns):
+        schedule = pattern.schedule
+        alone = not fuse or schedule.pattern.num_vertices == 1
+        key = ("alone", index) if alone else ("root", schedule.root_label())
+        keyed.setdefault(key, []).append(index)
+    groups = []
+    for members in keyed.values():
+        paths = []
+        for slot, index in enumerate(members):
+            pattern = patterns[index]
+            steps = pattern.extend_schedule.steps
+            if pattern.counting is not None:
+                terminal = Terminal(slot, counting=pattern.counting)
+            elif steps:
+                steps, terminal = steps[:-1], Terminal(slot, step=steps[-1])
+            else:
+                terminal = Terminal(slot)
+            paths.append((pattern, steps, terminal))
+        first = patterns[members[0]].schedule
+        groups.append(PatternGroup(
+            tuple(members), _trie(0, None, paths),
+            min(patterns[index].chunk_bytes for index in members),
+            first.root_label(),
+        ))
+    return tuple(groups)
+
+
+@dataclass(frozen=True)
 class JobPlan:
-    """One job: its patterns, configuration and labels."""
+    """One job: its patterns, their groups, configuration and labels."""
 
     patterns: tuple[PatternPlan, ...]
+    groups: tuple[PatternGroup, ...]
     #: the :class:`~repro.core.engine.EngineConfig` the job runs under
     config: Any
     cluster_config: ClusterConfig
@@ -117,6 +245,7 @@ class JobPlan:
             "app": self.app,
             "graph_name": self.graph_name,
             "schedules": [p.fingerprint() for p in self.patterns],
+            "groups": [list(g.members) for g in self.groups],
             "cluster": asdict(self.cluster_config),
             "engine": engine,
         }

@@ -8,6 +8,13 @@ at once. Before a chunk is extended, its pending edge-list fetches are
 resolved with circulant scheduling — shuffled into per-owner batches
 whose communication is pipelined against the chunk's computation.
 
+One scheduler runs a whole pattern group (:class:`~repro.core.plan.
+PatternGroup`): a chunk belongs to a node of the group's step-prefix
+trie. Once resolved it drains the node's terminals — each pattern
+whose prefix ends there, into its own ``matches`` slot — and is then
+extended into each child node in turn, DFS as for one pattern; a
+one-pattern group is a one-leaf trie.
+
 The scheduler charges every mechanism to the machine's clock buckets:
 intersections and embedding creation to ``compute``, fine-grained task
 bookkeeping to ``scheduler``, HDS/static-cache bookkeeping to ``cache``,
@@ -39,12 +46,12 @@ from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
 from repro.core.extend import ScheduleExtender
 from repro.core.hds import HorizontalShareTable
 from repro.core.pipeline import pipeline_time
+from repro.core.plan import Terminal, TrieNode
 from repro.errors import MachineCrashError, SimTimeoutError
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import Checkpoint
 from repro.graph.graph import edge_list_bytes_of
 from repro.obs import NULL_OBS, Observability, Span, names
-from repro.patterns.schedule import CountingPlan
 
 #: UDF signature: (prefix vertices, completing candidates array).
 Udf = Callable[[tuple[int, ...], np.ndarray], None]
@@ -71,6 +78,8 @@ class _LevelState:
 
     __slots__ = (
         "chunk",
+        "node",
+        "child",
         "chunk_id",
         "cursor",
         "flat",
@@ -86,11 +95,17 @@ class _LevelState:
         "start",
     )
 
-    def __init__(self, chunk: Chunk, chunk_id: int = 0, start: float = 0.0):
+    def __init__(self, chunk: Chunk, node: TrieNode, chunk_id: int = 0,
+                 start: float = 0.0):
         self.chunk = chunk
+        #: the trie node the chunk belongs to
+        self.node = node
+        #: which of ``node.children`` the walk below extends into
+        self.child = 0
         #: per-scheduler chunk sequence number (span attribution key)
         self.chunk_id = chunk_id
-        #: rows whose extension has been consumed (``extend.*`` reported)
+        #: rows whose extension into the current child has been
+        #: consumed (``extend.*`` reported)
         self.cursor = 0
         #: candidates of ``batch.values`` already handed to child
         #: chunks. The paper pauses a level as soon as the next level's
@@ -118,15 +133,25 @@ class _LevelState:
 
     @property
     def exhausted(self) -> bool:
+        """Whether the walk into the current child is done."""
         # a filling chunk may have reached its last row and still rest
         # inside it
         return (
             self.cursor >= len(self.chunk) and self.flat >= self.candidates
         )
 
+    def next_child(self) -> bool:
+        """Start the walk into the next child; False after the last."""
+        self.child += 1
+        if self.child >= len(self.node.children):
+            return False
+        self.cursor = self.flat = self.candidates = 0
+        self.batch = None
+        return True
+
 
 class MachineScheduler:
-    """Runs one machine's share of a pattern's enumeration."""
+    """Runs one machine's share of a pattern group's enumeration."""
 
     def __init__(
         self,
@@ -140,13 +165,13 @@ class MachineScheduler:
         hds_slots: int,
         vcs_enabled: bool,
         numa_aware: bool,
+        trie: TrieNode,
         hds_chaining: bool = False,
         circulant: bool = True,
         time_budget: Optional[float] = None,
         obs: Optional[Observability] = None,
         faults: Optional[FaultInjector] = None,
         checkpoint_sink: Optional[Callable] = None,
-        iep_plan: Optional[CountingPlan] = None,
     ):
         self.cluster = cluster
         self.machine = machine
@@ -190,24 +215,17 @@ class MachineScheduler:
         #: to the parent). Observation only — simulated accounting and
         #: counts are identical with or without a sink.
         self.checkpoint_sink = checkpoint_sink
-        #: inclusion-exclusion counting plan (docs/performance.md).
-        #: When set, ``extender`` was compiled from
-        #: ``iep_plan.prefix_schedule`` and the final drain evaluates the
-        #: IEP formula instead of enumerating suffix candidates. The
-        #: tallied ``matches`` are the restriction-free *numerator*; the
-        #: engine divides by ``iep_plan.divisor`` once per query.
-        self.iep_plan = iep_plan
-        #: per-level facts the chunk passes read, settled here once:
-        #: whether a level's new vertex has an active edge list
-        self._fetches = tuple(
-            self._needs_edge_list(level)
-            for level in range(extender.final_level + 1)
-        )
+        #: the group's step-prefix trie (repro.core.plan). An IEP
+        #: terminal drains through the inclusion-exclusion formula
+        #: (docs/performance.md) and tallies the restriction-free
+        #: *numerator*; the engine divides once per query.
+        self.trie = trie
         #: the smallest list the cache's degree threshold lets through —
         #: a static cache with less than this free has stopped changing
         self._least_offer = edge_list_bytes_of(cache.degree_threshold)
         self.checkpoints_taken = 0
-        self.matches = 0
+        #: match tally per group slot
+        self.matches = [0] * trie.patterns
         self.chunks_created = 0
         #: how each embedding's active edge list was satisfied
         self.fetch_sources = {
@@ -278,7 +296,7 @@ class MachineScheduler:
         """
         ckpt = self.checkpoint
         ckpt.roots_completed += consumed_roots
-        ckpt.matches = self.matches
+        ckpt.matches = tuple(self.matches)
         ckpt.chunk_index = self.chunks_created
         ckpt.simulated_seconds = self.machine.clock.total()
         self.checkpoints_taken += 1
@@ -290,8 +308,8 @@ class MachineScheduler:
         if self.checkpoint_sink is not None:
             self.checkpoint_sink(ckpt)
 
-    def _count_matches(self, matches: int) -> None:
-        self.matches += matches
+    def _count_matches(self, slot: int, matches: int) -> None:
+        self.matches[slot] += matches
         self._m_matches.inc(matches)
 
     def _count_sources(self, source: str, rows: int) -> None:
@@ -301,11 +319,13 @@ class MachineScheduler:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, roots: np.ndarray) -> int:
-        """Explore all embedding trees rooted at ``roots``; returns matches."""
-        pattern_size = self.extender.schedule.pattern.num_vertices
-        if pattern_size == 1 and self.iep_plan is None:
-            self._count_matches(len(roots))
+    def run(self, roots: np.ndarray) -> list[int]:
+        """Explore all embedding trees rooted at ``roots``; returns the
+        matches of every group slot."""
+        lone = self.trie.terminals
+        if lone and lone[0].step is None and lone[0].counting is None:
+            # a 1-vertex pattern (always a group of its own)
+            self._count_matches(0, len(roots))
             seconds = len(roots) * self.cost.emit_per_candidate
             self.machine.clock.compute += seconds
             self._m_t_compute.inc(seconds)
@@ -350,68 +370,57 @@ class MachineScheduler:
         return chunk
 
     def _explore_from(self, root_chunk: Chunk) -> None:
-        if self.iep_plan is not None:
-            # the extender only builds the plan's prefix embeddings;
-            # chunks of *complete* prefixes (level == final_level) drain
-            # through the IEP terminal kernel instead of extending
-            final_extend_level = self.extender.final_level
-        else:
-            final_extend_level = self.extender.final_level - 1
-        stack = [_LevelState(root_chunk, self.chunks_created,
+        stack = [_LevelState(root_chunk, self.trie, self.chunks_created,
                              self.machine.clock.total())]
         self._m_chunk_items.observe(len(root_chunk))
+        self._drain_terminals(stack[0])
         while stack:
             state = stack[-1]
             if state.exhausted:
+                if state.next_child():
+                    continue
                 self._finalize_state(state)
                 stack.pop()
                 self._check_budget()
                 continue
-            if state.chunk.level >= final_extend_level:
-                if self.iep_plan is not None:
-                    self._drain_final_iep(state)
-                else:
-                    self._drain_final(state)
-                continue
             next_chunk = self._fill_next_chunk(state)
             if next_chunk is None:
                 continue
-            next_state = _LevelState(next_chunk, self.chunks_created,
-                                     self.machine.clock.total())
+            next_state = _LevelState(
+                next_chunk, state.node.children[state.child],
+                self.chunks_created, self.machine.clock.total(),
+            )
             self._resolve_chunk(next_chunk, next_state)
             self._m_chunk_items.observe(len(next_chunk))
             stack.append(next_state)
+            self._drain_terminals(next_state)
+
+    def _drain_terminals(self, state: _LevelState) -> None:
+        """Drain every pattern whose prefix ends at the chunk's node; a
+        chunk of a leaf node has nothing left to extend."""
+        for terminal in state.node.terminals:
+            if terminal.counting is not None:
+                self._drain_final_iep(state, terminal)
+            else:
+                self._drain_final(state, terminal)
+        if not state.node.children:
+            state.cursor = len(state.chunk)
 
     # ------------------------------------------------------------------
     # extension
     # ------------------------------------------------------------------
-    def _needs_edge_list(self, position: int) -> bool:
-        """Whether position ``position``'s edge list must be resolved.
-
-        Under an IEP plan, prefix positions whose neighbor lists feed an
-        intersection signature need their edge lists even when the
-        prefix schedule's own extension steps never read them — the
-        terminal kernel does.
-        """
-        if (
-            self.iep_plan is not None
-            and position in self.iep_plan.fetch_positions
-        ):
-            return True
-        return self.extender.needs_edge_list(position)
-
     def _fill_next_chunk(self, state: _LevelState) -> Optional[Chunk]:
-        """Hand the next slice of ``state``'s candidates to a child
-        chunk: as many as its memory takes."""
-        level = state.chunk.level + 1
-        needs_fetch = self._fetches[level]
+        """Hand the next slice of ``state``'s candidates for its
+        current child node to a chunk: as many as its memory takes."""
+        node = state.node.children[state.child]
+        needs_fetch = node.fetch
         self._register_chunk()
-        chunk = Chunk(level, self.chunk_bytes, self.machine,
+        chunk = Chunk(node.level, self.chunk_bytes, self.machine,
                       parent=state.chunk, preallocate=True)
         batch = state.batch
         if batch is None:
             batch = state.batch = self.extender.extend_chunk(
-                self.graph, state.chunk, level
+                self.graph, state.chunk, node.step
             )
             state.candidates = len(batch.values)
             state.merge += int(batch.merge_elements.sum())
@@ -465,14 +474,13 @@ class MachineScheduler:
         state.children += rows
         return chunk
 
-    def _drain_final(self, state: _LevelState) -> None:
+    def _drain_final(self, state: _LevelState, terminal: Terminal) -> None:
         """Last extension level: completed embeddings go to the UDF.
         When nobody reads the candidate values (the UDF is the counting
         sentinel) the kernel answers with per-embedding cardinalities."""
         count_only = self.udf is NULL_UDF
         batch = self.extender.extend_chunk(
-            self.graph, state.chunk, self.extender.final_level,
-            count_only=count_only,
+            self.graph, state.chunk, terminal.step, count_only=count_only,
         )
         emitted = int(batch.counts.sum())
         if emitted and not count_only:
@@ -484,9 +492,10 @@ class MachineScheduler:
                     batch.values[offsets[row]:offsets[row + 1]],
                 )
         state.emitted += emitted
-        self._finish_drain(state, batch, emitted)
+        self._finish_drain(state, batch, terminal.slot, emitted)
 
-    def _drain_final_iep(self, state: _LevelState) -> None:
+    def _drain_final_iep(self, state: _LevelState,
+                         terminal: Terminal) -> None:
         """IEP terminal drain: each complete prefix embedding's suffix
         count comes from the inclusion-exclusion formula over
         intersection cardinalities — no suffix candidates are ever
@@ -494,17 +503,18 @@ class MachineScheduler:
         counts are plan numerators; the engine applies ``plan.divisor``
         once per query."""
         batch = self.extender.iep_chunk(
-            self.graph, self.iep_plan, state.chunk
+            self.graph, terminal.counting, state.chunk
         )
-        self._finish_drain(state, batch, int(batch.counts.sum()))
+        self._finish_drain(state, batch, terminal.slot,
+                           int(batch.counts.sum()))
 
-    def _finish_drain(self, state: _LevelState, batch, matches: int) -> None:
+    def _finish_drain(self, state: _LevelState, batch, slot: int,
+                      matches: int) -> None:
         merge = int(batch.merge_elements.sum())
         state.merge += merge
         state.scanned += int(batch.scanned.sum())
-        state.cursor = len(state.chunk)
         self.extender.account_rows(len(state.chunk), merge, matches)
-        self._count_matches(matches)
+        self._count_matches(slot, matches)
 
     # ------------------------------------------------------------------
     # communication resolution (circulant scheduling, Section 4.3)
@@ -519,7 +529,7 @@ class MachineScheduler:
         chain_steps_before = self.hds.chain_steps
         probes = 0
         fetched = 0
-        if self._fetches[chunk.level]:
+        if state.node.fetch:
             me = self.machine.machine_id
             vertex = chunk.vertex
             source = chunk.source

@@ -118,13 +118,15 @@ class _FleetState:
     #: or in the parent)
     reexecuted: set = field(default_factory=set)
 
-    def on_ckpt(self, pattern, machine, roots, matches) -> None:
-        """One completed root chunk's absolute cursor, from any worker."""
-        key = (pattern, machine)
-        if roots > self.progress.get(key, (0, 0))[0]:
-            self.progress[key] = (roots, matches)
+    def on_ckpt(self, machine, roots, matches) -> None:
+        """One completed root chunk's absolute cursor, from any worker:
+        its group's root cursor and every member pattern's matches."""
+        for pattern, found in matches.items():
+            key = (pattern, machine)
+            if roots > self.progress.get(key, (0, 0))[0]:
+                self.progress[key] = (roots, found)
         if self.sink is not None:
-            self.sink(pattern, machine, roots, matches)
+            self.sink(machine, roots, matches)
 
     def death_events(self) -> list[dict]:
         return [

@@ -20,8 +20,9 @@ Result protocol on the worker's private result pipe
 - ``(RESULT, w, {...})`` — the hosted machines' ``Partial``, udf copy,
   observability dump and busy seconds (:func:`hosted_run`'s payload).
   Posted when the worker's compute loop finishes.
-- ``(CKPT, w, (pattern, machine, roots, matches))`` — one per
-  completed root chunk, carrying the absolute cursor. The parent's
+- ``(CKPT, w, (machine, roots, {pattern: matches}))`` — one per
+  completed root chunk of a pattern group, carrying the group's
+  absolute root cursor and each member's match total. The parent's
   progress ledger is built from these (durable log and/or
   redistribution resume maps), so they are shipped unconditionally.
 - ``(RECOVERY, w, {...})`` — a redistributed replay of a dead peer's
@@ -76,10 +77,9 @@ class _DeltaSink:
         self.shipped = 0
         self.kill_after = chaos_kill_threshold("worker-kill", worker_id)
 
-    def __call__(self, pattern: int, machine: int, roots: int,
-                 matches: int) -> None:
-        self.end.send(
-            (CKPT, self.worker_id, (pattern, machine, roots, matches)))
+    def __call__(self, machine: int, roots: int,
+                 matches: dict[int, int]) -> None:
+        self.end.send((CKPT, self.worker_id, (machine, roots, matches)))
         self.shipped += 1
         if self.kill_after and self.shipped >= self.kill_after:
             os.kill(os.getpid(), signal.SIGKILL)

@@ -26,9 +26,12 @@ On-disk layout under ``--checkpoint-dir``:
     prefixed with its own CRC32. Each record carries the *absolute*
     per-(pattern, machine) cursor — roots completed and matches found —
     so replaying the log is idempotent and a resumed run can itself be
-    checkpointed and resumed again. Loading tolerates truncation: a
-    torn or corrupt tail line (the one a SIGKILL interrupted) ends the
-    replay at the last intact record instead of failing the resume.
+    checkpointed and resumed again. A root chunk of a pattern group
+    writes one line per member, all with the group's one root cursor.
+    Loading tolerates truncation: a torn or corrupt tail line (the one
+    a SIGKILL interrupted) ends the replay at the last intact record
+    instead of failing the resume, and a group resumes from the last
+    cursor every member logged.
 
 ``aggregates.json``
     Partial aggregates snapshot, rewritten atomically at every flush:
@@ -62,8 +65,10 @@ from repro.obs import names
 
 #: bump when the on-disk layout or the fingerprinted fields change;
 #: mismatches reject the resume. 3: the engine's EXTEND-mode field left
-#: the fingerprint (one chunk loop, docs/performance.md).
-FORMAT_VERSION = 3
+#: the fingerprint (one chunk loop, docs/performance.md). 4: a census
+#: runs as pattern groups, so its root chunks — and the cursors logged
+#: at them — are the group's, not the pattern's.
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "chunks.log"
@@ -207,8 +212,9 @@ class CheckpointSession:
     """One run's durable checkpoint state under ``--checkpoint-dir``.
 
     The caller owns the cadence contract: ``record`` once per completed
-    root chunk (absolute per-(pattern, machine) cursor), and the
-    session makes every ``every``-th record durable; ``flush`` at the
+    root chunk (absolute cursor of each pattern it completed on one
+    machine), and the session makes every ``every``-th record durable;
+    ``flush`` at the
     end of the run (:class:`DurableRun` does it on every exit) writes
     whatever is still buffered.
 
@@ -228,6 +234,8 @@ class CheckpointSession:
         self.resumed = resume
         #: absolute cursor per (pattern, machine): (roots, matches)
         self.progress: dict[tuple[int, int], tuple[int, int]] = {}
+        #: every logged cursor per (pattern, machine): roots -> matches
+        self.history: dict[tuple[int, int], dict[int, int]] = {}
         #: the progress map as of the last durable snapshot — the state
         #: a UDF resume must cap at (UDF bytes and skipped work must
         #: describe exactly the same prefix)
@@ -328,15 +336,18 @@ class CheckpointSession:
     def _advance(self, pattern: int, machine: int, roots: int,
                  matches: int) -> None:
         key = (pattern, machine)
+        self.history.setdefault(key, {})[roots] = matches
         current = self.progress.get(key)
         if current is None or roots > current[0]:
             self.progress[key] = (roots, matches)
 
-    def record(self, pattern: int, machine: int, roots_completed: int,
-               matches: int) -> None:
-        """One completed root chunk (absolute cursor); flushes on cadence."""
-        self._advance(pattern, machine, roots_completed, matches)
-        self._buffer.append((pattern, machine, roots_completed, matches))
+    def record(self, machine: int, roots_completed: int,
+               matches: dict[int, int]) -> None:
+        """One completed root chunk: the absolute cursor and the match
+        total of each pattern in ``matches``; flushes on cadence."""
+        for pattern, found in matches.items():
+            self._advance(pattern, machine, roots_completed, found)
+            self._buffer.append((pattern, machine, roots_completed, found))
         self._since_flush += 1
         if self._since_flush >= self.every:
             self.flush()
@@ -437,10 +448,11 @@ class DurableRun:
             # every intact record is usable). A UDF resume is capped at
             # the last snapshot: the restored UDF bytes describe exactly
             # the snapshot's progress, so skipping any further chunk
-            # would drop its UDF calls.
-            self.resume = dict(
-                session.progress if udf is None
-                else session.snapshot_progress
+            # would drop its UDF calls (a UDF job's groups are single
+            # patterns, so its snapshot cursors always agree).
+            self.resume = (
+                _group_resume(plan.groups, session.history) if udf is None
+                else dict(session.snapshot_progress)
             )
         session.snapshot_extra = lambda: {
             "udf": pickle.dumps(udf) if udf is not None else None,
@@ -465,6 +477,24 @@ class DurableRun:
         scope.counter(names.CHECKPOINT_RESUMED_ROOTS).inc(
             stats["resumed_roots"]
         )
+
+
+def _group_resume(groups, history: dict) -> dict:
+    """The resume map of a logged run: per group and machine, the last
+    root cursor every member pattern logged. A root chunk's lines are
+    flushed together, but a torn tail may keep only some of them."""
+    resume = {}
+    machines = {machine for _, machine in history}
+    for group in groups:
+        for machine in machines:
+            logs = [history.get((index, machine), {})
+                    for index in group.members]
+            common = set(logs[0]).intersection(*logs[1:])
+            if common:
+                roots = max(common)
+                for index, log in zip(group.members, logs):
+                    resume[(index, machine)] = (roots, log[roots])
+    return resume
 
 
 # ---------------------------------------------------------------------

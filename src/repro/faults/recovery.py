@@ -79,15 +79,15 @@ class Checkpoint:
     every time a root chunk's subtree is exhausted, so the root-chunk
     boundary is the natural recovery point: nothing below it is live.
     ``roots_completed`` counts fully-explored roots (a prefix of the
-    scheduler's root array), ``matches`` is the match total *at that
-    boundary* — work past the checkpoint is discarded on a crash and
-    replayed by the survivors, which is what keeps recovered counts
-    exact.
+    scheduler's root array), ``matches`` holds the match total of each
+    slot of the scheduler's pattern group *at that boundary* — work
+    past the checkpoint is discarded on a crash and replayed by the
+    survivors, which is what keeps recovered counts exact.
     """
 
     machine_id: int = 0
     roots_completed: int = 0
-    matches: int = 0
+    matches: tuple[int, ...] = ()
     #: cumulative chunks the scheduler had created at the boundary
     chunk_index: int = 0
     simulated_seconds: float = 0.0

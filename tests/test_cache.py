@@ -354,6 +354,38 @@ def test_static_batch_calls_match_sequential_oracle(seed):
     assert cache.inserts > 0 and cache.hits > 0  # the run did something
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_static_bulk_admission_is_a_loop_of_admit_bit_for_bit(seed):
+    """``admit_many`` under STATIC takes the offers whose running total
+    fits in one pass, walks the rest only while a list still fits, and
+    inserts in bulk — never calling ``admit``. Against ``admit`` per
+    offer on a twin: the mask, ``used_bytes``, the entry order and the
+    pending cost (folded one insert at a time) are equal to the bit."""
+    rng = np.random.default_rng(seed)
+    cost = CostModel().derive(
+        cache_insert_static=float(rng.uniform(1e-9, 1e-7)))
+    num_vertices = 200
+    degrees = rng.integers(0, 40, size=num_vertices)
+    sizes = 8 + 4 * degrees
+    capacity = int(rng.integers(200, 6000))
+    cache = EdgeCache(capacity, 6, CachePolicy.STATIC, cost)
+    twin = EdgeCache(capacity, 6, CachePolicy.STATIC, cost)
+    cache.admit = None  # a per-offer call would fail
+    for _ in range(10):
+        offered = rng.integers(0, num_vertices,
+                               size=int(rng.integers(0, 150)))
+        assert cache.admit_many(
+            offered, sizes[offered], degrees[offered]).tolist() == [
+            twin.admit(v, s, d) for v, s, d in zip(
+                offered.tolist(), sizes[offered].tolist(),
+                degrees[offered].tolist())]
+        assert cache.used_bytes == twin.used_bytes
+        assert cache.inserts == twin.inserts
+        assert list(cache._entries.items()) == list(twin._entries.items())
+        assert cache._pending_cost == twin._pending_cost
+    assert 0 < twin.inserts and twin.used_bytes <= capacity
+
+
 @pytest.mark.parametrize("policy", list(CachePolicy))
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_calls_match_scalar_calls(policy, seed):

@@ -20,6 +20,7 @@ from repro.core import EngineConfig, KhuzdulEngine
 from repro.core.cache import CachePolicy, EdgeCache
 from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
 from repro.core.extend import ScheduleExtender, compute_candidates
+from repro.core.plan import PatternPlan, group_patterns
 from repro.core.scheduler import NULL_UDF, MachineScheduler, _LevelState
 from repro.errors import OutOfMemoryError
 from repro.graph.generators import erdos_renyi, power_law_graph
@@ -225,8 +226,19 @@ def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=NULL_UDF,
         hds_slots=64,
         vcs_enabled=True,
         numa_aware=True,
+        trie=group_patterns(
+            (PatternPlan(schedule, None, 1, chunk_bytes),), fuse=False
+        )[0].trie,
     )
     return cluster, scheduler
+
+
+def _state(scheduler, chunk):
+    """A DFS state for ``chunk`` at its level of the one-path trie."""
+    node = scheduler.trie
+    for _ in range(chunk.level):
+        node = node.children[0]
+    return _LevelState(chunk, node)
 
 
 def test_fill_cuts_on_the_byte_budget_and_pauses_mid_parent(graph):
@@ -243,8 +255,9 @@ def test_fill_cuts_on_the_byte_budget_and_pauses_mid_parent(graph):
     assert root_chunk.used_bytes >= capacity > root_chunk.used_bytes - 24
     assert len(scheduler._fill_root_chunk(roots[43:])) == 17  # the rest
     assert scheduler._fill_root_chunk(roots[60:]) is None
-    state = _LevelState(root_chunk)
-    oracle = scheduler.extender.extend_chunk(graph, root_chunk, 1)
+    state = _state(scheduler, root_chunk)
+    oracle = scheduler.extender.extend_chunk(
+        graph, root_chunk, schedule.steps[0])
     ebytes = graph.edge_list_bytes_all()
 
     children = []
@@ -290,12 +303,12 @@ def test_resolve_refunds_everything_but_stored_fetches(graph):
     cluster, scheduler = _scheduler(graph, schedule, capacity, machines=3)
     machine = scheduler.machine
     roots = cluster.partitioned.local_vertices(0)
-    state = _LevelState(scheduler._fill_root_chunk(roots))
+    state = _state(scheduler, scheduler._fill_root_chunk(roots))
     base = machine.resident_bytes
     chunk = scheduler._fill_next_chunk(state)
     reserved = chunk.used_bytes
     assert machine.resident_bytes == base + max(capacity, reserved)
-    child_state = _LevelState(chunk)
+    child_state = _state(scheduler, chunk)
     scheduler._resolve_chunk(chunk, child_state)
 
     assert not (chunk.source == EdgeListSource.PENDING).any()
@@ -340,7 +353,7 @@ def test_resolve_makes_no_per_row_calls(graph, count_calls):
         chunk = _remote_chunk(
             scheduler, rng.choice(elsewhere, size=rows), ebytes)
         calls = count_calls(scheduler._resolve_chunk, chunk,
-                            _LevelState(chunk))
+                            _state(scheduler, chunk))
         assert set(chunk.source.tolist()) <= {
             EdgeListSource.SHARED, EdgeListSource.REMOTE}
         chunk.release()
@@ -365,7 +378,7 @@ def test_resolve_offers_a_chunk_to_the_cache_once(graph, count_calls):
     elsewhere = np.flatnonzero(owners != 0)
     assert len(set(owners[elsewhere].tolist())) == 7
     chunk = _remote_chunk(scheduler, elsewhere, graph.edge_list_bytes_all())
-    state = _LevelState(chunk)
+    state = _state(scheduler, chunk)
     assert count_calls(scheduler._resolve_chunk, chunk, state,
                        only={"admit_many"}) == 1
     assert len(state.comm_times) - 1 == 7
@@ -399,7 +412,7 @@ def test_one_offer_admits_what_an_offer_per_batch_did(graph, cache, seed):
         vertex = rng.choice(elsewhere, size=40)
         assert len(set(vertex.tolist())) < len(vertex)
         chunk = _remote_chunk(scheduler, vertex, ebytes)
-        scheduler._resolve_chunk(chunk, _LevelState(chunk))
+        scheduler._resolve_chunk(chunk, _state(scheduler, chunk))
 
         remote = np.flatnonzero(~twin.query_many(vertex))
         expected = np.zeros(len(vertex), dtype=bool)
@@ -468,7 +481,7 @@ def test_chunk_folds_equal_a_batch_at_a_time(batches):
 
 def _calls_to_resolve(count_calls, scheduler, vertex, ebytes):
     chunk = _remote_chunk(scheduler, vertex, ebytes)
-    state = _LevelState(chunk)
+    state = _state(scheduler, chunk)
     calls = count_calls(scheduler._resolve_chunk, chunk, state)
     chunk.release()
     return calls, len(state.comm_times) - 1

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.core import EngineConfig
+from repro.core.plan import group_patterns
 from repro.graph.generators import erdos_renyi
 from repro.patterns import Pattern, catalog
 from repro.patterns.canonical import canonical_code
@@ -29,7 +30,7 @@ from repro.systems.graphpi import KGraphPi
 MEMOS = (
     graphpi_schedule, automine_schedule, compile_counting_plan, _iep_terms,
     canonical_code, automorphisms, stabilizer_chain, symmetry_restrictions,
-    apps._spanning_copies,
+    apps._spanning_copies, group_patterns,
 )
 #: what a compile is made of
 COMPILERS = {"compile_schedule", "_score_order", "_order_cost",

@@ -81,9 +81,9 @@ def test_session_round_trip(tmp_path):
     directory = str(tmp_path)
     manifest = _manifest()
     session = CheckpointSession(directory, manifest, num_patterns=1)
-    session.record(0, 0, 2, 10)
-    session.record(0, 0, 5, 25)   # absolute cursor supersedes
-    session.record(0, 2, 3, 7)
+    session.record(0, 2, {0: 10})
+    session.record(0, 5, {0: 25})   # absolute cursor supersedes
+    session.record(2, 3, {0: 7})
     session.flush()
     assert session.records_written == 3
     assert session.flushes >= 1
@@ -99,11 +99,11 @@ def test_session_round_trip(tmp_path):
 def test_session_cadence_buffers_between_flushes(tmp_path):
     session = CheckpointSession(str(tmp_path), _manifest(),
                                 num_patterns=1, every=3)
-    session.record(0, 0, 1, 1)
-    session.record(0, 0, 2, 2)
+    session.record(0, 1, {0: 1})
+    session.record(0, 2, {0: 2})
     assert session.flushes == 0           # buffered, not yet durable
     assert not os.path.exists(tmp_path / "chunks.log")
-    session.record(0, 0, 3, 3)
+    session.record(0, 3, {0: 3})
     assert session.flushes == 1           # third record crossed cadence
     assert session.records_written == 3
 
@@ -112,11 +112,11 @@ def test_resume_of_resume_is_idempotent(tmp_path):
     directory = str(tmp_path)
     manifest = _manifest()
     first = CheckpointSession(directory, manifest, num_patterns=1)
-    first.record(0, 1, 4, 40)
+    first.record(1, 4, {0: 40})
     first.flush()
     second = CheckpointSession(directory, manifest, num_patterns=1,
                                resume=True)
-    second.record(0, 1, 9, 90)            # keep going past the resume
+    second.record(1, 9, {0: 90})            # keep going past the resume
     second.flush()
     third = CheckpointSession(directory, manifest, num_patterns=1,
                               resume=True)
@@ -170,14 +170,14 @@ def test_resume_refuses_format_mismatch(tmp_path, saved_format,
     CheckpointSession(directory, manifest, num_patterns=1)
     path = tmp_path / "manifest.json"
     saved = json.loads(path.read_text())
-    assert saved["format"] == 3
+    assert saved["format"] == 4
     saved["format"] = saved_format
     saved["engine"].update(engine_extra)
     path.write_text(json.dumps(saved))
     with pytest.raises(
         ConfigurationError,
         match=f"checkpoint format {saved_format} does not match "
-              f"this build's format 3",
+              f"this build's format 4",
     ):
         CheckpointSession(directory, manifest, num_patterns=1,
                           resume=True)
@@ -190,8 +190,8 @@ def test_resume_tolerates_torn_log_tail(tmp_path):
     directory = str(tmp_path)
     manifest = _manifest()
     session = CheckpointSession(directory, manifest, num_patterns=1)
-    session.record(0, 0, 3, 30)
-    session.record(0, 1, 2, 20)
+    session.record(0, 3, {0: 30})
+    session.record(1, 2, {0: 20})
     session.flush()
     # a SIGKILL mid-append leaves a torn final line
     with open(tmp_path / "chunks.log", "ab") as handle:
@@ -381,7 +381,10 @@ def test_killed_run_resumes_identically_on_every_backend(
         assert report.extra["checkpoint"]["resumed_roots"] > 0, label
         resumed[label] = comparable(report)
     # skipped chunks carry no timing, so a resumed report differs from
-    # the oracle's — but identically so on every backend
-    assert resumed["bare"]["simulated_seconds"] < oracle.simulated_seconds
+    # the oracle's — but identically so on every backend. (The inline
+    # log holds one machine's root chunks after another's, so half of
+    # it may spare only machines other than the slowest.)
+    assert (sum(resumed["bare"]["machine_seconds"])
+            < sum(oracle.machine_seconds))
     for label, document in resumed.items():
         assert document == resumed["bare"], label

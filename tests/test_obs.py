@@ -19,7 +19,7 @@ from repro.obs import (
     names,
 )
 from repro.obs.tracer import PHASE_ATTRS
-from repro.patterns import clique
+from repro.patterns import clique, motifs
 from repro.patterns.schedule import automine_schedule
 
 
@@ -228,26 +228,30 @@ def test_counters_match_report_aggregates(skewed_graph):
 
 
 def test_hds_stats_not_double_counted(skewed_graph):
-    """The engine builds a fresh scheduler (and HDS table) per
-    (schedule, machine); summing their stats must count each probe
-    exactly once — i.e. match the per-machine registry series exactly
-    and satisfy the probe identity."""
-    obs = Observability()
-    report = _engine(skewed_graph, obs=obs).run(automine_schedule(clique(3)))
-    hds = report.extra["hds"]
-    assert hds["probes"] > 0, "test graph produced no HDS traffic"
-    registry = obs.registry
-    assert registry.total(names.HDS_PROBES) == hds["probes"]
-    assert registry.total(names.HDS_HITS) == hds["hits"]
-    assert registry.total(names.HDS_DROPS) == hds["drops"]
-    # every probe is exactly one of hit / fresh insert / collision drop
-    assert hds["probes"] == (
-        hds["hits"]
-        + registry.total(names.HDS_INSERTS)
-        + hds["drops"]
-    )
-    # shared fetches are exactly the HDS hits
-    assert registry.total(names.FETCH_SHARED) == hds["hits"]
+    """The engine builds a fresh scheduler (and HDS table) per (pattern
+    group, machine) — for one pattern, and for a fused census whose
+    patterns share one scheduler a machine; summing their stats must
+    count each probe exactly once — i.e. match the per-machine registry
+    series exactly and satisfy the probe identity."""
+    for schedules in ([automine_schedule(clique(3))],
+                      [automine_schedule(p) for p in motifs(4)]):
+        obs = Observability()
+        report = _engine(skewed_graph, obs=obs).run_many(schedules)
+        hds = report.extra["hds"]
+        assert hds["probes"] > 0, "test graph produced no HDS traffic"
+        registry = obs.registry
+        assert registry.total(names.HDS_PROBES) == hds["probes"]
+        assert registry.total(names.HDS_HITS) == hds["hits"]
+        assert registry.total(names.HDS_DROPS) == hds["drops"]
+        # every probe is exactly one of hit / fresh insert / collision
+        # drop
+        assert hds["probes"] == (
+            hds["hits"]
+            + registry.total(names.HDS_INSERTS)
+            + hds["drops"]
+        )
+        # shared fetches are exactly the HDS hits
+        assert registry.total(names.FETCH_SHARED) == hds["hits"]
 
 
 def test_obs_summary_resets_between_runs(small_random_graph):

@@ -200,11 +200,42 @@ def test_reproduces_golden(golden, case):
                            expected["simulated_seconds"])) == []
 
 
+def dump(rows: dict) -> str:
+    """The golden file's text for ``rows``."""
+    return json.dumps(
+        rows, sort_keys=True, separators=(",", ":"),
+    ).replace('},"', '},\n"') + "\n"
+
+
+def row_texts(text: str) -> dict:
+    """Each case's row as it stands in the file's text."""
+    starts = sorted((text.index(f'"{key}":'), key) for key in json.loads(text))
+    ends = [start for start, _ in starts[1:]] + [len(text)]
+    return {key: text[start:end] for (start, key), end in zip(starts, ends)}
+
+
+def test_rewriting_one_workload_keeps_every_other_row_byte_identical():
+    """``--write <workload>`` re-records only that workload's rows: the
+    file is ``dump``'s fixpoint, so every other row keeps its bytes."""
+    text = GOLDEN.read_text()
+    rows = json.loads(text)
+    assert dump(rows) == text
+    moved = next(key for key in rows if "/motif4-iep/" in key)
+    before, after = row_texts(text), row_texts(dump({**rows, moved: {}}))
+    assert before.keys() == after.keys()
+    assert [key for key in rows if before[key] != after[key]] == [moved]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_scheduler_golden.py --write")
-    GOLDEN.write_text(json.dumps(
-        {case_id(case): observe(case) for case in cases()},
-        sort_keys=True, separators=(",", ":"),
-    ).replace('},"', '},\n"') + "\n")
-    print(f"wrote {GOLDEN}")
+    # --write             re-record every row
+    # --write W [W ...]   re-record only the rows of workloads W
+    if sys.argv[1:2] != ["--write"] or not set(sys.argv[2:]) <= set(
+            WORKLOADS):
+        sys.exit("usage: python tests/test_scheduler_golden.py --write "
+                 f"[workload ...] (workloads: {', '.join(WORKLOADS)})")
+    chosen = set(sys.argv[2:]) or set(WORKLOADS)
+    rows = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    rows.update({case_id(case): observe(case) for case in cases()
+                 if case[1] in chosen})
+    GOLDEN.write_text(dump(rows))
+    print(f"wrote {GOLDEN} ({', '.join(sorted(chosen))})")
