@@ -62,24 +62,27 @@ chaos-check:
 ## induced oracle), the schedule cost-model pins, and census fusion
 ## (docs/performance.md, "Census fusion"): the fused census against
 ## the per-pattern oracle across backends, storage and a kill-resume,
-## and its scheduler / fill tripwires
+## and its scheduler / fill tripwires, and lockstep machines
+## (docs/performance.md, "Lockstep machines"): lockstep against one
+## machine at a time, the abort golden, the census's kernel-call count
 motif-check:
 	$(PYTEST) tests/test_schedule.py tests/test_schedule_golden.py \
 		tests/test_canonical.py tests/test_generation.py \
 		tests/test_pattern_oracles.py tests/test_compile_once.py \
-		tests/test_iep.py tests/test_fusion.py -q
+		tests/test_iep.py tests/test_fusion.py tests/test_lockstep.py -q
 
 ## kernel and resolve suite (docs/performance.md): what a change to
 ## core/kernels.py or to the scheduler's resolve / drain passes must
 ## hold — listing and counting kernels against compute_candidates, the
 ## IEP kernel against iep_count, chunk layout and admission order, the
-## cache and share-table oracles, and the 150-run golden of simulated
-## observables (never re-recorded in a PR that claims nothing simulated
-## moved)
+## cache and share-table oracles, one kernel call over several machines'
+## chunks against one call a chunk (tests/test_lockstep.py), and the
+## 150-run golden of simulated observables (never re-recorded in a PR
+## that claims nothing simulated moved)
 kernel-check:
 	$(PYTEST) tests/test_kernels.py tests/test_chunk.py \
 		tests/test_word_kernels.py tests/test_cache.py tests/test_hds.py \
-		tests/test_iep.py \
+		tests/test_iep.py tests/test_lockstep.py \
 		tests/test_scheduler_golden.py -q
 
 ## out-of-core storage suite (docs/storage.md): streaming-vs-eager

@@ -68,6 +68,7 @@ class Cluster:
         self.dead: set[int] = set()
         for machine in self.machines:
             machine.allocate(self.partitioned.partition_bytes(machine.machine_id))
+            machine.baseline_bytes = machine.resident_bytes
 
     # ------------------------------------------------------------------
     @property
@@ -99,13 +100,6 @@ class Cluster:
             if candidate not in self.dead:
                 return candidate
         raise ConfigurationError("no live machine left to serve partition")
-
-    def serving_owner(self, v: int) -> int:
-        """Machine currently able to serve ``v``'s edge list."""
-        owner = self.partitioned.owner(v)
-        if not self.dead or owner not in self.dead:
-            return owner
-        return self.failover_owner(owner)
 
     def runtime(self) -> float:
         """Simulated job runtime: the slowest machine's finish time."""

@@ -66,6 +66,8 @@ class MachineState:
     clock: ClockBuckets = field(default_factory=ClockBuckets)
     resident_bytes: int = 0
     peak_bytes: int = 0
+    #: bytes charged when the cluster was built: every run starts here
+    baseline_bytes: int = 0
     #: bytes served to other machines (responder load, Figure 19)
     served_bytes: int = 0
     served_requests: int = 0
@@ -128,7 +130,10 @@ class MachineState:
         return max(self.clock.total(), self.serve_seconds)
 
     def reset_clock(self) -> None:
+        """Start a run as on a fresh cluster, memory at the baseline
+        (an OOM leaves chunks charged; no peak outlives its run)."""
         self.clock = ClockBuckets()
+        self.resident_bytes = self.peak_bytes = self.baseline_bytes
         self.served_bytes = 0
         self.served_requests = 0
         self.alive = True

@@ -142,7 +142,8 @@ class Chunk:
             self.machine.release(self._reserved - floor)
             self._reserved = floor
 
-    def prefixes(self, workspace: Optional[Workspace] = None) -> np.ndarray:
+    def prefixes(self, workspace: Optional[Workspace] = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
         """``(rows, level + 1)`` data vertices in matching order,
         gathered through ``parent_idx`` up the chain of chunks.
         Column-major: the matrix is written here, and read by every
@@ -151,10 +152,12 @@ class Chunk:
         columns contiguous, and the row-wise readers (a fancy-indexed
         subset of rows, ``.tolist()``) see no difference but the
         stride. The matrix and the gathers that fill it are views of
-        ``workspace`` (valid until its next ``prefixes`` call)."""
+        ``workspace`` (valid until its next ``prefixes`` call), or rows
+        ``out`` of a larger one (chunks' prefixes laid end to end)."""
         ws = workspace if workspace is not None else Workspace()
         n = len(self)
-        out = ws.matrix("prefixes", n, self.level + 1)
+        if out is None:
+            out = ws.matrix("prefixes", n, self.level + 1)
         out[:, self.level] = self.vertex
         chunk = self
         rows = None  # this chunk's row -> row of ``chunk`` (None = same)

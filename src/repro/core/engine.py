@@ -327,7 +327,23 @@ class KhuzdulEngine:
         enumerated in a deterministic order, so skipping a completed
         prefix reproduces exactly the remaining work — the durability
         contract of docs/faults.md.
+
+        A group's hosted machines run in lockstep (docs/performance.md,
+        "Lockstep machines") unless machine order decides the report: a
+        time budget, a fault plan or a UDF — or an OUTOFMEM, after which
+        the attempt is discarded — runs them one at a time.
         """
+        config = plan.config
+        if (config.time_budget is None and udf is None
+                and (config.faults is None or config.faults.empty)):
+            try:
+                return self._execute(plan, udf, hosted, sink, resume, True)
+            except tuple(_OUTCOME_OF):
+                pass
+        return self._execute(plan, udf, hosted, sink, resume, False)
+
+    def _execute(self, plan: JobPlan, udf, hosted, sink, resume,
+                 lockstep: bool) -> Partial:
         cluster = self.cluster
         config = plan.config
         graph = cluster.graph
@@ -415,6 +431,43 @@ class KhuzdulEngine:
             for index, found in zip(members, matches):
                 counts[index] += found
 
+        def startup(shard: _Shard) -> MachineScheduler:
+            mid = shard.machine_id
+            machine = cluster.machines[mid]
+            machine.clock.scheduler += cluster.cost.engine_startup
+            startup_counters[mid].inc(cluster.cost.engine_startup)
+            if obs.tracer.enabled:
+                obs.tracer.record(Span(
+                    "startup", mid,
+                    start=machine.clock.total(),
+                    attrs={"scheduler": cluster.cost.engine_startup,
+                           "pattern": members[0]},
+                ))
+            return MachineScheduler(
+                cluster=cluster,
+                machine=machine,
+                extender=ScheduleExtender(
+                    None, vcs=config.vcs, metrics=machine_scopes[mid],
+                    workspace=workspace),
+                cache=caches[mid],
+                udf=machine_udf,
+                chunk_bytes=group.chunk_bytes,
+                hds_enabled=config.hds,
+                hds_slots=config.hds_slots,
+                hds_chaining=config.hds_chaining,
+                vcs_enabled=config.vcs,
+                numa_aware=config.numa_aware,
+                trie=group.trie,
+                circulant=config.circulant,
+                time_budget=config.time_budget,
+                obs=obs,
+                faults=injector,
+                checkpoint_sink=(
+                    partial(_rebased_sink, sink, members, shard)
+                    if sink is not None and not shard.recovery else None
+                ),
+            )
+
         try:
             for group in plan.groups:
                 if failure is not None:
@@ -471,45 +524,15 @@ class KhuzdulEngine:
                         recovery_stats["reassigned_roots"] += len(shard.roots)
                         continue
                     machine = cluster.machines[mid]
-                    machine.clock.scheduler += cluster.cost.engine_startup
-                    startup_counters[mid].inc(cluster.cost.engine_startup)
-                    if obs.tracer.enabled:
-                        obs.tracer.record(Span(
-                            "startup", mid,
-                            start=machine.clock.total(),
-                            attrs={"scheduler": cluster.cost.engine_startup,
-                                   "pattern": members[0]},
-                        ))
-                    scheduler = MachineScheduler(
-                        cluster=cluster,
-                        machine=machine,
-                        extender=ScheduleExtender(
-                            None,
-                            vcs=config.vcs,
-                            metrics=machine_scopes[mid],
-                            workspace=workspace,
-                        ),
-                        cache=caches[mid],
-                        udf=machine_udf,
-                        chunk_bytes=group.chunk_bytes,
-                        hds_enabled=config.hds,
-                        hds_slots=config.hds_slots,
-                        hds_chaining=config.hds_chaining,
-                        vcs_enabled=config.vcs,
-                        numa_aware=config.numa_aware,
-                        trie=group.trie,
-                        circulant=config.circulant,
-                        time_budget=config.time_budget,
-                        obs=obs,
-                        faults=injector,
-                        checkpoint_sink=(
-                            partial(_rebased_sink, sink, members, shard)
-                            if sink is not None
-                            and not shard.recovery else None
-                        ),
-                    )
+                    scheduler = startup(shard)
+                    # lockstep: every other shard walks beside this one
+                    peers = [
+                        (startup(peer), peer) for peer in
+                        [shards.popleft() for _ in range(len(shards))]
+                    ] if lockstep else []
                     try:
-                        shard_matches = scheduler.run(shard.roots)
+                        shard_matches = scheduler.run(shard.roots, [
+                            (peer, share.roots) for peer, share in peers])
                     except MachineCrashError as exc:
                         absorb(scheduler)
                         ckpt = scheduler.checkpoint
@@ -567,6 +590,8 @@ class KhuzdulEngine:
                         recovered = True
                         continue
                     except tuple(_OUTCOME_OF) as exc:
+                        if peers:
+                            raise  # machine order names it: re-run
                         # a structured abort: what the scheduler finished
                         # up to its last checkpoint still counts
                         absorb(scheduler)
@@ -585,6 +610,9 @@ class KhuzdulEngine:
                         break
                     absorb(scheduler)
                     tally(members, shard_matches)
+                    for peer, _ in peers:
+                        absorb(peer)
+                        tally(members, peer.matches)
                     if shard.recovery:
                         recovery_stats["reassigned_chunks"] += (
                             scheduler.chunks_created

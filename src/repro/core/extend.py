@@ -18,7 +18,7 @@ where costs are charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -305,51 +305,57 @@ class ScheduleExtender:
     def extend_chunk(
         self,
         graph: Graph,
-        chunk: Chunk,
         step: ExtensionStep,
+        chunks: Sequence,
         count_only: bool = False,
-    ) -> kernels.ChunkExtendResult:
-        """Extend a whole chunk of same-level embeddings by ``step`` in
-        one batch (the step of a trie node, which need not come from
-        ``self.schedule``).
+    ) -> list[kernels.ChunkExtendResult]:
+        """Extend ``(extender, chunk)`` pairs' same-level chunks — one
+        trie node's on the hosted machines (docs/performance.md,
+        "Lockstep machines") — by the node's ``step`` in one kernel call.
 
-        Produces per-row results element-identical to calling
+        Returns one result a chunk, what a call on it alone returns:
+        per-row results element-identical to calling
         :meth:`extend_level` on each row's prefix. Only the ``kernel.*``
-        counters are emitted here: the scheduler consumes the batch in
-        slices (possibly pausing mid-chunk) and reports ``extend.*``
-        for the rows it has reached (:meth:`account_rows`), so a run
-        cut short mid-chunk does not count extensions nobody used.
+        counters are emitted here, by each chunk's extender: the
+        scheduler consumes the batch in slices (possibly pausing
+        mid-chunk) and reports ``extend.*`` for the rows it has reached
+        (:meth:`account_rows`), so a run cut short mid-chunk does not
+        count extensions nobody used.
         """
+        prefixes, bounds = _prefixes(chunks, self.workspace)
         intermediates = None
         if self.vcs and step.reuse_level is not None:
-            intermediates = chunk.intermediates(step.reuse_level)
-        batch = kernels.extend_chunk(
-            graph, step, chunk.prefixes(self.workspace), intermediates,
-            vcs=self.vcs, count_only=count_only, workspace=self.workspace,
-        )
-        self._m_k_batches.inc()
-        self._m_k_embeddings.inc(len(chunk))
-        self._m_k_probe.inc(batch.probe_elements)
-        if count_only:
-            self._m_k_count_only.inc()
-        return batch
+            intermediates = _intermediates(chunks, step.reuse_level)
+        results = kernels.split(kernels.extend_chunk(
+            graph, step, prefixes, intermediates, vcs=self.vcs,
+            count_only=count_only, workspace=self.workspace,
+            chunk_bounds=bounds,
+        ), bounds)
+        for (extender, chunk), batch in zip(chunks, results):
+            extender._m_k_batches.inc()
+            extender._m_k_embeddings.inc(len(chunk))
+            extender._m_k_probe.inc(batch.probe_elements)
+            if count_only:
+                extender._m_k_count_only.inc()
+        return results
 
     def iep_chunk(
-        self, graph: Graph, plan: CountingPlan, chunk: Chunk
-    ) -> kernels.ChunkIepResult:
-        """Evaluate the IEP counting plan over a chunk of complete
-        prefix embeddings (``plan.prefix_schedule``'s last position).
-        Emits the ``kernel.iep.*`` counters; ``extend.*`` goes through
-        :meth:`account_rows` like every other drained chunk.
+        self, graph: Graph, plan: CountingPlan, chunks: Sequence
+    ) -> list[kernels.ChunkIepResult]:
+        """Evaluate the IEP counting plan over chunks of complete
+        prefix embeddings in one call, as :meth:`extend_chunk`. Each
+        chunk's extender emits the ``kernel.iep.*`` counters;
+        ``extend.*`` goes through :meth:`account_rows`.
         """
-        batch = kernels.iep_chunk(
-            graph, plan, chunk.prefixes(self.workspace), self.workspace
-        )
-        self._m_iep_batches.inc()
-        self._m_iep_embeddings.inc(len(chunk))
-        self._m_iep_terms.inc(len(plan.terms) * len(chunk))
-        self._m_iep_probe.inc(batch.probe_elements)
-        return batch
+        prefixes, bounds = _prefixes(chunks, self.workspace)
+        results = kernels.split(kernels.iep_chunk(
+            graph, plan, prefixes, self.workspace), bounds)
+        for (extender, chunk), batch in zip(chunks, results):
+            extender._m_iep_batches.inc()
+            extender._m_iep_embeddings.inc(len(chunk))
+            extender._m_iep_terms.inc(len(plan.terms) * len(chunk))
+            extender._m_iep_probe.inc(batch.probe_elements)
+        return results
 
     def account_rows(
         self, calls: int, merge_elements: int, candidates: int
@@ -360,3 +366,31 @@ class ScheduleExtender:
         self._m_calls.inc(calls)
         self._m_merge.inc(merge_elements)
         self._m_candidates.inc(candidates)
+
+
+def _prefixes(chunks: Sequence, workspace: Workspace) -> tuple:
+    """The chunks' prefix matrices (:meth:`Chunk.prefixes`) laid end to
+    end, and the row bounds of each."""
+    bounds = np.cumsum([0] + [len(chunk) for _, chunk in chunks]).tolist()
+    out = workspace.matrix("prefixes", bounds[-1], chunks[0][1].level + 1)
+    for (_, chunk), start, stop in zip(chunks, bounds, bounds[1:]):
+        chunk.prefixes(workspace, out=out[start:stop])
+    return out, bounds
+
+
+def _intermediates(chunks: Sequence, level: int) -> Optional[tuple]:
+    """The chunks' stored intersections at ancestor ``level``
+    (:meth:`Chunk.intermediates`, None for all of a node's chunks or
+    none) laid end to end, offsets and segments rebased."""
+    parts = [chunk.intermediates(level) for _, chunk in chunks]
+    if len(parts) == 1 or parts[0] is None:
+        return parts[0]
+    values, offsets, segments = zip(*parts)
+    starts = np.cumsum([0] + [len(v) for v in values])
+    firsts = np.cumsum([0] + [len(o) - 1 for o in offsets])
+    return (
+        np.concatenate(values),
+        np.concatenate([o[:-1] + start for o, start in zip(offsets, starts)]
+                       + [starts[-1:]]),
+        np.concatenate([s + first for s, first in zip(segments, firsts)]),
+    )

@@ -41,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.workspace import Workspace
 from repro.obs import names
 from repro.obs.metrics import MetricsScope, scope_or_null
 
@@ -70,6 +71,7 @@ class HorizontalShareTable:
         num_slots: int = 8192,
         chaining: bool = False,
         metrics: Optional[MetricsScope] = None,
+        workspace: Optional[Workspace] = None,
     ):
         self.num_slots = max(1, num_slots)
         self.chaining = chaining
@@ -78,9 +80,10 @@ class HorizontalShareTable:
         self.drops = 0
         self.probes = 0
         self.chain_steps = 0
-        #: slot -> claiming row of the chunk in hand (``np.empty``: a
-        #: slot's content means something only after that chunk wrote it)
-        self._table = np.empty(0 if chaining else self.num_slots, np.intp)
+        #: slot -> claiming row of the chunk in hand: scratch, so the
+        #: tables of a run share their ``workspace``'s
+        self._table = (workspace or Workspace()).take(
+            "hds.table", 0 if chaining else self.num_slots, np.intp)
         metrics = scope_or_null(metrics)
         self._m_probes = metrics.counter(names.HDS_PROBES)
         self._m_hits = metrics.counter(names.HDS_HITS)

@@ -63,7 +63,7 @@ tallies the scheduler prices are the ones the reference would produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,6 +83,7 @@ __all__ = [
     "iep_chunk",
     "intersect_sorted",
     "setdiff_sorted",
+    "split",
 ]
 
 
@@ -254,13 +255,17 @@ class ChunkExtendResult:
     rows: Optional[np.ndarray] = None  # (len(values),) embedding of each
     raw_values: Optional[np.ndarray] = None  # flattened stored intersections
     raw_offsets: Optional[np.ndarray] = None
-    #: what the set-operation stages account for: the rows' running
-    #: sizes before each stage (docs/metrics.md) — pushed through
-    #: membership probes on the list path, popcounts on packed words
-    probe_elements: int = 0
+    #: (n,) what the set-operation stages account for, the rows'
+    #: running sizes before each stage (docs/metrics.md): probed on the
+    #: list path, popcounts on packed words; None where no stage ran
+    probes: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    @property
+    def probe_elements(self) -> int:
+        return 0 if self.probes is None else int(self.probes.sum())
 
     def candidates_for(self, i: int) -> np.ndarray:
         """Embedding ``i``'s filtered candidate array (a flat-view slice)."""
@@ -289,6 +294,7 @@ def extend_chunk(
     vcs: bool = True,
     count_only: bool = False,
     workspace: Optional[Workspace] = None,
+    chunk_bounds: Optional[Sequence[int]] = None,
 ) -> ChunkExtendResult:
     """Run one schedule step across a whole chunk of embeddings.
 
@@ -318,6 +324,11 @@ def extend_chunk(
         Where the temporaries live (a private one when ``None``). A
         listed result owns its arrays; a counted result's are views of
         the workspace, valid until its next kernel call.
+    chunk_bounds:
+        Row bounds ``[0, ..., n]`` of the chunks ``prefixes`` lays end
+        to end (docs/performance.md, "Lockstep machines"; ``None``: one
+        chunk). Each chunk's ``probes`` follow its own probe direction,
+        so :func:`split` returns what one call a chunk does.
 
     The chunk is worked through in row blocks of about
     :data:`BLOCK_ELEMENTS` gathered candidates (:func:`_row_blocks`, or
@@ -331,6 +342,7 @@ def extend_chunk(
     prefixes = np.asarray(prefixes, dtype=np.int64)
     if prefixes.ndim != 2:
         raise ValueError("prefixes must be a 2-D (embeddings, level) array")
+    shift = None  # :func:`_probe_direction`
     if not (vcs and step.reuse_level is not None):
         intermediates = None
     label_free = step.label is None and step.edge_labels is None
@@ -349,26 +361,27 @@ def extend_chunk(
         # ordering restrictions the asymmetry is enormous (wdc
         # triangles: 13x), and the per-embedding accounting is
         # direction-independent — the first stage's merge term is
-        # deg(base) + deg(other) either way. Decided once for the whole
+        # deg(base) + deg(other) either way. Decided once for a whole
         # chunk, so ``probe_elements`` does not depend on the blocking.
         degs = graph.degrees()
         connected = step.connected
         volume = degs.take(prefixes[:, connected[0]])
         if len(connected) > 1:
             other = degs.take(prefixes[:, connected[1]])
-            if int(other.sum()) < int(volume.sum()):
+            flip, shift = _probe_direction(volume, other, chunk_bounds)
+            if flip:
                 connected = (connected[1], connected[0]) + connected[2:]
                 volume = other
     n = len(prefixes)
     if counting:
         batch = ChunkExtendResult(
             ws.take("result.counts", n), ws.take("result.merge", n),
-            ws.take("result.scanned", n),
+            ws.take("result.scanned", n), probes=ws.take("result.probes", n),
         )
     else:
         batch = ChunkExtendResult(
             np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
-            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=np.int64), probes=np.empty(n, dtype=np.int64),
         )
     keep_raw = step.store_intermediate and not counting
     # The universe: a label-free step with a set operation to run (a
@@ -408,23 +421,25 @@ def extend_chunk(
     parts = []
     for start, stop in zip(bounds, bounds[1:]):
         block = prefixes[start:stop]
-        merge, scanned, kept = (
+        merge, scanned, kept, probes = (
             tally[start:stop]
-            for tally in (batch.merge_elements, batch.scanned, batch.counts)
+            for tally in (batch.merge_elements, batch.scanned, batch.counts,
+                          batch.probes)
         )
-        state, raw_values, probes = _set_operations(
+        state, raw_values = _set_operations(
             graph, columns, block, base, connected, step.disconnected,
             None if intermediates is None
             else (stored, stored_offsets, segments[start:stop]),
-            volume[start:stop], ws, merge, scanned, keep_raw,
+            volume[start:stop], ws, merge, scanned, probes, keep_raw,
         )
-        batch.probe_elements += probes
         if counting:
             _count_sets(graph, columns, step, block, state, ws, kept)
         else:
             values, emb_of = _list_sets(
                 graph, columns, step, block, state, ws, kept)
             parts.append((values, emb_of, raw_values))
+    if shift is not None:
+        batch.probes += shift
     if counting:
         return batch
     # row blocks' lists laid end to end; the layout arrays are built
@@ -444,6 +459,22 @@ def extend_chunk(
         batch.raw_values = raw_values
         batch.raw_offsets = _offsets_from_counts(batch.scanned)
     return batch
+
+
+def _probe_direction(volume, other, chunk_bounds):
+    """Whether a call gathers the second of the first two connected
+    columns (``other``: each row's degree of it, ``volume`` of the
+    first) — their total is smaller — and what the ``probes`` of a
+    chunk that decides otherwise alone differ by, row by row (None: no
+    such chunk): the first stage's size is the gathered degree."""
+    gap = other - volume
+    flip = int(gap.sum()) < 0
+    if chunk_bounds is None or len(chunk_bounds) == 2:
+        return flip, None
+    ends = np.asarray(chunk_bounds)
+    totals = np.concatenate(([0], gap.cumsum()))
+    own = (totals[ends[1:]] < totals[ends[:-1]]).astype(np.int64) - flip
+    return flip, gap * own.repeat(np.diff(ends)) if own.any() else None
 
 
 def _row_blocks(volume: np.ndarray) -> list[int]:
@@ -475,6 +506,7 @@ def _set_operations(
     ws: Workspace,
     merge_elements: np.ndarray,
     scanned: np.ndarray,
+    probes: np.ndarray,
     keep_raw: bool = False,
 ):
     """One row block's set operations, unfiltered: the running sets —
@@ -484,10 +516,10 @@ def _set_operations(
     ``disconnected``'s, a stage at a time (:func:`_split_stage`, on
     whichever halves of the universe ``columns`` leaves).
 
-    Returns ``(state, raw_values, probe_elements)`` — the last stage's
-    state — and writes the rows' ``merge_elements`` and ``scanned``: a
-    stage charges the running size before it and the other list's
-    length, whichever half answers it. ``raw_values`` (with
+    Returns ``(state, raw_values)`` — the last stage's state — and
+    writes the rows' ``merge_elements``, ``scanned`` and ``probes``: a
+    stage probes the running size before it and charges that and the
+    other list's length, whichever half answers it. ``raw_values`` (with
     ``keep_raw``: the pre-difference intersection VCS descendants
     reuse, listed; ``scanned`` are its per-row sizes) is the caller's
     to keep."""
@@ -495,15 +527,15 @@ def _set_operations(
     state = _first_state(
         graph, columns, prefixes, base, stored, size, ws, "first")
     merge_elements[:] = 0
-    probe_elements = 0
+    probes[:] = 0
     stages = 0
 
     def stage(position: int, keep: bool) -> None:
-        nonlocal state, probe_elements, merge_elements, stages
+        nonlocal state, stages, merge_elements, probes
         size = state[3]
         merge_elements += size
         merge_elements += degrees.take(prefixes[:, position])
-        probe_elements += int(size.sum())
+        probes += size
         state = _split_stage(
             graph, columns, prefixes, position, keep, state, ws, stages & 1
         )
@@ -522,7 +554,7 @@ def _set_operations(
         )
     for position in disconnected:
         stage(position, False)
-    return state, raw_values, probe_elements
+    return state, raw_values
 
 
 def _first_state(
@@ -998,9 +1030,40 @@ class ChunkIepResult:
     counts: np.ndarray  # (n,) int64 suffix tuples (numerator units)
     merge_elements: np.ndarray  # (n,) elements streamed through set ops
     scanned: np.ndarray  # (n,) intersection elements handed to the terms
-    #: the rows' running sizes before each stage, a stage counted once
-    #: per distinct signature prefix per block (docs/metrics.md)
-    probe_elements: int
+    #: (n,) the rows' running sizes before each stage, a stage counted
+    #: once per distinct signature prefix (docs/metrics.md)
+    probes: np.ndarray
+
+    @property
+    def probe_elements(self) -> int:
+        return int(self.probes.sum())
+
+
+def split(batch, bounds: Sequence[int]) -> list:
+    """A result over chunks laid end to end (rows ``bounds[i]:bounds[i
+    + 1]`` the ``i``-th) as what one call a chunk returns: everything
+    cut and rebased, ``rows`` in place (``batch`` is spent)."""
+    if len(bounds) == 2:
+        return [batch]
+    parts = []
+    for start, stop in zip(bounds, bounds[1:]):
+        part = replace(batch, **{
+            name: column[start:stop]
+            for name in ("counts", "merge_elements", "scanned", "probes")
+            if (column := getattr(batch, name)) is not None})
+        for flat, layout in (("values", "offsets"),
+                             ("raw_values", "raw_offsets")):
+            offsets = getattr(batch, layout, None)
+            if offsets is None:
+                continue
+            lo, hi = offsets[start], offsets[stop]
+            setattr(part, flat, getattr(batch, flat)[lo:hi])
+            setattr(part, layout, offsets[start:stop + 1] - lo)
+            if flat == "values":
+                part.rows = batch.rows[lo:hi]
+                part.rows -= start
+        parts.append(part)
+    return parts
 
 
 def iep_chunk(
@@ -1042,12 +1105,11 @@ def iep_chunk(
     n = prefixes.shape[0]
     batch = ChunkIepResult(
         ws.take("result.counts", n), ws.take("result.merge", n),
-        ws.take("result.scanned", n), 0,
+        ws.take("result.scanned", n), ws.take("result.probes", n),
     )
     columns = graph.hub_columns()
-    # Each regime keeps its row-block rule: ``probe_elements`` counts a
-    # stage once per distinct signature prefix *per block*, so the
-    # blocking is a pinned number (tests/data/scheduler_golden.json)
+    # Each regime keeps its row-block rule; a row's tallies, ``probes``
+    # too, are the same in any block (so in any chunk batch)
     if columns is not None and columns.tail_indptr is None:
         bounds = _word_blocks(n, columns.words.shape[1])
     else:
@@ -1058,10 +1120,10 @@ def iep_chunk(
             np.maximum(volume, degrees[prefixes[:, first]], out=volume)
         bounds = _row_blocks(volume)
     for start, stop in zip(bounds, bounds[1:]):
-        batch.probe_elements += _iep_rows(
+        _iep_rows(
             graph, columns, plan, prefixes[start:stop], ws,
             batch.counts[start:stop], batch.merge_elements[start:stop],
-            batch.scanned[start:stop],
+            batch.scanned[start:stop], batch.probes[start:stop],
         )
     return batch
 
@@ -1075,9 +1137,10 @@ def _iep_rows(
     totals: np.ndarray,
     merge_elements: np.ndarray,
     scanned: np.ndarray,
-) -> int:
+    probes: np.ndarray,
+) -> None:
     """One row block of :func:`iep_chunk`: writes the rows' ``totals``,
-    ``merge_elements`` and ``scanned``, returns the probes made.
+    ``merge_elements``, ``scanned`` and ``probes``.
 
     Signatures share their prefixes: ``(0, 1)`` and ``(0, 1, 2)`` pass
     through the same first state of column 0 and the same stage against
@@ -1093,7 +1156,7 @@ def _iep_rows(
     degrees = graph.degrees()
     merge_elements[:] = 0
     scanned[:] = 0
-    probe_elements = 0
+    probes[:] = 0
     stages: dict[tuple[int, ...], tuple] = {}
     degree_of: dict[int, np.ndarray] = {}
     cards: dict[tuple[int, ...], np.ndarray] = {}
@@ -1124,7 +1187,7 @@ def _iep_rows(
                 merge_elements += degree_of[position]
                 prefix = signature[:depth]
                 if prefix not in stages:
-                    probe_elements += int(size.sum())
+                    probes += size
                     stages[prefix] = _split_stage(
                         graph, columns, prefixes, position, True, state,
                         ws, len(stages),
@@ -1143,7 +1206,6 @@ def _iep_rows(
                 graph, prefixes, signature, adjacent=adjacent, workspace=ws
             )
     _iep_totals(plan, cards, totals, ws)
-    return probe_elements
 
 
 def _iep_totals(

@@ -35,7 +35,7 @@ Figure 15/19 benches read real trace data, and it is asserted in
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,37 @@ from repro.obs import NULL_OBS, Observability, Span, names
 
 #: UDF signature: (prefix vertices, completing candidates array).
 Udf = Callable[[tuple[int, ...], np.ndarray], None]
+
+
+#: prefix entries (rows × positions) a kernel call takes at most: its
+#: temporaries grow with them, its constant is amortized by then
+BATCH_ELEMENTS = 1 << 15
+
+
+def _runs(served: list) -> Iterator[list]:
+    """One site's ``(walk, extender, chunk)`` requests, in order, in
+    runs of at most :data:`BATCH_ELEMENTS` prefix entries (or one)."""
+    run, size = [], 0
+    for request in served:
+        entries = len(request[2]) * (request[2].level + 1)
+        if run and size + entries > BATCH_ELEMENTS:
+            yield run
+            run, size = [], 0
+        run.append(request)
+        size += entries
+    yield run
+
+
+def _site_ranks(node: TrieNode, ranks: Optional[dict] = None) -> dict:
+    """``id`` of each request site below ``node`` -> its preorder rank:
+    a node's terminals, then per child its fill and its own sites."""
+    ranks = {} if ranks is None else ranks
+    for terminal in node.terminals:
+        ranks[id(terminal)] = len(ranks)
+    for child in node.children:
+        ranks[id(child)] = len(ranks)
+        _site_ranks(child, ranks)
+    return ranks
 
 
 def NULL_UDF(prefix: tuple[int, ...], candidates: np.ndarray) -> None:
@@ -140,6 +171,13 @@ class _LevelState:
             self.cursor >= len(self.chunk) and self.flat >= self.candidates
         )
 
+    def extend(self, batch) -> None:
+        """Take the chunk's extension into the current child."""
+        self.batch = batch
+        self.candidates = len(batch.values)
+        self.merge += int(batch.merge_elements.sum())
+        self.scanned += int(batch.scanned.sum())
+
     def next_child(self) -> bool:
         """Start the walk into the next child; False after the last."""
         self.child += 1
@@ -179,16 +217,16 @@ class MachineScheduler:
         #: per-vertex accounting columns the chunk passes index into
         self._edge_bytes = self.graph.edge_list_bytes_all()
         self._vertex_degrees = self.graph.degrees()
-        #: failover-aware serving owner per vertex: a dead hash owner's
-        #: partition is served by its replica holder (docs/faults.md).
-        #: Machines only die between scheduler runs, so the table is
-        #: fixed for this scheduler's life.
-        self._vertex_owner = cluster.partitioned.owners_all()
-        if cluster.dead:
-            serving = np.arange(cluster.num_machines)
-            for dead in cluster.dead:
-                serving[dead] = cluster.failover_owner(dead)
-            self._vertex_owner = serving[self._vertex_owner]
+        #: circulant hop to each vertex's serving owner (0: local; a dead
+        #: owner's replica holder, docs/faults.md — machines only die
+        #: between scheduler runs) in the narrowest unsigned type: the
+        #: fetch's stable owner sort is a radix sort (:func:`_circulant`)
+        serving = np.arange(cluster.num_machines)
+        for dead in cluster.dead:
+            serving[dead] = cluster.failover_owner(dead)
+        hop = (serving - machine.machine_id) % cluster.num_machines
+        self._vertex_hop = hop.astype(np.min_scalar_type(
+            cluster.num_machines)).take(cluster.partitioned.owners_all())
         self.extender = extender
         self.cache = cache
         self.udf = udf
@@ -237,7 +275,8 @@ class MachineScheduler:
         self._trace = obs.tracer.enabled
         scope = obs.registry.scope(machine=machine.machine_id)
         self.hds = HorizontalShareTable(
-            hds_slots, chaining=hds_chaining, metrics=scope
+            hds_slots, chaining=hds_chaining, metrics=scope,
+            workspace=extender.workspace,
         )
         self._m_fetch = {
             "local": scope.counter(names.FETCH_LOCAL),
@@ -319,9 +358,45 @@ class MachineScheduler:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, roots: np.ndarray) -> list[int]:
+    def run(self, roots: np.ndarray, peers: Sequence = ()) -> list[int]:
         """Explore all embedding trees rooted at ``roots``; returns the
-        matches of every group slot."""
+        matches of every group slot.
+
+        ``peers``, ``(scheduler, roots)`` of machines on the same trie,
+        walk in lockstep with this one (docs/performance.md, "Lockstep
+        machines"): the pending requests of one trie site are served
+        together, the site earliest in preorder first."""
+        ranks = _site_ranks(self.trie)
+        pending: dict[int, tuple] = {}
+
+        def advance(walk, extender, result=None) -> None:
+            try:
+                site, chunk = walk.send(result)
+            except StopIteration:
+                return
+            pending.setdefault(ranks[id(site)], (site, []))[1].append(
+                (walk, extender, chunk))
+
+        for scheduler, share in [(self, roots), *peers]:
+            advance(scheduler._walk(share), scheduler.extender)
+        while pending:
+            site, served = pending.pop(min(pending))
+            for run in _runs(served):
+                chunks = [(extender, chunk) for _, extender, chunk in run]
+                extender = chunks[0][0]
+                if getattr(site, "counting", None) is not None:
+                    results = extender.iep_chunk(
+                        self.graph, site.counting, chunks)
+                else:  # a fill's extension lists, a drain counts if it can
+                    results = extender.extend_chunk(
+                        self.graph, site.step, chunks,
+                        isinstance(site, Terminal) and self.udf is NULL_UDF)
+                for (walk, extender, _), result in zip(run, results):
+                    advance(walk, extender, result)
+        return self.matches
+
+    def _walk(self, roots: np.ndarray) -> Iterator[tuple]:
+        """The exploration; yields kernel requests, ``(site, chunk)``."""
         lone = self.trie.terminals
         if lone and lone[0].step is None and lone[0].counting is None:
             # a 1-vertex pattern (always a group of its own)
@@ -335,7 +410,7 @@ class MachineScheduler:
                     attrs={"compute": seconds, "items": len(roots)},
                 ))
             self._take_checkpoint(len(roots))
-            return self.matches
+            return
 
         roots = np.asarray(roots)
         consumed = 0
@@ -345,13 +420,12 @@ class MachineScheduler:
                 if root_chunk is None:
                     break
                 consumed += len(root_chunk)
-                self._explore_from(root_chunk)
+                yield from self._explore_from(root_chunk)
                 self._take_checkpoint(len(root_chunk))
                 self._check_budget()
         except MachineCrashError:
             self.machine.alive = False
             raise
-        return self.matches
 
     def _fill_root_chunk(self, roots: np.ndarray) -> Optional[Chunk]:
         """Level-0 chunk: single-vertex embeddings, all data local —
@@ -369,11 +443,11 @@ class MachineScheduler:
         )
         return chunk
 
-    def _explore_from(self, root_chunk: Chunk) -> None:
+    def _explore_from(self, root_chunk: Chunk) -> Iterator[tuple]:
         stack = [_LevelState(root_chunk, self.trie, self.chunks_created,
                              self.machine.clock.total())]
         self._m_chunk_items.observe(len(root_chunk))
-        self._drain_terminals(stack[0])
+        yield from self._drain_terminals(stack[0])
         while stack:
             state = stack[-1]
             if state.exhausted:
@@ -383,48 +457,45 @@ class MachineScheduler:
                 stack.pop()
                 self._check_budget()
                 continue
-            next_chunk = self._fill_next_chunk(state)
-            if next_chunk is None:
+            node = state.node.children[state.child]
+            # before the extension: a chunk never consumed (crash
+            # trigger, OOM) meters no extension work
+            self._register_chunk()
+            chunk = Chunk(node.level, self.chunk_bytes, self.machine,
+                          parent=state.chunk, preallocate=True)
+            if state.batch is None:
+                state.extend((yield node, state.chunk))
+            if self._fill_next_chunk(state, chunk) is None:
                 continue
-            next_state = _LevelState(
-                next_chunk, state.node.children[state.child],
-                self.chunks_created, self.machine.clock.total(),
-            )
-            self._resolve_chunk(next_chunk, next_state)
-            self._m_chunk_items.observe(len(next_chunk))
+            next_state = _LevelState(chunk, node, self.chunks_created,
+                                     self.machine.clock.total())
+            self._resolve_chunk(chunk, next_state)
+            self._m_chunk_items.observe(len(chunk))
             stack.append(next_state)
-            self._drain_terminals(next_state)
+            yield from self._drain_terminals(next_state)
 
-    def _drain_terminals(self, state: _LevelState) -> None:
+    def _drain_terminals(self, state: _LevelState) -> Iterator[tuple]:
         """Drain every pattern whose prefix ends at the chunk's node; a
         chunk of a leaf node has nothing left to extend."""
         for terminal in state.node.terminals:
+            batch = yield terminal, state.chunk
             if terminal.counting is not None:
-                self._drain_final_iep(state, terminal)
+                self._drain_final_iep(state, terminal, batch)
             else:
-                self._drain_final(state, terminal)
+                self._drain_final(state, terminal, batch)
         if not state.node.children:
             state.cursor = len(state.chunk)
 
     # ------------------------------------------------------------------
     # extension
     # ------------------------------------------------------------------
-    def _fill_next_chunk(self, state: _LevelState) -> Optional[Chunk]:
+    def _fill_next_chunk(self, state: _LevelState,
+                         chunk: Chunk) -> Optional[Chunk]:
         """Hand the next slice of ``state``'s candidates for its
-        current child node to a chunk: as many as its memory takes."""
-        node = state.node.children[state.child]
-        needs_fetch = node.fetch
-        self._register_chunk()
-        chunk = Chunk(node.level, self.chunk_bytes, self.machine,
-                      parent=state.chunk, preallocate=True)
+        current child node (``state.batch``) to ``chunk``: as many as
+        its memory takes; None (released) if it takes none."""
+        needs_fetch = state.node.children[state.child].fetch
         batch = state.batch
-        if batch is None:
-            batch = state.batch = self.extender.extend_chunk(
-                self.graph, state.chunk, node.step
-            )
-            state.candidates = len(batch.values)
-            state.merge += int(batch.merge_elements.sum())
-            state.scanned += int(batch.scanned.sum())
         start = state.flat
         window = slice(start, start + chunk.max_rows)
         vertex = batch.values[window]
@@ -436,18 +507,21 @@ class MachineScheduler:
             # list is shared, cached, or local
             stored = self._edge_bytes[vertex] + EMBEDDING_BASE_BYTES
         else:
-            stored = np.full(len(vertex), EMBEDDING_BASE_BYTES, np.int64)
+            # one value, read n times: nothing refunds it
+            stored = np.broadcast_to(EMBEDDING_BASE_BYTES, len(vertex))
         if self.vcs_enabled and batch.raw_offsets is not None:
             # the parent's stored intersection (VCS)
             chunk.raw_values = batch.raw_values
             chunk.raw_offsets = batch.raw_offsets
-            stored += 4 * (
-                batch.raw_offsets[parent_idx + 1]
-                - batch.raw_offsets[parent_idx]
-            )
+            raw = batch.raw_offsets[parent_idx + 1]
+            raw -= batch.raw_offsets[parent_idx]
+            raw *= 4
+            stored = np.add(raw, stored, out=raw)
         rows = chunk.fit(stored)
+        # the chunk keeps its own rows' bytes, not the window's
+        stored = stored[:rows].copy() if stored.strides[0] else stored[:rows]
         chunk.fill(
-            vertex[:rows], parent_idx[:rows], stored[:rows],
+            vertex[:rows], parent_idx[:rows], stored,
             EdgeListSource.PENDING if needs_fetch else EdgeListSource.NONE,
         )
         # a full chunk stops at its last candidate's row — the next
@@ -474,16 +548,12 @@ class MachineScheduler:
         state.children += rows
         return chunk
 
-    def _drain_final(self, state: _LevelState, terminal: Terminal) -> None:
-        """Last extension level: completed embeddings go to the UDF.
-        When nobody reads the candidate values (the UDF is the counting
-        sentinel) the kernel answers with per-embedding cardinalities."""
-        count_only = self.udf is NULL_UDF
-        batch = self.extender.extend_chunk(
-            self.graph, state.chunk, terminal.step, count_only=count_only,
-        )
+    def _drain_final(self, state: _LevelState, terminal: Terminal,
+                     batch) -> None:
+        """Last extension level: completed embeddings (``batch``) go
+        to the UDF — or, for the counting sentinel, were counted."""
         emitted = int(batch.counts.sum())
-        if emitted and not count_only:
+        if emitted and self.udf is not NULL_UDF:
             prefixes = state.chunk.prefixes().tolist()
             offsets = batch.offsets.tolist()
             for row in np.flatnonzero(batch.counts).tolist():
@@ -494,17 +564,14 @@ class MachineScheduler:
         state.emitted += emitted
         self._finish_drain(state, batch, terminal.slot, emitted)
 
-    def _drain_final_iep(self, state: _LevelState,
-                         terminal: Terminal) -> None:
+    def _drain_final_iep(self, state: _LevelState, terminal: Terminal,
+                         batch) -> None:
         """IEP terminal drain: each complete prefix embedding's suffix
-        count comes from the inclusion-exclusion formula over
+        count (``batch``) came from the inclusion-exclusion formula over
         intersection cardinalities — no suffix candidates are ever
         materialized, so nothing is charged per emitted match. Tallied
         counts are plan numerators; the engine applies ``plan.divisor``
         once per query."""
-        batch = self.extender.iep_chunk(
-            self.graph, terminal.counting, state.chunk
-        )
         self._finish_drain(state, batch, terminal.slot,
                            int(batch.counts.sum()))
 
@@ -530,11 +597,10 @@ class MachineScheduler:
         probes = 0
         fetched = 0
         if state.node.fetch:
-            me = self.machine.machine_id
             vertex = chunk.vertex
             source = chunk.source
-            owner = self._vertex_owner[vertex]
-            local = owner == me
+            hop = self._vertex_hop.take(vertex)
+            local = hop == 0
             source[local] = EdgeListSource.LOCAL
             remote = (~local).nonzero()[0]
             self._count_sources("local", len(vertex) - len(remote))
@@ -559,7 +625,7 @@ class MachineScheduler:
             #: cache pool
             stored = remote
             if len(remote):
-                stored = self._fetch(state, owner, remote, wanted)
+                stored = self._fetch(state, hop, remote, wanted)
                 fetched = len(remote)
             returned = self._edge_bytes[vertex]
             returned[stored] = 0
@@ -578,20 +644,22 @@ class MachineScheduler:
     def _fetch(
         self,
         state: _LevelState,
-        owner: np.ndarray,
+        hop: np.ndarray,
         remote: np.ndarray,
         wanted: np.ndarray,
     ) -> np.ndarray:
         """Fetch rows ``remote`` of ``state.chunk`` (their vertices
-        ``wanted``) in circulant order — owner machines starting from
-        me+1, one communication batch each — and offer the lists to the
-        cache. Returns the rows whose list was not admitted.
+        ``wanted``, every row's circulant ``hop``) in circulant order —
+        owner machines starting from me+1, one communication batch each
+        — and offer the lists to the cache. Returns the rows whose list
+        was not admitted.
 
         The batches are ``(peer, start, stop)`` cuts of the hop-sorted
-        rows, their payloads one integer ``reduceat``. The one owner
-        loop does what can fail or must interleave — an injector's
-        fetch-by-fetch walk and its retry backoff; without one it makes
-        no call. Then the network is told of the chunk's batches once
+        rows (:func:`_circulant`), their payloads one integer
+        ``reduceat``. The one owner loop does what can fail or must
+        interleave — an injector's fetch-by-fetch walk and its retry
+        backoff; without one it makes no call. Then the network is told
+        of the chunk's batches once
         (``record_fetch_batches``, ``batch_times``) and every batch's
         wire time is priced on Python floats in batch order —
         ``(wire + retry) * slow``, the expression a batch-at-a-time
@@ -600,19 +668,9 @@ class MachineScheduler:
         me = self.machine.machine_id
         chunk = state.chunk
         network = self.cluster.network
-        num_machines = self.cluster.num_machines
-        hops = owner[remote]
-        hops -= me
-        hops %= num_machines
-        order = hops.argsort(kind="stable")
+        order, batches = _circulant(hop[remote], me, self.cluster.num_machines)
         remote, wanted = remote[order], wanted[order]
         sizes = self._edge_bytes[wanted]
-        ends = np.bincount(hops, minlength=num_machines).cumsum().tolist()
-        batches = [
-            ((me + hop) % num_machines, ends[hop - 1], ends[hop])
-            for hop in range(1, num_machines)
-            if ends[hop] > ends[hop - 1]
-        ]
         payloads = np.add.reduceat(
             sizes, [start for _, start, _ in batches]
         ).tolist()
@@ -751,3 +809,16 @@ class MachineScheduler:
                 },
             ))
         state.chunk.release()
+
+
+def _circulant(hops: np.ndarray, me: int, num_machines: int):
+    """``(order, batches)``: fetch rows sorted stably by their ``hops``
+    from machine ``me``, and each owner's ``(peer, start, stop)`` run of
+    them, hop 1 first."""
+    order = hops.argsort(kind="stable")
+    ends = np.bincount(hops, minlength=num_machines).cumsum().tolist()
+    return order, [
+        ((me + hop) % num_machines, ends[hop - 1], ends[hop])
+        for hop in range(1, num_machines)
+        if ends[hop] > ends[hop - 1]
+    ]

@@ -233,6 +233,21 @@ def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=NULL_UDF,
     return cluster, scheduler
 
 
+def _fill(scheduler, state):
+    """The walk's fill of ``state``'s current child: the chunk is
+    registered and charged, the parent extended on first touch (a
+    one-chunk kernel call), then filled."""
+    node = state.node.children[state.child]
+    scheduler._register_chunk()
+    chunk = Chunk(node.level, scheduler.chunk_bytes, scheduler.machine,
+                  parent=state.chunk, preallocate=True)
+    if state.batch is None:
+        (batch,) = scheduler.extender.extend_chunk(
+            scheduler.graph, node.step, [(scheduler.extender, state.chunk)])
+        state.extend(batch)
+    return scheduler._fill_next_chunk(state, chunk)
+
+
 def _state(scheduler, chunk):
     """A DFS state for ``chunk`` at its level of the one-path trie."""
     node = scheduler.trie
@@ -256,15 +271,15 @@ def test_fill_cuts_on_the_byte_budget_and_pauses_mid_parent(graph):
     assert len(scheduler._fill_root_chunk(roots[43:])) == 17  # the rest
     assert scheduler._fill_root_chunk(roots[60:]) is None
     state = _state(scheduler, root_chunk)
-    oracle = scheduler.extender.extend_chunk(
-        graph, root_chunk, schedule.steps[0])
+    (oracle,) = scheduler.extender.extend_chunk(
+        graph, schedule.steps[0], [(scheduler.extender, root_chunk)])
     ebytes = graph.edge_list_bytes_all()
 
     children = []
     mid_parent_pauses = 0
     while not state.exhausted:
         before = scheduler.machine.resident_bytes
-        chunk = scheduler._fill_next_chunk(state)
+        chunk = _fill(scheduler, state)
         if chunk is None:
             continue
         # pre-allocated as a whole; only an overflowing last row adds
@@ -305,7 +320,7 @@ def test_resolve_refunds_everything_but_stored_fetches(graph):
     roots = cluster.partitioned.local_vertices(0)
     state = _state(scheduler, scheduler._fill_root_chunk(roots))
     base = machine.resident_bytes
-    chunk = scheduler._fill_next_chunk(state)
+    chunk = _fill(scheduler, state)
     reserved = chunk.used_bytes
     assert machine.resident_bytes == base + max(capacity, reserved)
     child_state = _state(scheduler, chunk)

@@ -8,9 +8,11 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.core.cache import CachePolicy
 from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.graph import dataset
 from repro.graph.generators import erdos_renyi, random_labels, star_graph
 from repro.patterns import Pattern, chain, clique, cycle, star
 from repro.patterns.schedule import automine_schedule
+from repro.systems import KAutomine
 
 
 def _engine(graph, machines=4, **config):
@@ -276,3 +278,36 @@ def test_plan_is_picklable_and_compiled_once(small_random_graph):
     # a UDF consumes candidates, so its job never gets a counting plan
     with_udf = engine.plan([automine_schedule(star(3))], udf=print)
     assert with_udf.patterns[0].counting is None
+
+
+def test_reused_system_reports_what_a_fresh_one_does():
+    """Every run starts each machine at its static baseline (the
+    partition charged when the cluster was built): an earlier, larger
+    query's peak does not leak into the next report."""
+    graph = dataset("mico", 0.2)
+    fresh = KAutomine(graph, ClusterConfig(num_machines=2))
+    reused = KAutomine(graph, ClusterConfig(num_machines=2))
+    reused.count_pattern(chain(5))
+    assert (reused.count_pattern(clique(3)).peak_memory_bytes
+            == fresh.count_pattern(clique(3)).peak_memory_bytes)
+    baseline = [machine.baseline_bytes for machine in fresh.cluster.machines]
+    assert baseline == [machine.resident_bytes
+                        for machine in reused.cluster.machines]
+
+
+def test_oversized_query_does_not_poison_the_next_one():
+    """An OUTOFMEM run ends with chunks still charged; the next run on
+    the same system must not inherit them."""
+    graph = dataset("mico", 0.2)
+    fresh = KAutomine(graph, ClusterConfig(num_machines=2,
+                                           memory_bytes=200_000))
+    system = KAutomine(
+        graph, ClusterConfig(num_machines=2, memory_bytes=200_000),
+        EngineConfig(chunk_bytes=1 << 20, auto_fit_chunks=False),
+    )
+    assert system.count_pattern(chain(4)).outcome == "OUTOFMEM"
+    system.reconfigure(EngineConfig())
+    report = system.count_pattern(clique(3))
+    expected = fresh.count_pattern(clique(3))
+    assert (report.outcome, report.counts) == ("OK", expected.counts)
+    assert report.peak_memory_bytes == expected.peak_memory_bytes

@@ -1,0 +1,353 @@
+"""Lockstep machines (docs/performance.md, "Lockstep machines").
+
+The hosted machines of a pattern group walk the group's trie together,
+and the requests one trie node makes on several machines are served by
+one kernel call. Nothing a report says may depend on that:
+
+- the abort golden (tests/data/abort_golden.json) holds the whole
+  report of one OUTOFMEM run and one TIMEOUT run, recorded while every
+  machine still ran alone. An OUTOFMEM lockstep attempt is discarded
+  and the job re-run one machine at a time; a budgeted run never goes
+  lockstep;
+- inline lockstep (every machine at once) equals the process backend
+  with one machine a worker (each worker's walk alone) in the whole
+  report, over the pattern kinds a walk can make requests for.
+
+Re-record the golden (only in a change whose point is that an abort
+report moves) with ``PYTHONPATH=src python tests/test_lockstep.py
+--write``.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from perfbench.workloads import mico_sampled
+from repro.cluster import Cluster, ClusterConfig
+from repro.core import CachePolicy, EngineConfig, KhuzdulEngine, kernels
+from repro.core.cache import EdgeCache
+from repro.core.chunk import Chunk, EdgeListSource
+from repro.core.extend import ScheduleExtender
+from repro.core.scheduler import MachineScheduler, _circulant
+from repro.exec import ProcessBackend
+from repro.graph.generators import erdos_renyi, power_law_graph
+from repro.obs import Observability
+from repro.patterns import catalog
+from repro.patterns.schedule import (
+    ExtensionStep, automine_schedule, compile_counting_plan,
+    graphpi_schedule,
+)
+from repro.systems import KGraphPi, apps
+
+ABORT_GOLDEN = Path(__file__).parent / "data" / "abort_golden.json"
+
+#: name -> (memory bytes, engine config): machine 2 runs out of memory
+#: after machines 0 and 1 finished; machine 1 overruns the budget after
+#: machine 0 finished
+ABORTS = {
+    "outofmem": (7328, dict(chunk_bytes=1024, auto_fit_chunks=False,
+                            cache_fraction=0.0)),
+    "timeout": (64 << 20, dict(chunk_bytes=2048, time_budget=5e-4)),
+}
+
+
+def abort_report(name: str) -> dict:
+    """The whole report of one abort case (``RunReport.to_dict``),
+    observability on, through JSON."""
+    memory_bytes, config = ABORTS[name]
+    graph = power_law_graph(300, 1500, exponent=2.0, seed=11)
+    cluster = Cluster(graph, ClusterConfig(num_machines=4,
+                                           memory_bytes=memory_bytes))
+    engine = KhuzdulEngine(cluster, EngineConfig(**config),
+                           obs=Observability())
+    report = engine.run(automine_schedule(catalog.chain(4)))
+    return json.loads(json.dumps(report.to_dict()))
+
+
+@pytest.mark.parametrize("name", sorted(ABORTS))
+def test_abort_report_reproduces_golden(name):
+    golden = json.loads(ABORT_GOLDEN.read_text())
+    actual = abort_report(name)
+    assert actual["outcome"] == name.upper()
+    assert actual == golden[name]
+
+
+# ----------------------------------------------------------------------
+# lockstep against one machine at a time
+# ----------------------------------------------------------------------
+#: graph -> seed (printed by every test that draws one)
+SEEDS = {"er": 29, "powerlaw": 31}
+
+GRAPHS = {
+    "er": lambda seed: erdos_renyi(80, 400, seed=seed),
+    "powerlaw": lambda seed: power_law_graph(120, 520, exponent=2.0,
+                                             seed=seed),
+}
+
+#: name -> (schedules, engine config): a listing chain, an induced
+#: clique (its drain reuses a stored intersection), a fill that reuses
+#: one and stores its own (VCS), and a fused census under IEP
+WORKLOADS = {
+    "chain5": lambda: ([automine_schedule(catalog.chain(5))], {}),
+    "clique4-induced": lambda: (
+        [automine_schedule(catalog.clique(4), induced=True)], {}),
+    "clique5-vcs": lambda: ([automine_schedule(catalog.clique(5))], {}),
+    "motif4-iep": lambda: (
+        [graphpi_schedule(p) for p in catalog.motifs(4)],
+        {"counting": "iep"}),
+}
+
+
+def _run(graph, workload, chunk_bytes, backend=None, **config):
+    """``(report, metrics)``: one run's report and its registry
+    snapshot, the process backend's own ``exec.*`` series left out."""
+    schedules, extra = WORKLOADS[workload]()
+    cluster = Cluster(graph, ClusterConfig(num_machines=8,
+                                           memory_bytes=64 << 20))
+    obs = Observability()
+    engine = KhuzdulEngine(
+        cluster, EngineConfig(chunk_bytes=chunk_bytes, **extra, **config),
+        obs=obs, backend=backend,
+    )
+    report = engine.run_many(schedules)
+    names = report.extra["obs"]["emitted_metrics"]
+    report.extra["obs"]["emitted_metrics"] = [
+        name for name in names if not name.startswith("exec.")]
+    metrics = {
+        kind: {name: series for name, series in found.items()
+               if not name.startswith("exec.")}
+        for kind, found in obs.registry.snapshot().items()
+    }
+    return report, metrics
+
+
+def _approx(tree):
+    """``tree`` with every float compared within 1e-12 relative."""
+    if isinstance(tree, dict):
+        return {key: _approx(value) for key, value in tree.items()}
+    if isinstance(tree, float):
+        return pytest.approx(tree, rel=1e-12, abs=0.0)
+    return tree
+
+
+@pytest.mark.exec
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_lockstep_equals_one_machine_a_worker(graph_name, workload,
+                                              comparable):
+    """Inline, the 8 machines run in lockstep; with 8 workers each one
+    walks alone. Every report field but the per-attempt ones agrees —
+    the per-machine ``kernel.*`` counters among them."""
+    seed = SEEDS[graph_name]
+    print(f"{graph_name} seed={seed}")
+    graph = GRAPHS[graph_name](seed)
+    inline, inline_metrics = _run(graph, workload, 1024)
+    alone, alone_metrics = _run(graph, workload, 1024,
+                                ProcessBackend(workers=8))
+    assert alone.extra["exec"]["workers"] == 8
+    assert comparable(inline) == comparable(alone)
+    # integers exact; a float series the parent sums over workers
+    # (``time.serve_seconds``) may sit an ulp away
+    assert _approx(inline_metrics) == alone_metrics
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_lockstep_equals_width_one_in_every_regime(membership_regime,
+                                                   workload, comparable):
+    """The same, in process and in every membership regime (words only,
+    words + tail, lists): a time budget no machine reaches runs the job
+    one machine at a time and changes nothing else."""
+    seed = SEEDS["powerlaw"]
+    print(f"powerlaw seed={seed}")
+    graph = membership_regime(GRAPHS["powerlaw"](seed))
+    for chunk_bytes in (1024, 1 << 20):
+        lockstep, lockstep_metrics = _run(graph, workload, chunk_bytes)
+        width_one, width_one_metrics = _run(graph, workload, chunk_bytes,
+                                            time_budget=1e9)
+        assert comparable(lockstep) == comparable(width_one)
+        assert lockstep_metrics == width_one_metrics
+
+
+def test_motif5_census_makes_few_kernel_calls(monkeypatch):
+    """The benchmark's census (``motif5-mico``: its own graph, 8
+    machines) made 293 kernel calls with one call a chunk; in lockstep a
+    trie site's chunks share calls, up to ``BATCH_ELEMENTS`` prefix
+    entries a call (docs/performance.md, "Lockstep machines")."""
+    calls = []
+    for name in ("extend_chunk", "iep_chunk"):
+        method = getattr(ScheduleExtender, name)
+
+        def counted(self, *args, _method=method, **kwargs):
+            calls.append(len(args[2]))
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScheduleExtender, name, counted)
+    system = KGraphPi(mico_sampled(0.1, 19), ClusterConfig(num_machines=8),
+                      EngineConfig(counting="iep"))
+    report = apps.motif_count(system, 5)
+    print(f"motif5-mico: {len(calls)} kernel calls for {sum(calls)} "
+          f"chunk requests, {report.extra['chunks']} chunks")
+    assert len(calls) <= 60
+    assert max(calls) == 8
+
+
+# ----------------------------------------------------------------------
+# the batched kernel call
+# ----------------------------------------------------------------------
+def _chunks_of(graph, sizes, seed):
+    """Prefix rows of distinct vertices, cut into chunks of ``sizes``
+    rows; the chunks alternate between low- and high-degree first
+    columns, so the probe direction flips on some and not on others."""
+    rng = np.random.default_rng(seed)
+    order = np.argsort(graph.degrees(), kind="stable")
+    low, high = order[: len(order) // 3], order[-len(order) // 3:]
+    chunks = []
+    for index, size in enumerate(sizes):
+        first, second = (low, high) if index % 2 else (high, low)
+        rows = np.stack([rng.choice(first, size), rng.choice(second, size),
+                         rng.integers(0, graph.num_vertices, size)], 1)
+        keep = (rows[:, 0] != rows[:, 1]) & (rows[:, 0] != rows[:, 2]) & (
+            rows[:, 1] != rows[:, 2])
+        chunks.append(rows[keep])
+    return chunks
+
+
+def _same(ours, theirs):
+    assert ours.probe_elements == theirs.probe_elements
+    for name in ("counts", "merge_elements", "scanned", "values", "offsets",
+                 "rows", "raw_values", "raw_offsets"):
+        mine, other = getattr(ours, name, None), getattr(theirs, name, None)
+        assert (mine is None) == (other is None), name
+        if mine is not None:
+            assert np.asarray(mine).tolist() == np.asarray(other).tolist(), \
+                name
+
+
+def _step(connected, disconnected=(), larger=(), smaller=(), store=False):
+    return ExtensionStep(3, connected, disconnected, larger, smaller, None,
+                         None, None, (), store, ())
+
+
+#: set operations of every shape a fill or drain runs on three columns
+STEPS = [
+    _step((0, 1), store=True),
+    _step((0, 1, 2), larger=(2,)),
+    _step((0, 1), disconnected=(2,), smaller=(0,)),
+]
+
+
+@pytest.mark.parametrize("count_only", [False, True])
+def test_one_call_over_chunks_splits_into_per_chunk_calls(
+        membership_regime, count_only):
+    """``kernels.extend_chunk`` / ``iep_chunk`` over chunks laid end to
+    end, cut at their bounds, return what one call a chunk returns —
+    every array and ``probe_elements`` — with chunks whose probe
+    direction disagrees in one call."""
+    seed = SEEDS["powerlaw"]
+    print(f"powerlaw seed={seed}")
+    graph = membership_regime(GRAPHS["powerlaw"](seed))
+    chunks = _chunks_of(graph, [7, 30, 1, 12, 25], seed)
+    bounds = np.cumsum([0] + [len(c) for c in chunks]).tolist()
+    prefixes = np.concatenate(chunks)
+    degrees = graph.degrees()
+    assert {bool(degrees[c[:, 1]].sum() < degrees[c[:, 0]].sum())
+            for c in chunks} == {False, True}
+    for step in STEPS:
+        batch = kernels.extend_chunk(graph, step, prefixes,
+                                     count_only=count_only,
+                                     chunk_bounds=bounds)
+        for part, rows in zip(kernels.split(batch, bounds), chunks):
+            _same(part, kernels.extend_chunk(graph, step, rows,
+                                             count_only=count_only))
+    for motif in (3, 5, 10, 15):
+        plan = compile_counting_plan(
+            graphpi_schedule(catalog.motifs(5)[motif]))
+        assert plan.prefix_schedule.pattern.num_vertices == 3
+        batch = kernels.iep_chunk(graph, plan, prefixes)
+        for part, rows in zip(kernels.split(batch, bounds), chunks):
+            # the batch's arrays are workspace views: read before the
+            # next call, copied here to hold them side by side
+            part = kernels.ChunkIepResult(*(
+                np.array(column) for column in
+                (part.counts, part.merge_elements, part.scanned,
+                 part.probes)))
+            _same(part, kernels.iep_chunk(graph, plan, rows))
+
+
+def test_extender_meters_every_chunk_on_its_own_machine():
+    """One batched call bumps each chunk's extender's ``kernel.*``
+    counters once, as a call of its own would."""
+    graph = GRAPHS["er"](SEEDS["er"])
+    obs = Observability()
+    cluster = Cluster(graph, ClusterConfig(num_machines=2))
+    extenders = [
+        ScheduleExtender(None, metrics=obs.registry.scope(machine=m))
+        for m in range(2)
+    ]
+    chunks = []
+    for machine, size in zip(cluster.machines, (9, 14)):
+        chunk = Chunk(0, 1 << 16, machine)  # root chunks: one column
+        chunk.fill(np.arange(size), None, np.full(size, 24),
+                   EdgeListSource.LOCAL)
+        chunks.append(chunk)
+    step = ExtensionStep(1, (0,), (), (), (), None, None, None, (), False,
+                         ())
+    results = extenders[0].extend_chunk(graph, step,
+                                        list(zip(extenders, chunks)))
+    assert [len(r) for r in results] == [len(c) for c in chunks]
+    counters = obs.registry.snapshot()["counters"]
+    assert counters["kernel.batches"] == {"machine=0": 1, "machine=1": 1}
+    assert counters["kernel.batched_embeddings"] == {
+        f"machine={m}": len(c) for m, c in enumerate(chunks)}
+
+
+def test_circulant_order_is_the_wide_sort():
+    """The narrow hop column's radix sort cuts the same batches, in the
+    same row order, as the stable int64 sort — past 255 machines too."""
+    rng = np.random.default_rng(SEEDS["er"])
+    print(f"seed={SEEDS['er']}")
+    for machines in (2, 8, 255, 256, 300):
+        for me in (0, machines - 1):
+            hops = rng.integers(0, machines, 2_900)
+            narrow = hops.astype(np.min_scalar_type(machines))
+            order, batches = _circulant(narrow, me, machines)
+            wide_order, wide_batches = _circulant(hops, me, machines)
+            assert order.tolist() == wide_order.tolist()
+            assert batches == wide_batches
+
+
+def test_hop_column_is_narrow_and_exact():
+    """Each vertex's circulant hop to its serving owner — a dead
+    owner's failover after a crash — in the narrowest unsigned type."""
+    graph = GRAPHS["er"](SEEDS["er"])
+    for machines in (4, 300):
+        cluster = Cluster(graph, ClusterConfig(num_machines=machines))
+        trie = KhuzdulEngine(cluster).plan(
+            [automine_schedule(catalog.clique(3))]).groups[0].trie
+        serving = cluster.partitioned.owners_all().astype(np.int64)
+        for dead in (None, 1):
+            if dead is not None:
+                cluster.mark_dead(dead)
+                serving[serving == dead] = cluster.failover_owner(dead)
+            for me in (0, machines - 1):
+                hop = MachineScheduler(
+                    cluster, cluster.machines[me], ScheduleExtender(None),
+                    EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+                    None, 1024, True, 64, True, True, trie)._vertex_hop
+                assert hop.dtype == np.min_scalar_type(machines)
+                assert hop.tolist() == ((serving - me) % machines).tolist()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_lockstep.py --write")
+    ABORT_GOLDEN.write_text(json.dumps(
+        {name: abort_report(name) for name in sorted(ABORTS)},
+        sort_keys=True, indent=1,
+    ) + "\n")
+    print(f"wrote {ABORT_GOLDEN}")
