@@ -16,6 +16,8 @@ from it via :meth:`per_machine_utilization`).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.cluster.costmodel import CostModel
@@ -152,22 +154,27 @@ class NetworkModel:
 
     def record_fetch_batches(
         self,
-        requester: int,
+        requester: int | Sequence[int],
         batches: list[tuple[int, int, int]],
         servers: list[MachineState],
     ) -> None:
-        """The fold of :meth:`record_fetch_batch` over one chunk's
-        ``(owner, num_requests, payload_bytes)`` batches (``servers`` by
-        machine id): every matrix cell once, every counter once. All
-        integers, so exact."""
+        """The fold of :meth:`record_fetch_batch` over ``(owner,
+        num_requests, payload_bytes)`` batches (``servers`` by machine
+        id) that ``requester`` asked for — one machine's chunk, or with
+        one requester per batch, several machines' chunks told at once:
+        every matrix cell once, every counter once. All integers, so
+        exact."""
         assert self.injector is None, "bulk recording skips retry state"
+        if isinstance(requester, int):
+            requester = [requester] * len(batches)
         header = self.cost.request_header_bytes
         requests = payload = 0
-        sent = self.traffic_bytes[requester]
-        for owner, num_requests, payload_bytes in batches:
-            sent[owner] += header * num_requests
-            self.traffic_bytes[owner, requester] += payload_bytes
-            self.request_counts[requester, owner] += num_requests
+        traffic, counts = self.traffic_bytes, self.request_counts
+        for asker, (owner, num_requests, payload_bytes) in zip(
+                requester, batches):
+            traffic[asker, owner] += header * num_requests
+            traffic[owner, asker] += payload_bytes
+            counts[asker, owner] += num_requests
             server = servers[owner]
             server.served_bytes += payload_bytes
             server.served_requests += num_requests
@@ -204,8 +211,9 @@ class NetworkModel:
         latency = self.cost.batch_latency
         bandwidth = self.cost.network_bandwidth
         wire = [payload + count * header for _, count, payload in batches]
-        self.num_batches += len(batches)
-        self._m_batches.inc(len(batches))
+        made = len(wire)
+        self.num_batches += made
+        self._m_batches.inc(made)
         self._m_batch_bytes.observe_many(wire)
         self._m_batch_requests.observe_many(
             [count for _, count, _ in batches]

@@ -100,7 +100,10 @@ class EdgeCache:
     # ------------------------------------------------------------------
     def _query_cost(self) -> float:
         """Hash-probe cost, inflated once the cache spills out of L3."""
-        spill = min(1.0, self.used_bytes / max(1, self.cost.l3_bytes))
+        l3_bytes = self.cost.l3_bytes
+        spill = self.used_bytes / (l3_bytes if l3_bytes > 1 else 1)
+        if spill > 1.0:
+            spill = 1.0
         return self.cost.cache_query * (
             1.0 + self.cost.cache_l3_spill_penalty * spill
         )
@@ -210,14 +213,15 @@ class EdgeCache:
                 map(self.query, vertices.tolist()), bool, len(vertices)
             )
         hit = self._residency(vertices)
+        queries = len(hit)
         hits = int(np.count_nonzero(hit))
         self.hits += hits
-        self.misses += len(hit) - hits
+        self.misses += queries - hits
         self._m_hits.inc(hits)
-        self._m_misses.inc(len(hit) - hits)
+        self._m_misses.inc(queries - hits)
         # one price for the whole batch: ``used_bytes`` cannot move
         # while a chunk is queried, its admissions come afterwards
-        self._pending_cost += len(hit) * self._query_cost()
+        self._pending_cost += queries * self._query_cost()
         return hit
 
     def admit_many(
@@ -236,9 +240,9 @@ class EdgeCache:
         # inserted (free bytes only shrink)
         admitted = self._residency(vertices)
         room = self.capacity_bytes - self.used_bytes
-        offers = np.flatnonzero(
+        offers = (
             ~admitted & (degrees >= self.degree_threshold) & (sizes <= room)
-        )
+        ).nonzero()[0]
         if not len(offers):
             return admitted
         # only a vertex's first offer can insert: a repeat finds it

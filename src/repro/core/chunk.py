@@ -136,8 +136,10 @@ class Chunk:
         ``rows`` indexes the columns: row numbers, or a slice with
         ``amounts`` zero where nothing returns."""
         self.stored_bytes[rows] -= amounts
-        self.used_bytes -= int(amounts.sum())
-        floor = max(self.capacity_bytes, self.used_bytes)
+        self.used_bytes -= int(np.add.reduce(amounts))
+        floor = self.used_bytes
+        if floor < self.capacity_bytes:
+            floor = self.capacity_bytes
         if self._reserved > floor:
             self.machine.release(self._reserved - floor)
             self._reserved = floor

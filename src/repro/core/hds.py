@@ -37,7 +37,7 @@ without instrumentation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -92,35 +92,60 @@ class HorizontalShareTable:
         self._m_chain_steps = metrics.counter(names.HDS_CHAIN_STEPS)
 
     def share(self, vertices: np.ndarray) -> np.ndarray:
-        """Probe a fresh table with one chunk's requests, in row order.
+        """Probe a fresh table with one chunk's requests, in row order;
+        returns the hit mask (:meth:`share_segments` of one segment)."""
+        return self.share_segments([self], vertices, [0, len(vertices)])
+
+    @staticmethod
+    def share_segments(tables: Sequence["HorizontalShareTable"],
+                       vertices: np.ndarray, bounds: list) -> np.ndarray:
+        """Probe fresh tables with chunks' requests laid end to end:
+        rows ``bounds[i]:bounds[i + 1]`` of ``vertices`` are one chunk's,
+        in row order, and go to ``tables[i]`` — tables of one design and
+        size (one run's). Every table's counters are bumped once, from
+        its own segment, as a :meth:`share` of that chunk would.
 
         Returns the hit mask: rows whose edge list an earlier row of
-        the chunk already requested (they share its pointer). What a
-        row-by-row walk would do, as identities over the column: the
+        the same chunk already requested (they share its pointer). What
+        a row-by-row walk would do, as identities over the column: the
         first row to reach a slot occupies it, every later row there
         hits if it asks for the occupant's vertex and is dropped
         otherwise; with chaining each distinct vertex gets a chain node
         at its first row, every later row of it hits, and a probe pays
         one chain step per node that entered its slot before its own.
+        Chains are keyed on (segment, vertex) and sorted by (segment,
+        slot); the dropping table is scattered and read back a segment
+        at a time, so it stays one chunk's size.
         """
+        lead = tables[0]
+        num_slots = lead.num_slots
+        probes = len(vertices)
         # int64 before hashing: (v + 1) * _KNUTH overflows int32 columns
-        slots = vertices.astype(np.int64)
-        slots += 1
+        slots = np.add(vertices, 1, dtype=np.int64)
         slots *= _KNUTH
-        slots &= _MASK
-        slots %= self.num_slots
-        probes = len(slots)
+        if num_slots & (num_slots - 1):
+            slots &= _MASK
+            slots %= num_slots
+        else:  # the same remainder (a table is far below 2**32 slots):
+            slots &= num_slots - 1  # the low bits, without a division
         rows = np.arange(probes)
-        steps = 0
-        if self.chaining:
+        steps = None
+        if lead.chaining:
+            keys, node_keys = vertices, slots
+            if tables[1:]:  # chains of another chunk are another table's
+                segment = np.repeat(np.arange(len(tables), dtype=np.int64),
+                                    np.diff(bounds))
+                segment <<= 32
+                keys = segment + vertices
+                node_keys = segment + slots
             _, first, entry = np.unique(
-                vertices, return_index=True, return_inverse=True
+                keys, return_index=True, return_inverse=True
             )
             claimed_by = first[entry]  # the row of this row's chain node
             if len(first):
                 # nodes ordered by (slot, first row): a node's depth in
                 # its chain is its distance from its slot's first node
-                node_slot = slots[first]
+                node_slot = node_keys[first]
                 order = np.lexsort((first, node_slot))
                 position = rows[:len(first)]
                 head = np.r_[True, np.diff(node_slot[order]) != 0]
@@ -128,20 +153,33 @@ class HorizontalShareTable:
                 depth[order] = position - np.maximum.accumulate(
                     np.where(head, position, 0)
                 )
-                steps = int(depth[entry].sum())
+                steps = depth[entry]
         else:
             # the table itself, no sort: rows scattered in reverse order
             # leave each slot holding the first row to reach it. Only
-            # slots written by this chunk are read back, so the table
-            # starts every chunk empty without being cleared
-            table = self._table
-            table[slots[::-1]] = rows[::-1]
-            claimed_by = table[slots]
+            # slots written by a chunk are read back for it, so the
+            # table starts every chunk empty without being cleared
+            table = lead._table
+            claimed_by = np.empty(probes, np.intp)
+            for start, stop in zip(bounds, bounds[1:]):
+                chunk = slots[start:stop]
+                table[chunk[::-1]] = rows[start:stop][::-1]
+                table.take(chunk, out=claimed_by[start:stop], mode="clip")
         later = claimed_by != rows  # not the row that filled its entry
-        hit = vertices[claimed_by] == vertices
+        hit = vertices.take(claimed_by, mode="clip") == vertices
         hit &= later
-        inserts = probes - int(np.count_nonzero(later))
-        hits = int(np.count_nonzero(hit))
+        for table, start, stop in zip(tables, bounds, bounds[1:]):
+            table._count(
+                stop - start,
+                stop - start - int(np.count_nonzero(later[start:stop])),
+                int(np.count_nonzero(hit[start:stop])),
+                0 if steps is None else int(steps[start:stop].sum()),
+            )
+        return hit
+
+    def _count(self, probes: int, inserts: int, hits: int,
+               steps: int) -> None:
+        """Bump the counters by one chunk's probe outcomes."""
         self.probes += probes
         self.inserts += inserts
         self.hits += hits
@@ -151,5 +189,6 @@ class HorizontalShareTable:
         self._m_inserts.inc(inserts)
         self._m_hits.inc(hits)
         self._m_drops.inc(probes - inserts - hits)
-        self._m_chain_steps.inc(steps)
-        return hit
+        if steps:  # only a chaining table takes any
+            self._m_chain_steps.inc(steps)
+

@@ -35,6 +35,7 @@ Figure 15/19 benches read real trace data, and it is asserted in
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,17 @@ from repro.faults.recovery import Checkpoint
 from repro.graph.graph import edge_list_bytes_of
 from repro.obs import NULL_OBS, Observability, Span, names
 
+#: a cache pass's hit mask of a part with no rows left to query
+_NO_HITS = np.zeros(0, dtype=bool)
+
+#: the ways a row's edge list is satisfied, in resolve's order
+_SOURCES = ("local", "shared", "cache", "remote")
+
+#: ``source`` codes as plain ints: an IntEnum operand sends numpy
+#: looking for array hooks on the enum
+_PENDING, _LOCAL, _SHARED = map(int, (
+    EdgeListSource.PENDING, EdgeListSource.LOCAL, EdgeListSource.SHARED))
+
 #: UDF signature: (prefix vertices, completing candidates array).
 Udf = Callable[[tuple[int, ...], np.ndarray], None]
 
@@ -62,13 +74,23 @@ Udf = Callable[[tuple[int, ...], np.ndarray], None]
 BATCH_ELEMENTS = 1 << 15
 
 
-def _runs(served: list) -> Iterator[list]:
-    """One site's ``(walk, extender, chunk)`` requests, in order, in
-    runs of at most :data:`BATCH_ELEMENTS` prefix entries (or one)."""
+#: rows a resolve takes at most: what its whole-column temporaries
+#: hold at once
+RESOLVE_ROWS = 1 << 16
+
+
+def _runs(served: list, resolve: bool = False) -> Iterator[list]:
+    """One site's ``(walk, scheduler, chunk or state)`` requests, in
+    order, in runs of at most :data:`BATCH_ELEMENTS` prefix entries —
+    :data:`RESOLVE_ROWS` rows for a resolve — or one larger request."""
     run, size = [], 0
+    budget = RESOLVE_ROWS if resolve else BATCH_ELEMENTS
     for request in served:
-        entries = len(request[2]) * (request[2].level + 1)
-        if run and size + entries > BATCH_ELEMENTS:
+        if resolve:
+            entries = len(request[2].chunk)
+        else:
+            entries = len(request[2]) * (request[2].level + 1)
+        if run and size + entries > budget:
             yield run
             run, size = [], 0
         run.append(request)
@@ -77,13 +99,15 @@ def _runs(served: list) -> Iterator[list]:
 
 
 def _site_ranks(node: TrieNode, ranks: Optional[dict] = None) -> dict:
-    """``id`` of each request site below ``node`` -> its preorder rank:
-    a node's terminals, then per child its fill and its own sites."""
+    """``(id, resolve)`` of each request site below ``node`` -> its
+    preorder rank: a node's terminals, then per child its fill, the
+    resolve of the chunk the fill made, and the child's own sites."""
     ranks = {} if ranks is None else ranks
     for terminal in node.terminals:
-        ranks[id(terminal)] = len(ranks)
+        ranks[id(terminal), False] = len(ranks)
     for child in node.children:
-        ranks[id(child)] = len(ranks)
+        ranks[id(child), False] = len(ranks)
+        ranks[id(child), True] = len(ranks)
         _site_ranks(child, ranks)
     return ranks
 
@@ -351,9 +375,12 @@ class MachineScheduler:
         self.matches[slot] += matches
         self._m_matches.inc(matches)
 
-    def _count_sources(self, source: str, rows: int) -> None:
-        self.fetch_sources[source] += rows
-        self._m_fetch[source].inc(rows)
+    def _count_sources(self, *rows: int) -> None:
+        """Tally how many rows had their edge list satisfied each way:
+        local, shared, cached, fetched."""
+        for source, count in zip(_SOURCES, rows):
+            self.fetch_sources[source] += count
+            self._m_fetch[source].inc(count)
 
     # ------------------------------------------------------------------
     # main loop
@@ -365,24 +392,38 @@ class MachineScheduler:
         ``peers``, ``(scheduler, roots)`` of machines on the same trie,
         walk in lockstep with this one (docs/performance.md, "Lockstep
         machines"): the pending requests of one trie site are served
-        together, the site earliest in preorder first."""
+        together, the site earliest in preorder first — a kernel site's
+        by one kernel call, a resolve site's by one
+        :meth:`_resolve_chunk`."""
         ranks = _site_ranks(self.trie)
         pending: dict[int, tuple] = {}
 
-        def advance(walk, extender, result=None) -> None:
+        def advance(walk, scheduler, result=None) -> None:
             try:
-                site, chunk = walk.send(result)
+                site, payload = walk.send(result)
             except StopIteration:
                 return
-            pending.setdefault(ranks[id(site)], (site, []))[1].append(
-                (walk, extender, chunk))
+            resolve = type(payload) is _LevelState
+            pending.setdefault(
+                ranks[id(site), resolve], (site, resolve, []),
+            )[2].append((walk, scheduler, payload))
 
         for scheduler, share in [(self, roots), *peers]:
-            advance(scheduler._walk(share), scheduler.extender)
+            advance(scheduler._walk(share), scheduler)
         while pending:
-            site, served = pending.pop(min(pending))
+            site, resolve, served = pending.pop(min(pending))
+            if resolve:
+                for run in _runs(served, resolve=True):
+                    (_, lead, state), *rest = run
+                    lead._resolve_chunk(state.chunk, state, [
+                        (scheduler, other.chunk, other)
+                        for _, scheduler, other in rest])
+                for walk, scheduler, _ in served:
+                    advance(walk, scheduler)
+                continue
             for run in _runs(served):
-                chunks = [(extender, chunk) for _, extender, chunk in run]
+                chunks = [(scheduler.extender, chunk)
+                          for _, scheduler, chunk in run]
                 extender = chunks[0][0]
                 if getattr(site, "counting", None) is not None:
                     results = extender.iep_chunk(
@@ -391,12 +432,14 @@ class MachineScheduler:
                     results = extender.extend_chunk(
                         self.graph, site.step, chunks,
                         isinstance(site, Terminal) and self.udf is NULL_UDF)
-                for (walk, extender, _), result in zip(run, results):
-                    advance(walk, extender, result)
+                for (walk, scheduler, _), result in zip(run, results):
+                    advance(walk, scheduler, result)
         return self.matches
 
     def _walk(self, roots: np.ndarray) -> Iterator[tuple]:
-        """The exploration; yields kernel requests, ``(site, chunk)``."""
+        """The exploration; yields its requests: ``(site, chunk)`` for
+        a kernel call, ``(node, state)`` to resolve a chunk just filled
+        for ``node``."""
         lone = self.trie.terminals
         if lone and lone[0].step is None and lone[0].counting is None:
             # a 1-vertex pattern (always a group of its own)
@@ -469,7 +512,7 @@ class MachineScheduler:
                 continue
             next_state = _LevelState(chunk, node, self.chunks_created,
                                      self.machine.clock.total())
-            self._resolve_chunk(chunk, next_state)
+            yield node, next_state
             self._m_chunk_items.observe(len(chunk))
             stack.append(next_state)
             yield from self._drain_terminals(next_state)
@@ -586,168 +629,265 @@ class MachineScheduler:
     # ------------------------------------------------------------------
     # communication resolution (circulant scheduling, Section 4.3)
     # ------------------------------------------------------------------
-    def _resolve_chunk(self, chunk: Chunk, state: _LevelState) -> None:
-        """Settle where every row's active edge list comes from, as
-        passes over the chunk's columns: local by owner, the share
-        table, the cache, then one fetch batch per remote owner —
-        priced on Python numbers cut from one stable sort, so a chunk
+    def _resolve_chunk(self, chunk: Chunk, state: _LevelState,
+                       peers: Sequence = ()) -> None:
+        """Settle where every row's active edge list comes from, for
+        this chunk and ``peers``' — ``(scheduler, chunk, state)`` of
+        other machines' chunks at the same trie node — as passes over
+        their columns laid end to end: local by owner, each machine's
+        share table (one segmented pass), its cache, then one fetch
+        batch per (machine, remote owner), cut from one stable sort.
+        Every machine is priced on its own Python numbers, so a chunk
         costs the same calls whether its remote rows sit on one owner
-        or on seven (docs/performance.md, "The per-chunk constant")."""
-        chain_steps_before = self.hds.chain_steps
-        probes = 0
-        fetched = 0
+        or on seven, and settles alike whatever chunks share its pass
+        (docs/performance.md, "The per-chunk constant" and "Lockstep
+        machines")."""
+        parts = [(self, chunk, state), *peers]
+        #: each share table's probes and chain steps so far: the ones
+        #: this pass adds are the bookkeeping it charges
+        probed = [scheduler.hds.probes + scheduler.hds.chain_steps
+                  for scheduler, _, _ in parts]
+        #: after the last pass, part ``i``'s fetched rows are
+        #: ``remote[cached[i]:cached[i + 1]]``
+        cached = [0] * (len(parts) + 1)
         if state.node.fetch:
             vertex = chunk.vertex
-            source = chunk.source
             hop = self._vertex_hop.take(vertex)
+            bounds = [0, len(vertex)]
+            if peers:  # the chunks' columns end to end
+                vertex = np.concatenate([c.vertex for _, c, _ in parts])
+                bounds = [0, *accumulate(len(c) for _, c, _ in parts)]
+                hop = np.empty(bounds[-1], dtype=hop.dtype)
+                for (scheduler, part, _), start, stop in zip(
+                        parts, bounds, bounds[1:]):
+                    scheduler._vertex_hop.take(
+                        part.vertex, out=hop[start:stop], mode="clip")
+            # masks stay bool: numpy's nonzero and a view of one are
+            # fast paths the uint8 hop column does not take
             local = hop == 0
-            source[local] = EdgeListSource.LOCAL
             remote = (~local).nonzero()[0]
-            self._count_sources("local", len(vertex) - len(remote))
+            left = len(remote)
+            # a remote row reads shared if a share pass runs (most hit;
+            # its misses are set back), else pending until it settles
+            unsettled = _SHARED if left and self.hds_enabled else _PENDING
+            source = local.view(np.int8)
+            source *= _LOCAL - unsettled
+            source += unsettled
+            for (_, part, _), start, stop in zip(parts, bounds, bounds[1:]):
+                part.source = source[start:stop]  # views of the column
+            # after each pass, part ``i``'s rows left in ``remote`` are
+            # ``cuts[i]:cuts[i + 1]``
+            cuts = remote.searchsorted(bounds).tolist() if peers else [0, left]
+            shared = cuts
+            if left and self.hds_enabled:
+                hit = HorizontalShareTable.share_segments(
+                    [scheduler.hds for scheduler, _, _ in parts],
+                    vertex[remote], cuts)
+                remote = remote[~hit]
+                source[remote] = _PENDING
+                left = len(remote)
+                shared = (remote.searchsorted(bounds).tolist() if peers
+                          else [0, left])
+            cached = shared
             wanted = vertex[remote]
-            if len(remote) and self.hds_enabled:
-                probes = len(remote)
-                hit = self.hds.share(wanted)
-                source[remote[hit]] = EdgeListSource.SHARED
+            if left:
+                hit = self.cache.query_many(wanted) if not peers else (
+                    np.concatenate([
+                        scheduler.cache.query_many(wanted[start:stop])
+                        if stop > start else _NO_HITS
+                        for (scheduler, _, _), start, stop
+                        in zip(parts, shared, shared[1:])
+                    ]))
+                source[remote[hit]] = EdgeListSource.CACHE
                 miss = ~hit
                 remote, wanted = remote[miss], wanted[miss]
-                self._count_sources("shared", probes - len(remote))
-            if len(remote):
-                hit = self.cache.query_many(wanted)
-                cached = remote[hit]
-                source[cached] = EdgeListSource.CACHE
-                miss = ~hit
-                remote, wanted = remote[miss], wanted[miss]
-                self._count_sources("cache", len(cached))
+                left = len(remote)
+                cached = (remote.searchsorted(bounds).tolist() if peers
+                          else [0, left])
             #: rows whose fetched list stays in the chunk. Every other
             #: reservation returns: local is a pointer only, shared a
             #: pointer into the chunk, cached/admitted lists live in the
             #: cache pool
             stored = remote
-            if len(remote):
-                stored = self._fetch(state, hop, remote, wanted)
-                fetched = len(remote)
+            arrived = [0] * len(parts)  # each part's fetched rows
+            try:
+                if left:
+                    stored = self._fetch(parts, source, hop, remote, wanted,
+                                         cached, arrived)
+            finally:  # a failed fetch still counts what settled before
+                for index, (scheduler, _, _) in enumerate(parts):
+                    remote_rows = cuts[index + 1] - cuts[index]
+                    unshared = shared[index + 1] - shared[index]
+                    scheduler._count_sources(
+                        bounds[index + 1] - bounds[index] - remote_rows,
+                        remote_rows - unshared,
+                        unshared - cached[index + 1] + cached[index],
+                        arrived[index],
+                    )
             returned = self._edge_bytes[vertex]
             returned[stored] = 0
-            chunk.refund(slice(None), returned)
-        state.batch_sizes[0] = len(chunk) - fetched
+            for (_, part, _), start, stop in zip(parts, bounds, bounds[1:]):
+                part.refund(slice(None), returned[start:stop])
 
-        cache_ops = (
-            probes + self.hds.chain_steps - chain_steps_before
-        ) * self.cost.hds_probe
-        cache_ops += self.cache.drain_cost()
-        cache_wall = self._parallel(cache_ops)
-        self.machine.clock.cache += cache_wall
-        self._m_t_cache.inc(cache_wall)
-        state.cache_seconds += cache_wall
+        for (scheduler, part, settled), before, start, stop in zip(
+                parts, probed, cached, cached[1:]):
+            settled.batch_sizes[0] = len(part.vertex) - (stop - start)
+            hds = scheduler.hds
+            cache_ops = (
+                hds.probes + hds.chain_steps - before
+            ) * scheduler.cost.hds_probe
+            cache_ops += scheduler.cache.drain_cost()
+            cache_wall = scheduler._parallel(cache_ops)
+            scheduler.machine.clock.cache += cache_wall
+            scheduler._m_t_cache.inc(cache_wall)
+            settled.cache_seconds += cache_wall
 
     def _fetch(
         self,
-        state: _LevelState,
+        parts: list,
+        source: np.ndarray,
         hop: np.ndarray,
         remote: np.ndarray,
         wanted: np.ndarray,
+        cuts: list,
+        arrived: list,
     ) -> np.ndarray:
-        """Fetch rows ``remote`` of ``state.chunk`` (their vertices
-        ``wanted``, every row's circulant ``hop``) in circulant order —
-        owner machines starting from me+1, one communication batch each
-        — and offer the lists to the cache. Returns the rows whose list
-        was not admitted.
+        """Fetch rows ``remote`` of the parts' column (their vertices
+        ``wanted``, every row's ``source`` and circulant ``hop``; part
+        ``i`` owns ``remote[cuts[i]:cuts[i + 1]]``) in circulant order —
+        each machine's owners starting from its own + 1, one
+        communication batch each — and offer each machine's lists to
+        its cache. Returns the rows whose list was not admitted; part
+        ``i``'s rows that arrived are counted into ``arrived[i]``.
 
-        The batches are ``(peer, start, stop)`` cuts of the hop-sorted
-        rows (:func:`_circulant`), their payloads one integer
-        ``reduceat``. The one owner loop does what can fail or must
-        interleave — an injector's fetch-by-fetch walk and its retry
-        backoff; without one it makes no call. Then the network is told
-        of the chunk's batches once
-        (``record_fetch_batches``, ``batch_times``) and every batch's
-        wire time is priced on Python floats in batch order —
-        ``(wire + retry) * slow``, the expression a batch-at-a-time
-        walk evaluates, so no simulated float can round differently.
-        Rows are sliced only for who reads them: the injector's walk."""
-        me = self.machine.machine_id
-        chunk = state.chunk
-        network = self.cluster.network
-        order, batches = _circulant(hop[remote], me, self.cluster.num_machines)
+        The batches are ``(peer, start, stop)`` cuts of the rows sorted
+        by (part, hop) (:func:`_circulant`), their payloads one integer
+        ``reduceat``. The one owner loop a machine makes does what can
+        fail or must interleave — an injector's fetch-by-fetch walk and
+        its retry backoff, on a run that walks one machine at a time;
+        without one it makes no call. Then the network is told of every
+        machine's batches once (``record_fetch_batches``,
+        ``batch_times``) and each machine's wire times are priced on
+        Python floats in its batch order — ``(wire + retry) * slow``,
+        the expression a batch-at-a-time walk evaluates, so no
+        simulated float can round differently. Rows are sliced only for
+        who reads them: the injector's walk."""
+        cluster = self.cluster
+        network = cluster.network
+        num_machines = cluster.num_machines
+        keys = hop[remote]
+        machines = self.machine.machine_id
+        if parts[1:]:
+            width = np.min_scalar_type(len(parts) * num_machines - 1)
+            keys = keys.astype(width, copy=False)
+            keys += np.repeat(np.arange(
+                0, len(parts) * num_machines, num_machines, dtype=width,
+            ), [stop - start for start, stop in zip(cuts, cuts[1:])])
+            machines = [scheduler.machine.machine_id
+                        for scheduler, _, _ in parts]
+        order, batches = _circulant(keys, machines, num_machines)
         remote, wanted = remote[order], wanted[order]
         sizes = self._edge_bytes[wanted]
-        payloads = np.add.reduceat(
-            sizes, [start for _, start, _ in batches]
-        ).tolist()
+        payloads = np.add.reduceat(sizes, [
+            start for owned in batches for _, start, _ in owned]).tolist()
+        degrees = self._vertex_degrees[wanted]
         injected = network.injector is not None
         admitted = None
         if injected:
-            # injected failures interleave retry state with each
-            # fetch's bookkeeping, and one that exhausts its retries
-            # ends the batch midway: fetch and offer one at a time
+            # injected failures interleave retry state with each fetch's
+            # bookkeeping, and one that exhausts its retries ends the
+            # batch midway: fetch and offer one at a time
+            assert len(parts) == 1, "a fault plan walks one machine"
             admitted = np.zeros(len(remote), dtype=bool)
-            degrees = self._vertex_degrees[wanted]
-        elif not self.cache.saturated(self._least_offer):
-            # admission is in offer order and the batches lie end to
-            # end in circulant order: one offer for the whole chunk
-            admitted = self.cache.admit_many(
-                wanted, sizes, self._vertex_degrees[wanted]
-            )
-        retries = [0.0] * len(batches)
-        done = 0
-        try:
-            for peer, start, stop in batches:
+        payloads = iter(payloads)  # each machine takes its batches'
+        told = []  # (part, its batches, their retry seconds)
+        # every machine's batches end to end, and who asked for each
+        flat, askers = [], []
+        for index, (part, start, stop, owned) in enumerate(
+                zip(parts, cuts, cuts[1:], batches)):
+            if start == stop:
+                continue
+            scheduler = part[0]
+            me = scheduler.machine.machine_id
+            if not injected and not scheduler.cache.saturated(
+                    scheduler._least_offer):
+                # admission is in offer order and the batches lie end
+                # to end in circulant order: one offer for the machine
+                if admitted is None:
+                    admitted = np.zeros(len(remote), dtype=bool)
+                admitted[start:stop] = scheduler.cache.admit_many(
+                    wanted[start:stop], sizes[start:stop],
+                    degrees[start:stop])
+            retries = [0.0] * len(owned)
+            done = 0
+            try:
+                for peer, first, last in owned:
+                    if injected:
+                        server = cluster.machine(peer)
+                        for row, v, size, degree in zip(
+                            range(first, last),
+                            wanted[first:last].tolist(),
+                            sizes[first:last].tolist(),
+                            degrees[first:last].tolist(),
+                        ):
+                            network.record_fetch(me, peer, size, server)
+                            admitted[row] = scheduler.cache.admit(
+                                v, size, degree)
+                        # transient failures: their backoff waits
+                        # extend this batch's wire time
+                        retries[done] = network.drain_retry_seconds()
+                    done += 1
+            finally:
+                # a fetch that exhausted its retries leaves behind what
+                # the batches before it did
+                arrived[index] = (
+                    owned[done - 1][2] if done else start) - start
                 if injected:
-                    server = self.cluster.machine(peer)
-                    for row, v, size, degree in zip(
-                        range(start, stop),
-                        wanted[start:stop].tolist(),
-                        sizes[start:stop].tolist(),
-                        degrees[start:stop].tolist(),
-                    ):
-                        network.record_fetch(me, peer, size, server)
-                        admitted[row] = self.cache.admit(v, size, degree)
-                    # transient failures: their backoff waits extend
-                    # this batch's wire time
-                    retries[done] = network.drain_retry_seconds()
-                done += 1
-        finally:
-            # a fetch that exhausted its retries leaves behind what the
-            # batches before it did
-            arrived = batches[done - 1][2] if done else 0
-            chunk.source[remote[:arrived]] = EdgeListSource.REMOTE
-            self._count_sources("remote", arrived)
-            batches = [
-                (peer, stop - start, payload)
-                for (peer, start, stop), payload
-                in zip(batches[:done], payloads)
+                    source[remote[start:start + arrived[index]]] = (
+                        EdgeListSource.REMOTE)
+                owned = [
+                    (peer, last - first, payload)
+                    for (peer, first, last), payload
+                    in zip(owned[:done], payloads)
+                ]
+                told.append((part, owned, retries))
+                flat += owned
+                askers += [me] * len(owned)
+                if injected:  # the one machine's batches, even if failed
+                    seconds = network.batch_times(owned)
+        if not injected:  # every row arrived, and the network is told once
+            source[remote] = EdgeListSource.REMOTE
+            network.record_fetch_batches(askers, flat, cluster.machines)
+            seconds = network.batch_times(flat)
+        seconds = iter(seconds)
+        for (scheduler, chunk, state), owned, retries in told:
+            # a straggler's slow link stretches the wire time
+            slow = scheduler._slow_factor
+            comms = [
+                (wire + retry) * slow for retry, wire in zip(retries, seconds)
             ]
-            if not injected:
-                network.record_fetch_batches(
-                    me, batches, self.cluster.machines
-                )
-            seconds = network.batch_times(batches)
-        # a straggler's slow link stretches the wire time
-        slow = self._slow_factor
-        comms = [
-            (wire + retry) * slow for wire, retry in zip(seconds, retries)
-        ]
-        if self._trace:
-            for batch, ((peer, count, payload), comm) in enumerate(
-                zip(batches, comms), len(state.comm_times)
-            ):
-                self._tracer.record(Span(
-                    "batch",
-                    me,
-                    level=chunk.level,
-                    chunk=state.chunk_id,
-                    batch=batch,
-                    start=state.start,
-                    attrs={
-                        "owner": peer,
-                        "requests": count,
-                        "payload_bytes": payload,
-                        "comm_seconds": comm,
-                        "serve_seconds": network.serve_time(payload, count),
-                    },
-                ))
-        state.comm_times.extend(comms)
-        state.batch_sizes.extend([count for _, count, _ in batches])
+            if scheduler._trace:
+                for batch, ((peer, count, payload), comm) in enumerate(
+                    zip(owned, comms), len(state.comm_times)
+                ):
+                    scheduler._tracer.record(Span(
+                        "batch",
+                        scheduler.machine.machine_id,
+                        level=chunk.level,
+                        chunk=state.chunk_id,
+                        batch=batch,
+                        start=state.start,
+                        attrs={
+                            "owner": peer,
+                            "requests": count,
+                            "payload_bytes": payload,
+                            "comm_seconds": comm,
+                            "serve_seconds": network.serve_time(payload,
+                                                                count),
+                        },
+                    ))
+            state.comm_times += comms
+            state.batch_sizes += [count for _, count, _ in owned]
         return remote if admitted is None else remote[~admitted]
 
     # ------------------------------------------------------------------
@@ -811,14 +951,24 @@ class MachineScheduler:
         state.chunk.release()
 
 
-def _circulant(hops: np.ndarray, me: int, num_machines: int):
-    """``(order, batches)``: fetch rows sorted stably by their ``hops``
-    from machine ``me``, and each owner's ``(peer, start, stop)`` run of
-    them, hop 1 first."""
-    order = hops.argsort(kind="stable")
-    ends = np.bincount(hops, minlength=num_machines).cumsum().tolist()
-    return order, [
-        ((me + hop) % num_machines, ends[hop - 1], ends[hop])
-        for hop in range(1, num_machines)
-        if ends[hop] > ends[hop - 1]
-    ]
+def _circulant(keys: np.ndarray, me: int | Sequence[int],
+               num_machines: int):
+    """``(order, batches)``: fetch rows sorted stably by their ``keys``
+    and, per segment, each owner's ``(peer, start, stop)`` run of them,
+    hop 1 first. A row's key is its circulant hop from the machine that
+    wants it plus ``num_machines`` × its segment, segment ``i``'s
+    machine being ``me[i]`` (``me`` an int: one segment); hop 0 (local)
+    makes no batch."""
+    machines = [me] if isinstance(me, int) else me
+    order = keys.argsort(kind="stable")
+    ends = np.bincount(
+        keys, minlength=len(machines) * num_machines).cumsum().tolist()
+    batches = []
+    for base, machine in zip(range(0, len(ends), num_machines), machines):
+        batches.append([
+            ((machine + hop) % num_machines, ends[base + hop - 1],
+             ends[base + hop])
+            for hop in range(1, num_machines)
+            if ends[base + hop] > ends[base + hop - 1]
+        ])
+    return order, batches

@@ -22,6 +22,7 @@ from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
 from repro.core.extend import ScheduleExtender, compute_candidates
 from repro.core.plan import PatternPlan, group_patterns
 from repro.core.scheduler import NULL_UDF, MachineScheduler, _LevelState
+from repro.core.workspace import Workspace
 from repro.errors import OutOfMemoryError
 from repro.graph.generators import erdos_renyi, power_law_graph
 from repro.obs import Observability, names
@@ -524,6 +525,67 @@ def test_resolve_calls_do_not_depend_on_the_owners(graph, count_calls):
         count_calls, scheduler, seven_owners, ebytes)
     assert batches == 7
     assert one == seven <= 100
+
+
+def _lockstep_schedulers(graph, machines=8):
+    """Every machine's scheduler on one cluster and trie, their
+    extenders sharing a run's workspace, as the engine builds them."""
+    cluster = Cluster(
+        graph, ClusterConfig(num_machines=machines, memory_bytes=32 << 20)
+    )
+    schedule = automine_schedule(catalog.chain(4))
+    trie = group_patterns(
+        (PatternPlan(schedule, None, 1, 1 << 20),), fuse=False)[0].trie
+    workspace = Workspace()
+    return cluster, [
+        MachineScheduler(
+            cluster=cluster, machine=machine,
+            extender=ScheduleExtender(schedule, workspace=workspace),
+            cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+            udf=NULL_UDF, chunk_bytes=1 << 20, hds_enabled=True,
+            hds_slots=64, vcs_enabled=True, numa_aware=True, trie=trie,
+        )
+        for machine in cluster.machines
+    ]
+
+
+def _calls_to_resolve_together(count_calls, schedulers, vertices, ebytes):
+    parts = []
+    for scheduler, vertex in zip(schedulers, vertices):
+        chunk = _remote_chunk(scheduler, vertex, ebytes)
+        parts.append((scheduler, chunk, _state(scheduler, chunk)))
+    (lead, chunk, state), *peers = parts
+    calls = count_calls(lead._resolve_chunk, chunk, state, peers)
+    for _, chunk, _ in parts:
+        chunk.release()
+    return calls, [len(state.comm_times) - 1 for _, _, state in parts]
+
+
+def test_lockstep_resolve_calls_do_not_depend_on_the_owners(graph,
+                                                            count_calls):
+    """The lockstep form of the call budget above: one resolve over 8
+    machines' 100-row chunks makes the same calls whether each
+    machine's remote rows sit on one owner or on seven, and at most
+    100 + 8·k of them — a machine adds k calls to the site's share,
+    its own counters, cache and prices (438 calls measured: k = 43)."""
+    cluster, schedulers = _lockstep_schedulers(graph)
+    owners = cluster.partitioned.owners_all()
+    ebytes = graph.edge_list_bytes_all()
+    rng = np.random.default_rng(1)
+    one_owner = [rng.choice(np.flatnonzero(owners == (m + 3) % 8), size=100)
+                 for m in range(8)]
+    seven_owners = [rng.choice(np.flatnonzero(owners != m), size=100)
+                    for m in range(8)]
+    _calls_to_resolve_together(  # warm
+        count_calls, schedulers, seven_owners, ebytes)
+    one, batches = _calls_to_resolve_together(
+        count_calls, schedulers, one_owner, ebytes)
+    assert batches == [1] * 8
+    seven, batches = _calls_to_resolve_together(
+        count_calls, schedulers, seven_owners, ebytes)
+    assert batches == [7] * 8
+    print(f"{one} calls, k = {(one - 100) / 8}")
+    assert one == seven <= 100 + 8 * 43
 
 
 def test_census_calls_per_chunk(count_calls):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.hds import HorizontalShareTable
+from repro.obs import Observability
 
 _KNUTH = 2654435761
 _MASK = 0xFFFFFFFF
@@ -191,3 +192,60 @@ def test_share_matches_sequential_table_on_edge_shapes(num_slots, dtype,
         vertices = np.array(column, dtype=dtype)
         assert table.share(vertices).tolist() == oracle.share(vertices)
         assert _counters(table) == _counters(oracle)
+
+
+def _metered(num_slots, chaining):
+    """A table with its own registry scope, as a machine's is."""
+    obs = Observability()
+    return HorizontalShareTable(num_slots, chaining=chaining,
+                                metrics=obs.registry.scope()), obs
+
+
+@pytest.mark.parametrize("chaining", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_segmented_share_equals_one_share_a_chunk(seed, chaining):
+    """``share_segments`` over k chunks laid end to end, each probing
+    its own table, against k ``share`` calls on twin tables: the same
+    hit mask, every table's ``hits``/``inserts``/``drops``/
+    ``chain_steps``/``probes`` and its ``hds.*`` counters — with empty
+    and one-row segments, int32 and int64 columns, chunks that repeat
+    each other's vertices (a hit never crosses a segment) and one slot
+    count shared by all."""
+    rng = np.random.default_rng(seed)
+    print(f"seed={seed}")
+    num_slots = int(rng.choice([1, 3, 16, 8192]))
+    k = int(rng.integers(1, 9))
+    pool = rng.integers(0, 2**31 - 2, size=int(rng.integers(1, 40)))
+    sizes = rng.choice([0, 1, 2, 17, 150], size=k).tolist()
+    chunks = [rng.choice(pool, size=size) for size in sizes]
+    dtype = np.int32 if seed % 2 else np.int64
+    tables = [_metered(num_slots, chaining) for _ in range(k)]
+    twins = [_metered(num_slots, chaining) for _ in range(k)]
+    for _ in range(2):  # counters accumulate over passes
+        bounds = np.cumsum([0] + sizes).tolist()
+        hit = HorizontalShareTable.share_segments(
+            [table for table, _ in tables],
+            np.concatenate(chunks).astype(dtype), bounds)
+        expected = [twin.share(np.asarray(chunk, dtype=dtype)).tolist()
+                    for (twin, _), chunk in zip(twins, chunks)]
+        assert [hit[a:b].tolist() for a, b in zip(bounds, bounds[1:])] == (
+            expected)
+        for (table, obs), (twin, twin_obs) in zip(tables, twins):
+            assert _counters(table) == _counters(twin)
+            assert obs.registry.snapshot() == twin_obs.registry.snapshot()
+        chunks = chunks[::-1]
+        sizes = sizes[::-1]
+
+
+def test_segmented_share_of_one_table_is_share():
+    """One segment is :meth:`share` itself: a one-row chunk, a chunk of
+    repeats, and an empty chunk, on both designs."""
+    for chaining in (False, True):
+        for column in ([7], [5, 5, 9, 5], []):
+            table = HorizontalShareTable(4, chaining=chaining)
+            oracle = _SequentialTable(4, chaining)
+            vertices = np.array(column, dtype=np.int32)
+            assert HorizontalShareTable.share_segments(
+                [table], vertices, [0, len(column)]).tolist() == (
+                oracle.share(vertices))
+            assert _counters(table) == _counters(oracle)

@@ -36,7 +36,8 @@ from repro.core.extend import ScheduleExtender
 from repro.core.scheduler import MachineScheduler, _circulant
 from repro.exec import ProcessBackend
 from repro.graph.generators import erdos_renyi, power_law_graph
-from repro.obs import Observability
+from repro.graph.graph import edge_list_bytes_of
+from repro.obs import Observability, names
 from repro.patterns import catalog
 from repro.patterns.schedule import (
     ExtensionStep, automine_schedule, compile_counting_plan,
@@ -105,8 +106,10 @@ WORKLOADS = {
 
 def _run(graph, workload, chunk_bytes, backend=None, **config):
     """``(report, metrics)``: one run's report and its registry
-    snapshot, the process backend's own ``exec.*`` series left out."""
-    schedules, extra = WORKLOADS[workload]()
+    snapshot, the process backend's own ``exec.*`` series left out.
+    ``workload`` names one of :data:`WORKLOADS`, or is what one makes."""
+    schedules, extra = (WORKLOADS[workload]() if isinstance(workload, str)
+                        else workload)
     cluster = Cluster(graph, ClusterConfig(num_machines=8,
                                            memory_bytes=64 << 20))
     obs = Observability()
@@ -193,6 +196,103 @@ def test_motif5_census_makes_few_kernel_calls(monkeypatch):
     print(f"motif5-mico: {len(calls)} kernel calls for {sum(calls)} "
           f"chunk requests, {report.extra['chunks']} chunks")
     assert len(calls) <= 60
+    assert max(calls) == 8
+
+
+# ----------------------------------------------------------------------
+# resolve in lockstep: one pass over a site's chunks
+# ----------------------------------------------------------------------
+#: a graph whose chunks fetch: hubs on every machine, so HDS shares,
+#: caches fill (the 2 % static cache is full after a list or two, the
+#: 20 % one is not on every machine) and circulant batches go to every
+#: owner
+FETCH_SEED = 47
+
+#: two cliques fused on a shared prefix: every fill resolves a fetch
+FETCH_WORKLOAD = ([automine_schedule(catalog.clique(4)),
+                   automine_schedule(catalog.clique(3))], {})
+
+RESOLVE_HDS = {
+    "hds-off": dict(hds=False),
+    "hds-on": {},
+    "hds-chaining": dict(hds_chaining=True),
+}
+
+RESOLVE_CACHES = {
+    "static-0": dict(cache_fraction=0.0),
+    "static-20": dict(cache_fraction=0.2),
+    "static-saturating": dict(cache_fraction=0.02),
+    "lru": dict(cache_policy=CachePolicy.LRU, cache_fraction=0.2),
+    "mru": dict(cache_policy=CachePolicy.MRU, cache_fraction=0.2),
+}
+
+#: every HDS design crossed with every cache, then the ablations that
+#: change what a resolve hands on (no stored intersections, no pipeline)
+RESOLVE_SETTINGS = {
+    **{f"{hds}/{cache}": {**RESOLVE_HDS[hds], **RESOLVE_CACHES[cache]}
+       for hds in RESOLVE_HDS for cache in RESOLVE_CACHES},
+    "vcs-off": dict(vcs=False),
+    "circulant-off": dict(circulant=False),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(RESOLVE_SETTINGS))
+def test_lockstep_resolve_equals_width_one(setting, comparable):
+    """A resolve over every machine's chunk at a trie site settles each
+    machine as a resolve of its chunk alone would: lockstep against one
+    machine at a time (a never-reached time budget), with 1 KiB and
+    1 MiB chunks, equal in the whole report and the registry."""
+    print(f"powerlaw seed={FETCH_SEED} setting={setting}")
+    graph = power_law_graph(300, 1200, exponent=2.0, seed=FETCH_SEED)
+    config = RESOLVE_SETTINGS[setting]
+    for chunk_bytes in (1024, 1 << 20):
+        lockstep, lockstep_metrics = _run(graph, FETCH_WORKLOAD, chunk_bytes,
+                                          **config)
+        width_one, width_one_metrics = _run(
+            graph, FETCH_WORKLOAD, chunk_bytes, time_budget=1e9, **config)
+        assert lockstep.extra["fetch_sources"]["remote"] > 0
+        assert comparable(lockstep) == comparable(width_one)
+        assert lockstep_metrics == width_one_metrics
+
+
+def test_static_cache_sizes_reach_their_regimes():
+    """The static cache sizes above are what they are named for: the
+    2 % cache has stopped admitting on every machine, the 20 % one still
+    has room on some."""
+    print(f"powerlaw seed={FETCH_SEED}")
+    graph = power_law_graph(300, 1200, exponent=2.0, seed=FETCH_SEED)
+    least = edge_list_bytes_of(EngineConfig().cache_degree_threshold)
+    for cache, saturated in (("static-saturating", all), ("static-20", any)):
+        fraction = RESOLVE_CACHES[cache]["cache_fraction"]
+        _, metrics = _run(graph, FETCH_WORKLOAD, 1 << 20,
+                          cache_fraction=fraction)
+        capacity = int(fraction * graph.size_bytes())
+        used = metrics["gauges"][names.CACHE_USED_BYTES].values()
+        if saturated is all:
+            assert all(capacity - u < least for u in used)
+        else:
+            assert any(capacity - u >= least for u in used)
+
+
+def test_motif5_census_resolves_in_few_calls(monkeypatch):
+    """The benchmark's census resolved each chunk in a call of its own
+    (125 calls); in lockstep one call settles a trie site's newly filled
+    chunks on every machine, up to ``RESOLVE_ROWS`` rows a call — 17
+    calls (docs/performance.md, "Lockstep machines")."""
+    calls = []
+    method = MachineScheduler._resolve_chunk
+
+    def counted(self, chunk, state, peers=()):
+        calls.append(1 + len(peers))
+        return method(self, chunk, state, peers)
+
+    monkeypatch.setattr(MachineScheduler, "_resolve_chunk", counted)
+    system = KGraphPi(mico_sampled(0.1, 19), ClusterConfig(num_machines=8),
+                      EngineConfig(counting="iep"))
+    report = apps.motif_count(system, 5)
+    print(f"motif5-mico: {len(calls)} resolve calls for {sum(calls)} "
+          f"chunks resolved, {report.extra['chunks']} chunks")
+    assert len(calls) <= 20
     assert max(calls) == 8
 
 

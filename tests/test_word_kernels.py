@@ -706,9 +706,10 @@ def test_motif5_calls_per_census():
     several patterns, so calls a chunk no longer compare across the
     fusion (docs/performance.md, "Census fusion"). The unfused census
     made 160 435 interpreter-level calls (239 a chunk over 670 chunks),
-    the fused one 74 567, and with the machines in lockstep
-    (docs/performance.md, "Lockstep machines") it makes 63 379; the
-    tripwire sits a little above that."""
+    the fused one 74 567, with the machines' kernel calls in lockstep
+    (docs/performance.md, "Lockstep machines") 63 379, and with their
+    resolves in lockstep too it makes 60 111; the tripwire sits a
+    little above that."""
     graph = dataset("mico", 0.1)
 
     def run():
@@ -722,4 +723,4 @@ def test_motif5_calls_per_census():
     calls = pstats.Stats(profile).total_calls
     print(f"motif5-mico: {calls} calls, "
           f"{calls / report.extra['chunks']:.0f} a chunk")
-    assert calls < 65_000
+    assert calls < 62_000
