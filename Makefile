@@ -76,7 +76,11 @@ motif-check:
 ## hold — listing and counting kernels against compute_candidates, the
 ## IEP kernel against iep_count, chunk layout and admission order, the
 ## cache and share-table oracles, one kernel call over several machines'
-## chunks against one call a chunk (tests/test_lockstep.py), and the
+## chunks against one call a chunk (tests/test_lockstep.py), the
+## distinct-vertex check on a step's own columns only
+## (test_own_columns_by_step, test_own_columns_exact_in_every_regime,
+## test_loop_free_flag, test_loop_free_steps_make_no_correction_probe),
+## popcount totals (test_popcount_totals_each_row), and the
 ## 150-run golden of simulated observables (never re-recorded in a PR
 ## that claims nothing simulated moved)
 kernel-check:

@@ -241,9 +241,6 @@ class NetworkModel:
     def total_requests(self) -> int:
         return int(self.request_counts.sum())
 
-    def bytes_sent_by(self, machine: int) -> int:
-        return int(self.traffic_bytes[machine].sum())
-
     def utilization(self, runtime_seconds: float) -> float:
         """Peak per-link utilization over the run (Figure 19).
 

@@ -347,13 +347,15 @@ def extend_chunk(
         intermediates = None
     label_free = step.label is None and step.edge_labels is None
     counting = count_only and label_free
+    own = _own_columns(graph, step.level, step.connected,
+                       step.larger_than + step.smaller_than)
     if intermediates is not None:
         stored, stored_offsets, segments = intermediates
         segments = np.asarray(segments, dtype=np.int64)
         volume = stored_offsets[segments + 1] - stored_offsets[segments]
         connected = step.extra_connected
     elif counting and len(step.connected) == 1 and not step.disconnected:
-        return _count_window(graph, step, prefixes, ws)
+        return _count_window(graph, step, prefixes, own, ws)
     else:
         # Intersection is symmetric: gather whichever of the first two
         # connected columns has the smaller total neighbor volume and
@@ -433,10 +435,10 @@ def extend_chunk(
             volume[start:stop], ws, merge, scanned, probes, keep_raw,
         )
         if counting:
-            _count_sets(graph, columns, step, block, state, ws, kept)
+            _count_sets(graph, columns, step, block, own, state, ws, kept)
         else:
             values, emb_of = _list_sets(
-                graph, columns, step, block, state, ws, kept)
+                graph, columns, step, block, own, state, ws, kept)
             parts.append((values, emb_of, raw_values))
     if shift is not None:
         batch.probes += shift
@@ -679,20 +681,26 @@ def _neighbor_sets(
 
 
 def _popcount(sets: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
-    """Each row's cardinality, written to ``out``."""
-    bits = np.bitwise_count(
-        sets, out=ws.take("words.bits", sets.size, np.uint8).reshape(sets.shape)
-    )
-    return bits.sum(axis=1, dtype=np.int64, out=out)
+    """Each row's cardinality, written to ``out``: its words' counts
+    totalled by one float32 matrix-vector product, several times cheaper
+    a row than a short-axis ``sum``. Exact: a row's total is at most
+    ``64 W``, under 2**24."""
+    n, width = sets.shape
+    bits = np.bitwise_count(sets, casting="unsafe", out=ws.take(
+        "words.bits", sets.size, np.float32).reshape(n, width))
+    unit = ws.take("words.unit", width, np.float32)
+    unit[:] = 1
+    out[:] = np.matmul(bits, unit, out=ws.take("words.total", n, np.float32))
+    return out
 
 
-def _others(prefixes: np.ndarray, width: int, ws: Workspace) -> np.ndarray:
-    """Every vertex but the row's own (distinct) prefix vertices, as a
-    set of ``width`` words a row: the distinct-vertex constraint as a
-    mask. Bit ``v`` is ``1 << (v - 64 j)`` in word ``j`` and in no other
-    — numpy shifts a uint64 by 64 or more (a negative distance, read
-    unsigned) to zero. All columns in three passes. A workspace view."""
-    columns = prefixes.T  # (level, n): the matrix is column-major
+def _others(columns: np.ndarray, width: int, ws: Workspace) -> np.ndarray:
+    """Every vertex but the row's own (distinct) prefix vertices in the
+    ``(k, n)`` prefix ``columns``, as ``width`` words a row: the
+    distinct-vertex constraint as a mask. Bit ``v`` is ``1 << (v - 64
+    j)`` in word ``j`` and in no other — numpy shifts a uint64 by 64 or
+    more (a negative distance, read unsigned) to zero. Three passes, a
+    workspace view."""
     shape = (*columns.shape, width)
     bit = ws.take("words.own", columns.size * width).reshape(shape)
     np.subtract(columns[:, :, None], np.arange(0, 64 * width, 64), out=bit)
@@ -736,19 +744,24 @@ def _members(sets: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mask_words(
-    columns: HubColumns, prefixes: np.ndarray, window, sets: np.ndarray,
-    ws: Workspace,
+    columns: HubColumns, prefixes: np.ndarray, window, own: list[int],
+    sets: np.ndarray, ws: Workspace,
 ) -> None:
     """The word half of a row block's sets through the ordering
     ``window`` (:func:`_window`), in place — a bound is a column too:
     the hubs under it, or up to it — and, where the universe has no
-    tail, without the row's own vertices (every one is a column there:
-    the distinct-vertex constraint as a mask, :func:`_others`)."""
+    tail, without the row's own vertices in the ``own`` columns
+    (:func:`_own_columns`; every vertex is a column there: the
+    distinct-vertex constraint as a mask, :func:`_others`)."""
     if columns.tail_indptr is None:
         # every vertex a column: a bound is its own (``below`` is the
         # identity, nothing to look up)
         _restrict(sets, window, ws)
-        sets &= _others(prefixes, sets.shape[1], ws)
+        if own:
+            n = len(prefixes)
+            sets &= _others(prefixes.T.take(own, axis=0, out=ws.take(
+                "words.own_columns", len(own) * n).reshape(len(own), n)),
+                sets.shape[1], ws)
     elif window:
         below = columns.below
         _restrict(sets, [
@@ -756,6 +769,19 @@ def _mask_words(
              else below.take(bound))
             for compare, bound in window
         ], ws)
+
+
+def _own_columns(
+    graph: Graph, width: int, connected: tuple[int, ...],
+    bounds: tuple[int, ...] = (),
+) -> list[int]:
+    """The prefix columns a candidate adjacent to the ``connected``
+    columns' vertices, strictly ordered against the ``bounds`` columns',
+    could equal — all a distinct-vertex check reads: a bound is outside
+    its window, a vertex its own neighbor only on a graph with loops
+    (:meth:`Graph.loop_free`). None on a clique step."""
+    skip = {*bounds, *(connected if graph.loop_free() else ())}
+    return [column for column in range(width) if column not in skip]
 
 
 def _window(
@@ -795,7 +821,8 @@ def _window_mask(
 
 def _list_sets(
     graph: Graph, columns: Optional[HubColumns], step: ExtensionStep,
-    prefixes: np.ndarray, state: tuple, ws: Workspace, counts: np.ndarray,
+    prefixes: np.ndarray, own: list[int], state: tuple, ws: Workspace,
+    counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One row block of :func:`extend_chunk`, listed: the set
     operations' ``state`` — a listing's universe is words only or lists
@@ -805,25 +832,27 @@ def _list_sets(
     ``counts``."""
     sets, values, emb_of, _ = state
     if sets is None:
-        return _extend_rows(graph, step, prefixes, values, emb_of, ws, counts)
-    _mask_words(columns, prefixes, _window(step, prefixes), sets, ws)
+        return _extend_rows(
+            graph, step, prefixes, own, values, emb_of, ws, counts)
+    _mask_words(columns, prefixes, _window(step, prefixes), own, sets, ws)
     _popcount(sets, ws, counts)
     return _members(sets, graph.indices.dtype)
 
 
 def _extend_rows(
     graph: Graph, step: ExtensionStep, prefixes: np.ndarray,
-    values: np.ndarray, emb_of: np.ndarray, ws: Workspace,
+    own: list[int], values: np.ndarray, emb_of: np.ndarray, ws: Workspace,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_list_sets` on a list half: ``values`` / ``emb_of``
-    through the step's filters. Returns the surviving ``(values,
-    emb_of)`` as arrays of their own and writes the rows' ``counts``."""
+    through the step's filters (the distinct-vertex one on the ``own``
+    columns). Returns the surviving ``(values, emb_of)`` as arrays of
+    their own and writes the rows' ``counts``."""
     # post-set-op filters, fused into one keep-mask over the batch
     mask, flag, of_row = _window_mask(
         _window(step, prefixes), values, emb_of, ws
     )
-    for column in range(prefixes.shape[1]):
+    for column in own:
         # distinct-vertex constraint as a small-tuple comparison loop:
         # pattern sizes are tiny, so a few != passes beat any hash path
         prefixes[:, column].take(emb_of, mode="clip", out=of_row)
@@ -847,84 +876,60 @@ def _extend_rows(
 def _inside(
     graph: Graph,
     prefixes: np.ndarray,
+    own: list[int],
     connected: tuple[int, ...],
-    disconnected: tuple[int, ...] = (),
-    window: Sequence[tuple[np.ufunc, np.ndarray]] = (),
-    adjacent: Optional[dict[tuple[int, int], np.ndarray]] = None,
-    workspace: Optional[Workspace] = None,
+    disconnected: tuple[int, ...],
+    window: Sequence[tuple[np.ufunc, np.ndarray]],
+    adjacent: dict[tuple[int, int], np.ndarray],
+    ws: Workspace,
 ) -> np.ndarray:
     """The distinct-vertex correction of a cardinality: how many of each
-    row's own prefix vertices lie in the counted set (adjacent to every
-    ``connected`` column's vertex, to no ``disconnected`` one's, within
-    ``window``), where a listing drops them. Every column is probed, a
-    source's own too: a self-loop puts a vertex in its own list.
-    ``adjacent`` memoizes ``(source column, column)`` membership; the
-    pairs it lacks are probed together, in groups of a quarter of
-    :data:`BLOCK_ELEMENTS` pairs of vertices (unbounded, a 43 k-row
-    chunk's probes become MB-sized temporaries). The result is a
-    workspace view."""
-    ws = workspace if workspace is not None else Workspace()
-    adjacent = {} if adjacent is None else adjacent
+    row's own prefix vertices in the ``own`` columns (:func:`_own_columns`;
+    no other can be a candidate) lie in the counted set (adjacent to
+    every ``connected`` column's vertex, to no ``disconnected`` one's,
+    within ``window``), where a listing drops them. One accumulating
+    pass a column; a column nowhere within the window needs no probe.
+    ``adjacent`` memoizes ``(source column, column)`` membership, each
+    pair probed on first use. The result is a workspace view."""
     n, width = prefixes.shape
-    # one take: the hit matrix (column-major), a row-sized scratch mask
-    # and the rows the ``adjacent`` memo grows into
-    bools = ws.take("inside.masks", (width + 1 + width * width) * n, np.bool_)
-    hit = bools[:width * n].reshape(width, n).T
-    flag = bools[width * n:(width + 1) * n]
-    memo = bools[(width + 1) * n:].reshape(width * width, n)
-    hit[:] = True
-    for compare, bound in window:
-        for column in range(width):
-            hit[:, column] &= compare(prefixes[:, column], bound, out=flag)
-    # a column nowhere within the window (a bound's own) needs no probe
-    columns = hit.any(axis=0).nonzero()[0].tolist()
-    sources = connected + disconnected
-    missing = [
-        (source, column) for column in columns for source in sources
-        if (source, column) not in adjacent
-    ]
-    if missing:
-        group = max(1, (BLOCK_ELEMENTS >> 2) // max(n, 1))
-        for start in range(0, len(missing), group):
-            pairs = missing[start:start + group]
-            first = len(adjacent)
-            answers = memo[first:first + len(pairs)]
-            adjacency_member(
-                graph,
-                _end_to_end([prefixes[:, s] for s, _ in pairs], "a", ws),
-                _end_to_end([prefixes[:, c] for _, c in pairs], "b", ws),
-                workspace=ws, out=answers.reshape(-1),
-            )
-            adjacent.update(zip(pairs, answers))
-    for column in columns:
-        for source in sources:
-            member = adjacent[source, column]
-            hit[:, column] &= (
-                member if source in connected
-                else np.logical_not(member, out=flag)
-            )
-    return hit.sum(axis=1, out=ws.take("inside.total", n))
-
-
-def _end_to_end(columns: list, name: str, ws: Workspace) -> np.ndarray:
-    """``columns`` concatenated (one alone is passed through)."""
-    if len(columns) == 1:
-        return columns[0]
-    return np.concatenate(columns, out=ws.take(
-        ("inside.columns", name), sum(map(len, columns))
-    ))
+    # one take: a running mask, a scratch mask and the rows the
+    # ``adjacent`` memo grows into
+    hit, flag, *memo = ws.take("inside.masks", (2 + width * width) * n,
+                               np.bool_).reshape(2 + width * width, n)
+    total = ws.take("inside.total", n)
+    total[:] = 0
+    for column in own:
+        vertex = prefixes[:, column]
+        hit[:] = True
+        for compare, bound in window:
+            hit &= compare(vertex, bound, out=flag)
+        if window and not hit.any():
+            continue
+        for source in connected + disconnected:
+            member = adjacent.get((source, column))
+            if member is None:
+                member = adjacency_member(
+                    graph, prefixes[:, source], vertex, workspace=ws,
+                    out=memo[len(adjacent)])
+                adjacent[source, column] = member
+            hit &= (member if source in connected
+                    else np.logical_not(member, out=flag))
+        total += hit
+    return total
 
 
 def _count_window(
-    graph: Graph, step: ExtensionStep, prefixes: np.ndarray, ws: Workspace
+    graph: Graph, step: ExtensionStep, prefixes: np.ndarray, own: list[int],
+    ws: Workspace,
 ) -> ChunkExtendResult:
     """Counting body of a step that reads one neighbor list: a row's
     candidates are the run of ``N(v)`` inside its ordering window, two
     CSR positions — the list's ends, each moved by one binary search of
-    the row's bound in the composite keys. O(rows): no gather, no set
-    operation (no merge elements, no probes); ``scanned`` = the degree.
-    Worked in runs of :data:`BLOCK_ELEMENTS` prefix vertices, so the
-    temporaries are a run's, not the chunk's."""
+    the row's bound in the composite keys, gathered where no bound
+    moves it. O(rows): no gather, no set operation (no merge elements,
+    no probes); ``scanned`` = the degree, the count where there is no
+    bound. Worked in runs of :data:`BLOCK_ELEMENTS` prefix vertices, so
+    the temporaries are a run's, not the chunk's."""
     n, width = prefixes.shape
     batch = ChunkExtendResult(
         ws.take("result.counts", n),
@@ -932,52 +937,57 @@ def _count_window(
         np.broadcast_to(np.zeros(1, dtype=np.int64), n),
         ws.take("result.scanned", n),
     )
-    indptr, keys = graph.indptr, graph.adjacency_keys()
     run = max(1, BLOCK_ELEMENTS // width)
     for start in range(0, n, run):
         rows = prefixes[start:start + run]
         source = rows[:, step.connected[0]]
-        size = len(source)
-        key = ws.take("window.key", size)
-        lo = indptr.take(source, mode="clip", out=ws.take("window.lo", size))
-        hi = indptr.take(np.add(source, 1, out=key), mode="clip",
-                         out=ws.take("window.hi", size))
-        np.subtract(hi, lo, out=batch.scanned[start:start + run])
+        counts = batch.counts[start:start + run]
+        counts[:] = graph.degrees().take(
+            source, mode="clip", out=batch.scanned[start:start + run])
         window = _window(step, rows)
+        key = ws.take("window.key", len(source))
+        ends = [None, None]  # the run's first position, one past its last
         for compare, bound in window:
             np.multiply(source, graph.num_vertices, out=key)
             key += bound
-            if compare is np.greater:
-                lo = keys.searchsorted(key, "right")
-            else:
-                hi = keys.searchsorted(key, "left")
-        counts = np.subtract(hi, lo, out=batch.counts[start:start + run])
-        np.maximum(counts, 0, out=counts)
-        counts -= _inside(graph, rows, step.connected, window=window,
-                          workspace=ws)
+            above = compare is np.greater
+            ends[not above] = graph.adjacency_keys().searchsorted(
+                key, "right" if above else "left")
+        if window:
+            lo, hi = (
+                graph.indptr.take(
+                    np.add(source, end, out=key), mode="clip",
+                    out=ws.take(("window.end", end), len(source)),
+                ) if moved is None else moved
+                for end, moved in enumerate(ends))
+            np.maximum(np.subtract(hi, lo, out=counts), 0, out=counts)
+        if own:
+            counts -= _inside(graph, rows, own, step.connected, (), window,
+                              {}, ws)
     return batch
 
 
 def _count_sets(
     graph: Graph, columns: Optional[HubColumns], step: ExtensionStep,
-    prefixes: np.ndarray, state: tuple, ws: Workspace, counts: np.ndarray,
+    prefixes: np.ndarray, own: list[int], state: tuple, ws: Workspace,
+    counts: np.ndarray,
 ) -> None:
     """One row block of :func:`extend_chunk`, counted, into the rows'
     ``counts``: the set operations' ``state`` through the ordering
     window — a mask on the word half (:func:`_mask_words`), one compare
     pass on the list half (the cost model prices the set operations,
     not this) — as popcounts plus ``bincount``, less the row's own
-    vertices inside the set.
+    vertices inside the set, those of the ``own`` columns.
 
     That correction is a mask where the universe has no tail, probes
-    (:func:`_drop_own`) where it has one — a choice measured, not
+    (:func:`_inside`) where it has one — a choice measured, not
     derived: probing on a graph without a tail too reads ``motif5-mico``
     +14 % in wall time on a 2-CPU host (docs/performance.md, "Packed
     sets"), and with a tail the own vertices are not all columns."""
     sets, values, emb_of, size = state
     window = _window(step, prefixes)
     if sets is not None:
-        _mask_words(columns, prefixes, window, sets, ws)
+        _mask_words(columns, prefixes, window, own, sets, ws)
     if values is None:
         _popcount(sets, ws, counts)
         return
@@ -991,26 +1001,18 @@ def _count_sets(
         else:
             _popcount(sets, ws, counts)
             counts += listed
-    _drop_own(graph, step, prefixes, counts, ws)
-
-
-def _drop_own(
-    graph: Graph, step: ExtensionStep, prefixes: np.ndarray,
-    counts: np.ndarray, ws: Workspace,
-) -> None:
-    """The distinct-vertex correction of the rows' windowed ``counts``,
-    in place (:func:`_inside`). It reads a row's prefix and count, not
-    its list, and runs on the rows that count anything: only they can
-    hold one of their own vertices, and under an ordering restriction
-    most count nothing."""
+    if not own:
+        return
+    # the correction reads a row's prefix and count, not its list, and
+    # runs on the rows that count anything: only they can hold one of
+    # their own vertices, and under an ordering restriction most count
+    # nothing
     live = counts.nonzero()[0]
     rows = ws.matrix("inside.rows", len(live), prefixes.shape[1])
     for column in range(prefixes.shape[1]):
         prefixes[:, column].take(live, mode="clip", out=rows[:, column])
-    counts[live] -= _inside(
-        graph, rows, step.connected, step.disconnected, _window(step, rows),
-        workspace=ws,
-    )
+    counts[live] -= _inside(graph, rows, own, step.connected,
+                            step.disconnected, _window(step, rows), {}, ws)
 
 
 # ---------------------------------------------------------------------
@@ -1162,7 +1164,7 @@ def _iep_rows(
     cards: dict[tuple[int, ...], np.ndarray] = {}
     words_only = columns is not None and columns.tail_indptr is None
     if words_only:
-        others = _others(prefixes, columns.words.shape[1], ws)
+        others = _others(prefixes.T, columns.words.shape[1], ws)
         inside = ws.words("words.inside", n, columns.words.shape[1])
     # the signatures overlap: one membership memo (:func:`_inside`) per
     # block probes each ordered pair of columns once, on first use
@@ -1202,9 +1204,10 @@ def _iep_rows(
                 ws.take(("words.card", len(cards)), n),
             )
         else:
+            own = _own_columns(graph, prefixes.shape[1], signature)
             cards[signature] = card - _inside(
-                graph, prefixes, signature, adjacent=adjacent, workspace=ws
-            )
+                graph, prefixes, own, signature, (), (), adjacent, ws,
+            ) if own else card
     _iep_totals(plan, cards, totals, ws)
 
 

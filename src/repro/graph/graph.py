@@ -113,6 +113,7 @@ class Graph:
         "_adjacency_keys",
         "_adjacency_matrix",
         "_hub_columns",
+        "_loop_free",
         "_oriented",
     )
 
@@ -166,6 +167,7 @@ class Graph:
         self._adjacency_keys: Optional[np.ndarray] = None
         self._adjacency_matrix: Optional[tuple] = None
         self._hub_columns: Optional[tuple] = None
+        self._loop_free: Optional[bool] = None
         self._oriented: Optional[Graph] = None
 
     # ------------------------------------------------------------------
@@ -257,8 +259,8 @@ class Graph:
         dense — its rows are in vertex order; the rest of a larger one
         keeps the ``adjacency_keys`` probe path. Either way the hubs are
         also packed *columns* of every vertex (:meth:`hub_columns`),
-        set up here with the rows. Built lazily from the hub vertices'
-        own lists, a bounded gather at a time.
+        set up here with the rows, as is :meth:`loop_free`. Built lazily
+        from the hub vertices' own lists, a bounded gather at a time.
         """
         if self._adjacency_matrix is None:
             n = self.num_vertices
@@ -284,6 +286,13 @@ class Graph:
             rows.setflags(write=False)
             rank.setflags(write=False)
             self._adjacency_matrix = (rows, rank)
+            # loops, a bounded run of sources at a time too
+            bounds = block_bounds(degrees, _ROW_BUILD_ELEMENTS)
+            self._loop_free = not any(
+                (self.indices[self.indptr[start]:self.indptr[stop]]
+                 == np.arange(start, stop, dtype=self.indices.dtype).repeat(
+                     degrees[start:stop])).any()
+                for start, stop in zip(bounds, bounds[1:]))
             if k == n and n:
                 # every vertex a hub: the rows are the columns
                 below = np.arange(n + 1)
@@ -317,6 +326,13 @@ class Graph:
         """
         self.adjacency_matrix()
         return self._hub_columns
+
+    def loop_free(self) -> bool:
+        """Whether no vertex is its own neighbor (the edge-list builders
+        drop loops; a CSR built by hand may keep them). Decided with the
+        adjacency rows (:meth:`adjacency_matrix`), so kernels read a memo."""
+        self.adjacency_matrix()
+        return self._loop_free
 
     def _build_hub_columns(self, rank: np.ndarray) -> HubColumns:
         """:meth:`hub_columns` of the vertices ``rank`` gives a row, from
@@ -493,10 +509,6 @@ class Graph:
         return Graph(self.indptr, self.indices,
                      np.asarray(labels, dtype=np.int32), self.directed,
                      self.edge_labels)
-
-    def subgraph_degrees_percentile(self, q: float) -> float:
-        """Degree at percentile ``q`` (skew diagnostics for generators)."""
-        return float(np.percentile(self.degrees(), q))
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"

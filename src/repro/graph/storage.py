@@ -115,7 +115,8 @@ class MmapGraph(Graph):
         source = {**self.derived_from,
                   "row_budget": self.DENSE_ADJACENCY_BYTES}
         header = read_header(path) if path.exists() else None
-        if header is None or header.get("derived_from") != source:
+        if (header is None or header.get("derived_from") != source
+                or "loop_free" not in header):
             # missing or stale: build, and write what was built
             header = self._write_section(path, source)
             if header is None:
@@ -128,6 +129,7 @@ class MmapGraph(Graph):
         rows = arrays["rows"]
         self._adjacency_keys = arrays["keys"]
         self._adjacency_matrix = (rows, arrays["rank"])
+        self._loop_free = header["loop_free"]
         if "words" in arrays:
             self._hub_columns = HubColumns(
                 arrays["below"], arrays["words"], arrays["tail_indptr"],
@@ -149,7 +151,7 @@ class MmapGraph(Graph):
         rows, rank = Graph.adjacency_matrix(self)
         arrays = {"keys": Graph.adjacency_keys(self),
                   "rows": rows.reshape(-1), "rank": rank}
-        shape = {"hub_rows": len(rows)}
+        shape = {"hub_rows": len(rows), "loop_free": self._loop_free}
         columns = self._hub_columns
         if columns is not None and columns.tail_indptr is not None:
             arrays.update(below=columns.below,

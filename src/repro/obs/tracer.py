@@ -19,7 +19,7 @@ bounded on large runs without losing the breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 #: Span attribute keys that carry simulated seconds and feed the
 #: per-machine phase aggregation (Figure 15 categories).
@@ -103,12 +103,6 @@ class Tracer:
             for machine, phases in sorted(self._phase.items())
         }
 
-    def spans_named(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def machine_spans(self, machine: int) -> list[Span]:
-        return [s for s in self.spans if s.machine == machine]
-
     def summary(self) -> dict[str, Any]:
         """Aggregate view used by ``RunReport.extra['obs']``."""
         by_name: dict[str, int] = {}
@@ -148,7 +142,3 @@ class NullTracer(Tracer):
 
 #: Shared do-nothing tracer.
 NULL_TRACER = NullTracer()
-
-
-def tracer_or_null(tracer: Optional[Tracer]) -> Tracer:
-    return tracer if tracer is not None else NULL_TRACER

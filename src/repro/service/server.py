@@ -361,11 +361,6 @@ class MiningServer:
         with self._lock:
             return len(self._active)
 
-    @property
-    def queued_queries(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def completed_ids(self) -> list[str]:
         """Completion order of every finished query (test hook)."""
         with self._lock:

@@ -503,8 +503,8 @@ def test_counting_one_list_gathers_nothing(skewed_graph, count_calls):
     neighbor list and no stored segment, and ten times the rows make
     the same Python- and C-level calls. Inside one block, that is: the
     body works in runs of ``BLOCK_ELEMENTS`` prefix vertices and probes
-    the rows' own vertices in groups of a quarter of that (4 096
-    four-column rows), so calls step with blocks, never with rows."""
+    each of a run's own columns once, so calls step with blocks, never
+    with rows."""
     graph = skewed_graph
     step = automine_schedule(catalog.chain(5)).steps[-1]
     assert len(step.connected) == 1 and step.larger_than
@@ -716,6 +716,94 @@ def test_iep_chunk_regimes(skewed_graph, membership_regime, tmp_path):
             assert list(got) == [
                 iep_count(graph, plan, tuple(row)) for row in rows.tolist()
             ], name
+
+
+#: steps whose distinct-vertex check reads a column list of its own
+#: (``kernels._own_columns``): every column a bound (a clique step), a
+#: bound that is a connected source too, a disconnected column a
+#: candidate can equal (induced), and star3's leaf steps
+OWN_STEPS = {
+    "tri": _step(2, (0, 1), larger_than=(0, 1)),
+    "bound-source": _step(3, (0, 2), larger_than=(2,)),
+    "induced": _step(3, (0,), disconnected=(1,), larger_than=(2,)),
+    "star3": automine_schedule(catalog.star(3)).steps[-1],
+}
+
+
+def test_own_columns_by_step():
+    """The columns a step's candidate could equal: never a strict bound,
+    a connected source only where a vertex may be its own neighbor, a
+    disconnected column always."""
+    plain = erdos_renyi(20, 60, seed=2)
+    looped = _with_self_loops(plain)
+    expected = {
+        "tri": ([], []),
+        "bound-source": ([1], [0, 1]),
+        "induced": ([1], [0, 1]),
+        "star3": ([], [0]),
+    }
+    for name, step in OWN_STEPS.items():
+        got = tuple(
+            kernels._own_columns(graph, step.level, step.connected,
+                                 step.larger_than + step.smaller_than)
+            for graph in (plain, looped))
+        assert got == expected[name], name
+
+
+def test_loop_free_flag(tmp_path):
+    """Builder graphs, stores (built, then mapped) and an edgeless graph
+    are loop-free; a CSR with a loop is not, and its store says so in
+    the derived section's header."""
+    plain = erdos_renyi(30, 90, seed=6)
+    looped = _with_self_loops(plain)
+    for graph, loop_free in ((plain, True), (looped, False),
+                             (from_edges([(0, 1), (1, 2)]), True),
+                             (from_edges([], num_vertices=5), True),
+                             (orient_by_degree(plain), True)):
+        assert graph.loop_free() is loop_free
+        path = write_store(graph, tmp_path / f"{id(graph)}.kcsr")
+        assert open_store(path).loop_free() is loop_free  # built
+        assert open_store(path).loop_free() is loop_free  # mapped
+
+
+def _distinct_rows(rng, graph, rows, level):
+    """``rows`` drawn prefixes of ``level`` distinct vertices."""
+    return rng.permuted(
+        np.tile(np.arange(graph.num_vertices), (rows, 1)), axis=1
+    )[:, :level]
+
+
+@pytest.mark.parametrize("loops", [False, True])
+def test_own_columns_exact_in_every_regime(membership_regime, loops):
+    """The check on a step's own columns only, across the regimes, with
+    loops and without, an oriented graph too: counted and listed drains
+    equal ``compute_candidates`` on the hand-made steps and drawn ones,
+    IEP drains equal ``iep_count``."""
+    base = erdos_renyi(40, 150, seed=5)
+    graphs = ([_with_self_loops(base, every=2)] if loops
+              else [base, orient_by_degree(base)])
+    plans = [
+        compile_counting_plan(graphpi_schedule(pattern, counting="iep"))
+        for pattern in (catalog.star(3), catalog.chain(4), catalog.chain(5))
+    ]
+    rng = np.random.default_rng(12)
+    for graph in graphs:
+        graph = membership_regime(graph)
+        assert graph.loop_free() is not loops
+        steps = [*OWN_STEPS.values(),
+                 *(_drawn_step(rng, level) for level in (1, 2, 3, 4, 4))]
+        for step in steps:
+            _check_counted_rows(
+                graph, step, _distinct_rows(rng, graph, 40, step.level))
+        for plan in plans:
+            size = plan.prefix_schedule.pattern.num_vertices
+            rows = _distinct_rows(rng, graph, 60, size)
+            batch = kernels.iep_chunk(graph, plan, rows)
+            got = zip(batch.counts.tolist(), batch.merge_elements.tolist(),
+                      batch.scanned.tolist())
+            assert list(got) == [
+                iep_count(graph, plan, tuple(row)) for row in rows.tolist()
+            ]
 
 
 def test_adjacency_member_makes_no_per_element_calls(

@@ -27,6 +27,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine, kernels
 from repro.core.extend import compute_candidates, iep_count
+from repro.core.workspace import Workspace
 from repro.graph import Graph, dataset, from_edges
 from repro.graph.generators import erdos_renyi
 from repro.graph.orientation import orient_by_degree
@@ -40,7 +41,8 @@ from repro.patterns.schedule import (
 from repro.systems import KAutomine, KGraphPi, apps
 
 from tests.test_kernels import (
-    PATTERNS, _drawn_step, _seeds, _segments, _step, _with_self_loops,
+    PATTERNS, _distinct_rows, _drawn_step, _seeds, _segments, _step,
+    _with_self_loops,
 )
 
 
@@ -394,13 +396,6 @@ def test_dispatch_rule_by_regime(membership_regime, stage_halves, request,
     assert _halves(stage_halves) == {DISPATCH[regime][body]}
 
 
-def _distinct_rows(rng, graph, rows, level):
-    """``rows`` drawn prefixes of ``level`` distinct vertices."""
-    return rng.permuted(
-        np.tile(np.arange(graph.num_vertices), (rows, 1)), axis=1
-    )[:, :level]
-
-
 def _check_split(split, step, prefixes):
     """A counted ``step`` on ``split`` (a graph with hub columns, or a
     twin without): ``compute_candidates``' integers row by row, and
@@ -698,6 +693,52 @@ def test_split_drains_make_no_per_row_calls(skewed_graph, count_calls,
     assert count_calls(kernels.iep_chunk, split, plan, fourfold) == (
         count_calls(kernels.iep_chunk, split, plan, once))
     assert _halves(stage_halves) == {"both"}
+
+
+def test_loop_free_steps_make_no_correction_probe(skewed_graph,
+                                                  count_calls):
+    """On a split universe a counted drain probes for the rows' own
+    vertices (``kernels._inside``), and only in the columns a candidate
+    could equal (``kernels._own_columns``): the probes it makes beyond
+    the listing drain's set-operation stages are its corrections. On a
+    loop-free graph the ``tri-2x`` last step (every column a bound), an
+    intersection step whose unbounded column is a source, and star3's
+    leaf step make none; on a self-loop twin a source is a column to
+    check, so the last two make at least one (the ``tri-2x`` step still
+    none: every column is a bound)."""
+    rng = np.random.default_rng(4)
+    plain = _twin(skewed_graph, 70)
+    looped = _twin(_with_self_loops(skewed_graph), 70)
+    for step, checks_looped in (
+        (_step(2, (0, 1), larger_than=(0, 1)), False),
+        (_step(2, (0, 1), larger_than=(1,)), True),
+        (automine_schedule(catalog.star(3)).steps[-1], True),
+    ):
+        prefixes = _distinct_rows(rng, plain, 50, step.level)
+        for graph, checks in ((plain, False), (looped, checks_looped)):
+            counted, listed = (
+                count_calls(
+                    lambda: kernels.extend_chunk(
+                        graph, step, prefixes, count_only=count_only),
+                    only={"adjacency_member"})
+                for count_only in (True, False))
+            assert (counted > listed) == checks, step
+            assert counted >= listed
+
+
+@pytest.mark.parametrize("width", [1, 2, 17, 94])
+def test_popcount_totals_each_row(width):
+    """A row's cardinality is the sum of its words' popcounts, up to
+    ``64 W`` for an all-ones row."""
+    rng = np.random.default_rng(width)
+    sets = np.frombuffer(rng.bytes(200 * width * 8), dtype=np.uint64)
+    sets = sets.reshape(200, width).copy()
+    sets[::5] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    sets[1::5] = 0
+    out = np.empty(len(sets), dtype=np.int64)
+    assert kernels._popcount(sets, Workspace(), out) is out
+    assert out.tolist() == np.bitwise_count(sets).sum(axis=1).tolist()
+    assert set(out[::5].tolist()) == {64 * width}
 
 
 def test_motif5_calls_per_census():
