@@ -14,7 +14,7 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest $(TIMEOUT_FLAGS)
 
 .PHONY: test suite docs-check faults-check exec-check exec-faults-check \
 	chaos-check motif-check kernel-check storage-check perf-check \
-	perfbench-check service-check bench
+	perfbench-check service-check experiments-check bench
 
 ## tier-1: every file under tests/ exactly once, then the gates that
 ## collect from benchmarks/ (chaos, wall-clock gates)
@@ -118,6 +118,13 @@ perfbench-check:
 service-check:
 	PYTHONPATH=src:. $(PYTHON) -m pytest $(TIMEOUT_FLAGS) \
 		tests/test_service.py benchmarks/bench_gates.py -m service -q
+
+## paper-suite golden (tests/data/experiments_golden.json, recorded at
+## scale 0.15): every row of all 19 experiments, Table 4 bit for bit,
+## and the Fractal baseline's shapes, runtimes and TIMEOUTs; tier-1
+## checks Table 4 and the Fractal state only (~30 s)
+experiments-check:
+	REPRO_GOLDEN_EXPERIMENTS=all $(PYTEST) tests/test_experiments_golden.py -q
 
 ## paper-figure benchmark suite (slow)
 bench:

@@ -2,23 +2,25 @@
 
 Fractal (and Arabesque before it) enumerate *all* connected subgraphs
 up to the target size and classify each one — isomorphism checks
-included — instead of enumerating per pattern. This implementation does
-exactly that for subgraphs with up to three edges (the paper's FSM
-setting): connected edge subsets are enumerated exactly once via ESU on
-the line graph, every subset pays an extension plus a
-canonicalization cost, and subsets are classified into labeled shape
-keys from which counts and MNI domains (FSM supports) fall out.
+included — instead of enumerating per pattern. This model does that for
+subgraphs with up to three edges (the paper's FSM setting): ESU on the
+line graph yields each connected edge subset once, from its lowest edge
+id, and every subset pays an extension plus a canonicalization cost on
+that edge's owner. A machine's clock, and the record where the
+``max_subgraphs`` cap or the time budget fires, follow from how many
+subsets each root yields (:func:`_root_subsets`). Only when neither
+fires are the subsets listed, in array passes over the CSR, and
+classified into labeled shape keys, from which counts and MNI domains
+(FSM supports) fall out.
 
 The execution model is Fractal's: replicated graph across machines,
-subgraphs partitioned by their root edge, coarse per-machine
-parallelism. The pattern-oblivious cost per subgraph is why it loses to
-every pattern-aware system, and the hub-vertex subset explosion is why
-it times out on LiveJournal (Table 4).
+coarse per-machine parallelism. The pattern-oblivious cost per subgraph
+is why it loses to every pattern-aware system, and the hub-vertex
+subset explosion is why it times out on LiveJournal (Table 4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,29 +40,153 @@ _CANONICAL_COST = 2.0e-7
 #: Per-subgraph extension bookkeeping cost.
 _EXTEND_COST = 5.0e-8
 
-
-@dataclass
-class _ShapeStats:
-    """Counts and MNI domains accumulated for one labeled shape key."""
-
-    count: int = 0
-    domains: list[set[int]] = field(default_factory=list)
+#: shape -> (its pattern's edges, its key from the label digits)
+_SHAPES = {
+    "e": ([(0, 1)], lambda d: ("e", *d)),
+    "p3": ([(0, 1), (0, 2)], lambda d: ("p3", *d)),
+    "t": ([(0, 1), (0, 2), (1, 2)], lambda d: ("t", tuple(d))),
+    "s3": ([(0, 1), (0, 2), (0, 3)], lambda d: ("s3", d[0], tuple(d[1:]))),
+    "p4": ([(0, 1), (1, 2), (2, 3)], lambda d: ("p4", tuple(d))),
+}
 
 
 def _pattern_for_key(key: tuple) -> Pattern:
     """Reconstruct the labeled pattern a shape key denotes."""
-    shape = key[0]
-    if shape == "e":
-        return Pattern(2, [(0, 1)], (key[1], key[2]))
-    if shape == "p3":
-        return Pattern(3, [(0, 1), (0, 2)], (key[1], key[2], key[3]))
-    if shape == "t":
-        return Pattern(3, [(0, 1), (0, 2), (1, 2)], key[1])
-    if shape == "s3":
-        return Pattern(4, [(0, 1), (0, 2), (0, 3)], (key[1],) + key[2])
-    if shape == "p4":
-        return Pattern(4, [(0, 1), (1, 2), (2, 3)], key[1])
-    raise AssertionError(f"unknown shape key {key!r}")
+    labels = [label for part in key[1:]
+              for label in (part if isinstance(part, tuple) else (part,))]
+    return Pattern(len(labels), _SHAPES[key[0]][0], tuple(labels))
+
+
+def _spans(starts: np.ndarray, ends: np.ndarray):
+    """``(i, p)`` for each ``p`` in ``range(starts[i], ends[i])``."""
+    lengths = ends - starts
+    index = np.repeat(np.arange(len(starts)), lengths)
+    offsets = starts - np.cumsum(lengths) + lengths
+    return index, np.arange(len(index)) + offsets[index]
+
+
+class _Incidence:
+    """The CSR, self-loops dropped, as incidence lists: a row, in order,
+    holds its vertex's edges by ascending id (ids in ``Graph.edges()``
+    order); ``eid[p]`` is entry ``p``'s edge."""
+
+    def __init__(self, graph: Graph):
+        n = self.n = graph.num_vertices
+        src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+        keep = src != graph.indices
+        self.src, self.dst = src[keep], graph.indices[keep].astype(np.int64)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.src, minlength=n))])
+        self.row_end = self.indptr[self.src + 1]
+        self.keys = self.src * n + self.dst
+        # an edge's entries in its lower and its higher end's row
+        self.pu = np.flatnonzero(self.src < self.dst)
+        self.pv = self.adjacent(self.dst[self.pu], self.src[self.pu])
+        self.m = len(self.pu)
+        self.eid = np.empty(len(self.src), dtype=np.int64)
+        self.eid[self.pu] = self.eid[self.pv] = np.arange(self.m)
+        # higher-id edges touching each edge (the rest of both its rows),
+        # and the subsets it roots but its exclusive triples
+        higher = (self.row_end[self.pu] - self.pu
+                  + self.row_end[self.pv] - self.pv - 2)
+        self.least = 1 + higher * (higher + 1) // 2
+
+    def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Entry of each ``(u, v)``, ``-1`` where there is no edge."""
+        query = u * self.n + v
+        pos = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
+        return np.where(self.keys[pos] == query, pos, -1)
+
+
+def _root_subsets(inc: _Incidence, roots: int) -> np.ndarray:
+    """Subsets ESU yields from each of the first ``roots`` edge ids.
+
+    With ``N`` the higher-id edges touching root ``e = (s, t)``, that is
+    ``e``, ``N`` pairs, ``C(N, 2)`` triples of ``e`` and two of them,
+    and for each of them, ``f = (s, w)``, the triples of ``e``, ``f``
+    and an edge above ``e`` at ``w`` other than ``f`` and a triangle's
+    ``(w, t)``."""
+    starts = np.concatenate([inc.pu[:roots], inc.pv[:roots]])
+    index, f = _spans(starts + 1, inc.row_end[starts])
+    root, t, w = index % max(roots, 1), inc.dst[starts[index]], inc.dst[f]
+    above = inc.indptr[w + 1] - np.searchsorted(
+        inc.src * inc.m + inc.eid, w * inc.m + root, side="right")
+    closing = inc.adjacent(w, t)
+    closed = (closing >= 0) & (inc.eid[closing] > root)
+    exclusive = np.bincount(root, weights=above - 1 - closed, minlength=roots)
+    return inc.least[:roots] + exclusive.astype(np.int64)
+
+
+def _shape_stats(graph: Graph, inc: _Incidence) -> dict:
+    """Every connected <= 3-edge subset by shape key: ``{key: (count,
+    domain size per position)}``, from one ``np.unique`` over packed
+    label digits and one over packed (key, position, vertex)."""
+    n = graph.num_vertices
+    labels = (np.zeros(n, dtype=np.int64) if graph.labels is None
+              else graph.labels.astype(np.int64))
+    low = int(labels.min(initial=0))
+    radix = int(labels.max(initial=0)) - low + 1
+    stats: dict = {}
+
+    def add(shape, digits, domains):
+        """``digits``: a label column per position; ``domains``:
+        ``(position, rows, vertices)`` triples."""
+        width = len(digits)
+        keys, inverse, counts = np.unique(
+            np.ravel_multi_index([d - low for d in digits], (radix,) * width),
+            return_inverse=True, return_counts=True)
+        entries = np.unique(np.concatenate([
+            (inverse[rows] * width + position) * n + vertices
+            for position, rows, vertices in domains]))
+        sizes = np.bincount(entries // n, minlength=len(keys) * width)
+        digits = np.stack(np.unravel_index(keys, (radix,) * width), 1) + low
+        for digit, count, size in zip(digits.tolist(), counts.tolist(),
+                                      sizes.reshape(-1, width).tolist()):
+            stats[_SHAPES[shape][1](digit)] = (count, tuple(size))
+
+    def by_label(shape, *groups):
+        """A group's vertices are interchangeable: its labels sorted,
+        each vertex in every position of the group its label matches."""
+        digits, domains = [], []
+        for group in groups:
+            ends = np.sort([labels[v] for v in group], axis=0)
+            for vertex in group:
+                for position, label in enumerate(ends, len(digits)):
+                    match = label == labels[vertex]
+                    domains.append((position, np.flatnonzero(match),
+                                    vertex[match]))
+            digits += list(ends)
+        add(shape, digits, domains)
+
+    src, dst = inc.src, inc.dst
+    by_label("e", [src[inc.pu], dst[inc.pu]])
+    p, q = _spans(np.arange(len(src)) + 1, inc.row_end)  # pairs in a row
+    center, x, y = src[p], dst[p], dst[q]
+    by_label("p3", [center], [x, y])
+    tri = (center < x) & (inc.adjacent(x, y) >= 0)  # at its least vertex
+    by_label("t", [center[tri], x[tri], y[tri]])
+    pair, r = _spans(q + 1, inc.row_end[q])  # triples in a row
+    by_label("s3", [center[pair]], [x[pair], y[pair], dst[r]])
+    # 4-paths x - a - b - y: a wedge x - a - b with a < b, one more edge
+    # at b (each middle edge (a, b) taken from its lower end)
+    middle, near = np.concatenate([q, p]), np.concatenate([x, y])
+    keep = src[middle] < dst[middle]
+    middle, near = middle[keep], near[keep]
+    side, far = _spans(inc.indptr[dst[middle]], inc.indptr[dst[middle] + 1])
+    middle, near, y = middle[side], near[side], dst[far]
+    keep = (y != src[middle]) & (y != near)
+    walk = [near[keep], src[middle[keep]], dst[middle[keep]], y[keep]]
+    # oriented so the labels read no later backward than forward; a
+    # palindrome's vertex holds both its positions
+    lab = [labels[v] for v in walk]
+    flip = (lab[3] < lab[0]) | ((lab[3] == lab[0]) & (lab[2] < lab[1]))
+    mirror = (lab[3] == lab[0]) & (lab[2] == lab[1])
+    walk = [np.where(flip, walk[3 - i], walk[i]) for i in range(4)]
+    rows = np.arange(len(walk[0]))
+    add("p4", [labels[v] for v in walk],
+        [(i, rows, v) for i, v in enumerate(walk)]
+        + [(3 - i, rows[mirror], v[mirror]) for i, v in enumerate(walk)])
+    return stats
 
 
 class FractalLike(GPMSystem):
@@ -81,6 +207,9 @@ class FractalLike(GPMSystem):
     ):
         if graph.size_bytes() > memory_bytes:  # replicated graph
             raise OutOfMemoryError(0, graph.size_bytes(), memory_bytes)
+        if graph.directed:
+            raise ConfigurationError(
+                "fractal baseline enumerates undirected graphs")
         self.graph = graph
         self.num_machines = num_machines
         self.cores = cores
@@ -91,176 +220,49 @@ class FractalLike(GPMSystem):
         self.partitioner = HashPartitioner(num_machines)
         self._result: Optional[tuple[dict, float]] = None
 
-    # ------------------------------------------------------------------
-    # enumeration
-    # ------------------------------------------------------------------
-    def _enumerate(self) -> tuple[dict[tuple, _ShapeStats], float]:
-        """All connected <= 3-edge subgraphs; returns (stats, runtime)."""
+    def _enumerate(self) -> tuple[dict[tuple, tuple], float]:
+        """All connected <= 3-edge subgraphs; returns (stats, runtime)
+        with ``stats[key] = (count, domain size per position)``."""
         if self._result is not None:
             return self._result
-        graph = self.graph
-        edges = [(u, v) for u, v in graph.edges()]
-        num_edges = len(edges)
-        # line-graph adjacency: edges sharing an endpoint
-        incident: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-        for eid, (u, v) in enumerate(edges):
-            incident[u].append(eid)
-            incident[v].append(eid)
-        stats: dict[tuple, _ShapeStats] = {}
-        machine_serial = np.zeros(self.num_machines, dtype=np.float64)
-        subgraphs = 0
+        inc = _Incidence(self.graph)
         threads = max(1, self.cores) * self.cost.thread_efficiency
-        budget = self.time_budget
-
-        def charge(machine: int, seconds: float) -> None:
-            machine_serial[machine] += seconds
-
-        def record(edge_ids: tuple[int, ...], machine: int) -> None:
-            nonlocal subgraphs
-            subgraphs += 1
-            charge(machine, _EXTEND_COST + _CANONICAL_COST)
-            self._classify([edges[e] for e in edge_ids], stats)
-            if subgraphs > self.max_subgraphs:
-                raise SimTimeoutError(float(machine_serial.max() / threads),
-                                   budget or 0.0)
-            if budget is not None and machine_serial.max() / threads > budget:
-                raise SimTimeoutError(machine_serial.max() / threads, budget)
-
-        # ESU over the line graph, bounded at 3 line-graph vertices
-        for root in range(num_edges):
-            machine = self.partitioner.owner(root)
-            record((root,), machine)
-            u, v = edges[root]
-            neighbors_root = sorted(
-                e for e in set(incident[u]) | set(incident[v])
-                if e > root
-            )
-            for i, second in enumerate(neighbors_root):
-                record((root, second), machine)
-                su, sv = edges[second]
-                exclusive = sorted(
-                    e
-                    for e in set(incident[su]) | set(incident[sv])
-                    if e > root and e != second and e not in neighbors_root
-                )
-                # extension = remaining root-neighbors after `second`,
-                # plus the exclusive neighborhood of `second`
-                for third in neighbors_root[i + 1 :]:
-                    record((root, second, third), machine)
-                for third in exclusive:
-                    record((root, second, third), machine)
-        runtime = float(machine_serial.max()) / threads
-        runtime += (
-            self.cost.graphpi_startup
-            + self.cost.graphpi_startup_per_node * self.num_machines
-        )
-        self._result = (stats, runtime)
+        cap, budget = self.max_subgraphs, self.time_budget
+        # the roots up to the first whose lower bound passes the cap:
+        # it fires by then
+        bound = np.cumsum(inc.least)
+        roots = min(int(np.searchsorted(bound, cap + 1)) + 1, inc.m)
+        subsets = _root_subsets(inc, roots)
+        done = np.cumsum(subsets)  # records after each root
+        owner = self.partitioner.owners(np.arange(roots))
+        after = np.zeros(roots, dtype=np.int64)  # its owner's, after it
+        for machine in range(self.num_machines):
+            after[owner == machine] = np.cumsum(subsets[owner == machine])
+        # a machine's seconds after k records: one sequential fold
+        depth = min(int(after.max(initial=0)), cap + 1)
+        fold = np.zeros(depth + 1)
+        np.cumsum(np.full(depth, _EXTEND_COST + _CANONICAL_COST),
+                  out=fold[1:])
+        capped = roots > 0 and done[-1] > cap
+        over = (np.flatnonzero(fold / threads > budget)
+                if budget is not None else ())
+        if len(over):  # the record where a machine first passes it
+            first = max(1, int(over[0]))
+            reached = np.flatnonzero(after >= first)
+            if len(reached) and (not capped or done[reached[0]]
+                                 - after[reached[0]] + first <= cap):
+                raise SimTimeoutError(fold[first] / threads, budget)
+        if capped:  # record cap + 1, on the deepest machine then
+            root = int(np.searchsorted(done, cap + 1))
+            deepest = max(int(after[:root].max(initial=0)),
+                          int(after[root] - done[root] + cap + 1))
+            raise SimTimeoutError(float(fold[deepest] / threads),
+                                  budget or 0.0)
+        runtime = float(fold[depth]) / threads
+        runtime += (self.cost.graphpi_startup
+                    + self.cost.graphpi_startup_per_node * self.num_machines)
+        self._result = (_shape_stats(self.graph, inc), runtime)
         return self._result
-
-    # ------------------------------------------------------------------
-    def _classify(
-        self, edge_list: list[tuple[int, int]], stats: dict[tuple, _ShapeStats]
-    ) -> None:
-        """Classify a connected edge subset and update counts/domains."""
-        graph = self.graph
-        label = graph.label
-        if len(edge_list) == 1:
-            (u, v) = edge_list[0]
-            la, lb = label(u), label(v)
-            if la > lb:
-                u, v, la, lb = v, u, lb, la
-            entry = self._entry(stats, ("e", la, lb), 2)
-            entry.count += 1
-            if la == lb:
-                entry.domains[0].update((u, v))
-                entry.domains[1].update((u, v))
-            else:
-                entry.domains[0].add(u)
-                entry.domains[1].add(v)
-            return
-        if len(edge_list) == 2:
-            (a, b), (c, d) = edge_list
-            center = a if a in (c, d) else b
-            x = b if center == a else a
-            y = d if center == c else c
-            lx, ly = label(x), label(y)
-            if lx > ly:
-                x, y, lx, ly = y, x, ly, lx
-            entry = self._entry(stats, ("p3", label(center), lx, ly), 3)
-            entry.count += 1
-            entry.domains[0].add(center)
-            if lx == ly:
-                entry.domains[1].update((x, y))
-                entry.domains[2].update((x, y))
-            else:
-                entry.domains[1].add(x)
-                entry.domains[2].add(y)
-            return
-        self._classify_three(edge_list, stats)
-
-    def _classify_three(
-        self, edge_list: list[tuple[int, int]], stats: dict[tuple, _ShapeStats]
-    ) -> None:
-        label = self.graph.label
-        degree: dict[int, int] = {}
-        for u, v in edge_list:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        vertices = list(degree)
-        if len(vertices) == 3:  # triangle
-            labels = tuple(sorted(label(v) for v in vertices))
-            entry = self._entry(stats, ("t", labels), 3)
-            entry.count += 1
-            for v in vertices:
-                for pos, pos_label in enumerate(labels):
-                    if label(v) == pos_label:
-                        entry.domains[pos].add(v)
-            return
-        if max(degree.values()) == 3:  # star with 3 leaves
-            center = next(v for v, d in degree.items() if d == 3)
-            leaves = [v for v in vertices if v != center]
-            leaf_labels = tuple(sorted(label(v) for v in leaves))
-            entry = self._entry(stats, ("s3", label(center), leaf_labels), 4)
-            entry.count += 1
-            entry.domains[0].add(center)
-            for v in leaves:
-                for pos, pos_label in enumerate(leaf_labels):
-                    if label(v) == pos_label:
-                        entry.domains[1 + pos].add(v)
-            return
-        # path on 4 vertices: order the chain, canonicalize orientation
-        ends = [v for v, d in degree.items() if d == 1]
-        adjacency: dict[int, list[int]] = {v: [] for v in vertices}
-        for u, v in edge_list:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        a = min(ends)
-        chain = [a]
-        while len(chain) < 4:
-            nxt = [w for w in adjacency[chain[-1]] if w not in chain]
-            chain.append(nxt[0])
-        forward = tuple(label(v) for v in chain)
-        backward = forward[::-1]
-        if backward < forward:
-            chain = chain[::-1]
-            forward = backward
-        entry = self._entry(stats, ("p4", forward), 4)
-        entry.count += 1
-        palindrome = forward == forward[::-1]
-        for pos, v in enumerate(chain):
-            entry.domains[pos].add(v)
-            if palindrome:
-                entry.domains[3 - pos].add(v)
-
-    @staticmethod
-    def _entry(
-        stats: dict[tuple, _ShapeStats], key: tuple, positions: int
-    ) -> _ShapeStats:
-        entry = stats.get(key)
-        if entry is None:
-            entry = _ShapeStats(domains=[set() for _ in range(positions)])
-            stats[key] = entry
-        return entry
 
     # ------------------------------------------------------------------
     # GPMSystem interface
@@ -276,19 +278,16 @@ class FractalLike(GPMSystem):
             raise ConfigurationError(
                 "fractal baseline counts non-induced, unoriented patterns"
             )
-        if pattern.num_edges > 3:
-            raise ConfigurationError(
-                "fractal baseline enumerates subgraphs with <= 3 edges"
-            )
+        self._check_size([pattern])
         stats, runtime = self._enumerate()
         target = canonical_code(pattern)
         count = 0
-        for key, entry in stats.items():
+        for key, (entries, _) in stats.items():
             candidate = _pattern_for_key(key)
             if pattern.labels is None:
                 candidate = candidate.unlabeled()
             if canonical_code(candidate) == target:
-                count += entry.count
+                count += entries
         return self._report(app, count, runtime)
 
     def count_patterns(
@@ -297,26 +296,28 @@ class FractalLike(GPMSystem):
         induced: bool = True,
         app: str = "patterns",
     ) -> RunReport:
-        reports = [
-            self.count_pattern(p, induced=False, app=app) for p in patterns
-        ]
-        merged = self._report(
-            app, [r.counts for r in reports], reports[-1].simulated_seconds
-        )
-        return merged
+        counts = [self.count_pattern(p, induced=induced, app=app).counts
+                  for p in patterns]
+        return self._report(app, counts, self._enumerate()[1])
 
     def mni_supports(
         self, patterns: Sequence[Pattern]
     ) -> tuple[list[int], RunReport]:
+        self._check_size(patterns)
         stats, runtime = self._enumerate()
-        by_code: dict[tuple, int] = {}
-        for key, entry in stats.items():
-            support = min((len(d) for d in entry.domains), default=0)
-            by_code[canonical_code(_pattern_for_key(key))] = support
-        supports = [
-            by_code.get(canonical_code(p), 0) for p in patterns
-        ]
+        by_code = {
+            canonical_code(_pattern_for_key(key)): min(sizes)
+            for key, (_, sizes) in stats.items()
+        }
+        supports = [by_code.get(canonical_code(p), 0) for p in patterns]
         return supports, self._report("fsm-round", None, runtime)
+
+    @staticmethod
+    def _check_size(patterns: Sequence[Pattern]) -> None:
+        if any(p.num_edges > 3 for p in patterns):
+            raise ConfigurationError(
+                "fractal baseline enumerates subgraphs with <= 3 edges"
+            )
 
     def all_frequent(self, threshold: int) -> list[tuple[Pattern, int]]:
         """All labeled <= 3-edge patterns with MNI support >= threshold.
@@ -326,18 +327,15 @@ class FractalLike(GPMSystem):
         single filter over the classified shapes.
         """
         stats, _ = self._enumerate()
-        result = []
-        for key, entry in stats.items():
-            support = min((len(d) for d in entry.domains), default=0)
-            if support >= threshold:
-                result.append((_pattern_for_key(key), support))
-        return result
+        return [(_pattern_for_key(key), min(sizes))
+                for key, (_, sizes) in stats.items()
+                if min(sizes) >= threshold]
 
     def fsm_report(self, threshold: int) -> RunReport:
         """FSM runtime report (enumeration dominates; filter is free)."""
-        _, runtime = self._enumerate()
-        frequent = self.all_frequent(threshold)
-        return self._report(f"FSM(t={threshold})", len(frequent), runtime)
+        return self._report(f"FSM(t={threshold})",
+                            len(self.all_frequent(threshold)),
+                            self._enumerate()[1])
 
     def _report(self, app: str, counts, runtime: float) -> RunReport:
         return RunReport(
