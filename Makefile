@@ -64,7 +64,8 @@ chaos-check:
 ## the per-pattern oracle across backends, storage and a kill-resume,
 ## and its scheduler / fill tripwires, and lockstep machines
 ## (docs/performance.md, "Lockstep machines"): lockstep against one
-## machine at a time, the abort golden, the census's kernel-call count
+## hosted run a machine and the process backend, aborted runs across
+## backends, the abort golden, the census's kernel-call count
 motif-check:
 	$(PYTEST) tests/test_schedule.py tests/test_schedule_golden.py \
 		tests/test_canonical.py tests/test_generation.py \

@@ -44,7 +44,11 @@ def main() -> None:
     schedule = graphpi_schedule(house())
     inspect_schedule(schedule)
 
-    # a UDF that samples the first few matched embeddings
+    # a UDF that samples the first few matched embeddings. The machines
+    # walk in lockstep, so its calls interleave machines one drain at a
+    # time: the five samples come from whichever machines drain first,
+    # and a UDF that must not depend on that order (every UDF of the
+    # paper's applications) accumulates order-free state instead
     samples: list[tuple[int, ...]] = []
 
     def sample_udf(prefix: tuple[int, ...], candidates: np.ndarray) -> None:

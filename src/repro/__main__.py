@@ -236,8 +236,8 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-recover", action="store_true",
-        help="disable chunk-granular recovery: the first machine crash "
-             "aborts the run with a partial report",
+        help="disable chunk-granular recovery: a crash ends its machine's "
+             "walk, and the run ends CRASHED with a partial report",
     )
     parser.add_argument("--chunk-bytes", type=int, default=None,
                         help="override the engine chunk budget in bytes")

@@ -87,7 +87,6 @@ class Cluster:
         """Record a machine loss; its partition fails over (replicated
         storage assumption) to the next live machine in id order."""
         self.dead.add(machine_id)
-        self.machines[machine_id].alive = False
 
     def live_ids(self) -> list[int]:
         return [m.machine_id for m in self.machines if m.machine_id not in self.dead]

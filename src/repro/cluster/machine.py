@@ -71,8 +71,6 @@ class MachineState:
     #: bytes served to other machines (responder load, Figure 19)
     served_bytes: int = 0
     served_requests: int = 0
-    #: cleared when an injected fault kills the machine mid-run
-    alive: bool = True
 
     # ------------------------------------------------------------------
     @property
@@ -136,4 +134,3 @@ class MachineState:
         self.resident_bytes = self.peak_bytes = self.baseline_bytes
         self.served_bytes = 0
         self.served_requests = 0
-        self.alive = True

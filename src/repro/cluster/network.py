@@ -44,14 +44,9 @@ class NetworkModel:
             (num_machines, num_machines), dtype=np.int64
         )
         self.num_batches = 0
-        #: attached fault injector (None = fault-free run)
-        self.injector = None
         #: retried fetch attempts and their cumulative backoff seconds
         self.retries = 0
         self.retry_seconds = 0.0
-        #: backoff accrued since the scheduler last drained it into a
-        #: communication batch's wire time
-        self._pending_retry_seconds = 0.0
         self._m_requests = NULL_COUNTER
         self._m_payload = NULL_COUNTER
         self._m_wire = NULL_COUNTER
@@ -74,97 +69,24 @@ class NetworkModel:
             names.NET_RETRY_BACKOFF_SECONDS
         )
 
-    def attach_injector(self, injector) -> None:
-        """Route every fetch through ``injector`` (transient failures)."""
-        self.injector = injector
-
     # ------------------------------------------------------------------
-    def record_fetch(
-        self,
-        requester: int,
-        owner: int,
-        payload_bytes: int,
-        server: MachineState | None = None,
-    ) -> int:
-        """Account one edge-list fetch; returns total wire bytes.
-
-        The request header travels requester -> owner and the payload
-        comes back; both directions are recorded. If ``server`` is given
-        the responder's copy cost is charged to its compute clock's
-        scheduler bucket (it occupies a communication core).
-
-        With a fault injector attached, the fetch may transiently fail:
-        each failed attempt re-sends the request header (extra wire
-        traffic) and accrues exponential backoff, which the scheduler
-        drains into the batch's communication time. Exhausted retries
-        raise :class:`~repro.errors.FetchFailedError`.
-        """
-        header = self.cost.request_header_bytes
-        if self.injector is not None:
-            failures, backoff = self.injector.fetch_failures_for(
-                requester, owner
-            )
-            if failures:
-                # each failed attempt still burned a request header
-                self.traffic_bytes[requester, owner] += header * failures
-                self.retries += failures
-                self.retry_seconds += backoff
-                self._pending_retry_seconds += backoff
-                self._m_retries.inc(failures)
-                self._m_retry_backoff.inc(backoff)
-                self._m_wire.inc(header * failures)
-        self.traffic_bytes[requester, owner] += header
-        self.traffic_bytes[owner, requester] += payload_bytes
-        self.request_counts[requester, owner] += 1
-        self._m_requests.inc()
-        self._m_payload.inc(payload_bytes)
-        self._m_wire.inc(header + payload_bytes)
-        if server is not None:
-            server.served_bytes += payload_bytes
-            server.served_requests += 1
-        return header + payload_bytes
-
-    def record_fetch_batch(
-        self,
-        requester: int,
-        owner: int,
-        num_requests: int,
-        payload_bytes: int,
-        server: MachineState | None = None,
-    ) -> None:
-        """Integer-exact fold of :meth:`record_fetch` over one owner
-        batch of ``num_requests`` fetches totalling ``payload_bytes``.
-
-        Only valid without a fault injector attached — injected
-        transient failures are per-attempt state, and their partial
-        effects must interleave with the caller's per-fetch bookkeeping
-        exactly as the one-at-a-time path does.
-        """
-        assert self.injector is None, "bulk recording skips retry state"
-        headers = self.cost.request_header_bytes * num_requests
-        self.traffic_bytes[requester, owner] += headers
-        self.traffic_bytes[owner, requester] += payload_bytes
-        self.request_counts[requester, owner] += num_requests
-        self._m_requests.inc(num_requests)
-        self._m_payload.inc(payload_bytes)
-        self._m_wire.inc(headers + payload_bytes)
-        if server is not None:
-            server.served_bytes += payload_bytes
-            server.served_requests += num_requests
-
     def record_fetch_batches(
         self,
         requester: int | Sequence[int],
         batches: list[tuple[int, int, int]],
         servers: list[MachineState],
     ) -> None:
-        """The fold of :meth:`record_fetch_batch` over ``(owner,
-        num_requests, payload_bytes)`` batches (``servers`` by machine
-        id) that ``requester`` asked for — one machine's chunk, or with
-        one requester per batch, several machines' chunks told at once:
-        every matrix cell once, every counter once. All integers, so
-        exact."""
-        assert self.injector is None, "bulk recording skips retry state"
+        """Account the edge-list fetches of ``(owner, num_requests,
+        payload_bytes)`` batches (``servers`` by machine id) that
+        ``requester`` asked for — one machine's chunk, or with one
+        requester per batch, several machines' chunks told at once.
+
+        Each request header travels requester -> owner and its payload
+        comes back; both directions land in the traffic matrix, and the
+        owner's served tallies grow (its responder-side copy cost is
+        priced from them). Every matrix cell once, every counter once:
+        all integers, so the fold of any split of the batches is exact
+        (``tests/test_chunk.py`` holds it against a fetch at a time)."""
         if isinstance(requester, int):
             requester = [requester] * len(batches)
         header = self.cost.request_header_bytes
@@ -220,11 +142,19 @@ class NetworkModel:
         )
         return [latency + wire_bytes / bandwidth for wire_bytes in wire]
 
-    def drain_retry_seconds(self) -> float:
-        """Backoff seconds accrued since the last drain (charged by the
-        scheduler to the batch that suffered the retries)."""
-        seconds, self._pending_retry_seconds = self._pending_retry_seconds, 0.0
-        return seconds
+    def record_retries(self, requester: int, owner: int, failures: int,
+                       seconds: float) -> None:
+        """``failures`` failed attempts of one batch's fetches
+        ``requester`` -> ``owner`` (docs/faults.md): each re-sent its
+        request header, and their backoff waits, ``seconds``, stretch
+        the batch's wire time."""
+        headers = self.cost.request_header_bytes * failures
+        self.traffic_bytes[requester, owner] += headers
+        self.retries += failures
+        self.retry_seconds += seconds
+        self._m_retries.inc(failures)
+        self._m_retry_backoff.inc(seconds)
+        self._m_wire.inc(headers)
 
     def serve_time(self, payload_bytes: int, num_requests: int) -> float:
         """Responder-side cost of copying payloads into send buffers."""

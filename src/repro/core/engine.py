@@ -3,17 +3,16 @@
 Ties the per-machine hybrid scheduler to the simulated cluster along
 one path (:mod:`repro.core.plan`): :meth:`KhuzdulEngine.plan`
 describes the job once, :meth:`KhuzdulEngine.execute` — the one machine
-loop — builds per-machine static caches and runs every hosted
-machine's share of the enumeration (machines interact only through
-read-only edge-list fetches, so the simulation runs them in sequence
-while their clocks advance independently), and
+loop — builds per-machine static caches and walks every hosted
+machine's share of the enumeration in lockstep (machines interact
+only through read-only edge-list fetches, so each clock advances on
+its own), and
 :func:`~repro.core.plan.finalize` assembles the :class:`RunReport`
 whose simulated runtime is the slowest machine's clock.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -51,7 +50,7 @@ from repro.patterns.schedule import Schedule, compile_counting_plan
 #: Multi-pattern UDF: (pattern index, prefix vertices, candidates).
 MultiUdf = Callable[[int, tuple[int, ...], np.ndarray], None]
 
-#: how a scheduler's structured abort ends the run
+#: the outcome a scheduler's structured abort gives the run
 _OUTCOME_OF = {
     OutOfMemoryError: Outcome.OUTOFMEM,
     FetchFailedError: Outcome.DEGRADED,
@@ -101,7 +100,7 @@ class EngineConfig:
     #: None = fault-free execution with zero overhead
     faults: Optional[FaultPlan] = None
     #: reassign a crashed machine's remaining work to survivors; with
-    #: False, a crash ends the run with a partial CRASHED report
+    #: False, a crash ends its machine's walk and the run is CRASHED
     recover: bool = True
     #: durable chunk-granular checkpoints (docs/faults.md,
     #: "Durability"): persist the recovery cursor under this directory
@@ -282,7 +281,8 @@ class KhuzdulEngine:
 
         With ``checkpoint_dir`` set the :class:`DurableRun` feeds every
         completed root chunk to the durable log and, on ``resume``,
-        skips completed chunks and restores mergeable UDF state — a
+        skips completed chunks and restores each machine's mergeable
+        UDF state — a
         killed run restarted with ``resume=True`` reproduces the
         uninterrupted run's counts bit-exactly (docs/faults.md).
         """
@@ -290,8 +290,10 @@ class KhuzdulEngine:
             require_mergeable_udf(udf, "durable checkpoints")
         with DurableRun(plan, self.cluster.graph, self.obs, udf) as durable:
             partial_run = self.execute(
-                plan, udf, sink=durable.sink, resume=durable.resume
+                plan, udf, sink=durable.sink, resume=durable.resume,
+                udfs=durable.udfs,
             )
+        durable.fold(udf)
         counts, report = finalize(plan, [partial_run], self.obs)
         durable.publish(report)
         return counts, report
@@ -303,6 +305,7 @@ class KhuzdulEngine:
         hosted: Optional[set] = None,
         sink=None,
         resume: Optional[dict] = None,
+        udfs: Optional[dict] = None,
     ) -> Partial:
         """The one machine loop: run ``plan`` on this engine's cluster.
 
@@ -326,24 +329,22 @@ class KhuzdulEngine:
         the patterns of a group must agree on ``roots``. Roots are
         enumerated in a deterministic order, so skipping a completed
         prefix reproduces exactly the remaining work — the durability
-        contract of docs/faults.md.
+        contract of docs/faults.md. ``udfs`` maps each machine to the
+        copy of the UDF it drains into, so that a durable snapshot can
+        hold each machine's state at its own cursor (``DurableRun``).
 
-        A group's hosted machines run in lockstep (docs/performance.md,
-        "Lockstep machines") unless machine order decides the report: a
-        time budget, a fault plan or a UDF — or an OUTOFMEM, after which
-        the attempt is discarded — runs them one at a time.
+        A group's hosted machines walk in lockstep (docs/performance.md,
+        "Lockstep machines"), and each machine's walk depends only on
+        its own clock, memory and fault stream. An abort — OUTOFMEM,
+        TIMEOUT, DEGRADED, or a crash without recovery — ends only its
+        own machine's part of the run: the machine keeps what it
+        checkpointed and the others run on. The run's failure is the
+        abort with the smallest (machine clock at the raise, machine
+        id), so every backend reports the same one. A crash takes effect
+        when the round it happened in ends: the machine is marked dead,
+        the survivors drop its partition's cache entries and re-fetch
+        its lists, and its unfinished roots are the next round.
         """
-        config = plan.config
-        if (config.time_budget is None and udf is None
-                and (config.faults is None or config.faults.empty)):
-            try:
-                return self._execute(plan, udf, hosted, sink, resume, True)
-            except tuple(_OUTCOME_OF):
-                pass
-        return self._execute(plan, udf, hosted, sink, resume, False)
-
-    def _execute(self, plan: JobPlan, udf, hosted, sink, resume,
-                 lockstep: bool) -> Partial:
         cluster = self.cluster
         config = plan.config
         graph = cluster.graph
@@ -355,14 +356,10 @@ class KhuzdulEngine:
             cluster.network.bind_metrics(obs.registry.scope())
         injector = None
         if config.faults is not None and not config.faults.empty:
-            # the injector outlives reset_clocks' network rebuild, so it
-            # must be (re-)attached here, once per run
             injector = FaultInjector(
                 config.faults, metrics=obs.registry.scope()
             )
-            cluster.network.attach_injector(injector)
 
-        failure: Optional[FailureSummary] = None
         recovered = False
         events: list[dict] = []
         recovery_stats = {
@@ -371,14 +368,13 @@ class KhuzdulEngine:
             "invalidated_entries": 0,
             "checkpoints": 0,
         }
-
-        def failed(outcome, machine_id, message) -> FailureSummary:
-            return FailureSummary(outcome, machine_id, message,
-                                  cluster.runtime(), events=events)
+        #: machine id -> (machine clock at the raise, outcome, message)
+        aborts: dict[int, tuple] = {}
 
         cache_capacity = int(config.cache_fraction * graph.size_bytes())
         caches = []
         machine_scopes = []
+        allocated = []
         for machine in cluster.machines:
             scope = obs.registry.scope(machine=machine.machine_id)
             machine_scopes.append(scope)
@@ -391,13 +387,13 @@ class KhuzdulEngine:
                     metrics=scope,
                 )
             )
-        allocated = []
-        try:
-            for machine in cluster.machines:
+            try:
                 machine.allocate(cache_capacity)  # pre-allocated pool
-                allocated.append(machine)
-        except OutOfMemoryError as exc:
-            failure = failed(Outcome.OUTOFMEM, exc.machine_id, str(exc))
+            except OutOfMemoryError as exc:
+                aborts[machine.machine_id] = (
+                    machine.clock.total(), Outcome.OUTOFMEM, str(exc))
+                continue
+            allocated.append(machine)
         startup_counters = [
             scope.counter(names.TIME_SCHEDULER) for scope in machine_scopes
         ]
@@ -431,6 +427,9 @@ class KhuzdulEngine:
             for index, found in zip(members, matches):
                 counts[index] += found
 
+        def survivors() -> list[int]:
+            return [mid for mid in cluster.live_ids() if mid not in aborts]
+
         def startup(shard: _Shard) -> MachineScheduler:
             mid = shard.machine_id
             machine = cluster.machines[mid]
@@ -443,6 +442,14 @@ class KhuzdulEngine:
                     attrs={"scheduler": cluster.cost.engine_startup,
                            "pattern": members[0]},
                 ))
+            target = udf if udfs is None else udfs[mid]
+            if target is None:
+                machine_udf: Udf = NULL_UDF
+            elif plan.indexed_udf:
+                # a UDF job's groups are single patterns
+                machine_udf = partial(target, members[0])
+            else:
+                machine_udf = target
             return MachineScheduler(
                 cluster=cluster,
                 machine=machine,
@@ -468,79 +475,101 @@ class KhuzdulEngine:
                 ),
             )
 
+        def reassign(roots, dead: int) -> list[_Shard]:
+            """Round-robin a dead machine's ``roots`` over the survivors
+            as next-round shards; CRASHED for it if none are left."""
+            live = survivors()
+            if not live:
+                aborts[dead] = (
+                    cluster.machines[dead].clock.total(), Outcome.CRASHED,
+                    "machine crashed and no survivors remain")
+                return []
+            recovery_stats["reassigned_roots"] += len(roots)
+            return [_Shard(survivor, share, recovery=True)
+                    for survivor, share in split_roots(roots, live)]
+
         try:
             for group in plan.groups:
-                if failure is not None:
-                    break
                 members = group.members
-                if udf is None:
-                    machine_udf: Udf = NULL_UDF
-                elif plan.indexed_udf:
-                    # a UDF job's groups are single patterns
-                    machine_udf = partial(udf, members[0])
-                else:
-                    machine_udf = udf
-                # Work queue of (machine, roots) shards. Fault-free runs
-                # enqueue exactly one shard per machine; crash recovery
-                # appends the orphaned remainder as survivor shards. A
-                # durable resume slices each machine's completed prefix
-                # off and seeds its checkpointed matches directly.
-                shards: deque[_Shard] = deque()
+                # the first round: every walking machine's own shard,
+                # sliced past a durable resume's completed prefix, its
+                # checkpointed matches seeded directly; a machine lost
+                # in an earlier group has its share bounced to the
+                # survivors for the next round
+                shards: list[_Shard] = []
+                bounced: list[_Shard] = []
                 for machine in cluster.machines:
-                    if (hosted is not None
-                            and machine.machine_id not in hosted):
+                    mid = machine.machine_id
+                    if (hosted is not None and mid not in hosted
+                            or mid in aborts):
                         continue
-                    roots = group.roots_for(cluster, machine.machine_id)
+                    roots = group.roots_for(cluster, mid)
+                    if mid in cluster.dead:
+                        bounced += reassign(roots, mid)
+                        continue
                     base_roots, base_matches = 0, (0,) * len(members)
                     if resume:
                         base_roots, base_matches = _group_cursor(
-                            resume, members, machine.machine_id
-                        )
+                            resume, members, mid)
                         if base_roots:
                             base_roots = min(base_roots, len(roots))
                             tally(members, base_matches)
                             roots = roots[base_roots:]
                     shards.append(_Shard(
-                        machine.machine_id, roots,
+                        mid, roots,
                         base_roots=base_roots, base_matches=base_matches,
                     ))
                 while shards:
-                    shard = shards.popleft()
-                    mid = shard.machine_id
-                    if mid in cluster.dead:
-                        # owner died after this shard was queued (earlier
-                        # group, or a multi-crash plan): bounce its
-                        # whole share to the survivors
-                        live = cluster.live_ids()
-                        if not live:
-                            failure = failed(
-                                Outcome.CRASHED, mid,
-                                "no live machine left to take over")
-                            break
-                        pieces = split_roots(shard.roots, live)
-                        for survivor, share in pieces:
-                            shards.append(_Shard(survivor, share,
-                                                 recovery=True))
-                        recovery_stats["reassigned_roots"] += len(shard.roots)
-                        continue
-                    machine = cluster.machines[mid]
-                    scheduler = startup(shard)
-                    # lockstep: every other shard walks beside this one
-                    peers = [
-                        (startup(peer), peer) for peer in
-                        [shards.popleft() for _ in range(len(shards))]
-                    ] if lockstep else []
-                    try:
-                        shard_matches = scheduler.run(shard.roots, [
-                            (peer, share.roots) for peer, share in peers])
-                    except MachineCrashError as exc:
+                    walks = [(shard, startup(shard)) for shard in shards]
+                    (_, lead), *peers = walks
+                    lead.run(shards[0].roots, [
+                        (scheduler, shard.roots) for shard, scheduler in peers])
+                    crashed = []
+                    for shard, scheduler in walks:
                         absorb(scheduler)
-                        ckpt = scheduler.checkpoint
-                        # only work up to the last checkpoint survives;
-                        # everything past it is replayed by survivors,
+                        mid = shard.machine_id
+                        if scheduler.abort is None:
+                            tally(members, scheduler.matches)
+                            if shard.recovery:
+                                recovery_stats["reassigned_chunks"] += (
+                                    scheduler.chunks_created)
+                            # the scheduler polices the budget at chunk
+                            # boundaries; this check also covers walks
+                            # that never reach one (trivial patterns) and
+                            # the final overshoot of a machine's last chunk
+                            clock = scheduler.machine.clock.total()
+                            if (config.time_budget is not None
+                                    and clock > config.time_budget):
+                                aborts[mid] = (
+                                    clock, Outcome.TIMEOUT,
+                                    f"machine {mid} finished at "
+                                    f"{clock:.3g}s, over the "
+                                    f"{config.time_budget:.3g}s budget")
+                            continue
+                        # what the walk finished up to its last
+                        # checkpoint still counts; past it, a crashed
+                        # machine's work is replayed by the survivors,
                         # which is what keeps recovered counts exact
+                        seconds, exc = scheduler.abort
+                        ckpt = scheduler.checkpoint
                         tally(members, ckpt.matches)
-                        cluster.mark_dead(mid)
+                        if isinstance(exc, MachineCrashError):
+                            crashed.append((shard, ckpt, seconds, exc))
+                            continue
+                        if isinstance(exc, FetchFailedError):
+                            events.append({
+                                "kind": "fetch_failed",
+                                "machine": mid,
+                                "owner": exc.owner,
+                                "attempts": exc.attempts,
+                                "pattern": members[0],
+                            })
+                        aborts[mid] = (seconds, _OUTCOME_OF[type(exc)],
+                                       str(exc))
+                    for shard, _, _, _ in crashed:
+                        cluster.mark_dead(shard.machine_id)
+                    for shard, ckpt, seconds, exc in crashed:
+                        mid = shard.machine_id
                         event = {
                             "kind": "crash",
                             "machine": mid,
@@ -551,102 +580,61 @@ class KhuzdulEngine:
                         }
                         events.append(event)
                         if not config.recover:
-                            failure = failed(Outcome.CRASHED, mid, str(exc))
-                            break
-                        live = cluster.live_ids()
-                        if not live:
-                            failure = failed(
-                                Outcome.CRASHED, mid,
-                                "machine crashed and no survivors remain")
-                            break
+                            aborts[mid] = (seconds, Outcome.CRASHED,
+                                           str(exc))
+                            continue
                         # survivors drop cache entries sourced from the
                         # dead partition (they would alias buffers the
                         # failover owner now serves afresh)
                         owner_of = cluster.partitioned.owner
-                        invalidated = 0
-                        for sid in live:
-                            invalidated += caches[sid].invalidate(
-                                lambda v: owner_of(v) == mid
-                            )
-                        recovery_stats["invalidated_entries"] += invalidated
+                        for sid in survivors():
+                            recovery_stats["invalidated_entries"] += (
+                                caches[sid].invalidate(
+                                    lambda v: owner_of(v) == mid))
                         remaining = shard.roots[ckpt.roots_completed:]
-                        try:
-                            for survivor, share in split_roots(
-                                remaining, live
-                            ):
+                        for share in reassign(remaining, mid):
+                            try:
                                 self._charge_refetch(
-                                    survivor, mid, share,
-                                    machine_scopes[survivor],
-                                )
-                                shards.append(_Shard(survivor, share,
-                                                     recovery=True))
-                        except FetchFailedError as refetch_exc:
-                            failure = failed(Outcome.DEGRADED, mid,
-                                             str(refetch_exc))
-                            break
-                        recovery_stats["reassigned_roots"] += len(remaining)
+                                    injector, share.machine_id, mid,
+                                    share.roots,
+                                    machine_scopes[share.machine_id])
+                            except FetchFailedError as refetch_exc:
+                                survivor = cluster.machines[share.machine_id]
+                                aborts[share.machine_id] = (
+                                    survivor.clock.total(),
+                                    Outcome.DEGRADED, str(refetch_exc))
+                                continue
+                            bounced.append(share)
                         event["reassigned_roots"] = int(len(remaining))
-                        event["survivors"] = live
+                        event["survivors"] = survivors()
                         recovered = True
-                        continue
-                    except tuple(_OUTCOME_OF) as exc:
-                        if peers:
-                            raise  # machine order names it: re-run
-                        # a structured abort: what the scheduler finished
-                        # up to its last checkpoint still counts
-                        absorb(scheduler)
-                        tally(members, scheduler.checkpoint.matches)
-                        if isinstance(exc, FetchFailedError):
-                            events.append({
-                                "kind": "fetch_failed",
-                                "machine": mid,
-                                "owner": exc.owner,
-                                "attempts": exc.attempts,
-                                "pattern": members[0],
-                            })
-                        failure = failed(
-                            _OUTCOME_OF[type(exc)],
-                            getattr(exc, "machine_id", mid), str(exc))
-                        break
-                    absorb(scheduler)
-                    tally(members, shard_matches)
-                    for peer, _ in peers:
-                        absorb(peer)
-                        tally(members, peer.matches)
-                    if shard.recovery:
-                        recovery_stats["reassigned_chunks"] += (
-                            scheduler.chunks_created
-                        )
-                    # the scheduler polices the budget at chunk
-                    # boundaries; this engine-level check also covers
-                    # runs that never reach one (trivial patterns) and
-                    # the final overshoot of a machine's last chunk
-                    if (
-                        config.time_budget is not None
-                        and machine.clock.total() > config.time_budget
-                    ):
-                        failure = failed(
-                            Outcome.TIMEOUT, mid,
-                            f"machine {mid} finished at "
-                            f"{machine.clock.total():.3g}s, over the "
-                            f"{config.time_budget:.3g}s budget")
-                        break
+                    # the next round: every recovery shard, one walk a
+                    # machine
+                    shards, bounced = _one_per_machine([
+                        shard for shard in bounced
+                        if shard.machine_id not in aborts]), []
         finally:
             for machine in allocated:
                 machine.release(cache_capacity)
 
-        if failure is None and injector is not None and (
+        failure: Optional[FailureSummary] = None
+        if aborts:
+            mid, (seconds, outcome, message) = min(
+                aborts.items(), key=lambda item: (item[1][0], item[0]))
+            failure = FailureSummary(outcome, mid, message, seconds,
+                                     events=events)
+        elif injector is not None and (
             recovered or injector.fetch_failures > 0
         ):
             crash_events = [e for e in events if e["kind"] == "crash"]
-            failure = failed(
+            failure = FailureSummary(
                 Outcome.RECOVERED,
                 crash_events[0]["machine"] if crash_events else None,
                 f"recovered: {len(crash_events)} machine(s) lost, "
                 f"{injector.fetch_failures} transient fetch "
                 f"failure(s) retried; counts are complete",
+                cluster.runtime(), partial=False, events=events,
             )
-            failure.partial = False
 
         for machine, scope in zip(cluster.machines, machine_scopes):
             scope.counter(names.TIME_SERVE).inc(machine.serve_seconds)
@@ -706,15 +694,17 @@ class KhuzdulEngine:
         return result
 
     def _charge_refetch(
-        self, survivor_id: int, dead_id: int, roots: np.ndarray, scope
+        self, injector: FaultInjector, survivor_id: int, dead_id: int,
+        roots: np.ndarray, scope,
     ) -> None:
         """Bulk re-fetch of a survivor's share of the lost partition.
 
         Storage is replicated by assumption: the failover owner streams
         the orphaned roots' edge lists to the survivor in one batch
-        before the replay starts. The transfer is real traffic (it goes
-        through ``record_fetch``, so flaky-fetch faults apply to it too
-        and the failover owner's served tallies grow) and its wire time
+        before the replay starts. The batch is real traffic, told to
+        the network as a resolve's batches are, and flaky-fetch faults
+        apply to it from the survivor's own stream (one that exhausts
+        its retries raises :class:`FetchFailedError`); its wire time
         lands on the survivor's network clock.
         """
         cluster = self.cluster
@@ -723,14 +713,14 @@ class KhuzdulEngine:
         source = cluster.failover_owner(dead_id)
         if source == survivor_id:
             return  # the replica holder already has the bytes locally
-        graph = cluster.graph
-        payload = int(
-            sum(graph.edge_list_bytes(int(v)) for v in roots)
-        )
-        server = cluster.machines[source]
-        cluster.network.record_fetch(survivor_id, source, payload, server)
-        comm = cluster.network.batch_time(payload, 1)
-        comm += cluster.network.drain_retry_seconds()
+        network = cluster.network
+        waits, error = injector.fetch(network, survivor_id, [(source, 0, 1)])
+        if error is not None:
+            raise error
+        batch = [(source, 1, int(
+            cluster.graph.edge_list_bytes_all()[roots].sum()))]
+        network.record_fetch_batches(survivor_id, batch, cluster.machines)
+        comm = network.batch_times(batch)[0] + waits[0]
         cluster.machines[survivor_id].clock.network += comm
         scope.counter(names.TIME_NETWORK).inc(comm)
 
@@ -752,6 +742,19 @@ class _Shard:
     recovery: bool = False
     base_roots: int = 0
     base_matches: tuple[int, ...] = ()
+
+
+def _one_per_machine(shards: list[_Shard]) -> list[_Shard]:
+    """A round's shards, one walk a machine in machine order: the
+    shares one survivor takes from several lost machines are walked as
+    one, their roots end to end."""
+    merged: dict[int, _Shard] = {}
+    for shard in shards:
+        mine = merged.get(shard.machine_id)
+        merged[shard.machine_id] = shard if mine is None else _Shard(
+            shard.machine_id, np.concatenate([mine.roots, shard.roots]),
+            recovery=True)
+    return [merged[mid] for mid in sorted(merged)]
 
 
 def _group_cursor(resume: dict, members, machine: int):

@@ -323,10 +323,11 @@ class Partial:
             fetch_sources=_add_tallies(self.fetch_sources,
                                        other.fetch_sources),
             chunks=self.chunks + other.chunks,
-            failure=min(
-                failures,
-                key=lambda f: -1 if f.machine_id is None else f.machine_id,
-            ) if failures else None,
+            # the earliest abort, as the machine loop picks it
+            failure=min(failures, key=lambda f: (
+                f.simulated_seconds,
+                -1 if f.machine_id is None else f.machine_id,
+            )) if failures else None,
             faults=_add_tallies(self.faults, other.faults),
             recovery=_add_tallies(self.recovery, other.recovery),
             storage=self.storage or other.storage,

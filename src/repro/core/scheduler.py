@@ -48,7 +48,12 @@ from repro.core.extend import ScheduleExtender
 from repro.core.hds import HorizontalShareTable
 from repro.core.pipeline import pipeline_time
 from repro.core.plan import Terminal, TrieNode
-from repro.errors import MachineCrashError, SimTimeoutError
+from repro.errors import (
+    FetchFailedError,
+    MachineCrashError,
+    OutOfMemoryError,
+    SimTimeoutError,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import Checkpoint
 from repro.graph.graph import edge_list_bytes_of
@@ -67,6 +72,10 @@ _PENDING, _LOCAL, _SHARED = map(int, (
 
 #: UDF signature: (prefix vertices, completing candidates array).
 Udf = Callable[[tuple[int, ...], np.ndarray], None]
+
+#: what ends one machine's walk, and only that walk
+ABORTS = (OutOfMemoryError, SimTimeoutError, FetchFailedError,
+          MachineCrashError)
 
 
 #: prefix entries (rows × positions) a kernel call takes at most: its
@@ -286,6 +295,9 @@ class MachineScheduler:
         #: a static cache with less than this free has stopped changing
         self._least_offer = edge_list_bytes_of(cache.degree_threshold)
         self.checkpoints_taken = 0
+        #: ``(machine clock, error)`` when the walk aborted (one of
+        #: :data:`ABORTS`); None while it runs and once it has finished
+        self.abort: Optional[tuple[float, Exception]] = None
         #: match tally per group slot
         self.matches = [0] * trie.patterns
         self.chunks_created = 0
@@ -394,14 +406,21 @@ class MachineScheduler:
         machines"): the pending requests of one trie site are served
         together, the site earliest in preorder first — a kernel site's
         by one kernel call, a resolve site's by one
-        :meth:`_resolve_chunk`."""
+        :meth:`_resolve_chunk`. A walk that raises one of
+        :data:`ABORTS` (a fetch that exhausts its retries is thrown into
+        its walk) leaves the lockstep set with its scheduler's
+        ``abort`` set; the others run on to their own end."""
         ranks = _site_ranks(self.trie)
         pending: dict[int, tuple] = {}
 
-        def advance(walk, scheduler, result=None) -> None:
+        def advance(walk, scheduler, result=None, error=None) -> None:
             try:
-                site, payload = walk.send(result)
+                site, payload = (walk.send(result) if error is None
+                                 else walk.throw(error))
             except StopIteration:
+                return
+            except ABORTS as exc:
+                scheduler.abort = (scheduler.machine.clock.total(), exc)
                 return
             resolve = type(payload) is _LevelState
             pending.setdefault(
@@ -413,13 +432,14 @@ class MachineScheduler:
         while pending:
             site, resolve, served = pending.pop(min(pending))
             if resolve:
+                errors = []
                 for run in _runs(served, resolve=True):
                     (_, lead, state), *rest = run
-                    lead._resolve_chunk(state.chunk, state, [
+                    errors += lead._resolve_chunk(state.chunk, state, [
                         (scheduler, other.chunk, other)
                         for _, scheduler, other in rest])
-                for walk, scheduler, _ in served:
-                    advance(walk, scheduler)
+                for (walk, scheduler, _), error in zip(served, errors):
+                    advance(walk, scheduler, error=error)
                 continue
             for run in _runs(served):
                 chunks = [(scheduler.extender, chunk)
@@ -457,18 +477,14 @@ class MachineScheduler:
 
         roots = np.asarray(roots)
         consumed = 0
-        try:
-            while True:
-                root_chunk = self._fill_root_chunk(roots[consumed:])
-                if root_chunk is None:
-                    break
-                consumed += len(root_chunk)
-                yield from self._explore_from(root_chunk)
-                self._take_checkpoint(len(root_chunk))
-                self._check_budget()
-        except MachineCrashError:
-            self.machine.alive = False
-            raise
+        while True:
+            root_chunk = self._fill_root_chunk(roots[consumed:])
+            if root_chunk is None:
+                break
+            consumed += len(root_chunk)
+            yield from self._explore_from(root_chunk)
+            self._take_checkpoint(len(root_chunk))
+            self._check_budget()
 
     def _fill_root_chunk(self, roots: np.ndarray) -> Optional[Chunk]:
         """Level-0 chunk: single-vertex embeddings, all data local —
@@ -630,7 +646,7 @@ class MachineScheduler:
     # communication resolution (circulant scheduling, Section 4.3)
     # ------------------------------------------------------------------
     def _resolve_chunk(self, chunk: Chunk, state: _LevelState,
-                       peers: Sequence = ()) -> None:
+                       peers: Sequence = ()) -> list:
         """Settle where every row's active edge list comes from, for
         this chunk and ``peers``' — ``(scheduler, chunk, state)`` of
         other machines' chunks at the same trie node — as passes over
@@ -641,15 +657,18 @@ class MachineScheduler:
         costs the same calls whether its remote rows sit on one owner
         or on seven, and settles alike whatever chunks share its pass
         (docs/performance.md, "The per-chunk constant" and "Lockstep
-        machines")."""
+        machines"). Returns, per chunk, the :class:`FetchFailedError`
+        of a machine whose fetch exhausted its retries, else None."""
         parts = [(self, chunk, state), *peers]
+        width = len(parts)
+        failed = [None] * width
         #: each share table's probes and chain steps so far: the ones
         #: this pass adds are the bookkeeping it charges
         probed = [scheduler.hds.probes + scheduler.hds.chain_steps
                   for scheduler, _, _ in parts]
         #: after the last pass, part ``i``'s fetched rows are
         #: ``remote[cached[i]:cached[i + 1]]``
-        cached = [0] * (len(parts) + 1)
+        cached = [0] * (width + 1)
         if state.node.fetch:
             vertex = chunk.vertex
             hop = self._vertex_hop.take(vertex)
@@ -709,21 +728,19 @@ class MachineScheduler:
             #: pointer into the chunk, cached/admitted lists live in the
             #: cache pool
             stored = remote
-            arrived = [0] * len(parts)  # each part's fetched rows
-            try:
-                if left:
-                    stored = self._fetch(parts, source, hop, remote, wanted,
-                                         cached, arrived)
-            finally:  # a failed fetch still counts what settled before
-                for index, (scheduler, _, _) in enumerate(parts):
-                    remote_rows = cuts[index + 1] - cuts[index]
-                    unshared = shared[index + 1] - shared[index]
-                    scheduler._count_sources(
-                        bounds[index + 1] - bounds[index] - remote_rows,
-                        remote_rows - unshared,
-                        unshared - cached[index + 1] + cached[index],
-                        arrived[index],
-                    )
+            arrived = [0] * width  # each part's fetched rows
+            if left:
+                stored = self._fetch(parts, source, hop, remote, wanted,
+                                     cached, arrived, failed)
+            for index, (scheduler, _, _) in enumerate(parts):
+                remote_rows = cuts[index + 1] - cuts[index]
+                unshared = shared[index + 1] - shared[index]
+                scheduler._count_sources(
+                    bounds[index + 1] - bounds[index] - remote_rows,
+                    remote_rows - unshared,
+                    unshared - cached[index + 1] + cached[index],
+                    arrived[index],
+                )
             returned = self._edge_bytes[vertex]
             returned[stored] = 0
             for (_, part, _), start, stop in zip(parts, bounds, bounds[1:]):
@@ -741,6 +758,7 @@ class MachineScheduler:
             scheduler.machine.clock.cache += cache_wall
             scheduler._m_t_cache.inc(cache_wall)
             settled.cache_seconds += cache_wall
+        return failed
 
     def _fetch(
         self,
@@ -751,6 +769,7 @@ class MachineScheduler:
         wanted: np.ndarray,
         cuts: list,
         arrived: list,
+        failed: list,
     ) -> np.ndarray:
         """Fetch rows ``remote`` of the parts' column (their vertices
         ``wanted``, every row's ``source`` and circulant ``hop``; part
@@ -762,16 +781,16 @@ class MachineScheduler:
 
         The batches are ``(peer, start, stop)`` cuts of the rows sorted
         by (part, hop) (:func:`_circulant`), their payloads one integer
-        ``reduceat``. The one owner loop a machine makes does what can
-        fail or must interleave — an injector's fetch-by-fetch walk and
-        its retry backoff, on a run that walks one machine at a time;
-        without one it makes no call. Then the network is told of every
-        machine's batches once (``record_fetch_batches``,
-        ``batch_times``) and each machine's wire times are priced on
-        Python floats in its batch order — ``(wire + retry) * slow``,
-        the expression a batch-at-a-time walk evaluates, so no
-        simulated float can round differently. Rows are sliced only for
-        who reads them: the injector's walk."""
+        ``reduceat``. Under a fault plan each machine's rows draw their
+        failed attempts as one vector from its own stream
+        (:meth:`FaultInjector.fetch`); a machine whose fetch exhausts
+        its retries keeps the batches before it and gets the error in
+        ``failed[i]``, and every other machine settles as if it were
+        alone. Then the network is told of every settled batch once
+        (``record_fetch_batches``, ``batch_times``) and each machine's
+        wire times are priced on Python floats in its batch order —
+        ``(wire + retry) * slow``, the expression a batch-at-a-time walk
+        evaluates, so no simulated float can round differently."""
         cluster = self.cluster
         network = cluster.network
         num_machines = cluster.num_machines
@@ -788,19 +807,12 @@ class MachineScheduler:
         order, batches = _circulant(keys, machines, num_machines)
         remote, wanted = remote[order], wanted[order]
         sizes = self._edge_bytes[wanted]
-        payloads = np.add.reduceat(sizes, [
-            start for owned in batches for _, start, _ in owned]).tolist()
+        payloads = iter(np.add.reduceat(sizes, [
+            start for owned in batches for _, start, _ in owned]).tolist())
         degrees = self._vertex_degrees[wanted]
-        injected = network.injector is not None
+        source[remote] = EdgeListSource.REMOTE
         admitted = None
-        if injected:
-            # injected failures interleave retry state with each fetch's
-            # bookkeeping, and one that exhausts its retries ends the
-            # batch midway: fetch and offer one at a time
-            assert len(parts) == 1, "a fault plan walks one machine"
-            admitted = np.zeros(len(remote), dtype=bool)
-        payloads = iter(payloads)  # each machine takes its batches'
-        told = []  # (part, its batches, their retry seconds)
+        told = []  # (part, its settled batches, their retry seconds)
         # every machine's batches end to end, and who asked for each
         flat, askers = [], []
         for index, (part, start, stop, owned) in enumerate(
@@ -809,8 +821,16 @@ class MachineScheduler:
                 continue
             scheduler = part[0]
             me = scheduler.machine.machine_id
-            if not injected and not scheduler.cache.saturated(
-                    scheduler._least_offer):
+            retries = [0.0] * len(owned)
+            if self.faults is not None:
+                retries, failed[index] = self.faults.fetch(network, me, owned)
+                if failed[index] is not None:
+                    # the rows past the last settled batch never arrive
+                    settled = owned[len(retries) - 1][2] if retries else start
+                    source[remote[settled:stop]] = _PENDING
+                    stop = settled
+            arrived[index] = stop - start
+            if not scheduler.cache.saturated(scheduler._least_offer):
                 # admission is in offer order and the batches lie end
                 # to end in circulant order: one offer for the machine
                 if admitted is None:
@@ -818,48 +838,17 @@ class MachineScheduler:
                 admitted[start:stop] = scheduler.cache.admit_many(
                     wanted[start:stop], sizes[start:stop],
                     degrees[start:stop])
-            retries = [0.0] * len(owned)
-            done = 0
-            try:
-                for peer, first, last in owned:
-                    if injected:
-                        server = cluster.machine(peer)
-                        for row, v, size, degree in zip(
-                            range(first, last),
-                            wanted[first:last].tolist(),
-                            sizes[first:last].tolist(),
-                            degrees[first:last].tolist(),
-                        ):
-                            network.record_fetch(me, peer, size, server)
-                            admitted[row] = scheduler.cache.admit(
-                                v, size, degree)
-                        # transient failures: their backoff waits
-                        # extend this batch's wire time
-                        retries[done] = network.drain_retry_seconds()
-                    done += 1
-            finally:
-                # a fetch that exhausted its retries leaves behind what
-                # the batches before it did
-                arrived[index] = (
-                    owned[done - 1][2] if done else start) - start
-                if injected:
-                    source[remote[start:start + arrived[index]]] = (
-                        EdgeListSource.REMOTE)
-                owned = [
-                    (peer, last - first, payload)
-                    for (peer, first, last), payload
-                    in zip(owned[:done], payloads)
-                ]
-                told.append((part, owned, retries))
-                flat += owned
-                askers += [me] * len(owned)
-                if injected:  # the one machine's batches, even if failed
-                    seconds = network.batch_times(owned)
-        if not injected:  # every row arrived, and the network is told once
-            source[remote] = EdgeListSource.REMOTE
-            network.record_fetch_batches(askers, flat, cluster.machines)
-            seconds = network.batch_times(flat)
-        seconds = iter(seconds)
+            owned = [
+                (peer, last - first, payload)
+                for (peer, first, last), payload in zip(owned, payloads)
+            ]
+            if failed[index] is not None:
+                owned = owned[:len(retries)]
+            told.append((part, owned, retries))
+            flat += owned
+            askers += [me] * len(owned)
+        network.record_fetch_batches(askers, flat, cluster.machines)
+        seconds = iter(network.batch_times(flat))
         for (scheduler, chunk, state), owned, retries in told:
             # a straggler's slow link stretches the wire time
             slow = scheduler._slow_factor

@@ -53,8 +53,8 @@ class SimTimeoutError(ReproError):
         self.simulated_seconds = simulated_seconds
         self.budget_seconds = budget_seconds
         super().__init__(
-            f"simulated runtime {simulated_seconds:.1f}s exceeded "
-            f"budget {budget_seconds:.1f}s"
+            f"simulated runtime {simulated_seconds:.3g}s exceeded "
+            f"budget {budget_seconds:.3g}s"
         )
 
 

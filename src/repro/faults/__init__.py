@@ -5,10 +5,10 @@ the cost model exercises its timing: everything is seeded and
 simulated, so a fault run is exactly as reproducible as a fault-free
 one. A :class:`FaultPlan` (parsed from the CLI's ``--faults`` spec or
 built directly) describes *what* goes wrong; a :class:`FaultInjector`
-decides *when*, at the two seams where the engine touches shared
-state — ``NetworkModel.record_fetch`` (transient fetch failures,
-retried with exponential backoff) and the ``MachineScheduler`` chunk
-loop (machine crashes, straggler slowdown).
+decides *when*, at the ``MachineScheduler``'s two seams — its resolve
+(transient fetch failures, drawn per machine and retried with
+exponential backoff) and its chunk loop (machine crashes, straggler
+slowdown).
 
 Recovery is chunk-granular: the scheduler checkpoints its enumeration
 cursor at every completed root chunk, so when a machine dies the

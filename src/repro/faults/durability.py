@@ -35,9 +35,10 @@ On-disk layout under ``--checkpoint-dir``:
 
 ``aggregates.json``
     Partial aggregates snapshot, rewritten atomically at every flush:
-    per-pattern counts derived from the progress map, the pickled
-    mergeable UDF state (inline backend only), and a metrics dump when
-    observability is enabled.
+    per-pattern counts derived from the progress map, per machine the
+    pickled state of the mergeable UDF copy it drains into together
+    with the cursors that state covers (inline backend only), and a
+    metrics dump when observability is enabled.
 
 Cadence: ``--checkpoint-every N`` makes every N-th completed root
 chunk durable (log append + fsync + snapshot rewrite). Records between
@@ -67,8 +68,10 @@ from repro.obs import names
 #: mismatches reject the resume. 3: the engine's EXTEND-mode field left
 #: the fingerprint (one chunk loop, docs/performance.md). 4: a census
 #: runs as pattern groups, so its root chunks — and the cursors logged
-#: at them — are the group's, not the pattern's.
-FORMAT_VERSION = 4
+#: at them — are the group's, not the pattern's. 5: machines walk in
+#: lockstep, so the snapshot keeps one UDF state per machine, each
+#: with the cursors it covers.
+FORMAT_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "chunks.log"
@@ -218,11 +221,12 @@ class CheckpointSession:
     end of the run (:class:`DurableRun` does it on every exit) writes
     whatever is still buffered.
 
-    ``snapshot_extra`` may be set to a zero-argument callable returning
-    ``{"udf": bytes | None, "metrics": dict | None}``; it is invoked at
-    each flush so the aggregates snapshot stays consistent with the
-    progress map (the inline engine is single-threaded, so UDF state at
-    a root-chunk boundary is exactly the completed work).
+    ``record`` may carry the pickled state of the UDF copy the machine
+    drains into, taken at that root chunk: the snapshot keeps, per
+    machine, the last such state with the cursors it covers, so UDF
+    bytes and skipped work always describe the same prefix.
+    ``snapshot_metrics`` may be set to a zero-argument callable
+    returning the metrics dump (or None) each flush writes.
     """
 
     def __init__(self, directory: str, manifest: dict, num_patterns: int,
@@ -236,12 +240,11 @@ class CheckpointSession:
         self.progress: dict[tuple[int, int], tuple[int, int]] = {}
         #: every logged cursor per (pattern, machine): roots -> matches
         self.history: dict[tuple[int, int], dict[int, int]] = {}
-        #: the progress map as of the last durable snapshot — the state
-        #: a UDF resume must cap at (UDF bytes and skipped work must
-        #: describe exactly the same prefix)
-        self.snapshot_progress: dict[tuple[int, int], tuple[int, int]] = {}
-        self.snapshot_udf: Optional[bytes] = None
-        self.snapshot_extra: Optional[Callable[[], dict]] = None
+        #: per machine, its UDF copy's last recorded state and the
+        #: ``{pattern: (roots, matches)}`` cursors that state covers —
+        #: loaded from the snapshot on resume, where a UDF run restarts
+        self.udf_states: dict[int, tuple[dict, bytes]] = {}
+        self.snapshot_metrics: Optional[Callable[[], Optional[dict]]] = None
         self.records_written = 0
         self.records_resumed = 0
         self.flushes = 0
@@ -323,14 +326,12 @@ class CheckpointSession:
                 snapshot = json.load(handle)
         except (OSError, ValueError):
             return  # killed before the first snapshot: log-only resume
-        for key, value in snapshot.get("progress", {}).items():
-            pattern_s, machine_s = key.split(":")
-            self.snapshot_progress[(int(pattern_s), int(machine_s))] = (
-                int(value[0]), int(value[1])
+        for machine, entry in (snapshot.get("udf") or {}).items():
+            self.udf_states[int(machine)] = (
+                {int(pattern): tuple(cursor)
+                 for pattern, cursor in entry["cursors"].items()},
+                base64.b64decode(entry["state"]),
             )
-        udf_b64 = snapshot.get("udf")
-        if udf_b64 is not None:
-            self.snapshot_udf = base64.b64decode(udf_b64)
 
     # -- recording -----------------------------------------------------
     def _advance(self, pattern: int, machine: int, roots: int,
@@ -342,12 +343,19 @@ class CheckpointSession:
             self.progress[key] = (roots, matches)
 
     def record(self, machine: int, roots_completed: int,
-               matches: dict[int, int]) -> None:
+               matches: dict[int, int],
+               udf_state: Optional[bytes] = None) -> None:
         """One completed root chunk: the absolute cursor and the match
-        total of each pattern in ``matches``; flushes on cadence."""
+        total of each pattern in ``matches``, and the pickled state of
+        the machine's UDF copy there; flushes on cadence."""
         for pattern, found in matches.items():
             self._advance(pattern, machine, roots_completed, found)
             self._buffer.append((pattern, machine, roots_completed, found))
+        if udf_state is not None:
+            cursors = dict(self.udf_states.get(machine, ({}, b""))[0])
+            cursors.update((pattern, (roots_completed, found))
+                           for pattern, found in matches.items())
+            self.udf_states[machine] = (cursors, udf_state)
         self._since_flush += 1
         if self._since_flush >= self.every:
             self.flush()
@@ -370,8 +378,6 @@ class CheckpointSession:
             os.kill(os.getpid(), signal.SIGKILL)
 
     def _write_snapshot(self) -> None:
-        extra = self.snapshot_extra() if self.snapshot_extra else {}
-        udf_bytes = extra.get("udf")
         snapshot = {
             "format": FORMAT_VERSION,
             "progress": {
@@ -380,12 +386,19 @@ class CheckpointSession:
                 in sorted(self.progress.items())
             },
             "counts": self.counts(),
-            "udf": (base64.b64encode(udf_bytes).decode("ascii")
-                    if udf_bytes is not None else None),
-            "metrics": extra.get("metrics"),
+            "udf": {
+                str(machine): {
+                    "cursors": {str(pattern): list(cursor)
+                                for pattern, cursor in cursors.items()},
+                    "state": base64.b64encode(state).decode("ascii"),
+                }
+                for machine, (cursors, state)
+                in sorted(self.udf_states.items())
+            } or None,
+            "metrics": (self.snapshot_metrics()
+                        if self.snapshot_metrics else None),
         }
         _write_atomic(self._path(SNAPSHOT_NAME), json.dumps(snapshot))
-        self.snapshot_progress = dict(self.progress)
 
     def counts(self) -> list[int]:
         """Per-pattern match totals implied by the progress map."""
@@ -422,9 +435,14 @@ class DurableRun:
     branch on it.
 
     ``udf`` is the mergeable UDF whose state rides in the aggregates
-    snapshot: restored into it on resume, pickled at every flush (the
-    inline loop is single-threaded, so its state at a root-chunk
-    boundary is exactly the completed work).
+    snapshot. The machines walk in lockstep, so one UDF's state at a
+    machine's root-chunk boundary would also hold its peers' unfinished
+    chunks, which a resume would then apply twice. So each machine
+    drains into a copy of its own (``udfs``, made from ``udf`` as the
+    run received it, as a process-backend worker's is), pickled with
+    every cursor it logs; a resume restarts each copy from its
+    machine's snapshot state and cursors, and :meth:`fold` merges the
+    copies into ``udf`` once the machine loop is done.
     """
 
     def __init__(self, plan, graph, obs, udf=None):
@@ -433,6 +451,7 @@ class DurableRun:
         self.session: Optional[CheckpointSession] = None
         self.sink = None
         self.resume: Optional[dict] = None
+        self.udfs: Optional[dict] = None
         if config.checkpoint_dir is None:
             return
         session = self.session = CheckpointSession(
@@ -441,23 +460,39 @@ class DurableRun:
             every=config.checkpoint_every, resume=config.resume,
         )
         self.sink = session.record
+        states = session.udf_states
+        if udf is not None:
+            blank = pickle.dumps(udf)
+            self.udfs = {
+                machine: pickle.loads(
+                    states[machine][1] if machine in states else blank)
+                for machine in range(plan.cluster_config.num_machines)
+            }
+            self.sink = self._record
         if config.resume:
-            if udf is not None and session.snapshot_udf is not None:
-                udf.merge(pickle.loads(session.snapshot_udf))
             # Count-only runs trust the full log (counts are additive,
-            # every intact record is usable). A UDF resume is capped at
-            # the last snapshot: the restored UDF bytes describe exactly
-            # the snapshot's progress, so skipping any further chunk
-            # would drop its UDF calls (a UDF job's groups are single
-            # patterns, so its snapshot cursors always agree).
+            # every intact record is usable). A UDF run resumes each
+            # machine from the cursors its restored state covers, so
+            # no chunk's UDF calls are dropped or applied twice (a UDF
+            # job's groups are single patterns, so they always agree).
             self.resume = (
                 _group_resume(plan.groups, session.history) if udf is None
-                else dict(session.snapshot_progress)
+                else {(pattern, machine): cursor
+                      for machine, (cursors, _) in states.items()
+                      for pattern, cursor in cursors.items()}
             )
-        session.snapshot_extra = lambda: {
-            "udf": pickle.dumps(udf) if udf is not None else None,
-            "metrics": obs.registry.dump() if obs.enabled else None,
-        }
+        if obs.enabled:
+            session.snapshot_metrics = obs.registry.dump
+
+    def _record(self, machine: int, roots: int,
+                matches: dict[int, int]) -> None:
+        self.session.record(machine, roots, matches,
+                            pickle.dumps(self.udfs[machine]))
+
+    def fold(self, udf) -> None:
+        """Merge every machine's UDF copy into ``udf``."""
+        for machine in sorted(self.udfs or ()):
+            udf.merge(self.udfs[machine])
 
     def __enter__(self) -> "DurableRun":
         return self

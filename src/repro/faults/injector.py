@@ -1,24 +1,28 @@
 """The fault injector: interprets a plan at the engine's seams.
 
-One injector serves one engine run. It is attached to the network
-model (flaky fetches) and passed to every scheduler the engine builds
-(crash triggers, straggler factors). All randomness comes from one
-``random.Random(plan.seed)`` consumed in fetch order — the simulation
-is sequential and deterministic, so the same plan against the same
-run yields byte-identical fault sequences.
+One injector serves one engine run and is passed to every scheduler
+the engine builds: crash triggers fire at chunk creation, straggler
+factors stretch a machine's compute and link time, and flaky fetches
+are drawn for a machine's fetched rows as one vector per resolve.
+Each machine draws from a stream of its own,
+``np.random.default_rng((plan.seed, machine))``, in its own circulant
+fetch order, so what a machine suffers depends on nothing the other
+machines do — not on which of them walk beside it — and the same plan
+against the same run yields byte-identical fault sequences.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from typing import Optional
+
+import numpy as np
 
 from repro.errors import FetchFailedError, MachineCrashError
 from repro.faults.plan import FaultPlan
 from repro.obs import names
 from repro.obs.metrics import MetricsScope, scope_or_null
-
-import random
 
 
 class FaultInjector:
@@ -28,7 +32,16 @@ class FaultInjector:
         self, plan: FaultPlan, metrics: Optional[MetricsScope] = None
     ):
         self.plan = plan
-        self._rng = random.Random(plan.seed)
+        #: each machine's flaky-fetch stream, made on its first draw
+        self._streams: dict[int, np.random.Generator] = {}
+        #: backoff seconds of a fetch that failed ``k`` times, for ``k``
+        #: up to ``max_retries``: the i-th retry waits
+        #: ``backoff_base * backoff_factor**(i-1)``
+        backoff = [0.0]
+        for failures in range(1, plan.max_retries + 1):
+            backoff.append(backoff[-1] + plan.backoff_base
+                           * plan.backoff_factor ** (failures - 1))
+        self._backoff = np.array(backoff)
         #: chunk creations per machine (crash-trigger clock)
         self._chunk_counts: dict[int, int] = defaultdict(int)
         self._fired: set[int] = set()
@@ -61,34 +74,58 @@ class FaultInjector:
                 raise MachineCrashError(machine_id, crash.describe())
 
     # ------------------------------------------------------------------
-    # transient fetch failures (network seam)
+    # transient fetch failures (resolve seam)
     # ------------------------------------------------------------------
-    def fetch_failures_for(
-        self, requester: int, owner: int
-    ) -> tuple[int, float]:
-        """Decide how often one fetch fails before succeeding.
+    def fetch(self, network, machine: int,
+              batches: list) -> tuple[list[float],
+                                       Optional[FetchFailedError]]:
+        """Draw how often each of ``machine``'s fetches fails before it
+        succeeds. ``batches`` are its ``(owner, first, last)`` runs of
+        rows in circulant order, end to end; the draws are one
+        geometric vector over those rows, capped at ``max_retries`` + 1
+        — a fetch that exhausts its retries.
 
-        Returns ``(failures, backoff_seconds)``; raises
-        :class:`FetchFailedError` once the retry budget is exhausted.
-        Each failed attempt waits ``backoff_base * factor**i`` simulated
-        seconds before the next try (exponential backoff).
+        Batches settle in order up to the one holding the first such
+        fetch. Each settled batch's failed attempts re-send their
+        request headers (``network.record_retries``), and their
+        backoff waits stretch its wire time. Returns those waits, one
+        per settled batch, and the :class:`FetchFailedError` that
+        stopped the rest (None when every batch settled).
         """
         p = self.plan.flaky_p
         if p <= 0.0:
-            return 0, 0.0
-        failures = 0
-        backoff = 0.0
-        while self._rng.random() < p:
-            failures += 1
-            self.fetch_failures += 1
-            self._m_fetch_failures.inc()
-            if failures > self.plan.max_retries:
-                raise FetchFailedError(requester, owner, failures)
-            backoff += (
-                self.plan.backoff_base
-                * self.plan.backoff_factor ** (failures - 1)
-            )
-        return failures, backoff
+            return [0.0] * len(batches), None
+        base = batches[0][1]
+        rows = batches[-1][2] - base
+        cap = self.plan.max_retries + 1
+        if p >= 1.0:
+            failures = np.full(rows, cap)
+        else:
+            stream = self._streams.get(machine)
+            if stream is None:
+                stream = self._streams[machine] = np.random.default_rng(
+                    (self.plan.seed, machine))
+            failures = np.minimum(stream.geometric(1.0 - p, rows) - 1, cap)
+        exhausted = (failures == cap).nonzero()[0]
+        stop = int(exhausted[0]) if len(exhausted) else rows
+        ends = [last - base for _, _, last in batches]
+        done = bisect_right(ends, stop)  # the batches that settle
+        counts, waits = [], []
+        if done:
+            settled = failures[:ends[done - 1]]
+            starts = [first - base for _, first, _ in batches[:done]]
+            counts = np.add.reduceat(settled, starts).tolist()
+            waits = np.add.reduceat(self._backoff[settled], starts).tolist()
+        for (owner, _, _), count, wait in zip(batches, counts, waits):
+            if count:
+                network.record_retries(machine, owner, count, wait)
+        error = None
+        if done < len(batches):
+            error = FetchFailedError(machine, batches[done][0], cap)
+        total = sum(counts) + (cap if error is not None else 0)
+        self.fetch_failures += total
+        self._m_fetch_failures.inc(total)
+        return waits, error
 
     # ------------------------------------------------------------------
     # straggler degradation (scheduler timing seam)

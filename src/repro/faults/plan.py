@@ -85,6 +85,8 @@ class FaultPlan:
             raise ConfigurationError("flaky probability must be in [0, 1]")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
+        if self.seed < 0:  # it seeds one numpy stream per machine
+            raise ConfigurationError("fault seed must be >= 0")
         if self.backoff_base < 0.0 or self.backoff_factor < 1.0:
             raise ConfigurationError("backoff must be non-negative/growing")
 

@@ -460,11 +460,28 @@ def _network(obs):
                      for m in range(8)]
 
 
+def record_fetch(network, requester, owner, payload_bytes, server):
+    """One edge-list fetch, told to ``network`` on its own: the
+    reference every batched fold must equal. The request header
+    travels requester -> owner and the payload comes back, both into
+    the traffic matrix; the owner's served tallies and the ``net.*``
+    counters grow by one request."""
+    header = network.cost.request_header_bytes
+    network.traffic_bytes[requester, owner] += header
+    network.traffic_bytes[owner, requester] += payload_bytes
+    network.request_counts[requester, owner] += 1
+    network._m_requests.inc()
+    network._m_payload.inc(payload_bytes)
+    network._m_wire.inc(header + payload_bytes)
+    server.served_bytes += payload_bytes
+    server.served_requests += 1
+
+
 @_batch_lists
 def test_chunk_folds_equal_a_batch_at_a_time(batches):
     """``record_fetch_batches`` / ``batch_times`` over one chunk's owner
     batches against their one-batch forms called in order, and those
-    against ``record_fetch`` one list at a time: the same matrices,
+    against :func:`record_fetch` one list at a time: the same matrices,
     ``served_*``, batch tally, every ``net.*`` counter and histogram —
     and the same wire seconds, to the bit."""
     folded, by_batch, by_fetch = (Observability() for _ in range(3))
@@ -477,11 +494,11 @@ def test_chunk_folds_equal_a_batch_at_a_time(batches):
     each, each_machines = _network(by_fetch)
     expected = []
     for owner, sizes in batches:
-        one.record_fetch_batch(0, owner, len(sizes), sum(sizes),
-                               one_machines[owner])
+        one.record_fetch_batches(0, [(owner, len(sizes), sum(sizes))],
+                                 one_machines)
         expected.append(one.batch_time(sum(sizes), len(sizes)))
         for size in sizes:
-            each.record_fetch(0, owner, size, each_machines[owner])
+            record_fetch(each, 0, owner, size, each_machines[owner])
         each.batch_time(sum(sizes), len(sizes))
     assert seconds == expected
     for other, other_machines, obs in ((one, one_machines, by_batch),

@@ -95,11 +95,16 @@ def test_machine_oom():
 # ----------------------------------------------------------------------
 # network model
 # ----------------------------------------------------------------------
+def _servers(count):
+    return [MachineState(m, cores=8, memory_bytes=1 << 20)
+            for m in range(count)]
+
+
 def test_network_traffic_matrix():
     cost = CostModel()
     net = NetworkModel(3, cost)
-    wire = net.record_fetch(0, 1, 100)
-    assert wire == 100 + cost.request_header_bytes
+    net.record_fetch_batches(0, [(1, 1, 100)], _servers(3))
+    wire = 100 + cost.request_header_bytes
     assert net.traffic_bytes[0, 1] == cost.request_header_bytes
     assert net.traffic_bytes[1, 0] == 100
     assert net.total_requests() == 1
@@ -109,8 +114,9 @@ def test_network_traffic_matrix():
 def test_network_serve_accounting():
     cost = CostModel()
     net = NetworkModel(2, cost)
-    server = MachineState(1, cores=8, memory_bytes=1 << 20)
-    net.record_fetch(0, 1, 500, server)
+    servers = _servers(2)
+    net.record_fetch_batches(0, [(1, 1, 500)], servers)
+    server = servers[1]
     assert server.served_bytes == 500
     assert server.served_requests == 1
 
@@ -131,7 +137,7 @@ def test_batch_time_latency_plus_wire():
 def test_utilization_bounds():
     cost = CostModel()
     net = NetworkModel(2, cost)
-    net.record_fetch(0, 1, 10_000)
+    net.record_fetch_batches(0, [(1, 1, 10_000)], _servers(2))
     util = net.utilization(1.0)
     assert 0.0 < util < 1.0
     assert net.utilization(0.0) == 0.0
@@ -165,7 +171,7 @@ def test_cluster_reset_clocks():
     graph = erdos_renyi(50, 100, seed=0)
     cluster = Cluster(graph, ClusterConfig(num_machines=2))
     cluster.machines[0].clock.compute = 1.0
-    cluster.network.record_fetch(0, 1, 10)
+    cluster.network.record_fetch_batches(0, [(1, 1, 10)], cluster.machines)
     cluster.reset_clocks()
     assert cluster.runtime() == 0.0
     assert cluster.network.total_bytes() == 0

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from repro.cluster import ClusterConfig
-from repro.core import EngineConfig
+from repro.cluster import Cluster, ClusterConfig
+from repro.core import EngineConfig, KhuzdulEngine
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.faults.durability import (
@@ -26,7 +29,9 @@ from repro.faults.durability import (
     run_manifest,
 )
 from repro.graph import dataset
+from repro.graph.generators import erdos_renyi
 from repro.patterns import catalog
+from repro.patterns.schedule import automine_schedule
 from repro.systems import KAutomine
 
 pytestmark = pytest.mark.faults
@@ -170,14 +175,14 @@ def test_resume_refuses_format_mismatch(tmp_path, saved_format,
     CheckpointSession(directory, manifest, num_patterns=1)
     path = tmp_path / "manifest.json"
     saved = json.loads(path.read_text())
-    assert saved["format"] == 4
+    assert saved["format"] == 5
     saved["format"] = saved_format
     saved["engine"].update(engine_extra)
     path.write_text(json.dumps(saved))
     with pytest.raises(
         ConfigurationError,
         match=f"checkpoint format {saved_format} does not match "
-              f"this build's format 4",
+              f"this build's format 5",
     ):
         CheckpointSession(directory, manifest, num_patterns=1,
                           resume=True)
@@ -271,6 +276,63 @@ def test_inline_resume_with_udf_state(tmp_path):
     resumed, _ = second.mni_supports(patterns)
     # the UDF state came back from the snapshot, not from re-running
     assert resumed == expected
+
+
+class CountingUdf:
+    """A mergeable UDF whose merge is not idempotent: it counts the
+    rows and the matches that reach it, so a chunk applied twice, or
+    skipped, shows in its totals."""
+
+    def __init__(self):
+        self.rows = 0
+        self.matches = 0
+
+    def __call__(self, prefix, candidates) -> None:
+        self.rows += 1
+        self.matches += len(candidates)
+
+    def merge(self, other: "CountingUdf") -> "CountingUdf":
+        self.rows += other.rows
+        self.matches += other.matches
+        return self
+
+
+def counting_run(directory=None, resume=False):
+    """Triangles listed into a :class:`CountingUdf` on four machines in
+    lockstep, three root chunks each: ``(rows, matches, report)``."""
+    graph = erdos_renyi(480, 2400, seed=5)
+    engine = KhuzdulEngine(
+        Cluster(graph, ClusterConfig(num_machines=4)),
+        EngineConfig(chunk_bytes=1024, checkpoint_dir=directory,
+                     resume=resume))
+    udf = CountingUdf()
+    report = engine.run(automine_schedule(catalog.clique(3)), udf)
+    return udf.rows, udf.matches, report
+
+
+@pytest.mark.parametrize("kill_after", [2, 5])
+def test_counting_udf_killed_after_a_flush_resumes_exactly(tmp_path,
+                                                           kill_after):
+    """A run SIGKILLed right after its n-th durable flush and resumed
+    hands its UDF every match exactly once. In lockstep a flush comes
+    while other machines are inside a root chunk, so each machine's
+    UDF state is snapshotted with its own cursor, not the peers'."""
+    rows, matches, clean = counting_run()
+    killed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tests.test_durability import counting_run; "
+         "counting_run(sys.argv[1])", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": "src" + os.pathsep + ".",
+             "REPRO_CHAOS": f"parent-kill:{kill_after}"},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True, timeout=240,
+    )
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    resumed_rows, resumed_matches, resumed = counting_run(
+        str(tmp_path), resume=True)
+    assert resumed.extra["checkpoint"]["resumed_roots"] > 0
+    assert resumed.counts == clean.counts == matches
+    assert (resumed_rows, resumed_matches) == (rows, matches)
 
 
 def test_process_backend_resume_counts_identical(tmp_path):

@@ -43,7 +43,16 @@ def test_timeout_attributes_and_message():
     exc = SimTimeoutError(120.5, 60.0)
     assert exc.simulated_seconds == 120.5
     assert exc.budget_seconds == 60.0
-    assert "120.5" in str(exc)
+    # three significant digits, as the engine's own TIMEOUT message
+    assert str(exc) == "simulated runtime 120s exceeded budget 60s"
+
+
+def test_timeout_message_shows_sub_second_budgets():
+    """Every budget a simulated run meets is a fraction of a second; one
+    decimal place printed them all as 0.0s."""
+    exc = SimTimeoutError(5.0062e-4, 5e-4)
+    assert str(exc) == (
+        "simulated runtime 0.000501s exceeded budget 0.0005s")
 
 
 def test_timeout_alias_is_gone():

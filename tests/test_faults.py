@@ -10,11 +10,13 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.cluster.costmodel import CostModel
+from repro.cluster.network import NetworkModel
 from repro.core.cache import CachePolicy, EdgeCache
 from repro.errors import ConfigurationError
 from repro.faults import (
     Checkpoint,
     CrashFault,
+    FaultInjector,
     FaultPlan,
     Outcome,
     StragglerFault,
@@ -62,6 +64,7 @@ def test_parse_empty_spec_is_empty_plan():
         "flaky:p=1.5",            # out of range
         "slow:m1@x=0.5",          # speedup, not a straggler
         "explode:m1",             # unknown clause
+        "flaky:p=0.1;seed:-1",    # seeds a numpy stream per machine
     ],
 )
 def test_parse_rejects_bad_clause(bad):
@@ -87,6 +90,73 @@ def test_split_roots_partitions_without_loss():
     # deterministic: ascending machine order, round-robin shares
     assert [m for m, _ in pieces] == [0, 2, 3]
     assert split_roots(np.array([], dtype=int), [0, 1]) == []
+
+
+# ======================================================================
+# flaky fetches: one vector draw per machine and resolve
+# ======================================================================
+def _flaky(seed, machine, batches, **plan):
+    injector = FaultInjector(FaultPlan(seed=seed, **plan))
+    network = NetworkModel(4, CostModel())
+    waits, error = injector.fetch(network, machine, batches)
+    return waits, error, injector, network
+
+
+def test_flaky_fetch_equals_its_fetch_at_a_time_reference():
+    """Row ``i`` of machine ``m`` fails ``k_i`` times, ``k_i`` drawn in
+    order from ``m``'s own geometric stream; a batch settles when no
+    row in it or before it exhausts the retries, and waits the backoff
+    of each of its rows' failed attempts, one retry after another."""
+    batches = [(1, 0, 7), (2, 7, 20), (3, 20, 21), (0, 21, 30)]
+    stopped = 0
+    for seed in range(40):
+        waits, error, injector, network = _flaky(
+            seed, 2, batches, flaky_p=0.4, max_retries=3)
+        draws = np.random.default_rng((seed, 2)).geometric(0.6, 30) - 1
+        expected, retries = [], 0
+        for owner, first, last in batches:
+            if (draws[first:last] > 3).any():
+                assert (error.requester, error.owner, error.attempts) == (
+                    2, owner, 4)
+                stopped += 1
+                break
+            wait = 0.0
+            for failures in draws[first:last].tolist():
+                for attempt in range(failures):
+                    wait += 1e-4 * 2.0 ** attempt
+            expected.append(wait)
+            retries += int(draws[first:last].sum())
+            header = CostModel().request_header_bytes
+            assert network.traffic_bytes[2, owner] == header * int(
+                draws[first:last].sum())
+        else:
+            assert error is None
+        assert waits == pytest.approx(expected, rel=1e-12)
+        assert network.retries == retries
+        assert injector.fetch_failures == retries + (4 if error else 0)
+    assert 0 < stopped < 40  # both endings were drawn
+
+
+def test_flaky_draws_depend_on_the_machine_alone():
+    """What other machines drew first changes nothing for machine 0."""
+    batches = [(1, 0, 40), (2, 40, 90), (3, 90, 100)]
+    alone = _flaky(3, 0, batches, flaky_p=0.3)
+    injector, network = FaultInjector(FaultPlan(seed=3, flaky_p=0.3)), \
+        NetworkModel(4, CostModel())
+    for machine in (1, 2, 1):
+        injector.fetch(network, machine, batches)
+    waits, error = injector.fetch(network, 0, batches)
+    assert waits == alone[0] and repr(error) == repr(alone[1])
+    assert network.traffic_bytes[0].tolist() == (
+        alone[3].traffic_bytes[0].tolist())
+
+
+def test_certain_failure_settles_nothing():
+    waits, error, injector, network = _flaky(
+        0, 1, [(2, 0, 5), (3, 5, 9)], flaky_p=1.0, max_retries=2)
+    assert waits == [] and network.total_bytes() == 0
+    assert (error.owner, error.attempts) == (2, 3)
+    assert injector.fetch_failures == 3
 
 
 # ======================================================================

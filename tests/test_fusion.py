@@ -259,6 +259,6 @@ def test_unfused_format_3_checkpoint_is_refused_by_name(tmp_path):
     manifest.write_text(json.dumps(saved))
     with pytest.raises(ConfigurationError,
                        match="checkpoint format 3 does not match this "
-                             "build's format 4"):
+                             "build's format 5"):
         _census(graph, patterns, "iep", checkpoint_dir=str(tmp_path),
                 resume=True)

@@ -1,17 +1,17 @@
 """Lockstep machines (docs/performance.md, "Lockstep machines").
 
-The hosted machines of a pattern group walk the group's trie together,
-and the requests one trie node makes on several machines are served by
-one kernel call. Nothing a report says may depend on that:
+Every run walks its hosted machines together, and the requests one trie
+node makes on several machines are served by one kernel call. Nothing a
+report says may depend on that:
 
-- the abort golden (tests/data/abort_golden.json) holds the whole
-  report of one OUTOFMEM run and one TIMEOUT run, recorded while every
-  machine still ran alone. An OUTOFMEM lockstep attempt is discarded
-  and the job re-run one machine at a time; a budgeted run never goes
-  lockstep;
 - inline lockstep (every machine at once) equals the process backend
-  with one machine a worker (each worker's walk alone) in the whole
-  report, over the pattern kinds a walk can make requests for.
+  with one machine a worker, and the sum of one ``hosted_run`` a
+  machine (each walk alone: a lockstep of width one), in the whole
+  report, over the pattern kinds a walk can make requests for, every
+  membership regime and every resolve setting;
+- an abort ends only its own machine's walk, so an aborted run agrees
+  across backends too. The abort golden (tests/data/abort_golden.json)
+  holds the whole report of one OUTOFMEM run and one TIMEOUT run.
 
 Re-record the golden (only in a change whose point is that an abort
 report moves) with ``PYTHONPATH=src python tests/test_lockstep.py
@@ -35,6 +35,8 @@ from repro.core.chunk import Chunk, EdgeListSource
 from repro.core.extend import ScheduleExtender
 from repro.core.scheduler import MachineScheduler, _circulant
 from repro.exec import ProcessBackend
+from repro.exec.process import merge_reports
+from repro.exec.worker import hosted_run
 from repro.graph.generators import erdos_renyi, power_law_graph
 from repro.graph.graph import edge_list_bytes_of
 from repro.obs import Observability, names
@@ -48,8 +50,8 @@ from repro.systems import KGraphPi, apps
 ABORT_GOLDEN = Path(__file__).parent / "data" / "abort_golden.json"
 
 #: name -> (memory bytes, engine config): machine 2 runs out of memory
-#: after machines 0 and 1 finished; machine 1 overruns the budget after
-#: machine 0 finished
+#: while machines 0, 1 and 3 run to their end; machines 1 and 2 overrun
+#: the budget, machine 2 first on its own clock
 ABORTS = {
     "outofmem": (7328, dict(chunk_bytes=1024, auto_fit_chunks=False,
                             cache_fraction=0.0)),
@@ -57,16 +59,19 @@ ABORTS = {
 }
 
 
-def abort_report(name: str) -> dict:
-    """The whole report of one abort case (``RunReport.to_dict``),
-    observability on, through JSON."""
-    memory_bytes, config = ABORTS[name]
+def _abort_engine(name: str, backend=None, **config) -> KhuzdulEngine:
+    memory_bytes, base = ABORTS[name]
     graph = power_law_graph(300, 1500, exponent=2.0, seed=11)
     cluster = Cluster(graph, ClusterConfig(num_machines=4,
                                            memory_bytes=memory_bytes))
-    engine = KhuzdulEngine(cluster, EngineConfig(**config),
-                           obs=Observability())
-    report = engine.run(automine_schedule(catalog.chain(4)))
+    return KhuzdulEngine(cluster, EngineConfig(**{**base, **config}),
+                         obs=Observability(), backend=backend)
+
+
+def abort_report(name: str) -> dict:
+    """The whole report of one abort case (``RunReport.to_dict``),
+    observability on, through JSON."""
+    report = _abort_engine(name).run(automine_schedule(catalog.chain(4)))
     return json.loads(json.dumps(report.to_dict()))
 
 
@@ -76,6 +81,47 @@ def test_abort_report_reproduces_golden(name):
     actual = abort_report(name)
     assert actual["outcome"] == name.upper()
     assert actual == golden[name]
+
+
+def _walks_alone(engine, plan):
+    """``(counts, report)`` of ``plan`` summed from one ``hosted_run`` a
+    machine, each machine's walk alone, folded as the process backend
+    folds its workers' (``merge_reports``)."""
+    engine.obs.reset()
+    return merge_reports(plan, [
+        hosted_run(engine.cluster.graph, plan, None, {machine},
+                   engine.obs.enabled)
+        for machine in range(engine.cluster.num_machines)], engine.obs)
+
+
+#: (case, time budget): both abort cases, then the timeout case's graph
+#: under budgets from one that stops every machine early to one that
+#: none reaches
+ABORT_SWEEP = [("outofmem", None), ("timeout", None),
+               *[("timeout", budget) for budget in (1e-5, 3e-4, 6e-4, 1e-3)]]
+
+
+@pytest.mark.exec
+@pytest.mark.parametrize("name,budget", ABORT_SWEEP)
+def test_aborts_agree_across_backends(name, budget, comparable):
+    """An abort ends only its own machine's walk, so where a machine
+    runs cannot change the report: inline (every machine in lockstep),
+    ``ProcessBackend(workers=2)`` and the sum of one
+    ``hosted_run`` a machine agree in the whole report."""
+    config = {} if budget is None else {"time_budget": budget}
+    schedule = automine_schedule(catalog.chain(4))
+    inline = _abort_engine(name, **config).run(schedule)
+    process = _abort_engine(name, ProcessBackend(workers=2),
+                            **config).run(schedule)
+    emitted = process.extra["obs"]["emitted_metrics"]
+    process.extra["obs"]["emitted_metrics"] = [
+        metric for metric in emitted if not metric.startswith("exec.")]
+    engine = _abort_engine(name, **config)
+    counts, alone = _walks_alone(engine, engine.plan(
+        [schedule], None, "khuzdul", "pattern", indexed_udf=False))
+    alone.counts = counts[0]
+    print(f"{name} budget={budget}: {inline.outcome} {inline.counts}")
+    assert comparable(inline) == comparable(process) == comparable(alone)
 
 
 # ----------------------------------------------------------------------
@@ -104,10 +150,13 @@ WORKLOADS = {
 }
 
 
-def _run(graph, workload, chunk_bytes, backend=None, **config):
+def _run(graph, workload, chunk_bytes, backend=None, alone=False,
+         **config):
     """``(report, metrics)``: one run's report and its registry
     snapshot, the process backend's own ``exec.*`` series left out.
-    ``workload`` names one of :data:`WORKLOADS`, or is what one makes."""
+    ``workload`` names one of :data:`WORKLOADS`, or is what one makes.
+    With ``alone`` the report is :func:`_walks_alone`'s — in this
+    process, so a ``membership_regime`` graph keeps its regime."""
     schedules, extra = (WORKLOADS[workload]() if isinstance(workload, str)
                         else workload)
     cluster = Cluster(graph, ClusterConfig(num_machines=8,
@@ -117,7 +166,11 @@ def _run(graph, workload, chunk_bytes, backend=None, **config):
         cluster, EngineConfig(chunk_bytes=chunk_bytes, **extra, **config),
         obs=obs, backend=backend,
     )
-    report = engine.run_many(schedules)
+    if alone:
+        counts, report = _walks_alone(engine, engine.plan(schedules))
+        report.counts = counts
+    else:
+        report = engine.run_many(schedules)
     names = report.extra["obs"]["emitted_metrics"]
     report.extra["obs"]["emitted_metrics"] = [
         name for name in names if not name.startswith("exec.")]
@@ -163,17 +216,18 @@ def test_lockstep_equals_one_machine_a_worker(graph_name, workload,
 def test_lockstep_equals_width_one_in_every_regime(membership_regime,
                                                    workload, comparable):
     """The same, in process and in every membership regime (words only,
-    words + tail, lists): a time budget no machine reaches runs the job
-    one machine at a time and changes nothing else."""
+    words + tail, lists): the 8 machines in lockstep against the sum of
+    8 walks of width one (one ``hosted_run`` a machine), equal in the
+    whole report and the registry."""
     seed = SEEDS["powerlaw"]
     print(f"powerlaw seed={seed}")
     graph = membership_regime(GRAPHS["powerlaw"](seed))
     for chunk_bytes in (1024, 1 << 20):
         lockstep, lockstep_metrics = _run(graph, workload, chunk_bytes)
         width_one, width_one_metrics = _run(graph, workload, chunk_bytes,
-                                            time_budget=1e9)
+                                            alone=True)
         assert comparable(lockstep) == comparable(width_one)
-        assert lockstep_metrics == width_one_metrics
+        assert _approx(lockstep_metrics) == width_one_metrics
 
 
 def test_motif5_census_makes_few_kernel_calls(monkeypatch):
@@ -239,9 +293,9 @@ RESOLVE_SETTINGS = {
 @pytest.mark.parametrize("setting", sorted(RESOLVE_SETTINGS))
 def test_lockstep_resolve_equals_width_one(setting, comparable):
     """A resolve over every machine's chunk at a trie site settles each
-    machine as a resolve of its chunk alone would: lockstep against one
-    machine at a time (a never-reached time budget), with 1 KiB and
-    1 MiB chunks, equal in the whole report and the registry."""
+    machine as a resolve of its chunk alone would: lockstep against the
+    sum of one ``hosted_run`` a machine, with 1 KiB and 1 MiB chunks,
+    equal in the whole report and the registry."""
     print(f"powerlaw seed={FETCH_SEED} setting={setting}")
     graph = power_law_graph(300, 1200, exponent=2.0, seed=FETCH_SEED)
     config = RESOLVE_SETTINGS[setting]
@@ -249,10 +303,10 @@ def test_lockstep_resolve_equals_width_one(setting, comparable):
         lockstep, lockstep_metrics = _run(graph, FETCH_WORKLOAD, chunk_bytes,
                                           **config)
         width_one, width_one_metrics = _run(
-            graph, FETCH_WORKLOAD, chunk_bytes, time_budget=1e9, **config)
+            graph, FETCH_WORKLOAD, chunk_bytes, alone=True, **config)
         assert lockstep.extra["fetch_sources"]["remote"] > 0
         assert comparable(lockstep) == comparable(width_one)
-        assert lockstep_metrics == width_one_metrics
+        assert _approx(lockstep_metrics) == width_one_metrics
 
 
 def test_static_cache_sizes_reach_their_regimes():

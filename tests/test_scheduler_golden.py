@@ -3,7 +3,10 @@
 The golden was recorded at the commit *before* chunks became columnar
 (the per-embedding-object scheduler), by running this very file:
 
-    PYTHONPATH=src python tests/test_scheduler_golden.py --write
+    PYTHONPATH=src python tests/test_scheduler_golden.py --write '*'
+
+``--write GLOB ...`` re-records only the rows of matching cases that no
+longer reproduce, and writes nothing if a row outside the globs moved.
 
 Every case is one inline engine run with observability on. What is
 pinned: counts, chunk/HDS/fetch-source tallies, the traffic matrix,
@@ -30,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -226,16 +230,61 @@ def test_rewriting_one_workload_keeps_every_other_row_byte_identical():
     assert [key for key in rows if before[key] != after[key]] == [moved]
 
 
+def test_rewrite_refuses_rows_outside_its_globs(golden):
+    """A row that moved outside the globs is named, not written; one
+    inside them is re-recorded; one that reproduces keeps its bytes."""
+    chosen = [case for case in cases()
+              if case_id(case).startswith("er/clique3/chunk1024/")
+              and case[3] in ("base", "budget")]
+    rows = {case_id(case): golden[case_id(case)] for case in chosen}
+    stale = "er/clique3/chunk1024/base/faults"
+    rows[stale] = {**rows[stale], "counts": [0]}
+    kept, rewritten, moved = rewrite(rows, ["*/budget/*"], chosen)
+    assert (rewritten, moved) == ([], [stale])
+    assert kept["er/clique3/chunk1024/budget/clean"] is rows[
+        "er/clique3/chunk1024/budget/clean"]
+    fixed, rewritten, moved = rewrite(rows, ["*/faults"], chosen)
+    assert (rewritten, moved) == ([stale], [])
+    assert fixed[stale] == golden[stale]
+
+
+def rewrite(rows: dict, globs: list[str],
+            chosen=None) -> tuple[dict, list, list]:
+    """``(rows, rewritten, moved)``: every case (or the ``chosen`` ones)
+    re-observed; a row whose
+    case id matches one of ``globs`` (``fnmatch``) and no longer
+    reproduces is re-recorded (one that still does keeps its bytes),
+    and ``moved`` names the rows outside the globs that no longer
+    reproduce."""
+    rows, rewritten, moved = dict(rows), [], []
+    for case in cases() if chosen is None else chosen:
+        key = case_id(case)
+        actual = json.loads(json.dumps(observe(case)))
+        expected = rows.get(key)
+        if expected is not None and not list(mismatches(
+                expected, actual, expected["simulated_seconds"])):
+            continue
+        if any(fnmatch(key, pattern) for pattern in globs):
+            rows[key] = actual
+            rewritten.append(key)
+        else:
+            moved.append(key)
+    return rows, rewritten, moved
+
+
 if __name__ == "__main__":
-    # --write             re-record every row
-    # --write W [W ...]   re-record only the rows of workloads W
-    if sys.argv[1:2] != ["--write"] or not set(sys.argv[2:]) <= set(
-            WORKLOADS):
+    # --write GLOB [GLOB ...]   re-record the rows of the matching cases
+    # (e.g. '*/motif4-iep/*', '*/faults'); writes nothing if any other
+    # row no longer reproduces
+    if sys.argv[1:2] != ["--write"] or not sys.argv[2:]:
         sys.exit("usage: python tests/test_scheduler_golden.py --write "
-                 f"[workload ...] (workloads: {', '.join(WORKLOADS)})")
-    chosen = set(sys.argv[2:]) or set(WORKLOADS)
-    rows = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    rows.update({case_id(case): observe(case) for case in cases()
-                 if case[1] in chosen})
+                 "GLOB [GLOB ...] (case ids: graph/workload/chunkN/"
+                 "variant/clean|faults)")
+    rows, rewritten, moved = rewrite(
+        json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {},
+        sys.argv[2:])
+    if moved:
+        sys.exit(f"refusing to write: {len(moved)} row(s) outside "
+                 f"{sys.argv[2:]} moved: {', '.join(moved)}")
     GOLDEN.write_text(dump(rows))
-    print(f"wrote {GOLDEN} ({', '.join(sorted(chosen))})")
+    print(f"wrote {GOLDEN}: {len(rewritten)} row(s) re-recorded")
