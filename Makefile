@@ -74,10 +74,12 @@ motif-check:
 
 ## kernel and resolve suite (docs/performance.md): what a change to
 ## core/kernels.py or to the scheduler's resolve / drain passes must
-## hold — listing and counting kernels against compute_candidates, the
-## IEP kernel against iep_count, chunk layout and admission order, the
-## cache and share-table oracles, one kernel call over several machines'
-## chunks against one call a chunk (tests/test_lockstep.py), the
+## hold — listing and counting kernels against the row-by-row
+## references in tests/reference.py (compute_candidates, iep_count),
+## the baselines' level-synchronous walk against the recursive
+## explorer there (tests/test_explore.py), chunk layout and admission
+## order, the cache and share-table oracles, one kernel call over
+## several machines' chunks against one call a chunk (tests/test_lockstep.py), the
 ## distinct-vertex check on a step's own columns only
 ## (test_own_columns_by_step, test_own_columns_exact_in_every_regime,
 ## test_loop_free_flag, test_loop_free_steps_make_no_correction_probe),
@@ -86,7 +88,8 @@ motif-check:
 ## that claims nothing simulated moved)
 kernel-check:
 	$(PYTEST) tests/test_kernels.py tests/test_chunk.py \
-		tests/test_word_kernels.py tests/test_cache.py tests/test_hds.py \
+		tests/test_word_kernels.py tests/test_explore.py \
+		tests/test_cache.py tests/test_hds.py \
 		tests/test_iep.py tests/test_lockstep.py \
 		tests/test_scheduler_golden.py -q
 

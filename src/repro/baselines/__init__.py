@@ -2,8 +2,11 @@
 
 Every baseline reimplements the *execution model* of its namesake over
 the same simulated substrate and the same enumeration kernel as the
-Khuzdul engine (so all systems agree on counts), while charging costs
-the way its architecture would:
+Khuzdul engine, :func:`repro.core.kernels.extend_chunk` (so all
+systems agree on counts): the pattern-aware ones walk their embedding
+trees level by level (:func:`repro.baselines.common.walk`) and fold
+the kernel's per-row tallies the way their architecture charges
+costs:
 
 - :class:`~repro.baselines.gthinker.GThinker` — distributed, partitioned
   graph, coarse per-tree tasks that prefetch k-hop balls, general

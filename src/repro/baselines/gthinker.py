@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.common import ExploreStats, RecursiveExplorer
+from repro.baselines.common import (
+    MATCHES, ROWS, compute_seconds, fold, tree_roots, walk,
+)
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.core.extend import ScheduleExtender
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.graph import Graph
@@ -68,6 +69,61 @@ class _GeneralCache:
         return len(self._entries)
 
 
+def _tasks(graph: Graph, schedule: Schedule, roots: np.ndarray, on_match):
+    """Each task's tally column and prefetch set, in root order.
+
+    The prefetch set holds every vertex whose edge list the tree
+    exploration reads ("a k-hop subgraph containing all necessary data
+    for the tree exploration"): the root if a step reads its list, then
+    the fetch-level children as the exploration creates them — the
+    set's iteration order is the task's request order. Roots are
+    explored in batches, so a task that does not fit stops the walk
+    near its root. G-thinker has no intermediate-result reuse across
+    levels.
+    """
+    root_active = schedule.root_active()
+    for start in range(0, len(roots), ROWS):
+        batch = roots[start:start + ROWS]
+        tallies = np.zeros((4, len(batch)), dtype=np.int64)
+        fetched = []
+        for level in walk(graph, schedule, batch, vcs=False,
+                          on_match=on_match):
+            fold(tallies, level, level.trees)
+            if not level.final and schedule.needs_edge_list(level.level):
+                fetched.append((level.trees[level.parents], level.children))
+        for root, tally, fetches in zip(batch.tolist(), tallies.T,
+                                        _preorder(fetched, len(batch))):
+            accessed = {root} if root_active else set()
+            accessed.update(fetches)
+            yield tally, accessed
+
+
+def _preorder(fetched, trees: int) -> list[list[int]]:
+    """Each tree's fetch-level vertices in the depth-first preorder of
+    its exploration, from ``(tree, child prefix rows)`` pairs.
+
+    Candidates come out sorted, so preorder is the lexicographic order
+    of the vertex paths, a path before its extensions (padding -1).
+    """
+    if not fetched:
+        return [[] for _ in range(trees)]
+    width = max(paths.shape[1] for _, paths in fetched)
+    padded = np.full((sum(len(paths) for _, paths in fetched), width), -1,
+                     dtype=np.int64)
+    vertices = np.empty(len(padded), dtype=np.int64)
+    at = 0
+    for _, paths in fetched:
+        padded[at:at + len(paths), :paths.shape[1]] = paths
+        vertices[at:at + len(paths)] = paths[:, -1]
+        at += len(paths)
+    tree = np.concatenate([tree for tree, _ in fetched])
+    order = np.lexsort(np.vstack([padded.T[::-1], tree]))
+    bounds = np.concatenate(([0], np.bincount(tree, minlength=trees)))
+    bounds = np.cumsum(bounds).tolist()
+    ordered = vertices[order].tolist()
+    return [ordered[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 class GThinker(GPMSystem):
     """G-thinker execution model over the simulated cluster."""
 
@@ -100,8 +156,6 @@ class GThinker(GPMSystem):
         """Run all machines; returns (matches, runtime, breakdown, bytes)."""
         graph = self.graph
         cost = self.cost
-        # G-thinker has no intermediate-result reuse across levels.
-        extender = ScheduleExtender(schedule, vcs=False)
         cache_capacity = int(self.cache_fraction * graph.size_bytes())
 
         matches = 0
@@ -109,24 +163,9 @@ class GThinker(GPMSystem):
         worst_runtime = 0.0
         worst_breakdown: dict[str, float] = {}
         for machine in range(self.num_machines):
-            roots = self.partitioned.local_vertices(machine)
-            root_label = schedule.root_label()
-            if root_label is not None and graph.labels is not None:
-                roots = roots[graph.labels[roots] == root_label]
+            roots = tree_roots(
+                graph, schedule, self.partitioned.local_vertices(machine))
             cache = _GeneralCache(cache_capacity, cost)
-
-            # the task's prefetch set: every vertex whose edge list the
-            # tree exploration reads ("a k-hop subgraph containing all
-            # necessary data for the tree exploration")
-            accessed: set[int] = set()
-
-            def on_child(level: int, vertex: int, needs_fetch: bool) -> None:
-                if needs_fetch:
-                    accessed.add(vertex)
-
-            explorer = RecursiveExplorer(
-                graph, extender, on_child=on_child, on_match=on_match
-            )
             partition_bytes = self.partitioned.partition_bytes(machine)
             task_budget = self.memory_bytes - partition_bytes - cache_capacity
             if task_budget <= 0:
@@ -138,14 +177,8 @@ class GThinker(GPMSystem):
             fetch_bytes = 0
             fetch_requests = 0
             ball_bytes_max = 0
-            root_active = schedule.root_active()
-            for root in roots:
-                accessed.clear()
-                if root_active:
-                    accessed.add(int(root))
-                stats = ExploreStats()
-                explorer.explore_root(int(root), stats)
-                matches += stats.matches
+            for tally, accessed in _tasks(graph, schedule, roots, on_match):
+                matches += int(tally[MATCHES])
                 ball_bytes = 0
                 for v in accessed:
                     num_bytes = graph.edge_list_bytes(v)
@@ -164,7 +197,7 @@ class GThinker(GPMSystem):
                         task_budget,
                     )
                 compute_serial += (
-                    stats.compute_seconds(cost)
+                    float(compute_seconds(tally, cost))
                     * cost.gthinker_compute_multiplier
                 )
                 scheduler_serial += (

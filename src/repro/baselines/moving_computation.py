@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.common import ExploreStats, RecursiveExplorer
+from repro.baselines.common import (
+    MATCHES, Level, compute_seconds, fold, tree_roots, walk,
+)
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.core.extend import ScheduleExtender
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
@@ -32,6 +33,41 @@ from repro.systems.base import GPMSystem, MniDomainCollector
 #: fraction of shipping time hidden behind computation (aDFS pipelines
 #: its sends, but cannot batch per-destination like circulant chunks)
 _OVERLAP = 0.5
+
+
+def _shipments(
+    schedule: Schedule,
+    level: Level,
+    owners: np.ndarray,
+    edge_list_bytes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shipments a walk call's children cause: the sending machine
+    and the payload bytes of each child that moves.
+
+    A partial embedding sits on the owner of its last vertex whose edge
+    list a step reads (the root's to begin with). A child placed at
+    such a position moves to its new vertex's owner, shipping the
+    partial embedding plus the active edge lists the destination does
+    not hold.
+    """
+    placed = level.level
+    if level.final or not schedule.needs_edge_list(placed):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    located = max(
+        position for position in range(placed)
+        if position == 0 or schedule.needs_edge_list(position)
+    )
+    children = level.children
+    source = owners[children[:, located]]
+    destination = owners[children[:, placed]]
+    moved = source != destination
+    children, destination = children[moved], destination[moved]
+    payloads = np.full(len(children), 4 * (placed + 1), dtype=np.int64)
+    for position in schedule.steps[placed - 1].active_after:
+        carried = children[:, min(position, placed)]
+        payloads += np.where(owners[carried] != destination,
+                             edge_list_bytes[carried], 0)
+    return source[moved], payloads
 
 
 class MovingComputation(GPMSystem):
@@ -61,50 +97,22 @@ class MovingComputation(GPMSystem):
     ) -> tuple[int, float, int]:
         graph = self.graph
         cost = self.cost
-        extender = ScheduleExtender(schedule, vcs=False)  # no reuse
         ship_bytes_by_machine = np.zeros(self.num_machines, dtype=np.int64)
         shipments = 0
-
-        def on_child_state(level, vertex, needs_fetch, prefix, location):
-            nonlocal shipments
-            if not needs_fetch:
-                return location
-            destination = self.partitioned.owner(vertex)
-            if destination == location:
-                return location
-            # ship the partial embedding plus the active edge lists the
-            # destination machine does not hold
-            step = extender.step_for(level)
-            payload = 4 * (level + 1)
-            for position in step.active_after:
-                if position < len(prefix):
-                    carried = prefix[position]
-                else:
-                    carried = vertex
-                if self.partitioned.owner(int(carried)) != destination:
-                    payload += graph.edge_list_bytes(int(carried))
-            ship_bytes_by_machine[location] += payload
-            shipments += 1
-            return destination
-
-        explorer = RecursiveExplorer(
-            graph, extender, on_match=on_match, on_child_state=on_child_state
-        )
-        stats = ExploreStats()
-        for root in range(graph.num_vertices):
-            if (
-                schedule.root_label() is not None
-                and graph.labels is not None
-                and graph.label(root) != schedule.root_label()
-            ):
-                continue
-            explorer.explore_root(
-                root, stats, state=self.partitioned.owner(root)
-            )
+        owners = self.partitioned.owners_all()
+        edge_list_bytes = graph.edge_list_bytes_all()
+        tallies = np.zeros(4, dtype=np.int64)
+        for level in walk(graph, schedule, tree_roots(graph, schedule),
+                          vcs=False, on_match=on_match):  # no reuse
+            fold(tallies, level)
+            sources, payloads = _shipments(
+                schedule, level, owners, edge_list_bytes)
+            np.add.at(ship_bytes_by_machine, sources, payloads)
+            shipments += len(payloads)
 
         total_ship = int(ship_bytes_by_machine.sum())
         compute_threads = max(1, int(self.cores * 0.75))
-        compute = stats.compute_seconds(cost) / (
+        compute = float(compute_seconds(tallies, cost)) / (
             self.num_machines * compute_threads * cost.thread_efficiency
         )
         serialization = total_ship * cost.ship_per_byte / self.num_machines
@@ -114,7 +122,7 @@ class MovingComputation(GPMSystem):
         ) * cost.batch_latency / 64.0  # sends are batched 64 at a time
         hidden = min(network, compute) * _OVERLAP
         runtime = compute + serialization + network - hidden
-        return stats.matches, runtime, total_ship
+        return int(tallies[MATCHES]), runtime, total_ship
 
     def _report(self, app: str, counts, runtime: float, traffic: int) -> RunReport:
         return RunReport(

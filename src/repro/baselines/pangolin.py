@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.common import ExploreStats, RecursiveExplorer
+from repro.baselines.common import (
+    CREATED, MATCHES, compute_seconds, fold, tree_roots, walk,
+)
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.core.extend import ScheduleExtender
 from repro.core.runtime import RunReport
 from repro.errors import OutOfMemoryError
 from repro.graph.graph import Graph
@@ -63,42 +64,27 @@ class PangolinLike(GPMSystem):
     def _run(
         self, graph: Graph, schedule: Schedule, iso_cost: float, on_match=None
     ) -> tuple[int, float]:
-        extender = ScheduleExtender(schedule, vcs=True)
-        explorer = RecursiveExplorer(graph, extender, on_match=on_match)
-        stats = ExploreStats()
-        for root in range(graph.num_vertices):
-            if (
-                schedule.root_label() is not None
-                and graph.labels is not None
-                and graph.label(root) != schedule.root_label()
-            ):
-                continue
-            explorer.explore_root(root, stats)
+        final = schedule.pattern.num_vertices - 1
+        tallies = np.zeros(4, dtype=np.int64)
+        level_widths = np.zeros(final + 1, dtype=np.int64)
+        for level in walk(graph, schedule, tree_roots(graph, schedule),
+                          vcs=True, on_match=on_match):
+            fold(tallies, level)
+            level_widths[level.level] += level.counts.sum()
         # BFS materialization: two consecutive embedding levels are live
         # at once (parents + children). The final level is not stored for
         # counting apps — matches go straight to the reducer.
-        final = extender.final_level
-        live_widths = [
-            width for level, width in stats.level_widths.items()
-            if level < final
-        ]
-        widest_pair = 0
-        for level in range(1, final):
-            pair = stats.level_widths.get(level, 0)
-            if level + 1 < final:
-                pair += stats.level_widths.get(level + 1, 0)
-            widest_pair = max(widest_pair, pair)
-        if not live_widths:
-            widest_pair = 0
+        live = np.append(level_widths[:final], 0)
+        widest_pair = int((live[1:-1] + live[2:]).max(initial=0))
         level_bytes = widest_pair * _EMBEDDING_BYTES
         if graph.size_bytes() + level_bytes > self.memory_bytes:
             raise OutOfMemoryError(
                 0, graph.size_bytes() + level_bytes, self.memory_bytes
             )
-        serial = stats.compute_seconds(self.cost)
-        serial += (stats.created + stats.matches) * iso_cost
+        serial = float(compute_seconds(tallies, self.cost))
+        serial += int(tallies[CREATED] + tallies[MATCHES]) * iso_cost
         runtime = serial / (self.cores * self.cost.thread_efficiency)
-        return stats.matches, runtime
+        return int(tallies[MATCHES]), runtime
 
     def _report(self, app: str, counts, runtime: float) -> RunReport:
         return RunReport(

@@ -17,9 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.common import ExploreStats, RecursiveExplorer
+from repro.baselines.common import (
+    CREATED, MERGE, ROWS, SCANNED, compute_seconds, fold, tree_roots,
+    walk,
+)
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.core.extend import ScheduleExtender
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.graph import Graph
@@ -89,50 +91,49 @@ class GraphPiReplicated(GPMSystem):
         work units — finer than one-tree-per-thread, still far coarser
         than Khuzdul's per-extension tasks.
         """
-        from repro.core.extend import compute_candidates
-
-        extender = ScheduleExtender(schedule, vcs=True)
-        explorer = RecursiveExplorer(graph, extender, on_match=on_match)
-        roots = np.arange(graph.num_vertices)
-        root_label = schedule.root_label()
-        if root_label is not None and graph.labels is not None:
-            roots = roots[graph.labels[roots] == root_label]
+        roots = tree_roots(graph, schedule)
         bins = np.zeros((self.num_machines, max(1, self.cores)))
         thread_cursor = np.zeros(self.num_machines, dtype=np.int64)
         matches = 0
-        final_level = extender.final_level
-
-        def bin_cost(machine: int, seconds: float) -> None:
-            thread = thread_cursor[machine] % self.cores
-            thread_cursor[machine] += 1
-            bins[machine, thread] += seconds
-
-        for root in roots:
-            machine = self.partitioner.owner(int(root))
-            if final_level == 0:  # single-vertex pattern
-                matches += 1
+        for start in range(0, len(roots), ROWS):
+            batch = roots[start:start + ROWS]
+            units = None
+            for level in walk(graph, schedule, batch, vcs=True,
+                              on_match=on_match):
+                if level.final:
+                    matches += int(level.counts.sum())
+                if level.level == 1:
+                    # a batch's roots are one level-1 call. A unit of
+                    # work is a root's first level or one of its level-1
+                    # subtrees, numbered in call order
+                    branch_roots = (level.parents if not level.final
+                                    else np.zeros(0, dtype=np.int64))
+                    n, m = len(batch), len(branch_roots)
+                    firsts = np.arange(n) + np.searchsorted(
+                        branch_roots, np.arange(n))
+                    branch_at = np.arange(m) + branch_roots + 1
+                    units = np.zeros((4, n + m), dtype=np.int64)
+                    units[MERGE, firsts] = level.merge
+                    units[SCANNED, firsts] = level.scanned
+                    units[CREATED, branch_at] = 1
+                    unit_roots = np.empty(n + m, dtype=np.int64)
+                    unit_roots[firsts] = np.arange(n)
+                    unit_roots[branch_at] = branch_roots
+                elif level.level > 1:
+                    fold(units, level, branch_at[level.branches])
+            if units is None:  # single-vertex pattern: nothing binned
                 continue
-            step = extender.step_for(1)
-            first = compute_candidates(graph, step, (int(root),), None, True)
-            first_cost = (
-                first.merge_elements * self.cost.intersect_per_element
-                + first.scanned * self.cost.emit_per_candidate
-            )
-            bin_cost(machine, first_cost)
-            if final_level == 1:
-                matches += len(first.candidates)
-                if on_match is not None and len(first.candidates):
-                    on_match((int(root),), first.candidates)
-                continue
-            for v1 in first.candidates:
-                explorer._intermediates[1] = (
-                    first.raw if extender.vcs else None
-                )
-                stats = ExploreStats()
-                stats.created += 1
-                explorer._descend((int(root), int(v1)), 2, stats, None)
-                bin_cost(machine, stats.compute_seconds(self.cost))
-                matches += stats.matches
+            # threads take a machine's units round-robin, in call order
+            owner = self.partitioner.owners(batch)[unit_roots]
+            threads = np.empty(n + m, dtype=np.int64)
+            for machine in range(self.num_machines):
+                calls = np.flatnonzero(owner == machine)
+                threads[calls] = (
+                    thread_cursor[machine] + np.arange(len(calls))
+                ) % self.cores
+                thread_cursor[machine] += len(calls)
+            np.add.at(bins, (owner, threads),
+                      compute_seconds(units, self.cost))
         # static binning has no work stealing; threads also pay the same
         # parallel-efficiency loss the Khuzdul engine's workers do
         runtime = float(bins.max(axis=1).max()) / self.cost.thread_efficiency

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.core.extend import ScheduleExtender
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.graph import Graph
@@ -24,7 +23,9 @@ from repro.patterns.catalog import clique
 from repro.patterns.isomorphism import are_isomorphic, automorphisms
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, automine_schedule, graphpi_schedule
-from repro.baselines.common import ExploreStats, RecursiveExplorer
+from repro.baselines.common import (
+    MATCHES, compute_seconds, fold, tree_roots, walk,
+)
 from repro.systems.base import GPMSystem, MniDomainCollector, merge_reports
 
 ScheduleFn = Callable[..., Schedule]
@@ -85,35 +86,24 @@ class SingleMachine(GPMSystem):
         graph: Graph,
         schedule: Schedule,
         on_match=None,
-    ) -> tuple[int, float, ExploreStats]:
-        """Explore all roots; returns (matches, runtime, stats).
+    ) -> tuple[int, float]:
+        """Explore all roots; returns (matches, runtime).
 
         Roots are assigned to threads round-robin (static coarse
         partitioning); the runtime is the slowest thread's bin.
         """
-        extender = ScheduleExtender(schedule, vcs=True)
-        explorer = RecursiveExplorer(graph, extender, on_match=on_match)
-        roots = self._roots(graph, schedule)
+        roots = tree_roots(graph, schedule)
+        tallies = np.zeros((4, len(roots)), dtype=np.int64)
+        for level in walk(graph, schedule, roots, vcs=True,
+                          on_match=on_match):
+            fold(tallies, level, level.trees)
+        seconds = compute_seconds(tallies, self.cost)
+        seconds += tallies[MATCHES] * self.per_match_cost
         thread_bins = np.zeros(max(1, self.cores), dtype=np.float64)
-        total = ExploreStats()
-        for index, root in enumerate(roots):
-            stats = ExploreStats()
-            explorer.explore_root(int(root), stats)
-            seconds = stats.compute_seconds(self.cost)
-            seconds += stats.matches * self.per_match_cost
-            thread_bins[index % len(thread_bins)] += seconds
-            total.matches += stats.matches
-            total.merge_elements += stats.merge_elements
-            total.scanned += stats.scanned
-            total.created += stats.created
-        return total.matches, float(thread_bins.max()), total
-
-    def _roots(self, graph: Graph, schedule: Schedule) -> np.ndarray:
-        roots = np.arange(graph.num_vertices)
-        root_label = schedule.root_label()
-        if root_label is not None and graph.labels is not None:
-            roots = roots[graph.labels[roots] == root_label]
-        return roots
+        np.add.at(thread_bins, np.arange(len(roots)) % len(thread_bins),
+                  seconds)
+        runtime = float(thread_bins.max())
+        return int(tallies[MATCHES].sum()), runtime
 
     def _report(
         self, app: str, counts, runtime: float
@@ -142,12 +132,12 @@ class SingleMachine(GPMSystem):
             if induced or not are_isomorphic(pattern, clique(pattern.num_vertices)):
                 raise ConfigurationError("orientation is for non-induced cliques")
             schedule = self._schedule(pattern, False, use_restrictions=False)
-            matches, runtime, _ = self._run_schedule(
+            matches, runtime = self._run_schedule(
                 self.graph.oriented(), schedule
             )
         else:
             schedule = self._schedule(pattern, induced)
-            matches, runtime, _ = self._run_schedule(self.graph, schedule)
+            matches, runtime = self._run_schedule(self.graph, schedule)
         return self._report(app, matches, runtime)
 
     def count_patterns(
@@ -159,7 +149,7 @@ class SingleMachine(GPMSystem):
         counts, runtime = [], 0.0
         for pattern in patterns:
             schedule = self._schedule(pattern, induced)
-            matches, seconds, _ = self._run_schedule(self.graph, schedule)
+            matches, seconds = self._run_schedule(self.graph, schedule)
             counts.append(matches)
             runtime += seconds
         return self._report(app, counts, runtime)
@@ -178,7 +168,7 @@ class SingleMachine(GPMSystem):
             def on_match(prefix, candidates, _index=index):
                 collector(_index, prefix, candidates)
 
-            _, seconds, _ = self._run_schedule(self.graph, schedule, on_match)
+            _, seconds = self._run_schedule(self.graph, schedule, on_match)
             runtime += seconds
         report = self._report("fsm-round", None, runtime)
         return collector.supports(), report

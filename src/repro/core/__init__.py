@@ -8,7 +8,7 @@ cache), and the distributed execution engine that ties them to the
 simulated cluster.
 """
 
-from repro.core.extend import ExtendResult, ScheduleExtender, compute_candidates
+from repro.core.extend import ScheduleExtender
 from repro.core.chunk import Chunk, EdgeListSource
 from repro.core.hds import HorizontalShareTable
 from repro.core.cache import EdgeCache, CachePolicy
@@ -17,9 +17,7 @@ from repro.core.runtime import RunReport
 from repro.core.engine import EngineConfig, KhuzdulEngine
 
 __all__ = [
-    "ExtendResult",
     "ScheduleExtender",
-    "compute_candidates",
     "Chunk",
     "EdgeListSource",
     "HorizontalShareTable",

@@ -454,7 +454,7 @@ class KhuzdulEngine:
                 cluster=cluster,
                 machine=machine,
                 extender=ScheduleExtender(
-                    None, vcs=config.vcs, metrics=machine_scopes[mid],
+                    vcs=config.vcs, metrics=machine_scopes[mid],
                     workspace=workspace),
                 cache=caches[mid],
                 udf=machine_udf,

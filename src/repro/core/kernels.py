@@ -1,14 +1,15 @@
 """Sorted-set kernels for the EXTEND hot path, one chunk at a time.
 
 The scheduler groups same-level extendable embeddings into chunks
-(paper Section 4) precisely to create batch concurrency. Walking a
-chunk one embedding at a time through
-:func:`repro.core.extend.compute_candidates` pays full interpreter
-overhead per embedding plus ``np.intersect1d`` calls that re-sort
-already-sorted CSR slices. GPU GPM engines (G2Miner, DuMato) get their
-throughput from batched pattern-aware set intersections over sorted
-adjacency lists, and the same transformation applies to numpy — fuse a
-whole chunk's extensions into a handful of array passes.
+(paper Section 4) precisely to create batch concurrency, and the
+baselines walk their embedding trees level by level for the same
+reason (:func:`repro.baselines.common.walk`): this is the one
+exploration kernel of both. Walking one embedding at a time pays full
+interpreter overhead per embedding plus ``np.intersect1d`` calls that
+re-sort already-sorted CSR slices. GPU GPM engines (G2Miner, DuMato)
+get their throughput from batched pattern-aware set intersections over
+sorted adjacency lists, and the same transformation applies to numpy —
+fuse a whole chunk's extensions into a handful of array passes.
 
 Three layers:
 
@@ -55,10 +56,10 @@ views the caller reads before its next kernel call.
 
 Contract: for every embedding the results — candidate values,
 ``merge_elements``, ``scanned`` — are element-for-element identical to
-the row-by-row reference
-:func:`~repro.core.extend.compute_candidates`
-(``tests/test_kernels.py`` pins the equivalence), so the integer
-tallies the scheduler prices are the ones the reference would produce.
+the row-by-row reference ``compute_candidates`` in
+``tests/reference.py`` (``tests/test_kernels.py`` pins the
+equivalence), so the integer tallies the scheduler and the baselines
+price are the ones the reference would produce.
 """
 
 from __future__ import annotations
@@ -1026,7 +1027,7 @@ class ChunkIepResult:
     embedding (plan numerators — the caller divides the global sum by
     ``plan.divisor``); ``merge_elements``/``scanned`` are the simulated
     accounting quantities, element-identical to the scalar reference
-    :func:`~repro.core.extend.iep_count`.
+    ``iep_count`` in ``tests/reference.py``.
     """
 
     counts: np.ndarray  # (n,) int64 suffix tuples (numerator units)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
+import numpy as np
 import pytest
+
+from repro.analysis import count_embeddings_brute_force
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.graph import Graph
@@ -33,6 +37,31 @@ def comparable():
         return document
 
     return strip
+
+
+@pytest.fixture(scope="session")
+def brute_force():
+    """``count_embeddings_brute_force(graph, pattern, induced=False)``
+    memoized for the session, keyed by the graph's content, the pattern
+    and ``induced``: the oracle is the slow half of the tests that hold
+    a system to it, and many hold several systems to the same count."""
+    memo = {}
+
+    def count(graph, pattern, induced=False):
+        content = hashlib.sha256()
+        for array in (graph.indptr, graph.indices, graph.labels,
+                      graph.edge_labels):
+            if array is not None:
+                array = np.ascontiguousarray(array)
+                content.update(f"{array.dtype}{array.shape}".encode())
+                content.update(array.tobytes())
+            content.update(b"|")
+        key = (content.hexdigest(), graph.directed, pattern, induced)
+        if key not in memo:
+            memo[key] = count_embeddings_brute_force(graph, pattern, induced)
+        return memo[key]
+
+    return count
 
 
 @pytest.fixture

@@ -1,0 +1,342 @@
+"""Row-by-row references the chunk kernels and the baselines' walk are
+held to.
+
+Nothing under ``src/`` calls these. They are the per-embedding path:
+:func:`compute_candidates` extends one embedding by one level with
+``np.intersect1d`` / ``np.setdiff1d``, :func:`iep_count` evaluates one
+prefix's counting plan, :class:`ScheduleExtender` adds the
+schedule-walking members and ``extend_level`` to the engine's extender,
+and :class:`RecursiveExplorer` explores one root's embedding tree depth
+first with per-child hooks. ``repro.core.kernels.extend_chunk`` /
+``iep_chunk`` must equal them row for row (``tests/test_kernels.py``,
+``tests/test_word_kernels.py``, ``tests/test_iep.py``), and the
+baselines' level-synchronous walk (``repro.baselines.common.walk``)
+must tally what the recursion does (``tests/test_explore.py``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+import numpy as np
+
+from repro.core import extend
+from repro.graph.graph import Graph
+from repro.patterns.schedule import CountingPlan, ExtensionStep
+
+_EMPTY = np.empty(0, dtype=np.int32)
+
+
+@dataclass
+class ExtendResult:
+    """Outcome of extending one embedding by one level.
+
+    ``candidates`` are the data vertices that complete the step after
+    every filter; ``raw`` is the unfiltered intersection kept when the
+    schedule marks the step ``store_intermediate`` (vertical computation
+    sharing); ``merge_elements`` counts the elements streamed through
+    set operations (the engine's computation cost unit);
+    ``scanned`` counts candidate-array elements passed through filters.
+    """
+
+    candidates: np.ndarray
+    raw: Optional[np.ndarray]
+    merge_elements: int
+    scanned: int
+
+
+def compute_candidates(
+    graph: Graph,
+    step: ExtensionStep,
+    vertices: tuple[int, ...],
+    intermediate: Optional[np.ndarray],
+    vcs: bool,
+) -> ExtendResult:
+    """Candidates for matching-order position ``step.level``.
+
+    Parameters
+    ----------
+    graph:
+        The input graph (neighbor lists are sorted/unique CSR slices).
+    step:
+        The schedule step being executed.
+    vertices:
+        Data vertices already placed at positions ``0..step.level-1``.
+    intermediate:
+        The ancestor's stored raw intersection for ``step.reuse_level``
+        (``None`` when unavailable).
+    vcs:
+        Whether vertical computation sharing is enabled; when off the
+        full intersection is recomputed from the edge lists.
+    """
+    merge_elements = 0
+    use_reuse = vcs and step.reuse_level is not None and intermediate is not None
+    if use_reuse:
+        base = intermediate
+        remaining = step.extra_connected
+    else:
+        base = graph.neighbors(vertices[step.connected[0]])
+        remaining = step.connected[1:]
+    for position in remaining:
+        other = graph.neighbors(vertices[position])
+        merge_elements += len(base) + len(other)
+        base = np.intersect1d(base, other, assume_unique=True)
+
+    raw = base if step.store_intermediate else None
+    candidates = base
+    scanned = len(candidates)
+
+    for position in step.disconnected:
+        other = graph.neighbors(vertices[position])
+        merge_elements += len(candidates) + len(other)
+        candidates = np.setdiff1d(candidates, other, assume_unique=True)
+
+    if len(candidates):
+        # distinct-vertex constraint: drop already-used data vertices.
+        # Patterns have at most a handful of vertices, so a few !=
+        # passes beat np.isin's hash/sort machinery
+        mask = candidates != vertices[0]
+        for used in vertices[1:]:
+            mask &= candidates != used
+        candidates = candidates[mask]
+    if step.larger_than and len(candidates):
+        bound = max(vertices[j] for j in step.larger_than)
+        candidates = candidates[candidates > bound]
+    if step.smaller_than and len(candidates):
+        bound = min(vertices[j] for j in step.smaller_than)
+        candidates = candidates[candidates < bound]
+    if step.label is not None and graph.labels is not None and len(candidates):
+        candidates = candidates[graph.labels[candidates] == step.label]
+    if step.edge_labels is not None and len(candidates):
+        candidates = _filter_edge_labels(graph, step, vertices, candidates)
+
+    return ExtendResult(
+        candidates=candidates if len(candidates) else _EMPTY,
+        raw=raw,
+        merge_elements=merge_elements,
+        scanned=scanned,
+    )
+
+
+def _filter_edge_labels(
+    graph: Graph,
+    step: ExtensionStep,
+    vertices: tuple[int, ...],
+    candidates: np.ndarray,
+) -> np.ndarray:
+    """Keep candidates whose connecting edges carry the required labels.
+
+    For each connected position ``j`` the pattern demands label
+    ``step.edge_labels[k]`` on the edge ``(v_j, candidate)``. Candidates
+    are a subset of ``N(v_j)``, so their labels are found by binary
+    search into the CSR slice.
+    """
+    assert step.edge_labels is not None
+    if graph.edge_labels is None:
+        # same branch as the batched kernel (kernels.extend_chunk): an
+        # unlabeled graph satisfies exactly the all-zero requirement,
+        # regardless of which per-source label slices exist
+        if any(required != 0 for required in step.edge_labels):
+            return candidates[:0]
+        return candidates
+    for position, required in zip(step.connected, step.edge_labels):
+        if not len(candidates):
+            break
+        source = vertices[position]
+        nbrs = graph.neighbors(source)
+        label_slice = graph.edge_label_slice(source)
+        if label_slice is None:
+            if required != 0:
+                return candidates[:0]
+            continue
+        offsets = np.searchsorted(nbrs, candidates)
+        candidates = candidates[label_slice[offsets] == required]
+    return candidates
+
+
+def _is_neighbor(graph: Graph, source: int, candidate: int) -> bool:
+    """Sorted-CSR membership probe (scalar analogue of the bulk
+    :func:`~repro.core.kernels.adjacency_member`)."""
+    nbrs = graph.neighbors(source)
+    pos = int(np.searchsorted(nbrs, candidate))
+    return pos < len(nbrs) and int(nbrs[pos]) == candidate
+
+
+def iep_count(
+    graph: Graph, plan: CountingPlan, vertices: tuple[int, ...]
+) -> tuple[int, int, int]:
+    """Row-by-row reference for the IEP terminal kernel.
+
+    Evaluates one prefix embedding's counting plan: returns
+    ``(count, merge_elements, scanned)``, element-identical to the
+    embedding's row of :func:`repro.core.kernels.iep_chunk` — the same
+    sequential intersection from each signature's first column (no
+    probe-direction flip) and the same ``running + degree`` merge
+    charge per stage. The engine never calls it; ``tests/test_iep.py``
+    holds the kernel to it.
+    """
+    prefix_size = len(vertices)
+    merge_elements = 0
+    scanned = 0
+    cards: dict[tuple[int, ...], int] = {}
+    for signature in plan.signatures:
+        if len(signature) == 1:
+            card = int(graph.degree(vertices[signature[0]]))
+        else:
+            base = graph.neighbors(vertices[signature[0]])
+            for column in signature[1:]:
+                other = graph.neighbors(vertices[column])
+                merge_elements += len(base) + len(other)
+                base = np.intersect1d(base, other, assume_unique=True)
+            card = len(base)
+            scanned += card
+        for column in range(prefix_size):
+            if all(
+                _is_neighbor(graph, vertices[source], vertices[column])
+                for source in signature
+            ):
+                card -= 1
+        cards[signature] = card
+    count = 0
+    for term in plan.terms:
+        value = term.coefficient
+        for block in term.blocks:
+            value *= cards[block]
+        count += value
+    return count, merge_elements, scanned
+
+
+class ScheduleExtender(extend.ScheduleExtender):
+    """The engine's extender plus the per-embedding path: the schedule
+    it walks, ``step_for(level)`` — the branch the paper's EXTEND
+    pseudo-code switches on — and :meth:`extend_level`, which runs it on
+    one embedding."""
+
+    def __init__(self, schedule, vcs=True, metrics=None, workspace=None):
+        super().__init__(vcs=vcs, metrics=metrics, workspace=workspace)
+        self.schedule = schedule
+
+    @property
+    def num_levels(self) -> int:
+        return self.schedule.num_levels
+
+    @property
+    def final_level(self) -> int:
+        """Matching-order position of the last vertex."""
+        return self.schedule.pattern.num_vertices - 1
+
+    def step_for(self, level: int) -> ExtensionStep:
+        """The step that places position ``level`` (1-based levels)."""
+        return self.schedule.steps[level - 1]
+
+    def needs_edge_list(self, position: int) -> bool:
+        return self.schedule.needs_edge_list(position)
+
+    def extend_level(
+        self,
+        graph: Graph,
+        vertices: tuple[int, ...],
+        level: int,
+        intermediate_lookup: Callable[[int], Optional[np.ndarray]],
+    ) -> ExtendResult:
+        """Run the extension placing position ``level``."""
+        step = self.step_for(level)
+        intermediate = None
+        if self.vcs and step.reuse_level is not None:
+            intermediate = intermediate_lookup(step.reuse_level)
+        result = compute_candidates(graph, step, vertices, intermediate,
+                                    self.vcs)
+        self._m_calls.inc()
+        self._m_merge.inc(result.merge_elements)
+        self._m_candidates.inc(len(result.candidates))
+        return result
+
+
+@dataclass
+class ExploreStats:
+    """Work performed while exploring one (or more) embedding trees."""
+
+    matches: int = 0
+    merge_elements: int = 0
+    scanned: int = 0
+    created: int = 0
+    #: number of embeddings alive per level at the widest point; used by
+    #: BFS-materializing baselines (Pangolin) for memory estimates
+    level_widths: dict[int, int] = field(default_factory=dict)
+
+    def compute_seconds(self, cost) -> float:
+        """Pure enumeration compute time under a cost model."""
+        return (
+            self.merge_elements * cost.intersect_per_element
+            + self.scanned * cost.emit_per_candidate
+            + self.created * cost.embedding_create
+        )
+
+
+class RecursiveExplorer:
+    """Depth-first whole-tree exploration from a root vertex."""
+
+    def __init__(
+        self,
+        graph: Graph,
+        extender: ScheduleExtender,
+        on_child: Optional[Callable] = None,
+        on_match: Optional[Callable] = None,
+        on_child_state: Optional[Callable] = None,
+    ):
+        self.graph = graph
+        self.extender = extender
+        self.on_child = on_child
+        self.on_match = on_match
+        self.on_child_state = on_child_state
+        self._intermediates: list[Optional[np.ndarray]] = [None] * (
+            extender.final_level + 1
+        )
+
+    def explore_root(
+        self, root: int, stats: ExploreStats, state: object = None
+    ) -> None:
+        """Explore the entire embedding tree rooted at ``root``."""
+        if self.extender.final_level == 0:
+            stats.matches += 1
+            return
+        self._descend((int(root),), 1, stats, state)
+
+    # ------------------------------------------------------------------
+    def _descend(
+        self,
+        vertices: tuple[int, ...],
+        level: int,
+        stats: ExploreStats,
+        state: object,
+    ) -> None:
+        result = self.extender.extend_level(
+            self.graph, vertices, level, self._lookup_intermediate
+        )
+        stats.merge_elements += result.merge_elements
+        stats.scanned += result.scanned
+        width = len(result.candidates)
+        stats.level_widths[level] = stats.level_widths.get(level, 0) + width
+        if level == self.extender.final_level:
+            stats.matches += width
+            if self.on_match is not None and width:
+                self.on_match(vertices, result.candidates)
+            return
+        needs_fetch = self.extender.needs_edge_list(level)
+        previous = self._intermediates[level]
+        self._intermediates[level] = result.raw if self.extender.vcs else None
+        for v in result.candidates:
+            stats.created += 1
+            child_state = state
+            if self.on_child is not None:
+                self.on_child(level, int(v), needs_fetch)
+            if self.on_child_state is not None:
+                child_state = self.on_child_state(
+                    level, int(v), needs_fetch, vertices, state
+                )
+            self._descend(vertices + (int(v),), level + 1, stats, child_state)
+        self._intermediates[level] = previous
+
+    def _lookup_intermediate(self, level: int) -> Optional[np.ndarray]:
+        return self._intermediates[level]

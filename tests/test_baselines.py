@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import count_embeddings_brute_force
 from repro.baselines import (
     GraphPiReplicated,
     GThinker,
@@ -10,15 +9,14 @@ from repro.baselines import (
     PangolinLike,
     SingleMachine,
 )
-from repro.baselines.common import ExploreStats, RecursiveExplorer, khop_ball
 from repro.baselines.single_machine import peregrine_like
 from repro.cluster import ClusterConfig
-from repro.core.extend import ScheduleExtender
 from repro.errors import ConfigurationError, OutOfMemoryError
-from repro.graph.generators import erdos_renyi, power_law_graph, star_graph
+from repro.graph.generators import erdos_renyi, power_law_graph
 from repro.patterns import chain, clique, cycle
 from repro.patterns.schedule import automine_schedule
 from repro.systems import KAutomine, triangle_count
+from tests.reference import ExploreStats, RecursiveExplorer, ScheduleExtender
 
 
 ALL_BASELINES = [
@@ -37,17 +35,19 @@ BASELINE_IDS = ["automine-ih", "peregrine", "pangolin", "graphpi", "gthinker",
 @pytest.mark.parametrize(
     "pattern", [clique(3), clique(4), chain(4)], ids=["tri", "4cc", "chain4"]
 )
-def test_baseline_counts_match_brute_force(factory, pattern, small_random_graph):
-    expected = count_embeddings_brute_force(small_random_graph, pattern)
+def test_baseline_counts_match_brute_force(
+    factory, pattern, small_random_graph, brute_force
+):
+    expected = brute_force(small_random_graph, pattern)
     system = factory(small_random_graph)
     report = system.count_pattern(pattern)
     assert report.counts == expected
 
 
 @pytest.mark.parametrize("factory", ALL_BASELINES, ids=BASELINE_IDS)
-def test_baseline_induced_motifs(factory, small_random_graph):
+def test_baseline_induced_motifs(factory, small_random_graph, brute_force):
     system = factory(small_random_graph)
-    expected = count_embeddings_brute_force(
+    expected = brute_force(
         small_random_graph, cycle(4), induced=True
     )
     report = system.count_patterns([cycle(4)], induced=True)
@@ -77,16 +77,6 @@ def test_explorer_level_widths(small_random_graph):
     assert stats.created == stats.level_widths[1]
 
 
-def test_khop_ball():
-    g = star_graph(5)
-    ball0 = khop_ball(g, 1, 0)
-    assert list(ball0) == [1]
-    ball1 = khop_ball(g, 1, 1)
-    assert sorted(ball1) == [0, 1]
-    ball2 = khop_ball(g, 1, 2)
-    assert sorted(ball2) == [0, 1, 2, 3, 4, 5]
-
-
 # ----------------------------------------------------------------------
 # failure modes (the paper's CRASHED / OUTOFMEM cells)
 # ----------------------------------------------------------------------
@@ -109,12 +99,12 @@ def test_gthinker_crashes_on_skewed_graph_with_tight_memory():
         system.count_pattern(clique(4))
 
 
-def test_gthinker_survives_with_ample_memory():
+def test_gthinker_survives_with_ample_memory(brute_force):
     graph = power_law_graph(300, 2500, exponent=1.9, seed=3)
     system = GThinker(
         graph, num_machines=4, memory_bytes=int(graph.size_bytes() * 400)
     )
-    expected = count_embeddings_brute_force(graph, clique(3))
+    expected = brute_force(graph, clique(3))
     assert system.count_pattern(clique(3)).counts == expected
 
 

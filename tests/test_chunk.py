@@ -5,7 +5,8 @@ plus the row of its parent in the parent level's chunk (paper Section
 5.1, Figure 6). These tests pin the layout itself (prefix gather,
 intermediate lookup, memory arithmetic) and the scheduler's whole-chunk
 passes over it: the byte-budget cut with its mid-embedding pause, and
-the UDF drain against the row-by-row :func:`compute_candidates`.
+the UDF drain against the row-by-row
+:func:`tests.reference.compute_candidates`.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.cluster.network import NetworkModel
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.core.cache import CachePolicy, EdgeCache
 from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
-from repro.core.extend import ScheduleExtender, compute_candidates
+from repro.core.extend import ScheduleExtender
 from repro.core.plan import PatternPlan, group_patterns
 from repro.core.scheduler import NULL_UDF, MachineScheduler, _LevelState
 from repro.core.workspace import Workspace
@@ -29,6 +30,7 @@ from repro.obs import Observability, names
 from repro.patterns import catalog
 from repro.patterns.schedule import automine_schedule
 from repro.systems import KGraphPi, apps
+from tests.reference import compute_candidates
 
 try:  # Hypothesis draws the batch lists where it is installed
     from hypothesis import given, settings
@@ -219,7 +221,7 @@ def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=NULL_UDF,
     scheduler = MachineScheduler(
         cluster=cluster,
         machine=cluster.machines[machine_id],
-        extender=ScheduleExtender(schedule),
+        extender=ScheduleExtender(),
         cache=EdgeCache(*cache, cluster.cost),
         udf=udf,
         chunk_bytes=chunk_bytes,
@@ -557,7 +559,7 @@ def _lockstep_schedulers(graph, machines=8):
     return cluster, [
         MachineScheduler(
             cluster=cluster, machine=machine,
-            extender=ScheduleExtender(schedule, workspace=workspace),
+            extender=ScheduleExtender(workspace=workspace),
             cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
             udf=NULL_UDF, chunk_bytes=1 << 20, hds_enabled=True,
             hds_slots=64, vcs_enabled=True, numa_aware=True, trie=trie,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis import count_embeddings_brute_force
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine
 from repro.core.cache import CachePolicy
@@ -27,15 +26,17 @@ def _engine(graph, machines=4, **config):
     [clique(3), clique(4), chain(3), chain(4), cycle(4), star(3)],
     ids=["tri", "4cc", "wedge", "chain4", "cyc4", "star3"],
 )
-def test_counts_match_brute_force(small_random_graph, pattern):
-    expected = count_embeddings_brute_force(small_random_graph, pattern)
+def test_counts_match_brute_force(small_random_graph, pattern, brute_force):
+    expected = brute_force(small_random_graph, pattern)
     report = _engine(small_random_graph).run(automine_schedule(pattern))
     assert report.counts == expected
 
 
 @pytest.mark.parametrize("pattern", [chain(3), cycle(4)], ids=["wedge", "cyc4"])
-def test_induced_counts_match_brute_force(small_random_graph, pattern):
-    expected = count_embeddings_brute_force(
+def test_induced_counts_match_brute_force(
+    small_random_graph, pattern, brute_force
+):
+    expected = brute_force(
         small_random_graph, pattern, induced=True
     )
     report = _engine(small_random_graph).run(
@@ -64,8 +65,10 @@ def test_count_invariant_to_chunk_size(small_random_graph):
 
 @pytest.mark.parametrize("vcs", [True, False])
 @pytest.mark.parametrize("hds", [True, False])
-def test_count_invariant_to_reuse_flags(small_random_graph, vcs, hds):
-    expected = count_embeddings_brute_force(small_random_graph, clique(4))
+def test_count_invariant_to_reuse_flags(
+    small_random_graph, vcs, hds, brute_force
+):
+    expected = brute_force(small_random_graph, clique(4))
     report = _engine(small_random_graph, vcs=vcs, hds=hds).run(
         automine_schedule(clique(4))
     )
@@ -73,8 +76,10 @@ def test_count_invariant_to_reuse_flags(small_random_graph, vcs, hds):
 
 
 @pytest.mark.parametrize("policy", list(CachePolicy))
-def test_count_invariant_to_cache_policy(small_random_graph, policy):
-    expected = count_embeddings_brute_force(small_random_graph, clique(3))
+def test_count_invariant_to_cache_policy(
+    small_random_graph, policy, brute_force
+):
+    expected = brute_force(small_random_graph, clique(3))
     report = _engine(small_random_graph, cache_policy=policy).run(
         automine_schedule(clique(3))
     )
@@ -90,9 +95,9 @@ def test_count_invariant_to_numa(small_random_graph):
     assert oblivious.simulated_seconds > aware.simulated_seconds
 
 
-def test_labeled_pattern_counts(labeled_graph):
+def test_labeled_pattern_counts(labeled_graph, brute_force):
     pattern = Pattern(2, [(0, 1)], labels=(0, 1))
-    expected = count_embeddings_brute_force(labeled_graph, pattern)
+    expected = brute_force(labeled_graph, pattern)
     report = _engine(labeled_graph).run(automine_schedule(pattern))
     assert report.counts == expected
 
@@ -109,13 +114,13 @@ def test_single_edge_pattern(small_random_graph):
     assert report.counts == small_random_graph.num_edges
 
 
-def test_run_many_counts_align(small_random_graph):
+def test_run_many_counts_align(small_random_graph, brute_force):
     schedules = [automine_schedule(p) for p in (clique(3), chain(3))]
     report = _engine(small_random_graph).run_many(schedules)
-    assert report.counts[0] == count_embeddings_brute_force(
+    assert report.counts[0] == brute_force(
         small_random_graph, clique(3)
     )
-    assert report.counts[1] == count_embeddings_brute_force(
+    assert report.counts[1] == brute_force(
         small_random_graph, chain(3)
     )
 
@@ -214,17 +219,17 @@ def test_config_validation():
         EngineConfig(cache_fraction=1.5)
 
 
-def test_labeled_roots_filtered(labeled_graph):
+def test_labeled_roots_filtered(labeled_graph, brute_force):
     pattern = Pattern(2, [(0, 1)], labels=(2, 2))
     engine = _engine(labeled_graph)
     report = engine.run(automine_schedule(pattern))
-    expected = count_embeddings_brute_force(labeled_graph, pattern)
+    expected = brute_force(labeled_graph, pattern)
     assert report.counts == expected
 
 
-def test_zero_match_pattern(small_random_graph):
+def test_zero_match_pattern(small_random_graph, brute_force):
     # a 6-clique is (almost surely) absent from this sparse graph
-    expected = count_embeddings_brute_force(small_random_graph, clique(6))
+    expected = brute_force(small_random_graph, clique(6))
     report = _engine(small_random_graph).run(automine_schedule(clique(6)))
     assert report.counts == expected
 

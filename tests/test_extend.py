@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.extend import ScheduleExtender, compute_candidates
 from repro.graph.generators import complete_graph, erdos_renyi
 from repro.graph import from_edges
 from repro.patterns import chain, clique, cycle
 from repro.patterns.schedule import automine_schedule, compile_schedule
+from tests.reference import ScheduleExtender, compute_candidates
 
 
 @pytest.fixture(scope="module")

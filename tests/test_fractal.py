@@ -7,7 +7,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.analysis import count_embeddings_brute_force
 from repro.baselines import FractalLike, SingleMachine
 from repro.baselines.fractal import _CANONICAL_COST, _EXTEND_COST
 from repro.errors import ConfigurationError, SimTimeoutError
@@ -261,8 +260,10 @@ def test_hub_star_cap_allocates_no_subset_rows():
     [chain(2), chain(3), clique(3), star(3), chain(4)],
     ids=["edge", "wedge", "triangle", "star3", "path4"],
 )
-def test_fractal_counts_match_brute_force(pattern, small_random_graph):
-    expected = count_embeddings_brute_force(small_random_graph, pattern)
+def test_fractal_counts_match_brute_force(
+    pattern, small_random_graph, brute_force
+):
+    expected = brute_force(small_random_graph, pattern)
     system = FractalLike(small_random_graph, num_machines=2)
     assert system.count_pattern(pattern).counts == expected
 

@@ -3,7 +3,7 @@
 The central contract: ``--counting iep`` is bit-identical to the
 enumeration oracle for every catalog pattern, on every graph, on both
 backends, and the terminal kernel agrees row by row — counts and
-accounting — with its reference :func:`repro.core.extend.iep_count`.
+accounting — with its reference :func:`tests.reference.iep_count`.
 The IEP terminal kernel only changes *where* work happens, never what
 is counted.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import kernels
 from repro.core.engine import EngineConfig, KhuzdulEngine
-from repro.core.extend import compute_candidates, iep_count
 from repro.errors import ConfigurationError
 from repro.exec import ProcessBackend
 from repro.graph.generators import erdos_renyi, random_labels
@@ -30,6 +29,7 @@ from repro.patterns.schedule import (
 from repro.patterns.symmetry import symmetry_restrictions
 from repro.systems import apps
 from repro.systems.graphpi import KGraphPi
+from tests.reference import compute_candidates, iep_count
 
 #: every named catalog pattern with <= 5 vertices
 CATALOG = {

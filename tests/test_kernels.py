@@ -3,7 +3,7 @@
 The contract under test: every kernel agrees *element-for-element*
 with its reference — ``intersect_sorted`` / ``setdiff_sorted`` with
 ``np.intersect1d`` / ``np.setdiff1d``, and ``extend_chunk`` with the
-row-by-row :func:`compute_candidates`, including the
+row-by-row :func:`tests.reference.compute_candidates`, including the
 ``merge_elements``/``scanned`` accounting quantities and the stored VCS
 intermediates. What whole engine runs measure on top of the kernels is
 pinned by ``tests/test_scheduler_golden.py``.
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.extend import compute_candidates, iep_count
 from repro.core.workspace import Workspace
 from repro.graph import Graph, from_edges, open_store, write_store
 from repro.graph.generators import erdos_renyi
@@ -31,6 +30,7 @@ from repro.patterns.schedule import (
     compile_counting_plan,
     graphpi_schedule,
 )
+from tests.reference import compute_candidates, iep_count
 
 try:  # Hypothesis draws (and shrinks) the seeds where it is installed
     from hypothesis import given, settings
@@ -196,9 +196,15 @@ def _segments(arrays):
     return values, offsets, np.arange(len(arrays))
 
 
-def _check_schedule(graph, schedule, vcs=True):
+def _check_schedule(graph, schedule, vcs=True, levels=None):
+    """``extend_chunk`` against the reference on every level of
+    ``levels`` (``_levels(graph, schedule, vcs)`` when None); returns
+    each level's listing ``probe_elements``."""
+    if levels is None:
+        levels = _levels(graph, schedule, vcs)
     checked = 0
-    for step, prefixes, inters, scalars in _levels(graph, schedule, vcs):
+    probes = []
+    for step, prefixes, inters, scalars in levels:
         use_inters = (
             _segments(inters) if (vcs and step.reuse_level is not None)
             else None
@@ -213,6 +219,7 @@ def _check_schedule(graph, schedule, vcs=True):
         label_free = step.label is None and step.edge_labels is None
         assert (counts.values is None) == label_free
         assert counts.probe_elements == batch.probe_elements
+        probes.append(batch.probe_elements)
         assert len(batch) == len(scalars)
         assert batch.rows.tolist() == [
             i for i, res in enumerate(scalars) for _ in res.candidates
@@ -231,6 +238,7 @@ def _check_schedule(graph, schedule, vcs=True):
                 assert batch.raw_for(i) is None
             checked += 1
     assert checked > 0
+    return probes
 
 
 PATTERNS = {
@@ -279,20 +287,16 @@ def test_extend_chunk_row_blocks(small_random_graph, skewed_graph,
     still equal the reference and ``probe_elements`` does not move."""
     schedule = automine_schedule(PATTERNS[name])
     for graph in (small_random_graph, skewed_graph):
+        # the reference runs once; both passes read its levels
+        levels = list(_levels(graph, schedule))
         whole = [
             kernels.extend_chunk(graph, step, prefixes, (
                 _segments(inters) if step.reuse_level is not None else None
             )).probe_elements
-            for step, prefixes, inters, _ in _levels(graph, schedule)
+            for step, prefixes, inters, _ in levels
         ]
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 7)
-        _check_schedule(graph, schedule)
-        blocked = [
-            kernels.extend_chunk(graph, step, prefixes, (
-                _segments(inters) if step.reuse_level is not None else None
-            )).probe_elements
-            for step, prefixes, inters, _ in _levels(graph, schedule)
-        ]
+        blocked = _check_schedule(graph, schedule, levels=levels)
         monkeypatch.undo()
         assert blocked == whole
 

@@ -440,7 +440,7 @@ def test_extender_meters_every_chunk_on_its_own_machine():
     obs = Observability()
     cluster = Cluster(graph, ClusterConfig(num_machines=2))
     extenders = [
-        ScheduleExtender(None, metrics=obs.registry.scope(machine=m))
+        ScheduleExtender(metrics=obs.registry.scope(machine=m))
         for m in range(2)
     ]
     chunks = []
@@ -490,7 +490,7 @@ def test_hop_column_is_narrow_and_exact():
                 serving[serving == dead] = cluster.failover_owner(dead)
             for me in (0, machines - 1):
                 hop = MachineScheduler(
-                    cluster, cluster.machines[me], ScheduleExtender(None),
+                    cluster, cluster.machines[me], ScheduleExtender(),
                     EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
                     None, 1024, True, 64, True, True, trie)._vertex_hop
                 assert hop.dtype == np.min_scalar_type(machines)

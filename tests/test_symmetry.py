@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import count_embeddings_brute_force
-from repro.baselines.common import ExploreStats, RecursiveExplorer
-from repro.core.extend import ScheduleExtender
 from repro.graph.generators import erdos_renyi
 from repro.patterns import (
     automorphisms,
@@ -24,6 +22,7 @@ from repro.patterns import (
 )
 from repro.patterns.schedule import automine_schedule
 from repro.patterns.symmetry import satisfies_restrictions
+from tests.reference import ExploreStats, RecursiveExplorer, ScheduleExtender
 
 
 def _count(graph, pattern, use_restrictions):

@@ -26,7 +26,6 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import EngineConfig, KhuzdulEngine, kernels
-from repro.core.extend import compute_candidates, iep_count
 from repro.core.workspace import Workspace
 from repro.graph import Graph, dataset, from_edges
 from repro.graph.generators import erdos_renyi
@@ -40,6 +39,7 @@ from repro.patterns.schedule import (
 )
 from repro.systems import KAutomine, KGraphPi, apps
 
+from tests.reference import compute_candidates, iep_count
 from tests.test_kernels import (
     PATTERNS, _distinct_rows, _drawn_step, _seeds, _segments, _step,
     _with_self_loops,
