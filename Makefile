@@ -83,7 +83,16 @@ motif-check:
 ## distinct-vertex check on a step's own columns only
 ## (test_own_columns_by_step, test_own_columns_exact_in_every_regime,
 ## test_loop_free_flag, test_loop_free_steps_make_no_correction_probe),
-## popcount totals (test_popcount_totals_each_row), and the
+## popcount totals (test_popcount_totals_each_row), one-list count
+## windows by word ranks against the composite-key body in
+## tests/reference.py (count_window) and np.searchsorted
+## (test_count_window_matches_composite_keys,
+## test_ranks_match_searchsorted_per_source,
+## test_count_window_searches_no_keys_where_every_vertex_has_a_row), the
+## plan's joined pairs in the correction's memo
+## (test_chain5_correction_probes_one_column,
+## test_joined_pairs_hold_one_way_on_an_oriented_graph, and every
+## counted step _check_schedule holds to the reference), and the
 ## 150-run golden of simulated observables (never re-recorded in a PR
 ## that claims nothing simulated moved)
 kernel-check:

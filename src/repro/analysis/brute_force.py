@@ -26,6 +26,15 @@ def count_embeddings_brute_force(
     """
     n = pattern.num_vertices
     num_autos = len(automorphisms(pattern))
+    # a position with a pattern neighbor placed before it draws its
+    # candidates from the first such neighbor's list (its out-list on an
+    # oriented graph: the edge check reads that direction), not from
+    # every vertex; the checks below stay whole
+    anchors = [
+        next((prior for prior in range(position)
+              if pattern.has_edge(prior, position)), None)
+        for position in range(n)
+    ]
     assignment: list[int] = []
     used: set[int] = set()
 
@@ -53,7 +62,12 @@ def count_embeddings_brute_force(
         if position == n:
             return 1
         total = 0
-        for candidate in graph.vertices():
+        anchor = anchors[position]
+        candidates = (
+            graph.vertices() if anchor is None
+            else graph.neighbors(assignment[anchor]).tolist()
+        )
+        for candidate in candidates:
             if candidate in used:
                 continue
             if not consistent(candidate, position):

@@ -27,7 +27,7 @@ from repro.core import kernels
 from repro.core.scheduler import BATCH_ELEMENTS
 from repro.core.workspace import Workspace
 from repro.graph.graph import Graph
-from repro.patterns.schedule import Schedule
+from repro.patterns.schedule import Schedule, joined_pairs
 
 #: most prefix rows one kernel call extends (and roots one batch holds)
 ROWS = BATCH_ELEMENTS
@@ -113,6 +113,7 @@ def walk(
         batch = kernels.extend_chunk(
             graph, step, rows, intermediates, vcs=vcs,
             count_only=last and on_match is None, workspace=workspace,
+            joined=joined_pairs(schedule.steps[:level - 1]),
         )
         here = Level(level, last, trees[start:stop], branches[start:stop],
                      batch.merge_elements, batch.scanned, batch.counts)

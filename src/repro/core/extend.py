@@ -85,10 +85,13 @@ class ScheduleExtender:
         step: ExtensionStep,
         chunks: Sequence,
         count_only: bool = False,
+        joined: Sequence[tuple[int, int]] = (),
     ) -> list[kernels.ChunkExtendResult]:
         """Extend ``(extender, chunk)`` pairs' same-level chunks — one
         trie node's on the hosted machines (docs/performance.md,
-        "Lockstep machines") — by the node's ``step`` in one kernel call.
+        "Lockstep machines") — by the node's ``step`` in one kernel call
+        (``joined``: the pairs the chunks' rows are joined by, as
+        :func:`kernels.extend_chunk` takes them).
 
         Returns one result a chunk, what a call on it alone returns:
         per-row results element-identical to extending each row's
@@ -105,7 +108,7 @@ class ScheduleExtender:
         results = kernels.split(kernels.extend_chunk(
             graph, step, prefixes, intermediates, vcs=self.vcs,
             count_only=count_only, workspace=self.workspace,
-            chunk_bounds=bounds,
+            chunk_bounds=bounds, joined=joined,
         ), bounds)
         for (extender, chunk), batch in zip(chunks, results):
             extender._m_k_batches.inc()

@@ -31,7 +31,8 @@ Three layers:
   connected-position gathers, batched distinct-vertex / ordering /
   label filters) over cache-sized row blocks. A counting drain is a
   kernel of its own (docs/performance.md): per-row cardinalities, no
-  filtered list, straight off the CSR when the step reads one list.
+  filtered list; where the step reads one list, two ranks in it, off
+  the adjacency rows' rank directory (:meth:`Graph.word_ranks`).
 
 Sets have two representations, chosen by what the graph already is (as
 G2Miner picks bitmaps where neighborhoods are dense and sorted lists
@@ -296,6 +297,7 @@ def extend_chunk(
     count_only: bool = False,
     workspace: Optional[Workspace] = None,
     chunk_bounds: Optional[Sequence[int]] = None,
+    joined: Sequence[tuple[int, int]] = (),
 ) -> ChunkExtendResult:
     """Run one schedule step across a whole chunk of embeddings.
 
@@ -330,6 +332,12 @@ def extend_chunk(
         to end (docs/performance.md, "Lockstep machines"; ``None``: one
         chunk). Each chunk's ``probes`` follow its own probe direction,
         so :func:`split` returns what one call a chunk does.
+    joined:
+        ``(source, column)`` prefix-column pairs every row already
+        joins: column ``column``'s vertex is in the list of column
+        ``source``'s (:func:`~repro.patterns.schedule.joined_pairs` of
+        the steps that filled ``prefixes``). A count's distinct-vertex
+        correction takes them as known, not probed (:func:`_inside`).
 
     The chunk is worked through in row blocks of about
     :data:`BLOCK_ELEMENTS` gathered candidates (:func:`_row_blocks`, or
@@ -356,7 +364,7 @@ def extend_chunk(
         volume = stored_offsets[segments + 1] - stored_offsets[segments]
         connected = step.extra_connected
     elif counting and len(step.connected) == 1 and not step.disconnected:
-        return _count_window(graph, step, prefixes, own, ws)
+        return _count_window(graph, step, prefixes, own, joined, ws)
     else:
         # Intersection is symmetric: gather whichever of the first two
         # connected columns has the smaller total neighbor volume and
@@ -436,7 +444,8 @@ def extend_chunk(
             volume[start:stop], ws, merge, scanned, probes, keep_raw,
         )
         if counting:
-            _count_sets(graph, columns, step, block, own, state, ws, kept)
+            _count_sets(graph, columns, step, block, own, joined, state,
+                        ws, kept)
         else:
             values, emb_of = _list_sets(
                 graph, columns, step, block, own, state, ws, kept)
@@ -881,7 +890,7 @@ def _inside(
     connected: tuple[int, ...],
     disconnected: tuple[int, ...],
     window: Sequence[tuple[np.ufunc, np.ndarray]],
-    adjacent: dict[tuple[int, int], np.ndarray],
+    adjacent: dict[tuple[int, int], np.ndarray | bool],
     ws: Workspace,
 ) -> np.ndarray:
     """The distinct-vertex correction of a cardinality: how many of each
@@ -891,7 +900,8 @@ def _inside(
     within ``window``), where a listing drops them. One accumulating
     pass a column; a column nowhere within the window needs no probe.
     ``adjacent`` memoizes ``(source column, column)`` membership, each
-    pair probed on first use. The result is a workspace view."""
+    pair probed on first use — or ``True`` from the start, a pair the
+    plan joins (:func:`_joined`). The result is a workspace view."""
     n, width = prefixes.shape
     # one take: a running mask, a scratch mask and the rows the
     # ``adjacent`` memo grows into
@@ -901,11 +911,15 @@ def _inside(
     total[:] = 0
     for column in own:
         vertex = prefixes[:, column]
-        hit[:] = True
-        for compare, bound in window:
-            hit &= compare(vertex, bound, out=flag)
-        if window and not hit.any():
-            continue
+        if window:
+            (compare, bound), *rest = window
+            compare(vertex, bound, out=hit)
+            for compare, bound in rest:
+                hit &= compare(vertex, bound, out=flag)
+            if not hit.any():
+                continue
+        else:
+            hit[:] = True
         for source in connected + disconnected:
             member = adjacent.get((source, column))
             if member is None:
@@ -919,18 +933,84 @@ def _inside(
     return total
 
 
+def _joined(
+    graph: Graph, joined: Sequence[tuple[int, int]]
+) -> dict[tuple[int, int], bool]:
+    """The memo :func:`_inside` starts from: ``True`` for every row at
+    each pair of prefix columns the rows are ``joined`` by
+    (:func:`extend_chunk`) — and, on an undirected graph, at its reverse
+    — where a probe could only say so."""
+    pairs = [*joined, *(() if graph.directed else
+                        ((column, source) for source, column in joined))]
+    return dict.fromkeys(pairs, True)
+
+
+#: ``_LOW_BITS[j]``: the bits of a word under bit ``j``
+_LOW_BITS = np.left_shift(
+    np.uint64(1), np.arange(64, dtype=np.uint64)) - np.uint64(1)
+
+
+def _ranks(
+    graph: Graph, sources: np.ndarray, bounds: np.ndarray, side: str,
+    ws: Workspace, name: str,
+) -> np.ndarray:
+    """``np.searchsorted(N(sources[i]), bounds[i], side)`` for every
+    ``i``: how many of the source's neighbors lie under its bound
+    (``"left"``) or up to it (``"right"``). A source with an adjacency
+    row answers from its rank directory (:meth:`Graph.word_ranks`): one
+    rank gather, one word gather, a mask from a 64-entry table and a
+    popcount, however many words a row has. Only a tailed graph's
+    rowless sources search the composite keys. A workspace view named
+    ``name``."""
+    count = len(sources)
+    out = ws.take(name, count)
+    rows, rank = graph.adjacency_matrix()
+    at = np.add(bounds, side == "right", out=ws.take("ranks.at", count))
+    # where every vertex has a row the rows are in vertex order
+    row = sources if len(rows) == len(rank) else rank.take(
+        sources, mode="clip", out=ws.take("ranks.row", count, rank.dtype))
+    if len(rows):
+        # the bound's word in the flat rows, then in the flat ranks (a
+        # row has one rank more than words). A bound of ``|V|`` (up to
+        # ``|V| - 1``) may address one word past its row: it masks none
+        # of it. A rowless source reads some other row; overwritten below
+        index = np.multiply(row, rows.shape[1] >> 3, dtype=np.int64,
+                            out=ws.take("ranks.index", count))
+        index += np.right_shift(at, 6, out=ws.take("ranks.word", count))
+        words = rows.view("<u8").reshape(-1).take(
+            index, mode="clip", out=ws.take("ranks.words", count, np.uint64))
+        words &= _LOW_BITS.take(np.bitwise_and(at, 63, out=at), out=ws.take(
+            "ranks.mask", count, np.uint64))
+        index += row
+        below = graph.word_ranks().reshape(-1).take(
+            index, mode="clip", out=ws.take("ranks.below", count, np.int32))
+        np.add(below, np.bitwise_count(words, out=ws.take(
+            "ranks.bits", count, np.uint8)), out=out)
+    else:
+        out[:] = 0
+    if len(rows) < len(rank) and graph.num_directed_edges:
+        tail = (row < 0).nonzero()[0]
+        if len(tail):
+            owner = sources[tail]
+            keys = owner * np.int64(graph.num_vertices)
+            keys += bounds[tail]
+            out[tail] = graph.adjacency_keys().searchsorted(keys, side)
+            out[tail] -= graph.indptr.take(owner)
+    return out
+
+
 def _count_window(
     graph: Graph, step: ExtensionStep, prefixes: np.ndarray, own: list[int],
-    ws: Workspace,
+    joined: Sequence[tuple[int, int]], ws: Workspace,
 ) -> ChunkExtendResult:
     """Counting body of a step that reads one neighbor list: a row's
-    candidates are the run of ``N(v)`` inside its ordering window, two
-    CSR positions — the list's ends, each moved by one binary search of
-    the row's bound in the composite keys, gathered where no bound
-    moves it. O(rows): no gather, no set operation (no merge elements,
-    no probes); ``scanned`` = the degree, the count where there is no
-    bound. Worked in runs of :data:`BLOCK_ELEMENTS` prefix vertices, so
-    the temporaries are a run's, not the chunk's."""
+    candidates are the run of ``N(v)`` inside its ordering window — how
+    many neighbors lie under its upper bound (the degree without one)
+    less how many lie up to its lower bound (none without one), each a
+    :func:`_ranks` lookup. O(rows): no gather, no set operation (no
+    merge elements, no probes); ``scanned`` = the degree, the count
+    where there is no bound. Worked in runs of :data:`BLOCK_ELEMENTS`
+    prefix vertices, so the temporaries are a run's, not the chunk's."""
     n, width = prefixes.shape
     batch = ChunkExtendResult(
         ws.take("result.counts", n),
@@ -938,40 +1018,33 @@ def _count_window(
         np.broadcast_to(np.zeros(1, dtype=np.int64), n),
         ws.take("result.scanned", n),
     )
+    known = _joined(graph, joined)
     run = max(1, BLOCK_ELEMENTS // width)
     for start in range(0, n, run):
         rows = prefixes[start:start + run]
         source = rows[:, step.connected[0]]
         counts = batch.counts[start:start + run]
-        counts[:] = graph.degrees().take(
+        degrees = graph.degrees().take(
             source, mode="clip", out=batch.scanned[start:start + run])
         window = _window(step, rows)
-        key = ws.take("window.key", len(source))
-        ends = [None, None]  # the run's first position, one past its last
+        ends = {np.greater: 0, np.less: degrees}  # lo, hi
         for compare, bound in window:
-            np.multiply(source, graph.num_vertices, out=key)
-            key += bound
-            above = compare is np.greater
-            ends[not above] = graph.adjacency_keys().searchsorted(
-                key, "right" if above else "left")
-        if window:
-            lo, hi = (
-                graph.indptr.take(
-                    np.add(source, end, out=key), mode="clip",
-                    out=ws.take(("window.end", end), len(source)),
-                ) if moved is None else moved
-                for end, moved in enumerate(ends))
-            np.maximum(np.subtract(hi, lo, out=counts), 0, out=counts)
+            ends[compare] = _ranks(
+                graph, source, bound, "right" if compare is np.greater
+                else "left", ws, ("window", compare))
+        np.subtract(ends[np.less], ends[np.greater], out=counts)
+        if len(window) == 2:  # the bounds may cross
+            np.maximum(counts, 0, out=counts)
         if own:
             counts -= _inside(graph, rows, own, step.connected, (), window,
-                              {}, ws)
+                              dict(known), ws)
     return batch
 
 
 def _count_sets(
     graph: Graph, columns: Optional[HubColumns], step: ExtensionStep,
-    prefixes: np.ndarray, own: list[int], state: tuple, ws: Workspace,
-    counts: np.ndarray,
+    prefixes: np.ndarray, own: list[int], joined, state: tuple,
+    ws: Workspace, counts: np.ndarray,
 ) -> None:
     """One row block of :func:`extend_chunk`, counted, into the rows'
     ``counts``: the set operations' ``state`` through the ordering
@@ -1013,7 +1086,8 @@ def _count_sets(
     for column in range(prefixes.shape[1]):
         prefixes[:, column].take(live, mode="clip", out=rows[:, column])
     counts[live] -= _inside(graph, rows, own, step.connected,
-                            step.disconnected, _window(step, rows), {}, ws)
+                            step.disconnected, _window(step, rows),
+                            _joined(graph, joined), ws)
 
 
 # ---------------------------------------------------------------------

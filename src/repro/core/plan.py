@@ -31,7 +31,9 @@ from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.faults.recovery import FailureSummary
 from repro.obs import NULL_OBS, Observability
-from repro.patterns.schedule import CountingPlan, ExtensionStep, Schedule
+from repro.patterns.schedule import (
+    CountingPlan, ExtensionStep, Schedule, joined_pairs,
+)
 
 #: EngineConfig fields that say how *this attempt* runs, not what the
 #: job computes; everything else is fingerprinted, so a new engine knob
@@ -104,6 +106,10 @@ class Terminal:
     step: Optional[ExtensionStep] = None
     #: the IEP plan the node's chunk is drained through
     counting: Optional[CountingPlan] = None
+    #: the pairs the node's chunks' rows are joined by, which a count's
+    #: distinct-vertex correction need not probe
+    #: (:func:`~repro.patterns.schedule.joined_pairs` of its path)
+    joined: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,8 @@ def group_patterns(
             if pattern.counting is not None:
                 terminal = Terminal(slot, counting=pattern.counting)
             elif steps:
-                steps, terminal = steps[:-1], Terminal(slot, step=steps[-1])
+                steps, terminal = steps[:-1], Terminal(
+                    slot, step=steps[-1], joined=joined_pairs(steps[:-1]))
             else:
                 terminal = Terminal(slot)
             paths.append((pattern, steps, terminal))

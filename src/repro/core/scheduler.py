@@ -449,9 +449,11 @@ class MachineScheduler:
                     results = extender.iep_chunk(
                         self.graph, site.counting, chunks)
                 else:  # a fill's extension lists, a drain counts if it can
+                    drain = isinstance(site, Terminal)
                     results = extender.extend_chunk(
                         self.graph, site.step, chunks,
-                        isinstance(site, Terminal) and self.udf is NULL_UDF)
+                        drain and self.udf is NULL_UDF,
+                        site.joined if drain else ())
                 for (walk, scheduler, _), result in zip(run, results):
                     advance(walk, scheduler, result)
         return self.matches

@@ -113,6 +113,7 @@ class Graph:
         "_adjacency_keys",
         "_adjacency_matrix",
         "_hub_columns",
+        "_word_ranks",
         "_loop_free",
         "_oriented",
     )
@@ -167,6 +168,7 @@ class Graph:
         self._adjacency_keys: Optional[np.ndarray] = None
         self._adjacency_matrix: Optional[tuple] = None
         self._hub_columns: Optional[tuple] = None
+        self._word_ranks: Optional[np.ndarray] = None
         self._loop_free: Optional[bool] = None
         self._oriented: Optional[Graph] = None
 
@@ -303,6 +305,30 @@ class Graph:
                 self._hub_columns = (
                     self._build_hub_columns(rank) if k else None)
         return self._adjacency_matrix
+
+    def word_ranks(self) -> np.ndarray:
+        """The adjacency rows' rank directory: ``(hubs, W + 1)`` ``int32``,
+        entry ``[r, j]`` the set bits in row ``r``'s 64-bit words before
+        word ``j`` (``W = adjacency_row_bytes / 8``; the last entry is the
+        row's degree). How many of a hub's neighbors lie under a bound
+        ``b`` is then one entry plus the popcount of one word's bits
+        under ``b`` — whatever ``W`` is (:mod:`repro.core.kernels`,
+        docs/performance.md, "Counting drains"). 4 bytes a row word,
+        beside the rows (they are not copied); built on first use, a
+        bounded run of rows at a time (:meth:`_build_word_ranks`)."""
+        if self._word_ranks is None:
+            self._word_ranks = self._build_word_ranks()
+        return self._word_ranks
+
+    def _build_word_ranks(self) -> np.ndarray:
+        words = self.adjacency_matrix()[0].view("<u8")
+        ranks = np.zeros((len(words), words.shape[1] + 1), dtype=np.int32)
+        run = max(1, _ROW_BUILD_ELEMENTS // max(1, words.shape[1]))
+        for start in range(0, len(words), run):
+            np.cumsum(np.bitwise_count(words[start:start + run]), axis=1,
+                      dtype=np.int32, out=ranks[start:start + run, 1:])
+        ranks.setflags(write=False)
+        return ranks
 
     def hub_columns(self) -> Optional[HubColumns]:
         """Every vertex's neighbor list split at the hub vertices, or
@@ -456,15 +482,16 @@ class Graph:
     def derived_bytes(self) -> int:
         """Bytes of what the kernels have built beside the CSR so far:
         the composite keys (:meth:`adjacency_keys`), the hub rows and
-        their rank table (:meth:`adjacency_matrix`), the hub columns and
-        tail lists (:meth:`hub_columns`). Resident in every process that
+        their rank table (:meth:`adjacency_matrix`), the rows' word
+        ranks (:meth:`word_ranks`), the hub columns and tail lists
+        (:meth:`hub_columns`). Resident in every process that
         runs kernels on a RAM graph; a store maps them from its derived
         section (docs/storage.md). An array
         that is a view of another (a dense graph's columns are its rows)
         is counted once."""
         built = [self._adjacency_keys]
         built += self._adjacency_matrix or ()
-        built += self._hub_columns or ()
+        built += [self._word_ranks, *(self._hub_columns or ())]
         built = [array for array in built if array is not None]
         return sum(
             array.nbytes for array in built

@@ -29,11 +29,11 @@ array's dtype/length/offset/CRC32, then the arrays themselves at
 rejected by name — the same manifest discipline the durable
 checkpoints use (docs/faults.md, "Durability").
 
-What the kernels derive from the CSR — composite keys, hub rows and
-rank table, hub columns and tail CSR — is the store's *derived
-section*, a sidecar file of the same format (:func:`derived_path`):
-the first process that needs it builds and writes it, every later one
-maps it.
+What the kernels derive from the CSR — composite keys, hub rows, their
+rank table and word ranks, hub columns and tail CSR — is the store's
+*derived section*, a sidecar file of the same format
+(:func:`derived_path`): the first process that needs it builds and
+writes it, every later one maps it.
 """
 
 from __future__ import annotations
@@ -87,11 +87,12 @@ class MmapGraph(Graph):
 
     So are the structures the kernels derive: the first
     :meth:`adjacency_keys` / :meth:`adjacency_matrix` /
-    :meth:`hub_columns` call maps the store's derived section
-    (:func:`derived_path`) if one derived from this store under this
-    row budget exists. Otherwise it builds all three with the
-    :class:`Graph` code, writes them as that section and maps what it
-    wrote; where the directory is not writable it keeps the build.
+    :meth:`word_ranks` / :meth:`hub_columns` call maps the store's
+    derived section (:func:`derived_path`) if one derived from this
+    store under this row budget exists. Otherwise it builds them all
+    with the :class:`Graph` code, writes them as that section and maps
+    what it wrote; where the directory is not writable it keeps the
+    build.
     """
 
     __slots__ = ("store_path", "fingerprint", "builder_stats",
@@ -110,25 +111,34 @@ class MmapGraph(Graph):
             self._derive()
         return self._adjacency_matrix
 
+    def word_ranks(self) -> np.ndarray:
+        if self._adjacency_matrix is None:
+            self._derive()
+        return super().word_ranks()
+
     def _derive(self) -> None:
         path = derived_path(self.store_path)
         source = {**self.derived_from,
                   "row_budget": self.DENSE_ADJACENCY_BYTES}
         header = read_header(path) if path.exists() else None
         if (header is None or header.get("derived_from") != source
-                or "loop_free" not in header):
+                or "loop_free" not in header
+                or "word_ranks" not in header["arrays"]):
             # missing or stale: build, and write what was built
             header = self._write_section(path, source)
             if header is None:
                 return
         n = self.num_vertices
+        hubs, row_bytes = header["hub_rows"], self.adjacency_row_bytes
         arrays = _mapped(path, header, shapes={
-            "rows": (header["hub_rows"], self.adjacency_row_bytes),
+            "rows": (hubs, row_bytes),
+            "word_ranks": (hubs, row_bytes // 8 + 1),
             "words": (n, header.get("width", 0)),
         })
         rows = arrays["rows"]
         self._adjacency_keys = arrays["keys"]
         self._adjacency_matrix = (rows, arrays["rank"])
+        self._word_ranks = arrays["word_ranks"]
         self._loop_free = header["loop_free"]
         if "words" in arrays:
             self._hub_columns = HubColumns(
@@ -150,7 +160,8 @@ class MmapGraph(Graph):
         and one rename wins."""
         rows, rank = Graph.adjacency_matrix(self)
         arrays = {"keys": Graph.adjacency_keys(self),
-                  "rows": rows.reshape(-1), "rank": rank}
+                  "rows": rows.reshape(-1), "rank": rank,
+                  "word_ranks": Graph.word_ranks(self).reshape(-1)}
         shape = {"hub_rows": len(rows), "loop_free": self._loop_free}
         columns = self._hub_columns
         if columns is not None and columns.tail_indptr is not None:

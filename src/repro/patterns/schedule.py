@@ -105,6 +105,18 @@ class Schedule:
         )
 
 
+def joined_pairs(
+    steps: Sequence[ExtensionStep],
+) -> tuple[tuple[int, int], ...]:
+    """The ``(source, position)`` pairs ``steps`` join: in every row
+    they fill, position ``step.level``'s vertex is in the list of each
+    of the step's ``connected`` positions' vertices (its out-list on an
+    oriented graph) — a membership no kernel has to probe again."""
+    return tuple(
+        (source, step.level) for step in steps for source in step.connected
+    )
+
+
 # ----------------------------------------------------------------------
 # schedule compilation
 # ----------------------------------------------------------------------

@@ -119,9 +119,11 @@ def membership_regime(request, monkeypatch):
             monkeypatch.setattr(
                 Graph, "DENSE_ADJACENCY_BYTES",
                 rows * graph.adjacency_row_bytes)
-        # the hub columns are built with the rows: drop both
+        # the hub columns and word ranks are built from the rows: drop
+        # all three
         monkeypatch.setattr(graph, "_adjacency_matrix", None)
         monkeypatch.setattr(graph, "_hub_columns", None)
+        monkeypatch.setattr(graph, "_word_ranks", None)
         matrix, rank = graph.adjacency_matrix()
         if graph.num_directed_edges:
             assert int((rank >= 0).sum()) == rows

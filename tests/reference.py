@@ -12,6 +12,10 @@ first with per-child hooks. ``repro.core.kernels.extend_chunk`` /
 ``tests/test_word_kernels.py``, ``tests/test_iep.py``), and the
 baselines' level-synchronous walk (``repro.baselines.common.walk``)
 must tally what the recursion does (``tests/test_explore.py``).
+:func:`count_window` is the composite-key body of a one-list count
+the rank directory replaced, and :func:`count_embeddings_unpruned` the
+brute-force counter before it took its candidates from a placed
+neighbor's list.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core import extend
+from repro.core import extend, kernels
+from repro.core.workspace import Workspace
 from repro.graph.graph import Graph
+from repro.patterns.isomorphism import automorphisms
+from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import CountingPlan, ExtensionStep
 
 _EMPTY = np.empty(0, dtype=np.int32)
@@ -205,6 +212,77 @@ def iep_count(
             value *= cards[block]
         count += value
     return count, merge_elements, scanned
+
+
+def count_window(
+    graph: Graph, step: ExtensionStep, prefixes: np.ndarray
+) -> np.ndarray:
+    """Per-row counts of a label-free step that reads one neighbor list,
+    as ``repro.core.kernels`` answered them before
+    :meth:`Graph.word_ranks`: the list's two CSR ends, each bound moving
+    one by a binary search of ``source * |V| + bound`` in the composite
+    keys (:meth:`Graph.adjacency_keys`), less the row's own vertices
+    inside the window — every ``(source, column)`` pair probed, none
+    taken from the plan."""
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    source = prefixes[:, step.connected[0]]
+    ends = [graph.indptr[source], graph.indptr[source + 1]]
+    window = kernels._window(step, prefixes)
+    for compare, bound in window:
+        above = compare is np.greater
+        ends[not above] = graph.adjacency_keys().searchsorted(
+            source * graph.num_vertices + bound, "right" if above else "left")
+    counts = np.maximum(ends[1] - ends[0], 0)
+    own = kernels._own_columns(graph, step.level, step.connected,
+                               step.larger_than + step.smaller_than)
+    if own:
+        counts -= kernels._inside(graph, prefixes, own, step.connected, (),
+                                  window, {}, Workspace())
+    return counts
+
+
+def count_embeddings_unpruned(
+    graph: Graph, pattern: Pattern, induced: bool = False
+) -> int:
+    """``repro.analysis.count_embeddings_brute_force`` as it was before
+    it drew a position's candidates from a placed pattern neighbor's
+    list: every vertex tried at every position, each through the same
+    label, edge, non-edge and edge-label checks."""
+    n = pattern.num_vertices
+    assignment: list[int] = []
+    used: set[int] = set()
+
+    def consistent(candidate: int, position: int) -> bool:
+        if pattern.labels is not None and (
+                graph.label(candidate) != pattern.label(position)):
+            return False
+        for prior in range(position):
+            has_pattern_edge = pattern.has_edge(prior, position)
+            has_graph_edge = graph.has_edge(assignment[prior], candidate)
+            if has_pattern_edge and not has_graph_edge:
+                return False
+            if induced and not has_pattern_edge and has_graph_edge:
+                return False
+            if has_pattern_edge and pattern.edge_label(prior, position) != (
+                    graph.edge_label(assignment[prior], candidate)):
+                return False
+        return True
+
+    def search(position: int) -> int:
+        if position == n:
+            return 1
+        total = 0
+        for candidate in graph.vertices():
+            if candidate in used or not consistent(candidate, position):
+                continue
+            assignment.append(candidate)
+            used.add(candidate)
+            total += search(position + 1)
+            assignment.pop()
+            used.discard(candidate)
+        return total
+
+    return search(0) // len(automorphisms(pattern))
 
 
 class ScheduleExtender(extend.ScheduleExtender):

@@ -1,9 +1,14 @@
 """Tests for the brute-force reference counter itself."""
 
+import numpy as np
+import pytest
+
 from repro.analysis import count_embeddings_brute_force
 from repro.graph import from_edges
 from repro.graph.generators import complete_graph, cycle_graph, star_graph
 from repro.patterns import Pattern, chain, clique, cycle, star
+from repro.patterns.generation import connected_patterns
+from tests.reference import count_embeddings_unpruned
 
 
 def test_triangle_in_k4():
@@ -75,3 +80,56 @@ def test_star_pattern_counts():
 def test_single_vertex_pattern():
     g = from_edges([(0, 1)], num_vertices=5)
     assert count_embeddings_brute_force(g, Pattern(1, [])) == 5
+
+
+# ======================================================================
+# the counter's candidates come from a placed pattern neighbor's list:
+# it must count what trying every vertex everywhere counts
+# ======================================================================
+try:  # Hypothesis draws (and shrinks) the seeds where it is installed
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def _seeds(test):
+        return settings(max_examples=40, deadline=None)(
+            given(seed=st.integers(0, 2**32 - 1))(test)
+        )
+except ImportError:  # a bare container: the same body over a fixed sweep
+    _seeds = pytest.mark.parametrize("seed", range(40))
+
+
+def _drawn_graph(rng):
+    """Up to 9 vertices, any density, vertex and edge labels from two
+    values each. Undirected: on an oriented graph the assignments of a
+    symmetric pattern need not divide by its automorphisms."""
+    n = int(rng.integers(1, 10))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < rng.uniform(0.2, 0.9)]
+    return from_edges(
+        edges, num_vertices=n, labels=rng.integers(0, 2, size=n),
+        edge_labels=rng.integers(0, 2, size=len(edges)),
+    )
+
+
+def _drawn_pattern(rng):
+    """A connected pattern of up to 4 vertices — its vertex order, which
+    the counter follows, drawn too — with labels on some draws."""
+    k = int(rng.integers(1, 5))
+    shapes = connected_patterns(k)
+    pattern = shapes[rng.integers(len(shapes))]
+    relabel = rng.permutation(k).tolist()
+    edges = [(relabel[u], relabel[v]) for u, v in pattern.edges]
+    labels = (tuple(rng.integers(0, 2, size=k).tolist())
+              if rng.random() < 0.5 else None)
+    edge_labels = ({edge: int(rng.integers(0, 2)) for edge in edges}
+                   if rng.random() < 0.3 else None)
+    return Pattern(k, edges, labels=labels, edge_labels=edge_labels)
+
+
+@_seeds
+def test_pruned_search_counts_what_the_full_search_does(seed):
+    rng = np.random.default_rng(seed)
+    graph, pattern = _drawn_graph(rng), _drawn_pattern(rng)
+    induced = bool(rng.random() < 0.5)
+    assert count_embeddings_brute_force(graph, pattern, induced) == \
+        count_embeddings_unpruned(graph, pattern, induced)

@@ -223,10 +223,10 @@ def test_level_one_fills_are_trie_nodes_times_machines(monkeypatch):
     fills = []
     extend = ScheduleExtender.extend_chunk
 
-    def spy(self, graph, step, chunks, count_only=False):
+    def spy(self, graph, step, chunks, *rest):
         if step.level == 1:
             fills.extend(chunk.level for _, chunk in chunks)
-        return extend(self, graph, step, chunks, count_only)
+        return extend(self, graph, step, chunks, *rest)
 
     monkeypatch.setattr(ScheduleExtender, "extend_chunk", spy)
     report = system.count_patterns(patterns, induced=False)

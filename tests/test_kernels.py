@@ -17,10 +17,11 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.core import kernels
 from repro.core.workspace import Workspace
 from repro.graph import Graph, from_edges, open_store, write_store
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import complete_graph, erdos_renyi
 from repro.graph.orientation import orient_by_degree
 from repro.patterns import Pattern, catalog
 from repro.patterns.generation import connected_patterns
@@ -29,8 +30,10 @@ from repro.patterns.schedule import (
     automine_schedule,
     compile_counting_plan,
     graphpi_schedule,
+    joined_pairs,
 )
-from tests.reference import compute_candidates, iep_count
+from repro.systems import KAutomine
+from tests.reference import compute_candidates, count_window, iep_count
 
 try:  # Hypothesis draws (and shrinks) the seeds where it is installed
     from hypothesis import given, settings
@@ -212,8 +215,11 @@ def _check_schedule(graph, schedule, vcs=True, levels=None):
         batch = kernels.extend_chunk(
             graph, step, prefixes, use_inters, vcs=vcs
         )
+        # the pairs the plan joins known, not probed: the reference
+        # drops each own vertex it finds in the list
         counts = kernels.extend_chunk(
-            graph, step, prefixes, use_inters, vcs=vcs, count_only=True
+            graph, step, prefixes, use_inters, vcs=vcs, count_only=True,
+            joined=joined_pairs(schedule.steps[:step.level - 1]),
         )
         # a label-free count never materializes; a labeled one lists
         label_free = step.label is None and step.edge_labels is None
@@ -376,6 +382,20 @@ def test_counting_every_pattern_up_to_five(compiler, induced):
         assert (True, False, True, induced) in shapes
 
 
+def test_joined_pairs_hold_one_way_on_an_oriented_graph():
+    """An oriented graph's rows are out-rows: a step joined position
+    ``l`` to ``c`` (``l`` in ``c``'s out-list), not ``c`` to ``l``, so a
+    count whose source is ``l`` still probes ``c``: chain(4) counted
+    unrestricted on an oriented graph, against the reference."""
+    graph = orient_by_degree(erdos_renyi(40, 150, seed=1))
+    schedule = automine_schedule(catalog.chain(4), use_restrictions=False)
+    # the last step's source was placed in an earlier column's list
+    source = schedule.steps[-1].connected[0]
+    assert source in {placed for _, placed in
+                      joined_pairs(schedule.steps[:-1])}
+    _check_schedule(graph, schedule)
+
+
 def _with_self_loops(graph, every=3):
     """``graph`` plus a loop on every ``every``-th vertex, built straight
     from CSR arrays (the edge-list builders drop loops)."""
@@ -527,6 +547,133 @@ def test_counting_one_list_gathers_nothing(skewed_graph, count_calls):
     count(10)  # the composite keys are built on first use
     assert count(1_000, {"neighbors_batch", "gather_segments"}) == 0
     assert count(4_000) == count(400)
+
+
+def _tailed(graph):
+    """A copy of ``graph`` whose top fifth by degree have adjacency rows
+    and the rest none: its one-list windows mix sources with ranks and
+    rowless ones, which search the composite keys."""
+    tailed = Graph(graph.indptr, graph.indices, directed=graph.directed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Graph, "DENSE_ADJACENCY_BYTES",
+                      graph.num_vertices // 5 * graph.adjacency_row_bytes)
+        rows, _ = tailed.adjacency_matrix()
+    assert 0 < len(rows) < graph.num_vertices
+    return tailed
+
+
+@functools.cache
+def _window_graphs(skewed_graph):
+    """Every shape a window's rank lookup has to get right."""
+    random = erdos_renyi(40, 150, seed=1)
+    return {
+        "edgeless": from_edges([], num_vertices=12),
+        "self-loops": _with_self_loops(random),
+        "oriented": orient_by_degree(skewed_graph),
+        # |V| a multiple of 64: a bound of |V| - 1, counted up to, reads
+        # one word past its row
+        "dense-128": erdos_renyi(128, 1500, seed=2),
+        "complete-64": complete_graph(64),
+        "tailed": _tailed(skewed_graph),
+        "tailed-oriented": _tailed(orient_by_degree(skewed_graph)),
+    }
+
+
+def _drawn_window_rows(rng, graph, level, rows, bounds):
+    """``rows`` rows of ``level`` distinct vertices; in about a third,
+    one of the ``bounds`` columns holds the last vertex instead (where
+    the row has not got it) and in another third vertex 0."""
+    n = graph.num_vertices
+    prefixes = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[
+        :, :level]
+    for row in prefixes:
+        extreme = (n - 1, 0, None)[rng.integers(3)]
+        if extreme is not None and extreme not in row:
+            row[bounds[rng.integers(len(bounds))]] = extreme
+    return prefixes
+
+
+@_seeds
+def test_count_window_matches_composite_keys(skewed_graph, seed):
+    """The rank lookups against the composite-key body they replaced
+    (``tests.reference.count_window``): ``>``, ``<`` and both bounds,
+    on every graph shape of ``_window_graphs``, whole chunks and
+    seven-element runs."""
+    rng = np.random.default_rng(seed)
+    graphs = _window_graphs(skewed_graph)
+    graph = graphs[sorted(graphs)[rng.integers(len(graphs))]]
+    level = int(rng.integers(2, 5))
+    columns = rng.permutation(level).tolist()
+    source, rest = columns[0], columns[1:]
+    side = ("larger", "smaller", "both")[rng.integers(3)]
+    larger = tuple(rest[:1]) if side != "smaller" else ()
+    smaller = tuple(rest[-1:]) if side != "larger" else ()
+    if larger and rng.random() < 0.3:  # a bound on the connected column
+        larger += (source,)
+    step = _step(level, (source,), larger_than=larger, smaller_than=smaller)
+    prefixes = _drawn_window_rows(rng, graph, level,
+                                  int(rng.integers(0, 41)), larger + smaller)
+    with pytest.MonkeyPatch.context() as patch:
+        if rng.random() < 0.5:
+            patch.setattr(kernels, "BLOCK_ELEMENTS", 7)
+        counted = kernels.extend_chunk(graph, step, prefixes, count_only=True)
+        assert counted.counts.tolist() == count_window(
+            graph, step, prefixes).tolist()
+
+
+@_seeds
+def test_ranks_match_searchsorted_per_source(skewed_graph, seed):
+    """A rank lookup is ``np.searchsorted`` on the source's own CSR
+    slice, for ``<`` (``"left"``) and for ``<=`` (``"right"``), bounds
+    of 0 and |V| - 1 among them."""
+    rng = np.random.default_rng(seed)
+    graphs = _window_graphs(skewed_graph)
+    graph = graphs[sorted(graphs)[rng.integers(len(graphs))]]
+    n = graph.num_vertices
+    sources = rng.integers(0, n, size=int(rng.integers(0, 200)))
+    bounds = rng.integers(0, n, size=len(sources))
+    bounds[rng.random(len(bounds)) < 0.2] = n - 1
+    bounds[rng.random(len(bounds)) < 0.1] = 0
+    for side in ("left", "right"):
+        got = kernels._ranks(graph, sources, bounds, side, Workspace(),
+                             "ranks")
+        assert got.tolist() == [
+            int(np.searchsorted(graph.neighbors(s), b, side))
+            for s, b in zip(sources.tolist(), bounds.tolist())
+        ]
+
+
+def test_count_window_searches_no_keys_where_every_vertex_has_a_row(
+    count_calls
+):
+    """Where every vertex has an adjacency row, a window count reads
+    ranks and words only: no composite key is built or searched."""
+    graph = erdos_renyi(128, 1500, seed=5)
+    assert (graph.adjacency_matrix()[1] >= 0).all()
+    step = _step(3, (0,), larger_than=(1,), smaller_than=(2,))
+    rng = np.random.default_rng(3)
+    prefixes = rng.permuted(np.tile(np.arange(128), (500, 1)), axis=1)[:, :3]
+    assert count_calls(
+        lambda: kernels.extend_chunk(graph, step, prefixes, count_only=True),
+        only={"adjacency_keys"},
+    ) == 0
+    assert graph._adjacency_keys is None
+
+
+def test_chain5_correction_probes_one_column(count_calls):
+    """chain(5)'s last step reads the list of position 2, whose own
+    columns are 0 and 1; the plan joined 1 to 2, so each block of the
+    drain probes column 0 alone: one ``adjacency_member`` call a
+    distinct-vertex correction, where probing every pair made two."""
+    graph = erdos_renyi(40, 160, seed=6)
+    steps = automine_schedule(catalog.chain(5)).steps
+    assert steps[-1].connected == (2,) and (1, 2) in joined_pairs(steps[:-1])
+    system = KAutomine(graph, ClusterConfig(num_machines=2))
+    run = functools.partial(system.count_pattern, catalog.chain(5))
+    run()
+    corrections = count_calls(run, only={"_inside"})
+    assert corrections > 0
+    assert count_calls(run, only={"adjacency_member"}) == corrections
 
 
 _FAULTS_SCRIPT = """

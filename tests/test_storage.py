@@ -313,7 +313,7 @@ def test_attach_csr_rejects_swapped_store(tmp_path):
 # ======================================================================
 # engine transparency: {ram,mmap} x {inline,process}
 # ======================================================================
-def _run(graph, backend):
+def _run(graph, backend, pattern=None):
     obs = Observability()
     system = KAutomine(
         graph,
@@ -323,7 +323,7 @@ def _run(graph, backend):
         obs=obs,
         backend=backend,
     )
-    report = system.count_pattern(catalog.clique(3))
+    report = system.count_pattern(pattern or catalog.clique(3))
     snapshot = obs.registry.snapshot()
     # two deliberate exclusions: storage.* exists to *describe* the
     # mmap backing, and exec.* is measured wall-clock (it differs
@@ -398,7 +398,8 @@ def test_no_isinstance_storage_branches_in_core():
 def _derived(graph) -> dict:
     """Every array the kernels derive from ``graph``, by name."""
     rows, rank = graph.adjacency_matrix()
-    arrays = {"keys": graph.adjacency_keys(), "rows": rows, "rank": rank}
+    arrays = {"keys": graph.adjacency_keys(), "rows": rows, "rank": rank,
+              "word_ranks": graph.word_ranks()}
     columns = graph.hub_columns()
     if columns is not None:
         arrays.update(columns._asdict())
@@ -420,7 +421,8 @@ def _refuse_builds(monkeypatch):
     def refuse(*args):
         raise AssertionError("a derived structure was rebuilt")
 
-    for name in ("adjacency_keys", "adjacency_matrix", "_build_hub_columns"):
+    for name in ("adjacency_keys", "adjacency_matrix", "_build_hub_columns",
+                 "_build_word_ranks"):
         monkeypatch.setattr(Graph, name, refuse)
 
 
@@ -546,6 +548,86 @@ def test_stale_section_is_rebuilt(tmp_path, monkeypatch):
     build_store(iter_graph_edge_batches(other), path,
                 num_vertices=other.num_vertices)
     assert not derived_path(path).exists()
+
+
+def test_section_without_word_ranks_is_rebuilt(tmp_path):
+    """A section written before the rows had a rank directory maps no
+    ``word_ranks``: stale, so the next open rebuilds the section — and
+    every array in it equals a RAM graph's."""
+    ram = dataset("wdc", scale=1.0)
+    path = tmp_path / "g.kcsr"
+    write_store(ram, path)
+    open_store(path).adjacency_keys()
+    section = derived_path(path)
+    header = read_header(section)
+    older = {name: np.array(array) for name, array in
+             storage._mapped(section, header).items()
+             if name != "word_ranks"}
+    storage._write_store_file(
+        section, older, header["directed"], header["num_vertices"],
+        **{field: header[field] for field in
+           ("derived_from", "hub_rows", "loop_free", "width")
+           if field in header})
+    assert "word_ranks" not in read_header(section)["arrays"]
+    mapped = open_store(path)
+    _assert_same_derived(_derived(mapped), _derived(ram))
+    assert "word_ranks" in read_header(section)["arrays"]
+    assert mapped.derived_bytes() == ram.derived_bytes()
+
+
+def test_verify_checks_the_word_ranks(tmp_path):
+    path = tmp_path / "g.kcsr"
+    write_store(dataset("wdc", scale=1.0), path)
+    open_store(path).word_ranks()
+    section = derived_path(path)
+    raw = bytearray(section.read_bytes())
+    spec = read_header(section)["arrays"]["word_ranks"]
+    # a rank in the middle of the array
+    raw[spec["offset"] + 4 * (spec["length"] // 2)] ^= 0xFF
+    section.write_bytes(bytes(raw))
+    open_store(path).word_ranks()  # maps: the header is intact
+    with pytest.raises(GraphFormatError, match="'word_ranks' fails its"):
+        open_store(path, verify=True)
+
+
+def test_word_ranks_counted_once(tmp_path):
+    """4 bytes a row word, one more a row; counted once in
+    :meth:`Graph.derived_bytes`, mapped or built — and a RAM graph
+    builds them only when a count asks for them."""
+    shared = dataset("wdc", scale=1.0)  # memoized: its caches are warm
+    ram = Graph(shared.indptr, shared.indices)
+    _run(ram, None)  # triangles: no count reads one list
+    assert ram._word_ranks is None
+    rows, _ = ram.adjacency_matrix()
+    ram.adjacency_keys()
+    before = ram.derived_bytes()
+    ranks = ram.word_ranks()
+    assert ranks.shape == (len(rows), rows.shape[1] // 8 + 1)
+    assert ranks.dtype == np.int32 and not ranks.flags.writeable
+    assert ram.derived_bytes() == before + ranks.nbytes
+    path = tmp_path / "g.kcsr"
+    write_store(ram, path)
+    mapped = open_store(path)
+    _derived(mapped)
+    assert mapped.derived_bytes() == ram.derived_bytes()
+
+
+@pytest.mark.parametrize("pattern", [catalog.chain(4), catalog.star(3)],
+                         ids=["chain4", "star3"])
+def test_one_list_windows_mapped_and_built_agree(pattern, tmp_path):
+    """Counts whose last step reads one list inside an ordering window,
+    on a graph whose count windows mix sources with rows and without:
+    a store's mapped ranks and a RAM graph's built ones agree in the
+    whole report and every simulated counter."""
+    ram = dataset("wdc", scale=0.3)
+    path = tmp_path / "g.kcsr"
+    write_store(ram, path)
+    assert ram.hub_columns().tail_indptr is not None
+    runs = [_run(graph, None, pattern) for graph in (ram, open_store(path))]
+    (reference, reference_counters), (report, counters) = runs
+    assert report.counts == reference.counts
+    assert report.simulated_seconds == reference.simulated_seconds
+    assert counters == reference_counters
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
