@@ -102,11 +102,13 @@ kernel-check:
 		tests/test_iep.py tests/test_lockstep.py \
 		tests/test_scheduler_golden.py -q
 
-## out-of-core storage suite (docs/storage.md): streaming-vs-eager
-## builder parity, store round-trip/corruption rejection, ram-vs-mmap
-## bit-identity across backends, admission baseline
+## the graph-build layer (docs/storage.md): the synthetic generators
+## and their guide-table sampler against rng.choice and the per-pair
+## oracles, streaming-vs-eager builder parity, store
+## round-trip/corruption rejection, ram-vs-mmap bit-identity across
+## backends, admission baseline
 storage-check:
-	$(PYTEST) tests/test_storage.py -q
+	$(PYTEST) tests/test_generators.py tests/test_storage.py -q
 
 ## wall-clock gates (benchmarks/bench_gates.py): inline and process
 ## agree, the CPU- and work-aware process-backend floor

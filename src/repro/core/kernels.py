@@ -11,13 +11,8 @@ get their throughput from batched pattern-aware set intersections over
 sorted adjacency lists, and the same transformation applies to numpy —
 fuse a whole chunk's extensions into a handful of array passes.
 
-Three layers:
+Two layers:
 
-- :func:`intersect_sorted` / :func:`setdiff_sorted` — pairwise kernels
-  over sorted unique arrays built on ``np.searchsorted`` merge probes.
-  No internal re-sort: where ``np.intersect1d`` concatenates and sorts
-  (ignoring that its inputs already are sorted), these probe the
-  smaller array into the larger one.
 - :func:`adjacency_member` / :func:`adjacency_position` — bulk
   membership/position probes of ``(source, candidate)`` pairs.
   Membership reads the bit-packed adjacency rows the graph keeps for
@@ -83,49 +78,8 @@ __all__ = [
     "adjacency_position",
     "extend_chunk",
     "iep_chunk",
-    "intersect_sorted",
-    "setdiff_sorted",
     "split",
 ]
-
-
-# ---------------------------------------------------------------------
-# pairwise kernels
-# ---------------------------------------------------------------------
-def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection of two sorted unique 1-D arrays.
-
-    Equivalent to ``np.intersect1d(a, b, assume_unique=True)`` but
-    honors the sortedness for real: the smaller array is binary-probed
-    into the larger one (``O(min log max)``), no concatenate-and-sort.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if len(a) > len(b):
-        a, b = b, a
-    if not len(a) or not len(b):
-        return a[:0]
-    pos = np.searchsorted(b, a)
-    # pos == len(b) means a-value > b[-1]; clamping to the last slot is
-    # safe because that value cannot equal b[-1] either (side='left')
-    np.minimum(pos, len(b) - 1, out=pos)
-    return a[b[pos] == a]
-
-
-def setdiff_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elements of sorted unique ``a`` not present in sorted unique ``b``.
-
-    Equivalent to ``np.setdiff1d(a, b, assume_unique=True)`` without
-    the internal hash/sort machinery — one binary probe of ``a`` into
-    ``b``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if not len(a) or not len(b):
-        return a
-    pos = np.searchsorted(b, a)
-    np.minimum(pos, len(b) - 1, out=pos)
-    return a[b[pos] != a]
 
 
 # ---------------------------------------------------------------------

@@ -587,8 +587,10 @@ def _merge_runs(
     Each step windows every run, takes all entries strictly below the
     smallest not-yet-fully-windowed run's last visible key (so a key
     can never straddle two steps), sorts the gathered block once, and
-    collapses cross-run duplicates lowest-rank-first. Memory stays at
-    ``O(len(runs) * chunk)`` entries. Returns the merge-step count.
+    collapses cross-run duplicates lowest-rank-first; a block from one
+    run is already sorted and key-unique, and goes out as it is. Memory
+    stays at ``O(len(runs) * chunk)`` entries. Returns the merge-step
+    count.
     """
     ranked = any(run["ranks"] is not None for run in runs)
     labeled = any(run["labels"] is not None for run in runs)
@@ -636,10 +638,13 @@ def _merge_runs(
             window *= 2
             continue
         window = chunk
-        keys = np.concatenate(key_parts)
+        keys = key_parts[0]
         labels = np.concatenate(label_parts) if labeled else None
-        ranks = np.concatenate(rank_parts) if ranked else None
-        keys, labels, _ = _dedup_sorted_run(keys, labels, ranks)
+        if len(key_parts) > 1:
+            ranks = np.concatenate(rank_parts) if ranked else None
+            keys, labels, _ = _dedup_sorted_run(
+                np.concatenate(key_parts), labels, ranks
+            )
         emit(keys, labels)
         merge_batches += 1
     return merge_batches

@@ -15,7 +15,13 @@ must tally what the recursion does (``tests/test_explore.py``).
 :func:`count_window` is the composite-key body of a one-list count
 the rank directory replaced, and :func:`count_embeddings_unpruned` the
 brute-force counter before it took its candidates from a placed
-neighbor's list.
+neighbor's list. :func:`intersect_sorted` / :func:`setdiff_sorted` are
+the pairwise sorted-set kernels the chunk kernels' stage loop replaced.
+:func:`erdos_renyi_pairwise`, :func:`power_law_graph_pairwise` and
+:func:`power_law_edge_batches_choice` are the synthetic generators as
+they were before ``repro.graph.generators`` drew endpoints from a guide
+table and deduplicated edges in array passes: ``rng.choice(p=...)`` and
+a per-pair ``set`` loop (``tests/test_generators.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 
 from repro.core import extend, kernels
 from repro.core.workspace import Workspace
+from repro.graph.builder import from_edge_array
 from repro.graph.graph import Graph
 from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
@@ -124,6 +131,46 @@ def compute_candidates(
         merge_elements=merge_elements,
         scanned=scanned,
     )
+
+
+# ---------------------------------------------------------------------
+# pairwise sorted-set kernels
+# ---------------------------------------------------------------------
+def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection of two sorted unique 1-D arrays.
+
+    Equivalent to ``np.intersect1d(a, b, assume_unique=True)`` but
+    honors the sortedness for real: the smaller array is binary-probed
+    into the larger one (``O(min log max)``), no concatenate-and-sort.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if len(a) > len(b):
+        a, b = b, a
+    if not len(a) or not len(b):
+        return a[:0]
+    pos = np.searchsorted(b, a)
+    # pos == len(b) means a-value > b[-1]; clamping to the last slot is
+    # safe because that value cannot equal b[-1] either (side='left')
+    np.minimum(pos, len(b) - 1, out=pos)
+    return a[b[pos] == a]
+
+
+def setdiff_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elements of sorted unique ``a`` not present in sorted unique ``b``.
+
+    Equivalent to ``np.setdiff1d(a, b, assume_unique=True)`` without
+    the internal hash/sort machinery — one binary probe of ``a`` into
+    ``b``.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if not len(a) or not len(b):
+        return a
+    pos = np.searchsorted(b, a)
+    np.minimum(pos, len(b) - 1, out=pos)
+    return a[b[pos] != a]
+
 
 
 def _filter_edge_labels(
@@ -418,3 +465,86 @@ class RecursiveExplorer:
 
     def _lookup_intermediate(self, level: int) -> Optional[np.ndarray]:
         return self._intermediates[level]
+
+
+# ---------------------------------------------------------------------
+# synthetic graphs, one pair at a time
+# ---------------------------------------------------------------------
+def _graph_of_edge_set(edges: set, num_vertices: int) -> Graph:
+    array = np.array(sorted(edges), dtype=np.int64).reshape(len(edges), 2)
+    return from_edge_array(array, num_vertices=num_vertices)
+
+
+def erdos_renyi_pairwise(num_vertices: int, num_edges: int,
+                         seed: int = 0) -> Graph:
+    """``generators.erdos_renyi`` as a per-pair ``set`` loop."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    target = min(num_edges, num_vertices * (num_vertices - 1) // 2)
+    while len(edges) < target:
+        need = (target - len(edges)) * 2 + 16
+        us = rng.integers(0, num_vertices, size=need)
+        vs = rng.integers(0, num_vertices, size=need)
+        for u, v in zip(us, vs):
+            if u == v:
+                continue
+            edge = (int(u), int(v)) if u < v else (int(v), int(u))
+            edges.add(edge)
+            if len(edges) >= target:
+                break
+    return _graph_of_edge_set(edges, num_vertices)
+
+
+def _power_law_probs(num_vertices, num_edges, exponent, max_degree):
+    ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
+    weights = ranks ** (-1.0 / (exponent - 1.0))
+    if max_degree is not None:
+        expected = weights / weights.sum() * (2.0 * num_edges)
+        scale = np.minimum(1.0, max_degree / np.maximum(expected, 1e-12))
+        weights = weights * scale
+    return weights / weights.sum()
+
+
+def power_law_graph_pairwise(num_vertices: int, num_edges: int,
+                             exponent: float = 2.2,
+                             max_degree: Optional[int] = None,
+                             seed: int = 0) -> Graph:
+    """``generators.power_law_graph`` as ``rng.choice(p=...)`` endpoint
+    draws into a per-pair ``set`` loop."""
+    rng = np.random.default_rng(seed)
+    probs = _power_law_probs(num_vertices, num_edges, exponent, max_degree)
+    edges = set()
+    attempts = 0
+    target = num_edges
+    while len(edges) < target and attempts < 40:
+        need = (target - len(edges)) * 2 + 32
+        us = rng.choice(num_vertices, size=need, p=probs)
+        vs = rng.choice(num_vertices, size=need, p=probs)
+        for u, v in zip(us, vs):
+            if u == v:
+                continue
+            edge = (int(u), int(v)) if u < v else (int(v), int(u))
+            edges.add(edge)
+            if len(edges) >= target:
+                break
+        attempts += 1
+    return _graph_of_edge_set(edges, num_vertices)
+
+
+def power_law_edge_batches_choice(num_vertices: int, num_edges: int,
+                                  exponent: float = 2.2,
+                                  max_degree: Optional[int] = None,
+                                  seed: int = 0,
+                                  batch_edges: int = 1 << 18):
+    """``generators.power_law_edge_batches`` drawn by
+    ``rng.choice(p=...)``."""
+    probs = _power_law_probs(num_vertices, num_edges, exponent, max_degree)
+    rng = np.random.default_rng(seed)
+    remaining = num_edges
+    batch_edges = max(1, batch_edges)
+    while remaining > 0:
+        need = min(batch_edges, remaining)
+        us = rng.choice(num_vertices, size=need, p=probs)
+        vs = rng.choice(num_vertices, size=need, p=probs)
+        yield np.stack([us, vs], axis=1).astype(np.int64)
+        remaining -= need

@@ -1,8 +1,9 @@
 """Chunk EXTEND kernels (repro.core.kernels, docs/performance.md).
 
 The contract under test: every kernel agrees *element-for-element*
-with its reference — ``intersect_sorted`` / ``setdiff_sorted`` with
-``np.intersect1d`` / ``np.setdiff1d``, and ``extend_chunk`` with the
+with its reference — the pairwise references ``intersect_sorted`` /
+``setdiff_sorted`` (``tests/reference.py``) with ``np.intersect1d`` /
+``np.setdiff1d``, and ``extend_chunk`` with the
 row-by-row :func:`tests.reference.compute_candidates`, including the
 ``merge_elements``/``scanned`` accounting quantities and the stored VCS
 intermediates. What whole engine runs measure on top of the kernels is
@@ -33,7 +34,10 @@ from repro.patterns.schedule import (
     joined_pairs,
 )
 from repro.systems import KAutomine
-from tests.reference import compute_candidates, count_window, iep_count
+from tests.reference import (
+    compute_candidates, count_window, iep_count, intersect_sorted,
+    setdiff_sorted,
+)
 
 try:  # Hypothesis draws (and shrinks) the seeds where it is installed
     from hypothesis import given, settings
@@ -61,7 +65,7 @@ def test_intersect_sorted_matches_numpy(seed):
         a = _sorted_unique(rng, int(rng.integers(0, 60)), 80)
         b = _sorted_unique(rng, int(rng.integers(0, 60)), 80)
         expected = np.intersect1d(a, b, assume_unique=True)
-        got = kernels.intersect_sorted(a, b)
+        got = intersect_sorted(a, b)
         assert np.array_equal(got, expected)
 
 
@@ -72,23 +76,23 @@ def test_setdiff_sorted_matches_numpy(seed):
         a = _sorted_unique(rng, int(rng.integers(0, 60)), 80)
         b = _sorted_unique(rng, int(rng.integers(0, 60)), 80)
         expected = np.setdiff1d(a, b, assume_unique=True)
-        got = kernels.setdiff_sorted(a, b)
+        got = setdiff_sorted(a, b)
         assert np.array_equal(got, expected)
 
 
 def test_pairwise_kernels_edge_cases():
     empty = np.empty(0, dtype=np.int32)
     a = np.array([1, 5, 9], dtype=np.int32)
-    assert len(kernels.intersect_sorted(empty, a)) == 0
-    assert len(kernels.intersect_sorted(a, empty)) == 0
-    assert np.array_equal(kernels.setdiff_sorted(a, empty), a)
-    assert len(kernels.setdiff_sorted(empty, a)) == 0
+    assert len(intersect_sorted(empty, a)) == 0
+    assert len(intersect_sorted(a, empty)) == 0
+    assert np.array_equal(setdiff_sorted(a, empty), a)
+    assert len(setdiff_sorted(empty, a)) == 0
     # disjoint, identical, and values past the other array's maximum
     b = np.array([2, 6, 10, 99], dtype=np.int32)
-    assert len(kernels.intersect_sorted(a, b)) == 0
-    assert np.array_equal(kernels.setdiff_sorted(b, a), b)
-    assert np.array_equal(kernels.intersect_sorted(a, a), a)
-    assert len(kernels.setdiff_sorted(a, a)) == 0
+    assert len(intersect_sorted(a, b)) == 0
+    assert np.array_equal(setdiff_sorted(b, a), b)
+    assert np.array_equal(intersect_sorted(a, a), a)
+    assert len(setdiff_sorted(a, a)) == 0
 
 
 # ======================================================================
