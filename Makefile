@@ -104,11 +104,13 @@ kernel-check:
 
 ## the graph-build layer (docs/storage.md): the synthetic generators
 ## and their guide-table sampler against rng.choice and the per-pair
-## oracles, streaming-vs-eager builder parity, store
-## round-trip/corruption rejection, ram-vs-mmap bit-identity across
-## backends, admission baseline
+## oracles; the one edge-normalization path (the streaming builder,
+## from_edge_array a batch of one) against the eager oracle and its
+## input errors; store round-trip/corruption rejection, ram-vs-mmap
+## bit-identity across backends, admission baseline
 storage-check:
-	$(PYTEST) tests/test_generators.py tests/test_storage.py -q
+	$(PYTEST) tests/test_generators.py tests/test_graph.py \
+		tests/test_storage.py -q
 
 ## wall-clock gates (benchmarks/bench_gates.py): inline and process
 ## agree, the CPU- and work-aware process-backend floor

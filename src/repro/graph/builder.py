@@ -1,8 +1,10 @@
 """Builders: construct :class:`~repro.graph.graph.Graph` from edge data.
 
-All builders normalize the input the same way the paper's preprocessing
-does: self-loops and duplicate edges are removed, and undirected edges
-are stored in both directions with sorted adjacency.
+All builders share one normalizer, the streaming builder's
+(:mod:`repro.graph.storage`): self-loops and duplicate edges are
+removed, the way the paper's preprocessing does, and undirected edges
+are stored in both directions with sorted adjacency. The eager entry
+point is a stream of one batch.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
+from repro.graph.storage import from_edge_batches
 
 
 def from_edge_array(
@@ -30,58 +33,10 @@ def from_edge_array(
     ``edge_labels`` (one per input edge) follow their edges through the
     normalization; when duplicates collapse, the first occurrence wins.
     """
+    # an array, so a tuple of pairs is not read as (edges, labels)
     edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        edges = edges.reshape(0, 2)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise GraphFormatError("edges must have shape (m, 2)")
-    if edges.size and edges.min() < 0:
-        raise GraphFormatError("vertex ids must be non-negative")
-
-    if num_vertices is None:
-        num_vertices = int(edges.max()) + 1 if edges.size else 0
-    elif edges.size and int(edges.max()) >= num_vertices:
-        raise GraphFormatError("edge endpoint exceeds num_vertices")
-
-    elabels: Optional[np.ndarray] = None
-    if edge_labels is not None:
-        elabels = np.asarray(edge_labels, dtype=np.int64)
-        if len(elabels) != len(edges):
-            raise GraphFormatError("edge_labels length must equal edges")
-
-    # Drop self-loops.
-    keep = edges[:, 0] != edges[:, 1]
-    edges = edges[keep]
-    if elabels is not None:
-        elabels = elabels[keep]
-
-    if not directed:
-        # Store both directions, dedup on the directed pairs.
-        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
-        if elabels is not None:
-            elabels = np.concatenate([elabels, elabels])
-    if len(edges):
-        keys = edges[:, 0] * num_vertices + edges[:, 1]
-        _, unique_idx = np.unique(keys, return_index=True)
-        unique_idx = np.sort(unique_idx)
-        edges = edges[unique_idx]
-        if elabels is not None:
-            elabels = elabels[unique_idx]
-
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    if elabels is not None:
-        elabels = elabels[order].astype(np.int32)
-
-    counts = np.bincount(edges[:, 0], minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = edges[:, 1].astype(np.int32)
-
-    label_array = None
-    if labels is not None:
-        label_array = np.asarray(labels, dtype=np.int32)
-    return Graph(indptr, indices, label_array, directed, elabels)
+    batch = edges if edge_labels is None else (edges, edge_labels)
+    return from_edge_batches([batch], num_vertices, labels, directed)
 
 
 def from_edges(
@@ -151,8 +106,6 @@ def read_edge_list(
     — the same path :func:`repro.graph.storage.build_store` uses to
     load files straight into an on-disk store.
     """
-    from repro.graph.storage import from_edge_batches
-
     return from_edge_batches(
         iter_edge_list_batches(path, batch_edges), directed=directed
     )

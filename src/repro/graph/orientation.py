@@ -37,16 +37,3 @@ def orient_by_degree(graph: Graph) -> Graph:
     )
     return Graph(indptr, target[keep], graph.labels, directed=True)
 
-
-def orientation_rank(graph: Graph) -> np.ndarray:
-    """Total-order rank used by :func:`orient_by_degree`.
-
-    Vertices sorted by ``(degree, id)``; ``rank[v]`` gives the position
-    of ``v`` in that order. Useful for verifying the DAG property in
-    tests.
-    """
-    degrees = graph.degrees()
-    order = np.lexsort((np.arange(graph.num_vertices), degrees))
-    rank = np.empty(graph.num_vertices, dtype=np.int64)
-    rank[order] = np.arange(graph.num_vertices)
-    return rank

@@ -12,12 +12,13 @@ graph substrate into a pluggable storage layer (docs/storage.md):
   the scheduler drains, and both execution backends run unchanged on
   it — storage selection never branches inside ``core/``.
 - :func:`build_store` / :func:`from_edge_batches` — the streaming
-  builder: edge batches flow through a counting pass plus an
+  builder, the one edge normalization every builder shares
+  (:func:`~repro.graph.builder.from_edge_array` is a stream of one
+  batch): edge batches flow through a counting pass plus an
   external-sort (spill runs + k-way vectorized merge) pipeline that
-  never materializes the full edge list in memory, producing exactly
-  the arrays :func:`~repro.graph.builder.from_edge_array` would
-  (bit-identical normalization: self-loops dropped, undirected edges
-  mirrored, duplicates collapse first-occurrence-wins).
+  never materializes the full edge list in memory (self-loops dropped,
+  undirected edges mirrored, duplicates collapse
+  first-occurrence-wins).
 - :func:`resolve_storage` — the ``--storage {ram,mmap,auto}`` policy:
   ``auto`` flips to ``mmap`` when :meth:`Graph.size_bytes` exceeds the
   configured resident cap.
@@ -43,6 +44,7 @@ import json
 import mmap
 import os
 import struct
+import sys
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -70,8 +72,13 @@ DEFAULT_RUN_ENTRIES = 1 << 20
 #: ``runs * chunk`` entries)
 DEFAULT_MERGE_CHUNK = 1 << 17
 #: reverse-direction entries of an undirected edge rank after every
-#: forward entry, mirroring from_edge_array's concat order
+#: forward entry of the stream
 _REVERSE_RANK_BASE = np.int64(1) << 62
+#: an unlabeled self-loop's key: above every ``(u << 32) | v`` of 31-bit
+#: ids, so loops sort to a run's end
+_LOOP_KEY = np.iinfo(np.int64).max
+#: which int32 half of a native int64 key holds ``u`` and which ``v``
+_HIGH, _LOW = (1, 0) if sys.byteorder == "little" else (0, 1)
 
 #: CRC is computed over arrays in slices of this many bytes
 _CRC_BLOCK = 1 << 22
@@ -478,16 +485,18 @@ def _normalize_batch(
     num_vertices: Optional[int],
     kept_base: int,
 ):
-    """One batch through from_edge_array's normalization, streamed.
+    """One batch through the builders' normalization.
 
     Returns ``(keys, labels, ranks, max_id, kept_rows, raw_rows)``:
-    composite
-    ``(u << 32) | v`` keys of every directed entry the batch
-    contributes (self-loops dropped, undirected mirrored), plus — when
-    edge labels ride along — the labels and the global tie-break ranks
-    reproducing from_edge_array's first-occurrence-wins order exactly
-    (all forward entries outrank all reverse entries; within each,
-    input order wins).
+    composite ``(u << 32) | v`` keys of every directed entry the batch
+    contributes (undirected edges mirrored), plus — when edge labels
+    ride along — the labels and the global tie-break ranks of the
+    first-occurrence-wins rule (all forward entries outrank all reverse
+    entries; within each, input order wins). Self-loops are dropped
+    from a labeled batch here, since ranks must skip them; an unlabeled
+    batch keeps a loop as :data:`_LOOP_KEY`, which
+    :func:`_dedup_sorted_run` cuts off. The caller's array is only
+    read.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
@@ -509,46 +518,52 @@ def _normalize_batch(
         if len(elabels) != len(edges):
             raise GraphFormatError("edge_labels length must equal edges")
 
-    keep = edges[:, 0] != edges[:, 1]
-    edges = edges[keep]
-    if elabels is not None:
-        elabels = elabels[keep]
-    kept = len(edges)
-
-    keys = (edges[:, 0] << np.int64(32)) | edges[:, 1]
-    labels = ranks = None
+    src, dst = edges[:, 0], edges[:, 1]
+    same = src == dst
+    loops = np.flatnonzero(same)
+    if elabels is not None and len(loops):
+        keep = ~same
+        src, dst, elabels = src[keep], dst[keep], elabels[keep]
+    rows = len(src)
+    keys = np.empty(rows if directed else 2 * rows, dtype=np.int64)
+    directions = [(keys[:rows], src, dst)]
     if not directed:
-        reverse = (edges[:, 1] << np.int64(32)) | edges[:, 0]
-        keys = np.concatenate([keys, reverse])
-        if elabels is not None:
-            labels = np.concatenate([elabels, elabels]).astype(np.int32)
-            base = np.arange(kept, dtype=np.int64) + kept_base
-            ranks = np.concatenate([base, base + _REVERSE_RANK_BASE])
-    elif elabels is not None:
-        labels = elabels.astype(np.int32)
-        ranks = np.arange(kept, dtype=np.int64) + kept_base
-    return keys, labels, ranks, max_id, kept, raw_rows
+        directions.append((keys[rows:], dst, src))
+    for out, high, low in directions:
+        np.left_shift(high, 32, out=out)
+        out |= low
+    if elabels is None:
+        for out, _, _ in directions:
+            out[loops] = _LOOP_KEY
+        return keys, None, None, max_id, rows - len(loops), raw_rows
+    labels = elabels.astype(np.int32)
+    ranks = np.arange(kept_base, kept_base + rows, dtype=np.int64)
+    if not directed:
+        labels = np.concatenate([labels, labels])
+        ranks = np.concatenate([ranks, ranks + _REVERSE_RANK_BASE])
+    return keys, labels, ranks, max_id, rows, raw_rows
 
 
 def _dedup_sorted_run(keys, labels, ranks):
-    """Sort one buffered run by key (ranked ties resolved by rank) and
-    collapse duplicate keys, keeping the lowest-ranked occurrence. A
-    run with neither labels nor ranks has no permutation to carry: its
-    keys are sorted by value (several times cheaper than an argsort and
-    a gather)."""
-    if ranks is not None:
-        order = np.lexsort((ranks, keys))
-    elif labels is not None:
-        order = np.argsort(keys, kind="stable")
+    """Sort one run by key and collapse duplicate keys, keeping the
+    lowest-ranked occurrence; ``keys`` is the caller's to reorder. A
+    run without ranks (nor labels) has no permutation to carry: its
+    keys are sorted in place, and the loop keys that sort last are cut
+    off."""
+    if ranks is None:
+        keys.sort()
+        keys = keys[:np.searchsorted(keys, _LOOP_KEY)]
     else:
-        order = None
-    keys = np.sort(keys) if order is None else keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    if len(keys) > 1:
-        first[1:] = keys[1:] != keys[:-1]
-    out_labels = labels[order][first] if labels is not None else None
-    out_ranks = ranks[order][first] if ranks is not None else None
-    return keys[first], out_labels, out_ranks
+        order = np.lexsort((ranks, keys))
+        keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if ranks is not None:
+        order = order[first]
+        return keys[first], labels[order], ranks[order]
+    # a gather by index: faster than a boolean mask on a random pattern
+    return keys[np.flatnonzero(first)], None, None
 
 
 class _RunSet:
@@ -590,9 +605,8 @@ def _merge_runs(
     collapses cross-run duplicates lowest-rank-first; a block from one
     run is already sorted and key-unique, and goes out as it is. Memory
     stays at ``O(len(runs) * chunk)`` entries. Returns the merge-step
-    count.
+    count. Labeled runs carry ranks, unlabeled ones neither.
     """
-    ranked = any(run["ranks"] is not None for run in runs)
     labeled = any(run["labels"] is not None for run in runs)
     pos = [0] * len(runs)
     lengths = [len(run["keys"]) for run in runs]
@@ -627,7 +641,6 @@ def _merge_runs(
                 label_parts.append(
                     np.asarray(runs[i]["labels"][pos[i]:pos[i] + take])
                 )
-            if ranked:
                 rank_parts.append(
                     np.asarray(runs[i]["ranks"][pos[i]:pos[i] + take])
                 )
@@ -639,11 +652,12 @@ def _merge_runs(
             continue
         window = chunk
         keys = key_parts[0]
-        labels = np.concatenate(label_parts) if labeled else None
+        labels = label_parts[0] if labeled else None
         if len(key_parts) > 1:
-            ranks = np.concatenate(rank_parts) if ranked else None
             keys, labels, _ = _dedup_sorted_run(
-                np.concatenate(key_parts), labels, ranks
+                np.concatenate(key_parts),
+                np.concatenate(label_parts) if labeled else None,
+                np.concatenate(rank_parts) if labeled else None,
             )
         emit(keys, labels)
         merge_batches += 1
@@ -667,6 +681,8 @@ class _StreamingCsrBuilder:
         self.num_vertices = num_vertices
         self.run_entries = max(1024, run_entries)
         self.merge_chunk = max(1024, merge_chunk)
+        #: whether the stream carries edge labels (every batch alike)
+        self.labeled = False
         self._runs = _RunSet(spill_dir)
         self._buffer: list[tuple] = []
         self._buffered = 0
@@ -675,11 +691,21 @@ class _StreamingCsrBuilder:
         self._max_id = -1
 
     def consume(self, batches: Iterable) -> None:
-        for batch in batches:
+        """Normalize every batch into sorted, key-unique runs."""
+        for index, batch in enumerate(batches):
             if isinstance(batch, tuple):
                 edges, elabels = batch
             else:
                 edges, elabels = batch, None
+            if index == 0:
+                self.labeled = elabels is not None
+            elif self.labeled != (elabels is not None):
+                this = "carries no" if self.labeled else "carries"
+                first = "does" if self.labeled else "does not"
+                raise GraphFormatError(
+                    f"edge batch {index} {this} edge labels but batch 0 "
+                    f"{first}; every batch of a stream must be alike"
+                )
             keys, labels, ranks, max_id, kept, raw = _normalize_batch(
                 edges, elabels, self.directed, self.num_vertices,
                 self._kept_rows,
@@ -693,40 +719,55 @@ class _StreamingCsrBuilder:
             self._buffered += len(keys)
             if self._buffered >= self.run_entries:
                 self._spill()
+        self._spill()
 
     def _spill(self) -> None:
         if not self._buffer:
             return
-        keys = np.concatenate([part[0] for part in self._buffer])
-        labels = ranks = None
-        if self._buffer[0][1] is not None:
-            labels = np.concatenate([part[1] for part in self._buffer])
-        if self._buffer[0][2] is not None:
-            ranks = np.concatenate([part[2] for part in self._buffer])
+        run = [
+            None if parts[0] is None
+            else parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for parts in zip(*self._buffer)
+        ]
         self._buffer.clear()
         self._buffered = 0
-        self._runs.add(*_dedup_sorted_run(keys, labels, ranks))
+        keys, labels, ranks = _dedup_sorted_run(*run)
+        if len(keys):  # not a run of self-loops only
+            self._runs.add(keys, labels, ranks)
 
-    def finish(self, emit) -> tuple[int, int, int]:
-        """Spill the tail, merge every run into ``emit(keys, labels)``;
-        returns ``(num_vertices, spill_runs, merge_batches)``."""
-        self._spill()
+    def finish(self, emit) -> tuple[np.ndarray, int, int]:
+        """Merge every run, in key order, into ``emit(targets,
+        labels)`` (``targets`` an ``int32`` view); returns ``(indptr,
+        spill_runs, merge_batches)``."""
         num_vertices = (
             self.num_vertices if self.num_vertices is not None
             else self._max_id + 1
         )
-        merge_batches = _merge_runs(
-            self._runs.runs, self.merge_chunk, emit
-        )
-        return num_vertices, len(self._runs.runs), merge_batches
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        degrees = indptr[1:]
+
+        def count(keys: np.ndarray, labels: Optional[np.ndarray]) -> None:
+            # a key's int32 halves are its source and target
+            halves = keys.view(np.int32).reshape(-1, 2)
+            sources = halves[:, _HIGH]
+            low = int(sources[0])
+            block = np.bincount(sources - low)
+            degrees[low:low + len(block)] += block
+            emit(halves[:, _LOW], labels)
+
+        merge_batches = _merge_runs(self._runs.runs, self.merge_chunk, count)
+        np.cumsum(degrees, out=degrees)
+        return indptr, len(self._runs.runs), merge_batches
 
     @property
     def source_edges(self) -> int:
         return self._source_edges
 
-
-def _split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return keys >> np.int64(32), (keys & np.int64(0xFFFFFFFF))
+    @property
+    def capacity(self) -> int:
+        """Entries the runs hold: the adjacency's length, unless a key
+        recurs across runs."""
+        return sum(len(run["keys"]) for run in self._runs.runs)
 
 
 def from_edge_batches(
@@ -740,46 +781,36 @@ def from_edge_batches(
     """Build an in-RAM :class:`Graph` from a stream of edge batches.
 
     Each batch is an ``(m, 2)`` integer array, or an
-    ``(edges, edge_labels)`` tuple for edge-labeled input. The result
-    is bit-identical to concatenating every batch and calling
-    :func:`~repro.graph.builder.from_edge_array` — pinned by
-    ``tests/test_storage.py`` — but peak transient memory is bounded
-    by the run/merge windows instead of the whole edge list.
+    ``(edges, edge_labels)`` tuple for edge-labeled input; every batch
+    of a stream must be alike. The result is bit-identical to the
+    eager normalization of every batch concatenated (the oracle in
+    ``tests/reference.py``, pinned by ``tests/test_storage.py``), and
+    peak transient memory is bounded by the run/merge windows instead
+    of the whole edge list.
     """
     builder = _StreamingCsrBuilder(
         directed, num_vertices, None, run_entries, merge_chunk
     )
     builder.consume(batches)
-    index_parts: list[np.ndarray] = []
-    label_parts: list[np.ndarray] = []
-    counts: Optional[np.ndarray] = None
-
-    def emit(keys: np.ndarray, elabels: Optional[np.ndarray]) -> None:
-        nonlocal counts
-        src, dst = _split_keys(keys)
-        index_parts.append(dst.astype(np.int32))
-        if elabels is not None:
-            label_parts.append(elabels)
-        block = np.bincount(src)
-        if counts is None:
-            counts = block.astype(np.int64)
-        elif len(block) > len(counts):
-            block = block.astype(np.int64)
-            block[:len(counts)] += counts
-            counts = block
-        else:
-            counts[:len(block)] += block
-
-    n, _, _ = builder.finish(emit)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if counts is not None:
-        indptr[1:len(counts) + 1] = np.cumsum(counts)
-        indptr[len(counts) + 1:] = indptr[len(counts)]
-    indices = (
-        np.concatenate(index_parts) if index_parts
-        else np.zeros(0, dtype=np.int32)
+    capacity = builder.capacity
+    indices = np.empty(capacity, dtype=np.int32)
+    edge_labels = (
+        np.empty(capacity, dtype=np.int32) if builder.labeled else None
     )
-    edge_labels = np.concatenate(label_parts) if label_parts else None
+    filled = 0
+
+    def emit(targets: np.ndarray, elabels: Optional[np.ndarray]) -> None:
+        nonlocal filled
+        indices[filled:filled + len(targets)] = targets
+        if elabels is not None:
+            edge_labels[filled:filled + len(targets)] = elabels
+        filled += len(targets)
+
+    indptr, _, _ = builder.finish(emit)
+    if filled < capacity:  # cross-run duplicates collapsed
+        indices = indices[:filled].copy()
+        if edge_labels is not None:
+            edge_labels = edge_labels[:filled].copy()
     label_array = (
         np.asarray(labels, dtype=np.int32) if labels is not None else None
     )
@@ -819,41 +850,25 @@ def build_store(
 
         indices_tmp = open(scratch / "indices.i32", "w+b")
         elabels_tmp = open(scratch / "elabels.i32", "w+b")
-        counts: Optional[np.ndarray] = None
         entries = 0
-        labeled_edges = False
 
-        def emit(keys: np.ndarray, elabels: Optional[np.ndarray]) -> None:
-            nonlocal counts, entries, labeled_edges
-            src, dst = _split_keys(keys)
-            dst.astype(np.int32).tofile(indices_tmp)
-            entries += len(keys)
+        def emit(targets: np.ndarray, elabels: Optional[np.ndarray]) -> None:
+            nonlocal entries
+            targets.tofile(indices_tmp)
+            entries += len(targets)
             if elabels is not None:
-                labeled_edges = True
-                elabels.astype(np.int32).tofile(elabels_tmp)
-            block = np.bincount(src)
-            if counts is None:
-                counts = block.astype(np.int64)
-            elif len(block) > len(counts):
-                block = block.astype(np.int64)
-                block[:len(counts)] += counts
-                counts = block
-            else:
-                counts[:len(block)] += block
+                elabels.tofile(elabels_tmp)
 
-        n, spill_runs, merge_batches = builder.finish(emit)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if counts is not None:
-            indptr[1:len(counts) + 1] = np.cumsum(counts)
-            indptr[len(counts) + 1:] = indptr[len(counts)]
+        def written(handle):
+            handle.flush()
+            return np.memmap(
+                handle, dtype=np.int32, mode="r", shape=(entries,)
+            ) if entries else np.zeros(0, dtype=np.int32)
 
-        indices_tmp.flush()
-        elabels_tmp.flush()
+        indptr, spill_runs, merge_batches = builder.finish(emit)
+        n = len(indptr) - 1
         arrays: dict[str, np.ndarray] = {
-            "indptr": indptr,
-            "indices": np.memmap(
-                indices_tmp, dtype=np.int32, mode="r", shape=(entries,)
-            ) if entries else np.zeros(0, dtype=np.int32),
+            "indptr": indptr, "indices": written(indices_tmp),
         }
         if labels is not None:
             label_array = np.asarray(labels, dtype=np.int32)
@@ -862,10 +877,8 @@ def build_store(
                     "labels length must equal num_vertices"
                 )
             arrays["labels"] = label_array
-        if labeled_edges:
-            arrays["edge_labels"] = np.memmap(
-                elabels_tmp, dtype=np.int32, mode="r", shape=(entries,)
-            )
+        if builder.labeled:
+            arrays["edge_labels"] = written(elabels_tmp)
         stats = BuildStats(
             num_vertices=n,
             num_entries=entries,

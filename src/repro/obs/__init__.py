@@ -39,7 +39,6 @@ from repro.obs.metrics import (
     NULL_HISTOGRAM,
     NULL_REGISTRY,
     NULL_SCOPE,
-    null_scope,
     scope_or_null,
 )
 from repro.obs.tracer import NullTracer, NULL_TRACER, Span, Tracer
@@ -63,7 +62,6 @@ __all__ = [
     "Span",
     "Tracer",
     "names",
-    "null_scope",
     "scope_or_null",
 ]
 

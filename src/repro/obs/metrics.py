@@ -368,11 +368,6 @@ NULL_REGISTRY = NullRegistry()
 NULL_SCOPE = MetricsScope(NULL_REGISTRY)
 
 
-def null_scope() -> MetricsScope:
-    """The shared no-op scope (use as the default ``metrics=`` value)."""
-    return NULL_SCOPE
-
-
 def scope_or_null(metrics: Optional[MetricsScope]) -> MetricsScope:
     """Normalize an optional scope argument."""
     return metrics if metrics is not None else NULL_SCOPE

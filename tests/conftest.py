@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import sys
 
@@ -84,12 +85,18 @@ def count_calls():
             elif event == "call":
                 calls += frame.f_code.co_name in only
 
+        # a collection inside the window would count the callbacks in
+        # gc.callbacks (Hypothesis installs one), not the function's calls
+        collecting = gc.isenabled()
+        gc.disable()
         previous = sys.getprofile()
         sys.setprofile(profiler)
         try:
             function(*args)
         finally:
             sys.setprofile(previous)
+            if collecting:
+                gc.enable()
         return calls
 
     return count

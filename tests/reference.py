@@ -22,17 +22,26 @@ the pairwise sorted-set kernels the chunk kernels' stage loop replaced.
 they were before ``repro.graph.generators`` drew endpoints from a guide
 table and deduplicated edges in array passes: ``rng.choice(p=...)`` and
 a per-pair ``set`` loop (``tests/test_generators.py``).
+:func:`from_edge_array_eager` is the eager edge normalization (mirror,
+``np.unique``, ``lexsort``) that ``repro.graph.builder.from_edge_array``
+had before it became a one-batch call of the streaming builder; every
+builder must equal it bit for bit (``tests/test_storage.py``).
+:func:`reorder_by_degree` / :func:`apply_order` / :func:`restore_ids`
+(degree renumbering) and :func:`orientation_rank` are graph transforms
+only tests use (``tests/test_reorder_stats.py``,
+``tests/test_orientation.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core import extend, kernels
 from repro.core.workspace import Workspace
+from repro.errors import GraphFormatError
 from repro.graph.builder import from_edge_array
 from repro.graph.graph import Graph
 from repro.patterns.isomorphism import automorphisms
@@ -472,7 +481,7 @@ class RecursiveExplorer:
 # ---------------------------------------------------------------------
 def _graph_of_edge_set(edges: set, num_vertices: int) -> Graph:
     array = np.array(sorted(edges), dtype=np.int64).reshape(len(edges), 2)
-    return from_edge_array(array, num_vertices=num_vertices)
+    return from_edge_array_eager(array, num_vertices=num_vertices)
 
 
 def erdos_renyi_pairwise(num_vertices: int, num_edges: int,
@@ -548,3 +557,151 @@ def power_law_edge_batches_choice(num_vertices: int, num_edges: int,
         vs = rng.choice(num_vertices, size=need, p=probs)
         yield np.stack([us, vs], axis=1).astype(np.int64)
         remaining -= need
+
+
+# ---------------------------------------------------------------------
+# the eager edge normalization
+# ---------------------------------------------------------------------
+def from_edge_array_eager(
+    edges: np.ndarray,
+    num_vertices: Optional[int] = None,
+    labels: Optional[Sequence[int]] = None,
+    directed: bool = False,
+    edge_labels: Optional[Sequence[int]] = None,
+) -> Graph:
+    """Build a graph from an ``(m, 2)`` integer edge array.
+
+    Self-loops and duplicate edges (including reversed duplicates for
+    undirected graphs) are dropped, mirroring the paper's preprocessing.
+    ``edge_labels`` (one per input edge) follow their edges through the
+    normalization; when duplicates collapse, the first occurrence wins.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphFormatError("edges must have shape (m, 2)")
+    if edges.size and edges.min() < 0:
+        raise GraphFormatError("vertex ids must be non-negative")
+
+    if num_vertices is None:
+        num_vertices = int(edges.max()) + 1 if edges.size else 0
+    elif edges.size and int(edges.max()) >= num_vertices:
+        raise GraphFormatError("edge endpoint exceeds num_vertices")
+
+    elabels: Optional[np.ndarray] = None
+    if edge_labels is not None:
+        elabels = np.asarray(edge_labels, dtype=np.int64)
+        if len(elabels) != len(edges):
+            raise GraphFormatError("edge_labels length must equal edges")
+
+    # Drop self-loops.
+    keep = edges[:, 0] != edges[:, 1]
+    edges = edges[keep]
+    if elabels is not None:
+        elabels = elabels[keep]
+
+    if not directed:
+        # Store both directions, dedup on the directed pairs.
+        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
+        if elabels is not None:
+            elabels = np.concatenate([elabels, elabels])
+    if len(edges):
+        keys = edges[:, 0] * num_vertices + edges[:, 1]
+        _, unique_idx = np.unique(keys, return_index=True)
+        unique_idx = np.sort(unique_idx)
+        edges = edges[unique_idx]
+        if elabels is not None:
+            elabels = elabels[unique_idx]
+
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    edges = edges[order]
+    if elabels is not None:
+        elabels = elabels[order].astype(np.int32)
+
+    counts = np.bincount(edges[:, 0], minlength=num_vertices)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = edges[:, 1].astype(np.int32)
+
+    label_array = None
+    if labels is not None:
+        label_array = np.asarray(labels, dtype=np.int32)
+    return Graph(indptr, indices, label_array, directed, elabels)
+
+
+# ---------------------------------------------------------------------
+# vertex renumbering and the orientation order
+# ---------------------------------------------------------------------
+# GPM systems commonly renumber vertices before mining: a degree-sorted
+# numbering aligns the symmetry-breaking comparisons (``v_new > v_j``)
+# with degree order and packs hub adjacency together. The transforms
+# return the renumbered graph and the map back to the input ids.
+def reorder_by_degree(
+    graph: Graph, descending: bool = True
+) -> tuple[Graph, np.ndarray]:
+    """Renumber vertices by degree; returns ``(graph, old_of_new)``.
+
+    ``descending=True`` gives hubs the smallest ids (the common choice:
+    restrictions of the form ``v_new > v_prev`` then bias enumeration
+    roots towards hubs whose trees are pruned hardest). The returned
+    ``old_of_new[i]`` is the original id of new vertex ``i``.
+    """
+    degrees = graph.degrees()
+    keys = -degrees if descending else degrees
+    old_of_new = np.lexsort((np.arange(graph.num_vertices), keys))
+    return apply_order(graph, old_of_new), old_of_new
+
+
+def apply_order(graph: Graph, old_of_new: np.ndarray) -> Graph:
+    """Renumber ``graph`` so that new vertex ``i`` is ``old_of_new[i]``."""
+    old_of_new = np.asarray(old_of_new, dtype=np.int64)
+    n = graph.num_vertices
+    if (
+        old_of_new.shape != (n,)
+        or (n and old_of_new.min() < 0)
+        or not np.array_equal(np.bincount(old_of_new, minlength=n),
+                              np.ones(n, dtype=np.int64))
+    ):
+        raise ValueError("old_of_new must be a permutation of vertex ids")
+    new_of_old = np.empty_like(old_of_new)
+    new_of_old[old_of_new] = np.arange(n)
+
+    # every stored entry once — an undirected edge from its smaller
+    # endpoint, as ``graph.edges()`` yields it — with its label carried
+    # by position
+    src = np.repeat(np.arange(n), graph.degrees())
+    once = slice(None) if graph.directed else src < graph.indices
+    edges = np.stack(
+        [new_of_old[src[once]], new_of_old[graph.indices[once]]], axis=1
+    )
+    return from_edge_array(
+        edges,
+        num_vertices=n,
+        labels=None if graph.labels is None else graph.labels[old_of_new],
+        directed=graph.directed,
+        edge_labels=(
+            None if graph.edge_labels is None else graph.edge_labels[once]
+        ),
+    )
+
+
+def restore_ids(
+    vertices: tuple[int, ...], old_of_new: np.ndarray
+) -> tuple[int, ...]:
+    """Map an embedding found on a reordered graph back to original ids."""
+    return tuple(int(old_of_new[v]) for v in vertices)
+
+
+def orientation_rank(graph: Graph) -> np.ndarray:
+    """Total-order rank used by :func:`orient_by_degree`.
+
+    Vertices sorted by ``(degree, id)``; ``rank[v]`` gives the position
+    of ``v`` in that order. Useful for verifying the DAG property in
+    tests.
+    """
+    degrees = graph.degrees()
+    order = np.lexsort((np.arange(graph.num_vertices), degrees))
+    rank = np.empty(graph.num_vertices, dtype=np.int64)
+    rank[order] = np.arange(graph.num_vertices)
+    return rank

@@ -1,5 +1,7 @@
 """Unit tests for the CSR graph type and builders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,22 @@ def test_negative_vertex_rejected():
 def test_bad_shape_rejected():
     with pytest.raises(GraphFormatError):
         from_edge_array(np.array([1, 2, 3]))
+
+
+def test_ids_beyond_31_bits_rejected_before_building():
+    """The adjacency is int32: an id >= 2**31 is refused by name, from
+    a check of the input alone (no key array is allocated)."""
+    edges = np.zeros((200_000, 2), dtype=np.int64)
+    edges[:, 1] = np.arange(200_000)
+    edges[-1, 1] = 1 << 31
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="31 bits"):
+            from_edge_array(edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < edges.nbytes // 16
 
 
 def test_labels_attach_and_lookup():

@@ -7,10 +7,12 @@ from repro.analysis import count_embeddings_brute_force
 from repro.graph import DATASETS, dataset
 from repro.graph.generators import erdos_renyi, random_labels, star_graph
 from repro.graph.graph import Graph
-from repro.graph.orientation import orient_by_degree, orientation_rank
+from repro.graph.orientation import orient_by_degree
 from repro.patterns import clique
 from repro.patterns.schedule import automine_schedule
-from tests.reference import ExploreStats, RecursiveExplorer, ScheduleExtender
+from tests.reference import (
+    ExploreStats, RecursiveExplorer, ScheduleExtender, orientation_rank,
+)
 
 
 def test_orientation_halves_directed_entries(small_random_graph):

@@ -2,12 +2,15 @@
 
 Four invariants under test:
 
-1. **Builder parity** — the streaming external-sort builder produces
-   bit-identical CSR arrays to the eager
-   :func:`~repro.graph.builder.from_edge_array` path, for any batch
-   split, including the edge-label first-occurrence-wins tie-break
-   across forward/reverse duplicates; and a store round-trips
-   (build → reopen → ``Graph.__eq__``).
+1. **Builder parity** — there is one normalization path:
+   :func:`~repro.graph.builder.from_edge_array` is the streaming
+   external-sort builder fed one batch (a source tripwire holds it so),
+   and both produce bit-identical CSR arrays to the eager oracle
+   ``tests.reference.from_edge_array_eager``, for any batch split,
+   including the edge-label first-occurrence-wins tie-break across
+   forward/reverse duplicates; a stream mixing labeled and unlabeled
+   batches is rejected by name; and a store round-trips (build →
+   reopen → ``Graph.__eq__``).
 2. **Store hygiene** — truncated, corrupt, foreign, or stale store
    files are rejected by name with a structured
    :class:`~repro.errors.GraphFormatError`, never a numpy error deep
@@ -25,6 +28,8 @@ Four invariants under test:
 Run alone via ``make storage-check``.
 """
 
+import ast
+import inspect
 import json
 import os
 import pickle
@@ -35,6 +40,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig
 from repro.core import EngineConfig
@@ -42,7 +49,7 @@ from repro.core.cache import EdgeCache
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.exec import ProcessBackend
 from repro.graph import Graph, dataset, from_edges, load_dataset
-from repro.graph import storage
+from repro.graph import builder, storage
 from repro.graph.builder import (
     from_edge_array,
     iter_edge_list_batches,
@@ -52,6 +59,8 @@ from repro.graph.csr import MmapCsrHandle, attach_csr, share_csr
 from repro.graph.generators import power_law_edge_batches
 from repro.graph.orientation import orient_by_degree
 from repro.graph.storage import (
+    DEFAULT_MERGE_CHUNK,
+    DEFAULT_RUN_ENTRIES,
     MmapGraph,
     build_store,
     derived_path,
@@ -70,6 +79,7 @@ from repro.service.admission import (
     resident_baseline_bytes,
 )
 from repro.systems import KAutomine
+from tests.reference import from_edge_array_eager
 
 
 def _random_edges(m, n, seed, with_labels=False):
@@ -96,7 +106,7 @@ def _batches(edges, labels=None, batch=509):
 @pytest.mark.parametrize("labeled", [False, True])
 def test_streaming_builder_matches_eager(directed, labeled):
     edges, elabels = _random_edges(20000, 700, seed=5, with_labels=labeled)
-    reference = from_edge_array(
+    reference = from_edge_array_eager(
         edges, num_vertices=700, directed=directed, edge_labels=elabels
     )
     # tiny runs/chunks force many spill runs and merge steps
@@ -109,7 +119,7 @@ def test_streaming_builder_matches_eager(directed, labeled):
 
 def test_streaming_builder_any_batch_split():
     edges, _ = _random_edges(3000, 64, seed=9)
-    reference = from_edge_array(edges, num_vertices=64)
+    reference = from_edge_array_eager(edges, num_vertices=64)
     for batch in (1, 7, 501, 3000):
         streamed = from_edge_batches(
             _batches(edges, batch=batch), num_vertices=64,
@@ -124,7 +134,8 @@ def test_edge_label_tie_break_across_batches():
     the input is split across builder batches."""
     edges = np.array([[1, 2], [2, 1], [3, 4], [3, 4], [4, 3], [0, 0]])
     elabels = np.array([10, 20, 30, 40, 50, 60])
-    reference = from_edge_array(edges, num_vertices=5, edge_labels=elabels)
+    reference = from_edge_array_eager(edges, num_vertices=5,
+                                      edge_labels=elabels)
     for batch in (1, 2, 3, 6):
         streamed = from_edge_batches(
             _batches(edges, elabels, batch=batch), num_vertices=5,
@@ -148,6 +159,137 @@ def test_empty_stream_builds_empty_graph():
     assert graph.num_edges == 0
 
 
+def _assert_bit_equal(got: Graph, want: Graph) -> None:
+    assert got.directed == want.directed
+    for name in ("indptr", "indices", "labels", "edge_labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 2500),
+    ids=st.integers(1, 400),
+    extra=st.sampled_from([None, 0, 1, 9]),
+    directed=st.booleans(),
+    labeled=st.booleans(),
+    loop_first=st.booleans(),
+    loop_last=st.booleans(),
+    loop_batch=st.integers(0, 40),
+    cuts=st.lists(st.integers(0, 3000), max_size=6),
+    run_entries=st.sampled_from([1024, DEFAULT_RUN_ENTRIES]),
+    merge_chunk=st.sampled_from([1024, DEFAULT_MERGE_CHUNK]),
+)
+def test_builders_equal_eager_oracle(seed, rows, ids, extra, directed,
+                                     labeled, loop_first, loop_last,
+                                     loop_batch, cuts, run_entries,
+                                     merge_chunk):
+    """``from_edge_array`` and ``from_edge_batches`` under any split
+    equal the eager oracle bit for bit: self-loops in the first and last
+    row and an all-loop batch, duplicates and reversed duplicates,
+    labeled or not, directed or not, spare vertices, empty input."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, ids, size=(rows, 2))
+    again = edges[rng.integers(0, rows, size=rows // 4)] if rows else edges
+    edges = np.concatenate([edges, again, again[:, ::-1]])
+    edges = edges[rng.permutation(len(edges))]
+    at = int(rng.integers(0, len(edges) + 1))
+    loops = np.repeat(rng.integers(0, ids, size=(loop_batch, 1)), 2, axis=1)
+    edges = np.concatenate([edges[:at], loops, edges[at:]])
+    if len(edges) and loop_first:
+        edges[0] = edges[0, 0]
+    if len(edges) and loop_last:
+        edges[-1] = edges[-1, 1]
+    elabels = rng.integers(0, 5, size=len(edges)) if labeled else None
+    top = int(edges.max()) + 1 if len(edges) else 0
+    n = None if extra is None else top + extra
+    want = from_edge_array_eager(edges, n, directed=directed,
+                                 edge_labels=elabels)
+
+    _assert_bit_equal(from_edge_array(edges, n, directed=directed,
+                                      edge_labels=elabels), want)
+    bounds = sorted({0, len(edges), at, at + loop_batch,
+                     *(c for c in cuts if c <= len(edges))})
+    pieces = [slice(a, b) for a, b in zip(bounds, bounds[1:])] or [
+        slice(0, 0)]
+    batches = [edges[cut] if elabels is None else (edges[cut], elabels[cut])
+               for cut in pieces]
+    _assert_bit_equal(
+        from_edge_batches(batches, n, directed=directed,
+                          run_entries=run_entries, merge_chunk=merge_chunk),
+        want,
+    )
+
+
+def test_from_edge_array_reads_its_input_only():
+    edges, elabels = _random_edges(4000, 90, seed=3, with_labels=True)
+    edges[::7, 1] = edges[::7, 0]  # self-loops
+    before = edges.copy(), elabels.copy()
+    for directed in (False, True):
+        for labels in (None, elabels):
+            from_edge_array(edges, directed=directed, edge_labels=labels)
+    assert np.array_equal(edges, before[0])
+    assert np.array_equal(elabels, before[1])
+
+
+@pytest.mark.parametrize("rows", [2, 5])
+def test_from_edge_array_takes_a_tuple_of_pairs(rows):
+    """A tuple batch means ``(edges, labels)`` to the streaming builder;
+    a tuple of pairs given to ``from_edge_array`` is still edges."""
+    edges, elabels = _random_edges(rows, 6, seed=rows, with_labels=True)
+    pairs = tuple(map(tuple, edges.tolist()))
+    assert from_edge_array(pairs) == from_edge_array(edges)
+    assert (from_edge_array(pairs, edge_labels=elabels)
+            == from_edge_array(edges, edge_labels=elabels))
+
+
+@pytest.mark.parametrize("run_entries", [1024, DEFAULT_RUN_ENTRIES])
+@pytest.mark.parametrize("labeled_first", [True, False])
+def test_mixed_labeled_and_unlabeled_batches_rejected(labeled_first,
+                                                      run_entries, tmp_path):
+    """Every batch of a stream carries edge labels or none does; the
+    first batch that differs is named, and ``build_store`` leaves no
+    store and no scratch behind."""
+    edges, elabels = _random_edges(3000, 100, seed=4, with_labels=True)
+    labeled = list(_batches(edges[:1500], elabels[:1500], batch=500))
+    bare = list(_batches(edges[1500:], batch=500))
+    stream = labeled + bare if labeled_first else bare + labeled
+    match = (r"edge batch 3 carries no edge labels but batch 0 does"
+             if labeled_first else
+             r"edge batch 3 carries edge labels but batch 0 does not")
+    with pytest.raises(GraphFormatError, match=match):
+        from_edge_batches(iter(stream), run_entries=run_entries,
+                          merge_chunk=1024)
+    store = tmp_path / "stores"
+    store.mkdir()
+    with pytest.raises(GraphFormatError, match=match):
+        build_store(iter(stream), store / "g.kcsr",
+                    run_entries=run_entries, merge_chunk=1024)
+    assert list(store.iterdir()) == []
+
+
+# the builder module makes none of these calls: its one normalizer is
+# the streaming builder's
+SORTS = {"unique", "lexsort", "argsort", "sort"}
+
+
+def test_one_normalization_path():
+    def called(tree):
+        return {getattr(node.func, "attr", getattr(node.func, "id", None))
+                for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+    tree = ast.parse(inspect.getsource(builder))
+    assert not called(tree) & SORTS
+    eager = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "from_edge_array")
+    assert called(eager) == {"asarray", "from_edge_batches"}
+
+
 # ======================================================================
 # chunked edge-list parsing
 # ======================================================================
@@ -158,7 +300,7 @@ def test_read_edge_list_chunked_matches_eager(tmp_path):
         handle.write("# comment\n% other comment\n\n")
         for u, v in edges:
             handle.write(f"{u} {v}\n")
-    reference = from_edge_array(edges)
+    reference = from_edge_array_eager(edges)
     for batch in (17, 1024, 10**6):
         assert read_edge_list(path, batch_edges=batch) == reference
     total = sum(len(b) for b in iter_edge_list_batches(path, 100))
@@ -182,7 +324,7 @@ def test_read_edge_list_errors_name_file_and_line(tmp_path):
 # ======================================================================
 def test_store_round_trip(tmp_path):
     edges, elabels = _random_edges(8000, 400, seed=21, with_labels=True)
-    reference = from_edge_array(
+    reference = from_edge_array_eager(
         edges, num_vertices=400, edge_labels=elabels
     ).with_labels(np.arange(400) % 3)
     path = tmp_path / "g.kcsr"
