@@ -69,15 +69,16 @@ def walk(
     schedule: Schedule,
     roots: np.ndarray,
     vcs: bool,
-    on_match: Optional[Callable[[tuple[int, ...], np.ndarray], None]] = None,
+    udf: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> Iterator[Level]:
     """Explore every embedding tree rooted at ``roots``, one
     :class:`Level` a kernel call, parents before their children.
 
     ``vcs`` threads stored intersections to the steps that reuse them,
-    as :meth:`repro.core.chunk.Chunk.intermediates` does. ``on_match``
-    is called once per final-level row with matches, with the row's
-    prefix and its candidates; without it the final level only counts.
+    as :meth:`repro.core.chunk.Chunk.intermediates` does. ``udf`` is
+    called once per final-level kernel call with matches, as
+    ``udf(prefixes, offsets, values)``: the call's prefix rows and
+    their candidate CSR; without it the final level only counts.
     """
     roots = np.asarray(roots, dtype=np.int64)
     final = schedule.pattern.num_vertices - 1
@@ -112,16 +113,14 @@ def walk(
                 lineage[step.reuse_level][start:stop],)
         batch = kernels.extend_chunk(
             graph, step, rows, intermediates, vcs=vcs,
-            count_only=last and on_match is None, workspace=workspace,
+            count_only=last and udf is None, workspace=workspace,
             joined=joined_pairs(schedule.steps[:level - 1]),
         )
         here = Level(level, last, trees[start:stop], branches[start:stop],
                      batch.merge_elements, batch.scanned, batch.counts)
         if last:
-            if on_match is not None:
-                for i in np.flatnonzero(batch.counts).tolist():
-                    on_match(tuple(rows[i].tolist()),
-                             batch.candidates_for(i))
+            if udf is not None and batch.counts.any():
+                udf(rows, batch.offsets, batch.values)
             yield here
             continue
         parents = here.parents = batch.rows

@@ -15,6 +15,7 @@ concurrency and crashes it on skewed graphs (Table 2's CRASHED cells).
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, PartitionedGraph
-from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, automine_schedule
 from repro.systems.base import GPMSystem, MniDomainCollector
@@ -69,7 +69,7 @@ class _GeneralCache:
         return len(self._entries)
 
 
-def _tasks(graph: Graph, schedule: Schedule, roots: np.ndarray, on_match):
+def _tasks(graph: Graph, schedule: Schedule, roots: np.ndarray, udf):
     """Each task's tally column and prefetch set, in root order.
 
     The prefetch set holds every vertex whose edge list the tree
@@ -87,7 +87,7 @@ def _tasks(graph: Graph, schedule: Schedule, roots: np.ndarray, on_match):
         tallies = np.zeros((4, len(batch)), dtype=np.int64)
         fetched = []
         for level in walk(graph, schedule, batch, vcs=False,
-                          on_match=on_match):
+                          udf=udf):
             fold(tallies, level, level.trees)
             if not level.final and schedule.needs_edge_list(level.level):
                 fetched.append((level.trees[level.parents], level.children))
@@ -151,7 +151,7 @@ class GThinker(GPMSystem):
 
     # ------------------------------------------------------------------
     def _run_schedule(
-        self, schedule: Schedule, on_match=None
+        self, schedule: Schedule, udf=None
     ) -> tuple[int, float, dict[str, float], int]:
         """Run all machines; returns (matches, runtime, breakdown, bytes)."""
         graph = self.graph
@@ -177,7 +177,7 @@ class GThinker(GPMSystem):
             fetch_bytes = 0
             fetch_requests = 0
             ball_bytes_max = 0
-            for tally, accessed in _tasks(graph, schedule, roots, on_match):
+            for tally, accessed in _tasks(graph, schedule, roots, udf):
                 matches += int(tally[MATCHES])
                 ball_bytes = 0
                 for v in accessed:
@@ -302,16 +302,11 @@ class GThinker(GPMSystem):
     ) -> tuple[list[int], RunReport]:
         schedules = [automine_schedule(p, induced=False) for p in patterns]
         collector = MniDomainCollector(
-            patterns,
-            [s.order for s in schedules],
-            [automorphisms(p) for p in patterns],
-        )
+            self.graph.num_vertices, patterns, schedules)
         runtime, traffic = 0.0, 0
         for index, schedule in enumerate(schedules):
-            def on_match(prefix, candidates, _index=index):
-                collector(_index, prefix, candidates)
-
-            _, seconds, _, fetched = self._run_schedule(schedule, on_match)
+            _, seconds, _, fetched = self._run_schedule(
+                schedule, partial(collector.chunk, index))
             runtime += seconds
             traffic += fetched
         report = self._report("fsm-round", None, runtime, {}, traffic)

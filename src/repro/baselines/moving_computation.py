@@ -13,6 +13,7 @@ on triangle counting follows directly.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, PartitionedGraph
-from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, graphpi_schedule
 from repro.systems.base import GPMSystem, MniDomainCollector
@@ -93,7 +93,7 @@ class MovingComputation(GPMSystem):
 
     # ------------------------------------------------------------------
     def _run_schedule(
-        self, schedule: Schedule, on_match=None
+        self, schedule: Schedule, udf=None
     ) -> tuple[int, float, int]:
         graph = self.graph
         cost = self.cost
@@ -103,7 +103,7 @@ class MovingComputation(GPMSystem):
         edge_list_bytes = graph.edge_list_bytes_all()
         tallies = np.zeros(4, dtype=np.int64)
         for level in walk(graph, schedule, tree_roots(graph, schedule),
-                          vcs=False, on_match=on_match):  # no reuse
+                          vcs=False, udf=udf):  # no reuse
             fold(tallies, level)
             sources, payloads = _shipments(
                 schedule, level, owners, edge_list_bytes)
@@ -170,16 +170,11 @@ class MovingComputation(GPMSystem):
     ) -> tuple[list[int], RunReport]:
         schedules = [graphpi_schedule(p, induced=False) for p in patterns]
         collector = MniDomainCollector(
-            patterns,
-            [s.order for s in schedules],
-            [automorphisms(p) for p in patterns],
-        )
+            self.graph.num_vertices, patterns, schedules)
         runtime, traffic = 0.0, 0
         for index, schedule in enumerate(schedules):
-            def on_match(prefix, candidates, _index=index):
-                collector(_index, prefix, candidates)
-
-            _, seconds, shipped = self._run_schedule(schedule, on_match)
+            _, seconds, shipped = self._run_schedule(
+                schedule, partial(collector.chunk, index))
             runtime += seconds
             traffic += shipped
         return collector.supports(), self._report(

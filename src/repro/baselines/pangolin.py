@@ -15,6 +15,7 @@ Pangolin's signature strengths and weaknesses (paper Table 3):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.core.runtime import RunReport
 from repro.errors import OutOfMemoryError
 from repro.graph.graph import Graph
 from repro.patterns.catalog import clique
-from repro.patterns.isomorphism import are_isomorphic, automorphisms
+from repro.patterns.isomorphism import are_isomorphic
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, automine_schedule
 from repro.systems.base import GPMSystem, MniDomainCollector
@@ -62,13 +63,13 @@ class PangolinLike(GPMSystem):
 
     # ------------------------------------------------------------------
     def _run(
-        self, graph: Graph, schedule: Schedule, iso_cost: float, on_match=None
+        self, graph: Graph, schedule: Schedule, iso_cost: float, udf=None
     ) -> tuple[int, float]:
         final = schedule.pattern.num_vertices - 1
         tallies = np.zeros(4, dtype=np.int64)
         level_widths = np.zeros(final + 1, dtype=np.int64)
         for level in walk(graph, schedule, tree_roots(graph, schedule),
-                          vcs=True, on_match=on_match):
+                          vcs=True, udf=udf):
             fold(tallies, level)
             level_widths[level.level] += level.counts.sum()
         # BFS materialization: two consecutive embedding levels are live
@@ -141,17 +142,12 @@ class PangolinLike(GPMSystem):
     ) -> tuple[list[int], RunReport]:
         schedules = [automine_schedule(p, induced=False) for p in patterns]
         collector = MniDomainCollector(
-            patterns,
-            [s.order for s in schedules],
-            [automorphisms(p) for p in patterns],
-        )
+            self.graph.num_vertices, patterns, schedules)
         runtime = 0.0
         for index, schedule in enumerate(schedules):
-            def on_match(prefix, candidates, _index=index):
-                collector(_index, prefix, candidates)
-
             _, seconds = self._run(
-                self.graph, schedule, _ISO_CLASSIFY_COST, on_match
+                self.graph, schedule, _ISO_CLASSIFY_COST,
+                partial(collector.chunk, index)
             )
             runtime += seconds
         return collector.supports(), self._report("fsm-round", None, runtime)

@@ -13,6 +13,7 @@ replication based systems").
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner
 from repro.patterns.catalog import clique
-from repro.patterns.isomorphism import are_isomorphic, automorphisms
+from repro.patterns.isomorphism import are_isomorphic
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, graphpi_schedule
 from repro.systems.base import GPMSystem, MniDomainCollector
@@ -80,7 +81,7 @@ class GraphPiReplicated(GPMSystem):
         )
 
     def _run_schedule(
-        self, graph: Graph, schedule: Schedule, on_match=None
+        self, graph: Graph, schedule: Schedule, udf=None
     ) -> tuple[int, float]:
         """Roots hashed to machines; level-1 subtrees binned to threads.
 
@@ -99,7 +100,7 @@ class GraphPiReplicated(GPMSystem):
             batch = roots[start:start + ROWS]
             units = None
             for level in walk(graph, schedule, batch, vcs=True,
-                              on_match=on_match):
+                              udf=udf):
                 if level.final:
                     matches += int(level.counts.sum())
                 if level.level == 1:
@@ -192,15 +193,10 @@ class GraphPiReplicated(GPMSystem):
     ) -> tuple[list[int], RunReport]:
         schedules = [self._schedule(p, induced=False) for p in patterns]
         collector = MniDomainCollector(
-            patterns,
-            [s.order for s in schedules],
-            [automorphisms(p) for p in patterns],
-        )
+            self.graph.num_vertices, patterns, schedules)
         runtime = 0.0
         for index, schedule in enumerate(schedules):
-            def on_match(prefix, candidates, _index=index):
-                collector(_index, prefix, candidates)
-
-            _, seconds = self._run_schedule(self.graph, schedule, on_match)
+            _, seconds = self._run_schedule(
+                self.graph, schedule, partial(collector.chunk, index))
             runtime += seconds + self._startup()
         return collector.supports(), self._report("fsm-round", None, runtime)

@@ -11,6 +11,7 @@ on uk/tw in Table 3).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.graph.graph import Graph
 from repro.patterns.catalog import clique
-from repro.patterns.isomorphism import are_isomorphic, automorphisms
+from repro.patterns.isomorphism import are_isomorphic
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, automine_schedule, graphpi_schedule
 from repro.baselines.common import (
@@ -85,7 +86,7 @@ class SingleMachine(GPMSystem):
         self,
         graph: Graph,
         schedule: Schedule,
-        on_match=None,
+        udf=None,
     ) -> tuple[int, float]:
         """Explore all roots; returns (matches, runtime).
 
@@ -95,7 +96,7 @@ class SingleMachine(GPMSystem):
         roots = tree_roots(graph, schedule)
         tallies = np.zeros((4, len(roots)), dtype=np.int64)
         for level in walk(graph, schedule, roots, vcs=True,
-                          on_match=on_match):
+                          udf=udf):
             fold(tallies, level, level.trees)
         seconds = compute_seconds(tallies, self.cost)
         seconds += tallies[MATCHES] * self.per_match_cost
@@ -159,16 +160,11 @@ class SingleMachine(GPMSystem):
     ) -> tuple[list[int], RunReport]:
         schedules = [self._schedule(p, induced=False) for p in patterns]
         collector = MniDomainCollector(
-            patterns,
-            [s.order for s in schedules],
-            [automorphisms(p) for p in patterns],
-        )
+            self.graph.num_vertices, patterns, schedules)
         runtime = 0.0
         for index, schedule in enumerate(schedules):
-            def on_match(prefix, candidates, _index=index):
-                collector(_index, prefix, candidates)
-
-            _, seconds = self._run_schedule(self.graph, schedule, on_match)
+            _, seconds = self._run_schedule(
+                self.graph, schedule, partial(collector.chunk, index))
             runtime += seconds
         report = self._report("fsm-round", None, runtime)
         return collector.supports(), report

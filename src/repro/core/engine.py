@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.plan import (
     require_mergeable_udf,
 )
 from repro.core.runtime import RunReport
-from repro.core.scheduler import NULL_UDF, MachineScheduler, Udf
+from repro.core.scheduler import MachineScheduler, chunk_udf
 from repro.core.workspace import Workspace
 from repro.errors import (
     ConfigurationError,
@@ -46,9 +46,6 @@ from repro.faults.plan import FaultPlan
 from repro.faults.recovery import FailureSummary, Outcome, split_roots
 from repro.obs import NULL_OBS, Observability, Span, names
 from repro.patterns.schedule import Schedule, compile_counting_plan
-
-#: Multi-pattern UDF: (pattern index, prefix vertices, candidates).
-MultiUdf = Callable[[int, tuple[int, ...], np.ndarray], None]
 
 #: the outcome a scheduler's structured abort gives the run
 _OUTCOME_OF = {
@@ -186,22 +183,23 @@ class KhuzdulEngine:
     def run(
         self,
         schedule: Schedule,
-        udf: Optional[Udf] = None,
+        udf=None,
         system: str = "khuzdul",
         app: str = "pattern",
         graph_name: str = "graph",
     ) -> RunReport:
-        """Enumerate one pattern; returns the report with ``counts: int``."""
-        plan = self.plan([schedule], udf, system, app, graph_name,
-                         indexed_udf=False)
-        report = self._run(plan, udf)
+        """Enumerate one pattern; returns the report with ``counts: int``.
+        ``udf``: see :func:`~repro.core.scheduler.chunk_udf`."""
+        udf = chunk_udf(udf, indexed=False)
+        report = self._run(
+            self.plan([schedule], udf, system, app, graph_name), udf)
         report.counts = report.counts[0]
         return report
 
     def run_many(
         self,
         schedules: Sequence[Schedule],
-        udf: Optional[MultiUdf] = None,
+        udf=None,
         system: str = "khuzdul",
         app: str = "patterns",
         graph_name: str = "graph",
@@ -215,8 +213,10 @@ class KhuzdulEngine:
         paying the start-up, which is what makes many-pattern workloads
         (FSM) relatively more expensive on Khuzdul than on a bare
         single-machine system (paper Table 4). The report's ``counts``
-        is a list aligned with ``schedules``.
+        is a list aligned with ``schedules``; a plain-callable ``udf``
+        takes the pattern index first.
         """
+        udf = chunk_udf(udf, indexed=True)
         return self._run(
             self.plan(schedules, udf, system, app, graph_name), udf)
 
@@ -228,7 +228,6 @@ class KhuzdulEngine:
         system: str = "khuzdul",
         app: str = "patterns",
         graph_name: str = "graph",
-        indexed_udf: bool = True,
     ) -> JobPlan:
         """Describe a job once: per pattern its counting plan, DFS
         levels and clamped chunk budget, and the groups the patterns
@@ -264,7 +263,7 @@ class KhuzdulEngine:
         patterns = tuple(patterns)
         return JobPlan(patterns, group_patterns(patterns, fuse=udf is None),
                        config, self.cluster.config,
-                       system, app, graph_name, indexed_udf)
+                       system, app, graph_name)
 
     def _run(self, plan: JobPlan, udf) -> RunReport:
         if self.backend is not None:
@@ -442,14 +441,6 @@ class KhuzdulEngine:
                     attrs={"scheduler": cluster.cost.engine_startup,
                            "pattern": members[0]},
                 ))
-            target = udf if udfs is None else udfs[mid]
-            if target is None:
-                machine_udf: Udf = NULL_UDF
-            elif plan.indexed_udf:
-                # a UDF job's groups are single patterns
-                machine_udf = partial(target, members[0])
-            else:
-                machine_udf = target
             return MachineScheduler(
                 cluster=cluster,
                 machine=machine,
@@ -457,7 +448,7 @@ class KhuzdulEngine:
                     vcs=config.vcs, metrics=machine_scopes[mid],
                     workspace=workspace),
                 cache=caches[mid],
-                udf=machine_udf,
+                udf=udf if udfs is None else udfs[mid],
                 chunk_bytes=group.chunk_bytes,
                 hds_enabled=config.hds,
                 hds_slots=config.hds_slots,

@@ -223,16 +223,6 @@ class ChunkExtendResult:
     def probe_elements(self) -> int:
         return 0 if self.probes is None else int(self.probes.sum())
 
-    def candidates_for(self, i: int) -> np.ndarray:
-        """Embedding ``i``'s filtered candidate array (a flat-view slice)."""
-        return self.values[self.offsets[i] : self.offsets[i + 1]]
-
-    def raw_for(self, i: int) -> Optional[np.ndarray]:
-        """Embedding ``i``'s stored raw intersection (VCS), or None."""
-        if self.raw_values is None:
-            return None
-        return self.raw_values[self.raw_offsets[i] : self.raw_offsets[i + 1]]
-
 
 def _offsets_from_counts(counts: np.ndarray) -> np.ndarray:
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)

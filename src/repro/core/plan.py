@@ -101,6 +101,8 @@ class Terminal:
 
     #: the pattern's slot in its group (``PatternGroup.members``)
     slot: int
+    #: the pattern's index in its job, which a UDF is told
+    pattern: int
     #: the last step, which a counting or listing drain extends the
     #: node's chunk by; None with an IEP plan or for a 1-vertex pattern
     step: Optional[ExtensionStep] = None
@@ -205,12 +207,13 @@ def group_patterns(
             pattern = patterns[index]
             steps = pattern.extend_schedule.steps
             if pattern.counting is not None:
-                terminal = Terminal(slot, counting=pattern.counting)
+                terminal = Terminal(slot, index, counting=pattern.counting)
             elif steps:
                 steps, terminal = steps[:-1], Terminal(
-                    slot, step=steps[-1], joined=joined_pairs(steps[:-1]))
+                    slot, index, step=steps[-1],
+                    joined=joined_pairs(steps[:-1]))
             else:
-                terminal = Terminal(slot)
+                terminal = Terminal(slot, index)
             paths.append((pattern, steps, terminal))
         first = patterns[members[0]].schedule
         groups.append(PatternGroup(
@@ -233,8 +236,6 @@ class JobPlan:
     system: str
     app: str
     graph_name: str
-    #: ``run_many`` UDFs take the pattern index first; ``run``'s do not
-    indexed_udf: bool = True
 
     def fingerprint(self) -> dict:
         """What must match for a checkpoint of this job to be resumed:

@@ -70,9 +70,6 @@ _SOURCES = ("local", "shared", "cache", "remote")
 _PENDING, _LOCAL, _SHARED = map(int, (
     EdgeListSource.PENDING, EdgeListSource.LOCAL, EdgeListSource.SHARED))
 
-#: UDF signature: (prefix vertices, completing candidates array).
-Udf = Callable[[tuple[int, ...], np.ndarray], None]
-
 #: what ends one machine's walk, and only that walk
 ABORTS = (OutOfMemoryError, SimTimeoutError, FetchFailedError,
           MachineCrashError)
@@ -121,14 +118,42 @@ def _site_ranks(node: TrieNode, ranks: Optional[dict] = None) -> dict:
     return ranks
 
 
-def NULL_UDF(prefix: tuple[int, ...], candidates: np.ndarray) -> None:
-    """Counting-only UDF: match totals are tallied by the scheduler.
+class RowUdf:
+    """A plain callable as a chunk UDF: ``fn(prefix, candidates)`` —
+    the pattern index first if ``indexed`` (``run_many``'s) — once per
+    row with matches, the one per-row UDF loop. It has a ``merge`` only
+    where ``fn`` has one (:func:`~repro.core.plan.require_mergeable_udf`)."""
 
-    A sentinel, not just a no-op — the scheduler recognizes it by
-    identity and drains final-level chunks through the counting kernel
-    (cardinalities, no candidate list — docs/performance.md), which is
-    only sound when nobody consumes the candidate values.
-    """
+    def __init__(self, fn: Callable[..., None], indexed: bool):
+        self.fn, self.indexed = fn, indexed
+
+    def chunk(self, pattern: int, prefixes: np.ndarray, offsets: np.ndarray,
+              values: np.ndarray) -> None:
+        head = (pattern,) if self.indexed else ()
+        bounds = offsets.tolist()
+        rows = np.flatnonzero(np.diff(offsets))
+        for row, prefix in zip(rows.tolist(), prefixes[rows].tolist()):
+            self.fn(*head, tuple(prefix), values[bounds[row]:bounds[row + 1]])
+
+    @property
+    def merge(self) -> Callable[["RowUdf"], "RowUdf"]:
+        merge = self.fn.merge  # AttributeError: not mergeable
+
+        def merged(other: "RowUdf") -> "RowUdf":
+            merge(other.fn)
+            return self
+        return merged
+
+
+def chunk_udf(udf, indexed: bool):
+    """``udf`` as the drains call it, once per drained chunk:
+    ``udf.chunk(pattern, prefixes, offsets, values)`` — the rows'
+    prefix matrix and candidate CSR, ``pattern`` the job's pattern
+    index. A plain callable is wrapped in a :class:`RowUdf`; None (a
+    count-only run) stays None."""
+    if udf is None or hasattr(udf, "chunk"):
+        return udf
+    return RowUdf(udf, indexed)
 
 
 class _LevelState:
@@ -230,7 +255,7 @@ class MachineScheduler:
         machine: MachineState,
         extender: ScheduleExtender,
         cache: EdgeCache,
-        udf: Udf,
+        udf,
         chunk_bytes: int,
         hds_enabled: bool,
         hds_slots: int,
@@ -262,6 +287,8 @@ class MachineScheduler:
             cluster.num_machines)).take(cluster.partitioned.owners_all())
         self.extender = extender
         self.cache = cache
+        #: what the final drains hand their rows to (:func:`chunk_udf`);
+        #: None drains through the counting kernel, which lists nothing
         self.udf = udf
         self.chunk_bytes = chunk_bytes
         self.hds_enabled = hds_enabled
@@ -452,7 +479,7 @@ class MachineScheduler:
                     drain = isinstance(site, Terminal)
                     results = extender.extend_chunk(
                         self.graph, site.step, chunks,
-                        drain and self.udf is NULL_UDF,
+                        drain and self.udf is None,
                         site.joined if drain else ())
                 for (walk, scheduler, _), result in zip(run, results):
                     advance(walk, scheduler, result)
@@ -612,16 +639,11 @@ class MachineScheduler:
     def _drain_final(self, state: _LevelState, terminal: Terminal,
                      batch) -> None:
         """Last extension level: completed embeddings (``batch``) go
-        to the UDF — or, for the counting sentinel, were counted."""
+        to the UDF in one call — or, without one, were counted."""
         emitted = int(batch.counts.sum())
-        if emitted and self.udf is not NULL_UDF:
-            prefixes = state.chunk.prefixes().tolist()
-            offsets = batch.offsets.tolist()
-            for row in np.flatnonzero(batch.counts).tolist():
-                self.udf(
-                    tuple(prefixes[row]),
-                    batch.values[offsets[row]:offsets[row + 1]],
-                )
+        if emitted and self.udf is not None:
+            self.udf.chunk(terminal.pattern, state.chunk.prefixes(),
+                           batch.offsets, batch.values)
         state.emitted += emitted
         self._finish_drain(state, batch, terminal.slot, emitted)
 

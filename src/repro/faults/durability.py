@@ -70,8 +70,9 @@ from repro.obs import names
 #: runs as pattern groups, so its root chunks — and the cursors logged
 #: at them — are the group's, not the pattern's. 5: machines walk in
 #: lockstep, so the snapshot keeps one UDF state per machine, each
-#: with the cursors it covers.
-FORMAT_VERSION = 5
+#: with the cursors it covers. 6: UDFs take whole drains
+#: (``chunk``), and the MNI collector's pickled state is vertex masks.
+FORMAT_VERSION = 6
 
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "chunks.log"

@@ -74,8 +74,11 @@ def _simple_graph(draw, num_vertices, target, slack, attempts=None):
         us, vs = draw((target - len(held)) * 2 + slack)
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         keys = np.concatenate([held, (lo * num_vertices + hi)[lo != hi]])
-        # a held key occurs first in ``held``
-        _, first = np.unique(keys, return_index=True)
+        # each key's first occurrence (a held key's is in ``held``): the
+        # least index in its run of an unstable sort (keys are >= 0)
+        perm = np.argsort(keys)
+        first = np.minimum.reduceat(
+            perm, np.flatnonzero(np.diff(keys[perm], prepend=-1)))
         order = np.sort(first[first >= len(held)])[:target - len(held)]
         held = np.sort(np.concatenate([held, keys[order]]))
         rounds += 1

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.runtime import RunReport
+from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
 
 
@@ -56,7 +57,9 @@ class GPMSystem(abc.ABC):
 
 
 class MniDomainCollector:
-    """Accumulates MNI domains from engine match callbacks.
+    """Accumulates MNI domains from the engine's drains (a chunk UDF):
+    per pattern, one length-``num_vertices`` boolean mask per pattern
+    vertex, allocated when the pattern first drains, set by scatter.
 
     The engine reports matches in matching-order positions under
     symmetry restrictions, so the raw per-position domains must be
@@ -64,47 +67,48 @@ class MniDomainCollector:
     minimum (see DESIGN.md, Semantics decisions).
     """
 
-    def __init__(self, patterns: Sequence[Pattern], orders, automorphism_sets):
+    def __init__(self, num_vertices: int, patterns: Sequence[Pattern],
+                 schedules):
+        self.num_vertices = num_vertices
         self.patterns = list(patterns)
-        self.orders = list(orders)
-        self.automorphisms = list(automorphism_sets)
-        self.domains: list[list[set[int]]] = [
-            [set() for _ in range(p.num_vertices)] for p in self.patterns
-        ]
+        self.orders = [schedule.order for schedule in schedules]
+        self.automorphisms = [automorphisms(p) for p in self.patterns]
+        self.masks: list[Optional[np.ndarray]] = [None] * len(self.patterns)
 
-    def __call__(
-        self, index: int, prefix: tuple[int, ...], candidates: np.ndarray
-    ) -> None:
-        order = self.orders[index]
-        domains = self.domains[index]
-        for pos, data_vertex in enumerate(prefix):
-            domains[order[pos]].add(int(data_vertex))
-        domains[order[len(prefix)]].update(int(c) for c in candidates)
+    def chunk(self, pattern: int, prefixes: np.ndarray, offsets: np.ndarray,
+              values: np.ndarray) -> None:
+        masks = self.masks[pattern]
+        if masks is None:
+            masks = self.masks[pattern] = np.zeros(
+                (self.patterns[pattern].num_vertices, self.num_vertices),
+                dtype=bool)
+        order = self.orders[pattern]
+        emitting = prefixes[offsets[1:] != offsets[:-1]]
+        for position in range(prefixes.shape[1]):
+            masks[order[position], emitting[:, position]] = True
+        masks[order[prefixes.shape[1]], values] = True
 
     def merge(self, other: "MniDomainCollector") -> "MniDomainCollector":
-        """Union another collector's domains into this one.
-
-        Domains are per-position vertex sets, so merging worker-process
-        copies (``repro.exec``) is a plain set union — supports computed
-        from the merged collector equal the single-process result.
-        """
-        for mine, theirs in zip(self.domains, other.domains):
-            for position, domain in enumerate(theirs):
-                mine[position] |= domain
+        """OR another collector's masks into this one: worker-process
+        (``repro.exec``) and checkpointed copies merge to the
+        single-process domains."""
+        for index, theirs in enumerate(other.masks):
+            if theirs is not None:
+                mine = self.masks[index]
+                self.masks[index] = theirs.copy() if mine is None else (
+                    mine | theirs)
         return self
 
     def supports(self) -> list[int]:
-        """Automorphism-closed minimum-image supports per pattern."""
-        result = []
-        for pattern, domains, autos in zip(
-            self.patterns, self.domains, self.automorphisms
-        ):
-            closed: list[set[int]] = [set() for _ in range(pattern.num_vertices)]
-            for sigma in autos:
-                for v in range(pattern.num_vertices):
-                    closed[sigma[v]].update(domains[v])
-            result.append(min(len(s) for s in closed) if closed else 0)
-        return result
+        """Per pattern, the smallest popcount of its masks ORed over a
+        vertex's automorphism orbit (0 if it never drained)."""
+        return [
+            0 if masks is None else min(
+                int(np.count_nonzero(
+                    masks[sorted({sigma[v] for sigma in autos})].any(0)))
+                for v in range(len(masks)))
+            for masks, autos in zip(self.masks, self.automorphisms)
+        ]
 
 
 def merge_reports(

@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.obs import NULL_OBS, Observability
 from repro.patterns.catalog import clique
-from repro.patterns.isomorphism import automorphisms, are_isomorphic
+from repro.patterns.isomorphism import are_isomorphic
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule
 from repro.systems.base import GPMSystem, MniDomainCollector
@@ -145,10 +145,7 @@ class PortedSystem(GPMSystem):
     ) -> tuple[list[int], RunReport]:
         schedules = [self.build_schedule(p, induced=False) for p in patterns]
         collector = MniDomainCollector(
-            patterns,
-            [s.order for s in schedules],
-            [automorphisms(p) for p in patterns],
-        )
+            self.graph.num_vertices, patterns, schedules)
         report = self.engine.run_many(
             schedules,
             udf=collector,

@@ -26,6 +26,8 @@ a per-pair ``set`` loop (``tests/test_generators.py``).
 ``np.unique``, ``lexsort``) that ``repro.graph.builder.from_edge_array``
 had before it became a one-batch call of the streaming builder; every
 builder must equal it bit for bit (``tests/test_storage.py``).
+:class:`SetDomainCollector` is the MNI collector before its domains
+became vertex masks.
 :func:`reorder_by_degree` / :func:`apply_order` / :func:`restore_ids`
 (degree renumbering) and :func:`orientation_rank` are graph transforms
 only tests use (``tests/test_reorder_stats.py``,
@@ -479,6 +481,52 @@ class RecursiveExplorer:
 # ---------------------------------------------------------------------
 # synthetic graphs, one pair at a time
 # ---------------------------------------------------------------------
+class SetDomainCollector:
+    """MNI domains as per-position ``set``s of Python ints, one call per
+    row with matches: ``repro.systems.base.MniDomainCollector`` before
+    its domains became vertex masks filled by a chunk scatter. Supports
+    close each domain under every automorphism ``sigma``, position
+    ``v``'s vertices joining position ``sigma[v]``'s, and take the
+    smallest (``tests/test_udf.py``)."""
+
+    def __init__(self, patterns: Sequence[Pattern], orders,
+                 automorphism_sets):
+        self.patterns = list(patterns)
+        self.orders = list(orders)
+        self.automorphisms = list(automorphism_sets)
+        self.domains: list[list[set[int]]] = [
+            [set() for _ in range(p.num_vertices)] for p in self.patterns
+        ]
+
+    def __call__(
+        self, index: int, prefix: tuple[int, ...], candidates: np.ndarray
+    ) -> None:
+        order = self.orders[index]
+        domains = self.domains[index]
+        for pos, data_vertex in enumerate(prefix):
+            domains[order[pos]].add(int(data_vertex))
+        domains[order[len(prefix)]].update(int(c) for c in candidates)
+
+    def merge(self, other: "SetDomainCollector") -> "SetDomainCollector":
+        for mine, theirs in zip(self.domains, other.domains):
+            for position, domain in enumerate(theirs):
+                mine[position] |= domain
+        return self
+
+    def supports(self) -> list[int]:
+        result = []
+        for pattern, domains, autos in zip(
+            self.patterns, self.domains, self.automorphisms
+        ):
+            closed: list[set[int]] = [
+                set() for _ in range(pattern.num_vertices)]
+            for sigma in autos:
+                for v in range(pattern.num_vertices):
+                    closed[sigma[v]].update(domains[v])
+            result.append(min(len(s) for s in closed) if closed else 0)
+        return result
+
+
 def _graph_of_edge_set(edges: set, num_vertices: int) -> Graph:
     array = np.array(sorted(edges), dtype=np.int64).reshape(len(edges), 2)
     return from_edge_array_eager(array, num_vertices=num_vertices)

@@ -22,7 +22,7 @@ from repro.core.cache import CachePolicy, EdgeCache
 from repro.core.chunk import EMBEDDING_BASE_BYTES, Chunk, EdgeListSource
 from repro.core.extend import ScheduleExtender
 from repro.core.plan import PatternPlan, group_patterns
-from repro.core.scheduler import NULL_UDF, MachineScheduler, _LevelState
+from repro.core.scheduler import MachineScheduler, _LevelState
 from repro.core.workspace import Workspace
 from repro.errors import OutOfMemoryError
 from repro.graph.generators import erdos_renyi, power_law_graph
@@ -213,7 +213,7 @@ def graph():
     return erdos_renyi(60, 240, seed=5)
 
 
-def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=NULL_UDF,
+def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=None,
                machine_id=0, cache=(0, 16, CachePolicy.STATIC), hds=True):
     cluster = Cluster(
         graph, ClusterConfig(num_machines=machines, memory_bytes=32 << 20)
@@ -561,7 +561,7 @@ def _lockstep_schedulers(graph, machines=8):
             cluster=cluster, machine=machine,
             extender=ScheduleExtender(workspace=workspace),
             cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
-            udf=NULL_UDF, chunk_bytes=1 << 20, hds_enabled=True,
+            udf=None, chunk_bytes=1 << 20, hds_enabled=True,
             hds_slots=64, vcs_enabled=True, numa_aware=True, trie=trie,
         )
         for machine in cluster.machines
@@ -695,7 +695,7 @@ _DRAINS = {
 
 @pytest.mark.parametrize("name", sorted(_DRAINS))
 def test_counting_drain_equals_listing_drain(name):
-    """A run drained by the counting sentinel (cardinalities, no list)
+    """A run drained without a UDF (cardinalities, no list)
     and one whose UDF reads every candidate (the listing path) are the
     same run: the brute-force count, and the simulated clock and the
     integer tallies it is priced from, exactly."""

@@ -167,6 +167,8 @@ def test_resume_refuses_stale_manifest(tmp_path):
     # a manifest written before ``extend_mode`` left EngineConfig: it
     # must be refused by its version, not trip over the unknown field
     (2, {"extend_mode": "batched"}),
+    # a format-5 snapshot pickles per-row UDFs and set-based collectors
+    (5, {}),
 ])
 def test_resume_refuses_format_mismatch(tmp_path, saved_format,
                                         engine_extra):
@@ -175,14 +177,14 @@ def test_resume_refuses_format_mismatch(tmp_path, saved_format,
     CheckpointSession(directory, manifest, num_patterns=1)
     path = tmp_path / "manifest.json"
     saved = json.loads(path.read_text())
-    assert saved["format"] == 5
+    assert saved["format"] == 6
     saved["format"] = saved_format
     saved["engine"].update(engine_extra)
     path.write_text(json.dumps(saved))
     with pytest.raises(
         ConfigurationError,
         match=f"checkpoint format {saved_format} does not match "
-              f"this build's format 5",
+              f"this build's format 6",
     ):
         CheckpointSession(directory, manifest, num_patterns=1,
                           resume=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,9 @@ from repro.graph.partition import HashPartitioner, PartitionedGraph
 from repro.patterns import Pattern, catalog, chain, clique, cycle, star
 from repro.patterns.schedule import automine_schedule, graphpi_schedule
 from repro.systems.base import MniDomainCollector
-from tests.reference import ExploreStats, RecursiveExplorer, ScheduleExtender
+from tests.reference import (
+    ExploreStats, RecursiveExplorer, ScheduleExtender, SetDomainCollector,
+)
 
 MACHINES = 3
 
@@ -241,34 +244,34 @@ def test_walk_subtrees_equal_the_recursion(graphs, name, schedule):
 
 
 def test_walk_lists_what_the_recursion_matches(graphs):
-    """``on_match`` sees one call per final row with matches: the MNI
-    domains equal the recursion's."""
+    """``udf`` sees one call per final kernel call with matches, the
+    call's prefix rows and candidate CSR: the MNI domains equal the
+    ones the recursion hands the set oracle row by row."""
     graph = graphs["plain"]
     patterns = [chain(3), clique(3), catalog.tailed_triangle()]
     schedules = [automine_schedule(p) for p in patterns]
-
-    def collector():
-        return MniDomainCollector(patterns, [s.order for s in schedules],
-                                  [[] for _ in patterns])
-
-    walked, recursed = collector(), collector()
+    walked = MniDomainCollector(graph.num_vertices, patterns, schedules)
+    recursed = SetDomainCollector(
+        patterns, walked.orders, walked.automorphisms)
     calls = []
     for index, schedule in enumerate(schedules):
         roots = _roots(graph, schedule)
 
-        def on_match(prefix, candidates, _index=index):
-            calls.append(len(candidates))
-            walked(_index, prefix, candidates)
+        def udf(prefixes, offsets, values, _index=index):
+            calls.append(int(offsets[-1]))
+            walked.chunk(_index, prefixes, offsets, values)
 
-        for _ in walk(graph, schedule, roots, vcs=True, on_match=on_match):
+        for _ in walk(graph, schedule, roots, vcs=True, udf=udf):
             pass
         explorer = RecursiveExplorer(
             graph, ScheduleExtender(schedule),
-            on_match=lambda p, c, _index=index: recursed(_index, p, c))
+            on_match=partial(recursed, index))
         for root in roots.tolist():
             explorer.explore_root(root, ExploreStats())
     assert all(calls)
-    assert walked.domains == recursed.domains
+    assert [[set(np.flatnonzero(mask).tolist()) for mask in masks]
+            for masks in walked.masks] == recursed.domains
+    assert walked.supports() == recursed.supports()
 
 
 # ----------------------------------------------------------------------

@@ -235,7 +235,9 @@ def _check_schedule(graph, schedule, vcs=True, levels=None):
             i for i, res in enumerate(scalars) for _ in res.candidates
         ]
         for i, res in enumerate(scalars):
-            assert np.array_equal(batch.candidates_for(i), res.candidates)
+            assert np.array_equal(
+                batch.values[batch.offsets[i]:batch.offsets[i + 1]],
+                res.candidates)
             assert int(batch.merge_elements[i]) == res.merge_elements
             assert int(batch.scanned[i]) == res.scanned
             assert int(batch.counts[i]) == len(res.candidates)
@@ -243,9 +245,10 @@ def _check_schedule(graph, schedule, vcs=True, levels=None):
             assert int(counts.merge_elements[i]) == res.merge_elements
             assert int(counts.scanned[i]) == res.scanned
             if step.store_intermediate:
-                assert np.array_equal(batch.raw_for(i), res.raw)
+                assert np.array_equal(batch.raw_values[
+                    batch.raw_offsets[i]:batch.raw_offsets[i + 1]], res.raw)
             else:
-                assert batch.raw_for(i) is None
+                assert batch.raw_values is None
             checked += 1
     assert checked > 0
     return probes
@@ -401,15 +404,16 @@ def test_joined_pairs_hold_one_way_on_an_oriented_graph():
 
 
 def _with_self_loops(graph, every=3):
-    """``graph`` plus a loop on every ``every``-th vertex, built straight
-    from CSR arrays (the edge-list builders drop loops)."""
+    """``graph`` plus a loop on every ``every``-th vertex, labels kept,
+    built straight from CSR arrays (the edge-list builders drop loops)."""
     lists = [
         sorted(set(graph.neighbors(v).tolist()) | ({v} if v % every == 0
                                                   else set()))
         for v in range(graph.num_vertices)
     ]
     indptr = np.cumsum([0] + [len(row) for row in lists])
-    return Graph(indptr, np.concatenate(lists).astype(np.int32))
+    return Graph(indptr, np.concatenate(lists).astype(np.int32),
+                 graph.labels)
 
 
 @functools.cache  # a Graph hashes by identity; the fixture is one object

@@ -118,7 +118,7 @@ def test_aborts_agree_across_backends(name, budget, comparable):
         metric for metric in emitted if not metric.startswith("exec.")]
     engine = _abort_engine(name, **config)
     counts, alone = _walks_alone(engine, engine.plan(
-        [schedule], None, "khuzdul", "pattern", indexed_udf=False))
+        [schedule], None, "khuzdul", "pattern"))
     alone.counts = counts[0]
     print(f"{name} budget={budget}: {inline.outcome} {inline.counts}")
     assert comparable(inline) == comparable(process) == comparable(alone)

@@ -117,9 +117,12 @@ def _check(graph, schedule, vcs=True, keep=60, seed=0, allow_empty=False):
         assert listed.rows.tolist() == [
             i for i, row in enumerate(expected) for _ in row.candidates]
         for i, row in enumerate(expected):
-            assert listed.candidates_for(i).tolist() == row.candidates.tolist()
+            assert (listed.values[listed.offsets[i]:listed.offsets[i + 1]]
+                    .tolist() == row.candidates.tolist())
             if step.store_intermediate:
-                assert listed.raw_for(i).tolist() == row.raw.tolist()
+                assert listed.raw_values[
+                    listed.raw_offsets[i]:listed.raw_offsets[i + 1]
+                ].tolist() == row.raw.tolist()
         for batch in (listed, counted):
             assert batch.counts.tolist() == [
                 len(row.candidates) for row in expected]
