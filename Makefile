@@ -107,7 +107,10 @@ kernel-check:
 ## oracles; the one edge-normalization path (the streaming builder,
 ## from_edge_array a batch of one) against the eager oracle and its
 ## input errors; store round-trip/corruption rejection, ram-vs-mmap
-## bit-identity across backends, admission baseline
+## bit-identity across backends, admission baseline; the derived-
+## structure table (repro.graph.graph.DERIVED): a fresh section holds
+## it, and one under another table version (DERIVED_VERSION, carried in
+## derived_from), with none, or short of an array is rebuilt
 storage-check:
 	$(PYTEST) tests/test_generators.py tests/test_graph.py \
 		tests/test_storage.py -q

@@ -331,10 +331,6 @@ class EdgeCache:
         cost, self._pending_cost = self._pending_cost, 0.0
         return cost
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __contains__(self, vertex: int) -> bool:
         return vertex in self._entries
 

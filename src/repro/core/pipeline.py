@@ -35,10 +35,3 @@ def pipeline_time(
         next_comm = comm_times[i + 1] if i + 1 < len(comm_times) else 0.0
         total += max(compute_times[i], next_comm)
     return total
-
-
-def exposed_network_time(
-    comm_times: Sequence[float], compute_times: Sequence[float]
-) -> float:
-    """Communication time *not* hidden behind computation for a chunk."""
-    return pipeline_time(comm_times, compute_times) - sum(compute_times)

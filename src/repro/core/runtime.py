@@ -77,12 +77,6 @@ class RunReport:
             return {k: 0.0 for k in self.breakdown}
         return {k: v / total for k, v in self.breakdown.items()}
 
-    def speedup_over(self, other: "RunReport") -> float:
-        """How much faster this run is than ``other``."""
-        if self.simulated_seconds <= 0:
-            return float("inf")
-        return other.simulated_seconds / self.simulated_seconds
-
     def describe(self) -> str:
         """One-line summary used by the examples."""
         line = (

@@ -82,6 +82,46 @@ class HubColumns(NamedTuple):
     tail_indices: Optional[np.ndarray]
 
 
+class Derived(NamedTuple):
+    """How one derived array is built (:data:`DERIVED`)."""
+
+    #: the :class:`Graph` method that builds it, with the rest of its
+    #: group (the entries naming the same method)
+    builder: str
+    dtype: type
+
+
+class DerivedTable(NamedTuple):
+    """Every array the kernels derive from the CSR, declared once: a
+    field's name is the array's slot on a graph (``_<name>``; ``None``
+    until its group is built, and where the graph has none) and its name
+    in a store's derived section (docs/storage.md). Changing it bumps
+    :data:`DERIVED_VERSION`."""
+
+    #: :meth:`Graph.adjacency_keys`
+    keys: Derived = Derived("_build_keys", np.int64)
+    #: :meth:`Graph.adjacency_matrix`, and :meth:`Graph.loop_free` as
+    #: one ``bool``
+    rows: Derived = Derived("_build_rows", np.uint8)
+    rank: Derived = Derived("_build_rows", np.int32)
+    loop_free: Derived = Derived("_build_rows", np.bool_)
+    #: :meth:`Graph.hub_columns`: all ``None`` where no vertex has a row,
+    #: all but ``below`` where every vertex has one (the rows are the
+    #: words, with no tail)
+    below: Derived = Derived("_build_rows", np.int64)
+    words: Derived = Derived("_build_rows", np.uint64)
+    tail_indptr: Derived = Derived("_build_rows", np.int64)
+    tail_indices: Derived = Derived("_build_rows", np.int32)
+    #: :meth:`Graph.word_ranks`, built from the rows
+    word_ranks: Derived = Derived("_build_word_ranks", np.int32)
+
+
+DERIVED = DerivedTable()
+#: the version of :data:`DERIVED` a store's derived section records: one
+#: of another version, or none, is stale
+DERIVED_VERSION = 1
+
+
 class Graph:
     """An undirected (or oriented) graph in CSR form.
 
@@ -110,12 +150,8 @@ class Graph:
         "edge_labels",
         "_degrees",
         "_edge_list_bytes",
-        "_adjacency_keys",
-        "_adjacency_matrix",
-        "_hub_columns",
-        "_word_ranks",
-        "_loop_free",
         "_oriented",
+        *("_" + name for name in DERIVED._fields),
     )
 
     #: most bytes of bit-packed adjacency rows the kernels will
@@ -165,12 +201,9 @@ class Graph:
         #: lazy caches; the arrays above are immutable by contract
         self._degrees: Optional[np.ndarray] = None
         self._edge_list_bytes: Optional[np.ndarray] = None
-        self._adjacency_keys: Optional[np.ndarray] = None
-        self._adjacency_matrix: Optional[tuple] = None
-        self._hub_columns: Optional[tuple] = None
-        self._word_ranks: Optional[np.ndarray] = None
-        self._loop_free: Optional[bool] = None
         self._oriented: Optional[Graph] = None
+        for name in DERIVED._fields:
+            setattr(self, "_" + name, None)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -210,10 +243,19 @@ class Graph:
         tail).
         """
         if tail:
-            columns = self._hub_columns
-            return gather_segments(
-                columns.tail_indices, columns.tail_indptr, vs)
+            return gather_segments(self._tail_indices, self._tail_indptr, vs)
         return gather_segments(self.indices, self.indptr, vs)
+
+    def _derive(self, builder: str) -> None:
+        """The lookup behind every derived accessor's unset slot: run
+        ``builder`` (a :data:`DERIVED` entry's), which fills its group's
+        slots, read-only. A store maps its section instead
+        (:class:`MmapGraph`)."""
+        getattr(self, builder)()
+        for name, spec in zip(DERIVED._fields, DERIVED):
+            array = getattr(self, "_" + name)
+            if spec.builder == builder and array is not None:
+                array.setflags(write=False)
 
     def adjacency_keys(self) -> np.ndarray:
         """Globally sorted composite keys ``src * |V| + neighbor``.
@@ -225,15 +267,14 @@ class Graph:
         pairs in bulk. Built lazily (8 bytes per directed edge) for the
         batched EXTEND kernels; plain accessors never need it.
         """
-        if self._adjacency_keys is None:
-            num_vertices = np.int64(self.num_vertices)
-            src = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64), self.degrees()
-            )
-            keys = src * num_vertices + self.indices
-            keys.setflags(write=False)
-            self._adjacency_keys = keys
-        return self._adjacency_keys
+        if self._keys is None:
+            self._derive(DERIVED.keys.builder)
+        return self._keys
+
+    def _build_keys(self) -> None:
+        n = self.num_vertices
+        self._keys = np.arange(n, dtype=DERIVED.keys.dtype).repeat(
+            self.degrees()) * n + self.indices
 
     @property
     def adjacency_row_bytes(self) -> int:
@@ -264,47 +305,46 @@ class Graph:
         set up here with the rows, as is :meth:`loop_free`. Built lazily
         from the hub vertices' own lists, a bounded gather at a time.
         """
-        if self._adjacency_matrix is None:
-            n = self.num_vertices
-            row_bytes = self.adjacency_row_bytes
-            budget = min(8 * len(self.indices), self.DENSE_ADJACENCY_BYTES)
-            k = min(n, budget // row_bytes) if n else 0
-            degrees = self.degrees()
-            hubs = (
-                np.argsort(-degrees, kind="stable")[:k] if k < n
-                else np.arange(n)
+        if self._rank is None:
+            self._derive(DERIVED.rank.builder)
+        return self._rows, self._rank
+
+    def _build_rows(self) -> None:
+        n = self.num_vertices
+        budget = min(8 * len(self.indices), self.DENSE_ADJACENCY_BYTES)
+        k = min(n, budget // self.adjacency_row_bytes) if n else 0
+        degrees = self.degrees()
+        hubs = (
+            np.argsort(-degrees, kind="stable")[:k] if k < n
+            else np.arange(n)
+        )
+        rank = np.full(n, -1, DERIVED.rank.dtype)
+        rank[hubs] = np.arange(k, dtype=rank.dtype)
+        rows = np.zeros((k, self.adjacency_row_bytes), DERIVED.rows.dtype)
+        bounds = block_bounds(degrees[hubs], _ROW_BUILD_ELEMENTS)
+        for start, stop in zip(bounds, bounds[1:]):
+            values, offsets = self.neighbors_batch(hubs[start:stop])
+            row_of = np.repeat(np.arange(start, stop), np.diff(offsets))
+            np.bitwise_or.at(
+                rows, (row_of, values >> 3),
+                np.left_shift(1, values & 7).astype(np.uint8),
             )
-            rank = np.full(n, -1, dtype=np.int32)
-            rank[hubs] = np.arange(k, dtype=np.int32)
-            rows = np.zeros((k, row_bytes), dtype=np.uint8)
-            bounds = block_bounds(degrees[hubs], _ROW_BUILD_ELEMENTS)
-            for start, stop in zip(bounds, bounds[1:]):
-                values, offsets = self.neighbors_batch(hubs[start:stop])
-                row_of = np.repeat(np.arange(start, stop), np.diff(offsets))
-                np.bitwise_or.at(
-                    rows, (row_of, values >> 3),
-                    np.left_shift(1, values & 7).astype(np.uint8),
-                )
-            rows.setflags(write=False)
-            rank.setflags(write=False)
-            self._adjacency_matrix = (rows, rank)
-            # loops, a bounded run of sources at a time too
-            bounds = block_bounds(degrees, _ROW_BUILD_ELEMENTS)
-            self._loop_free = not any(
-                (self.indices[self.indptr[start]:self.indptr[stop]]
-                 == np.arange(start, stop, dtype=self.indices.dtype).repeat(
-                     degrees[start:stop])).any()
-                for start, stop in zip(bounds, bounds[1:]))
-            if k == n and n:
-                # every vertex a hub: the rows are the columns
-                below = np.arange(n + 1)
-                below.setflags(write=False)
-                self._hub_columns = HubColumns(
-                    below, rows.view("<u8"), None, None)
-            else:
-                self._hub_columns = (
-                    self._build_hub_columns(rank) if k else None)
-        return self._adjacency_matrix
+        self._rows, self._rank = rows, rank
+        # loops, a bounded run of sources at a time too
+        bounds = block_bounds(degrees, _ROW_BUILD_ELEMENTS)
+        self._loop_free = np.array([not any(
+            (self.indices[self.indptr[start]:self.indptr[stop]]
+             == np.arange(start, stop, dtype=self.indices.dtype).repeat(
+                 degrees[start:stop])).any()
+            for start, stop in zip(bounds, bounds[1:]))],
+            DERIVED.loop_free.dtype)
+        self._below = self._words = None
+        self._tail_indptr = self._tail_indices = None
+        if k == n and n:
+            # every vertex a hub: the rows are the columns
+            self._below = np.arange(n + 1, dtype=DERIVED.below.dtype)
+        elif k:
+            self._build_hub_columns(rank, k)
 
     def word_ranks(self) -> np.ndarray:
         """The adjacency rows' rank directory: ``(hubs, W + 1)`` ``int32``,
@@ -315,20 +355,20 @@ class Graph:
         under ``b`` — whatever ``W`` is (:mod:`repro.core.kernels`,
         docs/performance.md, "Counting drains"). 4 bytes a row word,
         beside the rows (they are not copied); built on first use, a
-        bounded run of rows at a time (:meth:`_build_word_ranks`)."""
+        bounded run of rows at a time."""
         if self._word_ranks is None:
-            self._word_ranks = self._build_word_ranks()
+            self._derive(DERIVED.word_ranks.builder)
         return self._word_ranks
 
-    def _build_word_ranks(self) -> np.ndarray:
+    def _build_word_ranks(self) -> None:
         words = self.adjacency_matrix()[0].view("<u8")
-        ranks = np.zeros((len(words), words.shape[1] + 1), dtype=np.int32)
+        ranks = np.zeros((len(words), words.shape[1] + 1),
+                         DERIVED.word_ranks.dtype)
         run = max(1, _ROW_BUILD_ELEMENTS // max(1, words.shape[1]))
         for start in range(0, len(words), run):
             np.cumsum(np.bitwise_count(words[start:start + run]), axis=1,
-                      dtype=np.int32, out=ranks[start:start + run, 1:])
-        ranks.setflags(write=False)
-        return ranks
+                      dtype=ranks.dtype, out=ranks[start:start + run, 1:])
+        self._word_ranks = ranks
 
     def hub_columns(self) -> Optional[HubColumns]:
         """Every vertex's neighbor list split at the hub vertices, or
@@ -350,31 +390,35 @@ class Graph:
         a row, the rows *are* the columns: ``words`` is a view of them
         (no copy), ``below`` the identity and the tail ``None``.
         """
-        self.adjacency_matrix()
-        return self._hub_columns
+        rows, _ = self.adjacency_matrix()
+        if self._below is None:
+            return None
+        words = rows.view("<u8") if self._words is None else self._words
+        return HubColumns(self._below, words, self._tail_indptr,
+                          self._tail_indices)
 
     def loop_free(self) -> bool:
         """Whether no vertex is its own neighbor (the edge-list builders
         drop loops; a CSR built by hand may keep them). Decided with the
         adjacency rows (:meth:`adjacency_matrix`), so kernels read a memo."""
         self.adjacency_matrix()
-        return self._loop_free
+        return bool(self._loop_free[0])
 
-    def _build_hub_columns(self, rank: np.ndarray) -> HubColumns:
-        """:meth:`hub_columns` of the vertices ``rank`` gives a row, from
-        the CSR in runs of consecutive sources — of a quarter of
-        :data:`_ROW_BUILD_ELEMENTS` entries, a run's temporaries being
+    def _build_hub_columns(self, rank: np.ndarray, hubs: int) -> None:
+        """:meth:`hub_columns` of the ``hubs`` vertices ``rank`` gives a
+        row, from the CSR in runs of consecutive sources — of a quarter
+        of :data:`_ROW_BUILD_ELEMENTS` entries, a run's temporaries being
         several int64 an entry. A run's hub entries arrive sorted by
         (source, column), so each word is one OR over a run of them;
         what a vertex's words do not count of its degree is its tail."""
         n = self.num_vertices
         is_hub = rank >= 0
-        below = np.zeros(n + 1, dtype=np.int64)
+        below = np.zeros(n + 1, DERIVED.below.dtype)
         np.cumsum(is_hub, out=below[1:])
-        width = (int(below[-1]) + 63) // 64
-        words = np.zeros((n, width), dtype=np.uint64)
+        width = (hubs + 63) // 64
+        words = np.zeros((n, width), DERIVED.words.dtype)
         flat = words.reshape(-1)
-        tail_indptr = np.zeros(n + 1, dtype=np.int64)
+        tail_indptr = np.zeros(n + 1, DERIVED.tail_indptr.dtype)
         tails = []
         degrees = self.degrees()
         bounds = block_bounds(degrees, _ROW_BUILD_ELEMENTS >> 2)
@@ -401,10 +445,10 @@ class Graph:
                 out=tail_indptr[start + 1:stop + 1],
             )
         np.cumsum(tail_indptr, out=tail_indptr)
-        tail_indices = np.concatenate(tails)
-        for array in (below, words, tail_indptr, tail_indices):
-            array.setflags(write=False)
-        return HubColumns(below, words, tail_indptr, tail_indices)
+        self._below, self._words = below, words
+        self._tail_indptr = tail_indptr
+        self._tail_indices = np.concatenate(
+            tails, dtype=DERIVED.tail_indices.dtype)
 
     def degree(self, v: int) -> int:
         """Degree (out-degree for oriented graphs) of vertex ``v``."""
@@ -480,23 +524,11 @@ class Graph:
         return size
 
     def derived_bytes(self) -> int:
-        """Bytes of what the kernels have built beside the CSR so far:
-        the composite keys (:meth:`adjacency_keys`), the hub rows and
-        their rank table (:meth:`adjacency_matrix`), the rows' word
-        ranks (:meth:`word_ranks`), the hub columns and tail lists
-        (:meth:`hub_columns`). Resident in every process that
-        runs kernels on a RAM graph; a store maps them from its derived
-        section (docs/storage.md). An array
-        that is a view of another (a dense graph's columns are its rows)
-        is counted once."""
-        built = [self._adjacency_keys]
-        built += self._adjacency_matrix or ()
-        built += [self._word_ranks, *(self._hub_columns or ())]
-        built = [array for array in built if array is not None]
-        return sum(
-            array.nbytes for array in built
-            if not any(array.base is other for other in built)
-        )
+        """Bytes of the :data:`DERIVED` arrays built beside the CSR so
+        far (or mapped from a store's section, docs/storage.md): resident
+        in every process that runs kernels on a RAM graph."""
+        built = (getattr(self, "_" + name) for name in DERIVED._fields)
+        return sum(array.nbytes for array in built if array is not None)
 
     def edge_list_bytes(self, v: int) -> int:
         """Wire size of ``N(v)`` (:func:`edge_list_bytes_of` its degree)."""

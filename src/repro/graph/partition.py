@@ -97,16 +97,6 @@ class PartitionedGraph:
         """Vertex ids owned by ``machine`` (ascending)."""
         return self._vertices_by_machine[machine]
 
-    def socket_vertices(self, machine: int, socket: int) -> np.ndarray:
-        """Vertices of ``machine``'s sub-partition on ``socket``."""
-        local = self._vertices_by_machine[machine]
-        mask = np.fromiter(
-            (self.partitioner.socket(int(v)) == socket for v in local),
-            dtype=bool,
-            count=len(local),
-        )
-        return local[mask]
-
     def partition_bytes(self, machine: int) -> int:
         """Memory footprint of ``machine``'s partition (CSR slice)."""
         local = self._vertices_by_machine[machine]

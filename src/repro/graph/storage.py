@@ -30,11 +30,10 @@ array's dtype/length/offset/CRC32, then the arrays themselves at
 rejected by name — the same manifest discipline the durable
 checkpoints use (docs/faults.md, "Durability").
 
-What the kernels derive from the CSR — composite keys, hub rows, their
-rank table and word ranks, hub columns and tail CSR — is the store's
-*derived section*, a sidecar file of the same format
-(:func:`derived_path`): the first process that needs it builds and
-writes it, every later one maps it.
+What the kernels derive from the CSR — the arrays of the table
+:data:`~repro.graph.graph.DERIVED` — is the store's *derived section*,
+a sidecar file of the same format (:func:`derived_path`): the first
+process that needs it builds and writes it, every later one maps it.
 """
 
 from __future__ import annotations
@@ -49,12 +48,12 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.graph import Graph, HubColumns
+from repro.graph.graph import DERIVED, DERIVED_VERSION, Graph
 
 #: store-file magic ("Khuzdul CSR")
 MAGIC = b"KCSR"
@@ -92,14 +91,9 @@ class MmapGraph(Graph):
     byte-accounting layers (admission control, ``storage.*`` metrics)
     look at :attr:`storage` to learn the graph is not resident.
 
-    So are the structures the kernels derive: the first
-    :meth:`adjacency_keys` / :meth:`adjacency_matrix` /
-    :meth:`word_ranks` / :meth:`hub_columns` call maps the store's
-    derived section (:func:`derived_path`) if one derived from this
-    store under this row budget exists. Otherwise it builds them all
-    with the :class:`Graph` code, writes them as that section and maps
-    what it wrote; where the directory is not writable it keeps the
-    build.
+    So are the arrays the kernels derive (:data:`DERIVED`): the first
+    lookup of any of them, through :meth:`_derive`, maps them all from
+    the store's derived section (:func:`derived_path`).
     """
 
     __slots__ = ("store_path", "fingerprint", "builder_stats",
@@ -108,82 +102,32 @@ class MmapGraph(Graph):
     #: storage mode tag ("ram" on the base class)
     storage = "mmap"
 
-    def adjacency_keys(self) -> np.ndarray:
-        if self._adjacency_keys is None:
-            self._derive()
-        return self._adjacency_keys
-
-    def adjacency_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._adjacency_matrix is None:
-            self._derive()
-        return self._adjacency_matrix
-
-    def word_ranks(self) -> np.ndarray:
-        if self._adjacency_matrix is None:
-            self._derive()
-        return super().word_ranks()
-
-    def _derive(self) -> None:
+    def _derive(self, builder: str) -> None:
+        """Map every :data:`DERIVED` array from the derived section,
+        whichever ``builder`` was asked for. A section that is missing
+        or stale — derived from another store, row budget or table
+        version, or short of a table array — is built with the
+        :class:`Graph` code and written first (two processes racing
+        write the same bytes; one rename wins). Where the directory
+        takes no file the build is kept."""
         path = derived_path(self.store_path)
-        source = {**self.derived_from,
+        source = {**self.derived_from, "version": DERIVED_VERSION,
                   "row_budget": self.DENSE_ADJACENCY_BYTES}
         header = read_header(path) if path.exists() else None
         if (header is None or header.get("derived_from") != source
-                or "loop_free" not in header
-                or "word_ranks" not in header["arrays"]):
-            # missing or stale: build, and write what was built
-            header = self._write_section(path, source)
-            if header is None:
+                or header["arrays"].keys() != set(DERIVED._fields)):
+            for group in dict.fromkeys(spec.builder for spec in DERIVED):
+                Graph._derive(self, group)
+            built = {name: getattr(self, "_" + name)
+                     for name in DERIVED._fields}
+            try:
+                _write_store_file(path, built, self.directed,
+                                  self.num_vertices, derived_from=source)
+            except OSError:
                 return
-        n = self.num_vertices
-        hubs, row_bytes = header["hub_rows"], self.adjacency_row_bytes
-        arrays = _mapped(path, header, shapes={
-            "rows": (hubs, row_bytes),
-            "word_ranks": (hubs, row_bytes // 8 + 1),
-            "words": (n, header.get("width", 0)),
-        })
-        rows = arrays["rows"]
-        self._adjacency_keys = arrays["keys"]
-        self._adjacency_matrix = (rows, arrays["rank"])
-        self._word_ranks = arrays["word_ranks"]
-        self._loop_free = header["loop_free"]
-        if "words" in arrays:
-            self._hub_columns = HubColumns(
-                arrays["below"], arrays["words"], arrays["tail_indptr"],
-                arrays["tail_indices"])
-        elif len(rows) == n and n:
-            # every vertex a hub: the rows are the columns
-            below = np.arange(n + 1)
-            below.setflags(write=False)
-            self._hub_columns = HubColumns(below, rows.view("<u8"), None,
-                                           None)
-        else:
-            self._hub_columns = None
-
-    def _write_section(self, path: Path, source: dict) -> Optional[dict]:
-        """Build the derived structures in RAM and write them as the
-        section at ``path``; its header, or ``None`` where the directory
-        takes no file. Two processes racing here write the same bytes
-        and one rename wins."""
-        rows, rank = Graph.adjacency_matrix(self)
-        arrays = {"keys": Graph.adjacency_keys(self),
-                  "rows": rows.reshape(-1), "rank": rank,
-                  "word_ranks": Graph.word_ranks(self).reshape(-1)}
-        shape = {"hub_rows": len(rows), "loop_free": self._loop_free}
-        columns = self._hub_columns
-        if columns is not None and columns.tail_indptr is not None:
-            arrays.update(below=columns.below,
-                          words=columns.words.reshape(-1),
-                          tail_indptr=columns.tail_indptr,
-                          tail_indices=columns.tail_indices)
-            shape["width"] = columns.words.shape[1]
-        try:
-            _write_store_file(path, arrays, self.directed,
-                              self.num_vertices, derived_from=source,
-                              **shape)
-        except OSError:
-            return None
-        return read_header(path)
+            header = read_header(path)
+        for name, array in _mapped(path, header).items():
+            setattr(self, "_" + name, array)
 
 
 @dataclass(frozen=True)
@@ -236,13 +180,18 @@ def _array_crc(array: np.ndarray) -> int:
 def _layout(arrays: dict[str, np.ndarray], header_hint: int = 4096):
     """Assign aligned offsets after a header of roughly ``header_hint``
     bytes; returns (sections, total_bytes). Re-run with the real header
-    length until stable (the JSON mentions the offsets it implies)."""
+    length until stable (the JSON mentions the offsets it implies). An
+    array of several dimensions records its shape; ``None``, ``null``."""
     offset = _aligned(_PREAMBLE.size + header_hint)
     sections = {}
     for name, array in arrays.items():
+        if array is None:
+            sections[name] = None
+            continue
         sections[name] = {
             "dtype": array.dtype.str,
-            "length": int(len(array)),
+            "length": int(array.size),
+            **({"shape": list(array.shape)} if array.ndim > 1 else {}),
             "offset": offset,
             "crc32": _array_crc(array),
         }
@@ -319,8 +268,9 @@ def _write_store_file(
             ))
             handle.write(header)
             for name, array in arrays.items():
-                handle.seek(sections[name]["offset"])
-                np.ascontiguousarray(array).tofile(handle)
+                if array is not None:
+                    handle.seek(sections[name]["offset"])
+                    np.ascontiguousarray(array).tofile(handle)
             handle.truncate(total)
             handle.flush()
             os.fsync(handle.fileno())
@@ -334,7 +284,7 @@ def _write_store_file(
 
 
 def sections_start(sections: dict) -> int:
-    return min(s["offset"] for s in sections.values()) if sections else 0
+    return min((s["offset"] for s in sections.values() if s), default=0)
 
 
 def derived_path(store: str | os.PathLike) -> Path:
@@ -420,18 +370,21 @@ def read_header(path: str | os.PathLike) -> dict:
     return header
 
 
-def _mapped(path: Path, header: dict, verify: bool = False,
-            shapes: Optional[dict] = None) -> dict[str, np.ndarray]:
-    """Every array of a store file as a read-only view of one mapping
-    of it (one file descriptor however many arrays), 1-D unless
-    ``shapes`` names another shape; ``verify`` checks each against its
-    recorded CRC32."""
+def _mapped(path: Path, header: dict,
+            verify: bool = False) -> dict[str, np.ndarray]:
+    """Every array of a store file, in its recorded shape, as a
+    read-only view of one mapping of it (one file descriptor however
+    many arrays), ``None`` where the header records ``null``; ``verify``
+    checks each against its recorded CRC32."""
     with open(path, "rb") as handle:
         whole = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     arrays = {}
     for name, spec in header["arrays"].items():
+        if spec is None:
+            arrays[name] = None
+            continue
         array = arrays[name] = np.ndarray(
-            (shapes or {}).get(name, spec["length"]), spec["dtype"],
+            spec.get("shape", spec["length"]), spec["dtype"],
             buffer=whole, offset=spec["offset"])
         if verify and _array_crc(array) != spec["crc32"]:
             raise GraphFormatError(
@@ -566,6 +519,15 @@ def _dedup_sorted_run(keys, labels, ranks):
     return keys[np.flatnonzero(first)], None, None
 
 
+class _Run(NamedTuple):
+    """One sorted, key-unique spill run; an unlabeled one has neither
+    labels nor ranks."""
+
+    keys: np.ndarray
+    labels: Optional[np.ndarray]
+    ranks: Optional[np.ndarray]
+
+
 class _RunSet:
     """Sorted, key-unique spill runs — on disk or in memory.
 
@@ -577,23 +539,25 @@ class _RunSet:
 
     def __init__(self, spill_dir: Optional[Path]):
         self._spill_dir = spill_dir
-        self.runs: list[dict] = []
+        self.runs: list[_Run] = []
 
     def add(self, keys, labels, ranks) -> None:
-        run = {"keys": keys, "labels": labels, "ranks": ranks}
+        run = _Run(keys, labels, ranks)
         if self._spill_dir is not None:
             index = len(self.runs)
-            for field in ("keys", "labels", "ranks"):
-                if run[field] is None:
-                    continue
-                target = self._spill_dir / f"run{index}.{field}.npy"
-                np.save(target, run[field])
-                run[field] = np.load(target, mmap_mode="r")
+            spilled = []
+            for field, array in zip(_Run._fields, run):
+                if array is not None:
+                    target = self._spill_dir / f"run{index}.{field}.npy"
+                    np.save(target, array)
+                    array = np.load(target, mmap_mode="r")
+                spilled.append(array)
+            run = _Run(*spilled)
         self.runs.append(run)
 
 
 def _merge_runs(
-    runs: list[dict],
+    runs: list[_Run],
     chunk: int,
     emit,
 ) -> int:
@@ -607,9 +571,9 @@ def _merge_runs(
     stays at ``O(len(runs) * chunk)`` entries. Returns the merge-step
     count. Labeled runs carry ranks, unlabeled ones neither.
     """
-    labeled = any(run["labels"] is not None for run in runs)
+    labeled = any(run.labels is not None for run in runs)
     pos = [0] * len(runs)
-    lengths = [len(run["keys"]) for run in runs]
+    lengths = [len(run.keys) for run in runs]
     merge_batches = 0
     window = chunk
     while True:
@@ -622,13 +586,13 @@ def _merge_runs(
             end = min(pos[i] + window, lengths[i])
             ends[i] = end
             if end < lengths[i]:
-                last = int(runs[i]["keys"][end - 1])
+                last = int(runs[i].keys[end - 1])
                 if bound is None or last < bound:
                     bound = last
         key_parts, label_parts, rank_parts = [], [], []
         took = False
         for i in active:
-            keys = np.asarray(runs[i]["keys"][pos[i]:ends[i]])
+            keys = np.asarray(runs[i].keys[pos[i]:ends[i]])
             take = (
                 len(keys) if bound is None
                 else int(np.searchsorted(keys, bound, side="left"))
@@ -639,10 +603,10 @@ def _merge_runs(
             key_parts.append(keys[:take])
             if labeled:
                 label_parts.append(
-                    np.asarray(runs[i]["labels"][pos[i]:pos[i] + take])
+                    np.asarray(runs[i].labels[pos[i]:pos[i] + take])
                 )
                 rank_parts.append(
-                    np.asarray(runs[i]["ranks"][pos[i]:pos[i] + take])
+                    np.asarray(runs[i].ranks[pos[i]:pos[i] + take])
                 )
             pos[i] += take
         if not took:
@@ -767,7 +731,7 @@ class _StreamingCsrBuilder:
     def capacity(self) -> int:
         """Entries the runs hold: the adjacency's length, unless a key
         recurs across runs."""
-        return sum(len(run["keys"]) for run in self._runs.runs)
+        return sum(len(run.keys) for run in self._runs.runs)
 
 
 def from_edge_batches(
@@ -900,30 +864,3 @@ def build_store(
         indices_tmp.close()
         elabels_tmp.close()
     return stats
-
-
-def iter_graph_edge_batches(
-    graph: Graph, batch_edges: int = 1 << 18
-) -> Iterator[np.ndarray]:
-    """Yield a graph's undirected edge set (``u < v`` once per edge, or
-    every stored arc for directed graphs) as bounded ``(m, 2)`` batches
-    — the bridge from an existing in-RAM graph to the streaming
-    builder."""
-    n = graph.num_vertices
-    start = 0
-    indptr = graph.indptr
-    while start < n:
-        stop = min(n, start + max(1, batch_edges // 4))
-        values, offsets = graph.neighbors_batch(
-            np.arange(start, stop, dtype=np.int64)
-        )
-        src = np.repeat(
-            np.arange(start, stop, dtype=np.int64), np.diff(offsets)
-        )
-        dst = values.astype(np.int64)
-        if not graph.directed:
-            keep = src < dst
-            src, dst = src[keep], dst[keep]
-        if len(src):
-            yield np.stack([src, dst], axis=1)
-        start = stop

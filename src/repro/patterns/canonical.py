@@ -79,14 +79,3 @@ def canonical_code(pattern: Pattern) -> CanonicalCode:
         tuple(best.label(v) for v in range(n)),
         tuple(sorted((u, v, best.edge_label(u, v)) for u, v in best.edges)),
     )
-
-
-def canonical_form(pattern: Pattern) -> Pattern:
-    """A concrete pattern relabeled into its canonical vertex order."""
-    labels, coded_edges = canonical_code(pattern)
-    label_arg = labels if pattern.labels is not None else None
-    edges = [(u, v) for u, v, _ in coded_edges]
-    edge_labels = None
-    if pattern.edge_labels is not None:
-        edge_labels = {(u, v): lab for u, v, lab in coded_edges}
-    return Pattern(pattern.num_vertices, edges, label_arg, edge_labels)

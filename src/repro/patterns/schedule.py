@@ -78,11 +78,6 @@ class Schedule:
     restrictions: tuple[tuple[int, int], ...]
     steps: tuple[ExtensionStep, ...] = field(default=())
 
-    @property
-    def num_levels(self) -> int:
-        """Number of extension steps (pattern size minus one)."""
-        return len(self.steps)
-
     def root_label(self) -> Optional[int]:
         """Label constraint on the level-0 (root) vertex."""
         if self.pattern.labels is None:

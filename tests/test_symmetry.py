@@ -21,8 +21,12 @@ from repro.patterns import (
     tailed_triangle,
 )
 from repro.patterns.schedule import automine_schedule
-from repro.patterns.symmetry import satisfies_restrictions
-from tests.reference import ExploreStats, RecursiveExplorer, ScheduleExtender
+from tests.reference import (
+    ExploreStats,
+    RecursiveExplorer,
+    ScheduleExtender,
+    satisfies_restrictions,
+)
 
 
 def _count(graph, pattern, use_restrictions):

@@ -617,7 +617,7 @@ def test_traced_runs_read_the_same_with_the_columns_dropped(
     same graph, same hub rows, leaves on lists."""
     split = _twin(skewed_graph, 40)
     dropped = _twin(skewed_graph, 40)
-    dropped._hub_columns = None
+    dropped._below = None  # hub_columns() is None: no columns
     # clique4's final step reuses a stored intersection unless vertical
     # sharing is off: a list, so the step stays on lists
     for pattern, induced, vcs in ((catalog.clique(3), False, True),
