@@ -12,7 +12,10 @@ asserts the durability contract of docs/faults.md end to end:
   chunks checkpoint every pattern of a group at once);
 - a run losing a worker to SIGKILL under ``--on-worker-death recover``
   completes through surviving-*worker* redistribution — no inline
-  fallback — with identical counts;
+  fallback — with identical counts, and an FSM run so killed in every
+  round prints the inline run's frequent patterns and supports (its
+  survivors restart the dead worker's machines from the MNI domains
+  its deltas shipped);
 - a worker killed *inside* a message — half of it written to its
   result pipe — is an ordinary death
   (docs/execution.md, "Real-process failure semantics"): ``RECOVERED``
@@ -56,6 +59,11 @@ JOB = ("--graph", "mico", "--scale", "0.05", "--machines", "4",
 CENSUS_JOB = ("motifs", "--graph", "mico", "--scale", "0.3",
               "--machines", "4", "--chunk-bytes", "1024", "--no-auto-fit",
               "--size", "4", "--counting", "iep")
+
+#: the FSM job: three rounds on labeled mico, whose MNI domains a
+#: worker ships with every delta
+FSM_JOB = ("fsm", "--graph", "mico", "--scale", "0.3", "--threshold", "25",
+           "--machines", "4", "--chunk-bytes", "1024", "--no-auto-fit")
 
 CLI_TIMEOUT = 240
 
@@ -236,6 +244,24 @@ def scenario_worker_kill_redistributes(oracle, workers):
     assert redistribution["machines"] >= 1
 
 
+def scenario_fsm_worker_kill(workers, kill_after):
+    """SIGKILL worker 1 after its ``kill_after``-th delta of every FSM
+    round; the printed frequent patterns and supports must equal the
+    inline run's, and the outcome be ``RECOVERED``."""
+    def printed(*extra, chaos=None):
+        lines = run_cli(["--metrics", "off", *extra], chaos=chaos,
+                        job=FSM_JOB).stdout.splitlines()
+        return lines[:-1], lines[-1]
+
+    expected, _ = printed()
+    got, outcome = printed(
+        "--backend", "process", "--workers", str(workers),
+        "--on-worker-death", "recover", "--heartbeat", "0.2",
+        chaos=f"worker-kill:1:{kill_after}")
+    assert got == expected, (got, expected)
+    assert outcome.startswith("outcome: RECOVERED"), outcome
+
+
 #: where a worker is killed inside a message: (REPRO_CHAOS kind, which
 #: of worker 1's messages) — its first result-pipe message (a CKPT
 #: delta), its last (the RESULT)
@@ -367,6 +393,12 @@ def test_chaos_parent_kill_process_backend(oracle, tmp_path):
 @pytest.mark.parametrize("workers", [2, 4])
 def test_chaos_worker_kill_redistributes(oracle, workers):
     scenario_worker_kill_redistributes(oracle, workers)
+
+
+@pytest.mark.parametrize("kill_after", [1, 2, 3])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_chaos_fsm_worker_kill(workers, kill_after):
+    scenario_fsm_worker_kill(workers, kill_after)
 
 
 @pytest.mark.parametrize("policy", ["recover", "fail"])

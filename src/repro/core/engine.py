@@ -13,6 +13,7 @@ whose simulated runtime is the slowest machine's clock.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
@@ -278,21 +279,20 @@ class KhuzdulEngine:
     ) -> tuple[list[int], RunReport]:
         """The inline backend: every machine in this process.
 
-        With ``checkpoint_dir`` set the :class:`DurableRun` feeds every
-        completed root chunk to the durable log and, on ``resume``,
-        skips completed chunks and restores each machine's mergeable
-        UDF state — a
-        killed run restarted with ``resume=True`` reproduces the
+        The :class:`DurableRun` starts every machine — its resume
+        cursors and its UDF copy — and, with ``checkpoint_dir`` set,
+        feeds every completed root chunk to the durable log: a killed
+        run restarted with ``resume=True`` skips completed chunks,
+        restores each machine's mergeable UDF state and reproduces the
         uninterrupted run's counts bit-exactly (docs/faults.md).
         """
         if plan.config.checkpoint_dir is not None:
             require_mergeable_udf(udf, "durable checkpoints")
         with DurableRun(plan, self.cluster.graph, self.obs, udf) as durable:
-            partial_run = self.execute(
-                plan, udf, sink=durable.sink, resume=durable.resume,
-                udfs=durable.udfs,
-            )
-        durable.fold(udf)
+            resume, udfs = durable.start(range(self.cluster.num_machines))
+            partial_run = self.execute(plan, udfs, sink=durable.sink,
+                                       resume=resume)
+        durable.fold(udfs)
         counts, report = finalize(plan, [partial_run], self.obs)
         durable.publish(report)
         return counts, report
@@ -300,11 +300,10 @@ class KhuzdulEngine:
     def execute(
         self,
         plan: JobPlan,
-        udf=None,
+        udfs: Optional[dict] = None,
         hosted: Optional[set] = None,
         sink=None,
         resume: Optional[dict] = None,
-        udfs: Optional[dict] = None,
     ) -> Partial:
         """The one machine loop: run ``plan`` on this engine's cluster.
 
@@ -318,19 +317,22 @@ class KhuzdulEngine:
         bit-identical and a re-executed subset reproduces a lost
         worker's results exactly.
 
-        ``sink(machine, roots, matches)`` observes every completed root
-        chunk of a pattern group with its *absolute* cursor: the
-        group's one root cursor, and ``matches`` mapping each member
-        pattern to its absolute match total. ``resume`` maps
+        ``udfs`` maps each machine to the UDF it drains into — its own
+        copy, made by :meth:`DurableRun.start` — or is None for a
+        count-only run.
+
+        ``sink(machine, roots, matches, udf_state)`` observes every
+        completed root chunk of a pattern group with its *absolute*
+        cursor: the group's one root cursor, ``matches`` mapping each
+        member pattern to its absolute match total, and the pickled
+        state of the machine's UDF there (None without one). ``resume`` maps
         ``(pattern, machine)`` to an already-completed
         ``(roots, matches)`` prefix, which is sliced off the machine's
         root set and seeded into its counts before the scheduler runs;
         the patterns of a group must agree on ``roots``. Roots are
         enumerated in a deterministic order, so skipping a completed
         prefix reproduces exactly the remaining work — the durability
-        contract of docs/faults.md. ``udfs`` maps each machine to the
-        copy of the UDF it drains into, so that a durable snapshot can
-        hold each machine's state at its own cursor (``DurableRun``).
+        contract of docs/faults.md.
 
         A group's hosted machines walk in lockstep (docs/performance.md,
         "Lockstep machines"), and each machine's walk depends only on
@@ -431,6 +433,7 @@ class KhuzdulEngine:
 
         def startup(shard: _Shard) -> MachineScheduler:
             mid = shard.machine_id
+            udf = None if udfs is None else udfs[mid]
             machine = cluster.machines[mid]
             machine.clock.scheduler += cluster.cost.engine_startup
             startup_counters[mid].inc(cluster.cost.engine_startup)
@@ -448,7 +451,7 @@ class KhuzdulEngine:
                     vcs=config.vcs, metrics=machine_scopes[mid],
                     workspace=workspace),
                 cache=caches[mid],
-                udf=udf if udfs is None else udfs[mid],
+                udf=udf,
                 chunk_bytes=group.chunk_bytes,
                 hds_enabled=config.hds,
                 hds_slots=config.hds_slots,
@@ -461,7 +464,7 @@ class KhuzdulEngine:
                 obs=obs,
                 faults=injector,
                 checkpoint_sink=(
-                    partial(_rebased_sink, sink, members, shard)
+                    partial(_rebased_sink, sink, members, shard, udf)
                     if sink is not None and not shard.recovery else None
                 ),
             )
@@ -763,12 +766,12 @@ def _group_cursor(resume: dict, members, machine: int):
     return roots.pop(), tuple(cursor[1] for cursor in cursors)
 
 
-def _rebased_sink(sink, members, shard: _Shard, ckpt) -> None:
+def _rebased_sink(sink, members, shard: _Shard, udf, ckpt) -> None:
     """Adapt the engine-level checkpoint sink to one scheduler: name
-    the group's patterns and rebase the shard-relative cursor to
-    absolute."""
+    the group's patterns, rebase the shard-relative cursor to absolute
+    and pickle the state of the machine's UDF."""
     sink(shard.machine_id, shard.base_roots + ckpt.roots_completed, {
         index: base + found
         for index, base, found in zip(members, shard.base_matches,
                                       ckpt.matches)
-    })
+    }, None if udf is None else pickle.dumps(udf))

@@ -9,21 +9,22 @@ travel — every worker maps the whole graph (docs/execution.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 # ---------------------------------------------------------------------
 # result-pipe message kinds: every message a worker sends the parent
 # is a (kind, worker_id, payload) triple with one of these tags
 # ---------------------------------------------------------------------
-#: compute finished — payload carries partial/udf/obs/busy seconds
+#: compute finished — payload carries partial/udfs/obs/busy seconds
 RESULT = "result"
 #: unexpected failure — payload is the formatted traceback text
 ERROR = "error"
-#: completed-root-chunk delta — payload is ``(pattern, machine, roots,
-#: matches)`` with the *absolute* cursor. Workers ship one per root
-#: chunk so the parent always knows the fleet's progress: with a
-#: checkpoint directory it appends them to the durable log, and on a
-#: worker death the redistribution pass uses them to skip the dead
-#: worker's completed chunks (docs/execution.md)
+#: completed-root-chunk delta — payload is ``(machine, roots,
+#: {pattern: matches}, udf_state)``: the group's *absolute* cursor and
+#: the pickled state of the machine's UDF copy there (None without a
+#: UDF). The parent's ledger records one per root chunk: with a
+#: checkpoint directory in the durable log, and on a worker death the
+#: dead worker's machines restart from it (docs/execution.md)
 CKPT = "ckpt"
 #: a redistributed-recovery replay finished — payload has the same
 #: shape as a RESULT payload, restricted to the replayed machines
@@ -36,13 +37,12 @@ class RecoverAssignment:
 
     The one command of the fleet's command pipes (parent -> worker,
     after the worker's RESULT; releasing the lane ends them), sent to
-    a survivor when a peer died under
-    ``--on-worker-death recover``. ``resume`` is the parent's progress
-    ledger — ``(pattern, machine)`` to the last shipped cursor
-    ``(roots, matches)`` — so the survivor skips chunks the dead worker
-    already completed — the same resume mechanism durable checkpoints
-    use (docs/faults.md).
+    a survivor when a peer died under ``--on-worker-death recover``.
+    ``resume`` and ``udfs`` are the last shipped cursors and each
+    machine's UDF copy at them (``DurableRun.start``), so the survivor
+    skips chunks the dead worker already completed (docs/faults.md).
     """
 
     machines: tuple[int, ...]
     resume: dict
+    udfs: Optional[dict]

@@ -18,22 +18,21 @@ Execution plan (docs/execution.md):
    returns a structured ``CRASHED`` report immediately, ``recover``
    *redistributes* the lost workers' machines across the surviving
    workers (each survivor replays its share against the shared graph,
-   resuming past the chunks the dead worker's shipped checkpoint
-   deltas already cover) and reports ``RECOVERED`` with complete
-   counts. The parent replays inline only machines no survivor could
-   cover (survivor died mid-recovery, or no survivors at all).
+   from the cursors and UDF states the dead worker's deltas left in
+   the ledger) and reports ``RECOVERED`` with complete counts. The
+   parent replays inline only machines no survivor could cover
+   (survivor died mid-recovery, or no survivors at all).
 4. Release and stop every lane. The graph's shared-memory segments
    are unlinked on every exit path — including SIGINT/SIGTERM and
    interpreter exit, via chained signal handlers and an ``atexit``
    hook registered for the duration of the run.
 
 Durability (docs/faults.md): workers ship one ``CKPT`` delta per
-completed root chunk — the parent's in-memory progress ledger feeds
-redistribution, and with ``checkpoint_dir`` set the parent also owns a
-:class:`~repro.faults.durability.CheckpointSession`, appending deltas
-to the durable log so a killed run resumes (workers receive the resume
-map and skip completed chunks). A ``shm.json`` ledger of live segment
-names lets a resumed run reap segments leaked by a SIGKILLed parent.
+completed root chunk, with their machine's UDF state, to the parent's
+one progress ledger (:class:`~repro.faults.durability.DurableRun`,
+durable with ``checkpoint_dir`` set), which starts every machine. A
+``shm.json`` ledger of live segment names lets a resumed run reap
+segments leaked by a SIGKILLed parent.
 5. Merge (:func:`merge_reports`): worker metric/span dumps are
    absorbed into the parent observability bundle beside the
    wall-clock ``exec.*`` metrics, and the workers' partials go through
@@ -51,17 +50,14 @@ Wall-clock ``exec.*`` readings are the only nondeterministic outputs.
 
 Not supported here (raise :class:`~repro.errors.ConfigurationError`
 up front): fault plans (injected crash recovery reassigns roots across
-workers, which this backend does not replicate) and non-mergeable
-UDFs (a per-worker UDF copy must be foldable via ``udf.merge(other)``,
-like :class:`~repro.systems.base.MniDomainCollector`).
+workers, which this backend does not replicate).
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.plan import finalize, require_mergeable_udf
 from repro.core.runtime import RunReport
@@ -104,11 +100,8 @@ class _FleetState:
 
     workers: int
     machines: int
-    #: the durable session's sink (None without ``checkpoint_dir``)
-    sink: Optional[Callable] = None
-    #: fleet-wide progress ledger, (pattern, machine) -> absolute
-    #: (roots, matches) cursor; feeds redistribution resume maps
-    progress: dict = field(default_factory=dict)
+    #: the progress ledger every CKPT delta lands in
+    durable: DurableRun
     lanes: list = field(default_factory=list)
     #: sweeps of worker exit codes the parent performed
     heartbeat_checks: int = 0
@@ -117,16 +110,6 @@ class _FleetState:
     #: lost workers whose hosted machines were replayed (on survivors
     #: or in the parent)
     reexecuted: set = field(default_factory=set)
-
-    def on_ckpt(self, machine, roots, matches) -> None:
-        """One completed root chunk's absolute cursor, from any worker:
-        its group's root cursor and every member pattern's matches."""
-        for pattern, found in matches.items():
-            key = (pattern, machine)
-            if roots > self.progress.get(key, (0, 0))[0]:
-                self.progress[key] = (roots, found)
-        if self.sink is not None:
-            self.sink(machine, roots, matches)
 
     def death_events(self) -> list[dict]:
         return [
@@ -220,23 +203,16 @@ class ProcessBackend(Backend):
                 "process backend does not replicate cross-worker crash "
                 "recovery (docs/execution.md)"
             )
-        if config.checkpoint_dir is not None and udf is not None:
-            raise ConfigurationError(
-                "durable checkpoints with a UDF require the inline "
-                "backend: per-worker UDF state cannot be snapshotted "
-                "consistently across processes (docs/faults.md)"
-            )
         require_mergeable_udf(udf, "the process backend")
         engine.obs.reset()
         cluster.reset_clocks()  # the parent cluster sits idle; keep it clean
-        # durable checkpointing: the parent owns the session — workers
-        # only ship deltas (docs/faults.md)
-        with DurableRun(plan, cluster.graph, engine.obs) as durable:
-            counts, report = self._run_fleet(engine, plan, udf, durable)
+        # the parent owns the ledger; workers only ship deltas
+        with DurableRun(plan, cluster.graph, engine.obs, udf) as durable:
+            counts, report = self._run_fleet(engine, plan, durable)
         durable.publish(report)
         return counts, report
 
-    def _run_fleet(self, engine, plan, udf, durable):
+    def _run_fleet(self, engine, plan, durable):
         config = plan.config
         cluster = engine.cluster
         machines = cluster.num_machines
@@ -244,8 +220,7 @@ class ProcessBackend(Backend):
         workers = max(1, min(workers, machines))
         if config.resume:
             durability.reap_stale_segments(config.checkpoint_dir)
-        fleet = _FleetState(workers, machines, durable.sink,
-                            dict(durable.resume or {}))
+        fleet = _FleetState(workers, machines, durable)
         started = perf_counter()
         shared = share_csr(cluster.graph)
         # unlink is idempotent, so the signal/atexit hooks and the
@@ -257,8 +232,10 @@ class ProcessBackend(Backend):
                     config.checkpoint_dir, shared.handle.segment_names())
             fleet.lanes = [
                 Lane(worker_id, f"repro-exec-{worker_id}", worker_main,
-                     (worker_id, workers, shared.handle, plan, udf,
-                      engine.obs.enabled, durable.resume),
+                     (worker_id, workers, shared.handle, plan,
+                      *durable.start(
+                          machines_of(worker_id, workers, machines)),
+                      engine.obs.enabled),
                      self.start_method)
                 for worker_id in range(workers)
             ]
@@ -286,7 +263,7 @@ class ProcessBackend(Backend):
                 # replay skip already-completed chunks
                 fleet.reexecuted = set(lost)
                 recovery_entries, redistribution = self._redistribute(
-                    fleet, engine, plan, udf, lost, sorted(results))
+                    fleet, engine, plan, lost, sorted(results))
                 entries.extend(recovery_entries)
         except _CollectTimeout as exc:
             return self._failed_report(
@@ -304,7 +281,7 @@ class ProcessBackend(Backend):
             remove_janitor(shared.unlink, previous_handlers)
             if config.checkpoint_dir is not None:
                 durability.clear_shm_names(config.checkpoint_dir)
-        return self._merge(engine, plan, udf, fleet, entries,
+        return self._merge(engine, plan, fleet, entries,
                            perf_counter() - started, redistribution)
 
     # ------------------------------------------------------------------
@@ -323,7 +300,7 @@ class ProcessBackend(Backend):
         otherwise collection continues until every pending worker has
         either reported or been marked lost.
 
-        Checkpoint deltas reach ``fleet.on_ckpt`` *before* the pending
+        Checkpoint deltas reach the ledger *before* the pending
         filter: a dying worker's last shipped cursors are exactly what
         redistribution needs, so they must be recorded even once the
         worker is marked lost.
@@ -344,7 +321,7 @@ class ProcessBackend(Backend):
             messages, dead = sweep(fleet.lanes)
             for _, (kind, worker_id, payload) in messages:
                 if kind == CKPT:
-                    fleet.on_ckpt(*payload)
+                    fleet.durable.ledger.record(*payload)
                     continue
                 if worker_id not in pending:
                     continue  # late message from a worker marked lost
@@ -368,18 +345,17 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------
     # lost-worker redistribution (on_worker_death == "recover")
     # ------------------------------------------------------------------
-    def _redistribute(self, fleet, engine, plan, udf, lost,
+    def _redistribute(self, fleet, engine, plan, lost,
                       survivors) -> tuple[list[dict], dict]:
         """Round-robin the lost workers' machines across survivors.
 
         The determinism contract makes the replays exact: the machine
         loop, restricted to any machine subset, computes bit-identically
         what the dead worker would have returned — and the progress
-        ledger (the dead worker's shipped deltas) lets each survivor
-        resume past chunks already completed, seeding their checkpointed
-        matches instead of recomputing them. The parent replays only
-        machines no survivor covered (a survivor died mid-recovery, or
-        no survivors exist at all).
+        ledger (the dead worker's shipped deltas) starts each machine
+        past the chunks already completed, from their matches and UDF
+        state. The parent replays only machines no survivor covered (a
+        survivor died mid-recovery, or no survivors exist at all).
         """
         lost_machines = sorted(
             machine for worker_id in lost
@@ -394,10 +370,9 @@ class ProcessBackend(Backend):
         for worker_id in sorted(assignment):
             # a False send is a survivor that just died: its share
             # shows up below as uncovered
+            hosted = assignment[worker_id]
             fleet.lanes[worker_id].send(RecoverAssignment(
-                machines=tuple(assignment[worker_id]),
-                resume=dict(fleet.progress),
-            ))
+                tuple(hosted), *fleet.durable.start(hosted)))
         recoveries: dict[int, dict] = {}
         if assignment:
             recoveries = self._collect(fleet, set(assignment), RECOVERY,
@@ -413,14 +388,13 @@ class ProcessBackend(Backend):
             for machine in hosted
         ) if survivors else lost_machines
         if uncovered:
-            # mirrors a spawned worker: pickled UDF copy, resumed past
-            # whatever the progress ledger already covers
+            # started as a spawned worker's machines are
+            resume, udfs = fleet.durable.start(uncovered)
             entries.append({
                 **hosted_run(
-                    engine.cluster.graph, plan,
-                    pickle.loads(pickle.dumps(udf)), set(uncovered),
-                    engine.obs.enabled, sink=fleet.on_ckpt,
-                    resume=fleet.progress,
+                    engine.cluster.graph, plan, udfs, set(uncovered),
+                    engine.obs.enabled, sink=fleet.durable.sink,
+                    resume=resume,
                 ),
                 "worker_id": None,
             })
@@ -479,17 +453,18 @@ class ProcessBackend(Backend):
         return extra
 
     # ------------------------------------------------------------------
-    def _merge(self, engine, plan, udf, fleet, entries, wall,
+    def _merge(self, engine, plan, fleet, entries, wall,
                redistribution=None) -> tuple[list[int], RunReport]:
         """Fold the run's entries — per-worker results plus any
         redistribution replays (machine-disjoint by construction) —
-        into one report: ``finalize`` over their partials, plus this
-        backend's wall-clock ``extra["exec"]`` block and the outcome of
-        any real worker deaths."""
+        into one report: ``finalize`` over their partials and
+        ``DurableRun.fold`` over their UDF copies, plus this backend's
+        wall-clock ``extra["exec"]`` block and the outcome of any real
+        worker deaths."""
         workers = fleet.workers
-        if udf is not None:
-            for entry in entries:  # every hosted run returns its copy
-                udf.merge(entry["udf"])
+        fleet.durable.fold({
+            machine: copy for entry in entries
+            for machine, copy in (entry["udfs"] or {}).items()})
 
         # recovery replays accrue to the survivor that ran them; the
         # parent's own fallback replay (worker_id None) is reported via

@@ -17,14 +17,14 @@ the plan.
 Result protocol on the worker's private result pipe
 (:mod:`repro.exec.lane`), as ``(tag, worker_id, payload)``:
 
-- ``(RESULT, w, {...})`` — the hosted machines' ``Partial``, udf copy,
-  observability dump and busy seconds (:func:`hosted_run`'s payload).
-  Posted when the worker's compute loop finishes.
-- ``(CKPT, w, (machine, roots, {pattern: matches}))`` — one per
-  completed root chunk of a pattern group, carrying the group's
-  absolute root cursor and each member's match total. The parent's
-  progress ledger is built from these (durable log and/or
-  redistribution resume maps), so they are shipped unconditionally.
+- ``(RESULT, w, {...})`` — the hosted machines' ``Partial``, their
+  UDF copies, observability dump and busy seconds (:func:`hosted_run`'s
+  payload). Posted when the worker's compute loop finishes.
+- ``(CKPT, w, (machine, roots, {pattern: matches}, udf_state))`` — one
+  per completed root chunk of a pattern group: the group's absolute
+  root cursor, each member's match total and the pickled state of the
+  machine's UDF copy there, shipped unconditionally to the parent's
+  progress ledger (:class:`~repro.faults.durability.DurableRun`).
 - ``(RECOVERY, w, {...})`` — a redistributed replay of a dead peer's
   machines finished; RESULT-shaped payload restricted to them.
 - ``(ERROR, w, traceback_text)`` — any unexpected failure. Expected
@@ -33,8 +33,8 @@ Result protocol on the worker's private result pipe
   ``FailureSummary`` on the partial.
 
 After its RESULT a worker reads its command pipe: the parent may hand
-it ``RecoverAssignment`` work — replay a dead peer's machines against
-the shared graph — until the parent releases the lane.
+it ``RecoverAssignment`` work — replay a dead peer's machines from the
+ledger's cursors and UDF copies — until the parent releases the lane.
 
 Every exit path closes the shared-memory mapping; the parent is the
 only side that ever unlinks the segments.
@@ -43,7 +43,6 @@ only side that ever unlinks the segments.
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import traceback
 from time import perf_counter
@@ -63,7 +62,8 @@ from repro.obs import Observability
 
 
 class _DeltaSink:
-    """Ships completed-chunk cursors to the parent as CKPT messages.
+    """Ships completed-chunk cursors and UDF states to the parent as
+    CKPT messages.
 
     Chaos-injection contract (benchmarks/chaos.py): a worker named by
     ``REPRO_CHAOS=worker-kill:<wid>:<n>`` SIGKILLs itself after shipping
@@ -77,9 +77,10 @@ class _DeltaSink:
         self.shipped = 0
         self.kill_after = chaos_kill_threshold("worker-kill", worker_id)
 
-    def __call__(self, machine: int, roots: int,
-                 matches: dict[int, int]) -> None:
-        self.end.send((CKPT, self.worker_id, (machine, roots, matches)))
+    def __call__(self, machine: int, roots: int, matches: dict[int, int],
+                 udf_state) -> None:
+        self.end.send((CKPT, self.worker_id,
+                       (machine, roots, matches, udf_state)))
         self.shipped += 1
         if self.kill_after and self.shipped >= self.kill_after:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -90,26 +91,27 @@ def machines_of(worker_id: int, workers: int, machines: int) -> list[int]:
     return [m for m in range(machines) if m % workers == worker_id]
 
 
-def hosted_run(graph, plan, udf, hosted, obs_enabled, sink=None,
+def hosted_run(graph, plan, udfs, hosted, obs_enabled, sink=None,
                resume=None) -> dict:
     """Run ``hosted`` machines of ``plan`` against ``graph`` on a fresh
     cluster view and observability bundle; returns the result payload.
 
     The one way any process runs part of a job on a backend's behalf:
     a worker's own share, a survivor's replay of a dead peer's machines,
-    and the parent's replay of machines no survivor covered. ``resume``
-    may cover any machines: the loop only looks up the cursors of the
-    ones it hosts.
+    and the parent's replay of machines no survivor covered — each
+    started by :meth:`~repro.faults.durability.DurableRun.start`, whose
+    ``resume`` cursors and per-machine ``udfs`` copies (None for a
+    count-only run) it takes.
     """
     cluster = Cluster(graph, plan.cluster_config)
     obs = Observability() if obs_enabled else None
     engine = KhuzdulEngine(cluster, plan.config, obs=obs)
     started = perf_counter()
-    partial = engine.execute(plan, udf, hosted=hosted, sink=sink,
+    partial = engine.execute(plan, udfs, hosted=hosted, sink=sink,
                              resume=resume)
     return {
         "partial": partial,
-        "udf": udf,
+        "udfs": udfs,
         "busy_seconds": perf_counter() - started,
         "obs": {
             "metrics": obs.registry.dump(),
@@ -125,35 +127,26 @@ def worker_main(
     num_workers: int,
     handle,
     plan,
-    udf,
+    resume: dict,
+    udfs,
     obs_enabled: bool,
-    resume=None,
 ) -> None:
     """Entry point of one fleet worker; ``end`` is its lane
     (:class:`repro.exec.lane.WorkerEnd`)."""
     shared = None
     try:
         shared = attach_csr(handle)
-        # the replay path needs a UDF untouched by this worker's own
-        # phase-1 merge-ins; snapshot it before compute mutates it
-        pristine_udf = pickle.dumps(udf) if udf is not None else None
         hosted = set(machines_of(
             worker_id, num_workers, plan.cluster_config.num_machines))
         sink = _DeltaSink(worker_id, end)
         end.send((RESULT, worker_id, hosted_run(
-            shared.graph, plan, udf, hosted, obs_enabled, sink, resume)))
+            shared.graph, plan, udfs, hosted, obs_enabled, sink, resume)))
         for command in end.commands():
             if not isinstance(command, RecoverAssignment):
                 raise RuntimeError(
                     f"worker {worker_id}: unexpected command {command!r}")
-            # the replay must start from the pristine UDF so merged
-            # state is counted exactly once
-            replay_udf = (
-                pickle.loads(pristine_udf) if pristine_udf is not None
-                else None
-            )
             end.send((RECOVERY, worker_id, hosted_run(
-                shared.graph, plan, replay_udf, set(command.machines),
+                shared.graph, plan, command.udfs, set(command.machines),
                 obs_enabled, sink, command.resume,
             )))
     except BrokenPipeError:

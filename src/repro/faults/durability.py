@@ -37,8 +37,9 @@ On-disk layout under ``--checkpoint-dir``:
     Partial aggregates snapshot, rewritten atomically at every flush:
     per-pattern counts derived from the progress map, per machine the
     pickled state of the mergeable UDF copy it drains into together
-    with the cursors that state covers (inline backend only), and a
-    metrics dump when observability is enabled.
+    with the cursors that state covers (on the process backend, the
+    state each worker shipped with its delta), and a metrics dump when
+    observability is enabled.
 
 Cadence: ``--checkpoint-every N`` makes every N-th completed root
 chunk durable (log append + fsync + snapshot rewrite). Records between
@@ -210,41 +211,65 @@ def reap_stale_segments(directory: str) -> int:
 
 
 # ---------------------------------------------------------------------
-# the checkpoint session
+# the progress ledger and the checkpoint session
 # ---------------------------------------------------------------------
-class CheckpointSession:
-    """One run's durable checkpoint state under ``--checkpoint-dir``.
+class ProgressLedger:
+    """One run's progress, in memory. Per machine it keeps the last
+    recorded UDF state with the cursors it covers, so UDF bytes and
+    skipped work always describe the same prefix."""
+
+    def __init__(self):
+        #: absolute cursor per (pattern, machine): (roots, matches)
+        self.progress: dict[tuple[int, int], tuple[int, int]] = {}
+        #: every logged cursor per (pattern, machine): roots -> matches
+        self.history: dict[tuple[int, int], dict[int, int]] = {}
+        #: per machine, its UDF copy's last recorded state and the
+        #: ``{pattern: (roots, matches)}`` cursors that state covers
+        self.udf_states: dict[int, tuple[dict, bytes]] = {}
+
+    def _advance(self, pattern: int, machine: int, roots: int,
+                 matches: int) -> None:
+        key = (pattern, machine)
+        self.history.setdefault(key, {})[roots] = matches
+        current = self.progress.get(key)
+        if current is None or roots > current[0]:
+            self.progress[key] = (roots, matches)
+
+    def record(self, machine: int, roots_completed: int,
+               matches: dict[int, int],
+               udf_state: Optional[bytes] = None) -> None:
+        """One completed root chunk: the absolute cursor and the match
+        total of each pattern in ``matches``, and the pickled state of
+        the machine's UDF copy there."""
+        for pattern, found in matches.items():
+            self._advance(pattern, machine, roots_completed, found)
+        if udf_state is not None:
+            cursors = dict(self.udf_states.get(machine, ({}, b""))[0])
+            cursors.update((pattern, (roots_completed, found))
+                           for pattern, found in matches.items())
+            self.udf_states[machine] = (cursors, udf_state)
+
+
+class CheckpointSession(ProgressLedger):
+    """One run's progress ledger, durable under ``--checkpoint-dir``.
 
     The caller owns the cadence contract: ``record`` once per completed
-    root chunk (absolute cursor of each pattern it completed on one
-    machine), and the session makes every ``every``-th record durable;
-    ``flush`` at the
-    end of the run (:class:`DurableRun` does it on every exit) writes
-    whatever is still buffered.
-
-    ``record`` may carry the pickled state of the UDF copy the machine
-    drains into, taken at that root chunk: the snapshot keeps, per
-    machine, the last such state with the cursors it covers, so UDF
-    bytes and skipped work always describe the same prefix.
+    root chunk, and the session makes every ``every``-th record
+    durable; ``flush`` at the end of the run (:class:`DurableRun` does
+    it on every exit) writes whatever is still buffered. The snapshot
+    holds ``udf_states``, loaded from it on resume.
     ``snapshot_metrics`` may be set to a zero-argument callable
     returning the metrics dump (or None) each flush writes.
     """
 
     def __init__(self, directory: str, manifest: dict, num_patterns: int,
                  every: int = 1, resume: bool = False):
+        super().__init__()
         self.directory = directory
         self.manifest = manifest
         self.num_patterns = num_patterns
         self.every = every
         self.resumed = resume
-        #: absolute cursor per (pattern, machine): (roots, matches)
-        self.progress: dict[tuple[int, int], tuple[int, int]] = {}
-        #: every logged cursor per (pattern, machine): roots -> matches
-        self.history: dict[tuple[int, int], dict[int, int]] = {}
-        #: per machine, its UDF copy's last recorded state and the
-        #: ``{pattern: (roots, matches)}`` cursors that state covers —
-        #: loaded from the snapshot on resume, where a UDF run restarts
-        self.udf_states: dict[int, tuple[dict, bytes]] = {}
         self.snapshot_metrics: Optional[Callable[[], Optional[dict]]] = None
         self.records_written = 0
         self.records_resumed = 0
@@ -335,28 +360,14 @@ class CheckpointSession:
             )
 
     # -- recording -----------------------------------------------------
-    def _advance(self, pattern: int, machine: int, roots: int,
-                 matches: int) -> None:
-        key = (pattern, machine)
-        self.history.setdefault(key, {})[roots] = matches
-        current = self.progress.get(key)
-        if current is None or roots > current[0]:
-            self.progress[key] = (roots, matches)
-
     def record(self, machine: int, roots_completed: int,
                matches: dict[int, int],
                udf_state: Optional[bytes] = None) -> None:
-        """One completed root chunk: the absolute cursor and the match
-        total of each pattern in ``matches``, and the pickled state of
-        the machine's UDF copy there; flushes on cadence."""
-        for pattern, found in matches.items():
-            self._advance(pattern, machine, roots_completed, found)
-            self._buffer.append((pattern, machine, roots_completed, found))
-        if udf_state is not None:
-            cursors = dict(self.udf_states.get(machine, ({}, b""))[0])
-            cursors.update((pattern, (roots_completed, found))
-                           for pattern, found in matches.items())
-            self.udf_states[machine] = (cursors, udf_state)
+        """:meth:`ProgressLedger.record`, buffered for the log and
+        flushed on cadence."""
+        super().record(machine, roots_completed, matches, udf_state)
+        self._buffer.extend((pattern, machine, roots_completed, found)
+                            for pattern, found in matches.items())
         self._since_flush += 1
         if self._since_flush >= self.every:
             self.flush()
@@ -428,85 +439,90 @@ class CheckpointSession:
 
 
 class DurableRun:
-    """One run's durability, the same for every backend: open the
-    session, hand the machine loop its ``sink`` and ``resume`` cursors,
-    flush on *every* exit (a structured failure or an exception must
-    not drop cursors the run already received), publish the stats.
-    Without ``checkpoint_dir`` each part is a no-op, so callers never
-    branch on it.
+    """One run's progress ledger, the same for every backend, and the
+    one way any machine is started.
 
-    ``udf`` is the mergeable UDF whose state rides in the aggregates
-    snapshot. The machines walk in lockstep, so one UDF's state at a
-    machine's root-chunk boundary would also hold its peers' unfinished
-    chunks, which a resume would then apply twice. So each machine
-    drains into a copy of its own (``udfs``, made from ``udf`` as the
-    run received it, as a process-backend worker's is), pickled with
-    every cursor it logs; a resume restarts each copy from its
-    machine's snapshot state and cursors, and :meth:`fold` merges the
-    copies into ``udf`` once the machine loop is done.
+    Every completed root chunk — from the inline loop, or a worker's
+    ``CKPT`` delta in the process backend's parent — is recorded with
+    its absolute cursor and the pickled state of its machine's UDF
+    copy; :meth:`start` turns the ledger into machines' resume cursors
+    and UDF copies, for a fresh run, a resume, a worker's spawn, a
+    survivor's replay and the parent's fallback alike. The ledger is a
+    :class:`CheckpointSession` under ``checkpoint_dir``, flushed on
+    *every* exit (a structured failure or an exception must not drop
+    received cursors), else in memory, and then :attr:`sink`, the
+    inline loop's, is None: nothing could restart it.
+
+    The machines walk in lockstep, so one UDF's state at a machine's
+    root-chunk boundary would also hold its peers' unfinished chunks,
+    which a restart would apply twice: each machine drains into a copy
+    of its own, made from ``udf`` as the run received it, and
+    :meth:`fold` merges the copies into ``udf`` at the end. A UDF
+    without ``merge`` is shared instead (inline, without
+    ``checkpoint_dir`` only).
     """
 
     def __init__(self, plan, graph, obs, udf=None):
         config = plan.config
+        directory = config.checkpoint_dir
+        self.plan = plan
         self.obs = obs
-        self.session: Optional[CheckpointSession] = None
-        self.sink = None
-        self.resume: Optional[dict] = None
-        self.udfs: Optional[dict] = None
-        if config.checkpoint_dir is None:
-            return
-        session = self.session = CheckpointSession(
-            config.checkpoint_dir, run_manifest(plan, graph),
-            num_patterns=len(plan.patterns),
-            every=config.checkpoint_every, resume=config.resume,
-        )
-        self.sink = session.record
-        states = session.udf_states
-        if udf is not None:
-            blank = pickle.dumps(udf)
-            self.udfs = {
-                machine: pickle.loads(
-                    states[machine][1] if machine in states else blank)
-                for machine in range(plan.cluster_config.num_machines)
-            }
-            self.sink = self._record
-        if config.resume:
-            # Count-only runs trust the full log (counts are additive,
-            # every intact record is usable). A UDF run resumes each
-            # machine from the cursors its restored state covers, so
-            # no chunk's UDF calls are dropped or applied twice (a UDF
-            # job's groups are single patterns, so they always agree).
-            self.resume = (
-                _group_resume(plan.groups, session.history) if udf is None
-                else {(pattern, machine): cursor
+        self.udf = udf
+        self.ledger = ProgressLedger() if directory is None else \
+            CheckpointSession(
+                directory, run_manifest(plan, graph),
+                num_patterns=len(plan.patterns),
+                every=config.checkpoint_every, resume=config.resume,
+            )
+        self.sink = None if directory is None else self.ledger.record
+        #: the state every machine's copy starts from (None: no copies)
+        self._blank = (pickle.dumps(udf)
+                       if callable(getattr(udf, "merge", None)) else None)
+        if directory is not None and obs.enabled:
+            self.ledger.snapshot_metrics = obs.registry.dump
+
+    def start(self, machines) -> tuple[dict, Optional[dict]]:
+        """``(resume map, {machine: UDF copy})`` for ``machines``: a
+        count-only run (no copies) resumes each group from the last
+        root cursor every member recorded (counts are additive); a UDF
+        run each machine from the cursors its recorded state covers,
+        its copy restored from that state, so no chunk's UDF calls are
+        dropped or applied twice (a UDF job's groups are single
+        patterns, so they always agree)."""
+        machines = set(machines)
+        states = self.ledger.udf_states
+        if self.udf is None:
+            resume, udfs = _group_resume(
+                self.plan.groups, self.ledger.history), None
+        else:
+            resume = {(pattern, machine): cursor
                       for machine, (cursors, _) in states.items()
                       for pattern, cursor in cursors.items()}
-            )
-        if obs.enabled:
-            session.snapshot_metrics = obs.registry.dump
+            udfs = {machine: self.udf if self._blank is None else
+                    pickle.loads(states[machine][1] if machine in states
+                                 else self._blank)
+                    for machine in machines}
+        return {key: cursor for key, cursor in resume.items()
+                if key[1] in machines}, udfs
 
-    def _record(self, machine: int, roots: int,
-                matches: dict[int, int]) -> None:
-        self.session.record(machine, roots, matches,
-                            pickle.dumps(self.udfs[machine]))
-
-    def fold(self, udf) -> None:
-        """Merge every machine's UDF copy into ``udf``."""
-        for machine in sorted(self.udfs or ()):
-            udf.merge(self.udfs[machine])
+    def fold(self, udfs: Optional[dict]) -> None:
+        """Merge each machine's UDF copy into the run's UDF, once."""
+        if self._blank is not None:
+            for machine in sorted(udfs):
+                self.udf.merge(udfs[machine])
 
     def __enter__(self) -> "DurableRun":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self.session is not None:
-            self.session.flush()
+        if self.sink is not None:
+            self.ledger.flush()
 
     def publish(self, report) -> None:
         """Attach ``extra["checkpoint"]`` and emit the counters."""
-        if self.session is None:
+        if self.sink is None:
             return
-        stats = report.extra["checkpoint"] = self.session.stats()
+        stats = report.extra["checkpoint"] = self.ledger.stats()
         scope = self.obs.registry.scope()
         scope.counter(names.CHECKPOINT_RECORDS).inc(stats["records"])
         scope.counter(names.CHECKPOINT_FLUSHES).inc(stats["flushes"])

@@ -177,11 +177,13 @@ def _array_crc(array: np.ndarray) -> int:
     return crc
 
 
-def _layout(arrays: dict[str, np.ndarray], header_hint: int = 4096):
+def _layout(arrays: dict[str, np.ndarray], crcs: dict[str, int],
+            header_hint: int = 4096):
     """Assign aligned offsets after a header of roughly ``header_hint``
     bytes; returns (sections, total_bytes). Re-run with the real header
-    length until stable (the JSON mentions the offsets it implies). An
-    array of several dimensions records its shape; ``None``, ``null``."""
+    length until stable (the JSON mentions the offsets it implies), so
+    ``crcs`` are taken once. An array of several dimensions records its
+    shape; ``None``, ``null``."""
     offset = _aligned(_PREAMBLE.size + header_hint)
     sections = {}
     for name, array in arrays.items():
@@ -193,7 +195,7 @@ def _layout(arrays: dict[str, np.ndarray], header_hint: int = 4096):
             "length": int(array.size),
             **({"shape": list(array.shape)} if array.ndim > 1 else {}),
             "offset": offset,
-            "crc32": _array_crc(array),
+            "crc32": crcs[name],
         }
         offset = _aligned(offset + array.nbytes)
     return sections, offset
@@ -246,9 +248,11 @@ def _write_store_file(
     # layout with the real length converges because offsets are
     # monotone in the header size and aligned — a third round covers
     # the rare length flip at an alignment edge
+    crcs = {name: _array_crc(array) for name, array in arrays.items()
+            if array is not None}
     hint = 4096
     for _ in range(3):
-        sections, total = _layout(arrays, header_hint=hint)
+        sections, total = _layout(arrays, crcs, header_hint=hint)
         header = _header_bytes(directed, num_vertices, sections, total,
                                builder, extra)
         if _aligned(_PREAMBLE.size + len(header)) == sections_start(sections):

@@ -300,17 +300,63 @@ class CountingUdf:
         return self
 
 
-def counting_run(directory=None, resume=False):
+def _backend(workers):
+    from repro.exec import ProcessBackend
+
+    return ProcessBackend(workers=workers) if workers else None
+
+
+def counting_run(directory=None, resume=False, workers=0):
     """Triangles listed into a :class:`CountingUdf` on four machines in
-    lockstep, three root chunks each: ``(rows, matches, report)``."""
+    lockstep, three root chunks each, inline or on ``workers``
+    processes: ``(rows, matches, report)``."""
     graph = erdos_renyi(480, 2400, seed=5)
     engine = KhuzdulEngine(
         Cluster(graph, ClusterConfig(num_machines=4)),
         EngineConfig(chunk_bytes=1024, checkpoint_dir=directory,
-                     resume=resume))
+                     resume=resume),
+        backend=_backend(workers))
     udf = CountingUdf()
     report = engine.run(automine_schedule(catalog.clique(3)), udf)
     return udf.rows, udf.matches, report
+
+
+def mni_run(directory=None, resume=False, workers=0):
+    """MNI supports of two labeled paths on four machines with 1 KiB
+    chunks, inline or on ``workers`` processes: ``(supports, report)``."""
+    system = KAutomine(
+        dataset("mico", scale=0.25, labeled=True), _CLUSTER,
+        engine_config=EngineConfig(
+            chunk_bytes=1024, auto_fit_chunks=False,
+            checkpoint_dir=directory, resume=resume),
+        graph_name="mico", backend=_backend(workers))
+    return system.mni_supports([catalog.chain(2), catalog.chain(3)])
+
+
+def _killed_after_flush(run, directory, kill_after, workers=0):
+    """Run ``run`` (a function of this module) checkpointed under
+    ``directory`` in a child process SIGKILLed right after its
+    ``kill_after``-th durable flush."""
+    killed = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; from tests.test_durability import {run}; "
+         f"{run}(sys.argv[1], workers={workers})", str(directory)],
+        env={**os.environ, "PYTHONPATH": "src" + os.pathsep + ".",
+             "REPRO_CHAOS": f"parent-kill:{kill_after}"},
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        capture_output=True, text=True, timeout=240,
+    )
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+
+
+def _counting_udf_resumes_exactly(directory, kill_after, workers=0):
+    rows, matches, clean = counting_run()
+    _killed_after_flush("counting_run", directory, kill_after, workers)
+    resumed_rows, resumed_matches, resumed = counting_run(
+        str(directory), resume=True, workers=workers)
+    assert resumed.extra["checkpoint"]["resumed_roots"] > 0
+    assert resumed.counts == clean.counts == matches
+    assert (resumed_rows, resumed_matches) == (rows, matches)
 
 
 @pytest.mark.parametrize("kill_after", [2, 5])
@@ -320,22 +366,30 @@ def test_counting_udf_killed_after_a_flush_resumes_exactly(tmp_path,
     hands its UDF every match exactly once. In lockstep a flush comes
     while other machines are inside a root chunk, so each machine's
     UDF state is snapshotted with its own cursor, not the peers'."""
-    rows, matches, clean = counting_run()
-    killed = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from tests.test_durability import counting_run; "
-         "counting_run(sys.argv[1])", str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": "src" + os.pathsep + ".",
-             "REPRO_CHAOS": f"parent-kill:{kill_after}"},
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        capture_output=True, text=True, timeout=240,
-    )
-    assert killed.returncode == -signal.SIGKILL, killed.stderr
-    resumed_rows, resumed_matches, resumed = counting_run(
-        str(tmp_path), resume=True)
-    assert resumed.extra["checkpoint"]["resumed_roots"] > 0
-    assert resumed.counts == clean.counts == matches
-    assert (resumed_rows, resumed_matches) == (rows, matches)
+    _counting_udf_resumes_exactly(tmp_path, kill_after)
+
+
+def test_process_backend_counting_udf_killed_resumes_exactly(tmp_path):
+    """The same on two worker processes: the parent snapshots the UDF
+    state each worker shipped with its delta, and the resumed workers
+    start their machines from it."""
+    _counting_udf_resumes_exactly(tmp_path, 5, workers=2)
+
+
+def test_process_backend_mni_killed_mid_run_resumes_exactly(tmp_path):
+    """MNI domains checkpointed by the process backend's parent, which
+    is SIGKILLed halfway through its flushes, resume on the process
+    backend to the uncheckpointed inline run's supports."""
+    expected, _ = mni_run()
+    supports, report = mni_run(str(tmp_path / "clean"), workers=2)
+    assert supports == expected
+    flushes = report.extra["checkpoint"]["flushes"]
+    assert flushes > 4
+    directory = tmp_path / "killed"
+    _killed_after_flush("mni_run", directory, flushes // 2, workers=2)
+    resumed, report = mni_run(str(directory), resume=True, workers=2)
+    assert report.extra["checkpoint"]["resumed_roots"] > 0
+    assert resumed == expected
 
 
 def test_process_backend_resume_counts_identical(tmp_path):
@@ -362,17 +416,6 @@ def test_process_backend_resume_counts_identical(tmp_path):
                        graph_name="mico")
     resumed = second.count_pattern(catalog.clique(3))
     assert resumed.counts == expected.counts
-
-
-def test_process_backend_refuses_udf_checkpointing(tmp_path):
-    from repro.exec import ProcessBackend
-
-    graph = dataset("mico", scale=0.25, labeled=True)
-    config = EngineConfig(checkpoint_dir=str(tmp_path))
-    proc = KAutomine(graph, _CLUSTER, engine_config=config,
-                     graph_name="mico", backend=ProcessBackend(workers=2))
-    with pytest.raises(ConfigurationError, match="checkpoint"):
-        proc.mni_supports([catalog.chain(2)])
 
 
 # ======================================================================

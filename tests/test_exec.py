@@ -7,6 +7,7 @@ changes where schedulers run, never what they compute. Run alone via
 ``make exec-check``.
 """
 
+import ast
 import inspect
 import multiprocessing
 import os
@@ -405,6 +406,42 @@ def test_worker_death_recovery_matches_inline(monkeypatch):
     assert {e["worker"] for e in deaths} >= {1}
     assert all(e["reexecuted"] for e in deaths)
     assert report.extra["exec"]["worker_deaths"] >= 1
+    _assert_no_stray_children()
+
+
+def _mined(backend=None):
+    """FSM on labeled mico (threshold 25, 1 KiB root chunks): every
+    round's dead-worker replay must restart the dead worker's machines
+    from the MNI domains its deltas shipped."""
+    from repro.systems import run_fsm
+
+    system = KAutomine(
+        dataset("mico", scale=0.3, labeled=True), _CLUSTER,
+        EngineConfig(chunk_bytes=1024, auto_fit_chunks=False),
+        graph_name="mico", backend=backend)
+    return run_fsm(system, 25)
+
+
+@exec_faults
+@_FORK_ONLY
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kill_after", [1, 2, 3])
+def test_fsm_worker_kill_recovers_every_support(monkeypatch, workers,
+                                                kill_after):
+    """A worker SIGKILLed after its k-th delta of every FSM round
+    loses nothing: its survivors replay its machines from the UDF
+    state and cursor the ledger holds, so the frequent set and every
+    candidate's support equal the inline run's. (Replays used to start
+    from a blank UDF while skipping the covered chunks, and dropped
+    their domains: 1 and 3 frequent patterns instead of 4.)"""
+    expected = _mined()
+    monkeypatch.setenv("REPRO_CHAOS", f"worker-kill:1:{kill_after}")
+    got = _mined(ProcessBackend(workers=workers, start_method="fork",
+                                heartbeat=0.2, on_worker_death="recover"))
+    assert got.report.outcome == "RECOVERED"
+    assert len(expected.frequent) == 4
+    assert got.frequent == expected.frequent
+    assert got.all_supports == expected.all_supports
     _assert_no_stray_children()
 
 
@@ -861,6 +898,35 @@ def test_workers_share_the_graph_and_nothing_else_in_source():
     assert not {source.stem for source in sources} & {"transport", "ring"}
     for source in sources:
         assert "threading.Thread(" not in source.read_text(), source.name
+
+
+def test_only_the_ledger_builds_resume_maps_and_udf_copies():
+    # one ledger: outside DurableRun nothing under src/ unpickles or
+    # copies a UDF, reads the ledger's cursors or states, or builds a
+    # resume map (a dict display handed to, or named, ``resume``)
+    ledger = _SRC / "faults" / "durability.py"
+    for source in sorted(_SRC.rglob("*.py")):
+        if source == ledger:
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            where = f"{source.relative_to(_SRC)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute):
+                module = getattr(node.value, "id", None)
+                assert (module, node.attr) not in {
+                    ("pickle", "loads"), ("copy", "copy"),
+                    ("copy", "deepcopy")}, where
+                assert node.attr not in {"udf_states", "history",
+                                         "progress"}, where
+            built = None
+            if isinstance(node, ast.keyword) and node.arg == "resume":
+                built = node.value
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "resume"
+                    for target in node.targets):
+                built = node.value
+            assert not isinstance(built, (ast.Dict, ast.DictComp)), where
+            assert getattr(getattr(built, "func", None), "id",
+                           None) != "dict", where
 
 
 def _segment_auditing_worker_main(end, worker_id, num_workers, handle,

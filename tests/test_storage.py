@@ -611,6 +611,31 @@ def test_section_is_written_once_and_mapped_after(shape, tmp_path,
         assert columns.tail_indptr is not None
 
 
+@pytest.mark.parametrize("shape", ["labeled", "hub-heavy"])
+def test_writer_takes_each_crc_once(shape, tmp_path, monkeypatch):
+    """The header loop lays the file out up to three times; each
+    array's CRC is taken once, before it, for the base file and for
+    the derived section alike."""
+    from repro.graph import storage
+
+    crc = storage._array_crc
+    calls = []
+
+    def counted(array):
+        calls.append(array)
+        return crc(array)
+
+    monkeypatch.setattr(storage, "_array_crc", counted)
+    path = tmp_path / "g.kcsr"
+    write_store(SECTION_GRAPHS[shape](), path)
+    arrays = read_header(path)["arrays"]
+    assert len(calls) == sum(spec is not None for spec in arrays.values())
+    del calls[:]
+    _derived(open_store(path))
+    section = read_header(derived_path(path))["arrays"]
+    assert len(calls) == sum(spec is not None for spec in section.values())
+
+
 @pytest.mark.exec
 def test_process_workers_map_the_section_a_first_run_wrote(
     tmp_path, monkeypatch
