@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.costmodel import CostModel
 from repro.cluster.machine import MachineState
 from repro.cluster.network import NetworkModel
@@ -64,8 +66,11 @@ class Cluster:
             for m in range(config.num_machines)
         ]
         self.network = NetworkModel(config.num_machines, config.cost)
-        #: machines lost to injected crashes during the current run
+        #: machines lost to injected crashes during the current run;
+        #: written only by :meth:`mark_dead` and :meth:`reset_clocks`
         self.dead: set[int] = set()
+        #: :meth:`vertex_hops` per machine, under the current ``dead``
+        self._vertex_hops: dict[int, np.ndarray] = {}
         for machine in self.machines:
             machine.allocate(self.partitioned.partition_bytes(machine.machine_id))
             machine.baseline_bytes = machine.resident_bytes
@@ -87,6 +92,7 @@ class Cluster:
         """Record a machine loss; its partition fails over (replicated
         storage assumption) to the next live machine in id order."""
         self.dead.add(machine_id)
+        self._vertex_hops.clear()
 
     def live_ids(self) -> list[int]:
         return [m.machine_id for m in self.machines if m.machine_id not in self.dead]
@@ -100,6 +106,22 @@ class Cluster:
                 return candidate
         raise ConfigurationError("no live machine left to serve partition")
 
+    def vertex_hops(self, machine_id: int) -> np.ndarray:
+        """Read-only circulant hop from ``machine_id`` to each vertex's
+        serving owner (0: local; a dead owner's replica holder), in the
+        narrowest unsigned type; built once per machine and dead set."""
+        hops = self._vertex_hops.get(machine_id)
+        if hops is None:
+            serving = np.arange(self.num_machines)
+            for dead in self.dead:
+                serving[dead] = self.failover_owner(dead)
+            hop = (serving - machine_id) % self.num_machines
+            hops = hop.astype(np.min_scalar_type(self.num_machines)).take(
+                self.partitioned.owners_all())
+            hops.flags.writeable = False
+            self._vertex_hops[machine_id] = hops
+        return hops
+
     def runtime(self) -> float:
         """Simulated job runtime: the slowest machine's finish time."""
         return max(m.busy_seconds() for m in self.machines)
@@ -107,5 +129,7 @@ class Cluster:
     def reset_clocks(self) -> None:
         for machine in self.machines:
             machine.reset_clock()
-        self.dead.clear()
+        if self.dead:
+            self.dead.clear()
+            self._vertex_hops.clear()
         self.network = NetworkModel(self.num_machines, self.cost)

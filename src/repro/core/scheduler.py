@@ -275,16 +275,9 @@ class MachineScheduler:
         #: per-vertex accounting columns the chunk passes index into
         self._edge_bytes = self.graph.edge_list_bytes_all()
         self._vertex_degrees = self.graph.degrees()
-        #: circulant hop to each vertex's serving owner (0: local; a dead
-        #: owner's replica holder, docs/faults.md — machines only die
-        #: between scheduler runs) in the narrowest unsigned type: the
+        #: circulant hop to each vertex's serving owner, narrow: the
         #: fetch's stable owner sort is a radix sort (:func:`_circulant`)
-        serving = np.arange(cluster.num_machines)
-        for dead in cluster.dead:
-            serving[dead] = cluster.failover_owner(dead)
-        hop = (serving - machine.machine_id) % cluster.num_machines
-        self._vertex_hop = hop.astype(np.min_scalar_type(
-            cluster.num_machines)).take(cluster.partitioned.owners_all())
+        self._vertex_hop = cluster.vertex_hops(machine.machine_id)
         self.extender = extender
         self.cache = cache
         #: what the final drains hand their rows to (:func:`chunk_udf`);

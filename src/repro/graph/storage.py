@@ -535,19 +535,21 @@ class _Run(NamedTuple):
 class _RunSet:
     """Sorted, key-unique spill runs — on disk or in memory.
 
-    With a spill directory, each run is saved via ``np.save`` and read
-    back through ``np.load(mmap_mode='r')`` so the merge touches only
-    the window it is consuming; without one (the in-RAM builder path)
-    the runs stay plain arrays. Either way the merge code is identical.
+    With a spill directory, each run but the last is saved via
+    ``np.save`` and read back through ``np.load(mmap_mode='r')`` so the
+    merge touches only the window it is consuming; the last run, which
+    the merge follows at once, stays in memory, as every run does
+    without one (the in-RAM builder path). Either way the merge code is
+    identical.
     """
 
     def __init__(self, spill_dir: Optional[Path]):
         self._spill_dir = spill_dir
         self.runs: list[_Run] = []
 
-    def add(self, keys, labels, ranks) -> None:
+    def add(self, keys, labels, ranks, last: bool) -> None:
         run = _Run(keys, labels, ranks)
-        if self._spill_dir is not None:
+        if self._spill_dir is not None and not last:
             index = len(self.runs)
             spilled = []
             for field, array in zip(_Run._fields, run):
@@ -661,6 +663,10 @@ class _StreamingCsrBuilder:
     def consume(self, batches: Iterable) -> None:
         """Normalize every batch into sorted, key-unique runs."""
         for index, batch in enumerate(batches):
+            # a full buffer spills when another batch arrives, so the
+            # run a stream ends on is never written and read back
+            if self._buffered >= self.run_entries:
+                self._spill()
             if isinstance(batch, tuple):
                 edges, elabels = batch
             else:
@@ -685,11 +691,9 @@ class _StreamingCsrBuilder:
                 continue
             self._buffer.append((keys, labels, ranks))
             self._buffered += len(keys)
-            if self._buffered >= self.run_entries:
-                self._spill()
-        self._spill()
+        self._spill(last=True)
 
-    def _spill(self) -> None:
+    def _spill(self, last: bool = False) -> None:
         if not self._buffer:
             return
         run = [
@@ -701,7 +705,7 @@ class _StreamingCsrBuilder:
         self._buffered = 0
         keys, labels, ranks = _dedup_sorted_run(*run)
         if len(keys):  # not a run of self-loops only
-            self._runs.add(keys, labels, ranks)
+            self._runs.add(keys, labels, ranks, last)
 
     def finish(self, emit) -> tuple[np.ndarray, int, int]:
         """Merge every run, in key order, into ``emit(targets,
@@ -799,9 +803,10 @@ def build_store(
 
     The pipeline: normalized batches buffer up to ``run_entries``
     composite keys, spill as sorted unique runs into a scratch
-    directory, and a final k-way merge streams the globally sorted
-    adjacency straight to disk while a counting pass accumulates
-    per-vertex degrees for ``indptr``. The finished file carries the
+    directory (all but the last, which stays in memory), and a final
+    k-way merge streams the globally sorted adjacency straight to disk
+    while a counting pass accumulates per-vertex degrees for
+    ``indptr``. The finished file carries the
     versioned header + per-array CRCs; a crash mid-build leaves only
     scratch files, never a half-valid store (atomic rename).
     """
@@ -822,10 +827,11 @@ def build_store(
 
         def emit(targets: np.ndarray, elabels: Optional[np.ndarray]) -> None:
             nonlocal entries
-            targets.tofile(indices_tmp)
+            # tofile writes a strided view one element at a time
+            np.ascontiguousarray(targets).tofile(indices_tmp)
             entries += len(targets)
             if elabels is not None:
-                elabels.tofile(elabels_tmp)
+                np.ascontiguousarray(elabels).tofile(elabels_tmp)
 
         def written(handle):
             handle.flush()

@@ -497,6 +497,35 @@ def test_hop_column_is_narrow_and_exact():
                 assert hop.tolist() == ((serving - me) % machines).tolist()
 
 
+
+def test_hop_column_is_built_once_per_dead_set():
+    """Every scheduler of a machine shares one read-only hop column;
+    a crash rebuilds it, and so does the reset that revives the
+    machine."""
+    graph = GRAPHS["er"](SEEDS["er"])
+    cluster = Cluster(graph, ClusterConfig(num_machines=4))
+    trie = KhuzdulEngine(cluster).plan(
+        [automine_schedule(catalog.clique(3))]).groups[0].trie
+
+    def hop(me):
+        return MachineScheduler(
+            cluster, cluster.machines[me], ScheduleExtender(),
+            EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+            None, 1024, True, 64, True, True, trie)._vertex_hop
+
+    live = hop(1)
+    assert hop(1) is live
+    assert not live.flags.writeable
+    cluster.mark_dead(2)
+    crashed = hop(1)
+    assert crashed is not live and hop(1) is crashed
+    serving = cluster.partitioned.owners_all().astype(np.int64)
+    serving[serving == 2] = cluster.failover_owner(2)
+    assert crashed.tolist() == ((serving - 1) % 4).tolist()
+    cluster.reset_clocks()
+    assert hop(1) is not crashed
+    assert hop(1).tolist() == live.tolist()
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_lockstep.py --write")

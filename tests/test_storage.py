@@ -36,6 +36,7 @@ import pickle
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -120,6 +121,54 @@ def test_streaming_builder_matches_eager(directed, labeled):
         run_entries=2048, merge_chunk=1024,
     )
     assert streamed == reference
+
+
+#: bytes a normalized entry costs at a spill's peak, and at a merge
+#: step's peak per entry of its window (docs/storage.md, "The streaming
+#: builder")
+ENTRY_BYTES = {False: 32, True: 72}
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_builder_memory_is_bounded_by_its_knobs(labeled, tmp_path,
+                                                monkeypatch):
+    run_entries, merge_chunk, n, rows = 4096, 1024, 4096, 512
+    saves = []
+    save = np.save
+    monkeypatch.setattr(
+        np, "save", lambda *args: (saves.append(args[0]), save(*args)))
+
+    def build(runs):
+        # generated lazily: the builder holds one batch, never the stream
+        def stream():
+            rng = np.random.default_rng(runs)
+            for _ in range(runs * run_entries // (2 * rows)):
+                edges = rng.integers(0, n, size=(rows, 2))
+                yield (edges, rng.integers(0, 7, size=rows)) if labeled \
+                    else edges
+        return build_store(stream(), tmp_path / f"{runs}.kcsr",
+                           num_vertices=n, run_entries=run_entries,
+                           merge_chunk=merge_chunk)
+
+    build(2)  # first-call allocations are not the builder's
+    for runs in (1, 4, 16, 64):
+        saves.clear()
+        tracemalloc.start()
+        try:
+            stats = build(runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a run holds under run_entries plus one batch; the merge holds
+        # at most merge_chunk entries of every run; indptr and one
+        # window's degree counts take 8 bytes a vertex each
+        bound = (ENTRY_BYTES[labeled]
+                 * (run_entries + 2 * rows + stats.spill_runs * merge_chunk)
+                 + 16 * (n + 1))
+        assert peak <= bound, (runs, stats, peak, bound)
+        # every run is spilled but the last, which is merged from memory
+        fields = 3 if labeled else 1
+        assert len(saves) == fields * (stats.spill_runs - 1), (runs, stats)
 
 
 def test_streaming_builder_any_batch_split():
@@ -352,6 +401,46 @@ def test_write_store_round_trip(tmp_path):
     path = tmp_path / "mico.kcsr"
     write_store(graph, path)
     assert open_store(path, verify=True) == graph
+
+
+@pytest.mark.parametrize("spilled", [False, True])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_build_store_sections_equal_write_store(labeled, spilled, tmp_path):
+    edges, elabels = _random_edges(8000, 400, seed=23, with_labels=labeled)
+    vertex_labels = np.arange(400) % 3 if labeled else None
+    knobs = {"run_entries": 2048, "merge_chunk": 1024} if spilled else {}
+    stats = build_store(
+        _batches(edges, elabels), tmp_path / "built.kcsr",
+        num_vertices=400, labels=vertex_labels, **knobs,
+    )
+    assert (stats.spill_runs > 1) == spilled
+    write_store(
+        from_edge_batches(_batches(edges, elabels), num_vertices=400,
+                          labels=vertex_labels),
+        tmp_path / "written.kcsr",
+    )
+
+    def sections(name):
+        return {array: (section["dtype"], section["length"],
+                        section["crc32"])
+                for array, section in
+                read_header(tmp_path / name)["arrays"].items()}
+
+    assert sections("built.kcsr") == sections("written.kcsr")
+    assert ("edge_labels" in sections("built.kcsr")) == labeled
+
+
+def test_every_tofile_writes_a_contiguous_copy():
+    # ndarray.tofile writes a strided view one element at a time
+    writes = [node for node in ast.walk(ast.parse(inspect.getsource(storage)))
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "tofile"]
+    assert writes
+    for node in writes:
+        source = node.func.value
+        assert (isinstance(source, ast.Call)
+                and ast.unparse(source.func) == "np.ascontiguousarray"), (
+            f"line {node.lineno}: {ast.unparse(node)}")
 
 
 def test_graph_edge_batches_round_trip(tmp_path):
