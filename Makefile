@@ -14,7 +14,7 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest $(TIMEOUT_FLAGS)
 
 .PHONY: test suite docs-check faults-check exec-check exec-faults-check \
 	chaos-check motif-check kernel-check storage-check perf-check \
-	perfbench-check service-check experiments-check bench
+	perfbench-check service-check experiments-check systems-check bench
 
 ## tier-1: every file under tests/ exactly once, then the gates that
 ## collect from benchmarks/ (chaos, wall-clock gates)
@@ -23,7 +23,7 @@ test: suite chaos-check perf-check
 suite:
 	$(PYTEST) -x -q
 
-# The *-check targets from here to storage-check are developer
+# The *-check targets from here to systems-check are developer
 # shortcuts: each re-runs a subset `suite` already collected, so
 # `make test` does not depend on them.
 
@@ -114,6 +114,18 @@ kernel-check:
 storage-check:
 	$(PYTEST) tests/test_generators.py tests/test_graph.py \
 		tests/test_storage.py -q
+
+## the query surface every GPM system shares (docs/architecture.md,
+## "The query surface"): every system flavour's whole reports against
+## the recorded golden (tests/data/systems_golden.json, the two ports
+## also under the process backend), the one-definition tripwire and the
+## orientation refusals, the baselines and their walk against the
+## recursive explorer, Fractal against its ESU oracle, FSM on every
+## system against brute-force MNI supports, and the chunk UDFs
+systems-check:
+	$(PYTEST) tests/test_systems_golden.py tests/test_systems.py \
+		tests/test_baselines.py tests/test_explore.py \
+		tests/test_fractal.py tests/test_fsm.py tests/test_udf.py -q
 
 ## wall-clock gates (benchmarks/bench_gates.py): inline and process
 ## agree, the CPU- and work-aware process-backend floor

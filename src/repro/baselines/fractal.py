@@ -40,6 +40,8 @@ _CANONICAL_COST = 2.0e-7
 #: Per-subgraph extension bookkeeping cost.
 _EXTEND_COST = 5.0e-8
 
+_NON_INDUCED = "fractal baseline counts non-induced, unoriented patterns"
+
 #: shape -> (its pattern's edges, its key from the label digits)
 _SHAPES = {
     "e": ([(0, 1)], lambda d: ("e", *d)),
@@ -219,6 +221,7 @@ class FractalLike(GPMSystem):
         self.graph_name = graph_name
         self.partitioner = HashPartitioner(num_machines)
         self._result: Optional[tuple[dict, float]] = None
+        self._codes: Optional[dict[tuple, tuple[int, int]]] = None
 
     def _enumerate(self) -> tuple[dict[tuple, tuple], float]:
         """All connected <= 3-edge subgraphs; returns (stats, runtime)
@@ -265,7 +268,8 @@ class FractalLike(GPMSystem):
         return self._result
 
     # ------------------------------------------------------------------
-    # GPMSystem interface
+    # GPMSystem interface. Fractal is pattern-oblivious: it keeps all
+    # three queries, each a lookup in the one classified enumeration
     # ------------------------------------------------------------------
     def count_pattern(
         self,
@@ -274,21 +278,11 @@ class FractalLike(GPMSystem):
         oriented: bool = False,
         app: str = "pattern",
     ) -> RunReport:
-        if induced or oriented:
-            raise ConfigurationError(
-                "fractal baseline counts non-induced, unoriented patterns"
-            )
-        self._check_size([pattern])
-        stats, runtime = self._enumerate()
-        target = canonical_code(pattern)
-        count = 0
-        for key, (entries, _) in stats.items():
-            candidate = _pattern_for_key(key)
-            if pattern.labels is None:
-                candidate = candidate.unlabeled()
-            if canonical_code(candidate) == target:
-                count += entries
-        return self._report(app, count, runtime)
+        if oriented:
+            raise ConfigurationError(_NON_INDUCED)
+        report = self.count_patterns([pattern], induced, app)
+        report.counts = report.counts[0]
+        return report
 
     def count_patterns(
         self,
@@ -296,28 +290,44 @@ class FractalLike(GPMSystem):
         induced: bool = True,
         app: str = "patterns",
     ) -> RunReport:
-        counts = [self.count_pattern(p, induced=induced, app=app).counts
-                  for p in patterns]
-        return self._report(app, counts, self._enumerate()[1])
+        if induced:
+            raise ConfigurationError(_NON_INDUCED)
+        found, runtime = self._lookup(
+            patterns, [p.labels is not None for p in patterns])
+        return self._report(app, [count for count, _ in found], runtime)
 
     def mni_supports(
         self, patterns: Sequence[Pattern]
     ) -> tuple[list[int], RunReport]:
-        self._check_size(patterns)
-        stats, runtime = self._enumerate()
-        by_code = {
-            canonical_code(_pattern_for_key(key)): min(sizes)
-            for key, (_, sizes) in stats.items()
-        }
-        supports = [by_code.get(canonical_code(p), 0) for p in patterns]
-        return supports, self._report("fsm-round", None, runtime)
+        found, runtime = self._lookup(patterns, [True] * len(patterns))
+        return [support for _, support in found], self._report(
+            "fsm-round", [count for count, _ in found], runtime)
 
-    @staticmethod
-    def _check_size(patterns: Sequence[Pattern]) -> None:
+    def _lookup(self, patterns, labeled) -> tuple[list, float]:
+        """Each pattern's ``(count, MNI support)``, and the runtime.
+
+        The shape keys are indexed once by canonical code: ``(True,
+        code)`` holds a labeled pattern's count and support, ``(False,
+        code)`` an unlabeled pattern's count over every labeling
+        (support 0: the labelings' domains do not add up). ``labeled``
+        says, per pattern, which of the two to read.
+        """
         if any(p.num_edges > 3 for p in patterns):
             raise ConfigurationError(
                 "fractal baseline enumerates subgraphs with <= 3 edges"
             )
+        stats, runtime = self._enumerate()
+        if self._codes is None:
+            self._codes = {}
+            for key, (count, sizes) in stats.items():
+                pattern = _pattern_for_key(key)
+                for entry, support in (
+                        ((True, canonical_code(pattern)), min(sizes)),
+                        ((False, canonical_code(pattern.unlabeled())), 0)):
+                    total = self._codes.get(entry, (0, 0))[0] + count
+                    self._codes[entry] = (total, support)
+        return [self._codes.get((flag, canonical_code(p)), (0, 0))
+                for p, flag in zip(patterns, labeled)], runtime
 
     def all_frequent(self, threshold: int) -> list[tuple[Pattern, int]]:
         """All labeled <= 3-edge patterns with MNI support >= threshold.

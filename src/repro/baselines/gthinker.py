@@ -15,8 +15,6 @@ concurrency and crashes it on skewed graphs (Table 2's CRASHED cells).
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +23,12 @@ from repro.baselines.common import (
 )
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.core.runtime import RunReport
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, PartitionedGraph
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, automine_schedule
-from repro.systems.base import GPMSystem, MniDomainCollector
+from repro.systems.base import GPMSystem
 
 
 class _GeneralCache:
@@ -128,6 +126,8 @@ class GThinker(GPMSystem):
     """G-thinker execution model over the simulated cluster."""
 
     name = "g-thinker"
+    #: G-thinker has no orientation preprocessing
+    orients = False
 
     def __init__(
         self,
@@ -150,10 +150,13 @@ class GThinker(GPMSystem):
         self.partitioned = PartitionedGraph(graph, self.partitioner)
 
     # ------------------------------------------------------------------
-    def _run_schedule(
-        self, schedule: Schedule, udf=None
-    ) -> tuple[int, float, dict[str, float], int]:
-        """Run all machines; returns (matches, runtime, breakdown, bytes)."""
+    def build_schedule(
+        self, pattern: Pattern, induced: bool, use_restrictions: bool = True
+    ) -> Schedule:
+        return automine_schedule(pattern, induced, use_restrictions)
+
+    def _run_schedule(self, schedule: Schedule, oriented: bool, udf):
+        """Run all machines; the slowest machine's runtime and breakdown."""
         graph = self.graph
         cost = self.cost
         cache_capacity = int(self.cache_fraction * graph.size_bytes())
@@ -242,72 +245,18 @@ class GThinker(GPMSystem):
                     "cache": cache_time,
                     "network": network_time - hidden,
                 }
-        return matches, worst_runtime, worst_breakdown, traffic_bytes
+        return matches, worst_runtime, traffic_bytes, worst_breakdown
 
-    def _report(
-        self, app: str, counts, runtime: float, breakdown, traffic: int
-    ) -> RunReport:
+    def _report(self, app, counts, seconds, traffic, breakdown) -> RunReport:
         return RunReport(
             system=self.name,
             app=app,
             graph_name=self.graph_name,
             counts=counts,
-            simulated_seconds=runtime,
+            simulated_seconds=seconds,
             network_bytes=traffic,
             breakdown=breakdown,
             machine_seconds=[],
             peak_memory_bytes=self.memory_bytes,
             num_machines=self.num_machines,
         )
-
-    # ------------------------------------------------------------------
-    def count_pattern(
-        self,
-        pattern: Pattern,
-        induced: bool = False,
-        oriented: bool = False,
-        app: str = "pattern",
-    ) -> RunReport:
-        if oriented:
-            raise ConfigurationError(
-                "G-thinker has no orientation preprocessing"
-            )
-        schedule = automine_schedule(pattern, induced)
-        matches, runtime, breakdown, traffic = self._run_schedule(schedule)
-        return self._report(app, matches, runtime, breakdown, traffic)
-
-    def count_patterns(
-        self,
-        patterns: Sequence[Pattern],
-        induced: bool = True,
-        app: str = "patterns",
-    ) -> RunReport:
-        counts = []
-        runtime, traffic = 0.0, 0
-        breakdown: dict[str, float] = {}
-        for pattern in patterns:
-            schedule = automine_schedule(pattern, induced)
-            matches, seconds, machine_breakdown, fetched = self._run_schedule(
-                schedule
-            )
-            counts.append(matches)
-            runtime += seconds
-            traffic += fetched
-            for key, value in machine_breakdown.items():
-                breakdown[key] = breakdown.get(key, 0.0) + value
-        return self._report(app, counts, runtime, breakdown, traffic)
-
-    def mni_supports(
-        self, patterns: Sequence[Pattern]
-    ) -> tuple[list[int], RunReport]:
-        schedules = [automine_schedule(p, induced=False) for p in patterns]
-        collector = MniDomainCollector(
-            self.graph.num_vertices, patterns, schedules)
-        runtime, traffic = 0.0, 0
-        for index, schedule in enumerate(schedules):
-            _, seconds, _, fetched = self._run_schedule(
-                schedule, partial(collector.chunk, index))
-            runtime += seconds
-            traffic += fetched
-        report = self._report("fsm-round", None, runtime, {}, traffic)
-        return collector.supports(), report

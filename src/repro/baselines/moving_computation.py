@@ -13,9 +13,6 @@ on triangle counting follows directly.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Sequence
-
 import numpy as np
 
 from repro.baselines.common import (
@@ -23,12 +20,11 @@ from repro.baselines.common import (
 )
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.core.runtime import RunReport
-from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, PartitionedGraph
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, graphpi_schedule
-from repro.systems.base import GPMSystem, MniDomainCollector
+from repro.systems.base import GPMSystem
 
 #: fraction of shipping time hidden behind computation (aDFS pipelines
 #: its sends, but cannot batch per-destination like circulant chunks)
@@ -74,6 +70,8 @@ class MovingComputation(GPMSystem):
     """Distributed GPM that migrates tasks to where the data lives."""
 
     name = "adfs"
+    #: aDFS has no orientation preprocessing
+    orients = False
 
     def __init__(
         self,
@@ -92,9 +90,13 @@ class MovingComputation(GPMSystem):
         self.partitioned = PartitionedGraph(graph, self.partitioner)
 
     # ------------------------------------------------------------------
-    def _run_schedule(
-        self, schedule: Schedule, udf=None
-    ) -> tuple[int, float, int]:
+    def build_schedule(
+        self, pattern: Pattern, induced: bool, use_restrictions: bool = True
+    ) -> Schedule:
+        return graphpi_schedule(pattern, induced,
+                                use_restrictions=use_restrictions)
+
+    def _run_schedule(self, schedule: Schedule, oriented: bool, udf):
         graph = self.graph
         cost = self.cost
         ship_bytes_by_machine = np.zeros(self.num_machines, dtype=np.int64)
@@ -122,61 +124,16 @@ class MovingComputation(GPMSystem):
         ) * cost.batch_latency / 64.0  # sends are batched 64 at a time
         hidden = min(network, compute) * _OVERLAP
         runtime = compute + serialization + network - hidden
-        return int(tallies[MATCHES]), runtime, total_ship
+        return int(tallies[MATCHES]), runtime, total_ship, {}
 
-    def _report(self, app: str, counts, runtime: float, traffic: int) -> RunReport:
+    def _report(self, app, counts, seconds, traffic, breakdown) -> RunReport:
         return RunReport(
             system=self.name,
             app=app,
             graph_name=self.graph_name,
             counts=counts,
-            simulated_seconds=runtime,
+            simulated_seconds=seconds,
             network_bytes=traffic,
-            breakdown={},
+            breakdown=breakdown,
             num_machines=self.num_machines,
-        )
-
-    # ------------------------------------------------------------------
-    def count_pattern(
-        self,
-        pattern: Pattern,
-        induced: bool = False,
-        oriented: bool = False,
-        app: str = "pattern",
-    ) -> RunReport:
-        if oriented:
-            raise ConfigurationError("aDFS has no orientation preprocessing")
-        schedule = graphpi_schedule(pattern, induced)
-        matches, runtime, traffic = self._run_schedule(schedule)
-        return self._report(app, matches, runtime, traffic)
-
-    def count_patterns(
-        self,
-        patterns: Sequence[Pattern],
-        induced: bool = True,
-        app: str = "patterns",
-    ) -> RunReport:
-        counts, runtime, traffic = [], 0.0, 0
-        for pattern in patterns:
-            schedule = graphpi_schedule(pattern, induced)
-            matches, seconds, shipped = self._run_schedule(schedule)
-            counts.append(matches)
-            runtime += seconds
-            traffic += shipped
-        return self._report(app, counts, runtime, traffic)
-
-    def mni_supports(
-        self, patterns: Sequence[Pattern]
-    ) -> tuple[list[int], RunReport]:
-        schedules = [graphpi_schedule(p, induced=False) for p in patterns]
-        collector = MniDomainCollector(
-            self.graph.num_vertices, patterns, schedules)
-        runtime, traffic = 0.0, 0
-        for index, schedule in enumerate(schedules):
-            _, seconds, shipped = self._run_schedule(
-                schedule, partial(collector.chunk, index))
-            runtime += seconds
-            traffic += shipped
-        return collector.supports(), self._report(
-            "fsm-round", None, runtime, traffic
         )

@@ -15,9 +15,6 @@ Pangolin's signature strengths and weaknesses (paper Table 3):
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Sequence
-
 import numpy as np
 
 from repro.baselines.common import (
@@ -31,7 +28,7 @@ from repro.patterns.catalog import clique
 from repro.patterns.isomorphism import are_isomorphic
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, automine_schedule
-from repro.systems.base import GPMSystem, MniDomainCollector
+from repro.systems.base import GPMSystem
 
 #: Pangolin's per-embedding isomorphism-classification cost for general
 #: (non-clique) patterns.
@@ -62,9 +59,15 @@ class PangolinLike(GPMSystem):
         self.graph_name = graph_name
 
     # ------------------------------------------------------------------
-    def _run(
-        self, graph: Graph, schedule: Schedule, iso_cost: float, udf=None
-    ) -> tuple[int, float]:
+    def build_schedule(
+        self, pattern: Pattern, induced: bool, use_restrictions: bool = True
+    ) -> Schedule:
+        return automine_schedule(pattern, induced, use_restrictions)
+
+    def _run_schedule(self, schedule: Schedule, oriented: bool, udf):
+        """BFS expansion; an oriented clique skips iso-classification."""
+        graph = self.graph.oriented() if oriented else self.graph
+        iso_cost = 0.0 if oriented else _ISO_CLASSIFY_COST
         final = schedule.pattern.num_vertices - 1
         tallies = np.zeros(4, dtype=np.int64)
         level_widths = np.zeros(final + 1, dtype=np.int64)
@@ -85,22 +88,21 @@ class PangolinLike(GPMSystem):
         serial = float(compute_seconds(tallies, self.cost))
         serial += int(tallies[CREATED] + tallies[MATCHES]) * iso_cost
         runtime = serial / (self.cores * self.cost.thread_efficiency)
-        return int(tallies[MATCHES]), runtime
+        return int(tallies[MATCHES]), runtime, 0, {"compute": runtime}
 
-    def _report(self, app: str, counts, runtime: float) -> RunReport:
+    def _report(self, app, counts, seconds, traffic, breakdown) -> RunReport:
         return RunReport(
             system=self.name,
             app=app,
             graph_name=self.graph_name,
             counts=counts,
-            simulated_seconds=runtime,
-            breakdown={"compute": runtime},
-            machine_seconds=[runtime],
+            simulated_seconds=seconds,
+            breakdown=breakdown,
+            machine_seconds=[seconds],
             peak_memory_bytes=self.graph.size_bytes(),
             num_machines=1,
         )
 
-    # ------------------------------------------------------------------
     def count_pattern(
         self,
         pattern: Pattern,
@@ -108,46 +110,7 @@ class PangolinLike(GPMSystem):
         oriented: bool = True,
         app: str = "pattern",
     ) -> RunReport:
-        is_clique = not induced and are_isomorphic(
-            pattern, clique(pattern.num_vertices)
-        )
-        if oriented and is_clique:
-            schedule = automine_schedule(pattern, False, use_restrictions=False)
-            matches, runtime = self._run(self.graph.oriented(), schedule, 0.0)
-        else:
-            schedule = automine_schedule(pattern, induced)
-            matches, runtime = self._run(
-                self.graph, schedule, _ISO_CLASSIFY_COST
-            )
-        return self._report(app, matches, runtime)
-
-    def count_patterns(
-        self,
-        patterns: Sequence[Pattern],
-        induced: bool = True,
-        app: str = "patterns",
-    ) -> RunReport:
-        counts, runtime = [], 0.0
-        for pattern in patterns:
-            schedule = automine_schedule(pattern, induced)
-            matches, seconds = self._run(
-                self.graph, schedule, _ISO_CLASSIFY_COST
-            )
-            counts.append(matches)
-            runtime += seconds
-        return self._report(app, counts, runtime)
-
-    def mni_supports(
-        self, patterns: Sequence[Pattern]
-    ) -> tuple[list[int], RunReport]:
-        schedules = [automine_schedule(p, induced=False) for p in patterns]
-        collector = MniDomainCollector(
-            self.graph.num_vertices, patterns, schedules)
-        runtime = 0.0
-        for index, schedule in enumerate(schedules):
-            _, seconds = self._run(
-                self.graph, schedule, _ISO_CLASSIFY_COST,
-                partial(collector.chunk, index)
-            )
-            runtime += seconds
-        return collector.supports(), self._report("fsm-round", None, runtime)
+        # Pangolin orients cliques by default, other patterns silently not
+        oriented = oriented and not induced and are_isomorphic(
+            pattern, clique(pattern.num_vertices))
+        return super().count_pattern(pattern, induced, oriented, app)

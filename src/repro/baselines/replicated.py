@@ -13,9 +13,6 @@ replication based systems").
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Sequence
-
 import numpy as np
 
 from repro.baselines.common import (
@@ -24,14 +21,12 @@ from repro.baselines.common import (
 )
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.core.runtime import RunReport
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner
-from repro.patterns.catalog import clique
-from repro.patterns.isomorphism import are_isomorphic
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, graphpi_schedule
-from repro.systems.base import GPMSystem, MniDomainCollector
+from repro.systems.base import GPMSystem
 
 
 class GraphPiReplicated(GPMSystem):
@@ -60,7 +55,7 @@ class GraphPiReplicated(GPMSystem):
         self.partitioner = HashPartitioner(num_machines)
 
     # ------------------------------------------------------------------
-    def _schedule(
+    def build_schedule(
         self, pattern: Pattern, induced: bool, use_restrictions: bool = True
     ) -> Schedule:
         avg_degree = max(
@@ -74,15 +69,7 @@ class GraphPiReplicated(GPMSystem):
             use_restrictions=use_restrictions,
         )
 
-    def _startup(self) -> float:
-        return (
-            self.cost.graphpi_startup
-            + self.cost.graphpi_startup_per_node * self.num_machines
-        )
-
-    def _run_schedule(
-        self, graph: Graph, schedule: Schedule, udf=None
-    ) -> tuple[int, float]:
+    def _run_schedule(self, schedule: Schedule, oriented: bool, udf):
         """Roots hashed to machines; level-1 subtrees binned to threads.
 
         GraphPi "parallelizes the first or first few loops ... in a
@@ -90,8 +77,10 @@ class GraphPiReplicated(GPMSystem):
         is split across machines and the first two loop levels across a
         machine's threads, so whole level-1 subtrees are the indivisible
         work units — finer than one-tree-per-thread, still far coarser
-        than Khuzdul's per-extension tasks.
+        than Khuzdul's per-extension tasks. Each pattern pays the
+        task-partitioning start-up, booked as ``scheduler``.
         """
+        graph = self.graph.oriented() if oriented else self.graph
         roots = tree_roots(graph, schedule)
         bins = np.zeros((self.num_machines, max(1, self.cores)))
         thread_cursor = np.zeros(self.num_machines, dtype=np.int64)
@@ -138,65 +127,22 @@ class GraphPiReplicated(GPMSystem):
         # static binning has no work stealing; threads also pay the same
         # parallel-efficiency loss the Khuzdul engine's workers do
         runtime = float(bins.max(axis=1).max()) / self.cost.thread_efficiency
-        return matches, runtime
+        startup = (self.cost.graphpi_startup
+                   + self.cost.graphpi_startup_per_node * self.num_machines)
+        runtime += startup
+        return matches, runtime, 0, {"compute": runtime - startup,
+                                     "scheduler": startup}
 
-    def _report(self, app: str, counts, runtime: float) -> RunReport:
+    def _report(self, app, counts, seconds, traffic, breakdown) -> RunReport:
         return RunReport(
             system=self.name,
             app=app,
             graph_name=self.graph_name,
             counts=counts,
-            simulated_seconds=runtime,
+            simulated_seconds=seconds,
             network_bytes=0,  # replication: no enumeration-time traffic
-            breakdown={"compute": runtime - self._startup(),
-                       "scheduler": self._startup()},
-            machine_seconds=[runtime] * self.num_machines,
+            breakdown=breakdown,
+            machine_seconds=[seconds] * self.num_machines,
             peak_memory_bytes=self.graph.size_bytes(),
             num_machines=self.num_machines,
         )
-
-    # ------------------------------------------------------------------
-    def count_pattern(
-        self,
-        pattern: Pattern,
-        induced: bool = False,
-        oriented: bool = False,
-        app: str = "pattern",
-    ) -> RunReport:
-        if oriented:
-            if induced or not are_isomorphic(pattern, clique(pattern.num_vertices)):
-                raise ConfigurationError("orientation is for non-induced cliques")
-            schedule = self._schedule(pattern, False, use_restrictions=False)
-            matches, runtime = self._run_schedule(self.graph.oriented(),
-                                                  schedule)
-        else:
-            schedule = self._schedule(pattern, induced)
-            matches, runtime = self._run_schedule(self.graph, schedule)
-        return self._report(app, matches, runtime + self._startup())
-
-    def count_patterns(
-        self,
-        patterns: Sequence[Pattern],
-        induced: bool = True,
-        app: str = "patterns",
-    ) -> RunReport:
-        counts, runtime = [], 0.0
-        for pattern in patterns:
-            schedule = self._schedule(pattern, induced)
-            matches, seconds = self._run_schedule(self.graph, schedule)
-            counts.append(matches)
-            runtime += seconds + self._startup()
-        return self._report(app, counts, runtime)
-
-    def mni_supports(
-        self, patterns: Sequence[Pattern]
-    ) -> tuple[list[int], RunReport]:
-        schedules = [self._schedule(p, induced=False) for p in patterns]
-        collector = MniDomainCollector(
-            self.graph.num_vertices, patterns, schedules)
-        runtime = 0.0
-        for index, schedule in enumerate(schedules):
-            _, seconds = self._run_schedule(
-                self.graph, schedule, partial(collector.chunk, index))
-            runtime += seconds + self._startup()
-        return collector.supports(), self._report("fsm-round", None, runtime)

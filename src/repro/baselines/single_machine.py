@@ -11,23 +11,20 @@ on uk/tw in Table 3).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.core.runtime import RunReport
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.graph.graph import Graph
-from repro.patterns.catalog import clique
-from repro.patterns.isomorphism import are_isomorphic
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule, automine_schedule, graphpi_schedule
 from repro.baselines.common import (
     MATCHES, compute_seconds, fold, tree_roots, walk,
 )
-from repro.systems.base import GPMSystem, MniDomainCollector, merge_reports
+from repro.systems.base import GPMSystem
 
 ScheduleFn = Callable[..., Schedule]
 
@@ -75,24 +72,20 @@ class SingleMachine(GPMSystem):
         self.graph_name = graph_name
 
     # ------------------------------------------------------------------
-    def _schedule(
+    def build_schedule(
         self, pattern: Pattern, induced: bool, use_restrictions: bool = True
     ) -> Schedule:
         return self.schedule_fn(
             pattern, induced, use_restrictions=use_restrictions
         )
 
-    def _run_schedule(
-        self,
-        graph: Graph,
-        schedule: Schedule,
-        udf=None,
-    ) -> tuple[int, float]:
-        """Explore all roots; returns (matches, runtime).
+    def _run_schedule(self, schedule: Schedule, oriented: bool, udf):
+        """Explore all roots; the runtime is the slowest thread's bin.
 
         Roots are assigned to threads round-robin (static coarse
-        partitioning); the runtime is the slowest thread's bin.
+        partitioning).
         """
+        graph = self.graph.oriented() if oriented else self.graph
         roots = tree_roots(graph, schedule)
         tallies = np.zeros((4, len(roots)), dtype=np.int64)
         for level in walk(graph, schedule, roots, vcs=True,
@@ -104,70 +97,20 @@ class SingleMachine(GPMSystem):
         np.add.at(thread_bins, np.arange(len(roots)) % len(thread_bins),
                   seconds)
         runtime = float(thread_bins.max())
-        return int(tallies[MATCHES].sum()), runtime
+        return int(tallies[MATCHES].sum()), runtime, 0, {"compute": runtime}
 
-    def _report(
-        self, app: str, counts, runtime: float
-    ) -> RunReport:
+    def _report(self, app, counts, seconds, traffic, breakdown) -> RunReport:
         return RunReport(
             system=self.name,
             app=app,
             graph_name=self.graph_name,
             counts=counts,
-            simulated_seconds=runtime,
-            breakdown={"compute": runtime},
-            machine_seconds=[runtime],
+            simulated_seconds=seconds,
+            breakdown=breakdown,
+            machine_seconds=[seconds],
             peak_memory_bytes=self.graph.size_bytes(),
             num_machines=1,
         )
-
-    # ------------------------------------------------------------------
-    def count_pattern(
-        self,
-        pattern: Pattern,
-        induced: bool = False,
-        oriented: bool = False,
-        app: str = "pattern",
-    ) -> RunReport:
-        if oriented:
-            if induced or not are_isomorphic(pattern, clique(pattern.num_vertices)):
-                raise ConfigurationError("orientation is for non-induced cliques")
-            schedule = self._schedule(pattern, False, use_restrictions=False)
-            matches, runtime = self._run_schedule(
-                self.graph.oriented(), schedule
-            )
-        else:
-            schedule = self._schedule(pattern, induced)
-            matches, runtime = self._run_schedule(self.graph, schedule)
-        return self._report(app, matches, runtime)
-
-    def count_patterns(
-        self,
-        patterns: Sequence[Pattern],
-        induced: bool = True,
-        app: str = "patterns",
-    ) -> RunReport:
-        counts, runtime = [], 0.0
-        for pattern in patterns:
-            schedule = self._schedule(pattern, induced)
-            matches, seconds = self._run_schedule(self.graph, schedule)
-            counts.append(matches)
-            runtime += seconds
-        return self._report(app, counts, runtime)
-
-    def mni_supports(
-        self, patterns: Sequence[Pattern]
-    ) -> tuple[list[int], RunReport]:
-        schedules = [self._schedule(p, induced=False) for p in patterns]
-        collector = MniDomainCollector(
-            self.graph.num_vertices, patterns, schedules)
-        runtime = 0.0
-        for index, schedule in enumerate(schedules):
-            _, seconds = self._run_schedule(
-                self.graph, schedule, partial(collector.chunk, index))
-            runtime += seconds
-        report = self._report("fsm-round", None, runtime)
-        return collector.supports(), report
 
 
 def peregrine_like(

@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.faults.recovery import FailureSummary, Outcome
 from repro.patterns import catalog
 from repro.patterns.pattern import Pattern
+from repro.systems.base import ORIENTATION_REFUSAL
 
 #: the query surface: one pattern count, the clique3 shorthand, or a
 #: whole k-motif census — the G2Miner-style interchangeable workloads
@@ -127,9 +128,7 @@ class QueryRequest:
         else:
             parse_pattern_spec(self.effective_pattern())
         if self.induced and self.oriented:
-            raise ConfigurationError(
-                "orientation only applies to non-induced clique counting"
-            )
+            raise ConfigurationError(ORIENTATION_REFUSAL)
         if not isinstance(self.priority, int):
             raise ConfigurationError(
                 f"priority must be an integer, got {self.priority!r}"

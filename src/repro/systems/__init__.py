@@ -6,7 +6,8 @@ systems onto Khuzdul: each contributes only its matching-order compiler
 engine. :mod:`repro.systems.apps` wraps the four evaluated application
 families (TC, k-CC, k-MC, FSM) uniformly over any system, and
 :mod:`repro.systems.fsm` implements frequent subgraph mining with MNI
-support on top of the per-system ``mni_supports`` primitive.
+support on top of the ``mni_supports`` query every
+:class:`~repro.systems.base.GPMSystem` answers.
 """
 
 from repro.systems.base import GPMSystem

@@ -40,24 +40,17 @@ def motif_count(system: GPMSystem, k: int) -> RunReport:
     matching orders.
     """
     patterns = motifs(k)
-    counting = getattr(
-        getattr(system, "engine_config", None), "counting", "enumerate"
-    )
-    if counting == "iep":
-        # IEP plans require non-induced matching (the formula counts
-        # over neighbor-list cardinalities, which cannot express
-        # forbidden edges). Count every motif non-induced — where the
-        # IEP terminal kernel applies — and convert the census to
-        # vertex-induced counts with the exact integer overcount
-        # matrix. Bit-identical to the induced=True route.
-        report = system.count_patterns(patterns, induced=False,
-                                       app=f"{k}-MC")
-        counts = _induced_motif_counts(tuple(patterns),
-                                       tuple(report.counts))
-    else:
-        report = system.count_patterns(patterns, induced=True,
-                                       app=f"{k}-MC")
-        counts = report.counts
+    # IEP plans require non-induced matching (the formula counts over
+    # neighbor-list cardinalities, which cannot express forbidden
+    # edges). Under IEP every motif is counted non-induced — where the
+    # IEP terminal kernel applies — and the census is converted to
+    # vertex-induced counts with the exact integer overcount matrix.
+    # Bit-identical to the induced=True route.
+    iep = system.counting == "iep"
+    report = system.count_patterns(patterns, induced=not iep, app=f"{k}-MC")
+    counts = report.counts
+    if iep:
+        counts = _induced_motif_counts(tuple(patterns), tuple(counts))
     report.counts = {
         canonical_code(p): c for p, c in zip(patterns, counts)
     }

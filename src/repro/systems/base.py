@@ -1,31 +1,89 @@
 """Common interface of every GPM system in this repository.
 
-All systems — the two Khuzdul-based ones and every baseline — implement
-this small surface, so the applications in :mod:`repro.systems.apps`
-and the benchmark harness treat them interchangeably.
+All systems — the two Khuzdul-based ones and every baseline — answer
+queries through one surface, :class:`GPMSystem`'s ``count_pattern``,
+``count_patterns`` and ``mni_supports``, so the applications in
+:mod:`repro.systems.apps` and the benchmark harness treat them
+interchangeably. A system supplies two hooks: ``build_schedule`` (its
+matching-order compiler) and ``_run`` (one job over a list of
+schedules); docs/architecture.md, "The query surface".
 """
 
 from __future__ import annotations
 
-import abc
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.runtime import RunReport
-from repro.patterns.isomorphism import automorphisms
+from repro.errors import ConfigurationError
+from repro.graph.graph import Graph
+from repro.patterns.catalog import clique
+from repro.patterns.isomorphism import are_isomorphic, automorphisms
 from repro.patterns.pattern import Pattern
+from repro.patterns.schedule import Schedule
+
+#: why a system refuses ``oriented=True``
+ORIENTATION_REFUSAL = ("orientation only applies to non-induced clique "
+                       "counting on a system with orientation preprocessing")
 
 
-class GPMSystem(abc.ABC):
+class GPMSystem:
     """A system that can count patterns and compute MNI supports."""
 
     #: human-readable system name used in reports
     name: str = "gpm-system"
     #: name of the input graph used in reports
     graph_name: str = "graph"
+    #: the input graph
+    graph: Graph
+    #: how counting jobs count: ``"enumerate"``, or ``"iep"`` where a
+    #: port's engine applies inclusion-exclusion plans
+    counting: str = "enumerate"
+    #: whether the system has the degree-orientation preprocessing
+    orients: bool = True
 
-    @abc.abstractmethod
+    # -- the hooks ------------------------------------------------------
+    def build_schedule(
+        self, pattern: Pattern, induced: bool, use_restrictions: bool = True
+    ) -> Schedule:
+        """The system's matching-order compiler."""
+        raise NotImplementedError
+
+    def _run(self, schedules: Sequence[Schedule], app: str, udf=None,
+             oriented: bool = False) -> RunReport:
+        """Run ``schedules`` as one job (on the degree-oriented graph if
+        ``oriented``); the report's ``counts`` is aligned with them.
+
+        The default runs pattern by pattern: :meth:`_run_schedule` per
+        schedule, handed ``udf.chunk`` bound to the pattern's index,
+        with matches, seconds, traffic and breakdown summed in pattern
+        order into :meth:`_report`.
+        """
+        counts, seconds, traffic, breakdown = [], 0.0, 0, {}
+        for index, schedule in enumerate(schedules):
+            matches, spent, moved, buckets = self._run_schedule(
+                schedule, oriented,
+                None if udf is None else partial(udf.chunk, index))
+            counts.append(matches)
+            seconds += spent
+            traffic += moved
+            for key, value in buckets.items():
+                breakdown[key] = breakdown.get(key, 0.0) + value
+        return self._report(app, counts, seconds, traffic, breakdown)
+
+    def _run_schedule(self, schedule: Schedule, oriented: bool, udf):
+        """One pattern of the default :meth:`_run`: ``(matches,
+        seconds, traffic bytes, breakdown)``."""
+        raise NotImplementedError
+
+    def _report(self, app: str, counts, seconds: float, traffic: int,
+                breakdown: dict[str, float]) -> RunReport:
+        """The default :meth:`_run`'s report of the summed job."""
+        raise NotImplementedError
+
+    # -- the query surface ------------------------------------------------
     def count_pattern(
         self,
         pattern: Pattern,
@@ -39,8 +97,18 @@ class GPMSystem(abc.ABC):
         (valid for cliques only — each clique then appears exactly once
         on the DAG without symmetry restrictions).
         """
+        if oriented:
+            if not self.orients or induced or not are_isomorphic(
+                    pattern, clique(pattern.num_vertices)):
+                raise ConfigurationError(ORIENTATION_REFUSAL)
+            schedule = self.build_schedule(pattern, False,
+                                           use_restrictions=False)
+        else:
+            schedule = self.build_schedule(pattern, induced)
+        report = self._run([schedule], app, oriented=oriented)
+        report.counts = report.counts[0]
+        return report
 
-    @abc.abstractmethod
     def count_patterns(
         self,
         patterns: Sequence[Pattern],
@@ -48,12 +116,18 @@ class GPMSystem(abc.ABC):
         app: str = "patterns",
     ) -> RunReport:
         """Count several patterns in one job; ``counts`` is a list."""
+        return self._run([self.build_schedule(p, induced) for p in patterns],
+                         app)
 
-    @abc.abstractmethod
     def mni_supports(
         self, patterns: Sequence[Pattern]
     ) -> tuple[list[int], RunReport]:
-        """MNI supports of labeled patterns (for FSM)."""
+        """MNI supports of labeled patterns (one FSM round)."""
+        schedules = [self.build_schedule(p, induced=False) for p in patterns]
+        collector = MniDomainCollector(
+            self.graph.num_vertices, patterns, schedules)
+        report = self._run(schedules, "fsm-round", udf=collector)
+        return collector.supports(), report
 
 
 class MniDomainCollector:

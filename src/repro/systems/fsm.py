@@ -73,10 +73,9 @@ def run_fsm(
     a round with a manifest there resumes from it while a round without
     one runs fresh (docs/faults.md, "Durability").
     """
-    graph = getattr(system, "graph", None)
-    if graph is None or graph.labels is None:
+    if system.graph.labels is None:
         raise ConfigurationError("FSM requires a system over a labeled graph")
-    label_set = set(int(x) for x in graph.labels)
+    label_set = set(int(x) for x in system.graph.labels)
     config = getattr(system, "engine_config", None)
     durable = config is not None and config.checkpoint_dir is not None
 

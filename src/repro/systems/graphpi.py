@@ -34,5 +34,5 @@ class KGraphPi(PortedSystem):
             avg_degree=max(avg_degree, 1.0),
             num_vertices=max(float(graph.num_vertices), 2.0),
             use_restrictions=use_restrictions,
-            counting=getattr(self.engine_config, "counting", "enumerate"),
+            counting=self.engine_config.counting,
         )

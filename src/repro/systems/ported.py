@@ -5,7 +5,10 @@ Porting a compilation-based single-machine GPM system onto Khuzdul
 instead of nested loops. Here a port therefore only supplies
 ``build_schedule`` — the matching-order compiler — and inherits the
 whole distributed execution from :class:`PortedSystem`, mirroring the
-~500-line porting effort the paper reports.
+~500-line porting effort the paper reports. The query surface is
+:class:`~repro.systems.base.GPMSystem`'s; a port's ``_run`` is one
+:meth:`~repro.core.engine.KhuzdulEngine.run_many` job, on the engine
+over the degree-oriented DAG when the query orients.
 """
 
 from __future__ import annotations
@@ -15,14 +18,10 @@ from typing import Optional, Sequence
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core.engine import EngineConfig, KhuzdulEngine
 from repro.core.runtime import RunReport
-from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.obs import NULL_OBS, Observability
-from repro.patterns.catalog import clique
-from repro.patterns.isomorphism import are_isomorphic
-from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import Schedule
-from repro.systems.base import GPMSystem, MniDomainCollector
+from repro.systems.base import GPMSystem
 
 
 class PortedSystem(GPMSystem):
@@ -82,14 +81,10 @@ class PortedSystem(GPMSystem):
             self._oriented[1].obs = bound
         return self
 
-    # -- the port-specific part -----------------------------------------
-    def build_schedule(
-        self, pattern: Pattern, induced: bool, use_restrictions: bool = True
-    ) -> Schedule:
-        """The matching-order compiler of the ported system."""
-        raise NotImplementedError
+    @property
+    def counting(self) -> str:
+        return self.engine_config.counting
 
-    # --------------------------------------------------------------------
     def _oriented_engine(self) -> KhuzdulEngine:
         """Engine over the degree-oriented DAG (built lazily, cached)."""
         if self._oriented is None:
@@ -103,54 +98,8 @@ class PortedSystem(GPMSystem):
             )
         return self._oriented[1]
 
-    def count_pattern(
-        self,
-        pattern: Pattern,
-        induced: bool = False,
-        oriented: bool = False,
-        app: str = "pattern",
-    ) -> RunReport:
-        if oriented:
-            if induced:
-                raise ConfigurationError(
-                    "orientation only applies to non-induced clique counting"
-                )
-            if not are_isomorphic(pattern, clique(pattern.num_vertices)):
-                raise ConfigurationError(
-                    "orientation preprocessing is only valid for cliques"
-                )
-            schedule = self.build_schedule(pattern, False, use_restrictions=False)
-            engine = self._oriented_engine()
-            return engine.run(
-                schedule, system=self.name, app=app, graph_name=self.graph_name
-            )
-        schedule = self.build_schedule(pattern, induced)
-        return self.engine.run(
-            schedule, system=self.name, app=app, graph_name=self.graph_name
-        )
-
-    def count_patterns(
-        self,
-        patterns: Sequence[Pattern],
-        induced: bool = True,
-        app: str = "patterns",
-    ) -> RunReport:
-        schedules = [self.build_schedule(p, induced) for p in patterns]
-        return self.engine.run_many(
-            schedules, system=self.name, app=app, graph_name=self.graph_name
-        )
-
-    def mni_supports(
-        self, patterns: Sequence[Pattern]
-    ) -> tuple[list[int], RunReport]:
-        schedules = [self.build_schedule(p, induced=False) for p in patterns]
-        collector = MniDomainCollector(
-            self.graph.num_vertices, patterns, schedules)
-        report = self.engine.run_many(
-            schedules,
-            udf=collector,
-            system=self.name,
-            app="fsm-round",
-            graph_name=self.graph_name,
-        )
-        return collector.supports(), report
+    def _run(self, schedules: Sequence[Schedule], app: str, udf=None,
+             oriented: bool = False) -> RunReport:
+        engine = self._oriented_engine() if oriented else self.engine
+        return engine.run_many(schedules, udf=udf, system=self.name,
+                               app=app, graph_name=self.graph_name)

@@ -27,7 +27,10 @@ a per-pair ``set`` loop (``tests/test_generators.py``).
 had before it became a one-batch call of the streaming builder; every
 builder must equal it bit for bit (``tests/test_storage.py``).
 :class:`SetDomainCollector` is the MNI collector before its domains
-became vertex masks.
+became vertex masks, and :func:`mni_support_brute_force` the MNI
+support by a backtracking search that shares no code with either.
+:data:`SYSTEM_FLAVOURS` builds every ``GPMSystem`` flavour over a
+graph, for the tests that hold all of them to one oracle or golden.
 :func:`reorder_by_degree` / :func:`apply_order` / :func:`restore_ids`
 (degree renumbering) and :func:`orientation_rank` are graph transforms
 only tests use (``tests/test_reorder_stats.py``,
@@ -49,7 +52,17 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core import extend, kernels
+from repro.baselines import (
+    FractalLike,
+    GraphPiReplicated,
+    GThinker,
+    MovingComputation,
+    PangolinLike,
+    SingleMachine,
+)
+from repro.baselines.single_machine import peregrine_like
+from repro.cluster import ClusterConfig
+from repro.core import EngineConfig, extend, kernels
 from repro.core.pipeline import pipeline_time
 from repro.core.workspace import Workspace
 from repro.errors import GraphFormatError
@@ -59,6 +72,7 @@ from repro.patterns.canonical import canonical_code
 from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
 from repro.patterns.schedule import CountingPlan, ExtensionStep
+from repro.systems import KAutomine, KGraphPi
 
 _EMPTY = np.empty(0, dtype=np.int32)
 
@@ -535,6 +549,69 @@ class SetDomainCollector:
                     closed[sigma[v]].update(domains[v])
             result.append(min(len(s) for s in closed) if closed else 0)
         return result
+
+
+def mni_support_brute_force(graph: Graph, pattern: Pattern) -> int:
+    """MNI support: over the pattern's vertices, the fewest distinct
+    data vertices one maps to across every (edge-induced, labeled)
+    assignment, found by backtracking over pattern positions."""
+    n = pattern.num_vertices
+    domains: list[set[int]] = [set() for _ in range(n)]
+    assignment: list[int] = []
+    # a position draws candidates from its first placed pattern
+    # neighbor's list, else from every vertex
+    anchors = [next((prior for prior in range(position)
+                     if pattern.has_edge(prior, position)), None)
+               for position in range(n)]
+
+    def search(position: int) -> None:
+        if position == n:
+            for v, data_vertex in enumerate(assignment):
+                domains[v].add(data_vertex)
+            return
+        anchor = anchors[position]
+        for candidate in (graph.vertices() if anchor is None else
+                          graph.neighbors(assignment[anchor]).tolist()):
+            if candidate in assignment or (
+                    pattern.labels is not None
+                    and graph.label(candidate) != pattern.label(position)):
+                continue
+            if all(graph.has_edge(assignment[prior], candidate)
+                   for prior in range(position)
+                   if pattern.has_edge(prior, position)):
+                assignment.append(candidate)
+                search(position + 1)
+                assignment.pop()
+
+    search(0)
+    return min(len(domain) for domain in domains)
+
+
+def _ports(cls, **engine):
+    def build(graph: Graph, name: str = "graph", backend=None):
+        return cls(graph, ClusterConfig(num_machines=4),
+                   EngineConfig(**engine), graph_name=name, backend=backend)
+    return build
+
+
+#: every ``GPMSystem`` flavour: ``build(graph, graph_name)``; the two
+#: ports (and k-GraphPi under IEP counting) also take a ``backend``
+SYSTEM_FLAVOURS: dict[str, Callable] = {
+    "k-automine": _ports(KAutomine),
+    "k-graphpi": _ports(KGraphPi),
+    "k-graphpi-iep": _ports(KGraphPi, counting="iep"),
+    "automine-ih": lambda g, name="graph": SingleMachine(g, graph_name=name),
+    "peregrine": lambda g, name="graph": peregrine_like(g, graph_name=name),
+    "graphpi": lambda g, name="graph": GraphPiReplicated(
+        g, num_machines=4, graph_name=name),
+    "g-thinker": lambda g, name="graph": GThinker(
+        g, num_machines=4, graph_name=name),
+    "pangolin": lambda g, name="graph": PangolinLike(g, graph_name=name),
+    "adfs": lambda g, name="graph": MovingComputation(
+        g, num_machines=4, graph_name=name),
+    "fractal": lambda g, name="graph": FractalLike(
+        g, num_machines=4, graph_name=name),
+}
 
 
 def _graph_of_edge_set(edges: set, num_vertices: int) -> Graph:

@@ -1,15 +1,17 @@
 """Tests for frequent subgraph mining with MNI support."""
 
+from itertools import product
+
 import pytest
 
-from repro.baselines import SingleMachine
-from repro.cluster import ClusterConfig
+from repro.baselines import FractalLike, SingleMachine
 from repro.errors import ConfigurationError
 from repro.graph import from_edges
 from repro.patterns import Pattern
 from repro.patterns.canonical import canonical_code
-from repro.systems import KAutomine, run_fsm
+from repro.systems import run_fsm
 from repro.systems.fsm import _shrink_codes
+from tests.reference import SYSTEM_FLAVOURS, mni_support_brute_force
 
 
 def _labeled_triangle_graph():
@@ -65,13 +67,41 @@ def test_fsm_max_edges_respected(labeled_graph):
     assert all(p.num_edges <= 2 for p, _ in result.frequent)
 
 
-def test_fsm_cross_system_agreement(labeled_graph):
-    single = run_fsm(SingleMachine(labeled_graph), threshold=6)
-    distributed = run_fsm(
-        KAutomine(labeled_graph, ClusterConfig(num_machines=4)), threshold=6
-    )
-    as_set = lambda r: {(canonical_code(p), s) for p, s in r.frequent}
-    assert as_set(single) == as_set(distributed)
+#: every connected shape with at most three edges
+_SHAPES = [[(0, 1)], [(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)],
+           [(0, 1), (0, 2), (0, 3)], [(0, 1), (1, 2), (2, 3)]]
+
+
+@pytest.fixture(scope="module")
+def mni_oracle(labeled_graph):
+    """Canonical code -> brute-force MNI support of every labeled
+    pattern with at most three edges over the graph's labels."""
+    labels = sorted({int(x) for x in labeled_graph.labels})
+    patterns = {}
+    for edges in _SHAPES:
+        n = 1 + max(v for edge in edges for v in edge)
+        for labeling in product(labels, repeat=n):
+            pattern = Pattern(n, edges, labeling)
+            patterns.setdefault(canonical_code(pattern), pattern)
+    return {code: mni_support_brute_force(labeled_graph, pattern)
+            for code, pattern in patterns.items()}
+
+
+def test_fsm_cross_system_agreement(labeled_graph, mni_oracle):
+    """Every system's FSM equals the brute-force one: the frequent set
+    with its supports, and the support of every evaluated candidate
+    (Fractal also through its one-filter ``all_frequent``)."""
+    threshold = 6
+    expected = {(code, support) for code, support in mni_oracle.items()
+                if support >= threshold}
+    for flavour, build in SYSTEM_FLAVOURS.items():
+        result = run_fsm(build(labeled_graph), threshold)
+        assert result.all_supports == {
+            code: mni_oracle[code] for code in result.all_supports}, flavour
+        assert {(canonical_code(p), s)
+                for p, s in result.frequent} == expected, flavour
+    frequent = FractalLike(labeled_graph).all_frequent(threshold)
+    assert {(canonical_code(p), s) for p, s in frequent} == expected
 
 
 def test_fsm_requires_labels(small_random_graph):

@@ -1,4 +1,8 @@
-"""Tests for the ported systems (k-Automine / k-GraphPi) and apps."""
+"""Tests for the ported systems (k-Automine / k-GraphPi), the query
+surface every system shares, and the apps."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,11 @@ from repro.systems import (
     motif_count,
     triangle_count,
 )
+from repro.systems.base import ORIENTATION_REFUSAL
+from tests.reference import SYSTEM_FLAVOURS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SURFACE = {"count_pattern", "count_patterns", "mni_supports"}
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +71,50 @@ def test_orientation_rejected_for_non_cliques(systems):
         systems[0].count_pattern(chain(3), oriented=True)
     with pytest.raises(ConfigurationError):
         systems[0].count_pattern(clique(3), induced=True, oriented=True)
+
+
+def test_query_surface_is_defined_once():
+    """``GPMSystem`` owns the query surface; a system supplies hooks.
+    The two overrides: Fractal is pattern-oblivious (all three), and
+    Pangolin orients cliques by default (``count_pattern``)."""
+    defined = {
+        (node.name, item.name)
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in SURFACE
+    }
+    assert defined == {
+        *((cls, method) for method in SURFACE
+          for cls in ("GPMSystem", "FractalLike")),
+        ("PangolinLike", "count_pattern"),
+    }
+
+
+@pytest.mark.parametrize("flavour", SYSTEM_FLAVOURS)
+def test_orientation_refusals(flavour, small_random_graph):
+    """Every system refuses to orient an induced count or a non-clique
+    with a ``ConfigurationError`` (Pangolin counts them unoriented
+    instead), and those without the preprocessing refuse any
+    orientation."""
+    system = SYSTEM_FLAVOURS[flavour](small_random_graph)
+    refused = [(chain(3), False), (clique(3), True)]
+    if flavour in ("g-thinker", "adfs", "fractal"):
+        refused.append((clique(3), False))
+    else:
+        assert triangle_count(system, oriented=True).counts == \
+            triangle_count(system).counts
+    for pattern, induced in refused:
+        if flavour == "pangolin":
+            assert system.count_pattern(
+                pattern, induced, oriented=True).counts == \
+                system.count_pattern(pattern, induced, oriented=False).counts
+            continue
+        with pytest.raises(ConfigurationError) as refusal:
+            system.count_pattern(pattern, induced, oriented=True)
+        if flavour != "fractal":  # refuses every orientation alike
+            assert str(refusal.value) == ORIENTATION_REFUSAL
 
 
 def test_motif_count_matches_brute_force(systems, small_random_graph):

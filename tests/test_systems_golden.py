@@ -2,8 +2,9 @@
 
 Every clock a ``GPMSystem`` reports is simulated, so each whole report
 is a deterministic document. The golden holds, for every system flavour
-(both Khuzdul ports, k-GraphPi also under IEP counting, and every
-baseline including the Peregrine-like single machine) on two small
+(``tests.reference.SYSTEM_FLAVOURS``: both Khuzdul ports, k-GraphPi
+also under IEP counting, and every baseline including the
+Peregrine-like single machine) on two small
 graphs (an ER graph and a labeled power-law graph), the ``comparable``
 report document (``RunReport.to_dict`` without its wall-clock
 ``extra.exec`` / ``extra.checkpoint`` blocks) of each call in
@@ -16,7 +17,7 @@ Every value must reproduce exactly: integers, strings and floats bit
 for bit. The two ports also run under ``ProcessBackend(workers=2)``
 against the same entries. Record with
 
-    PYTHONPATH=src python tests/test_systems_golden.py --write
+    PYTHONPATH=src python -m tests.test_systems_golden --write
 """
 
 from __future__ import annotations
@@ -27,29 +28,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import (
-    FractalLike,
-    GraphPiReplicated,
-    GThinker,
-    MovingComputation,
-    PangolinLike,
-    SingleMachine,
-)
-from repro.baselines.single_machine import peregrine_like
-from repro.cluster import ClusterConfig
-from repro.core import EngineConfig
 from repro.exec import ProcessBackend
 from repro.graph.generators import erdos_renyi, power_law_graph, random_labels
 from repro.patterns import Pattern, chain, clique
 from repro.patterns.catalog import motifs
 from repro.patterns.generation import single_edge_patterns
-from repro.systems import (
-    KAutomine,
-    KGraphPi,
-    clique_count,
-    motif_count,
-    triangle_count,
-)
+from repro.systems import clique_count, motif_count, triangle_count
+from tests.reference import SYSTEM_FLAVOURS
 
 GOLDEN = Path(__file__).parent / "data" / "systems_golden.json"
 
@@ -62,28 +47,6 @@ GRAPHS = {
 #: a labeled 3-edge pattern: the path a - b - b - c
 LABELED_PATH = Pattern(4, [(0, 1), (1, 2), (2, 3)], (0, 1, 1, 2))
 
-
-def _ports(cls, **engine):
-    def build(graph, name, backend=None):
-        return cls(graph, ClusterConfig(num_machines=4),
-                   EngineConfig(**engine), graph_name=name, backend=backend)
-    return build
-
-
-FLAVOURS = {
-    "k-automine": _ports(KAutomine),
-    "k-graphpi": _ports(KGraphPi),
-    "k-graphpi-iep": _ports(KGraphPi, counting="iep"),
-    "automine-ih": lambda g, name: SingleMachine(g, graph_name=name),
-    "peregrine": lambda g, name: peregrine_like(g, graph_name=name),
-    "graphpi": lambda g, name: GraphPiReplicated(
-        g, num_machines=4, graph_name=name),
-    "g-thinker": lambda g, name: GThinker(g, num_machines=4, graph_name=name),
-    "pangolin": lambda g, name: PangolinLike(g, graph_name=name),
-    "adfs": lambda g, name: MovingComputation(
-        g, num_machines=4, graph_name=name),
-    "fractal": lambda g, name: FractalLike(g, num_machines=4, graph_name=name),
-}
 
 #: the flavours that also run under the process backend
 PORTS = ["k-automine", "k-graphpi"]
@@ -157,13 +120,14 @@ def graphs():
 
 def test_golden_covers_every_flavour(golden):
     assert sorted(golden) == sorted(
-        f"{graph}/{flavour}" for graph in GRAPHS for flavour in FLAVOURS)
+        f"{graph}/{flavour}"
+        for graph in GRAPHS for flavour in SYSTEM_FLAVOURS)
 
 
 @pytest.mark.parametrize("graph_name", GRAPHS)
-@pytest.mark.parametrize("flavour", FLAVOURS)
+@pytest.mark.parametrize("flavour", SYSTEM_FLAVOURS)
 def test_reports_reproduce(golden, graphs, graph_name, flavour):
-    system = FLAVOURS[flavour](graphs[graph_name], graph_name)
+    system = SYSTEM_FLAVOURS[flavour](graphs[graph_name], graph_name)
     assert entries(graph_name, system) == golden[f"{graph_name}/{flavour}"]
 
 
@@ -172,7 +136,7 @@ def test_reports_reproduce(golden, graphs, graph_name, flavour):
 @pytest.mark.parametrize("flavour", PORTS)
 def test_ports_reproduce_under_process_backend(golden, graphs, graph_name,
                                                flavour):
-    system = FLAVOURS[flavour](graphs[graph_name], graph_name,
+    system = SYSTEM_FLAVOURS[flavour](graphs[graph_name], graph_name,
                                backend=ProcessBackend(workers=2))
     assert entries(graph_name, system) == golden[f"{graph_name}/{flavour}"]
 
@@ -192,10 +156,11 @@ def dump(data: dict) -> str:
 def record() -> dict:
     built = {name: build() for name, build in GRAPHS.items()}
     return {f"{graph}/{flavour}": entries(graph, build(built[graph], graph))
-            for graph in GRAPHS for flavour, build in FLAVOURS.items()}
+            for graph in GRAPHS
+            for flavour, build in SYSTEM_FLAVOURS.items()}
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_systems_golden.py --write")
+        sys.exit("usage: python -m tests.test_systems_golden --write")
     GOLDEN.write_text(dump(record()))
