@@ -40,6 +40,7 @@ _CANONICAL_COST = 2.0e-7
 #: Per-subgraph extension bookkeeping cost.
 _EXTEND_COST = 5.0e-8
 
+#: Fractal's refusal of an induced or an oriented count
 _NON_INDUCED = "fractal baseline counts non-induced, unoriented patterns"
 
 #: shape -> (its pattern's edges, its key from the label digits)
