@@ -216,6 +216,7 @@ class FractalLike(GPMSystem):
         self.graph = graph
         self.num_machines = num_machines
         self.cores = cores
+        self.memory_bytes = memory_bytes
         self.cost = cost
         self.time_budget = time_budget
         self.max_subgraphs = max_subgraphs
@@ -223,6 +224,7 @@ class FractalLike(GPMSystem):
         self.partitioner = HashPartitioner(num_machines)
         self._result: Optional[tuple[dict, float]] = None
         self._codes: Optional[dict[tuple, tuple[int, int]]] = None
+        self._plain: Optional[FractalLike] = None
 
     def _enumerate(self) -> tuple[dict[tuple, tuple], float]:
         """All connected <= 3-edge subgraphs; returns (stats, runtime)
@@ -301,6 +303,22 @@ class FractalLike(GPMSystem):
         self, patterns: Sequence[Pattern]
     ) -> tuple[list[int], RunReport]:
         found, runtime = self._lookup(patterns, [True] * len(patterns))
+        if self.graph.labels is not None and any(
+                p.labels is None for p in patterns):
+            # an unlabeled pattern matches across labels, and its
+            # labelings' domains do not add up: it is read off the
+            # label-free view (the same subsets, so the same runtime)
+            if self._plain is None:
+                graph = self.graph
+                self._plain = FractalLike(
+                    Graph(graph.indptr, graph.indices, None, graph.directed,
+                          graph.edge_labels),
+                    self.num_machines, self.cores, self.memory_bytes,
+                    self.cost, self.time_budget, self.max_subgraphs,
+                    self.graph_name)
+            plain, _ = self._plain._lookup(patterns, [True] * len(patterns))
+            found = [entry if p.labels is not None else free
+                     for p, entry, free in zip(patterns, found, plain)]
         return [support for _, support in found], self._report(
             "fsm-round", [count for count, _ in found], runtime)
 

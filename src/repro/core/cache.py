@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from enum import Enum
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -66,6 +65,9 @@ class EdgeCache:
         One of :class:`CachePolicy`.
     cost:
         Cost model supplying the bookkeeping constants.
+    num_vertices:
+        Vertex count of the graph whose lists are cached: the size of
+        the residency mask, so a lookup is one gather and nothing else.
     """
 
     def __init__(
@@ -75,14 +77,16 @@ class EdgeCache:
         policy: CachePolicy,
         cost: CostModel,
         metrics: Optional[MetricsScope] = None,
+        *,
+        num_vertices: int,
     ):
         self.capacity_bytes = capacity_bytes
         self.degree_threshold = degree_threshold
         self.policy = policy
         self.cost = cost
         self._entries: OrderedDict[int, int] = OrderedDict()  # vertex -> bytes
-        #: ``_entries``' keys as a mask indexed by vertex, grown on demand
-        self._resident = np.zeros(0, dtype=bool)
+        #: ``_entries``' keys as a mask indexed by vertex
+        self._resident = np.zeros(num_vertices, dtype=bool)
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -168,30 +172,11 @@ class EdgeCache:
 
     def _insert(self, vertex: int, num_bytes: int) -> None:
         self._entries[vertex] = num_bytes
-        if vertex >= len(self._resident):
-            self._grow(vertex)
         self._resident[vertex] = True
         self.used_bytes += num_bytes
         self.inserts += 1
         self._m_inserts.inc()
         self._m_used_bytes.set(self.used_bytes)
-
-    def _residency(self, vertices: np.ndarray) -> np.ndarray:
-        """Which of ``vertices`` are resident. The mask grows when a
-        vertex beyond it is first seen — at least doubling, so once it
-        covers the graph a lookup is one gather and nothing else."""
-        try:
-            return self._resident[vertices]
-        except IndexError:
-            self._grow(vertices)
-            return self._resident[vertices]
-
-    def _grow(self, vertices) -> None:
-        """Extend the residency mask to cover ``vertices`` (one or many)."""
-        short = int(np.max(vertices)) + 1 - len(self._resident)
-        self._resident = np.pad(
-            self._resident, (0, max(short, len(self._resident)))
-        )
 
     def saturated(self, least_bytes: int) -> bool:
         """Whether no list of ``least_bytes`` or more can be admitted any
@@ -212,7 +197,7 @@ class EdgeCache:
             return np.fromiter(
                 map(self.query, vertices.tolist()), bool, len(vertices)
             )
-        hit = self._residency(vertices)
+        hit = self._resident[vertices]
         queries = len(hit)
         hits = int(np.count_nonzero(hit))
         self.hits += hits
@@ -238,7 +223,7 @@ class EdgeCache:
         # residents are admitted for free; of the rest only a list over
         # the threshold that fits the bytes free right now can still be
         # inserted (free bytes only shrink)
-        admitted = self._residency(vertices)
+        admitted = self._resident[vertices]
         room = self.capacity_bytes - self.used_bytes
         offers = (
             ~admitted & (degrees >= self.degree_threshold) & (sizes <= room)
@@ -246,27 +231,24 @@ class EdgeCache:
         if not len(offers):
             return admitted
         # only a vertex's first offer can insert: a repeat finds it
-        # resident, or is refused again (the same list, less room)
+        # resident, or is refused again (the same list, less room). The
+        # first is the least index in its run of an unstable sort
         wanted = vertices[offers]
-        lead = offers[np.sort(np.unique(wanted, return_index=True)[1])]
-        # the offers whose running total fits all go in; after that,
-        # walk on only while some list still fits what is left
-        used = np.cumsum(sizes[lead])
-        taken = int(np.searchsorted(used, room, side="right"))
-        rows = lead[:taken]
-        if taken < len(lead):
+        order = np.argsort(wanted)
+        runs = np.flatnonzero(np.diff(wanted[order], prepend=-1))
+        lead = offers[np.sort(np.minimum.reduceat(order, runs))]
+        # exact rounds of the walk: the offers whose running total fits
+        # all go in, the next one is refused, and, free bytes only
+        # shrinking, so is every later list larger than what is left
+        rounds = []
+        while len(lead):
+            used = np.cumsum(sizes[lead])
+            taken = int(np.searchsorted(used, room, side="right"))
+            rounds.append(lead[:taken])
             room -= int(used[taken - 1])
-            rest = lead[taken:]
-            cost = sizes[rest].tolist()
-            least = list(accumulate(reversed(cost), min))[::-1]
-            picked = []
-            for index, size in enumerate(cost):
-                if room < least[index]:
-                    break
-                if size <= room:
-                    picked.append(index)
-                    room -= size
-            rows = np.concatenate((rows, rest[picked]))
+            rest = lead[taken + 1:]
+            lead = rest[sizes[rest] <= room]
+        rows = np.concatenate(rounds)
         self._insert_many(vertices[rows], sizes[rows])
         admitted[offers] = self._resident[wanted]
         return admitted

@@ -386,6 +386,7 @@ class KhuzdulEngine:
                     config.cache_policy,
                     cluster.cost,
                     metrics=scope,
+                    num_vertices=graph.num_vertices,
                 )
             )
             try:

@@ -60,7 +60,7 @@ price are the ones the reference would produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -1068,7 +1068,7 @@ def split(batch, bounds: Sequence[int]) -> list:
         return [batch]
     parts = []
     for start, stop in zip(bounds, bounds[1:]):
-        part = replace(batch, **{
+        part = type(batch)(**{
             name: column[start:stop]
             for name in ("counts", "merge_elements", "scanned", "probes")
             if (column := getattr(batch, name)) is not None})

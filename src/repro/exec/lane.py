@@ -32,18 +32,20 @@ Policy stays with the owners: :func:`sweep` only says what was
 delivered and who is dead (always in that order — **drain before
 death**, so a worker that reported and then died is never a spurious
 loss); the fleet marks lost and redistributes, the service respawns
-and degrades one query.
+and degrades one query. A long-lived owner (the service) blocks on one
+persistent :class:`Poller` instead of building a wait set per pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import select
 import signal
 import struct
 import threading
 import weakref
-from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
 from typing import Iterator, Optional, Sequence
 
@@ -104,9 +106,11 @@ class WorkerEnd:
         in the window before its death was seen) is discarded, never
         replayed.
         """
+        ready = select.poll()  # one poll set for the life of the loop
+        ready.register(self._commands.fileno(), select.POLLIN)
         while True:
             try:
-                if not self._commands.poll(POLL_SECONDS):
+                if not ready.poll(POLL_SECONDS * 1e3):
                     if os.getppid() != self._parent_pid:
                         return
                     continue
@@ -270,11 +274,59 @@ class Lane:
         self._commands = self._results = None
 
 
-def wait(lanes, timeout: float) -> None:
-    """Block until some lane has delivered a result or died (EOF), at
-    most ``timeout`` seconds."""
-    mp_connection.wait([lane._results for lane in lanes
-                        if lane._results is not None], timeout)
+class Poller:
+    """One persistent poll set over lanes' result pipes and a wake pipe,
+    what a long-lived supervisor blocks on instead of building a wait
+    set each pass; a lane's pipe is registered again only when a
+    respawn replaced it. One thread collects; :meth:`wake` is safe from
+    any thread.
+    """
+
+    def __init__(self):
+        self._poll = select.poll()
+        self._wake_read, self._wake_write = os.pipe()
+        os.set_blocking(self._wake_write, False)
+        self._poll.register(self._wake_read, select.POLLIN)
+        self._lanes: dict[int, Lane] = {}  # result-pipe fd -> its lane
+
+    def wake(self) -> None:
+        """End the current (or the next) :meth:`collect` wait at once."""
+        with contextlib.suppress(BlockingIOError):  # full of unread wakes
+            os.write(self._wake_write, b"\0")
+
+    def collect(self, lanes, timeout: float) -> tuple[list, list]:
+        """:func:`sweep`'s ``(messages, dead)`` after one wait of at most
+        ``timeout`` seconds: each readable lane's next message, or the
+        EOF that is its death (a lane that reported and then died is
+        readable again on the next pass, so its result comes first). A
+        wait that ends with nothing ready is a heartbeat: it sweeps."""
+        current = {lane._results.fileno(): lane for lane in lanes
+                   if lane._results is not None}
+        for fd in self._lanes.keys() - current.keys():
+            self._poll.unregister(fd)
+        for fd in current.keys() - self._lanes.keys():
+            self._poll.register(fd, select.POLLIN)
+        self._lanes = current
+        ready = self._poll.poll(timeout * 1e3)
+        if not ready:
+            return sweep(lanes)
+        messages, dead = [], []
+        for fd, _ in ready:
+            lane = current.get(fd)
+            if lane is None:  # one read takes every wake the pipe holds
+                os.read(fd, 1 << 16)
+                continue
+            try:
+                messages.append((lane, lane._results.recv()))
+            except (EOFError, OSError):  # as in :meth:`Lane._drain`
+                lane._results.close()
+                lane._results = None
+                dead.append(lane)
+        return messages, dead
+
+    def close(self) -> None:
+        os.close(self._wake_read)
+        os.close(self._wake_write)
 
 
 def sweep(lanes) -> tuple[list, list]:

@@ -63,7 +63,7 @@ from repro.core.plan import finalize, require_mergeable_udf
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.exec.backend import Backend
-from repro.exec.lane import Lane, sweep, wait
+from repro.exec.lane import Lane, Poller
 from repro.exec.messages import (
     CKPT,
     ERROR,
@@ -103,7 +103,10 @@ class _FleetState:
     #: the progress ledger every CKPT delta lands in
     durable: DurableRun
     lanes: list = field(default_factory=list)
-    #: sweeps of worker exit codes the parent performed
+    #: what the parent waits on for the lanes' messages and deaths
+    poller: Poller = field(default_factory=Poller)
+    #: collection passes the parent made (a silent one sweeps exit
+    #: codes)
     heartbeat_checks: int = 0
     #: worker_id -> human-readable death reason
     deaths: dict = field(default_factory=dict)
@@ -220,12 +223,12 @@ class ProcessBackend(Backend):
         workers = max(1, min(workers, machines))
         if config.resume:
             durability.reap_stale_segments(config.checkpoint_dir)
-        fleet = _FleetState(workers, machines, durable)
         started = perf_counter()
         shared = share_csr(cluster.graph)
         # unlink is idempotent, so the signal/atexit hooks and the
         # finally block may race
         previous_handlers = install_janitor(shared.unlink)
+        fleet = _FleetState(workers, machines, durable)
         try:
             if config.checkpoint_dir is not None:
                 durability.write_shm_names(
@@ -277,6 +280,7 @@ class ProcessBackend(Backend):
                 lane.release()
             for lane in fleet.lanes:
                 lane.stop()
+            fleet.poller.close()
             shared.unlink()
             remove_janitor(shared.unlink, previous_handlers)
             if config.checkpoint_dir is not None:
@@ -316,9 +320,9 @@ class ProcessBackend(Backend):
                     f"{self.timeout:.0f}s awaiting {tag!r} messages "
                     f"({len(collected)}/{expected} received)"
                 )
-            wait(fleet.lanes, min(self.heartbeat, max(0.01, remaining)))
+            messages, dead = fleet.poller.collect(
+                fleet.lanes, min(self.heartbeat, max(0.01, remaining)))
             fleet.heartbeat_checks += 1
-            messages, dead = sweep(fleet.lanes)
             for _, (kind, worker_id, payload) in messages:
                 if kind == CKPT:
                     fleet.durable.ledger.record(*payload)

@@ -340,7 +340,10 @@ class NullRegistry(MetricsRegistry):
 
 @dataclass
 class MetricsScope:
-    """A label-bound view of a registry (e.g. one machine's metrics)."""
+    """A label-bound view of a registry (e.g. one machine's metrics).
+
+    Over a disabled registry every instrument is the shared null one,
+    handed out before any labels are merged."""
 
     registry: MetricsRegistry
     labels: dict[str, Any] = field(default_factory=dict)
@@ -350,12 +353,18 @@ class MetricsScope:
         return self.registry.enabled
 
     def counter(self, name: str, **labels: Any) -> Counter:
+        if not self.registry.enabled:
+            return NULL_COUNTER
         return self.registry.counter(name, **{**self.labels, **labels})
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
+        if not self.registry.enabled:
+            return NULL_GAUGE
         return self.registry.gauge(name, **{**self.labels, **labels})
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
+        if not self.registry.enabled:
+            return NULL_HISTOGRAM
         return self.registry.histogram(name, **{**self.labels, **labels})
 
     def scope(self, **labels: Any) -> "MetricsScope":

@@ -297,9 +297,10 @@ SPECS: dict[str, MetricSpec] = dict(
               "always 0.0 per worker: nothing a worker does waits on "
               "another worker (kept as the series perfbench pairs with "
               "busy seconds)"),
-        _spec(EXEC_HEARTBEAT_CHECKS, "counter", "sweeps",
+        _spec(EXEC_HEARTBEAT_CHECKS, "counter", "passes",
               "docs/execution.md",
-              "liveness sweeps the parent ran over worker sentinels"),
+              "liveness passes the parent made over its workers' pipes "
+              "(one that finds nothing ready sweeps their exit codes)"),
         _spec(EXEC_HEARTBEAT_INTERVAL, "gauge", "seconds",
               "docs/execution.md",
               "configured parent liveness-check interval"),

@@ -79,6 +79,20 @@ def parse_pattern_spec(spec: str) -> Pattern:
     raise ConfigurationError(f"unrecognized pattern spec {spec!r}")
 
 
+def check_engine_knobs(knobs) -> None:
+    """The engine knobs a request overrides and a server defaults
+    (``time_budget``, ``chunk_bytes``, ``counting``), checked alike."""
+    if knobs.time_budget is not None and knobs.time_budget <= 0:
+        raise ConfigurationError("time_budget must be positive")
+    if knobs.chunk_bytes is not None and knobs.chunk_bytes < 1024:
+        raise ConfigurationError("chunk_bytes must be at least 1KiB")
+    if knobs.counting not in (None, "enumerate", "iep"):
+        raise ConfigurationError(
+            f"counting must be 'enumerate' or 'iep', "
+            f"got {knobs.counting!r}"
+        )
+
+
 @dataclass
 class QueryRequest:
     """One pattern-mining query against the resident graph.
@@ -86,8 +100,9 @@ class QueryRequest:
     Only per-query knobs live here — the graph, cluster shape, and
     worker pool are server-lifetime state
     (:class:`~repro.service.server.ServiceConfig`). ``validate`` is
-    called at submission; anything it rejects becomes a ``REJECTED``
-    report rather than an exception.
+    called at submission, and again by the lane that runs the query;
+    anything it rejects becomes a ``REJECTED`` report rather than an
+    exception.
     """
 
     #: caller-chosen identifier; the server assigns ``q<n>`` if None
@@ -110,7 +125,9 @@ class QueryRequest:
     #: server default
     counting: Optional[str] = None
 
-    def validate(self) -> None:
+    def validate(self) -> Optional[Pattern]:
+        """Check every field; returns the parsed pattern of a count
+        (None for a census), so a caller parses it once."""
         if self.app not in APPS:
             raise ConfigurationError(
                 f"app must be one of {APPS}, got {self.app!r}"
@@ -119,6 +136,7 @@ class QueryRequest:
             raise ConfigurationError(
                 f"system must be one of {SYSTEMS}, got {self.system!r}"
             )
+        pattern = None
         if self.app == "motifs":
             if not 2 <= self.size <= 5:
                 raise ConfigurationError(
@@ -126,22 +144,15 @@ class QueryRequest:
                     f"got {self.size}"
                 )
         else:
-            parse_pattern_spec(self.effective_pattern())
+            pattern = parse_pattern_spec(self.effective_pattern())
         if self.induced and self.oriented:
             raise ConfigurationError(ORIENTATION_REFUSAL)
         if not isinstance(self.priority, int):
             raise ConfigurationError(
                 f"priority must be an integer, got {self.priority!r}"
             )
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ConfigurationError("time_budget must be positive")
-        if self.chunk_bytes is not None and self.chunk_bytes < 1024:
-            raise ConfigurationError("chunk_bytes must be at least 1KiB")
-        if self.counting not in (None, "enumerate", "iep"):
-            raise ConfigurationError(
-                f"counting must be 'enumerate' or 'iep', "
-                f"got {self.counting!r}"
-            )
+        check_engine_knobs(self)
+        return pattern
 
     def effective_pattern(self) -> str:
         return "clique3" if self.app == "triangle" else self.pattern

@@ -10,15 +10,21 @@ shared-memory CSR export of the graph. Queries flow
 
 with two lanes to dispatch to:
 
-- ``workers == 0`` — the in-process serial lane: the dispatcher thread
+- ``workers == 0`` — the in-process serial lane: the supervisor thread
   itself runs each query through a resident
   :class:`~repro.service.worker.QueryExecutor`.
 - ``workers > 0`` — one supervised :class:`~repro.exec.lane.Lane` per
   serving worker process (the primitive under the process backend's
-  fleet too); a collector thread gathers payloads off the lanes and
-  sweeps them at least every ``heartbeat`` seconds, so a worker dying
-  mid-query degrades exactly that query to ``CRASHED`` and is
-  respawned — the server survives.
+  fleet too), so a worker dying mid-query degrades exactly that query
+  to ``CRASHED`` and is respawned — the server survives.
+
+One supervisor thread does all of it. It blocks on one persistent
+:class:`~repro.exec.lane.Poller` over the lanes' result pipes and a
+wake pipe (a submission that finds a lane idle wakes it), at most
+``heartbeat`` seconds at a time. Each pass takes the delivered results
+(drain before death), frees their lanes, respawns the dead and assigns
+the queue head to every free lane, then reports the finished queries
+and sends the assigned ones.
 
 Shutdown is leak-free by construction: the first ``shutdown()`` (or a
 SIGINT/SIGTERM through the installed janitor, or interpreter exit)
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Optional
@@ -41,7 +47,7 @@ from typing import Any, Optional
 from repro.errors import ConfigurationError
 from repro.cluster.cluster import ClusterConfig
 from repro.exec.janitor import install_janitor, remove_janitor
-from repro.exec.lane import Lane, sweep, wait
+from repro.exec.lane import Lane, Poller
 from repro.faults import durability
 from repro.faults.recovery import Outcome
 from repro.graph.csr import share_csr
@@ -57,6 +63,7 @@ from repro.service.protocol import (
     SYSTEMS,
     QueryReport,
     QueryRequest,
+    check_engine_knobs,
     refusal_payload,
 )
 from repro.service.worker import QueryExecutor, service_worker_main
@@ -144,15 +151,7 @@ class ServiceConfig:
                     f"checkpoint_dir {self.checkpoint_dir!r} exists and "
                     f"is not a directory"
                 )
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ConfigurationError("time_budget must be positive")
-        if self.chunk_bytes is not None and self.chunk_bytes < 1024:
-            raise ConfigurationError("chunk_bytes must be at least 1KiB")
-        if self.counting not in (None, "enumerate", "iep"):
-            raise ConfigurationError(
-                f"counting must be 'enumerate' or 'iep', "
-                f"got {self.counting!r}"
-            )
+        check_engine_knobs(self)
 
     def cluster_config(self) -> ClusterConfig:
         kwargs: dict[str, Any] = {}
@@ -182,17 +181,9 @@ class QueryHandle:
         self.worker: Optional[int] = None
         self.report: Optional[QueryReport] = None
         self._event = threading.Event()
-        self._claim_lock = threading.Lock()
+        #: set, under the server's lock, by the one path that reports
+        #: this query: the drain path and a late lane result may race
         self._claimed = False
-
-    def _claim(self) -> bool:
-        """Atomically claim the right to complete this query — the
-        drain path and a late lane result may race; exactly one wins."""
-        with self._claim_lock:
-            if self._claimed:
-                return False
-            self._claimed = True
-            return True
 
     def _resolve(self, report: QueryReport) -> None:
         self.report = report
@@ -246,20 +237,20 @@ class MiningServer:
         self._shutdown_lock = threading.Lock()
         self._cleanup_lock = threading.Lock()
         self._cleanup_done = False
-        self._metrics_lock = threading.Lock()
         self._janitor_previous: Optional[dict] = None
-        self._dispatcher: Optional[threading.Thread] = None
-        # process-lane state (workers > 0)
+        self._supervisor: Optional[threading.Thread] = None
+        self._poller: Optional[Poller] = None
+        self._halt = False  # every query settled: the supervisor leaves
         self._admission: Optional[AdmissionController] = None
+        self._graph_bytes = self._memory_bytes = 0  # of the estimates
         self._executor: Optional[QueryExecutor] = None
+        # process-lane state (workers > 0)
         self._shared = None
-        #: one supervised lane per serving worker; only the collector
-        #: thread waits on, sweeps and respawns them
+        #: one supervised lane per serving worker; only the supervisor
+        #: thread waits on, receives from and respawns them
         self._lanes: list[Lane] = []
         self._inflight: dict[int, QueryHandle] = {}
         self._free_workers: set[int] = set()
-        self._collector: Optional[threading.Thread] = None
-        self._collector_stop = threading.Event()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -297,6 +288,10 @@ class MiningServer:
         self._admission = AdmissionController(
             config.resident_cap_bytes, baseline
         )
+        self._graph_bytes = self.graph.size_bytes()
+        self._memory_bytes = config.cluster_config().memory_bytes
+        self._bind_metrics()
+        self._poller = Poller()
         if config.workers > 0:
             self._start_worker_pool()
         else:
@@ -304,14 +299,26 @@ class MiningServer:
         self._janitor_previous = install_janitor(self._cleanup)
         self._started = True
         self._started_at = perf_counter()
-        scope = self._obs.registry.scope()
-        scope.gauge(names.SERVICE_WORKERS).set(config.workers)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-service-dispatch",
-            daemon=True,
+        self._m_workers.set(config.workers)
+        self._supervisor = threading.Thread(
+            target=self._supervise, name="repro-service", daemon=True,
         )
-        self._dispatcher.start()
+        self._supervisor.start()
         return self
+
+    def _bind_metrics(self) -> None:
+        """The server-lifetime instruments, bound once."""
+        scope = self._obs.registry.scope()
+        self._m_workers = scope.gauge(names.SERVICE_WORKERS)
+        self._m_active = scope.gauge(names.SERVICE_ACTIVE_QUERIES)
+        self._m_admitted = scope.gauge(names.SERVICE_ADMITTED_BYTES)
+        self._m_queries = scope.counter(names.SERVICE_QUERIES)
+        self._m_rejected = scope.counter(names.SERVICE_REJECTED)
+        self._m_failed = scope.counter(names.SERVICE_FAILED)
+        self._m_deaths = scope.counter(names.SERVICE_WORKER_DEATHS)
+        self._m_latency = scope.histogram(names.SERVICE_LATENCY_SECONDS)
+        self._m_queue_wait = scope.histogram(
+            names.SERVICE_QUEUE_WAIT_SECONDS)
 
     def _start_worker_pool(self) -> None:
         config = self.config
@@ -329,11 +336,6 @@ class MiningServer:
         for lane in self._lanes:
             lane.spawn()
         self._free_workers = set(range(config.workers))
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-service-collect",
-            daemon=True,
-        )
-        self._collector.start()
 
     def describe(self) -> dict[str, Any]:
         """The ``serve`` hello line: what this server is resident on."""
@@ -356,11 +358,6 @@ class MiningServer:
             "pid": os.getpid(),
         }
 
-    @property
-    def active_queries(self) -> int:
-        with self._lock:
-            return len(self._active)
-
     def completed_ids(self) -> list[str]:
         """Completion order of every finished query (test hook)."""
         with self._lock:
@@ -372,31 +369,22 @@ class MiningServer:
     def submit(self, request: QueryRequest) -> QueryHandle:
         """Queue one query; always returns a handle, never raises for
         a bad *query* (only for misuse of an unstarted server)."""
-        if not self._started:
-            raise ConfigurationError("server not started")
-        with self._lock:
-            if request.id is None:
-                self._sequence += 1
-                request.id = f"q{self._sequence}"
-            duplicate = request.id in self._ids
-            if not duplicate:
-                self._ids.add(request.id)
         handle = QueryHandle(request, estimate=0)
-        if duplicate:
+        if not self._register(request):
             return self._refuse(
                 handle,
                 f"duplicate query id {request.id!r}",
             )
         try:
-            request.validate()
+            pattern = request.validate()
             # the per-query cache charge scales with the *graph*, not
             # the resident baseline — under mmap the baseline shrinks
             # but each query's cache working set does not
             handle.estimate = estimate_query_bytes(
-                self.graph.size_bytes(),
-                request.arity(),
+                self._graph_bytes,
+                request.size if pattern is None else pattern.num_vertices,
                 self.config.machines,
-                self.config.cluster_config().memory_bytes,
+                self._memory_bytes,
                 chunk_bytes=request.chunk_bytes or self.config.chunk_bytes,
             )
         except ConfigurationError as exc:
@@ -409,13 +397,14 @@ class MiningServer:
                 f"{self._admission.baseline_bytes} bytes exceed the "
                 f"{self.config.resident_mb} MiB cap",
             )
-        with self._wake:
-            if self._stopping:
-                refuse = True
-            else:
-                refuse = False
+        with self._lock:
+            refuse = self._stopping
+            if not refuse:
                 self._pending.push(request.priority, handle)
-                self._wake.notify_all()
+                # with every lane busy the supervisor looks at the
+                # queue anyway once a lane frees
+                if self._lane_free_locked():
+                    self._poller.wake()
         if refuse:
             return self._refuse(handle, "server is shutting down")
         return handle
@@ -424,15 +413,22 @@ class MiningServer:
                query_id: Optional[str] = None) -> QueryHandle:
         """Record a protocol-level refusal (e.g. an unparseable request
         line) as a REJECTED report in this session's history."""
+        request = QueryRequest(id=query_id)
+        self._register(request)
+        return self._refuse(QueryHandle(request, estimate=0), message)
+
+    def _register(self, request: QueryRequest) -> bool:
+        """Name an unnamed request ``q<n>``; False for an id seen
+        before."""
         if not self._started:
             raise ConfigurationError("server not started")
-        request = QueryRequest(id=query_id)
         with self._lock:
             if request.id is None:
                 self._sequence += 1
                 request.id = f"q{self._sequence}"
+            fresh = request.id not in self._ids
             self._ids.add(request.id)
-        return self._refuse(QueryHandle(request, estimate=0), message)
+        return fresh
 
     def _refuse(self, handle: QueryHandle, message: str) -> QueryHandle:
         """Terminate a query at submission with a REJECTED report."""
@@ -443,81 +439,97 @@ class MiningServer:
         return handle
 
     # ------------------------------------------------------------------
-    # dispatch + completion
+    # the supervisor: collect, dispatch, report
     # ------------------------------------------------------------------
-    def _next_locked(self) -> Optional[QueryHandle]:
-        """The dispatchable queue head, or None (caller holds lock).
+    def _supervise(self) -> None:
+        """The one service thread (module docstring).
+
+        A pass waits on the poller, takes the delivered results (their
+        lanes free, their admission charge released), respawns the dead
+        and hands the queue head to every free lane, all before it
+        reports. The finished queries' reports go out before the sends:
+        a worker woken by a send can take the CPU from this thread, and
+        would hold those reports behind the next query's execution.
+        The serial lane runs its query here, after the reports; the
+        pass after it does not wait, since what queued meanwhile may
+        have woken nobody.
+        """
+        heartbeat = self.config.heartbeat
+        timeout = heartbeat
+        while not self._halt:
+            messages, dead = self._poller.collect(self._lanes, timeout)
+            with self._lock:
+                finished = []
+                for lane, (query_id, payload) in messages:
+                    handle = self._take_locked(lane.index, query_id)
+                    if handle is not None:
+                        finished.append((handle, payload, lane.index))
+            if dead:
+                finished += self._respawn(dead)
+            with self._lock:
+                dispatched = self._dispatch_locked()
+            for handle, payload, worker in finished:
+                self._complete(handle, payload, worker)
+            for handle, lane, epoch in dispatched:
+                if lane is not None:
+                    # False — the incarnation died since — needs nothing
+                    # here: the pass that sees the death reports it
+                    lane.send(handle.request, epoch)
+            timeout = heartbeat
+            for handle, lane, _ in dispatched:
+                if lane is None:
+                    self._run_inline(handle)
+                    timeout = 0.0
+
+    def _lane_free_locked(self) -> bool:
+        """Whether a lane could take the queue head now."""
+        if self.config.workers > 0:
+            return bool(self._free_workers)
+        return not self._active  # the serial lane is busy
+
+    def _dispatch_locked(self) -> list[tuple]:
+        """``(handle, lane, epoch)`` for every query handed to a free
+        lane (``lane`` None: the serial lane), in queue order.
 
         Strict priority with head-of-line blocking: only the head is
         ever considered, so capacity frees in priority order.
         """
-        if not self._pending:
-            return None
-        if self.config.workers > 0 and not self._free_workers:
-            return None
-        if self.config.workers == 0 and self._active:
-            return None  # the serial lane is busy
-        head = self._pending.peek()
-        if self._admission.decide(head.estimate) != "admit":
-            return None
-        return self._pending.pop()
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._wake:
-                handle = self._next_locked()
-                while handle is None and not self._stopping:
-                    self._wake.wait(timeout=0.1)
-                    handle = self._next_locked()
-                if handle is None:
-                    return  # stopping, queue already drained
-                query_id = handle.request.id
-                self._admission.admit(query_id, handle.estimate)
-                self._active[query_id] = handle
-                handle.dispatch_time = perf_counter()
-                if self.config.workers > 0:
-                    worker_id = min(self._free_workers)
-                    self._free_workers.discard(worker_id)
-                    self._inflight[worker_id] = handle
-                    handle.worker = worker_id
-                    lane = self._lanes[worker_id]
-                    epoch = lane.epoch
-                self._refresh_gauges_locked()
+        dispatched = []
+        while self._pending and self._lane_free_locked():
+            handle = self._pending.peek()
+            if self._admission.decide(handle.estimate) != "admit":
+                break
+            self._pending.pop()
+            query_id = handle.request.id
+            self._admission.admit(query_id, handle.estimate)
+            self._active[query_id] = handle
+            handle.dispatch_time = perf_counter()
+            lane = epoch = None
             if self.config.workers > 0:
-                # False — the incarnation chosen above died or was
-                # replaced since — needs nothing here: the sweep that
-                # sees (or saw) the death reports this query CRASHED
-                lane.send(handle.request, epoch)
-            else:
-                try:
-                    payload = self._executor.execute(handle.request)
-                except Exception as exc:  # the dispatcher must survive
-                    payload = refusal_payload(
-                        Outcome.CRASHED, f"{type(exc).__name__}: {exc}"
-                    )
-                self._complete(handle, payload, worker=None)
+                worker_id = min(self._free_workers)
+                self._free_workers.discard(worker_id)
+                self._inflight[worker_id] = handle
+                handle.worker = worker_id
+                lane = self._lanes[worker_id]
+                epoch = lane.epoch
+            dispatched.append((handle, lane, epoch))
+        if dispatched:
+            self._refresh_gauges_locked()
+        return dispatched
 
-    def _collect_loop(self) -> None:
-        """Gather worker payloads and respawn dead workers.
+    def _run_inline(self, handle: QueryHandle) -> None:
+        try:
+            payload = self._executor.execute(handle.request)
+        except Exception as exc:  # the supervisor must survive
+            payload = refusal_payload(
+                Outcome.CRASHED, f"{type(exc).__name__}: {exc}"
+            )
+        self._complete(handle, payload, worker=None)
 
-        Each pass waits for a delivery, a death (EOF) or the
-        heartbeat, then sweeps: results first, deaths second
-        (:func:`repro.exec.lane.sweep`), so a worker that finished its
-        query and *then* died gets its genuine result delivered
-        instead of a spurious CRASHED report.
-        """
-        while not self._collector_stop.is_set():
-            wait(self._lanes, self.config.heartbeat)
-            messages, dead = sweep(self._lanes)
-            for lane, (query_id, payload) in messages:
-                self._handle_result(lane.index, query_id, payload)
-            # lanes released by shutdown() die on purpose
-            if dead and not self._collector_stop.is_set():
-                self._respawn(dead)
-
-    def _handle_result(self, worker_id: int, query_id: str,
-                       payload: dict) -> None:
-        """Complete the query a lane result answers — or drop it.
+    def _take_locked(self, worker_id: int,
+                     query_id: str) -> Optional[QueryHandle]:
+        """The in-flight query a lane result answers, its lane freed
+        and its admission charge released — or None.
 
         Results from dead incarnations cannot arrive here at all
         (a lane abandons their pipe at respawn); the id check guards
@@ -525,101 +537,99 @@ class MiningServer:
         query this lane is serving must never pop the in-flight
         handle or free a busy worker, or the lane desynchronizes.
         """
-        with self._wake:
-            handle = self._inflight.get(worker_id)
-            if handle is None or handle.request.id != query_id:
-                return  # not the query this lane is serving right now
-            del self._inflight[worker_id]
-            self._free_workers.add(worker_id)
-            self._wake.notify_all()
+        handle = self._inflight.get(worker_id)
+        if handle is None or handle.request.id != query_id:
+            return None  # not the query this lane is serving right now
+        del self._inflight[worker_id]
+        self._free_workers.add(worker_id)
+        self._admission.release(query_id)
+        return handle
+
+    def _handle_result(self, worker_id: int, query_id: str,
+                       payload: dict) -> None:
+        """Complete the query a lane result answers — or drop it — from
+        outside the supervisor, which then sees the freed lane."""
+        with self._lock:
+            handle = self._take_locked(worker_id, query_id)
+            if handle is None:
+                return
+            if not self._stopping:  # after it, the poller may be closed
+                self._poller.wake()
         self._complete(handle, payload, worker=worker_id)
 
-    def _respawn(self, dead: list[Lane]) -> None:
+    def _respawn(self, dead: list[Lane]) -> list[tuple]:
         """Respawn dead workers; their in-flight query degrades to
-        CRASHED — one query, not the server (docs/service.md)."""
+        CRASHED — one query, not the server (docs/service.md). Returns
+        ``(handle, payload, worker)`` for each such query."""
         reasons = [lane.exit_reason() for lane in dead]  # reaps them
         victims = []
-        with self._wake:
+        with self._lock:
             for lane, reason in zip(dead, reasons):
                 self.worker_deaths += 1
                 handle = self._inflight.pop(lane.index, None)
                 lane.spawn()
                 self._free_workers.add(lane.index)
-                if handle is not None:
-                    victims.append((lane.index, handle, reason))
-            self._wake.notify_all()
-        for worker_id, handle, reason in victims:
-            self._complete(handle, refusal_payload(
-                Outcome.CRASHED,
-                f"serving worker {worker_id} died mid-query ({reason}); "
-                f"the worker was respawned and the server is healthy",
-            ), worker=worker_id)
-        if victims:
-            with self._metrics_lock:
-                self._obs.registry.scope().counter(
-                    names.SERVICE_WORKER_DEATHS
-                ).inc(len(victims))
+                if handle is None:
+                    continue
+                self._admission.release(handle.request.id)
+                victims.append((handle, refusal_payload(
+                    Outcome.CRASHED,
+                    f"serving worker {lane.index} died mid-query "
+                    f"({reason}); the worker was respawned and the "
+                    f"server is healthy",
+                ), lane.index))
+            self._m_deaths.inc(len(victims))
+        return victims
 
     def _complete(self, handle: QueryHandle, payload: dict,
                   worker: Optional[int]) -> None:
-        if not handle._claim():
-            return  # the drain path already reported this query
         now = perf_counter()
+        request = handle.request
         dispatched = handle.dispatch_time
+        wall = now - handle.submit_time
+        queued = wall if dispatched is None else (
+            dispatched - handle.submit_time)
+        outcome, counts, failure = (
+            payload["outcome"], payload["counts"], payload["failure"])
         report = QueryReport(
-            id=handle.request.id,
-            outcome=payload["outcome"],
-            counts=payload["counts"],
-            priority=handle.request.priority,
-            wall_seconds=now - handle.submit_time,
-            queue_seconds=(
-                (dispatched - handle.submit_time)
-                if dispatched is not None else now - handle.submit_time
-            ),
-            worker=worker,
-            report=payload["report"],
-            failure=payload["failure"],
-            metrics=payload["metrics"],
+            request.id, outcome, counts, request.priority, wall, queued,
+            worker, payload["report"], failure, payload["metrics"],
         )
-        with self._wake:
-            self._admission.release(report.id)
-            self._active.pop(report.id, None)
+        with self._lock:
+            if handle._claimed:
+                return  # the drain path already reported this query
+            handle._claimed = True
+            self._admission.release(request.id)
+            self._active.pop(request.id, None)
             # the session summary reads outcomes and latencies; holding
             # every query's full engine report would grow a resident
             # server by kilobytes per query served
-            self._completed.append(
-                replace(report, report=None, metrics=None)
-            )
+            self._completed.append(QueryReport(
+                request.id, outcome, counts, request.priority, wall,
+                queued, worker, failure=failure,
+            ))
             self._refresh_gauges_locked()
+            self._record_metrics_locked(report, payload)
             self._wake.notify_all()
-        self._record_metrics(report, payload)
         handle._resolve(report)
 
     def _refresh_gauges_locked(self) -> None:
-        scope = self._obs.registry.scope()
-        scope.gauge(names.SERVICE_ACTIVE_QUERIES).set(len(self._active))
-        scope.gauge(names.SERVICE_ADMITTED_BYTES).set(
-            self._admission.inflight_bytes
-        )
+        self._m_active.set(len(self._active))
+        self._m_admitted.set(self._admission.inflight_bytes)
 
-    def _record_metrics(self, report: QueryReport, payload: dict) -> None:
-        with self._metrics_lock:
-            scope = self._obs.registry.scope()
-            scope.counter(names.SERVICE_QUERIES).inc()
-            if report.outcome == Outcome.REJECTED.value:
-                scope.counter(names.SERVICE_REJECTED).inc()
-            elif report.fatal:
-                scope.counter(names.SERVICE_FAILED).inc()
-            scope.histogram(names.SERVICE_LATENCY_SECONDS).observe(
-                report.wall_seconds
-            )
-            scope.histogram(names.SERVICE_QUEUE_WAIT_SECONDS).observe(
-                report.queue_seconds
-            )
-            if self.config.metrics and payload.get("metrics_dump"):
-                # fold the query's isolated registry into the
-                # server-lifetime one (the PR-1 absorb contract)
-                self._obs.registry.absorb(payload["metrics_dump"])
+    def _record_metrics_locked(self, report: QueryReport,
+                               payload: dict) -> None:
+        self._m_queries.inc()
+        if report.outcome == Outcome.REJECTED.value:
+            self._m_rejected.inc()
+        elif report.fatal:
+            self._m_failed.inc()
+        self._m_latency.observe(report.wall_seconds)
+        self._m_queue_wait.observe(report.queue_seconds)
+        if self.config.metrics and payload.get("metrics_dump"):
+            # fold the query's isolated registry into the
+            # server-lifetime one (the PR-1 absorb contract)
+            self._obs.registry.absorb(payload["metrics_dump"])
 
     # ------------------------------------------------------------------
     # shutdown
@@ -659,10 +669,9 @@ class MiningServer:
             if not self._started:
                 self._summary = {"queries": 0, "outcomes": {}}
                 return self._summary
-            with self._wake:
+            with self._lock:
                 self._stopping = True
                 drained = self._pending.drain()
-                self._wake.notify_all()
             for handle in drained:
                 self._complete(handle, refusal_payload(
                     Outcome.REJECTED,
@@ -681,16 +690,18 @@ class MiningServer:
                     f"({self.config.drain_seconds:g}s) expired with "
                     f"the query still in flight",
                 ), worker=handle.worker)
-            if self._dispatcher is not None:
-                self._dispatcher.join(timeout=self.config.drain_seconds)
-            # released workers exit, which wakes the collector at once
-            self._collector_stop.set()
+            # every query has its report: the supervisor can go, and
+            # the lanes after it (released together, they exit together)
+            self._halt = True
+            self._poller.wake()
+            self._supervisor.join(timeout=self.config.drain_seconds)
             for lane in self._lanes:
                 lane.release()
-            if self._collector is not None:
-                self._collector.join(timeout=self.config.heartbeat + 5.0)
             for lane in self._lanes:
                 lane.stop()
+            if not self._supervisor.is_alive():
+                # every wake is made under the lock before stopping
+                self._poller.close()
             self._cleanup()
             if self._janitor_previous is not None:
                 remove_janitor(self._cleanup, self._janitor_previous)

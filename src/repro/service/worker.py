@@ -38,7 +38,6 @@ from repro.obs import Observability
 from repro.service.protocol import (
     QueryRequest,
     jsonable_counts,
-    parse_pattern_spec,
     refusal_payload,
 )
 from repro.systems import KAutomine, KGraphPi, motif_count
@@ -87,18 +86,18 @@ class QueryExecutor:
         """Run one query; always returns a payload, never raises."""
         started = perf_counter()
         try:
-            request.validate()
+            pattern = request.validate()
             stall_ms = chaos_kill_threshold("query-sleep", request.id)
             if stall_ms:
                 time.sleep(stall_ms / 1e3)
             obs = Observability() if self.config.metrics else None
             system = self._system(request.system or self.config.system)
             system.reconfigure(self._engine_config(request), obs)
-            if request.app == "motifs":
+            if pattern is None:
                 report = motif_count(system, request.size)
             else:
                 report = system.count_pattern(
-                    parse_pattern_spec(request.effective_pattern()),
+                    pattern,
                     induced=request.induced,
                     oriented=request.oriented,
                     app=(

@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.costmodel import CostModel
 from repro.core.cache import CachePolicy, EdgeCache
 from tests.reference import hit_rate
 
+#: every vertex id a test here offers is below this
+VERTICES = 256
+
 
 def _cache(policy=CachePolicy.STATIC, capacity=1000, threshold=4):
-    return EdgeCache(capacity, threshold, policy, CostModel())
+    return EdgeCache(capacity, threshold, policy, CostModel(),
+                     num_vertices=VERTICES)
 
 
 # ----------------------------------------------------------------------
@@ -143,12 +149,13 @@ def test_fifo_readmission_keeps_insertion_order():
 
 def test_lru_readmission_charges_policy_update():
     cost = CostModel()
-    cache = EdgeCache(10_000, 0, CachePolicy.LRU, cost)
+    cache = EdgeCache(10_000, 0, CachePolicy.LRU, cost, num_vertices=VERTICES)
     cache.admit(1, 100, degree=10)
     cache.drain_cost()
     cache.admit(1, 100, degree=10)  # recency bookkeeping is not free
     assert cache.drain_cost() == pytest.approx(cost.cache_policy_update)
-    static = EdgeCache(10_000, 0, CachePolicy.STATIC, cost)
+    static = EdgeCache(10_000, 0, CachePolicy.STATIC, cost,
+                       num_vertices=VERTICES)
     static.admit(1, 100, degree=10)
     static.drain_cost()
     static.admit(1, 100, degree=10)  # static order never changes
@@ -174,8 +181,9 @@ def test_drain_cost_resets():
 def test_replacement_costs_exceed_static():
     """Replacement policies pay policy updates + dynamic allocation."""
     cost = CostModel()
-    static = EdgeCache(10_000, 0, CachePolicy.STATIC, cost)
-    lru = EdgeCache(10_000, 0, CachePolicy.LRU, cost)
+    static = EdgeCache(10_000, 0, CachePolicy.STATIC, cost,
+                       num_vertices=VERTICES)
+    lru = EdgeCache(10_000, 0, CachePolicy.LRU, cost, num_vertices=VERTICES)
     for v in range(50):
         static.query(v)
         static.admit(v, 100, degree=10)
@@ -186,7 +194,7 @@ def test_replacement_costs_exceed_static():
 
 def test_fragmentation_grows_with_churn():
     cost = CostModel().derive(cache_fragmentation_rate=0.5)
-    cache = EdgeCache(100, 0, CachePolicy.LRU, cost)
+    cache = EdgeCache(100, 0, CachePolicy.LRU, cost, num_vertices=VERTICES)
     cache.admit(0, 100, 1)
     cache.drain_cost()
     cache.admit(1, 100, 1)  # one evict + one insert
@@ -199,10 +207,12 @@ def test_fragmentation_grows_with_churn():
 
 def test_l3_spill_raises_query_cost():
     cost = CostModel()
-    small = EdgeCache(10_000_000, 0, CachePolicy.STATIC, cost)
+    small = EdgeCache(10_000_000, 0, CachePolicy.STATIC, cost,
+                      num_vertices=VERTICES)
     small.query(1)
     cheap = small.drain_cost()
-    big = EdgeCache(10_000_000, 0, CachePolicy.STATIC, cost)
+    big = EdgeCache(10_000_000, 0, CachePolicy.STATIC, cost,
+                    num_vertices=VERTICES)
     big.admit(1, cost.l3_bytes * 2, degree=10**6)
     big.drain_cost()
     big.query(2)
@@ -336,7 +346,7 @@ def test_static_batch_calls_match_sequential_oracle(seed):
     num_vertices = 80
     degrees = rng.integers(0, 30, size=num_vertices)
     sizes = 8 + 4 * degrees
-    cache = EdgeCache(1500, 6, CachePolicy.STATIC, cost)
+    cache = EdgeCache(1500, 6, CachePolicy.STATIC, cost, num_vertices=VERTICES)
     oracle = _StaticOracle(1500, 6, cost)
     for kind, what in _chunks(rng, num_vertices, sizes, degrees):
         if kind == "query":
@@ -357,9 +367,10 @@ def test_static_batch_calls_match_sequential_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_static_bulk_admission_is_a_loop_of_admit_bit_for_bit(seed):
-    """``admit_many`` under STATIC takes the offers whose running total
-    fits in one pass, walks the rest only while a list still fits, and
-    inserts in bulk — never calling ``admit``. Against ``admit`` per
+    """``admit_many`` under STATIC admits in rounds — the offers whose
+    running total fits, then past the one that does not, of the lists
+    that still fit — and inserts in bulk, never calling ``admit``.
+    Against ``admit`` per
     offer on a twin: the mask, ``used_bytes``, the entry order and the
     pending cost (folded one insert at a time) are equal to the bit."""
     rng = np.random.default_rng(seed)
@@ -369,8 +380,10 @@ def test_static_bulk_admission_is_a_loop_of_admit_bit_for_bit(seed):
     degrees = rng.integers(0, 40, size=num_vertices)
     sizes = 8 + 4 * degrees
     capacity = int(rng.integers(200, 6000))
-    cache = EdgeCache(capacity, 6, CachePolicy.STATIC, cost)
-    twin = EdgeCache(capacity, 6, CachePolicy.STATIC, cost)
+    cache = EdgeCache(capacity, 6, CachePolicy.STATIC, cost,
+                      num_vertices=VERTICES)
+    twin = EdgeCache(capacity, 6, CachePolicy.STATIC, cost,
+                     num_vertices=VERTICES)
     cache.admit = None  # a per-offer call would fail
     for _ in range(10):
         offered = rng.integers(0, num_vertices,
@@ -387,6 +400,40 @@ def test_static_bulk_admission_is_a_loop_of_admit_bit_for_bit(seed):
     assert 0 < twin.inserts and twin.used_bytes <= capacity
 
 
+@given(
+    prefix=st.lists(st.integers(0, 37), max_size=30),
+    tail=st.lists(st.integers(0, 39), max_size=30),
+    sizes=st.lists(st.integers(0, 300), min_size=38, max_size=38),
+    room=st.integers(0, 300),
+    overshoot=st.integers(1, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_static_bulk_admission_admits_after_a_refusal(prefix, tail, sizes,
+                                                       room, overshoot):
+    """The rounds of ``admit_many`` where the walk goes on past a
+    refused list: the prefix fills the cache up to ``room`` bytes,
+    vertex 38 overshoots it and is refused, vertex 39 fits what is
+    left and is admitted, then any tail. Equal, in order, to ``admit``
+    per offer."""
+    cost = CostModel().derive(cache_insert_static=3e-8)
+    sizes = np.array(sizes + [room + overshoot, room], dtype=np.int64)
+    capacity = int(sizes[list(dict.fromkeys(prefix))].sum()) + room
+    cache = EdgeCache(capacity, 0, CachePolicy.STATIC, cost,
+                      num_vertices=VERTICES)
+    twin = EdgeCache(capacity, 0, CachePolicy.STATIC, cost,
+                     num_vertices=VERTICES)
+    offered = np.array(prefix + [38, 39] + tail, dtype=np.int64)
+    expected = [twin.admit(vertex, int(sizes[vertex]), 0)
+                for vertex in offered.tolist()]
+    assert expected[len(prefix):len(prefix) + 2] == [False, True]
+    assert cache.admit_many(
+        offered, sizes[offered], np.zeros(len(offered), np.int64)
+    ).tolist() == expected
+    assert cache.used_bytes == twin.used_bytes <= capacity
+    assert list(cache._entries.items()) == list(twin._entries.items())
+    assert cache._pending_cost == twin._pending_cost
+
+
 @pytest.mark.parametrize("policy", list(CachePolicy))
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_calls_match_scalar_calls(policy, seed):
@@ -398,8 +445,8 @@ def test_batch_calls_match_scalar_calls(policy, seed):
     num_vertices = 80
     degrees = rng.integers(0, 30, size=num_vertices)
     sizes = 8 + 4 * degrees
-    cache = EdgeCache(900, 6, policy, cost)
-    twin = EdgeCache(900, 6, policy, cost)
+    cache = EdgeCache(900, 6, policy, cost, num_vertices=VERTICES)
+    twin = EdgeCache(900, 6, policy, cost, num_vertices=VERTICES)
     for kind, what in _chunks(rng, num_vertices, sizes, degrees):
         if kind == "query":
             assert cache.query_many(what).tolist() == [

@@ -222,7 +222,8 @@ def _scheduler(graph, schedule, chunk_bytes, machines=1, udf=None,
         cluster=cluster,
         machine=cluster.machines[machine_id],
         extender=ScheduleExtender(),
-        cache=EdgeCache(*cache, cluster.cost),
+        cache=EdgeCache(*cache, cluster.cost,
+                        num_vertices=graph.num_vertices),
         udf=udf,
         chunk_bytes=chunk_bytes,
         hds_enabled=hds,
@@ -421,7 +422,8 @@ def test_one_offer_admits_what_an_offer_per_batch_did(graph, cache, seed):
         graph, automine_schedule(catalog.chain(4)), 1 << 20,
         machines=machines, cache=cache, hds=False,
     )
-    twin = EdgeCache(*cache, cluster.cost)
+    twin = EdgeCache(*cache, cluster.cost,
+                     num_vertices=graph.num_vertices)
     owners = cluster.partitioned.owners_all()
     elsewhere = np.flatnonzero(owners != 0)
     ebytes, degrees = graph.edge_list_bytes_all(), graph.degrees()
@@ -560,7 +562,8 @@ def _lockstep_schedulers(graph, machines=8):
         MachineScheduler(
             cluster=cluster, machine=machine,
             extender=ScheduleExtender(workspace=workspace),
-            cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+            cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost,
+                            num_vertices=cluster.graph.num_vertices),
             udf=None, chunk_bytes=1 << 20, hds_enabled=True,
             hds_slots=64, vcs_enabled=True, numa_aware=True, trie=trie,
         )

@@ -465,13 +465,16 @@ def _echo_worker(end):
 def _sweep_until(lane, done, timeout=10.0):
     """Supervise one lane the way its owners do until ``done`` holds."""
     messages, deadline = [], time.monotonic() + timeout
-    while True:
-        lane_mod.wait([lane], 0.2)
-        delivered, dead = lane_mod.sweep([lane])
-        messages += [message for _, message in delivered]
-        if done(messages, dead):
-            return messages, dead
-        assert time.monotonic() < deadline, (messages, dead)
+    poller = lane_mod.Poller()
+    try:
+        while True:
+            delivered, dead = poller.collect([lane], 0.2)
+            messages += [message for _, message in delivered]
+            if done(messages, dead):
+                return messages, dead
+            assert time.monotonic() < deadline, (messages, dead)
+    finally:
+        poller.close()
 
 
 @exec_faults
@@ -604,7 +607,7 @@ def test_no_fd_growth_across_fleets_and_respawns():
             epoch = victim.epoch
             os.kill(victim.process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while victim.epoch == epoch:  # the collector respawns it
+            while victim.epoch == epoch:  # the supervisor respawns it
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             assert client.query(id=f"after-{cycle}", app="triangle",

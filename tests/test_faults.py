@@ -310,7 +310,8 @@ def test_run_many_recovers_later_patterns(fault_graph):
 # invalidation primitives
 # ======================================================================
 def test_cache_invalidate_by_predicate():
-    cache = EdgeCache(1 << 20, 0, CachePolicy.STATIC, CostModel())
+    cache = EdgeCache(1 << 20, 0, CachePolicy.STATIC, CostModel(),
+                      num_vertices=10)
     for v in range(10):
         assert cache.admit(v, num_bytes=64, degree=32)
     used_before = cache.used_bytes

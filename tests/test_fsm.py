@@ -4,10 +4,12 @@ from itertools import product
 
 import pytest
 
+from repro.analysis.brute_force import count_embeddings_brute_force
 from repro.baselines import FractalLike, SingleMachine
 from repro.errors import ConfigurationError
 from repro.graph import from_edges
-from repro.patterns import Pattern
+from repro.graph.generators import erdos_renyi, random_labels
+from repro.patterns import Pattern, catalog
 from repro.patterns.canonical import canonical_code
 from repro.systems import run_fsm
 from repro.systems.fsm import _shrink_codes
@@ -102,6 +104,22 @@ def test_fsm_cross_system_agreement(labeled_graph, mni_oracle):
                 for p, s in result.frequent} == expected, flavour
     frequent = FractalLike(labeled_graph).all_frequent(threshold)
     assert {(canonical_code(p), s) for p, s in frequent} == expected
+
+
+def test_unlabeled_pattern_supports_match_across_labels():
+    """An unlabeled pattern on a labeled graph matches whatever the
+    labels, on every system: supports and round counts equal the
+    brute force over the graph's labels ignored. A system that read the
+    all-label-0 labeling instead would report supports [14, 11] and
+    counts [19, 42]."""
+    graph = random_labels(erdos_renyi(50, 160, seed=11), 3, seed=2)
+    patterns = [catalog.chain(2), catalog.chain(3)]
+    supports = [mni_support_brute_force(graph, p) for p in patterns]
+    counts = [count_embeddings_brute_force(graph, p) for p in patterns]
+    assert (supports, counts) == ([50, 49], [160, 975])
+    for flavour, build in SYSTEM_FLAVOURS.items():
+        got, report = build(graph).mni_supports(patterns)
+        assert (got, report.counts) == (supports, counts), flavour
 
 
 def test_fsm_requires_labels(small_random_graph):

@@ -491,7 +491,8 @@ def test_hop_column_is_narrow_and_exact():
             for me in (0, machines - 1):
                 hop = MachineScheduler(
                     cluster, cluster.machines[me], ScheduleExtender(),
-                    EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+                    EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost,
+                              num_vertices=graph.num_vertices),
                     None, 1024, True, 64, True, True, trie)._vertex_hop
                 assert hop.dtype == np.min_scalar_type(machines)
                 assert hop.tolist() == ((serving - me) % machines).tolist()
@@ -510,7 +511,8 @@ def test_hop_column_is_built_once_per_dead_set():
     def hop(me):
         return MachineScheduler(
             cluster, cluster.machines[me], ScheduleExtender(),
-            EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+            EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost,
+                      num_vertices=graph.num_vertices),
             None, 1024, True, 64, True, True, trie)._vertex_hop
 
     live = hop(1)

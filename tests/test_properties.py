@@ -146,7 +146,7 @@ def test_pipeline_sandwich_bounds(comm, pad):
 )
 @settings(max_examples=100, deadline=None)
 def test_cache_capacity_invariant(policy, ops):
-    cache = EdgeCache(1000, 0, policy, CostModel())
+    cache = EdgeCache(1000, 0, policy, CostModel(), num_vertices=31)
     for vertex, size in ops:
         cache.query(vertex)
         cache.admit(vertex, size, degree=10)

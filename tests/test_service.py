@@ -16,6 +16,7 @@ The acceptance contract of the service layer:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -38,6 +39,7 @@ from repro.service import (
     estimate_query_bytes,
     parse_pattern_spec,
 )
+from repro.service import protocol
 from repro.service.protocol import jsonable_counts, refusal_payload
 from repro.systems import KAutomine, KGraphPi, motif_count
 
@@ -284,6 +286,126 @@ def test_priority_order_under_load(monkeypatch):
                    for kept in server._completed)
     finally:
         server.shutdown()
+
+
+def test_dispatch_follows_priority_behind_a_stalled_worker(monkeypatch):
+    """With the one serving worker stalled, queued priorities 1, 9, 5
+    finish 9, 5, 1."""
+    monkeypatch.setenv("REPRO_CHAOS", "query-sleep:blocker:400")
+    server = small_server(workers=1, heartbeat=0.1)
+    client = ServiceClient(server)
+    try:
+        blocker = client.submit(id="blocker", app="triangle")
+        deadline = 100
+        while blocker.dispatch_time is None and deadline:
+            time.sleep(0.02)
+            deadline -= 1
+        queued = [client.submit(id=f"p{priority}", app="triangle",
+                                priority=priority)
+                  for priority in (1, 9, 5)]
+        for handle in [blocker, *queued]:
+            assert handle.result(timeout=60.0).ok
+        assert server.completed_ids() == ["blocker", "p9", "p5", "p1"]
+    finally:
+        server.shutdown()
+
+
+def test_a_result_and_a_submission_in_one_pass_dispatch_one_query(
+        monkeypatch):
+    """The supervisor pass that receives the busy worker's result also
+    finds a query queued meanwhile: it sends that query exactly once,
+    in that same pass, and never again."""
+    monkeypatch.setenv("REPRO_CHAOS", "query-sleep:blocker:300")
+    server = small_server(workers=1, heartbeat=0.1)
+    client = ServiceClient(server)
+    lane, poller = server._lanes[0], server._poller
+    real_send, real_collect = lane.send, poller.collect
+    events, queued = [], []
+
+    def send(request, epoch=None):
+        events.append(("send", getattr(request, "id", request)))
+        return real_send(request, epoch)
+
+    def collect(lanes, timeout):
+        if ("send", "blocker") in events and not queued:
+            # the blocker's result lands and a query queues, both
+            # before this pass looks
+            assert lane._results.poll(30.0)
+            queued.append(client.submit(id="next", app="triangle"))
+        if queued:
+            events.append(("pass",))
+        messages, dead = real_collect(lanes, timeout)
+        if queued:
+            events.append(("took", [message[0] for _, message in messages]))
+        return messages, dead
+
+    monkeypatch.setattr(lane, "send", send)
+    monkeypatch.setattr(poller, "collect", collect)
+    try:
+        blocker = client.submit(id="blocker", app="triangle")
+        assert blocker.result(timeout=60.0).ok
+        deadline = 500
+        while not queued and deadline:
+            time.sleep(0.01)
+            deadline -= 1
+        assert queued[0].result(timeout=60.0).ok
+    finally:
+        server.shutdown()
+    first = events.index(("pass",))
+    assert events[first:first + 4] == [
+        ("pass",), ("took", ["blocker"]), ("send", "next"), ("pass",)]
+    assert events.count(("send", "next")) == 1
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_a_started_server_runs_one_service_thread(workers):
+    def service_threads():
+        return [thread.name for thread in threading.enumerate()
+                if thread.name.startswith("repro-service")]
+
+    assert service_threads() == []
+    server = small_server(workers=workers)
+    try:
+        assert service_threads() == ["repro-service"]
+        assert ServiceClient(server).query(app="triangle").ok
+        assert service_threads() == ["repro-service"]
+    finally:
+        server.shutdown()
+    assert service_threads() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the counting wrapper reaches the worker by fork")
+def test_a_served_query_parses_its_pattern_once_a_side(tmp_path,
+                                                       monkeypatch):
+    """``parse_pattern_spec`` runs once per served count in the server
+    process (at submission) and once in the serving worker; a census
+    has no pattern to parse. Each call appends its process id to a
+    file, so the forked worker's calls are counted too."""
+    calls = tmp_path / "parses"
+    real = protocol.parse_pattern_spec
+
+    def counted(spec):
+        with open(calls, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return real(spec)
+
+    monkeypatch.setattr(protocol, "parse_pattern_spec", counted)
+    server = small_server(workers=1)
+    try:
+        worker = server._lanes[0].process.pid
+        client = ServiceClient(server)
+        for fields in ({"app": "triangle"},
+                       {"app": "count", "pattern": "clique4"},
+                       {"app": "count", "pattern": "0-1,1-2"},
+                       {"app": "motifs", "size": 3}):
+            assert client.query(timeout=60.0, **fields).ok
+    finally:
+        server.shutdown()
+    pids = calls.read_text().split()
+    assert sorted(set(pids)) == sorted({str(os.getpid()), str(worker)})
+    assert pids.count(str(os.getpid())) == 3
+    assert pids.count(str(worker)) == 3
 
 
 # ---------------------------------------------------------------------

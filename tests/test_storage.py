@@ -1077,7 +1077,8 @@ def test_storage_metrics_emitted_for_mmap_only(tmp_path):
 def test_fresh_cache_hit_rate_is_zero_not_nan():
     from repro.core.cache import CachePolicy
 
-    cache = EdgeCache(1 << 20, 4, CachePolicy.STATIC, None)
+    cache = EdgeCache(1 << 20, 4, CachePolicy.STATIC, None,
+                      num_vertices=0)
     assert hit_rate(cache) == 0.0
 
 

@@ -200,7 +200,8 @@ def _drain_state(graph, rows):
     scheduler = MachineScheduler(
         cluster=cluster, machine=cluster.machines[0],
         extender=ScheduleExtender(),
-        cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost),
+        cache=EdgeCache(0, 16, CachePolicy.STATIC, cluster.cost,
+                        num_vertices=graph.num_vertices),
         udf=MniDomainCollector(graph.num_vertices, [schedule.pattern],
                                [schedule]),
         chunk_bytes=1 << 20, hds_enabled=False, hds_slots=64,
