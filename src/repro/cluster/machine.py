@@ -72,6 +72,16 @@ class MachineState:
     served_bytes: int = 0
     served_requests: int = 0
 
+    def snapshot(self) -> "MachineState":
+        """An equal copy with a clock of its own: what a run's
+        ``Partial`` keeps while the next run resets this machine."""
+        clone = object.__new__(MachineState)
+        clone.__dict__.update(self.__dict__)
+        clock = self.clock
+        clone.clock = ClockBuckets(clock.compute, clock.scheduler,
+                                   clock.cache, clock.network)
+        return clone
+
     # ------------------------------------------------------------------
     @property
     def comm_threads(self) -> int:

@@ -14,7 +14,7 @@ whose simulated runtime is the slowest machine's clock.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -645,9 +645,7 @@ class KhuzdulEngine:
         result = Partial(
             counts=counts,
             # copies: the next run resets the cluster's own machines
-            machines=[
-                replace(m, clock=replace(m.clock)) for m in cluster.machines
-            ],
+            machines=[m.snapshot() for m in cluster.machines],
             traffic=cluster.network.traffic_bytes,
             requests=cluster.network.total_requests(),
             batches=cluster.network.num_batches,

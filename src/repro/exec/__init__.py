@@ -8,7 +8,10 @@ backend only chooses *where* the per-machine schedulers run:
 - ``process``: one OS process per group of simulated machines, the
   whole graph shared zero-copy through
   ``multiprocessing.shared_memory`` (or the ``.kcsr`` store file), so
-  no edge list crosses a process boundary.
+  no edge list crosses a process boundary. Its worker fleets are
+  resident: a fleet that finished a run cleanly waits in a
+  process-wide pool for the next run of its shape, and
+  :func:`shutdown` (also run at interpreter exit) releases them.
 
 See docs/execution.md for the interface, the lane protocol, and the
 determinism contract (bit-identical counts across backends).
@@ -20,7 +23,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.exec.backend import Backend, InlineBackend
-from repro.exec.process import ProcessBackend
+from repro.exec.process import ProcessBackend, shutdown
 
 #: backend names accepted by ``make_backend`` and the CLI ``--backend``
 BACKENDS = ("inline", "process")
@@ -63,4 +66,5 @@ __all__ = [
     "InlineBackend",
     "ProcessBackend",
     "make_backend",
+    "shutdown",
 ]

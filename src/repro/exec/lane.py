@@ -1,9 +1,12 @@
 """The supervised-worker lane: one worker slot behind two private pipes.
 
 Both things in this repository that keep worker processes alive — the
-process backend's per-run fleet (:mod:`repro.exec.process`) and the
-mining service's resident serving lanes (:mod:`repro.service.server`)
-— supervise them through this module, so a liveness fix lands once.
+process backend's resident fleets, pooled between runs
+(:mod:`repro.exec.process`), and the mining service's resident serving
+lanes (:mod:`repro.service.server`) — supervise them through this
+module, so a liveness fix lands once. Both owners are resident: a
+worker outlives the job or query it ran and waits on its command pipe
+for the next.
 
 A :class:`Lane` owns one worker *slot*. Spawning an **incarnation**
 bumps the slot's epoch, creates a private command pipe (parent →
@@ -32,8 +35,9 @@ Policy stays with the owners: :func:`sweep` only says what was
 delivered and who is dead (always in that order — **drain before
 death**, so a worker that reported and then died is never a spurious
 loss); the fleet marks lost and redistributes, the service respawns
-and degrades one query. A long-lived owner (the service) blocks on one
-persistent :class:`Poller` instead of building a wait set per pass.
+and degrades one query. A long-lived owner (a pooled fleet, the
+service) blocks on one persistent :class:`Poller` instead of building a
+wait set per pass.
 """
 
 from __future__ import annotations
@@ -46,10 +50,9 @@ import signal
 import struct
 import threading
 import weakref
+from multiprocessing import resource_tracker
 from multiprocessing.reduction import ForkingPickler
 from typing import Iterator, Optional, Sequence
-
-from repro.faults.durability import chaos_kill_threshold
 
 #: cap on any single blocking wait in a worker before it re-checks
 #: that its parent still exists
@@ -83,9 +86,16 @@ class WorkerEnd:
         self._commands = commands
         self._results = results
         self._sent = 0
-        #: ``REPRO_CHAOS=worker-kill-midsend:<index>:<n>``: die inside
-        #: the n-th result-pipe send
-        self._tear_at = chaos_kill_threshold("worker-kill-midsend", index)
+        #: die inside this result-pipe send (0: never); see :meth:`arm`
+        self._tear_at = 0
+
+    def arm(self, tear_at: int) -> None:
+        """Count result-pipe sends afresh and die inside the
+        ``tear_at``-th (0: never) — the chaos seam
+        ``REPRO_CHAOS=worker-kill-midsend:<index>:<n>``, armed by a
+        fleet worker at the start of each job."""
+        self._sent = 0
+        self._tear_at = tear_at
 
     def send(self, message) -> None:
         """Ship one message to the parent. Once this returns the
@@ -127,15 +137,39 @@ class WorkerEnd:
         self._results.close()
 
 
+def _release_resource_tracker() -> None:
+    """Close this child's copy of the parent's resource-tracker pipe.
+
+    The tracker exits at EOF on that pipe, and a resident worker would
+    hold it open for as long as it idles, so a parent that stops its
+    tracker and waits for it would wait on its own idle workers. A
+    worker never needs it: attachments do not register
+    (:func:`repro.graph.csr.attach_segment`)."""
+    tracker = resource_tracker._resource_tracker
+    fd, tracker._fd, tracker._pid = tracker._fd, None, None
+    if fd is not None:
+        os.close(fd)
+
+
 def _child_main(target, end: WorkerEnd, *args) -> None:
     for lane in list(_lanes):  # empty under spawn
         lane._close_pipes()
+    _release_resource_tracker()
     try:
         target(end, *args)
     except BrokenPipeError:
         pass  # the parent stopped listening: nobody left to report to
     finally:
         end.close()
+
+
+def resolve_start_method(start_method: Optional[str]) -> str:
+    """``start_method``, or for ``None`` ``fork`` where the platform has
+    it (cheap; Linux) and ``spawn`` elsewhere."""
+    if start_method is not None:
+        return start_method
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
 
 
 class Lane:
@@ -158,10 +192,8 @@ class Lane:
         #: sent under
         self.epoch = 0
         self.process = None
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(
+            resolve_start_method(start_method))
         self._target = target
         self._args = tuple(args)
         self._commands = None
@@ -213,6 +245,11 @@ class Lane:
             except OSError:
                 return False
             return True
+
+    def alive(self) -> bool:
+        """The incarnation runs and its result pipe is open."""
+        return (self.process is not None and self._results is not None
+                and self.process.exitcode is None)
 
     def release(self) -> None:
         """Tell the worker to leave its command loop and exit."""

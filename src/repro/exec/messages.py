@@ -2,7 +2,7 @@
 
 Everything that crosses a process boundary here travels on a worker's
 two private pipes (:mod:`repro.exec.lane`): four message kinds up the
-result pipe, one command down the command pipe. Edge lists never
+result pipe, two commands down the command pipe. Edge lists never
 travel — every worker maps the whole graph (docs/execution.md).
 """
 
@@ -32,12 +32,32 @@ RECOVERY = "recovery"
 
 
 @dataclass(frozen=True)
+class Job:
+    """Run this worker's share of one job, then answer ``RESULT``.
+
+    The command a resident fleet's worker gets once per run
+    (docs/execution.md, "Worker topology"): the graph ``handle`` to
+    run against, the job ``plan``, the hosted machines' ``resume``
+    cursors and ``udfs`` copies (``DurableRun.start``), whether to
+    ship an observability dump, and the ``REPRO_CHAOS`` spec the
+    parent read for this run ("" when unset).
+    """
+
+    handle: object
+    plan: object
+    resume: dict
+    udfs: Optional[dict]
+    obs_enabled: bool
+    chaos: str
+
+
+@dataclass(frozen=True)
 class RecoverAssignment:
     """Replay these machines on the receiving (surviving) worker.
 
-    The one command of the fleet's command pipes (parent -> worker,
-    after the worker's RESULT; releasing the lane ends them), sent to
-    a survivor when a peer died under ``--on-worker-death recover``.
+    The fleet's second command (parent -> worker, after the worker's
+    RESULT for the current :class:`Job`), sent to a survivor when a
+    peer died under ``--on-worker-death recover``.
     ``resume`` and ``udfs`` are the last shipped cursors and each
     machine's UDF copy at them (``DurableRun.start``), so the survivor
     skips chunks the dead worker already completed (docs/faults.md).

@@ -4,12 +4,16 @@ Execution plan (docs/execution.md):
 
 1. Export the graph's CSR arrays into shared memory once
    (:mod:`repro.graph.csr`) — workers map them zero-copy.
-2. Spawn one supervised :class:`~repro.exec.lane.Lane` per worker,
-   each running :func:`repro.exec.worker.worker_main`: the engine's
-   one machine loop, handed the job plan, over the machines it hosts
-   (``m % workers``). Workers share nothing but the read-only graph:
-   no edge list travels between them (every worker maps all of it),
-   so the only channels are each lane's two private pipes.
+2. Lease a resident fleet from the process-wide pool, one idle fleet
+   per ``(workers, start method)``, or spawn one: a supervised
+   :class:`~repro.exec.lane.Lane` per worker, each running
+   :func:`repro.exec.worker.worker_main`'s command loop. Send each
+   lane one :class:`~repro.exec.messages.Job`; the worker runs the
+   engine's one machine loop, handed the job plan, over the machines
+   it hosts (``m % workers``). Workers share nothing but the
+   read-only graph: no edge list travels between them (every worker
+   maps all of it), so the only channels are each lane's two private
+   pipes.
 3. Collect per-worker results off the lanes' private result pipes
    while *watching worker liveness*: a death is an EOF, seen at once,
    and the parent sweeps worker exit codes at least every
@@ -22,10 +26,14 @@ Execution plan (docs/execution.md):
    the ledger) and reports ``RECOVERED`` with complete counts. The
    parent replays inline only machines no survivor could cover
    (survivor died mid-recovery, or no survivors at all).
-4. Release and stop every lane. The graph's shared-memory segments
-   are unlinked on every exit path — including SIGINT/SIGTERM and
-   interpreter exit, via chained signal handlers and an ``atexit``
-   hook registered for the duration of the run.
+4. Hand the fleet back to the pool if every worker sent its RESULT
+   and none died; any other ending (CRASHED, TIMEOUT, RECOVERED, an
+   exception) stops its lanes. Idle fleets are released and joined
+   by :func:`shutdown`, which runs at interpreter exit. The graph's
+   shared-memory segments are unlinked after every run, on every
+   exit path — including SIGINT/SIGTERM and interpreter exit, via
+   chained signal handlers and an ``atexit`` hook registered for the
+   duration of the run.
 
 Durability (docs/faults.md): workers ship one ``CKPT`` delta per
 completed root chunk, with their machine's UDF state, to the parent's
@@ -55,6 +63,9 @@ workers, which this backend does not replicate).
 
 from __future__ import annotations
 
+import atexit
+import os
+import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional
@@ -63,12 +74,13 @@ from repro.core.plan import finalize, require_mergeable_udf
 from repro.core.runtime import RunReport
 from repro.errors import ConfigurationError
 from repro.exec.backend import Backend
-from repro.exec.lane import Lane, Poller
+from repro.exec.lane import Lane, Poller, resolve_start_method
 from repro.exec.messages import (
     CKPT,
     ERROR,
     RECOVERY,
     RESULT,
+    Job,
     RecoverAssignment,
 )
 from repro.exec.janitor import install_janitor, remove_janitor
@@ -93,18 +105,99 @@ class _CollectTimeout(Exception):
     structured ``TIMEOUT`` report, never raised to callers)."""
 
 
+class _Fleet:
+    """A resident fleet: one supervised lane per worker, each running
+    :func:`worker_main`'s command loop, and the poller the parent waits
+    on them with. Leased by one run at a time (:func:`_lease`)."""
+
+    def __init__(self, workers: int, start_method: str):
+        self.key = (workers, start_method)
+        self.lanes: list[Lane] = []
+        self.poller = Poller()
+        try:
+            for worker_id in range(workers):
+                self.lanes.append(Lane(
+                    worker_id, f"repro-exec-{worker_id}", worker_main,
+                    (worker_id, workers), start_method))
+                self.lanes[-1].spawn()
+        except BaseException:
+            self.stop()
+            raise
+
+    def alive(self) -> bool:
+        return all(lane.alive() for lane in self.lanes)
+
+    def stop(self) -> None:
+        """Release every lane first, so they exit side by side, then
+        join them (stragglers are terminated) and close the poller."""
+        for lane in self.lanes:
+            lane.release()
+        for lane in self.lanes:
+            lane.stop()
+        self.poller.close()
+
+
+#: the pool: idle fleets, at most one per (workers, start method)
+_idle: dict[tuple[int, str], _Fleet] = {}
+_idle_lock = threading.Lock()
+#: fleets are spawned one at a time, so that no fork copies another
+#: fleet's half-built pipes into its child
+_spawn_lock = threading.Lock()
+
+
+def _lease(workers: int, start_method: Optional[str]) -> tuple[_Fleet, int]:
+    """An idle fleet of this shape, or a new one; with the number of
+    workers spawned for it (0 for a reused fleet)."""
+    key = (workers, resolve_start_method(start_method))
+    with _idle_lock:
+        fleet = _idle.pop(key, None)
+    if fleet is not None:
+        if fleet.alive():
+            return fleet, 0
+        fleet.stop()  # a worker died while the fleet sat idle
+    with _spawn_lock:
+        return _Fleet(*key), workers
+
+
+def _give_back(fleet: _Fleet) -> None:
+    """Park a fleet whose run ended clean; a second idle fleet of the
+    same shape, or one with a dead worker, is stopped instead."""
+    if fleet.alive():
+        with _idle_lock:
+            if fleet.key not in _idle:
+                _idle[fleet.key] = fleet
+                return
+    fleet.stop()
+
+
+def shutdown() -> None:
+    """Release and join every idle fleet (also run at interpreter
+    exit); the next process-backend run spawns a new one."""
+    with _idle_lock:
+        fleets = list(_idle.values())
+        _idle.clear()
+    for fleet in fleets:
+        fleet.stop()
+
+
+atexit.register(shutdown)
+
+
 @dataclass
-class _FleetState:
-    """One ``execute`` call's fleet: its shape, its lanes, its
-    liveness bookkeeping and its progress ledger."""
+class _RunState:
+    """One ``execute`` call: its shape, the lanes and poller of the
+    fleet it leased, its liveness bookkeeping and its progress
+    ledger."""
 
     workers: int
     machines: int
     #: the progress ledger every CKPT delta lands in
     durable: DurableRun
-    lanes: list = field(default_factory=list)
+    lanes: list
     #: what the parent waits on for the lanes' messages and deaths
-    poller: Poller = field(default_factory=Poller)
+    poller: Poller
+    #: worker processes spawned for this run (0 on a reused fleet)
+    spawns: int
     #: collection passes the parent made (a silent one sweeps exit
     #: codes)
     heartbeat_checks: int = 0
@@ -224,34 +317,37 @@ class ProcessBackend(Backend):
         if config.resume:
             durability.reap_stale_segments(config.checkpoint_dir)
         started = perf_counter()
-        shared = share_csr(cluster.graph)
-        # unlink is idempotent, so the signal/atexit hooks and the
-        # finally block may race
-        previous_handlers = install_janitor(shared.unlink)
-        fleet = _FleetState(workers, machines, durable)
+        # leased before the export: a fleet forked now must not inherit
+        # a mapping of segments it would outlive
+        fleet, spawns = _lease(workers, self.start_method)
+        run = _RunState(workers, machines, durable, fleet.lanes,
+                        fleet.poller, spawns)
+        shared = None
+        clean = False
         try:
+            shared = share_csr(cluster.graph)
+            # unlink is idempotent, so the signal/atexit hooks and the
+            # finally block may race
+            previous_handlers = install_janitor(shared.unlink)
             if config.checkpoint_dir is not None:
                 durability.write_shm_names(
                     config.checkpoint_dir, shared.handle.segment_names())
-            fleet.lanes = [
-                Lane(worker_id, f"repro-exec-{worker_id}", worker_main,
-                     (worker_id, workers, shared.handle, plan,
-                      *durable.start(
-                          machines_of(worker_id, workers, machines)),
-                      engine.obs.enabled),
-                     self.start_method)
-                for worker_id in range(workers)
-            ]
-            for lane in fleet.lanes:
-                lane.spawn()
+            # read per run: a fleet outlives the environment it was
+            # forked under
+            chaos = os.environ.get(durability.CHAOS_ENV, "")
+            for worker_id, lane in enumerate(run.lanes):
+                lane.send(Job(
+                    shared.handle, plan,
+                    *durable.start(machines_of(worker_id, workers, machines)),
+                    engine.obs.enabled, chaos))
 
             results = self._collect(
-                fleet, set(range(workers)), RESULT,
+                run, set(range(workers)), RESULT,
                 fail_fast=(self.on_worker_death == "fail"),
             )
-            if fleet.deaths and self.on_worker_death == "fail":
+            if run.deaths and self.on_worker_death == "fail":
                 return self._failed_report(
-                    engine, plan, fleet, perf_counter() - started,
+                    engine, plan, run, perf_counter() - started,
                     Outcome.CRASHED)
             entries = [
                 {**payload, "worker_id": worker_id}
@@ -264,34 +360,36 @@ class ProcessBackend(Backend):
                 # workers' machines across the survivors; the progress
                 # ledger (the dead workers' shipped deltas) lets each
                 # replay skip already-completed chunks
-                fleet.reexecuted = set(lost)
+                run.reexecuted = set(lost)
                 recovery_entries, redistribution = self._redistribute(
-                    fleet, engine, plan, lost, sorted(results))
+                    run, engine, plan, lost, sorted(results))
                 entries.extend(recovery_entries)
+            clean = not run.deaths
         except _CollectTimeout as exc:
             return self._failed_report(
-                engine, plan, fleet, perf_counter() - started,
+                engine, plan, run, perf_counter() - started,
                 Outcome.TIMEOUT, str(exc))
         finally:
-            # teardown runs on every path: stop the lanes (release all
-            # first so they exit side by side) and unlink the graph's
-            # shared-memory segments — the parent owns them
-            for lane in fleet.lanes:
-                lane.release()
-            for lane in fleet.lanes:
-                lane.stop()
-            fleet.poller.close()
-            shared.unlink()
-            remove_janitor(shared.unlink, previous_handlers)
-            if config.checkpoint_dir is not None:
-                durability.clear_shm_names(config.checkpoint_dir)
-        return self._merge(engine, plan, fleet, entries,
+            # teardown runs on every path: a fleet whose every worker
+            # reported goes back to the pool, any other is stopped; the
+            # graph's shared-memory segments are unlinked — the parent
+            # owns them
+            if clean:
+                _give_back(fleet)
+            else:
+                fleet.stop()
+            if shared is not None:
+                shared.unlink()
+                remove_janitor(shared.unlink, previous_handlers)
+                if config.checkpoint_dir is not None:
+                    durability.clear_shm_names(config.checkpoint_dir)
+        return self._merge(engine, plan, run, entries,
                            perf_counter() - started, redistribution)
 
     # ------------------------------------------------------------------
     # collection with liveness detection
     # ------------------------------------------------------------------
-    def _collect(self, fleet, pending, tag, fail_fast) -> dict:
+    def _collect(self, run, pending, tag, fail_fast) -> dict:
         """Gather one tagged message per pending worker.
 
         Every wait is bounded by ``heartbeat`` and ends early on a
@@ -312,7 +410,7 @@ class ProcessBackend(Backend):
         collected: dict[int, dict] = {}
         expected = len(pending)
         deadline = perf_counter() + self.timeout
-        while pending and not (fail_fast and fleet.deaths):
+        while pending and not (fail_fast and run.deaths):
             remaining = deadline - perf_counter()
             if remaining <= 0:
                 raise _CollectTimeout(
@@ -320,12 +418,12 @@ class ProcessBackend(Backend):
                     f"{self.timeout:.0f}s awaiting {tag!r} messages "
                     f"({len(collected)}/{expected} received)"
                 )
-            messages, dead = fleet.poller.collect(
-                fleet.lanes, min(self.heartbeat, max(0.01, remaining)))
-            fleet.heartbeat_checks += 1
+            messages, dead = run.poller.collect(
+                run.lanes, min(self.heartbeat, max(0.01, remaining)))
+            run.heartbeat_checks += 1
             for _, (kind, worker_id, payload) in messages:
                 if kind == CKPT:
-                    fleet.durable.ledger.record(*payload)
+                    run.durable.ledger.record(*payload)
                     continue
                 if worker_id not in pending:
                     continue  # late message from a worker marked lost
@@ -333,7 +431,7 @@ class ProcessBackend(Backend):
                 if kind == tag:
                     collected[worker_id] = payload
                 elif kind == ERROR:
-                    fleet.deaths[worker_id] = _error_reason(payload)
+                    run.deaths[worker_id] = _error_reason(payload)
                 else:
                     raise RuntimeError(
                         f"protocol violation: got {kind!r} while "
@@ -342,14 +440,14 @@ class ProcessBackend(Backend):
             for lane in dead:
                 if lane.index in pending:
                     pending.discard(lane.index)
-                    fleet.deaths[lane.index] = (
+                    run.deaths[lane.index] = (
                         f"{lane.exit_reason()} before reporting")
         return collected
 
     # ------------------------------------------------------------------
     # lost-worker redistribution (on_worker_death == "recover")
     # ------------------------------------------------------------------
-    def _redistribute(self, fleet, engine, plan, lost,
+    def _redistribute(self, run, engine, plan, lost,
                       survivors) -> tuple[list[dict], dict]:
         """Round-robin the lost workers' machines across survivors.
 
@@ -363,8 +461,8 @@ class ProcessBackend(Backend):
         """
         lost_machines = sorted(
             machine for worker_id in lost
-            for machine in machines_of(worker_id, fleet.workers,
-                                       fleet.machines)
+            for machine in machines_of(worker_id, run.workers,
+                                       run.machines)
         )
         assignment: dict[int, list[int]] = {}
         if survivors:
@@ -375,11 +473,11 @@ class ProcessBackend(Backend):
             # a False send is a survivor that just died: its share
             # shows up below as uncovered
             hosted = assignment[worker_id]
-            fleet.lanes[worker_id].send(RecoverAssignment(
-                tuple(hosted), *fleet.durable.start(hosted)))
+            run.lanes[worker_id].send(RecoverAssignment(
+                tuple(hosted), *run.durable.start(hosted)))
         recoveries: dict[int, dict] = {}
         if assignment:
-            recoveries = self._collect(fleet, set(assignment), RECOVERY,
+            recoveries = self._collect(run, set(assignment), RECOVERY,
                                        fail_fast=False)
         entries = [
             {**payload, "worker_id": worker_id}
@@ -393,11 +491,11 @@ class ProcessBackend(Backend):
         ) if survivors else lost_machines
         if uncovered:
             # started as a spawned worker's machines are
-            resume, udfs = fleet.durable.start(uncovered)
+            resume, udfs = run.durable.start(uncovered)
             entries.append({
                 **hosted_run(
                     engine.cluster.graph, plan, udfs, set(uncovered),
-                    engine.obs.enabled, sink=fleet.durable.sink,
+                    engine.obs.enabled, sink=run.durable.sink,
                     resume=resume,
                 ),
                 "worker_id": None,
@@ -419,9 +517,9 @@ class ProcessBackend(Backend):
     # ------------------------------------------------------------------
     # structured fail-fast reports (never a bare stall or traceback)
     # ------------------------------------------------------------------
-    def _failed_report(self, engine, plan, fleet, wall, outcome,
+    def _failed_report(self, engine, plan, run, wall, outcome,
                        message="") -> tuple[list[int], RunReport]:
-        events = fleet.death_events()
+        events = run.death_events()
         if outcome is Outcome.CRASHED:
             failure = worker_loss_summary(events, recovered=False)
         else:
@@ -430,9 +528,9 @@ class ProcessBackend(Backend):
         report = RunReport(
             system=plan.system, app=plan.app, graph_name=plan.graph_name,
             counts=None, simulated_seconds=0.0,
-            num_machines=fleet.machines, failure=failure,
+            num_machines=run.machines, failure=failure,
         )
-        report.extra["exec"] = self._exec_extra(fleet, wall, events)
+        report.extra["exec"] = self._exec_extra(run, wall, events)
         obs = engine.obs
         if obs.enabled:
             self._emit_exec_metrics(obs.registry.scope(),
@@ -440,24 +538,25 @@ class ProcessBackend(Backend):
             report.extra["obs"] = obs.summary()
         return [0] * len(plan.patterns), report
 
-    def _exec_extra(self, fleet, wall, events) -> dict:
+    def _exec_extra(self, run, wall, events) -> dict:
         """The liveness half of ``extra["exec"]`` — all a fail-fast
         report has; ``_merge`` adds the per-worker seconds."""
         extra = {
             "backend": self.name,
-            "workers": fleet.workers,
+            "workers": run.workers,
+            "spawns": run.spawns,
             "wall_seconds": wall,
             "heartbeat_seconds": self.heartbeat,
-            "heartbeat_checks": fleet.heartbeat_checks,
+            "heartbeat_checks": run.heartbeat_checks,
             "on_worker_death": self.on_worker_death,
-            "worker_deaths": len(fleet.deaths),
+            "worker_deaths": len(run.deaths),
         }
         if events:
             extra["worker_death_events"] = events
         return extra
 
     # ------------------------------------------------------------------
-    def _merge(self, engine, plan, fleet, entries, wall,
+    def _merge(self, engine, plan, run, entries, wall,
                redistribution=None) -> tuple[list[int], RunReport]:
         """Fold the run's entries — per-worker results plus any
         redistribution replays (machine-disjoint by construction) —
@@ -465,8 +564,8 @@ class ProcessBackend(Backend):
         ``DurableRun.fold`` over their UDF copies, plus this backend's
         wall-clock ``extra["exec"]`` block and the outcome of any real
         worker deaths."""
-        workers = fleet.workers
-        fleet.durable.fold({
+        workers = run.workers
+        run.durable.fold({
             machine: copy for entry in entries
             for machine, copy in (entry["udfs"] or {}).items()})
 
@@ -477,9 +576,9 @@ class ProcessBackend(Backend):
         for entry in entries:
             if entry["worker_id"] is not None:
                 busy[entry["worker_id"]] += entry["busy_seconds"]
-        death_events = fleet.death_events()
+        death_events = run.death_events()
         block = {
-            **self._exec_extra(fleet, wall, death_events),
+            **self._exec_extra(run, wall, death_events),
             "worker_busy_seconds": busy,
             # workers never wait on one another (no edge list travels);
             # the series stays because perfbench pairs it with busy
@@ -501,7 +600,7 @@ class ProcessBackend(Backend):
             report.failure.events = (
                 list(report.failure.events) + death_events
             )
-        elif fleet.reexecuted:
+        elif run.reexecuted:
             report.failure = worker_loss_summary(death_events,
                                                  recovered=True)
         # deaths that cost nothing (after every result was in) leave
@@ -513,6 +612,7 @@ class ProcessBackend(Backend):
         the report and the registry cannot disagree (a fail-fast block
         has no per-worker seconds to publish)."""
         scope.gauge(names.EXEC_WORKERS).set(block["workers"])
+        scope.counter(names.EXEC_SPAWNS).inc(block["spawns"])
         scope.gauge(names.EXEC_WALL_SECONDS).set(block["wall_seconds"])
         scope.gauge(names.EXEC_HEARTBEAT_INTERVAL).set(self.heartbeat)
         scope.counter(names.EXEC_HEARTBEAT_CHECKS).inc(

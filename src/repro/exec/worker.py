@@ -1,6 +1,10 @@
 """Worker-process entry point of the process backend.
 
-Each worker attaches the shared-memory graph, rebuilds its own
+A worker is resident: it belongs to a pooled fleet
+(:mod:`repro.exec.process`) and runs one :class:`~repro.exec.messages.Job`
+per run the fleet is leased for. For each job it attaches the graph
+(a store's mapping is kept between jobs, shared-memory segments are
+not), rebuilds its own
 deterministic view of the cluster (hash partitioning is pure, so every
 worker computes identical partitions), and runs the engine's one
 machine loop (``KhuzdulEngine.execute``) over the job plan it was
@@ -34,10 +38,12 @@ Result protocol on the worker's private result pipe
 
 After its RESULT a worker reads its command pipe: the parent may hand
 it ``RecoverAssignment`` work — replay a dead peer's machines from the
-ledger's cursors and UDF copies — until the parent releases the lane.
+ledger's cursors and UDF copies — then the next run's ``Job``, until
+the parent releases the lane.
 
-Every exit path closes the shared-memory mapping; the parent is the
-only side that ever unlinks the segments.
+A job's shared-memory mapping is closed when the job's result is
+sent, and every mapping on every exit path; the parent is the only
+side that ever unlinks the segments.
 """
 
 from __future__ import annotations
@@ -54,10 +60,11 @@ from repro.exec.messages import (
     ERROR,
     RECOVERY,
     RESULT,
+    Job,
     RecoverAssignment,
 )
 from repro.faults.durability import chaos_kill_threshold
-from repro.graph.csr import attach_csr
+from repro.graph.csr import MmapCsrHandle, attach_csr
 from repro.obs import Observability
 
 
@@ -66,16 +73,16 @@ class _DeltaSink:
     CKPT messages.
 
     Chaos-injection contract (benchmarks/chaos.py): a worker named by
-    ``REPRO_CHAOS=worker-kill:<wid>:<n>`` SIGKILLs itself after shipping
-    its n-th delta — a real mid-compute crash at a deterministic chunk
-    boundary.
+    ``REPRO_CHAOS=worker-kill:<wid>:<n>`` in its job's spec SIGKILLs
+    itself after shipping the job's n-th delta — a real mid-compute
+    crash at a deterministic chunk boundary.
     """
 
-    def __init__(self, worker_id: int, end) -> None:
+    def __init__(self, worker_id: int, end, kill_after: int) -> None:
         self.worker_id = worker_id
         self.end = end
         self.shipped = 0
-        self.kill_after = chaos_kill_threshold("worker-kill", worker_id)
+        self.kill_after = kill_after
 
     def __call__(self, machine: int, roots: int, matches: dict[int, int],
                  udf_state) -> None:
@@ -121,38 +128,91 @@ def hosted_run(graph, plan, udfs, hosted, obs_enabled, sink=None,
     }
 
 
-def worker_main(
-    end,
-    worker_id: int,
-    num_workers: int,
-    handle,
-    plan,
-    resume: dict,
-    udfs,
-    obs_enabled: bool,
-) -> None:
-    """Entry point of one fleet worker; ``end`` is its lane
-    (:class:`repro.exec.lane.WorkerEnd`)."""
-    shared = None
+class _Attachments:
+    """The graphs a resident worker runs its jobs against.
+
+    A store attachment (:class:`~repro.graph.csr.MmapCsrHandle`) is
+    kept between jobs, keyed by path and fingerprint, so the next job
+    on the same store finds its mapping and derived section warm; a
+    store rebuilt at the same path has another fingerprint and is
+    attached afresh. Shared-memory segments are attached for one job
+    only — the parent unlinks them after every run, and a mapping kept
+    here would hold their memory while the worker idles.
+    """
+
+    def __init__(self) -> None:
+        self._store = None  # ((path, fingerprint), SharedCsr)
+        self._segments = None  # this job's SharedCsr, if in memory
+
+    def graph(self, handle):
+        """``handle``'s graph; call :meth:`done` once the job is
+        through with it."""
+        if not isinstance(handle, MmapCsrHandle):
+            self._segments = attach_csr(handle)
+            return self._segments.graph
+        key = (handle.path, handle.fingerprint)
+        if self._store is None or self._store[0] != key:
+            self.close()
+            self._store = (key, attach_csr(handle))
+        return self._store[1].graph
+
+    def done(self) -> None:
+        """Drop the job's shared-memory segments (a store stays)."""
+        if self._segments is not None:
+            self._segments.close()
+            self._segments = None
+
+    def close(self) -> None:
+        self.done()
+        if self._store is not None:
+            self._store[1].close()
+            self._store = None
+
+
+def _hosted_job(attached, job, machines, udfs, resume, sink):
+    """One ``hosted_run`` of ``job`` on this worker, attached for it
+    (no reference to a segment-backed graph outlives the call, so its
+    mapping can close)."""
     try:
-        shared = attach_csr(handle)
-        hosted = set(machines_of(
-            worker_id, num_workers, plan.cluster_config.num_machines))
-        sink = _DeltaSink(worker_id, end)
-        end.send((RESULT, worker_id, hosted_run(
-            shared.graph, plan, udfs, hosted, obs_enabled, sink, resume)))
+        return hosted_run(attached.graph(job.handle), job.plan, udfs,
+                          set(machines), job.obs_enabled, sink, resume)
+    finally:
+        attached.done()
+
+
+def worker_main(end, worker_id: int, num_workers: int) -> None:
+    """Entry point of one resident fleet worker; ``end`` is its lane
+    (:class:`repro.exec.lane.WorkerEnd`).
+
+    A command loop: a :class:`~repro.exec.messages.Job` runs this
+    worker's machines of it and answers ``RESULT``; a
+    ``RecoverAssignment`` replays a dead peer's machines of the
+    current job and answers ``RECOVERY``; the lane's release ends the
+    loop and the process."""
+    attached = _Attachments()
+    job = sink = None
+    try:
         for command in end.commands():
-            if not isinstance(command, RecoverAssignment):
+            if isinstance(command, Job):
+                job = command
+                end.arm(chaos_kill_threshold(
+                    "worker-kill-midsend", worker_id, job.chaos))
+                sink = _DeltaSink(worker_id, end, chaos_kill_threshold(
+                    "worker-kill", worker_id, job.chaos))
+                hosted = machines_of(worker_id, num_workers,
+                                     job.plan.cluster_config.num_machines)
+                end.send((RESULT, worker_id, _hosted_job(
+                    attached, job, hosted, job.udfs, job.resume, sink)))
+            elif isinstance(command, RecoverAssignment) and job is not None:
+                end.send((RECOVERY, worker_id, _hosted_job(
+                    attached, job, command.machines, command.udfs,
+                    command.resume, sink)))
+            else:
                 raise RuntimeError(
                     f"worker {worker_id}: unexpected command {command!r}")
-            end.send((RECOVERY, worker_id, hosted_run(
-                shared.graph, plan, command.udfs, set(command.machines),
-                obs_enabled, sink, command.resume,
-            )))
     except BrokenPipeError:
         raise  # the parent stopped listening; the lane exits quietly
     except BaseException:
         end.send((ERROR, worker_id, traceback.format_exc()))
     finally:
-        if shared is not None:
-            shared.close()
+        attached.close()

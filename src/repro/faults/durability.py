@@ -148,12 +148,15 @@ def _write_atomic(path: str, payload: str) -> None:
     os.replace(tmp, path)
 
 
-def chaos_kill_threshold(kind: str, who=None) -> int:
+def chaos_kill_threshold(kind: str, who=None, spec=None) -> int:
     """``n`` of ``REPRO_CHAOS=<kind>[:<who>]:<n>`` when the spec names
     this caller — a worker id, a query id — else 0. For the kill kinds
     ``n`` is the event to die at; ``query-sleep`` reads it as
-    milliseconds."""
-    *target, count = os.environ.get(CHAOS_ENV, "").split(":")
+    milliseconds. ``spec`` is a value of ``REPRO_CHAOS`` read earlier
+    (a resident worker gets its job's); ``None`` reads it now."""
+    if spec is None:
+        spec = os.environ.get(CHAOS_ENV, "")
+    *target, count = spec.split(":")
     if target != ([kind] if who is None else [kind, str(who)]):
         return 0
     try:

@@ -18,18 +18,21 @@ mapped segments; nothing is copied on the worker side.
 Lifecycle contract: the *parent* creates the segments and is the only
 side that may :func:`unlink <SharedCsr.unlink>` them; workers attach
 with :func:`attach_csr` and close their mapping when done. Attachment
-opts out of :mod:`multiprocessing.resource_tracker` registration where
-Python supports it (``track=False``, >= 3.13). On older Pythons the
-attach-side registration is deliberately left alone: workers are
-*children* of the creating process and share its resource tracker, so
-their register is a set-level no-op — while an explicit unregister
-would strip the parent's own registration and make the parent's later
-``unlink()`` trip the tracker (the flip side of bpo-39959, which only
-bites *unrelated* attaching processes).
+never registers with :mod:`multiprocessing.resource_tracker`
+(``track=False`` on Python >= 3.13; on older Pythons, whose
+``SharedMemory`` registers every attachment, :func:`attach_segment`
+maps the segment itself). Only the creator's registration exists, so
+an attacher has no tracker to talk to: a resident worker (forked
+before the parent's first export, or holding no copy of the parent's
+tracker pipe, :mod:`repro.exec.lane`) never starts a tracker of its own
+that would unlink the parent's segments when the worker dies, and an
+unregister can never strip the parent's own registration (the flip
+side of bpo-39959).
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
 import time
@@ -84,14 +87,35 @@ def create_segment(nbytes: int) -> shared_memory.SharedMemory:
     )
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
+class _UntrackedSegment:
+    """An attached segment, as ``SharedMemory(name, track=False)`` is on
+    Python >= 3.13: mapped read-write, ``buf`` and ``close`` only."""
+
+    def __init__(self, name: str):
+        from _posixshmem import shm_open
+
+        fd = shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)  # the mapping holds its own reference
+        self.name = name
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        if self.buf is not None:
+            self.buf.release()  # BufferError while views are alive
+            self.buf = None
+            self._mmap.close()
+
+
+def attach_segment(name: str):
     """Attach a segment by name without resource-tracker registration
     (see the module docstring for why attachers must not register)."""
     try:
         return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track kwarg; registration is
-        # a no-op here because workers share the parent's tracker
-        return shared_memory.SharedMemory(name=name)
+    except TypeError:  # Python < 3.13: no track kwarg
+        return _UntrackedSegment(name)
 
 
 @dataclass(frozen=True)

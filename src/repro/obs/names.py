@@ -119,6 +119,7 @@ CHECKPOINT_RESUMED_ROOTS = "checkpoint.resumed_roots"
 # execution backends (docs/execution.md) — wall-clock, not simulated
 # ---------------------------------------------------------------------
 EXEC_WORKERS = "exec.workers"
+EXEC_SPAWNS = "exec.spawns"
 EXEC_WALL_SECONDS = "exec.wall_seconds"
 EXEC_WORKER_BUSY_SECONDS = "exec.worker_busy_seconds"
 EXEC_WORKER_WAIT_SECONDS = "exec.worker_wait_seconds"
@@ -286,7 +287,10 @@ SPECS: dict[str, MetricSpec] = dict(
               "root vertices skipped by a resumed run because the "
               "checkpoint log already covered them"),
         _spec(EXEC_WORKERS, "gauge", "processes", "docs/execution.md",
-              "worker processes spawned by the process backend"),
+              "worker processes of the fleet the run leased"),
+        _spec(EXEC_SPAWNS, "counter", "processes", "docs/execution.md",
+              "worker processes the run spawned: the fleet's size for "
+              "a new fleet, 0 for one reused from the pool"),
         _spec(EXEC_WALL_SECONDS, "gauge", "seconds", "docs/execution.md",
               "wall-clock duration of the whole backend execution"),
         _spec(EXEC_WORKER_BUSY_SECONDS, "counter", "seconds",

@@ -12,6 +12,7 @@ import pytest
 from repro.analysis import count_embeddings_brute_force
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.exec import shutdown
 from repro.graph import Graph
 from repro.graph.graph import DERIVED
 from repro.graph.generators import (
@@ -22,6 +23,19 @@ from repro.graph.generators import (
     random_labels,
     star_graph,
 )
+
+
+@pytest.fixture(autouse=True)
+def _no_idle_fleets():
+    """Every test starts and ends with an empty process-backend pool
+    (docs/execution.md, "Worker topology"). An idle fleet runs the code
+    and class attributes it was forked with: a test that monkeypatches
+    ``repro.exec.process.worker_main``, or a budget such as
+    ``Graph.DENSE_ADJACENCY_BYTES``, must get fresh workers, and forked
+    workers must not pile up the memory of a whole session."""
+    shutdown()
+    yield
+    shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -24,9 +24,16 @@ from repro.core import EngineConfig
 from repro.core.engine import KhuzdulEngine
 from repro.core.scheduler import MachineScheduler
 from repro.errors import ConfigurationError
-from repro.exec import BACKENDS, InlineBackend, ProcessBackend, make_backend
+from repro.exec import (
+    BACKENDS,
+    InlineBackend,
+    ProcessBackend,
+    make_backend,
+    shutdown,
+)
 from repro.exec import lane as lane_mod
-from repro.exec.lane import Lane
+from repro.exec import process as process_mod
+from repro.exec.lane import Lane, resolve_start_method
 from repro.exec.messages import RESULT
 from repro.exec.worker import hosted_run, worker_main
 from repro.faults import FaultPlan
@@ -46,16 +53,32 @@ def _mico():
     return dataset("mico", scale=0.3)
 
 
-def _assert_no_stray_children():
-    """Every worker process must be reaped when execute() returns."""
+def _live_workers():
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-exec-")]
+
+
+def _pooled_pids() -> dict:
+    """``{(workers, start method): [pid, ...]}`` of the idle fleets."""
+    return {key: [lane.process.pid for lane in fleet.lanes]
+            for key, fleet in process_mod._idle.items()}
+
+
+def _assert_only_pooled_workers():
+    """Every live worker process belongs to an idle pooled fleet once
+    execute() returns, and none outlives ``shutdown()``."""
+    pooled = {pid for pids in _pooled_pids().values() for pid in pids}
     deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        stray = [p for p in multiprocessing.active_children()
-                 if p.name.startswith("repro-exec-")]
+    while True:
+        stray = [p for p in _live_workers() if p.pid not in pooled]
         if not stray:
-            return
+            break
+        if time.monotonic() > deadline:
+            raise AssertionError(f"worker processes leaked: {stray}")
         time.sleep(0.05)
-    raise AssertionError(f"worker processes leaked: {stray}")
+    shutdown()
+    assert not _live_workers()
+
 
 
 # ======================================================================
@@ -165,7 +188,7 @@ def test_triangle_counts_identical(workers, comparable):
     assert got.extra["exec"]["workers"] == min(workers, 4)
     # ... and so is everything else the report says
     assert comparable(got) == comparable(expected)
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
 
 
 @pytest.mark.parametrize("counting", ["enumerate", "iep"])
@@ -187,7 +210,7 @@ def test_motif_census_identical(workers, counting, comparable):
     assert got.counts == expected.counts
     assert got.simulated_seconds == expected.simulated_seconds
     assert comparable(got) == comparable(expected)
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
 
 
 def test_collector_udf_merges_across_workers(comparable):
@@ -202,7 +225,7 @@ def test_collector_udf_merges_across_workers(comparable):
         got, report = other.mni_supports(patterns)
         assert got == expected
         assert comparable(report) == comparable(expected_report)
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
 
 
 def test_worker_count_is_clamped_to_machines():
@@ -226,7 +249,7 @@ def test_spawn_start_method_matches_inline(comparable):
         backend=ProcessBackend(workers=2, start_method="spawn"))
     assert comparable(proc.count_pattern(catalog.clique(3))) == \
         comparable(inline.count_pattern(catalog.clique(3)))
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
 
 
 def test_metrics_merge_matches_inline():
@@ -310,7 +333,7 @@ def test_cli_process_backend(capsys):
     out = capsys.readouterr().out
     assert "backend=process" in out
     assert "count=" in out
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
     # the retired knob is argparse's own "unrecognized arguments"
     with pytest.raises(SystemExit) as excinfo:
         main(["count", "--graph", "mico", "--backend", "process",
@@ -377,7 +400,7 @@ def test_worker_death_fails_fast_with_structured_report(monkeypatch):
     assert exec_extra["on_worker_death"] == "fail"
     assert exec_extra["worker_deaths"] >= 1
     assert exec_extra["heartbeat_checks"] >= 1
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
 
 
 @exec_faults
@@ -406,7 +429,7 @@ def test_worker_death_recovery_matches_inline(monkeypatch):
     assert {e["worker"] for e in deaths} >= {1}
     assert all(e["reexecuted"] for e in deaths)
     assert report.extra["exec"]["worker_deaths"] >= 1
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
 
 
 def _mined(backend=None):
@@ -442,7 +465,7 @@ def test_fsm_worker_kill_recovers_every_support(monkeypatch, workers,
     assert len(expected.frequent) == 4
     assert got.frequent == expected.frequent
     assert got.all_supports == expected.all_supports
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
 
 
 # ----------------------------------------------------------------------
@@ -580,19 +603,29 @@ def _open_fds():
 @exec_faults
 @_FORK_ONLY
 def test_no_fd_growth_across_fleets_and_respawns():
-    # pipe ends are what a lane can leak: twenty fleets and ten
-    # kill-and-respawn cycles of a two-worker service must leave the
-    # process with exactly the descriptors it started with
+    # pipe ends are what a lane can leak: ten retired fleets, ten runs
+    # on one resident fleet and ten kill-and-respawn cycles of a
+    # two-worker service must leave the process with exactly the
+    # descriptors it started with
     from repro.service import MiningServer, ServiceClient, ServiceConfig
 
     graph = dataset("mico", scale=0.05)
     system = KAutomine(graph, _CLUSTER, graph_name="mico",
                        backend=ProcessBackend(workers=3))
     expected = system.count_pattern(catalog.clique(3)).counts  # warm-up:
-    # the first segment starts multiprocessing's resource tracker
+    # the first fleet starts multiprocessing's resource tracker
+    shutdown()
     baseline = _open_fds()
-    for _ in range(20):
+    for _ in range(10):  # ten fleets, each spawned and retired
         assert system.count_pattern(catalog.clique(3)).counts == expected
+        shutdown()
+    assert _open_fds() == baseline
+    assert system.count_pattern(catalog.clique(3)).counts == expected
+    pooled = _open_fds()
+    for _ in range(10):  # ten runs on one resident fleet
+        assert system.count_pattern(catalog.clique(3)).counts == expected
+    assert _open_fds() == pooled
+    shutdown()
     assert _open_fds() == baseline
 
     server = MiningServer(ServiceConfig(
@@ -827,7 +860,7 @@ def test_worker_that_dies_after_its_result_is_not_a_loss(
     assert report.counts == expected.counts
     assert report.simulated_seconds == expected.simulated_seconds
     assert comparable(report) == comparable(expected)
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
     assert not chaos.owned_segments(os.getpid())
 
 
@@ -855,7 +888,7 @@ def test_fail_fast_crash_keeps_buffered_checkpoints(tmp_path, monkeypatch):
     # never reached the cadence: the flush on exit wrote these
     assert crashed.extra["checkpoint"]["flushes"] == 1
     assert crashed.extra["checkpoint"]["records"] > 0
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
 
     monkeypatch.delenv("REPRO_CHAOS")
     resumed = system(None, resume=True).count_pattern(catalog.clique(3))
@@ -932,16 +965,22 @@ def test_only_the_ledger_builds_resume_maps_and_udf_copies():
                            None) != "dict", where
 
 
-def _segment_auditing_worker_main(end, worker_id, num_workers, handle,
-                                  *args):
-    """Drop-in worker entry point that dies (so the run reports
-    ``CRASHED``) unless the fleet's parent owns exactly the graph's
-    segments while its workers run."""
+def _segment_auditing_worker_main(end, worker_id, *args):
+    """Drop-in worker entry point that fails its job (so the run
+    reports ``CRASHED``) unless the fleet's parent owns exactly the
+    graph's segments when the job reaches the worker."""
     from benchmarks import chaos
 
-    owned = chaos.owned_segments(os.getppid())
-    assert owned == sorted(handle.segment_names()), owned
-    return worker_main(end, worker_id, num_workers, handle, *args)
+    commands = end.commands
+
+    def audited():
+        for job in commands():
+            owned = chaos.owned_segments(os.getppid())
+            assert owned == sorted(job.handle.segment_names()), owned
+            yield job
+
+    end.commands = audited
+    return worker_main(end, worker_id, *args)
 
 
 @_FORK_ONLY
@@ -954,5 +993,203 @@ def test_a_fleet_owns_the_graph_segments_and_nothing_else(
                      backend=ProcessBackend(workers=3, start_method="fork"))
     report = proc.count_pattern(catalog.clique(3))
     assert report.failure is None, report.failure.message
-    _assert_no_stray_children()
+    _assert_only_pooled_workers()
     assert not chaos.owned_segments(os.getpid())
+
+
+# ======================================================================
+# resident fleets: the pool's lease and return rule (docs/execution.md,
+# "Worker topology")
+# ======================================================================
+def _tiny_count(backend, graph=None):
+    graph = graph if graph is not None else dataset("mico", scale=0.05)
+    return KAutomine(graph, _CLUSTER, graph_name="mico",
+                     backend=backend).count_pattern(catalog.clique(3))
+
+
+def test_a_fleet_serves_every_later_run_of_its_shape(comparable):
+    method = resolve_start_method(None)
+    first = _tiny_count(ProcessBackend(workers=2))
+    assert first.extra["exec"]["spawns"] == 2
+    pids = _pooled_pids()
+    assert list(pids) == [(2, method)]
+    second = _tiny_count(ProcessBackend(workers=2))
+    assert second.extra["exec"]["spawns"] == 0
+    assert _pooled_pids() == pids
+    assert comparable(second) == comparable(first)
+    # another shape is another fleet; the first stays parked
+    third = _tiny_count(ProcessBackend(workers=3))
+    assert third.extra["exec"]["spawns"] == 3
+    assert third.counts == first.counts
+    pooled = _pooled_pids()
+    assert pooled[(2, method)] == pids[(2, method)]
+    assert len(pooled[(3, method)]) == 3
+    assert not set(pooled[(3, method)]) & set(pids[(2, method)])
+    _assert_only_pooled_workers()
+
+
+def test_the_spawn_start_method_reuses_its_fleet_too():
+    backend = ProcessBackend(workers=2, start_method="spawn")
+    first = _tiny_count(backend)
+    pids = _pooled_pids()
+    assert list(pids) == [(2, "spawn")]
+    second = _tiny_count(backend)
+    assert second.extra["exec"]["spawns"] == 0
+    assert _pooled_pids() == pids
+    assert second.counts == first.counts
+    _assert_only_pooled_workers()
+
+
+@exec_faults
+@pytest.mark.parametrize("chaos", ["worker-kill:1:1",
+                                   "worker-kill-midsend:1:1"])
+@pytest.mark.parametrize("policy", ["fail", "recover"])
+def test_a_failed_run_stops_its_fleet(monkeypatch, chaos, policy):
+    # the chaos spec is set only after the fleet exists: the parent
+    # reads it per run and hands it to the job, so it still fires
+    expected = _tiny_count(ProcessBackend(workers=2))
+    assert len(_live_workers()) == 2
+    monkeypatch.setenv("REPRO_CHAOS", chaos)
+    report = _tiny_count(ProcessBackend(
+        workers=2, heartbeat=0.2, on_worker_death=policy))
+    assert report.extra["exec"]["spawns"] == 0
+    if policy == "fail":
+        assert report.outcome == "CRASHED"
+    else:
+        assert report.outcome == "RECOVERED"
+        assert report.counts == expected.counts
+    assert not _pooled_pids()
+    assert not _live_workers()
+
+
+def _hanging_worker_main(end, worker_id, *args):
+    """Drop-in worker entry point that sleeps through its run."""
+    time.sleep(30.0)
+    return worker_main(end, worker_id, *args)
+
+
+@exec_faults
+@_FORK_ONLY
+def test_a_timed_out_run_stops_its_fleet(monkeypatch):
+    monkeypatch.setattr("repro.exec.process.worker_main",
+                        _hanging_worker_main)
+    started = time.monotonic()
+    report = _tiny_count(ProcessBackend(workers=2, timeout=0.5,
+                                        heartbeat=0.1))
+    assert report.outcome == "TIMEOUT"
+    assert time.monotonic() - started < 30.0
+    assert not _pooled_pids()
+    assert not _live_workers()
+
+
+def test_concurrent_runs_lease_separate_fleets():
+    import threading
+
+    graph = dataset("mico", scale=0.05)
+    expected = KAutomine(graph, _CLUSTER, graph_name="mico") \
+        .count_pattern(catalog.clique(3)).counts
+    counts: dict[int, list] = {0: [], 1: []}
+
+    def client(index):
+        for _ in range(3):
+            counts[index].append(
+                _tiny_count(ProcessBackend(workers=2), graph).counts)
+
+    threads = [threading.Thread(target=client, args=(index,))
+               for index in counts]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert counts == {0: [expected] * 3, 1: [expected] * 3}
+    # the fleet returned second is stopped: one idle fleet a shape
+    assert [len(pids) for pids in _pooled_pids().values()] == [2]
+    _assert_only_pooled_workers()
+
+
+def test_a_store_rebuilt_in_place_is_attached_afresh(tmp_path):
+    from repro.graph.storage import open_store, write_store
+
+    path = tmp_path / "graph.kcsr"
+    backend = ProcessBackend(workers=2)
+    write_store(dataset("mico", scale=0.05), path)
+    before = _tiny_count(backend, open_store(path))
+    bigger = dataset("mico", scale=0.1)
+    write_store(bigger, path)  # same path, other content
+    after = _tiny_count(backend, open_store(path))
+    assert after.extra["exec"]["spawns"] == 0
+    assert after.counts != before.counts
+    assert after.counts == KAutomine(bigger, _CLUSTER, graph_name="mico") \
+        .count_pattern(catalog.clique(3)).counts
+    _assert_only_pooled_workers()
+
+
+def _alive(pid: int) -> bool:
+    """A process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b")", 1)[1].split()[0] != b"Z"
+    except (OSError, IndexError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads worker liveness from procfs")
+def test_an_exiting_interpreter_releases_its_idle_fleet():
+    program = (
+        "import json\n"
+        "from repro.cluster import ClusterConfig\n"
+        "from repro.exec import ProcessBackend, process\n"
+        "from repro.graph import dataset\n"
+        "from repro.patterns import catalog\n"
+        "from repro.systems import KAutomine\n"
+        "KAutomine(dataset('mico', scale=0.05), ClusterConfig(4),\n"
+        "          backend=ProcessBackend(workers=2))"
+        ".count_pattern(catalog.clique(3))\n"
+        "print(json.dumps([lane.process.pid for fleet in"
+        " process._idle.values() for lane in fleet.lanes]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop("REPRO_CHAOS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True,
+        env=env, timeout=120,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert proc.returncode == 0, proc.stderr
+    pids = _json.loads(proc.stdout)
+    assert len(pids) == 2
+    deadline = time.monotonic() + 2.0
+    while any(_alive(pid) for pid in pids):
+        assert time.monotonic() < deadline, [
+            pid for pid in pids if _alive(pid)]
+        time.sleep(0.05)
+
+
+def test_an_idle_fleet_does_not_keep_the_resource_tracker_alive():
+    # perfbench stops multiprocessing's resource tracker and waits for
+    # it before printing a result; a worker holding the tracker's pipe
+    # made that wait endless. The 3-worker fleet is forked after the
+    # 2-worker run's export started the tracker, so it inherits a copy
+    program = (
+        "from multiprocessing import resource_tracker\n"
+        "from repro.cluster import ClusterConfig\n"
+        "from repro.exec import ProcessBackend\n"
+        "from repro.graph import dataset\n"
+        "from repro.patterns import catalog\n"
+        "from repro.systems import KAutomine\n"
+        "graph = dataset('mico', scale=0.05)\n"
+        "for workers in (2, 3):\n"
+        "    KAutomine(graph, ClusterConfig(4),\n"
+        "              backend=ProcessBackend(workers=workers))"
+        ".count_pattern(catalog.clique(3))\n"
+        "resource_tracker._resource_tracker._stop()\n"
+        "print('stopped')\n"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop("REPRO_CHAOS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True,
+        env=env, timeout=120,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "stopped"
