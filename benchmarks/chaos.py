@@ -21,7 +21,11 @@ asserts the durability contract of docs/faults.md end to end:
   (docs/execution.md, "Real-process failure semantics"): ``RECOVERED``
   with exact counts under ``recover``, ``CRASHED`` ahead of the
   heartbeat under ``fail``, and the process that ran it exits leaving
-  no child and no shared-memory segment behind.
+  no child behind;
+- a SIGKILLed parent or mining server leaves no shared-memory segment
+  and nothing to reap: the graph's store (docs/storage.md) is what it
+  leaves, and the next run or server maps that same store, writing no
+  new file, to the clean oracle's counts.
 
 Kill points are seed-deterministic, not timing races: the
 ``REPRO_CHAOS`` environment hooks (``parent-kill:<n>``,
@@ -68,18 +72,20 @@ FSM_JOB = ("fsm", "--graph", "mico", "--scale", "0.3", "--threshold", "25",
 CLI_TIMEOUT = 240
 
 
-def _env(chaos=None):
-    """The subprocess environment: in-tree sources, and only the chaos
-    hook the scenario asks for."""
+def _env(chaos=None, stores=None):
+    """The subprocess environment: in-tree sources, only the chaos hook
+    the scenario asks for, and its own store directory if given."""
     env = {**os.environ, "PYTHONPATH": "src"}
     env.pop("REPRO_CHAOS", None)
     if chaos:
         env["REPRO_CHAOS"] = chaos
+    if stores is not None:
+        env["REPRO_STORE_DIR"] = str(stores)
     return env
 
 
 def run_cli(extra, chaos=None, check=True, timeout=CLI_TIMEOUT,
-            job=("count", *JOB)):
+            job=("count", *JOB), stores=None):
     """One ``python -m repro`` run of a chaos job (the ``count`` one by
     default), in a process group of its own (``proc.pid`` leads it) so
     that whatever it leaves behind can be found afterwards."""
@@ -87,7 +93,8 @@ def run_cli(extra, chaos=None, check=True, timeout=CLI_TIMEOUT,
             "--metrics", "json", *extra]
     with subprocess.Popen(
         args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=_env(chaos), cwd=str(REPO_ROOT), start_new_session=True,
+        env=_env(chaos, stores), cwd=str(REPO_ROOT),
+        start_new_session=True,
     ) as child:
         try:
             out, err = child.communicate(timeout=timeout)
@@ -136,22 +143,26 @@ def _alive_in_group(pgid):
     return alive
 
 
-def owned_segments(pid):
-    """Names of the shared-memory segments process ``pid`` created and
-    has not unlinked (a segment's name carries its creator's pid)."""
-    return sorted(path.name
-                  for path in Path("/dev/shm").glob(f"repro_{pid:x}_*"))
+def segments():
+    """Names of every ``/dev/shm/repro_*`` entry: there must be none,
+    since a graph reaches workers as a store file (docs/storage.md)."""
+    return sorted(path.name for path in Path("/dev/shm").glob("repro_*"))
+
+
+def store_files(directory):
+    """The files of a store directory (stores and derived sections)."""
+    return sorted(path.name for path in Path(directory).iterdir())
 
 
 def assert_nothing_left(proc):
     """The finished run left no process (orphans keep its process
     group) and no shared-memory segment."""
     deadline = time.monotonic() + 5.0
-    while _alive_in_group(proc.pid):  # its resource tracker exits last
+    while _alive_in_group(proc.pid):
         assert time.monotonic() < deadline, (
             f"run {proc.pid} left {_alive_in_group(proc.pid)} behind")
         time.sleep(0.02)
-    leaked = owned_segments(proc.pid)
+    leaked = segments()
     assert not leaked, f"segments leaked: {leaked}"
 
 
@@ -208,25 +219,25 @@ def scenario_parent_kill_resume_kill(oracle, directory):
 
 
 def scenario_parent_kill_process_backend(oracle, directory):
-    """SIGKILL the whole process-backend fleet's parent; resume reaps
-    the leaked shared-memory segments and finishes the counts."""
-    killed = run_cli(
-        ["--checkpoint-dir", directory, "--backend", "process",
-         "--workers", "2"],
-        chaos="parent-kill:2", check=False)
+    """SIGKILL the whole process-backend fleet's parent: it leaves no
+    segment, and the resume maps the store it left to the oracle's
+    counts, writing no new file."""
+    checkpoints = ["--checkpoint-dir", os.path.join(directory, "ckpt")]
+    process = ["--backend", "process", "--workers", "2"]
+    stores = Path(directory) / "stores"
+    killed = run_cli([*checkpoints, *process], chaos="parent-kill:2",
+                     check=False, stores=stores)
     _assert_killed(killed)
-    ledger = Path(directory) / "shm.json"
-    assert ledger.exists(), "killed parent should leave its shm ledger"
-    leaked = json.loads(ledger.read_text())["segments"]
-    resumed = report_of(run_cli(
-        ["--checkpoint-dir", directory, "--backend", "process",
-         "--workers", "2", "--resume"]))
+    assert not segments(), f"segments after SIGKILL: {segments()}"
+    left = store_files(stores)
+    assert left, "the killed run should have shared its graph's store"
+    resumed = report_of(run_cli([*checkpoints, *process, "--resume"],
+                                stores=stores))
     assert resumed["counts"] == oracle["counts"], (
         resumed["counts"], oracle["counts"])
-    assert not ledger.exists(), "clean exit should clear the ledger"
-    still_alive = [name for name in leaked
-                   if os.path.exists(f"/dev/shm/{name}")]
-    assert not still_alive, f"segments leaked: {still_alive}"
+    assert resumed["extra"]["checkpoint"]["resumed_roots"] > 0
+    assert store_files(stores) == left, (store_files(stores), left)
+    assert not segments(), f"segments leaked: {segments()}"
 
 
 def scenario_worker_kill_redistributes(oracle, workers):
@@ -307,16 +318,16 @@ def scenario_worker_torn_message(oracle, workers, kind, which,
     assert_nothing_left(proc)
 
 
-def scenario_serve_sigkill_reaps_segments(directory):
-    """SIGKILL a resident mining server mid-session; its shm ledger
-    must survive, and the next server started with the same
-    ``--checkpoint-dir`` must reap the leaked segments and serve
-    queries normally (docs/service.md)."""
-    env = _env()
+def scenario_serve_sigkill_leaves_nothing_to_reap(directory):
+    """SIGKILL a resident mining server mid-session: it leaves no
+    segment, and the next server maps the store it left — no new file
+    in the store directory — and answers what the one-shot CLI does
+    (docs/service.md)."""
+    stores = Path(directory) / "stores"
+    env = _env(stores=stores)
     args = [sys.executable, "-m", "repro", "serve", "--graph", "mico",
             "--scale", "0.05", "--machines", "2", "--cores", "2",
-            "--workers", "1", "--checkpoint-dir", directory,
-            "--metrics", "json"]
+            "--workers", "1", "--metrics", "json"]
     proc = subprocess.Popen(
         args, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, env=env, cwd=str(REPO_ROOT),
@@ -324,19 +335,28 @@ def scenario_serve_sigkill_reaps_segments(directory):
     try:
         hello = json.loads(proc.stdout.readline())
         assert hello["service"] == "ready", hello
+        # one query first, killed once the worker has mapped the store
+        # and written its derived section (the CLI prints a report only
+        # when the next line or EOF arrives, so its file is the signal)
+        proc.stdin.write('{"id": "before", "app": "triangle"}\n')
+        proc.stdin.flush()
+        deadline = time.monotonic() + CLI_TIMEOUT
+        while not list(stores.glob("*.derived")):
+            assert time.monotonic() < deadline, store_files(stores)
+            time.sleep(0.02)
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
     finally:
         if proc.poll() is None:  # pragma: no cover - defensive
             proc.kill()
+        proc.stdin.close()
+        proc.stdout.close()
+        proc.stderr.close()
     _assert_killed(proc)
-    ledger = Path(directory) / "shm.json"
-    assert ledger.exists(), "SIGKILLed server should leave its shm ledger"
-    leaked = json.loads(ledger.read_text())["segments"]
-    assert leaked, "a 1-worker server must have exported shm segments"
+    assert not segments(), f"segments after SIGKILL: {segments()}"
+    left = store_files(stores)
+    assert left, "a 1-worker server must have shared its graph's store"
 
-    # a restarted server with the same checkpoint dir reaps the leak
-    # before loading its own graph, then serves normally
     second = subprocess.run(
         args, input='{"id": "after", "app": "triangle"}\n',
         capture_output=True, text=True, env=env, cwd=str(REPO_ROOT),
@@ -351,11 +371,14 @@ def scenario_serve_sigkill_reaps_segments(directory):
     ]
     assert hello2["service"] == "ready"
     assert report["id"] == "after" and report["outcome"] == "OK"
+    oracle = report_of(run_cli([], job=(
+        "triangle", "--graph", "mico", "--scale", "0.05",
+        "--machines", "2", "--cores", "2")))
+    assert report["counts"] == oracle["counts"], (
+        report["counts"], oracle["counts"])
     assert summary["ok"] == 1, summary
-    assert not ledger.exists(), "clean shutdown should clear the ledger"
-    still_alive = [name for name in leaked
-                   if os.path.exists(f"/dev/shm/{name}")]
-    assert not still_alive, f"segments leaked: {still_alive}"
+    assert store_files(stores) == left, (store_files(stores), left)
+    assert not segments(), f"segments leaked: {segments()}"
 
 
 # ---------------------------------------------------------------------
@@ -408,5 +431,5 @@ def test_chaos_worker_torn_message(oracle, workers, kind, which, policy):
     scenario_worker_torn_message(oracle, workers, kind, which, policy)
 
 
-def test_chaos_serve_sigkill_reaps_segments(tmp_path):
-    scenario_serve_sigkill_reaps_segments(str(tmp_path))
+def test_chaos_serve_sigkill_leaves_nothing_to_reap(tmp_path):
+    scenario_serve_sigkill_leaves_nothing_to_reap(str(tmp_path))

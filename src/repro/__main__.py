@@ -176,7 +176,8 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
         "--backend", default="inline", choices=list(BACKENDS),
         help="execution backend: 'inline' is the single-process "
              "simulated path, 'process' runs one OS process per group "
-             "of simulated machines over a shared-memory graph; counts "
+             "of simulated machines, each mapping the graph's store "
+             "file (docs/storage.md); counts "
              "are bit-identical either way (docs/execution.md)",
     )
     parser.add_argument(

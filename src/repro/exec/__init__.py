@@ -5,10 +5,10 @@ backend only chooses *where* the per-machine schedulers run:
 
 - ``inline`` (default): every machine's scheduler in the calling
   process.
-- ``process``: one OS process per group of simulated machines, the
-  whole graph shared zero-copy through
-  ``multiprocessing.shared_memory`` (or the ``.kcsr`` store file), so
-  no edge list crosses a process boundary. Its worker fleets are
+- ``process``: one OS process per group of simulated machines, each
+  mapping the whole graph from one ``.kcsr`` store file (a RAM graph
+  is written as one once, :mod:`repro.graph.csr`), so no edge list
+  crosses a process boundary. Its worker fleets are
   resident: a fleet that finished a run cleanly waits in a
   process-wide pool for the next run of its shape, and
   :func:`shutdown` (also run at interpreter exit) releases them.

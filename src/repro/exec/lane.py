@@ -140,11 +140,13 @@ class WorkerEnd:
 def _release_resource_tracker() -> None:
     """Close this child's copy of the parent's resource-tracker pipe.
 
-    The tracker exits at EOF on that pipe, and a resident worker would
-    hold it open for as long as it idles, so a parent that stops its
-    tracker and waits for it would wait on its own idle workers. A
-    worker never needs it: attachments do not register
-    (:func:`repro.graph.csr.attach_segment`)."""
+    ``spawn`` starts the tracker and hands every child its fd (a
+    ``fork`` child inherits it where the parent had one). The tracker
+    exits at EOF on that pipe, and a resident worker would hold it open
+    for as long as it idles, so a parent that stops its tracker and
+    waits for it would wait on its own idle workers. A worker never
+    needs it: it registers nothing, mapping the graph from a store
+    file (:mod:`repro.graph.csr`)."""
     tracker = resource_tracker._resource_tracker
     fd, tracker._fd, tracker._pid = tracker._fd, None, None
     if fd is not None:

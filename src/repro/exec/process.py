@@ -2,8 +2,10 @@
 
 Execution plan (docs/execution.md):
 
-1. Export the graph's CSR arrays into shared memory once
-   (:mod:`repro.graph.csr`) — workers map them zero-copy.
+1. Share the graph by store path (:mod:`repro.graph.csr`): a store
+   is its own medium, and a RAM graph is written as a
+   content-addressed store once and reused — workers map it, and keep
+   the mapping and its derived section from job to job.
 2. Lease a resident fleet from the process-wide pool, one idle fleet
    per ``(workers, start method)``, or spawn one: a supervised
    :class:`~repro.exec.lane.Lane` per worker, each running
@@ -29,18 +31,14 @@ Execution plan (docs/execution.md):
 4. Hand the fleet back to the pool if every worker sent its RESULT
    and none died; any other ending (CRASHED, TIMEOUT, RECOVERED, an
    exception) stops its lanes. Idle fleets are released and joined
-   by :func:`shutdown`, which runs at interpreter exit. The graph's
-   shared-memory segments are unlinked after every run, on every
-   exit path — including SIGINT/SIGTERM and interpreter exit, via
-   chained signal handlers and an ``atexit`` hook registered for the
-   duration of the run.
+   by :func:`shutdown`, which runs at interpreter exit. A run
+   creates nothing it must remove: the store outlives it, so neither
+   a signal nor a SIGKILL leaves anything to reap.
 
 Durability (docs/faults.md): workers ship one ``CKPT`` delta per
 completed root chunk, with their machine's UDF state, to the parent's
 one progress ledger (:class:`~repro.faults.durability.DurableRun`,
-durable with ``checkpoint_dir`` set), which starts every machine. A
-``shm.json`` ledger of live segment names lets a resumed run reap
-segments leaked by a SIGKILLed parent.
+durable with ``checkpoint_dir`` set), which starts every machine.
 5. Merge (:func:`merge_reports`): worker metric/span dumps are
    absorbed into the parent observability bundle beside the
    wall-clock ``exec.*`` metrics, and the workers' partials go through
@@ -83,7 +81,6 @@ from repro.exec.messages import (
     Job,
     RecoverAssignment,
 )
-from repro.exec.janitor import install_janitor, remove_janitor
 from repro.exec.worker import hosted_run, machines_of, worker_main
 from repro.faults import durability
 from repro.faults.durability import DurableRun
@@ -247,7 +244,7 @@ def merge_reports(plan, entries, obs) -> tuple[list[int], RunReport]:
 
 
 class ProcessBackend(Backend):
-    """Real multiprocess execution over shared-memory graph storage."""
+    """Real multiprocess execution over one shared graph store."""
 
     name = "process"
 
@@ -309,35 +306,23 @@ class ProcessBackend(Backend):
         return counts, report
 
     def _run_fleet(self, engine, plan, durable):
-        config = plan.config
         cluster = engine.cluster
         machines = cluster.num_machines
         workers = self.workers if self.workers else machines
         workers = max(1, min(workers, machines))
-        if config.resume:
-            durability.reap_stale_segments(config.checkpoint_dir)
         started = perf_counter()
-        # leased before the export: a fleet forked now must not inherit
-        # a mapping of segments it would outlive
+        handle = share_csr(cluster.graph)
         fleet, spawns = _lease(workers, self.start_method)
         run = _RunState(workers, machines, durable, fleet.lanes,
                         fleet.poller, spawns)
-        shared = None
         clean = False
         try:
-            shared = share_csr(cluster.graph)
-            # unlink is idempotent, so the signal/atexit hooks and the
-            # finally block may race
-            previous_handlers = install_janitor(shared.unlink)
-            if config.checkpoint_dir is not None:
-                durability.write_shm_names(
-                    config.checkpoint_dir, shared.handle.segment_names())
             # read per run: a fleet outlives the environment it was
             # forked under
             chaos = os.environ.get(durability.CHAOS_ENV, "")
             for worker_id, lane in enumerate(run.lanes):
                 lane.send(Job(
-                    shared.handle, plan,
+                    handle, plan,
                     *durable.start(machines_of(worker_id, workers, machines)),
                     engine.obs.enabled, chaos))
 
@@ -370,19 +355,12 @@ class ProcessBackend(Backend):
                 engine, plan, run, perf_counter() - started,
                 Outcome.TIMEOUT, str(exc))
         finally:
-            # teardown runs on every path: a fleet whose every worker
-            # reported goes back to the pool, any other is stopped; the
-            # graph's shared-memory segments are unlinked — the parent
-            # owns them
+            # a fleet whose every worker reported goes back to the
+            # pool, any other is stopped
             if clean:
                 _give_back(fleet)
             else:
                 fleet.stop()
-            if shared is not None:
-                shared.unlink()
-                remove_janitor(shared.unlink, previous_handlers)
-                if config.checkpoint_dir is not None:
-                    durability.clear_shm_names(config.checkpoint_dir)
         return self._merge(engine, plan, run, entries,
                            perf_counter() - started, redistribution)
 

@@ -2,9 +2,9 @@
 
 A worker is resident: it belongs to a pooled fleet
 (:mod:`repro.exec.process`) and runs one :class:`~repro.exec.messages.Job`
-per run the fleet is leased for. For each job it attaches the graph
-(a store's mapping is kept between jobs, shared-memory segments are
-not), rebuilds its own
+per run the fleet is leased for. For each job it attaches the graph's
+store (:mod:`repro.graph.csr`; the mapping and its derived section are
+kept between jobs on the same store), rebuilds its own
 deterministic view of the cluster (hash partitioning is pure, so every
 worker computes identical partitions), and runs the engine's one
 machine loop (``KhuzdulEngine.execute``) over the job plan it was
@@ -40,10 +40,6 @@ After its RESULT a worker reads its command pipe: the parent may hand
 it ``RecoverAssignment`` work — replay a dead peer's machines from the
 ledger's cursors and UDF copies — then the next run's ``Job``, until
 the parent releases the lane.
-
-A job's shared-memory mapping is closed when the job's result is
-sent, and every mapping on every exit path; the parent is the only
-side that ever unlinks the segments.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ from repro.exec.messages import (
     RecoverAssignment,
 )
 from repro.faults.durability import chaos_kill_threshold
-from repro.graph.csr import MmapCsrHandle, attach_csr
+from repro.graph.csr import attach_csr
 from repro.obs import Observability
 
 
@@ -129,55 +125,28 @@ def hosted_run(graph, plan, udfs, hosted, obs_enabled, sink=None,
 
 
 class _Attachments:
-    """The graphs a resident worker runs its jobs against.
+    """The graph a resident worker runs its jobs against.
 
-    A store attachment (:class:`~repro.graph.csr.MmapCsrHandle`) is
-    kept between jobs, keyed by path and fingerprint, so the next job
-    on the same store finds its mapping and derived section warm; a
-    store rebuilt at the same path has another fingerprint and is
-    attached afresh. Shared-memory segments are attached for one job
-    only — the parent unlinks them after every run, and a mapping kept
-    here would hold their memory while the worker idles.
+    The attachment is kept between jobs, keyed by the whole handle
+    (path, fingerprint, storage tag), so the next job on the same store
+    finds its mapping and derived section warm; a store rebuilt at the
+    same path has another fingerprint and is attached afresh.
     """
 
     def __init__(self) -> None:
-        self._store = None  # ((path, fingerprint), SharedCsr)
-        self._segments = None  # this job's SharedCsr, if in memory
+        self.handle = self.graph = None
 
-    def graph(self, handle):
-        """``handle``'s graph; call :meth:`done` once the job is
-        through with it."""
-        if not isinstance(handle, MmapCsrHandle):
-            self._segments = attach_csr(handle)
-            return self._segments.graph
-        key = (handle.path, handle.fingerprint)
-        if self._store is None or self._store[0] != key:
-            self.close()
-            self._store = (key, attach_csr(handle))
-        return self._store[1].graph
-
-    def done(self) -> None:
-        """Drop the job's shared-memory segments (a store stays)."""
-        if self._segments is not None:
-            self._segments.close()
-            self._segments = None
-
-    def close(self) -> None:
-        self.done()
-        if self._store is not None:
-            self._store[1].close()
-            self._store = None
+    def attach(self, handle):
+        """``handle``'s graph, attached on first use."""
+        if handle != self.handle:
+            self.handle, self.graph = handle, attach_csr(handle)
+        return self.graph
 
 
 def _hosted_job(attached, job, machines, udfs, resume, sink):
-    """One ``hosted_run`` of ``job`` on this worker, attached for it
-    (no reference to a segment-backed graph outlives the call, so its
-    mapping can close)."""
-    try:
-        return hosted_run(attached.graph(job.handle), job.plan, udfs,
-                          set(machines), job.obs_enabled, sink, resume)
-    finally:
-        attached.done()
+    """One ``hosted_run`` of ``job`` on this worker."""
+    return hosted_run(attached.attach(job.handle), job.plan, udfs,
+                      set(machines), job.obs_enabled, sink, resume)
 
 
 def worker_main(end, worker_id: int, num_workers: int) -> None:
@@ -214,5 +183,3 @@ def worker_main(end, worker_id: int, num_workers: int) -> None:
         raise  # the parent stopped listening; the lane exits quietly
     except BaseException:
         end.send((ERROR, worker_id, traceback.format_exc()))
-    finally:
-        attached.close()

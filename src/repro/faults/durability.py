@@ -78,9 +78,6 @@ FORMAT_VERSION = 6
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "chunks.log"
 SNAPSHOT_NAME = "aggregates.json"
-#: shared-memory segment names of an in-flight process-backend run;
-#: lets a resumed run unlink segments a SIGKILLed parent leaked
-SHM_NAME = "shm.json"
 
 #: environment variable the chaos harness uses for deterministic kills
 CHAOS_ENV = "REPRO_CHAOS"
@@ -163,54 +160,6 @@ def chaos_kill_threshold(kind: str, who=None, spec=None) -> int:
         return max(1, int(count))
     except ValueError:
         return 0
-
-
-# ---------------------------------------------------------------------
-# shared-memory leak ledger (process backend)
-# ---------------------------------------------------------------------
-def write_shm_names(directory: str, names: list[str]) -> None:
-    """Record the live segment names of a checkpointed process run."""
-    _write_atomic(os.path.join(directory, SHM_NAME),
-                  json.dumps({"segments": names}))
-
-
-def clear_shm_names(directory: str) -> None:
-    try:
-        os.remove(os.path.join(directory, SHM_NAME))
-    except OSError:
-        pass
-
-
-def reap_stale_segments(directory: str) -> int:
-    """Unlink segments a previous (killed) run recorded; returns how
-    many were actually reclaimed. Best effort: a name that no longer
-    exists is the common case after a clean exit."""
-    path = os.path.join(directory, SHM_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            names = json.load(handle).get("segments", [])
-    except (OSError, ValueError):
-        return 0
-    from multiprocessing import shared_memory
-
-    reaped = 0
-    for name in names:
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
-            continue
-        try:
-            segment.unlink()
-            reaped += 1
-        except (FileNotFoundError, OSError):
-            pass
-        finally:
-            try:
-                segment.close()
-            except (OSError, BufferError):
-                pass
-    clear_shm_names(directory)
-    return reaped
 
 
 # ---------------------------------------------------------------------

@@ -151,6 +151,7 @@ class Graph:
         "_degrees",
         "_edge_list_bytes",
         "_oriented",
+        "_shared",
         *("_" + name for name in DERIVED._fields),
     )
 
@@ -161,10 +162,12 @@ class Graph:
     #: rows' bytes, rounded up to whole words a vertex
     DENSE_ADJACENCY_BYTES = 64 << 20
 
-    #: storage mode tag; :class:`repro.graph.storage.MmapGraph`
-    #: overrides this with ``"mmap"``. The kernels never look at it —
-    #: only byte-accounting layers (admission, ``storage.*`` metrics)
-    #: do, so storage selection stays out of ``core/``.
+    #: storage mode tag; a :class:`repro.graph.storage.MmapGraph`
+    #: reads ``"mmap"``, unless it is a worker's mapping of a RAM
+    #: graph (:func:`repro.graph.csr.attach_csr`). The kernels never
+    #: look at it — only byte-accounting layers (admission,
+    #: ``storage.*`` metrics) do, so storage selection stays out of
+    #: ``core/``.
     storage = "ram"
 
     def __init__(
@@ -202,6 +205,8 @@ class Graph:
         self._degrees: Optional[np.ndarray] = None
         self._edge_list_bytes: Optional[np.ndarray] = None
         self._oriented: Optional[Graph] = None
+        #: ``(store directory, handle)`` of :func:`repro.graph.csr.share_csr`
+        self._shared = None
         for name in DERIVED._fields:
             setattr(self, "_" + name, None)
 

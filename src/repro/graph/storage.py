@@ -96,11 +96,10 @@ class MmapGraph(Graph):
     the store's derived section (:func:`derived_path`).
     """
 
+    #: ``storage`` is ``"mmap"``, or the sharing graph's tag where a
+    #: worker maps a RAM graph's store (:mod:`repro.graph.csr`)
     __slots__ = ("store_path", "fingerprint", "builder_stats",
-                 "derived_from")
-
-    #: storage mode tag ("ram" on the base class)
-    storage = "mmap"
+                 "derived_from", "storage")
 
     def _derive(self, builder: str) -> None:
         """Map every :data:`DERIVED` array from the derived section,
@@ -425,6 +424,7 @@ def open_store(path: str | os.PathLike, verify: bool = False) -> MmapGraph:
             f"{path}: corrupt store: {exc}"
         ) from exc
     graph.store_path = str(path)
+    graph.storage = "mmap"
     graph.fingerprint = header["_fingerprint"]
     graph.builder_stats = dict(header.get("builder") or {})
     graph.derived_from = {"fingerprint": graph.fingerprint,

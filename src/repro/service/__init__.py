@@ -2,8 +2,8 @@
 
 The one-shot CLI pays graph load + cluster partitioning + process
 spawn on every invocation. This package keeps all of that *resident*:
-a :class:`MiningServer` loads the graph once (into a shared-memory CSR
-segment when serving workers are enabled), and answers a stream of
+a :class:`MiningServer` loads the graph once (its serving workers, if
+any, map it from one store file), and answers a stream of
 structured :class:`QueryRequest`\\ s — triangle/clique/motif queries
 over either ported system, with per-query engine knobs — from a
 priority job queue behind an admission controller. Every query ends in

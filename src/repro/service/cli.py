@@ -7,13 +7,14 @@ reads one JSON request object per stdin line (the
 with the standard ``outcome:`` line (plus, under ``--metrics json``,
 the full :class:`QueryReport` as a JSON line on stdout), and prints a
 session summary on exit. Configuration problems — bad ``--workers``,
-``--memory-kb``, ``--checkpoint-dir``, unknown graph — surface as
+``--memory-kb``, ``--input``, unknown graph — surface as
 ``ConfigurationError`` before any query is read; a malformed or
 inadmissible *query* only ever fails itself (docs/service.md).
 
-SIGINT/SIGTERM take the leak-free drain path: queued queries return
-``REJECTED``, the in-flight one gets the drain budget, and the shm
-janitor runs exactly once.
+SIGINT/SIGTERM take the drain path: queued queries return
+``REJECTED`` and the in-flight one gets the drain budget. The server
+creates nothing that outlives it but the graph's reusable store
+(docs/storage.md), so even a SIGKILL leaves nothing to clean up.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ def add_serve_parser(sub) -> None:
                        help="default ported system for requests that "
                             "name none")
     serve.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="serving worker processes attached zero-copy "
-                            "to the shared-memory graph; 0 (default) "
-                            "serves in-process on one serial lane")
+                       help="serving worker processes, each mapping the "
+                            "graph's store file; 0 (default) serves "
+                            "in-process on one serial lane")
     serve.add_argument("--resident-mb", type=int, default=512,
                        metavar="MB",
                        help="resident memory cap the admission "
@@ -61,10 +62,6 @@ def add_serve_parser(sub) -> None:
                             "mmap (out-of-core store file), or auto "
                             "(mmap when the graph exceeds the resident "
                             "cap; docs/storage.md)")
-    serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="directory for the shm ledger: a SIGKILLed "
-                            "server's leaked segments are reaped by the "
-                            "next server started with the same DIR")
     serve.add_argument("--heartbeat", type=float, default=0.25,
                        metavar="SECONDS",
                        help="worker liveness-sweep interval; a dying "
@@ -132,7 +129,6 @@ def cmd_serve(args) -> int:
             resident_mb=args.resident_mb,
             storage=args.storage,
             metrics=(args.metrics == "json"),
-            checkpoint_dir=args.checkpoint_dir,
             heartbeat=args.heartbeat,
             drain_seconds=args.drain_seconds,
             time_budget=args.time_budget,
@@ -196,9 +192,6 @@ def cmd_serve(args) -> int:
         except KeyboardInterrupt:
             pass  # drain below resolves every outstanding handle
         finally:
-            # hand SIGTERM back to the janitor chain *before*
-            # shutdown() runs remove_janitor — restoring afterwards
-            # would re-arm a handler whose cleanup has already run
             signal.signal(signal.SIGTERM, previous_term)
         summary = server.shutdown()
         flush_ready(block=True)

@@ -2,8 +2,9 @@
 
 One :class:`MiningServer` owns everything a one-shot CLI run pays per
 invocation: the loaded graph, the partitioned cluster(s), and — when
-``workers > 0`` — a pool of serving processes attached zero-copy to a
-shared-memory CSR export of the graph. Queries flow
+``workers > 0`` — a pool of serving processes that map the graph's
+store (:mod:`repro.graph.csr`; a RAM graph is written as one once).
+Queries flow
 
     submit -> admission (reject | queue) -> priority queue
            -> dispatch to a lane -> QueryReport
@@ -26,13 +27,11 @@ wake pipe (a submission that finds a lane idle wakes it), at most
 the queue head to every free lane, then reports the finished queries
 and sends the assigned ones.
 
-Shutdown is leak-free by construction: the first ``shutdown()`` (or a
-SIGINT/SIGTERM through the installed janitor, or interpreter exit)
-drains the queue into ``REJECTED`` reports, bounds the wait for
-in-flight queries (``TIMEOUT`` past the drain budget), and unlinks the
-shared segments exactly once; a SIGKILL instead leaves the ``shm.json``
-ledger under ``checkpoint_dir`` for the next server to reap
-(:func:`repro.faults.durability.reap_stale_segments`).
+The first ``shutdown()`` drains the queue into ``REJECTED`` reports,
+bounds the wait for in-flight queries (``TIMEOUT`` past the drain
+budget) and stops the lanes. A server creates nothing it must remove:
+the graph's store outlives it, so a SIGKILL leaves nothing to reap and
+the next server maps the same store.
 """
 
 from __future__ import annotations
@@ -40,15 +39,12 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
 from repro.cluster.cluster import ClusterConfig
-from repro.exec.janitor import install_janitor, remove_janitor
 from repro.exec.lane import Lane, Poller
-from repro.faults import durability
 from repro.faults.recovery import Outcome
 from repro.graph.csr import share_csr
 from repro.graph.datasets import DATASETS, load_dataset
@@ -99,8 +95,6 @@ class ServiceConfig:
     storage: str = "ram"
     #: per-query metrics snapshots + a server-lifetime registry
     metrics: bool = False
-    #: directory for the shm ledger (SIGKILL leak recovery)
-    checkpoint_dir: Optional[str] = None
     #: worker liveness-sweep interval (wall-clock seconds)
     heartbeat: float = 0.25
     #: shutdown waits this long for in-flight queries before
@@ -144,13 +138,6 @@ class ServiceConfig:
             raise ConfigurationError("heartbeat must be positive")
         if self.drain_seconds <= 0:
             raise ConfigurationError("drain_seconds must be positive")
-        if self.checkpoint_dir is not None:
-            path = Path(self.checkpoint_dir)
-            if path.exists() and not path.is_dir():
-                raise ConfigurationError(
-                    f"checkpoint_dir {self.checkpoint_dir!r} exists and "
-                    f"is not a directory"
-                )
         check_engine_knobs(self)
 
     def cluster_config(self) -> ClusterConfig:
@@ -216,11 +203,6 @@ class MiningServer:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.graph = None
-        #: effective cleanups the janitor performed (the leak-free
-        #: shutdown contract: exactly 1 after any number of shutdowns)
-        self.janitor_runs = 0
-        #: segments reaped from a previous SIGKILLed server at start
-        self.reaped_segments = 0
         self.worker_deaths = 0
         self._obs = Observability()  # server-lifetime registry
         self._lock = threading.Lock()
@@ -235,9 +217,6 @@ class MiningServer:
         self._started_at = 0.0
         self._summary: Optional[dict] = None
         self._shutdown_lock = threading.Lock()
-        self._cleanup_lock = threading.Lock()
-        self._cleanup_done = False
-        self._janitor_previous: Optional[dict] = None
         self._supervisor: Optional[threading.Thread] = None
         self._poller: Optional[Poller] = None
         self._halt = False  # every query settled: the supervisor leaves
@@ -245,7 +224,6 @@ class MiningServer:
         self._graph_bytes = self._memory_bytes = 0  # of the estimates
         self._executor: Optional[QueryExecutor] = None
         # process-lane state (workers > 0)
-        self._shared = None
         #: one supervised lane per serving worker; only the supervisor
         #: thread waits on, receives from and respawns them
         self._lanes: list[Lane] = []
@@ -256,15 +234,10 @@ class MiningServer:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "MiningServer":
-        """Load the graph, arm the janitor, spawn the serving lanes."""
+        """Load the graph, spawn the serving lanes."""
         if self._started:
             raise ConfigurationError("server already started")
         config = self.config
-        if config.checkpoint_dir is not None:
-            os.makedirs(config.checkpoint_dir, exist_ok=True)
-            self.reaped_segments = durability.reap_stale_segments(
-                config.checkpoint_dir
-            )
         self.graph = load_dataset(
             config.graph, scale=config.scale, labeled=False,
             storage=config.storage,
@@ -296,7 +269,6 @@ class MiningServer:
             self._start_worker_pool()
         else:
             self._executor = QueryExecutor(self.graph, config)
-        self._janitor_previous = install_janitor(self._cleanup)
         self._started = True
         self._started_at = perf_counter()
         self._m_workers.set(config.workers)
@@ -322,15 +294,10 @@ class MiningServer:
 
     def _start_worker_pool(self) -> None:
         config = self.config
-        self._shared = share_csr(self.graph)
-        if config.checkpoint_dir is not None:
-            durability.write_shm_names(
-                config.checkpoint_dir,
-                self._shared.handle.segment_names(),
-            )
+        handle = share_csr(self.graph)
         self._lanes = [
             Lane(worker_id, f"repro-service-{worker_id}",
-                 service_worker_main, (self._shared.handle, config))
+                 service_worker_main, (handle, config))
             for worker_id in range(config.workers)
         ]
         for lane in self._lanes:
@@ -354,7 +321,6 @@ class MiningServer:
             "baseline_bytes": (
                 self._admission.baseline_bytes if self._admission else 0
             ),
-            "reaped_segments": self.reaped_segments,
             "pid": os.getpid(),
         }
 
@@ -634,34 +600,12 @@ class MiningServer:
     # ------------------------------------------------------------------
     # shutdown
     # ------------------------------------------------------------------
-    def _cleanup(self) -> None:
-        """The shm janitor: unlink the resident segments and clear the
-        ledger, effectively once (signal path, atexit, and shutdown()
-        may all call this)."""
-        with self._cleanup_lock:
-            if self._cleanup_done:
-                return
-            self._cleanup_done = True
-        self.janitor_runs += 1
-        if self._shared is not None:
-            try:
-                self._shared.unlink()
-            except Exception:  # pragma: no cover - best effort
-                pass
-        if self.config.checkpoint_dir is not None:
-            try:
-                durability.clear_shm_names(self.config.checkpoint_dir)
-            except Exception:  # pragma: no cover - best effort
-                pass
-
     def shutdown(self) -> dict[str, Any]:
         """Drain and stop; idempotent, returns the session summary.
 
         Queued work terminates ``REJECTED``; in-flight queries get
-        ``drain_seconds`` to finish, then ``TIMEOUT``. The janitor
-        runs exactly once across any number of calls (and any signal
-        races — the chaos suite SIGKILLs servers to prove the ledger
-        side of this).
+        ``drain_seconds`` to finish, then ``TIMEOUT``; the lanes stop
+        once, whatever the number of calls.
         """
         with self._shutdown_lock:
             if self._summary is not None:
@@ -702,10 +646,6 @@ class MiningServer:
             if not self._supervisor.is_alive():
                 # every wake is made under the lock before stopping
                 self._poller.close()
-            self._cleanup()
-            if self._janitor_previous is not None:
-                remove_janitor(self._cleanup, self._janitor_previous)
-                self._janitor_previous = None
             self._summary = self._session_summary()
             return self._summary
 
@@ -734,7 +674,6 @@ class MiningServer:
             "wall_seconds": wall,
             "workers": self.config.workers,
             "worker_deaths": self.worker_deaths,
-            "reaped_segments": self.reaped_segments,
             "admission": self._admission.snapshot()
             if self._admission else None,
             "metrics": (

@@ -11,7 +11,7 @@ failures are already structured reports, configuration problems become
 bad query degrades itself, not its lane.
 
 :func:`service_worker_main` wraps an executor in a worker *process*
-attached zero-copy to the server's shared-memory CSR segment, behind a
+that maps the server graph's store (:mod:`repro.graph.csr`), behind a
 supervised lane (:mod:`repro.exec.lane` — the primitive the process
 backend's fleet uses too): it serves the lane's command pipe, ships
 payloads back over the lane's private result pipe, and exits on the
@@ -136,12 +136,8 @@ def service_worker_main(end, csr_handle, config) -> None:
     desynchronize the lane."""
     from repro.graph.csr import attach_csr  # after fork/spawn
 
-    shared = attach_csr(csr_handle)
-    try:
-        executor = QueryExecutor(shared.graph, config)
-        for request in end.commands():
-            if chaos_kill_threshold("query-exit", request.id):
-                os._exit(3)  # deterministic worker-death test hook
-            end.send((request.id, executor.execute(request)))
-    finally:
-        shared.close()
+    executor = QueryExecutor(attach_csr(csr_handle), config)
+    for request in end.commands():
+        if chaos_kill_threshold("query-exit", request.id):
+            os._exit(3)  # deterministic worker-death test hook
+        end.send((request.id, executor.execute(request)))

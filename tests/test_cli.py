@@ -1,11 +1,13 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.__main__ import _parse_pattern, main
 from repro.patterns import catalog
+from repro.service import ServiceConfig
 
 
 def test_parse_catalog_patterns():
@@ -167,10 +169,13 @@ def test_serve_missing_input_is_a_configuration_error(tmp_path):
     assert "cannot read --input" in str(excinfo.value)
 
 
-def test_serve_rejects_checkpoint_dir_that_is_a_file(tmp_path):
-    bogus = tmp_path / "not-a-dir"
-    bogus.write_text("occupied")
+def test_serve_has_no_checkpoint_dir(tmp_path, capsys):
+    # a server creates nothing a later one must reap, so serve takes
+    # no checkpoint directory
     with pytest.raises(SystemExit) as excinfo:
-        main(SERVE_BASE + ["--checkpoint-dir", str(bogus)])
-    assert "configuration error" in str(excinfo.value)
-    assert "not a directory" in str(excinfo.value)
+        main(SERVE_BASE + ["--checkpoint-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --checkpoint-dir" in \
+        capsys.readouterr().err
+    assert "checkpoint_dir" not in {
+        field.name for field in dataclasses.fields(ServiceConfig)}

@@ -34,6 +34,7 @@ from repro.graph.generators import erdos_renyi
 from repro.patterns import catalog
 from repro.patterns.schedule import automine_schedule
 from repro.systems import KAutomine
+from benchmarks.chaos import segments
 
 pytestmark = pytest.mark.faults
 
@@ -406,8 +407,11 @@ def test_process_backend_resume_counts_identical(tmp_path):
     checkpointed = first.count_pattern(catalog.clique(3))
     assert checkpointed.counts == expected.counts
     assert checkpointed.extra["checkpoint"]["records"] > 0
-    # the clean teardown cleared the segment ledger
-    assert not os.path.exists(tmp_path / "shm.json")
+    # the checkpoint directory holds the run's progress and nothing of
+    # the graph's: the workers mapped its store, no segment was created
+    assert sorted(os.listdir(tmp_path)) == [
+        "aggregates.json", "chunks.log", "manifest.json"]
+    assert not segments()
 
     # a checkpoint written by the process backend resumes inline — the
     # manifest is backend-independent by design

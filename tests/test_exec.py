@@ -11,6 +11,7 @@ import ast
 import inspect
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import time
@@ -40,9 +41,11 @@ from repro.faults import FaultPlan
 from repro.graph import dataset
 from repro.graph.generators import erdos_renyi
 from repro.graph.csr import attach_csr, share_csr
+from repro.graph.storage import write_store
 from repro.obs import Observability
 from repro.patterns import catalog
 from repro.systems import KAutomine
+from benchmarks.chaos import segments, store_files
 
 pytestmark = pytest.mark.exec
 
@@ -80,41 +83,48 @@ def _assert_only_pooled_workers():
     assert not _live_workers()
 
 
-
 # ======================================================================
-# shared-memory CSR export
+# sharing a graph: by store path (repro.graph.csr)
 # ======================================================================
-def test_shared_csr_round_trip():
+def test_shared_csr_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
     graph = erdos_renyi(120, 600, seed=3)
-    shared = share_csr(graph)
-    try:
-        attached = attach_csr(shared.handle)
-        try:
-            assert np.array_equal(attached.graph.indptr, graph.indptr)
-            assert np.array_equal(attached.graph.indices, graph.indices)
-            assert attached.graph.directed == graph.directed
-            for v in (0, 7, 119):
-                assert np.array_equal(
-                    attached.graph.neighbors(v), graph.neighbors(v)
-                )
-        finally:
-            attached.close()
-            attached.close()  # idempotent
-    finally:
-        shared.unlink()
+    handle = share_csr(graph)
+    assert Path(handle.path).parent == tmp_path
+    attached = attach_csr(pickle.loads(pickle.dumps(handle)))
+    assert attached == graph
+    assert attached.storage == "ram"  # the sharing graph's, not "mmap"
+    for v in (0, 7, 119):
+        assert np.array_equal(attached.neighbors(v), graph.neighbors(v))
+    # memoized on the graph; an equal graph reuses the file
+    assert share_csr(graph) is handle
+    twin = erdos_renyi(120, 600, seed=3)
+    assert share_csr(twin) == handle
+    assert store_files(tmp_path) == [Path(handle.path).name]
+    assert not segments()
 
 
-def test_shared_csr_carries_labels():
+def test_shared_csr_carries_labels(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
     graph = dataset("mico", scale=0.2, labeled=True)
-    shared = share_csr(graph)
-    try:
-        attached = attach_csr(shared.handle)
-        try:
-            assert np.array_equal(attached.graph.labels, graph.labels)
-        finally:
-            attached.close()
-    finally:
-        shared.unlink()
+    plain = dataset("mico", scale=0.2)
+    attached = attach_csr(share_csr(graph))
+    assert np.array_equal(attached.labels, graph.labels)
+    # labels are part of the key: the unlabeled graph is another store
+    assert share_csr(plain).path != share_csr(graph).path
+    assert attach_csr(share_csr(plain)).labels is None
+
+
+def test_a_store_that_is_not_the_graph_is_rewritten(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+    graph = dataset("mico", scale=0.2)
+    path = Path(share_csr(graph).path)
+    # another graph's bytes under this graph's name (a torn or stale
+    # file would be refused by name the same way)
+    write_store(dataset("mico", scale=0.1), path)
+    fresh = share_csr(dataset("mico", scale=0.2))
+    assert Path(fresh.path) == path
+    assert attach_csr(fresh) == graph
 
 
 # ======================================================================
@@ -654,41 +664,29 @@ def test_no_fd_growth_across_fleets_and_respawns():
 
 
 # ======================================================================
-# shared-memory segment allocation — collision retry
+# one medium: no run creates a shared-memory segment
 # ======================================================================
-def test_segment_creation_retries_on_collision(monkeypatch):
-    from repro.graph import csr
-
-    attempts = []
-    real_shm = csr.shared_memory.SharedMemory
-
-    def colliding(name=None, create=False, size=0):
-        attempts.append(name)
-        if len(attempts) <= 2:
-            raise FileExistsError(name)
-        return real_shm(name=name, create=create, size=size)
-
-    monkeypatch.setattr(csr.shared_memory, "SharedMemory", colliding)
-    monkeypatch.setattr(csr.time, "sleep", lambda _t: None)
-    segment = csr.create_segment(64)
-    try:
-        assert len(attempts) == 3           # two collisions absorbed
-        assert len(set(attempts)) == 3      # fresh nonce per attempt
-    finally:
-        segment.unlink()
-        segment.close()
+def test_no_source_imports_shared_memory():
+    # the store is the one way a graph reaches a worker: nothing under
+    # src/ may create a POSIX shared-memory segment
+    banned = re.compile(r"\bshared_memory\b|_posixshmem")
+    for source in sorted(_SRC.rglob("*.py")):
+        hit = banned.search(source.read_text())
+        assert hit is None, f"{source.relative_to(_SRC)}: {hit.group(0)}"
 
 
-def test_segment_creation_collision_exhaustion(monkeypatch):
-    from repro.graph import csr
-
-    def always_taken(name=None, create=False, size=0):
-        raise FileExistsError(name)
-
-    monkeypatch.setattr(csr.shared_memory, "SharedMemory", always_taken)
-    monkeypatch.setattr(csr.time, "sleep", lambda _t: None)
-    with pytest.raises(ConfigurationError, match="name collisions"):
-        csr.create_segment(64)
+def test_ram_runs_on_every_backend_create_no_segment(tmp_path, monkeypatch):
+    # two shapes of fleet, back to back on one RAM graph, share one
+    # store file and create no segment
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+    graph = dataset("mico", scale=0.05)
+    inline = _tiny_count(None, graph)
+    for workers in (2, 3):
+        report = _tiny_count(ProcessBackend(workers=workers), graph)
+        assert report.counts == inline.counts
+    assert not segments()
+    assert [name for name in store_files(tmp_path)
+            if name.endswith(".kcsr")] == [Path(share_csr(graph).path).name]
 
 
 # ======================================================================
@@ -702,13 +700,16 @@ import subprocess
 import sys
 
 
-def _chaos_cli(extra, chaos=None, check=True):
-    """Run ``python -m repro count`` on the tiny chaos job."""
+def _chaos_cli(extra, chaos=None, check=True, stores=None):
+    """Run ``python -m repro count`` on the tiny chaos job (its graph
+    stores under ``stores`` when given)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     env.pop("REPRO_CHAOS", None)
     if chaos:
         env["REPRO_CHAOS"] = chaos
+    if stores is not None:
+        env["REPRO_STORE_DIR"] = str(stores)
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "count", "--graph", "mico",
          "--scale", "0.05", "--machines", "4", "--chunk-bytes", "1024",
@@ -750,27 +751,24 @@ def test_resume_after_parent_sigkill_inline(tmp_path):
 @exec_faults
 def test_resume_after_parent_sigkill_process_backend(tmp_path):
     oracle = _chaos_report(_chaos_cli([]))
-    killed = _chaos_cli(
-        ["--checkpoint-dir", str(tmp_path), "--backend", "process",
-         "--workers", "2"],
-        chaos="parent-kill:2", check=False)
+    stores = tmp_path / "stores"
+    checkpoints = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+    process = ["--backend", "process", "--workers", "2"]
+    killed = _chaos_cli([*checkpoints, *process], chaos="parent-kill:2",
+                        check=False, stores=stores)
     assert killed.returncode == -_signal.SIGKILL
-    # the SIGKILLed parent left its segment ledger behind
-    ledger = tmp_path / "shm.json"
-    assert ledger.exists()
-    leaked = _json.loads(ledger.read_text())["segments"]
-    assert leaked
+    # the SIGKILLed parent left its graph's store, and nothing to reap
+    assert not segments()
+    left = store_files(stores)
+    assert left
 
     resumed = _chaos_report(_chaos_cli(
-        ["--checkpoint-dir", str(tmp_path), "--backend", "process",
-         "--workers", "2", "--resume"]))
+        [*checkpoints, *process, "--resume"], stores=stores))
     assert resumed["counts"] == oracle["counts"]
     assert resumed["extra"]["checkpoint"]["resumed_roots"] > 0
-    # the resumed run reaped the leaked segments and, on its own clean
-    # exit, cleared the ledger
-    assert not ledger.exists()
-    for name in leaked:
-        assert not os.path.exists(f"/dev/shm/{name}")
+    # the resumed run mapped the same store: no new file beside it
+    assert store_files(stores) == left
+    assert not segments()
 
 
 @exec_faults
@@ -842,7 +840,7 @@ def _reports_then_dies_worker_main(end, worker_id, *args):
 @exec_faults
 @_FORK_ONLY
 def test_worker_that_dies_after_its_result_is_not_a_loss(
-        monkeypatch, chaos, comparable):
+        monkeypatch, comparable):
     # worker 1 of 3 hosts machine 1: its deltas, its RESULT, then it is
     # gone. Nothing it owed is missing, so even ``fail`` reports a
     # clean run — structurally (the RESULT was in the pipe before the
@@ -861,7 +859,7 @@ def test_worker_that_dies_after_its_result_is_not_a_loss(
     assert report.simulated_seconds == expected.simulated_seconds
     assert comparable(report) == comparable(expected)
     _assert_only_pooled_workers()
-    assert not chaos.owned_segments(os.getpid())
+    assert not segments()
 
 
 @exec_faults
@@ -965,36 +963,61 @@ def test_only_the_ledger_builds_resume_maps_and_udf_copies():
                            None) != "dict", where
 
 
-def _segment_auditing_worker_main(end, worker_id, *args):
-    """Drop-in worker entry point that fails its job (so the run
-    reports ``CRASHED``) unless the fleet's parent owns exactly the
-    graph's segments when the job reaches the worker."""
-    from benchmarks import chaos
+#: where :func:`_recording_worker_main` logs, set before a fleet forks
+_WORKER_LOG = None
 
-    commands = end.commands
 
-    def audited():
-        for job in commands():
-            owned = chaos.owned_segments(os.getppid())
-            assert owned == sorted(job.handle.segment_names()), owned
-            yield job
+def _recording_worker_main(end, worker_id, *args):
+    """Drop-in worker entry point that logs every graph attachment and
+    every in-RAM build of a derived array it makes to ``_WORKER_LOG``."""
+    from repro.exec import worker as worker_mod
+    from repro.graph.graph import Graph
 
-    end.commands = audited
+    def logged(kind, call):
+        def wrapper(*call_args):
+            with open(_WORKER_LOG, "a") as log:
+                log.write(f"{kind}\n")
+            return call(*call_args)
+        return wrapper
+
+    worker_mod.attach_csr = logged("attach", worker_mod.attach_csr)
+    Graph._derive = logged("build", Graph._derive)
     return worker_main(end, worker_id, *args)
 
 
 @_FORK_ONLY
-def test_a_fleet_owns_the_graph_segments_and_nothing_else(
-        monkeypatch, chaos):
+def test_a_resident_fleet_keeps_a_ram_graphs_store_warm(
+        tmp_path, monkeypatch, comparable):
+    # a RAM graph goes out as one store; the second job on one fleet
+    # writes no file, attaches nothing and builds no derived array
+    global _WORKER_LOG
+    _WORKER_LOG = tmp_path / "worker.log"
+    stores = tmp_path / "stores"
+    monkeypatch.setenv("REPRO_STORE_DIR", str(stores))
     monkeypatch.setattr("repro.exec.process.worker_main",
-                        _segment_auditing_worker_main)
-    graph = dataset("mico", scale=0.05)  # in ram: exported to /dev/shm
-    proc = KAutomine(graph, _CLUSTER, graph_name="mico",
-                     backend=ProcessBackend(workers=3, start_method="fork"))
-    report = proc.count_pattern(catalog.clique(3))
-    assert report.failure is None, report.failure.message
+                        _recording_worker_main)
+    graph = dataset("mico", scale=0.05)
+    obs = Observability()
+    backend = ProcessBackend(workers=2, start_method="fork")
+    system = KAutomine(graph, _CLUSTER, graph_name="mico", obs=obs,
+                       backend=backend)
+    reports, logs, files = [], [], []
+    for _ in range(2):
+        reports.append(system.count_pattern(catalog.clique(3)))
+        logs.append(sorted(_WORKER_LOG.read_text().split()))
+        files.append(store_files(stores))
+        assert not any(name.startswith("storage.")
+                       for table in obs.registry.snapshot().values()
+                       for name in table)
+    first, second = reports
+    assert second.extra["exec"]["spawns"] == 0
+    assert "storage" not in first.extra and "storage" not in second.extra
+    assert comparable(second) == comparable(first)
+    assert logs[0].count("attach") == 2 and "build" in logs[0]
+    assert logs[1] == logs[0]  # nothing new in the second job
+    assert files[1] == files[0]
+    assert not segments()
     _assert_only_pooled_workers()
-    assert not chaos.owned_segments(os.getpid())
 
 
 # ======================================================================
@@ -1168,10 +1191,12 @@ def test_an_exiting_interpreter_releases_its_idle_fleet():
 def test_an_idle_fleet_does_not_keep_the_resource_tracker_alive():
     # perfbench stops multiprocessing's resource tracker and waits for
     # it before printing a result; a worker holding the tracker's pipe
-    # made that wait endless. The 3-worker fleet is forked after the
-    # 2-worker run's export started the tracker, so it inherits a copy
+    # made that wait endless. The tracker runs before either fleet
+    # forks (as the spawn start method or any semaphore starts it), so
+    # every worker inherits a copy
     program = (
         "from multiprocessing import resource_tracker\n"
+        "resource_tracker.ensure_running()\n"
         "from repro.cluster import ClusterConfig\n"
         "from repro.exec import ProcessBackend\n"
         "from repro.graph import dataset\n"

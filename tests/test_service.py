@@ -8,8 +8,8 @@ The acceptance contract of the service layer:
   server-lifetime registry by summation;
 - the admission controller turns over-budget queries into structured
   ``REJECTED`` reports instead of exceptions;
-- shutdown is leak-free: the queue drains into ``REJECTED`` reports
-  and the shm janitor runs exactly once;
+- shutdown drains the queue into ``REJECTED`` reports, and a server
+  creates no shared-memory segment: its workers map the graph's store;
 - a serving worker dying mid-query degrades that one query to
   ``CRASHED`` while the server survives and respawns the worker.
 """
@@ -42,6 +42,7 @@ from repro.service import (
 from repro.service import protocol
 from repro.service.protocol import jsonable_counts, refusal_payload
 from repro.systems import KAutomine, KGraphPi, motif_count
+from benchmarks.chaos import segments
 
 pytestmark = pytest.mark.service
 
@@ -254,7 +255,7 @@ def test_concurrent_clients_process_lane_match_one_shot():
     finally:
         summary = server.shutdown()
     assert summary["ok"] == len(requests)
-    assert server.janitor_runs == 1  # shared segments unlinked once
+    assert not segments()  # the workers mapped the graph's store
 
 
 def test_priority_order_under_load(monkeypatch):
@@ -485,7 +486,7 @@ def test_worker_death_degrades_one_query_not_the_server(monkeypatch):
         summary = server.shutdown()
     assert summary["worker_deaths"] == 1
     assert summary["ok"] == 1
-    assert server.janitor_runs == 1
+    assert not segments()  # a respawned worker maps the same store
 
 
 def test_worker_death_before_pickup_does_not_wedge_the_lane():
@@ -657,14 +658,15 @@ def test_service_counters_track_outcomes():
 # ---------------------------------------------------------------------
 # leak-free shutdown
 # ---------------------------------------------------------------------
-def test_shutdown_drains_queue_and_runs_janitor_once(tmp_path,
-                                                     monkeypatch):
+def test_shutdown_drains_queue_and_leaves_no_segment(tmp_path,
+                                                    monkeypatch):
     """Shutdown mid-stream: the in-flight query finishes inside the
-    drain budget, queued queries come back REJECTED, and repeated
-    shutdowns keep the summary stable with one janitor run."""
+    drain budget, queued queries come back REJECTED, repeated
+    shutdowns keep the summary stable, and the server leaves its
+    graph's store — no shared-memory segment — behind."""
     monkeypatch.setenv("REPRO_CHAOS", "query-sleep:inflight:400")
-    server = small_server(workers=1, heartbeat=0.1,
-                          checkpoint_dir=str(tmp_path / "svc"))
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "stores"))
+    server = small_server(workers=1, heartbeat=0.1)
     client = ServiceClient(server)
     blocker = client.submit(id="inflight", app="triangle")
     queued = [client.submit(id=f"queued-{i}", app="triangle")
@@ -682,12 +684,12 @@ def test_shutdown_drains_queue_and_runs_janitor_once(tmp_path,
         assert "shutting down" in report.message()
     assert summary["queries"] == 4
     assert summary["rejected"] == 3
-    assert server.janitor_runs == 1
-    # idempotent: same summary object, no second janitor run
+    # idempotent: same summary object
     assert server.shutdown() is summary
-    assert server.janitor_runs == 1
-    # the shm ledger was cleared by the janitor
-    assert not (tmp_path / "svc" / "shm.json").exists()
+    assert not segments()
+    # the one store the worker mapped, kept for the next server
+    stores = list((tmp_path / "stores").glob("*.kcsr"))
+    assert [path.name[:4] for path in stores] == ["ram-"]
 
 
 def test_submit_after_shutdown_is_rejected_structurally():
@@ -703,7 +705,6 @@ def test_client_context_manager_shuts_down():
     server = small_server()
     with ServiceClient(server) as client:
         assert client.query(app="triangle").ok
-    assert server.janitor_runs == 1
     assert server.shutdown()["queries"] == 1
 
 

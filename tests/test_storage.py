@@ -86,6 +86,7 @@ from tests.reference import (
     hit_rate,
     iter_graph_edge_batches,
 )
+from benchmarks.chaos import segments
 
 
 def _random_edges(m, n, seed, with_labels=False):
@@ -519,27 +520,21 @@ def test_share_csr_mmap_is_pathonly_and_reattachable(tmp_path):
     ram = dataset("mico", scale=0.3)
     mapped = load_dataset("mico", scale=0.3, storage="mmap",
                           store_dir=tmp_path)
-    shared = share_csr(mapped)
-    try:
-        handle = shared.handle
-        assert isinstance(handle, MmapCsrHandle)
-        # no segments: the durability ledger records nothing to reap
-        assert handle.segment_names() == []
-        revived = pickle.loads(pickle.dumps(handle))
-        attached = attach_csr(revived)
-        try:
-            assert attached.graph == ram
-            assert attached.graph.storage == "mmap"
-        finally:
-            attached.close()
-    finally:
-        shared.unlink()  # must be a safe no-op for mmap handles
+    files = sorted(tmp_path.iterdir())
+    handle = share_csr(mapped)
+    # a store is its own medium: nothing is written to share it
+    assert handle == MmapCsrHandle(mapped.store_path, mapped.fingerprint,
+                                   "mmap")
+    assert sorted(tmp_path.iterdir()) == files
+    attached = attach_csr(pickle.loads(pickle.dumps(handle)))
+    assert attached == ram
+    assert attached.storage == "mmap"
 
 
 def test_attach_csr_rejects_swapped_store(tmp_path):
     mapped = load_dataset("mico", scale=0.3, storage="mmap",
                           store_dir=tmp_path)
-    handle = share_csr(mapped).handle
+    handle = share_csr(mapped)
     # rebuild the store with a different graph behind the same path
     write_store(dataset("mico", scale=0.2), handle.path)
     with pytest.raises(ConfigurationError, match="fingerprint"):
@@ -595,6 +590,32 @@ def test_counts_and_metrics_identical_across_storage(tmp_path):
             ram_report.peak_memory_bytes, label
         assert mmap_report.breakdown == ram_report.breakdown, label
         assert mmap_counters == ram_counters, label
+
+
+def test_oriented_runs_on_a_store_share_one_oriented_store(
+        tmp_path, monkeypatch, comparable):
+    """``Graph.oriented()`` of a store is a RAM graph: the process
+    backend shares it as one content-addressed store, written by the
+    first run and mapped by the second — no segment either time."""
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "shared"))
+    load_dataset("mico", scale=0.3, storage="mmap", store_dir=tmp_path)
+    path = tmp_path / "mico-s0.3-plain.kcsr"
+
+    def run(backend):
+        # a fresh mapping each run: the oriented graph is built anew,
+        # so the second run finds the store on disk, not a memo
+        return KAutomine(open_store(path), ClusterConfig(num_machines=4),
+                         graph_name="mico", backend=backend) \
+            .count_pattern(catalog.clique(4), oriented=True)
+
+    inline = run(None)
+    for _ in range(2):
+        report = run(ProcessBackend(workers=2))
+        assert comparable(report) == comparable(inline)
+        assert not segments()
+        stores = sorted((tmp_path / "shared").glob("*.kcsr"))
+        assert len(stores) == 1 and stores[0].name.endswith(
+            "-directed.kcsr")
 
 
 def test_kernels_run_unmodified_on_memmap_arrays(tmp_path):
